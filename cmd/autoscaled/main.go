@@ -61,6 +61,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -85,76 +86,105 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(exitCode(run(ctx, os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+// exitCode reports a run error on stderr and maps it to the process exit
+// status: 0 on success (and -h), 2 for unparsable flags, 1 otherwise.
+func exitCode(err error, stderr io.Writer) int {
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errFlags):
+		return 2 // the FlagSet already printed the problem and the usage
+	}
+	fmt.Fprintf(stderr, "autoscaled: %v\n", err)
+	return 1
+}
+
+// errFlags marks a command line the FlagSet rejected.
+var errFlags = errors.New("invalid command line")
+
+// run is the whole daemon: it parses args, replays the workload and
+// returns when the replay ends or ctx is cancelled (a signal, in main).
+// A cancelled context stops the loop at a round boundary, writes a final
+// checkpoint and drains the observability endpoint instead of dying
+// mid-write. Deterministic end-of-run totals go to stdout, everything
+// else to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	logger := log.New(stderr, "", 0)
+	fs := flag.NewFlagSet("autoscaled", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dataset    = flag.String("dataset", "alibaba", "workload: alibaba or google")
-		tenant     = flag.String("tenant", obs.DefaultTenant, "tenant id labelling this daemon's decisions, journal events, metrics and checkpoints")
-		seed       = flag.Int64("seed", 42, "trace seed")
-		days       = flag.Int("days", 7, "how many days of workload to replay")
-		strategy   = flag.String("strategy", "robust", "robust | adaptive | reactive-max | reactive-avg")
-		tau        = flag.Float64("tau", 0.9, "quantile level (robust) or optimistic level (adaptive)")
-		tau2       = flag.Float64("tau2", 0.95, "conservative level for adaptive")
-		rho        = flag.Float64("rho", 0, "uncertainty threshold for adaptive (0 = auto-calibrate)")
-		theta      = flag.Float64("theta", 100, "per-node workload threshold")
-		horizon    = flag.Int("horizon", 72, "planning horizon in steps")
-		epochs     = flag.Int("epochs", 6, "forecaster training epochs")
-		listen     = flag.String("listen", "", "address for the JSON status endpoint (e.g. :8080; empty disables)")
-		journalCap = flag.Int("journal-cap", 1024, "bounded event journal capacity (entries)")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON file here when the replay ends (implies tracing)")
-		explain    = flag.String("explain", "", `print the decision explanation for a series step index, or "latest", after the replay`)
+		dataset    = fs.String("dataset", "alibaba", "workload: alibaba or google")
+		tenant     = fs.String("tenant", obs.DefaultTenant, "tenant id labelling this daemon's decisions, journal events, metrics and checkpoints")
+		seed       = fs.Int64("seed", 42, "trace seed")
+		days       = fs.Int("days", 7, "how many days of workload to replay")
+		strategy   = fs.String("strategy", "robust", "robust | adaptive | reactive-max | reactive-avg")
+		tau        = fs.Float64("tau", 0.9, "quantile level (robust) or optimistic level (adaptive)")
+		tau2       = fs.Float64("tau2", 0.95, "conservative level for adaptive")
+		rho        = fs.Float64("rho", 0, "uncertainty threshold for adaptive (0 = auto-calibrate)")
+		theta      = fs.Float64("theta", 100, "per-node workload threshold")
+		horizon    = fs.Int("horizon", 72, "planning horizon in steps")
+		epochs     = fs.Int("epochs", 6, "forecaster training epochs")
+		listen     = fs.String("listen", "", "address for the JSON status endpoint (e.g. :8080; empty disables)")
+		journalCap = fs.Int("journal-cap", 1024, "bounded event journal capacity (entries)")
+		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON file here when the replay ends (implies tracing)")
+		explain    = fs.String("explain", "", `print the decision explanation for a series step index, or "latest", after the replay`)
 
-		sloTarget  = flag.Float64("slo-target", 0.01, "violation-rate SLO driving the error-budget tracker and burn-rate alerts (0 disables the SLO plane)")
-		sloWindow  = flag.Int("slo-window", 144, "rolling error-budget window in replay steps")
-		burnSpec   = flag.String("burn-windows", "", `burn-rate alert rules as "[name=]<factor>x:<long>/<short>,..." (empty = defaults scaled to -slo-window)`)
-		labelLimit = flag.Int("label-limit", obs.DefaultLabelLimit, `per-metric label cardinality cap; excess label values collapse into the "other" series (<= 0 = unlimited)`)
+		sloTarget  = fs.Float64("slo-target", 0.01, "violation-rate SLO driving the error-budget tracker and burn-rate alerts (0 disables the SLO plane)")
+		sloWindow  = fs.Int("slo-window", 144, "rolling error-budget window in replay steps")
+		burnSpec   = fs.String("burn-windows", "", `burn-rate alert rules as "[name=]<factor>x:<long>/<short>,..." (empty = defaults scaled to -slo-window)`)
+		labelLimit = fs.Int("label-limit", obs.DefaultLabelLimit, `per-metric label cardinality cap; excess label values collapse into the "other" series (<= 0 = unlimited)`)
 
-		guardOn     = flag.Bool("guard", true, "wrap the strategy in the resilience guard (fan repair, fallback ladder)")
-		guardBlowup = flag.Float64("guard-blowup", 8, "sanity bound: clamp forecasts above this multiple of the recent history maximum")
-		guardSlack  = flag.Float64("guard-coverage-slack", 0.25, "calibration health: tolerated shortfall of rolling coverage below each nominal level")
-		guardMaxWQL = flag.Float64("guard-max-wql", 0, "calibration health: rolling wQL above this marks the forecaster unhealthy (0 disables)")
-		shrinkMC    = flag.Bool("shrink-samples", false, "let a demonstrably conservative calibration window shrink Monte-Carlo sample budgets (trades bit-identical planning for latency)")
+		guardOn     = fs.Bool("guard", true, "wrap the strategy in the resilience guard (fan repair, fallback ladder)")
+		guardBlowup = fs.Float64("guard-blowup", 8, "sanity bound: clamp forecasts above this multiple of the recent history maximum")
+		guardSlack  = fs.Float64("guard-coverage-slack", 0.25, "calibration health: tolerated shortfall of rolling coverage below each nominal level")
+		guardMaxWQL = fs.Float64("guard-max-wql", 0, "calibration health: rolling wQL above this marks the forecaster unhealthy (0 disables)")
+		shrinkMC    = fs.Bool("shrink-samples", false, "let a demonstrably conservative calibration window shrink Monte-Carlo sample budgets (trades bit-identical planning for latency)")
 
-		applyRetries    = flag.Int("apply-retries", 3, "scale-apply attempts per round (first included)")
-		applyBackoff    = flag.Duration("apply-backoff", time.Second, "base backoff between apply retries (doubles per retry)")
-		breakerOpenAt   = flag.Int("breaker-threshold", 3, "consecutive failed apply rounds that open the circuit breaker")
-		breakerCooldown = flag.Duration("breaker-cooldown", 30*time.Minute, "virtual time the breaker stays open before probing")
+		applyRetries    = fs.Int("apply-retries", 3, "scale-apply attempts per round (first included)")
+		applyBackoff    = fs.Duration("apply-backoff", time.Second, "base backoff between apply retries (doubles per retry)")
+		breakerOpenAt   = fs.Int("breaker-threshold", 3, "consecutive failed apply rounds that open the circuit breaker")
+		breakerCooldown = fs.Duration("breaker-cooldown", 30*time.Minute, "virtual time the breaker stays open before probing")
 
-		chaosProf = flag.String("chaos", "", "inject deterministic faults from this preset during the replay (forecast|telemetry|apply|node-kill|all|smoke)")
-		chaosSeed = flag.Int64("chaos-seed", 0, "chaos schedule seed (0 = use -seed)")
+		chaosProf = fs.String("chaos", "", "inject deterministic faults from this preset during the replay (forecast|telemetry|apply|node-kill|all|smoke)")
+		chaosSeed = fs.Int64("chaos-seed", 0, "chaos schedule seed (0 = use -seed)")
 
-		serverless    = flag.Bool("serverless", false, "serverless mode: the wake guard parks an idle tenant's plan to zero (the physical cluster holds a one-node floor) and wakes it when demand returns")
-		idleEps       = flag.Float64("idle-eps", 0, "workload level below which the tenant counts as idle (0 = theta/10)")
-		parkAfter     = flag.Int("park-after", 0, "consecutive idle rounds before parking (0 = default 3)")
-		wakeDebounce  = flag.Int("wake-debounce", 0, "rounds after a wake during which parking is refused (0 = default 2)")
-		keepWarmAfter = flag.Int("keep-warm-after", 0, "consecutive wake failures tripping the wake breaker into keep-warm (0 = default 3)")
+		serverless    = fs.Bool("serverless", false, "serverless mode: the wake guard parks an idle tenant's plan to zero (the physical cluster holds a one-node floor) and wakes it when demand returns")
+		idleEps       = fs.Float64("idle-eps", 0, "workload level below which the tenant counts as idle (0 = theta/10)")
+		parkAfter     = fs.Int("park-after", 0, "consecutive idle rounds before parking (0 = default 3)")
+		wakeDebounce  = fs.Int("wake-debounce", 0, "rounds after a wake during which parking is refused (0 = default 2)")
+		keepWarmAfter = fs.Int("keep-warm-after", 0, "consecutive wake failures tripping the wake breaker into keep-warm (0 = default 3)")
 
-		stateDir     = flag.String("state-dir", "", "checkpoint directory for durable warm restarts (empty disables durability)")
-		stateRetain  = flag.Int("state-retain", persist.DefaultRetain, "checkpoint snapshots to retain in -state-dir")
-		ckptInterval = flag.Int("checkpoint-interval", 1, "write a checkpoint every N planning rounds (with -state-dir)")
-		roundDelay   = flag.Duration("round-delay", 0, "wall-clock pause after each planning round (paces the replay for live observation and kill/restart drills)")
+		stateDir     = fs.String("state-dir", "", "checkpoint directory for durable warm restarts (empty disables durability)")
+		stateRetain  = fs.Int("state-retain", persist.DefaultRetain, "checkpoint snapshots to retain in -state-dir")
+		ckptInterval = fs.Int("checkpoint-interval", 1, "write a checkpoint every N planning rounds (with -state-dir)")
+		roundDelay   = fs.Duration("round-delay", 0, "wall-clock pause after each planning round (paces the replay for live observation and kill/restart drills)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errFlags, err)
+	}
 
 	if err := persist.ValidTenantID(*tenant); err != nil {
-		log.Fatalf("autoscaled: %v", err)
+		return err
 	}
 
-	// A signal turns into context cancellation: the replay loop checks it
-	// at round boundaries, writes a final checkpoint, and drains the
-	// observability endpoint instead of dying mid-write.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	// The journal is sized before anything records into it; the tracer is
-	// enabled only when someone can observe it (-trace-out or -listen),
-	// so a bare replay pays the disabled-tracer cost of ~one atomic load
-	// per span site.
-	if *journalCap != obs.DefaultJournal.Cap() {
-		obs.DefaultJournal = obs.NewJournal(*journalCap)
-	}
-	if *traceOut != "" || *listen != "" {
-		obs.DefaultTracer.SetEnabled(true)
-	}
+	// Every run starts from fresh process-wide observability rings, so
+	// several runs in one process (the in-process tests) do not see each
+	// other's events. The journal is sized before anything records into
+	// it; the tracer is enabled only when someone can observe it
+	// (-trace-out or -listen), so a bare replay pays the disabled-tracer
+	// cost of ~one atomic load per span site.
+	obs.DefaultJournal = obs.NewJournal(*journalCap)
+	obs.DefaultDecisions.Reset()
+	obs.DefaultTracer.Reset()
+	obs.DefaultTracer.SetEnabled(*traceOut != "" || *listen != "")
 	// Decision records are the daemon's reason to exist (-explain,
 	// /decisions), so capture is always on here; library consumers stay
 	// at the disabled default.
@@ -171,16 +201,16 @@ func main() {
 		if *burnSpec != "" {
 			var perr error
 			if rules, perr = obs.ParseBurnRules(*burnSpec); perr != nil {
-				log.Fatalf("autoscaled: -burn-windows: %v", perr)
+				return fmt.Errorf("-burn-windows: %v", perr)
 			}
 			for _, r := range rules {
 				if r.Long > *sloWindow {
-					log.Fatalf("autoscaled: -burn-windows: rule %s long window %d exceeds -slo-window %d", r.Name, r.Long, *sloWindow)
+					return fmt.Errorf("-burn-windows: rule %s long window %d exceeds -slo-window %d", r.Name, r.Long, *sloWindow)
 				}
 			}
 		}
 		if !(*sloTarget < 1) || *sloWindow < 1 {
-			log.Fatalf("autoscaled: need 0 < -slo-target < 1 and -slo-window >= 1, got %v/%d", *sloTarget, *sloWindow)
+			return fmt.Errorf("need 0 < -slo-target < 1 and -slo-window >= 1, got %v/%d", *sloTarget, *sloWindow)
 		}
 		slo = obs.NewSLOTracker(obs.SLOConfig{Target: *sloTarget, Window: *sloWindow, Rules: rules}).InstrumentDefault()
 		slo.Journal = obs.DefaultJournal
@@ -198,7 +228,7 @@ func main() {
 	if *listen != "" {
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
-			log.Fatalf("autoscaled: cannot serve observability endpoint on %s: %v", *listen, err)
+			return fmt.Errorf("cannot serve observability endpoint on %s: %v", *listen, err)
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/healthz", health.LiveHandler())
@@ -218,10 +248,17 @@ func main() {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		httpSrv = &http.Server{Handler: mux}
+		defer func() {
+			shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := httpSrv.Shutdown(shutCtx); err != nil {
+				logger.Printf("autoscaled: draining observability endpoint: %v", err)
+			}
+		}()
 		go func() {
-			log.Printf("autoscaled: observability endpoint on http://%s (/healthz /readyz /slo /alerts /status /metrics /journal /trace /decisions /debug/pprof)", ln.Addr())
+			logger.Printf("autoscaled: observability endpoint on http://%s (/healthz /readyz /slo /alerts /status /metrics /journal /trace /decisions /debug/pprof)", ln.Addr())
 			if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				log.Printf("autoscaled: observability endpoint: %v", err)
+				logger.Printf("autoscaled: observability endpoint: %v", err)
 			}
 		}()
 	}
@@ -234,14 +271,14 @@ func main() {
 	case "google":
 		tr, err = robustscale.GenerateGoogleTrace(*seed)
 	default:
-		log.Fatalf("autoscaled: unknown dataset %q", *dataset)
+		return fmt.Errorf("unknown dataset %q", *dataset)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cpu, err := tr.Series(robustscale.CPU)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	stepsPerDay := int((24 * 60) / 10)
@@ -259,7 +296,7 @@ func main() {
 	if *chaosProf != "" {
 		prof, err := chaos.Preset(*chaosProf)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		prof.Seed = *chaosSeed
 		if prof.Seed == 0 {
@@ -267,9 +304,9 @@ func main() {
 		}
 		prof.Steps = replaySteps
 		if sched, err = prof.Build(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		log.Printf("autoscaled: chaos preset %q armed over %d steps (seed %d)", *chaosProf, replaySteps, prof.Seed)
+		logger.Printf("autoscaled: chaos preset %q armed over %d steps (seed %d)", *chaosProf, replaySteps, prof.Seed)
 	}
 	wrap := func(qf forecast.QuantileForecaster) forecast.QuantileForecaster {
 		if sched == nil {
@@ -302,25 +339,25 @@ func main() {
 	var recovered *persist.State
 	if *stateDir != "" {
 		if mgr, err = persist.NewManager(*stateDir, *stateRetain); err != nil {
-			log.Fatalf("autoscaled: opening state dir: %v", err)
+			return fmt.Errorf("opening state dir: %v", err)
 		}
 		st, info, rerr := mgr.Recover()
 		for _, p := range info.Rejected {
-			log.Printf("autoscaled: rejected corrupt or unreadable checkpoint %s", p)
+			logger.Printf("autoscaled: rejected corrupt or unreadable checkpoint %s", p)
 		}
 		switch {
 		case rerr != nil:
-			log.Printf("autoscaled: no usable checkpoint in %s (%v); cold start", *stateDir, rerr)
+			logger.Printf("autoscaled: no usable checkpoint in %s (%v); cold start", *stateDir, rerr)
 		case st == nil:
 			// Empty state dir: first run, plain cold start.
 		case st.Fingerprint != fp:
-			log.Printf("autoscaled: checkpoint %s is from a different run configuration; cold start", info.Path)
+			logger.Printf("autoscaled: checkpoint %s is from a different run configuration; cold start", info.Path)
 		case st.Origin < trainEnd || st.Origin > cpu.Len() || (st.Origin-trainEnd)%planHorizon != 0:
-			log.Printf("autoscaled: checkpoint origin %d incompatible with replay [%d, %d); cold start",
+			logger.Printf("autoscaled: checkpoint origin %d incompatible with replay [%d, %d); cold start",
 				st.Origin, trainEnd, cpu.Len())
 		default:
 			recovered = st
-			log.Printf("autoscaled: recovered checkpoint %s (origin %d, %d nodes, %d steps already replayed)",
+			logger.Printf("autoscaled: recovered checkpoint %s (origin %d, %d nodes, %d steps already replayed)",
 				info.Path, st.Origin, st.PrevAlloc, st.Steps)
 		}
 	}
@@ -335,18 +372,18 @@ func main() {
 			effRho = recovered.Rho
 		}
 	}
-	strat, snapper, rhoUsed, err := buildStrategy(*strategy, cpu.Slice(0, trainEnd), model, *tau, *tau2, effRho, *theta, *horizon, *epochs, wrap)
+	strat, snapper, rhoUsed, err := buildStrategy(*strategy, cpu.Slice(0, trainEnd), model, *tau, *tau2, effRho, *theta, *horizon, *epochs, wrap, logger.Printf)
 	if err != nil && model != nil {
-		log.Printf("autoscaled: restoring forecaster from checkpoint failed (%v); cold start", err)
+		logger.Printf("autoscaled: restoring forecaster from checkpoint failed (%v); cold start", err)
 		recovered, model = nil, nil
-		strat, snapper, rhoUsed, err = buildStrategy(*strategy, cpu.Slice(0, trainEnd), nil, *tau, *tau2, *rho, *theta, *horizon, *epochs, wrap)
+		strat, snapper, rhoUsed, err = buildStrategy(*strategy, cpu.Slice(0, trainEnd), nil, *tau, *tau2, *rho, *theta, *horizon, *epochs, wrap, logger.Printf)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	warm := recovered != nil
 	if warm {
-		log.Printf("autoscaled: warm start: resuming at replay step %d/%d with restored state (no retraining)",
+		logger.Printf("autoscaled: warm start: resuming at replay step %d/%d with restored state (no retraining)",
 			recovered.Origin-trainEnd, replaySteps)
 	}
 
@@ -360,7 +397,7 @@ func main() {
 
 	c, err := robustscale.NewCluster(robustscale.DefaultClusterConfig(), cpu.TimeAt(startOrigin), initialAlloc)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The guard wraps the strategy: fans are repaired, forecaster errors
@@ -420,11 +457,11 @@ func main() {
 			Tenant: *tenant,
 			Clock:  c.Now,
 		}
-		log.Printf("autoscaled: serverless mode: park after %d idle rounds below %.2f, wake debounce %d rounds",
+		logger.Printf("autoscaled: serverless mode: park after %d idle rounds below %.2f, wake debounce %d rounds",
 			*parkAfter, effIdleEps, *wakeDebounce)
 	}
 
-	log.Printf("autoscaled: strategy=%s theta=%.0f horizon=%d replaying %d steps of %s",
+	logger.Printf("autoscaled: strategy=%s theta=%.0f horizon=%d replaying %d steps of %s",
 		planner.Name(), *theta, planHorizon, replaySteps, cpu.Name)
 
 	// The built strategy may carry a more specific name than the flag
@@ -446,7 +483,7 @@ func main() {
 		}
 		if sb, ok := snapper.(interface{ SetSampleBudget(func(int) int) }); ok {
 			sb.SetSampleBudget(cal.SampleShrinker(*guardSlack, stepsPerDay/4, 0.25))
-			log.Printf("autoscaled: calibration-gated Monte-Carlo sample shrinking armed")
+			logger.Printf("autoscaled: calibration-gated Monte-Carlo sample shrinking armed")
 		}
 	}
 
@@ -459,7 +496,7 @@ func main() {
 				return
 			}
 			if err := load(bytes.NewReader(blob)); err != nil {
-				log.Printf("autoscaled: restoring %s state: %v (continuing fresh)", name, err)
+				logger.Printf("autoscaled: restoring %s state: %v (continuing fresh)", name, err)
 			}
 		}
 		if guard != nil {
@@ -474,7 +511,7 @@ func main() {
 		if wakeGuard != nil && len(recovered.Extra) > 0 {
 			var ex daemonExtra
 			if derr := gob.NewDecoder(bytes.NewReader(recovered.Extra)).Decode(&ex); derr != nil {
-				log.Printf("autoscaled: restoring wake state: %v (continuing fresh)", derr)
+				logger.Printf("autoscaled: restoring wake state: %v (continuing fresh)", derr)
 			} else {
 				parkedSteps = ex.ParkedSteps
 				restore("wake guard", ex.Wake, wakeGuard.Load)
@@ -482,7 +519,7 @@ func main() {
 		}
 		if len(recovered.Calibration) > 0 {
 			if loaded, cerr := cluster.LoadCalibration(bytes.NewReader(recovered.Calibration)); cerr != nil {
-				log.Printf("autoscaled: restoring calibration state: %v (continuing fresh)", cerr)
+				logger.Printf("autoscaled: restoring calibration state: %v (continuing fresh)", cerr)
 			} else {
 				cal = loaded
 				calCheck = cal.HealthCheck(*guardSlack, *guardMaxWQL, stepsPerDay/4)
@@ -516,7 +553,7 @@ func main() {
 		blob := func(name string, save func(io.Writer) error) []byte {
 			var b bytes.Buffer
 			if err := save(&b); err != nil {
-				log.Printf("autoscaled: checkpoint: snapshotting %s failed: %v", name, err)
+				logger.Printf("autoscaled: checkpoint: snapshotting %s failed: %v", name, err)
 				return nil
 			}
 			return b.Bytes()
@@ -548,7 +585,7 @@ func main() {
 			ex := daemonExtra{Wake: blob("wake guard", wakeGuard.Save), ParkedSteps: parkedSteps}
 			var b bytes.Buffer
 			if err := gob.NewEncoder(&b).Encode(ex); err != nil {
-				log.Printf("autoscaled: checkpoint: snapshotting wake state failed: %v", err)
+				logger.Printf("autoscaled: checkpoint: snapshotting wake state failed: %v", err)
 			} else {
 				st.Extra = b.Bytes()
 			}
@@ -559,7 +596,7 @@ func main() {
 			st.SLO = blob("slo", slo.Save)
 		}
 		if _, err := mgr.Write(st); err != nil {
-			log.Printf("autoscaled: checkpoint at origin %d failed: %v", nextOrigin, err)
+			logger.Printf("autoscaled: checkpoint at origin %d failed: %v", nextOrigin, err)
 			return
 		}
 		lastCkpt = nextOrigin
@@ -579,7 +616,7 @@ func main() {
 	nextOrigin, rounds := startOrigin, 0
 	for origin := startOrigin; origin+planHorizon <= cpu.Len(); origin += planHorizon {
 		if ctx.Err() != nil {
-			log.Printf("autoscaled: shutdown requested; stopping at round boundary (replay step %d)", origin-trainEnd)
+			logger.Printf("autoscaled: shutdown requested; stopping at round boundary (replay step %d)", origin-trainEnd)
 			break
 		}
 		cur.Set(origin - trainEnd)
@@ -601,9 +638,9 @@ func main() {
 			// Even an exhausted fallback ladder must not crash the daemon:
 			// hold the current fleet for the round and keep flying.
 			if guard == nil {
-				log.Fatal(err)
+				return err
 			}
-			log.Printf("%s HOLD: planning failed (%v), keeping %d nodes for %d steps",
+			logger.Printf("%s HOLD: planning failed (%v), keeping %d nodes for %d steps",
 				cpu.TimeAt(origin).Format("Jan 02 15:04"), err, prevAlloc, planHorizon)
 			plan = make([]int, planHorizon)
 			for i := range plan {
@@ -641,7 +678,7 @@ func main() {
 		}
 		if fan != nil && cal == nil {
 			if cal, err = cluster.NewCalibration(fan.Levels, stepsPerDay); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			calCheck = cal.HealthCheck(*guardSlack, *guardMaxWQL, stepsPerDay/4)
 			armShrinker()
@@ -654,7 +691,7 @@ func main() {
 				if kills := sched.KillsAt(t - trainEnd); kills > 0 {
 					chaos.CountInjected(chaos.NodeKill)
 					c.Kill(kills)
-					log.Printf("%s FAULT: killed %d node(s), fleet now %d",
+					logger.Printf("%s FAULT: killed %d node(s), fleet now %d",
 						cpu.TimeAt(t).Format("Jan 02 15:04"), kills, c.Size())
 					obs.DefaultJournal.RecordTenantAt(c.Now(), *tenant, "fault",
 						fmt.Sprintf("failure event killed %d node(s)", kills),
@@ -674,12 +711,12 @@ func main() {
 				// Retries and the breaker already did their part; hold the
 				// current fleet and try again next step.
 				holds++
-				log.Printf("%s HOLD: apply to %d nodes failed (%v), keeping %d",
+				logger.Printf("%s HOLD: apply to %d nodes failed (%v), keeping %d",
 					cpu.TimeAt(t).Format("Jan 02 15:04"), alloc, err, c.Size())
 			}
 			actual := c.Size()
 			if actual != prevAlloc {
-				log.Printf("%s scale %d -> %d nodes (workload %.0f)",
+				logger.Printf("%s scale %d -> %d nodes (workload %.0f)",
 					cpu.TimeAt(t).Format("Jan 02 15:04"), prevAlloc, actual, cpu.At(t))
 				obs.DefaultJournal.RecordTenantAt(c.Now(), *tenant, "scale",
 					fmt.Sprintf("scale %d -> %d nodes", prevAlloc, actual),
@@ -692,7 +729,7 @@ func main() {
 			if util > *theta {
 				violations++
 				bad = 1
-				log.Printf("%s VIOLATION: utilization %.1f > %.0f with %d nodes",
+				logger.Printf("%s VIOLATION: utilization %.1f > %.0f with %d nodes",
 					cpu.TimeAt(t).Format("Jan 02 15:04"), util, *theta, actual)
 				obs.DefaultJournal.RecordTenantAt(c.Now(), *tenant, "violation",
 					fmt.Sprintf("utilization %.1f > %.0f with %d nodes", util, *theta, actual),
@@ -733,7 +770,7 @@ func main() {
 			ops.ObserveApply(time.Since(applyStart))
 			if fan != nil && cal != nil && i < fan.Horizon() {
 				if err := cal.Observe(cpu.At(t), fan.Step(i)); err != nil {
-					log.Fatal(err)
+					return err
 				}
 				absErrSum += abs(cpu.At(t) - fan.At(i, 0.5))
 			}
@@ -746,7 +783,7 @@ func main() {
 		}
 		// Daily-ish progress summary.
 		if (origin-trainEnd)%stepsPerDay < planHorizon {
-			log.Printf("%s summary: %d/%d steps, %d violations (%.2f%%), %d scale-outs, %d scale-ins",
+			logger.Printf("%s summary: %d/%d steps, %d violations (%.2f%%), %d scale-outs, %d scale-ins",
 				cpu.TimeAt(origin).Format("Jan 02"), steps, replaySteps,
 				violations, 100*float64(violations)/float64(steps), c.ScaleOuts, c.ScaleIns)
 		}
@@ -772,16 +809,16 @@ func main() {
 	// cadence) this bounds lost progress to zero rounds.
 	if mgr != nil && nextOrigin != lastCkpt {
 		writeCheckpoint(nextOrigin)
-		log.Printf("autoscaled: final checkpoint written (replay step %d)", nextOrigin-trainEnd)
+		logger.Printf("autoscaled: final checkpoint written (replay step %d)", nextOrigin-trainEnd)
 	}
-	fmt.Printf("\nfinal: %d steps, %d violations (%.2f%%), %d scale-outs, %d scale-ins\n",
+	fmt.Fprintf(stdout, "\nfinal: %d steps, %d violations (%.2f%%), %d scale-outs, %d scale-ins\n",
 		steps, violations, 100*float64(violations)/float64(steps), c.ScaleOuts, c.ScaleIns)
 	if guard != nil {
-		fmt.Printf("resilience: %d degraded rounds, %d apply holds, %d node failures, final mode %s\n",
+		fmt.Fprintf(stdout, "resilience: %d degraded rounds, %d apply holds, %d node failures, final mode %s\n",
 			guard.DegradedRounds(), holds, c.Failures, guard.Mode())
 	}
 	if wakeGuard != nil {
-		fmt.Printf("serverless: %d parks, %d wakes, %d blocked parks, %d parked steps, parked now %v\n",
+		fmt.Fprintf(stdout, "serverless: %d parks, %d wakes, %d blocked parks, %d parked steps, parked now %v\n",
 			wakeGuard.Parks(), wakeGuard.Wakes(), wakeGuard.BlockedParks(), parkedSteps, wakeGuard.Parked())
 	}
 	if slo != nil {
@@ -793,27 +830,27 @@ func main() {
 		if tick, ok := slo.FirstFiring(); ok {
 			firstFire = strconv.FormatUint(tick, 10)
 		}
-		fmt.Printf("slo: target %g window %d: %d/%d bad steps, budget remaining %.4f, %d transitions, %d active alerts, first firing tick %s\n",
+		fmt.Fprintf(stdout, "slo: target %g window %d: %d/%d bad steps, budget remaining %.4f, %d transitions, %d active alerts, first firing tick %s\n",
 			st.Target, st.Window, st.Bad, st.Total, st.BudgetRemaining, st.Transitions, st.ActiveAlerts, firstFire)
 	}
 	if cal != nil {
 		snap := cal.Snapshot()
-		fmt.Printf("calibration over last %d steps: rolling wQL %.4f; coverage", snap.Steps, snap.WQL)
+		fmt.Fprintf(stdout, "calibration over last %d steps: rolling wQL %.4f; coverage", snap.Steps, snap.WQL)
 		for i, tau := range snap.Levels {
-			fmt.Printf(" %g:%.2f", tau, snap.Coverage[i])
+			fmt.Fprintf(stdout, " %g:%.2f", tau, snap.Coverage[i])
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *traceOut != "" {
 		if err := obs.DefaultTracer.WriteChromeFile(*traceOut); err != nil {
-			log.Fatalf("autoscaled: writing trace: %v", err)
+			return fmt.Errorf("writing trace: %v", err)
 		}
-		log.Printf("autoscaled: wrote %d spans (%d dropped) to %s",
+		logger.Printf("autoscaled: wrote %d spans (%d dropped) to %s",
 			obs.DefaultTracer.Len(), obs.DefaultTracer.Dropped(), *traceOut)
 	}
 	if *explain != "" {
-		if err := printExplanation(*explain); err != nil {
-			log.Fatalf("autoscaled: %v", err)
+		if err := printExplanation(stdout, *explain); err != nil {
+			return err
 		}
 	}
 	if *listen != "" && ctx.Err() == nil {
@@ -821,16 +858,10 @@ func main() {
 		// serving it after the replay — postmortem tooling can query
 		// /decisions, /trace and /journal at leisure; ^C or SIGTERM
 		// ends it gracefully.
-		log.Printf("autoscaled: replay complete; serving observability surface until interrupted")
+		logger.Printf("autoscaled: replay complete; serving observability surface until interrupted")
 		<-ctx.Done()
 	}
-	if httpSrv != nil {
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutCtx); err != nil {
-			log.Printf("autoscaled: draining observability endpoint: %v", err)
-		}
-	}
+	return nil
 }
 
 // daemonExtra is the owner-defined checkpoint section: wake-guard state
@@ -860,7 +891,7 @@ func wakeReasonOf(tr scaler.WakeTransition) string {
 // printExplanation resolves the -explain argument — a series step index
 // or "latest" — against the recorded decisions and prints the audit
 // line.
-func printExplanation(arg string) error {
+func printExplanation(stdout io.Writer, arg string) error {
 	var d obs.Decision
 	var ok bool
 	step := 0
@@ -878,7 +909,7 @@ func printExplanation(arg string) error {
 			return fmt.Errorf("no decision recorded for step %d", step)
 		}
 	}
-	fmt.Println(d.Explain(step))
+	fmt.Fprintln(stdout, d.Explain(step))
 	return nil
 }
 
@@ -897,7 +928,7 @@ func abs(v float64) float64 {
 // before it is handed to a strategy — the chaos injector hooks in
 // there — but never to the calibration pass, which must see the
 // genuine model.
-func buildStrategy(name string, train *robustscale.Series, model []byte, tau, tau2, rho, theta float64, horizon, epochs int, wrap func(forecast.QuantileForecaster) forecast.QuantileForecaster) (robustscale.Strategy, forecast.Snapshotter, float64, error) {
+func buildStrategy(name string, train *robustscale.Series, model []byte, tau, tau2, rho, theta float64, horizon, epochs int, wrap func(forecast.QuantileForecaster) forecast.QuantileForecaster, logf func(string, ...interface{})) (robustscale.Strategy, forecast.Snapshotter, float64, error) {
 	switch name {
 	case "reactive-max":
 		return &robustscale.ReactiveMax{Window: 6, Theta: theta}, nil, 0, nil
@@ -916,7 +947,7 @@ func buildStrategy(name string, train *robustscale.Series, model []byte, tau, ta
 				return nil, nil, 0, fmt.Errorf("restoring %s from checkpoint: %w", tft.Name(), err)
 			}
 		} else {
-			log.Printf("autoscaled: training %s on %d steps...", tft.Name(), train.Len())
+			logf("autoscaled: training %s on %d steps...", tft.Name(), train.Len())
 			if err := tft.Fit(train); err != nil {
 				return nil, nil, 0, err
 			}
@@ -937,7 +968,7 @@ func buildStrategy(name string, train *robustscale.Series, model []byte, tau, ta
 			}
 			s := robustscale.NewSeries("u", train.Start, train.Step, us)
 			rho = s.Quantile(0.5)
-			log.Printf("autoscaled: calibrated rho = %.2f", rho)
+			logf("autoscaled: calibrated rho = %.2f", rho)
 		}
 		return &robustscale.Adaptive{Forecaster: wrap(tft), Tau1: tau, Tau2: tau2, Rho: rho, Theta: theta}, tft, rho, nil
 	default:
