@@ -1,30 +1,26 @@
 package robustscale
 
 import (
-	"robustscale/internal/chaos"
 	"robustscale/internal/cluster"
 	"robustscale/internal/core"
-	"robustscale/internal/fleet"
 	"robustscale/internal/forecast"
 	"robustscale/internal/metrics"
 	"robustscale/internal/obs"
 	"robustscale/internal/optimize"
-	"robustscale/internal/persist"
 	"robustscale/internal/qos"
 	"robustscale/internal/scaler"
 	"robustscale/internal/timeseries"
 	"robustscale/internal/trace"
 )
 
-// Time series primitives.
-type (
-	// Series is a regularly sampled univariate workload time series.
-	Series = timeseries.Series
-	// Window is a (context, target) pair extracted from a series.
-	Window = timeseries.Window
-)
+// This facade carries exactly what the examples, the commands and the
+// root tests compile against; everything else lives in (and is imported
+// from) the internal packages.
 
-// New constructs a Series; see timeseries.New.
+// Series is a regularly sampled univariate workload time series.
+type Series = timeseries.Series
+
+// NewSeries constructs a Series; see timeseries.New.
 var NewSeries = timeseries.New
 
 // DefaultStep is the paper's 10-minute aggregation interval.
@@ -45,7 +41,6 @@ type (
 const (
 	CPU    = trace.CPU
 	Memory = trace.Memory
-	Disk   = trace.Disk
 )
 
 // GenerateTrace produces a trace from an explicit configuration.
@@ -65,81 +60,27 @@ func GenerateGoogleTrace(seed int64) (*Trace, error) {
 
 // Forecasting.
 type (
-	// Forecaster produces point forecasts (Definition 1).
-	Forecaster = forecast.Forecaster
-	// QuantileForecaster additionally produces quantile forecasts
-	// (Definition 2).
+	// QuantileForecaster produces point and quantile forecasts
+	// (Definitions 1 and 2).
 	QuantileForecaster = forecast.QuantileForecaster
 	// QuantileForecast is a multi-step quantile forecast fan.
 	QuantileForecast = forecast.QuantileForecast
-
-	// ARIMAModel is the classic statistical baseline.
-	ARIMAModel = forecast.ARIMA
-	// MLPConfig configures the Gaussian-head feed-forward forecaster.
-	MLPConfig = forecast.MLPConfig
-	// DeepARConfig configures the Student-t autoregressive forecaster.
-	DeepARConfig = forecast.DeepARConfig
-	// TFTConfig configures the quantile-grid transformer forecaster.
-	TFTConfig = forecast.TFTConfig
-	// QB5000Config configures the hybrid point forecaster.
-	QB5000Config = forecast.QB5000Config
-	// PaddedForecaster adds CloudScale-style under-estimation padding to
-	// a point forecaster.
-	PaddedForecaster = forecast.Padded
 )
 
 // Forecaster constructors and defaults.
 var (
-	NewARIMA = forecast.NewARIMA
-	// NewSeasonalARIMA adds seasonal differencing at a fixed period.
-	NewSeasonalARIMA = forecast.NewSeasonalARIMA
-	NewMLP           = forecast.NewMLP
-	// NewQuantileMLP trains the same MLP on pinball loss, directly
-	// emitting a pre-specified quantile grid.
-	NewQuantileMLP = forecast.NewQuantileMLP
-	NewDeepAR      = forecast.NewDeepAR
-	NewTFT         = forecast.NewTFT
-	// NewTFTPoint trains TFT on only the 0.5 quantile, the paper's
-	// point-forecast baseline.
-	NewTFTPoint = forecast.NewTFTPoint
-	NewQB5000   = forecast.NewQB5000
-	NewPadded   = forecast.NewPadded
-	// NewNaive and NewSeasonalNaive are the trivial reference baselines
-	// every learned forecaster must beat.
-	NewNaive         = forecast.NewNaive
+	NewDeepAR = forecast.NewDeepAR
+	NewTFT    = forecast.NewTFT
+	// NewSeasonalNaive is the trivial reference baseline every learned
+	// forecaster must beat.
 	NewSeasonalNaive = forecast.NewSeasonalNaive
-	// NewEnsemble combines quantile forecasters by Vincentized quantile
-	// averaging.
-	NewEnsemble = forecast.NewEnsemble
-	// NewConformal wraps a quantile forecaster with split-conformal
-	// calibration, repairing coverage with distribution-free guarantees.
-	NewConformal = forecast.NewConformal
 
-	DefaultMLPConfig    = forecast.DefaultMLPConfig
 	DefaultDeepARConfig = forecast.DefaultDeepARConfig
 	DefaultTFTConfig    = forecast.DefaultTFTConfig
-	DefaultQB5000Config = forecast.DefaultQB5000Config
 )
 
-// Backtesting.
-type (
-	// BacktestConfig controls a rolling-origin forecaster evaluation.
-	BacktestConfig = forecast.BacktestConfig
-	// BacktestResult aggregates a rolling-origin evaluation.
-	BacktestResult = forecast.BacktestResult
-)
-
-// Backtest rolls a trained quantile forecaster over a series and reports
-// pooled and per-origin accuracy.
-var Backtest = forecast.Backtest
-
-// Quantile grids from the paper's evaluation.
-var (
-	// DefaultLevels is the Table I evaluation grid {0.1, ..., 0.9}.
-	DefaultLevels = forecast.DefaultLevels
-	// ScalingLevels is the auto-scaling grid {0.5, ..., 0.99}.
-	ScalingLevels = forecast.ScalingLevels
-)
+// ScalingLevels is the auto-scaling quantile grid {0.5, ..., 0.99}.
+var ScalingLevels = forecast.ScalingLevels
 
 // Auto-scaling strategies.
 type (
@@ -164,8 +105,6 @@ type (
 	RateLimited = scaler.RateLimited
 	// EvalConfig controls a rolling strategy evaluation.
 	EvalConfig = scaler.EvalConfig
-	// EvalResult is the outcome of a rolling strategy evaluation.
-	EvalResult = scaler.EvalResult
 )
 
 // EvaluateStrategy replays a workload series against a strategy.
@@ -175,11 +114,8 @@ var EvaluateStrategy = scaler.Evaluate
 // (Equation 8) of a quantile forecast.
 var ForecastUncertainties = scaler.Uncertainties
 
-// Optimization.
-type (
-	// ThrashingConfig bounds node-count change rates.
-	ThrashingConfig = optimize.ThrashingConfig
-)
+// ThrashingConfig bounds node-count change rates.
+type ThrashingConfig = optimize.ThrashingConfig
 
 // Optimization entry points (Definitions 3-5).
 var (
@@ -191,45 +127,19 @@ var (
 	PlanConstrained = optimize.PlanConstrained
 )
 
-// Cluster simulation.
-type (
-	// Cluster simulates a storage-disaggregated cloud database.
-	Cluster = cluster.Cluster
-	// ClusterConfig describes the simulated deployment.
-	ClusterConfig = cluster.Config
-	// ReplayReport summarizes a warm-up-aware cluster replay.
-	ReplayReport = cluster.ReplayReport
-)
-
-// NewCluster creates a simulated cluster; see cluster.New.
+// NewCluster creates a simulated storage-disaggregated cloud database;
+// see cluster.New.
 var NewCluster = cluster.New
 
 // DefaultClusterConfig models a deployment with seconds-scale warm-up
 // (Figure 5).
 var DefaultClusterConfig = cluster.DefaultConfig
 
-// Metrics.
-type (
-	// ProvisioningReport summarizes under-/over-provisioning of a plan.
-	ProvisioningReport = metrics.ProvisioningReport
-)
-
 // Metric entry points from Section IV.
 var (
 	WQL          = metrics.WQL
-	MeanWQL      = metrics.MeanWQL
-	Coverage     = metrics.Coverage
-	MSE          = metrics.MSE
 	Uncertainty  = metrics.Uncertainty
 	Provisioning = metrics.Provisioning
-)
-
-// End-to-end pipelines.
-type (
-	// Pipeline couples a trained forecaster with a scaling strategy.
-	Pipeline = core.Pipeline
-	// RunReport is the outcome of a closed-loop pipeline run.
-	RunReport = core.RunReport
 )
 
 // Quality of service: the performance-modeling extension of Section V-B.
@@ -238,30 +148,13 @@ type (
 	QoSNode = qos.Node
 	// SLO is a latency service level objective.
 	SLO = qos.SLO
-	// NodeLatencyStats summarizes a node's response-time distribution.
-	NodeLatencyStats = qos.Latency
-	// QoSReplayReport summarizes a latency-aware cluster replay.
-	QoSReplayReport = cluster.QoSReplayReport
 )
 
-// QoS entry points.
-var (
-	// NodeLatency computes the latency distribution of one node under
-	// load.
-	NodeLatency = qos.NodeLatency
-	// CalibrateTheta finds the largest per-node threshold meeting an SLO.
-	CalibrateTheta = qos.CalibrateTheta
-	// ThetaForUtilization converts a utilization target to a threshold.
-	ThetaForUtilization = qos.ThetaForUtilization
-)
+// CalibrateTheta finds the largest per-node threshold meeting an SLO.
+var CalibrateTheta = qos.CalibrateTheta
 
-// Multi-resource scaling.
-type (
-	// ResourceSpec is one resource dimension of a joint scaling decision.
-	ResourceSpec = scaler.ResourceSpec
-	// MultiResourcePlan is a joint allocation across resources.
-	MultiResourcePlan = scaler.MultiResourcePlan
-)
+// ResourceSpec is one resource dimension of a joint scaling decision.
+type ResourceSpec = scaler.ResourceSpec
 
 // Multi-resource entry points.
 var (
@@ -273,252 +166,22 @@ var (
 	EvaluateMultiResource = scaler.EvaluateMultiResource
 )
 
-// Pipeline constructors.
+// End-to-end pipeline constructors: a trained forecaster coupled to a
+// scaling strategy.
 var (
 	// NewRobustPipeline scales on a fixed quantile level (Equation 6).
 	NewRobustPipeline = core.NewRobust
 	// NewAdaptivePipeline switches quantile levels on uncertainty
 	// (Algorithm 1).
 	NewAdaptivePipeline = core.NewAdaptive
-	// NewPipelineWithStrategy wraps an arbitrary strategy.
-	NewPipelineWithStrategy = core.NewWithStrategy
 )
 
 // Decision tracing and explainability.
-type (
-	// Tracer is a bounded recorder of control-loop spans, exportable as
-	// Chrome trace-event JSON.
-	Tracer = obs.Tracer
-	// Span is one in-flight timed region of a Tracer.
-	Span = obs.Span
-	// Decision is the structured "why did we scale?" record of one
-	// planning round.
-	Decision = obs.Decision
-	// DecisionStore is a bounded, queryable ring of Decisions.
-	DecisionStore = obs.DecisionStore
-	// DecisionProvider is implemented by strategies that retain the
-	// Decision behind their latest plan.
-	DecisionProvider = scaler.DecisionProvider
-)
-
-// Tracing and decision entry points.
 var (
-	// NewTracer returns a span recorder with the given capacity.
-	NewTracer = obs.NewTracer
-	// NewDecisionStore returns a decision ring with the given capacity.
-	NewDecisionStore = obs.NewDecisionStore
 	// DefaultTracer is the process-wide tracer the daemon serves at
 	// /trace; disabled until SetEnabled(true).
 	DefaultTracer = obs.DefaultTracer
 	// DefaultDecisions is the process-wide decision store the daemon
 	// serves at /decisions.
 	DefaultDecisions = obs.DefaultDecisions
-	// RecordDecision stamps round context onto a strategy's latest
-	// decision and records it on DefaultDecisions.
-	RecordDecision = scaler.RecordDecision
-)
-
-// Fleet health plane: mergeable quantile sketches, heavy-hitter
-// tracking, SLO error budgets with burn-rate alerting, and health
-// probes.
-type (
-	// Sketch is a deterministic mergeable quantile sketch with bounded
-	// relative error (DDSketch-style log bucketing).
-	Sketch = obs.Sketch
-	// SketchSnapshot is a Sketch's sorted, serializable image.
-	SketchSnapshot = obs.SketchSnapshot
-	// TopK is a space-saving heavy-hitter tracker; TopEntry is one
-	// tracked key with its count and overestimate bound.
-	TopK     = obs.TopK
-	TopEntry = obs.TopEntry
-	// SLOTracker maintains a rolling error budget over virtual time and
-	// evaluates multi-window burn-rate alert rules deterministically.
-	SLOTracker = obs.SLOTracker
-	// SLOConfig configures an SLOTracker; SLOStatus is its queryable
-	// point-in-time state.
-	SLOConfig = obs.SLOConfig
-	SLOStatus = obs.SLOStatus
-	// BurnRule is one multi-window burn-rate alert rule; AlertEvent is
-	// one firing/resolved transition.
-	BurnRule   = obs.BurnRule
-	AlertEvent = obs.AlertEvent
-	// Health carries the liveness/readiness state behind /healthz and
-	// /readyz.
-	Health = obs.Health
-)
-
-// Health plane entry points.
-var (
-	// NewSketch returns a quantile sketch with the given relative
-	// accuracy (e.g. 0.01 for 1%).
-	NewSketch = obs.NewSketch
-	// NewTopK returns a space-saving tracker for the k heaviest keys.
-	NewTopK = obs.NewTopK
-	// NewSLOTracker returns an error-budget tracker for the config.
-	NewSLOTracker = obs.NewSLOTracker
-	// NewHealth returns a liveness/readiness probe pair.
-	NewHealth = obs.NewHealth
-	// DefaultBurnRules scales the classic page/ticket burn-rate pair to
-	// an error-budget window.
-	DefaultBurnRules = obs.DefaultBurnRules
-	// ParseBurnRules parses a "[name=]<factor>x:<long>/<short>,..."
-	// rule spec (the -burn-windows flag format).
-	ParseBurnRules = obs.ParseBurnRules
-)
-
-// DefaultSketchAlpha is the relative accuracy used by the fleet report's
-// sketches.
-const DefaultSketchAlpha = obs.DefaultSketchAlpha
-
-// Resilience: the guarded control loop and its fault-injection harness.
-type (
-	// Guard wraps a Strategy with forecast validation/repair and a
-	// graceful-degradation ladder (repair, last-known-good, reactive).
-	Guard = scaler.Guard
-	// GuardConfig tunes the guard's sanity bounds and fallback window.
-	GuardConfig = scaler.GuardConfig
-	// DegradationMode is the rung of the ladder a guard is operating on.
-	DegradationMode = scaler.DegradationMode
-	// HealthFunc is an external health gate consulted before planning.
-	HealthFunc = scaler.HealthFunc
-	// Applier retries scale actions with exponential backoff behind a
-	// circuit breaker, holding the current fleet when the control plane
-	// stays down.
-	Applier = scaler.Applier
-	// BackoffConfig shapes the Applier's retry schedule.
-	BackoffConfig = scaler.BackoffConfig
-	// Breaker is the consecutive-failure circuit breaker.
-	Breaker = scaler.Breaker
-
-	// ChaosProfile is a buildable description of a deterministic fault
-	// schedule; ChaosSchedule is the per-step realization.
-	ChaosProfile  = chaos.Profile
-	ChaosSchedule = chaos.Schedule
-)
-
-// Degradation ladder rungs, healthiest first.
-const (
-	ModeNormal        = scaler.ModeNormal
-	ModeRepair        = scaler.ModeRepair
-	ModeLastKnownGood = scaler.ModeLastKnownGood
-	ModeReactive      = scaler.ModeReactive
-)
-
-// Resilience entry points.
-var (
-	// RepairFan validates and repairs a quantile forecast in place:
-	// non-finite entries filled, crossings re-sorted, blowups clamped.
-	RepairFan = scaler.RepairFan
-	// ErrUnrepairableFan reports a fan too damaged to repair.
-	ErrUnrepairableFan = scaler.ErrUnrepairableFan
-	// ErrBreakerOpen reports a scale action deferred by the open breaker.
-	ErrBreakerOpen = scaler.ErrBreakerOpen
-	// ChaosPreset resolves a named fault profile (none, forecast,
-	// telemetry, apply, node-kill, all, smoke). A built Schedule plugs
-	// into Cluster.ReplayWithSchedule, which injects node kills and
-	// control-plane faults during a replay.
-	ChaosPreset = chaos.Preset
-)
-
-// Durability: checkpointed warm restart of the control plane.
-type (
-	// CheckpointManager writes, retains, and recovers versioned
-	// CRC-framed control-plane snapshots in a state directory.
-	CheckpointManager = persist.Manager
-	// CheckpointState is the full control-plane state one snapshot holds.
-	CheckpointState = persist.State
-	// CheckpointFingerprint identifies the run configuration a snapshot
-	// came from; recovery refuses to resume across a mismatch.
-	CheckpointFingerprint = persist.Fingerprint
-	// RecoverInfo reports which snapshot recovery used and which files it
-	// rejected on the way.
-	RecoverInfo = persist.RecoverInfo
-	// Snapshotter is implemented by every forecaster that can serialize
-	// its trained state and restore it without retraining.
-	Snapshotter = forecast.Snapshotter
-	// Calibration is the rolling forecast-calibration window; it survives
-	// restarts via Save and LoadCalibration.
-	Calibration = cluster.Calibration
-
-	// RestartableLoopConfig and RestartableLoopResult drive the chaos
-	// harness that crash-restarts an in-process control loop against its
-	// checkpoint directory.
-	RestartableLoopConfig = chaos.LoopConfig
-	RestartableLoopResult = chaos.LoopResult
-)
-
-// Durability entry points.
-var (
-	// NewCheckpointManager opens (creating it if needed) a checkpoint
-	// directory with the given retention.
-	NewCheckpointManager = persist.NewManager
-	// LoadCalibration restores a calibration window saved with
-	// Calibration.Save.
-	LoadCalibration = cluster.LoadCalibration
-	// RunRestartableLoop replays a control loop through scheduled
-	// crash-restart faults, recovering from checkpoints after each one.
-	RunRestartableLoop = chaos.RunRestartable
-
-	// ErrCheckpointCorrupt reports a snapshot that failed CRC or framing
-	// validation; ErrCheckpointVersionSkew one written by an incompatible
-	// format version; ErrNoCheckpoint a recovery with nothing usable.
-	ErrCheckpointCorrupt     = persist.ErrCorrupt
-	ErrCheckpointVersionSkew = persist.ErrVersionSkew
-	ErrNoCheckpoint          = persist.ErrNoCheckpoint
-)
-
-// ChaosCrashRestart is the crash-restart fault class consumed by the
-// restartable loop harness.
-const ChaosCrashRestart = chaos.CrashRestart
-
-// Multi-tenant fleet control plane.
-type (
-	// FleetConfig sizes and parameterizes a multi-tenant fleet run.
-	FleetConfig = fleet.Config
-	// FleetController replays N independent tenants in lock-step
-	// planning rounds, batching forecaster inference across a worker
-	// pool without changing a single output bit.
-	FleetController = fleet.Controller
-	// FleetReport is the aggregate outcome of a fleet run, including
-	// the deterministic fleet hash.
-	FleetReport = fleet.Report
-	// FleetTenantReport is one tenant's deterministic replay outcome.
-	FleetTenantReport = fleet.TenantReport
-	// FleetPoolReport aggregates the shared-pool admission outcome.
-	FleetPoolReport = fleet.PoolReport
-	// FleetPriorityClass is a tenant's shedding priority in the shared
-	// capacity pool (guaranteed / burstable / best-effort).
-	FleetPriorityClass = fleet.PriorityClass
-	// FleetBlastRadius quantifies how far a fault schedule leaked
-	// beyond the tenants it targets.
-	FleetBlastRadius = fleet.BlastRadius
-	// FleetMatrixCell is one row of the fleet resilience matrix.
-	FleetMatrixCell = fleet.MatrixCell
-)
-
-// Priority classes for the shared capacity pool, shed in reverse order.
-const (
-	FleetClassGuaranteed = fleet.ClassGuaranteed
-	FleetClassBurstable  = fleet.ClassBurstable
-	FleetClassBestEffort = fleet.ClassBestEffort
-)
-
-// Fleet entry points.
-var (
-	// NewFleet validates the configuration and builds (or recovers)
-	// every tenant.
-	NewFleet = fleet.New
-	// DefaultFleetConfig is a small-trace fleet configuration sized for
-	// simulation.
-	DefaultFleetConfig = fleet.DefaultConfig
-	// FleetTenantID derives the canonical tenant id for an index.
-	FleetTenantID = fleet.TenantID
-	// FleetClassOf derives a tenant index's pool priority class.
-	FleetClassOf = fleet.ClassOf
-	// FleetBlastRadiusOf measures bystander drift between a fault-free
-	// baseline report and a chaos run.
-	FleetBlastRadiusOf = fleet.MeasureBlastRadius
-	// FleetResilienceMatrix runs a baseline plus one fleet per chaos
-	// preset, reporting blast radius per row.
-	FleetResilienceMatrix = fleet.ResilienceMatrix
 )

@@ -60,12 +60,12 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -78,6 +78,7 @@ import (
 	"robustscale"
 	"robustscale/internal/chaos"
 	"robustscale/internal/cluster"
+	"robustscale/internal/fleet"
 	"robustscale/internal/forecast"
 	"robustscale/internal/obs"
 	"robustscale/internal/ops"
@@ -92,7 +93,8 @@ func main() {
 }
 
 // exitCode reports a run error on stderr and maps it to the process exit
-// status: 0 on success (and -h), 2 for unparsable flags, 1 otherwise.
+// status: 0 on success (and -h), 2 for a command line that cannot run
+// (unparsable flags, nonsense sizes), 1 for a run that failed.
 func exitCode(err error, stderr io.Writer) int {
 	switch {
 	case err == nil || errors.Is(err, flag.ErrHelp):
@@ -101,6 +103,9 @@ func exitCode(err error, stderr io.Writer) int {
 		return 2 // the FlagSet already printed the problem and the usage
 	}
 	fmt.Fprintf(stderr, "autoscaled: %v\n", err)
+	if errors.Is(err, fleet.ErrSizes) {
+		return 2
+	}
 	return 1
 }
 
@@ -114,7 +119,7 @@ var errFlags = errors.New("invalid command line")
 // mid-write. Deterministic end-of-run totals go to stdout, everything
 // else to stderr.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
-	logger := log.New(stderr, "", 0)
+	logf := log.New(stderr, "", 0).Printf
 	fs := flag.NewFlagSet("autoscaled", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -165,10 +170,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		roundDelay   = fs.Duration("round-delay", 0, "wall-clock pause after each planning round (paces the replay for live observation and kill/restart drills)")
 	)
 	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return fmt.Errorf("%w: %v", errFlags, err)
+		return fmt.Errorf("%w: %w", errFlags, err)
 	}
 
 	if err := persist.ValidTenantID(*tenant); err != nil {
@@ -252,13 +254,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			if err := httpSrv.Shutdown(shutCtx); err != nil {
-				logger.Printf("autoscaled: draining observability endpoint: %v", err)
+				logf("autoscaled: draining observability endpoint: %v", err)
 			}
 		}()
 		go func() {
-			logger.Printf("autoscaled: observability endpoint on http://%s (/healthz /readyz /slo /alerts /status /metrics /journal /trace /decisions /debug/pprof)", ln.Addr())
+			logf("autoscaled: observability endpoint on http://%s (/healthz /readyz /slo /alerts /status /metrics /journal /trace /decisions /debug/pprof)", ln.Addr())
 			if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				logger.Printf("autoscaled: observability endpoint: %v", err)
+				logf("autoscaled: observability endpoint: %v", err)
 			}
 		}()
 	}
@@ -281,18 +283,24 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	stepsPerDay := int((24 * 60) / 10)
+	stepsPerDay := int(24 * time.Hour / cpu.Step)
 	replaySteps := *days * stepsPerDay
 	if replaySteps >= cpu.Len()/2 {
 		replaySteps = cpu.Len() / 2
 	}
 	trainEnd := cpu.Len() - replaySteps
+	planHorizon := *horizon
+	if *strategy == "reactive-max" || *strategy == "reactive-avg" {
+		planHorizon = 1
+	}
+	if err := fleet.CheckSizes(planHorizon, replaySteps, *theta); err != nil {
+		return err
+	}
 
 	// The chaos schedule (when enabled) spans the replay in relative
-	// steps; one cursor is shared by the forecaster wrapper and the apply
-	// wrapper so injected faults stay aligned with virtual time.
+	// steps; the tenant keeps the forecaster wrapper and the apply wrapper
+	// on one cursor so injected faults stay aligned with virtual time.
 	var sched *chaos.Schedule
-	cur := &chaos.Cursor{}
 	if *chaosProf != "" {
 		prof, err := chaos.Preset(*chaosProf)
 		if err != nil {
@@ -306,300 +314,220 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if sched, err = prof.Build(); err != nil {
 			return err
 		}
-		logger.Printf("autoscaled: chaos preset %q armed over %d steps (seed %d)", *chaosProf, replaySteps, prof.Seed)
-	}
-	wrap := func(qf forecast.QuantileForecaster) forecast.QuantileForecaster {
-		if sched == nil {
-			return qf
-		}
-		return &chaos.Forecaster{Inner: qf, Schedule: sched, Cursor: cur}
+		logf("autoscaled: chaos preset %q armed over %d steps (seed %d)", *chaosProf, replaySteps, prof.Seed)
 	}
 
-	planHorizon := *horizon
-	if *strategy == "reactive-max" || *strategy == "reactive-avg" {
-		planHorizon = 1
-	}
-
-	// Durable control plane: recover the newest valid checkpoint before
-	// building the strategy, so a warm start restores trained weights
-	// instead of retraining. A checkpoint is resumable only if it came
-	// from an identical run configuration and its origin lands on a round
-	// boundary of this replay.
+	// The daemon is a fleet of one tenant: fleet.Tenant owns the round —
+	// recover, plan, hold, wake-shape, apply, grade, calibrate, checkpoint
+	// — and the daemon supplies the parts its flags describe, the
+	// warm-up-aware cluster as the plant, and its side effects as hooks.
 	fpDataset := *dataset
 	if *serverless {
 		// Park/wake state cannot resume into (or from) a non-serverless
 		// loop; a distinct dataset tag makes such checkpoints cold-start.
 		fpDataset += "+serverless"
 	}
-	fp := persist.Fingerprint{
-		Tenant: *tenant, Strategy: *strategy, Dataset: fpDataset, Seed: *seed,
-		Theta: *theta, Horizon: *horizon, Tau: *tau, Tau2: *tau2,
+	plant := &cluster.ClusterPlant{Config: cluster.DefaultConfig(), Theta: *theta, StepLen: cpu.Step}
+	t := &fleet.Tenant{
+		ID: *tenant, Archetype: *dataset, Seed: *seed,
+		Series: cpu, TrainEnd: trainEnd, Horizon: planHorizon,
+		Fingerprint: persist.Fingerprint{
+			Tenant: *tenant, Strategy: *strategy, Dataset: fpDataset, Seed: *seed,
+			Theta: *theta, Horizon: *horizon, Tau: *tau, Tau2: *tau2,
+		},
+		ForecasterKind: "tft",
+		CoverageSlack:  *guardSlack, MaxWQL: *guardMaxWQL,
+		Backoff:  scaler.BackoffConfig{MaxAttempts: *applyRetries, Base: *applyBackoff},
+		Breaker:  &scaler.Breaker{Threshold: *breakerOpenAt, Cooldown: *breakerCooldown},
+		Sched:    sched,
+		Plant:    plant,
+		StateDir: *stateDir, Retain: *stateRetain,
 	}
-	var mgr *persist.Manager
-	var recovered *persist.State
-	if *stateDir != "" {
-		if mgr, err = persist.NewManager(*stateDir, *stateRetain); err != nil {
-			return fmt.Errorf("opening state dir: %v", err)
-		}
-		st, info, rerr := mgr.Recover()
-		for _, p := range info.Rejected {
-			logger.Printf("autoscaled: rejected corrupt or unreadable checkpoint %s", p)
-		}
-		switch {
-		case rerr != nil:
-			logger.Printf("autoscaled: no usable checkpoint in %s (%v); cold start", *stateDir, rerr)
-		case st == nil:
-			// Empty state dir: first run, plain cold start.
-		case st.Fingerprint != fp:
-			logger.Printf("autoscaled: checkpoint %s is from a different run configuration; cold start", info.Path)
-		case st.Origin < trainEnd || st.Origin > cpu.Len() || (st.Origin-trainEnd)%planHorizon != 0:
-			logger.Printf("autoscaled: checkpoint origin %d incompatible with replay [%d, %d); cold start",
-				st.Origin, trainEnd, cpu.Len())
-		default:
-			recovered = st
-			logger.Printf("autoscaled: recovered checkpoint %s (origin %d, %d nodes, %d steps already replayed)",
-				info.Path, st.Origin, st.PrevAlloc, st.Steps)
-		}
-	}
-
-	effRho := *rho
-	var model []byte
-	if recovered != nil {
-		model = recovered.Forecaster
-		if effRho <= 0 && recovered.Rho > 0 {
-			// Reuse the rho calibrated at the original cold start instead of
-			// recalibrating, so warm-started planning is bit-identical.
-			effRho = recovered.Rho
-		}
-	}
-	strat, snapper, rhoUsed, err := buildStrategy(*strategy, cpu.Slice(0, trainEnd), model, *tau, *tau2, effRho, *theta, *horizon, *epochs, wrap, logger.Printf)
-	if err != nil && model != nil {
-		logger.Printf("autoscaled: restoring forecaster from checkpoint failed (%v); cold start", err)
-		recovered, model = nil, nil
-		strat, snapper, rhoUsed, err = buildStrategy(*strategy, cpu.Slice(0, trainEnd), nil, *tau, *tau2, *rho, *theta, *horizon, *epochs, wrap, logger.Printf)
-	}
-	if err != nil {
-		return err
-	}
-	warm := recovered != nil
-	if warm {
-		logger.Printf("autoscaled: warm start: resuming at replay step %d/%d with restored state (no retraining)",
-			recovered.Origin-trainEnd, replaySteps)
-	}
-
-	startOrigin, initialAlloc := trainEnd, 1
-	if recovered != nil {
-		startOrigin = recovered.Origin
-		if recovered.PrevAlloc > 0 {
-			initialAlloc = recovered.PrevAlloc
-		}
-	}
-
-	c, err := robustscale.NewCluster(robustscale.DefaultClusterConfig(), cpu.TimeAt(startOrigin), initialAlloc)
-	if err != nil {
-		return err
-	}
-
-	// The guard wraps the strategy: fans are repaired, forecaster errors
-	// fall back down the ladder, and the calibration health gate (wired
-	// lazily, once the first fan establishes the levels) pre-empts a
-	// forecaster whose rolling coverage has collapsed.
-	var calCheck func() (bool, string)
-	planner := robustscale.Strategy(strat)
-	var guard *scaler.Guard
 	if *guardOn {
-		guard = &scaler.Guard{
-			Inner:  strat,
-			Config: scaler.GuardConfig{Theta: *theta, Tau: *tau, BlowupFactor: *guardBlowup},
-			Clock:  c.Now,
-			Health: func() (bool, string) {
-				if calCheck == nil {
-					return true, ""
-				}
-				return calCheck()
-			},
-		}
-		planner = guard
+		t.GuardConfig = &scaler.GuardConfig{Theta: *theta, Tau: *tau, BlowupFactor: *guardBlowup}
 	}
-
-	// Scale actions go through retry-with-backoff and a circuit breaker;
-	// when the (possibly chaos-wrapped) control plane keeps failing, the
-	// loop holds the current fleet instead of crashing.
-	applyFn := c.ScaleTo
-	if sched != nil {
-		applyFn = chaos.WrapApply(c.ScaleTo, c.Size, sched, cur)
-	}
-	applier := &scaler.Applier{
-		Apply:   applyFn,
-		Backoff: scaler.BackoffConfig{MaxAttempts: *applyRetries, Base: *applyBackoff},
-		Breaker: &scaler.Breaker{Threshold: *breakerOpenAt, Cooldown: *breakerCooldown},
-		Clock:   c.Now,
-	}
-
-	// Serverless mode: the wake guard shapes every plan through the
-	// park/wake hysteresis. The physical cluster keeps its one-node
-	// minimum while parked — the zero lives in the plan and the status
-	// surface, which is exactly what a pooled serverless backend would
-	// see from this control loop.
-	var wakeGuard *scaler.WakeGuard
-	effIdleEps := *idleEps
-	if effIdleEps <= 0 {
-		effIdleEps = *theta / 10
-	}
-	parkedSteps := 0
 	if *serverless {
-		wakeGuard = &scaler.WakeGuard{
-			Config: scaler.WakeGuardConfig{
-				MinIdleRounds:      *parkAfter,
-				WakeDebounceRounds: *wakeDebounce,
-				KeepWarmAfterFails: *keepWarmAfter,
-			},
-			Tenant: *tenant,
-			Clock:  c.Now,
+		// The wake guard shapes every plan through the park/wake
+		// hysteresis. The physical cluster keeps its one-node minimum while
+		// parked — the zero lives in the plan and the status surface, which
+		// is exactly what a pooled serverless backend would see from this
+		// control loop.
+		t.WakeConfig = &scaler.WakeGuardConfig{
+			MinIdleRounds:      *parkAfter,
+			WakeDebounceRounds: *wakeDebounce,
+			KeepWarmAfterFails: *keepWarmAfter,
 		}
-		logger.Printf("autoscaled: serverless mode: park after %d idle rounds below %.2f, wake debounce %d rounds",
-			*parkAfter, effIdleEps, *wakeDebounce)
+		if t.IdleEps = *idleEps; t.IdleEps <= 0 {
+			t.IdleEps = *theta / 10
+		}
+		logf("autoscaled: serverless mode: park after %d idle rounds below %.2f, wake debounce %d rounds",
+			*parkAfter, t.IdleEps, *wakeDebounce)
+	}
+	var strat scaler.Strategy
+	var snapper forecast.Snapshotter
+	t.Build = func(model []byte, savedRho float64) (_ scaler.Strategy, _ forecast.Snapshotter, rhoUsed float64, err error) {
+		if *rho > 0 {
+			savedRho = *rho
+		}
+		strat, snapper, rhoUsed, err = buildStrategy(*strategy, cpu.Slice(0, trainEnd), model, *tau, *tau2, savedRho, *theta, *horizon, *epochs, t.Faulty, logf)
+		return strat, snapper, rhoUsed, err
 	}
 
-	logger.Printf("autoscaled: strategy=%s theta=%.0f horizon=%d replaying %d steps of %s",
-		planner.Name(), *theta, planHorizon, replaySteps, cpu.Name)
-
-	// The built strategy may carry a more specific name than the flag
-	// (e.g. "tft-0.9" for "robust").
-	registry.Update(func(s *ops.Status) { s.Strategy = planner.Name(); s.WarmStart = warm })
-
-	// Quantile strategies retain the fan behind each plan; grade its
-	// calibration online over a one-day rolling window.
-	var cal *cluster.Calibration
-	fanProvider, _ := planner.(scaler.FanProvider)
-
-	// Opt-in latency/fidelity trade: once the calibration window shows
-	// every quantile band running conservative, shrink the forecaster's
-	// Monte-Carlo sample budget. This deliberately gives up warm/cold
-	// bit-identity, so it is off by default.
-	armShrinker := func() {
-		if !*shrinkMC || cal == nil {
-			return
-		}
-		if sb, ok := snapper.(interface{ SetSampleBudget(func(int) int) }); ok {
-			sb.SetSampleBudget(cal.SampleShrinker(*guardSlack, stepsPerDay/4, 0.25))
-			logger.Printf("autoscaled: calibration-gated Monte-Carlo sample shrinking armed")
+	// The daemon's own state rides the tenant's checkpoints: the journal
+	// and decision rings and the SLO budget.
+	t.Sections = func(st *persist.State) {
+		st.Journal = persist.Blob(obs.DefaultJournal.Save)
+		st.Decisions = persist.Blob(obs.DefaultDecisions.Save)
+		if slo != nil {
+			st.SLO = persist.Blob(slo.Save)
 		}
 	}
 
-	// A warm start restores the rest of the control-plane state. Any
-	// single component failing to load degrades to fresh state for that
-	// component rather than aborting the recovery.
+	// Per-step side effects: the action log, the journal, the SLO tick
+	// and the status surface. Every figure is stamped with virtual time,
+	// so burn-rate firing rounds are a pure function of the replay.
+	var statusPlan []int
+	absErrSum := 0.0
+	t.OnStep = func(st fleet.Step) {
+		at := cpu.TimeAt(st.Index)
+		stamp := at.Format("Jan 02 15:04")
+		c := plant.Cluster
+		if st.Killed > 0 {
+			logf("%s FAULT: killed %d node(s), fleet now %d", stamp, st.Killed, st.Prev-st.Killed)
+			obs.DefaultJournal.RecordTenantAt(at, *tenant, "fault",
+				fmt.Sprintf("failure event killed %d node(s)", st.Killed),
+				map[string]float64{"killed": float64(st.Killed), "nodes": float64(st.Prev - st.Killed)})
+		}
+		if st.Err != nil {
+			// Retries and the breaker already did their part; the fleet
+			// holds and tries again next step.
+			logf("%s HOLD: apply to %d nodes failed (%v), keeping %d", stamp, st.Target, st.Err, st.Nodes)
+		}
+		if st.Nodes != st.Prev {
+			logf("%s scale %d -> %d nodes (workload %.0f)", stamp, st.Prev, st.Nodes, st.Workload)
+			obs.DefaultJournal.RecordTenantAt(at, *tenant, "scale",
+				fmt.Sprintf("scale %d -> %d nodes", st.Prev, st.Nodes),
+				map[string]float64{"from": float64(st.Prev), "to": float64(st.Nodes), "workload": st.Workload})
+		}
+		bad := uint64(0)
+		if st.Violated {
+			bad = 1
+			logf("%s VIOLATION: utilization %.1f > %.0f with %d nodes", stamp, st.Utilization, *theta, st.Nodes)
+			obs.DefaultJournal.RecordTenantAt(at, *tenant, "violation",
+				fmt.Sprintf("utilization %.1f > %.0f with %d nodes", st.Utilization, *theta, st.Nodes),
+				map[string]float64{"utilization": st.Utilization, "theta": *theta, "nodes": float64(st.Nodes)})
+		}
+		if slo != nil {
+			slo.ObserveAt(at, bad, 1)
+		}
+		if st.I == 0 {
+			// The status registry publishes tails of the plan for the whole
+			// round while the tenant rewrites its buffer next round, so it
+			// gets its own copy.
+			statusPlan = append([]int(nil), st.Plan...)
+		}
+		if fan := t.Fan(); fan != nil && st.I < fan.Horizon() {
+			absErrSum += math.Abs(st.Workload - fan.At(st.I, 0.5))
+		}
+		tot := t.Totals()
+		registry.Update(func(s *ops.Status) {
+			s.VirtualTime = c.Now()
+			s.Nodes = st.Nodes
+			s.Workload = st.Workload
+			s.Utilization = st.Utilization / *theta
+			s.Steps = tot.Steps
+			s.Violations = tot.Violations
+			s.ScaleOuts = c.ScaleOuts
+			s.ScaleIns = c.ScaleIns
+			s.Plan = statusPlan[st.I+1:]
+			s.ApplyHolds = tot.Holds
+			if g := t.Guard(); g != nil {
+				s.DegradationMode = g.Mode().String()
+				s.DegradationReason = g.LastReason()
+				s.DegradedRounds = g.DegradedRounds()
+			}
+			if wg := t.WakeGuard(); wg != nil {
+				s.Parked = wg.Parked()
+				s.KeepWarm = wg.BreakerOpen()
+				s.Parks = int(wg.Parks())
+				s.Wakes = int(wg.Wakes())
+				s.ParkedSteps = int(tot.ParkedSteps)
+			}
+		})
+	}
+
+	// Start recovers the newest valid checkpoint before building the
+	// strategy, so a warm start restores trained weights instead of
+	// retraining; the daemon's own sections come back from the snapshot
+	// it returns. Any single component failing to load degrades to fresh
+	// state for that component rather than aborting the recovery.
+	recovered, err := t.Start()
+	if err != nil {
+		return err
+	}
+	rejected, coldReason := t.Recovery()
+	for _, p := range rejected {
+		logf("autoscaled: rejected corrupt or unreadable checkpoint %s", p)
+	}
+	if coldReason != "" {
+		logf("autoscaled: %s; cold start", coldReason)
+	}
+	tot := t.Totals()
 	if recovered != nil {
+		logf("autoscaled: warm start: resuming at replay step %d/%d with restored state (%d nodes, %d steps already replayed, no retraining)",
+			t.Origin()-trainEnd, replaySteps, tot.Nodes, tot.Steps)
 		restore := func(name string, blob []byte, load func(io.Reader) error) {
 			if len(blob) == 0 {
 				return
 			}
 			if err := load(bytes.NewReader(blob)); err != nil {
-				logger.Printf("autoscaled: restoring %s state: %v (continuing fresh)", name, err)
+				logf("autoscaled: restoring %s state: %v (continuing fresh)", name, err)
 			}
 		}
-		if guard != nil {
-			restore("guard", recovered.Guard, guard.Load)
-		}
-		restore("breaker", recovered.Breaker, applier.Breaker.Load)
 		restore("journal", recovered.Journal, obs.DefaultJournal.Load)
 		restore("decisions", recovered.Decisions, obs.DefaultDecisions.Load)
 		if slo != nil {
 			restore("slo", recovered.SLO, slo.Load)
 		}
-		if wakeGuard != nil && len(recovered.Extra) > 0 {
-			var ex daemonExtra
-			if derr := gob.NewDecoder(bytes.NewReader(recovered.Extra)).Decode(&ex); derr != nil {
-				logger.Printf("autoscaled: restoring wake state: %v (continuing fresh)", derr)
-			} else {
-				parkedSteps = ex.ParkedSteps
-				restore("wake guard", ex.Wake, wakeGuard.Load)
-			}
+	}
+	logf("autoscaled: strategy=%s theta=%.0f horizon=%d replaying %d steps of %s",
+		strat.Name(), *theta, planHorizon, replaySteps, cpu.Name)
+	registry.Update(func(s *ops.Status) {
+		// The built strategy may carry a more specific name than the flag
+		// (e.g. "tft-0.9" for "robust").
+		s.Strategy, s.WarmStart = strat.Name(), recovered != nil
+		s.VirtualTime, s.Nodes = t.Now(), tot.Nodes
+		s.Steps, s.Violations, s.ApplyHolds = tot.Steps, tot.Violations, tot.Holds
+	})
+
+	// Opt-in latency/fidelity trade: once the calibration window shows
+	// every quantile band running conservative, shrink the forecaster's
+	// Monte-Carlo sample budget. This deliberately gives up warm/cold
+	// bit-identity, so it is off by default. The window exists from the
+	// first fan (or the restored snapshot) on.
+	shrinkerArmed := !*shrinkMC
+	armShrinker := func() {
+		cal := t.Calibration()
+		if shrinkerArmed || cal == nil {
+			return
 		}
-		if len(recovered.Calibration) > 0 {
-			if loaded, cerr := cluster.LoadCalibration(bytes.NewReader(recovered.Calibration)); cerr != nil {
-				logger.Printf("autoscaled: restoring calibration state: %v (continuing fresh)", cerr)
-			} else {
-				cal = loaded
-				calCheck = cal.HealthCheck(*guardSlack, *guardMaxWQL, stepsPerDay/4)
-				armShrinker()
-			}
+		shrinkerArmed = true
+		if sb, ok := snapper.(interface{ SetSampleBudget(func(int) int) }); ok {
+			sb.SetSampleBudget(cal.SampleShrinker(*guardSlack, stepsPerDay/4, 0.25))
+			logf("autoscaled: calibration-gated Monte-Carlo sample shrinking armed")
 		}
 	}
+	armShrinker()
 
-	violations, steps, holds := 0, 0, 0
-	prevAlloc := initialAlloc
-	if recovered != nil {
-		violations, steps, holds = recovered.Violations, recovered.Steps, recovered.Holds
-		registry.Update(func(s *ops.Status) {
-			s.VirtualTime = c.Now()
-			s.Nodes = prevAlloc
-			s.Steps = steps
-			s.Violations = violations
-			s.ApplyHolds = holds
-		})
-	}
-
-	// writeCheckpoint snapshots the full control plane as of the given
-	// next planning origin. It runs at round boundaries only — never
-	// inside the per-step hot path — and a failed write logs and keeps
-	// flying: durability must not take down the control loop it protects.
+	// checkpoint runs at round boundaries only; a failed write logs and
+	// keeps flying.
 	lastCkpt := -1
-	writeCheckpoint := func(nextOrigin int) {
-		if mgr == nil {
+	checkpoint := func() {
+		if err := t.Checkpoint(); err != nil {
+			logf("autoscaled: %v", err)
 			return
 		}
-		blob := func(name string, save func(io.Writer) error) []byte {
-			var b bytes.Buffer
-			if err := save(&b); err != nil {
-				logger.Printf("autoscaled: checkpoint: snapshotting %s failed: %v", name, err)
-				return nil
-			}
-			return b.Bytes()
-		}
-		st := &persist.State{
-			SavedAt:     c.Now(),
-			Fingerprint: fp,
-			Origin:      nextOrigin,
-			PrevAlloc:   prevAlloc,
-			Steps:       steps,
-			Violations:  violations,
-			Holds:       holds,
-			Rho:         rhoUsed,
-		}
-		if snapper != nil {
-			st.ForecasterKind = "tft"
-			if st.Forecaster = blob("forecaster", snapper.Save); st.Forecaster == nil {
-				return // a snapshot without the model would warm-start wrong
-			}
-		}
-		if cal != nil {
-			st.Calibration = blob("calibration", cal.Save)
-		}
-		if guard != nil {
-			st.Guard = blob("guard", guard.Save)
-		}
-		st.Breaker = blob("breaker", applier.Breaker.Save)
-		if wakeGuard != nil {
-			ex := daemonExtra{Wake: blob("wake guard", wakeGuard.Save), ParkedSteps: parkedSteps}
-			var b bytes.Buffer
-			if err := gob.NewEncoder(&b).Encode(ex); err != nil {
-				logger.Printf("autoscaled: checkpoint: snapshotting wake state failed: %v", err)
-			} else {
-				st.Extra = b.Bytes()
-			}
-		}
-		st.Journal = blob("journal", obs.DefaultJournal.Save)
-		st.Decisions = blob("decisions", obs.DefaultDecisions.Save)
-		if slo != nil {
-			st.SLO = blob("slo", slo.Save)
-		}
-		if _, err := mgr.Write(st); err != nil {
-			logger.Printf("autoscaled: checkpoint at origin %d failed: %v", nextOrigin, err)
-			return
-		}
-		lastCkpt = nextOrigin
+		lastCkpt = t.Origin()
 		registry.Update(func(s *ops.Status) { s.CheckpointWrites = int(persist.CheckpointWrites()) })
 	}
 
@@ -607,196 +535,48 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// consume steps: the daemon is ready. /readyz flips 503 -> 200 here.
 	health.SetReady(true)
 
-	// One reusable history view and plan buffer keep the steady-state
-	// round allocation-free for in-place strategies: the view shares the
-	// trace's backing array, so warm forecasters see a continuous history
-	// and advance their cached state instead of reconditioning.
-	histView := &robustscale.Series{Name: cpu.Name, Start: cpu.Start, Step: cpu.Step}
-	var planBuf []int
-	nextOrigin, rounds := startOrigin, 0
-	for origin := startOrigin; origin+planHorizon <= cpu.Len(); origin += planHorizon {
+	for rounds := 1; t.Active(); rounds++ {
+		origin := t.Origin()
 		if ctx.Err() != nil {
-			logger.Printf("autoscaled: shutdown requested; stopping at round boundary (replay step %d)", origin-trainEnd)
+			logf("autoscaled: shutdown requested; stopping at round boundary (replay step %d)", origin-trainEnd)
 			break
 		}
-		cur.Set(origin - trainEnd)
-		histView.Values = cpu.Values[:origin]
-		hist := histView
-		if sched != nil {
-			// Corruption clones the series; warm forecasters notice the
-			// broken backing-array identity and recondition from scratch,
-			// bit-identically.
-			hist = chaos.CorruptTelemetry(hist, sched, origin-trainEnd)
-		}
 		sp := obs.DefaultTracer.Start("plan-round")
-		plan, err := scaler.PlanRound(planner, hist, planHorizon, planBuf)
-		sp.EndVirtual(c.Now())
-		if plan != nil {
-			planBuf = plan
+		perr := t.Plan()
+		sp.EndVirtual(t.Now())
+		if t.Err() != nil {
+			return t.Err()
 		}
-		if err != nil {
+		if perr != nil {
 			// Even an exhausted fallback ladder must not crash the daemon:
-			// hold the current fleet for the round and keep flying.
-			if guard == nil {
-				return err
-			}
-			logger.Printf("%s HOLD: planning failed (%v), keeping %d nodes for %d steps",
-				cpu.TimeAt(origin).Format("Jan 02 15:04"), err, prevAlloc, planHorizon)
-			plan = make([]int, planHorizon)
-			for i := range plan {
-				plan[i] = prevAlloc
-			}
+			// the tenant holds the current fleet for the round.
+			logf("%s HOLD: planning failed (%v), keeping %d nodes for %d steps",
+				cpu.TimeAt(origin).Format("Jan 02 15:04"), perr, t.Totals().Nodes, planHorizon)
 		}
-		if wakeGuard != nil {
-			// Idleness is judged on the genuine trace (not the chaos-
-			// corrupted view) plus the plan: a telemetry fault must not park
-			// a loaded tenant.
-			idle := true
-			for _, v := range plan {
-				if v > 1 {
-					idle = false
-					break
-				}
-			}
-			for i := origin - planHorizon; idle && i < origin; i++ {
-				if i >= 0 && cpu.At(i) > effIdleEps {
-					idle = false
-				}
-			}
-			tr := wakeGuard.Shape(plan, idle)
-			scaler.RecordDecisionAdmitted(planner, *tenant, origin, c.Now(), prevAlloc, plan, 0, wakeReasonOf(tr))
-		} else {
-			scaler.RecordDecisionFor(planner, *tenant, origin, c.Now(), prevAlloc, plan)
+		absErrSum = 0
+		applyStart := time.Now()
+		sp = obs.DefaultTracer.Start("apply")
+		if err := t.Apply(); err != nil {
+			return err
 		}
-		// The status registry publishes tails of the plan for the whole
-		// round while the fast path rewrites its buffer next round, so it
-		// gets its own copy.
-		statusPlan := append([]int(nil), plan...)
-		var fan *robustscale.QuantileForecast
-		if fanProvider != nil {
-			fan = fanProvider.LastFan()
-		}
-		if fan != nil && cal == nil {
-			if cal, err = cluster.NewCalibration(fan.Levels, stepsPerDay); err != nil {
-				return err
-			}
-			calCheck = cal.HealthCheck(*guardSlack, *guardMaxWQL, stepsPerDay/4)
-			armShrinker()
-		}
-		absErrSum := 0.0
-		for i, alloc := range plan {
-			t := origin + i
-			cur.Set(t - trainEnd)
-			if sched != nil {
-				if kills := sched.KillsAt(t - trainEnd); kills > 0 {
-					chaos.CountInjected(chaos.NodeKill)
-					c.Kill(kills)
-					logger.Printf("%s FAULT: killed %d node(s), fleet now %d",
-						cpu.TimeAt(t).Format("Jan 02 15:04"), kills, c.Size())
-					obs.DefaultJournal.RecordTenantAt(c.Now(), *tenant, "fault",
-						fmt.Sprintf("failure event killed %d node(s)", kills),
-						map[string]float64{"killed": float64(kills), "nodes": float64(c.Size())})
-				}
-			}
-			if wakeGuard != nil && alloc <= 0 {
-				// Parked: the plan is zero but the simulated cluster enforces
-				// a one-node physical floor, so hold it there and account the
-				// step as parked instead of applying a zero.
-				parkedSteps++
-				alloc = 1
-			}
-			applyStart := time.Now()
-			applySpan := obs.DefaultTracer.Start("apply")
-			if err := applier.ScaleTo(alloc); err != nil {
-				// Retries and the breaker already did their part; hold the
-				// current fleet and try again next step.
-				holds++
-				logger.Printf("%s HOLD: apply to %d nodes failed (%v), keeping %d",
-					cpu.TimeAt(t).Format("Jan 02 15:04"), alloc, err, c.Size())
-			}
-			actual := c.Size()
-			if actual != prevAlloc {
-				logger.Printf("%s scale %d -> %d nodes (workload %.0f)",
-					cpu.TimeAt(t).Format("Jan 02 15:04"), prevAlloc, actual, cpu.At(t))
-				obs.DefaultJournal.RecordTenantAt(c.Now(), *tenant, "scale",
-					fmt.Sprintf("scale %d -> %d nodes", prevAlloc, actual),
-					map[string]float64{"from": float64(prevAlloc), "to": float64(actual), "workload": cpu.At(t)})
-				prevAlloc = actual
-			}
-			capacity := c.EffectiveCapacity(cpu.Step)
-			util := cpu.At(t) / capacity
-			bad := uint64(0)
-			if util > *theta {
-				violations++
-				bad = 1
-				logger.Printf("%s VIOLATION: utilization %.1f > %.0f with %d nodes",
-					cpu.TimeAt(t).Format("Jan 02 15:04"), util, *theta, actual)
-				obs.DefaultJournal.RecordTenantAt(c.Now(), *tenant, "violation",
-					fmt.Sprintf("utilization %.1f > %.0f with %d nodes", util, *theta, actual),
-					map[string]float64{"utilization": util, "theta": *theta, "nodes": float64(actual)})
-			}
-			if slo != nil {
-				// One tick per replayed step, stamped with virtual time, so
-				// burn-rate firing rounds are a pure function of the replay.
-				slo.ObserveAt(c.Now(), bad, 1)
-			}
-			steps++
-			c.Advance(cpu.Step)
-			registry.Update(func(s *ops.Status) {
-				s.VirtualTime = c.Now()
-				s.Nodes = actual
-				s.Workload = cpu.At(t)
-				s.Utilization = util / *theta
-				s.Steps = steps
-				s.Violations = violations
-				s.ScaleOuts = c.ScaleOuts
-				s.ScaleIns = c.ScaleIns
-				s.Plan = statusPlan[i+1:]
-				s.ApplyHolds = holds
-				if guard != nil {
-					s.DegradationMode = guard.Mode().String()
-					s.DegradationReason = guard.LastReason()
-					s.DegradedRounds = guard.DegradedRounds()
-				}
-				if wakeGuard != nil {
-					s.Parked = wakeGuard.Parked()
-					s.KeepWarm = wakeGuard.BreakerOpen()
-					s.Parks = int(wakeGuard.Parks())
-					s.Wakes = int(wakeGuard.Wakes())
-					s.ParkedSteps = parkedSteps
-				}
-			})
-			applySpan.EndVirtual(c.Now())
-			ops.ObserveApply(time.Since(applyStart))
-			if fan != nil && cal != nil && i < fan.Horizon() {
-				if err := cal.Observe(cpu.At(t), fan.Step(i)); err != nil {
-					return err
-				}
-				absErrSum += abs(cpu.At(t) - fan.At(i, 0.5))
-			}
-		}
-		if fan != nil {
+		c := plant.Cluster
+		sp.EndVirtual(c.Now())
+		ops.ObserveApply(time.Since(applyStart))
+		armShrinker()
+		if t.Fan() != nil {
 			obs.DefaultJournal.RecordTenantAt(c.Now(), *tenant, "forecast_error",
 				fmt.Sprintf("plan round at %s: mean |actual - median forecast| = %.1f",
-					cpu.TimeAt(origin).Format("Jan 02 15:04"), absErrSum/float64(len(plan))),
-				map[string]float64{"mean_abs_error": absErrSum / float64(len(plan))})
+					cpu.TimeAt(origin).Format("Jan 02 15:04"), absErrSum/float64(planHorizon)),
+				map[string]float64{"mean_abs_error": absErrSum / float64(planHorizon)})
 		}
-		// Daily-ish progress summary.
-		if (origin-trainEnd)%stepsPerDay < planHorizon {
-			logger.Printf("%s summary: %d/%d steps, %d violations (%.2f%%), %d scale-outs, %d scale-ins",
-				cpu.TimeAt(origin).Format("Jan 02"), steps, replaySteps,
-				violations, 100*float64(violations)/float64(steps), c.ScaleOuts, c.ScaleIns)
+		if (origin-trainEnd)%stepsPerDay < planHorizon { // daily-ish progress
+			tot := t.Totals()
+			logf("%s summary: %d/%d steps, %d violations (%.2f%%), %d scale-outs, %d scale-ins",
+				cpu.TimeAt(origin).Format("Jan 02"), tot.Steps, replaySteps,
+				tot.Violations, 100*float64(tot.Violations)/float64(tot.Steps), c.ScaleOuts, c.ScaleIns)
 		}
-		if wakeGuard != nil && !wakeGuard.Parked() {
-			// The simulated apply path provisions instantly, so every round
-			// the tenant is awake counts as a healthy wake result and keeps
-			// the wake breaker closed.
-			wakeGuard.OnWakeResult(true)
-		}
-		nextOrigin = origin + planHorizon
-		rounds++
-		if mgr != nil && (*ckptInterval <= 1 || rounds%*ckptInterval == 0) {
-			writeCheckpoint(nextOrigin)
+		if *stateDir != "" && (*ckptInterval <= 1 || rounds%*ckptInterval == 0) {
+			checkpoint()
 		}
 		if *roundDelay > 0 {
 			select {
@@ -807,19 +587,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	// Final checkpoint: on shutdown between checkpoints (or with a sparse
 	// cadence) this bounds lost progress to zero rounds.
-	if mgr != nil && nextOrigin != lastCkpt {
-		writeCheckpoint(nextOrigin)
-		logger.Printf("autoscaled: final checkpoint written (replay step %d)", nextOrigin-trainEnd)
+	if *stateDir != "" && t.Origin() != lastCkpt {
+		checkpoint()
+		logf("autoscaled: final checkpoint written (replay step %d)", t.Origin()-trainEnd)
 	}
+	tot, c := t.Totals(), plant.Cluster
 	fmt.Fprintf(stdout, "\nfinal: %d steps, %d violations (%.2f%%), %d scale-outs, %d scale-ins\n",
-		steps, violations, 100*float64(violations)/float64(steps), c.ScaleOuts, c.ScaleIns)
-	if guard != nil {
+		tot.Steps, tot.Violations, 100*float64(tot.Violations)/float64(tot.Steps), c.ScaleOuts, c.ScaleIns)
+	if g := t.Guard(); g != nil {
 		fmt.Fprintf(stdout, "resilience: %d degraded rounds, %d apply holds, %d node failures, final mode %s\n",
-			guard.DegradedRounds(), holds, c.Failures, guard.Mode())
+			g.DegradedRounds(), tot.Holds, c.Failures, g.Mode())
 	}
-	if wakeGuard != nil {
+	if wg := t.WakeGuard(); wg != nil {
 		fmt.Fprintf(stdout, "serverless: %d parks, %d wakes, %d blocked parks, %d parked steps, parked now %v\n",
-			wakeGuard.Parks(), wakeGuard.Wakes(), wakeGuard.BlockedParks(), parkedSteps, wakeGuard.Parked())
+			wg.Parks(), wg.Wakes(), wg.BlockedParks(), tot.ParkedSteps, wg.Parked())
 	}
 	if slo != nil {
 		// Every figure here is a pure function of the replay in virtual
@@ -833,7 +614,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "slo: target %g window %d: %d/%d bad steps, budget remaining %.4f, %d transitions, %d active alerts, first firing tick %s\n",
 			st.Target, st.Window, st.Bad, st.Total, st.BudgetRemaining, st.Transitions, st.ActiveAlerts, firstFire)
 	}
-	if cal != nil {
+	if cal := t.Calibration(); cal != nil {
 		snap := cal.Snapshot()
 		fmt.Fprintf(stdout, "calibration over last %d steps: rolling wQL %.4f; coverage", snap.Steps, snap.WQL)
 		for i, tau := range snap.Levels {
@@ -845,7 +626,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err := obs.DefaultTracer.WriteChromeFile(*traceOut); err != nil {
 			return fmt.Errorf("writing trace: %v", err)
 		}
-		logger.Printf("autoscaled: wrote %d spans (%d dropped) to %s",
+		logf("autoscaled: wrote %d spans (%d dropped) to %s",
 			obs.DefaultTracer.Len(), obs.DefaultTracer.Dropped(), *traceOut)
 	}
 	if *explain != "" {
@@ -858,34 +639,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// serving it after the replay — postmortem tooling can query
 		// /decisions, /trace and /journal at leisure; ^C or SIGTERM
 		// ends it gracefully.
-		logger.Printf("autoscaled: replay complete; serving observability surface until interrupted")
+		logf("autoscaled: replay complete; serving observability surface until interrupted")
 		<-ctx.Done()
 	}
 	return nil
-}
-
-// daemonExtra is the owner-defined checkpoint section: wake-guard state
-// and the parked-step tally, so a warm restart resumes the park/wake
-// machine instead of treating a parked tenant as freshly active.
-type daemonExtra struct {
-	Wake        []byte
-	ParkedSteps int
-}
-
-// wakeReasonOf maps a wake transition to the decision-record annotation
-// narrated by -explain; an ordinary active round stays unannotated.
-func wakeReasonOf(tr scaler.WakeTransition) string {
-	switch tr {
-	case scaler.WakePark:
-		return "parked"
-	case scaler.WakeKeepWarm:
-		return "keep-warm"
-	case scaler.WakeWake:
-		return "wake"
-	case scaler.WakeHold:
-		return "wake-hold"
-	}
-	return ""
 }
 
 // printExplanation resolves the -explain argument — a series step index
@@ -913,22 +670,15 @@ func printExplanation(stdout io.Writer, arg string) error {
 	return nil
 }
 
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // buildStrategy trains (cold start) or restores (model != nil, warm
 // start — zero training epochs) the forecaster and assembles the
-// requested strategy. It returns the forecaster's snapshotter for
+// requested bare strategy. It returns the forecaster's snapshotter for
 // checkpointing (nil for the model-free reactive strategies) and the
-// uncertainty threshold in effect. wrap is applied to the forecaster
-// before it is handed to a strategy — the chaos injector hooks in
-// there — but never to the calibration pass, which must see the
-// genuine model.
-func buildStrategy(name string, train *robustscale.Series, model []byte, tau, tau2, rho, theta float64, horizon, epochs int, wrap func(forecast.QuantileForecaster) forecast.QuantileForecaster, logf func(string, ...interface{})) (robustscale.Strategy, forecast.Snapshotter, float64, error) {
+// uncertainty threshold in effect (rho <= 0 calibrates it). wrap is
+// applied to the forecaster before it is handed to a strategy — the
+// chaos injector hooks in there — but never to the calibration pass,
+// which must see the genuine model.
+func buildStrategy(name string, train *robustscale.Series, model []byte, tau, tau2, rho, theta float64, horizon, epochs int, wrap func(forecast.QuantileForecaster) forecast.QuantileForecaster, logf func(string, ...interface{})) (scaler.Strategy, forecast.Snapshotter, float64, error) {
 	switch name {
 	case "reactive-max":
 		return &robustscale.ReactiveMax{Window: 6, Theta: theta}, nil, 0, nil
@@ -956,22 +706,14 @@ func buildStrategy(name string, train *robustscale.Series, model []byte, tau, ta
 			return &robustscale.Robust{Forecaster: wrap(tft), Tau: tau, Theta: theta}, tft, 0, nil
 		}
 		if rho <= 0 {
-			// Calibrate rho as the median uncertainty of a forecast made
-			// at the end of training.
-			fan, err := tft.PredictQuantiles(train, horizon, robustscale.ScalingLevels)
-			if err != nil {
+			var err error
+			if rho, err = scaler.CalibrateRho(tft, train, horizon); err != nil {
 				return nil, nil, 0, err
 			}
-			us, err := robustscale.ForecastUncertainties(fan)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			s := robustscale.NewSeries("u", train.Start, train.Step, us)
-			rho = s.Quantile(0.5)
 			logf("autoscaled: calibrated rho = %.2f", rho)
 		}
 		return &robustscale.Adaptive{Forecaster: wrap(tft), Tau1: tau, Tau2: tau2, Rho: rho, Theta: theta}, tft, rho, nil
 	default:
-		return nil, nil, 0, fmt.Errorf("autoscaled: unknown strategy %q", name)
+		return nil, nil, 0, fmt.Errorf("unknown strategy %q", name)
 	}
 }

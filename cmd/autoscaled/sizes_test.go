@@ -1,0 +1,31 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"strings"
+	"testing"
+
+	"robustscale/internal/fleet"
+)
+
+// TestNonsenseSizesExitTwo: sizes that used to spin forever (-horizon 0),
+// panic (-horizon -3), print NaN (-days 0) or replay with every step a
+// violation (-theta -1) are rejected before any training, with the typed
+// error the exit status 2 hangs on.
+func TestNonsenseSizesExitTwo(t *testing.T) {
+	for _, args := range []string{"-horizon 0", "-horizon -3", "-days 0", "-theta -1"} {
+		var stdout, stderr bytes.Buffer
+		err := run(context.Background(), strings.Fields(args+" -epochs 1"), &stdout, &stderr)
+		if !errors.Is(err, fleet.ErrSizes) {
+			t.Errorf("autoscaled %s: error %v, want fleet.ErrSizes", args, err)
+		}
+		if code := exitCode(err, &stderr); code != 2 {
+			t.Errorf("autoscaled %s: exit status %d, want 2", args, code)
+		}
+		if strings.Contains(stderr.String(), "training") || stdout.Len() > 0 {
+			t.Errorf("autoscaled %s ran before rejecting its sizes:\n%s%s", args, stdout.String(), stderr.String())
+		}
+	}
+}

@@ -127,50 +127,40 @@ func (p *Pipeline) Run(workload *timeseries.Series, start int, clusterCfg cluste
 	}, nil
 }
 
-// evaluate runs the rolling strategy evaluation, inserting periodic
-// retraining when configured. Without retraining it defers to the plain
-// scaler harness.
+// evaluate runs the rolling strategy evaluation through the scaler
+// harness. With retraining configured it does so once per retraining
+// segment — RetrainEvery rounds planned by one fit — refitting the
+// forecaster on all history visible at each segment boundary, and
+// concatenates the segments.
 func (p *Pipeline) evaluate(workload *timeseries.Series, start int) (*scaler.EvalResult, error) {
+	cfg := scaler.EvalConfig{Theta: p.Theta, Horizon: p.Horizon, Start: start, Tenant: p.Tenant}
 	if p.RetrainEvery <= 0 || p.Forecaster == nil {
-		return scaler.Evaluate(p.Strategy, workload, scaler.EvalConfig{
-			Theta:   p.Theta,
-			Horizon: p.Horizon,
-			Start:   start,
-			Tenant:  p.Tenant,
-		})
+		return scaler.Evaluate(p.Strategy, workload, cfg)
 	}
-	var allocations []int
-	var actuals []float64
-	round := 0
-	for origin := start; origin+p.Horizon <= workload.Len(); origin += p.Horizon {
-		if round > 0 && round%p.RetrainEvery == 0 {
+	span := p.RetrainEvery * p.Horizon
+	var all *scaler.EvalResult
+	for origin := start; origin+p.Horizon <= workload.Len(); origin += span {
+		if origin > start {
 			if err := p.Forecaster.Fit(workload.Slice(0, origin)); err != nil {
 				return nil, fmt.Errorf("core: retraining %s at %d: %w", p.Forecaster.Name(), origin, err)
 			}
 		}
-		round++
-		plan, err := p.Strategy.Plan(workload.Slice(0, origin), p.Horizon)
+		cfg.Start = origin
+		seg, err := scaler.Evaluate(p.Strategy, workload.Slice(0, min(origin+span, workload.Len())), cfg)
 		if err != nil {
-			return nil, fmt.Errorf("core: %s planning at %d: %w", p.Strategy.Name(), origin, err)
+			return nil, err
 		}
-		realized := workload.Values[origin : origin+p.Horizon]
-		allocations = append(allocations, plan...)
-		actuals = append(actuals, realized...)
-		if obs, ok := p.Strategy.(scaler.Observer); ok {
-			obs.Observe(realized)
+		if all == nil {
+			all = seg
+			continue
 		}
+		all.Allocations = append(all.Allocations, seg.Allocations...)
+		all.Actuals = append(all.Actuals, seg.Actuals...)
 	}
-	if len(allocations) == 0 {
+	if all == nil {
 		return nil, fmt.Errorf("core: evaluation span too short for horizon %d", p.Horizon)
 	}
-	report, err := metrics.Provisioning(actuals, allocations, p.Theta)
-	if err != nil {
-		return nil, err
-	}
-	return &scaler.EvalResult{
-		Strategy:    p.Strategy.Name(),
-		Report:      report,
-		Allocations: allocations,
-		Actuals:     actuals,
-	}, nil
+	var err error
+	all.Report, err = metrics.Provisioning(all.Actuals, all.Allocations, p.Theta)
+	return all, err
 }

@@ -192,14 +192,8 @@ func (cfg Config) validate() error {
 	if cfg.Units <= 0 {
 		return fmt.Errorf("fleet: need at least one trace unit per tenant")
 	}
-	if cfg.Horizon <= 0 {
-		return fmt.Errorf("fleet: non-positive horizon %d", cfg.Horizon)
-	}
-	if replay := (cfg.Days - cfg.TrainDays) * stepsPerDay(); replay < cfg.Horizon {
-		return fmt.Errorf("fleet: replay span %d shorter than horizon %d", replay, cfg.Horizon)
-	}
-	if cfg.Theta <= 0 {
-		return fmt.Errorf("fleet: non-positive threshold %v", cfg.Theta)
+	if err := CheckSizes(cfg.Horizon, (cfg.Days-cfg.TrainDays)*stepsPerDay(), cfg.Theta); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	switch cfg.Strategy {
 	case StrategyRobust, StrategyAdaptive:
@@ -277,12 +271,15 @@ func deriveSeed(seed int64, index int) int64 {
 	return int64(z >> 1) // keep it positive for readable fingerprints
 }
 
-// tenantTrace derives the workload archetype of one tenant: even indices
-// get the diurnal Alibaba-style trace, odd indices the bursty
-// Google-style one, so every fleet mixes easy and hard workloads. A
-// serverless fleet swaps the pair for the scale-to-zero archetypes:
-// burst-wake serverless tenants and sunsetting decaying ones.
-func tenantTrace(cfg Config, index int, seed int64) trace.Config {
+// tenantTrace derives the trace configuration and workload archetype of
+// one tenant: even indices get the diurnal Alibaba-style trace, odd
+// indices the bursty Google-style one, so every fleet mixes easy and
+// hard workloads. A serverless fleet swaps the pair for the scale-to-zero
+// archetypes: burst-wake serverless tenants and sunsetting decaying
+// ones. The archetype name also lands in the checkpoint fingerprint's
+// Dataset field, so flipping Config.Serverless cold-starts stale
+// checkpoints instead of resuming against the wrong trace.
+func tenantTrace(cfg Config, index int, seed int64) (trace.Config, string) {
 	var tc trace.Config
 	switch {
 	case cfg.Serverless && index%2 == 0:
@@ -299,23 +296,7 @@ func tenantTrace(cfg Config, index int, seed int64) trace.Config {
 	tc.Units = cfg.Units
 	tc.Days = cfg.Days
 	tc.Resources = []trace.Resource{trace.CPU}
-	return tc
-}
-
-// archetypeOf names the workload archetype of a tenant index. The
-// serverless names also land in the checkpoint fingerprint's Dataset
-// field, so flipping Config.Serverless cold-starts stale checkpoints
-// instead of resuming against the wrong trace.
-func archetypeOf(cfg Config, index int) string {
-	switch {
-	case cfg.Serverless && index%2 == 0:
-		return "serverless"
-	case cfg.Serverless:
-		return "decaying"
-	case index%2 == 0:
-		return "alibaba"
-	}
-	return "google"
+	return tc, archetype
 }
 
 // buildForecaster constructs one tenant's untrained forecaster. The

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"robustscale/internal/obs"
@@ -46,27 +47,35 @@ func TestReportSketchPercentilesAgree(t *testing.T) {
 	check("cost_p90", rep.CostP90, costs, 90)
 	check("cost_p99", rep.CostP99, costs, 99)
 
-	// Worst-tenant lists honor the space-saving contract: every tracked
-	// value upper-bounds the tenant's true weight, and Value-Err
-	// lower-bounds it.
-	if len(rep.WorstCost) == 0 {
-		t.Fatal("worst-cost list empty")
-	}
-	byID := map[string]TenantReport{}
-	for _, tr := range rep.PerTenant {
-		byID[tr.ID] = tr
-	}
-	for _, w := range rep.WorstCost {
-		truth := float64(byID[w.ID].CostNodeSteps)
-		if w.Value < truth || w.Value-w.Err > truth {
-			t.Errorf("worst-cost entry %+v outside bounds for true cost %v", w, truth)
+	// Worst-tenant lists are exact: they equal a brute-force sort over
+	// the per-tenant records, largest first, ties in id order, zeros left
+	// out.
+	brute := func(value func(TenantReport) float64) []WorstTenant {
+		var all []WorstTenant
+		for _, tr := range rep.PerTenant {
+			if v := value(tr); v > 0 {
+				all = append(all, WorstTenant{ID: tr.ID, Value: v})
+			}
 		}
-	}
-	for _, w := range rep.WorstViolations {
-		truth := float64(byID[w.ID].Violations)
-		if w.Value < truth || w.Value-w.Err > truth {
-			t.Errorf("worst-violations entry %+v outside bounds for true count %v", w, truth)
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].Value != all[j].Value {
+				return all[i].Value > all[j].Value
+			}
+			return all[i].ID < all[j].ID
+		})
+		if len(all) > 8 {
+			all = all[:8]
 		}
+		return all
+	}
+	if len(rep.WorstCost) != 8 {
+		t.Fatalf("worst-cost list has %d entries, want 8", len(rep.WorstCost))
+	}
+	if want := brute(func(tr TenantReport) float64 { return float64(tr.CostNodeSteps) }); !reflect.DeepEqual(rep.WorstCost, want) {
+		t.Errorf("worst-cost list %+v, brute force %+v", rep.WorstCost, want)
+	}
+	if want := brute(func(tr TenantReport) float64 { return float64(tr.Violations) }); !reflect.DeepEqual(rep.WorstViolations, want) {
+		t.Errorf("worst-violations list %+v, brute force %+v", rep.WorstViolations, want)
 	}
 	if rep.Timing == nil || rep.Timing.Samples == 0 {
 		t.Error("timing sketch lost its samples")

@@ -56,14 +56,11 @@ type Timing struct {
 	P99Millis float64 `json:"p99_ms"`
 }
 
-// WorstTenant is one entry of a heavy-hitter list: a tenant, the
-// cumulative weight (violations, node-steps) the tracker observed for
-// it this process lifetime, and the space-saving overestimate bound —
-// the true weight lies in [Value-Err, Value].
+// WorstTenant is one entry of a worst-tenant list: a tenant and its exact
+// lifetime total (violations, node-steps).
 type WorstTenant struct {
 	ID    string  `json:"id"`
 	Value float64 `json:"value"`
-	Err   float64 `json:"err,omitempty"`
 }
 
 // worstListSize bounds the worst-tenant lists in the report.
@@ -104,9 +101,9 @@ type Report struct {
 	FleetHash string         `json:"fleet_hash"`
 	Timing    *Timing        `json:"timing,omitempty"`
 	PerTenant []TenantReport `json:"per_tenant,omitempty"`
-	// WorstViolations and WorstCost are the heavy-hitter tenants from
-	// the space-saving trackers streamed over this process's rounds
-	// (deterministic: per-round deltas observed in index order).
+	// WorstViolations and WorstCost are the exact top tenants by lifetime
+	// violations and cost, largest first, ties in id order; tenants with
+	// nothing to report are left out.
 	WorstViolations []WorstTenant `json:"worst_violations,omitempty"`
 	WorstCost       []WorstTenant `json:"worst_cost,omitempty"`
 	// SLO is the error-budget state at the end of the run (nil when the
@@ -202,9 +199,8 @@ func (c *Controller) report() *Report {
 		DecisionsTotal: obs.DefaultDecisions.Total(),
 	}
 	// Distributions stream through mergeable sketches — O(buckets)
-	// memory however large the fleet — and heavy hitters through
-	// space-saving trackers. Observation happens in tenant index order,
-	// so every derived figure is deterministic.
+	// memory however large the fleet. Observation happens in tenant index
+	// order, so every derived figure is deterministic.
 	vrSketch := obs.NewSketch(obs.DefaultSketchAlpha)
 	costSketch := obs.NewSketch(obs.DefaultSketchAlpha)
 	durSketch := obs.NewSketch(obs.DefaultSketchAlpha)
@@ -317,8 +313,8 @@ func (c *Controller) report() *Report {
 			P99Millis: durSketch.Percentile(99) * 1e3,
 		}
 	}
-	r.WorstViolations = worstEntries(c.worstViol)
-	r.WorstCost = worstEntries(c.worstCost)
+	r.WorstViolations = worst(c.tenants, func(t *Tenant) float64 { return float64(t.violations) })
+	r.WorstCost = worst(c.tenants, func(t *Tenant) float64 { return float64(t.cost) })
 	if c.slo != nil {
 		st := c.slo.Status()
 		r.SLO = &st
@@ -338,12 +334,18 @@ func (c *Controller) report() *Report {
 	return r
 }
 
-// worstEntries converts a heavy-hitter tracker into the report's list.
-func worstEntries(tk *obs.TopK) []WorstTenant {
-	top := tk.Top(0)
-	out := make([]WorstTenant, len(top))
-	for i, e := range top {
-		out[i] = WorstTenant{ID: e.Key, Value: e.Count, Err: e.Err}
+// worst lists the worstListSize tenants with the largest positive value.
+// The stable sort keeps ties in index order, which is id order.
+func worst(tenants []*Tenant, value func(*Tenant) float64) []WorstTenant {
+	var out []WorstTenant
+	for _, t := range tenants {
+		if v := value(t); v > 0 {
+			out = append(out, WorstTenant{ID: t.ID, Value: v})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Value > out[j].Value })
+	if len(out) > worstListSize {
+		out = out[:worstListSize]
 	}
 	return out
 }

@@ -1,0 +1,690 @@
+package fleet
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"io"
+	"time"
+
+	"robustscale/internal/chaos"
+	"robustscale/internal/cluster"
+	"robustscale/internal/forecast"
+	"robustscale/internal/obs"
+	"robustscale/internal/persist"
+	"robustscale/internal/scaler"
+	"robustscale/internal/timeseries"
+)
+
+// fnv64 constants for the rolling allocation hash.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// ErrSizes is wrapped by every rejection of a control loop's sizes, so a
+// command can tell a nonsense command line from a failed run.
+var ErrSizes = errors.New("invalid sizes")
+
+// CheckSizes is the one copy of the rule on the sizes every control loop
+// is built from: a positive planning horizon, at least one full round to
+// replay, and a positive per-node threshold. Anything else spins, panics
+// or replays nonsense deep inside the loop.
+func CheckSizes(horizon, replay int, theta float64) error {
+	switch {
+	case horizon <= 0:
+		return fmt.Errorf("%w: non-positive horizon %d", ErrSizes, horizon)
+	case replay < horizon:
+		return fmt.Errorf("%w: replay span %d shorter than horizon %d", ErrSizes, replay, horizon)
+	case !(theta > 0):
+		return fmt.Errorf("%w: non-positive threshold %v", ErrSizes, theta)
+	}
+	return nil
+}
+
+// loopExtra is the tenant's owner-defined checkpoint section
+// (persist.State.Extra): loop accounting that no existing component
+// covers, carried across restarts so a warm-started tenant's rolling
+// hash and cost totals continue instead of restarting from zero.
+type loopExtra struct {
+	// AllocHash is the rolling FNV-1a hash over every allocation the
+	// tenant ever committed.
+	AllocHash uint64
+	// Cost is the cumulative node-steps the tenant has paid for.
+	Cost int64
+	// Pool and quarantine lifetime counters (added with the shared
+	// capacity pool; gob tolerates their absence in older blobs, so no
+	// format version bump is needed — old snapshots decode with zeros).
+	ShedNodes      int64
+	ClippedRounds  int
+	Flap           int
+	QuarantineLeft int
+	Quarantines    int
+	// Serverless wake state (added with scale-to-zero; absent in older
+	// blobs, decoding to nil/zero): the wake-guard hysteresis machine,
+	// the per-tenant plant mid-wake state, the wake-latency sketch and
+	// the parked-step total. Restoring them is what lets a kill mid-wake
+	// resume bit-identically. The daemon's older snapshots carry Wake and
+	// ParkedSteps under the same names, so they decode here too.
+	Wake        []byte
+	Plant       []byte
+	WakeLat     []byte
+	ParkedSteps int64
+}
+
+// Plant is the actuation-and-grading seam of the apply stage; the three
+// implementations live in package cluster. A fleet tenant gets the plain
+// integer allocation or, with Config.Serverless, the scale-to-zero plant;
+// the single-tenant daemon drives the simulated cluster.
+type Plant interface {
+	Reset(at time.Time, nodes int) error
+	ScaleTo(n int) error
+	Size() int
+	Step(apply func(int) error, step, target, kills int, w float64) cluster.StepResult
+}
+
+// Step is one replayed step as the OnStep hook sees it: the series index
+// and workload, the round's admitted plan with this step's position in
+// it (the slice is rewritten next round, so a hook that keeps it copies
+// it), the provisioned count before the step, and what the plant did.
+type Step struct {
+	Index    int
+	Workload float64
+	Plan     []int
+	I        int
+	Prev     int
+	cluster.StepResult
+}
+
+// Tenant is one isolated control loop and the single stateful
+// implementation of the round: trace, forecaster, calibration, guard,
+// breaker, wake guard, plant and checkpoint directory are all private,
+// so a round touches nothing shared beyond the process-wide (atomic)
+// metric counters. A client fills in the exported parts, calls Start,
+// then drives Plan and Apply once per round and Checkpoint at its own
+// cadence: the controller for N tenants in lock step with the admission
+// barrier between the two stages, the single-tenant daemon for one.
+type Tenant struct {
+	// ID is the tenant id; Index its position in the fleet.
+	ID    string
+	Index int
+	// Archetype names the workload archetype ("alibaba" or "google").
+	Archetype string
+	// Seed is the derived per-tenant seed.
+	Seed int64
+	// Class is the tenant's admission priority class.
+	Class PriorityClass
+
+	// Series is the workload trace: [0, TrainEnd) is training history,
+	// the rest is replayed Horizon steps per round.
+	Series            *timeseries.Series
+	TrainEnd, Horizon int
+	// Fingerprint identifies the run configuration; only a checkpoint
+	// carrying the identical one warm-starts the tenant. Its Theta is the
+	// threshold the loop grades against.
+	Fingerprint persist.Fingerprint
+	// Build trains (model == nil) or restores the forecaster and returns
+	// the bare strategy, the forecaster's snapshotter (nil for model-free
+	// strategies) and the adaptive uncertainty threshold in effect. rho
+	// is the one the recovered checkpoint carried (0 on a cold start):
+	// reusing it keeps warm-started planning bit-identical. Planning-time
+	// inference goes through Faulty, everything else to the genuine model.
+	Build func(model []byte, rho float64) (scaler.Strategy, forecast.Snapshotter, float64, error)
+	// ForecasterKind labels the model held in checkpoints.
+	ForecasterKind string
+	// GuardConfig wraps the strategy in the resilience guard; without it
+	// a planning error ends the loop instead of holding the round.
+	GuardConfig *scaler.GuardConfig
+	// CoverageSlack and MaxWQL tune the calibration health gate.
+	CoverageSlack, MaxWQL float64
+	// Backoff and Breaker (required) shape the apply path.
+	Backoff scaler.BackoffConfig
+	Breaker *scaler.Breaker
+	// Sched is the tenant's fault schedule; nil means no chaos.
+	Sched *chaos.Schedule
+	// WakeConfig turns on scale-to-zero: the wake guard shapes every plan
+	// through park/wake hysteresis, judging idleness against IdleEps.
+	WakeConfig *scaler.WakeGuardConfig
+	IdleEps    float64
+	// Plant is what the apply stage actuates and grades against.
+	Plant Plant
+	// StateDir is the tenant's own checkpoint directory (empty disables
+	// durability), Retain how many snapshots it keeps.
+	StateDir string
+	Retain   int
+	// OnStep observes every replayed step after it is graded and counted.
+	OnStep func(Step)
+	// Sections lets the client ride its own state on the tenant's
+	// checkpoints: it sees each snapshot just before the write (Start
+	// returns the recovered one for the way back).
+	Sections func(*persist.State)
+
+	planner scaler.Strategy
+	guard   *scaler.Guard
+	snapper forecast.Snapshotter
+	fans    scaler.FanProvider
+	applier func(int) error
+	cal     *cluster.Calibration
+	calGate func() (bool, string)
+	mgr     *persist.Manager
+	rho     float64
+
+	// Loop state; the plan/admit/apply stages are the only writers after
+	// Start (parallel stages touch only per-tenant fields, the sequential
+	// admission barrier runs in index order). rejected and coldReason say
+	// what recovery turned down.
+	origin     int
+	cursor     int
+	prevAlloc  int
+	steps      int
+	violations int
+	holds      int
+	cost       int64
+	allocHash  uint64
+	warm       bool
+	rejected   []string
+	coldReason string
+	err        error
+
+	// Admission / quarantine state. pending is the plan awaiting
+	// admission between the plan and apply stages (aliases planBuf);
+	// roundPlanner is the strategy that produced it (the quarantine
+	// fallback or the tenant's own planner) and fan the quantile fan
+	// behind it when the tenant's own forecaster drove the round.
+	pending        []int
+	roundPlanner   scaler.Strategy
+	fan            *forecast.QuantileForecast
+	reactive       *scaler.ReactiveMax
+	shedRound      int
+	shedReason     string
+	shedTotal      int64
+	clippedRounds  int
+	flap           int
+	quarantineLeft int
+	quarantines    int
+	planDur        float64
+
+	// chaosCursor positions Sched; faulted reports whether any fault
+	// targets this tenant.
+	chaosCursor *chaos.Cursor
+	faulted     bool
+
+	// Scale-to-zero state; nil/zero without WakeConfig. wakeGuard shapes
+	// plans with park/wake hysteresis; wakeLat streams completed-wake
+	// latency into a mergeable sketch; wakeReason annotates the round's
+	// decision record for -explain; sless is the scale-to-zero plant's
+	// state machine, held for its snapshot and counters.
+	wakeGuard   *scaler.WakeGuard
+	sless       *cluster.Serverless
+	wakeLat     *obs.Sketch
+	parkedSteps int64
+	wakeReason  string
+
+	histView *timeseries.Series
+	planBuf  []int
+	// dur streams planning latency into a mergeable sketch instead of an
+	// unbounded slice: O(buckets) memory per tenant at any fleet size.
+	dur *obs.Sketch
+	// sloBlob is the fleet SLO tracker state recovered from this
+	// tenant's checkpoint (only tenant 0 carries it).
+	sloBlob []byte
+
+	violCounter  *obs.Counter
+	roundCounter *obs.Counter
+	wakeStarts   *obs.Counter
+	wakeFailures *obs.Counter
+	wakeLatHist  *obs.Histogram
+}
+
+// Now is the tenant's virtual clock, feeding its guard and breaker.
+func (t *Tenant) Now() time.Time {
+	i := t.cursor
+	if i >= t.Series.Len() {
+		i = t.Series.Len() - 1
+	}
+	return t.Series.TimeAt(i)
+}
+
+// Rounds returns how many planning rounds the tenant has completed over
+// its whole lifetime (including rounds replayed before a warm restart).
+func (t *Tenant) Rounds() int { return (t.origin - t.TrainEnd) / t.Horizon }
+
+// Origin is the series index of the next unplanned round; Active reports
+// whether a full round is left to plan there.
+func (t *Tenant) Origin() int  { return t.origin }
+func (t *Tenant) Active() bool { return t.err == nil && t.origin+t.Horizon <= t.Series.Len() }
+
+// Err is the error that ended the loop: an unguarded planning failure or
+// a calibration fault. A held round is not one.
+func (t *Tenant) Err() error { return t.err }
+
+// Recovery lists the snapshot files Start rejected as corrupt and, after
+// a cold start next to existing snapshots, why none was resumable.
+func (t *Tenant) Recovery() ([]string, string) { return t.rejected, t.coldReason }
+
+// Totals are a tenant's lifetime loop counters, carried across restarts;
+// Nodes is the provisioned count at the last graded step.
+type Totals struct {
+	Steps, Violations, Holds, Nodes int
+	ParkedSteps                     int64
+}
+
+func (t *Tenant) Totals() Totals {
+	return Totals{t.steps, t.violations, t.holds, t.prevAlloc, t.parkedSteps}
+}
+
+// Guard, WakeGuard and Calibration expose the loop's components for
+// status and end-of-run reporting (each nil when the tenant runs without
+// it); Fan is the quantile fan behind the round being applied.
+func (t *Tenant) Guard() *scaler.Guard              { return t.guard }
+func (t *Tenant) WakeGuard() *scaler.WakeGuard      { return t.wakeGuard }
+func (t *Tenant) Calibration() *cluster.Calibration { return t.cal }
+func (t *Tenant) Fan() *forecast.QuantileForecast   { return t.fan }
+
+func (t *Tenant) replayStep() int { return t.origin - t.TrainEnd }
+func (t *Tenant) theta() float64  { return t.Fingerprint.Theta }
+
+// Faulty routes a forecaster's planning-time inference through the
+// tenant's fault schedule; without one it is the identity.
+func (t *Tenant) Faulty(qf forecast.QuantileForecaster) forecast.QuantileForecaster {
+	if t.Sched == nil {
+		return qf
+	}
+	return &chaos.Forecaster{Inner: qf, Schedule: t.Sched, Cursor: t.chaosCursor}
+}
+
+// Start assembles the loop from its parts: it recovers the newest valid
+// snapshot from StateDir (falling back past corrupt ones), builds the
+// strategy — restoring the model instead of training when the snapshot
+// is resumable: same fingerprint, origin on a round boundary of this
+// replay — wires guard, calibration gate, applier and wake guard, and
+// restores their state. It returns the snapshot it resumed from (nil on
+// a cold start) so the client can restore what its Sections hook added.
+func (t *Tenant) Start() (*persist.State, error) {
+	if err := CheckSizes(t.Horizon, t.Series.Len()-t.TrainEnd, t.theta()); err != nil {
+		return nil, fmt.Errorf("fleet: %s: %w", t.ID, err)
+	}
+	t.origin, t.cursor, t.prevAlloc = t.TrainEnd, t.TrainEnd, 1
+	t.allocHash = fnvOffset
+	t.dur = obs.NewSketch(obs.DefaultSketchAlpha)
+	t.histView = &timeseries.Series{Name: t.Series.Name, Start: t.Series.Start, Step: t.Series.Step}
+	t.violCounter = fleetTenantViolations.With(t.ID)
+	t.roundCounter = fleetTenantRounds.With(t.ID)
+	if t.Sched != nil {
+		t.chaosCursor = &chaos.Cursor{}
+		t.faulted = !t.Sched.Empty()
+	}
+	if t.WakeConfig != nil {
+		t.wakeGuard = &scaler.WakeGuard{Config: *t.WakeConfig, Tenant: t.ID, Clock: t.Now}
+		t.wakeLat = obs.NewSketch(obs.DefaultSketchAlpha)
+		t.wakeStarts = fleetWakeStarts.With(t.ID)
+		t.wakeFailures = fleetWakeFailures.With(t.ID)
+		t.wakeLatHist = fleetWakeLatency.With(t.ID)
+	}
+
+	// Recover before training: a valid snapshot supplies the model and
+	// loop state, skipping the cold fit entirely.
+	var recovered *persist.State
+	if t.StateDir != "" {
+		var err error
+		if t.mgr, err = persist.NewManager(t.StateDir, t.Retain); err != nil {
+			return nil, fmt.Errorf("fleet: %s: opening state dir: %w", t.ID, err)
+		}
+		st, info, rerr := t.mgr.Recover()
+		t.rejected = info.Rejected
+		switch {
+		case rerr != nil:
+			t.coldReason = fmt.Sprintf("no usable checkpoint in %s (%v)", t.StateDir, rerr)
+		case st == nil:
+			// Empty state dir: first run, plain cold start.
+		case st.Fingerprint != t.Fingerprint:
+			// A neighbour's (or stale-config) snapshot never warm-starts
+			// this tenant.
+			t.coldReason = fmt.Sprintf("checkpoint %s is from a different run configuration", info.Path)
+		case st.Origin < t.TrainEnd || st.Origin > t.Series.Len() || (st.Origin-t.TrainEnd)%t.Horizon != 0:
+			t.coldReason = fmt.Sprintf("checkpoint origin %d is not a round boundary of replay [%d, %d)",
+				st.Origin, t.TrainEnd, t.Series.Len())
+		default:
+			recovered = st
+		}
+	}
+
+	var strat scaler.Strategy
+	var err error
+	if recovered != nil {
+		if strat, t.snapper, t.rho, err = t.Build(recovered.Forecaster, recovered.Rho); err != nil {
+			// A snapshot whose model no longer loads degrades this one tenant
+			// to a cold start; its decisions are re-derived deterministically
+			// from the seed, so totals are unaffected.
+			t.coldReason = fmt.Sprintf("restoring the forecaster from the checkpoint failed (%v)", err)
+			recovered = nil
+		}
+	}
+	if recovered == nil {
+		if strat, t.snapper, t.rho, err = t.Build(nil, 0); err != nil {
+			return nil, fmt.Errorf("fleet: %s: %w", t.ID, err)
+		}
+	}
+	t.Build = nil // only Start needs it; drop whatever it captured
+
+	// The guard repairs fans and falls back down the ladder on forecaster
+	// errors; its calibration health gate (armed once the first fan
+	// establishes the levels) pre-empts a forecaster whose rolling
+	// coverage has collapsed.
+	t.planner = strat
+	if t.GuardConfig != nil {
+		t.guard = &scaler.Guard{
+			Inner:  strat,
+			Config: *t.GuardConfig,
+			Clock:  t.Now,
+			Health: func() (bool, string) {
+				if t.calGate == nil {
+					return true, ""
+				}
+				return t.calGate()
+			},
+		}
+		t.planner = t.guard
+	}
+	t.fans, _ = t.planner.(scaler.FanProvider)
+	// Scale actions go through retries and the circuit breaker: while the
+	// (possibly chaos-wrapped) control plane fails, the allocation holds.
+	apply := t.Plant.ScaleTo
+	if t.Sched != nil {
+		apply = chaos.WrapApply(apply, t.Plant.Size, t.Sched, t.chaosCursor)
+	}
+	t.applier = (&scaler.Applier{Apply: apply, Backoff: t.Backoff, Breaker: t.Breaker, Clock: t.Now}).ScaleTo
+
+	if recovered != nil {
+		t.restore(recovered)
+	}
+	if err := t.Plant.Reset(t.Now(), t.prevAlloc); err != nil {
+		return nil, fmt.Errorf("fleet: %s: %w", t.ID, err)
+	}
+	return recovered, nil
+}
+
+// restore applies a recovered snapshot's loop and component state. Any
+// single blob failing to load degrades that component to fresh state;
+// the loop counters and Extra section are plain values and always apply.
+func (t *Tenant) restore(st *persist.State) {
+	t.warm = true
+	t.origin, t.cursor = st.Origin, st.Origin
+	if st.PrevAlloc > 0 {
+		t.prevAlloc = st.PrevAlloc
+	}
+	t.steps, t.violations, t.holds = st.Steps, st.Violations, st.Holds
+	load := func(blob []byte, into func(io.Reader) error) {
+		if len(blob) > 0 {
+			_ = into(bytes.NewReader(blob))
+		}
+	}
+	var extra loopExtra
+	if len(st.Extra) > 0 && gob.NewDecoder(bytes.NewReader(st.Extra)).Decode(&extra) == nil {
+		t.allocHash, t.cost = extra.AllocHash, extra.Cost
+		t.shedTotal, t.clippedRounds = extra.ShedNodes, extra.ClippedRounds
+		t.flap, t.quarantineLeft, t.quarantines = extra.Flap, extra.QuarantineLeft, extra.Quarantines
+		t.parkedSteps = extra.ParkedSteps
+		if t.wakeGuard != nil {
+			load(extra.Wake, t.wakeGuard.Load)
+			load(extra.WakeLat, t.wakeLat.Load)
+		}
+		if t.sless != nil {
+			load(extra.Plant, t.sless.Load)
+		}
+	}
+	if t.guard != nil {
+		load(st.Guard, t.guard.Load)
+	}
+	load(st.Breaker, t.Breaker.Load)
+	if len(st.Calibration) > 0 {
+		if cal, err := cluster.LoadCalibration(bytes.NewReader(st.Calibration)); err == nil {
+			t.armCalibration(cal)
+		}
+	}
+}
+
+// armCalibration installs a calibration window and wires it into the
+// guard's health gate.
+func (t *Tenant) armCalibration(cal *cluster.Calibration) {
+	t.cal = cal
+	t.calGate = cal.HealthCheck(t.CoverageSlack, t.MaxWQL, stepsPerDay()/4)
+}
+
+// holdPlan fills the tenant's plan buffer with its previous allocation —
+// the fail-safe outcome of an exhausted fallback ladder or a refused
+// admission round.
+func (t *Tenant) holdPlan(h int) []int {
+	if cap(t.planBuf) < h {
+		t.planBuf = make([]int, h)
+	}
+	plan := t.planBuf[:h]
+	for i := range plan {
+		plan[i] = t.prevAlloc
+	}
+	return plan
+}
+
+// Plan runs the planning stage of one round: compute the plan (through
+// the warm fast path, the quarantine fallback, and any chaos injection
+// wired into the forecaster), shape it through the wake guard, and leave
+// it pending for admission and Apply. The reused history view shares the
+// trace's backing array, so warm forecasters see a continuous history
+// and the steady-state round allocates nothing. Plan writes only
+// tenant-owned state and process-wide atomic counters, preserving the
+// worker-count determinism contract. It returns the planning error, if
+// any: with a guard the round holds the previous allocation (and counts
+// a hold); without one the error also ends the loop (Err).
+func (t *Tenant) Plan() error {
+	start := time.Now()
+	origin, h := t.origin, t.Horizon
+	if t.chaosCursor != nil {
+		t.chaosCursor.Set(t.replayStep())
+	}
+	t.histView.Values = t.Series.Values[:origin]
+	hist := t.histView
+	if t.Sched != nil {
+		// Telemetry faults corrupt a copy of the visible history (warm
+		// forecasters notice the broken backing-array identity and
+		// recondition from scratch, bit-identically); the underlying trace
+		// stays pristine for grading.
+		hist = chaos.CorruptTelemetry(t.histView, t.Sched, t.replayStep())
+	}
+	planner, reason := t.planner, ""
+	if t.quarantineLeft > 0 {
+		// Quarantined: the backpressure breaker pinned this tenant to
+		// reactive planning so it stops thrashing the pool.
+		if t.reactive == nil {
+			t.reactive = &scaler.ReactiveMax{Window: 6, Theta: t.theta()}
+		}
+		planner, reason = t.reactive, "quarantine"
+	}
+	plan, err := scaler.PlanRound(planner, hist, h, t.planBuf)
+	if plan != nil {
+		t.planBuf = plan
+	}
+	if err != nil {
+		err = fmt.Errorf("fleet: %s planning at %d: %w", t.ID, origin, err)
+		if t.guard == nil && planner == t.planner {
+			t.err = err
+			return err
+		}
+		t.holds++
+		plan = t.holdPlan(h)
+	}
+	t.pending = plan
+	t.roundPlanner = planner
+	t.shedRound = 0
+	t.shedReason = reason
+	if t.wakeGuard != nil {
+		// Park/wake hysteresis shapes the plan before admission: an idle
+		// tenant's plan goes to zero (after the hysteresis clears), a
+		// parked tenant's returning demand wakes it, and an open wake
+		// breaker floors everything at the keep-warm count.
+		recent := t.Series.Values[max(0, origin-h):origin]
+		t.wakeReason = t.wakeGuard.Shape(plan, scaler.Idle(plan, recent, t.IdleEps)).Reason()
+	}
+	t.planDur = time.Since(start).Seconds()
+	return err
+}
+
+// Apply runs the post-admission stage of one round: record the
+// tenant-labelled decision (annotated with the admission or wake
+// outcome), step the plant through every admitted allocation, count
+// violations, cost and the rolling allocation hash, feed wake events
+// back into the wake guard, and grade the fan's calibration. It returns
+// the error that ended the loop, if any.
+func (t *Tenant) Apply() error {
+	start := time.Now()
+	origin, plan := t.origin, t.pending
+	reason := t.shedReason
+	if reason == "" {
+		reason = t.wakeReason
+	}
+	scaler.RecordDecisionAdmitted(t.roundPlanner, t.ID, origin, t.Series.TimeAt(origin),
+		t.prevAlloc, plan, t.shedRound, reason)
+	var fan *forecast.QuantileForecast
+	if t.fans != nil && t.roundPlanner == t.planner {
+		// Quarantined rounds plan reactively; the predictive fan is stale
+		// then, so calibration only observes rounds its forecaster drove.
+		fan = t.fans.LastFan()
+	}
+	t.fan = fan
+	if fan != nil && t.cal == nil {
+		if cal, err := cluster.NewCalibration(fan.Levels, stepsPerDay()); err == nil {
+			t.armCalibration(cal)
+		}
+	}
+	for i, target := range plan {
+		step := t.replayStep() + i
+		kills := 0
+		if t.Sched != nil {
+			t.chaosCursor.Set(step)
+			if kills = t.Sched.KillsAt(step); kills > 0 {
+				chaos.CountInjected(chaos.NodeKill)
+			}
+		}
+		w := t.Series.At(origin + i)
+		r := t.Plant.Step(t.applier, step, target, kills, w)
+		if r.Err != nil {
+			t.holds++
+		}
+		if t.wakeGuard != nil {
+			t.noteWake(r.Wake)
+		}
+		if r.Violated {
+			t.violations++
+			t.violCounter.Inc()
+		}
+		t.cost += r.Cost
+		t.allocHash = (t.allocHash ^ r.Word) * fnvPrime
+		t.steps++
+		t.cursor++
+		if t.OnStep != nil {
+			t.OnStep(Step{Index: origin + i, Workload: w, Plan: plan, I: i, Prev: t.prevAlloc, StepResult: r})
+		}
+		t.prevAlloc = r.Nodes
+		if fan != nil && t.cal != nil && i < fan.Horizon() {
+			if cerr := t.cal.Observe(w, fan.Step(i)); cerr != nil {
+				t.err = fmt.Errorf("fleet: %s calibration at %d: %w", t.ID, origin+i, cerr)
+				return t.err
+			}
+		}
+	}
+	t.origin = origin + t.Horizon
+	t.roundCounter.Inc()
+	t.wakeReason = ""
+	d := t.planDur + time.Since(start).Seconds()
+	t.dur.Observe(d)
+	fleetPlanSeconds.Observe(d)
+	return nil
+}
+
+// noteWake feeds one step's zero-boundary events into the wake breaker,
+// the wake-latency sketch and the wake counters.
+func (t *Tenant) noteWake(out cluster.WakeOutcome) {
+	if out.Stalled {
+		chaos.CountInjected(chaos.WakeStall)
+	}
+	if out.PartialApplied {
+		chaos.CountInjected(chaos.PartialProvision)
+	}
+	if out.WakeStarted {
+		t.wakeStarts.Inc()
+	}
+	if out.WakeFailed {
+		chaos.CountInjected(chaos.WakeFail)
+		t.wakeFailures.Inc()
+		t.wakeGuard.OnWakeResult(false)
+	}
+	if out.WakeCompleted {
+		t.wakeGuard.OnWakeResult(true)
+		t.wakeLat.Observe(out.WakeLatencySeconds)
+		t.wakeLatHist.Observe(out.WakeLatencySeconds)
+	}
+	if out.Parked {
+		t.parkedSteps++
+	}
+}
+
+// Checkpoint snapshots the tenant's full control-loop state as of the
+// next planning origin (round boundaries only, never the per-step hot
+// path). A failed write is journalled, returned and otherwise ignored:
+// durability must not take down the loop it protects. Without a StateDir
+// it is a no-op.
+func (t *Tenant) Checkpoint() error {
+	if t.mgr == nil {
+		return nil
+	}
+	st := &persist.State{
+		SavedAt:     t.Now(),
+		Fingerprint: t.Fingerprint,
+		Origin:      t.origin,
+		PrevAlloc:   t.prevAlloc,
+		Steps:       t.steps,
+		Violations:  t.violations,
+		Holds:       t.holds,
+		Rho:         t.rho,
+	}
+	if t.snapper != nil {
+		st.ForecasterKind = t.ForecasterKind
+		if st.Forecaster = persist.Blob(t.snapper.Save); st.Forecaster == nil {
+			// A snapshot without the model would warm-start wrong.
+			return fmt.Errorf("fleet: %s: snapshotting the forecaster failed", t.ID)
+		}
+	}
+	if t.cal != nil {
+		st.Calibration = persist.Blob(t.cal.Save)
+	}
+	if t.guard != nil {
+		st.Guard = persist.Blob(t.guard.Save)
+	}
+	st.Breaker = persist.Blob(t.Breaker.Save)
+	ex := loopExtra{
+		AllocHash: t.allocHash, Cost: t.cost,
+		ShedNodes: t.shedTotal, ClippedRounds: t.clippedRounds,
+		Flap: t.flap, QuarantineLeft: t.quarantineLeft, Quarantines: t.quarantines,
+		ParkedSteps: t.parkedSteps,
+	}
+	if t.wakeGuard != nil {
+		ex.Wake = persist.Blob(t.wakeGuard.Save)
+		ex.WakeLat = persist.Blob(t.wakeLat.Save)
+	}
+	if t.sless != nil {
+		ex.Plant = persist.Blob(t.sless.Save)
+	}
+	var extra bytes.Buffer
+	if err := gob.NewEncoder(&extra).Encode(ex); err == nil {
+		st.Extra = extra.Bytes()
+	}
+	if t.Sections != nil {
+		t.Sections(st)
+	}
+	if _, err := t.mgr.Write(st); err != nil {
+		obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "checkpoint-error",
+			fmt.Sprintf("checkpoint at origin %d failed: %v", t.origin, err), nil)
+		return fmt.Errorf("fleet: %s: checkpoint at origin %d: %w", t.ID, t.origin, err)
+	}
+	return nil
+}

@@ -211,95 +211,3 @@ func TestSketchBoundedMemory(t *testing.T) {
 		t.Errorf("bucket count %d exceeds O(log range) expectation", b)
 	}
 }
-
-func TestTopKHeavyHitters(t *testing.T) {
-	tk := NewTopK(3)
-	// "c" and "a" are genuinely heavy; noise keys churn the third slot.
-	for i := 0; i < 100; i++ {
-		tk.Observe("c", 5)
-		tk.Observe("a", 3)
-		if i%2 == 0 {
-			tk.Observe("noise-"+string(rune('a'+i%26)), 1)
-		}
-	}
-	top := tk.Top(2)
-	if len(top) != 2 || top[0].Key != "c" || top[1].Key != "a" {
-		t.Fatalf("top-2 = %+v, want c then a", top)
-	}
-	if top[0].Count != 500 || top[0].Err != 0 {
-		t.Errorf("c count/err = %v/%v, want 500/0", top[0].Count, top[0].Err)
-	}
-	if got := tk.Top(0); len(got) != 3 {
-		t.Errorf("Top(0) returned %d entries, want all 3", len(got))
-	}
-}
-
-func TestTopKDeterministicEviction(t *testing.T) {
-	run := func() []TopEntry {
-		tk := NewTopK(2)
-		tk.Observe("x", 1)
-		tk.Observe("y", 1) // tie with x; "y" (greater key) is the victim
-		tk.Observe("z", 1)
-		return tk.Top(0)
-	}
-	a, b := run(), run()
-	if len(a) != 2 || a[0].Key != a[0].Key {
-		t.Fatalf("unexpected result %+v", a)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("non-deterministic eviction: %+v vs %+v", a, b)
-		}
-	}
-	keys := map[string]bool{}
-	for _, e := range a {
-		keys[e.Key] = true
-	}
-	if !keys["x"] || !keys["z"] || keys["y"] {
-		t.Errorf("expected {x, z} to survive (y evicted on tie), got %+v", a)
-	}
-}
-
-func TestTopKSaveLoad(t *testing.T) {
-	tk := NewTopK(4)
-	tk.Observe("a", 10)
-	tk.Observe("b", 7)
-	tk.Observe("c", 2)
-	var buf bytes.Buffer
-	if err := tk.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var buf2 bytes.Buffer
-	tk2 := NewTopK(4)
-	tk2.Observe("a", 10)
-	tk2.Observe("b", 7)
-	tk2.Observe("c", 2)
-	if err := tk2.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("TopK Save is not byte-deterministic")
-	}
-	loaded := NewTopK(4)
-	if err := loaded.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	got, want := loaded.Top(0), tk.Top(0)
-	if len(got) != len(want) {
-		t.Fatalf("entry count %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("entry %d: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-	// Loading into a smaller tracker keeps the heaviest entries.
-	small := NewTopK(2)
-	if err := small.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	st := small.Top(0)
-	if len(st) != 2 || st[0].Key != "a" || st[1].Key != "b" {
-		t.Errorf("downsized load kept %+v, want a,b", st)
-	}
-}

@@ -161,6 +161,16 @@ type State struct {
 	Extra []byte
 }
 
+// Blob runs a component's Save into the byte section a State carries for
+// it; a failed Save yields nil, which the owner restores as fresh state.
+func Blob(save func(io.Writer) error) []byte {
+	var b bytes.Buffer
+	if err := save(&b); err != nil {
+		return nil
+	}
+	return b.Bytes()
+}
+
 // Encode frames the state as one snapshot: magic, version, payload
 // length, CRC32 (IEEE) of the payload, then the gob payload.
 func Encode(w io.Writer, st *State) error {

@@ -173,21 +173,14 @@ func Evaluate(strategy Strategy, s *timeseries.Series, cfg EvalConfig) (*EvalRes
 	// round allocation-free for in-place strategies: the view shares the
 	// series' backing array, so warm forecasters see a continuous history.
 	view := &timeseries.Series{Name: s.Name, Start: s.Start, Step: s.Step}
-	ipp, _ := strategy.(InPlacePlanner)
 	var planBuf []int
 	prev := 0
 	for origin := cfg.Start; origin+cfg.Horizon <= s.Len(); origin += cfg.Horizon {
 		sp := obs.DefaultTracer.Start("plan-round")
 		view.Values = s.Values[:origin]
-		var plan []int
-		var err error
-		if ipp != nil {
-			plan, err = ipp.PlanInto(view, cfg.Horizon, planBuf)
-			if plan != nil {
-				planBuf = plan
-			}
-		} else {
-			plan, err = strategy.Plan(view, cfg.Horizon)
+		plan, err := PlanRound(strategy, view, cfg.Horizon, planBuf)
+		if plan != nil {
+			planBuf = plan
 		}
 		if err != nil {
 			return nil, fmt.Errorf("scaler: %s planning at %d: %w", strategy.Name(), origin, err)
@@ -201,7 +194,7 @@ func Evaluate(strategy Strategy, s *timeseries.Series, cfg EvalConfig) (*EvalRes
 		if sp.Active() || obs.DefaultDecisions.Enabled() {
 			at := s.TimeAt(origin)
 			sp.EndVirtual(at)
-			RecordDecisionFor(strategy, cfg.tenant(), origin, at, prev, plan)
+			RecordDecisionAdmitted(strategy, cfg.tenant(), origin, at, prev, plan, 0, "")
 		}
 		prev = plan[len(plan)-1]
 		realized := s.Values[origin : origin+cfg.Horizon]

@@ -141,25 +141,18 @@ func pathDecision(d *obs.Decision, name string, theta float64, path []float64, p
 
 // RecordDecision stamps a strategy's last decision record with its round
 // context — planning origin, virtual time, previous allocation — and
-// records it on obs.DefaultDecisions under the default tenant. The
-// evaluation harness and the daemon call it once per planning round;
-// strategies without a decision record are a no-op.
+// records it on obs.DefaultDecisions under the default tenant; strategies
+// without a decision record are a no-op.
 func RecordDecision(strategy Strategy, origin int, at time.Time, prev int, plan []int) {
-	RecordDecisionFor(strategy, obs.DefaultTenant, origin, at, prev, plan)
+	RecordDecisionAdmitted(strategy, obs.DefaultTenant, origin, at, prev, plan, 0, "")
 }
 
-// RecordDecisionFor is RecordDecision with an explicit tenant label; the
-// fleet controller stamps each tenant's rounds with its id.
-func RecordDecisionFor(strategy Strategy, tenant string, origin int, at time.Time, prev int, plan []int) {
-	RecordDecisionAdmitted(strategy, tenant, origin, at, prev, plan, 0, "")
-}
-
-// RecordDecisionAdmitted is RecordDecisionFor with the fleet admission
-// outcome annotated: shed is how many nodes admission control clipped
-// from the plan's first step, reason labels why (pool exhaustion,
-// quarantine). The recorded Nodes are the plan as admitted, not as
-// requested — the audit trail shows what actually ran plus how much was
-// taken away.
+// RecordDecisionAdmitted is RecordDecision with an explicit tenant label
+// and the fleet admission outcome annotated: shed is how many nodes
+// admission control clipped from the plan's first step, reason labels
+// why (pool exhaustion, quarantine). The recorded Nodes are the plan as
+// admitted, not as requested — the audit trail shows what actually ran
+// plus how much was taken away.
 func RecordDecisionAdmitted(strategy Strategy, tenant string, origin int, at time.Time, prev int, plan []int, shed int, reason string) {
 	if !obs.DefaultDecisions.Enabled() {
 		return

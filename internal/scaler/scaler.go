@@ -502,6 +502,22 @@ func Uncertainties(f *forecast.QuantileForecast) ([]float64, error) {
 	return uncertaintiesInto(f, nil)
 }
 
+// CalibrateRho derives the adaptive uncertainty threshold as the median
+// uncertainty of an h-step forecast made at the end of training. It must
+// be handed the genuine forecaster: a training-time derivation never
+// consults a fault schedule.
+func CalibrateRho(qf forecast.QuantileForecaster, train *timeseries.Series, h int) (float64, error) {
+	fan, err := qf.PredictQuantiles(train, h, forecast.ScalingLevels)
+	if err != nil {
+		return 0, err
+	}
+	us, err := Uncertainties(fan)
+	if err != nil {
+		return 0, err
+	}
+	return timeseries.New("u", train.Start, train.Step, us).Quantile(0.5), nil
+}
+
 // uncertaintiesInto is Uncertainties writing into a recycled scratch
 // slice.
 func uncertaintiesInto(f *forecast.QuantileForecast, dst []float64) ([]float64, error) {

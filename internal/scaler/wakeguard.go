@@ -38,20 +38,38 @@ const (
 	WakeKeepWarm
 )
 
-// String names the transition for journals and explanations.
-func (t WakeTransition) String() string {
+// Reason is the decision-record annotation narrated by -explain; an
+// ordinary active round stays unannotated.
+func (t WakeTransition) Reason() string {
 	switch t {
-	case WakeWake:
-		return "wake"
 	case WakePark:
-		return "park"
-	case WakeHold:
-		return "hold"
+		return "parked"
 	case WakeKeepWarm:
 		return "keep-warm"
-	default:
-		return "none"
+	case WakeWake:
+		return "wake"
+	case WakeHold:
+		return "wake-hold"
 	}
+	return ""
+}
+
+// Idle is the idleness verdict Shape is handed: the plan has no step
+// above the one-node floor and the realized workload over the trailing
+// horizon never rose above eps. Callers judge the genuine history, not a
+// chaos-corrupted view, so telemetry faults cannot park a loaded tenant.
+func Idle(plan []int, recent []float64, eps float64) bool {
+	for _, v := range plan {
+		if v > 1 {
+			return false
+		}
+	}
+	for _, w := range recent {
+		if w > eps {
+			return false
+		}
+	}
+	return true
 }
 
 // WakeGuardConfig tunes the park/wake hysteresis and the wake breaker.
@@ -111,8 +129,6 @@ type WakeGuard struct {
 
 	// Lifetime counters.
 	parks, wakes, blockedParks, breakerTrips int64
-
-	lastTransition WakeTransition
 }
 
 // Parked reports whether the guard currently holds the tenant at zero.
@@ -121,9 +137,6 @@ func (g *WakeGuard) Parked() bool { return g.parked }
 // BreakerOpen reports whether the wake breaker is holding the keep-warm
 // floor.
 func (g *WakeGuard) BreakerOpen() bool { return g.breakerOpen }
-
-// LastTransition returns what the most recent Shape round decided.
-func (g *WakeGuard) LastTransition() WakeTransition { return g.lastTransition }
 
 // Parks, Wakes, BlockedParks and BreakerTrips are lifetime counters.
 func (g *WakeGuard) Parks() int64        { return g.parks }
@@ -159,7 +172,6 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 			g.consecFails = cfg.KeepWarmAfterFails - 1
 			g.journal("wake breaker half-open: next wake is the probe", nil)
 		}
-		g.lastTransition = WakeKeepWarm
 		return WakeKeepWarm
 	}
 
@@ -169,7 +181,6 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 				plan[i] = 0
 			}
 			g.idleRounds++
-			g.lastTransition = WakePark
 			return WakePark
 		}
 		// Demand returned: unpark.
@@ -183,7 +194,6 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 			}
 		}
 		g.journal("waking from zero on returned demand", nil)
-		g.lastTransition = WakeWake
 		return WakeWake
 	}
 
@@ -198,7 +208,6 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 			}
 			g.journal(fmt.Sprintf("parking after %d idle rounds", g.idleRounds),
 				map[string]float64{"idle_rounds": float64(g.idleRounds)})
-			g.lastTransition = WakePark
 			return WakePark
 		}
 		// Hysteresis holds the tenant at a one-node floor.
@@ -208,7 +217,6 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 				plan[i] = 1
 			}
 		}
-		g.lastTransition = WakeHold
 		return WakeHold
 	}
 
@@ -218,7 +226,6 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 			plan[i] = 1
 		}
 	}
-	g.lastTransition = WakeNone
 	return WakeNone
 }
 
@@ -258,7 +265,6 @@ func (g *WakeGuard) ForceWake() bool {
 	g.sinceWake = 0
 	g.wakes++
 	g.journal("forced wake (storm drill)", nil)
-	g.lastTransition = WakeWake
 	return true
 }
 
