@@ -148,7 +148,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		guardBlowup = fs.Float64("guard-blowup", 8, "sanity bound: clamp forecasts above this multiple of the recent history maximum")
 		guardSlack  = fs.Float64("guard-coverage-slack", 0.25, "calibration health: tolerated shortfall of rolling coverage below each nominal level")
 		guardMaxWQL = fs.Float64("guard-max-wql", 0, "calibration health: rolling wQL above this marks the forecaster unhealthy (0 disables)")
-		shrinkMC    = fs.Bool("shrink-samples", false, "let a demonstrably conservative calibration window shrink Monte-Carlo sample budgets (trades bit-identical planning for latency)")
 
 		applyRetries    = fs.Int("apply-retries", 3, "scale-apply attempts per round (first included)")
 		applyBackoff    = fs.Duration("apply-backoff", time.Second, "base backoff between apply retries (doubles per retry)")
@@ -364,8 +363,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			*parkAfter, t.IdleEps, *wakeDebounce)
 	}
 	var strat scaler.Strategy
-	var snapper forecast.Snapshotter
-	t.Build = func(model []byte, savedRho float64) (_ scaler.Strategy, _ forecast.Snapshotter, rhoUsed float64, err error) {
+	t.Build = func(model []byte, savedRho float64) (_ scaler.Strategy, snapper forecast.Snapshotter, rhoUsed float64, err error) {
 		if *rho > 0 {
 			savedRho = *rho
 		}
@@ -500,25 +498,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		s.Steps, s.Violations, s.ApplyHolds = tot.Steps, tot.Violations, tot.Holds
 	})
 
-	// Opt-in latency/fidelity trade: once the calibration window shows
-	// every quantile band running conservative, shrink the forecaster's
-	// Monte-Carlo sample budget. This deliberately gives up warm/cold
-	// bit-identity, so it is off by default. The window exists from the
-	// first fan (or the restored snapshot) on.
-	shrinkerArmed := !*shrinkMC
-	armShrinker := func() {
-		cal := t.Calibration()
-		if shrinkerArmed || cal == nil {
-			return
-		}
-		shrinkerArmed = true
-		if sb, ok := snapper.(interface{ SetSampleBudget(func(int) int) }); ok {
-			sb.SetSampleBudget(cal.SampleShrinker(*guardSlack, stepsPerDay/4, 0.25))
-			logf("autoscaled: calibration-gated Monte-Carlo sample shrinking armed")
-		}
-	}
-	armShrinker()
-
 	// checkpoint runs at round boundaries only; a failed write logs and
 	// keeps flying.
 	lastCkpt := -1
@@ -562,7 +541,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		c := plant.Cluster
 		sp.EndVirtual(c.Now())
 		ops.ObserveApply(time.Since(applyStart))
-		armShrinker()
 		if t.Fan() != nil {
 			obs.DefaultJournal.RecordTenantAt(c.Now(), *tenant, "forecast_error",
 				fmt.Sprintf("plan round at %s: mean |actual - median forecast| = %.1f",

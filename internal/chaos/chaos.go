@@ -55,13 +55,6 @@ const (
 	// NodeKill abruptly removes Event.Size nodes.
 	NodeKill Class = "node-kill"
 
-	// CrashRestart kills the control loop itself at the step, forcing a
-	// restart that must recover from its last checkpoint. Unlike the
-	// other classes it is not injected by a wrapper mid-replay — the
-	// restartable harness (RunRestartable) consumes it by tearing the
-	// loop down and recovering from disk.
-	CrashRestart Class = "crash-restart"
-
 	// The serverless wake taxonomy: faults striking the zero->nonzero
 	// transition, where a parked tenant has no capacity to degrade onto.
 
@@ -83,7 +76,6 @@ var Classes = []Class{
 	TelemetryStale, TelemetryDropout, TelemetryDuplicate,
 	ApplyReject, ApplyPartial, ApplyTimeout,
 	NodeKill,
-	CrashRestart,
 	ZoneOutage, PoolCollapse, AdmissionReject,
 	WakeStall, WakeFail, PartialProvision, WakeStorm,
 }
@@ -401,8 +393,6 @@ func (p Profile) Build() (*Schedule, error) {
 			switch class {
 			case NodeKill:
 				e.Size = killSize
-			case CrashRestart:
-				e.Size = 1 // a crash strikes one step, not a window
 			case ForecastBlowup:
 				e.Value = blowup
 			case ForecastLatency, ApplyTimeout:

@@ -235,48 +235,6 @@ func (c *Calibration) HealthCheck(slack, maxWQL float64, minSteps int) func() (b
 	}
 }
 
-// SampleShrinker returns a hook for a Monte-Carlo forecaster's sample
-// budget (forecast.DeepAR.SetSampleBudget): while every observed rolling
-// coverage sits at least slack above its nominal level — the forecast
-// bands are demonstrably conservative — the per-round Monte-Carlo path
-// count shrinks to frac of the full budget, trading sampling noise the
-// calibration window shows is affordable for planning latency. The hook
-// returns the full budget until the window holds minSteps observations
-// and whenever any level's coverage margin dips below slack (the nominal
-// target is capped at 1 so extreme levels can still qualify).
-//
-// Shrinking deliberately breaks warm/cold bit-identity — fewer paths is a
-// different estimate — so it is opt-in and never engages on the default
-// fast path.
-func (c *Calibration) SampleShrinker(slack float64, minSteps int, frac float64) func(full int) int {
-	if frac <= 0 || frac >= 1 {
-		frac = 0.25
-	}
-	return func(full int) int {
-		snap := c.Snapshot()
-		if snap.Steps < minSteps {
-			return full
-		}
-		for i, tau := range snap.Levels {
-			want := tau + slack
-			if want > 1 {
-				want = 1
-			}
-			if snap.Coverage[i] < want {
-				return full
-			}
-		}
-		reduced := int(math.Ceil(float64(full) * frac))
-		if reduced < 2 {
-			reduced = 2
-		}
-		if reduced > full {
-			reduced = full
-		}
-		return reduced
-	}
-}
-
 // pinballLoss is the quantile (pinball) loss rho_tau of prediction yhat
 // against actual y.
 func pinballLoss(tau, y, yhat float64) float64 {

@@ -8,8 +8,10 @@ import (
 
 	"robustscale/internal/chaos"
 	"robustscale/internal/cluster"
+	"robustscale/internal/fleet"
 	"robustscale/internal/forecast"
 	"robustscale/internal/obs"
+	"robustscale/internal/persist"
 	"robustscale/internal/scaler"
 )
 
@@ -37,9 +39,9 @@ type ResilienceRow struct {
 	Failures int `json:"failures"`
 }
 
-// ResilienceReport is the full matrix plus the aggregate evidence the CI
-// smoke job asserts on: faults fired, fallbacks engaged, and degraded
-// decision records captured.
+// ResilienceReport is the full matrix plus the aggregate evidence
+// TestResilienceSmoke asserts on: faults fired, fallbacks engaged, applies
+// held, and degraded decision records captured.
 type ResilienceReport struct {
 	Profile string          `json:"profile"`
 	Rows    []ResilienceRow `json:"rows"`
@@ -154,89 +156,50 @@ func Resilience(z *Zoo, ds DatasetName, profile string) (*ResilienceReport, erro
 	return report, nil
 }
 
-// runResilienceCell drives one guarded closed-loop replay: chaos wraps
-// every boundary (forecaster, telemetry, apply), the guard wraps the
-// strategy, and the applier holds the current fleet when the control
-// plane fails. The acceptance invariant — no panic, no NaN allocation —
-// is enforced by construction; violations and cost are measured against
-// the warm-up-adjusted cluster.
+// runResilienceCell grades the deployed control loop, not a model of it:
+// one fleet.Tenant on the warm-up-aware simulated cluster, guarded with
+// the fleet's defaults (calibration health gate included), replaying the
+// evaluation span in whole rounds under the profile's schedule. The row
+// is read back from the tenant's own counters.
 func runResilienceCell(d *Dataset, cfg Config, spec resilienceSpec, prof chaos.Profile) (ResilienceRow, error) {
 	row := ResilienceRow{Profile: prof.Name, Strategy: spec.name}
-	evalLen := d.Series.Len() - d.EvalStart
-	if evalLen <= 0 {
-		return row, fmt.Errorf("empty evaluation span")
-	}
-	prof.Steps = evalLen
+	prof.Steps = d.Series.Len() - d.EvalStart
 	sched, err := prof.Build()
 	if err != nil {
 		return row, err
 	}
-	cur := &chaos.Cursor{}
-	wrap := func(qf forecast.QuantileForecaster) forecast.QuantileForecaster {
-		return &chaos.Forecaster{Inner: qf, Schedule: sched, Cursor: cur}
+	plant := &cluster.ClusterPlant{Config: cluster.DefaultConfig(), Theta: cfg.Theta, StepLen: d.Series.Step}
+	t := &fleet.Tenant{
+		ID:     obs.DefaultTenant,
+		Series: d.Series, TrainEnd: d.EvalStart, Horizon: spec.horizon,
+		Fingerprint:   persist.Fingerprint{Strategy: spec.name, Theta: cfg.Theta, Horizon: spec.horizon},
+		GuardConfig:   &scaler.GuardConfig{Theta: cfg.Theta, Tau: 0.9},
+		CoverageSlack: 0.25, // the fleet's, and the daemon's default
+		Breaker:       &scaler.Breaker{Threshold: 3, Cooldown: 3 * d.Series.Step},
+		Sched:         sched,
+		Plant:         plant,
 	}
-	inner, err := spec.build(cfg.Theta, wrap)
-	if err != nil {
+	t.Build = func([]byte, float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
+		strat, err := spec.build(cfg.Theta, t.Faulty)
+		return strat, nil, 0, err
+	}
+	if _, err := t.Start(); err != nil {
 		return row, err
 	}
-
-	c, err := cluster.New(cluster.DefaultConfig(), d.Series.TimeAt(d.EvalStart), 1)
-	if err != nil {
-		return row, err
+	for t.Active() {
+		// A planning error past the guard's ladder holds the round; the
+		// tenant counts it.
+		_ = t.Plan()
+		if err := t.Apply(); err != nil {
+			return row, err
+		}
 	}
-	guard := &scaler.Guard{
-		Inner:  inner,
-		Config: scaler.GuardConfig{Theta: cfg.Theta, Tau: 0.9},
-		Clock:  c.Now,
-	}
-	applier := &scaler.Applier{
-		Apply:   chaos.WrapApply(c.ScaleTo, c.Size, sched, cur),
-		Breaker: &scaler.Breaker{Threshold: 3, Cooldown: 3 * d.Series.Step},
-		Clock:   c.Now,
-	}
-
-	var plan []int
-	offset := 0
-	nodeSteps := 0
-	violations := 0
-	for i := 0; i < evalLen; i++ {
-		cur.Set(i)
-		step := d.EvalStart + i
-		if kills := sched.KillsAt(i); kills > 0 {
-			chaos.CountInjected(chaos.NodeKill)
-			c.Kill(kills)
-		}
-		if len(plan) == 0 || offset >= len(plan) {
-			hist := chaos.CorruptTelemetry(d.Series.Slice(0, step), sched, i)
-			prev := c.Size()
-			p, err := guard.Plan(hist, spec.horizon)
-			if err != nil {
-				// The ladder is exhausted only in pathological setups; the
-				// safe behavior is to hold the current fleet for a round.
-				p = []int{prev}
-			}
-			plan, offset = p, 0
-			scaler.RecordDecision(guard, step, c.Now(), prev, plan)
-		}
-		target := plan[offset]
-		offset++
-		if err := applier.ScaleTo(target); err != nil {
-			row.Holds++ // fleet stays where it is
-		}
-		capacity := c.EffectiveCapacity(d.Series.Step)
-		if capacity < 1e-9 {
-			capacity = 1e-9
-		}
-		if d.Series.At(step)/capacity > cfg.Theta {
-			violations++
-		}
-		nodeSteps += c.Size()
-		c.Advance(d.Series.Step)
-	}
-	row.ViolationRate = float64(violations) / float64(evalLen)
-	row.AvgNodes = float64(nodeSteps) / float64(evalLen)
-	row.DegradedRounds = guard.DegradedRounds()
-	row.Failures = c.Failures
+	tot := t.Totals()
+	row.ViolationRate = float64(tot.Violations) / float64(tot.Steps)
+	row.AvgNodes = float64(tot.Cost) / float64(tot.Steps)
+	row.DegradedRounds = t.Guard().DegradedRounds()
+	row.Holds = tot.Holds
+	row.Failures = plant.Failures
 	return row, nil
 }
 
@@ -257,8 +220,7 @@ func RenderResilience(w io.Writer, rep *ResilienceReport) error {
 	return err
 }
 
-// WriteResilienceJSON writes the report for machine consumption (the CI
-// chaos smoke job asserts on these fields with jq).
+// WriteResilienceJSON writes the report for machine consumption.
 func WriteResilienceJSON(w io.Writer, rep *ResilienceReport) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -4,9 +4,19 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"robustscale/internal/obs"
 )
 
 func TestResilienceSmoke(t *testing.T) {
+	// Decision capture is what cmd/experiment runs the matrix with; the
+	// degraded-decision count below reads it back.
+	obs.DefaultDecisions.Reset()
+	obs.DefaultDecisions.SetEnabled(true)
+	defer func() {
+		obs.DefaultDecisions.SetEnabled(false)
+		obs.DefaultDecisions.Reset()
+	}()
 	cfg := Config{Seed: 42, Days: 4, Context: 12, Horizon: 12, Theta: 100, Runs: 1, Quick: true}
 	z, err := NewZoo(cfg)
 	if err != nil {
@@ -24,6 +34,12 @@ func TestResilienceSmoke(t *testing.T) {
 	}
 	if rep.DegradedRoundsTotal == 0 {
 		t.Error("smoke profile engaged no fallbacks")
+	}
+	if rep.HoldsTotal == 0 {
+		t.Error("smoke profile held no apply")
+	}
+	if rep.DegradedDecisions == 0 {
+		t.Error("smoke profile retained no degraded decision record")
 	}
 	for _, r := range rep.Rows {
 		if r.ViolationRate < 0 || r.ViolationRate > 1 {

@@ -104,7 +104,8 @@ type Step struct {
 // metric counters. A client fills in the exported parts, calls Start,
 // then drives Plan and Apply once per round and Checkpoint at its own
 // cadence: the controller for N tenants in lock step with the admission
-// barrier between the two stages, the single-tenant daemon for one.
+// barrier between the two stages, the single-tenant daemon for one, the
+// experiment package's resilience cell for one per (profile, strategy).
 type Tenant struct {
 	// ID is the tenant id; Index its position in the fleet.
 	ID    string
@@ -264,14 +265,15 @@ func (t *Tenant) Err() error { return t.err }
 func (t *Tenant) Recovery() ([]string, string) { return t.rejected, t.coldReason }
 
 // Totals are a tenant's lifetime loop counters, carried across restarts;
-// Nodes is the provisioned count at the last graded step.
+// Nodes is the provisioned count at the last graded step and Cost the
+// node-steps paid so far.
 type Totals struct {
 	Steps, Violations, Holds, Nodes int
-	ParkedSteps                     int64
+	ParkedSteps, Cost               int64
 }
 
 func (t *Tenant) Totals() Totals {
-	return Totals{t.steps, t.violations, t.holds, t.prevAlloc, t.parkedSteps}
+	return Totals{t.steps, t.violations, t.holds, t.prevAlloc, t.parkedSteps, t.cost}
 }
 
 // Guard, WakeGuard and Calibration expose the loop's components for

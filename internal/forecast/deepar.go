@@ -485,18 +485,7 @@ type deeparWarm struct {
 	rngs      []*rand.Rand
 	levels    levelsCache
 	fan       *QuantileForecast
-	budget    func(full int) int
 }
-
-// SetSampleBudget installs a reduced-path sampling hook on the warm path:
-// before each warm predict the hook receives cfg.Samples and returns how
-// many Monte-Carlo paths to draw this round (clamped to [2, cfg.Samples];
-// <= 0 keeps the full fan). The drawn paths are a prefix of the full fan's
-// seed sequence. Shrinking necessarily changes the reported quantiles, so
-// a round with a reduced fan is NOT bit-identical to the cold path —
-// callers opt in only when forecast calibration is verifiably healthy
-// (see cluster.Calibration.SampleShrinker). The cold path never shrinks.
-func (d *DeepAR) SetSampleBudget(hook func(full int) int) { d.warm.budget = hook }
 
 // WarmReset implements IncrementalForecaster: the next warm predict pays
 // one cold rebuild of the recurrent state. Pooled buffers survive — they
@@ -511,10 +500,9 @@ func (d *DeepAR) WarmReset() {
 // the anchored conditioning window hasn't moved, the recurrent state is
 // advanced with one conditioning step per new observation instead of
 // replaying the whole window; otherwise it is rebuilt cold. Either way the
-// returned floats are bit-identical to PredictQuantiles (unless a sample
-// budget hook shrinks the fan). The returned forecast is a scratch owned
-// by the forecaster, valid until the next predict; see warm.go for the
-// full contract.
+// returned floats are bit-identical to PredictQuantiles. The returned
+// forecast is a scratch owned by the forecaster, valid until the next
+// predict; see warm.go for the full contract.
 func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
 	if !d.fitted {
 		return nil, ErrNotFitted
@@ -562,14 +550,6 @@ func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels 
 	w.valid = true
 
 	paths := d.cfg.Samples
-	if w.budget != nil {
-		if b := w.budget(paths); b > 0 && b < paths {
-			if b < 2 {
-				b = 2
-			}
-			paths = b
-		}
-	}
 	if cap(w.samples) >= h {
 		w.samples = w.samples[:h]
 	} else {

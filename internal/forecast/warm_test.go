@@ -232,49 +232,6 @@ func TestWarmSurvivesSaveLoadRestart(t *testing.T) {
 	}
 }
 
-// TestDeepARSampleBudgetHook pins the opt-in latency/fidelity trade: a
-// shrunk sample budget still yields a valid, ordered fan, and clearing
-// the hook restores exact warm/cold agreement.
-func TestDeepARSampleBudgetHook(t *testing.T) {
-	s := noisySine(600, 24, 50, 10, 1, 42)
-	levels := []float64{0.1, 0.5, 0.9}
-	mk := func() *DeepAR {
-		return NewDeepAR(DeepARConfig{
-			Context: 24, Hidden: 8, Epochs: 2, LR: 5e-3, Seed: 3,
-			MaxWindows: 48, Samples: 20, TrainHorizon: 12,
-		})
-	}
-	cold, warm := mk(), mk()
-	train := s.Slice(0, 400)
-	if err := cold.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	if err := warm.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	warm.SetSampleBudget(func(full int) int { return full / 4 })
-	shrunk, err := warm.PredictQuantilesWarm(s.Slice(0, 430), 4, levels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := shrunk.Validate(); err != nil {
-		t.Fatalf("shrunk-budget fan invalid: %v", err)
-	}
-	warm.SetSampleBudget(nil)
-	for _, origin := range []int{431, 434} {
-		hist := s.Slice(0, origin)
-		ref, err := cold.PredictQuantiles(hist, 4, levels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := warm.PredictQuantilesWarm(hist, 4, levels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireFanEqual(t, "budget-cleared", origin, ref, got)
-	}
-}
-
 // TestQB5000WarmMatchesCold covers the point-forecast warm contract:
 // PredictWarm advances only the recurrent component's conditioning state,
 // and must agree with Predict exactly across sliding origins, a history

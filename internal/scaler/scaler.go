@@ -393,20 +393,9 @@ type Adaptive struct {
 	// Defaults to forecast.ScalingLevels.
 	Levels []float64
 
-	lastFan      *forecast.QuantileForecast
-	lastDecision *obs.Decision
-	cachedName   string
-	us           []float64
-	taus         []float64
-	qs           []float64
-	binding      []string
+	ladder
+	cachedName string
 }
-
-// LastFan implements FanProvider.
-func (a *Adaptive) LastFan() *forecast.QuantileForecast { return a.lastFan }
-
-// LastDecision implements DecisionProvider.
-func (a *Adaptive) LastDecision() *obs.Decision { return a.lastDecision }
 
 // Name implements Strategy. The name is formatted once and cached so the
 // hot planning path never re-formats it.
@@ -432,58 +421,8 @@ func (a *Adaptive) plan(history *timeseries.Series, h int, dst []int, warm bool)
 	if err := a.validate(); err != nil {
 		return nil, err
 	}
-	levels := a.Levels
-	if len(levels) == 0 {
-		levels = forecast.ScalingLevels
-	}
-	t0 := time.Now()
-	sp := obs.DefaultTracer.Start("forecast")
-	f, err := predictQuantiles(a.Forecaster, warm, history, h, levels)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	stageForecast.ObserveSince(t0)
-	a.lastFan = f
-	t0 = time.Now()
-	sp = obs.DefaultTracer.Start("optimize")
-	a.us, err = uncertaintiesInto(f, a.us)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	us := a.us
-	out := resizeInts(dst, h)
-	a.taus = resizeFloats(a.taus, h)
-	a.qs = resizeFloats(a.qs, h)
-	a.binding = resizeStrings(a.binding, h)
-	for t := 0; t < h; t++ {
-		tau := a.Tau1
-		if us[t] >= a.Rho {
-			tau = a.Tau2
-		}
-		qv := f.At(t, tau)
-		out[t] = optimize.Allocate(qv, a.Theta)
-		a.taus[t], a.qs[t], a.binding[t] = tau, qv, bindingFor(qv)
-	}
-	sp.End()
-	stageOptimize.ObserveSince(t0)
-	if obs.DefaultDecisions.Enabled() {
-		d := a.lastDecision
-		if d == nil {
-			d = &obs.Decision{}
-		}
-		*d = obs.Decision{
-			Strategy: a.Name(), Horizon: h, Theta: a.Theta, Nodes: out,
-			U: us, Tau: a.taus, Tau1: a.Tau1, Tau2: a.Tau2, Rho: a.Rho,
-			Quantile: a.qs, Binding: a.binding,
-		}
-		a.lastDecision = d
-	} else if a.lastDecision != nil {
-		a.lastDecision = nil
-	}
-	countPlan(a.Name(), h)
-	return out, nil
+	rungs := [1]StaircaseLevel{{Rho: a.Rho, Tau: a.Tau2}}
+	return a.ladder.plan(a.Name(), a.Forecaster, a.Levels, a.Tau1, rungs[:], a.Theta, history, h, dst, warm)
 }
 
 func (a *Adaptive) validate() error {
@@ -557,20 +496,9 @@ type Staircase struct {
 	// defaults to forecast.ScalingLevels.
 	Levels []float64
 
-	lastFan      *forecast.QuantileForecast
-	lastDecision *obs.Decision
-	cachedName   string
-	us           []float64
-	taus         []float64
-	qs           []float64
-	binding      []string
+	ladder
+	cachedName string
 }
-
-// LastFan implements FanProvider.
-func (s *Staircase) LastFan() *forecast.QuantileForecast { return s.lastFan }
-
-// LastDecision implements DecisionProvider.
-func (s *Staircase) LastDecision() *obs.Decision { return s.lastDecision }
 
 // Name implements Strategy. The name is formatted once and cached so the
 // hot planning path never re-formats it.
@@ -604,62 +532,88 @@ func (s *Staircase) plan(history *timeseries.Series, h int, dst []int, warm bool
 			return nil, fmt.Errorf("scaler: staircase rungs not sorted by threshold")
 		}
 	}
-	levels := s.Levels
+	return s.ladder.plan(s.Name(), s.Forecaster, s.Levels, s.Base, s.Rungs, s.Theta, history, h, dst, warm)
+}
+
+// ladder is the one plan body of the uncertainty-aware strategies
+// (Algorithm 1 and its staircase extension): forecast the fan, measure
+// each step's uncertainty U, start at the base level and let every rung
+// whose Rho the step's U reaches set the quantile level, allocate per
+// step (Eq. 6) and assemble the decision record. Adaptive is the one-rung
+// ladder {Rho, Tau2} over Tau1. Each strategy embeds a ladder for the
+// last fan, the last decision and the scratch the round reuses.
+type ladder struct {
+	lastFan      *forecast.QuantileForecast
+	lastDecision *obs.Decision
+	us           []float64
+	taus         []float64
+	qs           []float64
+	binding      []string
+}
+
+// LastFan implements FanProvider.
+func (l *ladder) LastFan() *forecast.QuantileForecast { return l.lastFan }
+
+// LastDecision implements DecisionProvider.
+func (l *ladder) LastDecision() *obs.Decision { return l.lastDecision }
+
+func (l *ladder) plan(name string, qf forecast.QuantileForecaster, levels []float64, base float64, rungs []StaircaseLevel,
+	theta float64, history *timeseries.Series, h int, dst []int, warm bool) ([]int, error) {
 	if len(levels) == 0 {
 		levels = forecast.ScalingLevels
 	}
 	t0 := time.Now()
 	sp := obs.DefaultTracer.Start("forecast")
-	f, err := predictQuantiles(s.Forecaster, warm, history, h, levels)
+	f, err := predictQuantiles(qf, warm, history, h, levels)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	stageForecast.ObserveSince(t0)
-	s.lastFan = f
+	l.lastFan = f
 	t0 = time.Now()
 	sp = obs.DefaultTracer.Start("optimize")
-	s.us, err = uncertaintiesInto(f, s.us)
+	l.us, err = uncertaintiesInto(f, l.us)
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	us := s.us
+	us := l.us
 	out := resizeInts(dst, h)
-	s.taus = resizeFloats(s.taus, h)
-	s.qs = resizeFloats(s.qs, h)
-	s.binding = resizeStrings(s.binding, h)
+	l.taus = resizeFloats(l.taus, h)
+	l.qs = resizeFloats(l.qs, h)
+	l.binding = resizeStrings(l.binding, h)
 	for t := 0; t < h; t++ {
-		tau := s.Base
-		for _, rung := range s.Rungs {
+		tau := base
+		for _, rung := range rungs {
 			if us[t] >= rung.Rho {
 				tau = rung.Tau
 			}
 		}
 		qv := f.At(t, tau)
-		out[t] = optimize.Allocate(qv, s.Theta)
-		s.taus[t], s.qs[t], s.binding[t] = tau, qv, bindingFor(qv)
+		out[t] = optimize.Allocate(qv, theta)
+		l.taus[t], l.qs[t], l.binding[t] = tau, qv, bindingFor(qv)
 	}
 	sp.End()
 	stageOptimize.ObserveSince(t0)
 	if obs.DefaultDecisions.Enabled() {
-		d := s.lastDecision
+		d := l.lastDecision
 		if d == nil {
 			d = &obs.Decision{}
 		}
 		*d = obs.Decision{
-			Strategy: s.Name(), Horizon: h, Theta: s.Theta, Nodes: out,
-			U: us, Tau: s.taus, Tau1: s.Base, Tau2: s.Base,
-			Quantile: s.qs, Binding: s.binding,
+			Strategy: name, Horizon: h, Theta: theta, Nodes: out,
+			U: us, Tau: l.taus, Tau1: base, Tau2: base,
+			Quantile: l.qs, Binding: l.binding,
 		}
-		if len(s.Rungs) > 0 {
-			d.Rho = s.Rungs[0].Rho
-			d.Tau2 = s.Rungs[len(s.Rungs)-1].Tau
+		if len(rungs) > 0 {
+			d.Rho = rungs[0].Rho
+			d.Tau2 = rungs[len(rungs)-1].Tau
 		}
-		s.lastDecision = d
-	} else if s.lastDecision != nil {
-		s.lastDecision = nil
+		l.lastDecision = d
+	} else if l.lastDecision != nil {
+		l.lastDecision = nil
 	}
-	countPlan(s.Name(), h)
+	countPlan(name, h)
 	return out, nil
 }
