@@ -1,7 +1,7 @@
 // Command fleetsim drives the sharded multi-tenant control plane: N
 // independent auto-scaling tenants — each with its own synthetic
 // workload, forecaster, calibration window, guard, breaker and
-// checkpoint namespace — replayed in lock-step rounds with forecaster
+// checkpoint record — replayed in lock-step rounds with forecaster
 // inference batched across the worker pool.
 //
 // Usage:
@@ -77,9 +77,9 @@ func main() {
 		forecaster   = flag.String("forecaster", def.Forecaster, "seasonal-naive | naive | qmlp")
 		guard        = flag.Bool("guard", true, "wrap every tenant's strategy in the resilience guard")
 		workers      = flag.Int("workers", 0, "worker pool size batching tenant planning (0 = all CPUs; never changes results)")
-		stateDir     = flag.String("state-dir", "", "fleet checkpoint root; each tenant snapshots under <dir>/tenants/<id>/ (empty disables durability)")
-		ckptInterval = flag.Int("checkpoint-interval", 1, "write per-tenant checkpoints every N fleet rounds (with -state-dir)")
-		retain       = flag.Int("state-retain", persist.DefaultRetain, "checkpoint snapshots retained per tenant")
+		stateDir     = flag.String("state-dir", "", "fleet checkpoint root; each checkpointed round is one segment file <dir>/segment-<seq>.seg holding every tenant's record (empty disables durability)")
+		ckptInterval = flag.Int("checkpoint-interval", 1, "commit a segment every N fleet rounds (with -state-dir)")
+		retain       = flag.Int("state-retain", persist.DefaultRetain, "segments retained; a tenant whose newest record is damaged resumes from the next-older one")
 		maxRounds    = flag.Int("max-rounds", 0, "stop after N fleet rounds at a round boundary (0 = run to the end; kill-restart drills resume from here)")
 		out          = flag.String("out", "", "write the JSON summary to this file (empty = stdout)")
 		metricsOut   = flag.String("metrics", "", "write the Prometheus metrics dump to this file after the run")

@@ -29,6 +29,11 @@ type Controller struct {
 	cfg     Config
 	tenants []*Tenant
 
+	// segs is the fleet's checkpoint store (nil without cfg.StateDir):
+	// tenants frame their records into its slots, checkpoint commits them
+	// as one segment.
+	segs *persist.SegmentStore
+
 	rounds    int
 	lastCkpt  int
 	warmCount int
@@ -54,11 +59,12 @@ type Controller struct {
 }
 
 // New builds the fleet: every tenant's trace is generated, its
-// forecaster trained (or warm-started from its checkpoint namespace
-// when cfg.StateDir holds a valid one), and its guard, breaker and
-// calibration state restored. Construction is batched across the worker
-// pool; each tenant is built entirely from its own derived seed and its
-// own namespace, so the build is deterministic and order-independent.
+// forecaster trained (or warm-started from its record in the newest
+// segment under cfg.StateDir that holds a valid one), and its guard,
+// breaker and calibration state restored. Construction is batched across
+// the worker pool; each tenant is built entirely from its own derived
+// seed and its own records, so the build is deterministic and
+// order-independent.
 func New(cfg Config) (*Controller, error) {
 	if cfg.SLOTarget > 0 && cfg.SLOWindow <= 0 {
 		cfg.SLOWindow = DefaultSLOWindow
@@ -84,15 +90,24 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
+	var segs *persist.SegmentStore
+	if cfg.StateDir != "" {
+		if segs, err = persist.OpenSegments(cfg.StateDir, cfg.Retain, cfg.Tenants); err != nil {
+			return nil, fmt.Errorf("fleet: %w", err)
+		}
+	}
 	tenants := make([]*Tenant, cfg.Tenants)
 	errs := make([]error, cfg.Tenants)
 	parallel.ForEachWorkerSpan("fleet-build", cfg.Workers, cfg.Tenants, func(_, i int) {
-		tenants[i], errs[i] = buildTenant(cfg, i, chaosSched)
+		tenants[i], errs[i] = buildTenant(cfg, i, chaosSched, segs)
 	})
 	if err := parallel.FirstError(errs); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg, tenants: tenants, lastCkpt: -1, chaosSched: chaosSched}
+	if segs != nil {
+		segs.DropRecovered()
+	}
+	c := &Controller{cfg: cfg, tenants: tenants, segs: segs, lastCkpt: -1, chaosSched: chaosSched}
 	fleetTenantsGauge.Set(float64(cfg.Tenants))
 	// Lifecycle bookkeeping runs sequentially in tenant order so journal
 	// entries and start counters land deterministically.
@@ -177,9 +192,9 @@ func chaosEnrolled(cfg Config, id string) bool {
 }
 
 // buildTenant derives one tenant's parts from the fleet configuration and
-// its index, and starts it (recovering its checkpoint namespace when
-// cfg.StateDir holds a valid one).
-func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule) (*Tenant, error) {
+// its index, and starts it (recovering from its slot of segs when the
+// fleet is durable).
+func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.SegmentStore) (*Tenant, error) {
 	id := TenantID(index)
 	seed := deriveSeed(cfg.Seed, index)
 	tc, archetype := tenantTrace(cfg, index, seed)
@@ -199,7 +214,6 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule) (*Tenant, error
 		CoverageSlack:  guardCoverageSlack,
 		Backoff:        scaler.BackoffConfig{MaxAttempts: 1},
 		Breaker:        &scaler.Breaker{},
-		Retain:         cfg.Retain,
 	}
 	t.Fingerprint = persist.Fingerprint{
 		Strategy: cfg.Strategy, Tenant: id, Dataset: t.Archetype, Seed: seed,
@@ -208,10 +222,12 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule) (*Tenant, error
 	if cfg.Guard {
 		t.GuardConfig = &scaler.GuardConfig{Theta: cfg.Theta, Tau: cfg.Tau, BlowupFactor: guardBlowupFactor}
 	}
-	if cfg.StateDir != "" {
-		if t.StateDir, err = persist.TenantDir(cfg.StateDir, id); err != nil {
+	if segs != nil {
+		slot, err := segs.Slot(index, id)
+		if err != nil {
 			return nil, fmt.Errorf("fleet: %s: %w", id, err)
 		}
+		t.store = slot
 	}
 	if fs != nil {
 		// The tenant's fault schedule is the exact restriction of the
@@ -539,22 +555,28 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		}
 		c.rounds++
 		fleetRoundsTotal.Inc()
-		if cfg.StateDir != "" && c.rounds%cfg.CheckpointInterval == 0 {
+		if c.segs != nil && c.rounds%cfg.CheckpointInterval == 0 {
 			c.checkpoint()
 		}
 	}
-	if cfg.StateDir != "" && c.rounds != c.lastCkpt {
+	if c.segs != nil && c.rounds != c.lastCkpt {
 		c.checkpoint()
 	}
 	return c.report(), nil
 }
 
-// checkpoint snapshots every tenant into its own namespace, batched
-// across the worker pool (each write touches only that tenant's
-// directory). A failed write logs through the journal and keeps flying.
+// checkpoint snapshots every tenant into its slot, batched across the
+// worker pool (each encode touches only that tenant's slot), then commits
+// the slots in index order as one segment: one file and one fsync per
+// round, with bytes that do not depend on the worker count. A failure
+// logs through the journal and keeps flying.
 func (c *Controller) checkpoint() {
 	parallel.ForEachWorkerSpan("fleet-checkpoint", c.cfg.Workers, len(c.tenants), func(_, i int) {
 		_ = c.tenants[i].Checkpoint() // journalled by the tenant
 	})
+	if _, err := c.segs.Commit(); err != nil {
+		obs.DefaultJournal.RecordTenantAt(c.tenants[0].Now(), "", "checkpoint-error",
+			fmt.Sprintf("segment commit after round %d failed: %v", c.rounds, err), nil)
+	}
 	c.lastCkpt = c.rounds
 }

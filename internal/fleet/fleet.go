@@ -1,7 +1,7 @@
 // Package fleet is the sharded multi-tenant control plane: one process
 // drives N independent auto-scaling control loops — each tenant with its
 // own workload trace, forecaster warm state, calibration window, guard
-// degradation ladder, circuit breaker and checkpoint namespace — through
+// degradation ladder, circuit breaker and checkpoint record — through
 // a lock-step replay, batching forecaster inference across tenants on
 // the shared worker pool.
 //
@@ -69,12 +69,14 @@ type Config struct {
 	// Workers bounds the worker pool batching tenant planning and
 	// builds; <= 0 uses every CPU. The choice never changes results.
 	Workers int
-	// StateDir enables per-tenant durable checkpoints under
-	// <StateDir>/tenants/<id>/; empty disables durability.
+	// StateDir enables durable checkpoints: each checkpointed round is
+	// one segment file under it holding every tenant's record; empty
+	// disables durability.
 	StateDir string
-	// CheckpointInterval writes checkpoints every N fleet rounds.
+	// CheckpointInterval commits a segment every N fleet rounds.
 	CheckpointInterval int
-	// Retain is the per-tenant snapshot retention.
+	// Retain is how many segments are kept; a tenant whose newest record
+	// is damaged resumes from the next-older one.
 	Retain int
 	// MaxRounds stops the fleet loop after N rounds (0 = run every
 	// tenant to the end of its trace); kill-restart drills use it to
@@ -257,7 +259,7 @@ func (cfg Config) validate() error {
 }
 
 // TenantID formats the canonical id of the tenant at an index; ids are
-// valid persist namespaces and sort in index order.
+// valid persist tenant ids and sort in index order.
 func TenantID(index int) string { return fmt.Sprintf("t%05d", index) }
 
 // deriveSeed mixes the fleet master seed with a tenant index through a

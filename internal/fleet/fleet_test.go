@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -233,10 +236,38 @@ func TestKillRestartBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCorruptTenantFallsBackCold: corrupting one tenant's snapshots
-// costs only that tenant its warm start — every other tenant resumes
-// warm, the victim re-derives its decisions from its seed, and the final
-// fleet hash still matches an uninterrupted run.
+// segments lists the fleet segments under a state root, oldest first.
+func segments(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "segment-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s (err %v)", dir, err)
+	}
+	return segs
+}
+
+// editSegment rewrites one segment through edit, which is handed the file
+// and the offset of the tenant's record (the first place its id occurs).
+func editSegment(t *testing.T, path, tenant string, edit func(raw []byte, at int) []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(raw, []byte(tenant))
+	if at < 0 {
+		t.Fatalf("%s holds no record for %s", path, tenant)
+	}
+	if err := os.WriteFile(path, edit(raw, at), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptTenantFallsBackCold: a flipped byte inside one tenant's
+// record in every retained segment costs only that tenant its warm start
+// — every other tenant resumes warm from the newest segment, the victim
+// re-derives its decisions from its seed, and the final fleet hash still
+// matches an uninterrupted run.
 func TestCorruptTenantFallsBackCold(t *testing.T) {
 	cfg := testConfig(5)
 	uninterrupted := runFleet(t, cfg)
@@ -248,23 +279,15 @@ func TestCorruptTenantFallsBackCold(t *testing.T) {
 	runFleet(t, phase1)
 
 	victim := TenantID(2)
-	victimDir, err := persist.TenantDir(dir, victim)
-	if err != nil {
-		t.Fatal(err)
+	segs := segments(t, dir)
+	if len(segs) != phase1.Retain {
+		t.Fatalf("%d segments retained after 4 rounds, want %d: %v", len(segs), phase1.Retain, segs)
 	}
-	snaps, err := filepath.Glob(filepath.Join(victimDir, "*"))
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("no snapshots in %s (err %v)", victimDir, err)
-	}
-	for _, path := range snaps {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[len(raw)/2] ^= 0xff
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	for _, path := range segs {
+		editSegment(t, path, victim, func(raw []byte, at int) []byte {
+			raw[at+len(victim)+100] ^= 0xff // well inside the record's state
+			return raw
+		})
 	}
 
 	phase2 := cfg
@@ -278,7 +301,7 @@ func TestCorruptTenantFallsBackCold(t *testing.T) {
 	}
 	for _, tr := range rep2.PerTenant {
 		if tr.ID == victim && tr.WarmStart {
-			t.Errorf("victim %s warm-started from corrupt snapshots", victim)
+			t.Errorf("victim %s warm-started from corrupt records", victim)
 		}
 		if tr.ID != victim && !tr.WarmStart {
 			t.Errorf("bystander %s lost its warm start", tr.ID)
@@ -287,6 +310,214 @@ func TestCorruptTenantFallsBackCold(t *testing.T) {
 	if rep2.FleetHash != uninterrupted.FleetHash {
 		t.Errorf("fleet hash after corrupt-tenant recovery %s != uninterrupted %s",
 			rep2.FleetHash, uninterrupted.FleetHash)
+	}
+}
+
+// TestTornSegmentTailFallsBack: the newest segment cut off mid-file keeps
+// the tenants in front of the tear on their newest checkpoint and sends
+// the ones behind it to the previous segment — all warm, a round apart,
+// and converging on the uninterrupted hash.
+func TestTornSegmentTailFallsBack(t *testing.T) {
+	cfg := testConfig(6)
+	uninterrupted := runFleet(t, cfg)
+
+	dir := t.TempDir()
+	phase1 := cfg
+	phase1.StateDir = dir
+	phase1.MaxRounds = 4
+	runFleet(t, phase1)
+
+	segs := segments(t, dir)
+	editSegment(t, segs[len(segs)-1], TenantID(3), func(raw []byte, at int) []byte { return raw[:at+40] })
+
+	phase2 := cfg
+	phase2.StateDir = dir
+	c, err := New(phase2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tn := range c.Tenants() {
+		want := 4
+		if i >= 3 {
+			want = 3
+		}
+		if !tn.warm || tn.Rounds() != want {
+			t.Errorf("%s resumed warm=%v at round %d, want warm at round %d", tn.ID, tn.warm, tn.Rounds(), want)
+		}
+	}
+	rep2, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.WarmStarts != cfg.Tenants || rep2.CorruptSnaps != 3 {
+		t.Errorf("warm starts %d, corrupt snapshots %d; want %d and 3 (one per tenant behind the tear)",
+			rep2.WarmStarts, rep2.CorruptSnaps, cfg.Tenants)
+	}
+	if rep2.FleetHash != uninterrupted.FleetHash {
+		t.Errorf("fleet hash after torn-tail recovery %s != uninterrupted %s", rep2.FleetHash, uninterrupted.FleetHash)
+	}
+}
+
+// TestLegacyLayoutUpgrades: a state root an older build filled with
+// <root>/tenants/<id>/checkpoint-*.ckpt files warm-starts every tenant,
+// and the first commit after it is a segment.
+func TestLegacyLayoutUpgrades(t *testing.T) {
+	cfg := testConfig(4)
+	uninterrupted := runFleet(t, cfg)
+
+	// Four rounds without a state root, then each tenant checkpoints
+	// through a per-tenant Manager — the files the old layout held.
+	dir := t.TempDir()
+	phase1 := cfg
+	phase1.MaxRounds = 4
+	c, err := New(phase1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tn := range c.Tenants() {
+		mgr, err := persist.NewTenantManager(dir, tn.ID, cfg.Retain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tn.store = mgr
+		if err := tn.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "segment-*")); len(segs) != 0 {
+		t.Fatalf("legacy fixture already holds segments: %v", segs)
+	}
+
+	phase2 := cfg
+	phase2.StateDir = dir
+	phase2.MaxRounds = 1
+	rep2 := runFleet(t, phase2)
+	if rep2.WarmStarts != cfg.Tenants || rep2.CorruptSnaps != 0 {
+		t.Fatalf("upgrade warm-started %d/%d tenants with %d corrupt snapshots", rep2.WarmStarts, cfg.Tenants, rep2.CorruptSnaps)
+	}
+	if got := len(segments(t, dir)); got != 1 {
+		t.Fatalf("one round after the upgrade left %d segments, want 1", got)
+	}
+
+	// From here on the segments are what recovery reads.
+	if err := os.RemoveAll(filepath.Join(dir, "tenants")); err != nil {
+		t.Fatal(err)
+	}
+	phase3 := cfg
+	phase3.StateDir = dir
+	rep3 := runFleet(t, phase3)
+	if rep3.WarmStarts != cfg.Tenants || rep3.FleetHash != uninterrupted.FleetHash {
+		t.Errorf("after the upgrade: %d/%d warm, hash %s, want all warm and %s",
+			rep3.WarmStarts, cfg.Tenants, rep3.FleetHash, uninterrupted.FleetHash)
+	}
+}
+
+// TestSegmentBytesIndependentOfWorkers: records are encoded in parallel
+// but laid out in tenant order, so every segment is byte-identical for
+// any worker count.
+func TestSegmentBytesIndependentOfWorkers(t *testing.T) {
+	images := map[int]map[string][]byte{}
+	for _, workers := range []int{1, 4} {
+		cfg := testConfig(9)
+		cfg.Workers = workers
+		cfg.StateDir = t.TempDir()
+		cfg.MaxRounds = 3
+		runFleet(t, cfg)
+		images[workers] = map[string][]byte{}
+		for _, path := range segments(t, cfg.StateDir) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			images[workers][filepath.Base(path)] = raw
+		}
+	}
+	if len(images[1]) != 3 || len(images[4]) != 3 {
+		t.Fatalf("%d and %d segments after 3 rounds, want 3 each", len(images[1]), len(images[4]))
+	}
+	for name, raw := range images[1] {
+		if !bytes.Equal(raw, images[4][name]) {
+			t.Errorf("%s differs between -workers 1 and -workers 4", name)
+		}
+	}
+}
+
+// TestOneCommitPerRound: a checkpoint round is one committed file, one
+// write observation and, when the commit fails, one fleet-scoped journal
+// event — never one per tenant.
+func TestOneCommitPerRound(t *testing.T) {
+	cfg := testConfig(7)
+	cfg.StateDir = t.TempDir()
+	cfg.MaxRounds = 3
+	writes := persist.CheckpointWrites()
+	runFleet(t, cfg)
+	if got := persist.CheckpointWrites() - writes; got != 3 {
+		t.Errorf("3 checkpointed rounds of 7 tenants committed %v files, want 3", got)
+	}
+	if _, err := os.Stat(filepath.Join(cfg.StateDir, "tenants")); !os.IsNotExist(err) {
+		t.Errorf("the fleet still creates per-tenant directories (stat err %v)", err)
+	}
+
+	cfg.MaxRounds = 1
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(cfg.StateDir); err != nil { // every commit from here on fails
+		t.Fatal(err)
+	}
+	since := obs.DefaultJournal.Total()
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatalf("a failed commit took the loop down: %v", err)
+	}
+	events := obs.DefaultJournal.EventsFiltered("checkpoint-error", since)
+	if len(events) != 1 || events[0].Tenant != "" {
+		t.Errorf("a failed commit journalled %+v, want one fleet-scoped checkpoint-error", events)
+	}
+}
+
+// TestCheckpointFailsWithoutExtra: a snapshot whose loop accounting does
+// not encode is not taken at all — written without it, the tenant would
+// warm-start to a wrong rolling hash.
+func TestCheckpointFailsWithoutExtra(t *testing.T) {
+	cfg := testConfig(2)
+	uninterrupted := runFleet(t, cfg)
+
+	orig := encodeExtra
+	defer func() { encodeExtra = orig }()
+	encodeExtra = func(io.Writer, loopExtra) error { return errors.New("no encoder today") }
+
+	phase1 := cfg
+	phase1.StateDir = t.TempDir()
+	phase1.MaxRounds = 2
+	c, err := New(phase1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	since := obs.DefaultJournal.Total()
+	err = c.Tenants()[1].Checkpoint()
+	if err == nil || !strings.Contains(err.Error(), "loop accounting") {
+		t.Fatalf("checkpoint without its Extra section returned %v", err)
+	}
+	if events := obs.DefaultJournal.EventsFilteredTenant(TenantID(1), "checkpoint-error", since); len(events) != 1 {
+		t.Errorf("failed checkpoint journalled %d events for the tenant, want 1", len(events))
+	}
+
+	encodeExtra = orig
+	phase2 := cfg
+	phase2.StateDir = phase1.StateDir
+	rep2 := runFleet(t, phase2)
+	if rep2.WarmStarts != 0 {
+		t.Errorf("%d tenants warm-started from snapshots that should not exist", rep2.WarmStarts)
+	}
+	if rep2.FleetHash != uninterrupted.FleetHash {
+		t.Errorf("fleet hash %s != uninterrupted %s", rep2.FleetHash, uninterrupted.FleetHash)
 	}
 }
 

@@ -23,7 +23,7 @@ var (
 		"tenant")
 	fleetWarmStarts = obs.Default.Counter(
 		"robustscale_fleet_warm_starts_total",
-		"Tenants that warm-started from their checkpoint namespace.")
+		"Tenants that warm-started from a checkpoint.")
 	fleetColdStarts = obs.Default.Counter(
 		"robustscale_fleet_cold_starts_total",
 		"Tenants that cold-started (no usable checkpoint).")

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"robustscale/internal/chaos"
@@ -73,6 +74,15 @@ type loopExtra struct {
 	ParkedSteps int64
 }
 
+// checkpointStore is where a tenant's snapshots go and come back from. A
+// tenant on its own uses a persist.Manager over its StateDir; the fleet
+// controller hands each tenant a slot of the fleet's segment store, whose
+// Write only frames the record — the controller commits the round.
+type checkpointStore interface {
+	Recover() (*persist.State, persist.RecoverInfo, error)
+	Write(*persist.State) (string, error)
+}
+
 // Plant is the actuation-and-grading seam of the apply stage; the three
 // implementations live in package cluster. A fleet tenant gets the plain
 // integer allocation or, with Config.Serverless, the scale-to-zero plant;
@@ -99,7 +109,7 @@ type Step struct {
 
 // Tenant is one isolated control loop and the single stateful
 // implementation of the round: trace, forecaster, calibration, guard,
-// breaker, wake guard, plant and checkpoint directory are all private,
+// breaker, wake guard, plant and checkpoint store are all private,
 // so a round touches nothing shared beyond the process-wide (atomic)
 // metric counters. A client fills in the exported parts, calls Start,
 // then drives Plan and Apply once per round and Checkpoint at its own
@@ -168,7 +178,7 @@ type Tenant struct {
 	applier func(int) error
 	cal     *cluster.Calibration
 	calGate func() (bool, string)
-	mgr     *persist.Manager
+	store   checkpointStore
 	rho     float64
 
 	// Loop state; the plan/admit/apply stages are the only writers after
@@ -260,7 +270,7 @@ func (t *Tenant) Active() bool { return t.err == nil && t.origin+t.Horizon <= t.
 // a calibration fault. A held round is not one.
 func (t *Tenant) Err() error { return t.err }
 
-// Recovery lists the snapshot files Start rejected as corrupt and, after
+// Recovery lists the snapshots Start rejected as corrupt and, after
 // a cold start next to existing snapshots, why none was resumable.
 func (t *Tenant) Recovery() ([]string, string) { return t.rejected, t.coldReason }
 
@@ -297,7 +307,7 @@ func (t *Tenant) Faulty(qf forecast.QuantileForecaster) forecast.QuantileForecas
 }
 
 // Start assembles the loop from its parts: it recovers the newest valid
-// snapshot from StateDir (falling back past corrupt ones), builds the
+// snapshot from its store (falling back past corrupt ones), builds the
 // strategy — restoring the model instead of training when the snapshot
 // is resumable: same fingerprint, origin on a round boundary of this
 // replay — wires guard, calibration gate, applier and wake guard, and
@@ -328,18 +338,21 @@ func (t *Tenant) Start() (*persist.State, error) {
 	// Recover before training: a valid snapshot supplies the model and
 	// loop state, skipping the cold fit entirely.
 	var recovered *persist.State
-	if t.StateDir != "" {
-		var err error
-		if t.mgr, err = persist.NewManager(t.StateDir, t.Retain); err != nil {
+	if t.store == nil && t.StateDir != "" {
+		mgr, err := persist.NewManager(t.StateDir, t.Retain)
+		if err != nil {
 			return nil, fmt.Errorf("fleet: %s: opening state dir: %w", t.ID, err)
 		}
-		st, info, rerr := t.mgr.Recover()
+		t.store = mgr
+	}
+	if t.store != nil {
+		st, info, rerr := t.store.Recover()
 		t.rejected = info.Rejected
 		switch {
 		case rerr != nil:
-			t.coldReason = fmt.Sprintf("no usable checkpoint in %s (%v)", t.StateDir, rerr)
+			t.coldReason = rerr.Error()
 		case st == nil:
-			// Empty state dir: first run, plain cold start.
+			// Nothing checkpointed yet: first run, plain cold start.
 		case st.Fingerprint != t.Fingerprint:
 			// A neighbour's (or stale-config) snapshot never warm-starts
 			// this tenant.
@@ -632,12 +645,28 @@ func (t *Tenant) noteWake(out cluster.WakeOutcome) {
 
 // Checkpoint snapshots the tenant's full control-loop state as of the
 // next planning origin (round boundaries only, never the per-step hot
-// path). A failed write is journalled, returned and otherwise ignored:
-// durability must not take down the loop it protects. Without a StateDir
-// it is a no-op.
+// path). A failed checkpoint is journalled, returned and otherwise
+// ignored: durability must not take down the loop it protects. Without a
+// store it is a no-op.
 func (t *Tenant) Checkpoint() error {
-	if t.mgr == nil {
+	if t.store == nil {
 		return nil
+	}
+	// Every component saves into one pooled buffer and the snapshot's
+	// sections alias it: both stores are done with the bytes when Write
+	// returns, and a fleet checkpointing every round would otherwise grow
+	// and drop a buffer per section per tenant per round — garbage that
+	// shows up in the resident set once a round no longer waits on disk.
+	scratch := ckptScratch.Get().(*bytes.Buffer)
+	scratch.Reset()
+	defer ckptScratch.Put(scratch)
+	section := func(save func(io.Writer) error) []byte {
+		start := scratch.Len()
+		if save(scratch) != nil {
+			scratch.Truncate(start)
+			return nil // the owner restores a missing section as fresh state
+		}
+		return scratch.Bytes()[start:scratch.Len():scratch.Len()]
 	}
 	st := &persist.State{
 		SavedAt:     t.Now(),
@@ -651,18 +680,18 @@ func (t *Tenant) Checkpoint() error {
 	}
 	if t.snapper != nil {
 		st.ForecasterKind = t.ForecasterKind
-		if st.Forecaster = persist.Blob(t.snapper.Save); st.Forecaster == nil {
+		if st.Forecaster = section(t.snapper.Save); st.Forecaster == nil {
 			// A snapshot without the model would warm-start wrong.
-			return fmt.Errorf("fleet: %s: snapshotting the forecaster failed", t.ID)
+			return t.checkpointFailed(errors.New("snapshotting the forecaster failed"))
 		}
 	}
 	if t.cal != nil {
-		st.Calibration = persist.Blob(t.cal.Save)
+		st.Calibration = section(t.cal.Save)
 	}
 	if t.guard != nil {
-		st.Guard = persist.Blob(t.guard.Save)
+		st.Guard = section(t.guard.Save)
 	}
-	st.Breaker = persist.Blob(t.Breaker.Save)
+	st.Breaker = section(t.Breaker.Save)
 	ex := loopExtra{
 		AllocHash: t.allocHash, Cost: t.cost,
 		ShedNodes: t.shedTotal, ClippedRounds: t.clippedRounds,
@@ -670,23 +699,37 @@ func (t *Tenant) Checkpoint() error {
 		ParkedSteps: t.parkedSteps,
 	}
 	if t.wakeGuard != nil {
-		ex.Wake = persist.Blob(t.wakeGuard.Save)
-		ex.WakeLat = persist.Blob(t.wakeLat.Save)
+		ex.Wake = section(t.wakeGuard.Save)
+		ex.WakeLat = section(t.wakeLat.Save)
 	}
 	if t.sless != nil {
-		ex.Plant = persist.Blob(t.sless.Save)
+		ex.Plant = section(t.sless.Save)
 	}
-	var extra bytes.Buffer
-	if err := gob.NewEncoder(&extra).Encode(ex); err == nil {
-		st.Extra = extra.Bytes()
+	if st.Extra = section(func(w io.Writer) error { return encodeExtra(w, ex) }); st.Extra == nil {
+		// Without the rolling hash and cost accounting a warm start would
+		// resume to a wrong fleet hash.
+		return t.checkpointFailed(errors.New("encoding the loop accounting failed"))
 	}
 	if t.Sections != nil {
 		t.Sections(st)
 	}
-	if _, err := t.mgr.Write(st); err != nil {
-		obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "checkpoint-error",
-			fmt.Sprintf("checkpoint at origin %d failed: %v", t.origin, err), nil)
-		return fmt.Errorf("fleet: %s: checkpoint at origin %d: %w", t.ID, t.origin, err)
+	if _, err := t.store.Write(st); err != nil {
+		return t.checkpointFailed(err)
 	}
 	return nil
+}
+
+// ckptScratch pools the buffers Checkpoint encodes sections into.
+var ckptScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// encodeExtra writes the Extra section; a variable so a test can make it
+// fail.
+var encodeExtra = func(w io.Writer, ex loopExtra) error { return gob.NewEncoder(w).Encode(ex) }
+
+// checkpointFailed journals and wraps the reason a checkpoint was not
+// taken.
+func (t *Tenant) checkpointFailed(err error) error {
+	obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "checkpoint-error",
+		fmt.Sprintf("checkpoint at origin %d failed: %v", t.origin, err), nil)
+	return fmt.Errorf("fleet: %s: checkpoint at origin %d: %w", t.ID, t.origin, err)
 }

@@ -2,20 +2,21 @@ package persist
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
 )
 
-// Per-tenant checkpoint namespaces: a fleet state directory holds one
-// snapshot sub-directory per tenant under <root>/tenants/<id>/, each
-// managed by its own Manager. Corruption in one tenant's namespace can
-// therefore only ever cost that tenant its warm start — the recovery
-// ladder of every other tenant never reads the damaged files.
+// Per-tenant checkpoint namespaces: one snapshot sub-directory per tenant
+// under <root>/tenants/<id>/, each managed by its own Manager, for a
+// caller that checkpoints tenants one at a time. A fleet commits segments
+// instead (segment.go) and reads this layout only to upgrade a state root
+// an older build wrote.
 
-// tenantsSubdir is the sub-directory of a fleet state root that holds
-// the per-tenant namespaces.
+// tenantsSubdir is the sub-directory of a state root that holds the
+// per-tenant namespaces.
 const tenantsSubdir = "tenants"
+
+// maxTenantIDLen bounds a tenant id, on disk and in a segment record.
+const maxTenantIDLen = 128
 
 // ValidTenantID reports whether id is usable as a checkpoint namespace:
 // non-empty, at most 128 bytes, and restricted to [A-Za-z0-9._-] with no
@@ -25,7 +26,7 @@ func ValidTenantID(id string) error {
 	if id == "" {
 		return fmt.Errorf("persist: empty tenant id")
 	}
-	if len(id) > 128 {
+	if len(id) > maxTenantIDLen {
 		return fmt.Errorf("persist: tenant id longer than 128 bytes")
 	}
 	if id[0] == '.' {
@@ -62,25 +63,4 @@ func NewTenantManager(root, tenant string, retain int) (*Manager, error) {
 		return nil, err
 	}
 	return NewManager(dir, retain)
-}
-
-// TenantIDs lists the tenant namespaces present under a fleet state
-// root, sorted; a missing root (or tenants sub-directory) is an empty
-// fleet, not an error.
-func TenantIDs(root string) ([]string, error) {
-	entries, err := os.ReadDir(filepath.Join(root, tenantsSubdir))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("persist: listing tenant namespaces: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() && ValidTenantID(e.Name()) == nil {
-			out = append(out, e.Name())
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }

@@ -15,6 +15,10 @@
 // newest is truncated or bit-flipped. Decoding is bounded: a frame that
 // declares an oversized payload is rejected before any allocation, and
 // truncated payloads allocate only the bytes actually present.
+//
+// A fleet checkpoints every tenant at once: segment.go commits one
+// round's snapshots as a single file through the same routine, and
+// recovery falls back per tenant instead of per file.
 package persist
 
 import (
@@ -28,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"robustscale/internal/obs"
@@ -96,10 +101,10 @@ type Fingerprint struct {
 	// Strategy is the strategy flag value ("robust", "adaptive", ...).
 	Strategy string
 	// Tenant is the tenant id the snapshot belongs to ("default" for a
-	// single-tenant daemon). A fleet state directory holds one
-	// checkpoint namespace per tenant; the fingerprint check keeps a
-	// tenant from warm-starting into a neighbour's snapshot even if the
-	// namespaces are shuffled on disk.
+	// single-tenant daemon). A fleet segment holds one record per
+	// tenant; the fingerprint check keeps a tenant from warm-starting
+	// into a neighbour's snapshot even if records are mislabelled on
+	// disk.
 	Tenant string
 	// Dataset is the workload name ("alibaba", "google").
 	Dataset string
@@ -236,59 +241,45 @@ func Decode(r io.Reader, maxBytes int64) (*State, error) {
 	return &st, nil
 }
 
-// Manager owns one state directory: sequence-numbered snapshot files,
-// atomic writes, bounded retention, and newest-first recovery. It is
-// not safe for concurrent use; the control loop is its only caller.
-type Manager struct {
-	dir string
-	// Retain is how many snapshots to keep (default DefaultRetain).
-	Retain int
-	// MaxBytes bounds one snapshot's payload on read (default
-	// DefaultMaxBytes).
-	MaxBytes int64
-
+// seqDir is a directory of sequence-numbered files sharing one name
+// pattern, and the one commit routine of the package: the single-state
+// Manager and the fleet SegmentStore both publish through it.
+type seqDir struct {
+	dir, prefix, suffix string
+	// files are the retained file paths, oldest first, as of the scan at
+	// open plus every commit since; nextSeq continues past the newest.
+	files   []string
 	nextSeq uint64
 }
 
-// snapshotPattern matches manager-owned snapshot files.
-const (
-	snapshotPrefix = "checkpoint-"
-	snapshotSuffix = ".ckpt"
-)
-
-// NewManager opens (creating if needed) the state directory and scans
-// existing snapshots so new writes continue the sequence.
-func NewManager(dir string, retain int) (*Manager, error) {
+// openSeqDir creates the directory if needed and scans it, so commits
+// continue the sequence and prune from what is already there.
+func openSeqDir(dir, prefix, suffix string) (seqDir, error) {
 	if dir == "" {
-		return nil, fmt.Errorf("persist: empty state directory")
+		return seqDir{}, fmt.Errorf("persist: empty state directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("persist: creating state dir: %w", err)
+		return seqDir{}, fmt.Errorf("persist: creating state dir: %w", err)
 	}
-	m := &Manager{dir: dir, Retain: retain}
-	if m.Retain <= 0 {
-		m.Retain = DefaultRetain
+	d := seqDir{dir: dir, prefix: prefix, suffix: suffix}
+	d.files = d.list()
+	if n := len(d.files); n > 0 {
+		seq, _ := d.seq(d.files[n-1])
+		d.nextSeq = seq + 1
 	}
-	for _, f := range m.Snapshots() {
-		if seq, ok := snapshotSeq(f); ok && seq >= m.nextSeq {
-			m.nextSeq = seq + 1
-		}
-	}
-	return m, nil
+	return d, nil
 }
 
-// Dir returns the managed state directory.
-func (m *Manager) Dir() string { return m.dir }
-
-// snapshotSeq parses the sequence number out of a snapshot file name.
-func snapshotSeq(name string) (uint64, bool) {
+// seq parses the sequence number out of one of the directory's file
+// names (or paths).
+func (d *seqDir) seq(name string) (uint64, bool) {
 	base := filepath.Base(name)
-	if len(base) <= len(snapshotPrefix)+len(snapshotSuffix) {
+	if len(base) <= len(d.prefix)+len(d.suffix) ||
+		!strings.HasPrefix(base, d.prefix) || !strings.HasSuffix(base, d.suffix) {
 		return 0, false
 	}
-	mid := base[len(snapshotPrefix) : len(base)-len(snapshotSuffix)]
 	var seq uint64
-	for _, ch := range mid {
+	for _, ch := range base[len(d.prefix) : len(base)-len(d.suffix)] {
 		if ch < '0' || ch > '9' {
 			return 0, false
 		}
@@ -297,66 +288,68 @@ func snapshotSeq(name string) (uint64, bool) {
 	return seq, true
 }
 
-// Snapshots returns the retained snapshot paths, oldest first.
-func (m *Manager) Snapshots() []string {
-	entries, err := os.ReadDir(m.dir)
+// list reads the directory and returns the paths of its sequence files,
+// oldest first.
+func (d *seqDir) list() []string {
+	entries, err := os.ReadDir(d.dir)
 	if err != nil {
 		return nil
 	}
 	var out []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.Type().IsRegular() &&
-			len(name) > len(snapshotPrefix)+len(snapshotSuffix) &&
-			name[:len(snapshotPrefix)] == snapshotPrefix &&
-			name[len(name)-len(snapshotSuffix):] == snapshotSuffix {
-			if _, ok := snapshotSeq(name); ok {
-				out = append(out, filepath.Join(m.dir, name))
-			}
+		if _, ok := d.seq(e.Name()); ok && e.Type().IsRegular() {
+			out = append(out, filepath.Join(d.dir, e.Name()))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		a, _ := snapshotSeq(out[i])
-		b, _ := snapshotSeq(out[j])
+		a, _ := d.seq(out[i])
+		b, _ := d.seq(out[j])
 		return a < b
 	})
 	return out
 }
 
-// Write persists one snapshot atomically — temp file in the same
-// directory, fsync, rename into place, directory fsync — then prunes
-// snapshots beyond Retain. A crash at any point leaves every previously
-// completed snapshot intact. It returns the snapshot path.
-func (m *Manager) Write(st *State) (string, error) {
+// commit publishes the next file of the sequence atomically — temp file
+// in the same directory, one fsync, rename into place (the commit
+// point), directory fsync — then prunes the files beyond retain. A crash
+// at any point leaves every previously committed file intact; the temp
+// file is removed only when a step before the rename fails. It returns
+// the committed path.
+func (d *seqDir) commit(retain int, write func(io.Writer) error) (string, error) {
 	t0 := time.Now()
-	final := filepath.Join(m.dir, fmt.Sprintf("%s%08d%s", snapshotPrefix, m.nextSeq, snapshotSuffix))
-	tmp, err := os.CreateTemp(m.dir, ".ckpt-*.tmp")
+	final := filepath.Join(d.dir, fmt.Sprintf("%s%08d%s", d.prefix, d.nextSeq, d.suffix))
+	tmp, err := os.CreateTemp(d.dir, ".ckpt-*.tmp")
 	if err != nil {
 		return "", fmt.Errorf("persist: creating temp snapshot: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	var written int64
 	counting := &countingWriter{w: tmp}
-	if err := Encode(counting, st); err != nil {
-		tmp.Close()
+	err = write(counting)
+	if err == nil {
+		if err = fsyncFile(tmp); err != nil {
+			err = fmt.Errorf("persist: fsync snapshot: %w", err)
+		}
+	}
+	if cerr := tmp.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("persist: closing snapshot: %w", cerr)
+	}
+	if err == nil {
+		if err = renameFile(tmp.Name(), final); err != nil {
+			err = fmt.Errorf("persist: publishing snapshot: %w", err)
+		}
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name()) // best effort: the error being returned is the one that matters
 		return "", err
 	}
-	written = counting.n
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("persist: fsync snapshot: %w", err)
+	fsyncDir(d.dir)
+	d.nextSeq++
+	d.files = append(d.files, final)
+	for len(d.files) > retain {
+		_ = os.Remove(d.files[0]) // a file someone else already removed is pruned all the same
+		d.files = d.files[1:]
 	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("persist: closing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return "", fmt.Errorf("persist: publishing snapshot: %w", err)
-	}
-	syncDir(m.dir)
-	m.nextSeq++
-	m.prune()
 	ckptWrites.Inc()
-	ckptBytes.Set(float64(written))
+	ckptBytes.Set(float64(counting.n))
 	ckptWriteSeconds.ObserveSince(t0)
 	return final, nil
 }
@@ -373,22 +366,59 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// syncDir fsyncs a directory so a rename survives power loss; failures
-// are ignored (some filesystems refuse directory fsync).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+// The durability steps of a commit, variables so a test can pin their
+// order: file fsync, then rename, then directory fsync.
+var (
+	fsyncFile  = (*os.File).Sync
+	renameFile = os.Rename
+	// fsyncDir fsyncs a directory so a rename survives power loss;
+	// failures are ignored (some filesystems refuse directory fsync).
+	fsyncDir = func(dir string) {
+		if d, err := os.Open(dir); err == nil {
+			_ = d.Sync()
+			_ = d.Close()
+		}
 	}
+)
+
+// Manager owns one state directory: sequence-numbered snapshot files,
+// atomic writes, bounded retention, and newest-first recovery. It is
+// not safe for concurrent use; the control loop is its only caller.
+type Manager struct {
+	seqDir
+	// Retain is how many snapshots to keep (default DefaultRetain).
+	Retain int
+	// MaxBytes bounds one snapshot's payload on read (default
+	// DefaultMaxBytes).
+	MaxBytes int64
 }
 
-// prune removes the oldest snapshots beyond Retain.
-func (m *Manager) prune() {
-	snaps := m.Snapshots()
-	for len(snaps) > m.Retain {
-		_ = os.Remove(snaps[0])
-		snaps = snaps[1:]
+// Manager-owned snapshot files are checkpoint-<seq>.ckpt.
+const (
+	snapshotPrefix = "checkpoint-"
+	snapshotSuffix = ".ckpt"
+)
+
+// NewManager opens (creating if needed) the state directory and scans
+// existing snapshots so new writes continue the sequence.
+func NewManager(dir string, retain int) (*Manager, error) {
+	d, err := openSeqDir(dir, snapshotPrefix, snapshotSuffix)
+	if err != nil {
+		return nil, err
 	}
+	if retain <= 0 {
+		retain = DefaultRetain
+	}
+	return &Manager{seqDir: d, Retain: retain}, nil
+}
+
+// Snapshots returns the retained snapshot paths, oldest first.
+func (m *Manager) Snapshots() []string { return m.list() }
+
+// Write persists one snapshot atomically (see seqDir.commit) and prunes
+// snapshots beyond Retain. It returns the snapshot path.
+func (m *Manager) Write(st *State) (string, error) {
+	return m.commit(m.Retain, func(w io.Writer) error { return Encode(w, st) })
 }
 
 // RecoverInfo describes how a recovery concluded.

@@ -1,0 +1,410 @@
+package persist
+
+import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"sync"
+)
+
+// Fleet segments: one checkpoint round of a whole fleet is one
+// sequence-numbered file under the state root — one fsync and one rename
+// for every tenant's snapshot together. The file is a header followed by
+// one framed record per tenant, in tenant-index order:
+//
+//	header  magic "RSSG" | version u32 | record count u32
+//	record  id length u16 | payload length u32 | crc32 u32 | tenant id | state
+//
+// (little endian; the CRC is IEEE over id and state; the state layout is
+// appendState's). A gob stream per record would re-send State's type
+// descriptors four hundred times a segment and rebuild a decode engine
+// for each on the way back, so records carry the fields directly.
+//
+// Every record is length-bounded and CRC-checked on its own, so a damaged
+// record costs only its tenant this segment: recovery hands that tenant
+// its record from the next-older segment and every other tenant its
+// newest one. A record whose frame header is itself implausible ends the
+// scan of that file — the tenants behind it fall back the same way.
+const (
+	// SegmentMagic opens every segment file.
+	SegmentMagic = "RSSG"
+	// SegmentVersion is the segment format version; bump it on any
+	// incompatible change to State or the framing above.
+	SegmentVersion = 1
+
+	segHeaderLen  = 12
+	recHeaderLen  = 10
+	segmentPrefix = "segment-"
+	segmentSuffix = ".seg"
+)
+
+// SegmentStore owns a fleet state root: tenants encode their snapshots
+// into per-tenant slots (concurrently, one goroutine per slot at a time),
+// Commit publishes the slots as the next segment, and Recover serves the
+// recovery ladder over the segments found at open.
+type SegmentStore struct {
+	seqDir
+	retain int
+	// slots hold each tenant's framed record between its Write and the
+	// Commit that publishes and releases it: a fleet's records are only
+	// ever all resident while a round is being committed.
+	slots [][]byte
+	// loaded are the segments found at open, newest first, each read on
+	// first use; legacy says the root held no segment but does hold the
+	// old <root>/tenants/<id>/ layout, which Recover then reads instead.
+	loaded []*segment
+	legacy bool
+}
+
+// segment is one on-disk segment, parsed at most once.
+type segment struct {
+	path string
+	once sync.Once
+	recs map[string][]byte // payloads that passed their frame checks, by tenant id
+	err  error             // the first damage found while parsing; nil for a clean file
+}
+
+// OpenSegments opens (creating if needed) a fleet state root for the
+// given number of tenant slots and lists its segments once.
+func OpenSegments(dir string, retain, tenants int) (*SegmentStore, error) {
+	d, err := openSeqDir(dir, segmentPrefix, segmentSuffix)
+	if err != nil {
+		return nil, err
+	}
+	if retain <= 0 {
+		retain = DefaultRetain
+	}
+	s := &SegmentStore{seqDir: d, retain: retain, slots: make([][]byte, tenants)}
+	for i := len(d.files) - 1; i >= 0; i-- {
+		s.loaded = append(s.loaded, &segment{path: d.files[i]})
+	}
+	if len(s.loaded) == 0 {
+		_, err := os.Stat(filepath.Join(dir, tenantsSubdir))
+		s.legacy = err == nil
+	}
+	return s, nil
+}
+
+// Slot is one tenant's view of the store, with the Recover/Write shape
+// of a Manager.
+type Slot struct {
+	s      *SegmentStore
+	index  int
+	tenant string
+}
+
+// Slot returns the store view of the tenant at a slot index.
+func (s *SegmentStore) Slot(index int, tenant string) (*Slot, error) {
+	if err := ValidTenantID(tenant); err != nil {
+		return nil, err
+	}
+	if index < 0 || index >= len(s.slots) {
+		return nil, fmt.Errorf("persist: slot %d outside the %d opened", index, len(s.slots))
+	}
+	return &Slot{s: s, index: index, tenant: tenant}, nil
+}
+
+// Write frames the state into the tenant's slot; nothing reaches the disk
+// before the store's next Commit. The returned path is always empty.
+func (sl *Slot) Write(st *State) (string, error) {
+	s := sl.s
+	s.slots[sl.index] = nil
+	rec := make([]byte, recHeaderLen, recHeaderLen+len(sl.tenant)+stateSizeBound(st))
+	rec = append(rec, sl.tenant...)
+	rec, err := appendState(rec, st)
+	if err != nil {
+		return "", err
+	}
+	body := rec[recHeaderLen:]
+	payload := len(body) - len(sl.tenant)
+	if payload > DefaultMaxBytes {
+		return "", fmt.Errorf("persist: %d-byte record exceeds the %d-byte limit", payload, DefaultMaxBytes)
+	}
+	binary.LittleEndian.PutUint16(rec[0:2], uint16(len(sl.tenant)))
+	binary.LittleEndian.PutUint32(rec[2:6], uint32(payload))
+	binary.LittleEndian.PutUint32(rec[6:10], crc32.ChecksumIEEE(body))
+	s.slots[sl.index] = rec
+	return "", nil
+}
+
+// Recover walks the segments newest-first and returns the tenant's first
+// record that validates and decodes, with Manager.Recover's contract:
+// (nil, info, nil) when nothing was ever written for the tenant,
+// ErrNoCheckpoint when records or segments existed but none survived.
+// Safe for concurrent use across tenants.
+func (sl *Slot) Recover() (*State, RecoverInfo, error) {
+	s := sl.s
+	if s.legacy {
+		// One-way upgrade: read the per-tenant snapshot files an older
+		// build left; the next Commit writes a segment and this path is
+		// never taken again.
+		dir, err := TenantDir(s.dir, sl.tenant)
+		if err != nil {
+			return nil, RecoverInfo{}, err
+		}
+		return (&Manager{seqDir: seqDir{dir: dir, prefix: snapshotPrefix, suffix: snapshotSuffix}}).Recover()
+	}
+	var info RecoverInfo
+	var lastErr error
+	for _, g := range s.loaded {
+		g.once.Do(func() { g.recs, g.err = readSegment(g.path) })
+		err := g.err
+		if payload, ok := g.recs[sl.tenant]; ok {
+			st, derr := decodeRecord(payload)
+			if derr == nil {
+				info.Path = g.path
+				ckptRecoveries.Inc()
+				return st, info, nil
+			}
+			err = derr
+		}
+		// The tenant is missing from a damaged file, or its record does
+		// not decode: this segment is lost to it. Missing from a clean
+		// file just means it was not in the fleet that round.
+		if err != nil {
+			info.Rejected = append(info.Rejected, g.path)
+			ckptCorrupt.Inc()
+			lastErr = err
+		}
+	}
+	if lastErr != nil {
+		return nil, info, fmt.Errorf("%w: %s rejected in all %d segments holding it, last: %v",
+			ErrNoCheckpoint, sl.tenant, len(info.Rejected), lastErr)
+	}
+	return nil, info, nil
+}
+
+// DropRecovered releases the segments read for recovery once every
+// tenant has started.
+func (s *SegmentStore) DropRecovered() { s.loaded = nil }
+
+// Commit publishes every record written since the last one, in index
+// order, as the next segment — the same temp file, fsync, rename,
+// directory fsync and prune as a Manager write, once for the whole fleet
+// — and releases the records whether or not it succeeded. A tenant that
+// wrote nothing this round is absent from the segment; recovery finds it
+// in an older one. It returns the segment path.
+func (s *SegmentStore) Commit() (string, error) {
+	defer clear(s.slots)
+	return s.commit(s.retain, func(w io.Writer) error {
+		var hdr [segHeaderLen]byte
+		copy(hdr[0:4], SegmentMagic)
+		binary.LittleEndian.PutUint32(hdr[4:8], SegmentVersion)
+		n := 0
+		for _, rec := range s.slots {
+			if rec != nil {
+				n++
+			}
+		}
+		binary.LittleEndian.PutUint32(hdr[8:12], uint32(n))
+		bw := bufio.NewWriterSize(w, 1<<16)
+		bw.Write(hdr[:])
+		for _, rec := range s.slots {
+			bw.Write(rec)
+		}
+		if err := bw.Flush(); err != nil { // the first failed write, if any
+			return fmt.Errorf("persist: writing segment: %w", err)
+		}
+		return nil
+	})
+}
+
+// readSegment reads one segment file whole — its size is what the disk
+// holds, never what a header claims — and parses it.
+func readSegment(path string) (map[string][]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("%w: reading segment: %v", ErrCorrupt, err)
+	}
+	return parseSegment(data, DefaultMaxBytes)
+}
+
+// parseSegment validates a segment image and returns the payload of every
+// record that passed its length bound and CRC, keyed by tenant id, along
+// with the first damage found (ErrCorrupt or ErrVersionSkew; nil for a
+// clean image). Payloads alias data: a length claim is only ever checked
+// against maxBytes and the bytes present, never allocated.
+func parseSegment(data []byte, maxBytes int64) (map[string][]byte, error) {
+	if len(data) < segHeaderLen {
+		return nil, fmt.Errorf("%w: short segment header (%d bytes)", ErrCorrupt, len(data))
+	}
+	if string(data[0:4]) != SegmentMagic {
+		return nil, fmt.Errorf("%w: bad segment magic %q", ErrCorrupt, data[0:4])
+	}
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != SegmentVersion {
+		return nil, fmt.Errorf("%w: segment version %d, this build reads %d", ErrVersionSkew, v, SegmentVersion)
+	}
+	count := int64(binary.LittleEndian.Uint32(data[8:12]))
+	rest := data[segHeaderLen:]
+	recs := make(map[string][]byte, min(count, int64(len(rest)/recHeaderLen)))
+	var damage error
+	damaged := func(format string, args ...any) {
+		if damage == nil {
+			damage = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+		}
+	}
+	for off := segHeaderLen; len(rest) > 0; {
+		if len(rest) < recHeaderLen {
+			damaged("record header truncated at offset %d", off)
+			break
+		}
+		idLen := int(binary.LittleEndian.Uint16(rest[0:2]))
+		n := int64(binary.LittleEndian.Uint32(rest[2:6]))
+		sum := binary.LittleEndian.Uint32(rest[6:10])
+		if idLen == 0 || idLen > maxTenantIDLen || n > maxBytes {
+			damaged("record at offset %d claims a %d-byte id and %d-byte payload", off, idLen, n)
+			break
+		}
+		size := recHeaderLen + idLen + int(n)
+		if size > len(rest) {
+			damaged("record at offset %d truncated at %d of %d bytes", off, len(rest), size)
+			break
+		}
+		body := rest[recHeaderLen:size]
+		if crc32.ChecksumIEEE(body) == sum {
+			recs[string(body[:idLen])] = body[idLen:]
+		} else {
+			// The frame still says where the next record starts.
+			damaged("record CRC mismatch at offset %d", off)
+		}
+		rest, off = rest[size:], off+size
+	}
+	if int64(len(recs)) != count {
+		damaged("segment holds %d records, header says %d", len(recs), count)
+	}
+	return recs, damage
+}
+
+// appendState appends a record's state: SavedAt (time.MarshalBinary,
+// length-prefixed), then every other field of State and Fingerprint in
+// declaration order — integers as varints, floats as 8 little-endian
+// bytes, strings and byte sections length-prefixed by a uvarint.
+// TestStateCodecCoversEveryField fails when a field is added to State
+// and not here.
+func appendState(b []byte, st *State) ([]byte, error) {
+	saved, err := st.SavedAt.MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("persist: encoding state: %w", err)
+	}
+	b = appendSection(b, saved)
+	fp := &st.Fingerprint
+	b = appendSection(b, fp.Strategy)
+	b = appendSection(b, fp.Tenant)
+	b = appendSection(b, fp.Dataset)
+	b = binary.AppendVarint(b, fp.Seed)
+	b = appendFloat(b, fp.Theta)
+	b = binary.AppendVarint(b, int64(fp.Horizon))
+	b = appendFloat(b, fp.Tau)
+	b = appendFloat(b, fp.Tau2)
+	for _, v := range [...]int{st.Origin, st.PrevAlloc, st.Steps, st.Violations, st.Holds} {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	b = appendFloat(b, st.Rho)
+	b = appendSection(b, st.ForecasterKind)
+	for _, sec := range [...][]byte{st.Forecaster, st.Calibration, st.Guard, st.Breaker, st.Journal, st.Decisions, st.SLO, st.Extra} {
+		b = appendSection(b, sec)
+	}
+	return b, nil
+}
+
+// stateSizeBound is an upper bound on what appendState appends: the
+// variable-length fields plus room for every prefix and number at its
+// widest (24 fields of at most 10 bytes, and SavedAt's 16).
+func stateSizeBound(st *State) int {
+	fp := &st.Fingerprint
+	return 256 + len(fp.Strategy) + len(fp.Tenant) + len(fp.Dataset) + len(st.ForecasterKind) +
+		len(st.Forecaster) + len(st.Calibration) + len(st.Guard) + len(st.Breaker) +
+		len(st.Journal) + len(st.Decisions) + len(st.SLO) + len(st.Extra)
+}
+
+func appendSection[T string | []byte](b []byte, sec T) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(sec))), sec...)
+}
+
+func appendFloat(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+// decodeRecord is appendState's inverse over a payload that already
+// passed its length and CRC checks. Every length inside it is still
+// checked against the bytes present, and sections are copied out, so the
+// state does not pin the segment image it came from.
+func decodeRecord(payload []byte) (*State, error) {
+	r := stateReader{b: payload}
+	st := new(State)
+	if err := st.SavedAt.UnmarshalBinary(r.section()); err != nil && r.err == nil {
+		r.err = err
+	}
+	fp := &st.Fingerprint
+	fp.Strategy, fp.Tenant, fp.Dataset = string(r.section()), string(r.section()), string(r.section())
+	fp.Seed, fp.Theta, fp.Horizon, fp.Tau, fp.Tau2 = r.varint(), r.float(), int(r.varint()), r.float(), r.float()
+	for _, v := range [...]*int{&st.Origin, &st.PrevAlloc, &st.Steps, &st.Violations, &st.Holds} {
+		*v = int(r.varint())
+	}
+	st.Rho = r.float()
+	st.ForecasterKind = string(r.section())
+	for _, sec := range [...]*[]byte{&st.Forecaster, &st.Calibration, &st.Guard, &st.Breaker, &st.Journal, &st.Decisions, &st.SLO, &st.Extra} {
+		if raw := r.section(); len(raw) > 0 {
+			*sec = append([]byte(nil), raw...)
+		}
+	}
+	if r.err == nil && len(r.b) != 0 {
+		r.err = fmt.Errorf("%d bytes past the last field", len(r.b))
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("%w: decoding record: %v", ErrCorrupt, r.err)
+	}
+	return st, nil
+}
+
+// stateReader consumes a record payload field by field; after the first
+// malformed field every read returns zero and err says why.
+type stateReader struct {
+	b   []byte
+	err error
+}
+
+func (r *stateReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%s truncated or malformed, %d bytes left", what, len(r.b))
+	}
+	r.b = nil
+}
+
+func (r *stateReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail("integer")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *stateReader) float() float64 {
+	if len(r.b) < 8 {
+		r.fail("float")
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return v
+}
+
+// section returns the next length-prefixed run of bytes, aliasing the
+// payload.
+func (r *stateReader) section() []byte {
+	size, n := binary.Uvarint(r.b)
+	if n <= 0 || size > uint64(len(r.b)-n) {
+		r.fail("section")
+		return nil
+	}
+	sec := r.b[n : n+int(size)]
+	r.b = r.b[n+int(size):]
+	return sec
+}
