@@ -86,6 +86,9 @@ var ScalingLevels = forecast.ScalingLevels
 type (
 	// Strategy plans node allocations from workload history.
 	Strategy = scaler.Strategy
+	// Round is what one Strategy.PlanInto call returns: the allocations,
+	// the quantile fan behind them and the decision record.
+	Round = scaler.Round
 	// ReactiveMax scales on the trailing-window maximum.
 	ReactiveMax = scaler.ReactiveMax
 	// ReactiveAvg scales on an exponentially decayed trailing average.

@@ -42,8 +42,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -60,79 +62,115 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(exitCode(run(ctx, os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+// exitCode reports a run error on stderr and maps it to the process exit
+// status: 0 on success (and -h), 2 for a command line that cannot run
+// (unparsable flags, nonsense sizes), 1 for a run that failed.
+func exitCode(err error, stderr io.Writer) int {
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errFlags):
+		return 2 // the FlagSet already printed the problem and the usage
+	}
+	fmt.Fprintf(stderr, "fleetsim: %v\n", err)
+	if errors.Is(err, fleet.ErrSizes) {
+		return 2
+	}
+	return 1
+}
+
+// errFlags marks a command line the FlagSet rejected.
+var errFlags = errors.New("invalid command line")
+
+// run is the whole command: it parses args, builds the fleet, replays it
+// until the trace ends or ctx is cancelled (a signal, in main; the
+// controller stops at a round boundary) and writes the summary to stdout
+// or -out; logs go to stderr. With -listen it keeps serving the health
+// surface after the run until ctx is cancelled.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	logf := log.New(stderr, "", 0).Printf
+	fs := flag.NewFlagSet("fleetsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	def := fleet.DefaultConfig(0)
 	var (
-		tenants      = flag.Int("tenants", 1000, "fleet size")
-		seed         = flag.Int64("seed", def.Seed, "fleet master seed (per-tenant seeds derive from it)")
-		days         = flag.Int("days", def.Days, "trace length per tenant in days")
-		trainDays    = flag.Int("train-days", def.TrainDays, "leading days visible as training history")
-		units        = flag.Int("units", def.Units, "machines aggregated into each tenant's trace")
-		horizon      = flag.Int("horizon", def.Horizon, "planning horizon in steps")
-		theta        = flag.Float64("theta", def.Theta, "per-node workload threshold")
-		tau          = flag.Float64("tau", def.Tau, "quantile level (robust) or optimistic level (adaptive)")
-		tau2         = flag.Float64("tau2", def.Tau2, "conservative level for adaptive")
-		rho          = flag.Float64("rho", 0, "adaptive uncertainty threshold (0 = auto-calibrate per tenant)")
-		strategy     = flag.String("strategy", def.Strategy, "robust | adaptive | reactive-max")
-		forecaster   = flag.String("forecaster", def.Forecaster, "seasonal-naive | naive | qmlp")
-		guard        = flag.Bool("guard", true, "wrap every tenant's strategy in the resilience guard")
-		workers      = flag.Int("workers", 0, "worker pool size batching tenant planning (0 = all CPUs; never changes results)")
-		stateDir     = flag.String("state-dir", "", "fleet checkpoint root; each checkpointed round is one segment file <dir>/segment-<seq>.seg holding every tenant's record (empty disables durability)")
-		ckptInterval = flag.Int("checkpoint-interval", 1, "commit a segment every N fleet rounds (with -state-dir)")
-		retain       = flag.Int("state-retain", persist.DefaultRetain, "segments retained; a tenant whose newest record is damaged resumes from the next-older one")
-		maxRounds    = flag.Int("max-rounds", 0, "stop after N fleet rounds at a round boundary (0 = run to the end; kill-restart drills resume from here)")
-		out          = flag.String("out", "", "write the JSON summary to this file (empty = stdout)")
-		metricsOut   = flag.String("metrics", "", "write the Prometheus metrics dump to this file after the run")
-		perTenant    = flag.Bool("per-tenant", true, "include per-tenant records in the summary")
-		decisions    = flag.Bool("decisions", true, "capture tenant-labelled decision records")
+		tenants      = fs.Int("tenants", 1000, "fleet size")
+		seed         = fs.Int64("seed", def.Seed, "fleet master seed (per-tenant seeds derive from it)")
+		days         = fs.Int("days", def.Days, "trace length per tenant in days")
+		trainDays    = fs.Int("train-days", def.TrainDays, "leading days visible as training history")
+		units        = fs.Int("units", def.Units, "machines aggregated into each tenant's trace")
+		horizon      = fs.Int("horizon", def.Horizon, "planning horizon in steps")
+		theta        = fs.Float64("theta", def.Theta, "per-node workload threshold")
+		tau          = fs.Float64("tau", def.Tau, "quantile level (robust) or optimistic level (adaptive)")
+		tau2         = fs.Float64("tau2", def.Tau2, "conservative level for adaptive")
+		rho          = fs.Float64("rho", 0, "adaptive uncertainty threshold (0 = auto-calibrate per tenant)")
+		strategy     = fs.String("strategy", def.Strategy, "robust | adaptive | reactive-max")
+		forecaster   = fs.String("forecaster", def.Forecaster, "seasonal-naive | naive | qmlp")
+		guard        = fs.Bool("guard", true, "wrap every tenant's strategy in the resilience guard")
+		workers      = fs.Int("workers", 0, "worker pool size batching tenant planning (0 = all CPUs; never changes results)")
+		stateDir     = fs.String("state-dir", "", "fleet checkpoint root; each checkpointed round is one segment file <dir>/segment-<seq>.seg holding every tenant's record (empty disables durability)")
+		ckptInterval = fs.Int("checkpoint-interval", 1, "commit a segment every N fleet rounds (with -state-dir)")
+		retain       = fs.Int("state-retain", persist.DefaultRetain, "segments retained; a tenant whose newest record is damaged resumes from the next-older one")
+		maxRounds    = fs.Int("max-rounds", 0, "stop after N fleet rounds at a round boundary (0 = run to the end; kill-restart drills resume from here)")
+		out          = fs.String("out", "", "write the JSON summary to this file (empty = stdout)")
+		metricsOut   = fs.String("metrics", "", "write the Prometheus metrics dump to this file after the run")
+		perTenant    = fs.Bool("per-tenant", true, "include per-tenant records in the summary")
+		decisions    = fs.Bool("decisions", true, "capture tenant-labelled decision records")
 
-		sloTarget  = flag.Float64("slo-target", def.SLOTarget, "fleet-wide violation-rate SLO driving the error-budget tracker and burn-rate alerts (0 disables the SLO plane; never changes decisions)")
-		sloWindow  = flag.Int("slo-window", def.SLOWindow, "rolling error-budget window in fleet rounds")
-		burnSpec   = flag.String("burn-windows", "", `burn-rate alert rules as "[name=]<factor>x:<long>/<short>,..." (empty = defaults scaled to -slo-window)`)
-		labelLimit = flag.Int("label-limit", obs.DefaultLabelLimit, `per-metric label cardinality cap; excess label values (e.g. tenant ids) collapse into the "other" series (<= 0 = unlimited)`)
-		listen     = flag.String("listen", "", "address for the fleet health surface (/healthz /readyz /slo /alerts /metrics /journal /decisions; empty disables)")
+		sloTarget  = fs.Float64("slo-target", def.SLOTarget, "fleet-wide violation-rate SLO driving the error-budget tracker and burn-rate alerts (0 disables the SLO plane; never changes decisions)")
+		sloWindow  = fs.Int("slo-window", def.SLOWindow, "rolling error-budget window in fleet rounds")
+		burnSpec   = fs.String("burn-windows", "", `burn-rate alert rules as "[name=]<factor>x:<long>/<short>,..." (empty = defaults scaled to -slo-window)`)
+		labelLimit = fs.Int("label-limit", obs.DefaultLabelLimit, `per-metric label cardinality cap; excess label values (e.g. tenant ids) collapse into the "other" series (<= 0 = unlimited)`)
+		listen     = fs.String("listen", "", "address for the fleet health surface (/healthz /readyz /slo /alerts /metrics /journal /decisions; empty disables)")
 
-		poolNodes    = flag.Int("pool", 0, "shared capacity pool in nodes; admission control clips aggregate demand to it (0 disables — bit-identical to no pool)")
-		quarAfter    = flag.Int("quarantine-after", def.QuarantineAfter, "consecutive clipped rounds before a tenant is quarantined to reactive planning (0 disables)")
-		quarRounds   = flag.Int("quarantine-rounds", def.QuarantineRounds, "rounds a quarantined tenant plans reactively before re-entry")
-		chaosPreset  = flag.String("chaos", "", "fleet chaos preset (none | forecast | telemetry | apply | node-kill | all | smoke | zone-outage | pool-collapse | admission-reject | fleet; empty disables)")
-		chaosSeed    = flag.Int64("chaos-seed", 0, "fault-schedule seed (0 = -seed)")
-		chaosTenants = flag.String("chaos-tenants", "", "comma-separated tenant ids to enroll in tenant-local chaos (empty = all; fleet-level classes always apply)")
-		zones        = flag.Int("zones", def.Zones, "failure domains tenants stripe across for zone-outage chaos")
-		baseline     = flag.String("baseline", "", "fault-free summary JSON to measure blast radius against (adds a blast_radius section to stderr log)")
-		violTol      = flag.Int("blast-viol-tol", -1, "absolute per-tenant violation drift tolerated before a bystander counts as affected (-1 = default)")
-		costTol      = flag.Float64("blast-cost-tol", -1, "fractional per-tenant cost drift tolerated before a bystander counts as affected (-1 = default)")
+		poolNodes    = fs.Int("pool", 0, "shared capacity pool in nodes; admission control clips aggregate demand to it (0 disables — bit-identical to no pool)")
+		quarAfter    = fs.Int("quarantine-after", def.QuarantineAfter, "consecutive clipped rounds before a tenant is quarantined to reactive planning (0 disables)")
+		quarRounds   = fs.Int("quarantine-rounds", def.QuarantineRounds, "rounds a quarantined tenant plans reactively before re-entry")
+		chaosPreset  = fs.String("chaos", "", "fleet chaos preset (none | forecast | telemetry | apply | node-kill | all | smoke | zone-outage | pool-collapse | admission-reject | fleet; empty disables)")
+		chaosSeed    = fs.Int64("chaos-seed", 0, "fault-schedule seed (0 = -seed)")
+		chaosTenants = fs.String("chaos-tenants", "", "comma-separated tenant ids to enroll in tenant-local chaos (empty = all; fleet-level classes always apply)")
+		zones        = fs.Int("zones", def.Zones, "failure domains tenants stripe across for zone-outage chaos")
+		baseline     = fs.String("baseline", "", "fault-free summary JSON to measure blast radius against (adds a blast_radius section to stderr log)")
+		violTol      = fs.Int("blast-viol-tol", -1, "absolute per-tenant violation drift tolerated before a bystander counts as affected (-1 = default)")
+		costTol      = fs.Float64("blast-cost-tol", -1, "fractional per-tenant cost drift tolerated before a bystander counts as affected (-1 = default)")
 
-		serverless    = flag.Bool("serverless", false, "serverless fleet: idle tenants scale to zero, wake from zero with a latency/cost penalty, and size nodes jointly with count (enables the wake chaos presets)")
-		idleEps       = flag.Float64("idle-eps", 0, "workload level below which a serverless tenant counts as idle (0 = theta/10)")
-		parkAfter     = flag.Int("park-after", 0, "consecutive idle rounds before a serverless tenant parks to zero (0 = default 3)")
-		wakeDebounce  = flag.Int("wake-debounce", 0, "rounds after a wake during which parking is refused (flap guard; 0 = default 2)")
-		keepWarmAfter = flag.Int("keep-warm-after", 0, "consecutive wake failures tripping the wake breaker into keep-warm degradation (0 = default 3)")
-		wakeCooldown  = flag.Int("wake-breaker-cooldown", 0, "rounds the wake breaker stays open before a half-open probe (0 = default 6)")
-		wakeSeconds   = flag.Float64("wake-seconds", 0, "fault-free cold-wake provisioning latency in seconds (0 = default 30)")
-		wakeCost      = flag.Float64("wake-cost", 0, "cost units charged per wake from zero (0 = default 2)")
-		wakeSLO       = flag.Float64("wake-slo", 0, "p99 wake-latency SLO in seconds for the summary's wake_slo_met verdict (0 = default 1800)")
+		serverless    = fs.Bool("serverless", false, "serverless fleet: idle tenants scale to zero, wake from zero with a latency/cost penalty, and size nodes jointly with count (enables the wake chaos presets)")
+		idleEps       = fs.Float64("idle-eps", 0, "workload level below which a serverless tenant counts as idle (0 = theta/10)")
+		parkAfter     = fs.Int("park-after", 0, "consecutive idle rounds before a serverless tenant parks to zero (0 = default 3)")
+		wakeDebounce  = fs.Int("wake-debounce", 0, "rounds after a wake during which parking is refused (flap guard; 0 = default 2)")
+		keepWarmAfter = fs.Int("keep-warm-after", 0, "consecutive wake failures tripping the wake breaker into keep-warm degradation (0 = default 3)")
+		wakeCooldown  = fs.Int("wake-breaker-cooldown", 0, "rounds the wake breaker stays open before a half-open probe (0 = default 6)")
+		wakeSeconds   = fs.Float64("wake-seconds", 0, "fault-free cold-wake provisioning latency in seconds (0 = default 30)")
+		wakeCost      = fs.Float64("wake-cost", 0, "cost units charged per wake from zero (0 = default 2)")
+		wakeSLO       = fs.Float64("wake-slo", 0, "p99 wake-latency SLO in seconds for the summary's wake_slo_met verdict (0 = default 1800)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errFlags, err)
+	}
 
 	// Size flags are load-bearing for every derived loop; reject nonsense
-	// before it turns into a confusing failure deep in the build.
+	// (here, or as fleet.New does) with the usage, before it turns into a
+	// confusing failure deep in the build.
+	badSizes := func(err error) error {
+		fs.Usage()
+		return err
+	}
 	if *tenants <= 0 {
-		fmt.Fprintf(os.Stderr, "fleetsim: -tenants must be positive, got %d\n", *tenants)
-		flag.Usage()
-		os.Exit(2)
+		return badSizes(fmt.Errorf("%w: -tenants must be positive, got %d", fleet.ErrSizes, *tenants))
 	}
 	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "fleetsim: -workers must be >= 0 (0 = all CPUs), got %d\n", *workers)
-		flag.Usage()
-		os.Exit(2)
+		return badSizes(fmt.Errorf("%w: -workers must be >= 0 (0 = all CPUs), got %d", fleet.ErrSizes, *workers))
 	}
 
 	var burnRules []obs.BurnRule
 	if *burnSpec != "" {
 		var err error
 		if burnRules, err = obs.ParseBurnRules(*burnSpec); err != nil {
-			log.Fatalf("fleetsim: -burn-windows: %v", err)
+			return fmt.Errorf("-burn-windows: %w", err)
 		}
 	}
 	cfg := fleet.Config{
@@ -161,9 +199,6 @@ func main() {
 	obs.DefaultDecisions.SetEnabled(*decisions)
 	obs.Default.SetLabelLimit(*labelLimit)
 
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
 	// The health surface binds before the (potentially long) fleet build:
 	// /healthz and /metrics answer immediately, /readyz stays 503 until
 	// every tenant is built, and /slo and /alerts come alive with the
@@ -174,7 +209,7 @@ func main() {
 	if *listen != "" {
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
-			log.Fatalf("fleetsim: cannot serve health surface on %s: %v", *listen, err)
+			return fmt.Errorf("cannot serve health surface on %s: %w", *listen, err)
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/healthz", health.LiveHandler())
@@ -186,36 +221,46 @@ func main() {
 		mux.Handle("/decisions", obs.DefaultDecisions.Handler())
 		httpSrv = &http.Server{Handler: mux}
 		go func() {
-			log.Printf("fleetsim: health surface on http://%s (/healthz /readyz /slo /alerts /metrics /journal /decisions)", ln.Addr())
+			logf("fleetsim: health surface on http://%s (/healthz /readyz /slo /alerts /metrics /journal /decisions)", ln.Addr())
 			if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				log.Printf("fleetsim: health surface: %v", err)
+				logf("fleetsim: health surface: %v", err)
+			}
+		}()
+		defer func() {
+			shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := httpSrv.Shutdown(shutCtx); err != nil {
+				logf("fleetsim: draining health surface: %v", err)
 			}
 		}()
 	}
 
 	t0 := time.Now()
 	ctrl, err := fleet.New(cfg)
+	if errors.Is(err, fleet.ErrSizes) {
+		return badSizes(err)
+	}
 	if err != nil {
-		log.Fatalf("fleetsim: %v", err)
+		return err
 	}
 	if slo := ctrl.SLO(); slo != nil {
 		sloPtr.Store(slo)
 	}
 	health.SetReady(true)
 	buildSecs := time.Since(t0).Seconds()
-	log.Printf("fleetsim: built %d tenants in %.2fs (strategy=%s forecaster=%s workers=%d)",
+	logf("fleetsim: built %d tenants in %.2fs (strategy=%s forecaster=%s workers=%d)",
 		cfg.Tenants, buildSecs, cfg.Strategy, cfg.Forecaster, cfg.Workers)
 
 	t0 = time.Now()
 	rep, err := ctrl.Run(ctx)
 	if err != nil {
-		log.Fatalf("fleetsim: %v", err)
+		return err
 	}
-	log.Printf("fleetsim: replayed %d rounds (%d tenant-steps) in %.2fs; violations %.3f%%, cost %d node-steps, fleet hash %s",
+	logf("fleetsim: replayed %d rounds (%d tenant-steps) in %.2fs; violations %.3f%%, cost %d node-steps, fleet hash %s",
 		rep.Rounds, rep.Steps, time.Since(t0).Seconds(),
 		100*rep.ViolationRate, rep.CostNodeSteps, rep.FleetHash)
 	if s := rep.Serverless; s != nil {
-		log.Printf("fleetsim: serverless: %d parks, %d wakes (%d failed, %d breaker trips), %d parked steps; wake p99 %.0fs vs SLO %.0fs (met=%v)",
+		logf("fleetsim: serverless: %d parks, %d wakes (%d failed, %d breaker trips), %d parked steps; wake p99 %.0fs vs SLO %.0fs (met=%v)",
 			s.Parks, s.Wakes, s.WakeFailures, s.BreakerTrips, s.ParkedSteps,
 			s.WakeP99Seconds, s.WakeSLOSeconds, s.WakeSLOMet)
 	}
@@ -223,31 +268,25 @@ func main() {
 	if *baseline != "" {
 		br, err := blastRadiusAgainst(*baseline, rep, *violTol, *costTol)
 		if err != nil {
-			log.Fatalf("fleetsim: -baseline: %v", err)
+			return fmt.Errorf("-baseline: %w", err)
 		}
 		rep.BlastRadius = &br
-		log.Printf("fleetsim: blast radius %.4f (%d/%d bystanders affected, %d tenants faulted)",
+		logf("fleetsim: blast radius %.4f (%d/%d bystanders affected, %d tenants faulted)",
 			br.Radius, br.Affected, br.Bystanders, br.Faulted)
 	}
-	if err := writeSummary(rep, *out); err != nil {
-		log.Fatalf("fleetsim: %v", err)
+	if err := writeSummary(rep, *out, stdout); err != nil {
+		return err
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut); err != nil {
-			log.Fatalf("fleetsim: %v", err)
+			return err
 		}
 	}
 	if *listen != "" && ctx.Err() == nil {
-		log.Printf("fleetsim: run complete; serving health surface until interrupted")
+		logf("fleetsim: run complete; serving health surface until interrupted")
 		<-ctx.Done()
 	}
-	if httpSrv != nil {
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutCtx); err != nil {
-			log.Printf("fleetsim: draining health surface: %v", err)
-		}
-	}
+	return nil
 }
 
 // sloHandler defers to the given SLOTracker handler once the controller
@@ -280,14 +319,14 @@ func blastRadiusAgainst(path string, rep *fleet.Report, violTol int, costTol flo
 
 // writeSummary encodes the report as indented JSON to the file or
 // stdout.
-func writeSummary(rep *fleet.Report, path string) error {
+func writeSummary(rep *fleet.Report, path string, stdout io.Writer) error {
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return fmt.Errorf("encoding summary: %w", err)
 	}
 	if path == "" {
-		fmt.Println(string(enc))
-		return nil
+		_, err := fmt.Fprintln(stdout, string(enc))
+		return err
 	}
 	if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
 		return fmt.Errorf("writing summary: %w", err)

@@ -1,0 +1,84 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"strings"
+	"testing"
+
+	"robustscale/internal/obs"
+)
+
+// fleetsim runs the command in-process and returns its exit code, stdout
+// and stderr. The decision store is process-wide and the summary reports
+// its total, so every run starts from an empty one.
+func fleetsim(t *testing.T, args string) (int, string, string) {
+	t.Helper()
+	obs.DefaultDecisions.Reset()
+	var stdout, stderr bytes.Buffer
+	code := exitCode(run(context.Background(), strings.Fields(args), &stdout, &stderr), &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// summary decodes a run's JSON summary, dropping the keys that are not
+// part of the determinism contract: wall-clock timing and the echoed
+// -workers flag.
+func summary(t *testing.T, stdout string) map[string]any {
+	t.Helper()
+	var rep map[string]any
+	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+		t.Fatalf("summary is not JSON: %v\n%s", err, stdout)
+	}
+	delete(rep, "timing")
+	delete(rep, "workers")
+	return rep
+}
+
+// TestGoldenFleetHash pins the 200-tenant default replay: a refactor of
+// anything under the control loop must not move it.
+func TestGoldenFleetHash(t *testing.T) {
+	code, stdout, stderr := fleetsim(t, "-tenants 200 -per-tenant=false")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	if got := summary(t, stdout)["fleet_hash"]; got != "ba920dcdfbc1f801" {
+		t.Errorf("fleet_hash = %v, want ba920dcdfbc1f801", got)
+	}
+}
+
+func TestWorkerCountInvisibleInSummary(t *testing.T) {
+	var outs [2][]byte
+	for i, workers := range []string{"1", "4"} {
+		code, stdout, stderr := fleetsim(t, "-tenants 40 -workers "+workers)
+		if code != 0 {
+			t.Fatalf("-workers %s: exit %d\n%s", workers, code, stderr)
+		}
+		var err error
+		if outs[i], err = json.Marshal(summary(t, stdout)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Errorf("-workers 1 and -workers 4 summaries differ:\n%s\n%s", outs[0], outs[1])
+	}
+}
+
+func TestNonsenseSizesExitTwoWithUsage(t *testing.T) {
+	for _, args := range []string{"-tenants 0", "-tenants 5 -workers -1", "-tenants 5 -horizon 0", "-tenants 5 -theta 0"} {
+		code, stdout, stderr := fleetsim(t, args)
+		if code != 2 {
+			t.Errorf("%s: exit %d, want 2", args, code)
+		}
+		if stdout != "" {
+			t.Errorf("%s: wrote a summary: %s", args, stdout)
+		}
+		if !strings.Contains(stderr, "Usage of fleetsim") || !strings.Contains(stderr, "fleetsim: ") {
+			t.Errorf("%s: stderr lacks the usage or the reason:\n%s", args, stderr)
+		}
+	}
+	// A bad rule list is a failed run, reported as an error, not a crash.
+	if code, _, stderr := fleetsim(t, "-tenants 5 -burn-windows nonsense"); code != 1 || !strings.Contains(stderr, "-burn-windows") {
+		t.Errorf("-burn-windows nonsense: exit %d, stderr %q", code, stderr)
+	}
+}

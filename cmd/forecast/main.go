@@ -170,33 +170,23 @@ func train(model string, s *timeseries.Series, out string, context, horizon, epo
 	if out == "" {
 		return nil
 	}
+	snap, ok := m.(forecast.Snapshotter)
+	if !ok {
+		return fmt.Errorf("forecast: %s does not support saving", m.Name())
+	}
 	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	switch v := m.(type) {
-	case *forecast.ARIMA:
-		err = v.Save(f)
-	case *forecast.MLP:
-		err = v.Save(f)
-	case *forecast.DeepAR:
-		err = v.Save(f)
-	case *forecast.TFT:
-		err = v.Save(f)
-	case *forecast.QB5000:
-		err = v.Save(f)
-	default:
-		err = fmt.Errorf("forecast: %s does not support saving", m.Name())
+	if err := snap.Save(f); err != nil {
+		f.Close()
+		return err
 	}
-	if err == nil {
-		log.Printf("forecast: saved to %s", out)
+	if err := f.Close(); err != nil {
+		return err
 	}
-	return err
+	log.Printf("forecast: saved to %s", out)
+	return nil
 }
 
 func predict(model string, s *timeseries.Series, in string, context, horizon, epochs, period int, levels []float64) error {
@@ -205,26 +195,16 @@ func predict(model string, s *timeseries.Series, in string, context, horizon, ep
 		return err
 	}
 	if in != "" {
+		snap, ok := m.(forecast.Snapshotter)
+		if !ok {
+			return fmt.Errorf("forecast: %s does not support loading", m.Name())
+		}
 		f, err := os.Open(in)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		switch v := m.(type) {
-		case *forecast.ARIMA:
-			err = v.Load(f)
-		case *forecast.MLP:
-			err = v.Load(f)
-		case *forecast.DeepAR:
-			err = v.Load(f)
-		case *forecast.TFT:
-			err = v.Load(f)
-		case *forecast.QB5000:
-			err = v.Load(f)
-		default:
-			err = fmt.Errorf("forecast: %s does not support loading", m.Name())
-		}
-		if err != nil {
+		if err := snap.Load(f); err != nil {
 			return err
 		}
 	} else if mlp, ok := m.(*forecast.MLP); ok {

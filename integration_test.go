@@ -178,11 +178,11 @@ func TestIntegrationAutoscalerDaemonLoop(t *testing.T) {
 	}
 	steps := 0
 	for origin := 200; origin < cpu.Len(); origin++ {
-		plan, err := strat.Plan(cpu.Slice(0, origin), 1)
+		round, err := strat.PlanInto(cpu.Slice(0, origin), 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.ScaleTo(plan[0]); err != nil {
+		if err := c.ScaleTo(round.Nodes[0]); err != nil {
 			t.Fatal(err)
 		}
 		c.Advance(cpu.Step)

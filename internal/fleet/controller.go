@@ -345,8 +345,8 @@ func (c *Controller) admit(active []*Tenant) {
 		c.admissionRejects++
 		fleetAdmissionRejects.Inc()
 		for _, t := range active {
-			for j := range t.pending {
-				t.pending[j] = t.prevAlloc
+			for j := range t.round.Nodes {
+				t.round.Nodes[j] = t.prevAlloc
 			}
 			t.shedReason = "admission-reject"
 		}
@@ -372,14 +372,14 @@ func (c *Controller) admit(active []*Tenant) {
 			capacity = int(float64(capacity) * f)
 		}
 		for i, t := range active {
-			demands[i] = t.pending[j]
+			demands[i] = t.round.Nodes[j]
 		}
 		c.admitBuf = admitStep(demands, classes, capacity, c.admitBuf)
 		admitted := 0
 		for i, t := range active {
 			admitted += c.admitBuf[i]
-			if clip := t.pending[j] - c.admitBuf[i]; clip > 0 {
-				t.pending[j] = c.admitBuf[i]
+			if clip := t.round.Nodes[j] - c.admitBuf[i]; clip > 0 {
+				t.round.Nodes[j] = c.admitBuf[i]
 				t.shedRound += clip
 			}
 		}
@@ -473,9 +473,9 @@ func (c *Controller) injectWakeStorm(active []*Tenant) {
 		}
 		forced++
 		t.wakeReason = "wake-storm"
-		for j := range t.pending {
-			if t.pending[j] < 1 {
-				t.pending[j] = 1
+		for j := range t.round.Nodes {
+			if t.round.Nodes[j] < 1 {
+				t.round.Nodes[j] = 1
 			}
 		}
 	}

@@ -174,7 +174,6 @@ type Tenant struct {
 	planner scaler.Strategy
 	guard   *scaler.Guard
 	snapper forecast.Snapshotter
-	fans    scaler.FanProvider
 	applier func(int) error
 	cal     *cluster.Calibration
 	calGate func() (bool, string)
@@ -198,14 +197,12 @@ type Tenant struct {
 	coldReason string
 	err        error
 
-	// Admission / quarantine state. pending is the plan awaiting
-	// admission between the plan and apply stages (aliases planBuf);
-	// roundPlanner is the strategy that produced it (the quarantine
-	// fallback or the tenant's own planner) and fan the quantile fan
-	// behind it when the tenant's own forecaster drove the round.
-	pending        []int
-	roundPlanner   scaler.Strategy
-	fan            *forecast.QuantileForecast
+	// Admission / quarantine state. round is the planning stage's output
+	// awaiting admission and Apply: Nodes is the pending plan (aliases
+	// planBuf; a held plan when planning failed), Fan and Decision what
+	// the strategy that planned it — the tenant's own or the quarantine
+	// fallback, which has no fan — put behind it.
+	round          scaler.Round
 	reactive       *scaler.ReactiveMax
 	shedRound      int
 	shedReason     string
@@ -292,7 +289,7 @@ func (t *Tenant) Totals() Totals {
 func (t *Tenant) Guard() *scaler.Guard              { return t.guard }
 func (t *Tenant) WakeGuard() *scaler.WakeGuard      { return t.wakeGuard }
 func (t *Tenant) Calibration() *cluster.Calibration { return t.cal }
-func (t *Tenant) Fan() *forecast.QuantileForecast   { return t.fan }
+func (t *Tenant) Fan() *forecast.QuantileForecast   { return t.round.Fan }
 
 func (t *Tenant) replayStep() int { return t.origin - t.TrainEnd }
 func (t *Tenant) theta() float64  { return t.Fingerprint.Theta }
@@ -402,7 +399,6 @@ func (t *Tenant) Start() (*persist.State, error) {
 		}
 		t.planner = t.guard
 	}
-	t.fans, _ = t.planner.(scaler.FanProvider)
 	// Scale actions go through retries and the circuit breaker: while the
 	// (possibly chaos-wrapped) control plane fails, the allocation holds.
 	apply := t.Plant.ScaleTo
@@ -481,10 +477,10 @@ func (t *Tenant) holdPlan(h int) []int {
 	return plan
 }
 
-// Plan runs the planning stage of one round: compute the plan (through
-// the warm fast path, the quarantine fallback, and any chaos injection
-// wired into the forecaster), shape it through the wake guard, and leave
-// it pending for admission and Apply. The reused history view shares the
+// Plan runs the planning stage of one round: take the round from the
+// tenant's strategy or the quarantine fallback (with any chaos injection
+// wired into the forecaster), shape its plan through the wake guard, and
+// leave it pending for admission and Apply. The reused history view shares the
 // trace's backing array, so warm forecasters see a continuous history
 // and the steady-state round allocates nothing. Plan writes only
 // tenant-owned state and process-wide atomic counters, preserving the
@@ -515,9 +511,9 @@ func (t *Tenant) Plan() error {
 		}
 		planner, reason = t.reactive, "quarantine"
 	}
-	plan, err := scaler.PlanRound(planner, hist, h, t.planBuf)
-	if plan != nil {
-		t.planBuf = plan
+	round, err := planner.PlanInto(hist, h, t.planBuf)
+	if round.Nodes != nil {
+		t.planBuf = round.Nodes
 	}
 	if err != nil {
 		err = fmt.Errorf("fleet: %s planning at %d: %w", t.ID, origin, err)
@@ -526,10 +522,9 @@ func (t *Tenant) Plan() error {
 			return err
 		}
 		t.holds++
-		plan = t.holdPlan(h)
+		round = scaler.Round{Nodes: t.holdPlan(h)}
 	}
-	t.pending = plan
-	t.roundPlanner = planner
+	t.round = round
 	t.shedRound = 0
 	t.shedReason = reason
 	if t.wakeGuard != nil {
@@ -538,7 +533,7 @@ func (t *Tenant) Plan() error {
 		// parked tenant's returning demand wakes it, and an open wake
 		// breaker floors everything at the keep-warm count.
 		recent := t.Series.Values[max(0, origin-h):origin]
-		t.wakeReason = t.wakeGuard.Shape(plan, scaler.Idle(plan, recent, t.IdleEps)).Reason()
+		t.wakeReason = t.wakeGuard.Shape(round.Nodes, scaler.Idle(round.Nodes, recent, t.IdleEps)).Reason()
 	}
 	t.planDur = time.Since(start).Seconds()
 	return err
@@ -552,20 +547,15 @@ func (t *Tenant) Plan() error {
 // the error that ended the loop, if any.
 func (t *Tenant) Apply() error {
 	start := time.Now()
-	origin, plan := t.origin, t.pending
+	origin, plan, fan := t.origin, t.round.Nodes, t.round.Fan
 	reason := t.shedReason
 	if reason == "" {
 		reason = t.wakeReason
 	}
-	scaler.RecordDecisionAdmitted(t.roundPlanner, t.ID, origin, t.Series.TimeAt(origin),
+	scaler.RecordDecisionAdmitted(t.round.Decision, t.ID, origin, t.Series.TimeAt(origin),
 		t.prevAlloc, plan, t.shedRound, reason)
-	var fan *forecast.QuantileForecast
-	if t.fans != nil && t.roundPlanner == t.planner {
-		// Quarantined rounds plan reactively; the predictive fan is stale
-		// then, so calibration only observes rounds its forecaster drove.
-		fan = t.fans.LastFan()
-	}
-	t.fan = fan
+	// A quarantined (reactive) or held round has no fan, so calibration
+	// only observes rounds its forecaster drove.
 	if fan != nil && t.cal == nil {
 		if cal, err := cluster.NewCalibration(fan.Levels, stepsPerDay()); err == nil {
 			t.armCalibration(cal)

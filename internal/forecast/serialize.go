@@ -1,6 +1,7 @@
 package forecast
 
 import (
+	"bufio"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -59,6 +60,18 @@ type neuralEnvelope struct {
 	Std     float64
 }
 
+// byteReader makes r safe to hand to several gob decoders in turn, which
+// is how every Load here reads its envelope and then its parameters: a
+// decoder reads ahead (and loses what it buffered) unless its source is
+// an io.ByteReader, so anything else — a file, a pipe — is buffered once
+// here.
+func byteReader(r io.Reader) io.Reader {
+	if _, ok := r.(io.ByteReader); ok {
+		return r
+	}
+	return bufio.NewReader(r)
+}
+
 // Save writes the trained network and normalization statistics.
 func (m *MLP) Save(w io.Writer) error {
 	if !m.fitted {
@@ -74,6 +87,7 @@ func (m *MLP) Save(w io.Writer) error {
 // Load restores a model saved by Save. The receiver must have been
 // constructed with the same MLPConfig.
 func (m *MLP) Load(r io.Reader) error {
+	r = byteReader(r)
 	var env neuralEnvelope
 	dec := gob.NewDecoder(r)
 	if err := dec.Decode(&env); err != nil {
@@ -107,6 +121,7 @@ func (d *DeepAR) Save(w io.Writer) error {
 // Load restores a model saved by Save. The receiver must have been
 // constructed with the same DeepARConfig.
 func (d *DeepAR) Load(r io.Reader) error {
+	r = byteReader(r)
 	var env neuralEnvelope
 	dec := gob.NewDecoder(r)
 	if err := dec.Decode(&env); err != nil {
@@ -140,6 +155,7 @@ func (m *TFT) Save(w io.Writer) error {
 // Load restores a model saved by Save. The receiver must have been
 // constructed with the same TFTConfig (including the quantile grid).
 func (m *TFT) Load(r io.Reader) error {
+	r = byteReader(r)
 	var env neuralEnvelope
 	dec := gob.NewDecoder(r)
 	if err := dec.Decode(&env); err != nil {
@@ -185,6 +201,7 @@ func (q *QB5000) Save(w io.Writer) error {
 // Load restores a model saved by Save. The receiver must have been
 // constructed with the same QB5000Config.
 func (q *QB5000) Load(r io.Reader) error {
+	r = byteReader(r)
 	var st qb5000State
 	dec := gob.NewDecoder(r)
 	if err := dec.Decode(&st); err != nil {

@@ -2,6 +2,9 @@ package forecast
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"robustscale/internal/timeseries"
@@ -184,5 +187,81 @@ func TestLoadGarbageFails(t *testing.T) {
 	}
 	if err := NewMLP(MLPConfig{}).Load(bytes.NewBufferString("junk")); err == nil {
 		t.Error("garbage should fail")
+	}
+}
+
+// TestLoadFromNonByteReader round-trips every snapshot that is more than
+// one gob stream (envelope, then parameters or members) through readers
+// that are not io.ByteReaders — a bare io.Reader and a real file, which
+// is what cmd/forecast hands Load. A gob decoder reads ahead on those, so
+// a Load that gives the raw reader to a second decoder loses bytes.
+func TestLoadFromNonByteReader(t *testing.T) {
+	s := noisySine(500, 24, 50, 10, 1, 36)
+	hist, _ := splitHoldout(s, 6)
+	type model interface {
+		Forecaster
+		Snapshotter
+	}
+	small := MLPConfig{Context: 24, Hidden: 8, Epochs: 2, Seed: 1, MaxWindows: 48}
+	cases := map[string]func() model{
+		"mlp":  func() model { return NewMLP(small) },
+		"qmlp": func() model { return NewQuantileMLP(small, []float64{0.1, 0.5, 0.9}) },
+		"deepar": func() model {
+			return NewDeepAR(DeepARConfig{Context: 24, Hidden: 8, Epochs: 2, Seed: 1, MaxWindows: 48, Samples: 20, TrainHorizon: 6})
+		},
+		"tft": func() model {
+			return NewTFT(TFTConfig{Context: 24, Hidden: 8, Epochs: 2, Seed: 1, MaxWindows: 48, Levels: []float64{0.1, 0.5, 0.9}, TrainHorizon: 6})
+		},
+		"qb5000": func() model {
+			return NewQB5000(QB5000Config{Context: 24, Hidden: 8, Epochs: 2, Seed: 1, MaxWindows: 48, TrainHorizon: 6})
+		},
+		"ensemble": func() model {
+			e := NewEnsemble(NewSeasonalNaive(24), NewQuantileMLP(small, []float64{0.1, 0.5, 0.9}))
+			e.Workers = 1
+			return e
+		},
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			m := build()
+			if err := m.Fit(hist); err != nil {
+				t.Fatal(err)
+			}
+			want, err := m.Predict(hist, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "model.gob")
+			if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			for via, r := range map[string]io.Reader{
+				"plain reader": struct{ io.Reader }{bytes.NewReader(buf.Bytes())},
+				"file":         f,
+			} {
+				m2 := build()
+				if err := m2.Load(r); err != nil {
+					t.Fatalf("%s: %v", via, err)
+				}
+				got, err := m2.Predict(hist, 6)
+				if err != nil {
+					t.Fatalf("%s: %v", via, err)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: prediction %d = %v, want %v", via, i, got[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }

@@ -130,6 +130,7 @@ func (m *QuantileMLP) Save(w io.Writer) error {
 // constructed with the same MLPConfig; the quantile grid is taken from
 // the snapshot (it determines the head width).
 func (m *QuantileMLP) Load(r io.Reader) error {
+	r = byteReader(r)
 	var env quantileMLPEnvelope
 	if err := gob.NewDecoder(r).Decode(&env); err != nil {
 		return fmt.Errorf("forecast: loading mlp-quantile: %w", err)
@@ -190,6 +191,7 @@ func (e *Ensemble) Save(w io.Writer) error {
 // restores their fitted state, not their construction); member names
 // are validated against the snapshot before any weight is touched.
 func (e *Ensemble) Load(r io.Reader) error {
+	r = byteReader(r)
 	var env ensembleEnvelope
 	if err := gob.NewDecoder(r).Decode(&env); err != nil {
 		return fmt.Errorf("forecast: loading ensemble: %w", err)

@@ -29,8 +29,8 @@ import (
 //     weights + history, so Save never writes it and Load always drops it.
 //   - Scratch-owned output: the returned *QuantileForecast is a buffer
 //     owned by the forecaster, valid until its next predict call (the same
-//     contract as DecisionProvider.LastDecision). Callers that retain a
-//     fan across rounds must copy it.
+//     contract as scaler.Round). Callers that retain a fan across rounds
+//     must copy it.
 //   - Single-goroutine: warm calls on one forecaster must not race. The
 //     cold PredictQuantiles path keeps per-call allocation and stays safe
 //     for concurrent use.

@@ -71,7 +71,7 @@ func BenchmarkRobustPlan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := strat.Plan(s, 72); err != nil {
+		if _, err := PlanRound(strat, s, 72, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

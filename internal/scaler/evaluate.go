@@ -19,10 +19,9 @@ type RateLimited struct {
 	// MaxDelta bounds the per-step node-count change.
 	MaxDelta int
 
-	last         int
-	lastDecision *obs.Decision
-	cachedName   string
-	innerBuf     []int
+	last       int
+	cachedName string
+	innerBuf   []int
 }
 
 // Name implements Strategy. The name is formatted once and cached so the
@@ -34,82 +33,58 @@ func (r *RateLimited) Name() string {
 	return r.cachedName
 }
 
-// LastDecision implements DecisionProvider: the wrapped strategy's
-// record with the constrained plan substituted and every step the rate
-// limit overrode re-labelled obs.BindingRateLimit.
-func (r *RateLimited) LastDecision() *obs.Decision { return r.lastDecision }
-
-// Plan implements Strategy.
-func (r *RateLimited) Plan(history *timeseries.Series, h int) ([]int, error) {
-	return r.plan(history, h, false)
-}
-
-// PlanInto implements InPlacePlanner: the inner plan runs on its fast
-// path into a reused buffer. The constrained dynamic program still
-// allocates (bounded by horizon and node range); dst is unused.
-func (r *RateLimited) PlanInto(history *timeseries.Series, h int, _ []int) ([]int, error) {
-	return r.plan(history, h, true)
-}
-
-func (r *RateLimited) plan(history *timeseries.Series, h int, fast bool) ([]int, error) {
-	var inner []int
-	var err error
-	if ipp, ok := r.Inner.(InPlacePlanner); fast && ok {
-		inner, err = ipp.PlanInto(history, h, r.innerBuf)
-		if inner != nil {
-			r.innerBuf = inner
-		}
-	} else {
-		inner, err = r.Inner.Plan(history, h)
-	}
+// PlanInto implements Strategy: the inner plan lands in a reused buffer;
+// the constrained dynamic program still allocates (bounded by horizon
+// and node range), so dst is unused. The round carries no fan — its
+// allocations come from the dynamic program, not a quantile path — and
+// the wrapped strategy's decision record with the constrained plan
+// substituted and every step the rate limit overrode re-labelled
+// obs.BindingRateLimit.
+func (r *RateLimited) PlanInto(history *timeseries.Series, h int, _ []int) (Round, error) {
+	inner, err := r.Inner.PlanInto(history, h, r.innerBuf)
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
+	r.innerBuf = inner.Nodes
 	initial := r.last
 	if initial < 1 {
 		initial = 1
 	}
 	sp := obs.DefaultTracer.Start("optimize")
-	plan, err := optimize.PlanConstrainedDemand(inner, optimize.ThrashingConfig{
+	plan, err := optimize.PlanConstrainedDemand(inner.Nodes, optimize.ThrashingConfig{
 		Initial:  initial,
 		MaxDelta: r.MaxDelta,
 	})
 	sp.End()
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
 	if len(plan) > 0 {
 		r.last = plan[len(plan)-1]
 	}
+	round := Round{Nodes: plan}
 	if obs.DefaultDecisions.Enabled() {
-		r.lastDecision = r.decision(inner, plan)
-	} else if r.lastDecision != nil {
-		r.lastDecision = nil
+		round.Decision = r.decision(inner, plan)
 	}
-	return plan, nil
+	return round, nil
 }
 
-// decision derives the wrapper's record from the inner strategy's.
-func (r *RateLimited) decision(inner, plan []int) *obs.Decision {
-	d := &obs.Decision{Strategy: r.Name(), Horizon: len(plan), Nodes: plan}
-	if dp, ok := r.Inner.(DecisionProvider); ok {
-		if id := dp.LastDecision(); id != nil {
-			copied := *id
-			copied.Strategy = r.Name()
-			copied.Nodes = plan
-			if len(id.Binding) == len(plan) && len(inner) == len(plan) {
-				binding := append([]string(nil), id.Binding...)
-				for i := range plan {
-					if plan[i] != inner[i] {
-						binding[i] = obs.BindingRateLimit
-					}
+// decision derives the wrapper's record from the inner round's.
+func (r *RateLimited) decision(inner Round, plan []int) *obs.Decision {
+	d := obs.Decision{Horizon: len(plan)}
+	if id := inner.Decision; id != nil {
+		d = *id
+		if len(id.Binding) == len(plan) && len(inner.Nodes) == len(plan) {
+			d.Binding = append([]string(nil), id.Binding...)
+			for i := range plan {
+				if plan[i] != inner.Nodes[i] {
+					d.Binding[i] = obs.BindingRateLimit
 				}
-				copied.Binding = binding
 			}
-			d = &copied
 		}
 	}
-	return d
+	d.Strategy, d.Nodes = r.Name(), plan
+	return &d
 }
 
 // Observe forwards realized workloads to the wrapped strategy.
@@ -170,15 +145,16 @@ func Evaluate(strategy Strategy, s *timeseries.Series, cfg EvalConfig) (*EvalRes
 	allocations := make([]int, 0, rounds*cfg.Horizon)
 	actuals := make([]float64, 0, rounds*cfg.Horizon)
 	// One reusable history view and plan buffer keep the steady-state
-	// round allocation-free for in-place strategies: the view shares the
-	// series' backing array, so warm forecasters see a continuous history.
+	// round allocation-free: the view shares the series' backing array,
+	// so warm forecasters see a continuous history.
 	view := &timeseries.Series{Name: s.Name, Start: s.Start, Step: s.Step}
 	var planBuf []int
 	prev := 0
 	for origin := cfg.Start; origin+cfg.Horizon <= s.Len(); origin += cfg.Horizon {
 		sp := obs.DefaultTracer.Start("plan-round")
 		view.Values = s.Values[:origin]
-		plan, err := PlanRound(strategy, view, cfg.Horizon, planBuf)
+		round, err := strategy.PlanInto(view, cfg.Horizon, planBuf)
+		plan := round.Nodes
 		if plan != nil {
 			planBuf = plan
 		}
@@ -194,7 +170,7 @@ func Evaluate(strategy Strategy, s *timeseries.Series, cfg EvalConfig) (*EvalRes
 		if sp.Active() || obs.DefaultDecisions.Enabled() {
 			at := s.TimeAt(origin)
 			sp.EndVirtual(at)
-			RecordDecisionAdmitted(strategy, cfg.tenant(), origin, at, prev, plan, 0, "")
+			RecordDecisionAdmitted(round.Decision, cfg.tenant(), origin, at, prev, plan, 0, "")
 		}
 		prev = plan[len(plan)-1]
 		realized := s.Values[origin : origin+cfg.Horizon]

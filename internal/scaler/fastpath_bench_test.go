@@ -10,7 +10,8 @@ import (
 // the high-frequency reactive cadence) per strategy stack. The history
 // view is reused across iterations like the daemon's control loop, so the
 // reactive sub-benchmarks are allocation-free and the deepar-warm one
-// exercises the incremental forecaster rather than reconditioning.
+// exercises the incremental forecaster rather than reconditioning;
+// deepar-cold hides that interface, so every round reconditions.
 //
 // scripts/bench_plan_round.sh gates CI on these numbers: allocs/op must
 // match BENCH_plan_round.json exactly, ns/op must stay within tolerance,
@@ -21,35 +22,24 @@ func BenchmarkPlanRound(b *testing.B) {
 	const origin = 350
 	const h = 1
 
-	run := func(b *testing.B, strat Strategy, fast bool) {
+	// reuse = false is the one-shot caller: a fresh plan buffer per round.
+	run := func(b *testing.B, strat Strategy, reuse bool) {
 		view := &timeseries.Series{Name: s.Name, Start: s.Start, Step: s.Step}
 		view.Values = s.Values[:origin]
 		var buf []int
-		var err error
-		ipp, _ := strat.(InPlacePlanner)
-		// Prime scratch buffers and warm caches outside the timed region,
-		// as in the daemon's steady state.
-		for i := 0; i < 2; i++ {
-			if fast {
-				buf, err = ipp.PlanInto(view, h, buf)
-			} else {
-				_, err = strat.Plan(view, h)
+		// The first two rounds prime scratch buffers and warm caches outside
+		// the timed region, as in the daemon's steady state.
+		for i := -2; i < b.N; i++ {
+			if i == 0 {
+				b.ReportAllocs()
+				b.ResetTimer()
 			}
+			round, err := strat.PlanInto(view, h, buf)
 			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if fast {
-				if buf, err = ipp.PlanInto(view, h, buf); err != nil {
-					b.Fatal(err)
-				}
-			} else {
-				if _, err = strat.Plan(view, h); err != nil {
-					b.Fatal(err)
-				}
+			if reuse {
+				buf = round.Nodes
 			}
 		}
 	}
@@ -67,7 +57,7 @@ func BenchmarkPlanRound(b *testing.B) {
 		}, true)
 	})
 	b.Run("deepar-cold", func(b *testing.B) {
-		run(b, &Robust{Forecaster: smallWarmDeepAR(b, train), Tau: 0.9, Theta: 10}, false)
+		run(b, &Robust{Forecaster: cold{smallWarmDeepAR(b, train)}, Tau: 0.9, Theta: 10}, false)
 	})
 	b.Run("deepar-warm", func(b *testing.B) {
 		run(b, &Robust{Forecaster: smallWarmDeepAR(b, train), Tau: 0.9, Theta: 10}, true)

@@ -32,32 +32,42 @@ func smallWarmDeepAR(t testing.TB, train *timeseries.Series) *forecast.DeepAR {
 	return m
 }
 
-// TestPlanIntoMatchesPlan drives twin strategy stacks — one through Plan,
-// one through PlanInto over a sliding shared-array history — and requires
-// identical plans every round. This is the strategy-level face of the
-// warm/cold bit-identity contract.
+// cold hides a forecaster's incremental interface, so a strategy over it
+// forecasts every round from scratch: the reference the warm path must
+// reproduce.
+type cold struct{ forecast.QuantileForecaster }
+
+// TestPlanIntoMatchesPlan drives twin strategy stacks over a sliding
+// shared-array history — the reference over a cold forecaster into a
+// fresh buffer, the other over the warm forecaster into a reused one —
+// and requires identical plans every round. This is the strategy-level
+// face of the warm/cold bit-identity contract.
 func TestPlanIntoMatchesPlan(t *testing.T) {
 	s := fastpathSeries(400)
 	train := s.Slice(0, 300)
 
 	cases := []struct {
 		name string
-		make func() Strategy
+		make func(qf forecast.QuantileForecaster) Strategy
 	}{
-		{"reactive-max", func() Strategy { return &ReactiveMax{Window: 6, Theta: 10} }},
-		{"reactive-avg", func() Strategy { return &ReactiveAvg{Window: 6, HalfLife: 6, Theta: 10} }},
-		{"robust-deepar", func() Strategy {
-			return &Robust{Forecaster: smallWarmDeepAR(t, train), Tau: 0.9, Theta: 10}
+		{"reactive-max", func(forecast.QuantileForecaster) Strategy {
+			return &ReactiveMax{Window: 6, Theta: 10}
 		}},
-		{"adaptive-deepar", func() Strategy {
-			return &Adaptive{Forecaster: smallWarmDeepAR(t, train), Tau1: 0.8, Tau2: 0.95, Rho: 5, Theta: 10}
+		{"reactive-avg", func(forecast.QuantileForecaster) Strategy {
+			return &ReactiveAvg{Window: 6, HalfLife: 6, Theta: 10}
 		}},
-		{"ratelimited-robust", func() Strategy {
-			return &RateLimited{Inner: &Robust{Forecaster: smallWarmDeepAR(t, train), Tau: 0.9, Theta: 10}, MaxDelta: 1}
+		{"robust-deepar", func(qf forecast.QuantileForecaster) Strategy {
+			return &Robust{Forecaster: qf, Tau: 0.9, Theta: 10}
 		}},
-		{"guard-robust", func() Strategy {
+		{"adaptive-deepar", func(qf forecast.QuantileForecaster) Strategy {
+			return &Adaptive{Forecaster: qf, Tau1: 0.8, Tau2: 0.95, Rho: 5, Theta: 10}
+		}},
+		{"ratelimited-robust", func(qf forecast.QuantileForecaster) Strategy {
+			return &RateLimited{Inner: &Robust{Forecaster: qf, Tau: 0.9, Theta: 10}, MaxDelta: 1}
+		}},
+		{"guard-robust", func(qf forecast.QuantileForecaster) Strategy {
 			return &Guard{
-				Inner:  &Robust{Forecaster: smallWarmDeepAR(t, train), Tau: 0.9, Theta: 10},
+				Inner:  &Robust{Forecaster: qf, Tau: 0.9, Theta: 10},
 				Config: GuardConfig{Theta: 10, Tau: 0.9},
 			}
 		}},
@@ -65,19 +75,15 @@ func TestPlanIntoMatchesPlan(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			slow, fast := tc.make(), tc.make()
-			ipp, ok := fast.(InPlacePlanner)
-			if !ok {
-				t.Fatalf("%s does not implement InPlacePlanner", fast.Name())
-			}
+			ref, warm := tc.make(cold{smallWarmDeepAR(t, train)}), tc.make(smallWarmDeepAR(t, train))
 			var buf []int
 			for _, origin := range []int{310, 311, 312, 315, 318, 330} {
 				hist := s.Slice(0, origin)
-				want, err := slow.Plan(hist, 4)
+				want, err := PlanRound(ref, hist, 4, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ipp.PlanInto(hist, 4, buf)
+				got, err := PlanRound(warm, hist, 4, buf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,7 +93,7 @@ func TestPlanIntoMatchesPlan(t *testing.T) {
 				}
 				for i := range want {
 					if want[i] != got[i] {
-						t.Fatalf("origin %d step %d: Plan %d != PlanInto %d (%v vs %v)",
+						t.Fatalf("origin %d step %d: cold %d != warm %d (%v vs %v)",
 							origin, i, want[i], got[i], want, got)
 					}
 				}
@@ -97,10 +103,11 @@ func TestPlanIntoMatchesPlan(t *testing.T) {
 }
 
 // TestPlanIntoMatchesPlanThroughDegradation exercises the guard's
-// fallback ladder on the fast path: twin guarded stacks degrade when the
-// health hook trips, recover when it clears, and agree with each other
-// bit-for-bit the whole way — including the rounds right after recovery,
-// where warm forecasters recondition.
+// fallback ladder over a warm forecaster: twin guarded stacks, one cold
+// and one warm, degrade when the health hook trips, recover when it
+// clears, and agree with each other bit-for-bit the whole way —
+// including the rounds right after recovery, where warm forecasters
+// recondition.
 func TestPlanIntoMatchesPlanThroughDegradation(t *testing.T) {
 	s := fastpathSeries(400)
 	train := s.Slice(0, 300)
@@ -111,38 +118,38 @@ func TestPlanIntoMatchesPlanThroughDegradation(t *testing.T) {
 		}
 		return false, "forced degradation"
 	}
-	mk := func() *Guard {
+	mk := func(qf forecast.QuantileForecaster) *Guard {
 		return &Guard{
-			Inner:  &Robust{Forecaster: smallWarmDeepAR(t, train), Tau: 0.9, Theta: 10},
+			Inner:  &Robust{Forecaster: qf, Tau: 0.9, Theta: 10},
 			Config: GuardConfig{Theta: 10, Tau: 0.9},
 			Health: health,
 		}
 	}
-	slow, fast := mk(), mk()
+	ref, warm := mk(cold{smallWarmDeepAR(t, train)}), mk(smallWarmDeepAR(t, train))
 	var buf []int
 	degraded := false
 	for round, origin := 0, 310; origin < 330; round, origin = round+1, origin+1 {
 		healthy = round < 5 || round >= 12
 		hist := s.Slice(0, origin)
-		want, err := slow.Plan(hist, 4)
+		want, err := PlanRound(ref, hist, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fast.PlanInto(hist, 4, buf)
+		got, err := PlanRound(warm, hist, 4, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		buf = got
 		for i := range want {
 			if want[i] != got[i] {
-				t.Fatalf("round %d (healthy=%v) step %d: Plan %d != PlanInto %d",
+				t.Fatalf("round %d (healthy=%v) step %d: cold %d != warm %d",
 					round, healthy, i, want[i], got[i])
 			}
 		}
-		if fast.Mode() != slow.Mode() {
-			t.Fatalf("round %d: guard modes diverged: %v vs %v", round, slow.Mode(), fast.Mode())
+		if warm.Mode() != ref.Mode() {
+			t.Fatalf("round %d: guard modes diverged: %v vs %v", round, ref.Mode(), warm.Mode())
 		}
-		if fast.Mode() != ModeNormal {
+		if warm.Mode() != ModeNormal {
 			degraded = true
 		}
 	}
@@ -159,18 +166,18 @@ func TestPlanRoundAllocs(t *testing.T) {
 	s := fastpathSeries(400)
 	hist := s.Slice(0, 350)
 
-	check := func(name string, limit float64, ipp InPlacePlanner) {
+	check := func(name string, limit float64, strat Strategy) {
 		var buf []int
 		var err error
 		// Warm caches and scratch buffers are grown outside the
 		// measurement, as in the daemon's steady state.
 		for i := 0; i < 3; i++ {
-			if buf, err = ipp.PlanInto(hist, 1, buf); err != nil {
+			if buf, err = PlanRound(strat, hist, 1, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if buf, err = ipp.PlanInto(hist, 1, buf); err != nil {
+			if buf, err = PlanRound(strat, hist, 1, buf); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -112,9 +112,13 @@ func (c GuardConfig) withDefaults() GuardConfig {
 // inner plan is returned bit-identical — so it can wrap every production
 // control loop unconditionally.
 //
-// Guard implements Strategy, FanProvider, Observer and DecisionProvider.
-// It is not safe for concurrent Plan calls (neither are the strategies it
-// wraps).
+// The Round it returns is the one that actually drove the plan: the inner
+// strategy's own after a normal round; the inner fan (repaired in place)
+// with the guard's degraded record in repair mode; the retained fan in
+// last-known-good mode; no fan in reactive mode.
+//
+// Guard implements Strategy and Observer. It is not safe for concurrent
+// PlanInto calls (neither are the strategies it wraps).
 type Guard struct {
 	// Inner is the primary strategy.
 	Inner Strategy
@@ -129,11 +133,14 @@ type Guard struct {
 	// time.Now.
 	Clock func() time.Time
 
-	mode         DegradationMode
-	lastReason   string
-	lastGoodFan  *forecast.QuantileForecast
-	lastDecision *obs.Decision
-	fallback     Strategy
+	mode        DegradationMode
+	lastReason  string
+	lastGoodFan *forecast.QuantileForecast
+	// decision is the scratch of the degraded path records; last the
+	// round most recently returned, which only the LastFan shim reads.
+	decision *obs.Decision
+	last     Round
+	fallback Strategy
 	// degradedRounds counts rounds that engaged any fallback mode.
 	degradedRounds int
 }
@@ -158,35 +165,8 @@ func (g *Guard) LastReason() string {
 // DegradedRounds returns how many planning rounds engaged any fallback.
 func (g *Guard) DegradedRounds() int { return g.degradedRounds }
 
-// LastFan implements FanProvider: the fan that actually drove the most
-// recent plan — the inner strategy's (possibly repaired in place) fan in
-// normal and repair modes, the retained fan in last-known-good mode, and
-// nil in reactive mode.
-func (g *Guard) LastFan() *forecast.QuantileForecast {
-	switch g.mode {
-	case ModeLastKnownGood:
-		return g.lastGoodFan
-	case ModeReactive:
-		return nil
-	default:
-		if fp, ok := g.Inner.(FanProvider); ok {
-			return fp.LastFan()
-		}
-		return nil
-	}
-}
-
-// LastDecision implements DecisionProvider: the inner strategy's record
-// after a normal round, the guard's degraded record otherwise.
-func (g *Guard) LastDecision() *obs.Decision {
-	if g.mode == ModeNormal {
-		if dp, ok := g.Inner.(DecisionProvider); ok {
-			return dp.LastDecision()
-		}
-		return nil
-	}
-	return g.lastDecision
-}
+// LastFan implements FanProvider (the bench/ shim).
+func (g *Guard) LastFan() *forecast.QuantileForecast { return g.last.Fan }
 
 // Observe implements Observer, forwarding realized workloads to the
 // inner strategy (and the fallback rule, if it learns).
@@ -201,106 +181,90 @@ func (g *Guard) Observe(actual []float64) {
 	}
 }
 
-// Plan implements Strategy: the guarded control loop of one round.
-func (g *Guard) Plan(history *timeseries.Series, h int) ([]int, error) {
-	return g.plan(history, h, nil, false)
+// PlanInto implements Strategy: the guarded control loop of one round.
+// The inner strategy plans as it always does (warm forecasts, reused
+// buffers) while every rung of the ladder stays armed. A history
+// sanitized onto a copy no longer shares its backing array with the live
+// series, so warm forecasters self-invalidate and rebuild cold —
+// bit-identical by the warm contract.
+func (g *Guard) PlanInto(history *timeseries.Series, h int, dst []int) (Round, error) {
+	round, err := g.guarded(history, h, dst)
+	g.last = round
+	return round, err
 }
 
-// PlanInto implements InPlacePlanner: the inner strategy plans on its
-// fast path (warm forecasts, reused buffers) while every rung of the
-// guard ladder stays armed. A history sanitized onto a copy no longer
-// shares its backing array with the live series, so warm forecasters
-// self-invalidate and rebuild cold — bit-identical by the warm contract.
-func (g *Guard) PlanInto(history *timeseries.Series, h int, dst []int) ([]int, error) {
-	return g.plan(history, h, dst, true)
-}
-
-func (g *Guard) plan(history *timeseries.Series, h int, dst []int, fast bool) ([]int, error) {
+func (g *Guard) guarded(history *timeseries.Series, h int, dst []int) (Round, error) {
 	if g.Inner == nil {
-		return nil, fmt.Errorf("scaler: guard has no inner strategy")
+		return Round{}, fmt.Errorf("scaler: guard has no inner strategy")
 	}
 	cfg := g.Config.withDefaults()
 	if cfg.Theta <= 0 {
-		return nil, fmt.Errorf("scaler: guard threshold %v", cfg.Theta)
+		return Round{}, fmt.Errorf("scaler: guard threshold %v", cfg.Theta)
 	}
 	if cfg.Tau <= 0 || cfg.Tau >= 1 {
-		return nil, fmt.Errorf("scaler: guard quantile level %v outside (0, 1)", cfg.Tau)
+		return Round{}, fmt.Errorf("scaler: guard quantile level %v outside (0, 1)", cfg.Tau)
 	}
 	hist := g.sanitizeHistory(history)
 	if g.Health != nil {
 		if ok, why := g.Health(); !ok {
-			return g.fallbackPlan(hist, h, cfg, "calibration breach: "+why)
+			return g.fallbackRound(hist, h, cfg, "calibration breach: "+why)
 		}
 	}
-	var plan []int
-	var err error
-	if ipp, ok := g.Inner.(InPlacePlanner); fast && ok {
-		plan, err = ipp.PlanInto(hist, h, dst)
-	} else {
-		plan, err = g.Inner.Plan(hist, h)
-	}
+	round, err := g.Inner.PlanInto(hist, h, dst)
 	if err != nil {
-		return g.fallbackPlan(hist, h, cfg, fmt.Sprintf("forecaster error: %v", err))
+		return g.fallbackRound(hist, h, cfg, fmt.Sprintf("forecaster error: %v", err))
 	}
 	bound := g.sanityBound(hist, cfg)
-	var fan *forecast.QuantileForecast
-	if fp, ok := g.Inner.(FanProvider); ok {
-		fan = fp.LastFan()
-	}
-	if fan == nil {
+	if round.Fan == nil {
 		// Reactive or point-forecast inner: nothing to repair but the
 		// plan itself, clamped against the sanity bound.
-		if clamps := clampPlan(plan, bound, cfg.Theta); clamps > 0 {
+		if clamps := clampPlan(round.Nodes, bound, cfg.Theta); clamps > 0 {
 			guardFanRepairs.Add(float64(clamps))
 			g.enterMode(ModeRepair, fmt.Sprintf("clamped %d blown-up plan steps", clamps))
-			g.setPathDecision(cfg, nil, plan, h, ModeRepair)
-			return plan, nil
+			round.Decision = g.degraded(round.Decision, round.Nodes, cfg, ModeRepair)
+			return round, nil
 		}
 		g.recover()
-		return plan, nil
+		return round, nil
 	}
-	repairs, err := RepairFan(fan, bound)
+	repairs, err := RepairFan(round.Fan, bound)
 	if err != nil {
-		return g.fallbackPlan(hist, h, cfg, fmt.Sprintf("unrepairable fan: %v", err))
+		return g.fallbackRound(hist, h, cfg, fmt.Sprintf("unrepairable fan: %v", err))
 	}
 	if repairs > 0 {
 		guardFanRepairs.Add(float64(repairs))
-		plan, path, err := planFromFan(fan, h, cfg.Tau, cfg.Theta)
+		plan, path, err := planFromFan(round.Fan, h, cfg.Tau, cfg.Theta)
 		if err != nil {
-			return g.fallbackPlan(hist, h, cfg, fmt.Sprintf("replanning repaired fan: %v", err))
+			return g.fallbackRound(hist, h, cfg, fmt.Sprintf("replanning repaired fan: %v", err))
 		}
 		g.enterMode(ModeRepair, fmt.Sprintf("repaired %d fan entries", repairs))
-		g.storeLastGood(fan)
-		g.setPathDecision(cfg, path, plan, h, ModeRepair)
-		return plan, nil
+		g.storeLastGood(round.Fan)
+		return Round{Nodes: plan, Fan: round.Fan, Decision: g.pathDecision(cfg, path, plan, ModeRepair)}, nil
 	}
 	g.recover()
-	g.storeLastGood(fan)
-	return plan, nil
+	g.storeLastGood(round.Fan)
+	return round, nil
 }
 
-// fallbackPlan walks the remaining rungs of the ladder: last-known-good
+// fallbackRound walks the remaining rungs of the ladder: last-known-good
 // fan, then the reactive threshold rule.
-func (g *Guard) fallbackPlan(hist *timeseries.Series, h int, cfg GuardConfig, why string) ([]int, error) {
+func (g *Guard) fallbackRound(hist *timeseries.Series, h int, cfg GuardConfig, why string) (Round, error) {
 	sp := obs.DefaultTracer.Start("guard-fallback")
 	defer sp.End()
 	if g.lastGoodFan != nil {
 		plan, path, err := planFromFan(g.lastGoodFan, h, cfg.Tau, cfg.Theta)
 		if err == nil {
 			g.enterMode(ModeLastKnownGood, why)
-			g.setPathDecision(cfg, path, plan, h, ModeLastKnownGood)
-			return plan, nil
+			return Round{Nodes: plan, Fan: g.lastGoodFan, Decision: g.pathDecision(cfg, path, plan, ModeLastKnownGood)}, nil
 		}
 		why = fmt.Sprintf("%s; last-known-good replan failed: %v", why, err)
 	}
-	fb := g.fallbackStrategy(cfg)
-	plan, err := fb.Plan(hist, h)
+	round, err := g.fallbackStrategy(cfg).PlanInto(hist, h, nil)
 	if err != nil {
-		return nil, fmt.Errorf("scaler: guard fallback ladder exhausted (%s): %w", why, err)
+		return Round{}, fmt.Errorf("scaler: guard fallback ladder exhausted (%s): %w", why, err)
 	}
 	g.enterMode(ModeReactive, why)
-	g.setFallbackDecision(fb, plan, h, cfg)
-	return plan, nil
+	return Round{Nodes: round.Nodes, Decision: g.degraded(round.Decision, round.Nodes, cfg, ModeReactive)}, nil
 }
 
 // fallbackStrategy returns the reactive rung, building the default
@@ -477,7 +441,6 @@ func (g *Guard) recover() {
 	}
 	g.mode = ModeNormal
 	g.lastReason = ""
-	g.lastDecision = nil
 	degradationMode.Set(0)
 }
 
@@ -488,63 +451,38 @@ func (g *Guard) now() time.Time {
 	return time.Now()
 }
 
-// setPathDecision assembles the degraded decision record for a plan
-// driven by a quantile path (repair and last-known-good modes). path may
-// be nil for clamp-only repairs, leaving the inner record's audit fields
-// in place.
-func (g *Guard) setPathDecision(cfg GuardConfig, path []float64, plan []int, h int, mode DegradationMode) {
+// pathDecision assembles the degraded decision record of a plan the
+// guard drove along a fan's Tau-quantile path (repair and
+// last-known-good modes).
+func (g *Guard) pathDecision(cfg GuardConfig, path []float64, plan []int, mode DegradationMode) *obs.Decision {
 	if !obs.DefaultDecisions.Enabled() {
-		g.lastDecision = nil
-		return
+		return nil
 	}
-	if path == nil {
-		// Clamp-only repair: reuse the inner record, overriding the plan.
-		if dp, ok := g.Inner.(DecisionProvider); ok {
-			if d := dp.LastDecision(); d != nil {
-				copied := *d
-				copied.Nodes = plan
-				copied.Degraded = mode.String()
-				copied.DegradedReason = g.lastReason
-				g.lastDecision = &copied
-				return
-			}
-		}
-		g.lastDecision = &obs.Decision{
-			Strategy: g.Name(), Horizon: h, Theta: cfg.Theta, Nodes: plan,
-			Degraded: mode.String(), DegradedReason: g.lastReason,
-		}
-		return
-	}
-	d := pathDecision(g.lastDecision, g.Name(), cfg.Theta, path, plan)
-	d.Tau = resizeFloats(d.Tau, h)
+	d := pathDecision(g.decision, g.Name(), cfg.Theta, path, plan)
+	d.Tau = resizeFloats(d.Tau, len(path))
 	for t := range d.Tau {
 		d.Tau[t] = cfg.Tau
 	}
 	d.Tau1, d.Tau2 = cfg.Tau, cfg.Tau
 	d.Degraded = mode.String()
 	d.DegradedReason = g.lastReason
-	g.lastDecision = d
+	g.decision = d
+	return d
 }
 
-// setFallbackDecision derives the reactive rung's decision record from
-// the fallback strategy, annotated with the degradation context.
-func (g *Guard) setFallbackDecision(fb Strategy, plan []int, h int, cfg GuardConfig) {
+// degraded derives the record of a round the guard altered without a
+// fan — a clamped inner plan, or the reactive rung — from the record of
+// the strategy that planned it (a bare one when it keeps none),
+// annotated with the degradation context.
+func (g *Guard) degraded(from *obs.Decision, plan []int, cfg GuardConfig, mode DegradationMode) *obs.Decision {
 	if !obs.DefaultDecisions.Enabled() {
-		g.lastDecision = nil
-		return
+		return nil
 	}
-	var d *obs.Decision
-	if dp, ok := fb.(DecisionProvider); ok {
-		if inner := dp.LastDecision(); inner != nil {
-			copied := *inner
-			d = &copied
-		}
+	d := obs.Decision{Horizon: len(plan), Theta: cfg.Theta}
+	if from != nil {
+		d = *from
 	}
-	if d == nil {
-		d = &obs.Decision{Strategy: g.Name(), Horizon: h, Theta: cfg.Theta, Nodes: plan}
-	}
-	d.Strategy = g.Name()
-	d.Degraded = ModeReactive.String()
-	d.DegradedReason = g.lastReason
-	g.lastDecision = d
+	d.Strategy, d.Nodes = g.Name(), plan
+	d.Degraded, d.DegradedReason = mode.String(), g.lastReason
+	return &d
 }

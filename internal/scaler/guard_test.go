@@ -55,17 +55,17 @@ func TestGuardTransparentPassthrough(t *testing.T) {
 	hist := series(10, 12, 11, 10, 12, 11)
 
 	bare := &Robust{Forecaster: &guardQF{fakeQF: flatBase(30, h)}, Tau: 0.9, Theta: theta}
-	want, err := bare.Plan(hist, h)
+	want, err := PlanRound(bare, hist, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	g, inner := newGuarded(&guardQF{fakeQF: flatBase(30, h)}, theta)
-	got, err := g.Plan(hist, h)
+	round, err := g.PlanInto(hist, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if got := round.Nodes; !reflect.DeepEqual(got, want) {
 		t.Errorf("guarded plan %v differs from bare plan %v", got, want)
 	}
 	if g.Mode() != ModeNormal {
@@ -74,7 +74,7 @@ func TestGuardTransparentPassthrough(t *testing.T) {
 	if g.Name() != inner.Name() {
 		t.Errorf("guard name %q should be transparent, inner is %q", g.Name(), inner.Name())
 	}
-	if g.LastFan() == nil {
+	if round.Fan == nil {
 		t.Error("healthy round should expose the inner fan")
 	}
 	if g.LastReason() != "" {
@@ -95,19 +95,19 @@ func TestGuardRepairsPoisonedFan(t *testing.T) {
 		f.Values[2][0] = math.Inf(1)
 	}
 	g, _ := newGuarded(qf, theta)
-	plan, err := g.Plan(series(10, 12, 11, 10, 12, 11), h)
+	round, err := g.PlanInto(series(10, 12, 11, 10, 12, 11), h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Mode() != ModeRepair {
 		t.Fatalf("mode = %v, want repair", g.Mode())
 	}
-	for i, n := range plan {
+	for i, n := range round.Nodes {
 		if n < 1 || n > 100 {
 			t.Errorf("plan[%d] = %d after repair", i, n)
 		}
 	}
-	d := g.LastDecision()
+	d := round.Decision
 	if d == nil || d.Degraded != "repair" {
 		t.Fatalf("decision = %+v, want degraded repair", d)
 	}
@@ -125,14 +125,14 @@ func TestGuardLastKnownGoodThenReactive(t *testing.T) {
 	qf := &guardQF{fakeQF: flatBase(40, h)}
 	g, _ := newGuarded(qf, theta)
 
-	healthy, err := g.Plan(hist, h)
+	healthy, err := PlanRound(g, hist, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Forecaster dies: the guard replans from the retained fan.
 	qf.fail = true
-	plan, err := g.Plan(hist, h)
+	plan, err := PlanRound(g, hist, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +144,10 @@ func TestGuardLastKnownGoodThenReactive(t *testing.T) {
 	if !reflect.DeepEqual(plan, healthy) {
 		t.Errorf("last-known-good plan %v, healthy plan %v", plan, healthy)
 	}
-	if g.LastFan() == nil {
-		t.Error("last-known-good round should expose the retained fan")
-	}
 
 	// A fresh guard with no retained fan drops to the reactive rung.
 	g2, _ := newGuarded(qf, theta)
-	plan2, err := g2.Plan(hist, h)
+	plan2, err := PlanRound(g2, hist, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +160,6 @@ func TestGuardLastKnownGoodThenReactive(t *testing.T) {
 			t.Errorf("reactive plan[%d] = %d, want 5", i, n)
 		}
 	}
-	if g2.LastFan() != nil {
-		t.Error("reactive round has no fan")
-	}
 	if g2.DegradedRounds() != 1 {
 		t.Errorf("degraded rounds = %d, want 1", g2.DegradedRounds())
 	}
@@ -175,7 +169,7 @@ func TestGuardHealthGateSkipsInner(t *testing.T) {
 	qf := &guardQF{fakeQF: flatBase(40, 3)}
 	g, _ := newGuarded(qf, 10)
 	g.Health = func() (bool, string) { return false, "coverage 0.61 below slack" }
-	plan, err := g.Plan(series(10, 50, 30, 20), 3)
+	plan, err := PlanRound(g, series(10, 50, 30, 20), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +188,7 @@ func TestGuardHealthGateSkipsInner(t *testing.T) {
 
 	// Health recovers: the next round is normal again.
 	g.Health = func() (bool, string) { return true, "" }
-	if _, err := g.Plan(series(10, 50, 30, 20), 3); err != nil {
+	if _, err := PlanRound(g, series(10, 50, 30, 20), 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	if g.Mode() != ModeNormal {
@@ -206,7 +200,7 @@ func TestGuardLadderExhausted(t *testing.T) {
 	qf := &guardQF{fakeQF: flatBase(40, 3), fail: true}
 	g, _ := newGuarded(qf, 10)
 	// Empty history: the reactive rung cannot plan either.
-	if _, err := g.Plan(series(), 3); err == nil {
+	if _, err := PlanRound(g, series(), 3, nil); err == nil {
 		t.Fatal("exhausted ladder should error")
 	}
 }
@@ -216,7 +210,7 @@ func TestGuardSanitizesHistory(t *testing.T) {
 	qf := &guardQF{fakeQF: flatBase(40, h)}
 	g, _ := newGuarded(qf, 10)
 	hist := series(10, math.NaN(), 12, math.Inf(1), 11)
-	if _, err := g.Plan(hist, h); err != nil {
+	if _, err := PlanRound(g, hist, h, nil); err != nil {
 		t.Fatal(err)
 	}
 	if qf.lastHist == nil {
@@ -250,7 +244,7 @@ func TestGuardClampsBlowup(t *testing.T) {
 	g, _ := newGuarded(qf, theta)
 	// History max 50, default blowup factor 8: bound 400 -> at most 40
 	// nodes despite the 1e9x fan.
-	plan, err := g.Plan(series(10, 50, 30, 20), h)
+	plan, err := PlanRound(g, series(10, 50, 30, 20), h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +274,8 @@ type observeSpy struct {
 }
 
 func (s *observeSpy) Name() string { return "spy" }
-func (s *observeSpy) Plan(*timeseries.Series, int) ([]int, error) {
-	return []int{1}, nil
+func (s *observeSpy) PlanInto(*timeseries.Series, int, []int) (Round, error) {
+	return Round{Nodes: []int{1}}, nil
 }
 func (s *observeSpy) Observe(actual []float64) { s.got += len(actual) }
 
@@ -297,14 +291,14 @@ func TestGuardLadderReentry(t *testing.T) {
 	// retained fan lands on the bottom rung.
 	qf := &guardQF{fakeQF: flatBase(40, h), fail: true}
 	g, _ := newGuarded(qf, theta)
-	if _, err := g.Plan(hist, h); err != nil {
+	if _, err := PlanRound(g, hist, h, nil); err != nil {
 		t.Fatal(err)
 	}
 	if g.Mode() != ModeReactive {
 		t.Fatalf("mode = %v, want reactive", g.Mode())
 	}
 	qf.fail = false
-	plan, err := g.Plan(hist, h)
+	plan, err := PlanRound(g, hist, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +310,7 @@ func TestGuardLadderReentry(t *testing.T) {
 	}
 	// The recovered plan matches an always-healthy guard's bit for bit.
 	ref, _ := newGuarded(&guardQF{fakeQF: flatBase(40, h)}, theta)
-	want, err := ref.Plan(hist, h)
+	want, err := PlanRound(ref, hist, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +326,11 @@ func TestGuardLadderReentry(t *testing.T) {
 	// pre-outage one.
 	qf2 := &guardQF{fakeQF: flatBase(40, h)}
 	g2, _ := newGuarded(qf2, theta)
-	if _, err := g2.Plan(hist, h); err != nil {
+	if _, err := PlanRound(g2, hist, h, nil); err != nil {
 		t.Fatal(err)
 	}
 	qf2.fail = true
-	if _, err := g2.Plan(hist, h); err != nil {
+	if _, err := PlanRound(g2, hist, h, nil); err != nil {
 		t.Fatal(err)
 	}
 	if g2.Mode() != ModeLastKnownGood {
@@ -344,7 +338,7 @@ func TestGuardLadderReentry(t *testing.T) {
 	}
 	qf2.fail = false
 	qf2.fakeQF = flatBase(80, h) // recovery observes a different workload
-	healthy2, err := g2.Plan(hist, h)
+	healthy2, err := PlanRound(g2, hist, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +346,7 @@ func TestGuardLadderReentry(t *testing.T) {
 		t.Fatalf("first healthy round after LKG: mode = %v, want normal", g2.Mode())
 	}
 	qf2.fail = true
-	replay, err := g2.Plan(hist, h)
+	replay, err := PlanRound(g2, hist, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

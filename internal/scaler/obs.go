@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"robustscale/internal/obs"
+	"robustscale/internal/optimize"
 )
 
 // Instruments registered on the process-wide registry. The stage
@@ -86,9 +87,17 @@ func bindingFor(value float64) string {
 	return obs.BindingDemand
 }
 
-// resizeFloats and resizeStrings recycle a scratch slice when its backing
-// array is large enough, so per-round decision assembly settles to zero
-// allocations on the hot reactive path (one planning round per step).
+// resizeInts, resizeFloats and resizeStrings recycle a scratch slice when
+// its backing array is large enough, so a steady-state round (plan and
+// decision assembly) settles to zero allocations on the hot reactive
+// path (one planning round per step).
+func resizeInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
 func resizeFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
@@ -103,13 +112,25 @@ func resizeStrings(s []string, n int) []string {
 	return s[:n]
 }
 
-// flatDecision assembles the decision record of a flat-allocation
-// reactive strategy driven by a single window statistic, reusing the
-// strategy's previous record (and its slices) as scratch.
-func flatDecision(d *obs.Decision, name string, h int, theta, drive float64, plan []int) *obs.Decision {
+// flatPlan is the plan of a reactive strategy, which has no forward
+// model: a single window statistic drives one flat allocation for the
+// whole horizon.
+func flatPlan(dst []int, h int, drive, theta float64) []int {
+	plan := resizeInts(dst, h)
+	c := optimize.Allocate(drive, theta)
+	for i := range plan {
+		plan[i] = c
+	}
+	return plan
+}
+
+// flatDecision assembles flatPlan's decision record, reusing the
+// strategy's previous one (and its slices) as scratch.
+func flatDecision(d *obs.Decision, name string, theta, drive float64, plan []int) *obs.Decision {
 	if d == nil {
 		d = &obs.Decision{}
 	}
+	h := len(plan)
 	*d = obs.Decision{
 		Strategy: name, Horizon: h, Theta: theta, Nodes: plan,
 		Quantile: resizeFloats(d.Quantile, h), Binding: resizeStrings(d.Binding, h),
@@ -139,30 +160,16 @@ func pathDecision(d *obs.Decision, name string, theta float64, path []float64, p
 	return d
 }
 
-// RecordDecision stamps a strategy's last decision record with its round
-// context — planning origin, virtual time, previous allocation — and
-// records it on obs.DefaultDecisions under the default tenant; strategies
-// without a decision record are a no-op.
-func RecordDecision(strategy Strategy, origin int, at time.Time, prev int, plan []int) {
-	RecordDecisionAdmitted(strategy, obs.DefaultTenant, origin, at, prev, plan, 0, "")
-}
-
-// RecordDecisionAdmitted is RecordDecision with an explicit tenant label
-// and the fleet admission outcome annotated: shed is how many nodes
-// admission control clipped from the plan's first step, reason labels
-// why (pool exhaustion, quarantine). The recorded Nodes are the plan as
-// admitted, not as requested — the audit trail shows what actually ran
-// plus how much was taken away.
-func RecordDecisionAdmitted(strategy Strategy, tenant string, origin int, at time.Time, prev int, plan []int, shed int, reason string) {
-	if !obs.DefaultDecisions.Enabled() {
-		return
-	}
-	dp, ok := strategy.(DecisionProvider)
-	if !ok {
-		return
-	}
-	d := dp.LastDecision()
-	if d == nil {
+// RecordDecisionAdmitted stamps a round's decision record with its
+// context — tenant, planning origin, virtual time, previous allocation —
+// and the fleet admission outcome, and records it on
+// obs.DefaultDecisions: shed is how many nodes admission control clipped
+// from the plan's first step, reason labels why (pool exhaustion,
+// quarantine). The recorded Nodes are the plan as admitted, not as
+// requested — the audit trail shows what actually ran plus how much was
+// taken away. A round without a record (d == nil) is a no-op.
+func RecordDecisionAdmitted(d *obs.Decision, tenant string, origin int, at time.Time, prev int, plan []int, shed int, reason string) {
+	if d == nil || !obs.DefaultDecisions.Enabled() {
 		return
 	}
 	rec := *d

@@ -7,7 +7,6 @@ import (
 
 	"robustscale/internal/forecast"
 	"robustscale/internal/obs"
-	"robustscale/internal/timeseries"
 )
 
 func TestCountActions(t *testing.T) {
@@ -49,14 +48,11 @@ func enableDecisions(t *testing.T) {
 func TestReactiveDecisions(t *testing.T) {
 	enableDecisions(t)
 	r := &ReactiveMax{Window: 3, Theta: 10}
-	if r.LastDecision() != nil {
-		t.Error("decision before first plan")
-	}
-	plan, err := r.Plan(series(10, 50, 30), 2)
+	round, err := r.PlanInto(series(10, 50, 30), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := r.LastDecision()
+	plan, d := round.Nodes, round.Decision
 	if d == nil {
 		t.Fatal("no decision after plan")
 	}
@@ -78,10 +74,11 @@ func TestRobustDecision(t *testing.T) {
 	enableDecisions(t)
 	qf := &fakeQF{name: "fq", Base: []float64{100, 100}, Spread: []float64{0.2, 0.2}}
 	r := &Robust{Forecaster: qf, Tau: 0.9, Theta: 10}
-	if _, err := r.Plan(series(1), 2); err != nil {
+	round, err := r.PlanInto(series(1), 2, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d := r.LastDecision()
+	d := round.Decision
 	if d == nil {
 		t.Fatal("no decision after plan")
 	}
@@ -108,10 +105,11 @@ func TestAdaptiveDecision(t *testing.T) {
 		Forecaster: qf, Tau1: 0.6, Tau2: 0.95, Rho: 5, Theta: 10,
 		Levels: forecast.ScalingLevels,
 	}
-	if _, err := a.Plan(series(1), 2); err != nil {
+	round, err := a.PlanInto(series(1), 2, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d := a.LastDecision()
+	d := round.Decision
 	if d == nil {
 		t.Fatal("no decision after plan")
 	}
@@ -146,10 +144,11 @@ func TestStaircaseDecision(t *testing.T) {
 		Rungs:  []StaircaseLevel{{Rho: 3, Tau: 0.8}, {Rho: 8, Tau: 0.99}},
 		Levels: forecast.ScalingLevels,
 	}
-	if _, err := s.Plan(series(1), 2); err != nil {
+	round, err := s.PlanInto(series(1), 2, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d := s.LastDecision()
+	d := round.Decision
 	if d == nil {
 		t.Fatal("no decision after plan")
 	}
@@ -162,11 +161,11 @@ func TestRateLimitedDecisionRelabels(t *testing.T) {
 	enableDecisions(t)
 	qf := &fakeQF{name: "fq", Base: []float64{100, 100, 100}, Spread: []float64{0, 0, 0}}
 	r := &RateLimited{Inner: &Robust{Forecaster: qf, Tau: 0.9, Theta: 10}, MaxDelta: 2}
-	plan, err := r.Plan(series(1), 3)
+	round, err := r.PlanInto(series(1), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := r.LastDecision()
+	plan, d := round.Nodes, round.Decision
 	if d == nil {
 		t.Fatal("no decision after plan")
 	}
@@ -199,12 +198,13 @@ func TestRecordDecisionStampsContext(t *testing.T) {
 	defer obs.DefaultDecisions.Reset()
 
 	r := &ReactiveMax{Window: 3, Theta: 10}
-	plan, err := r.Plan(series(10, 50, 30), 2)
+	round, err := r.PlanInto(series(10, 50, 30), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := round.Nodes
 	at := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
-	RecordDecision(r, 240, at, 3, plan)
+	RecordDecisionAdmitted(round.Decision, obs.DefaultTenant, 240, at, 3, plan, 0, "")
 
 	d, ok := obs.DefaultDecisions.Latest()
 	if !ok {
@@ -217,20 +217,12 @@ func TestRecordDecisionStampsContext(t *testing.T) {
 		t.Errorf("coverage of %+v wrong", d)
 	}
 
-	// A strategy without a decision record is a silent no-op.
+	// A round without a decision record is a silent no-op.
 	before := obs.DefaultDecisions.Total()
-	RecordDecision(decisionless{}, 0, at, 1, []int{1})
+	RecordDecisionAdmitted(nil, obs.DefaultTenant, 0, at, 1, []int{1}, 0, "")
 	if obs.DefaultDecisions.Total() != before {
-		t.Error("decisionless strategy recorded something")
+		t.Error("a round without a record recorded something")
 	}
-}
-
-// decisionless is a Strategy that does not provide decisions.
-type decisionless struct{}
-
-func (decisionless) Name() string { return "none" }
-func (decisionless) Plan(*timeseries.Series, int) ([]int, error) {
-	return nil, nil
 }
 
 func TestEvaluateRecordsDecisions(t *testing.T) {

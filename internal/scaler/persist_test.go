@@ -33,7 +33,7 @@ func TestGuardSaveLoadRoundTrip(t *testing.T) {
 	if g2.Mode() != ModeLastKnownGood || g2.LastReason() != g.lastReason || g2.DegradedRounds() != 7 {
 		t.Fatalf("restored guard: mode=%v reason=%q rounds=%d", g2.Mode(), g2.LastReason(), g2.DegradedRounds())
 	}
-	fan := g2.LastFan() // last-known-good mode serves the retained fan
+	fan := g2.lastGoodFan
 	if fan == nil || fan.Horizon() != 2 || fan.At(1, 0.9) != 13 {
 		t.Fatalf("restored fan: %+v", fan)
 	}

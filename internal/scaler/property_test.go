@@ -16,11 +16,11 @@ func TestRobustMonotoneInTauProperty(t *testing.T) {
 		lo := 0.55 + 0.2*float64(tauPairRaw%8)/8
 		hi := lo + 0.2
 		qf := &fakeQF{Base: []float64{base, base * 1.5}, Spread: []float64{spread, spread}}
-		planLo, err := (&Robust{Forecaster: qf, Tau: lo, Theta: 10}).Plan(series(1), 2)
+		planLo, err := PlanRound(&Robust{Forecaster: qf, Tau: lo, Theta: 10}, series(1), 2, nil)
 		if err != nil {
 			return false
 		}
-		planHi, err := (&Robust{Forecaster: qf, Tau: hi, Theta: 10}).Plan(series(1), 2)
+		planHi, err := PlanRound(&Robust{Forecaster: qf, Tau: hi, Theta: 10}, series(1), 2, nil)
 		if err != nil {
 			return false
 		}
@@ -47,15 +47,15 @@ func TestAdaptiveBoundedByEndpointsProperty(t *testing.T) {
 		}
 		rho := float64(rhoRaw) * 2
 		tau1, tau2 := 0.6, 0.95
-		adaptive, err := (&Adaptive{Forecaster: qf, Tau1: tau1, Tau2: tau2, Rho: rho, Theta: 10}).Plan(series(1), 2)
+		adaptive, err := PlanRound(&Adaptive{Forecaster: qf, Tau1: tau1, Tau2: tau2, Rho: rho, Theta: 10}, series(1), 2, nil)
 		if err != nil {
 			return false
 		}
-		loPlan, err := (&Robust{Forecaster: qf, Tau: tau1, Theta: 10}).Plan(series(1), 2)
+		loPlan, err := PlanRound(&Robust{Forecaster: qf, Tau: tau1, Theta: 10}, series(1), 2, nil)
 		if err != nil {
 			return false
 		}
-		hiPlan, err := (&Robust{Forecaster: qf, Tau: tau2, Theta: 10}).Plan(series(1), 2)
+		hiPlan, err := PlanRound(&Robust{Forecaster: qf, Tau: tau2, Theta: 10}, series(1), 2, nil)
 		if err != nil {
 			return false
 		}
@@ -86,7 +86,7 @@ func TestRateLimitedDeltaProperty(t *testing.T) {
 		}
 		qf := &fakeQF{Base: base, Spread: spread}
 		rl := &RateLimited{Inner: &Robust{Forecaster: qf, Tau: 0.9, Theta: 10}, MaxDelta: maxDelta}
-		plan, err := rl.Plan(series(1), h)
+		plan, err := PlanRound(rl, series(1), h, nil)
 		if err != nil {
 			return false
 		}

@@ -24,8 +24,46 @@ import (
 type Strategy interface {
 	// Name identifies the strategy for reporting (e.g. "tft-0.9").
 	Name() string
-	// Plan returns integer node allocations for the next h steps.
-	Plan(history *timeseries.Series, h int) ([]int, error)
+	// PlanInto runs one planning round. dst is reused as the allocation
+	// buffer when it has capacity (nil is fine for a one-shot caller) and
+	// forecasts go through the forecaster's warm path when it keeps one
+	// (forecast.IncrementalForecaster / IncrementalPointForecaster),
+	// which is bit-identical to its cold path, so a steady-state round
+	// has nothing it must allocate.
+	PlanInto(history *timeseries.Series, h int, dst []int) (Round, error)
+}
+
+// Round is everything one planning round produces. It aliases dst and the
+// strategy's scratch, so it is only valid until the strategy's next
+// PlanInto; a caller that keeps any of it copies it first
+// (obs.DefaultDecisions copies on Record).
+type Round struct {
+	// Nodes are the integer node allocations for the next h steps.
+	Nodes []int
+	// Fan is the quantile fan that drove Nodes, letting callers grade
+	// forecast calibration online without a second forecast; nil for
+	// strategies that scale on history or a point forecast.
+	Fan *forecast.QuantileForecast
+	// Decision is the structured "why did we scale?" record — chosen
+	// quantile levels, per-step uncertainty, bounding quantile values and
+	// binding constraints — still missing its round context, which
+	// RecordDecisionAdmitted stamps; nil while obs.DefaultDecisions is
+	// disabled.
+	Decision *obs.Decision
+}
+
+// PlanRound runs one planning round and returns only its allocations.
+func PlanRound(s Strategy, history *timeseries.Series, h int, dst []int) ([]int, error) {
+	r, err := s.PlanInto(history, h, dst)
+	return r.Nodes, err
+}
+
+// FanProvider and the LastFan methods of Guard and Robust exist only
+// because the frozen bench/ driver names them; they read the Round the
+// strategy last returned. The next benchmark PR switches bench/ to
+// Round.Fan and deletes them.
+type FanProvider interface {
+	LastFan() *forecast.QuantileForecast
 }
 
 // Observer is implemented by strategies that learn from realized outcomes
@@ -41,30 +79,6 @@ type Observer interface {
 // work from.
 var ErrNoHistory = errors.New("scaler: empty workload history")
 
-// FanProvider is implemented by strategies that retain the quantile fan
-// behind their most recent plan, letting callers grade forecast
-// calibration online (observed coverage vs nominal level, rolling wQL)
-// without paying for a second forecast.
-type FanProvider interface {
-	// LastFan returns the quantile forecast of the most recent Plan call,
-	// or nil before the first plan.
-	LastFan() *forecast.QuantileForecast
-}
-
-// DecisionProvider is implemented by every strategy in this package: it
-// retains the structured "why did we scale?" record behind the most
-// recent plan — chosen quantile levels, per-step uncertainty, bounding
-// quantile values and binding constraints. The evaluation harness and
-// the daemon stamp the record with the planning origin and previous
-// allocation (RecordDecision) and record it on obs.DefaultDecisions.
-type DecisionProvider interface {
-	// LastDecision returns the decision record of the most recent Plan
-	// call, or nil before the first plan. The record (and its slices) is
-	// reused as scratch by the next Plan call; callers that keep it must
-	// record it first (obs.DefaultDecisions copies on Record).
-	LastDecision() *obs.Decision
-}
-
 // ReactiveMax scales on the maximum workload inside a trailing window, the
 // conservative variant of a moving-window reactive scaler.
 type ReactiveMax struct {
@@ -73,29 +87,21 @@ type ReactiveMax struct {
 	// Theta is the per-node workload threshold.
 	Theta float64
 
-	lastDecision *obs.Decision
+	decision *obs.Decision
 }
 
 // Name implements Strategy.
 func (r *ReactiveMax) Name() string { return "reactive-max" }
 
-// LastDecision implements DecisionProvider.
-func (r *ReactiveMax) LastDecision() *obs.Decision { return r.lastDecision }
-
-// Plan implements Strategy: the window maximum drives a flat allocation
-// for the whole horizon (a reactive scaler has no forward model).
-func (r *ReactiveMax) Plan(history *timeseries.Series, h int) ([]int, error) {
-	return r.PlanInto(history, h, nil)
-}
-
-// PlanInto implements InPlacePlanner: the window maximum is computed in
-// place, so a steady-state round allocates nothing.
-func (r *ReactiveMax) PlanInto(history *timeseries.Series, h int, dst []int) ([]int, error) {
+// PlanInto implements Strategy: the window maximum drives a flat
+// allocation for the whole horizon (a reactive scaler has no forward
+// model).
+func (r *ReactiveMax) PlanInto(history *timeseries.Series, h int, dst []int) (Round, error) {
 	if history.Len() == 0 {
-		return nil, ErrNoHistory
+		return Round{}, ErrNoHistory
 	}
 	if r.Theta <= 0 {
-		return nil, fmt.Errorf("scaler: reactive-max threshold %v", r.Theta)
+		return Round{}, fmt.Errorf("scaler: reactive-max threshold %v", r.Theta)
 	}
 	window := r.Window
 	if window <= 0 {
@@ -111,17 +117,12 @@ func (r *ReactiveMax) PlanInto(history *timeseries.Series, h int, dst []int) ([]
 			peak = v
 		}
 	}
-	c := optimize.Allocate(peak, r.Theta)
-	plan := resizeInts(dst, h)
-	for i := range plan {
-		plan[i] = c
+	plan := flatPlan(dst, h, peak, r.Theta)
+	if !obs.DefaultDecisions.Enabled() {
+		return Round{Nodes: plan}, nil
 	}
-	if obs.DefaultDecisions.Enabled() {
-		r.lastDecision = flatDecision(r.lastDecision, r.Name(), h, r.Theta, peak, plan)
-	} else if r.lastDecision != nil {
-		r.lastDecision = nil
-	}
-	return plan, nil
+	r.decision = flatDecision(r.decision, r.Name(), r.Theta, peak, plan)
+	return Round{Nodes: plan, Decision: r.decision}, nil
 }
 
 // ReactiveAvg scales on an exponentially weighted average of the trailing
@@ -135,28 +136,19 @@ type ReactiveAvg struct {
 	// Theta is the per-node workload threshold.
 	Theta float64
 
-	lastDecision *obs.Decision
+	decision *obs.Decision
 }
 
 // Name implements Strategy.
 func (r *ReactiveAvg) Name() string { return "reactive-avg" }
 
-// LastDecision implements DecisionProvider.
-func (r *ReactiveAvg) LastDecision() *obs.Decision { return r.lastDecision }
-
-// Plan implements Strategy.
-func (r *ReactiveAvg) Plan(history *timeseries.Series, h int) ([]int, error) {
-	return r.PlanInto(history, h, nil)
-}
-
-// PlanInto implements InPlacePlanner: the weighted window average is
-// computed in place, so a steady-state round allocates nothing.
-func (r *ReactiveAvg) PlanInto(history *timeseries.Series, h int, dst []int) ([]int, error) {
+// PlanInto implements Strategy.
+func (r *ReactiveAvg) PlanInto(history *timeseries.Series, h int, dst []int) (Round, error) {
 	if history.Len() == 0 {
-		return nil, ErrNoHistory
+		return Round{}, ErrNoHistory
 	}
 	if r.Theta <= 0 {
-		return nil, fmt.Errorf("scaler: reactive-avg threshold %v", r.Theta)
+		return Round{}, fmt.Errorf("scaler: reactive-avg threshold %v", r.Theta)
 	}
 	window := r.Window
 	if window <= 0 {
@@ -180,17 +172,12 @@ func (r *ReactiveAvg) PlanInto(history *timeseries.Series, h int, dst []int) ([]
 		weight *= decay
 	}
 	avg := sum / wsum
-	c := optimize.Allocate(avg, r.Theta)
-	plan := resizeInts(dst, h)
-	for i := range plan {
-		plan[i] = c
+	plan := flatPlan(dst, h, avg, r.Theta)
+	if !obs.DefaultDecisions.Enabled() {
+		return Round{Nodes: plan}, nil
 	}
-	if obs.DefaultDecisions.Enabled() {
-		r.lastDecision = flatDecision(r.lastDecision, r.Name(), h, r.Theta, avg, plan)
-	} else if r.lastDecision != nil {
-		r.lastDecision = nil
-	}
-	return plan, nil
+	r.decision = flatDecision(r.decision, r.Name(), r.Theta, avg, plan)
+	return Round{Nodes: plan, Decision: r.decision}, nil
 }
 
 // Predictive scales on a point forecast (Definition 3 with predicted
@@ -203,7 +190,7 @@ type Predictive struct {
 	Theta float64
 
 	lastPrediction []float64
-	lastDecision   *obs.Decision
+	decision       *obs.Decision
 	cachedName     string
 }
 
@@ -216,54 +203,50 @@ func (p *Predictive) Name() string {
 	return p.cachedName
 }
 
-// LastDecision implements DecisionProvider.
-func (p *Predictive) LastDecision() *obs.Decision { return p.lastDecision }
-
-// Plan implements Strategy.
-func (p *Predictive) Plan(history *timeseries.Series, h int) ([]int, error) {
-	return p.plan(history, h, nil, false)
-}
-
-// PlanInto implements InPlacePlanner, routing the forecast through the
-// forecaster's warm path when it keeps one.
-func (p *Predictive) PlanInto(history *timeseries.Series, h int, dst []int) ([]int, error) {
-	return p.plan(history, h, dst, true)
-}
-
-func (p *Predictive) plan(history *timeseries.Series, h int, dst []int, warm bool) ([]int, error) {
+// PlanInto implements Strategy.
+func (p *Predictive) PlanInto(history *timeseries.Series, h int, dst []int) (Round, error) {
 	if p.Theta <= 0 {
-		return nil, fmt.Errorf("scaler: predictive threshold %v", p.Theta)
+		return Round{}, fmt.Errorf("scaler: predictive threshold %v", p.Theta)
 	}
 	t0 := time.Now()
 	sp := obs.DefaultTracer.Start("forecast")
 	var pred []float64
 	var err error
-	if inc, ok := p.Forecaster.(forecast.IncrementalPointForecaster); warm && ok {
+	if inc, ok := p.Forecaster.(forecast.IncrementalPointForecaster); ok {
 		pred, err = inc.PredictWarm(history, h)
 	} else {
 		pred, err = p.Forecaster.Predict(history, h)
 	}
 	sp.End()
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
 	stageForecast.ObserveSince(t0)
 	p.lastPrediction = pred
-	t0 = time.Now()
-	sp = obs.DefaultTracer.Start("optimize")
-	plan, err := optimize.PlanInto(pred, p.Theta, dst)
-	sp.End()
+	round, err := planPath(pred, p.Theta, dst)
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
-	stageOptimize.ObserveSince(t0)
 	if obs.DefaultDecisions.Enabled() {
-		p.lastDecision = pathDecision(p.lastDecision, p.Name(), p.Theta, pred, plan)
-	} else if p.lastDecision != nil {
-		p.lastDecision = nil
+		p.decision = pathDecision(p.decision, p.Name(), p.Theta, pred, round.Nodes)
+		round.Decision = p.decision
 	}
 	countPlan(p.Name(), h)
-	return plan, nil
+	return round, nil
+}
+
+// planPath is the instrumented optimize stage of the strategies that
+// allocate along one workload path (Eq. 6 per step).
+func planPath(path []float64, theta float64, dst []int) (Round, error) {
+	t0 := time.Now()
+	sp := obs.DefaultTracer.Start("optimize")
+	plan, err := optimize.PlanInto(path, theta, dst)
+	sp.End()
+	if err != nil {
+		return Round{}, err
+	}
+	stageOptimize.ObserveSince(t0)
+	return Round{Nodes: plan}, nil
 }
 
 // Observe implements Observer: when the wrapped forecaster supports
@@ -285,18 +268,14 @@ type Robust struct {
 	// Theta is the per-node workload threshold.
 	Theta float64
 
-	lastFan      *forecast.QuantileForecast
-	lastDecision *obs.Decision
-	cachedName   string
-	tauLevels    []float64
-	pathBuf      []float64
+	last       Round
+	cachedName string
+	tauLevels  []float64
+	pathBuf    []float64
 }
 
-// LastFan implements FanProvider.
-func (r *Robust) LastFan() *forecast.QuantileForecast { return r.lastFan }
-
-// LastDecision implements DecisionProvider.
-func (r *Robust) LastDecision() *obs.Decision { return r.lastDecision }
+// LastFan implements FanProvider (the bench/ shim).
+func (r *Robust) LastFan() *forecast.QuantileForecast { return r.last.Fan }
 
 // Name implements Strategy. The name is formatted once and cached so the
 // hot planning path never re-formats it.
@@ -307,74 +286,63 @@ func (r *Robust) Name() string {
 	return r.cachedName
 }
 
-// Plan implements Strategy.
-func (r *Robust) Plan(history *timeseries.Series, h int) ([]int, error) {
-	return r.plan(history, h, nil, false)
-}
-
-// PlanInto implements InPlacePlanner, routing the forecast through the
-// forecaster's warm path when it keeps one.
-func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) ([]int, error) {
-	return r.plan(history, h, dst, true)
-}
-
-func (r *Robust) plan(history *timeseries.Series, h int, dst []int, warm bool) ([]int, error) {
+// PlanInto implements Strategy.
+func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) (Round, error) {
 	if r.Theta <= 0 {
-		return nil, fmt.Errorf("scaler: robust threshold %v", r.Theta)
+		return Round{}, fmt.Errorf("scaler: robust threshold %v", r.Theta)
 	}
 	if r.Tau <= 0 || r.Tau >= 1 {
-		return nil, fmt.Errorf("scaler: robust quantile level %v outside (0, 1)", r.Tau)
+		return Round{}, fmt.Errorf("scaler: robust quantile level %v outside (0, 1)", r.Tau)
 	}
 	if len(r.tauLevels) != 1 || r.tauLevels[0] != r.Tau {
 		r.tauLevels = []float64{r.Tau}
 	}
-	t0 := time.Now()
-	sp := obs.DefaultTracer.Start("forecast")
-	f, err := predictQuantiles(r.Forecaster, warm, history, h, r.tauLevels)
-	sp.End()
+	f, err := predictQuantiles(r.Forecaster, history, h, r.tauLevels)
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
-	stageForecast.ObserveSince(t0)
-	r.lastFan = f
 	path := resizeFloats(r.pathBuf, h)
 	r.pathBuf = path
 	for t := 0; t < h; t++ {
 		path[t] = f.Values[t][0]
 	}
-	t0 = time.Now()
-	sp = obs.DefaultTracer.Start("optimize")
-	plan, err := optimize.PlanInto(path, r.Theta, dst)
-	sp.End()
+	round, err := planPath(path, r.Theta, dst)
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
-	stageOptimize.ObserveSince(t0)
+	round.Fan = f
 	if obs.DefaultDecisions.Enabled() {
-		d := pathDecision(r.lastDecision, r.Name(), r.Theta, path, plan)
+		d := pathDecision(r.last.Decision, r.Name(), r.Theta, path, round.Nodes)
 		d.Tau = resizeFloats(d.Tau, h)
 		for t := range d.Tau {
 			d.Tau[t] = r.Tau
 		}
 		d.Tau1, d.Tau2 = r.Tau, r.Tau
-		r.lastDecision = d
-	} else if r.lastDecision != nil {
-		r.lastDecision = nil
+		round.Decision = d
 	}
+	r.last = round
 	countPlan(r.Name(), h)
-	return plan, nil
+	return round, nil
 }
 
-// predictQuantiles dispatches a quantile forecast through the warm path
-// when the round allows it and the forecaster keeps warm state; the two
-// paths are bit-identical by the IncrementalForecaster contract.
-func predictQuantiles(qf forecast.QuantileForecaster, warm bool, history *timeseries.Series, h int, levels []float64) (*forecast.QuantileForecast, error) {
-	if warm {
-		if inc, ok := qf.(forecast.IncrementalForecaster); ok {
-			return inc.PredictQuantilesWarm(history, h, levels)
-		}
+// predictQuantiles is the instrumented forecast stage: through the warm
+// path when the forecaster keeps warm state, which is bit-identical to
+// the cold one by the IncrementalForecaster contract.
+func predictQuantiles(qf forecast.QuantileForecaster, history *timeseries.Series, h int, levels []float64) (*forecast.QuantileForecast, error) {
+	t0 := time.Now()
+	sp := obs.DefaultTracer.Start("forecast")
+	var f *forecast.QuantileForecast
+	var err error
+	if inc, ok := qf.(forecast.IncrementalForecaster); ok {
+		f, err = inc.PredictQuantilesWarm(history, h, levels)
+	} else {
+		f, err = qf.PredictQuantiles(history, h, levels)
 	}
-	return qf.PredictQuantiles(history, h, levels)
+	sp.End()
+	if err == nil {
+		stageForecast.ObserveSince(t0)
+	}
+	return f, err
 }
 
 // Adaptive is the uncertainty-aware adaptive strategy of Algorithm 1: at
@@ -406,23 +374,13 @@ func (a *Adaptive) Name() string {
 	return a.cachedName
 }
 
-// Plan implements Strategy (Algorithm 1).
-func (a *Adaptive) Plan(history *timeseries.Series, h int) ([]int, error) {
-	return a.plan(history, h, nil, false)
-}
-
-// PlanInto implements InPlacePlanner, routing the forecast through the
-// forecaster's warm path when it keeps one.
-func (a *Adaptive) PlanInto(history *timeseries.Series, h int, dst []int) ([]int, error) {
-	return a.plan(history, h, dst, true)
-}
-
-func (a *Adaptive) plan(history *timeseries.Series, h int, dst []int, warm bool) ([]int, error) {
+// PlanInto implements Strategy (Algorithm 1).
+func (a *Adaptive) PlanInto(history *timeseries.Series, h int, dst []int) (Round, error) {
 	if err := a.validate(); err != nil {
-		return nil, err
+		return Round{}, err
 	}
 	rungs := [1]StaircaseLevel{{Rho: a.Rho, Tau: a.Tau2}}
-	return a.ladder.plan(a.Name(), a.Forecaster, a.Levels, a.Tau1, rungs[:], a.Theta, history, h, dst, warm)
+	return a.ladder.round(a.Name(), a.Forecaster, a.Levels, a.Tau1, rungs[:], a.Theta, history, h, dst)
 }
 
 func (a *Adaptive) validate() error {
@@ -509,74 +467,52 @@ func (s *Staircase) Name() string {
 	return s.cachedName
 }
 
-// Plan implements Strategy.
-func (s *Staircase) Plan(history *timeseries.Series, h int) ([]int, error) {
-	return s.plan(history, h, nil, false)
-}
-
-// PlanInto implements InPlacePlanner, routing the forecast through the
-// forecaster's warm path when it keeps one.
-func (s *Staircase) PlanInto(history *timeseries.Series, h int, dst []int) ([]int, error) {
-	return s.plan(history, h, dst, true)
-}
-
-func (s *Staircase) plan(history *timeseries.Series, h int, dst []int, warm bool) ([]int, error) {
+// PlanInto implements Strategy.
+func (s *Staircase) PlanInto(history *timeseries.Series, h int, dst []int) (Round, error) {
 	if s.Theta <= 0 {
-		return nil, fmt.Errorf("scaler: staircase threshold %v", s.Theta)
+		return Round{}, fmt.Errorf("scaler: staircase threshold %v", s.Theta)
 	}
 	if s.Base <= 0 || s.Base >= 1 {
-		return nil, fmt.Errorf("scaler: staircase base level %v", s.Base)
+		return Round{}, fmt.Errorf("scaler: staircase base level %v", s.Base)
 	}
 	for i := 1; i < len(s.Rungs); i++ {
 		if s.Rungs[i].Rho < s.Rungs[i-1].Rho {
-			return nil, fmt.Errorf("scaler: staircase rungs not sorted by threshold")
+			return Round{}, fmt.Errorf("scaler: staircase rungs not sorted by threshold")
 		}
 	}
-	return s.ladder.plan(s.Name(), s.Forecaster, s.Levels, s.Base, s.Rungs, s.Theta, history, h, dst, warm)
+	return s.ladder.round(s.Name(), s.Forecaster, s.Levels, s.Base, s.Rungs, s.Theta, history, h, dst)
 }
 
-// ladder is the one plan body of the uncertainty-aware strategies
+// ladder is the one round body of the uncertainty-aware strategies
 // (Algorithm 1 and its staircase extension): forecast the fan, measure
 // each step's uncertainty U, start at the base level and let every rung
 // whose Rho the step's U reaches set the quantile level, allocate per
 // step (Eq. 6) and assemble the decision record. Adaptive is the one-rung
 // ladder {Rho, Tau2} over Tau1. Each strategy embeds a ladder for the
-// last fan, the last decision and the scratch the round reuses.
+// decision record and the scratch the round reuses.
 type ladder struct {
-	lastFan      *forecast.QuantileForecast
-	lastDecision *obs.Decision
-	us           []float64
-	taus         []float64
-	qs           []float64
-	binding      []string
+	decision *obs.Decision
+	us       []float64
+	taus     []float64
+	qs       []float64
+	binding  []string
 }
 
-// LastFan implements FanProvider.
-func (l *ladder) LastFan() *forecast.QuantileForecast { return l.lastFan }
-
-// LastDecision implements DecisionProvider.
-func (l *ladder) LastDecision() *obs.Decision { return l.lastDecision }
-
-func (l *ladder) plan(name string, qf forecast.QuantileForecaster, levels []float64, base float64, rungs []StaircaseLevel,
-	theta float64, history *timeseries.Series, h int, dst []int, warm bool) ([]int, error) {
+func (l *ladder) round(name string, qf forecast.QuantileForecaster, levels []float64, base float64, rungs []StaircaseLevel,
+	theta float64, history *timeseries.Series, h int, dst []int) (Round, error) {
 	if len(levels) == 0 {
 		levels = forecast.ScalingLevels
 	}
-	t0 := time.Now()
-	sp := obs.DefaultTracer.Start("forecast")
-	f, err := predictQuantiles(qf, warm, history, h, levels)
-	sp.End()
+	f, err := predictQuantiles(qf, history, h, levels)
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
-	stageForecast.ObserveSince(t0)
-	l.lastFan = f
-	t0 = time.Now()
-	sp = obs.DefaultTracer.Start("optimize")
+	t0 := time.Now()
+	sp := obs.DefaultTracer.Start("optimize")
 	l.us, err = uncertaintiesInto(f, l.us)
 	if err != nil {
 		sp.End()
-		return nil, err
+		return Round{}, err
 	}
 	us := l.us
 	out := resizeInts(dst, h)
@@ -596,11 +532,12 @@ func (l *ladder) plan(name string, qf forecast.QuantileForecaster, levels []floa
 	}
 	sp.End()
 	stageOptimize.ObserveSince(t0)
+	round := Round{Nodes: out, Fan: f}
 	if obs.DefaultDecisions.Enabled() {
-		d := l.lastDecision
-		if d == nil {
-			d = &obs.Decision{}
+		if l.decision == nil {
+			l.decision = &obs.Decision{}
 		}
+		d := l.decision
 		*d = obs.Decision{
 			Strategy: name, Horizon: h, Theta: theta, Nodes: out,
 			U: us, Tau: l.taus, Tau1: base, Tau2: base,
@@ -610,10 +547,8 @@ func (l *ladder) plan(name string, qf forecast.QuantileForecaster, levels []floa
 			d.Rho = rungs[0].Rho
 			d.Tau2 = rungs[len(rungs)-1].Tau
 		}
-		l.lastDecision = d
-	} else if l.lastDecision != nil {
-		l.lastDecision = nil
+		round.Decision = d
 	}
 	countPlan(name, h)
-	return out, nil
+	return round, nil
 }

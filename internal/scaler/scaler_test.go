@@ -1,6 +1,7 @@
 package scaler
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -68,7 +69,7 @@ func (f *fakePoint) Predict(_ *timeseries.Series, h int) ([]float64, error) {
 func TestReactiveMax(t *testing.T) {
 	s := series(10, 50, 30, 20)
 	r := &ReactiveMax{Window: 3, Theta: 10}
-	plan, err := r.Plan(s, 2)
+	plan, err := PlanRound(r, s, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +84,11 @@ func TestReactiveMax(t *testing.T) {
 
 func TestReactiveMaxErrors(t *testing.T) {
 	r := &ReactiveMax{Window: 3, Theta: 10}
-	if _, err := r.Plan(series(), 1); err != ErrNoHistory {
+	if _, err := PlanRound(r, series(), 1, nil); err != ErrNoHistory {
 		t.Errorf("err = %v", err)
 	}
 	bad := &ReactiveMax{Theta: 0}
-	if _, err := bad.Plan(series(1), 1); err == nil {
+	if _, err := PlanRound(bad, series(1), 1, nil); err == nil {
 		t.Error("zero theta should fail")
 	}
 }
@@ -97,7 +98,7 @@ func TestReactiveAvgWeightsRecent(t *testing.T) {
 	// plain mean.
 	s := series(100, 100, 100, 10, 10, 10)
 	r := &ReactiveAvg{Window: 6, HalfLife: 2, Theta: 10}
-	plan, err := r.Plan(s, 1)
+	plan, err := PlanRound(r, s, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestReactiveAvgWeightsRecent(t *testing.T) {
 
 func TestReactiveAvgDefaults(t *testing.T) {
 	r := &ReactiveAvg{Theta: 10}
-	plan, err := r.Plan(series(50, 50, 50, 50, 50, 50, 50), 3)
+	plan, err := PlanRound(r, series(50, 50, 50, 50, 50, 50, 50), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +122,14 @@ func TestReactiveAvgDefaults(t *testing.T) {
 			t.Errorf("plan = %v, want flat 5s", plan)
 		}
 	}
-	if _, err := r.Plan(series(), 1); err != ErrNoHistory {
+	if _, err := PlanRound(r, series(), 1, nil); err != ErrNoHistory {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestPredictivePlansFromForecast(t *testing.T) {
 	p := &Predictive{Forecaster: &fakePoint{name: "fp", pred: []float64{15, 25, 35}}, Theta: 10}
-	plan, err := p.Plan(series(1), 3)
+	plan, err := PlanRound(p, series(1), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestPredictivePlansFromForecast(t *testing.T) {
 		t.Errorf("Name = %q", p.Name())
 	}
 	bad := &Predictive{Forecaster: &fakePoint{}, Theta: 0}
-	if _, err := bad.Plan(series(1), 1); err == nil {
+	if _, err := PlanRound(bad, series(1), 1, nil); err == nil {
 		t.Error("zero theta should fail")
 	}
 }
@@ -151,7 +152,7 @@ func TestPredictiveObserveFeedsPadding(t *testing.T) {
 	base := &fakePoint{name: "fp", pred: []float64{10, 10}}
 	padded := forecast.NewPadded(base)
 	p := &Predictive{Forecaster: padded, Theta: 10}
-	if _, err := p.Plan(series(1), 2); err != nil {
+	if _, err := PlanRound(p, series(1), 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Realized workload 50% above forecast.
@@ -160,7 +161,7 @@ func TestPredictiveObserveFeedsPadding(t *testing.T) {
 		t.Errorf("pad = %v, want ~0.5", pad)
 	}
 	// Next plan should allocate more.
-	plan, err := p.Plan(series(1), 2)
+	plan, err := PlanRound(p, series(1), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestRobustUsesQuantileLevel(t *testing.T) {
 	qf := &fakeQF{name: "fq", Base: []float64{100, 100}, Spread: []float64{0.5, 0.5}}
 	// tau=0.9: forecast = 100*(1+0.5*0.4) = 120 -> 12 nodes at theta 10.
 	r := &Robust{Forecaster: qf, Tau: 0.9, Theta: 10}
-	plan, err := r.Plan(series(1), 2)
+	plan, err := PlanRound(r, series(1), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestRobustUsesQuantileLevel(t *testing.T) {
 	}
 	// Lower tau allocates less.
 	low := &Robust{Forecaster: qf, Tau: 0.6, Theta: 10}
-	lowPlan, err := low.Plan(series(1), 2)
+	lowPlan, err := PlanRound(low, series(1), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +197,10 @@ func TestRobustUsesQuantileLevel(t *testing.T) {
 
 func TestRobustValidation(t *testing.T) {
 	qf := &fakeQF{Base: []float64{1}, Spread: []float64{0}}
-	if _, err := (&Robust{Forecaster: qf, Tau: 0.9, Theta: 0}).Plan(series(1), 1); err == nil {
+	if _, err := PlanRound(&Robust{Forecaster: qf, Tau: 0.9, Theta: 0}, series(1), 1, nil); err == nil {
 		t.Error("zero theta should fail")
 	}
-	if _, err := (&Robust{Forecaster: qf, Tau: 1.5, Theta: 10}).Plan(series(1), 1); err == nil {
+	if _, err := PlanRound(&Robust{Forecaster: qf, Tau: 1.5, Theta: 10}, series(1), 1, nil); err == nil {
 		t.Error("tau out of range should fail")
 	}
 }
@@ -211,7 +212,7 @@ func TestAdaptiveSwitchesOnUncertainty(t *testing.T) {
 		Forecaster: qf, Tau1: 0.6, Tau2: 0.95, Rho: 5, Theta: 10,
 		Levels: forecast.ScalingLevels,
 	}
-	plan, err := a.Plan(series(1), 2)
+	plan, err := PlanRound(a, series(1), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestAdaptiveValidation(t *testing.T) {
 		{Forecaster: qf, Tau1: 0, Tau2: 0.9, Rho: 1, Theta: 10},
 	}
 	for i, a := range cases {
-		if _, err := a.Plan(series(1), 1); err == nil {
+		if _, err := PlanRound(a, series(1), 1, nil); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
 	}
@@ -273,7 +274,7 @@ func TestStaircase(t *testing.T) {
 		Theta:  10,
 		Levels: forecast.ScalingLevels,
 	}
-	plan, err := s.Plan(series(1), 3)
+	plan, err := PlanRound(s, series(1), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,13 +290,13 @@ func TestStaircaseValidation(t *testing.T) {
 	qf := &fakeQF{Base: []float64{1}, Spread: []float64{0}}
 	bad := &Staircase{Forecaster: qf, Base: 0.5, Theta: 10,
 		Rungs: []StaircaseLevel{{Rho: 5, Tau: 0.9}, {Rho: 1, Tau: 0.8}}}
-	if _, err := bad.Plan(series(1), 1); err == nil {
+	if _, err := PlanRound(bad, series(1), 1, nil); err == nil {
 		t.Error("unsorted rungs should fail")
 	}
-	if _, err := (&Staircase{Forecaster: qf, Base: 0, Theta: 10}).Plan(series(1), 1); err == nil {
+	if _, err := PlanRound(&Staircase{Forecaster: qf, Base: 0, Theta: 10}, series(1), 1, nil); err == nil {
 		t.Error("bad base should fail")
 	}
-	if _, err := (&Staircase{Forecaster: qf, Base: 0.5, Theta: 0}).Plan(series(1), 1); err == nil {
+	if _, err := PlanRound(&Staircase{Forecaster: qf, Base: 0.5, Theta: 0}, series(1), 1, nil); err == nil {
 		t.Error("zero theta should fail")
 	}
 }
@@ -304,7 +305,7 @@ func TestRateLimitedSmoothsPlan(t *testing.T) {
 	qf := &fakeQF{name: "fq", Base: []float64{10, 200, 10, 200}, Spread: []float64{0, 0, 0, 0}}
 	inner := &Robust{Forecaster: qf, Tau: 0.9, Theta: 10}
 	rl := &RateLimited{Inner: inner, MaxDelta: 3}
-	plan, err := rl.Plan(series(1), 4)
+	plan, err := PlanRound(rl, series(1), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestRateLimitedSmoothsPlan(t *testing.T) {
 		t.Errorf("Name = %q", rl.Name())
 	}
 	// State carries across plans.
-	plan2, err := rl.Plan(series(1), 4)
+	plan2, err := PlanRound(rl, series(1), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,30 +404,79 @@ func repeat(v float64, n int) []float64 {
 	return out
 }
 
-// TestFanProviderRetainsLastForecast checks that the quantile strategies
-// keep the fan behind their most recent plan for online calibration.
-func TestFanProviderRetainsLastForecast(t *testing.T) {
+// TestRoundFanAndDecision pins what a Round carries besides the plan:
+// a fan exactly for the quantile-driven strategies, and through a guard
+// the fan and decision record of whichever rung drove the round.
+func TestRoundFanAndDecision(t *testing.T) {
+	enableDecisions(t)
 	base := []float64{100, 200, 300}
 	spread := []float64{0.1, 0.1, 0.1}
-	strategies := []Strategy{
-		&Robust{Forecaster: &fakeQF{name: "f", Base: base, Spread: spread}, Tau: 0.9, Theta: 100},
-		&Adaptive{Forecaster: &fakeQF{name: "f", Base: base, Spread: spread}, Tau1: 0.7, Tau2: 0.95, Rho: 1, Theta: 100},
-		&Staircase{Forecaster: &fakeQF{name: "f", Base: base, Spread: spread}, Base: 0.7, Theta: 100},
+	qf := func() *fakeQF { return &fakeQF{name: "f", Base: base, Spread: spread} }
+	hist := series(50, 60, 70)
+	for _, tc := range []struct {
+		strat   Strategy
+		wantFan bool
+	}{
+		{&ReactiveMax{Window: 3, Theta: 100}, false},
+		{&ReactiveAvg{Window: 3, Theta: 100}, false},
+		{&Predictive{Forecaster: &fakePoint{name: "p", pred: base}, Theta: 100}, false},
+		{&Robust{Forecaster: qf(), Tau: 0.9, Theta: 100}, true},
+		{&Adaptive{Forecaster: qf(), Tau1: 0.7, Tau2: 0.95, Rho: 1, Theta: 100}, true},
+		{&Staircase{Forecaster: qf(), Base: 0.7, Theta: 100}, true},
+		{&RateLimited{Inner: &Robust{Forecaster: qf(), Tau: 0.9, Theta: 100}, MaxDelta: 1}, false},
+	} {
+		round, err := tc.strat.PlanInto(hist, 3, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.strat.Name(), err)
+		}
+		if got := round.Fan != nil; got != tc.wantFan {
+			t.Errorf("%s: round has a fan = %v, want %v", tc.strat.Name(), got, tc.wantFan)
+		}
+		if tc.wantFan && round.Fan.Horizon() != 3 {
+			t.Errorf("%s: fan horizon %d, want 3", tc.strat.Name(), round.Fan.Horizon())
+		}
+		if round.Decision == nil || len(round.Decision.Nodes) != 3 {
+			t.Errorf("%s: decision = %+v", tc.strat.Name(), round.Decision)
+		}
 	}
-	for _, strat := range strategies {
-		fp, ok := strat.(FanProvider)
-		if !ok {
-			t.Fatalf("%s does not implement FanProvider", strat.Name())
-		}
-		if fp.LastFan() != nil {
-			t.Errorf("%s has a fan before the first plan", strat.Name())
-		}
-		if _, err := strat.Plan(series(50, 60, 70), 3); err != nil {
+
+	// Through the guard, rung by rung.
+	gq := &guardQF{fakeQF: *qf()}
+	g, inner := newGuarded(gq, 100)
+	plan := func() Round {
+		t.Helper()
+		round, err := g.PlanInto(hist, 3, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		fan := fp.LastFan()
-		if fan == nil || fan.Horizon() != 3 {
-			t.Errorf("%s retained fan = %+v, want 3-step fan", strat.Name(), fan)
-		}
+		return round
+	}
+	normal := plan()
+	if g.Mode() != ModeNormal || normal.Fan == nil || normal.Fan != inner.last.Fan || normal.Decision != inner.last.Decision {
+		t.Errorf("normal round (mode %v) should be the inner round untouched: %+v", g.Mode(), normal)
+	}
+	gq.poison = func(f *forecast.QuantileForecast) { f.Values[1][0] = math.NaN() }
+	repair := plan()
+	if g.Mode() != ModeRepair || repair.Fan != inner.last.Fan || math.IsNaN(repair.Fan.Values[1][0]) {
+		t.Errorf("repair round (mode %v) should carry the inner fan, repaired in place", g.Mode())
+	}
+	if d := repair.Decision; d == nil || d == inner.last.Decision || d.Degraded != "repair" {
+		t.Errorf("repair round decision = %+v, want the guard's record", d)
+	}
+	gq.poison, gq.fail = nil, true
+	lkg := plan()
+	if g.Mode() != ModeLastKnownGood || lkg.Fan != g.lastGoodFan || lkg.Fan == nil {
+		t.Errorf("last-known-good round (mode %v) should carry the retained fan", g.Mode())
+	}
+	if d := lkg.Decision; d == nil || d.Degraded != "last-known-good" {
+		t.Errorf("last-known-good decision = %+v", d)
+	}
+	g.lastGoodFan = nil
+	reactive := plan()
+	if g.Mode() != ModeReactive || reactive.Fan != nil {
+		t.Errorf("reactive round (mode %v) carries fan %v, want none", g.Mode(), reactive.Fan)
+	}
+	if d := reactive.Decision; d == nil || d.Degraded != "reactive" || d.Strategy != g.Name() {
+		t.Errorf("reactive decision = %+v", d)
 	}
 }
