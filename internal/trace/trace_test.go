@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"time"
@@ -292,5 +295,54 @@ func TestSharperRampTransitionsFaster(t *testing.T) {
 	}
 	if meanAbs(0.35) <= meanAbs(1.0) {
 		t.Error("sharper waveform should be squarer")
+	}
+}
+
+// fleetShape is a style at the shape every fleet tenant generates: three
+// units, CPU only.
+func fleetShape(style func(int64) Config, days int) Config {
+	cfg := style(42)
+	cfg.Units, cfg.Days, cfg.Resources = 3, days, []Resource{CPU}
+	return cfg
+}
+
+// TestGenerateGolden pins the generator's output bits — FNV-64a over the
+// Float64bits of the aggregate CPU series — for all four archetypes at
+// the fleet's shape, so a speed-up of Generate is proven against bits
+// recorded before it.
+func TestGenerateGolden(t *testing.T) {
+	golden := map[string]uint64{
+		"alibaba/4":     0x2d4c36b5d91eee2f,
+		"alibaba/16":    0x74776db9d5af382e,
+		"google/4":      0x3c90b2b50035a15a,
+		"google/16":     0xb89b13c0a1514571,
+		"serverless/4":  0xa6a725672a7ed4df,
+		"serverless/16": 0x4853618564d9107f,
+		"decaying/4":    0xa99161b0c52fbc30,
+		"decaying/16":   0xf9e86d5dfb15b77f,
+	}
+	for _, style := range []func(int64) Config{AlibabaStyle, GoogleStyle, ServerlessStyle, DecayingStyle} {
+		for _, days := range []int{4, 16} {
+			cfg := fleetShape(style, days)
+			tr, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := tr.Series(CPU)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			var b [8]byte
+			for _, v := range s.Values {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+			name := fmt.Sprintf("%s/%d", cfg.Name, days)
+			if got := h.Sum64(); got != golden[name] {
+				t.Errorf("%s: series hash %#016x, want %#016x — Generate's output bits moved; "+
+					"if that is intended, bump trace.Revision and re-record", name, got, golden[name])
+			}
+		}
 	}
 }
