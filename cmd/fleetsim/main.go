@@ -112,7 +112,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		forecaster   = fs.String("forecaster", def.Forecaster, "seasonal-naive | naive | qmlp")
 		guard        = fs.Bool("guard", true, "wrap every tenant's strategy in the resilience guard")
 		workers      = fs.Int("workers", 0, "worker pool size batching tenant planning (0 = all CPUs; never changes results)")
-		stateDir     = fs.String("state-dir", "", "fleet checkpoint root; each checkpointed round is one segment file <dir>/segment-<seq>.seg holding every tenant's record (empty disables durability)")
+		stateDir     = fs.String("state-dir", "", "fleet checkpoint root; each checkpointed round is one segment file <dir>/segment-<seq>.seg holding every tenant's record, and the generated workload series are kept once in <dir>/series-<seq>.ser so a restart reads them back (series_restored) instead of regenerating (empty disables durability)")
 		ckptInterval = fs.Int("checkpoint-interval", 1, "commit a segment every N fleet rounds (with -state-dir)")
 		retain       = fs.Int("state-retain", persist.DefaultRetain, "segments retained; a tenant whose newest record is damaged resumes from the next-older one")
 		maxRounds    = fs.Int("max-rounds", 0, "stop after N fleet rounds at a round boundary (0 = run to the end; kill-restart drills resume from here)")

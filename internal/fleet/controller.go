@@ -39,6 +39,9 @@ type Controller struct {
 	warmCount int
 	coldCount int
 	corrupt   int
+	// seriesRestored counts the tenants whose series came back from the
+	// state root's series file instead of being generated.
+	seriesRestored int
 
 	// slo tracks the fleet-wide error budget over virtual time; nil when
 	// cfg.SLOTarget is 0. lastSteps/lastViol are the fleet totals at the
@@ -91,23 +94,28 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	var segs *persist.SegmentStore
+	var series *persist.SeriesStore
 	if cfg.StateDir != "" {
 		if segs, err = persist.OpenSegments(cfg.StateDir, cfg.Retain, cfg.Tenants); err != nil {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
+		if series, err = persist.OpenSeries(cfg.StateDir, trace.Revision); err != nil {
+			return nil, fmt.Errorf("fleet: %w", err)
+		}
+		defer series.Close()
 	}
 	tenants := make([]*Tenant, cfg.Tenants)
 	errs := make([]error, cfg.Tenants)
 	parallel.ForEachWorkerSpan("fleet-build", cfg.Workers, cfg.Tenants, func(_, i int) {
-		tenants[i], errs[i] = buildTenant(cfg, i, chaosSched, segs)
+		tenants[i], errs[i] = buildTenant(cfg, i, chaosSched, segs, series)
 	})
 	if err := parallel.FirstError(errs); err != nil {
 		return nil, err
 	}
+	c := &Controller{cfg: cfg, tenants: tenants, segs: segs, lastCkpt: -1, chaosSched: chaosSched}
 	if segs != nil {
 		segs.DropRecovered()
 	}
-	c := &Controller{cfg: cfg, tenants: tenants, segs: segs, lastCkpt: -1, chaosSched: chaosSched}
 	fleetTenantsGauge.Set(float64(cfg.Tenants))
 	// Lifecycle bookkeeping runs sequentially in tenant order so journal
 	// entries and start counters land deterministically.
@@ -118,14 +126,22 @@ func New(cfg Config) (*Controller, error) {
 			kind, n = "warm", &c.warmCount
 		}
 		*n++
+		if t.seriesRestored {
+			c.seriesRestored++
+		}
 		obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "tenant-start",
 			fmt.Sprintf("%s start at replay step %d/%d (%s archetype)",
 				kind, t.origin-t.TrainEnd, t.Series.Len()-t.TrainEnd, t.Archetype),
-			map[string]float64{"warm": b2f(t.warm), "origin": float64(t.origin), "corrupt_snapshots": float64(len(t.rejected))})
+			map[string]float64{"warm": b2f(t.warm), "origin": float64(t.origin), "corrupt_snapshots": float64(len(t.rejected)),
+				"series_restored": b2f(t.seriesRestored)})
 	}
 	fleetWarmStarts.Add(float64(c.warmCount))
 	fleetColdStarts.Add(float64(c.coldCount))
 	fleetCorruptSnapshots.Add(float64(c.corrupt))
+	fleetSeriesRestored.Add(float64(c.seriesRestored))
+	if series != nil && c.seriesRestored < len(tenants) {
+		c.saveSeries(series)
+	}
 	if cfg.SLOTarget > 0 {
 		c.slo = obs.NewSLOTracker(obs.SLOConfig{
 			Target: cfg.SLOTarget, Window: cfg.SLOWindow, Rules: cfg.BurnRules,
@@ -191,25 +207,56 @@ func chaosEnrolled(cfg Config, id string) bool {
 	return len(cfg.ChaosTenants) == 0 || slices.Contains(cfg.ChaosTenants, id)
 }
 
+// saveSeries rewrites the state root's series file from the built
+// tenants. New calls it when any of them had to generate its series — a
+// first run, a grown fleet, other trace settings, a damaged record — so
+// the next restart reads every one back. The file only ever saves CPU
+// time, so a failed write is journalled and the run goes on.
+func (c *Controller) saveSeries(store *persist.SeriesStore) {
+	recs := make([]persist.SeriesRecord, len(c.tenants))
+	for i, t := range c.tenants {
+		tc, _ := tenantTrace(c.cfg, i, t.Seed)
+		recs[i] = persist.SeriesRecord{Key: tc.AppendKey(nil), Values: t.Series.Values}
+	}
+	if _, err := store.Write(recs); err != nil {
+		obs.DefaultJournal.RecordTenantAt(c.tenants[0].Now(), "", "series-error",
+			fmt.Sprintf("saving the fleet's series failed; the next restart regenerates them: %v", err), nil)
+	}
+}
+
+// tenantSeries is the tenant's workload series: its record of the state
+// root's series file when that holds one stored under this exact trace
+// configuration, generated otherwise — the same values either way.
+func tenantSeries(tc trace.Config, index int, store *persist.SeriesStore) (series *timeseries.Series, restored bool, err error) {
+	if store != nil {
+		if values, err := store.Read(index, tc.AppendKey(nil), tc.Len()); err == nil {
+			return tc.Aggregated(trace.CPU, values), true, nil
+		}
+	}
+	tr, err := trace.Generate(tc)
+	if err != nil {
+		return nil, false, err
+	}
+	series, err = tr.Series(trace.CPU)
+	return series, false, err
+}
+
 // buildTenant derives one tenant's parts from the fleet configuration and
-// its index, and starts it (recovering from its slot of segs when the
-// fleet is durable).
-func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.SegmentStore) (*Tenant, error) {
+// its index, and starts it (recovering from its slot of segs, and reading
+// its series back from store, when the fleet is durable).
+func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.SegmentStore, store *persist.SeriesStore) (*Tenant, error) {
 	id := TenantID(index)
 	seed := deriveSeed(cfg.Seed, index)
 	tc, archetype := tenantTrace(cfg, index, seed)
-	tr, err := trace.Generate(tc)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %s: %w", id, err)
-	}
-	series, err := tr.Series(trace.CPU)
+	series, restored, err := tenantSeries(tc, index, store)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %s: %w", id, err)
 	}
 	t := &Tenant{
 		ID: id, Index: index, Archetype: archetype, Seed: seed,
 		Class:  ClassOf(index),
-		Series: series, TrainEnd: cfg.TrainDays * stepsPerDay(), Horizon: cfg.Horizon,
+		Series: series, seriesRestored: restored,
+		TrainEnd: cfg.TrainDays * stepsPerDay(), Horizon: cfg.Horizon,
 		ForecasterKind: cfg.Forecaster,
 		CoverageSlack:  guardCoverageSlack,
 		Backoff:        scaler.BackoffConfig{MaxAttempts: 1},

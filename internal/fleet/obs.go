@@ -30,6 +30,9 @@ var (
 	fleetCorruptSnapshots = obs.Default.Counter(
 		"robustscale_fleet_corrupt_snapshots_total",
 		"Per-tenant snapshot files rejected during fleet recovery.")
+	fleetSeriesRestored = obs.Default.Counter(
+		"robustscale_fleet_series_restored_total",
+		"Tenants whose workload series a durable restart read back from the series file instead of regenerating.")
 	fleetPlanSeconds = obs.Default.Histogram(
 		"robustscale_fleet_plan_round_seconds",
 		"Wall-clock latency of one tenant planning round inside the fleet batch.",

@@ -83,6 +83,10 @@ type Report struct {
 	WarmStarts    int     `json:"warm_starts"`
 	ColdStarts    int     `json:"cold_starts"`
 	CorruptSnaps  int     `json:"corrupt_snapshots"`
+	// SeriesRestored counts the tenants whose workload series this
+	// process read back from the state dir's series file; the rest were
+	// generated. Equal to Tenants on a restart that recomputed nothing.
+	SeriesRestored int `json:"series_restored,omitempty"`
 	// Per-tenant distribution of violation rate and cost (percentiles
 	// over tenants, deterministic).
 	ViolationRateP50 float64 `json:"violation_rate_p50"`
@@ -196,6 +200,7 @@ func (c *Controller) report() *Report {
 		WarmStarts:     c.warmCount,
 		ColdStarts:     c.coldCount,
 		CorruptSnaps:   c.corrupt,
+		SeriesRestored: c.seriesRestored,
 		DecisionsTotal: obs.DefaultDecisions.Total(),
 	}
 	// Distributions stream through mergeable sketches — O(buckets)

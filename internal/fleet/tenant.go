@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"time"
 
@@ -237,6 +238,9 @@ type Tenant struct {
 	// sloBlob is the fleet SLO tracker state recovered from this
 	// tenant's checkpoint (only tenant 0 carries it).
 	sloBlob []byte
+	// seriesRestored says the fleet read Series back from its series file
+	// instead of generating it.
+	seriesRestored bool
 
 	violCounter  *obs.Counter
 	roundCounter *obs.Counter
@@ -335,6 +339,7 @@ func (t *Tenant) Start() (*persist.State, error) {
 	// Recover before training: a valid snapshot supplies the model and
 	// loop state, skipping the cold fit entirely.
 	var recovered *persist.State
+	var extra loopExtra
 	if t.store == nil && t.StateDir != "" {
 		mgr, err := persist.NewManager(t.StateDir, t.Retain)
 		if err != nil {
@@ -358,7 +363,14 @@ func (t *Tenant) Start() (*persist.State, error) {
 			t.coldReason = fmt.Sprintf("checkpoint origin %d is not a round boundary of replay [%d, %d)",
 				st.Origin, t.TrainEnd, t.Series.Len())
 		default:
-			recovered = st
+			// Without the rolling hash and cost accounting a warm start
+			// would resume to a wrong fleet hash, so a snapshot whose Extra
+			// section does not decode is not resumable either.
+			if err := gob.NewDecoder(bytes.NewReader(st.Extra)).Decode(&extra); err != nil {
+				t.coldReason = fmt.Sprintf("checkpoint %s carries loop accounting that does not decode (%v)", info.Path, err)
+			} else {
+				recovered = st
+			}
 		}
 	}
 
@@ -408,7 +420,7 @@ func (t *Tenant) Start() (*persist.State, error) {
 	t.applier = (&scaler.Applier{Apply: apply, Backoff: t.Backoff, Breaker: t.Breaker, Clock: t.Now}).ScaleTo
 
 	if recovered != nil {
-		t.restore(recovered)
+		t.restore(recovered, &extra)
 	}
 	if err := t.Plant.Reset(t.Now(), t.prevAlloc); err != nil {
 		return nil, fmt.Errorf("fleet: %s: %w", t.ID, err)
@@ -416,43 +428,50 @@ func (t *Tenant) Start() (*persist.State, error) {
 	return recovered, nil
 }
 
-// restore applies a recovered snapshot's loop and component state. Any
-// single blob failing to load degrades that component to fresh state;
-// the loop counters and Extra section are plain values and always apply.
-func (t *Tenant) restore(st *persist.State) {
+// restore applies a recovered snapshot's loop state, its decoded Extra
+// section and its component state. A component whose blob does not load
+// keeps the fresh state it was built with; one restore-degraded journal
+// event names every component that did.
+func (t *Tenant) restore(st *persist.State, extra *loopExtra) {
 	t.warm = true
 	t.origin, t.cursor = st.Origin, st.Origin
 	if st.PrevAlloc > 0 {
 		t.prevAlloc = st.PrevAlloc
 	}
 	t.steps, t.violations, t.holds = st.Steps, st.Violations, st.Holds
-	load := func(blob []byte, into func(io.Reader) error) {
-		if len(blob) > 0 {
-			_ = into(bytes.NewReader(blob))
+	t.allocHash, t.cost = extra.AllocHash, extra.Cost
+	t.shedTotal, t.clippedRounds = extra.ShedNodes, extra.ClippedRounds
+	t.flap, t.quarantineLeft, t.quarantines = extra.Flap, extra.QuarantineLeft, extra.Quarantines
+	t.parkedSteps = extra.ParkedSteps
+	var fresh []string
+	load := func(component string, blob []byte, into func(io.Reader) error) {
+		if len(blob) > 0 && into(bytes.NewReader(blob)) != nil {
+			fresh = append(fresh, component)
 		}
 	}
-	var extra loopExtra
-	if len(st.Extra) > 0 && gob.NewDecoder(bytes.NewReader(st.Extra)).Decode(&extra) == nil {
-		t.allocHash, t.cost = extra.AllocHash, extra.Cost
-		t.shedTotal, t.clippedRounds = extra.ShedNodes, extra.ClippedRounds
-		t.flap, t.quarantineLeft, t.quarantines = extra.Flap, extra.QuarantineLeft, extra.Quarantines
-		t.parkedSteps = extra.ParkedSteps
-		if t.wakeGuard != nil {
-			load(extra.Wake, t.wakeGuard.Load)
-			load(extra.WakeLat, t.wakeLat.Load)
-		}
-		if t.sless != nil {
-			load(extra.Plant, t.sless.Load)
-		}
+	if t.wakeGuard != nil {
+		load("wake guard", extra.Wake, t.wakeGuard.Load)
+		load("wake-latency sketch", extra.WakeLat, t.wakeLat.Load)
+	}
+	if t.sless != nil {
+		load("serverless plant", extra.Plant, t.sless.Load)
 	}
 	if t.guard != nil {
-		load(st.Guard, t.guard.Load)
+		load("guard", st.Guard, t.guard.Load)
 	}
-	load(st.Breaker, t.Breaker.Load)
-	if len(st.Calibration) > 0 {
-		if cal, err := cluster.LoadCalibration(bytes.NewReader(st.Calibration)); err == nil {
+	load("breaker", st.Breaker, t.Breaker.Load)
+	load("calibration", st.Calibration, func(r io.Reader) error {
+		cal, err := cluster.LoadCalibration(r)
+		if err == nil {
 			t.armCalibration(cal)
 		}
+		return err
+	})
+	if len(fresh) > 0 {
+		obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "restore-degraded",
+			fmt.Sprintf("warm start at origin %d with fresh state for: %s (checkpoint sections did not load)",
+				t.origin, strings.Join(fresh, ", ")),
+			map[string]float64{"components": float64(len(fresh))})
 	}
 }
 

@@ -243,7 +243,8 @@ func Decode(r io.Reader, maxBytes int64) (*State, error) {
 
 // seqDir is a directory of sequence-numbered files sharing one name
 // pattern, and the one commit routine of the package: the single-state
-// Manager and the fleet SegmentStore both publish through it.
+// Manager, the fleet SegmentStore and the SeriesStore all publish through
+// it.
 type seqDir struct {
 	dir, prefix, suffix string
 	// files are the retained file paths, oldest first, as of the scan at
@@ -314,13 +315,12 @@ func (d *seqDir) list() []string {
 // point), directory fsync — then prunes the files beyond retain. A crash
 // at any point leaves every previously committed file intact; the temp
 // file is removed only when a step before the rename fails. It returns
-// the committed path.
-func (d *seqDir) commit(retain int, write func(io.Writer) error) (string, error) {
-	t0 := time.Now()
+// the committed path and size.
+func (d *seqDir) commit(retain int, write func(io.Writer) error) (string, int64, error) {
 	final := filepath.Join(d.dir, fmt.Sprintf("%s%08d%s", d.prefix, d.nextSeq, d.suffix))
 	tmp, err := os.CreateTemp(d.dir, ".ckpt-*.tmp")
 	if err != nil {
-		return "", fmt.Errorf("persist: creating temp snapshot: %w", err)
+		return "", 0, fmt.Errorf("persist: creating temp snapshot: %w", err)
 	}
 	counting := &countingWriter{w: tmp}
 	err = write(counting)
@@ -339,7 +339,7 @@ func (d *seqDir) commit(retain int, write func(io.Writer) error) (string, error)
 	}
 	if err != nil {
 		_ = os.Remove(tmp.Name()) // best effort: the error being returned is the one that matters
-		return "", err
+		return "", 0, err
 	}
 	fsyncDir(d.dir)
 	d.nextSeq++
@@ -348,13 +348,24 @@ func (d *seqDir) commit(retain int, write func(io.Writer) error) (string, error)
 		_ = os.Remove(d.files[0]) // a file someone else already removed is pruned all the same
 		d.files = d.files[1:]
 	}
-	ckptWrites.Inc()
-	ckptBytes.Set(float64(counting.n))
-	ckptWriteSeconds.ObserveSince(t0)
-	return final, nil
+	return final, counting.n, nil
 }
 
-// countingWriter tracks bytes written for the size gauge.
+// commitCheckpoint is commit for a file that is a checkpoint: it feeds
+// the checkpoint instruments, once per committed file.
+func (d *seqDir) commitCheckpoint(retain int, write func(io.Writer) error) (string, error) {
+	t0 := time.Now()
+	path, size, err := d.commit(retain, write)
+	if err != nil {
+		return "", err
+	}
+	ckptWrites.Inc()
+	ckptBytes.Set(float64(size))
+	ckptWriteSeconds.ObserveSince(t0)
+	return path, nil
+}
+
+// countingWriter tracks the bytes a commit wrote.
 type countingWriter struct {
 	w io.Writer
 	n int64
@@ -418,7 +429,7 @@ func (m *Manager) Snapshots() []string { return m.list() }
 // Write persists one snapshot atomically (see seqDir.commit) and prunes
 // snapshots beyond Retain. It returns the snapshot path.
 func (m *Manager) Write(st *State) (string, error) {
-	return m.commit(m.Retain, func(w io.Writer) error { return Encode(w, st) })
+	return m.commitCheckpoint(m.Retain, func(w io.Writer) error { return Encode(w, st) })
 }
 
 // RecoverInfo describes how a recovery concluded.

@@ -191,7 +191,7 @@ func (s *SegmentStore) DropRecovered() { s.loaded = nil }
 // in an older one. It returns the segment path.
 func (s *SegmentStore) Commit() (string, error) {
 	defer clear(s.slots)
-	return s.commit(s.retain, func(w io.Writer) error {
+	return s.commitCheckpoint(s.retain, func(w io.Writer) error {
 		var hdr [segHeaderLen]byte
 		copy(hdr[0:4], SegmentMagic)
 		binary.LittleEndian.PutUint32(hdr[4:8], SegmentVersion)

@@ -21,6 +21,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -232,6 +233,57 @@ func DecayingStyle(seed int64) Config {
 	}
 }
 
+// Revision identifies the bits Generate produces for a given Config.
+// Bump it when output bits change (TestGenerateGolden says when): series
+// cached on disk under an older revision are then regenerated instead of
+// read back.
+const Revision = 1
+
+// stepsPerDay is the number of observations in a day at the configured
+// step (the default step when unset).
+func (cfg Config) stepsPerDay() int {
+	step := cfg.Step
+	if step <= 0 {
+		step = timeseries.DefaultStep
+	}
+	return int(24 * time.Hour / step)
+}
+
+// Len is the length of every series Generate produces for cfg.
+func (cfg Config) Len() int { return cfg.Days * cfg.stepsPerDay() }
+
+// Aggregated wraps values as the aggregated series of a resource exactly
+// as Generate labels it, for a caller that kept the values of an earlier
+// Generate(cfg) and wants the series back without regenerating.
+func (cfg Config) Aggregated(res Resource, values []float64) *timeseries.Series {
+	return timeseries.New(cfg.Name+"/"+string(res), cfg.Start, cfg.Step, values)
+}
+
+// AppendKey appends an encoding of every field of cfg, in declaration
+// order: two configurations with equal keys generate identical traces
+// (at one Revision), and any field changing changes the key.
+// TestKeyCoversEveryField fails when a field is added to Config and not
+// here.
+func (cfg Config) AppendKey(b []byte) []byte {
+	str := func(s string) { b = append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	str(cfg.Name)
+	for _, v := range [...]int64{cfg.Seed, int64(cfg.Units), int64(cfg.Days), int64(cfg.Step), cfg.Start.UnixNano()} {
+		b = binary.AppendVarint(b, v)
+	}
+	b = binary.AppendUvarint(b, uint64(len(cfg.Resources)))
+	for _, r := range cfg.Resources {
+		str(string(r))
+	}
+	for _, v := range [...]float64{
+		cfg.BaseLoad, cfg.DailyAmp, cfg.WeeklyAmp, cfg.NoiseStd, cfg.NoisePhi, cfg.SharedNoiseFrac,
+		cfg.SpikeProb, cfg.SpikeScale, cfg.SpikeDecay, cfg.RegimeProb, cfg.RegimeScale, cfg.TrendPerDay,
+		cfg.RampSharpness,
+	} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
 // Generate produces a trace from the configuration.
 func Generate(cfg Config) (*Trace, error) {
 	if cfg.Units <= 0 {
@@ -246,8 +298,13 @@ func Generate(cfg Config) (*Trace, error) {
 	if len(cfg.Resources) == 0 {
 		cfg.Resources = []Resource{CPU}
 	}
-	stepsPerDay := int(24 * time.Hour / cfg.Step)
-	n := cfg.Days * stepsPerDay
+	n := cfg.Len()
+	// The weekly modulation's waveform is the same for every unit and
+	// resource; units only scale it.
+	weekly := make([]float64, n)
+	for i, weekSteps := 0, 7*float64(cfg.stepsPerDay()); i < n; i++ {
+		weekly[i] = math.Sin(2 * math.Pi * float64(i) / weekSteps)
+	}
 
 	t := &Trace{
 		Name:       cfg.Name,
@@ -259,7 +316,7 @@ func Generate(cfg Config) (*Trace, error) {
 		shared := generateSharedEvents(cfg, n, rng)
 		units := make([]*timeseries.Series, cfg.Units)
 		for u := 0; u < cfg.Units; u++ {
-			units[u] = generateUnit(cfg, res, u, n, shared, rng)
+			units[u] = generateUnit(cfg, res, u, shared, weekly, rng)
 		}
 		agg, err := timeseries.Aggregate(cfg.Name+"/"+string(res), units)
 		if err != nil {
@@ -310,29 +367,30 @@ func generateSharedEvents(cfg Config, n int, rng *rand.Rand) []float64 {
 	return shared
 }
 
-func generateUnit(cfg Config, res Resource, unit, n int, shared []float64, rng *rand.Rand) *timeseries.Series {
+func generateUnit(cfg Config, res Resource, unit int, shared, weeklyWave []float64, rng *rand.Rand) *timeseries.Series {
 	levelMul, seasonMul, noiseMul := resourceScale(res)
 	base := cfg.BaseLoad * levelMul * (0.7 + 0.6*rng.Float64())
 	phase := rng.Float64() * 2 * math.Pi * 0.15 // mild phase dispersion across units
 	dailyAmp := cfg.DailyAmp * seasonMul * base * (0.8 + 0.4*rng.Float64())
 	weeklyAmp := cfg.WeeklyAmp * seasonMul * base
 	noiseStd := cfg.NoiseStd * noiseMul * base
-	stepsPerDay := float64(int(24 * time.Hour / cfg.Step))
+	innovScale := math.Sqrt(1 - cfg.NoisePhi*cfg.NoisePhi)
+	stepsPerDay := float64(cfg.stepsPerDay())
 
-	values := make([]float64, n)
+	values := make([]float64, len(shared))
 	ar := 0.0
 	spike := 0.0
 	sharpness := cfg.RampSharpness
 	if sharpness <= 0 {
 		sharpness = 0.7
 	}
-	for i := 0; i < n; i++ {
+	for i := range values {
 		dayFrac := float64(i)/stepsPerDay + phase/(2*math.Pi)
 		daily := dailyAmp * sustainedDiurnal(dayFrac, sharpness)
-		weekly := weeklyAmp * math.Sin(2*math.Pi*float64(i)/(7*stepsPerDay))
+		weekly := weeklyAmp * weeklyWave[i]
 		trend := cfg.TrendPerDay * base * float64(i) / stepsPerDay
 
-		ar = cfg.NoisePhi*ar + rng.NormFloat64()*noiseStd*math.Sqrt(1-cfg.NoisePhi*cfg.NoisePhi)
+		ar = cfg.NoisePhi*ar + rng.NormFloat64()*noiseStd*innovScale
 
 		// Per-unit spikes on top of the cluster-wide shared events.
 		if rng.Float64() < cfg.SpikeProb {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -309,7 +310,8 @@ func fleetShape(style func(int64) Config, days int) Config {
 // TestGenerateGolden pins the generator's output bits — FNV-64a over the
 // Float64bits of the aggregate CPU series — for all four archetypes at
 // the fleet's shape, so a speed-up of Generate is proven against bits
-// recorded before it.
+// recorded before it, and a change that does move them is told to bump
+// Revision.
 func TestGenerateGolden(t *testing.T) {
 	golden := map[string]uint64{
 		"alibaba/4":     0x2d4c36b5d91eee2f,
@@ -344,5 +346,79 @@ func TestGenerateGolden(t *testing.T) {
 					"if that is intended, bump trace.Revision and re-record", name, got, golden[name])
 			}
 		}
+	}
+}
+
+// TestKeyCoversEveryField changes every field of Config in turn, by
+// reflection, and requires the key to change with it — so a field added
+// to Config but not to AppendKey fails here instead of letting two
+// different traces share a cached series.
+func TestKeyCoversEveryField(t *testing.T) {
+	base := AlibabaStyle(42)
+	baseKey := base.AppendKey(nil)
+	if again := AlibabaStyle(42).AppendKey(nil); !bytes.Equal(again, baseKey) {
+		t.Fatal("equal configurations, different keys")
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		cfg := base
+		f := reflect.ValueOf(&cfg).Elem().Field(i)
+		switch v := f.Interface().(type) {
+		case string:
+			f.SetString(v + "x")
+		case int, int64, time.Duration:
+			f.SetInt(f.Int() + 1)
+		case float64:
+			f.SetFloat(v + 0.125)
+		case time.Time:
+			f.Set(reflect.ValueOf(v.Add(time.Second)))
+		case []Resource:
+			f.Set(reflect.ValueOf(v[:len(v)-1]))
+		default:
+			t.Fatalf("Config grew a %s field (%s) the key does not know", f.Type(), typ.Field(i).Name)
+		}
+		if bytes.Equal(cfg.AppendKey(nil), baseKey) {
+			t.Errorf("changing Config.%s does not change the key", typ.Field(i).Name)
+		}
+	}
+	renamed := base
+	renamed.Resources = []Resource{CPU, Disk, Memory}
+	if bytes.Equal(renamed.AppendKey(nil), baseKey) {
+		t.Error("reordering Resources does not change the key")
+	}
+}
+
+// TestAggregatedMatchesGenerate: values kept from a Generate come back,
+// through Aggregated, as the series Generate returned — including under
+// a zero Step, which both default alike.
+func TestAggregatedMatchesGenerate(t *testing.T) {
+	cfg := fleetShape(GoogleStyle, 4)
+	cfg.Step = 0
+	tr, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := tr.Series(CPU)
+	if want.Len() != cfg.Len() {
+		t.Fatalf("Len() = %d, Generate produced %d", cfg.Len(), want.Len())
+	}
+	if got := cfg.Aggregated(CPU, want.Values); !reflect.DeepEqual(got, want) {
+		t.Errorf("Aggregated = %+v, want Generate's %+v", got, want)
+	}
+}
+
+// BenchmarkGenerateFleetTenant is what one tenant of a cold fleet build
+// pays for its trace at the benchmark's shape.
+func BenchmarkGenerateFleetTenant(b *testing.B) {
+	for _, style := range []func(int64) Config{AlibabaStyle, GoogleStyle} {
+		cfg := fleetShape(style, 16)
+		b.Run(cfg.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

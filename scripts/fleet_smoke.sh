@@ -10,7 +10,8 @@
 #   * the Prometheus dump carries one tenant-labelled series per tenant,
 #   * a fleet stopped at a round boundary (-max-rounds) and restarted on
 #     its state dir warm-starts every tenant and finishes bit-identical
-#     to an uninterrupted run, having written one segment per round,
+#     to an uninterrupted run, having written one segment per round and
+#     one series file that the restart reads every tenant's series from,
 #   * a reduced fleet runs clean under the race detector.
 #
 # Corruption isolation (a damaged record or a torn segment costs only the
@@ -70,10 +71,16 @@ grep -q '^robustscale_fleet_tenant_violations_total{tenant="' "$work/a.metrics"
 echo "-- kill-restart: stop at a round boundary, warm-resume bit-identically"
 fs -tenants "$tenants" -state-dir "$work/state" -max-rounds 3 -out "$work/p1.json"
 jq -e '.rounds == 3' "$work/p1.json" > /dev/null
-# One committed file per round, nothing per tenant.
-[ "$(ls "$work/state" | tr '\n' ' ')" = "segment-00000000.seg segment-00000001.seg segment-00000002.seg " ]
+# One committed file per round, nothing per tenant, and the generated
+# series once beside them.
+[ "$(ls "$work/state" | tr '\n' ' ')" = "segment-00000000.seg segment-00000001.seg segment-00000002.seg series-00000000.ser " ]
+jq -e '.series_restored == null' "$work/p1.json" > /dev/null
 fs -tenants "$tenants" -state-dir "$work/state" -out "$work/p2.json"
 jq -e --argjson n "$tenants" '.warm_starts == $n and .cold_starts == 0' "$work/p2.json" > /dev/null
+# The restart recomputed no series and left the file alone.
+jq -e --argjson n "$tenants" '.series_restored == $n' "$work/p2.json" > /dev/null
+[ "$(ls "$work/state" | grep -c '^series-.*\.ser$')" -eq 1 ]
+[ -f "$work/state/series-00000000.ser" ]
 [ "$(hash_of "$work/p2.json")" = "$(hash_of "$work/a.json")" ]
 [ "$(tenant_rows "$work/p2.json")" = "$(tenant_rows "$work/a.json")" ]
 
