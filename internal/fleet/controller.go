@@ -112,10 +112,10 @@ func New(cfg Config) (*Controller, error) {
 	if err := parallel.FirstError(errs); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg, tenants: tenants, segs: segs, lastCkpt: -1, chaosSched: chaosSched}
 	if segs != nil {
 		segs.DropRecovered()
 	}
+	c := &Controller{cfg: cfg, tenants: tenants, segs: segs, lastCkpt: -1, chaosSched: chaosSched}
 	fleetTenantsGauge.Set(float64(cfg.Tenants))
 	// Lifecycle bookkeeping runs sequentially in tenant order so journal
 	// entries and start counters land deterministically.
@@ -216,7 +216,7 @@ func (c *Controller) saveSeries(store *persist.SeriesStore) {
 	recs := make([]persist.SeriesRecord, len(c.tenants))
 	for i, t := range c.tenants {
 		tc, _ := tenantTrace(c.cfg, i, t.Seed)
-		recs[i] = persist.SeriesRecord{Key: tc.AppendKey(nil), Values: t.Series.Values}
+		recs[i] = persist.SeriesRecord{Key: seriesKey(tc), Values: t.Series.Values}
 	}
 	if _, err := store.Write(recs); err != nil {
 		obs.DefaultJournal.RecordTenantAt(c.tenants[0].Now(), "", "series-error",
@@ -224,12 +224,18 @@ func (c *Controller) saveSeries(store *persist.SeriesStore) {
 	}
 }
 
+// seriesKey is what a tenant's series is stored under in the series file:
+// everything it was generated from.
+func seriesKey(tc trace.Config) []byte {
+	return tc.AppendKey(make([]byte, 0, 256)) // room for any fleet tenant's key in one allocation
+}
+
 // tenantSeries is the tenant's workload series: its record of the state
 // root's series file when that holds one stored under this exact trace
 // configuration, generated otherwise — the same values either way.
-func tenantSeries(tc trace.Config, index int, store *persist.SeriesStore) (series *timeseries.Series, restored bool, err error) {
+func tenantSeries(tc trace.Config, index int, store *persist.SeriesStore) (*timeseries.Series, bool, error) {
 	if store != nil {
-		if values, err := store.Read(index, tc.AppendKey(nil), tc.Len()); err == nil {
+		if values, err := store.Read(index, seriesKey(tc), tc.Len()); err == nil {
 			return tc.Aggregated(trace.CPU, values), true, nil
 		}
 	}
@@ -237,7 +243,7 @@ func tenantSeries(tc trace.Config, index int, store *persist.SeriesStore) (serie
 	if err != nil {
 		return nil, false, err
 	}
-	series, err = tr.Series(trace.CPU)
+	series, err := tr.Series(trace.CPU)
 	return series, false, err
 }
 

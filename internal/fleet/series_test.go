@@ -32,12 +32,6 @@ func restoredAt(t *testing.T, cfg Config) int {
 	return c.seriesRestored
 }
 
-// seriesKey is the key the tenant at index stores its series under.
-func seriesKey(cfg Config, index int) []byte {
-	tc, _ := tenantTrace(cfg, index, deriveSeed(cfg.Seed, index))
-	return tc.AppendKey(nil)
-}
-
 // TestSeriesRestoredOnWarmRestart: the cold build leaves one series file,
 // the restart reads every tenant's series out of it, and the file is
 // invisible in every result — with it, without it and after it was
@@ -125,7 +119,8 @@ func TestCorruptSeriesRecordRegeneratesOneTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := seriesKey(cfg, victim)
+	tc, _ := tenantTrace(cfg, victim, deriveSeed(cfg.Seed, victim))
+	key := seriesKey(tc)
 	at := bytes.Index(raw, key)
 	if at < 0 {
 		t.Fatalf("%s holds no record under tenant %d's key", damaged, victim)

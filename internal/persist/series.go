@@ -151,14 +151,12 @@ func (s *SeriesStore) Write(recs []SeriesRecord) (string, error) {
 	return path, err
 }
 
-// Close releases the file found at open.
+// Close releases the file found at open; reads after it miss.
 func (s *SeriesStore) Close() error {
 	if s.f == nil {
 		return nil
 	}
-	f := s.f
-	s.f, s.file, s.miss = nil, nil, errNoSeries
-	return f.Close()
+	return s.f.Close()
 }
 
 // seriesFile is the read side of one series file: its validated index
