@@ -45,13 +45,14 @@ bench-save:
 bench-check:
 	scripts/bench_plan_round.sh check
 
-# Short fuzz pass over the checkpoint decoder and the fleet segment and
-# series readers: arbitrary bytes must error cleanly, never panic or
-# over-allocate.
+# Short fuzz pass over the checkpoint decoder, the fleet segment and
+# series readers and the component blob decoders inside a record:
+# arbitrary bytes must error cleanly, never panic or over-allocate.
 fuzz:
 	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadSegment -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadSeries -fuzztime=10s ./internal/persist
+	$(GO) test -fuzz=FuzzLoadComponent -fuzztime=10s ./internal/fleet
 
 # Fleet determinism and durability drill (same script CI runs): worker
 # counts invisible in results, kill-restart bit-identity, single-tenant

@@ -37,8 +37,8 @@ type Calibration struct {
 	window int
 
 	mu        sync.Mutex
-	actuals   []float64   // ring of realized workloads
-	preds     [][]float64 // ring of quantile rows, aligned with levels
+	actuals   []float64 // ring of realized workloads
+	preds     []float64 // ring of quantile rows, len(levels) values per slot
 	next      int
 	count     int
 	covered   []int     // per level: covered steps currently in window
@@ -85,12 +85,9 @@ func NewCalibration(levels []float64, window int) (*Calibration, error) {
 		levels:  append([]float64(nil), levels...),
 		window:  window,
 		actuals: make([]float64, window),
-		preds:   make([][]float64, window),
+		preds:   make([]float64, window*len(levels)),
 		covered: make([]int, len(levels)),
 		pinball: make([]float64, len(levels)),
-	}
-	for i := range c.preds {
-		c.preds[i] = make([]float64, len(levels))
 	}
 	covVec := obs.Default.GaugeVec(
 		"robustscale_forecast_coverage",
@@ -143,22 +140,22 @@ func (c *Calibration) Observe(actual float64, quantiles []float64) error {
 		return nil
 	}
 
+	row := c.preds[c.next*len(c.levels):][:len(c.levels)]
 	if c.count == c.window {
 		// Evict the oldest observation from the running sums.
 		old := c.actuals[c.next]
-		oldRow := c.preds[c.next]
 		c.actualSum -= old
 		for i := range c.levels {
-			if oldRow[i] >= old {
+			if row[i] >= old {
 				c.covered[i]--
 			}
-			c.pinball[i] -= pinballLoss(c.levels[i], old, oldRow[i])
+			c.pinball[i] -= pinballLoss(c.levels[i], old, row[i])
 		}
 	} else {
 		c.count++
 	}
 	c.actuals[c.next] = actual
-	copy(c.preds[c.next], quantiles)
+	copy(row, quantiles)
 	c.actualSum += actual
 	for i, tau := range c.levels {
 		if quantiles[i] >= actual {

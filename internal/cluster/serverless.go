@@ -15,11 +15,11 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 
 	"robustscale/internal/optimize"
+	"robustscale/internal/wire"
 )
 
 // DefaultNodeSizes is the vertical scaling ladder the serverless model
@@ -239,38 +239,33 @@ func (s *Serverless) Step(demandUnits int, f WakeFault) WakeOutcome {
 	return out
 }
 
-// serverlessState is the gob wire form of the plant.
-type serverlessState struct {
-	Nodes, Size             int
-	Waking                  bool
-	WakeRemain, WakeElapsed float64
-	Wakes, WakeFails        int64
-	Parks, Partials         int64
-}
-
 // Save snapshots the plant; Load restores it. Configuration is not
 // persisted — the owner rebuilds the plant from its (fingerprinted)
 // config and restores only the mutable state, the same contract every
 // other component's Save/Load follows.
 func (s *Serverless) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(serverlessState{
-		Nodes: s.nodes, Size: s.size,
-		Waking: s.waking, WakeRemain: s.wakeRemain, WakeElapsed: s.wakeElapsed,
-		Wakes: s.wakes, WakeFails: s.wakeFails, Parks: s.parks, Partials: s.partials,
-	})
+	b := wire.AppendVarints(wire.Scratch(w), int64(s.nodes), int64(s.size))
+	b = wire.AppendBool(b, s.waking)
+	b = wire.AppendFloat(b, s.wakeRemain)
+	b = wire.AppendFloat(b, s.wakeElapsed)
+	_, err := w.Write(wire.AppendVarints(b, s.wakes, s.wakeFails, s.parks, s.partials))
+	return err
 }
 
 // Load restores a snapshot written by Save.
 func (s *Serverless) Load(r io.Reader) error {
-	var st serverlessState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
+	rd := wire.ReadFrom(r)
+	nodes, size, waking := rd.Int(), rd.Int(), rd.Bool()
+	wakeRemain, wakeElapsed := rd.Float(), rd.Float()
+	wakes, wakeFails, parks, partials := rd.Varint(), rd.Varint(), rd.Varint(), rd.Varint()
+	if err := rd.Done(); err != nil {
 		return fmt.Errorf("cluster: loading serverless state: %w", err)
 	}
-	if st.Nodes < 0 || st.Size < 0 || st.Size >= len(s.cfg.Sizes) || st.WakeRemain < 0 {
-		return fmt.Errorf("cluster: serverless snapshot out of range (%d nodes, size %d)", st.Nodes, st.Size)
+	if nodes < 0 || size < 0 || size >= len(s.cfg.Sizes) || wakeRemain < 0 {
+		return fmt.Errorf("cluster: serverless snapshot out of range (%d nodes, size %d)", nodes, size)
 	}
-	s.nodes, s.size = st.Nodes, st.Size
-	s.waking, s.wakeRemain, s.wakeElapsed = st.Waking, st.WakeRemain, st.WakeElapsed
-	s.wakes, s.wakeFails, s.parks, s.partials = st.Wakes, st.WakeFails, st.Parks, st.Partials
+	s.nodes, s.size = nodes, size
+	s.waking, s.wakeRemain, s.wakeElapsed = waking, wakeRemain, wakeElapsed
+	s.wakes, s.wakeFails, s.parks, s.partials = wakes, wakeFails, parks, partials
 	return nil
 }

@@ -1,0 +1,89 @@
+package fleet
+
+import (
+	"testing"
+
+	"robustscale/internal/persist"
+)
+
+// memStore is a checkpointStore that keeps the last snapshot in memory.
+// Sections alias the tenant's pooled buffer until Write returns, so it
+// copies them out — into one arena it reuses, as a slot frames a record.
+type memStore struct {
+	st    persist.State
+	arena []byte
+}
+
+func (m *memStore) Recover() (*persist.State, persist.RecoverInfo, error) {
+	return &m.st, persist.RecoverInfo{}, nil
+}
+
+func (m *memStore) Write(st *persist.State) (string, error) {
+	m.st, m.arena = *st, m.arena[:0]
+	for _, sec := range [...]*[]byte{&m.st.Forecaster, &m.st.Calibration, &m.st.Guard, &m.st.Breaker, &m.st.Extra} {
+		at := len(m.arena)
+		m.arena = append(m.arena, *sec...)
+		*sec = m.arena[at:len(m.arena):len(m.arena)]
+	}
+	return "", nil
+}
+
+// benchTenant is one seasonal-naive tenant at the fleet's default shape,
+// three rounds into its replay (calibration window filling, guard and
+// breaker exercised) and checkpointed once into a memStore. It is the
+// fleet's second tenant: the first also carries the fleet's SLO tracker.
+func benchTenant(b *testing.B) (Config, *Tenant) {
+	cfg := DefaultConfig(2)
+	c, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tn := c.Tenants()[1]
+	for round := 0; round < 3; round++ {
+		if err := tn.Plan(); err != nil {
+			b.Fatal(err)
+		}
+		if err := tn.Apply(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tn.store = &memStore{}
+	if err := tn.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	return cfg, tn
+}
+
+// BenchmarkTenantCheckpoint is what one tenant pays per checkpointed
+// round before anything reaches a disk: every component's Save and the
+// Extra section into the pooled buffer.
+func BenchmarkTenantCheckpoint(b *testing.B) {
+	_, tn := benchTenant(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tn.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTenantRestore is the decoding half of a warm Start: the Extra
+// section, the forecaster loaded into a freshly built strategy, and every
+// component blob through restore.
+func BenchmarkTenantRestore(b *testing.B) {
+	cfg, tn := benchTenant(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, _, _ := tn.store.Recover()
+		extra, err := decodeExtra(st.Extra)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, _, err := buildStrategy(cfg, tn, st.Forecaster, st.Rho); err != nil {
+			b.Fatal(err)
+		}
+		tn.restore(st, &extra)
+	}
+}

@@ -521,6 +521,59 @@ func TestCheckpointFailsWithoutExtra(t *testing.T) {
 	}
 }
 
+// TestCheckpointDegradedIsJournalled: an optional component whose Save
+// fails is left out of the snapshot — the restart runs it fresh — and the
+// checkpoint says so once, naming every such component; the snapshot is
+// still taken and still warm-starts the tenant.
+func TestCheckpointDegradedIsJournalled(t *testing.T) {
+	orig := saveSection
+	defer func() { saveSection = orig }()
+	saveSection = func(component string, save func(io.Writer) error, w io.Writer) error {
+		if component == "guard" || component == "breaker" {
+			return errors.New("no encoder today")
+		}
+		return save(w)
+	}
+
+	cfg := testConfig(2)
+	cfg.StateDir = t.TempDir()
+	phase1 := cfg
+	phase1.MaxRounds = 2
+	c, err := New(phase1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	since := obs.DefaultJournal.Total()
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	events := obs.DefaultJournal.EventsFilteredTenant(TenantID(1), "checkpoint-degraded", since)
+	if len(events) != phase1.MaxRounds {
+		t.Fatalf("%d checkpoint-degraded events for the tenant over %d checkpoints, want one each", len(events), phase1.MaxRounds)
+	}
+	if events[0].Fields["components"] != 2 || !strings.Contains(events[0].Msg, "guard, breaker") {
+		t.Errorf("event %+v does not name the guard and the breaker", events[0])
+	}
+	if errs := obs.DefaultJournal.EventsFiltered("checkpoint-error", since); len(errs) != 0 {
+		t.Errorf("a degraded checkpoint was journalled as failed: %+v", errs)
+	}
+
+	saveSection = orig
+	since = obs.DefaultJournal.Total()
+	c, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tn := range c.Tenants() {
+		if !tn.warm || tn.cal == nil {
+			t.Errorf("%s: warm = %v, calibration %v; want a warm start with the sections that did save", tn.ID, tn.warm, tn.cal)
+		}
+	}
+	if events := obs.DefaultJournal.EventsFiltered("restore-degraded", since); len(events) != 0 {
+		t.Errorf("sections left out at the checkpoint were reported as failing to load: %+v", events)
+	}
+}
+
 // TestMaxRoundsStopsAtBoundary pins the deterministic-stop contract the
 // kill-restart CI drill relies on.
 func TestMaxRoundsStopsAtBoundary(t *testing.T) {

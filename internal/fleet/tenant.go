@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -17,6 +17,7 @@ import (
 	"robustscale/internal/persist"
 	"robustscale/internal/scaler"
 	"robustscale/internal/timeseries"
+	"robustscale/internal/wire"
 )
 
 // fnv64 constants for the rolling allocation hash.
@@ -55,24 +56,46 @@ type loopExtra struct {
 	AllocHash uint64
 	// Cost is the cumulative node-steps the tenant has paid for.
 	Cost int64
-	// Pool and quarantine lifetime counters (added with the shared
-	// capacity pool; gob tolerates their absence in older blobs, so no
-	// format version bump is needed — old snapshots decode with zeros).
+	// Pool and quarantine lifetime counters.
 	ShedNodes      int64
 	ClippedRounds  int
 	Flap           int
 	QuarantineLeft int
 	Quarantines    int
-	// Serverless wake state (added with scale-to-zero; absent in older
-	// blobs, decoding to nil/zero): the wake-guard hysteresis machine,
-	// the per-tenant plant mid-wake state, the wake-latency sketch and
-	// the parked-step total. Restoring them is what lets a kill mid-wake
-	// resume bit-identically. The daemon's older snapshots carry Wake and
-	// ParkedSteps under the same names, so they decode here too.
+	// Serverless wake state (empty/zero without scale-to-zero): the
+	// wake-guard hysteresis machine, the per-tenant plant mid-wake state,
+	// the wake-latency sketch and the parked-step total. Restoring them is
+	// what lets a kill mid-wake resume bit-identically.
 	Wake        []byte
 	Plant       []byte
 	WakeLat     []byte
 	ParkedSteps int64
+}
+
+// appendExtra appends the Extra section: loopExtra's fields in declaration
+// order (layout in DESIGN.md §8). Nothing in it can be skipped or
+// defaulted, so a field added here changes persist.SegmentVersion and
+// persist.Version too; TestExtraCodecCoversEveryField fails until it is
+// in both functions.
+func appendExtra(b []byte, ex *loopExtra) []byte {
+	b = binary.AppendUvarint(b, ex.AllocHash)
+	b = wire.AppendVarints(b, ex.Cost, ex.ShedNodes,
+		int64(ex.ClippedRounds), int64(ex.Flap), int64(ex.QuarantineLeft), int64(ex.Quarantines))
+	for _, sec := range [...][]byte{ex.Wake, ex.Plant, ex.WakeLat} {
+		b = wire.AppendSection(b, sec)
+	}
+	return binary.AppendVarint(b, ex.ParkedSteps)
+}
+
+// decodeExtra is appendExtra's inverse; the blobs alias the section.
+func decodeExtra(blob []byte) (loopExtra, error) {
+	r := wire.NewReader(blob)
+	ex := loopExtra{
+		AllocHash: r.Uvarint(), Cost: r.Varint(), ShedNodes: r.Varint(),
+		ClippedRounds: r.Int(), Flap: r.Int(), QuarantineLeft: r.Int(), Quarantines: r.Int(),
+		Wake: r.Section(), Plant: r.Section(), WakeLat: r.Section(), ParkedSteps: r.Varint(),
+	}
+	return ex, r.Done()
 }
 
 // checkpointStore is where a tenant's snapshots go and come back from. A
@@ -366,7 +389,8 @@ func (t *Tenant) Start() (*persist.State, error) {
 			// Without the rolling hash and cost accounting a warm start
 			// would resume to a wrong fleet hash, so a snapshot whose Extra
 			// section does not decode is not resumable either.
-			if err := gob.NewDecoder(bytes.NewReader(st.Extra)).Decode(&extra); err != nil {
+			var err error
+			if extra, err = decodeExtra(st.Extra); err != nil {
 				t.coldReason = fmt.Sprintf("checkpoint %s carries loop accounting that does not decode (%v)", info.Path, err)
 			} else {
 				recovered = st
@@ -467,11 +491,16 @@ func (t *Tenant) restore(st *persist.State, extra *loopExtra) {
 		}
 		return err
 	})
-	if len(fresh) > 0 {
-		obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "restore-degraded",
-			fmt.Sprintf("warm start at origin %d with fresh state for: %s (checkpoint sections did not load)",
-				t.origin, strings.Join(fresh, ", ")),
-			map[string]float64{"components": float64(len(fresh))})
+	t.journalDegraded("restore-degraded", "warm start at origin %d with fresh state for: %s (checkpoint sections did not load)", fresh)
+}
+
+// journalDegraded records, once, the components a restore or a checkpoint
+// went ahead without; format takes the origin and their names.
+func (t *Tenant) journalDegraded(kind, format string, components []string) {
+	if len(components) > 0 {
+		obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, kind,
+			fmt.Sprintf(format, t.origin, strings.Join(components, ", ")),
+			map[string]float64{"components": float64(len(components))})
 	}
 }
 
@@ -669,10 +698,12 @@ func (t *Tenant) Checkpoint() error {
 	scratch := ckptScratch.Get().(*bytes.Buffer)
 	scratch.Reset()
 	defer ckptScratch.Put(scratch)
-	section := func(save func(io.Writer) error) []byte {
+	var unsaved []string
+	section := func(component string, save func(io.Writer) error) []byte {
 		start := scratch.Len()
-		if save(scratch) != nil {
+		if saveSection(component, save, scratch) != nil {
 			scratch.Truncate(start)
+			unsaved = append(unsaved, component)
 			return nil // the owner restores a missing section as fresh state
 		}
 		return scratch.Bytes()[start:scratch.Len():scratch.Len()]
@@ -689,18 +720,18 @@ func (t *Tenant) Checkpoint() error {
 	}
 	if t.snapper != nil {
 		st.ForecasterKind = t.ForecasterKind
-		if st.Forecaster = section(t.snapper.Save); st.Forecaster == nil {
+		if st.Forecaster = section("forecaster", t.snapper.Save); st.Forecaster == nil {
 			// A snapshot without the model would warm-start wrong.
 			return t.checkpointFailed(errors.New("snapshotting the forecaster failed"))
 		}
 	}
 	if t.cal != nil {
-		st.Calibration = section(t.cal.Save)
+		st.Calibration = section("calibration", t.cal.Save)
 	}
 	if t.guard != nil {
-		st.Guard = section(t.guard.Save)
+		st.Guard = section("guard", t.guard.Save)
 	}
-	st.Breaker = section(t.Breaker.Save)
+	st.Breaker = section("breaker", t.Breaker.Save)
 	ex := loopExtra{
 		AllocHash: t.allocHash, Cost: t.cost,
 		ShedNodes: t.shedTotal, ClippedRounds: t.clippedRounds,
@@ -708,13 +739,13 @@ func (t *Tenant) Checkpoint() error {
 		ParkedSteps: t.parkedSteps,
 	}
 	if t.wakeGuard != nil {
-		ex.Wake = section(t.wakeGuard.Save)
-		ex.WakeLat = section(t.wakeLat.Save)
+		ex.Wake = section("wake guard", t.wakeGuard.Save)
+		ex.WakeLat = section("wake-latency sketch", t.wakeLat.Save)
 	}
 	if t.sless != nil {
-		ex.Plant = section(t.sless.Save)
+		ex.Plant = section("serverless plant", t.sless.Save)
 	}
-	if st.Extra = section(func(w io.Writer) error { return encodeExtra(w, ex) }); st.Extra == nil {
+	if st.Extra = section("loop accounting", func(w io.Writer) error { return encodeExtra(w, ex) }); st.Extra == nil {
 		// Without the rolling hash and cost accounting a warm start would
 		// resume to a wrong fleet hash.
 		return t.checkpointFailed(errors.New("encoding the loop accounting failed"))
@@ -725,15 +756,24 @@ func (t *Tenant) Checkpoint() error {
 	if _, err := t.store.Write(st); err != nil {
 		return t.checkpointFailed(err)
 	}
+	// The save side of restore-degraded: a restart from this snapshot runs
+	// these components fresh, so say so when that is decided.
+	t.journalDegraded("checkpoint-degraded", "checkpoint at origin %d taken without: %s (their Save failed; a restart from it runs them fresh)", unsaved)
 	return nil
 }
 
 // ckptScratch pools the buffers Checkpoint encodes sections into.
 var ckptScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// encodeExtra writes the Extra section; a variable so a test can make it
-// fail.
-var encodeExtra = func(w io.Writer, ex loopExtra) error { return gob.NewEncoder(w).Encode(ex) }
+// encodeExtra writes the Extra section and saveSection runs one
+// component's Save; variables so a test can make either fail.
+var (
+	encodeExtra = func(w io.Writer, ex loopExtra) error {
+		_, err := w.Write(appendExtra(wire.Scratch(w), &ex))
+		return err
+	}
+	saveSection = func(component string, save func(io.Writer) error, w io.Writer) error { return save(w) }
+)
 
 // checkpointFailed journals and wraps the reason a checkpoint was not
 // taken.

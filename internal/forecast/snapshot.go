@@ -1,11 +1,15 @@
 package forecast
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"robustscale/internal/timeseries"
+	"robustscale/internal/wire"
 )
 
 // Snapshotter is the persistence contract of a checkpointable
@@ -31,20 +35,20 @@ var (
 	_ Snapshotter = (*Ensemble)(nil)
 )
 
-// naiveState is the gob image of a fitted Naive forecaster.
-type naiveState struct {
-	Horizon      int
-	MaxResiduals int
-	Residuals    [][]float64
-}
-
-// Save writes the fitted residual distributions.
+// Save writes the fitted residual distributions, one row per horizon
+// step (layout in DESIGN.md §8). Like every blob in the wire codec it is
+// not self-delimiting: Load takes the reader to its end, so a composite
+// saver frames it (see Ensemble).
 func (n *Naive) Save(w io.Writer) error {
 	if !n.fitted {
 		return ErrNotFitted
 	}
-	st := naiveState{Horizon: n.horizon, MaxResiduals: n.MaxResiduals, Residuals: n.residuals}
-	if err := gob.NewEncoder(w).Encode(st); err != nil {
+	b := binary.AppendUvarint(wire.Scratch(w), uint64(len(n.residuals)))
+	b = binary.AppendVarint(b, int64(n.MaxResiduals))
+	for _, row := range n.residuals {
+		b = wire.AppendFloats(b, row)
+	}
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("forecast: saving naive: %w", err)
 	}
 	return nil
@@ -53,24 +57,22 @@ func (n *Naive) Save(w io.Writer) error {
 // Load restores a model saved by Save, overwriting the receiver's
 // horizon and residual history.
 func (n *Naive) Load(r io.Reader) error {
-	var st naiveState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
+	rd := wire.ReadFrom(r)
+	residuals := make([][]float64, rd.Count(1)) // an empty row is one byte
+	maxResiduals := rd.Int()
+	for k := range residuals {
+		residuals[k] = rd.Floats()
+	}
+	if err := rd.Done(); err != nil {
 		return fmt.Errorf("forecast: loading naive: %w", err)
 	}
-	if st.Horizon <= 0 || len(st.Residuals) != st.Horizon {
-		return fmt.Errorf("forecast: naive snapshot has %d residual rows for horizon %d", len(st.Residuals), st.Horizon)
+	if len(residuals) == 0 {
+		return fmt.Errorf("forecast: naive snapshot has no residual rows")
 	}
-	n.horizon, n.MaxResiduals, n.residuals = st.Horizon, st.MaxResiduals, st.Residuals
+	n.horizon, n.MaxResiduals, n.residuals = len(residuals), maxResiduals, residuals
 	n.WarmReset() // restored residuals invalidate cached offsets
 	n.fitted = true
 	return nil
-}
-
-// seasonalNaiveState is the gob image of a fitted SeasonalNaive.
-type seasonalNaiveState struct {
-	Period       int
-	MaxResiduals int
-	Residuals    []float64
 }
 
 // Save writes the fitted seasonal residual distribution.
@@ -78,8 +80,8 @@ func (s *SeasonalNaive) Save(w io.Writer) error {
 	if !s.fitted {
 		return ErrNotFitted
 	}
-	st := seasonalNaiveState{Period: s.Period, MaxResiduals: s.MaxResiduals, Residuals: s.residuals}
-	if err := gob.NewEncoder(w).Encode(st); err != nil {
+	b := wire.AppendVarints(wire.Scratch(w), int64(s.Period), int64(s.MaxResiduals))
+	if _, err := w.Write(wire.AppendFloats(b, s.residuals)); err != nil {
 		return fmt.Errorf("forecast: saving %s: %w", s.Name(), err)
 	}
 	return nil
@@ -88,14 +90,15 @@ func (s *SeasonalNaive) Save(w io.Writer) error {
 // Load restores a model saved by Save, overwriting the receiver's
 // period and residual history.
 func (s *SeasonalNaive) Load(r io.Reader) error {
-	var st seasonalNaiveState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
+	rd := wire.ReadFrom(r)
+	period, maxResiduals, residuals := rd.Int(), rd.Int(), rd.Floats()
+	if err := rd.Done(); err != nil {
 		return fmt.Errorf("forecast: loading seasonal-naive: %w", err)
 	}
-	if st.Period <= 0 {
-		return fmt.Errorf("forecast: seasonal-naive snapshot has non-positive period %d", st.Period)
+	if period <= 0 {
+		return fmt.Errorf("forecast: seasonal-naive snapshot has non-positive period %d", period)
 	}
-	s.Period, s.MaxResiduals, s.residuals = st.Period, st.MaxResiduals, st.Residuals
+	s.Period, s.MaxResiduals, s.residuals = period, maxResiduals, residuals
 	s.WarmReset() // restored residuals invalidate cached offsets
 	s.fitted = true
 	return nil
@@ -163,7 +166,9 @@ type ensembleEnvelope struct {
 }
 
 // Save writes the combination weights followed by every member's own
-// snapshot on the same stream. Every member must implement Snapshotter.
+// snapshot on the same stream, each behind a uvarint byte count: a member
+// in the wire codec does not say where it ends, and Load hands each
+// member exactly its own bytes. Every member must implement Snapshotter.
 func (e *Ensemble) Save(w io.Writer) error {
 	if len(e.Members) == 0 {
 		return fmt.Errorf("forecast: ensemble has no members")
@@ -178,8 +183,17 @@ func (e *Ensemble) Save(w io.Writer) error {
 	if err := gob.NewEncoder(w).Encode(env); err != nil {
 		return fmt.Errorf("forecast: saving ensemble: %w", err)
 	}
+	var member bytes.Buffer
 	for _, m := range e.Members {
-		if err := m.(Snapshotter).Save(w); err != nil {
+		member.Reset()
+		if err := m.(Snapshotter).Save(&member); err != nil {
+			return fmt.Errorf("forecast: saving ensemble member %s: %w", m.Name(), err)
+		}
+		_, err := w.Write(binary.AppendUvarint(nil, uint64(member.Len())))
+		if err == nil {
+			_, err = member.WriteTo(w)
+		}
+		if err != nil {
 			return fmt.Errorf("forecast: saving ensemble member %s: %w", m.Name(), err)
 		}
 	}
@@ -208,8 +222,18 @@ func (e *Ensemble) Load(r io.Reader) error {
 		snaps[i] = s
 	}
 	for i, s := range snaps {
-		if err := s.Load(r); err != nil {
+		size, err := binary.ReadUvarint(r.(io.ByteReader))
+		if err != nil {
 			return fmt.Errorf("forecast: loading ensemble member %d: %w", i, err)
+		}
+		// The limit is the frame, not an allocation: a member reads what
+		// is there and fails on a short stream.
+		member := &io.LimitedReader{R: r, N: int64(min(size, math.MaxInt64))}
+		if err := s.Load(member); err != nil {
+			return fmt.Errorf("forecast: loading ensemble member %d: %w", i, err)
+		}
+		if member.N != 0 {
+			return fmt.Errorf("forecast: ensemble member %d left %d bytes of its snapshot unread", i, member.N)
 		}
 		// Loading can rewrite name-bearing config (e.g. a seasonal
 		// period), so validate after restore.

@@ -1,12 +1,14 @@
 package obs
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"sync"
+
+	"robustscale/internal/wire"
 )
 
 // DefaultSketchAlpha is the relative accuracy the health plane uses for
@@ -244,8 +246,8 @@ func sortedKeys(m map[int32]uint64) []int32 {
 }
 
 // SketchSnapshot is a point-in-time copy of a sketch's buckets with keys
-// sorted ascending — deterministic, directly serializable, and the gob
-// image Save writes (map iteration order never leaks into the encoding).
+// sorted ascending — deterministic, and what Save writes (map iteration
+// order never leaks into the encoding).
 type SketchSnapshot struct {
 	Alpha     float64
 	Count     uint64
@@ -279,39 +281,65 @@ func (s *Sketch) Snapshot() SketchSnapshot {
 	return snap
 }
 
-// Save writes the sketch as a deterministic gob image.
+// Save writes the sketch's snapshot, bucket keys ascending (layout in
+// DESIGN.md §8).
 func (s *Sketch) Save(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(s.Snapshot()); err != nil {
+	snap := s.Snapshot()
+	b := wire.AppendFloat(wire.Scratch(w), snap.Alpha)
+	b = binary.AppendUvarint(b, snap.Count)
+	b = wire.AppendFloat(b, snap.Sum)
+	b = wire.AppendFloat(b, snap.Min)
+	b = wire.AppendFloat(b, snap.Max)
+	b = binary.AppendUvarint(b, snap.Zero)
+	b = appendBuckets(b, snap.PosKeys, snap.PosCounts)
+	b = appendBuckets(b, snap.NegKeys, snap.NegCounts)
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("obs: saving sketch: %w", err)
 	}
 	return nil
 }
 
+func appendBuckets(b []byte, keys []int32, counts []uint64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(keys)))
+	for i, k := range keys {
+		b = binary.AppendUvarint(binary.AppendVarint(b, int64(k)), counts[i])
+	}
+	return b
+}
+
+// readBuckets is appendBuckets' inverse; keys must ascend strictly, so a
+// blob that loads is one Save could have written.
+func readBuckets(rd *wire.Reader) map[int32]uint64 {
+	n := rd.Count(2) // a bucket is at least a key byte and a count byte
+	m := make(map[int32]uint64, n)
+	prev := int64(math.MinInt64)
+	for i := 0; i < n; i++ {
+		k, c := rd.Varint(), rd.Uvarint()
+		if k <= prev || k != int64(int32(k)) {
+			rd.Fail(fmt.Errorf("bucket key %d out of order or range", k))
+		}
+		m[int32(k)], prev = c, k
+	}
+	return m
+}
+
 // Load replaces the receiver's contents with a snapshot written by Save.
 // The snapshot's relative accuracy must match the receiver's.
 func (s *Sketch) Load(r io.Reader) error {
-	var snap SketchSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+	rd := wire.ReadFrom(r)
+	alpha, count := rd.Float(), rd.Uvarint()
+	sum, lo, hi, zero := rd.Float(), rd.Float(), rd.Float(), rd.Uvarint()
+	pos, neg := readBuckets(&rd), readBuckets(&rd)
+	if err := rd.Done(); err != nil {
 		return fmt.Errorf("obs: loading sketch: %w", err)
 	}
-	if snap.Alpha != s.alpha {
-		return fmt.Errorf("obs: sketch snapshot has relative accuracy %v, receiver %v", snap.Alpha, s.alpha)
-	}
-	if len(snap.PosKeys) != len(snap.PosCounts) || len(snap.NegKeys) != len(snap.NegCounts) {
-		return fmt.Errorf("obs: sketch snapshot keys/counts length mismatch")
-	}
-	pos := make(map[int32]uint64, len(snap.PosKeys))
-	for i, k := range snap.PosKeys {
-		pos[k] = snap.PosCounts[i]
-	}
-	neg := make(map[int32]uint64, len(snap.NegKeys))
-	for i, k := range snap.NegKeys {
-		neg[k] = snap.NegCounts[i]
+	if alpha != s.alpha {
+		return fmt.Errorf("obs: sketch snapshot has relative accuracy %v, receiver %v", alpha, s.alpha)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.zero, s.count, s.sum = snap.Zero, snap.Count, snap.Sum
-	s.min, s.max = snap.Min, snap.Max
+	s.zero, s.count, s.sum = zero, count, sum
+	s.min, s.max = lo, hi
 	s.pos, s.neg = pos, neg
 	return nil
 }

@@ -49,7 +49,9 @@ const (
 	// to State (the fleet controller's loop accounting lives there).
 	// Version 3 added the SLO section carrying the error-budget tracker
 	// so warm restart resumes alerting where the previous run stopped.
-	Version = 3
+	// Version 4 changed no field here: the component sections left gob
+	// for the wire codec, and a blob has no version of its own.
+	Version = 4
 	// headerLen is magic(4) + version(4) + payload length(8) + crc32(4).
 	headerLen = 20
 	// DefaultMaxBytes bounds the decoded payload of one snapshot.

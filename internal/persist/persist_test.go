@@ -288,7 +288,7 @@ func TestCheckpointCountersAdvance(t *testing.T) {
 // reproduce the fixture byte for byte. Any State or frame change that
 // breaks this requires a Version bump (and a new fixture).
 func TestGoldenFormat(t *testing.T) {
-	golden := filepath.Join("testdata", "checkpoint_v3.ckpt")
+	golden := filepath.Join("testdata", "checkpoint_v4.ckpt")
 	want := testState()
 	raw := encodeState(t, want)
 	if *updateGolden {

@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"robustscale/internal/wire"
 )
 
 // Fleet segments: one checkpoint round of a whole fleet is one
@@ -23,7 +24,8 @@ import (
 // (little endian; the CRC is IEEE over id and state; the state layout is
 // appendState's). A gob stream per record would re-send State's type
 // descriptors four hundred times a segment and rebuild a decode engine
-// for each on the way back, so records carry the fields directly.
+// for each on the way back, so records — and the component blobs inside
+// them — carry the fields directly.
 //
 // Every record is length-bounded and CRC-checked on its own, so a damaged
 // record costs only its tenant this segment: recovery hands that tenant
@@ -33,9 +35,11 @@ import (
 const (
 	// SegmentMagic opens every segment file.
 	SegmentMagic = "RSSG"
-	// SegmentVersion is the segment format version; bump it on any
-	// incompatible change to State or the framing above.
-	SegmentVersion = 1
+	// SegmentVersion is the segment format version; bump it on any change
+	// to State, the framing above or the layout of a component blob a
+	// record carries — blobs have no version of their own. Version 2:
+	// component blobs in the wire codec instead of gob.
+	SegmentVersion = 2
 
 	segHeaderLen  = 12
 	recHeaderLen  = 10
@@ -280,10 +284,9 @@ func parseSegment(data []byte, maxBytes int64) (map[string][]byte, error) {
 	return recs, damage
 }
 
-// appendState appends a record's state: SavedAt (time.MarshalBinary,
-// length-prefixed), then every other field of State and Fingerprint in
-// declaration order — integers as varints, floats as 8 little-endian
-// bytes, strings and byte sections length-prefixed by a uvarint.
+// appendState appends a record's state in the wire codec: SavedAt
+// (time.MarshalBinary, length-prefixed), then every other field of State
+// and Fingerprint in declaration order.
 // TestStateCodecCoversEveryField fails when a field is added to State
 // and not here.
 func appendState(b []byte, st *State) ([]byte, error) {
@@ -291,23 +294,23 @@ func appendState(b []byte, st *State) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: encoding state: %w", err)
 	}
-	b = appendSection(b, saved)
+	b = wire.AppendSection(b, saved)
 	fp := &st.Fingerprint
-	b = appendSection(b, fp.Strategy)
-	b = appendSection(b, fp.Tenant)
-	b = appendSection(b, fp.Dataset)
+	b = wire.AppendSection(b, fp.Strategy)
+	b = wire.AppendSection(b, fp.Tenant)
+	b = wire.AppendSection(b, fp.Dataset)
 	b = binary.AppendVarint(b, fp.Seed)
-	b = appendFloat(b, fp.Theta)
+	b = wire.AppendFloat(b, fp.Theta)
 	b = binary.AppendVarint(b, int64(fp.Horizon))
-	b = appendFloat(b, fp.Tau)
-	b = appendFloat(b, fp.Tau2)
+	b = wire.AppendFloat(b, fp.Tau)
+	b = wire.AppendFloat(b, fp.Tau2)
 	for _, v := range [...]int{st.Origin, st.PrevAlloc, st.Steps, st.Violations, st.Holds} {
 		b = binary.AppendVarint(b, int64(v))
 	}
-	b = appendFloat(b, st.Rho)
-	b = appendSection(b, st.ForecasterKind)
+	b = wire.AppendFloat(b, st.Rho)
+	b = wire.AppendSection(b, st.ForecasterKind)
 	for _, sec := range [...][]byte{st.Forecaster, st.Calibration, st.Guard, st.Breaker, st.Journal, st.Decisions, st.SLO, st.Extra} {
-		b = appendSection(b, sec)
+		b = wire.AppendSection(b, sec)
 	}
 	return b, nil
 }
@@ -322,89 +325,31 @@ func stateSizeBound(st *State) int {
 		len(st.Journal) + len(st.Decisions) + len(st.SLO) + len(st.Extra)
 }
 
-func appendSection[T string | []byte](b []byte, sec T) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(sec))), sec...)
-}
-
-func appendFloat(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
 // decodeRecord is appendState's inverse over a payload that already
 // passed its length and CRC checks. Every length inside it is still
 // checked against the bytes present, and sections are copied out, so the
 // state does not pin the segment image it came from.
 func decodeRecord(payload []byte) (*State, error) {
-	r := stateReader{b: payload}
+	r := wire.NewReader(payload)
 	st := new(State)
-	if err := st.SavedAt.UnmarshalBinary(r.section()); err != nil && r.err == nil {
-		r.err = err
+	if err := st.SavedAt.UnmarshalBinary(r.Section()); err != nil {
+		r.Fail(err)
 	}
 	fp := &st.Fingerprint
-	fp.Strategy, fp.Tenant, fp.Dataset = string(r.section()), string(r.section()), string(r.section())
-	fp.Seed, fp.Theta, fp.Horizon, fp.Tau, fp.Tau2 = r.varint(), r.float(), int(r.varint()), r.float(), r.float()
+	fp.Strategy, fp.Tenant, fp.Dataset = string(r.Section()), string(r.Section()), string(r.Section())
+	fp.Seed, fp.Theta, fp.Horizon, fp.Tau, fp.Tau2 = r.Varint(), r.Float(), r.Int(), r.Float(), r.Float()
 	for _, v := range [...]*int{&st.Origin, &st.PrevAlloc, &st.Steps, &st.Violations, &st.Holds} {
-		*v = int(r.varint())
+		*v = r.Int()
 	}
-	st.Rho = r.float()
-	st.ForecasterKind = string(r.section())
+	st.Rho = r.Float()
+	st.ForecasterKind = string(r.Section())
 	for _, sec := range [...]*[]byte{&st.Forecaster, &st.Calibration, &st.Guard, &st.Breaker, &st.Journal, &st.Decisions, &st.SLO, &st.Extra} {
-		if raw := r.section(); len(raw) > 0 {
+		if raw := r.Section(); len(raw) > 0 {
 			*sec = append([]byte(nil), raw...)
 		}
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.err = fmt.Errorf("%d bytes past the last field", len(r.b))
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: decoding record: %v", ErrCorrupt, r.err)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: decoding record: %v", ErrCorrupt, err)
 	}
 	return st, nil
-}
-
-// stateReader consumes a record payload field by field; after the first
-// malformed field every read returns zero and err says why.
-type stateReader struct {
-	b   []byte
-	err error
-}
-
-func (r *stateReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%s truncated or malformed, %d bytes left", what, len(r.b))
-	}
-	r.b = nil
-}
-
-func (r *stateReader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail("integer")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *stateReader) float() float64 {
-	if len(r.b) < 8 {
-		r.fail("float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
-}
-
-// section returns the next length-prefixed run of bytes, aliasing the
-// payload.
-func (r *stateReader) section() []byte {
-	size, n := binary.Uvarint(r.b)
-	if n <= 0 || size > uint64(len(r.b)-n) {
-		r.fail("section")
-		return nil
-	}
-	sec := r.b[n : n+int(size)]
-	r.b = r.b[n+int(size):]
-	return sec
 }

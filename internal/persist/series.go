@@ -9,6 +9,8 @@ import (
 	"io"
 	"math"
 	"os"
+
+	"robustscale/internal/wire"
 )
 
 // Series file: the workload series a fleet derived at build time, kept
@@ -139,7 +141,7 @@ func (s *SeriesStore) Write(recs []SeriesRecord) (string, error) {
 			buf = append(buf, 0, 0, 0, 0)
 			buf = append(buf, rec.Key...)
 			for _, v := range rec.Values {
-				buf = appendFloat(buf, v)
+				buf = wire.AppendFloat(buf, v)
 			}
 			binary.LittleEndian.PutUint32(buf[6:10], crc32.ChecksumIEEE(buf[serRecHeaderLen:]))
 			if _, err := w.Write(buf); err != nil {

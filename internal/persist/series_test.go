@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"robustscale/internal/wire"
 )
 
 const testRevision = 7
@@ -288,3 +290,7 @@ func FuzzLoadSeries(f *testing.F) {
 		}
 	})
 }
+
+// appendFloat is the float encoding series records share with the wire
+// codec, under the name FuzzLoadSeries has always called it by.
+func appendFloat(b []byte, v float64) []byte { return wire.AppendFloat(b, v) }

@@ -1,46 +1,40 @@
 package scaler
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
 
 	"robustscale/internal/forecast"
+	"robustscale/internal/wire"
 )
 
-// Checkpoint images of the resilience state. A restarted control plane
-// that forgot its guard position would re-enter normal mode on a
-// degraded stack, and a forgotten open breaker would hammer a failing
-// control plane — so both serialize alongside the models.
-
-// guardState is the gob image of a Guard's ladder position.
-type guardState struct {
-	Mode           int
-	LastReason     string
-	DegradedRounds int
-	// Last-known-good fan, flattened (empty when none is retained).
-	FanLevels []float64
-	FanMean   []float64
-	FanValues [][]float64
-}
+// Checkpoint blobs of the resilience state (layouts in DESIGN.md §8). A
+// restarted control plane that forgot its guard position would re-enter
+// normal mode on a degraded stack, and a forgotten open breaker would
+// hammer a failing control plane — so both serialize alongside the models.
 
 // Save writes the guard's degradation-ladder position and retained
-// last-known-good fan. Configuration (Inner, Config, Health, Fallback)
-// is not persisted — the restarted process reconstructs it from flags
-// and re-wires the same hooks.
+// last-known-good fan (no levels, mean or rows when none is retained).
+// Configuration (Inner, Config, Health, Fallback) is not persisted — the
+// restarted process reconstructs it from flags and re-wires the same
+// hooks.
 func (g *Guard) Save(w io.Writer) error {
-	st := guardState{
-		Mode:           int(g.mode),
-		LastReason:     g.lastReason,
-		DegradedRounds: g.degradedRounds,
+	fan := g.lastGoodFan
+	if fan == nil {
+		fan = &forecast.QuantileForecast{}
 	}
-	if g.lastGoodFan != nil {
-		st.FanLevels = g.lastGoodFan.Levels
-		st.FanMean = g.lastGoodFan.Mean
-		st.FanValues = g.lastGoodFan.Values
+	b := binary.AppendVarint(wire.Scratch(w), int64(g.mode))
+	b = wire.AppendSection(b, g.lastReason)
+	b = binary.AppendVarint(b, int64(g.degradedRounds))
+	b = wire.AppendFloats(b, fan.Levels)
+	b = wire.AppendFloats(b, fan.Mean)
+	b = binary.AppendUvarint(b, uint64(len(fan.Values)))
+	for _, row := range fan.Values {
+		b = wire.AppendFloats(b, row)
 	}
-	if err := gob.NewEncoder(w).Encode(st); err != nil {
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("scaler: saving guard: %w", err)
 	}
 	return nil
@@ -49,43 +43,44 @@ func (g *Guard) Save(w io.Writer) error {
 // Load restores the ladder position saved by Save into a freshly
 // configured guard, re-exporting the degradation-mode gauge.
 func (g *Guard) Load(r io.Reader) error {
-	var st guardState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
+	rd := wire.ReadFrom(r)
+	mode, reason, rounds := rd.Int(), string(rd.Section()), rd.Int()
+	fan := &forecast.QuantileForecast{Levels: rd.Floats(), Mean: rd.Floats()}
+	if n := rd.Count(1); n > 0 { // an empty row is one byte
+		fan.Values = make([][]float64, n)
+		for i := range fan.Values {
+			fan.Values[i] = rd.Floats()
+		}
+	}
+	if err := rd.Done(); err != nil {
 		return fmt.Errorf("scaler: loading guard: %w", err)
 	}
-	if st.Mode < int(ModeNormal) || st.Mode > int(ModeReactive) {
-		return fmt.Errorf("scaler: guard snapshot has unknown mode %d", st.Mode)
+	if mode < int(ModeNormal) || mode > int(ModeReactive) {
+		return fmt.Errorf("scaler: guard snapshot has unknown mode %d", mode)
 	}
-	g.mode = DegradationMode(st.Mode)
-	g.lastReason = st.LastReason
-	g.degradedRounds = st.DegradedRounds
+	g.mode, g.lastReason, g.degradedRounds = DegradationMode(mode), reason, rounds
 	g.lastGoodFan = nil
-	if len(st.FanValues) > 0 {
-		g.lastGoodFan = &forecast.QuantileForecast{
-			Levels: st.FanLevels,
-			Mean:   st.FanMean,
-			Values: st.FanValues,
-		}
+	if len(fan.Values) > 0 {
+		g.lastGoodFan = fan
 	}
 	degradationMode.Set(float64(g.mode))
 	return nil
 }
 
-// breakerState is the gob image of a Breaker's position. openedAt is
-// stored as an absolute timestamp: the replay clock is virtual but
-// monotone across restarts, so cooldown arithmetic stays correct.
-type breakerSnapshot struct {
-	State    int
-	Failures int
-	OpenedAt time.Time
-}
-
 // Save writes the breaker's position and consecutive-failure count.
+// openedAt is stored as an absolute timestamp: the replay clock is
+// virtual but monotone across restarts, so cooldown arithmetic stays
+// correct.
 func (b *Breaker) Save(w io.Writer) error {
 	b.mu.Lock()
-	st := breakerSnapshot{State: int(b.state), Failures: b.failures, OpenedAt: b.openedAt}
+	state, failures, openedAt := b.state, b.failures, b.openedAt
 	b.mu.Unlock()
-	if err := gob.NewEncoder(w).Encode(st); err != nil {
+	at, err := openedAt.MarshalBinary()
+	if err == nil {
+		buf := wire.AppendVarints(wire.Scratch(w), int64(state), int64(failures))
+		_, err = w.Write(wire.AppendSection(buf, at))
+	}
+	if err != nil {
 		return fmt.Errorf("scaler: saving breaker: %w", err)
 	}
 	return nil
@@ -93,17 +88,22 @@ func (b *Breaker) Save(w io.Writer) error {
 
 // Load restores a breaker saved by Save, re-exporting the state gauge.
 func (b *Breaker) Load(r io.Reader) error {
-	var st breakerSnapshot
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
+	rd := wire.ReadFrom(r)
+	state, failures := rd.Int(), rd.Int()
+	var openedAt time.Time
+	if err := openedAt.UnmarshalBinary(rd.Section()); err != nil {
+		rd.Fail(err)
+	}
+	if err := rd.Done(); err != nil {
 		return fmt.Errorf("scaler: loading breaker: %w", err)
 	}
-	if st.State < int(BreakerClosed) || st.State > int(BreakerHalfOpen) {
-		return fmt.Errorf("scaler: breaker snapshot has unknown state %d", st.State)
+	if state < int(BreakerClosed) || state > int(BreakerHalfOpen) {
+		return fmt.Errorf("scaler: breaker snapshot has unknown state %d", state)
 	}
 	b.mu.Lock()
-	b.failures = st.Failures
-	b.openedAt = st.OpenedAt
-	b.setState(BreakerState(st.State))
+	b.failures = failures
+	b.openedAt = openedAt
+	b.setState(BreakerState(state))
 	b.mu.Unlock()
 	return nil
 }

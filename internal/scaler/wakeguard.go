@@ -11,12 +11,12 @@
 package scaler
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"time"
 
 	"robustscale/internal/obs"
+	"robustscale/internal/wire"
 )
 
 // WakeTransition classifies what Shape decided for the round.
@@ -276,38 +276,30 @@ func (g *WakeGuard) journal(msg string, fields map[string]float64) {
 	obs.DefaultJournal.RecordTenantAt(now, g.Tenant, "wake", msg, fields)
 }
 
-// wakeGuardState is the gob wire form.
-type wakeGuardState struct {
-	Parked                                   bool
-	IdleRounds                               int
-	SinceWake                                int
-	ConsecFails                              int
-	BreakerOpen                              bool
-	CooldownLeft                             int
-	Parks, Wakes, BlockedParks, BreakerTrips int64
-}
-
 // Save snapshots the guard's mutable state; configuration is the owner's
 // to rebuild, matching every other component's persistence contract.
 func (g *WakeGuard) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(wakeGuardState{
-		Parked: g.parked, IdleRounds: g.idleRounds, SinceWake: g.sinceWake,
-		ConsecFails: g.consecFails, BreakerOpen: g.breakerOpen, CooldownLeft: g.cooldownLeft,
-		Parks: g.parks, Wakes: g.wakes, BlockedParks: g.blockedParks, BreakerTrips: g.breakerTrips,
-	})
+	b := wire.AppendBool(wire.Scratch(w), g.parked)
+	b = wire.AppendVarints(b, int64(g.idleRounds), int64(g.sinceWake), int64(g.consecFails))
+	b = wire.AppendBool(b, g.breakerOpen)
+	_, err := w.Write(wire.AppendVarints(b, int64(g.cooldownLeft), g.parks, g.wakes, g.blockedParks, g.breakerTrips))
+	return err
 }
 
 // Load restores a snapshot written by Save.
 func (g *WakeGuard) Load(r io.Reader) error {
-	var st wakeGuardState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
+	rd := wire.ReadFrom(r)
+	parked, idleRounds, sinceWake, consecFails := rd.Bool(), rd.Int(), rd.Int(), rd.Int()
+	breakerOpen, cooldownLeft := rd.Bool(), rd.Int()
+	parks, wakes, blockedParks, breakerTrips := rd.Varint(), rd.Varint(), rd.Varint(), rd.Varint()
+	if err := rd.Done(); err != nil {
 		return fmt.Errorf("scaler: loading wake-guard state: %w", err)
 	}
-	if st.IdleRounds < 0 || st.SinceWake < 0 || st.ConsecFails < 0 || st.CooldownLeft < 0 {
+	if idleRounds < 0 || sinceWake < 0 || consecFails < 0 || cooldownLeft < 0 {
 		return fmt.Errorf("scaler: wake-guard snapshot has negative counters")
 	}
-	g.parked, g.idleRounds, g.sinceWake = st.Parked, st.IdleRounds, st.SinceWake
-	g.consecFails, g.breakerOpen, g.cooldownLeft = st.ConsecFails, st.BreakerOpen, st.CooldownLeft
-	g.parks, g.wakes, g.blockedParks, g.breakerTrips = st.Parks, st.Wakes, st.BlockedParks, st.BreakerTrips
+	g.parked, g.idleRounds, g.sinceWake = parked, idleRounds, sinceWake
+	g.consecFails, g.breakerOpen, g.cooldownLeft = consecFails, breakerOpen, cooldownLeft
+	g.parks, g.wakes, g.blockedParks, g.breakerTrips = parks, wakes, blockedParks, breakerTrips
 	return nil
 }
