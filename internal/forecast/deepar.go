@@ -265,15 +265,41 @@ func (d *DeepAR) stepInputScratch(s *nn.Scratch, prevNorm float64, ts time.Time)
 	return x
 }
 
+// emission is the head's output distribution as a plain value: the
+// rollout builds one per path per step, and a dist.Distribution interface
+// would box each of them onto the heap.
+type emission struct {
+	gaussian bool
+	normal   dist.Normal   // set when gaussian
+	studentT dist.StudentT // set otherwise
+}
+
+// Sample draws one value, consuming rng exactly as the underlying
+// distribution does.
+func (e emission) Sample(rng *rand.Rand) float64 {
+	if e.gaussian {
+		return e.normal.Sample(rng)
+	}
+	return e.studentT.Sample(rng)
+}
+
+// LogPDF evaluates the log-density at x.
+func (e emission) LogPDF(x float64) float64 {
+	if e.gaussian {
+		return e.normal.LogPDF(x)
+	}
+	return e.studentT.LogPDF(x)
+}
+
 // emissionFrom maps raw head outputs to a distribution.
-func (d *DeepAR) emissionFrom(out []float64) dist.Distribution {
+func (d *DeepAR) emissionFrom(out []float64) emission {
 	mu := out[0]
 	sigma := dist.Softplus(out[1]) + 1e-4
 	if d.cfg.Emission == EmitGaussian {
-		return dist.NewNormal(mu, sigma)
+		return emission{gaussian: true, normal: dist.NewNormal(mu, sigma)}
 	}
 	nu := 2.1 + dist.Softplus(out[2])
-	return dist.NewStudentT(nu, mu, sigma)
+	return emission{studentT: dist.NewStudentT(nu, mu, sigma)}
 }
 
 // nllGrad returns the gradient of the negative log-likelihood of target y
@@ -326,9 +352,9 @@ func (d *DeepAR) conditionStep(s *nn.Scratch, state nn.LSTMState, history *times
 // incrementally advanced warm state walks exactly the same inputs from the
 // same zero state and stays bit-identical to this cold rebuild (see
 // warm.go).
-func (d *DeepAR) warmup(history *timeseries.Series) (nn.LSTMState, dist.Distribution, error) {
+func (d *DeepAR) warmup(history *timeseries.Series) (nn.LSTMState, emission, error) {
 	if history.Len() < d.cfg.Context {
-		return nn.LSTMState{}, nil, ErrShortHistory
+		return nn.LSTMState{}, emission{}, ErrShortHistory
 	}
 	anchor := warmAnchor(history.Len(), d.cfg.Context)
 	state := d.cell.NewLSTMState()
@@ -381,7 +407,7 @@ func (d *DeepAR) PredictQuantiles(history *timeseries.Series, h int, levels []fl
 	for i := range scratches {
 		scratches[i] = nn.NewScratch()
 	}
-	d.sample(history, h, state0, emit0, samples, scratches, nil)
+	d.sample(history, h, state0, emit0, samples, make([]float64, (h-1)*timeFeatureDim), scratches, nil)
 
 	f := &QuantileForecast{
 		Levels: levels,
@@ -396,14 +422,17 @@ func (d *DeepAR) PredictQuantiles(history *timeseries.Series, h int, levels []fl
 }
 
 // sample rolls the Monte-Carlo paths forward from state0/emit0 and fills
-// the [h][paths] sample matrix in normalized space. rngs, when non-nil,
-// supplies one reusable per-worker RNG (re-seeded per path, which yields
-// the identical stream to a freshly constructed source); otherwise each
-// path allocates its own. The horizon-1 round — the high-frequency steady
-// state — never rolls the LSTM during sampling (the loop breaks before the
-// first rollout step), so it draws sequentially on the caller's goroutine
-// and skips the worker fan-out entirely.
-func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, emit0 dist.Distribution, samples [][]float64, scratches []*nn.Scratch, rngs []*rand.Rand) {
+// the [h][paths] sample matrix in normalized space. feats is an
+// (h-1)*timeFeatureDim buffer for the calendar covariates of the rollout
+// steps: they depend on the step, not the path, so they are computed once
+// before the fan-out. rngs, when non-nil, supplies one reusable per-worker
+// RNG (re-seeded per path, which yields the identical stream to a freshly
+// constructed source); otherwise each path allocates its own. The
+// horizon-1 round — the high-frequency steady state — never rolls the LSTM
+// during sampling (the loop breaks before the first rollout step), so it
+// draws sequentially on the caller's goroutine and skips the worker
+// fan-out entirely.
+func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, emit0 emission, samples [][]float64, feats []float64, scratches []*nn.Scratch, rngs []*rand.Rand) {
 	paths := len(samples[0])
 	obsPredictions.With("deepar").Inc()
 	obsMCPaths.Add(float64(paths))
@@ -424,6 +453,9 @@ func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, 
 		return
 	}
 
+	for t := 0; t < h-1; t++ {
+		timeFeaturesInto(feats[t*timeFeatureDim:(t+1)*timeFeatureDim], history.TimeAt(history.Len()+t+1))
+	}
 	workers := len(scratches)
 	sp := obs.DefaultTracer.Start("deepar.sample")
 	parallel.ForEachWorkerSpan("deepar.sample", workers, paths, func(worker, sIdx int) {
@@ -444,7 +476,9 @@ func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, 
 			if t == h-1 {
 				break
 			}
-			x := d.stepInputScratch(sc, z, history.TimeAt(history.Len()+t+1))
+			x := sc.Vec(deepARInputDim)
+			x[0] = z
+			copy(x[1:], feats[t*timeFeatureDim:(t+1)*timeFeatureDim])
 			state, _ = d.cell.StepScratch(sc, x, state)
 			out, _ := d.head.ForwardScratch(sc, state.H)
 			emit = d.emissionFrom(out)
@@ -481,6 +515,7 @@ type deeparWarm struct {
 
 	adv       *nn.Scratch // scratch arena for advance/rebuild steps
 	samples   [][]float64 // pooled [h][paths] Monte-Carlo matrix
+	feats     []float64   // pooled rollout-step calendar covariates
 	scratches []*nn.Scratch
 	rngs      []*rand.Rand
 	levels    levelsCache
@@ -569,7 +604,8 @@ func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels 
 		w.rngs = append(w.rngs, newPathRand(0))
 	}
 	state0 := nn.LSTMState{H: w.state.H, C: w.state.C}
-	d.sample(history, h, state0, emit0, w.samples, w.scratches[:workers], w.rngs)
+	w.feats = resizeFloats(w.feats, (h-1)*timeFeatureDim)
+	d.sample(history, h, state0, emit0, w.samples, w.feats, w.scratches[:workers], w.rngs)
 
 	w.fan = reuseFan(w.fan, h, lv)
 	d.assemble(w.fan, w.samples)

@@ -3,8 +3,6 @@ package forecast
 import (
 	"math"
 	"testing"
-
-	"robustscale/internal/dist"
 )
 
 // nllValue recomputes the negative log-likelihood that nllGrad
@@ -57,10 +55,10 @@ func TestNLLGradMatchesFiniteDifferences(t *testing.T) {
 func TestEmissionFromShapes(t *testing.T) {
 	d := NewDeepAR(DeepARConfig{Emission: EmitStudentT})
 	e := d.emissionFrom([]float64{1.5, -50, -50})
-	st, ok := e.(dist.StudentT)
-	if !ok {
-		t.Fatalf("emission type %T", e)
+	if e.gaussian {
+		t.Fatalf("emission %+v is gaussian", e)
 	}
+	st := e.studentT
 	if st.Sigma <= 0 {
 		t.Errorf("sigma = %v", st.Sigma)
 	}
@@ -73,10 +71,10 @@ func TestEmissionFromShapes(t *testing.T) {
 
 	g := NewDeepAR(DeepARConfig{Emission: EmitGaussian})
 	ne := g.emissionFrom([]float64{-0.5, 0.2})
-	n, ok := ne.(dist.Normal)
-	if !ok {
-		t.Fatalf("emission type %T", ne)
+	if !ne.gaussian {
+		t.Fatalf("emission %+v is not gaussian", ne)
 	}
+	n := ne.normal
 	if n.Sigma <= 0 || n.Mu != -0.5 {
 		t.Errorf("normal = %+v", n)
 	}

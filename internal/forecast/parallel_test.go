@@ -2,7 +2,10 @@ package forecast
 
 import (
 	"runtime"
+	"sync"
 	"testing"
+
+	"robustscale/internal/timeseries"
 )
 
 // The parallel pipeline's whole contract is that worker count is a pure
@@ -183,5 +186,55 @@ func TestEnsembleParallelDeterministic(t *testing.T) {
 			continue
 		}
 		quantilesEqual(t, "ensemble workers", ref, f)
+	}
+}
+
+// TestTFTConcurrentPredictSharesArenas drives one fitted TFT from several
+// goroutines at once: the predict arenas come off a shared free list, so
+// under -race this is the test that a call never reads an arena another
+// call is writing, and every result must still match the serial one.
+func TestTFTConcurrentPredictSharesArenas(t *testing.T) {
+	train := sineSeries(220, 24, 50, 20)
+	m := NewTFT(TFTConfig{
+		Context: 16, Hidden: 8, Epochs: 1, Seed: 5, MaxWindows: 24,
+		TrainHorizon: 8, Gated: true,
+	})
+	if err := m.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	hists := []*timeseries.Series{train.Slice(0, 200), train.Slice(0, 210), train}
+	want := make([]*QuantileForecast, len(hists))
+	for i, h := range hists {
+		f, err := m.PredictQuantiles(h, 6, DefaultLevels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = f
+	}
+	const callers, rounds = 4, 8
+	got := make([][]*QuantileForecast, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				f, err := m.PredictQuantiles(hists[(c+r)%len(hists)], 6, DefaultLevels)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[c] = append(got[c], f)
+			}
+		}(c)
+	}
+	wg.Wait()
+	for c := range got {
+		for r, f := range got[c] {
+			quantilesEqual(t, "concurrent tft predict", want[(c+r)%len(hists)], f)
+		}
+	}
+	if n := len(m.arenas.free); n < 1 || n > callers {
+		t.Errorf("free list holds %d arenas after %d concurrent callers", n, callers)
 	}
 }

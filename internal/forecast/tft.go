@@ -3,6 +3,7 @@ package forecast
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"robustscale/internal/nn"
 	"robustscale/internal/obs"
@@ -72,12 +73,47 @@ type TFT struct {
 	scaler timeseries.StandardScaler
 	tftNet // master network; replicas of it carry per-worker gradients
 	fitted bool
+
+	arenas arenaList // predict-time scratch arenas, reused across calls
+}
+
+// arenaList is a free list of scratch arenas shared by concurrent predict
+// callers: each call takes one for its forward pass and puts it back, so
+// the list never holds more than the peak number of concurrent callers.
+// It is a plain list, not a sync.Pool: the GC empties a Pool, and a round
+// that re-grows its arena after a collection makes the per-round malloc
+// count drift from run to run.
+type arenaList struct {
+	mu   sync.Mutex
+	free []*nn.Scratch
+}
+
+// take returns an empty arena, a new one when the list has none.
+func (l *arenaList) take() *nn.Scratch {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return nn.NewScratch()
+	}
+	s := l.free[n-1]
+	l.free = l.free[:n-1]
+	return s
+}
+
+// put resets an arena and hands it back; nothing drawn from it may be used
+// afterwards.
+func (l *arenaList) put(s *nn.Scratch) {
+	s.Reset() // outside the lock: the caller still owns the arena here
+	l.mu.Lock()
+	l.free = append(l.free, s)
+	l.mu.Unlock()
 }
 
 // tftNet bundles the network layers so data-parallel training can stamp
 // out gradient replicas of the whole stack (shared weights, private
 // gradients, private scratch arena). The TFT embeds one as the master —
-// its scratch stays nil so one-off calls take the plain heap path.
+// its scratch stays nil; predict hands forward an arena from TFT.arenas.
 type tftNet struct {
 	hidden   int
 	embPast  *nn.Dense
@@ -421,9 +457,13 @@ func (m *TFT) predictGrid(history *timeseries.Series, h int) (*QuantileForecast,
 	}
 	contextNorm := m.scaler.Transform(context)
 	startIdx := history.Len() - m.cfg.Context
-	// A call-local arena keeps the forward pass allocation-light while
-	// leaving the model safe for concurrent PredictQuantiles callers.
-	fw := m.tftNet.forward(nn.NewScratch(), history, contextNorm, startIdx, h)
+	// Each call owns an arena from the free list for the forward pass, so
+	// steady-state rounds reuse the grown slabs and pooled caches while the
+	// model stays safe for concurrent PredictQuantiles callers. fw.outs is
+	// arena-backed: it is copied out below before the arena goes back.
+	s := m.arenas.take()
+	defer m.arenas.put(s)
+	fw := m.tftNet.forward(s, history, contextNorm, startIdx, h)
 
 	out := &QuantileForecast{
 		Levels: m.cfg.Levels,

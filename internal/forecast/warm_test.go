@@ -275,3 +275,43 @@ func TestQB5000WarmMatchesCold(t *testing.T) {
 	warm.WarmReset()
 	check("qb5000/reset", s.Slice(0, 454), 454)
 }
+
+// TestDeepARWarmRoundZeroAlloc pins the allocation shape of the warm
+// DeepAR round: the horizon-1 steady state allocates nothing, and a
+// multi-step rollout allocates per call (the worker fan-out), never per
+// path or per path-step — so the count is the same at 50 and 200 paths.
+func TestDeepARWarmRoundZeroAlloc(t *testing.T) {
+	s := noisySine(600, 24, 50, 10, 1, 42)
+	levels := []float64{0.1, 0.5, 0.9}
+	warmAllocs := func(samples, h int) float64 {
+		m := NewDeepAR(DeepARConfig{
+			Context: 24, Hidden: 8, Epochs: 1, LR: 5e-3, Seed: 3,
+			MaxWindows: 24, Samples: samples, TrainHorizon: 12, Workers: 1,
+		})
+		if err := m.Fit(s.Slice(0, 400)); err != nil {
+			t.Fatal(err)
+		}
+		hists := make([]*timeseries.Series, 32) // Slice allocates; keep it out of the round
+		for i := range hists {
+			hists[i] = s.Slice(0, 420+i)
+		}
+		next := 0
+		round := func() {
+			if _, err := m.PredictQuantilesWarm(hists[next], h, levels); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for i := 0; i < 4; i++ {
+			round() // grow the arenas and pooled buffers
+		}
+		return testing.AllocsPerRun(20, round)
+	}
+	if a := warmAllocs(50, 1); a != 0 {
+		t.Errorf("warm h=1 round allocates %v times, want 0", a)
+	}
+	a50, a200 := warmAllocs(50, 12), warmAllocs(200, 12)
+	if a50 != a200 {
+		t.Errorf("warm h=12 round allocates %v times at 50 paths, %v at 200: allocations scale with paths", a50, a200)
+	}
+}

@@ -69,6 +69,26 @@ func BenchmarkLSTMStep(b *testing.B) {
 	})
 }
 
+// BenchmarkLSTMRollout measures one DeepAR sample path: input 5, hidden
+// 32, eleven forward-only StepScratch calls per arena Reset — the loop the
+// Monte-Carlo rollout runs once per path. It is where the matvec kernel
+// and the arena's Vec meet; 0 allocs/op in steady state.
+func BenchmarkLSTMRollout(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	cell := NewLSTMCell("c", 5, 32, rng)
+	x := randVec(rng, 5)
+	s := NewScratch()
+	state0 := cell.NewLSTMState()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Reset()
+		state := state0.CloneScratch(s)
+		for t := 0; t < 11; t++ {
+			state, _ = cell.StepScratch(s, x, state)
+		}
+	}
+}
+
 // BenchmarkGRNStep is the same comparison for the TFT's gated block.
 func BenchmarkGRNStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))

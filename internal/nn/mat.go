@@ -61,6 +61,14 @@ func (m Mat) MulVec(x []float64) []float64 {
 // MulVecInto is the allocation-free MulVec: it overwrites dst (len Rows)
 // with m * x and returns dst. This is the innermost kernel of every BPTT
 // step, so callers on the hot path hand it a scratch buffer.
+//
+// Four rows are computed per pass, each with its own accumulator over one
+// shared load of x[j], so the CPU sees four independent add chains instead
+// of one. Every dst[i] is still 0 + r[0]*x[0] + r[1]*x[1] + ... in column
+// order, one multiply then one add, the same expression as the Rows%4 tail
+// loop: that order is the determinism contract (no explicit fused
+// multiply-add, no split or pairwise sums), pinned bit for bit by
+// TestMulVecIntoBitIdentical.
 func (m Mat) MulVecInto(x, dst []float64) []float64 {
 	if len(x) != m.Cols {
 		panic(fmt.Sprintf("nn: MulVec dimension mismatch: %dx%d by %d", m.Rows, m.Cols, len(x)))
@@ -68,7 +76,26 @@ func (m Mat) MulVecInto(x, dst []float64) []float64 {
 	if len(dst) != m.Rows {
 		panic(fmt.Sprintf("nn: MulVecInto destination has %d rows, want %d", len(dst), m.Rows))
 	}
-	for i := 0; i < m.Rows; i++ {
+	n := m.Cols
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		// Re-slicing the rows to len(x) lets the compiler drop the bounds
+		// checks inside the column loop.
+		base := i * n
+		r0 := m.Data[base : base+n][:len(x)]
+		r1 := m.Data[base+n : base+2*n][:len(x)]
+		r2 := m.Data[base+2*n : base+3*n][:len(x)]
+		r3 := m.Data[base+3*n : base+4*n][:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
 		row := m.Row(i)
 		sum := 0.0
 		for j, v := range row {

@@ -258,3 +258,125 @@ func mustMHA(t *testing.T, dim, heads int, rng *rand.Rand) *MultiHeadAttention {
 	}
 	return a
 }
+
+// mulVecReference is the single-accumulator loop MulVecInto used before it
+// computed four rows per pass; it stays here as the bit-level reference.
+func mulVecReference(m Mat, x, dst []float64) {
+	for i := 0; i < m.Rows; i++ {
+		sum := 0.0
+		for j, v := range m.Row(i) {
+			sum += v * x[j]
+		}
+		dst[i] = sum
+	}
+}
+
+// TestMulVecIntoBitIdentical is the kernel's determinism contract: the
+// four-row pass and its Rows%4 tail produce, for every row, exactly the
+// bits of the one-row loop — same summation order, multiply then add —
+// including for signed zeros, subnormals, infinities and NaN.
+func TestMulVecIntoBitIdentical(t *testing.T) {
+	special := []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+		math.MaxFloat64, -math.MaxFloat64, 1, -1,
+	}
+	rng := rand.New(rand.NewSource(11))
+	fill := func(v []float64, specials bool) {
+		for i := range v {
+			if specials && rng.Intn(3) == 0 {
+				v[i] = special[rng.Intn(len(special))]
+			} else {
+				v[i] = rng.NormFloat64()
+			}
+		}
+	}
+	rows := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 128}
+	cols := []int{0, 1, 5, 32, 33}
+	for _, r := range rows {
+		for _, c := range cols {
+			for _, specials := range []bool{false, true} {
+				m := NewMat(r, c)
+				x := make([]float64, c)
+				fill(m.Data, specials)
+				fill(x, specials)
+				want := make([]float64, r)
+				got := make([]float64, r)
+				for i := range got {
+					got[i] = 99 // must be fully overwritten
+				}
+				mulVecReference(m, x, want)
+				m.MulVecInto(x, got)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%dx%d specials=%v row %d: got %v (%#x), want %v (%#x)",
+							r, c, specials, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScratchVecsDisjoint pins the arena's issue discipline: between two
+// Resets no two vectors share a float — across a slab boundary and for a
+// request larger than a slab too — and each vector's capacity is its
+// length, so an append cannot spill into the neighbour.
+func TestScratchVecsDisjoint(t *testing.T) {
+	sizes := []int{7, slabFloats - 10, 8, 3 * slabFloats, 0, 1, slabFloats, 5, 2*slabFloats + 1, 64}
+	s := NewScratch()
+	for cycle := 0; cycle < 2; cycle++ {
+		s.Reset()
+		vecs := make([][]float64, len(sizes))
+		for i, n := range sizes {
+			v := s.Vec(n)
+			if len(v) != n || cap(v) != n {
+				t.Fatalf("cycle %d: Vec(%d) has len %d cap %d", cycle, n, len(v), cap(v))
+			}
+			for j := range v {
+				v[j] = float64(i)
+			}
+			vecs[i] = v
+		}
+		for i, v := range vecs {
+			for j, got := range v {
+				if got != float64(i) {
+					t.Fatalf("cycle %d: vec %d (len %d) element %d overwritten by vec %v", cycle, i, len(v), j, got)
+				}
+			}
+		}
+		grown := append(vecs[0], 1)
+		if &grown[0] == &vecs[0][0] {
+			t.Fatalf("cycle %d: append to an arena vector grew in place", cycle)
+		}
+	}
+}
+
+// TestScratchCycleRepeatsAddresses pins the steady state: a second
+// identical multi-slab cycle allocates nothing and hands back the same
+// memory in the same order.
+func TestScratchCycleRepeatsAddresses(t *testing.T) {
+	sizes := []int{128, 128, 32, slabFloats - 100, 200, 2 * slabFloats, 32, 900, 900}
+	s := NewScratch()
+	var addrs []*float64
+	cycle := func(record bool) {
+		s.Reset()
+		for i, n := range sizes {
+			v := s.Vec(n)
+			switch {
+			case record:
+				addrs = append(addrs, &v[0])
+			case &v[0] != addrs[i]:
+				t.Fatalf("Vec %d (len %d) moved between identical cycles", i, n)
+			}
+		}
+	}
+	cycle(true)
+	if len(s.slabs) < 3 {
+		t.Fatalf("cycle spans %d slabs, want a multi-slab cycle", len(s.slabs))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { cycle(false) }); allocs != 0 {
+		t.Errorf("identical arena cycle allocates %v times, want 0", allocs)
+	}
+}
