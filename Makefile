@@ -47,12 +47,15 @@ bench-check:
 
 # Short fuzz pass over the checkpoint decoder, the fleet segment and
 # series readers and the component blob decoders inside a record:
-# arbitrary bytes must error cleanly, never panic or over-allocate.
+# arbitrary bytes must error cleanly, never panic or over-allocate. The
+# last target drives one guard through arbitrary history edits: its
+# incremental checks must agree with a fresh guard's at every step.
 fuzz:
 	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadSegment -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadSeries -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadComponent -fuzztime=10s ./internal/fleet
+	$(GO) test -fuzz=FuzzGuardHistories -fuzztime=10s ./internal/scaler
 
 # Fleet determinism and durability drill (same script CI runs): worker
 # counts invisible in results, kill-restart bit-identity, single-tenant

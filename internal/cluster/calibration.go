@@ -200,12 +200,19 @@ func (c *Calibration) Snapshot() CalibrationSnapshot {
 		Steps:    c.count,
 		Skipped:  c.skipped,
 	}
-	if c.count > 0 {
-		for i := range c.levels {
-			snap.Coverage[i] = float64(c.covered[i]) / float64(c.count)
-		}
+	for i := range c.levels {
+		snap.Coverage[i] = c.coverageOf(i)
 	}
 	return snap
+}
+
+// coverageOf returns level i's observed rolling coverage, 0 over an empty
+// window; callers hold the lock.
+func (c *Calibration) coverageOf(i int) float64 {
+	if c.count == 0 {
+		return 0
+	}
+	return float64(c.covered[i]) / float64(c.count)
 }
 
 // HealthCheck returns a hook for scaler.Guard's Health field: it reports
@@ -215,18 +222,19 @@ func (c *Calibration) Snapshot() CalibrationSnapshot {
 // the window holds at least minSteps observations.
 func (c *Calibration) HealthCheck(slack, maxWQL float64, minSteps int) func() (bool, string) {
 	return func() (bool, string) {
-		snap := c.Snapshot()
-		if snap.Steps < minSteps {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.count < minSteps {
 			return true, ""
 		}
-		for i, tau := range snap.Levels {
-			if snap.Coverage[i] < tau-slack {
+		for i, tau := range c.levels {
+			if cov := c.coverageOf(i); cov < tau-slack {
 				return false, fmt.Sprintf("rolling coverage of q%g is %.3f, below %.3f (nominal - slack)",
-					tau, snap.Coverage[i], tau-slack)
+					tau, cov, tau-slack)
 			}
 		}
-		if maxWQL > 0 && snap.WQL > maxWQL {
-			return false, fmt.Sprintf("rolling wQL %.4f above limit %.4f", snap.WQL, maxWQL)
+		if wql := c.rollingWQL(); maxWQL > 0 && wql > maxWQL {
+			return false, fmt.Sprintf("rolling wQL %.4f above limit %.4f", wql, maxWQL)
 		}
 		return true, ""
 	}

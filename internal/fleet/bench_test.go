@@ -3,6 +3,7 @@ package fleet
 import (
 	"testing"
 
+	"robustscale/internal/obs"
 	"robustscale/internal/persist"
 )
 
@@ -32,7 +33,7 @@ func (m *memStore) Write(st *persist.State) (string, error) {
 // three rounds into its replay (calibration window filling, guard and
 // breaker exercised) and checkpointed once into a memStore. It is the
 // fleet's second tenant: the first also carries the fleet's SLO tracker.
-func benchTenant(b *testing.B) (Config, *Tenant) {
+func benchTenant(b testing.TB) (Config, *Tenant) {
 	cfg := DefaultConfig(2)
 	c, err := New(cfg)
 	if err != nil {
@@ -85,5 +86,32 @@ func BenchmarkTenantRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 		tn.restore(st, &extra)
+	}
+}
+
+// TestTenantRoundAllocs pins the warm healthy round at one allocation —
+// the header of the guard's retained fan, see scaler.Guard.storeLastGood
+// — across the plan through the guard (finite check, sanity bound, fan
+// retention, calibration gate), every applied step and the grading of
+// the fan. The fleet-wide SLO tracker is on, as it is by default;
+// decision records are off.
+func TestTenantRoundAllocs(t *testing.T) {
+	was := obs.DefaultDecisions.Enabled()
+	obs.DefaultDecisions.SetEnabled(false)
+	t.Cleanup(func() { obs.DefaultDecisions.SetEnabled(was) })
+	_, tn := benchTenant(t)
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := tn.Plan(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tn.Apply(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n := tn.Guard().DegradedRounds(); n != 0 || !tn.Active() {
+		t.Fatalf("premise: %d degraded rounds, active %v; the test wants healthy rounds with replay left", n, tn.Active())
+	}
+	if allocs > 1 {
+		t.Errorf("%v allocs per warm healthy Plan+Apply round, want at most 1", allocs)
 	}
 }

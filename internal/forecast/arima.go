@@ -43,7 +43,7 @@ type ARIMA struct {
 // element is produced by exactly the operations the cold recursions would
 // apply at that index.
 type arimaWarm struct {
-	ref   historyRef
+	ref   timeseries.Ref
 	valid bool
 	n     int       // raw observations consumed into w/eps
 	w     []float64 // differenced working series of values[:n]
@@ -313,7 +313,7 @@ func (a *ARIMA) PredictQuantiles(history *timeseries.Series, h int, levels []flo
 // WarmReset implements IncrementalForecaster.
 func (a *ARIMA) WarmReset() {
 	a.warm.valid = false
-	a.warm.ref.reset()
+	a.warm.ref.Reset()
 	a.warm.n = 0
 	a.warm.psi = a.warm.psi[:0]
 }
@@ -382,7 +382,7 @@ func (a *ARIMA) PredictQuantilesWarm(history *timeseries.Series, h int, levels [
 	values := history.Values
 	n := len(values)
 	s := a.SeasonalPeriod
-	if !aw.valid || aw.n > n || !aw.ref.extends(history) {
+	if !aw.valid || aw.n > n || !aw.ref.Extends(history) {
 		aw.valid = false
 		w, err := a.transform(values)
 		if err != nil {
@@ -426,7 +426,7 @@ func (a *ARIMA) PredictQuantilesWarm(history *timeseries.Series, h int, levels [
 		}
 		aw.eps = append(aw.eps, aw.w[t]-pred)
 	}
-	aw.ref.record(history)
+	aw.ref.Record(history)
 	aw.valid = true
 
 	// The forecast recursion reads only the last P values of

@@ -507,7 +507,7 @@ func (d *DeepAR) assemble(f *QuantileForecast, samples [][]float64) {
 // fitted weights and the observed history: it is rebuilt on any
 // discontinuity and is never checkpointed (Load drops it).
 type deeparWarm struct {
-	ref    historyRef
+	ref    timeseries.Ref
 	valid  bool
 	anchor int          // conditioning window start of the cached state
 	next   int          // the state has consumed conditioning inputs for positions [anchor, next)
@@ -527,7 +527,7 @@ type deeparWarm struct {
 // are shape caches, not state.
 func (d *DeepAR) WarmReset() {
 	d.warm.valid = false
-	d.warm.ref.reset()
+	d.warm.ref.Reset()
 }
 
 // PredictQuantilesWarm implements IncrementalForecaster. When the history
@@ -569,7 +569,7 @@ func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels 
 	// origin resumes from.
 	state := nn.LSTMState{H: w.state.H, C: w.state.C}
 	from := w.next
-	if !w.valid || w.anchor != anchor || w.next > n+1 || !w.ref.extends(history) {
+	if !w.valid || w.anchor != anchor || w.next > n+1 || !w.ref.Extends(history) {
 		state = d.cell.NewLSTMStateScratch(sc)
 		from = anchor
 	}
@@ -581,7 +581,7 @@ func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels 
 	w.state.H = append(w.state.H[:0], state.H...)
 	w.state.C = append(w.state.C[:0], state.C...)
 	w.anchor, w.next = anchor, n+1
-	w.ref.record(history)
+	w.ref.Record(history)
 	w.valid = true
 
 	paths := d.cfg.Samples

@@ -72,7 +72,7 @@ type QB5000 struct {
 // (linCoef dimensions, memorized kernel rows) and are therefore recomputed
 // each round — allocation-free — rather than advanced.
 type qb5000Warm struct {
-	ref    historyRef
+	ref    timeseries.Ref
 	valid  bool
 	anchor int
 	next   int          // state has consumed conditioning inputs for positions [anchor, next)
@@ -340,7 +340,7 @@ func (q *QB5000) predictLSTM(history *timeseries.Series, h int) []float64 {
 // WarmReset implements IncrementalPointForecaster.
 func (q *QB5000) WarmReset() {
 	q.warm.valid = false
-	q.warm.ref.reset()
+	q.warm.ref.Reset()
 }
 
 // PredictWarm implements IncrementalPointForecaster: bit-identical to
@@ -382,7 +382,7 @@ func (q *QB5000) PredictWarm(history *timeseries.Series, h int) ([]float64, erro
 	sc.Reset()
 	state := nn.LSTMState{H: w.state.H, C: w.state.C}
 	from := w.next
-	if !w.valid || w.anchor != anchor || w.next > n || !w.ref.extends(history) {
+	if !w.valid || w.anchor != anchor || w.next > n || !w.ref.Extends(history) {
 		state = q.cell.NewLSTMStateScratch(sc)
 		from = anchor
 	}
@@ -392,7 +392,7 @@ func (q *QB5000) PredictWarm(history *timeseries.Series, h int) ([]float64, erro
 	w.state.H = append(w.state.H[:0], state.H...)
 	w.state.C = append(w.state.C[:0], state.C...)
 	w.anchor, w.next = anchor, n
-	w.ref.record(history)
+	w.ref.Record(history)
 	w.valid = true
 
 	// Decode from a scratch copy so the owned state stays pre-decode.

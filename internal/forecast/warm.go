@@ -1,10 +1,6 @@
 package forecast
 
-import (
-	"time"
-
-	"robustscale/internal/timeseries"
-)
+import "robustscale/internal/timeseries"
 
 // This file holds the warm-state fast-path contract shared by the
 // incremental forecasters (DeepAR, Naive, SeasonalNaive, ARIMA, QB5000)
@@ -22,7 +18,7 @@ import (
 //     never an approximation.
 //   - Self-invalidating: the cached state remembers which history it was
 //     built from (backing array identity + start/step + a tail tripwire,
-//     see historyRef). Any discontinuity — a cloned/sanitized history, a
+//     see timeseries.Ref). Any discontinuity — a cloned/sanitized history, a
 //     shrunk series, a restored checkpoint — silently falls back to the
 //     cold computation, which also rebuilds the cache.
 //   - Rebuildable, never persisted: warm state is derived entirely from
@@ -73,45 +69,6 @@ type IncrementalPointForecaster interface {
 func warmAnchor(n, ctx int) int {
 	return ((n - ctx) / ctx) * ctx
 }
-
-// historyRef records which history a warm state was derived from, so the
-// next call can prove the new history is an append-extension of it.
-// Histories in this repository are views over a growing backing array
-// (Series.Slice shares Values), so identity of the first element plus an
-// unchanged epoch means the shared prefix is literally the same memory.
-// The recorded tail value is a tripwire against in-place mutation of the
-// most recently consumed observation (and against NaN corruption, which
-// fails the equality and forces a cold rebuild).
-type historyRef struct {
-	base  []float64
-	start time.Time
-	step  time.Duration
-	last  float64
-}
-
-// extends reports whether hist is an append-extension of the recorded
-// history: same backing array and epoch, at least as long, tail intact.
-func (r *historyRef) extends(hist *timeseries.Series) bool {
-	n := len(r.base)
-	if n == 0 || hist.Len() < n {
-		return false
-	}
-	if &hist.Values[0] != &r.base[0] || !hist.Start.Equal(r.start) || hist.Step != r.step {
-		return false
-	}
-	return hist.Values[n-1] == r.last
-}
-
-// record remembers hist as the new warm baseline.
-func (r *historyRef) record(hist *timeseries.Series) {
-	r.base = hist.Values
-	r.start = hist.Start
-	r.step = hist.Step
-	r.last = hist.Values[hist.Len()-1]
-}
-
-// reset forgets the baseline; extends reports false until the next record.
-func (r *historyRef) reset() { r.base = nil }
 
 // levelsCache skips normalizeLevels' copy+sort when the requested levels
 // are unchanged between rounds — the steady-state case, since strategies

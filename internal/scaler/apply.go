@@ -182,11 +182,14 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// setState transitions and mirrors the state into the gauge; callers
-// hold b.mu.
+// setState mirrors a transition into the gauge — a process-wide cache
+// line every tenant's Success would otherwise store to on every step;
+// callers hold b.mu.
 func (b *Breaker) setState(s BreakerState) {
-	b.state = s
-	breakerState.Set(float64(s))
+	if b.state != s {
+		b.state = s
+		breakerState.Set(float64(s))
+	}
 }
 
 // Applier drives one scale action through retry-with-backoff and the

@@ -32,6 +32,20 @@ func smallWarmDeepAR(t testing.TB, train *timeseries.Series) *forecast.DeepAR {
 	return m
 }
 
+// fleetStack is the stack every fleet tenant runs by default: the guard
+// over the robust strategy over seasonal-naive.
+func fleetStack(t testing.TB, train *timeseries.Series) *Guard {
+	t.Helper()
+	f := forecast.NewSeasonalNaive(24)
+	if err := f.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	return &Guard{
+		Inner:  &Robust{Forecaster: f, Tau: 0.9, Theta: 10},
+		Config: GuardConfig{Theta: 10, Tau: 0.9},
+	}
+}
+
 // cold hides a forecaster's incremental interface, so a strategy over it
 // forecasts every round from scratch: the reference the warm path must
 // reproduce.
@@ -160,24 +174,26 @@ func TestPlanIntoMatchesPlanThroughDegradation(t *testing.T) {
 
 // TestPlanRoundAllocs is the allocation contract the CI gate enforces:
 // a steady-state planning round is allocation-free for the reactive rules
-// (bare and guard-wrapped) and stays within a small fixed budget for the
-// warm DeepAR robust stack (pooled sample matrices, reused fan and plan).
+// (bare and guard-wrapped), one object for the fleet's guarded stack (the
+// header of the retained fan, see Guard.storeLastGood), and stays within a
+// small fixed budget for the warm DeepAR robust stack (pooled sample
+// matrices, reused fan and plan).
 func TestPlanRoundAllocs(t *testing.T) {
 	s := fastpathSeries(400)
 	hist := s.Slice(0, 350)
 
-	check := func(name string, limit float64, strat Strategy) {
+	check := func(name string, limit float64, h int, strat Strategy) {
 		var buf []int
 		var err error
 		// Warm caches and scratch buffers are grown outside the
 		// measurement, as in the daemon's steady state.
 		for i := 0; i < 3; i++ {
-			if buf, err = PlanRound(strat, hist, 1, buf); err != nil {
+			if buf, err = PlanRound(strat, hist, h, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if buf, err = PlanRound(strat, hist, 1, buf); err != nil {
+			if buf, err = PlanRound(strat, hist, h, buf); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -186,12 +202,42 @@ func TestPlanRoundAllocs(t *testing.T) {
 		}
 	}
 
-	check("reactive-max", 0, &ReactiveMax{Window: 6, Theta: 10})
-	check("reactive-avg", 0, &ReactiveAvg{Window: 6, HalfLife: 6, Theta: 10})
-	check("guard-reactive-max", 0, &Guard{
+	check("reactive-max", 0, 1, &ReactiveMax{Window: 6, Theta: 10})
+	check("reactive-avg", 0, 1, &ReactiveAvg{Window: 6, HalfLife: 6, Theta: 10})
+	check("guard-reactive-max", 0, 1, &Guard{
 		Inner:  &ReactiveMax{Window: 6, Theta: 10},
 		Config: GuardConfig{Theta: 10, Tau: 0.9},
 	})
 	train := s.Slice(0, 300)
-	check("robust-deepar-warm", 24, &Robust{Forecaster: smallWarmDeepAR(t, train), Tau: 0.9, Theta: 10})
+	check("guard-robust-seasonal-naive", 1, 12, fleetStack(t, train))
+	check("robust-deepar-warm", 24, 1, &Robust{Forecaster: smallWarmDeepAR(t, train), Tau: 0.9, Theta: 10})
+}
+
+// TestGuardRoundIndependentOfHistoryLength: a guarded round costs the
+// observations that arrived since the last one, not the history. The
+// 16-day row of BenchmarkGuardAdvance must stay within 1.25x of the 2-day
+// row (1.6x when every round rescanned the whole history). Trials are
+// interleaved and reduced to their minimum, and a noisy attempt is
+// repeated, because interference only ever adds time.
+func TestGuardRoundIndependentOfHistoryLength(t *testing.T) {
+	const rounds = 20000
+	trial := func(days int) time.Duration {
+		g, s := advanceStack(t, days)
+		advanceOrigin(t, g, s, days, 8)
+		start := time.Now()
+		advanceOrigin(t, g, s, days, rounds)
+		return time.Since(start)
+	}
+	var ratio float64
+	for attempt := 0; attempt < 4; attempt++ {
+		short, long := trial(2), trial(16)
+		for i := 0; i < 4; i++ {
+			short, long = min(short, trial(2)), min(long, trial(16))
+		}
+		ratio = float64(long) / float64(short)
+		if ratio <= 1.25 && ratio >= 0.8 {
+			return
+		}
+	}
+	t.Errorf("16-day history costs %.2fx a 2-day history per guarded round, want within 1.25x", ratio)
 }

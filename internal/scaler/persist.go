@@ -60,6 +60,7 @@ func (g *Guard) Load(r io.Reader) error {
 	}
 	g.mode, g.lastReason, g.degradedRounds = DegradationMode(mode), reason, rounds
 	g.lastGoodFan = nil
+	g.seen.Reset() // warm state is never restored, only rebuilt
 	if len(fan.Values) > 0 {
 		g.lastGoodFan = fan
 	}
