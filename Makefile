@@ -45,13 +45,12 @@ bench-save:
 bench-check:
 	scripts/bench_plan_round.sh check
 
-# Short fuzz pass over the checkpoint decoder, the fleet segment and
-# series readers and the component blob decoders inside a record:
+# Short fuzz pass over the segment reader (every checkpoint, a fleet's or
+# a single tenant's), the series reader and the component blob decoders:
 # arbitrary bytes must error cleanly, never panic or over-allocate. The
 # last target drives one guard through arbitrary history edits: its
 # incremental checks must agree with a fresh guard's at every step.
 fuzz:
-	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadSegment -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadSeries -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadComponent -fuzztime=10s ./internal/fleet

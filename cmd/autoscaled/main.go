@@ -122,6 +122,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	logf := log.New(stderr, "", 0).Printf
 	fs := flag.NewFlagSet("autoscaled", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	wakeDef := scaler.WakeGuardConfig{}.WithDefaults()
 	var (
 		dataset    = fs.String("dataset", "alibaba", "workload: alibaba or google")
 		tenant     = fs.String("tenant", obs.DefaultTenant, "tenant id labelling this daemon's decisions, journal events, metrics and checkpoints")
@@ -159,9 +160,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 		serverless    = fs.Bool("serverless", false, "serverless mode: the wake guard parks an idle tenant's plan to zero (the physical cluster holds a one-node floor) and wakes it when demand returns")
 		idleEps       = fs.Float64("idle-eps", 0, "workload level below which the tenant counts as idle (0 = theta/10)")
-		parkAfter     = fs.Int("park-after", 0, "consecutive idle rounds before parking (0 = default 3)")
-		wakeDebounce  = fs.Int("wake-debounce", 0, "rounds after a wake during which parking is refused (0 = default 2)")
-		keepWarmAfter = fs.Int("keep-warm-after", 0, "consecutive wake failures tripping the wake breaker into keep-warm (0 = default 3)")
+		parkAfter     = fs.Int("park-after", 0, fmt.Sprintf("consecutive idle rounds before parking (<= 0 = default %d)", wakeDef.MinIdleRounds))
+		wakeDebounce  = fs.Int("wake-debounce", 0, fmt.Sprintf("rounds after a wake during which parking is refused (<= 0 = default %d)", wakeDef.WakeDebounceRounds))
+		keepWarmAfter = fs.Int("keep-warm-after", 0, fmt.Sprintf("consecutive wake failures tripping the wake breaker into keep-warm (<= 0 = default %d)", wakeDef.KeepWarmAfterFails))
 
 		stateDir     = fs.String("state-dir", "", "checkpoint directory for durable warm restarts (empty disables durability)")
 		stateRetain  = fs.Int("state-retain", persist.DefaultRetain, "checkpoint snapshots to retain in -state-dir")
@@ -359,8 +360,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if t.IdleEps = *idleEps; t.IdleEps <= 0 {
 			t.IdleEps = *theta / 10
 		}
+		eff := t.WakeConfig.WithDefaults()
 		logf("autoscaled: serverless mode: park after %d idle rounds below %.2f, wake debounce %d rounds",
-			*parkAfter, t.IdleEps, *wakeDebounce)
+			eff.MinIdleRounds, t.IdleEps, eff.WakeDebounceRounds)
 	}
 	var strat scaler.Strategy
 	t.Build = func(model []byte, savedRho float64) (_ scaler.Strategy, snapper forecast.Snapshotter, rhoUsed float64, err error) {

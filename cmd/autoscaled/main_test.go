@@ -112,11 +112,20 @@ resilience: 0 degraded rounds, 75 apply holds, 2 node failures, final mode norma
 serverless: 5 parks, 4 wakes, 5 blocked parks, 79 parked steps, parked now true
 slo: target 0.01 window 144: 12/288 bad steps, budget remaining -3.1667, 10 transitions, 0 active alerts, first firing tick 38`},
 	}
+	// The serverless cases log the wake guard's effective hysteresis,
+	// defaults filled in.
+	wakeLogs := map[string]string{
+		"serverless":               "serverless mode: park after 3 idle rounds below 10.00, wake debounce 2 rounds\n",
+		"serverless-parking-chaos": "serverless mode: park after 2 idle rounds below 1500.00, wake debounce 1 rounds\n",
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			stdout, _ := daemon(t, tc.args)
+			stdout, stderr := daemon(t, tc.args)
 			if got := totals(stdout); got != tc.want {
 				t.Errorf("autoscaled %s:\n got:\n%s\nwant:\n%s", tc.args, got, tc.want)
+			}
+			if want := wakeLogs[tc.name]; !strings.Contains(stderr, want) {
+				t.Errorf("autoscaled %s logged no %q:\n%s", tc.args, want, stderr)
 			}
 		})
 	}
@@ -181,7 +190,7 @@ func TestKillRestartTotals(t *testing.T) {
 
 			// Run 3: the newest snapshot is corrupt; recovery falls back to
 			// the one before it and replays the lost round.
-			snaps, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+			snaps, err := filepath.Glob(filepath.Join(dir, "segment-*.seg"))
 			if err != nil || len(snaps) < 2 {
 				t.Fatalf("want at least two snapshots in %s, got %v (%v)", dir, snaps, err)
 			}

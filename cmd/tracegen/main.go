@@ -8,9 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"robustscale/internal/timeseries"
@@ -18,16 +19,43 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
+	os.Exit(exitCode(run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+// exitCode reports a run error on stderr and maps it to the process exit
+// status: 0 on success (and -h), 2 for a command line that cannot run,
+// 1 for a run that failed.
+func exitCode(err error, stderr io.Writer) int {
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2 // the problem and the usage are already on stderr
+	}
+	fmt.Fprintf(stderr, "tracegen: %v\n", err)
+	return 1
+}
+
+// errUsage marks a command line that cannot run.
+var errUsage = errors.New("invalid command line")
+
+// run is the whole command: it parses args, generates the trace and
+// writes the CSV (to stdout or -out) or the -summary to stdout; logs go to
+// stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dataset = flag.String("dataset", "alibaba", "trace style: alibaba or google")
-		seed    = flag.Int64("seed", 42, "generation seed")
-		days    = flag.Int("days", 28, "trace length in days")
-		units   = flag.Int("units", 64, "machines/tasks to sample and aggregate")
-		out     = flag.String("out", "", "CSV output path (default stdout)")
-		summary = flag.Bool("summary", false, "print per-resource summary statistics instead of CSV")
+		dataset = fs.String("dataset", "alibaba", "trace style: alibaba or google")
+		seed    = fs.Int64("seed", 42, "generation seed")
+		days    = fs.Int("days", 28, "trace length in days")
+		units   = fs.Int("units", 64, "machines/tasks to sample and aggregate")
+		out     = fs.String("out", "", "CSV output path (default stdout)")
+		summary = fs.Bool("summary", false, "print per-resource summary statistics instead of CSV")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	var cfg trace.Config
 	switch *dataset {
@@ -36,61 +64,55 @@ func main() {
 	case "google":
 		cfg = trace.GoogleStyle(*seed)
 	default:
-		log.Fatalf("tracegen: unknown dataset %q (want alibaba or google)", *dataset)
+		fmt.Fprintf(stderr, "tracegen: unknown dataset %q (want alibaba or google)\n", *dataset)
+		fs.Usage()
+		return errUsage
 	}
 	cfg.Days = *days
 	cfg.Units = *units
 
 	tr, err := trace.Generate(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-
 	if *summary {
-		printSummary(tr)
-		return
+		printSummary(stdout, tr)
+		return nil
 	}
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}()
-		w = f
+	if *out == "" {
+		return tr.WriteCSV(stdout)
 	}
-	if err := tr.WriteCSV(w); err != nil {
-		log.Fatal(err)
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
 	}
-	if *out != "" {
-		log.Printf("tracegen: wrote %s trace (%d days, %d units) to %s", *dataset, *days, *units, *out)
+	err = tr.WriteCSV(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "tracegen: wrote %s trace (%d days, %d units) to %s\n", *dataset, *days, *units, *out)
+	return nil
 }
 
-func printSummary(tr *trace.Trace) {
+func printSummary(w io.Writer, tr *trace.Trace) {
 	for _, res := range []trace.Resource{trace.CPU, trace.Memory, trace.Disk} {
 		s, err := tr.Series(res)
 		if err != nil {
 			continue
 		}
-		fmt.Printf("%-20s steps=%d step=%v mean=%.1f std=%.1f min=%.1f p50=%.1f p95=%.1f max=%.1f\n",
+		fmt.Fprintf(w, "%-20s steps=%d step=%v mean=%.1f std=%.1f min=%.1f p50=%.1f p95=%.1f max=%.1f\n",
 			s.Name, s.Len(), s.Step, s.Mean(), s.Std(), s.Min(),
 			s.Quantile(0.5), s.Quantile(0.95), s.Max())
-		maxLag := s.Len() / 3
-		if maxLag > 2*168*6 {
-			maxLag = 2 * 168 * 6 // two weeks at 10-minute steps
-		}
+		maxLag := min(s.Len()/3, 2*168*6) // at most two weeks at 10-minute steps
 		vol, err := timeseries.Characterize(s, maxLag)
 		if err != nil {
-			fmt.Printf("%-20s (characterization failed: %v)\n", "", err)
+			fmt.Fprintf(w, "%-20s (characterization failed: %v)\n", "", err)
 			continue
 		}
-		fmt.Printf("%-20s period=%d (strength %.2f) residualCV=%.3f spikeRate=%.4f\n",
+		fmt.Fprintf(w, "%-20s period=%d (strength %.2f) residualCV=%.3f spikeRate=%.4f\n",
 			"", vol.Period, vol.SeasonalStrength, vol.ResidualCV, vol.SpikeRate)
 	}
 }

@@ -29,7 +29,7 @@ import (
 // its zero value and returns its Save; fresh builds a receiver in some
 // other valid state and returns its Load and Save. golden is the hex of
 // what populated saves: a layout drift fails TestComponentBlobs until the
-// golden, persist.SegmentVersion and persist.Version move together.
+// golden and persist.SegmentVersion move together.
 type blobCase struct {
 	name      string
 	golden    string
@@ -273,7 +273,7 @@ func TestComponentBlobs(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			got := saved(t, c.populated(t))
 			if hex.EncodeToString(got) != c.golden {
-				t.Fatalf("blob layout drifted — bump persist.SegmentVersion and persist.Version, then update the golden:\n got %x\nwant %s", got, c.golden)
+				t.Fatalf("blob layout drifted — bump persist.SegmentVersion, then update the golden:\n got %x\nwant %s", got, c.golden)
 			}
 			load, save := c.fresh(t)
 			before := saved(t, save)

@@ -358,63 +358,6 @@ func TestTornSegmentTailFallsBack(t *testing.T) {
 	}
 }
 
-// TestLegacyLayoutUpgrades: a state root an older build filled with
-// <root>/tenants/<id>/checkpoint-*.ckpt files warm-starts every tenant,
-// and the first commit after it is a segment.
-func TestLegacyLayoutUpgrades(t *testing.T) {
-	cfg := testConfig(4)
-	uninterrupted := runFleet(t, cfg)
-
-	// Four rounds without a state root, then each tenant checkpoints
-	// through a per-tenant Manager — the files the old layout held.
-	dir := t.TempDir()
-	phase1 := cfg
-	phase1.MaxRounds = 4
-	c, err := New(phase1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for _, tn := range c.Tenants() {
-		mgr, err := persist.NewTenantManager(dir, tn.ID, cfg.Retain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tn.store = mgr
-		if err := tn.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if segs, _ := filepath.Glob(filepath.Join(dir, "segment-*")); len(segs) != 0 {
-		t.Fatalf("legacy fixture already holds segments: %v", segs)
-	}
-
-	phase2 := cfg
-	phase2.StateDir = dir
-	phase2.MaxRounds = 1
-	rep2 := runFleet(t, phase2)
-	if rep2.WarmStarts != cfg.Tenants || rep2.CorruptSnaps != 0 {
-		t.Fatalf("upgrade warm-started %d/%d tenants with %d corrupt snapshots", rep2.WarmStarts, cfg.Tenants, rep2.CorruptSnaps)
-	}
-	if got := len(segments(t, dir)); got != 1 {
-		t.Fatalf("one round after the upgrade left %d segments, want 1", got)
-	}
-
-	// From here on the segments are what recovery reads.
-	if err := os.RemoveAll(filepath.Join(dir, "tenants")); err != nil {
-		t.Fatal(err)
-	}
-	phase3 := cfg
-	phase3.StateDir = dir
-	rep3 := runFleet(t, phase3)
-	if rep3.WarmStarts != cfg.Tenants || rep3.FleetHash != uninterrupted.FleetHash {
-		t.Errorf("after the upgrade: %d/%d warm, hash %s, want all warm and %s",
-			rep3.WarmStarts, cfg.Tenants, rep3.FleetHash, uninterrupted.FleetHash)
-	}
-}
-
 // TestSegmentBytesIndependentOfWorkers: records are encoded in parallel
 // but laid out in tenant order, so every segment is byte-identical for
 // any worker count.

@@ -74,9 +74,8 @@ type loopExtra struct {
 
 // appendExtra appends the Extra section: loopExtra's fields in declaration
 // order (layout in DESIGN.md §8). Nothing in it can be skipped or
-// defaulted, so a field added here changes persist.SegmentVersion and
-// persist.Version too; TestExtraCodecCoversEveryField fails until it is
-// in both functions.
+// defaulted, so a field added here changes persist.SegmentVersion too;
+// TestExtraCodecCoversEveryField fails until it is in both functions.
 func appendExtra(b []byte, ex *loopExtra) []byte {
 	b = binary.AppendUvarint(b, ex.AllocHash)
 	b = wire.AppendVarints(b, ex.Cost, ex.ShedNodes,
@@ -99,9 +98,10 @@ func decodeExtra(blob []byte) (loopExtra, error) {
 }
 
 // checkpointStore is where a tenant's snapshots go and come back from. A
-// tenant on its own uses a persist.Manager over its StateDir; the fleet
-// controller hands each tenant a slot of the fleet's segment store, whose
-// Write only frames the record — the controller commits the round.
+// tenant on its own uses a persist.Manager over its StateDir, which
+// commits each checkpoint as a one-record segment; the fleet controller
+// hands each tenant a slot of the fleet's segment store, whose Write only
+// frames the record — the controller commits the round.
 type checkpointStore interface {
 	Recover() (*persist.State, persist.RecoverInfo, error)
 	Write(*persist.State) (string, error)
@@ -364,7 +364,7 @@ func (t *Tenant) Start() (*persist.State, error) {
 	var recovered *persist.State
 	var extra loopExtra
 	if t.store == nil && t.StateDir != "" {
-		mgr, err := persist.NewManager(t.StateDir, t.Retain)
+		mgr, err := persist.NewManager(t.StateDir, t.ID, t.Retain)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: %s: opening state dir: %w", t.ID, err)
 		}

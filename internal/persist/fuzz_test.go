@@ -7,59 +7,13 @@ import (
 	"testing"
 )
 
-// FuzzLoadCheckpoint throws arbitrary bytes — seeded with valid,
-// truncated, bit-flipped, and version-skewed snapshots — at Decode.
-// Any input must either decode cleanly or return an error; panics and
-// unbounded allocations are the bugs this target exists to catch. The
-// 1MiB decode bound keeps lying length headers from turning into OOM.
-func FuzzLoadCheckpoint(f *testing.F) {
-	var valid bytes.Buffer
-	if err := Encode(&valid, &State{
-		Fingerprint:    Fingerprint{Strategy: "robust", Dataset: "alibaba", Seed: 1, Theta: 6, Horizon: 12, Tau: 0.9},
-		Origin:         12,
-		PrevAlloc:      5,
-		ForecasterKind: "tft",
-		Forecaster:     []byte{1, 2, 3},
-	}); err != nil {
-		f.Fatal(err)
-	}
-	raw := valid.Bytes()
-	f.Add(raw)
-	f.Add(raw[:len(raw)/2])   // truncated payload
-	f.Add(raw[:headerLen-1])  // truncated header
-	f.Add([]byte{})           // empty
-	f.Add([]byte("RSCP"))     // magic only
-	f.Add([]byte("not-rscp")) // bad magic
-
-	flipped := append([]byte(nil), raw...)
-	flipped[len(flipped)/2] ^= 0x40
-	f.Add(flipped)
-
-	skewed := append([]byte(nil), raw...)
-	skewed[4] = 9 // future version
-	f.Add(skewed)
-
-	lying := append([]byte(nil), raw...)
-	for i := 8; i < 16; i++ { // length field claims ~2^63 bytes
-		lying[i] = 0xff
-	}
-	lying[15] = 0x7f
-	f.Add(lying)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := Decode(bytes.NewReader(data), 1<<20)
-		if err != nil && st != nil {
-			t.Fatalf("Decode returned both state and error: %v", err)
-		}
-	})
-}
-
-// FuzzLoadSegment throws arbitrary bytes — seeded with a valid segment
-// and truncated, bit-flipped, version-skewed and length-lying variants —
-// at the segment reader. Whatever comes in, parsing returns the records
-// that validated plus nil or a typed error, decoding a record returns a
-// state or ErrCorrupt, and nothing panics; length claims are only ever
-// compared with the 1MiB bound and the bytes present, never allocated.
+// FuzzLoadSegment throws arbitrary bytes — seeded with a valid fleet
+// segment, its truncated, bit-flipped, version-skewed and length-lying
+// variants, and a Manager's one-record segment — at the segment reader.
+// Whatever comes in, parsing returns the records that validated plus nil
+// or a typed error, decoding a record returns a state or ErrCorrupt, and
+// nothing panics; length claims are only ever compared with the 1MiB
+// bound and the bytes present, never allocated.
 func FuzzLoadSegment(f *testing.F) {
 	s, err := OpenSegments(f.TempDir(), 1, 2)
 	if err != nil {
@@ -109,6 +63,14 @@ func FuzzLoadSegment(f *testing.F) {
 	copy(lying[segHeaderLen+2:], []byte{0xff, 0xff, 0xff, 0x7f}) // first record claims 2GiB
 	f.Add(lying)
 
+	if path, err = newManager(f, f.TempDir(), 1).Write(testState()); err != nil {
+		f.Fatal(err)
+	}
+	single, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(single)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := parseSegment(data, 1<<20)
 		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersionSkew) {

@@ -5,16 +5,6 @@ import (
 	"path/filepath"
 )
 
-// Per-tenant checkpoint namespaces: one snapshot sub-directory per tenant
-// under <root>/tenants/<id>/, each managed by its own Manager, for a
-// caller that checkpoints tenants one at a time. A fleet commits segments
-// instead (segment.go) and reads this layout only to upgrade a state root
-// an older build wrote.
-
-// tenantsSubdir is the sub-directory of a state root that holds the
-// per-tenant namespaces.
-const tenantsSubdir = "tenants"
-
 // maxTenantIDLen bounds a tenant id, on disk and in a segment record.
 const maxTenantIDLen = 128
 
@@ -43,24 +33,13 @@ func ValidTenantID(id string) error {
 	return nil
 }
 
-// TenantDir returns the checkpoint namespace directory of one tenant
-// under a fleet state root, without creating it.
-func TenantDir(root, tenant string) (string, error) {
-	if root == "" {
-		return "", fmt.Errorf("persist: empty state root")
-	}
-	if err := ValidTenantID(tenant); err != nil {
-		return "", err
-	}
-	return filepath.Join(root, tenantsSubdir, tenant), nil
-}
-
-// NewTenantManager opens (creating if needed) the checkpoint namespace
-// of one tenant under a fleet state root and returns its Manager.
+// NewTenantManager opens (creating if needed) one tenant's checkpoint
+// namespace, <root>/tenants/<id>/, for a caller that checkpoints tenants
+// one at a time, and returns its Manager. A fleet commits all of its
+// tenants' records to one segment instead (segment.go).
 func NewTenantManager(root, tenant string, retain int) (*Manager, error) {
-	dir, err := TenantDir(root, tenant)
-	if err != nil {
-		return nil, err
+	if root == "" {
+		return nil, fmt.Errorf("persist: empty state root")
 	}
-	return NewManager(dir, retain)
+	return NewManager(filepath.Join(root, "tenants", tenant), tenant, retain)
 }

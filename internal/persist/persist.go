@@ -5,29 +5,27 @@
 // forecaster weights, the rolling calibration window, guard degradation
 // state, circuit-breaker state, the current allocation and the bounded
 // observability rings — as opaque, component-owned byte sections inside
-// one versioned, CRC32-framed snapshot file.
+// one CRC32-framed record of a versioned segment file (segment.go).
 //
-// Snapshots are written atomically (temp file in the same directory,
-// fsync, rename, directory fsync), so a crash mid-write never damages an
-// existing snapshot: the newest complete file always validates. Recovery
-// walks the retained snapshots newest-first, validating each frame, and
-// falls back to older snapshots — and finally to a cold start — when the
-// newest is truncated or bit-flipped. Decoding is bounded: a frame that
-// declares an oversized payload is rejected before any allocation, and
-// truncated payloads allocate only the bytes actually present.
+// Files are written atomically (temp file in the same directory, fsync,
+// rename, directory fsync), so a crash mid-write never damages an
+// existing checkpoint: the newest complete file always validates.
+// Recovery walks the retained segments newest-first, validating each
+// record, and falls back to older segments — and finally to a cold start
+// — when the newest is truncated or bit-flipped. Decoding is bounded: a
+// record that declares an oversized payload is rejected before any
+// allocation.
 //
-// A fleet checkpoints every tenant at once: segment.go commits one
-// round's snapshots as a single file through the same routine, and
-// recovery falls back per tenant instead of per file.
+// There is one format. A single tenant's Manager commits one-record
+// segments; a fleet commits one round of every tenant's records as a
+// single segment through the same routine, and both recover through the
+// same per-tenant fallback ladder.
 package persist
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -38,40 +36,25 @@ import (
 	"robustscale/internal/obs"
 )
 
-// Frame constants of the on-disk format. The golden-file test in this
-// package pins the byte layout; bump Version on any incompatible change
-// to State or the frame.
 const (
-	// Magic opens every snapshot file.
-	Magic = "RSCP"
-	// Version is the current snapshot format version. Version 2 added
-	// the tenant id to Fingerprint and the owner-defined Extra section
-	// to State (the fleet controller's loop accounting lives there).
-	// Version 3 added the SLO section carrying the error-budget tracker
-	// so warm restart resumes alerting where the previous run stopped.
-	// Version 4 changed no field here: the component sections left gob
-	// for the wire codec, and a blob has no version of its own.
-	Version = 4
-	// headerLen is magic(4) + version(4) + payload length(8) + crc32(4).
-	headerLen = 20
-	// DefaultMaxBytes bounds the decoded payload of one snapshot.
+	// DefaultMaxBytes bounds the payload of one checkpoint record.
 	DefaultMaxBytes = 1 << 30
-	// DefaultRetain is how many snapshots a manager keeps by default.
+	// DefaultRetain is how many checkpoint files a store keeps by default.
 	DefaultRetain = 3
 )
 
 // Sentinel errors distinguish the recovery ladder's rungs: corruption
-// (fall back to an older snapshot) from version skew (an operator
+// (fall back to an older segment) from version skew (an operator
 // decision) from absence (cold start).
 var (
-	// ErrCorrupt reports a snapshot that failed frame validation:
-	// bad magic, truncation, an oversized payload claim, a CRC mismatch,
-	// or an undecodable payload.
+	// ErrCorrupt reports a checkpoint that failed validation: bad
+	// magic, truncation, an oversized length claim, a CRC mismatch, or an
+	// undecodable record.
 	ErrCorrupt = errors.New("persist: corrupt checkpoint")
-	// ErrVersionSkew reports a snapshot written by an incompatible
+	// ErrVersionSkew reports a segment written by an incompatible
 	// format version.
 	ErrVersionSkew = errors.New("persist: checkpoint version skew")
-	// ErrNoCheckpoint reports that no snapshot survived validation.
+	// ErrNoCheckpoint reports that no checkpoint survived validation.
 	ErrNoCheckpoint = errors.New("persist: no usable checkpoint")
 )
 
@@ -178,77 +161,23 @@ func Blob(save func(io.Writer) error) []byte {
 	return b.Bytes()
 }
 
-// Encode frames the state as one snapshot: magic, version, payload
-// length, CRC32 (IEEE) of the payload, then the gob payload.
+// Encode writes the state as a one-record segment keyed by its
+// fingerprint's tenant: exactly the bytes a Manager for that tenant
+// commits.
 func Encode(w io.Writer, st *State) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		return fmt.Errorf("persist: encoding state: %w", err)
+	if err := ValidTenantID(st.Fingerprint.Tenant); err != nil {
+		return err
 	}
-	var hdr [headerLen]byte
-	copy(hdr[0:4], Magic)
-	binary.LittleEndian.PutUint32(hdr[4:8], Version)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(payload.Bytes()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("persist: writing header: %w", err)
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("persist: writing payload: %w", err)
-	}
-	return nil
-}
-
-// Decode validates one snapshot frame and returns its state. maxBytes
-// bounds the payload (0 means DefaultMaxBytes): an oversized length
-// claim is rejected before any allocation, and a truncated payload
-// allocates only the bytes actually present — corrupted input returns
-// an error, never a panic or an unbounded allocation.
-func Decode(r io.Reader, maxBytes int64) (*State, error) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBytes
-	}
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	if string(hdr[0:4]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != Version {
-		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d", ErrVersionSkew, v, Version)
-	}
-	length := binary.LittleEndian.Uint64(hdr[8:16])
-	if length > uint64(maxBytes) {
-		return nil, fmt.Errorf("%w: payload claims %d bytes, limit %d", ErrCorrupt, length, maxBytes)
-	}
-	// Copy through a limited reader into a growing buffer: a frame whose
-	// declared length lies about a short file allocates only what the
-	// file actually holds.
-	var payload bytes.Buffer
-	n, err := io.Copy(&payload, io.LimitReader(r, int64(length)))
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading payload: %v", ErrCorrupt, err)
-	}
-	if uint64(n) != length {
-		return nil, fmt.Errorf("%w: payload truncated at %d of %d bytes", ErrCorrupt, n, length)
-	}
-	if sum := crc32.ChecksumIEEE(payload.Bytes()); sum != binary.LittleEndian.Uint32(hdr[16:20]) {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
-	}
-	var st State
-	if err := gob.NewDecoder(&payload).Decode(&st); err != nil {
-		return nil, fmt.Errorf("%w: decoding payload: %v", ErrCorrupt, err)
-	}
-	return &st, nil
+	return writeOneRecord(w, st.Fingerprint.Tenant, st)
 }
 
 // seqDir is a directory of sequence-numbered files sharing one name
-// pattern, and the one commit routine of the package: the single-state
-// Manager, the fleet SegmentStore and the SeriesStore all publish through
-// it.
+// pattern, and the one commit routine of the package: a tenant's Manager,
+// the fleet SegmentStore and the SeriesStore all publish through it.
 type seqDir struct {
 	dir, prefix, suffix string
+	// retain is how many committed files the directory keeps.
+	retain int
 	// files are the retained file paths, oldest first, as of the scan at
 	// open plus every commit since; nextSeq continues past the newest.
 	files   []string
@@ -256,15 +185,19 @@ type seqDir struct {
 }
 
 // openSeqDir creates the directory if needed and scans it, so commits
-// continue the sequence and prune from what is already there.
-func openSeqDir(dir, prefix, suffix string) (seqDir, error) {
+// continue the sequence and prune from what is already there. A retain of
+// zero or less keeps DefaultRetain files.
+func openSeqDir(dir, prefix, suffix string, retain int) (seqDir, error) {
 	if dir == "" {
 		return seqDir{}, fmt.Errorf("persist: empty state directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return seqDir{}, fmt.Errorf("persist: creating state dir: %w", err)
 	}
-	d := seqDir{dir: dir, prefix: prefix, suffix: suffix}
+	if retain <= 0 {
+		retain = DefaultRetain
+	}
+	d := seqDir{dir: dir, prefix: prefix, suffix: suffix, retain: retain}
 	d.files = d.list()
 	if n := len(d.files); n > 0 {
 		seq, _ := d.seq(d.files[n-1])
@@ -312,13 +245,23 @@ func (d *seqDir) list() []string {
 	return out
 }
 
+// segments returns the retained files as segments, newest first, each
+// read on first use.
+func (d *seqDir) segments() []*segment {
+	segs := make([]*segment, len(d.files))
+	for i, path := range d.files {
+		segs[len(segs)-1-i] = &segment{path: path}
+	}
+	return segs
+}
+
 // commit publishes the next file of the sequence atomically — temp file
 // in the same directory, one fsync, rename into place (the commit
 // point), directory fsync — then prunes the files beyond retain. A crash
 // at any point leaves every previously committed file intact; the temp
 // file is removed only when a step before the rename fails. It returns
 // the committed path and size.
-func (d *seqDir) commit(retain int, write func(io.Writer) error) (string, int64, error) {
+func (d *seqDir) commit(write func(io.Writer) error) (string, int64, error) {
 	final := filepath.Join(d.dir, fmt.Sprintf("%s%08d%s", d.prefix, d.nextSeq, d.suffix))
 	tmp, err := os.CreateTemp(d.dir, ".ckpt-*.tmp")
 	if err != nil {
@@ -346,7 +289,7 @@ func (d *seqDir) commit(retain int, write func(io.Writer) error) (string, int64,
 	fsyncDir(d.dir)
 	d.nextSeq++
 	d.files = append(d.files, final)
-	for len(d.files) > retain {
+	for len(d.files) > d.retain {
 		_ = os.Remove(d.files[0]) // a file someone else already removed is pruned all the same
 		d.files = d.files[1:]
 	}
@@ -355,9 +298,9 @@ func (d *seqDir) commit(retain int, write func(io.Writer) error) (string, int64,
 
 // commitCheckpoint is commit for a file that is a checkpoint: it feeds
 // the checkpoint instruments, once per committed file.
-func (d *seqDir) commitCheckpoint(retain int, write func(io.Writer) error) (string, error) {
+func (d *seqDir) commitCheckpoint(write func(io.Writer) error) (string, error) {
 	t0 := time.Now()
-	path, size, err := d.commit(retain, write)
+	path, size, err := d.commit(write)
 	if err != nil {
 		return "", err
 	}
@@ -394,93 +337,49 @@ var (
 	}
 )
 
-// Manager owns one state directory: sequence-numbered snapshot files,
-// atomic writes, bounded retention, and newest-first recovery. It is
-// not safe for concurrent use; the control loop is its only caller.
+// Manager is one tenant's checkpoint store over a state directory of its
+// own: every Write commits a one-record segment, the newest retain of
+// them are kept, and Recover runs the fleet's per-tenant ladder over
+// them. It is not safe for concurrent use; the control loop is its only
+// caller.
 type Manager struct {
 	seqDir
-	// Retain is how many snapshots to keep (default DefaultRetain).
-	Retain int
-	// MaxBytes bounds one snapshot's payload on read (default
-	// DefaultMaxBytes).
-	MaxBytes int64
+	tenant string
 }
 
-// Manager-owned snapshot files are checkpoint-<seq>.ckpt.
-const (
-	snapshotPrefix = "checkpoint-"
-	snapshotSuffix = ".ckpt"
-)
-
-// NewManager opens (creating if needed) the state directory and scans
-// existing snapshots so new writes continue the sequence.
-func NewManager(dir string, retain int) (*Manager, error) {
-	d, err := openSeqDir(dir, snapshotPrefix, snapshotSuffix)
+// NewManager opens (creating if needed) the state directory of the tenant
+// whose id keys every record, and scans the segments already there so new
+// writes continue the sequence.
+func NewManager(dir, tenant string, retain int) (*Manager, error) {
+	if err := ValidTenantID(tenant); err != nil {
+		return nil, err
+	}
+	d, err := openSeqDir(dir, segmentPrefix, segmentSuffix, retain)
 	if err != nil {
 		return nil, err
 	}
-	if retain <= 0 {
-		retain = DefaultRetain
-	}
-	return &Manager{seqDir: d, Retain: retain}, nil
+	return &Manager{seqDir: d, tenant: tenant}, nil
 }
 
-// Snapshots returns the retained snapshot paths, oldest first.
-func (m *Manager) Snapshots() []string { return m.list() }
-
-// Write persists one snapshot atomically (see seqDir.commit) and prunes
-// snapshots beyond Retain. It returns the snapshot path.
+// Write commits the state as the next one-record segment atomically (see
+// seqDir.commit) and prunes segments beyond the retained count. It
+// returns the segment path.
 func (m *Manager) Write(st *State) (string, error) {
-	return m.commitCheckpoint(m.Retain, func(w io.Writer) error { return Encode(w, st) })
+	return m.commitCheckpoint(func(w io.Writer) error { return writeOneRecord(w, m.tenant, st) })
 }
 
 // RecoverInfo describes how a recovery concluded.
 type RecoverInfo struct {
-	// Path is the snapshot the state was restored from.
+	// Path is the segment the state was restored from.
 	Path string
-	// Rejected lists snapshots that failed validation, newest first.
+	// Rejected lists segments lost to the tenant, newest first.
 	Rejected []string
 }
 
-// Recover walks the retained snapshots newest-first and returns the
-// first that validates, recording rejected snapshots in the corruption
-// counter. With no snapshots at all it returns (nil, info, nil) — a
-// clean cold start; when snapshots exist but none validates it returns
-// ErrNoCheckpoint (wrapped), and the caller should cold-start too.
+// Recover runs the tenant's recovery ladder (recoverTenant) over the
+// retained segments, those this Manager committed included.
 func (m *Manager) Recover() (*State, RecoverInfo, error) {
-	snaps := m.Snapshots()
-	var info RecoverInfo
-	if len(snaps) == 0 {
-		return nil, info, nil
-	}
-	var lastErr error
-	for i := len(snaps) - 1; i >= 0; i-- {
-		st, err := m.load(snaps[i])
-		if err != nil {
-			info.Rejected = append(info.Rejected, snaps[i])
-			ckptCorrupt.Inc()
-			lastErr = err
-			continue
-		}
-		info.Path = snaps[i]
-		ckptRecoveries.Inc()
-		return st, info, nil
-	}
-	return nil, info, fmt.Errorf("%w: all %d snapshots rejected, last: %v", ErrNoCheckpoint, len(snaps), lastErr)
-}
-
-// load reads and validates one snapshot file.
-func (m *Manager) load(path string) (*State, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("persist: opening snapshot: %w", err)
-	}
-	defer f.Close()
-	maxBytes := m.MaxBytes
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBytes
-	}
-	return Decode(f, maxBytes)
+	return recoverTenant(m.segments(), m.tenant)
 }
 
 // CheckpointWrites returns the process-wide checkpoint write count;
@@ -490,5 +389,5 @@ func CheckpointWrites() float64 { return ckptWrites.Value() }
 // CheckpointRecoveries returns the process-wide recovery count.
 func CheckpointRecoveries() float64 { return ckptRecoveries.Value() }
 
-// CheckpointCorrupt returns how many snapshots recovery has rejected.
+// CheckpointCorrupt returns how many checkpoints recovery has rejected.
 func CheckpointCorrupt() float64 { return ckptCorrupt.Value() }

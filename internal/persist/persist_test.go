@@ -2,11 +2,13 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -55,69 +57,103 @@ func encodeState(t *testing.T, st *State) []byte {
 	return buf.Bytes()
 }
 
+// newManager opens a Manager for testState's tenant over dir.
+func newManager(t testing.TB, dir string, retain int) *Manager {
+	t.Helper()
+	m, err := NewManager(dir, "default", retain)
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	return m
+}
+
+// TestEncodeDecodeRoundTrip: Encode writes exactly the one-record segment
+// a Manager commits, and that segment reads back to the state.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	want := testState()
 	raw := encodeState(t, want)
-	got, err := Decode(bytes.NewReader(raw), 0)
+	path, err := newManager(t, t.TempDir(), 3).Write(want)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("Write: %v", err)
+	}
+	if written, err := os.ReadFile(path); err != nil || !bytes.Equal(written, raw) {
+		t.Fatalf("Manager.Write committed other bytes than Encode writes (%v)", err)
+	}
+	recs, err := parseSegment(raw, DefaultMaxBytes)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("Encode's image parsed to %d records (%v), want one", len(recs), err)
+	}
+	got, err := decodeRecord(recs[want.Fingerprint.Tenant])
+	if err != nil {
+		t.Fatalf("decodeRecord: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 
+// recoverDamaged commits testState through a Manager, lets damage edit
+// the committed image, and recovers: the only checkpoint is damaged, so
+// the result must be ErrNoCheckpoint wrapping the reason.
+func recoverDamaged(t *testing.T, damage func([]byte) []byte) error {
+	t.Helper()
+	m := newManager(t, t.TempDir(), 3)
+	path, err := m.Write(testState())
+	if err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	rewrite(t, path, damage)
+	st, info, err := m.Recover()
+	if st != nil || !errors.Is(err, ErrNoCheckpoint) || len(info.Rejected) != 1 {
+		t.Fatalf("damaged checkpoint recovered to (%v, %+v, %v), want one rejection and ErrNoCheckpoint", st, info, err)
+	}
+	return err
+}
+
 func TestDecodeRejectsBadMagic(t *testing.T) {
-	raw := encodeState(t, testState())
-	raw[0] = 'X'
-	if _, err := Decode(bytes.NewReader(raw), 0); !errors.Is(err, ErrCorrupt) {
+	if err := recoverDamaged(t, func(b []byte) []byte { b[0] = 'X'; return b }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: got %v, want ErrCorrupt", err)
 	}
 }
 
 func TestDecodeRejectsVersionSkew(t *testing.T) {
-	raw := encodeState(t, testState())
-	raw[4] = 99 // little-endian version field
-	if _, err := Decode(bytes.NewReader(raw), 0); !errors.Is(err, ErrVersionSkew) {
-		t.Fatalf("version skew: got %v, want ErrVersionSkew", err)
+	err := recoverDamaged(t, func(b []byte) []byte { b[4] = 99; return b }) // little-endian version field
+	if !errors.Is(err, ErrVersionSkew) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version skew: got %v, want ErrVersionSkew alone", err)
 	}
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	raw := encodeState(t, testState())
-	for _, cut := range []int{1, headerLen - 1, headerLen, headerLen + 5, len(raw) - 1} {
-		if _, err := Decode(bytes.NewReader(raw[:cut]), 0); !errors.Is(err, ErrCorrupt) {
+	// Cut points count from the end when negative.
+	for _, cut := range []int{1, segHeaderLen - 1, segHeaderLen, segHeaderLen + recHeaderLen + 5, -1} {
+		err := recoverDamaged(t, func(b []byte) []byte { return b[:(cut+len(b))%len(b)] })
+		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncation at %d: got %v, want ErrCorrupt", cut, err)
 		}
 	}
 }
 
 func TestDecodeRejectsBitFlip(t *testing.T) {
-	raw := encodeState(t, testState())
-	// Flip one bit in the middle of the payload: CRC must catch it.
-	raw[headerLen+len(raw[headerLen:])/2] ^= 0x10
-	if _, err := Decode(bytes.NewReader(raw), 0); !errors.Is(err, ErrCorrupt) {
+	// One bit in the middle of the record: the CRC must catch it.
+	if err := recoverDamaged(t, func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bit flip: got %v, want ErrCorrupt", err)
 	}
 }
 
 func TestDecodeBoundsOversizedClaim(t *testing.T) {
-	raw := encodeState(t, testState())
-	// Rewrite the length field to claim an absurd payload; decode must
-	// reject it from the header alone without allocating.
-	for i, b := range []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f} {
-		raw[8+i] = b
-	}
-	if _, err := Decode(bytes.NewReader(raw), 1<<20); !errors.Is(err, ErrCorrupt) {
+	// The record's payload length claims 4GiB: refused from the frame
+	// header alone (TestParseSegmentBoundsLengthClaims pins the allocation).
+	err := recoverDamaged(t, func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[segHeaderLen+2:], 0xffffffff)
+		return b
+	})
+	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversized claim: got %v, want ErrCorrupt", err)
 	}
 }
 
 func TestManagerWriteRecover(t *testing.T) {
-	m, err := NewManager(t.TempDir(), 3)
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
+	m := newManager(t, t.TempDir(), 3)
 	want := testState()
 	if _, err := m.Write(want); err != nil {
 		t.Fatalf("Write: %v", err)
@@ -135,21 +171,15 @@ func TestManagerWriteRecover(t *testing.T) {
 }
 
 func TestManagerEmptyDirColdStart(t *testing.T) {
-	m, err := NewManager(t.TempDir(), 3)
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
-	st, _, err := m.Recover()
+	st, _, err := newManager(t, t.TempDir(), 3).Recover()
 	if err != nil || st != nil {
 		t.Fatalf("empty dir: got (%v, %v), want (nil, nil)", st, err)
 	}
 }
 
 func TestManagerRetention(t *testing.T) {
-	m, err := NewManager(t.TempDir(), 2)
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
+	dir := t.TempDir()
+	m := newManager(t, dir, 2)
 	for i := 0; i < 5; i++ {
 		st := testState()
 		st.Origin = i
@@ -157,11 +187,10 @@ func TestManagerRetention(t *testing.T) {
 			t.Fatalf("Write %d: %v", i, err)
 		}
 	}
-	snaps := m.Snapshots()
-	if len(snaps) != 2 {
-		t.Fatalf("retention: %d snapshots kept, want 2: %v", len(snaps), snaps)
+	if segs, _ := filepath.Glob(filepath.Join(dir, "*")); len(segs) != 2 {
+		t.Fatalf("retention: %d files kept, want 2: %v", len(segs), segs)
 	}
-	// The newest snapshot wins recovery.
+	// The newest checkpoint wins recovery.
 	got, _, err := m.Recover()
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -173,20 +202,13 @@ func TestManagerRetention(t *testing.T) {
 
 func TestManagerSequenceSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	m1, err := NewManager(dir, 5)
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
-	p1, err := m1.Write(testState())
+	p1, err := newManager(t, dir, 5).Write(testState())
 	if err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	// A fresh manager over the same dir continues the sequence instead
-	// of overwriting the existing snapshot.
-	m2, err := NewManager(dir, 5)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
+	// of overwriting the existing checkpoint.
+	m2 := newManager(t, dir, 5)
 	p2, err := m2.Write(testState())
 	if err != nil {
 		t.Fatalf("Write after reopen: %v", err)
@@ -194,16 +216,13 @@ func TestManagerSequenceSurvivesReopen(t *testing.T) {
 	if p1 == p2 {
 		t.Fatalf("reopened manager overwrote %s", p1)
 	}
-	if got := m2.Snapshots(); len(got) != 2 {
-		t.Fatalf("snapshots after reopen: %v, want 2 files", got)
+	if !slices.Equal(m2.files, []string{p1, p2}) {
+		t.Fatalf("files after reopen: %v, want [%s %s]", m2.files, p1, p2)
 	}
 }
 
 func TestRecoverFallsBackPastCorruption(t *testing.T) {
-	m, err := NewManager(t.TempDir(), 3)
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
+	m := newManager(t, t.TempDir(), 3)
 	older := testState()
 	older.Origin = 100
 	if _, err := m.Write(older); err != nil {
@@ -215,8 +234,8 @@ func TestRecoverFallsBackPastCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Write newer: %v", err)
 	}
-	// Truncate the newest snapshot mid-payload.
-	if err := os.Truncate(newest, headerLen+7); err != nil {
+	// Truncate the newest checkpoint mid-record.
+	if err := os.Truncate(newest, segHeaderLen+recHeaderLen+7); err != nil {
 		t.Fatalf("Truncate: %v", err)
 	}
 	got, info, err := m.Recover()
@@ -224,7 +243,7 @@ func TestRecoverFallsBackPastCorruption(t *testing.T) {
 		t.Fatalf("Recover: %v", err)
 	}
 	if got.Origin != 100 {
-		t.Fatalf("fallback recovered Origin = %d, want 100 (older snapshot)", got.Origin)
+		t.Fatalf("fallback recovered Origin = %d, want 100 (older checkpoint)", got.Origin)
 	}
 	if len(info.Rejected) != 1 || info.Rejected[0] != newest {
 		t.Fatalf("rejected = %v, want [%s]", info.Rejected, newest)
@@ -232,32 +251,39 @@ func TestRecoverFallsBackPastCorruption(t *testing.T) {
 }
 
 func TestRecoverAllCorruptReportsNoCheckpoint(t *testing.T) {
+	// recoverDamaged asserts the ErrNoCheckpoint and the one rejection.
+	recoverDamaged(t, func([]byte) []byte { return []byte("garbage") })
+}
+
+// TestRecoverSkipsVersionSkew: a directory holding segments of another
+// format version and one current segment recovers from the current one;
+// one holding only skewed segments reports ErrNoCheckpoint, so the caller
+// cold-starts.
+func TestRecoverSkipsVersionSkew(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewManager(dir, 3)
+	m := newManager(t, dir, 3)
+	for i := 0; i < 2; i++ {
+		path, err := m.Write(testState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An older, then a newer format version.
+		rewrite(t, path, func(b []byte) []byte { b[4] = byte(SegmentVersion - 1 + 2*i); return b })
+	}
+	if st, info, err := m.Recover(); st != nil || !errors.Is(err, ErrVersionSkew) || len(info.Rejected) != 2 {
+		t.Fatalf("skewed-only recovery returned (%v, %+v, %v), want both rejected and ErrVersionSkew", st, info, err)
+	}
+	current, err := m.Write(testState())
 	if err != nil {
-		t.Fatalf("NewManager: %v", err)
+		t.Fatal(err)
 	}
-	p, err := m.Write(testState())
-	if err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if err := os.WriteFile(p, []byte("garbage"), 0o644); err != nil {
-		t.Fatalf("corrupting: %v", err)
-	}
-	st, info, err := m.Recover()
-	if !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("all-corrupt: got (%v, %v), want ErrNoCheckpoint", st, err)
-	}
-	if len(info.Rejected) != 1 {
-		t.Fatalf("rejected = %v, want one entry", info.Rejected)
+	if st, info, err := m.Recover(); err != nil || st == nil || info.Path != current {
+		t.Fatalf("recovery with a current segment present: (%v, %+v, %v), want %s", st, info, err, current)
 	}
 }
 
 func TestCheckpointCountersAdvance(t *testing.T) {
-	m, err := NewManager(t.TempDir(), 3)
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
+	m := newManager(t, t.TempDir(), 3)
 	w0, r0, c0 := CheckpointWrites(), CheckpointRecoveries(), CheckpointCorrupt()
 	p, err := m.Write(testState())
 	if err != nil {
@@ -283,12 +309,13 @@ func TestCheckpointCountersAdvance(t *testing.T) {
 	}
 }
 
-// TestGoldenFormat pins the on-disk format: the checked-in fixture must
-// decode to the expected state, and re-encoding that state must
-// reproduce the fixture byte for byte. Any State or frame change that
-// breaks this requires a Version bump (and a new fixture).
+// TestGoldenFormat pins the on-disk format with a golden one-record
+// segment: the checked-in fixture must read back to the expected state,
+// and re-encoding that state must reproduce it byte for byte. Any State,
+// record or header change that breaks this requires a SegmentVersion bump
+// (and a new fixture).
 func TestGoldenFormat(t *testing.T) {
-	golden := filepath.Join("testdata", "checkpoint_v4.ckpt")
+	golden := filepath.Join("testdata", "segment_v2.seg")
 	want := testState()
 	raw := encodeState(t, want)
 	if *updateGolden {
@@ -303,7 +330,11 @@ func TestGoldenFormat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden fixture (regenerate with -update-golden): %v", err)
 	}
-	got, err := Decode(bytes.NewReader(fixed), 0)
+	recs, err := parseSegment(fixed, DefaultMaxBytes)
+	if err != nil {
+		t.Fatalf("parsing golden fixture: %v", err)
+	}
+	got, err := decodeRecord(recs[want.Fingerprint.Tenant])
 	if err != nil {
 		t.Fatalf("decoding golden fixture: %v", err)
 	}
@@ -311,14 +342,14 @@ func TestGoldenFormat(t *testing.T) {
 		t.Fatalf("golden fixture decodes to:\n %+v\nwant %+v", got, want)
 	}
 	if !bytes.Equal(raw, fixed) {
-		t.Fatalf("re-encoding testState no longer matches the golden fixture: the on-disk format drifted — bump persist.Version and regenerate with -update-golden")
+		t.Fatalf("re-encoding testState no longer matches the golden fixture: the on-disk format drifted — bump persist.SegmentVersion and regenerate with -update-golden")
 	}
 }
 
 // The checkpoint path must stay cheap relative to a plan round; this
 // bench is the evidence that periodic checkpointing is off the hot path.
 func BenchmarkManagerWrite(b *testing.B) {
-	m, err := NewManager(b.TempDir(), 3)
+	m, err := NewManager(b.TempDir(), "default", 3)
 	if err != nil {
 		b.Fatalf("NewManager: %v", err)
 	}

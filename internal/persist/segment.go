@@ -7,16 +7,17 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
+	"slices"
 	"sync"
 
 	"robustscale/internal/wire"
 )
 
-// Fleet segments: one checkpoint round of a whole fleet is one
-// sequence-numbered file under the state root — one fsync and one rename
-// for every tenant's snapshot together. The file is a header followed by
-// one framed record per tenant, in tenant-index order:
+// Segments: one checkpoint round of a whole fleet is one sequence-numbered
+// file under the state root — one fsync and one rename for every tenant's
+// snapshot together — and a single tenant's checkpoint is a segment of one
+// record. The file is a header followed by one framed record per tenant,
+// in tenant-index order:
 //
 //	header  magic "RSSG" | version u32 | record count u32
 //	record  id length u16 | payload length u32 | crc32 u32 | tenant id | state
@@ -49,20 +50,16 @@ const (
 
 // SegmentStore owns a fleet state root: tenants encode their snapshots
 // into per-tenant slots (concurrently, one goroutine per slot at a time),
-// Commit publishes the slots as the next segment, and Recover serves the
-// recovery ladder over the segments found at open.
+// Commit publishes the slots as the next segment, and each slot's Recover
+// runs the recovery ladder over the segments found at open.
 type SegmentStore struct {
 	seqDir
-	retain int
 	// slots hold each tenant's framed record between its Write and the
 	// Commit that publishes and releases it: a fleet's records are only
 	// ever all resident while a round is being committed.
 	slots [][]byte
-	// loaded are the segments found at open, newest first, each read on
-	// first use; legacy says the root held no segment but does hold the
-	// old <root>/tenants/<id>/ layout, which Recover then reads instead.
+	// loaded are the segments found at open, newest first.
 	loaded []*segment
-	legacy bool
 }
 
 // segment is one on-disk segment, parsed at most once.
@@ -76,22 +73,11 @@ type segment struct {
 // OpenSegments opens (creating if needed) a fleet state root for the
 // given number of tenant slots and lists its segments once.
 func OpenSegments(dir string, retain, tenants int) (*SegmentStore, error) {
-	d, err := openSeqDir(dir, segmentPrefix, segmentSuffix)
+	d, err := openSeqDir(dir, segmentPrefix, segmentSuffix, retain)
 	if err != nil {
 		return nil, err
 	}
-	if retain <= 0 {
-		retain = DefaultRetain
-	}
-	s := &SegmentStore{seqDir: d, retain: retain, slots: make([][]byte, tenants)}
-	for i := len(d.files) - 1; i >= 0; i-- {
-		s.loaded = append(s.loaded, &segment{path: d.files[i]})
-	}
-	if len(s.loaded) == 0 {
-		_, err := os.Stat(filepath.Join(dir, tenantsSubdir))
-		s.legacy = err == nil
-	}
-	return s, nil
+	return &SegmentStore{seqDir: d, slots: make([][]byte, tenants), loaded: d.segments()}, nil
 }
 
 // Slot is one tenant's view of the store, with the Recover/Write shape
@@ -116,49 +102,30 @@ func (s *SegmentStore) Slot(index int, tenant string) (*Slot, error) {
 // Write frames the state into the tenant's slot; nothing reaches the disk
 // before the store's next Commit. The returned path is always empty.
 func (sl *Slot) Write(st *State) (string, error) {
-	s := sl.s
-	s.slots[sl.index] = nil
-	rec := make([]byte, recHeaderLen, recHeaderLen+len(sl.tenant)+stateSizeBound(st))
-	rec = append(rec, sl.tenant...)
-	rec, err := appendState(rec, st)
-	if err != nil {
-		return "", err
-	}
-	body := rec[recHeaderLen:]
-	payload := len(body) - len(sl.tenant)
-	if payload > DefaultMaxBytes {
-		return "", fmt.Errorf("persist: %d-byte record exceeds the %d-byte limit", payload, DefaultMaxBytes)
-	}
-	binary.LittleEndian.PutUint16(rec[0:2], uint16(len(sl.tenant)))
-	binary.LittleEndian.PutUint32(rec[2:6], uint32(payload))
-	binary.LittleEndian.PutUint32(rec[6:10], crc32.ChecksumIEEE(body))
-	s.slots[sl.index] = rec
-	return "", nil
+	rec, err := appendRecord(nil, sl.tenant, st)
+	sl.s.slots[sl.index] = rec // nil on an error: the tenant sits this segment out
+	return "", err
 }
 
-// Recover walks the segments newest-first and returns the tenant's first
-// record that validates and decodes, with Manager.Recover's contract:
-// (nil, info, nil) when nothing was ever written for the tenant,
-// ErrNoCheckpoint when records or segments existed but none survived.
-// Safe for concurrent use across tenants.
+// Recover runs the tenant's recovery ladder (recoverTenant) over the
+// segments found at open. Safe for concurrent use across tenants.
 func (sl *Slot) Recover() (*State, RecoverInfo, error) {
-	s := sl.s
-	if s.legacy {
-		// One-way upgrade: read the per-tenant snapshot files an older
-		// build left; the next Commit writes a segment and this path is
-		// never taken again.
-		dir, err := TenantDir(s.dir, sl.tenant)
-		if err != nil {
-			return nil, RecoverInfo{}, err
-		}
-		return (&Manager{seqDir: seqDir{dir: dir, prefix: snapshotPrefix, suffix: snapshotSuffix}}).Recover()
-	}
+	return recoverTenant(sl.s.loaded, sl.tenant)
+}
+
+// recoverTenant is the one recovery ladder, a Manager's and a fleet
+// slot's: it walks segments newest-first and returns the tenant's first
+// record that validates and decodes. It returns (nil, info, nil) when
+// nothing was ever written for the tenant, and ErrNoCheckpoint (wrapping
+// the last rejection) when records or segments existed but none survived;
+// the caller cold-starts either way.
+func recoverTenant(segs []*segment, tenant string) (*State, RecoverInfo, error) {
 	var info RecoverInfo
 	var lastErr error
-	for _, g := range s.loaded {
+	for _, g := range segs {
 		g.once.Do(func() { g.recs, g.err = readSegment(g.path) })
 		err := g.err
-		if payload, ok := g.recs[sl.tenant]; ok {
+		if payload, ok := g.recs[tenant]; ok {
 			st, derr := decodeRecord(payload)
 			if derr == nil {
 				info.Path = g.path
@@ -177,8 +144,8 @@ func (sl *Slot) Recover() (*State, RecoverInfo, error) {
 		}
 	}
 	if lastErr != nil {
-		return nil, info, fmt.Errorf("%w: %s rejected in all %d segments holding it, last: %v",
-			ErrNoCheckpoint, sl.tenant, len(info.Rejected), lastErr)
+		return nil, info, fmt.Errorf("%w: %s rejected in all %d segments holding it, last: %w",
+			ErrNoCheckpoint, tenant, len(info.Rejected), lastErr)
 	}
 	return nil, info, nil
 }
@@ -195,17 +162,14 @@ func (s *SegmentStore) DropRecovered() { s.loaded = nil }
 // in an older one. It returns the segment path.
 func (s *SegmentStore) Commit() (string, error) {
 	defer clear(s.slots)
-	return s.commitCheckpoint(s.retain, func(w io.Writer) error {
-		var hdr [segHeaderLen]byte
-		copy(hdr[0:4], SegmentMagic)
-		binary.LittleEndian.PutUint32(hdr[4:8], SegmentVersion)
+	return s.commitCheckpoint(func(w io.Writer) error {
 		n := 0
 		for _, rec := range s.slots {
 			if rec != nil {
 				n++
 			}
 		}
-		binary.LittleEndian.PutUint32(hdr[8:12], uint32(n))
+		hdr := segmentHeader(n)
 		bw := bufio.NewWriterSize(w, 1<<16)
 		bw.Write(hdr[:])
 		for _, rec := range s.slots {
@@ -216,6 +180,49 @@ func (s *SegmentStore) Commit() (string, error) {
 		}
 		return nil
 	})
+}
+
+// segmentHeader is the header of a segment holding n records.
+func segmentHeader(n int) [segHeaderLen]byte {
+	var hdr [segHeaderLen]byte
+	copy(hdr[0:4], SegmentMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], SegmentVersion)
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(n))
+	return hdr
+}
+
+// appendRecord appends the tenant's state to b as one framed record.
+func appendRecord(b []byte, tenant string, st *State) ([]byte, error) {
+	start := len(b)
+	b = slices.Grow(b, recHeaderLen+len(tenant)+stateSizeBound(st))
+	b = append(b[:start+recHeaderLen], tenant...)
+	b, err := appendState(b, st)
+	if err != nil {
+		return nil, err
+	}
+	body := b[start+recHeaderLen:]
+	payload := len(body) - len(tenant)
+	if payload > DefaultMaxBytes {
+		return nil, fmt.Errorf("persist: %d-byte record exceeds the %d-byte limit", payload, DefaultMaxBytes)
+	}
+	binary.LittleEndian.PutUint16(b[start:], uint16(len(tenant)))
+	binary.LittleEndian.PutUint32(b[start+2:], uint32(payload))
+	binary.LittleEndian.PutUint32(b[start+6:], crc32.ChecksumIEEE(body))
+	return b, nil
+}
+
+// writeOneRecord writes the image of a segment holding only the tenant's
+// state: what a Manager commits and Encode writes.
+func writeOneRecord(w io.Writer, tenant string, st *State) error {
+	hdr := segmentHeader(1)
+	seg, err := appendRecord(hdr[:], tenant, st)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(seg); err != nil {
+		return fmt.Errorf("persist: writing segment: %w", err)
+	}
+	return nil
 }
 
 // readSegment reads one segment file whole — its size is what the disk

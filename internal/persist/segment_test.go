@@ -217,14 +217,10 @@ func TestCommitSyncsBeforeRename(t *testing.T) {
 		t.Errorf("segment commit did %v, want %v", log, want)
 	}
 	log = nil
-	m, err := NewManager(t.TempDir(), 3)
-	if err != nil {
+	if _, err := newManager(t, t.TempDir(), 3).Write(testState()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Write(testState()); err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"fsync .tmp", "rename .ckpt", "fsync dir"}; !slices.Equal(log, want) {
+	if want := []string{"fsync .tmp", "rename .seg", "fsync dir"}; !slices.Equal(log, want) {
 		t.Errorf("manager write did %v, want %v", log, want)
 	}
 }
@@ -236,10 +232,7 @@ func TestCommitFailureLeavesNoTemp(t *testing.T) {
 	defer func() { fsyncFile = orig }()
 	fsyncFile = func(*os.File) error { return errors.New("disk on fire") }
 	dir := t.TempDir()
-	m, err := NewManager(dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newManager(t, dir, 3)
 	w0 := CheckpointWrites()
 	if _, err := m.Write(testState()); err == nil {
 		t.Fatal("write with a failing fsync succeeded")
@@ -378,36 +371,6 @@ func TestParseSegmentBoundsLengthClaims(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<10 {
 			t.Errorf("%s: parsing allocated %d bytes for a %d-byte claim", name, grew, claim)
-		}
-	}
-}
-
-// TestSegmentReadsLegacyLayoutOnce is the one-way upgrade: a root holding
-// only <root>/tenants/<id>/checkpoint-*.ckpt files recovers every tenant
-// from them, and once a segment is committed the segments are what is
-// read.
-func TestSegmentReadsLegacyLayoutOnce(t *testing.T) {
-	dir := t.TempDir()
-	for _, id := range segTenants {
-		m, err := NewTenantManager(dir, id, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Write(segState(id, 12)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	states, _, errs := recoverAll(t, dir)
-	for _, id := range segTenants {
-		if errs[id] != nil || states[id] == nil || states[id].Origin != 12 || states[id].Fingerprint.Tenant != id {
-			t.Fatalf("%s from the legacy layout: (%+v, %v)", id, states[id], errs[id])
-		}
-	}
-	commitRound(t, dir, 3, 24)
-	states, infos, _ := recoverAll(t, dir)
-	for _, id := range segTenants {
-		if states[id].Origin != 24 || filepath.Ext(infos[id].Path) != segmentSuffix {
-			t.Errorf("%s after the upgrade: origin %d from %s, want 24 from a segment", id, states[id].Origin, infos[id].Path)
 		}
 	}
 }

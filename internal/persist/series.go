@@ -69,7 +69,7 @@ type SeriesStore struct {
 // revision is served. A missing or damaged file is not an error: every
 // Read then misses.
 func OpenSeries(dir string, revision uint32) (*SeriesStore, error) {
-	d, err := openSeqDir(dir, seriesPrefix, seriesSuffix)
+	d, err := openSeqDir(dir, seriesPrefix, seriesSuffix, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +111,7 @@ func (s *SeriesStore) Read(slot int, key []byte, n int) ([]float64, error) {
 // replaces. It is not a checkpoint and the checkpoint instruments do not
 // count it.
 func (s *SeriesStore) Write(recs []SeriesRecord) (string, error) {
-	path, _, err := s.commit(1, func(w io.Writer) error {
+	path, _, err := s.commit(func(w io.Writer) error {
 		index := make([]byte, serHeaderLen+8*len(recs)+4)
 		copy(index[0:4], SeriesMagic)
 		binary.LittleEndian.PutUint32(index[4:8], SeriesVersion)

@@ -91,7 +91,10 @@ type WakeGuardConfig struct {
 	KeepWarmNodes int
 }
 
-func (c WakeGuardConfig) withDefaults() WakeGuardConfig {
+// WithDefaults returns the configuration the guard runs with: every
+// non-positive field replaced by its default. It is the one place those
+// defaults live.
+func (c WakeGuardConfig) WithDefaults() WakeGuardConfig {
 	if c.MinIdleRounds <= 0 {
 		c.MinIdleRounds = 3
 	}
@@ -151,7 +154,7 @@ func (g *WakeGuard) BreakerTrips() int64 { return g.breakerTrips }
 // allocation, and with the breaker open it never emits below the
 // keep-warm floor.
 func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
-	cfg := g.Config.withDefaults()
+	cfg := g.Config.WithDefaults()
 	g.sinceWake++
 
 	// Open breaker: graceful degradation. Hold the keep-warm floor no
@@ -233,7 +236,7 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 // success closes it and clears the failure streak; enough consecutive
 // failures trip it open, pinning the keep-warm floor for the cooldown.
 func (g *WakeGuard) OnWakeResult(ok bool) {
-	cfg := g.Config.withDefaults()
+	cfg := g.Config.WithDefaults()
 	if ok {
 		g.consecFails = 0
 		return
