@@ -89,6 +89,7 @@ ci: build vet
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
 	$(MAKE) bench-compile
+	$(MAKE) examples
 	$(MAKE) fleet-smoke
 	$(MAKE) slo-smoke
 	$(MAKE) fleet-chaos-smoke
@@ -98,6 +99,8 @@ ci: build vet
 experiments:
 	$(GO) run ./cmd/experiment -id all -quick
 
+# Run every example to completion; they are reachability roots (see
+# deadcode_test.go), so CI runs them, not just compiles them.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/capacityplanner

@@ -198,23 +198,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// budget once the replay loop observes steps.
 	health := obs.NewHealth()
 	var slo *obs.SLOTracker
-	if *sloTarget > 0 {
-		var rules []obs.BurnRule
+	if *sloTarget != 0 {
+		cfg := obs.SLOConfig{Target: *sloTarget, Window: *sloWindow}
 		if *burnSpec != "" {
 			var perr error
-			if rules, perr = obs.ParseBurnRules(*burnSpec); perr != nil {
+			if cfg.Rules, perr = obs.ParseBurnRules(*burnSpec); perr != nil {
 				return fmt.Errorf("-burn-windows: %v", perr)
 			}
-			for _, r := range rules {
-				if r.Long > *sloWindow {
-					return fmt.Errorf("-burn-windows: rule %s long window %d exceeds -slo-window %d", r.Name, r.Long, *sloWindow)
-				}
-			}
 		}
-		if !(*sloTarget < 1) || *sloWindow < 1 {
-			return fmt.Errorf("need 0 < -slo-target < 1 and -slo-window >= 1, got %v/%d", *sloTarget, *sloWindow)
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("-slo-target/-slo-window/-burn-windows: %w", err)
 		}
-		slo = obs.NewSLOTracker(obs.SLOConfig{Target: *sloTarget, Window: *sloWindow, Rules: rules}).InstrumentDefault()
+		slo = obs.NewSLOTracker(cfg).InstrumentDefault()
 		slo.Journal = obs.DefaultJournal
 		slo.Tenant = *tenant
 	}

@@ -131,6 +131,25 @@ slo: target 0.01 window 144: 12/288 bad steps, budget remaining -3.1667, 10 tran
 	}
 }
 
+// TestSLOTargetBounds: a negative -slo-target is rejected before the
+// replay, as fleetsim rejects it, and 0 turns the SLO plane off.
+func TestSLOTargetBounds(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), strings.Fields("-strategy reactive-max -days 1 -slo-target -0.1"), &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "SLO target -0.1 outside (0, 1)") {
+		t.Errorf("-slo-target -0.1: error %v, want the target rejected", err)
+	}
+	if code := exitCode(err, &stderr); code != 1 {
+		t.Errorf("-slo-target -0.1: exit status %d, want 1", code)
+	}
+	if stdout.Len() > 0 {
+		t.Errorf("-slo-target -0.1 replayed before rejecting:\n%s", stdout.String())
+	}
+	if out, _ := daemon(t, "-strategy reactive-max -days 1 -slo-target 0"); strings.Contains(out, "slo:") || !strings.Contains(out, "final:") {
+		t.Errorf("-slo-target 0 should replay with the SLO plane off:\n%s", out)
+	}
+}
+
 const parkingArgs = "-strategy reactive-max -days 2 -serverless -theta 3000 -idle-eps 1500 -park-after 2 -wake-debounce 1"
 
 // TestKillRestartTotals is the durability oracle: a replay cancelled at

@@ -413,28 +413,6 @@ func (p Profile) Build() (*Schedule, error) {
 	return sched, nil
 }
 
-// FromFaultConfig reproduces the legacy cluster.FaultConfig injection
-// stream as a schedule: one uniform draw per step against prob, killing
-// size nodes on a hit. The RNG consumption is bit-compatible with the
-// historical ReplayWithFaults implementation, so seeded runs replay
-// identically through the schedule path.
-func FromFaultConfig(prob float64, size int, seed int64, steps int) *Schedule {
-	sched := &Schedule{}
-	if prob <= 0 {
-		return sched
-	}
-	if size < 1 {
-		size = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for step := 0; step < steps; step++ {
-		if rng.Float64() < prob {
-			sched.Add(Event{Step: step, Class: NodeKill, Size: size})
-		}
-	}
-	return sched
-}
-
 // Preset returns a named chaos profile. Steps and Seed are left zero for
 // the caller to fill in.
 //

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -114,33 +113,6 @@ func TestKillsAtSumsEvents(t *testing.T) {
 	}
 	if got := s.KillsAt(7); got != 0 {
 		t.Errorf("kills at 7 = %d, want 0", got)
-	}
-}
-
-func TestFromFaultConfigMatchesLegacyStream(t *testing.T) {
-	// The shim must consume the RNG exactly as the historical
-	// ReplayWithFaults loop did: one Float64 per step.
-	prob, seed, steps := 0.2, int64(9), 120
-	rng := rand.New(rand.NewSource(seed))
-	var legacy []int
-	for i := 0; i < steps; i++ {
-		if rng.Float64() < prob {
-			legacy = append(legacy, i)
-		}
-	}
-	sched := FromFaultConfig(prob, 2, seed, steps)
-	var got []int
-	for _, e := range sched.Events() {
-		if e.Class != NodeKill || e.Size != 2 {
-			t.Fatalf("unexpected event %+v", e)
-		}
-		got = append(got, e.Step)
-	}
-	if !reflect.DeepEqual(legacy, got) {
-		t.Errorf("kill steps %v, want %v", got, legacy)
-	}
-	if !FromFaultConfig(0, 1, seed, steps).Empty() {
-		t.Error("zero probability should schedule nothing")
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"robustscale/internal/chaos"
@@ -18,15 +19,26 @@ func steadySeries(n int, v float64) (*timeseries.Series, []int) {
 	return timeseries.New("w", t0, timeseries.DefaultStep, vals), allocs
 }
 
-// TestReplayWithScheduleLegacyFaultStream pins the migration off the old
-// FaultConfig/ReplayWithFaults shim: the seeded node-kill stream that
-// chaos.FromFaultConfig reproduces must keep injecting faults, and two
-// identical schedule replays must report identically (the determinism the
-// deprecated path used to guarantee via its seed).
+// seededNodeKills is a seeded node-kill stream: one uniform draw per step
+// against prob, killing one node on a hit.
+func seededNodeKills(prob float64, seed int64, steps int) *chaos.Schedule {
+	sched := &chaos.Schedule{}
+	rng := rand.New(rand.NewSource(seed))
+	for step := 0; step < steps; step++ {
+		if rng.Float64() < prob {
+			sched.Add(chaos.Event{Step: step, Class: chaos.NodeKill, Size: 1})
+		}
+	}
+	return sched
+}
+
+// TestReplayWithScheduleLegacyFaultStream pins seeded node-kill replay:
+// the stream must inject faults, and two identical schedule replays must
+// report identically.
 func TestReplayWithScheduleLegacyFaultStream(t *testing.T) {
 	s, allocs := steadySeries(50, 20)
 
-	sched := chaos.FromFaultConfig(0.2, 1, 9, s.Len())
+	sched := seededNodeKills(0.2, 9, s.Len())
 	a := mustNew(t, DefaultConfig(), 3)
 	ra, err := a.ReplayWithSchedule(s, allocs, 10, sched)
 	if err != nil {
@@ -38,7 +50,7 @@ func TestReplayWithScheduleLegacyFaultStream(t *testing.T) {
 
 	// Rebuilding the schedule from the same knobs replays identically.
 	b := mustNew(t, DefaultConfig(), 3)
-	rb, err := b.ReplayWithSchedule(s, allocs, 10, chaos.FromFaultConfig(0.2, 1, 9, s.Len()))
+	rb, err := b.ReplayWithSchedule(s, allocs, 10, seededNodeKills(0.2, 9, s.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,8 +238,7 @@ type ReplayReport struct {
 // workload, judging utilization against theta. It is the end-to-end check
 // that a plan that looks good on paper also works once warm-up is modeled.
 // Node-failure injection goes through ReplayWithSchedule with a
-// chaos.Schedule (chaos.FromFaultConfig reproduces the legacy seeded
-// node-kill stream).
+// chaos.Schedule.
 func (c *Cluster) Replay(workload *timeseries.Series, allocations []int, theta float64) (*ReplayReport, error) {
 	return c.ReplayWithSchedule(workload, allocations, theta, nil)
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"robustscale/internal/chaos"
 	"robustscale/internal/timeseries"
 )
 
@@ -60,7 +59,7 @@ func TestReplayWithScheduleInjectsAndRecovers(t *testing.T) {
 	}
 	s := timeseries.New("w", t0, timeseries.DefaultStep, vals)
 	c := mustNew(t, DefaultConfig(), 3)
-	report, err := c.ReplayWithSchedule(s, allocs, 10, chaos.FromFaultConfig(0.1, 1, 5, n))
+	report, err := c.ReplayWithSchedule(s, allocs, 10, seededNodeKills(0.1, 5, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +98,7 @@ func TestReplayWithScheduleTightPlansSuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty := mustNew(t, slow, 3)
-	faultyReport, err := faulty.ReplayWithSchedule(s, allocs, 10, chaos.FromFaultConfig(0.2, 1, 6, n))
+	faultyReport, err := faulty.ReplayWithSchedule(s, allocs, 10, seededNodeKills(0.2, 6, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,7 @@ func TestReplayWithScheduleDeterministic(t *testing.T) {
 	s := timeseries.New("w", t0, timeseries.DefaultStep, vals)
 	run := func() int {
 		c := mustNew(t, DefaultConfig(), 3)
-		r, err := c.ReplayWithSchedule(s, allocs, 10, chaos.FromFaultConfig(0.2, 1, 9, n))
+		r, err := c.ReplayWithSchedule(s, allocs, 10, seededNodeKills(0.2, 9, n))
 		if err != nil {
 			t.Fatal(err)
 		}

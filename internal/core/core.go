@@ -62,12 +62,6 @@ func NewAdaptive(f forecast.QuantileForecaster, tau1, tau2, rho, theta float64, 
 	}
 }
 
-// NewWithStrategy wraps an arbitrary strategy (reactive, point-predictive,
-// rate-limited, ...) in a pipeline.
-func NewWithStrategy(s scaler.Strategy, theta float64, horizon int) *Pipeline {
-	return &Pipeline{Strategy: s, Theta: theta, Horizon: horizon}
-}
-
 // Train fits the forecaster on historical workload. Pipelines without a
 // forecaster are trivially trained.
 func (p *Pipeline) Train(history *timeseries.Series) error {

@@ -76,7 +76,7 @@ func TestAdaptivePipeline(t *testing.T) {
 
 func TestReactivePipelineNeedsNoTraining(t *testing.T) {
 	s := workload(300, 3)
-	p := NewWithStrategy(&scaler.ReactiveMax{Window: 6, Theta: 20}, 20, 1)
+	p := &Pipeline{Strategy: &scaler.ReactiveMax{Window: 6, Theta: 20}, Theta: 20, Horizon: 1}
 	if err := p.Train(s.Slice(0, 200)); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestPipelineValidation(t *testing.T) {
 	if err := (&Pipeline{Strategy: &scaler.ReactiveMax{Theta: 20}, Theta: 0, Horizon: 1}).Train(s); err == nil {
 		t.Error("zero theta should fail")
 	}
-	p := NewWithStrategy(&scaler.ReactiveMax{Theta: 20}, 20, 1)
+	p := &Pipeline{Strategy: &scaler.ReactiveMax{Theta: 20}, Theta: 20, Horizon: 1}
 	if _, err := p.Run(s, 100, cluster.DefaultConfig()); err == nil {
 		t.Error("untrained pipeline should fail")
 	}

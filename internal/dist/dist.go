@@ -1,7 +1,7 @@
 // Package dist implements the probability distributions used by the
 // probabilistic workload forecasters: Gaussian and Student-t parametric
 // distributions (the paper's DeepAR head uses Student-t for its heavier
-// tails) and empirical distributions built from forecast sample paths.
+// tails), and sample quantiles of forecast sample paths.
 //
 // Every distribution exposes the density, log-density, CDF, quantile
 // function and seeded sampling; quantiles are what the Robust Auto-Scaling
@@ -12,26 +12,6 @@ import (
 	"math"
 	"math/rand"
 )
-
-// Distribution is a univariate continuous probability distribution.
-type Distribution interface {
-	// Mean returns the distribution mean (NaN when undefined).
-	Mean() float64
-	// Variance returns the distribution variance (+Inf or NaN when
-	// undefined).
-	Variance() float64
-	// PDF evaluates the probability density at x.
-	PDF(x float64) float64
-	// LogPDF evaluates the log-density at x; used as the negative
-	// log-likelihood training target.
-	LogPDF(x float64) float64
-	// CDF evaluates the cumulative distribution function at x.
-	CDF(x float64) float64
-	// Quantile returns the p-th quantile, p in (0, 1).
-	Quantile(p float64) float64
-	// Sample draws one value using rng.
-	Sample(rng *rand.Rand) float64
-}
 
 const (
 	sqrt2   = 1.4142135623730951

@@ -2,140 +2,21 @@ package dist
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 )
 
-// Empirical is the empirical distribution of a set of samples, e.g. the
-// Monte-Carlo forecast paths DeepAR draws from its parametric heads.
-// Quantiles interpolate linearly between order statistics.
-type Empirical struct {
-	sorted []float64
-}
-
-// NewEmpirical builds an empirical distribution from samples. The input is
-// copied and sorted; it must be non-empty.
-func NewEmpirical(samples []float64) *Empirical {
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	return &Empirical{sorted: sorted}
-}
-
-// Len returns the number of samples backing the distribution.
-func (e *Empirical) Len() int { return len(e.sorted) }
-
-// Mean returns the sample mean.
-func (e *Empirical) Mean() float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range e.sorted {
-		sum += v
-	}
-	return sum / float64(len(e.sorted))
-}
-
-// Variance returns the population sample variance.
-func (e *Empirical) Variance() float64 {
-	n := len(e.sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	mean := e.Mean()
-	ss := 0.0
-	for _, v := range e.sorted {
-		d := v - mean
-		ss += d * d
-	}
-	return ss / float64(n)
-}
-
-// PDF is estimated with a Gaussian kernel density using Silverman's
-// bandwidth rule.
-func (e *Empirical) PDF(x float64) float64 {
-	n := len(e.sorted)
-	if n == 0 {
-		return 0
-	}
-	h := e.bandwidth()
-	sum := 0.0
-	for _, v := range e.sorted {
-		z := (x - v) / h
-		sum += math.Exp(-0.5 * z * z)
-	}
-	return sum / (float64(n) * h * sqrt2Pi)
-}
-
-// LogPDF is the log of the kernel density estimate.
-func (e *Empirical) LogPDF(x float64) float64 {
-	p := e.PDF(x)
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(p)
-}
-
-func (e *Empirical) bandwidth() float64 {
-	n := float64(len(e.sorted))
-	sd := math.Sqrt(e.Variance())
-	if sd < 1e-12 {
-		sd = 1e-12
-	}
-	return 1.06 * sd * math.Pow(n, -0.2)
-}
-
-// CDF returns the fraction of samples <= x.
-func (e *Empirical) CDF(x float64) float64 {
-	i := sort.SearchFloat64s(e.sorted, x)
-	// Advance over ties so CDF counts values equal to x.
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the p-th sample quantile with linear interpolation.
-func (e *Empirical) Quantile(p float64) float64 {
-	n := len(e.sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	if p <= 0 {
-		return e.sorted[0]
-	}
-	if p >= 1 {
-		return e.sorted[n-1]
-	}
-	pos := p * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return e.sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return e.sorted[lo]*(1-frac) + e.sorted[hi]*frac
-}
-
-// Sample draws one of the underlying samples uniformly (bootstrap draw).
-func (e *Empirical) Sample(rng *rand.Rand) float64 {
-	return e.sorted[rng.Intn(len(e.sorted))]
-}
-
 // SortInPlace sorts samples ascending in place and returns the same slice,
-// ready for SortedQuantile/SortedMean. Together they are the
-// allocation-free counterpart of NewEmpirical for callers that own a
-// reusable sample buffer (the forecast hot path re-draws every slot each
-// round, so destroying the previous order costs nothing).
+// ready for SortedQuantile/SortedMean. They summarise Monte-Carlo sample
+// paths without allocating for callers that own a reusable sample buffer
+// (the forecast hot path re-draws every slot each round, so destroying the
+// previous order costs nothing).
 func SortInPlace(samples []float64) []float64 {
 	sort.Float64s(samples)
 	return samples
 }
 
-// SortedQuantile returns the p-th quantile of an ascending-sorted slice
-// using the same linear interpolation between order statistics as
-// Empirical.Quantile, without constructing a distribution.
+// SortedQuantile returns the p-th sample quantile of an ascending-sorted
+// slice, interpolating linearly between order statistics.
 func SortedQuantile(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -157,10 +38,8 @@ func SortedQuantile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// SortedMean returns the sample mean, accumulating in slice order. Because
-// Empirical.Mean also sums its (sorted) samples front to back, calling
-// SortedMean on a SortInPlace'd buffer is bit-identical to
-// NewEmpirical(samples).Mean().
+// SortedMean returns the sample mean, accumulating in slice order, so the
+// sum of a SortInPlace'd buffer does not depend on how it was drawn.
 func SortedMean(sorted []float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()
@@ -171,7 +50,3 @@ func SortedMean(sorted []float64) float64 {
 	}
 	return sum / float64(len(sorted))
 }
-
-var _ Distribution = (*Empirical)(nil)
-var _ Distribution = Normal{}
-var _ Distribution = StudentT{}

@@ -105,11 +105,3 @@ func Softplus(x float64) float64 {
 func SoftplusDeriv(x float64) float64 {
 	return 1 / (1 + math.Exp(-x))
 }
-
-// InvSoftplus inverts Softplus: returns x such that Softplus(x) = y, y > 0.
-func InvSoftplus(y float64) float64 {
-	if y > 30 {
-		return y
-	}
-	return math.Log(math.Expm1(y))
-}

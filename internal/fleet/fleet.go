@@ -218,14 +218,10 @@ func (cfg Config) validate() error {
 	if cfg.StateDir != "" && cfg.CheckpointInterval <= 0 {
 		return fmt.Errorf("fleet: non-positive checkpoint interval %d", cfg.CheckpointInterval)
 	}
-	if cfg.SLOTarget < 0 || cfg.SLOTarget >= 1 {
-		return fmt.Errorf("fleet: SLO target %v outside [0, 1)", cfg.SLOTarget)
-	}
-	if cfg.SLOTarget > 0 {
-		for _, r := range cfg.BurnRules {
-			if r.Factor <= 0 || r.Short < 1 || r.Long < r.Short || r.Long > cfg.SLOWindow {
-				return fmt.Errorf("fleet: burn rule %+v invalid for window %d", r, cfg.SLOWindow)
-			}
+	if cfg.SLOTarget != 0 {
+		slo := obs.SLOConfig{Target: cfg.SLOTarget, Window: cfg.SLOWindow, Rules: cfg.BurnRules}
+		if err := slo.Validate(); err != nil {
+			return fmt.Errorf("fleet: %w", err)
 		}
 	}
 	if cfg.PoolNodes < 0 {

@@ -76,6 +76,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Forecaster = "nope" },
 		func(c *Config) { c.Forecaster = ForecasterSeasonalNaive; c.TrainDays = 1; c.Days = 3 },
 		func(c *Config) { c.StateDir = "x"; c.CheckpointInterval = 0 },
+		func(c *Config) { c.SLOTarget = -0.1 },
+		func(c *Config) { c.SLOWindow = 4; c.BurnRules = []obs.BurnRule{{Factor: 2, Long: 8, Short: 1}} },
 	}
 	for i, mutate := range cases {
 		cfg := testConfig(2)

@@ -10,6 +10,24 @@ import (
 	"robustscale/internal/obs"
 )
 
+// percentile is the sort-based nearest-rank percentile of a sample (p in (0, 100]);
+// the input is not modified.
+func percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	rank := int(p/100*float64(len(sorted))+0.5) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	if rank >= len(sorted) {
+		rank = len(sorted) - 1
+	}
+	return sorted[rank]
+}
+
 // TestReportSketchPercentilesAgree pins the acceptance criterion: the
 // report's sketch-based percentiles must agree with the sort-based
 // nearest-rank values recomputed from the per-tenant records within the

@@ -372,21 +372,3 @@ func foldUint64(h, v uint64) uint64 {
 	}
 	return h
 }
-
-// percentile is the nearest-rank percentile of a sample (p in (0, 100]);
-// the input is not modified.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}

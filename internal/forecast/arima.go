@@ -60,9 +60,6 @@ type arimaWarm struct {
 	fan          *QuantileForecast
 }
 
-// NewARIMA returns an untrained ARIMA(p, d, q) model.
-func NewARIMA(p, d, q int) *ARIMA { return &ARIMA{P: p, D: d, Q: q} }
-
 // NewSeasonalARIMA returns an ARIMA(p, d, q) with one round of seasonal
 // differencing at the given period.
 func NewSeasonalARIMA(p, d, q, period int) *ARIMA {

@@ -266,8 +266,8 @@ func (d *DeepAR) stepInputScratch(s *nn.Scratch, prevNorm float64, ts time.Time)
 }
 
 // emission is the head's output distribution as a plain value: the
-// rollout builds one per path per step, and a dist.Distribution interface
-// would box each of them onto the heap.
+// rollout builds one per path per step, and an interface value would box
+// each of them onto the heap.
 type emission struct {
 	gaussian bool
 	normal   dist.Normal   // set when gaussian
@@ -489,8 +489,8 @@ func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, 
 
 // assemble turns the sample matrix into the fan: each row is sorted in
 // place and reduced to its mean and the requested quantiles, denormalized.
-// The in-place helpers compute exactly what dist.NewEmpirical would
-// (including summing the mean in sorted order), without the per-step copy.
+// The in-place helpers sum the mean in sorted order, without a per-step
+// copy.
 func (d *DeepAR) assemble(f *QuantileForecast, samples [][]float64) {
 	for t := range samples {
 		sorted := dist.SortInPlace(samples[t])

@@ -24,6 +24,9 @@ func splitHoldout(s *timeseries.Series, h int) (history *timeseries.Series, from
 	return s.Slice(0, s.Len()-h), s.Len() - h
 }
 
+// newARIMA returns an untrained, non-seasonal ARIMA(p, d, q) model.
+func newARIMA(p, d, q int) *ARIMA { return &ARIMA{P: p, D: d, Q: q} }
+
 func TestARIMAOnAR1Process(t *testing.T) {
 	// AR(1) with phi=0.8: ARIMA(1,0,0) should recover the coefficient.
 	rng := rand.New(rand.NewSource(1))
@@ -33,7 +36,7 @@ func TestARIMAOnAR1Process(t *testing.T) {
 		vals[i] = 0.8*vals[i-1] + rng.NormFloat64()
 	}
 	s := timeseries.New("ar1", t0, timeseries.DefaultStep, vals)
-	m := NewARIMA(1, 0, 0)
+	m := newARIMA(1, 0, 0)
 	if err := m.Fit(s); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestARIMAForecastSeasonalish(t *testing.T) {
 	hist, from := splitHoldout(s, 12)
 	// An AR span covering the full season lets the model lock onto the
 	// cycle.
-	m := NewARIMA(48, 0, 1)
+	m := newARIMA(48, 0, 1)
 	if err := m.Fit(hist); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +70,7 @@ func TestARIMAForecastSeasonalish(t *testing.T) {
 func TestARIMAQuantilesOrderedAndCovering(t *testing.T) {
 	s := noisySine(800, 48, 100, 20, 2, 3)
 	hist, _ := splitHoldout(s, 24)
-	m := NewARIMA(4, 0, 1)
+	m := newARIMA(4, 0, 1)
 	if err := m.Fit(hist); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +105,7 @@ func TestARIMADifferencingHandlesTrend(t *testing.T) {
 	}
 	s := timeseries.New("trend", t0, timeseries.DefaultStep, vals)
 	hist, from := splitHoldout(s, 10)
-	m := NewARIMA(2, 1, 1)
+	m := newARIMA(2, 1, 1)
 	if err := m.Fit(hist); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +141,7 @@ func TestSeasonalARIMA(t *testing.T) {
 	if seasonalMSE > 50 {
 		t.Errorf("seasonal ARIMA MSE = %v", seasonalMSE)
 	}
-	plain := NewARIMA(4, 0, 1)
+	plain := newARIMA(4, 0, 1)
 	if err := plain.Fit(hist); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +183,7 @@ func TestSeasonalARIMARejectsShortSeries(t *testing.T) {
 }
 
 func TestARIMANotFitted(t *testing.T) {
-	m := NewARIMA(1, 0, 0)
+	m := newARIMA(1, 0, 0)
 	s := sineSeries(100, 10, 5, 1)
 	if _, err := m.PredictQuantiles(s, 5, []float64{0.5}); err != ErrNotFitted {
 		t.Errorf("err = %v, want ErrNotFitted", err)
@@ -188,7 +191,7 @@ func TestARIMANotFitted(t *testing.T) {
 }
 
 func TestARIMARejectsTooShortTraining(t *testing.T) {
-	m := NewARIMA(3, 0, 3)
+	m := newARIMA(3, 0, 3)
 	s := sineSeries(20, 10, 5, 1)
 	if err := m.Fit(s); err == nil {
 		t.Error("Fit on tiny series should fail")
@@ -591,8 +594,8 @@ func TestTune(t *testing.T) {
 	s := noisySine(700, 24, 50, 10, 1, 18)
 	train, val := s.Slice(0, 500), s.Slice(500, 700)
 	results, best, err := Tune(train, val, 12, []float64{0.5, 0.9}, []Candidate{
-		{Label: "arima(1,0,0)", Build: func() QuantileForecaster { return NewARIMA(1, 0, 0) }},
-		{Label: "arima(8,0,2)", Build: func() QuantileForecaster { return NewARIMA(8, 0, 2) }},
+		{Label: "arima(1,0,0)", Build: func() QuantileForecaster { return newARIMA(1, 0, 0) }},
+		{Label: "arima(8,0,2)", Build: func() QuantileForecaster { return newARIMA(8, 0, 2) }},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,4 @@ var (
 		"robustscale_forecast_predictions_total",
 		"Quantile prediction calls, by model.",
 		"model")
-
-	obsEnsembleMemberFits = obs.Default.Counter(
-		"robustscale_forecast_ensemble_member_fits_total",
-		"Ensemble member training runs completed.")
 )

@@ -156,39 +156,6 @@ func TestTFTBatchOneMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEnsembleParallelDeterministic checks that concurrent member
-// prediction with ordered Vincentization matches the single-worker merge.
-func TestEnsembleParallelDeterministic(t *testing.T) {
-	train := sineSeries(220, 24, 50, 20)
-	build := func(workers int) *Ensemble {
-		e := NewEnsemble(
-			parallelDeepAR(1, 1),
-			NewTFT(TFTConfig{
-				Context: 16, Hidden: 8, Epochs: 2, Seed: 5, MaxWindows: 24,
-				TrainHorizon: 8,
-			}),
-		)
-		e.Workers = workers
-		return e
-	}
-	var ref *QuantileForecast
-	for _, workers := range []int{1, 2} {
-		e := build(workers)
-		if err := e.Fit(train); err != nil {
-			t.Fatal(err)
-		}
-		f, err := e.PredictQuantiles(train, 6, DefaultLevels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = f
-			continue
-		}
-		quantilesEqual(t, "ensemble workers", ref, f)
-	}
-}
-
 // TestTFTConcurrentPredictSharesArenas drives one fitted TFT from several
 // goroutines at once: the predict arenas come off a shared free list, so
 // under -race this is the test that a call never reads an arena another

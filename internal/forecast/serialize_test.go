@@ -44,7 +44,7 @@ func TestARIMASaveLoad(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewARIMA(0, 0, 0) // Load overwrites the order
+	m2 := newARIMA(0, 0, 0) // Load overwrites the order
 	if err := m2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestQB5000SaveLoad(t *testing.T) {
 }
 
 func TestSaveUnfittedFails(t *testing.T) {
-	if err := NewARIMA(1, 0, 0).Save(&bytes.Buffer{}); err != ErrNotFitted {
+	if err := newARIMA(1, 0, 0).Save(&bytes.Buffer{}); err != ErrNotFitted {
 		t.Errorf("arima err = %v", err)
 	}
 	if err := NewMLP(MLPConfig{}).Save(&bytes.Buffer{}); err != ErrNotFitted {
@@ -182,7 +182,7 @@ func TestLoadKindMismatch(t *testing.T) {
 
 func TestLoadGarbageFails(t *testing.T) {
 	junk := bytes.NewBufferString("not a gob stream")
-	if err := NewARIMA(1, 0, 0).Load(junk); err == nil {
+	if err := newARIMA(1, 0, 0).Load(junk); err == nil {
 		t.Error("garbage should fail")
 	}
 	if err := NewMLP(MLPConfig{}).Load(bytes.NewBufferString("junk")); err == nil {
@@ -214,11 +214,6 @@ func TestLoadFromNonByteReader(t *testing.T) {
 		},
 		"qb5000": func() model {
 			return NewQB5000(QB5000Config{Context: 24, Hidden: 8, Epochs: 2, Seed: 1, MaxWindows: 48, TrainHorizon: 6})
-		},
-		"ensemble": func() model {
-			e := NewEnsemble(NewSeasonalNaive(24), NewQuantileMLP(small, []float64{0.1, 0.5, 0.9}))
-			e.Workers = 1
-			return e
 		},
 	}
 	for name, build := range cases {

@@ -1,12 +1,10 @@
 package forecast
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math"
 
 	"robustscale/internal/timeseries"
 	"robustscale/internal/wire"
@@ -32,13 +30,12 @@ var (
 	_ Snapshotter = (*QB5000)(nil)
 	_ Snapshotter = (*Naive)(nil)
 	_ Snapshotter = (*SeasonalNaive)(nil)
-	_ Snapshotter = (*Ensemble)(nil)
 )
 
 // Save writes the fitted residual distributions, one row per horizon
 // step (layout in DESIGN.md §8). Like every blob in the wire codec it is
-// not self-delimiting: Load takes the reader to its end, so a composite
-// saver frames it (see Ensemble).
+// not self-delimiting: Load takes the reader to its end, so a caller that
+// puts several blobs on one stream frames each one.
 func (n *Naive) Save(w io.Writer) error {
 	if !n.fitted {
 		return ErrNotFitted
@@ -154,95 +151,5 @@ func (m *QuantileMLP) Load(r io.Reader) error {
 		return err
 	}
 	m.fitted = true
-	return nil
-}
-
-// ensembleEnvelope is the gob header of an ensemble snapshot: member
-// names pin the composition, weights and workers restore the config.
-type ensembleEnvelope struct {
-	Names   []string
-	Weights []float64
-	Workers int
-}
-
-// Save writes the combination weights followed by every member's own
-// snapshot on the same stream, each behind a uvarint byte count: a member
-// in the wire codec does not say where it ends, and Load hands each
-// member exactly its own bytes. Every member must implement Snapshotter.
-func (e *Ensemble) Save(w io.Writer) error {
-	if len(e.Members) == 0 {
-		return fmt.Errorf("forecast: ensemble has no members")
-	}
-	env := ensembleEnvelope{Weights: e.Weights, Workers: e.Workers}
-	for _, m := range e.Members {
-		env.Names = append(env.Names, m.Name())
-		if _, ok := m.(Snapshotter); !ok {
-			return fmt.Errorf("forecast: ensemble member %s does not support Save", m.Name())
-		}
-	}
-	if err := gob.NewEncoder(w).Encode(env); err != nil {
-		return fmt.Errorf("forecast: saving ensemble: %w", err)
-	}
-	var member bytes.Buffer
-	for _, m := range e.Members {
-		member.Reset()
-		if err := m.(Snapshotter).Save(&member); err != nil {
-			return fmt.Errorf("forecast: saving ensemble member %s: %w", m.Name(), err)
-		}
-		_, err := w.Write(binary.AppendUvarint(nil, uint64(member.Len())))
-		if err == nil {
-			_, err = member.WriteTo(w)
-		}
-		if err != nil {
-			return fmt.Errorf("forecast: saving ensemble member %s: %w", m.Name(), err)
-		}
-	}
-	return nil
-}
-
-// Load restores an ensemble saved by Save. The receiver must already
-// hold members of the same kinds in the same order (the snapshot
-// restores their fitted state, not their construction); member names
-// are validated against the snapshot before any weight is touched.
-func (e *Ensemble) Load(r io.Reader) error {
-	r = byteReader(r)
-	var env ensembleEnvelope
-	if err := gob.NewDecoder(r).Decode(&env); err != nil {
-		return fmt.Errorf("forecast: loading ensemble: %w", err)
-	}
-	if len(env.Names) != len(e.Members) {
-		return fmt.Errorf("forecast: snapshot has %d members, receiver has %d", len(env.Names), len(e.Members))
-	}
-	snaps := make([]Snapshotter, len(e.Members))
-	for i, m := range e.Members {
-		s, ok := m.(Snapshotter)
-		if !ok {
-			return fmt.Errorf("forecast: ensemble member %s does not support Load", m.Name())
-		}
-		snaps[i] = s
-	}
-	for i, s := range snaps {
-		size, err := binary.ReadUvarint(r.(io.ByteReader))
-		if err != nil {
-			return fmt.Errorf("forecast: loading ensemble member %d: %w", i, err)
-		}
-		// The limit is the frame, not an allocation: a member reads what
-		// is there and fails on a short stream.
-		member := &io.LimitedReader{R: r, N: int64(min(size, math.MaxInt64))}
-		if err := s.Load(member); err != nil {
-			return fmt.Errorf("forecast: loading ensemble member %d: %w", i, err)
-		}
-		if member.N != 0 {
-			return fmt.Errorf("forecast: ensemble member %d left %d bytes of its snapshot unread", i, member.N)
-		}
-		// Loading can rewrite name-bearing config (e.g. a seasonal
-		// period), so validate after restore.
-		if got := e.Members[i].Name(); got != env.Names[i] {
-			return fmt.Errorf("forecast: ensemble member %d is %q, snapshot holds %q", i, got, env.Names[i])
-		}
-	}
-	e.Weights = env.Weights
-	e.Workers = env.Workers
-	e.WarmReset() // restored members invalidate any cached warm state
 	return nil
 }

@@ -65,61 +65,6 @@ func TestQuantileMLPSaveLoad(t *testing.T) {
 	assertSameForecasts(t, m, m2, hist, 6)
 }
 
-func TestEnsembleSaveLoad(t *testing.T) {
-	s := noisySine(500, 24, 50, 10, 1, 44)
-	hist, _ := splitHoldout(s, 6)
-	build := func() *Ensemble {
-		e := NewEnsemble(
-			NewSeasonalNaive(24),
-			NewQuantileMLP(MLPConfig{Context: 24, Hidden: 10, Epochs: 3, Seed: 2, MaxWindows: 48}, []float64{0.1, 0.5, 0.9}),
-		)
-		e.Workers = 1
-		return e
-	}
-	e := build()
-	e.Weights = []float64{2, 1}
-	if err := e.Fit(hist); err != nil {
-		t.Fatal(err)
-	}
-	// The QuantileMLP member defaults to Fit's 72-step horizon, so limit
-	// assertions to... Fit on the ensemble trains members via their own
-	// Fit, so members support h up to their trained horizon; request 6.
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e2 := build() // untrained members of the same kinds
-	if err := e2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if len(e2.Weights) != 2 || e2.Weights[0] != 2 || e2.Weights[1] != 1 {
-		t.Fatalf("weights not restored: %v", e2.Weights)
-	}
-	assertSameForecasts(t, e, e2, hist, 6)
-}
-
-func TestEnsembleLoadRejectsMemberMismatch(t *testing.T) {
-	s := noisySine(400, 24, 50, 10, 1, 45)
-	hist, _ := splitHoldout(s, 6)
-	e := NewEnsemble(NewNaive(6))
-	if err := e.Fit(hist); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Wrong member count.
-	if err := NewEnsemble(NewNaive(6), NewSeasonalNaive(24)).Load(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("member-count mismatch should fail")
-	}
-	// Wrong member kind: the naive snapshot decodes into seasonal-naive's
-	// envelope shape or fails; either way the name check must reject it.
-	if err := NewEnsemble(NewSeasonalNaive(24)).Load(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("member-kind mismatch should fail")
-	}
-}
-
 func TestSnapshotSaveUnfittedFails(t *testing.T) {
 	if err := NewNaive(6).Save(&bytes.Buffer{}); err != ErrNotFitted {
 		t.Errorf("naive err = %v", err)

@@ -4,7 +4,7 @@ import "robustscale/internal/timeseries"
 
 // This file holds the warm-state fast-path contract shared by the
 // incremental forecasters (DeepAR, Naive, SeasonalNaive, ARIMA, QB5000)
-// and their wrappers (Ensemble, Conformal).
+// and the Conformal wrapper.
 //
 // The control loop re-plans at a cadence of one-to-a-few observations, so
 // successive predict calls see histories that are append-extensions of

@@ -54,7 +54,7 @@ func warmCases() []warmCase {
 	return []warmCase{
 		{"naive", func() QuantileForecaster { return NewNaive(12) }},
 		{"seasonal-naive", func() QuantileForecaster { return NewSeasonalNaive(24) }},
-		{"arima", func() QuantileForecaster { return NewARIMA(2, 1, 1) }},
+		{"arima", func() QuantileForecaster { return newARIMA(2, 1, 1) }},
 		{"deepar-workers1", func() QuantileForecaster {
 			return NewDeepAR(DeepARConfig{
 				Context: 24, Hidden: 8, Epochs: 2, LR: 5e-3, Seed: 3,
@@ -66,9 +66,6 @@ func warmCases() []warmCase {
 				Context: 24, Hidden: 8, Epochs: 2, LR: 5e-3, Seed: 3,
 				MaxWindows: 48, Samples: 20, TrainHorizon: 12, Workers: 4,
 			})
-		}},
-		{"ensemble", func() QuantileForecaster {
-			return NewEnsemble(NewNaive(12), NewSeasonalNaive(24))
 		}},
 		{"conformal-seasonal", func() QuantileForecaster {
 			c := NewConformal(NewSeasonalNaive(24))

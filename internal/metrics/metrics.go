@@ -100,21 +100,6 @@ func MSE(actual, predicted []float64) (float64, error) {
 	return sum / float64(len(actual)), nil
 }
 
-// MAE computes the mean absolute error of a point forecast.
-func MAE(actual, predicted []float64) (float64, error) {
-	if len(actual) != len(predicted) {
-		return 0, fmt.Errorf("metrics: %d actuals vs %d predictions", len(actual), len(predicted))
-	}
-	if len(actual) == 0 {
-		return 0, fmt.Errorf("metrics: empty MAE input")
-	}
-	sum := 0.0
-	for i, y := range actual {
-		sum += math.Abs(y - predicted[i])
-	}
-	return sum / float64(len(actual)), nil
-}
-
 // Uncertainty computes the metric U of Equation 8 for one forecast step:
 // the pinball loss of each quantile forecast measured against the median
 // forecast, summed over the quantile levels. It quantifies the spread of

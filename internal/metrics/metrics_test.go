@@ -78,7 +78,7 @@ func TestCoverage(t *testing.T) {
 	}
 }
 
-func TestMSEAndMAE(t *testing.T) {
+func TestMSE(t *testing.T) {
 	mse, err := MSE([]float64{1, 2}, []float64{3, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -86,18 +86,11 @@ func TestMSEAndMAE(t *testing.T) {
 	if mse != 2 {
 		t.Errorf("MSE = %v", mse)
 	}
-	mae, err := MAE([]float64{1, 2}, []float64{3, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mae != 1 {
-		t.Errorf("MAE = %v", mae)
-	}
 	if _, err := MSE(nil, nil); err == nil {
 		t.Error("empty MSE should fail")
 	}
-	if _, err := MAE([]float64{1}, nil); err == nil {
-		t.Error("mismatched MAE should fail")
+	if _, err := MSE([]float64{1}, nil); err == nil {
+		t.Error("mismatched MSE should fail")
 	}
 }
 

@@ -78,34 +78,12 @@ type Activation struct {
 	DFroY func(y float64) float64
 }
 
-// Standard activations.
-var (
-	Tanh = Activation{
-		Name:  "tanh",
-		F:     tanh,
-		DFroY: func(y float64) float64 { return 1 - y*y },
-	}
-	Sigmoid = Activation{
-		Name:  "sigmoid",
-		F:     sigmoid,
-		DFroY: func(y float64) float64 { return y * (1 - y) },
-	}
-	ReLU = Activation{
-		Name: "relu",
-		F: func(x float64) float64 {
-			if x > 0 {
-				return x
-			}
-			return 0
-		},
-		DFroY: func(y float64) float64 {
-			if y > 0 {
-				return 1
-			}
-			return 0
-		},
-	}
-)
+// Tanh is the hyperbolic-tangent activation.
+var Tanh = Activation{
+	Name:  "tanh",
+	F:     tanh,
+	DFroY: func(y float64) float64 { return 1 - y*y },
+}
 
 // ActCache stores activation outputs for the backward pass.
 type ActCache struct {

@@ -1,7 +1,7 @@
 // Package nn is a small from-scratch neural network library supporting the
 // probabilistic workload forecasters: dense layers, activations, an LSTM
 // cell with full backpropagation through time, scaled dot-product
-// attention, and SGD/Adam optimizers. It exists because the repository is
+// attention, and the Adam optimizer. It exists because the repository is
 // stdlib-only; the layers implement exactly what DeepAR- and TFT-style
 // models need and nothing more.
 //

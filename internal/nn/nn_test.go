@@ -157,7 +157,7 @@ func TestParamsCountAndZero(t *testing.T) {
 }
 
 // Train a tiny dense network on a linear task and check the loss drops.
-func trainLinearTask(t *testing.T, opt Optimizer, steps int) float64 {
+func trainLinearTask(t *testing.T, opt *Adam, steps int) float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	d := NewDense("d", 2, 1, rng)
@@ -180,18 +180,6 @@ func trainLinearTask(t *testing.T, opt Optimizer, steps int) float64 {
 		opt.Step(d.Params())
 	}
 	return tail / tailWindow
-}
-
-func TestSGDConverges(t *testing.T) {
-	if loss := trainLinearTask(t, NewSGD(0.05, 0), 500); loss > 0.01 {
-		t.Errorf("SGD final loss = %v", loss)
-	}
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	if loss := trainLinearTask(t, NewSGD(0.01, 0.9), 500); loss > 0.01 {
-		t.Errorf("SGD+momentum final loss = %v", loss)
-	}
 }
 
 func TestAdamConverges(t *testing.T) {

@@ -2,47 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and implies nothing about gradient clearing;
-	// callers zero gradients themselves.
-	Step(params Params)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity map[*Param][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: map[*Param][]float64{}}
-}
-
-// Step applies one SGD update.
-func (o *SGD) Step(params Params) {
-	for _, p := range params {
-		if o.Momentum == 0 {
-			for i, g := range p.Grad.Data {
-				p.Value.Data[i] -= o.LR * g
-			}
-			continue
-		}
-		v, ok := o.velocity[p]
-		if !ok {
-			v = make([]float64, len(p.Value.Data))
-			o.velocity[p] = v
-		}
-		for i, g := range p.Grad.Data {
-			v[i] = o.Momentum*v[i] - o.LR*g
-			p.Value.Data[i] += v[i]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba). The paper trains all
 // neural forecasters with learning rate 1e-3, which is Adam's default here.
 type Adam struct {

@@ -97,6 +97,25 @@ type SLOConfig struct {
 	Rules []BurnRule
 }
 
+// Validate reports why the config cannot drive a tracker: a target
+// outside (0, 1), a window under one tick, or a rule that does not fit
+// the window. A daemon whose target is 0 has the SLO plane off and does
+// not call it.
+func (c SLOConfig) Validate() error {
+	if !(c.Target > 0 && c.Target < 1) {
+		return fmt.Errorf("obs: SLO target %v outside (0, 1)", c.Target)
+	}
+	if c.Window < 1 {
+		return fmt.Errorf("obs: SLO window %d < 1", c.Window)
+	}
+	for _, r := range c.Rules {
+		if r.Short < 1 || r.Long < r.Short || r.Long > c.Window || r.Factor <= 0 {
+			return fmt.Errorf("obs: burn rule %+v invalid for window %d", r, c.Window)
+		}
+	}
+	return nil
+}
+
 // AlertEvent is one burn-rate alert transition (firing or resolved).
 type AlertEvent struct {
 	Rule      string    `json:"rule"`
@@ -145,22 +164,14 @@ type SLOTracker struct {
 	instr *sloInstruments
 }
 
-// NewSLOTracker returns a tracker for the given config; invalid configs
-// panic (a flag-validation error surfaced loudly).
+// NewSLOTracker returns a tracker for the given config; a config that
+// fails Validate panics (callers validate their flags first).
 func NewSLOTracker(cfg SLOConfig) *SLOTracker {
-	if !(cfg.Target > 0 && cfg.Target < 1) {
-		panic(fmt.Sprintf("obs: SLO target %v outside (0, 1)", cfg.Target))
-	}
-	if cfg.Window < 1 {
-		panic(fmt.Sprintf("obs: SLO window %d < 1", cfg.Window))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	if cfg.Rules == nil {
 		cfg.Rules = DefaultBurnRules(cfg.Window)
-	}
-	for _, r := range cfg.Rules {
-		if r.Short < 1 || r.Long < r.Short || r.Long > cfg.Window || r.Factor <= 0 {
-			panic(fmt.Sprintf("obs: burn rule %+v invalid for window %d", r, cfg.Window))
-		}
 	}
 	return &SLOTracker{
 		cfg:       cfg,

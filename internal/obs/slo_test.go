@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -23,6 +24,21 @@ func sloTestConfig() SLOConfig {
 
 func sloTime(tick int) time.Time {
 	return time.Date(2024, 5, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(tick) * 10 * time.Minute)
+}
+
+func TestSLOConfigValidate(t *testing.T) {
+	if err := sloTestConfig().Validate(); err != nil {
+		t.Errorf("valid config rejected: %v", err)
+	}
+	for _, bad := range []SLOConfig{
+		{Target: 0, Window: 48}, {Target: -0.1, Window: 48}, {Target: 1, Window: 48},
+		{Target: math.NaN(), Window: 48}, {Target: 0.01, Window: 0},
+		{Target: 0.01, Window: 4, Rules: []BurnRule{{Factor: 2, Long: 8, Short: 1}}},
+	} {
+		if bad.Validate() == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
 }
 
 func TestSLOTrackerBurnRateFiring(t *testing.T) {

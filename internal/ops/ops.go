@@ -16,15 +16,10 @@ import (
 	"robustscale/internal/obs"
 )
 
-// Control-loop stage names used with ObserveStage. The forecast and
-// optimize stages are recorded inside internal/scaler (which registers
-// the same histogram family); apply is recorded by the daemon around the
-// cluster mutation.
-const (
-	StageForecast = "forecast"
-	StageOptimize = "optimize"
-	StageApply    = "apply"
-)
+// StageApply is the control-loop stage the daemon records around the
+// cluster mutation. The forecast and optimize stages are recorded inside
+// internal/scaler, which registers the same histogram family.
+const StageApply = "apply"
 
 // stageSeconds is the shared per-stage latency histogram of the control
 // loop, registered on obs.Default under the same family name
@@ -36,11 +31,6 @@ var stageSeconds = obs.Default.HistogramVec(
 	"stage", obs.LatencyBuckets)
 
 var stageApply = stageSeconds.With(StageApply)
-
-// ObserveStage records one execution of a control-loop stage.
-func ObserveStage(stage string, d time.Duration) {
-	stageSeconds.With(stage).Observe(d.Seconds())
-}
 
 // ObserveApply records one apply-stage execution without a label lookup.
 func ObserveApply(d time.Duration) { stageApply.Observe(d.Seconds()) }

@@ -189,13 +189,12 @@ func TestMetricsHandlerComposesObsRegistry(t *testing.T) {
 	}
 }
 
-// TestObserveStage checks the daemon-side stage helper feeds the shared
-// histogram family on obs.Default.
-func TestObserveStage(t *testing.T) {
+// TestObserveApply checks the daemon-side apply-stage helper feeds the
+// shared histogram family on obs.Default.
+func TestObserveApply(t *testing.T) {
 	before := stageSeconds.With(StageApply).Count()
 	ObserveApply(3 * time.Millisecond)
-	ObserveStage(StageApply, 2*time.Millisecond)
-	if got := stageSeconds.With(StageApply).Count(); got != before+2 {
-		t.Errorf("apply-stage observations = %d, want %d", got, before+2)
+	if got := stageSeconds.With(StageApply).Count(); got != before+1 {
+		t.Errorf("apply-stage observations = %d, want %d", got, before+1)
 	}
 }

@@ -50,22 +50,6 @@ func PlanInto(workload []float64, theta float64, dst []int) ([]int, error) {
 	return dst, nil
 }
 
-// PlanThresholds solves the multi-step problem with a per-step threshold
-// vector theta_t (Equation 6 in full generality).
-func PlanThresholds(workload, thetas []float64) ([]int, error) {
-	if len(workload) != len(thetas) {
-		return nil, fmt.Errorf("optimize: %d workloads vs %d thresholds", len(workload), len(thetas))
-	}
-	out := make([]int, len(workload))
-	for i, w := range workload {
-		if thetas[i] <= 0 {
-			return nil, fmt.Errorf("optimize: non-positive threshold %v at step %d", thetas[i], i)
-		}
-		out[i] = Allocate(w, thetas[i])
-	}
-	return out, nil
-}
-
 // ThrashingConfig bounds how fast the node count may change, the
 // anti-flapping constraint discussed in Section V-A.
 type ThrashingConfig struct {

@@ -42,22 +42,6 @@ func TestPlan(t *testing.T) {
 	}
 }
 
-func TestPlanThresholds(t *testing.T) {
-	plan, err := PlanThresholds([]float64{20, 20}, []float64{10, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan[0] != 2 || plan[1] != 4 {
-		t.Errorf("plan = %v", plan)
-	}
-	if _, err := PlanThresholds([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := PlanThresholds([]float64{1}, []float64{0}); err == nil {
-		t.Error("zero threshold should fail")
-	}
-}
-
 func TestPlanConstrainedMeetsDemandWhenPossible(t *testing.T) {
 	// Demand ramps 1 -> 5 with MaxDelta 2: reachable each step.
 	workload := []float64{10, 30, 50}

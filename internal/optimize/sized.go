@@ -79,30 +79,3 @@ func SizeDemand(units int, sizes []NodeSize) (SizedAlloc, error) {
 	}
 	return best, nil
 }
-
-// AllocateSized is the joint per-step solution: the minimum-cost (count,
-// size) satisfying w <= count*Capacity*theta. It composes the scalar
-// closed form (Definition 3) with the sizing pass, so the quantile-fan
-// objective is unchanged — only the cost model gains a dimension.
-func AllocateSized(w, theta float64, sizes []NodeSize) (SizedAlloc, error) {
-	if theta <= 0 {
-		return SizedAlloc{}, fmt.Errorf("optimize: non-positive threshold %v", theta)
-	}
-	return SizeDemand(Allocate(w, theta), sizes)
-}
-
-// SizedCost returns the per-step cost of an allocation against a ladder.
-func SizedCost(a SizedAlloc, sizes []NodeSize) float64 {
-	if a.Count <= 0 || a.Size < 0 || a.Size >= len(sizes) {
-		return 0
-	}
-	return float64(a.Count) * sizes[a.Size].Cost
-}
-
-// SizedCapacity returns the capacity of an allocation in base-node units.
-func SizedCapacity(a SizedAlloc, sizes []NodeSize) float64 {
-	if a.Count <= 0 || a.Size < 0 || a.Size >= len(sizes) {
-		return 0
-	}
-	return float64(a.Count) * sizes[a.Size].Capacity
-}

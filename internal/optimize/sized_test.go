@@ -34,8 +34,8 @@ func TestSizeDemandPicksCheapestMix(t *testing.T) {
 			t.Errorf("SizeDemand(%d) = {%d, %d}, want {%d, %d}",
 				c.units, got.Count, got.Size, c.count, c.sz)
 		}
-		if SizedCapacity(got, sizes) < float64(c.units) {
-			t.Errorf("SizeDemand(%d) capacity %v under demand", c.units, SizedCapacity(got, sizes))
+		if float64(got.Count)*sizes[got.Size].Capacity < float64(c.units) {
+			t.Errorf("SizeDemand(%d) = %+v under demand", c.units, got)
 		}
 	}
 }
@@ -53,31 +53,7 @@ func TestSizeDemandTieBreaksFewerNodes(t *testing.T) {
 	}
 }
 
-func TestAllocateSizedMatchesScalarFloor(t *testing.T) {
-	sizes := ladder()
-	for _, w := range []float64{0, 1, 59, 60, 61, 240, 1000} {
-		theta := 60.0
-		a, err := AllocateSized(w, theta, sizes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		units := Allocate(w, theta)
-		if SizedCapacity(a, sizes) < float64(units) {
-			t.Errorf("AllocateSized(%v) capacity %v under scalar demand %d",
-				w, SizedCapacity(a, sizes), units)
-		}
-		// The joint decision can never cost more than all-small.
-		if c := SizedCost(a, sizes); c > float64(units)*sizes[0].Cost {
-			t.Errorf("AllocateSized(%v) cost %v worse than all-small %v",
-				w, c, float64(units)*sizes[0].Cost)
-		}
-	}
-}
-
-func TestAllocateSizedRejectsBadInputs(t *testing.T) {
-	if _, err := AllocateSized(10, 0, ladder()); err == nil {
-		t.Error("non-positive theta accepted")
-	}
+func TestSizeDemandRejectsBadLadders(t *testing.T) {
 	if _, err := SizeDemand(3, nil); err == nil {
 		t.Error("empty ladder accepted")
 	}

@@ -1,7 +1,7 @@
 // Package parallel is the shared bounded worker pool behind the
 // repository's hot paths: Monte-Carlo sampling in DeepAR, data-parallel
-// mini-batch training in the neural forecasters, ensemble fan-out, and the
-// concurrent experiment runner.
+// mini-batch training in the neural forecasters, the fleet controller's
+// per-tenant rounds, and the concurrent experiment runner.
 //
 // The package enforces one discipline everywhere: parallelism must never
 // change results. Callers get it by (a) writing only to per-index slots,
@@ -84,8 +84,8 @@ func ForEachWorker(workers, n int, fn func(worker, i int)) {
 // ForEachWorkerSpan is ForEachWorker with per-worker trace spans: each
 // worker's whole participation in the loop is recorded as one span named
 // name on its own trace row (obs.WorkerTID0+worker), so fan-out phases —
-// Monte-Carlo sampling, mini-batch gradients, ensemble fits — render as
-// parallel lanes in the Chrome trace. Scheduling is identical to
+// Monte-Carlo sampling, mini-batch gradients, fleet plan/apply rounds —
+// render as parallel lanes in the Chrome trace. Scheduling is identical to
 // ForEachWorker (dynamic index hand-out, merge-order discipline applies
 // unchanged); with tracing disabled the extra cost is one atomic load
 // per worker, not per task.

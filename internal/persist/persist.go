@@ -385,9 +385,3 @@ func (m *Manager) Recover() (*State, RecoverInfo, error) {
 // CheckpointWrites returns the process-wide checkpoint write count;
 // tests and the daemon's status surface read it back.
 func CheckpointWrites() float64 { return ckptWrites.Value() }
-
-// CheckpointRecoveries returns the process-wide recovery count.
-func CheckpointRecoveries() float64 { return ckptRecoveries.Value() }
-
-// CheckpointCorrupt returns how many checkpoints recovery has rejected.
-func CheckpointCorrupt() float64 { return ckptCorrupt.Value() }

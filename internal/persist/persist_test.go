@@ -284,7 +284,7 @@ func TestRecoverSkipsVersionSkew(t *testing.T) {
 
 func TestCheckpointCountersAdvance(t *testing.T) {
 	m := newManager(t, t.TempDir(), 3)
-	w0, r0, c0 := CheckpointWrites(), CheckpointRecoveries(), CheckpointCorrupt()
+	w0, r0, c0 := CheckpointWrites(), ckptRecoveries.Value(), ckptCorrupt.Value()
 	p, err := m.Write(testState())
 	if err != nil {
 		t.Fatalf("Write: %v", err)
@@ -301,10 +301,10 @@ func TestCheckpointCountersAdvance(t *testing.T) {
 	if got := CheckpointWrites() - w0; got != 1 {
 		t.Errorf("writes counter advanced by %v, want 1", got)
 	}
-	if got := CheckpointRecoveries() - r0; got != 1 {
+	if got := ckptRecoveries.Value() - r0; got != 1 {
 		t.Errorf("recoveries counter advanced by %v, want 1", got)
 	}
-	if got := CheckpointCorrupt() - c0; got != 1 {
+	if got := ckptCorrupt.Value() - c0; got != 1 {
 		t.Errorf("corrupt counter advanced by %v, want 1", got)
 	}
 }

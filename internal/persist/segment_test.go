@@ -257,7 +257,7 @@ func TestSegmentCorruptRecordFallsBack(t *testing.T) {
 		data[(lo+hi)/2] ^= 0x20
 		return data
 	})
-	c0 := CheckpointCorrupt()
+	c0 := ckptCorrupt.Value()
 	states, infos, errs := recoverAll(t, dir)
 	for _, id := range segTenants {
 		if errs[id] != nil {
@@ -278,7 +278,7 @@ func TestSegmentCorruptRecordFallsBack(t *testing.T) {
 	if got := infos[victim].Rejected; !slices.Equal(got, []string{newest}) {
 		t.Errorf("victim rejected %v, want [%s]", got, newest)
 	}
-	if got := CheckpointCorrupt() - c0; got != 1 {
+	if got := ckptCorrupt.Value() - c0; got != 1 {
 		t.Errorf("corrupt counter advanced by %v, want 1", got)
 	}
 

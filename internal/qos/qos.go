@@ -234,16 +234,3 @@ func CalibrateTheta(n Node, slo SLO) (float64, error) {
 	}
 	return lo, nil
 }
-
-// ThetaForUtilization converts a utilization target (e.g. "keep nodes
-// below 70%") into the threshold in workload units, the simpler
-// calibration used when no latency model is available.
-func ThetaForUtilization(n Node, utilization float64) (float64, error) {
-	if err := n.Validate(); err != nil {
-		return 0, err
-	}
-	if utilization <= 0 || utilization > 1 {
-		return 0, fmt.Errorf("qos: utilization target %v outside (0, 1]", utilization)
-	}
-	return utilization * float64(n.Workers) * n.ServiceRate, nil
-}

@@ -217,20 +217,3 @@ func TestCalibrateThetaValidation(t *testing.T) {
 		t.Error("bad node should fail")
 	}
 }
-
-func TestThetaForUtilization(t *testing.T) {
-	n := Node{ServiceRate: 100, Workers: 8}
-	theta, err := ThetaForUtilization(n, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if theta != 560 {
-		t.Errorf("theta = %v, want 560", theta)
-	}
-	if _, err := ThetaForUtilization(n, 0); err == nil {
-		t.Error("zero utilization should fail")
-	}
-	if _, err := ThetaForUtilization(n, 1.5); err == nil {
-		t.Error("over-unity utilization should fail")
-	}
-}

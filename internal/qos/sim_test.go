@@ -1,9 +1,83 @@
 package qos
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
+
+	"robustscale/internal/dist"
 )
+
+// SimResult is the outcome of a discrete-event simulation of one node: the
+// observed response-time distribution.
+type SimResult struct {
+	Served      int
+	MeanSec     float64
+	P50, P95    float64
+	P99         float64
+	Utilization float64
+}
+
+// Simulate runs a discrete-event simulation of one compute node as an
+// M/M/c station: Poisson arrivals at arrivalRate, exponential service at
+// the node's rate per worker, FIFO queueing across the node's workers.
+// It is the test oracle for the analytic Erlang-C formulas in this
+// package: the tests below assert the two agree.
+func Simulate(n Node, arrivalRate float64, queries int, seed int64) (*SimResult, error) {
+	if err := n.Validate(); err != nil {
+		return nil, err
+	}
+	if arrivalRate <= 0 {
+		return nil, fmt.Errorf("qos: non-positive arrival rate %v", arrivalRate)
+	}
+	if queries < 1 {
+		return nil, fmt.Errorf("qos: need at least one query, got %d", queries)
+	}
+	rng := rand.New(rand.NewSource(seed))
+
+	// free[w] is when worker w next idles; the earliest-free worker
+	// serves the head of the FIFO queue.
+	free := make([]float64, n.Workers)
+
+	latencies := make([]float64, 0, queries)
+	arrival := 0.0
+	busy := 0.0
+	var lastDeparture float64
+	for i := 0; i < queries; i++ {
+		arrival += rng.ExpFloat64() / arrivalRate
+		w := 0
+		for j, f := range free {
+			if f < free[w] {
+				w = j
+			}
+		}
+		// The query starts when both it has arrived and a worker is free.
+		start := arrival
+		if free[w] > start {
+			start = free[w]
+		}
+		service := rng.ExpFloat64() / n.ServiceRate
+		finish := start + service
+		free[w] = finish
+
+		latencies = append(latencies, finish-arrival)
+		busy += service
+		if finish > lastDeparture {
+			lastDeparture = finish
+		}
+	}
+
+	sorted := dist.SortInPlace(latencies)
+	return &SimResult{
+		Served:      queries,
+		MeanSec:     dist.SortedMean(sorted),
+		P50:         dist.SortedQuantile(sorted, 0.50),
+		P95:         dist.SortedQuantile(sorted, 0.95),
+		P99:         dist.SortedQuantile(sorted, 0.99),
+		Utilization: busy / (lastDeparture * float64(n.Workers)),
+	}, nil
+}
 
 func TestSimulateMatchesAnalyticMM1(t *testing.T) {
 	// M/M/1 at rho = 0.5: mean = 1/(mu - lambda), and the response-time

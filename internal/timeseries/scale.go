@@ -5,21 +5,9 @@ import (
 	"math"
 )
 
-// Scaler maps raw workload values into a normalized space and back. Neural
+// StandardScaler normalizes to zero mean and unit variance. Neural
 // forecasters train in normalized space; the auto-scaling manager consumes
 // forecasts in the original units.
-type Scaler interface {
-	// Fit estimates the scaler's parameters from values.
-	Fit(values []float64)
-	// Transform maps raw values to normalized space.
-	Transform(values []float64) []float64
-	// Inverse maps normalized values back to raw space.
-	Inverse(values []float64) []float64
-	// InverseOne maps a single normalized value back to raw space.
-	InverseOne(v float64) float64
-}
-
-// StandardScaler normalizes to zero mean and unit variance.
 type StandardScaler struct {
 	Mean, Std float64
 }
@@ -73,53 +61,6 @@ func (s *StandardScaler) TransformOne(v float64) float64 { return (v - s.Mean) /
 
 // InverseOne maps one z-score back to a raw value.
 func (s *StandardScaler) InverseOne(v float64) float64 { return v*s.Std + s.Mean }
-
-// MinMaxScaler normalizes into [0, 1].
-type MinMaxScaler struct {
-	Min, Max float64
-}
-
-// Fit records the value range, guarding a constant series.
-func (s *MinMaxScaler) Fit(values []float64) {
-	if len(values) == 0 {
-		s.Min, s.Max = 0, 1
-		return
-	}
-	s.Min, s.Max = values[0], values[0]
-	for _, v := range values[1:] {
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	if s.Max-s.Min < 1e-12 {
-		s.Max = s.Min + 1
-	}
-}
-
-// Transform maps raw values into [0, 1] relative to the fitted range.
-func (s *MinMaxScaler) Transform(values []float64) []float64 {
-	out := make([]float64, len(values))
-	span := s.Max - s.Min
-	for i, v := range values {
-		out[i] = (v - s.Min) / span
-	}
-	return out
-}
-
-// Inverse maps normalized values back to the raw range.
-func (s *MinMaxScaler) Inverse(values []float64) []float64 {
-	out := make([]float64, len(values))
-	for i, v := range values {
-		out[i] = s.InverseOne(v)
-	}
-	return out
-}
-
-// InverseOne maps one normalized value back to the raw range.
-func (s *MinMaxScaler) InverseOne(v float64) float64 { return v*(s.Max-s.Min) + s.Min }
 
 // SeasonalDecomposition is a classical additive decomposition of a series
 // into trend, a repeating seasonal component and a remainder. The period is

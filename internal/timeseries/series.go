@@ -1,11 +1,12 @@
 // Package timeseries provides the time-series primitives shared by the
 // workload forecasters and the auto-scaling manager: a regularly sampled
-// Series type, resampling to fixed intervals, train/validation/test
-// splitting, standardization, and sliding-window extraction.
+// Series type, element-wise aggregation of aligned series,
+// train/validation/test splitting, standardization, and sliding-window
+// extraction.
 //
 // All series in this repository are regularly sampled; the paper aggregates
-// the Alibaba and Google cluster traces at 10-minute intervals and this
-// package's resampler produces exactly that representation.
+// the Alibaba and Google cluster traces at 10-minute intervals, the step
+// every generated trace uses.
 package timeseries
 
 import (
