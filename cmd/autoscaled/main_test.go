@@ -131,6 +131,30 @@ slo: target 0.01 window 144: 12/288 bad steps, budget remaining -3.1667, 10 tran
 	}
 }
 
+// TestApplyBreakerStdout pins the whole stdout of two chaos replays that
+// keep the apply breaker busy: the apply-fault preset behind the default
+// 30-minute cooldown, and every fault class across the zero boundary.
+func TestApplyBreakerStdout(t *testing.T) {
+	cases := []struct{ args, want string }{
+		{"-strategy reactive-max -days 3 -chaos apply -seed 7", `
+final: 432 steps, 115 violations (26.62%), 99 scale-outs, 84 scale-ins
+resilience: 0 degraded rounds, 186 apply holds, 0 node failures, final mode normal
+slo: target 0.01 window 144: 115/432 bad steps, budget remaining -20.5278, 70 transitions, 0 active alerts, first firing tick 1
+`},
+		{"-strategy reactive-max -days 3 -chaos all -seed 7 -serverless -theta 3000 -idle-eps 1500", `
+final: 432 steps, 27 violations (6.25%), 17 scale-outs, 8 scale-ins
+resilience: 0 degraded rounds, 134 apply holds, 9 node failures, final mode normal
+serverless: 4 parks, 3 wakes, 10 blocked parks, 107 parked steps, parked now true
+slo: target 0.01 window 144: 27/432 bad steps, budget remaining -4.5556, 24 transitions, 0 active alerts, first firing tick 39
+`},
+	}
+	for _, tc := range cases {
+		if stdout, _ := daemon(t, tc.args); stdout != tc.want {
+			t.Errorf("autoscaled %s:\n got:\n%s\nwant:\n%s", tc.args, stdout, tc.want)
+		}
+	}
+}
+
 // TestSLOTargetBounds: a negative -slo-target is rejected before the
 // replay, as fleetsim rejects it, and 0 turns the SLO plane off.
 func TestSLOTargetBounds(t *testing.T) {

@@ -47,6 +47,25 @@ func TestGoldenFleetHash(t *testing.T) {
 	}
 }
 
+// TestFleetHashTable pins one fleet hash per configuration: the pooled
+// 200-tenant fleet under the chaos presets that drive the apply breaker
+// and pool quarantine.
+func TestFleetHashTable(t *testing.T) {
+	for _, tc := range []struct{ args, hash string }{
+		{"-tenants 200 -pool 220 -chaos apply", "3a5df17d09359bf1"},
+		{"-tenants 200 -pool 220 -chaos all", "eff0db422f3620ec"},
+		{"-tenants 200 -pool 220 -chaos fleet", "7a24fc62f56a6ae3"},
+	} {
+		code, stdout, stderr := fleetsim(t, tc.args+" -per-tenant=false")
+		if code != 0 {
+			t.Fatalf("%s: exit %d\n%s", tc.args, code, stderr)
+		}
+		if got := summary(t, stdout)["fleet_hash"]; got != tc.hash {
+			t.Errorf("%s: fleet_hash = %v, want %s", tc.args, got, tc.hash)
+		}
+	}
+}
+
 func TestWorkerCountInvisibleInSummary(t *testing.T) {
 	var outs [2][]byte
 	for i, workers := range []string{"1", "4"} {
