@@ -48,13 +48,16 @@ bench-check:
 # Short fuzz pass over the segment reader (every checkpoint, a fleet's or
 # a single tenant's), the series reader and the component blob decoders:
 # arbitrary bytes must error cleanly, never panic or over-allocate. The
-# last target drives one guard through arbitrary history edits: its
-# incremental checks must agree with a fresh guard's at every step.
+# next target drives one guard through arbitrary history edits: its
+# incremental checks must agree with a fresh guard's at every step. The
+# last drives the one Breaker beside the three machines it replaced, each
+# in its client's tick pattern: they must agree event for event.
 fuzz:
 	$(GO) test -fuzz=FuzzLoadSegment -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadSeries -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadComponent -fuzztime=10s ./internal/fleet
 	$(GO) test -fuzz=FuzzGuardHistories -fuzztime=10s ./internal/scaler
+	$(GO) test -fuzz=FuzzBreakerMatchesLegacy -fuzztime=10s ./internal/scaler
 
 # Fleet determinism and durability drill (same script CI runs): worker
 # counts invisible in results, kill-restart bit-identity, single-tenant

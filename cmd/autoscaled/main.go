@@ -153,7 +153,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		applyRetries    = fs.Int("apply-retries", 3, "scale-apply attempts per round (first included)")
 		applyBackoff    = fs.Duration("apply-backoff", time.Second, "base backoff between apply retries (doubles per retry)")
 		breakerOpenAt   = fs.Int("breaker-threshold", 3, "consecutive failed apply rounds that open the circuit breaker")
-		breakerCooldown = fs.Duration("breaker-cooldown", 30*time.Minute, "virtual time the breaker stays open before probing")
+		breakerCooldown = fs.Duration("breaker-cooldown", 30*time.Minute, "virtual time the breaker stays open before probing (rounded up to whole replay steps)")
 
 		chaosProf = fs.String("chaos", "", "inject deterministic faults from this preset during the replay (forecast|telemetry|apply|node-kill|all|smoke)")
 		chaosSeed = fs.Int64("chaos-seed", 0, "chaos schedule seed (0 = use -seed)")
@@ -175,6 +175,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	if err := persist.ValidTenantID(*tenant); err != nil {
 		return err
+	}
+	if *applyRetries <= 0 || *applyBackoff <= 0 || *breakerOpenAt <= 0 || *breakerCooldown <= 0 {
+		return fmt.Errorf("%w: -apply-retries %d, -apply-backoff %v, -breaker-threshold %d and -breaker-cooldown %v must all be positive",
+			fleet.ErrSizes, *applyRetries, *applyBackoff, *breakerOpenAt, *breakerCooldown)
 	}
 
 	// Every run starts from fresh process-wide observability rings, so
@@ -333,7 +337,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		ForecasterKind: "tft",
 		CoverageSlack:  *guardSlack, MaxWQL: *guardMaxWQL,
 		Backoff:  scaler.BackoffConfig{MaxAttempts: *applyRetries, Base: *applyBackoff},
-		Breaker:  &scaler.Breaker{Threshold: *breakerOpenAt, Cooldown: *breakerCooldown},
+		Breaker:  &scaler.Breaker{Threshold: *breakerOpenAt, Cooldown: int((*breakerCooldown + cpu.Step - 1) / cpu.Step)},
 		Sched:    sched,
 		Plant:    plant,
 		StateDir: *stateDir, Retain: *stateRetain,

@@ -11,11 +11,13 @@ import (
 )
 
 // TestNonsenseSizesExitTwo: sizes that used to spin forever (-horizon 0),
-// panic (-horizon -3), print NaN (-days 0) or replay with every step a
-// violation (-theta -1) are rejected before any training, with the typed
-// error the exit status 2 hangs on.
+// panic (-horizon -3), print NaN (-days 0), replay with every step a
+// violation (-theta -1) or quietly run with a default instead (the apply
+// path's retries, backoff and breaker) are rejected before any training,
+// with the typed error the exit status 2 hangs on.
 func TestNonsenseSizesExitTwo(t *testing.T) {
-	for _, args := range []string{"-horizon 0", "-horizon -3", "-days 0", "-theta -1"} {
+	for _, args := range []string{"-horizon 0", "-horizon -3", "-days 0", "-theta -1",
+		"-breaker-threshold 0", "-breaker-cooldown -1m", "-apply-retries 0", "-apply-backoff 0"} {
 		var stdout, stderr bytes.Buffer
 		err := run(context.Background(), strings.Fields(args+" -epochs 1"), &stdout, &stderr)
 		if !errors.Is(err, fleet.ErrSizes) {

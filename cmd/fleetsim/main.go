@@ -141,7 +141,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		serverless    = fs.Bool("serverless", false, "serverless fleet: idle tenants scale to zero, wake from zero with a latency/cost penalty, and size nodes jointly with count (enables the wake chaos presets)")
 		idleEps       = fs.Float64("idle-eps", 0, "workload level below which a serverless tenant counts as idle (0 = theta/10)")
 		parkAfter     = fs.Int("park-after", 0, "consecutive idle rounds before a serverless tenant parks to zero (0 = default 3)")
-		wakeDebounce  = fs.Int("wake-debounce", 0, "rounds after a wake during which parking is refused (flap guard; 0 = default 2)")
+		wakeDebounce  = fs.Int("wake-debounce", 0, "rounds after a wake during which parking is refused (anti-flapping guard; 0 = default 2)")
 		keepWarmAfter = fs.Int("keep-warm-after", 0, "consecutive wake failures tripping the wake breaker into keep-warm degradation (0 = default 3)")
 		wakeCooldown  = fs.Int("wake-breaker-cooldown", 0, "rounds the wake breaker stays open before a half-open probe (0 = default 6)")
 		wakeSeconds   = fs.Float64("wake-seconds", 0, "fault-free cold-wake provisioning latency in seconds (0 = default 30)")

@@ -139,13 +139,16 @@ var blobCases = []blobCase{
 	},
 	{
 		name:   "breaker",
-		golden: "04040f010000000edd73163000000000ffff",
+		golden: "02060604",
 		populated: func(testing.TB) func(io.Writer) error {
-			b := &scaler.Breaker{Threshold: 2}
-			at := time.Date(2024, 3, 1, 0, 10, 0, 0, time.UTC)
-			b.Failure(at)
-			b.Failure(at.Add(10 * time.Minute))
-			b.Allow(at.Add(time.Hour)) // past the cooldown: half-open
+			b := &scaler.Breaker{Threshold: 2, Cooldown: 4}
+			b.Failure()
+			b.Failure() // open
+			for i := 0; i < 4; i++ {
+				b.Tick() // the last tick ends the cooldown: half-open
+			}
+			b.Failure() // the probe fails: open again
+			b.Tick()
 			return b.Save
 		},
 		fresh: func(testing.TB) (func(io.Reader) error, func(io.Writer) error) {
@@ -155,7 +158,7 @@ var blobCases = []blobCase{
 	},
 	{
 		name:   "wake-guard",
-		golden: "00000204010a02020202",
+		golden: "0000020402040a02020202",
 		populated: func(testing.TB) func(io.Writer) error {
 			g := &scaler.WakeGuard{Config: scaler.WakeGuardConfig{MinIdleRounds: 2, KeepWarmAfterFails: 2}}
 			g.Shape([]int{0}, true)
@@ -212,11 +215,11 @@ var blobCases = []blobCase{
 	},
 	{
 		name:   "loop-extra",
-		golden: "ffffffffffffffffff01ffffffffffffffff7f130b06040e0177017002736b15",
+		golden: "ffffffffffffffffff01ffffffffffffffff7f130b01710177017002736b15",
 		populated: func(testing.TB) func(io.Writer) error {
 			ex := loopExtra{
 				AllocHash: ^uint64(0), Cost: -1 << 62, ShedNodes: -10,
-				ClippedRounds: -6, Flap: 3, QuarantineLeft: 2, Quarantines: 7,
+				ClippedRounds: -6, Quarantine: []byte("q"),
 				Wake: []byte("w"), Plant: []byte("p"), WakeLat: []byte("sk"), ParkedSteps: -11,
 			}
 			return func(w io.Writer) error { return encodeExtra(w, ex) }

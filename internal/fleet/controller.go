@@ -72,6 +72,9 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.SLOTarget > 0 && cfg.SLOWindow <= 0 {
 		cfg.SLOWindow = DefaultSLOWindow
 	}
+	if cfg.QuarantineRounds == 0 {
+		cfg.QuarantineRounds = 8
+	}
 	if cfg.Serverless {
 		if cfg.IdleEps == 0 {
 			cfg.IdleEps = cfg.Theta / 10
@@ -268,6 +271,7 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 		Backoff:        scaler.BackoffConfig{MaxAttempts: 1},
 		Breaker:        &scaler.Breaker{},
 	}
+	t.quarantine.Threshold, t.quarantine.Cooldown = cfg.QuarantineAfter, cfg.QuarantineRounds
 	t.Fingerprint = persist.Fingerprint{
 		Strategy: cfg.Strategy, Tenant: id, Dataset: t.Archetype, Seed: seed,
 		Theta: cfg.Theta, Horizon: cfg.Horizon, Tau: cfg.Tau, Tau2: cfg.Tau2,
@@ -457,23 +461,14 @@ func (c *Controller) admit(active []*Tenant) {
 			if t.shedReason == "" {
 				t.shedReason = "pool-exhausted"
 			}
-			if t.quarantineLeft == 0 {
-				t.flap++
-				if cfg.QuarantineAfter > 0 && t.flap >= cfg.QuarantineAfter {
-					rounds := cfg.QuarantineRounds
-					if rounds <= 0 {
-						rounds = 8
-					}
-					t.quarantineLeft = rounds
-					t.quarantines++
-					fleetQuarantinesTotal.Inc()
-					obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "quarantine",
-						fmt.Sprintf("quarantined to reactive planning for %d rounds after %d consecutive clipped rounds", rounds, t.flap),
-						map[string]float64{"rounds": float64(rounds), "flap": float64(t.flap)})
-				}
+			if cfg.QuarantineAfter > 0 && t.quarantine.Failure() {
+				fleetQuarantinesTotal.Inc()
+				obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "quarantine",
+					fmt.Sprintf("quarantined to reactive planning for %d rounds after %d consecutive clipped rounds", cfg.QuarantineRounds, cfg.QuarantineAfter),
+					map[string]float64{"rounds": float64(cfg.QuarantineRounds), "clipped_rounds": float64(cfg.QuarantineAfter)})
 			}
-		} else if t.quarantineLeft == 0 {
-			t.flap = 0
+		} else {
+			t.quarantine.Success()
 		}
 	}
 	if clipped > 0 {
@@ -487,16 +482,15 @@ func (c *Controller) admit(active []*Tenant) {
 	}
 	quarantined := 0
 	for _, t := range active {
-		if t.quarantineLeft > 0 && t.shedReason == "quarantine" {
-			// This round was planned under quarantine; count it down.
-			t.quarantineLeft--
-			if t.quarantineLeft == 0 {
-				t.flap = 0
-				obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "unquarantine",
-					"quarantine expired; re-entering predictive planning", nil)
-			}
+		// A round planned under quarantine is one tick of its cooldown; the
+		// tick that ends it clears the clipped-round streak, so re-entry
+		// needs QuarantineAfter fresh clipped rounds, not one probe.
+		if t.shedReason == "quarantine" && t.quarantine.Tick() == scaler.BreakerHalfOpen {
+			t.quarantine.Success()
+			obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "unquarantine",
+				"quarantine expired; re-entering predictive planning", nil)
 		}
-		if t.quarantineLeft > 0 {
+		if t.quarantined() {
 			quarantined++
 		}
 	}

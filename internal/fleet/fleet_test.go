@@ -473,11 +473,11 @@ func TestCheckpointFailsWithoutExtra(t *testing.T) {
 func TestCheckpointDegradedIsJournalled(t *testing.T) {
 	orig := saveSection
 	defer func() { saveSection = orig }()
-	saveSection = func(component string, save func(io.Writer) error, w io.Writer) error {
+	saveSection = func(component string, c saver, w io.Writer) error {
 		if component == "guard" || component == "breaker" {
 			return errors.New("no encoder today")
 		}
-		return save(w)
+		return c.Save(w)
 	}
 
 	cfg := testConfig(2)

@@ -122,7 +122,6 @@ func FuzzWakeSchedule(f *testing.F) {
 				WakeDebounceRounds:    2,
 				KeepWarmAfterFails:    2,
 				BreakerCooldownRounds: 3,
-				KeepWarmNodes:         1,
 			}}
 		}
 		classes := classesFor(tenants)

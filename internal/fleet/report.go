@@ -252,12 +252,12 @@ func (c *Controller) report() *Report {
 			tr.Class = t.Class.String()
 			tr.ShedNodes = t.shedTotal
 			tr.ClippedRounds = t.clippedRounds
-			tr.Quarantines = t.quarantines
-			tr.QuarantinedNow = t.quarantineLeft > 0
+			tr.Quarantines = int(t.quarantine.Trips())
+			tr.QuarantinedNow = t.quarantined()
 			pool.AdmissionClips += int64(t.clippedRounds)
 			pool.ShedNodes += t.shedTotal
-			pool.Quarantines += t.quarantines
-			if t.quarantineLeft > 0 {
+			pool.Quarantines += int(t.quarantine.Trips())
+			if t.quarantined() {
 				pool.QuarantinedNow++
 			}
 		}

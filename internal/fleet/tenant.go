@@ -56,12 +56,10 @@ type loopExtra struct {
 	AllocHash uint64
 	// Cost is the cumulative node-steps the tenant has paid for.
 	Cost int64
-	// Pool and quarantine lifetime counters.
-	ShedNodes      int64
-	ClippedRounds  int
-	Flap           int
-	QuarantineLeft int
-	Quarantines    int
+	// Pool counters and the quarantine breaker's blob.
+	ShedNodes     int64
+	ClippedRounds int
+	Quarantine    []byte
 	// Serverless wake state (empty/zero without scale-to-zero): the
 	// wake-guard hysteresis machine, the per-tenant plant mid-wake state,
 	// the wake-latency sketch and the parked-step total. Restoring them is
@@ -78,9 +76,8 @@ type loopExtra struct {
 // TestExtraCodecCoversEveryField fails until it is in both functions.
 func appendExtra(b []byte, ex *loopExtra) []byte {
 	b = binary.AppendUvarint(b, ex.AllocHash)
-	b = wire.AppendVarints(b, ex.Cost, ex.ShedNodes,
-		int64(ex.ClippedRounds), int64(ex.Flap), int64(ex.QuarantineLeft), int64(ex.Quarantines))
-	for _, sec := range [...][]byte{ex.Wake, ex.Plant, ex.WakeLat} {
+	b = wire.AppendVarints(b, ex.Cost, ex.ShedNodes, int64(ex.ClippedRounds))
+	for _, sec := range [...][]byte{ex.Quarantine, ex.Wake, ex.Plant, ex.WakeLat} {
 		b = wire.AppendSection(b, sec)
 	}
 	return binary.AppendVarint(b, ex.ParkedSteps)
@@ -91,7 +88,7 @@ func decodeExtra(blob []byte) (loopExtra, error) {
 	r := wire.NewReader(blob)
 	ex := loopExtra{
 		AllocHash: r.Uvarint(), Cost: r.Varint(), ShedNodes: r.Varint(),
-		ClippedRounds: r.Int(), Flap: r.Int(), QuarantineLeft: r.Int(), Quarantines: r.Int(),
+		ClippedRounds: r.Int(), Quarantine: r.Section(),
 		Wake: r.Section(), Plant: r.Section(), WakeLat: r.Section(), ParkedSteps: r.Varint(),
 	}
 	return ex, r.Done()
@@ -225,17 +222,17 @@ type Tenant struct {
 	// awaiting admission and Apply: Nodes is the pending plan (aliases
 	// planBuf; a held plan when planning failed), Fan and Decision what
 	// the strategy that planned it — the tenant's own or the quarantine
-	// fallback, which has no fan — put behind it.
-	round          scaler.Round
-	reactive       *scaler.ReactiveMax
-	shedRound      int
-	shedReason     string
-	shedTotal      int64
-	clippedRounds  int
-	flap           int
-	quarantineLeft int
-	quarantines    int
-	planDur        float64
+	// fallback, which has no fan — put behind it. quarantine counts
+	// consecutive clipped rounds; while it is open the tenant plans
+	// reactively, one cooldown tick per round served.
+	round         scaler.Round
+	reactive      *scaler.ReactiveMax
+	shedRound     int
+	shedReason    string
+	shedTotal     int64
+	clippedRounds int
+	quarantine    scaler.Breaker
+	planDur       float64
 
 	// chaosCursor positions Sched; faulted reports whether any fault
 	// targets this tenant.
@@ -272,7 +269,8 @@ type Tenant struct {
 	wakeLatHist  *obs.Histogram
 }
 
-// Now is the tenant's virtual clock, feeding its guard and breaker.
+// Now is the tenant's virtual clock, stamping its components' journal
+// events.
 func (t *Tenant) Now() time.Time {
 	i := t.cursor
 	if i >= t.Series.Len() {
@@ -318,8 +316,9 @@ func (t *Tenant) WakeGuard() *scaler.WakeGuard      { return t.wakeGuard }
 func (t *Tenant) Calibration() *cluster.Calibration { return t.cal }
 func (t *Tenant) Fan() *forecast.QuantileForecast   { return t.round.Fan }
 
-func (t *Tenant) replayStep() int { return t.origin - t.TrainEnd }
-func (t *Tenant) theta() float64  { return t.Fingerprint.Theta }
+func (t *Tenant) replayStep() int   { return t.origin - t.TrainEnd }
+func (t *Tenant) quarantined() bool { return t.quarantine.State() == scaler.BreakerOpen }
+func (t *Tenant) theta() float64    { return t.Fingerprint.Theta }
 
 // Faulty routes a forecaster's planning-time inference through the
 // tenant's fault schedule; without one it is the identity.
@@ -465,14 +464,15 @@ func (t *Tenant) restore(st *persist.State, extra *loopExtra) {
 	t.steps, t.violations, t.holds = st.Steps, st.Violations, st.Holds
 	t.allocHash, t.cost = extra.AllocHash, extra.Cost
 	t.shedTotal, t.clippedRounds = extra.ShedNodes, extra.ClippedRounds
-	t.flap, t.quarantineLeft, t.quarantines = extra.Flap, extra.QuarantineLeft, extra.Quarantines
 	t.parkedSteps = extra.ParkedSteps
 	var fresh []string
+	var rd bytes.Reader // one reader for every blob
 	load := func(component string, blob []byte, into func(io.Reader) error) {
-		if len(blob) > 0 && into(bytes.NewReader(blob)) != nil {
+		if rd.Reset(blob); len(blob) > 0 && into(&rd) != nil {
 			fresh = append(fresh, component)
 		}
 	}
+	load("quarantine breaker", extra.Quarantine, t.quarantine.Load)
 	if t.wakeGuard != nil {
 		load("wake guard", extra.Wake, t.wakeGuard.Load)
 		load("wake-latency sketch", extra.WakeLat, t.wakeLat.Load)
@@ -551,7 +551,7 @@ func (t *Tenant) Plan() error {
 		hist = chaos.CorruptTelemetry(t.histView, t.Sched, t.replayStep())
 	}
 	planner, reason := t.planner, ""
-	if t.quarantineLeft > 0 {
+	if t.quarantined() {
 		// Quarantined: the backpressure breaker pinned this tenant to
 		// reactive planning so it stops thrashing the pool.
 		if t.reactive == nil {
@@ -699,9 +699,9 @@ func (t *Tenant) Checkpoint() error {
 	scratch.Reset()
 	defer ckptScratch.Put(scratch)
 	var unsaved []string
-	section := func(component string, save func(io.Writer) error) []byte {
+	section := func(component string, c saver) []byte {
 		start := scratch.Len()
-		if saveSection(component, save, scratch) != nil {
+		if saveSection(component, c, scratch) != nil {
 			scratch.Truncate(start)
 			unsaved = append(unsaved, component)
 			return nil // the owner restores a missing section as fresh state
@@ -720,32 +720,32 @@ func (t *Tenant) Checkpoint() error {
 	}
 	if t.snapper != nil {
 		st.ForecasterKind = t.ForecasterKind
-		if st.Forecaster = section("forecaster", t.snapper.Save); st.Forecaster == nil {
+		if st.Forecaster = section("forecaster", t.snapper); st.Forecaster == nil {
 			// A snapshot without the model would warm-start wrong.
 			return t.checkpointFailed(errors.New("snapshotting the forecaster failed"))
 		}
 	}
 	if t.cal != nil {
-		st.Calibration = section("calibration", t.cal.Save)
+		st.Calibration = section("calibration", t.cal)
 	}
 	if t.guard != nil {
-		st.Guard = section("guard", t.guard.Save)
+		st.Guard = section("guard", t.guard)
 	}
-	st.Breaker = section("breaker", t.Breaker.Save)
+	st.Breaker = section("breaker", t.Breaker)
 	ex := loopExtra{
 		AllocHash: t.allocHash, Cost: t.cost,
 		ShedNodes: t.shedTotal, ClippedRounds: t.clippedRounds,
-		Flap: t.flap, QuarantineLeft: t.quarantineLeft, Quarantines: t.quarantines,
+		Quarantine:  section("quarantine breaker", &t.quarantine),
 		ParkedSteps: t.parkedSteps,
 	}
 	if t.wakeGuard != nil {
-		ex.Wake = section("wake guard", t.wakeGuard.Save)
-		ex.WakeLat = section("wake-latency sketch", t.wakeLat.Save)
+		ex.Wake = section("wake guard", t.wakeGuard)
+		ex.WakeLat = section("wake-latency sketch", t.wakeLat)
 	}
 	if t.sless != nil {
-		ex.Plant = section("serverless plant", t.sless.Save)
+		ex.Plant = section("serverless plant", t.sless)
 	}
-	if st.Extra = section("loop accounting", func(w io.Writer) error { return encodeExtra(w, ex) }); st.Extra == nil {
+	if st.Extra = section("loop accounting", &ex); st.Extra == nil {
 		// Without the rolling hash and cost accounting a warm start would
 		// resume to a wrong fleet hash.
 		return t.checkpointFailed(errors.New("encoding the loop accounting failed"))
@@ -765,6 +765,13 @@ func (t *Tenant) Checkpoint() error {
 // ckptScratch pools the buffers Checkpoint encodes sections into.
 var ckptScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// saver is a component a checkpoint section is saved from (loopExtra
+// through encodeExtra); passing the component, not its Save method value,
+// costs a section no allocation.
+type saver interface{ Save(io.Writer) error }
+
+func (ex *loopExtra) Save(w io.Writer) error { return encodeExtra(w, *ex) }
+
 // encodeExtra writes the Extra section and saveSection runs one
 // component's Save; variables so a test can make either fail.
 var (
@@ -772,7 +779,7 @@ var (
 		_, err := w.Write(appendExtra(wire.Scratch(w), &ex))
 		return err
 	}
-	saveSection = func(component string, save func(io.Writer) error, w io.Writer) error { return save(w) }
+	saveSection = func(component string, c saver, w io.Writer) error { return c.Save(w) }
 )
 
 // checkpointFailed journals and wraps the reason a checkpoint was not

@@ -39,8 +39,9 @@ const (
 	// SegmentVersion is the segment format version; bump it on any change
 	// to State, the framing above or the layout of a component blob a
 	// record carries — blobs have no version of their own. Version 2:
-	// component blobs in the wire codec instead of gob.
-	SegmentVersion = 2
+	// component blobs in the wire codec instead of gob. Version 3: one
+	// breaker blob, counting ticks, for apply, wake and pool quarantine.
+	SegmentVersion = 3
 
 	segHeaderLen  = 12
 	recHeaderLen  = 10

@@ -82,11 +82,11 @@ func (c BackoffConfig) Delay(retry int) time.Duration {
 type BreakerState int
 
 const (
-	// BreakerClosed: applies flow normally.
+	// BreakerClosed: the guarded path runs normally.
 	BreakerClosed BreakerState = iota
-	// BreakerOpen: applies are refused until the cooldown elapses.
+	// BreakerOpen: the path is refused until the cooldown ends.
 	BreakerOpen
-	// BreakerHalfOpen: one probe apply is allowed; success closes the
+	// BreakerHalfOpen: the next attempt is the probe; success closes the
 	// breaker, failure reopens it.
 	BreakerHalfOpen
 )
@@ -105,74 +105,70 @@ func (s BreakerState) String() string {
 	}
 }
 
-// Breaker is a consecutive-failure circuit breaker for the apply path.
-// Threshold consecutive round failures open it; after Cooldown it lets a
-// half-open probe through, closing on success and reopening on failure.
-// Safe for concurrent use.
+// Breaker is the control loop's one consecutive-failure circuit breaker.
+// Threshold consecutive failures open it (one failure when half-open);
+// it stays open for Cooldown ticks, and the tick that ends the cooldown
+// moves it to half-open. Failure and Success do nothing while it is
+// open. Its clients choose what a tick is: the Applier ticks once per
+// scale action (one replay step), the WakeGuard once per round while
+// open, pool quarantine once per round served in quarantine. The zero
+// value is a closed breaker with the defaults. Safe for concurrent use.
 type Breaker struct {
 	// Threshold is the consecutive failure count that opens the breaker
 	// (default 3).
 	Threshold int
-	// Cooldown is how long the breaker stays open before probing
-	// (default 2 minutes).
-	Cooldown time.Duration
+	// Cooldown is how many ticks the breaker stays open (default 1).
+	Cooldown int
 
 	mu       sync.Mutex
 	state    BreakerState
 	failures int
-	openedAt time.Time
+	// ticksLeft is the rest of the cooldown; positive exactly while open.
+	ticksLeft int
+	trips     int64
 }
 
-func (b *Breaker) threshold() int {
-	if b.Threshold <= 0 {
-		return 3
-	}
-	return b.Threshold
-}
-
-func (b *Breaker) cooldown() time.Duration {
-	if b.Cooldown <= 0 {
-		return 2 * time.Minute
-	}
-	return b.Cooldown
-}
-
-// Allow reports whether an apply may proceed at the given time, moving
-// an open breaker to half-open once the cooldown has elapsed.
-func (b *Breaker) Allow(now time.Time) bool {
+// Tick advances an open breaker's cooldown by one tick and returns the
+// state after it.
+func (b *Breaker) Tick() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerOpen:
-		if now.Sub(b.openedAt) >= b.cooldown() {
-			b.setState(BreakerHalfOpen)
-			return true
+	if b.state == BreakerOpen {
+		if b.ticksLeft--; b.ticksLeft <= 0 {
+			b.state = BreakerHalfOpen
 		}
-		return false
-	default:
-		return true
 	}
+	return b.state
 }
 
-// Success records a successful apply round, closing the breaker.
+// Success records a success: it closes a closed or half-open breaker and
+// clears the failure streak.
 func (b *Breaker) Success() {
 	b.mu.Lock()
-	b.failures = 0
-	b.setState(BreakerClosed)
+	if b.state != BreakerOpen {
+		b.state, b.failures = BreakerClosed, 0
+	}
 	b.mu.Unlock()
 }
 
-// Failure records a failed apply round at the given time; a half-open
-// probe failure or the Threshold-th consecutive failure opens the
-// breaker.
-func (b *Breaker) Failure(now time.Time) {
+// Failure records a failure and reports whether it opened the breaker:
+// the Threshold-th consecutive one, or any in half-open.
+func (b *Breaker) Failure() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.failures++
-	if b.state == BreakerHalfOpen || b.failures >= b.threshold() {
-		b.openedAt = now
-		b.setState(BreakerOpen)
+	if b.state == BreakerOpen {
+		return false
 	}
+	threshold := b.Threshold
+	if threshold <= 0 {
+		threshold = 3
+	}
+	if b.failures++; b.state == BreakerClosed && b.failures < threshold {
+		return false
+	}
+	b.state, b.ticksLeft = BreakerOpen, max(b.Cooldown, 1)
+	b.trips++
+	return true
 }
 
 // State returns the breaker's current position.
@@ -182,14 +178,11 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// setState mirrors a transition into the gauge — a process-wide cache
-// line every tenant's Success would otherwise store to on every step;
-// callers hold b.mu.
-func (b *Breaker) setState(s BreakerState) {
-	if b.state != s {
-		b.state = s
-		breakerState.Set(float64(s))
-	}
+// Trips counts the times the breaker opened.
+func (b *Breaker) Trips() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.trips
 }
 
 // Applier drives one scale action through retry-with-backoff and the
@@ -201,35 +194,36 @@ type Applier struct {
 	Apply func(target int) error
 	// Backoff shapes the retry schedule (zero value = defaults).
 	Backoff BackoffConfig
-	// Breaker, when set, gates the whole round.
+	// Breaker, when set, gates the whole action; ScaleTo ticks it once.
 	Breaker *Breaker
-	// Clock supplies the round's notion of now (virtual time in replays);
-	// defaults to time.Now.
+	// Clock stamps journal events (virtual time in replays); defaults to
+	// time.Now.
 	Clock func() time.Time
 	// Sleep, when set, is called with each backoff delay.
 	Sleep func(time.Duration)
 }
 
-func (a *Applier) now() time.Time {
-	if a.Clock != nil {
-		return a.Clock()
-	}
-	return time.Now()
-}
-
-// ScaleTo attempts the scale action with retries. On success the breaker
-// closes and nil is returned. When the breaker is open, or every attempt
-// fails, an error is returned and the caller is expected to hold its
-// current allocation — the safe degraded behavior; holds are counted in
-// robustscale_apply_holds_total.
+// ScaleTo attempts the scale action with retries. It ticks the breaker
+// first, so a breaker's cooldown counts scale actions — one per replay
+// step. On success the breaker closes and nil is returned. When the
+// breaker is open, or every attempt fails, an error is returned and the
+// caller is expected to hold its current allocation — the safe degraded
+// behavior; holds are counted in robustscale_apply_holds_total. The
+// breaker's state changes are mirrored into
+// robustscale_apply_breaker_state; a closed breaker never writes it.
 func (a *Applier) ScaleTo(target int) error {
 	if a.Apply == nil {
 		return fmt.Errorf("scaler: applier has no apply function")
 	}
-	now := a.now()
-	if a.Breaker != nil && !a.Breaker.Allow(now) {
-		applyHolds.Inc()
-		return fmt.Errorf("%w: holding current allocation (scale to %d deferred)", ErrBreakerOpen, target)
+	state := BreakerClosed
+	if a.Breaker != nil {
+		if state = a.Breaker.Tick(); state != BreakerClosed {
+			breakerState.Set(float64(state))
+		}
+		if state == BreakerOpen {
+			applyHolds.Inc()
+			return fmt.Errorf("%w: holding current allocation (scale to %d deferred)", ErrBreakerOpen, target)
+		}
 	}
 	cfg := a.Backoff.withDefaults()
 	var lastErr error
@@ -249,13 +243,20 @@ func (a *Applier) ScaleTo(target int) error {
 		}
 		if a.Breaker != nil {
 			a.Breaker.Success()
+			if state != BreakerClosed {
+				breakerState.Set(float64(BreakerClosed))
+			}
 		}
 		return nil
 	}
-	if a.Breaker != nil {
-		a.Breaker.Failure(a.now())
+	if a.Breaker != nil && a.Breaker.Failure() {
+		breakerState.Set(float64(BreakerOpen))
 	}
 	applyHolds.Inc()
+	now := time.Now()
+	if a.Clock != nil {
+		now = a.Clock()
+	}
 	obs.DefaultJournal.RecordAt(now, "apply-failed",
 		fmt.Sprintf("scale to %d failed after %d attempts: %v", target, cfg.MaxAttempts, lastErr),
 		map[string]float64{"target": float64(target), "attempts": float64(cfg.MaxAttempts)})

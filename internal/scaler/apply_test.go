@@ -45,15 +45,12 @@ func TestApplierRetriesThenSucceeds(t *testing.T) {
 }
 
 func TestApplierExhaustsAndBreakerOpens(t *testing.T) {
-	now := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
-	clock := func() time.Time { return now }
-	br := &Breaker{Threshold: 2, Cooldown: time.Hour}
+	br := &Breaker{Threshold: 2, Cooldown: 3}
 	calls := 0
 	a := &Applier{
 		Apply:   func(int) error { calls++; return errors.New("down") },
 		Backoff: BackoffConfig{MaxAttempts: 2, Base: time.Millisecond},
 		Breaker: br,
-		Clock:   clock,
 	}
 	if err := a.ScaleTo(3); err == nil {
 		t.Fatal("exhausted retries should error")
@@ -68,18 +65,20 @@ func TestApplierExhaustsAndBreakerOpens(t *testing.T) {
 		t.Fatalf("threshold reached, breaker = %v", br.State())
 	}
 
-	// Open breaker: the round is refused before touching the control plane.
+	// Open breaker: the next two actions are refused before touching the
+	// control plane; each is one tick of the 3-tick cooldown.
 	before := calls
-	err := a.ScaleTo(3)
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err = %v, want ErrBreakerOpen", err)
+	for i := 0; i < 2; i++ {
+		if err := a.ScaleTo(3); !errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("action %d in the cooldown: err = %v, want ErrBreakerOpen", i, err)
+		}
 	}
 	if calls != before {
 		t.Error("open breaker still called apply")
 	}
 
-	// After the cooldown a half-open probe goes through; success closes.
-	now = now.Add(2 * time.Hour)
+	// The third tick ends the cooldown: a half-open probe goes through and
+	// its success closes the breaker.
 	a.Apply = func(int) error { calls++; return nil }
 	if err := a.ScaleTo(3); err != nil {
 		t.Fatalf("half-open probe should succeed: %v", err)
@@ -90,24 +89,21 @@ func TestApplierExhaustsAndBreakerOpens(t *testing.T) {
 }
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	t0 := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
-	br := &Breaker{Threshold: 1, Cooldown: time.Minute}
-	br.Failure(t0)
-	if br.State() != BreakerOpen {
+	br := &Breaker{Threshold: 1, Cooldown: 2}
+	if !br.Failure() || br.State() != BreakerOpen {
 		t.Fatalf("state = %v", br.State())
 	}
-	if br.Allow(t0.Add(time.Second)) {
-		t.Error("open breaker inside cooldown should refuse")
+	if br.Tick() != BreakerOpen {
+		t.Error("the first of two cooldown ticks should keep it open")
 	}
-	if !br.Allow(t0.Add(2 * time.Minute)) {
-		t.Fatal("cooldown elapsed, probe should be allowed")
+	if br.Success(); br.Failure() || br.State() != BreakerOpen {
+		t.Error("an open breaker should ignore Success and Failure")
 	}
-	if br.State() != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", br.State())
+	if br.Tick() != BreakerHalfOpen {
+		t.Fatalf("state = %v after the cooldown, want half-open", br.State())
 	}
-	br.Failure(t0.Add(2 * time.Minute))
-	if br.State() != BreakerOpen {
-		t.Errorf("failed probe should reopen, state = %v", br.State())
+	if !br.Failure() || br.State() != BreakerOpen || br.Trips() != 2 {
+		t.Errorf("failed probe should reopen, state = %v, trips = %d", br.State(), br.Trips())
 	}
 }
 
@@ -115,18 +111,16 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 // under -race it proves the state machine is data-race free, and the
 // final state must still be a valid one.
 func TestBreakerConcurrent(t *testing.T) {
-	br := &Breaker{Threshold: 3, Cooldown: time.Microsecond}
-	base := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	br := &Breaker{Threshold: 3, Cooldown: 2}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				now := base.Add(time.Duration(g*200+i) * time.Millisecond)
-				if br.Allow(now) {
+				if br.Tick() != BreakerOpen {
 					if (g+i)%3 == 0 {
-						br.Failure(now)
+						br.Failure()
 					} else {
 						br.Success()
 					}
@@ -159,7 +153,7 @@ func TestApplierConcurrent(t *testing.T) {
 			return nil
 		},
 		Backoff: BackoffConfig{MaxAttempts: 2, Base: time.Millisecond},
-		Breaker: &Breaker{Threshold: 4, Cooldown: time.Microsecond},
+		Breaker: &Breaker{Threshold: 4, Cooldown: 2},
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"time"
 
 	"robustscale/internal/forecast"
 	"robustscale/internal/wire"
@@ -13,7 +12,7 @@ import (
 // Checkpoint blobs of the resilience state (layouts in DESIGN.md §8). A
 // restarted control plane that forgot its guard position would re-enter
 // normal mode on a degraded stack, and a forgotten open breaker would
-// hammer a failing control plane — so both serialize alongside the models.
+// hammer a failing path — so both serialize alongside the models.
 
 // Save writes the guard's degradation-ladder position and retained
 // last-known-good fan (no levels, mean or rows when none is retained).
@@ -68,43 +67,35 @@ func (g *Guard) Load(r io.Reader) error {
 	return nil
 }
 
-// Save writes the breaker's position and consecutive-failure count.
-// openedAt is stored as an absolute timestamp: the replay clock is
-// virtual but monotone across restarts, so cooldown arithmetic stays
-// correct.
+// Save writes the breaker blob: state, consecutive failures, cooldown
+// ticks left and trips. It is the one breaker layout; the wake-guard blob
+// and the fleet's loop accounting embed it as a section.
 func (b *Breaker) Save(w io.Writer) error {
-	b.mu.Lock()
-	state, failures, openedAt := b.state, b.failures, b.openedAt
-	b.mu.Unlock()
-	at, err := openedAt.MarshalBinary()
-	if err == nil {
-		buf := wire.AppendVarints(wire.Scratch(w), int64(state), int64(failures))
-		_, err = w.Write(wire.AppendSection(buf, at))
-	}
-	if err != nil {
-		return fmt.Errorf("scaler: saving breaker: %w", err)
-	}
-	return nil
+	_, err := w.Write(b.appendBlob(wire.Scratch(w)))
+	return err
 }
 
-// Load restores a breaker saved by Save, re-exporting the state gauge.
+func (b *Breaker) appendBlob(buf []byte) []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return wire.AppendVarints(buf, int64(b.state), int64(b.failures), int64(b.ticksLeft), b.trips)
+}
+
+// Load restores a blob written by Save; a blob that does not decode to a
+// reachable position leaves the breaker as it was.
 func (b *Breaker) Load(r io.Reader) error {
 	rd := wire.ReadFrom(r)
-	state, failures := rd.Int(), rd.Int()
-	var openedAt time.Time
-	if err := openedAt.UnmarshalBinary(rd.Section()); err != nil {
-		rd.Fail(err)
-	}
+	state, failures, left, trips := BreakerState(rd.Int()), rd.Int(), rd.Int(), rd.Varint()
 	if err := rd.Done(); err != nil {
 		return fmt.Errorf("scaler: loading breaker: %w", err)
 	}
-	if state < int(BreakerClosed) || state > int(BreakerHalfOpen) {
-		return fmt.Errorf("scaler: breaker snapshot has unknown state %d", state)
+	if state < BreakerClosed || state > BreakerHalfOpen || failures < 0 || trips < 0 ||
+		left < 0 || (left > 0) != (state == BreakerOpen) {
+		return fmt.Errorf("scaler: breaker snapshot holds no reachable position (state %d, %d failures, %d ticks left, %d trips)",
+			state, failures, left, trips)
 	}
 	b.mu.Lock()
-	b.failures = failures
-	b.openedAt = openedAt
-	b.setState(BreakerState(state))
+	b.state, b.failures, b.ticksLeft, b.trips = state, failures, left, trips
 	b.mu.Unlock()
 	return nil
 }

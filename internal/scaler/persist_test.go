@@ -3,7 +3,6 @@ package scaler
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"robustscale/internal/forecast"
 )
@@ -65,10 +64,10 @@ func TestGuardLoadRejectsBadMode(t *testing.T) {
 }
 
 func TestBreakerSaveLoadRoundTrip(t *testing.T) {
-	base := time.Date(2024, 3, 1, 10, 0, 0, 0, time.UTC)
-	b := &Breaker{Threshold: 2, Cooldown: time.Minute}
-	b.Failure(base)
-	b.Failure(base.Add(time.Second)) // second consecutive failure opens it
+	b := &Breaker{Threshold: 2, Cooldown: 3}
+	b.Failure()
+	b.Failure() // second consecutive failure opens it
+	b.Tick()
 	if b.State() != BreakerOpen {
 		t.Fatalf("setup: breaker %v, want open", b.State())
 	}
@@ -77,23 +76,20 @@ func TestBreakerSaveLoadRoundTrip(t *testing.T) {
 	if err := b.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b2 := &Breaker{Threshold: 2, Cooldown: time.Minute}
+	b2 := &Breaker{Threshold: 2, Cooldown: 3}
 	if err := b2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if b2.State() != BreakerOpen {
-		t.Fatalf("restored breaker %v, want open", b2.State())
+	if b2.State() != BreakerOpen || b2.Trips() != 1 {
+		t.Fatalf("restored breaker %v after %d trips, want open after 1", b2.State(), b2.Trips())
 	}
-	// Cooldown arithmetic continues from the persisted open time: still
-	// held before the cooldown, half-open probe after.
-	if b2.Allow(base.Add(30 * time.Second)) {
-		t.Error("restored breaker allowed an apply inside the cooldown")
+	// The cooldown continues where it was saved: one of three ticks is
+	// spent, the second keeps it open, the third ends it.
+	if b2.Tick() != BreakerOpen {
+		t.Error("restored breaker left its cooldown a tick early")
 	}
-	if !b2.Allow(base.Add(2 * time.Minute)) {
-		t.Error("restored breaker refused the half-open probe after cooldown")
-	}
-	if b2.State() != BreakerHalfOpen {
-		t.Fatalf("after cooldown: %v, want half-open", b2.State())
+	if b2.Tick() != BreakerHalfOpen {
+		t.Fatalf("after the cooldown: %v, want half-open", b2.State())
 	}
 }
 

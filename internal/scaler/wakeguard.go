@@ -4,13 +4,15 @@
 // hovering at the idle threshold parks and cold-wakes every few rounds,
 // paying the wake latency each time) and wake failure loops (a tenant
 // that cannot come back from zero at all). WakeGuard shapes each round's
-// plan with park/wake hysteresis and runs a wake circuit breaker whose
-// open state degrades gracefully to a keep-warm floor: after enough
-// consecutive failed wakes the tenant is pinned at >= KeepWarmNodes and
-// never parked until the breaker's cooldown elapses.
+// plan with park/wake hysteresis and runs a wake Breaker whose open state
+// degrades gracefully to a keep-warm floor: after enough consecutive
+// failed wakes the tenant is pinned at one node or more and never parked
+// until the breaker's cooldown ends.
 package scaler
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -33,8 +35,8 @@ const (
 	// WakeHold: the tenant is idle but hysteresis blocks the park; it
 	// holds a one-node floor.
 	WakeHold
-	// WakeKeepWarm: the wake breaker is open; the plan is floored at the
-	// keep-warm node count regardless of demand.
+	// WakeKeepWarm: the wake breaker is open; the plan is floored at one
+	// node regardless of demand.
 	WakeKeepWarm
 )
 
@@ -78,17 +80,14 @@ type WakeGuardConfig struct {
 	// an active tenant may park (default 3).
 	MinIdleRounds int
 	// WakeDebounceRounds blocks re-parking for this many rounds after a
-	// wake, breaking zero<->nonzero flap cycles (default 2).
+	// wake, breaking zero<->nonzero flapping (default 2).
 	WakeDebounceRounds int
 	// KeepWarmAfterFails opens the wake breaker after this many
 	// consecutive failed wakes (default 3).
 	KeepWarmAfterFails int
-	// BreakerCooldownRounds is how long the breaker stays open before a
-	// half-open probe wake is allowed (default 6).
+	// BreakerCooldownRounds is how many rounds the breaker stays open
+	// before a half-open probe wake is allowed (default 6).
 	BreakerCooldownRounds int
-	// KeepWarmNodes is the graceful-degradation floor held while the
-	// breaker is open (default 1).
-	KeepWarmNodes int
 }
 
 // WithDefaults returns the configuration the guard runs with: every
@@ -107,9 +106,6 @@ func (c WakeGuardConfig) WithDefaults() WakeGuardConfig {
 	if c.BreakerCooldownRounds <= 0 {
 		c.BreakerCooldownRounds = 6
 	}
-	if c.KeepWarmNodes <= 0 {
-		c.KeepWarmNodes = 1
-	}
 	return c
 }
 
@@ -123,15 +119,14 @@ type WakeGuard struct {
 	// Clock stamps journal events; defaults to time.Now.
 	Clock func() time.Time
 
-	parked       bool
-	idleRounds   int
-	sinceWake    int
-	consecFails  int
-	breakerOpen  bool
-	cooldownLeft int
+	parked     bool
+	idleRounds int
+	sinceWake  int
+	// breaker counts failed wakes and its cooldown in rounds.
+	breaker Breaker
 
 	// Lifetime counters.
-	parks, wakes, blockedParks, breakerTrips int64
+	parks, wakes, blockedParks int64
 }
 
 // Parked reports whether the guard currently holds the tenant at zero.
@@ -139,40 +134,36 @@ func (g *WakeGuard) Parked() bool { return g.parked }
 
 // BreakerOpen reports whether the wake breaker is holding the keep-warm
 // floor.
-func (g *WakeGuard) BreakerOpen() bool { return g.breakerOpen }
+func (g *WakeGuard) BreakerOpen() bool { return g.breaker.State() == BreakerOpen }
 
 // Parks, Wakes, BlockedParks and BreakerTrips are lifetime counters.
 func (g *WakeGuard) Parks() int64        { return g.parks }
 func (g *WakeGuard) Wakes() int64        { return g.wakes }
 func (g *WakeGuard) BlockedParks() int64 { return g.blockedParks }
-func (g *WakeGuard) BreakerTrips() int64 { return g.breakerTrips }
+func (g *WakeGuard) BreakerTrips() int64 { return g.breaker.Trips() }
 
 // Shape applies park/wake hysteresis to the round's plan in place and
 // returns the transition taken. idle is the caller's verdict that the
 // tenant has no genuine demand this round (forecast floor and realized
 // tail both below the idle threshold). Shape never emits a negative
-// allocation, and with the breaker open it never emits below the
-// keep-warm floor.
+// allocation, and with the breaker open it never emits below one node.
 func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 	cfg := g.Config.WithDefaults()
 	g.sinceWake++
 
 	// Open breaker: graceful degradation. Hold the keep-warm floor no
-	// matter what demand says, counting down to a half-open probe.
-	if g.breakerOpen {
+	// matter what demand says; each such round is one cooldown tick.
+	if g.breaker.State() == BreakerOpen {
 		for i := range plan {
-			if plan[i] < cfg.KeepWarmNodes {
-				plan[i] = cfg.KeepWarmNodes
+			if plan[i] < 1 {
+				plan[i] = 1
 			}
 		}
 		g.parked = false
 		g.idleRounds = 0
-		g.cooldownLeft--
-		if g.cooldownLeft <= 0 {
-			// Half-open: the next wake attempt is the probe. One more
-			// failure re-trips immediately; a success closes for good.
-			g.breakerOpen = false
-			g.consecFails = cfg.KeepWarmAfterFails - 1
+		if g.breaker.Tick() == BreakerHalfOpen {
+			// The next wake attempt is the probe: one more failure
+			// re-trips, a success closes.
 			g.journal("wake breaker half-open: next wake is the probe", nil)
 		}
 		return WakeKeepWarm
@@ -236,23 +227,16 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 // success closes it and clears the failure streak; enough consecutive
 // failures trip it open, pinning the keep-warm floor for the cooldown.
 func (g *WakeGuard) OnWakeResult(ok bool) {
-	cfg := g.Config.WithDefaults()
 	if ok {
-		g.consecFails = 0
+		g.breaker.Success()
 		return
 	}
-	g.consecFails++
-	if !g.breakerOpen && g.consecFails >= cfg.KeepWarmAfterFails {
-		g.breakerOpen = true
-		g.cooldownLeft = cfg.BreakerCooldownRounds
-		g.breakerTrips++
+	cfg := g.Config.WithDefaults()
+	g.breaker.Threshold, g.breaker.Cooldown = cfg.KeepWarmAfterFails, cfg.BreakerCooldownRounds
+	if g.breaker.Failure() {
 		g.parked = false
-		g.journal(fmt.Sprintf("wake breaker open after %d consecutive failed wakes: holding %d keep-warm node(s)",
-			g.consecFails, cfg.KeepWarmNodes),
-			map[string]float64{
-				"consecutive_fails": float64(g.consecFails),
-				"keep_warm_nodes":   float64(cfg.KeepWarmNodes),
-			})
+		g.journal(fmt.Sprintf("wake breaker open after %d consecutive failed wakes: holding 1 keep-warm node(s)", cfg.KeepWarmAfterFails),
+			map[string]float64{"consecutive_fails": float64(cfg.KeepWarmAfterFails), "keep_warm_nodes": 1})
 	}
 }
 
@@ -260,7 +244,7 @@ func (g *WakeGuard) OnWakeResult(ok bool) {
 // operator override), bypassing idleness. It is a no-op for an active
 // tenant or an open breaker.
 func (g *WakeGuard) ForceWake() bool {
-	if !g.parked || g.breakerOpen {
+	if !g.parked || g.BreakerOpen() {
 		return false
 	}
 	g.parked = false
@@ -279,30 +263,34 @@ func (g *WakeGuard) journal(msg string, fields map[string]float64) {
 	obs.DefaultJournal.RecordTenantAt(now, g.Tenant, "wake", msg, fields)
 }
 
-// Save snapshots the guard's mutable state; configuration is the owner's
-// to rebuild, matching every other component's persistence contract.
+// Save snapshots the guard's mutable state, its breaker's blob as a
+// section; configuration is the owner's to rebuild, matching every other
+// component's persistence contract.
 func (g *WakeGuard) Save(w io.Writer) error {
+	var sec [4 * binary.MaxVarintLen64]byte
 	b := wire.AppendBool(wire.Scratch(w), g.parked)
-	b = wire.AppendVarints(b, int64(g.idleRounds), int64(g.sinceWake), int64(g.consecFails))
-	b = wire.AppendBool(b, g.breakerOpen)
-	_, err := w.Write(wire.AppendVarints(b, int64(g.cooldownLeft), g.parks, g.wakes, g.blockedParks, g.breakerTrips))
+	b = wire.AppendVarints(b, int64(g.idleRounds), int64(g.sinceWake))
+	b = wire.AppendSection(b, g.breaker.appendBlob(sec[:0]))
+	_, err := w.Write(wire.AppendVarints(b, g.parks, g.wakes, g.blockedParks))
 	return err
 }
 
-// Load restores a snapshot written by Save.
+// Load restores a snapshot written by Save; a snapshot that does not load
+// leaves the guard as it was.
 func (g *WakeGuard) Load(r io.Reader) error {
 	rd := wire.ReadFrom(r)
-	parked, idleRounds, sinceWake, consecFails := rd.Bool(), rd.Int(), rd.Int(), rd.Int()
-	breakerOpen, cooldownLeft := rd.Bool(), rd.Int()
-	parks, wakes, blockedParks, breakerTrips := rd.Varint(), rd.Varint(), rd.Varint(), rd.Varint()
+	parked, idleRounds, sinceWake, breaker := rd.Bool(), rd.Int(), rd.Int(), rd.Section()
+	parks, wakes, blockedParks := rd.Varint(), rd.Varint(), rd.Varint()
 	if err := rd.Done(); err != nil {
 		return fmt.Errorf("scaler: loading wake-guard state: %w", err)
 	}
-	if idleRounds < 0 || sinceWake < 0 || consecFails < 0 || cooldownLeft < 0 {
+	if idleRounds < 0 || sinceWake < 0 {
 		return fmt.Errorf("scaler: wake-guard snapshot has negative counters")
 	}
+	if err := g.breaker.Load(bytes.NewReader(breaker)); err != nil {
+		return fmt.Errorf("scaler: loading wake-guard state: %w", err)
+	}
 	g.parked, g.idleRounds, g.sinceWake = parked, idleRounds, sinceWake
-	g.consecFails, g.breakerOpen, g.cooldownLeft = consecFails, breakerOpen, cooldownLeft
-	g.parks, g.wakes, g.blockedParks, g.breakerTrips = parks, wakes, blockedParks, breakerTrips
+	g.parks, g.wakes, g.blockedParks = parks, wakes, blockedParks
 	return nil
 }

@@ -77,7 +77,7 @@ func TestWakeGuardWakeDebounce(t *testing.T) {
 
 func TestWakeGuardBreakerKeepWarm(t *testing.T) {
 	g := &WakeGuard{Config: WakeGuardConfig{
-		KeepWarmAfterFails: 2, BreakerCooldownRounds: 3, KeepWarmNodes: 2,
+		KeepWarmAfterFails: 2, BreakerCooldownRounds: 3,
 	}}
 
 	g.OnWakeResult(false)
@@ -89,15 +89,15 @@ func TestWakeGuardBreakerKeepWarm(t *testing.T) {
 		t.Fatal("breaker did not trip after 2 consecutive fails")
 	}
 
-	// While open: every plan is floored at the keep-warm count, idleness
-	// is ignored, parking is impossible.
+	// While open: every plan is floored at the one-node keep-warm floor,
+	// idleness is ignored, parking is impossible.
 	for round := 0; round < 2; round++ {
 		p := plan(0, 1, 5)
 		if tr := g.Shape(p, true); tr != WakeKeepWarm {
 			t.Fatalf("open round %d: %v", round, tr)
 		}
-		if p[0] != 2 || p[1] != 2 || p[2] != 5 {
-			t.Errorf("open round %d plan = %v, want keep-warm floor 2", round, p)
+		if p[0] != 1 || p[1] != 1 || p[2] != 5 {
+			t.Errorf("open round %d plan = %v, want keep-warm floor 1", round, p)
 		}
 		if g.Parked() {
 			t.Fatal("parked with breaker open")
