@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench bench-compile bench-save bench-check fuzz fleet-smoke slo-smoke fleet-chaos-smoke wake-smoke ci experiments examples clean
+.PHONY: all build test vet race cover bench bench-compile bench-save bench-check fuzz fleet-smoke slo-smoke fleet-chaos-smoke wake-smoke no-binaries ci experiments examples clean
 
 all: build vet test
 
@@ -85,8 +85,15 @@ fleet-chaos-smoke:
 wake-smoke:
 	scripts/wake_smoke.sh
 
+# Fail when git tracks a compiled binary (an ELF file): build output
+# belongs in .gitignore, not in the history.
+no-binaries:
+	@elf=$$(git ls-files | while IFS= read -r f; do \
+		[ -f "$$f" ] && [ "$$(head -c 4 "$$f" | od -An -c | tr -d ' ')" = '177ELF' ] && echo "$$f"; \
+	done); if [ -n "$$elf" ]; then echo "compiled binaries are tracked:"; echo "$$elf"; exit 1; fi
+
 # Everything the CI workflow checks, runnable locally in one shot.
-ci: build vet
+ci: build vet no-binaries
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) test ./...

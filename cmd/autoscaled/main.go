@@ -122,53 +122,31 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	logf := log.New(stderr, "", 0).Printf
 	fs := flag.NewFlagSet("autoscaled", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	def := fleet.DefaultConfig(1)
+	def.Theta, def.Horizon, def.SLOWindow = 100, 72, 144
+	f := fleet.BindFlags(fs, def)
+	cfg := &f.Config
 	wakeDef := scaler.WakeGuardConfig{}.WithDefaults()
 	var (
 		dataset    = fs.String("dataset", "alibaba", "workload: alibaba or google")
 		tenant     = fs.String("tenant", obs.DefaultTenant, "tenant id labelling this daemon's decisions, journal events, metrics and checkpoints")
-		seed       = fs.Int64("seed", 42, "trace seed")
 		days       = fs.Int("days", 7, "how many days of workload to replay")
-		strategy   = fs.String("strategy", "robust", "robust | adaptive | reactive-max | reactive-avg")
-		tau        = fs.Float64("tau", 0.9, "quantile level (robust) or optimistic level (adaptive)")
-		tau2       = fs.Float64("tau2", 0.95, "conservative level for adaptive")
-		rho        = fs.Float64("rho", 0, "uncertainty threshold for adaptive (0 = auto-calibrate)")
-		theta      = fs.Float64("theta", 100, "per-node workload threshold")
-		horizon    = fs.Int("horizon", 72, "planning horizon in steps")
 		epochs     = fs.Int("epochs", 6, "forecaster training epochs")
-		listen     = fs.String("listen", "", "address for the JSON status endpoint (e.g. :8080; empty disables)")
-		journalCap = fs.Int("journal-cap", 1024, "bounded event journal capacity (entries)")
+		journalCap int
 		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON file here when the replay ends (implies tracing)")
 		explain    = fs.String("explain", "", `print the decision explanation for a series step index, or "latest", after the replay`)
-
-		sloTarget  = fs.Float64("slo-target", 0.01, "violation-rate SLO driving the error-budget tracker and burn-rate alerts (0 disables the SLO plane)")
-		sloWindow  = fs.Int("slo-window", 144, "rolling error-budget window in replay steps")
-		burnSpec   = fs.String("burn-windows", "", `burn-rate alert rules as "[name=]<factor>x:<long>/<short>,..." (empty = defaults scaled to -slo-window)`)
-		labelLimit = fs.Int("label-limit", obs.DefaultLabelLimit, `per-metric label cardinality cap; excess label values collapse into the "other" series (<= 0 = unlimited)`)
-
-		guardOn     = fs.Bool("guard", true, "wrap the strategy in the resilience guard (fan repair, fallback ladder)")
-		guardBlowup = fs.Float64("guard-blowup", 8, "sanity bound: clamp forecasts above this multiple of the recent history maximum")
-		guardSlack  = fs.Float64("guard-coverage-slack", 0.25, "calibration health: tolerated shortfall of rolling coverage below each nominal level")
-		guardMaxWQL = fs.Float64("guard-max-wql", 0, "calibration health: rolling wQL above this marks the forecaster unhealthy (0 disables)")
 
 		applyRetries    = fs.Int("apply-retries", 3, "scale-apply attempts per round (first included)")
 		applyBackoff    = fs.Duration("apply-backoff", time.Second, "base backoff between apply retries (doubles per retry)")
 		breakerOpenAt   = fs.Int("breaker-threshold", 3, "consecutive failed apply rounds that open the circuit breaker")
 		breakerCooldown = fs.Duration("breaker-cooldown", 30*time.Minute, "virtual time the breaker stays open before probing (rounded up to whole replay steps)")
 
-		chaosProf = fs.String("chaos", "", "inject deterministic faults from this preset during the replay (forecast|telemetry|apply|node-kill|all|smoke)")
-		chaosSeed = fs.Int64("chaos-seed", 0, "chaos schedule seed (0 = use -seed)")
-
-		serverless    = fs.Bool("serverless", false, "serverless mode: the wake guard parks an idle tenant's plan to zero (the physical cluster holds a one-node floor) and wakes it when demand returns")
-		idleEps       = fs.Float64("idle-eps", 0, "workload level below which the tenant counts as idle (0 = theta/10)")
-		parkAfter     = fs.Int("park-after", 0, fmt.Sprintf("consecutive idle rounds before parking (<= 0 = default %d)", wakeDef.MinIdleRounds))
-		wakeDebounce  = fs.Int("wake-debounce", 0, fmt.Sprintf("rounds after a wake during which parking is refused (<= 0 = default %d)", wakeDef.WakeDebounceRounds))
-		keepWarmAfter = fs.Int("keep-warm-after", 0, fmt.Sprintf("consecutive wake failures tripping the wake breaker into keep-warm (<= 0 = default %d)", wakeDef.KeepWarmAfterFails))
-
-		stateDir     = fs.String("state-dir", "", "checkpoint directory for durable warm restarts (empty disables durability)")
-		stateRetain  = fs.Int("state-retain", persist.DefaultRetain, "checkpoint snapshots to retain in -state-dir")
-		ckptInterval = fs.Int("checkpoint-interval", 1, "write a checkpoint every N planning rounds (with -state-dir)")
+		idleEps      = fs.Float64("idle-eps", 0, "with -serverless, workload level below which the tenant counts as idle (0 = theta/10)")
+		parkAfter    = fs.Int("park-after", 0, fmt.Sprintf("with -serverless, consecutive idle rounds before parking (<= 0 = default %d)", wakeDef.MinIdleRounds))
+		wakeDebounce = fs.Int("wake-debounce", 0, fmt.Sprintf("with -serverless, rounds after a wake during which parking is refused (<= 0 = default %d)", wakeDef.WakeDebounceRounds))
 		roundDelay   = fs.Duration("round-delay", 0, "wall-clock pause after each planning round (paces the replay for live observation and kill/restart drills)")
 	)
+	fleet.PositiveIntVar(fs, &journalCap, "journal-cap", 1024, "bounded event journal capacity in `entries`")
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errFlags, err)
 	}
@@ -187,33 +165,27 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// it; the tracer is enabled only when someone can observe it
 	// (-trace-out or -listen), so a bare replay pays the disabled-tracer
 	// cost of ~one atomic load per span site.
-	obs.DefaultJournal = obs.NewJournal(*journalCap)
+	obs.DefaultJournal = obs.NewJournal(journalCap)
 	obs.DefaultDecisions.Reset()
 	obs.DefaultTracer.Reset()
-	obs.DefaultTracer.SetEnabled(*traceOut != "" || *listen != "")
+	obs.DefaultTracer.SetEnabled(*traceOut != "" || f.Listen != "")
 	// Decision records are the daemon's reason to exist (-explain,
 	// /decisions), so capture is always on here; library consumers stay
 	// at the disabled default.
 	obs.DefaultDecisions.SetEnabled(true)
-	obs.Default.SetLabelLimit(*labelLimit)
+	obs.Default.SetLabelLimit(f.LabelLimit)
 
 	// The SLO tracker exists before the listener binds so /slo and
 	// /alerts answer from the first request; it only starts consuming
 	// budget once the replay loop observes steps.
 	health := obs.NewHealth()
 	var slo *obs.SLOTracker
-	if *sloTarget != 0 {
-		cfg := obs.SLOConfig{Target: *sloTarget, Window: *sloWindow}
-		if *burnSpec != "" {
-			var perr error
-			if cfg.Rules, perr = obs.ParseBurnRules(*burnSpec); perr != nil {
-				return fmt.Errorf("-burn-windows: %v", perr)
-			}
-		}
-		if err := cfg.Validate(); err != nil {
+	if cfg.SLOTarget != 0 {
+		sc := obs.SLOConfig{Target: cfg.SLOTarget, Window: cfg.SLOWindow, Rules: cfg.BurnRules}
+		if err := sc.Validate(); err != nil {
 			return fmt.Errorf("-slo-target/-slo-window/-burn-windows: %w", err)
 		}
-		slo = obs.NewSLOTracker(cfg).InstrumentDefault()
+		slo = obs.NewSLOTracker(sc).InstrumentDefault()
 		slo.Journal = obs.DefaultJournal
 		slo.Tenant = *tenant
 	}
@@ -223,13 +195,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// instead of surfacing minutes later — a daemon that silently runs
 	// without its observability surface is worse than one that refuses
 	// to start — and operators can probe /status while training runs.
-	registry := ops.NewRegistry(*strategy, *theta)
+	registry := ops.NewRegistry(cfg.Strategy, cfg.Theta)
 	registry.Update(func(s *ops.Status) { s.Tenant = *tenant })
 	var httpSrv *http.Server
-	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
+	if f.Listen != "" {
+		ln, err := net.Listen("tcp", f.Listen)
 		if err != nil {
-			return fmt.Errorf("cannot serve observability endpoint on %s: %v", *listen, err)
+			return fmt.Errorf("cannot serve observability endpoint on %s: %v", f.Listen, err)
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/healthz", health.LiveHandler())
@@ -268,9 +240,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var err error
 	switch *dataset {
 	case "alibaba":
-		tr, err = robustscale.GenerateAlibabaTrace(*seed)
+		tr, err = robustscale.GenerateAlibabaTrace(cfg.Seed)
 	case "google":
-		tr, err = robustscale.GenerateGoogleTrace(*seed)
+		tr, err = robustscale.GenerateGoogleTrace(cfg.Seed)
 	default:
 		return fmt.Errorf("unknown dataset %q", *dataset)
 	}
@@ -288,11 +260,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		replaySteps = cpu.Len() / 2
 	}
 	trainEnd := cpu.Len() - replaySteps
-	planHorizon := *horizon
-	if *strategy == "reactive-max" || *strategy == "reactive-avg" {
+	planHorizon := cfg.Horizon
+	if cfg.Strategy == "reactive-max" || cfg.Strategy == "reactive-avg" {
 		planHorizon = 1
 	}
-	if err := fleet.CheckSizes(planHorizon, replaySteps, *theta); err != nil {
+	if err := fleet.CheckSizes(planHorizon, replaySteps, cfg.Theta); err != nil {
 		return err
 	}
 
@@ -300,20 +272,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// steps; the tenant keeps the forecaster wrapper and the apply wrapper
 	// on one cursor so injected faults stay aligned with virtual time.
 	var sched *chaos.Schedule
-	if *chaosProf != "" {
-		prof, err := chaos.Preset(*chaosProf)
+	if cfg.Chaos != "" {
+		prof, err := chaos.Preset(cfg.Chaos)
 		if err != nil {
 			return err
 		}
-		prof.Seed = *chaosSeed
+		prof.Seed = cfg.ChaosSeed
 		if prof.Seed == 0 {
-			prof.Seed = *seed
+			prof.Seed = cfg.Seed
 		}
 		prof.Steps = replaySteps
 		if sched, err = prof.Build(); err != nil {
 			return err
 		}
-		logf("autoscaled: chaos preset %q armed over %d steps (seed %d)", *chaosProf, replaySteps, prof.Seed)
+		logf("autoscaled: chaos preset %q armed over %d steps (seed %d)", cfg.Chaos, replaySteps, prof.Seed)
 	}
 
 	// The daemon is a fleet of one tenant: fleet.Tenant owns the round —
@@ -321,43 +293,38 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// — and the daemon supplies the parts its flags describe, the
 	// warm-up-aware cluster as the plant, and its side effects as hooks.
 	fpDataset := *dataset
-	if *serverless {
+	if cfg.Serverless {
 		// Park/wake state cannot resume into (or from) a non-serverless
 		// loop; a distinct dataset tag makes such checkpoints cold-start.
 		fpDataset += "+serverless"
 	}
-	plant := &cluster.ClusterPlant{Config: cluster.DefaultConfig(), Theta: *theta, StepLen: cpu.Step}
+	plant := &cluster.ClusterPlant{Config: cluster.DefaultConfig(), Theta: cfg.Theta, StepLen: cpu.Step}
 	t := &fleet.Tenant{
-		ID: *tenant, Archetype: *dataset, Seed: *seed,
+		ID: *tenant, Archetype: *dataset, Seed: cfg.Seed,
 		Series: cpu, TrainEnd: trainEnd, Horizon: planHorizon,
 		Fingerprint: persist.Fingerprint{
-			Tenant: *tenant, Strategy: *strategy, Dataset: fpDataset, Seed: *seed,
-			Theta: *theta, Horizon: *horizon, Tau: *tau, Tau2: *tau2,
+			Tenant: *tenant, Strategy: cfg.Strategy, Dataset: fpDataset, Seed: cfg.Seed,
+			Theta: cfg.Theta, Horizon: cfg.Horizon, Tau: cfg.Tau, Tau2: cfg.Tau2,
 		},
 		ForecasterKind: "tft",
-		CoverageSlack:  *guardSlack, MaxWQL: *guardMaxWQL,
-		Backoff:  scaler.BackoffConfig{MaxAttempts: *applyRetries, Base: *applyBackoff},
-		Breaker:  &scaler.Breaker{Threshold: *breakerOpenAt, Cooldown: int((*breakerCooldown + cpu.Step - 1) / cpu.Step)},
-		Sched:    sched,
-		Plant:    plant,
-		StateDir: *stateDir, Retain: *stateRetain,
+		Backoff:        scaler.BackoffConfig{MaxAttempts: *applyRetries, Base: *applyBackoff},
+		Breaker:        &scaler.Breaker{Threshold: *breakerOpenAt, Cooldown: int((*breakerCooldown + cpu.Step - 1) / cpu.Step)},
+		Sched:          sched,
+		Plant:          plant,
+		StateDir:       cfg.StateDir, Retain: cfg.Retain,
 	}
-	if *guardOn {
-		t.GuardConfig = &scaler.GuardConfig{Theta: *theta, Tau: *tau, BlowupFactor: *guardBlowup}
+	if cfg.Guard {
+		t.GuardConfig = &scaler.GuardConfig{Theta: cfg.Theta, Tau: cfg.Tau}
 	}
-	if *serverless {
+	if cfg.Serverless {
 		// The wake guard shapes every plan through the park/wake
 		// hysteresis. The physical cluster keeps its one-node minimum while
 		// parked — the zero lives in the plan and the status surface, which
 		// is exactly what a pooled serverless backend would see from this
 		// control loop.
-		t.WakeConfig = &scaler.WakeGuardConfig{
-			MinIdleRounds:      *parkAfter,
-			WakeDebounceRounds: *wakeDebounce,
-			KeepWarmAfterFails: *keepWarmAfter,
-		}
+		t.WakeConfig = &scaler.WakeGuardConfig{MinIdleRounds: *parkAfter, WakeDebounceRounds: *wakeDebounce}
 		if t.IdleEps = *idleEps; t.IdleEps <= 0 {
-			t.IdleEps = *theta / 10
+			t.IdleEps = fleet.IdleEps(cfg.Theta)
 		}
 		eff := t.WakeConfig.WithDefaults()
 		logf("autoscaled: serverless mode: park after %d idle rounds below %.2f, wake debounce %d rounds",
@@ -365,10 +332,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	var strat scaler.Strategy
 	t.Build = func(model []byte, savedRho float64) (_ scaler.Strategy, snapper forecast.Snapshotter, rhoUsed float64, err error) {
-		if *rho > 0 {
-			savedRho = *rho
+		if cfg.Rho > 0 {
+			savedRho = cfg.Rho
 		}
-		strat, snapper, rhoUsed, err = buildStrategy(*strategy, cpu.Slice(0, trainEnd), model, *tau, *tau2, savedRho, *theta, *horizon, *epochs, t.Faulty, logf)
+		strat, snapper, rhoUsed, err = buildStrategy(cfg.Strategy, cpu.Slice(0, trainEnd), model, cfg.Tau, cfg.Tau2, savedRho, cfg.Theta, cfg.Horizon, *epochs, t.Faulty, logf)
 		return strat, snapper, rhoUsed, err
 	}
 
@@ -411,10 +378,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		bad := uint64(0)
 		if st.Violated {
 			bad = 1
-			logf("%s VIOLATION: utilization %.1f > %.0f with %d nodes", stamp, st.Utilization, *theta, st.Nodes)
+			logf("%s VIOLATION: utilization %.1f > %.0f with %d nodes", stamp, st.Utilization, cfg.Theta, st.Nodes)
 			obs.DefaultJournal.RecordTenantAt(at, *tenant, "violation",
-				fmt.Sprintf("utilization %.1f > %.0f with %d nodes", st.Utilization, *theta, st.Nodes),
-				map[string]float64{"utilization": st.Utilization, "theta": *theta, "nodes": float64(st.Nodes)})
+				fmt.Sprintf("utilization %.1f > %.0f with %d nodes", st.Utilization, cfg.Theta, st.Nodes),
+				map[string]float64{"utilization": st.Utilization, "theta": cfg.Theta, "nodes": float64(st.Nodes)})
 		}
 		if slo != nil {
 			slo.ObserveAt(at, bad, 1)
@@ -433,7 +400,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			s.VirtualTime = c.Now()
 			s.Nodes = st.Nodes
 			s.Workload = st.Workload
-			s.Utilization = st.Utilization / *theta
+			s.Utilization = st.Utilization / cfg.Theta
 			s.Steps = tot.Steps
 			s.Violations = tot.Violations
 			s.ScaleOuts = c.ScaleOuts
@@ -490,7 +457,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	logf("autoscaled: strategy=%s theta=%.0f horizon=%d replaying %d steps of %s",
-		strat.Name(), *theta, planHorizon, replaySteps, cpu.Name)
+		strat.Name(), cfg.Theta, planHorizon, replaySteps, cpu.Name)
 	registry.Update(func(s *ops.Status) {
 		// The built strategy may carry a more specific name than the flag
 		// (e.g. "tft-0.9" for "robust").
@@ -554,7 +521,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				cpu.TimeAt(origin).Format("Jan 02"), tot.Steps, replaySteps,
 				tot.Violations, 100*float64(tot.Violations)/float64(tot.Steps), c.ScaleOuts, c.ScaleIns)
 		}
-		if *stateDir != "" && (*ckptInterval <= 1 || rounds%*ckptInterval == 0) {
+		if cfg.StateDir != "" && rounds%cfg.CheckpointInterval == 0 {
 			checkpoint()
 		}
 		if *roundDelay > 0 {
@@ -566,7 +533,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	// Final checkpoint: on shutdown between checkpoints (or with a sparse
 	// cadence) this bounds lost progress to zero rounds.
-	if *stateDir != "" && t.Origin() != lastCkpt {
+	if cfg.StateDir != "" && t.Origin() != lastCkpt {
 		checkpoint()
 		logf("autoscaled: final checkpoint written (replay step %d)", t.Origin()-trainEnd)
 	}
@@ -613,7 +580,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if *listen != "" && ctx.Err() == nil {
+	if f.Listen != "" && ctx.Err() == nil {
 		// A daemon asked to expose its observability surface keeps
 		// serving it after the replay — postmortem tooling can query
 		// /decisions, /trace and /journal at leisure; ^C or SIGTERM

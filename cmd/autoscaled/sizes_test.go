@@ -30,4 +30,17 @@ func TestNonsenseSizesExitTwo(t *testing.T) {
 			t.Errorf("autoscaled %s ran before rejecting its sizes:\n%s%s", args, stdout.String(), stderr.String())
 		}
 	}
+	// Values the flags themselves refuse, with the usage, instead of a
+	// clamp quietly replacing them later.
+	for _, args := range []string{"-checkpoint-interval 0", "-checkpoint-interval -1", "-state-retain 0",
+		"-journal-cap 0", "-burn-windows nonsense"} {
+		var stdout, stderr bytes.Buffer
+		code := exitCode(run(context.Background(), strings.Fields(args+" -epochs 1"), &stdout, &stderr), &stderr)
+		if code != 2 || stdout.Len() > 0 {
+			t.Errorf("autoscaled %s: exit status %d, want 2; stdout %q", args, code, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "invalid value") || !strings.Contains(stderr.String(), "Usage of autoscaled") {
+			t.Errorf("autoscaled %s: stderr lacks the reason or the usage:\n%s", args, stderr.String())
+		}
+	}
 }

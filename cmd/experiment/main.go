@@ -230,7 +230,7 @@ func runFleetChaos(w io.Writer, logf func(string, ...any), profile string, tenan
 	}
 	experiment.Header(w, fmt.Sprintf("Fleet resilience matrix (%d tenants, pool=%d, serverless=%v)", tenants, pool, serverless))
 	start := time.Now()
-	baseline, cells, err := fleet.ResilienceMatrix(cfg, presets, -1, -1)
+	baseline, cells, err := fleet.ResilienceMatrix(cfg, presets)
 	if err != nil {
 		return err
 	}

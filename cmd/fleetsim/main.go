@@ -20,9 +20,10 @@
 // fleet counters included) for scraping or CI assertions.
 //
 // -serverless switches the fleet to the scale-to-zero model: idle
-// tenants park to zero nodes after -park-after idle rounds, returning
-// demand wakes them with a -wake-seconds cold-start penalty, and the
-// planner sizes nodes jointly with count. The summary gains a
+// tenants park to zero nodes after three idle rounds, returning demand
+// wakes them with a 30-second cold-start penalty, and the planner sizes
+// nodes jointly with count (fleet.Config.Serverless documents where each
+// of those defaults lives). The summary gains a
 // "serverless" section (parks, wakes, wake-failure and latency
 // percentiles, wake_slo_met against -wake-slo) and the wake chaos
 // presets ("wake", "wake-storm") become meaningful.
@@ -58,7 +59,6 @@ import (
 
 	"robustscale/internal/fleet"
 	"robustscale/internal/obs"
-	"robustscale/internal/persist"
 )
 
 func main() {
@@ -96,57 +96,30 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	logf := log.New(stderr, "", 0).Printf
 	fs := flag.NewFlagSet("fleetsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	def := fleet.DefaultConfig(0)
+	f := fleet.BindFlags(fs, fleet.DefaultConfig(1000))
+	cfg := &f.Config
+	fs.IntVar(&cfg.Tenants, "tenants", cfg.Tenants, "fleet size")
+	fs.IntVar(&cfg.Days, "days", cfg.Days, "trace length per tenant in days")
+	fs.IntVar(&cfg.TrainDays, "train-days", cfg.TrainDays, "leading days visible as training history")
+	fs.IntVar(&cfg.Units, "units", cfg.Units, "machines aggregated into each tenant's trace")
+	fs.StringVar(&cfg.Forecaster, "forecaster", cfg.Forecaster, "seasonal-naive | naive | qmlp")
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "worker pool size batching tenant planning (0 = all CPUs; never changes results)")
+	fs.IntVar(&cfg.MaxRounds, "max-rounds", cfg.MaxRounds, "stop after N fleet rounds at a round boundary (0 = run to the end; kill-restart drills resume from here)")
+	fs.BoolVar(&cfg.PerTenant, "per-tenant", cfg.PerTenant, "include per-tenant records in the summary")
+	fs.IntVar(&cfg.PoolNodes, "pool", cfg.PoolNodes, "shared capacity pool in nodes; admission control clips aggregate demand to it (0 disables — bit-identical to no pool)")
+	fs.IntVar(&cfg.QuarantineAfter, "quarantine-after", cfg.QuarantineAfter, "consecutive clipped rounds before a tenant is quarantined to reactive planning (0 disables)")
+	fs.IntVar(&cfg.QuarantineRounds, "quarantine-rounds", cfg.QuarantineRounds, "rounds a quarantined tenant plans reactively before re-entry")
+	fs.Func("chaos-tenants", "comma-separated tenant `ids` to enroll in tenant-local chaos (empty = all; fleet-level classes always apply)", func(s string) error {
+		cfg.ChaosTenants = strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' })
+		return nil
+	})
+	fs.IntVar(&cfg.Zones, "zones", cfg.Zones, "failure domains tenants stripe across for zone-outage chaos")
+	fs.Float64Var(&cfg.WakeSLOSeconds, "wake-slo", cfg.WakeSLOSeconds, "p99 wake-latency SLO in seconds for the summary's wake_slo_met verdict")
 	var (
-		tenants      = fs.Int("tenants", 1000, "fleet size")
-		seed         = fs.Int64("seed", def.Seed, "fleet master seed (per-tenant seeds derive from it)")
-		days         = fs.Int("days", def.Days, "trace length per tenant in days")
-		trainDays    = fs.Int("train-days", def.TrainDays, "leading days visible as training history")
-		units        = fs.Int("units", def.Units, "machines aggregated into each tenant's trace")
-		horizon      = fs.Int("horizon", def.Horizon, "planning horizon in steps")
-		theta        = fs.Float64("theta", def.Theta, "per-node workload threshold")
-		tau          = fs.Float64("tau", def.Tau, "quantile level (robust) or optimistic level (adaptive)")
-		tau2         = fs.Float64("tau2", def.Tau2, "conservative level for adaptive")
-		rho          = fs.Float64("rho", 0, "adaptive uncertainty threshold (0 = auto-calibrate per tenant)")
-		strategy     = fs.String("strategy", def.Strategy, "robust | adaptive | reactive-max")
-		forecaster   = fs.String("forecaster", def.Forecaster, "seasonal-naive | naive | qmlp")
-		guard        = fs.Bool("guard", true, "wrap every tenant's strategy in the resilience guard")
-		workers      = fs.Int("workers", 0, "worker pool size batching tenant planning (0 = all CPUs; never changes results)")
-		stateDir     = fs.String("state-dir", "", "fleet checkpoint root; each checkpointed round is one segment file <dir>/segment-<seq>.seg holding every tenant's record, and the generated workload series are kept once in <dir>/series-<seq>.ser so a restart reads them back (series_restored) instead of regenerating (empty disables durability)")
-		ckptInterval = fs.Int("checkpoint-interval", 1, "commit a segment every N fleet rounds (with -state-dir)")
-		retain       = fs.Int("state-retain", persist.DefaultRetain, "segments retained; a tenant whose newest record is damaged resumes from the next-older one")
-		maxRounds    = fs.Int("max-rounds", 0, "stop after N fleet rounds at a round boundary (0 = run to the end; kill-restart drills resume from here)")
-		out          = fs.String("out", "", "write the JSON summary to this file (empty = stdout)")
-		metricsOut   = fs.String("metrics", "", "write the Prometheus metrics dump to this file after the run")
-		perTenant    = fs.Bool("per-tenant", true, "include per-tenant records in the summary")
-		decisions    = fs.Bool("decisions", true, "capture tenant-labelled decision records")
-
-		sloTarget  = fs.Float64("slo-target", def.SLOTarget, "fleet-wide violation-rate SLO driving the error-budget tracker and burn-rate alerts (0 disables the SLO plane; never changes decisions)")
-		sloWindow  = fs.Int("slo-window", def.SLOWindow, "rolling error-budget window in fleet rounds")
-		burnSpec   = fs.String("burn-windows", "", `burn-rate alert rules as "[name=]<factor>x:<long>/<short>,..." (empty = defaults scaled to -slo-window)`)
-		labelLimit = fs.Int("label-limit", obs.DefaultLabelLimit, `per-metric label cardinality cap; excess label values (e.g. tenant ids) collapse into the "other" series (<= 0 = unlimited)`)
-		listen     = fs.String("listen", "", "address for the fleet health surface (/healthz /readyz /slo /alerts /metrics /journal /decisions; empty disables)")
-
-		poolNodes    = fs.Int("pool", 0, "shared capacity pool in nodes; admission control clips aggregate demand to it (0 disables — bit-identical to no pool)")
-		quarAfter    = fs.Int("quarantine-after", def.QuarantineAfter, "consecutive clipped rounds before a tenant is quarantined to reactive planning (0 disables)")
-		quarRounds   = fs.Int("quarantine-rounds", def.QuarantineRounds, "rounds a quarantined tenant plans reactively before re-entry")
-		chaosPreset  = fs.String("chaos", "", "fleet chaos preset (none | forecast | telemetry | apply | node-kill | all | smoke | zone-outage | pool-collapse | admission-reject | fleet; empty disables)")
-		chaosSeed    = fs.Int64("chaos-seed", 0, "fault-schedule seed (0 = -seed)")
-		chaosTenants = fs.String("chaos-tenants", "", "comma-separated tenant ids to enroll in tenant-local chaos (empty = all; fleet-level classes always apply)")
-		zones        = fs.Int("zones", def.Zones, "failure domains tenants stripe across for zone-outage chaos")
-		baseline     = fs.String("baseline", "", "fault-free summary JSON to measure blast radius against (adds a blast_radius section to stderr log)")
-		violTol      = fs.Int("blast-viol-tol", -1, "absolute per-tenant violation drift tolerated before a bystander counts as affected (-1 = default)")
-		costTol      = fs.Float64("blast-cost-tol", -1, "fractional per-tenant cost drift tolerated before a bystander counts as affected (-1 = default)")
-
-		serverless    = fs.Bool("serverless", false, "serverless fleet: idle tenants scale to zero, wake from zero with a latency/cost penalty, and size nodes jointly with count (enables the wake chaos presets)")
-		idleEps       = fs.Float64("idle-eps", 0, "workload level below which a serverless tenant counts as idle (0 = theta/10)")
-		parkAfter     = fs.Int("park-after", 0, "consecutive idle rounds before a serverless tenant parks to zero (0 = default 3)")
-		wakeDebounce  = fs.Int("wake-debounce", 0, "rounds after a wake during which parking is refused (anti-flapping guard; 0 = default 2)")
-		keepWarmAfter = fs.Int("keep-warm-after", 0, "consecutive wake failures tripping the wake breaker into keep-warm degradation (0 = default 3)")
-		wakeCooldown  = fs.Int("wake-breaker-cooldown", 0, "rounds the wake breaker stays open before a half-open probe (0 = default 6)")
-		wakeSeconds   = fs.Float64("wake-seconds", 0, "fault-free cold-wake provisioning latency in seconds (0 = default 30)")
-		wakeCost      = fs.Float64("wake-cost", 0, "cost units charged per wake from zero (0 = default 2)")
-		wakeSLO       = fs.Float64("wake-slo", 0, "p99 wake-latency SLO in seconds for the summary's wake_slo_met verdict (0 = default 1800)")
+		out        = fs.String("out", "", "write the JSON summary to this file (empty = stdout)")
+		metricsOut = fs.String("metrics", "", "write the Prometheus metrics dump to this file after the run")
+		decisions  = fs.Bool("decisions", true, "capture tenant-labelled decision records")
+		baseline   = fs.String("baseline", "", "fault-free summary JSON to measure blast radius against (adds a blast_radius section to stderr log)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errFlags, err)
@@ -159,45 +132,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return err
 	}
-	if *tenants <= 0 {
-		return badSizes(fmt.Errorf("%w: -tenants must be positive, got %d", fleet.ErrSizes, *tenants))
+	if cfg.Tenants <= 0 {
+		return badSizes(fmt.Errorf("%w: -tenants must be positive, got %d", fleet.ErrSizes, cfg.Tenants))
 	}
-	if *workers < 0 {
-		return badSizes(fmt.Errorf("%w: -workers must be >= 0 (0 = all CPUs), got %d", fleet.ErrSizes, *workers))
-	}
-
-	var burnRules []obs.BurnRule
-	if *burnSpec != "" {
-		var err error
-		if burnRules, err = obs.ParseBurnRules(*burnSpec); err != nil {
-			return fmt.Errorf("-burn-windows: %w", err)
-		}
-	}
-	cfg := fleet.Config{
-		Tenants: *tenants, Seed: *seed,
-		Days: *days, TrainDays: *trainDays, Units: *units,
-		Horizon: *horizon, Theta: *theta, Tau: *tau, Tau2: *tau2, Rho: *rho,
-		Strategy: *strategy, Forecaster: *forecaster, Guard: *guard,
-		Workers: *workers, StateDir: *stateDir,
-		CheckpointInterval: *ckptInterval, Retain: *retain,
-		MaxRounds: *maxRounds, PerTenant: *perTenant,
-		SLOTarget: *sloTarget, SLOWindow: *sloWindow, BurnRules: burnRules,
-		PoolNodes: *poolNodes, QuarantineAfter: *quarAfter, QuarantineRounds: *quarRounds,
-		Chaos: *chaosPreset, ChaosSeed: *chaosSeed, Zones: *zones,
-		Serverless: *serverless, IdleEps: *idleEps,
-		ParkAfterRounds: *parkAfter, WakeDebounceRounds: *wakeDebounce,
-		KeepWarmAfterFails: *keepWarmAfter, WakeBreakerCooldown: *wakeCooldown,
-		WakeSeconds: *wakeSeconds, WakeCost: *wakeCost, WakeSLOSeconds: *wakeSLO,
-	}
-	if *chaosTenants != "" {
-		for _, id := range strings.Split(*chaosTenants, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				cfg.ChaosTenants = append(cfg.ChaosTenants, id)
-			}
-		}
+	if cfg.Workers < 0 {
+		return badSizes(fmt.Errorf("%w: -workers must be >= 0 (0 = all CPUs), got %d", fleet.ErrSizes, cfg.Workers))
 	}
 	obs.DefaultDecisions.SetEnabled(*decisions)
-	obs.Default.SetLabelLimit(*labelLimit)
+	obs.Default.SetLabelLimit(f.LabelLimit)
 
 	// The health surface binds before the (potentially long) fleet build:
 	// /healthz and /metrics answer immediately, /readyz stays 503 until
@@ -206,10 +148,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	health := obs.NewHealth()
 	var sloPtr atomic.Pointer[obs.SLOTracker]
 	var httpSrv *http.Server
-	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
+	if f.Listen != "" {
+		ln, err := net.Listen("tcp", f.Listen)
 		if err != nil {
-			return fmt.Errorf("cannot serve health surface on %s: %w", *listen, err)
+			return fmt.Errorf("cannot serve health surface on %s: %w", f.Listen, err)
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/healthz", health.LiveHandler())
@@ -236,7 +178,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	t0 := time.Now()
-	ctrl, err := fleet.New(cfg)
+	ctrl, err := fleet.New(*cfg)
 	if errors.Is(err, fleet.ErrSizes) {
 		return badSizes(err)
 	}
@@ -266,7 +208,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *baseline != "" {
-		br, err := blastRadiusAgainst(*baseline, rep, *violTol, *costTol)
+		br, err := blastRadiusAgainst(*baseline, rep)
 		if err != nil {
 			return fmt.Errorf("-baseline: %w", err)
 		}
@@ -282,7 +224,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if *listen != "" && ctx.Err() == nil {
+	if f.Listen != "" && ctx.Err() == nil {
 		logf("fleetsim: run complete; serving health surface until interrupted")
 		<-ctx.Done()
 	}
@@ -305,7 +247,7 @@ func sloHandler(p *atomic.Pointer[obs.SLOTracker], h func(*obs.SLOTracker) http.
 
 // blastRadiusAgainst loads a fault-free baseline summary and measures
 // how far this run's faults leaked beyond the tenants they target.
-func blastRadiusAgainst(path string, rep *fleet.Report, violTol int, costTol float64) (fleet.BlastRadius, error) {
+func blastRadiusAgainst(path string, rep *fleet.Report) (fleet.BlastRadius, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return fleet.BlastRadius{}, fmt.Errorf("reading baseline summary: %w", err)
@@ -314,7 +256,7 @@ func blastRadiusAgainst(path string, rep *fleet.Report, violTol int, costTol flo
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fleet.BlastRadius{}, fmt.Errorf("parsing baseline summary: %w", err)
 	}
-	return fleet.MeasureBlastRadius(&base, rep, violTol, costTol)
+	return fleet.MeasureBlastRadius(&base, rep)
 }
 
 // writeSummary encodes the report as indented JSON to the file or

@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -32,67 +34,116 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	var (
-		mode       = flag.String("mode", "train", "train or predict")
-		model      = flag.String("model", "tft", "tft | deepar | mlp | arima | qb5000")
-		dataset    = flag.String("dataset", "", "generate a trace: alibaba or google (alternative to -input)")
-		seed       = flag.Int64("seed", 42, "trace seed when generating")
-		input      = flag.String("input", "", "CSV trace path (written by tracegen)")
-		resource   = flag.String("resource", "cpu", "trace resource column")
-		out        = flag.String("out", "", "where to save the trained model")
-		in         = flag.String("in", "", "saved model to load for predict")
-		horizon    = flag.Int("horizon", 72, "forecast horizon in steps")
-		context    = flag.Int("context", 72, "model context window in steps")
-		epochs     = flag.Int("epochs", 8, "training epochs for neural models")
-		levelsCS   = flag.String("levels", "0.5,0.7,0.9", "comma-separated quantile levels for predict")
-		periodFlag = flag.Int("period", 0, "seasonal period for arima in steps (0 = auto-detect from the trace)")
-	)
-	flag.Parse()
+	os.Exit(exitCode(run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
 
-	series, err := loadSeries(*dataset, *input, *resource, *seed)
-	if err != nil {
-		log.Fatal(err)
+// exitCode reports a run error on stderr and maps it to the process exit
+// status: 0 on success (and -h), 2 for a command line that cannot run,
+// 1 for a run that failed.
+func exitCode(err error, stderr io.Writer) int {
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2 // the problem and the usage are already on stderr
+	}
+	fmt.Fprintf(stderr, "forecast: %v\n", err)
+	return 1
+}
+
+// errUsage marks a command line that cannot run.
+var errUsage = errors.New("invalid command line")
+
+// job is one parsed command line: the model to build, the series it runs
+// on, and where its output and logs go.
+type job struct {
+	model                            string
+	series                           *timeseries.Series
+	in, out                          string
+	context, horizon, epochs, period int
+	levels                           []float64
+	stdout                           io.Writer
+	logf                             func(string, ...any)
+}
+
+// modes maps -mode to what it does.
+var modes = map[string]func(*job) error{"train": train, "predict": predict, "backtest": backtest, "tune": tune}
+
+// models maps -model to an untrained instance; saved models must be loaded
+// into an identically configured one, so predict builds through it too.
+var models = map[string]func(j *job) forecast.Forecaster{
+	"arima": func(j *job) forecast.Forecaster { return forecast.NewSeasonalARIMA(6, 0, 2, j.period) },
+	"mlp": func(j *job) forecast.Forecaster {
+		return forecast.NewMLP(forecast.MLPConfig{Context: j.context, Hidden: 48, Epochs: j.epochs, Seed: 1, MaxWindows: 192})
+	},
+	"deepar": func(j *job) forecast.Forecaster {
+		return forecast.NewDeepAR(forecast.DeepARConfig{
+			Context: j.context, Hidden: 32, Epochs: j.epochs, Seed: 1,
+			MaxWindows: 160, Samples: 100, TrainHorizon: j.horizon,
+		})
+	},
+	"tft": func(j *job) forecast.Forecaster {
+		return forecast.NewTFT(forecast.TFTConfig{
+			Context: j.context, Hidden: 32, Epochs: j.epochs, Seed: 1,
+			MaxWindows: 160, TrainHorizon: j.horizon,
+			Levels: forecast.ScalingLevels,
+		})
+	},
+	"qb5000": func(j *job) forecast.Forecaster {
+		return forecast.NewQB5000(forecast.QB5000Config{
+			Context: j.context, Hidden: 24, Epochs: j.epochs, Seed: 1,
+			MaxWindows: 160, TrainHorizon: j.horizon,
+		})
+	},
+}
+
+// run is the whole command: it parses args, loads the series and runs the
+// mode, writing its table to stdout; logs go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("forecast", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	j := &job{stdout: stdout, logf: log.New(stderr, "", 0).Printf, levels: []float64{0.5, 0.7, 0.9}}
+	var (
+		mode     = fs.String("mode", "train", "train | predict | backtest | tune")
+		dataset  = fs.String("dataset", "", "generate a trace: alibaba or google (alternative to -input)")
+		seed     = fs.Int64("seed", 42, "trace seed when generating")
+		input    = fs.String("input", "", "CSV trace path (written by tracegen)")
+		resource = fs.String("resource", "cpu", "trace resource column")
+	)
+	fs.StringVar(&j.model, "model", "tft", "tft | deepar | mlp | arima | qb5000")
+	fs.StringVar(&j.out, "out", "", "where to save the trained model")
+	fs.StringVar(&j.in, "in", "", "saved model to load for predict")
+	fs.IntVar(&j.horizon, "horizon", 72, "forecast horizon in steps")
+	fs.IntVar(&j.context, "context", 72, "model context window in steps")
+	fs.IntVar(&j.epochs, "epochs", 8, "training epochs for neural models")
+	fs.Func("levels", "comma-separated quantile `levels` for predict (default 0.5,0.7,0.9)", func(s string) (err error) {
+		j.levels, err = parseLevels(s)
+		return err
+	})
+	fs.IntVar(&j.period, "period", 0, "seasonal period for arima in steps (0 = auto-detect from the trace)")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	if modes[*mode] == nil || models[j.model] == nil {
+		fmt.Fprintf(stderr, "forecast: unknown -mode %q or -model %q\n", *mode, j.model)
+		fs.Usage()
+		return errUsage
 	}
 
-	period := *periodFlag
-	if period <= 0 {
-		maxLag := series.Len() / 3
-		if maxLag > 2016 { // two weeks at 10-minute steps
-			maxLag = 2016
-		}
-		if p, derr := timeseries.DetectPeriod(series, 2, maxLag, 0); derr == nil && p > 0 {
-			period = p
-			if *model == "arima" {
-				log.Printf("forecast: auto-detected seasonal period %d steps", period)
+	var err error
+	if j.series, err = loadSeries(*dataset, *input, *resource, *seed); err != nil {
+		return err
+	}
+	if j.period <= 0 {
+		maxLag := min(j.series.Len()/3, 2016) // two weeks at 10-minute steps
+		if p, derr := timeseries.DetectPeriod(j.series, 2, maxLag, 0); derr == nil && p > 0 {
+			j.period = p
+			if j.model == "arima" {
+				j.logf("forecast: auto-detected seasonal period %d steps", p)
 			}
 		}
 	}
-
-	switch *mode {
-	case "train":
-		if err := train(*model, series, *out, *context, *horizon, *epochs, period); err != nil {
-			log.Fatal(err)
-		}
-	case "predict":
-		levels, err := parseLevels(*levelsCS)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := predict(*model, series, *in, *context, *horizon, *epochs, period, levels); err != nil {
-			log.Fatal(err)
-		}
-	case "backtest":
-		if err := backtest(*model, series, *context, *horizon, *epochs, period); err != nil {
-			log.Fatal(err)
-		}
-	case "tune":
-		if err := tune(*model, series, *horizon, *epochs); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatalf("forecast: unknown mode %q", *mode)
-	}
+	return modes[*mode](j)
 }
 
 func loadSeries(dataset, input, resource string, seed int64) (*timeseries.Series, error) {
@@ -115,7 +166,7 @@ func loadSeries(dataset, input, resource string, seed int64) (*timeseries.Series
 	case "google":
 		cfg = trace.GoogleStyle(seed)
 	default:
-		return nil, fmt.Errorf("forecast: unknown dataset %q", dataset)
+		return nil, fmt.Errorf("unknown dataset %q", dataset)
 	}
 	tr, err := trace.Generate(cfg)
 	if err != nil {
@@ -124,57 +175,28 @@ func loadSeries(dataset, input, resource string, seed int64) (*timeseries.Series
 	return tr.Series(trace.Resource(resource))
 }
 
-// build constructs an untrained model; saved models must be loaded into an
-// identically configured instance, so predict reuses this.
-func build(model string, context, horizon, epochs, period int) (forecast.Forecaster, error) {
-	switch model {
-	case "arima":
-		return forecast.NewSeasonalARIMA(6, 0, 2, period), nil
-	case "mlp":
-		return forecast.NewMLP(forecast.MLPConfig{Context: context, Hidden: 48, Epochs: epochs, Seed: 1, MaxWindows: 192}), nil
-	case "deepar":
-		return forecast.NewDeepAR(forecast.DeepARConfig{
-			Context: context, Hidden: 32, Epochs: epochs, Seed: 1,
-			MaxWindows: 160, Samples: 100, TrainHorizon: horizon,
-		}), nil
-	case "tft":
-		return forecast.NewTFT(forecast.TFTConfig{
-			Context: context, Hidden: 32, Epochs: epochs, Seed: 1,
-			MaxWindows: 160, TrainHorizon: horizon,
-			Levels: forecast.ScalingLevels,
-		}), nil
-	case "qb5000":
-		return forecast.NewQB5000(forecast.QB5000Config{
-			Context: context, Hidden: 24, Epochs: epochs, Seed: 1,
-			MaxWindows: 160, TrainHorizon: horizon,
-		}), nil
-	default:
-		return nil, fmt.Errorf("forecast: unknown model %q", model)
+// fit trains m on s; the MLP trains per horizon.
+func fit(j *job, m forecast.Forecaster, s *timeseries.Series) error {
+	if mlp, ok := m.(*forecast.MLP); ok {
+		return mlp.FitHorizon(s, j.horizon)
 	}
+	return m.Fit(s)
 }
 
-func train(model string, s *timeseries.Series, out string, context, horizon, epochs, period int) error {
-	m, err := build(model, context, horizon, epochs, period)
-	if err != nil {
+func train(j *job) error {
+	m := models[j.model](j)
+	if err := fit(j, m, j.series); err != nil {
 		return err
 	}
-	if mlp, ok := m.(*forecast.MLP); ok {
-		// The MLP trains per horizon.
-		if err := mlp.FitHorizon(s, horizon); err != nil {
-			return err
-		}
-	} else if err := m.Fit(s); err != nil {
-		return err
-	}
-	log.Printf("forecast: trained %s on %d steps of %s", m.Name(), s.Len(), s.Name)
-	if out == "" {
+	j.logf("forecast: trained %s on %d steps of %s", m.Name(), j.series.Len(), j.series.Name)
+	if j.out == "" {
 		return nil
 	}
 	snap, ok := m.(forecast.Snapshotter)
 	if !ok {
-		return fmt.Errorf("forecast: %s does not support saving", m.Name())
+		return fmt.Errorf("%s does not support saving", m.Name())
 	}
-	f, err := os.Create(out)
+	f, err := os.Create(j.out)
 	if err != nil {
 		return err
 	}
@@ -185,21 +207,19 @@ func train(model string, s *timeseries.Series, out string, context, horizon, epo
 	if err := f.Close(); err != nil {
 		return err
 	}
-	log.Printf("forecast: saved to %s", out)
+	j.logf("forecast: saved to %s", j.out)
 	return nil
 }
 
-func predict(model string, s *timeseries.Series, in string, context, horizon, epochs, period int, levels []float64) error {
-	m, err := build(model, context, horizon, epochs, period)
-	if err != nil {
-		return err
-	}
-	if in != "" {
+func predict(j *job) error {
+	s := j.series
+	m := models[j.model](j)
+	if j.in != "" {
 		snap, ok := m.(forecast.Snapshotter)
 		if !ok {
-			return fmt.Errorf("forecast: %s does not support loading", m.Name())
+			return fmt.Errorf("%s does not support loading", m.Name())
 		}
-		f, err := os.Open(in)
+		f, err := os.Open(j.in)
 		if err != nil {
 			return err
 		}
@@ -207,21 +227,17 @@ func predict(model string, s *timeseries.Series, in string, context, horizon, ep
 		if err := snap.Load(f); err != nil {
 			return err
 		}
-	} else if mlp, ok := m.(*forecast.MLP); ok {
-		if err := mlp.FitHorizon(s, horizon); err != nil {
-			return err
-		}
-	} else if err := m.Fit(s); err != nil {
+	} else if err := fit(j, m, s); err != nil {
 		return err
 	}
 
+	tw := tabwriter.NewWriter(j.stdout, 2, 4, 2, ' ', 0)
 	qf, ok := m.(forecast.QuantileForecaster)
 	if !ok {
-		pred, err := m.Predict(s, horizon)
+		pred, err := m.Predict(s, j.horizon)
 		if err != nil {
 			return err
 		}
-		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "time\tpoint")
 		for t, v := range pred {
 			fmt.Fprintf(tw, "%s\t%.1f\n", s.TimeAt(s.Len()+t).Format("Jan 02 15:04"), v)
@@ -229,19 +245,18 @@ func predict(model string, s *timeseries.Series, in string, context, horizon, ep
 		return tw.Flush()
 	}
 
-	fan, err := qf.PredictQuantiles(s, horizon, levels)
+	fan, err := qf.PredictQuantiles(s, j.horizon, j.levels)
 	if err != nil {
 		return err
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "time")
-	for _, l := range levels {
+	for _, l := range j.levels {
 		fmt.Fprintf(tw, "\tP%02.0f", l*100)
 	}
 	fmt.Fprintln(tw)
-	for t := 0; t < horizon; t++ {
+	for t := 0; t < j.horizon; t++ {
 		fmt.Fprint(tw, s.TimeAt(s.Len()+t).Format("Jan 02 15:04"))
-		for i := range levels {
+		for i := range j.levels {
 			fmt.Fprintf(tw, "\t%.1f", fan.Values[t][i])
 		}
 		fmt.Fprintln(tw)
@@ -251,37 +266,29 @@ func predict(model string, s *timeseries.Series, in string, context, horizon, ep
 
 // backtest trains the model on the first 70% of the series and reports
 // rolling-origin accuracy over the last 20%.
-func backtest(model string, s *timeseries.Series, context, horizon, epochs, period int) error {
-	m, err := build(model, context, horizon, epochs, period)
-	if err != nil {
-		return err
-	}
+func backtest(j *job) error {
+	s := j.series
+	m := models[j.model](j)
 	qf, ok := m.(forecast.QuantileForecaster)
 	if !ok {
-		return fmt.Errorf("forecast: %s is not a quantile forecaster", model)
+		return fmt.Errorf("%s is not a quantile forecaster", j.model)
 	}
-	trainEnd := s.Len() * 7 / 10
-	if mlp, isMLP := m.(*forecast.MLP); isMLP {
-		err = mlp.FitHorizon(s.Slice(0, trainEnd), horizon)
-	} else {
-		err = m.Fit(s.Slice(0, trainEnd))
-	}
-	if err != nil {
+	if err := fit(j, m, s.Slice(0, s.Len()*7/10)); err != nil {
 		return err
 	}
 	res, err := forecast.Backtest(qf, s, forecast.BacktestConfig{
 		Start:   s.Len() * 8 / 10,
-		Horizon: horizon,
+		Horizon: j.horizon,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s backtest over %d origins:\n", res.Model, len(res.Origins))
-	fmt.Printf("  mean_wQL %.4f  MSE %.1f\n", res.MeanWQL, res.MSE)
+	fmt.Fprintf(j.stdout, "%s backtest over %d origins:\n", res.Model, len(res.Origins))
+	fmt.Fprintf(j.stdout, "  mean_wQL %.4f  MSE %.1f\n", res.MeanWQL, res.MSE)
 	for _, tau := range []float64{0.7, 0.8, 0.9} {
-		fmt.Printf("  wQL[%.1f] %.4f  coverage %.3f\n", tau, res.WQL[tau], res.Coverage[tau])
+		fmt.Fprintf(j.stdout, "  wQL[%.1f] %.4f  coverage %.3f\n", tau, res.WQL[tau], res.Coverage[tau])
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(j.stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "origin\tmean_wQL\tMSE")
 	for _, o := range res.Origins {
 		fmt.Fprintf(tw, "%d\t%.4f\t%.1f\n", o.Origin, o.MeanWQL, o.MSE)
@@ -291,15 +298,15 @@ func backtest(model string, s *timeseries.Series, context, horizon, epochs, peri
 
 // tune grid-searches a small hyperparameter space for the chosen model
 // family, scoring on a validation span — the stdlib stand-in for Optuna.
-func tune(model string, s *timeseries.Series, horizon, epochs int) error {
+func tune(j *job) error {
+	s, horizon, epochs := j.series, j.horizon, j.epochs
 	train := s.Slice(0, s.Len()*7/10)
 	val := s.Slice(s.Len()*7/10, s.Len()*9/10)
 
 	var candidates []forecast.Candidate
-	switch model {
+	switch j.model {
 	case "arima":
 		for _, p := range []int{4, 6, 12} {
-			p := p
 			candidates = append(candidates, forecast.Candidate{
 				Label: fmt.Sprintf("arima(%d,0,2)s144", p),
 				Build: func() forecast.QuantileForecaster { return forecast.NewSeasonalARIMA(p, 0, 2, 144) },
@@ -307,7 +314,6 @@ func tune(model string, s *timeseries.Series, horizon, epochs int) error {
 		}
 	case "tft":
 		for _, hidden := range []int{16, 24, 32} {
-			hidden := hidden
 			candidates = append(candidates, forecast.Candidate{
 				Label: fmt.Sprintf("tft-h%d", hidden),
 				Build: func() forecast.QuantileForecaster {
@@ -321,7 +327,6 @@ func tune(model string, s *timeseries.Series, horizon, epochs int) error {
 		}
 	case "deepar":
 		for _, hidden := range []int{16, 24, 32} {
-			hidden := hidden
 			candidates = append(candidates, forecast.Candidate{
 				Label: fmt.Sprintf("deepar-h%d", hidden),
 				Build: func() forecast.QuantileForecaster {
@@ -333,14 +338,14 @@ func tune(model string, s *timeseries.Series, horizon, epochs int) error {
 			})
 		}
 	default:
-		return fmt.Errorf("forecast: tuning not defined for %q", model)
+		return fmt.Errorf("tuning not defined for %q", j.model)
 	}
 
 	results, best, err := forecast.Tune(train, val, horizon, forecast.ScalingLevels, candidates)
 	if err != nil {
 		return err
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(j.stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "candidate\tval mean_wQL")
 	for i, r := range results {
 		marker := ""
@@ -358,7 +363,7 @@ func parseLevels(cs string) ([]float64, error) {
 	for _, p := range parts {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
-			return nil, fmt.Errorf("forecast: bad level %q: %w", p, err)
+			return nil, fmt.Errorf("bad level %q: %w", p, err)
 		}
 		out = append(out, v)
 	}

@@ -173,12 +173,11 @@ func runResilienceCell(d *Dataset, cfg Config, spec resilienceSpec, prof chaos.P
 	t := &fleet.Tenant{
 		ID:     obs.DefaultTenant,
 		Series: d.Series, TrainEnd: d.EvalStart, Horizon: spec.horizon,
-		Fingerprint:   persist.Fingerprint{Strategy: spec.name, Theta: cfg.Theta, Horizon: spec.horizon},
-		GuardConfig:   &scaler.GuardConfig{Theta: cfg.Theta, Tau: 0.9},
-		CoverageSlack: 0.25, // the fleet's, and the daemon's default
-		Breaker:       &scaler.Breaker{Threshold: 3, Cooldown: 3},
-		Sched:         sched,
-		Plant:         plant,
+		Fingerprint: persist.Fingerprint{Strategy: spec.name, Theta: cfg.Theta, Horizon: spec.horizon},
+		GuardConfig: &scaler.GuardConfig{Theta: cfg.Theta, Tau: 0.9},
+		Breaker:     &scaler.Breaker{Threshold: 3, Cooldown: 3},
+		Sched:       sched,
+		Plant:       plant,
 	}
 	t.Build = func([]byte, float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
 		strat, err := spec.build(cfg.Theta, t.Faulty)

@@ -87,7 +87,7 @@ func TestMeasureBlastRadius(t *testing.T) {
 	cfg.Chaos = "all"
 	cfg.ChaosTenants = []string{TenantID(2)}
 	rep := runFleet(t, cfg)
-	br, err := MeasureBlastRadius(base, rep, -1, -1)
+	br, err := MeasureBlastRadius(base, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestMeasureBlastRadius(t *testing.T) {
 			br.Affected, br.Radius, br.AffectedIDs)
 	}
 	// Error paths.
-	if _, err := MeasureBlastRadius(nil, rep, -1, -1); err == nil {
+	if _, err := MeasureBlastRadius(nil, rep); err == nil {
 		t.Error("nil baseline accepted")
 	}
 	small := runFleet(t, testConfig(4))
-	if _, err := MeasureBlastRadius(small, rep, -1, -1); err == nil {
+	if _, err := MeasureBlastRadius(small, rep); err == nil {
 		t.Error("tenant-count mismatch accepted")
 	}
 }
@@ -114,7 +114,7 @@ func TestZoneOutageBlastRadiusBounded(t *testing.T) {
 	cfg.Chaos = "zone-outage"
 	cfg.Zones = 8 // one tenant per zone: most tenants are bystanders
 	rep := runFleet(t, cfg)
-	br, err := MeasureBlastRadius(base, rep, -1, -1)
+	br, err := MeasureBlastRadius(base, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestZoneOutageBlastRadiusBounded(t *testing.T) {
 func TestResilienceMatrix(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.PoolNodes = 64
-	baseline, cells, err := ResilienceMatrix(cfg, []string{"none...invalid"}, -1, -1)
+	baseline, cells, err := ResilienceMatrix(cfg, []string{"none...invalid"})
 	if err == nil {
 		t.Error("invalid preset accepted by matrix")
 	}
-	baseline, cells, err = ResilienceMatrix(cfg, []string{"zone-outage", "pool-collapse"}, -1, -1)
+	baseline, cells, err = ResilienceMatrix(cfg, []string{"zone-outage", "pool-collapse"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,11 @@ import (
 	"robustscale/internal/trace"
 )
 
-// Guard defaults shared by every tenant; they mirror the single-tenant
-// daemon's flag defaults.
+// A serverless tenant's cold wake takes wakeSeconds fault-free, and each
+// completed wake costs wakeCost node-steps.
 const (
-	guardBlowupFactor  = 8
-	guardCoverageSlack = 0.25
+	wakeSeconds = 30
+	wakeCost    = 2
 )
 
 // Controller drives the fleet through lock-step planning rounds.
@@ -69,26 +69,6 @@ type Controller struct {
 // seed and its own records, so the build is deterministic and
 // order-independent.
 func New(cfg Config) (*Controller, error) {
-	if cfg.SLOTarget > 0 && cfg.SLOWindow <= 0 {
-		cfg.SLOWindow = DefaultSLOWindow
-	}
-	if cfg.QuarantineRounds == 0 {
-		cfg.QuarantineRounds = 8
-	}
-	if cfg.Serverless {
-		if cfg.IdleEps == 0 {
-			cfg.IdleEps = cfg.Theta / 10
-		}
-		if cfg.WakeSeconds == 0 {
-			cfg.WakeSeconds = 30
-		}
-		if cfg.WakeCost == 0 {
-			cfg.WakeCost = 2
-		}
-		if cfg.WakeSLOSeconds == 0 {
-			cfg.WakeSLOSeconds = 1800
-		}
-	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -197,11 +177,7 @@ func buildChaosSchedule(cfg Config) (*chaos.FleetSchedule, error) {
 		prof.Seed = cfg.Seed
 	}
 	prof.Steps = (cfg.Days - cfg.TrainDays) * stepsPerDay()
-	zones := cfg.Zones
-	if zones == 0 {
-		zones = 4
-	}
-	return chaos.NewFleetSchedule(prof, zones)
+	return chaos.NewFleetSchedule(prof, cfg.Zones)
 }
 
 // chaosEnrolled reports whether tenant-local fault injection targets the
@@ -267,7 +243,6 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 		Series: series, seriesRestored: restored,
 		TrainEnd: cfg.TrainDays * stepsPerDay(), Horizon: cfg.Horizon,
 		ForecasterKind: cfg.Forecaster,
-		CoverageSlack:  guardCoverageSlack,
 		Backoff:        scaler.BackoffConfig{MaxAttempts: 1},
 		Breaker:        &scaler.Breaker{},
 	}
@@ -277,7 +252,7 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 		Theta: cfg.Theta, Horizon: cfg.Horizon, Tau: cfg.Tau, Tau2: cfg.Tau2,
 	}
 	if cfg.Guard {
-		t.GuardConfig = &scaler.GuardConfig{Theta: cfg.Theta, Tau: cfg.Tau, BlowupFactor: guardBlowupFactor}
+		t.GuardConfig = &scaler.GuardConfig{Theta: cfg.Theta, Tau: cfg.Tau}
 	}
 	if segs != nil {
 		slot, err := segs.Slot(index, id)
@@ -303,22 +278,17 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 	}
 	t.Plant = &cluster.AllocPlant{Theta: cfg.Theta}
 	if cfg.Serverless {
-		t.WakeConfig = &scaler.WakeGuardConfig{
-			MinIdleRounds:         cfg.ParkAfterRounds,
-			WakeDebounceRounds:    cfg.WakeDebounceRounds,
-			KeepWarmAfterFails:    cfg.KeepWarmAfterFails,
-			BreakerCooldownRounds: cfg.WakeBreakerCooldown,
-		}
-		t.IdleEps = cfg.IdleEps
+		t.WakeConfig = &scaler.WakeGuardConfig{}
+		t.IdleEps = IdleEps(cfg.Theta)
 		t.sless, err = cluster.NewServerless(cluster.ServerlessConfig{
-			WakeSeconds: cfg.WakeSeconds,
+			WakeSeconds: wakeSeconds,
 			StepSeconds: series.Step.Seconds(),
-			WakeCost:    cfg.WakeCost,
+			WakeCost:    wakeCost,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: %s: %w", id, err)
 		}
-		t.Plant = &cluster.ZeroPlant{AllocPlant: cluster.AllocPlant{Theta: cfg.Theta}, Serverless: t.sless, Sched: t.Sched, IdleEps: cfg.IdleEps}
+		t.Plant = &cluster.ZeroPlant{AllocPlant: cluster.AllocPlant{Theta: cfg.Theta}, Serverless: t.sless, Sched: t.Sched, IdleEps: t.IdleEps}
 	}
 	t.Build = func(model []byte, rho float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
 		return buildStrategy(cfg, t, model, rho)

@@ -89,8 +89,7 @@ type Config struct {
 	// plane (the tracker never observes, so the fleet hash and every
 	// per-tenant decision are identical either way).
 	SLOTarget float64
-	// SLOWindow is the rolling error-budget window in fleet rounds;
-	// <= 0 defaults to DefaultSLOWindow when SLOTarget is set.
+	// SLOWindow is the rolling error-budget window in fleet rounds.
 	SLOWindow int
 	// BurnRules overrides the burn-rate alert rules; nil uses
 	// obs.DefaultBurnRules(SLOWindow).
@@ -105,7 +104,7 @@ type Config struct {
 	// planning instead of thrashing the pool. 0 disables quarantine.
 	QuarantineAfter int
 	// QuarantineRounds is how many rounds a quarantined tenant plans
-	// reactively before re-entering predictive planning (default 8).
+	// reactively before re-entering predictive planning.
 	QuarantineRounds int
 	// Chaos names the fleet chaos preset (chaos.Preset); "" or "none"
 	// disables fault injection entirely.
@@ -117,40 +116,20 @@ type Config struct {
 	// tenant. Single-victim quarantine-isolation drills use this.
 	ChaosTenants []string
 	// Zones is the number of failure domains tenants stripe across for
-	// zone-outage chaos (default 4).
+	// zone-outage chaos.
 	Zones int
 	// Serverless enables the scale-to-zero model: tenants get serverless
 	// workload archetypes (deep idle troughs, burst wakes), a joint
-	// (count x size) allocation decision, park/wake hysteresis and the
-	// wake circuit breaker. Off (the default), every field below is
-	// ignored and the fleet is bit-identical to a pre-serverless run.
+	// (count x size) allocation decision, park/wake hysteresis with the
+	// scaler.WakeGuardConfig defaults, and the wake circuit breaker. A
+	// tenant idles below IdleEps(Theta), and a cold wake takes wakeSeconds
+	// and costs wakeCost. Off (the default), WakeSLOSeconds is ignored and
+	// the fleet is bit-identical to a pre-serverless run.
 	Serverless bool
-	// IdleEps is the workload level below which a tenant counts as
-	// genuinely idle; 0 defaults to Theta/10.
-	IdleEps float64
-	// WakeSeconds is the fault-free cold-wake latency (default 30).
-	WakeSeconds float64
-	// WakeCost is the one-time node-step cost of a completed wake
-	// (default 2).
-	WakeCost float64
-	// ParkAfterRounds is how many consecutive idle rounds precede a park
-	// (default 3).
-	ParkAfterRounds int
-	// WakeDebounceRounds blocks re-parking after a wake (default 2).
-	WakeDebounceRounds int
-	// KeepWarmAfterFails opens the wake breaker — pinning a keep-warm
-	// floor — after this many consecutive failed wakes (default 3).
-	KeepWarmAfterFails int
-	// WakeBreakerCooldown is the breaker's open duration in rounds
-	// (default 6).
-	WakeBreakerCooldown int
 	// WakeSLOSeconds is the p99 wake-latency objective the report grades
-	// against (default 1800 — three steps).
+	// against.
 	WakeSLOSeconds float64
 }
-
-// DefaultSLOWindow is the default error-budget window in fleet rounds.
-const DefaultSLOWindow = 48
 
 // DefaultConfig returns a runnable fleet configuration for the given
 // tenant count: two training days feeding a seasonal-naive robust
@@ -173,12 +152,17 @@ func DefaultConfig(tenants int) Config {
 		Retain:             persist.DefaultRetain,
 		PerTenant:          true,
 		SLOTarget:          0.01,
-		SLOWindow:          DefaultSLOWindow,
+		SLOWindow:          48,
 		QuarantineAfter:    3,
 		QuarantineRounds:   8,
 		Zones:              4,
+		WakeSLOSeconds:     1800, // three steps
 	}
 }
+
+// IdleEps is the workload level below which a serverless tenant counts as
+// genuinely idle: a tenth of a node's threshold.
+func IdleEps(theta float64) float64 { return theta / 10 }
 
 // stepsPerDay at the default 10-minute aggregation step.
 func stepsPerDay() int { return int(24 * time.Hour / timeseries.DefaultStep) }
@@ -215,8 +199,8 @@ func (cfg Config) validate() error {
 	default:
 		return fmt.Errorf("fleet: unknown forecaster %q", cfg.Forecaster)
 	}
-	if cfg.StateDir != "" && cfg.CheckpointInterval <= 0 {
-		return fmt.Errorf("fleet: non-positive checkpoint interval %d", cfg.CheckpointInterval)
+	if cfg.StateDir != "" && (cfg.CheckpointInterval < 1 || cfg.Retain < 1) {
+		return fmt.Errorf("fleet: non-positive checkpoint interval %d or retained segments %d", cfg.CheckpointInterval, cfg.Retain)
 	}
 	if cfg.SLOTarget != 0 {
 		slo := obs.SLOConfig{Target: cfg.SLOTarget, Window: cfg.SLOWindow, Rules: cfg.BurnRules}
@@ -227,24 +211,14 @@ func (cfg Config) validate() error {
 	if cfg.PoolNodes < 0 {
 		return fmt.Errorf("fleet: negative pool size %d", cfg.PoolNodes)
 	}
-	if cfg.QuarantineAfter < 0 || cfg.QuarantineRounds < 0 {
-		return fmt.Errorf("fleet: negative quarantine parameters %d/%d", cfg.QuarantineAfter, cfg.QuarantineRounds)
+	if cfg.QuarantineAfter < 0 || cfg.QuarantineRounds < 1 {
+		return fmt.Errorf("fleet: quarantine after %d clipped rounds for %d rounds: need >= 0 and >= 1", cfg.QuarantineAfter, cfg.QuarantineRounds)
 	}
-	if cfg.Zones < 0 {
-		return fmt.Errorf("fleet: negative zone count %d", cfg.Zones)
+	if cfg.Zones < 1 {
+		return fmt.Errorf("fleet: non-positive zone count %d", cfg.Zones)
 	}
-	if cfg.Serverless {
-		if cfg.IdleEps < 0 {
-			return fmt.Errorf("fleet: negative idle threshold %v", cfg.IdleEps)
-		}
-		if cfg.WakeSeconds < 0 || cfg.WakeCost < 0 || cfg.WakeSLOSeconds < 0 {
-			return fmt.Errorf("fleet: negative wake parameters (%v s, %v cost, %v SLO)",
-				cfg.WakeSeconds, cfg.WakeCost, cfg.WakeSLOSeconds)
-		}
-		if cfg.ParkAfterRounds < 0 || cfg.WakeDebounceRounds < 0 ||
-			cfg.KeepWarmAfterFails < 0 || cfg.WakeBreakerCooldown < 0 {
-			return fmt.Errorf("fleet: negative wake hysteresis parameters")
-		}
+	if cfg.Serverless && !(cfg.WakeSLOSeconds > 0) {
+		return fmt.Errorf("fleet: non-positive wake-latency SLO %v", cfg.WakeSLOSeconds)
 	}
 	if cfg.Chaos != "" && cfg.Chaos != "none" {
 		if _, err := chaos.Preset(cfg.Chaos); err != nil {

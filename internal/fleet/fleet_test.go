@@ -78,6 +78,12 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.StateDir = "x"; c.CheckpointInterval = 0 },
 		func(c *Config) { c.SLOTarget = -0.1 },
 		func(c *Config) { c.SLOWindow = 4; c.BurnRules = []obs.BurnRule{{Factor: 2, Long: 8, Short: 1}} },
+		// The zeros New used to replace with defaults.
+		func(c *Config) { c.SLOWindow = 0 },
+		func(c *Config) { c.QuarantineRounds = 0 },
+		func(c *Config) { c.Zones = 0 },
+		func(c *Config) { c.StateDir = "x"; c.Retain = 0 },
+		func(c *Config) { c.Serverless = true; c.WakeSLOSeconds = 0 },
 	}
 	for i, mutate := range cases {
 		cfg := testConfig(2)

@@ -34,21 +34,19 @@ type BlastRadius struct {
 }
 
 // Tolerances for bystander drift; a bystander is "affected" when its
-// violation delta exceeds ViolTol or its cost moves by more than CostTol
-// as a fraction of the baseline cost.
+// violation count moves by more than violTol or its cost by more than
+// costTol as a fraction of the baseline cost.
 const (
-	defaultViolTol = 0
-	defaultCostTol = 0.01
+	violTol        = 0
+	costTol        = 0.01
 	maxAffectedIDs = 16
 )
 
 // MeasureBlastRadius compares a chaos run against its fault-free
 // baseline. Both reports must carry PerTenant records from the same
 // fleet shape (same tenants in the same order); faulted-tenant identity
-// comes from the chaos report's Faulted flags. violTol is the absolute
-// violation-count drift allowed per bystander; costTol the fractional
-// cost drift (negative values select the defaults).
-func MeasureBlastRadius(baseline, faulted *Report, violTol int, costTol float64) (BlastRadius, error) {
+// comes from the chaos report's Faulted flags.
+func MeasureBlastRadius(baseline, faulted *Report) (BlastRadius, error) {
 	var br BlastRadius
 	if baseline == nil || faulted == nil {
 		return br, fmt.Errorf("fleet: blast radius needs both reports")
@@ -59,12 +57,6 @@ func MeasureBlastRadius(baseline, faulted *Report, violTol int, costTol float64)
 	if len(baseline.PerTenant) != len(faulted.PerTenant) {
 		return br, fmt.Errorf("fleet: tenant count mismatch %d vs %d",
 			len(baseline.PerTenant), len(faulted.PerTenant))
-	}
-	if violTol < 0 {
-		violTol = defaultViolTol
-	}
-	if costTol < 0 {
-		costTol = defaultCostTol
 	}
 	for i := range faulted.PerTenant {
 		ft := faulted.PerTenant[i]
@@ -126,7 +118,7 @@ type MatrixCell struct {
 // preset, reporting blast radius and degradation per row. Every run is
 // built from the same base configuration, so rows differ only in the
 // fault schedule. The baseline report is returned alongside the rows.
-func ResilienceMatrix(cfg Config, presets []string, violTol int, costTol float64) (*Report, []MatrixCell, error) {
+func ResilienceMatrix(cfg Config, presets []string) (*Report, []MatrixCell, error) {
 	base := cfg
 	base.Chaos = ""
 	base.PerTenant = true
@@ -143,7 +135,7 @@ func ResilienceMatrix(cfg Config, presets []string, violTol int, costTol float64
 		if err != nil {
 			return nil, nil, fmt.Errorf("fleet: chaos run %q: %w", preset, err)
 		}
-		br, err := MeasureBlastRadius(baseline, rep, violTol, costTol)
+		br, err := MeasureBlastRadius(baseline, rep)
 		if err != nil {
 			return nil, nil, fmt.Errorf("fleet: chaos run %q: %w", preset, err)
 		}

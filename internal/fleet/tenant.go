@@ -168,8 +168,6 @@ type Tenant struct {
 	// GuardConfig wraps the strategy in the resilience guard; without it
 	// a planning error ends the loop instead of holding the round.
 	GuardConfig *scaler.GuardConfig
-	// CoverageSlack and MaxWQL tune the calibration health gate.
-	CoverageSlack, MaxWQL float64
 	// Backoff and Breaker (required) shape the apply path.
 	Backoff scaler.BackoffConfig
 	Breaker *scaler.Breaker
@@ -504,11 +502,15 @@ func (t *Tenant) journalDegraded(kind, format string, components []string) {
 	}
 }
 
+// coverageSlack is how far a level's rolling coverage may fall below the
+// level before the calibration health gate calls the forecaster unhealthy.
+const coverageSlack = 0.25
+
 // armCalibration installs a calibration window and wires it into the
-// guard's health gate.
+// guard's health gate, which judges coverage only (no wQL bound).
 func (t *Tenant) armCalibration(cal *cluster.Calibration) {
 	t.cal = cal
-	t.calGate = cal.HealthCheck(t.CoverageSlack, t.MaxWQL, stepsPerDay()/4)
+	t.calGate = cal.HealthCheck(coverageSlack, 0, stepsPerDay()/4)
 }
 
 // holdPlan fills the tenant's plan buffer with its previous allocation —

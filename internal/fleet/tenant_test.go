@@ -53,7 +53,6 @@ func runCrashing(t *testing.T, dir string, every int, crashes []int) crashRun {
 			Fingerprint:    persist.Fingerprint{Strategy: "robust", Tenant: "crash-test", Theta: theta, Horizon: horizon, Tau: 0.9},
 			ForecasterKind: "tft",
 			GuardConfig:    &scaler.GuardConfig{Theta: theta, Tau: 0.9},
-			CoverageSlack:  guardCoverageSlack,
 			Breaker:        &scaler.Breaker{},
 			Plant:          &cluster.AllocPlant{Theta: theta},
 			StateDir:       dir,
