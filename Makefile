@@ -50,14 +50,17 @@ bench-check:
 # arbitrary bytes must error cleanly, never panic or over-allocate. The
 # next target drives one guard through arbitrary history edits: its
 # incremental checks must agree with a fresh guard's at every step. The
-# last drives the one Breaker beside the three machines it replaced, each
-# in its client's tick pattern: they must agree event for event.
+# next drives the one Breaker beside the three machines it replaced, each
+# in its client's tick pattern: they must agree event for event. The last
+# adds random events to a chaos schedule and to the map-and-scan one it
+# replaced: every lookup must agree.
 fuzz:
 	$(GO) test -fuzz=FuzzLoadSegment -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadSeries -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadComponent -fuzztime=10s ./internal/fleet
 	$(GO) test -fuzz=FuzzGuardHistories -fuzztime=10s ./internal/scaler
 	$(GO) test -fuzz=FuzzBreakerMatchesLegacy -fuzztime=10s ./internal/scaler
+	$(GO) test -fuzz=FuzzScheduleMatchesLegacy -fuzztime=10s ./internal/chaos
 
 # Fleet determinism and durability drill (same script CI runs): worker
 # counts invisible in results, kill-restart bit-identity, single-tenant

@@ -466,6 +466,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		s.Steps, s.Violations, s.ApplyHolds = tot.Steps, tot.Violations, tot.Holds
 	})
 
+	// The daemon is a fleet of one, so its calibration gauges are the fold
+	// of its one window: published once for a warm start's restored window,
+	// then after every round.
+	var calFold cluster.CalibrationFold
+	foldCalibration := func() {
+		calFold.Add(t.Calibration())
+		calFold.Publish()
+	}
+	foldCalibration()
+
 	// checkpoint runs at round boundaries only; a failed write logs and
 	// keeps flying.
 	lastCkpt := -1
@@ -509,6 +519,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		c := plant.Cluster
 		sp.EndVirtual(c.Now())
 		ops.ObserveApply(time.Since(applyStart))
+		foldCalibration()
 		if t.Fan() != nil {
 			obs.DefaultJournal.RecordTenantAt(c.Now(), *tenant, "forecast_error",
 				fmt.Sprintf("plan round at %s: mean |actual - median forecast| = %.1f",

@@ -33,7 +33,7 @@ func TestNonsenseSizesExitTwo(t *testing.T) {
 	// Values the flags themselves refuse, with the usage, instead of a
 	// clamp quietly replacing them later.
 	for _, args := range []string{"-checkpoint-interval 0", "-checkpoint-interval -1", "-state-retain 0",
-		"-journal-cap 0", "-burn-windows nonsense"} {
+		"-journal-cap 0", "-burn-windows nonsense", "-tau NaN", "-tau 1.5", "-tau -0.1", "-tau2 NaN", "-tau2 1"} {
 		var stdout, stderr bytes.Buffer
 		code := exitCode(run(context.Background(), strings.Fields(args+" -epochs 1"), &stdout, &stderr), &stderr)
 		if code != 2 || stdout.Len() > 0 {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -86,6 +89,32 @@ func TestWorkerCountInvisibleInSummary(t *testing.T) {
 	}
 }
 
+// TestCalibrationMetricsIndependentOfWorkers: the fleet exports one
+// calibration plane pooled over every tenant's window, so the
+// -metrics dump of its four families is the same for any worker count.
+func TestCalibrationMetricsIndependentOfWorkers(t *testing.T) {
+	series := regexp.MustCompile(`(?m)^robustscale_forecast_(coverage|coverage_error|rolling_wql|calibration_samples)[ {].*$`)
+	var dumps [2]string
+	for i, workers := range []string{"1", "4"} {
+		path := filepath.Join(t.TempDir(), "metrics.txt")
+		code, _, stderr := fleetsim(t, "-tenants 200 -per-tenant=false -metrics "+path+" -workers "+workers)
+		if code != 0 {
+			t.Fatalf("-workers %s: exit %d\n%s", workers, code, stderr)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dumps[i] = strings.Join(series.FindAllString(string(raw), -1), "\n")
+	}
+	if dumps[0] == "" {
+		t.Fatal("-metrics dump holds no calibration series")
+	}
+	if dumps[0] != dumps[1] {
+		t.Errorf("calibration series differ:\n-workers 1:\n%s\n-workers 4:\n%s", dumps[0], dumps[1])
+	}
+}
+
 func TestNonsenseSizesExitTwoWithUsage(t *testing.T) {
 	for _, args := range []string{"-tenants 0", "-tenants 5 -workers -1", "-tenants 5 -horizon 0", "-tenants 5 -theta 0"} {
 		code, stdout, stderr := fleetsim(t, args)
@@ -102,7 +131,8 @@ func TestNonsenseSizesExitTwoWithUsage(t *testing.T) {
 	// Values the flags themselves refuse, instead of a default or a clamp
 	// quietly replacing them later.
 	for _, args := range []string{"-tenants 5 -burn-windows nonsense", "-tenants 5 -state-retain 0",
-		"-tenants 5 -checkpoint-interval 0", "-tenants 5 -checkpoint-interval -2"} {
+		"-tenants 5 -checkpoint-interval 0", "-tenants 5 -checkpoint-interval -2",
+		"-tenants 5 -tau NaN", "-tenants 5 -tau 1.5", "-tenants 5 -tau 0", "-tenants 5 -tau2 NaN", "-tenants 5 -tau2 1"} {
 		code, stdout, stderr := fleetsim(t, args)
 		if code != 2 || stdout != "" {
 			t.Errorf("%s: exit %d, want 2; stdout %q", args, code, stdout)

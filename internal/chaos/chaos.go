@@ -14,10 +14,11 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"robustscale/internal/obs"
 )
@@ -114,31 +115,68 @@ type Event struct {
 	Value float64
 }
 
-// window returns the step span the event is active over.
-func (e Event) window() (from, to int) {
-	n := e.Size
-	if n < 1 {
-		n = 1
-	}
-	return e.Step, e.Step + n
-}
+// span is the event's window length: Size, but never under one step.
+func (e Event) span() int { return max(e.Size, 1) }
 
 // Schedule is a precomputed, immutable-after-build fault plan indexed by
 // replay step. The zero value is an empty schedule; a nil *Schedule is
 // also treated as empty by every method.
+//
+// Lookups sit on the per-step path of every chaos-enabled loop, so a
+// schedule keeps one entry per class present — a handful, found by
+// comparison, never hashed — each with its events sorted by step and its
+// longest window. ActiveAt is then a binary search plus a walk back over
+// only the events that could still cover the step: O(log n + overlap).
 type Schedule struct {
-	byClass map[Class][]Event // events per class, sorted by Step
+	classes []classEvents
 	total   int
 }
 
-// Add appends an event to the schedule, keeping per-class step order.
-func (s *Schedule) Add(e Event) {
-	if s.byClass == nil {
-		s.byClass = make(map[Class][]Event)
+// classEvents is one class's events, sorted by Step with same-step events
+// in Add order, and the longest span among them.
+type classEvents struct {
+	class   Class
+	events  []Event
+	longest int
+}
+
+// of returns the class's events, nil when it has none.
+func (s *Schedule) of(class Class) *classEvents {
+	if s == nil {
+		return nil
 	}
-	evs := append(s.byClass[e.Class], e)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Step < evs[j].Step })
-	s.byClass[e.Class] = evs
+	for i := range s.classes {
+		if s.classes[i].class == class {
+			return &s.classes[i]
+		}
+	}
+	return nil
+}
+
+// startedBy returns how many of the sorted events start at or before step.
+func startedBy(evs []Event, step int) int {
+	lo, hi := 0, len(evs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if evs[m].Step <= step {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// Add inserts an event after every event of its class that starts at or
+// before its step.
+func (s *Schedule) Add(e Event) {
+	ce := s.of(e.Class)
+	if ce == nil {
+		s.classes = append(s.classes, classEvents{class: e.Class})
+		ce = &s.classes[len(s.classes)-1]
+	}
+	ce.events = slices.Insert(ce.events, startedBy(ce.events, e.Step), e)
+	ce.longest = max(ce.longest, e.span())
 	s.total++
 }
 
@@ -159,32 +197,28 @@ func (s *Schedule) Events() []Event {
 		return nil
 	}
 	out := make([]Event, 0, s.total)
-	for _, evs := range s.byClass {
-		out = append(out, evs...)
+	for _, ce := range s.classes {
+		out = append(out, ce.events...)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Step != out[j].Step {
-			return out[i].Step < out[j].Step
-		}
-		return out[i].Class < out[j].Class
+	slices.SortStableFunc(out, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Step, b.Step), cmp.Compare(a.Class, b.Class))
 	})
 	return out
 }
 
 // ActiveAt returns the event of the given class whose window covers step,
-// if any. Overlapping windows resolve to the latest-starting event.
+// if any. Overlapping windows resolve to the latest-starting event, and
+// same-step events to the one added last.
 func (s *Schedule) ActiveAt(step int, class Class) (Event, bool) {
-	if s == nil {
+	ce := s.of(class)
+	if ce == nil {
 		return Event{}, false
 	}
-	evs := s.byClass[class]
-	// Walk backwards: the latest-starting active window wins.
-	for i := len(evs) - 1; i >= 0; i-- {
-		from, to := evs[i].window()
-		if from > step {
-			continue
-		}
-		if step < to {
+	evs := ce.events
+	// Walk back from the last event started by step; once an event starts
+	// a longest window or more before it, no earlier one can cover it.
+	for i := startedBy(evs, step) - 1; i >= 0 && evs[i].Step+ce.longest > step; i-- {
+		if step < evs[i].Step+evs[i].span() {
 			return evs[i], true
 		}
 	}
@@ -231,18 +265,13 @@ func (s *Schedule) PartialProvisionAt(step int) bool {
 
 // KillsAt returns how many nodes the schedule kills at exactly this step.
 func (s *Schedule) KillsAt(step int) int {
-	if s == nil {
+	ce := s.of(NodeKill)
+	if ce == nil {
 		return 0
 	}
 	killed := 0
-	for _, e := range s.byClass[NodeKill] {
-		if e.Step == step {
-			n := e.Size
-			if n < 1 {
-				n = 1
-			}
-			killed += n
-		}
+	for i := startedBy(ce.events, step) - 1; i >= 0 && ce.events[i].Step == step; i-- {
+		killed += ce.events[i].span()
 	}
 	return killed
 }

@@ -180,8 +180,9 @@ func (fs *FleetSchedule) TenantFaulted(index int, id string) (bool, error) {
 }
 
 // PoolFactorAt returns the remaining capacity fraction of the shared
-// pool at the step: 1.0 normally, the smallest active PoolCollapse
-// event value during a collapse window.
+// pool at the step: 1.0 normally and, during a collapse window, the value
+// of the latest-starting active PoolCollapse event (0.5 when that value
+// is outside (0, 1]).
 func (fs *FleetSchedule) PoolFactorAt(step int) float64 {
 	if fs == nil {
 		return 1

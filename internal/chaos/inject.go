@@ -225,13 +225,7 @@ func CorruptTelemetry(s *timeseries.Series, sched *Schedule, step int) *timeseri
 	n := out.Len()
 	for _, f := range active {
 		CountInjected(f.class)
-		k := f.ev.Size
-		if k < 1 {
-			k = 1
-		}
-		if k > n {
-			k = n
-		}
+		k := min(f.ev.span(), n)
 		switch f.class {
 		case TelemetryStale:
 			frozen := out.Values[n-k]

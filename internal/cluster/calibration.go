@@ -22,13 +22,12 @@ var calibrationSkipped = obs.Default.Counter(
 // realized workloads, the robust strategy's safety margin has silently
 // eroded and retraining is due.
 //
-// Every Observe updates, in O(levels) time:
-//
-//   - per-level observed coverage (fraction of actuals at or below the
-//     level's forecast) exported as robustscale_forecast_coverage{tau=...}
-//     alongside the observed-minus-nominal error gauge, and
-//   - the rolling mean weighted quantile loss, exported as
-//     robustscale_forecast_rolling_wql.
+// Every Observe updates, in O(levels) time, the window's per-level
+// covered-step counts (actuals at or below the level's forecast) and
+// pinball-loss sums, from which Snapshot and HealthCheck read per-level
+// coverage and the rolling mean weighted quantile loss. A Calibration
+// exports nothing itself: a CalibrationFold pools the windows of a whole
+// fleet into the robustscale_forecast_* gauges once per round.
 //
 // Calibration is safe for concurrent use, though the control loop is its
 // only writer in practice.
@@ -45,11 +44,6 @@ type Calibration struct {
 	pinball   []float64 // per level: pinball-loss sum over window
 	actualSum float64
 	skipped   uint64 // non-finite observations refused
-
-	coverage []*obs.Gauge
-	covError []*obs.Gauge
-	wql      *obs.Gauge
-	samples  *obs.Gauge
 }
 
 // CalibrationSnapshot is a point-in-time view of the rolling window.
@@ -67,8 +61,7 @@ type CalibrationSnapshot struct {
 }
 
 // NewCalibration builds a tracker for the given quantile levels over a
-// rolling window of that many steps, registering its gauges on
-// obs.Default.
+// rolling window of that many steps.
 func NewCalibration(levels []float64, window int) (*Calibration, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("cluster: calibration needs at least one quantile level")
@@ -77,50 +70,28 @@ func NewCalibration(levels []float64, window int) (*Calibration, error) {
 		return nil, fmt.Errorf("cluster: non-positive calibration window %d", window)
 	}
 	for _, tau := range levels {
-		if tau <= 0 || tau >= 1 {
+		if !(tau > 0 && tau < 1) {
 			return nil, fmt.Errorf("cluster: calibration level %v outside (0, 1)", tau)
 		}
 	}
-	c := &Calibration{
+	return &Calibration{
 		levels:  append([]float64(nil), levels...),
 		window:  window,
 		actuals: make([]float64, window),
 		preds:   make([]float64, window*len(levels)),
 		covered: make([]int, len(levels)),
 		pinball: make([]float64, len(levels)),
-	}
-	covVec := obs.Default.GaugeVec(
-		"robustscale_forecast_coverage",
-		"Observed rolling coverage of each quantile level; calibrated forecasts match the tau label.",
-		"tau")
-	errVec := obs.Default.GaugeVec(
-		"robustscale_forecast_coverage_error",
-		"Observed minus nominal rolling coverage, by quantile level.",
-		"tau")
-	c.coverage = make([]*obs.Gauge, len(levels))
-	c.covError = make([]*obs.Gauge, len(levels))
-	for i, tau := range levels {
-		label := strconv.FormatFloat(tau, 'g', -1, 64)
-		c.coverage[i] = covVec.With(label)
-		c.covError[i] = errVec.With(label)
-	}
-	c.wql = obs.Default.Gauge(
-		"robustscale_forecast_rolling_wql",
-		"Rolling mean weighted quantile loss over the calibration window.")
-	c.samples = obs.Default.Gauge(
-		"robustscale_forecast_calibration_samples",
-		"Steps currently held in the forecast-calibration window.")
-	return c, nil
+	}, nil
 }
 
 // Levels returns the nominal quantile levels, in order.
 func (c *Calibration) Levels() []float64 { return append([]float64(nil), c.levels...) }
 
 // Observe feeds one realized workload and the quantile row that was
-// forecast for its step (values aligned with the tracker's levels), then
-// refreshes the exported gauges. A non-finite actual or quantile value is
-// skipped and counted rather than admitted: a single NaN in a rolling sum
-// would poison coverage and wQL for a full window length.
+// forecast for its step (values aligned with the tracker's levels). A
+// non-finite actual or quantile value is skipped and counted rather than
+// admitted: a single NaN in a rolling sum would poison coverage and wQL
+// for a full window length.
 func (c *Calibration) Observe(actual float64, quantiles []float64) error {
 	if len(quantiles) != len(c.levels) {
 		return fmt.Errorf("cluster: %d quantile values for %d calibration levels", len(quantiles), len(c.levels))
@@ -164,15 +135,6 @@ func (c *Calibration) Observe(actual float64, quantiles []float64) error {
 		c.pinball[i] += pinballLoss(tau, actual, quantiles[i])
 	}
 	c.next = (c.next + 1) % c.window
-
-	n := float64(c.count)
-	for i, tau := range c.levels {
-		cov := float64(c.covered[i]) / n
-		c.coverage[i].Set(cov)
-		c.covError[i].Set(cov - tau)
-	}
-	c.wql.Set(c.rollingWQL())
-	c.samples.Set(n)
 	return nil
 }
 
@@ -238,6 +200,111 @@ func (c *Calibration) HealthCheck(slack, maxWQL float64, minSteps int) func() (b
 		}
 		return true, ""
 	}
+}
+
+// The per-level calibration families. They print nothing until a fold
+// gives them a level, and a fold registers the two plain gauges only once
+// it sees a window, so a process whose loops never graded a fan exports
+// none of the four.
+var (
+	foldCoverage = obs.Default.GaugeVec(
+		"robustscale_forecast_coverage",
+		"Observed rolling coverage of each quantile level, pooled over every tenant's calibration window; calibrated forecasts match the tau label.",
+		"tau")
+	foldCoverageError = obs.Default.GaugeVec(
+		"robustscale_forecast_coverage_error",
+		"Observed minus nominal rolling coverage, by quantile level, pooled over every tenant's calibration window.",
+		"tau")
+)
+
+// CalibrationFold pools the calibration windows of a fleet's tenants into
+// the four robustscale_forecast_* families and is their only writer: Add
+// every tenant's window in tenant-index order, then Publish. Per level tau,
+//
+//	coverage{tau}       = Σcovered / Σcount over the windows that carry tau
+//	coverage_error{tau} = coverage{tau} - tau
+//	rolling_wql         = mean over levels of 2·Σpinball / Σactual
+//	calibration_samples = Σcount
+//
+// so a fleet of one exports exactly its window's Snapshot, and the fixed
+// order keeps every float sum independent of how many workers ran the
+// round. After its first Publish a fold allocates nothing. The zero value
+// is ready to use; a fold is not safe for concurrent use.
+type CalibrationFold struct {
+	levels       []foldLevel // in the order the windows first carried them
+	steps        int         // Σcount
+	wql, samples *obs.Gauge
+}
+
+// foldLevel is one quantile level's pooled window sums and its gauges.
+type foldLevel struct {
+	tau                     float64
+	covered, count          int
+	pinball, actual         float64
+	coverage, coverageError *obs.Gauge
+}
+
+// Add pools one tenant's window; nil, a tenant that has not graded a fan
+// yet, adds nothing.
+func (f *CalibrationFold) Add(c *Calibration) {
+	if c == nil {
+		return
+	}
+	if f.wql == nil {
+		f.wql = obs.Default.Gauge("robustscale_forecast_rolling_wql",
+			"Rolling mean weighted quantile loss, pooled over every tenant's calibration window.")
+		f.samples = obs.Default.Gauge("robustscale_forecast_calibration_samples",
+			"Steps currently held in the forecast-calibration windows, summed over every tenant.")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f.steps += c.count
+	for i, tau := range c.levels {
+		l := f.level(tau)
+		l.covered += c.covered[i]
+		l.count += c.count
+		l.pinball += c.pinball[i]
+		l.actual += c.actualSum
+	}
+}
+
+// level returns the fold's entry for tau, adding it (and creating its two
+// series) the first time a window carries it.
+func (f *CalibrationFold) level(tau float64) *foldLevel {
+	for i := range f.levels {
+		if f.levels[i].tau == tau {
+			return &f.levels[i]
+		}
+	}
+	label := strconv.FormatFloat(tau, 'g', -1, 64)
+	f.levels = append(f.levels, foldLevel{tau: tau,
+		coverage: foldCoverage.With(label), coverageError: foldCoverageError.With(label)})
+	return &f.levels[len(f.levels)-1]
+}
+
+// Publish writes the pooled values and empties the fold for the next
+// round. A level no window has observed a step of keeps its series where
+// they are.
+func (f *CalibrationFold) Publish() {
+	if f.wql == nil {
+		return
+	}
+	wql := 0.0
+	for i := range f.levels {
+		l := &f.levels[i]
+		if l.count > 0 {
+			cov := float64(l.covered) / float64(l.count)
+			l.coverage.Set(cov)
+			l.coverageError.Set(cov - l.tau)
+		}
+		if l.actual > 0 {
+			wql += 2 * l.pinball / l.actual
+		}
+		l.covered, l.count, l.pinball, l.actual = 0, 0, 0, 0
+	}
+	f.wql.Set(wql / float64(len(f.levels)))
+	f.samples.Set(float64(f.steps))
+	f.steps = 0
 }
 
 // pinballLoss is the quantile (pinball) loss rho_tau of prediction yhat

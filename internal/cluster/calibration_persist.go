@@ -18,9 +18,8 @@ const maxSnapshotCells = 1 << 20
 // Save writes the rolling window so a restarted control plane resumes
 // forecast-health monitoring with its accumulated evidence instead of a
 // blind warm-up period: the config, then the retained observations
-// oldest-first (layout in DESIGN.md §8). Rolling sums and gauge values
-// are not persisted — LoadCalibration re-observes the window, which
-// rebuilds both exactly and re-exports the gauges on the restarted process.
+// oldest-first (layout in DESIGN.md §8). Rolling sums are not persisted —
+// LoadCalibration re-observes the window, which rebuilds them exactly.
 func (c *Calibration) Save(w io.Writer) error {
 	l := len(c.levels)
 	c.mu.Lock()
@@ -43,9 +42,8 @@ func (c *Calibration) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadCalibration restores a tracker saved by Save, re-registering its
-// gauges on obs.Default and replaying the retained window so every
-// rolling sum and exported gauge matches the checkpointed process.
+// LoadCalibration restores a tracker saved by Save, replaying the
+// retained window so every rolling sum matches the checkpointed process.
 func LoadCalibration(r io.Reader) (*Calibration, error) {
 	rd := wire.ReadFrom(r)
 	levels, window, skipped := rd.Floats(), rd.Int(), rd.Uvarint()

@@ -15,6 +15,9 @@ func TestCalibrationValidation(t *testing.T) {
 	if _, err := NewCalibration([]float64{1.5}, 10); err == nil {
 		t.Error("level outside (0,1) accepted")
 	}
+	if _, err := NewCalibration([]float64{0.5, math.NaN()}, 10); err == nil {
+		t.Error("NaN level accepted")
+	}
 	c, err := NewCalibration([]float64{0.5, 0.9}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -111,5 +114,72 @@ func TestCalibrationRollingEviction(t *testing.T) {
 	}
 	if math.Abs(snap.WQL-wantWQL) > 1e-9 {
 		t.Errorf("rolling wQL = %v, want %v", snap.WQL, wantWQL)
+	}
+}
+
+// TestCalibrationFold: a fold of one window exports that window's
+// Snapshot; a fold of several pools each level's counts over the windows
+// that carry it; and after its first Publish a fold allocates nothing.
+func TestCalibrationFold(t *testing.T) {
+	a, err := NewCalibration([]float64{0.5, 0.9}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewCalibration([]float64{0.9}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []struct{ actual, q5, q9 float64 }{{10, 12, 20}, {10, 8, 15}} {
+		if err := a.Observe(s.actual, []float64{s.q5, s.q9}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q9 := range []float64{18, 25, 19} {
+		if err := b.Observe(20, []float64{q9}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var f CalibrationFold
+	read := func() (cov, covErr []float64, wql, samples float64) {
+		for _, l := range f.levels {
+			cov, covErr = append(cov, l.coverage.Value()), append(covErr, l.coverageError.Value())
+		}
+		return cov, covErr, f.wql.Value(), f.samples.Value()
+	}
+
+	f.Add(nil)
+	f.Add(a)
+	f.Publish()
+	snap := a.Snapshot()
+	cov, covErr, wql, samples := read()
+	for i, tau := range snap.Levels {
+		if cov[i] != snap.Coverage[i] || covErr[i] != snap.Coverage[i]-tau {
+			t.Errorf("one window, q%g: coverage %v error %v, want %v and %v", tau, cov[i], covErr[i], snap.Coverage[i], snap.Coverage[i]-tau)
+		}
+	}
+	if wql != snap.WQL || samples != float64(snap.Steps) {
+		t.Errorf("one window: wQL %v samples %v, want %v and %d", wql, samples, snap.WQL, snap.Steps)
+	}
+
+	f.Add(a)
+	f.Add(b)
+	f.Publish()
+	cov, covErr, wql, samples = read()
+	if cov[0] != 0.5 || cov[1] != 3.0/5 || covErr[1] != cov[1]-0.9 || samples != 5 {
+		t.Errorf("pooled: coverage %v error %v samples %v, want [0.5 0.6], 0.6-0.9 and 5", cov, covErr, samples)
+	}
+	pin9 := pinballLoss(0.9, 10, 20) + pinballLoss(0.9, 10, 15) +
+		pinballLoss(0.9, 20, 18) + pinballLoss(0.9, 20, 25) + pinballLoss(0.9, 20, 19)
+	want := (2*(pinballLoss(0.5, 10, 12)+pinballLoss(0.5, 10, 8))/20 + 2*pin9/80) / 2
+	if math.Abs(wql-want) > 1e-12 {
+		t.Errorf("pooled wQL %v, want %v", wql, want)
+	}
+
+	if allocs := testing.AllocsPerRun(20, func() {
+		f.Add(a)
+		f.Add(b)
+		f.Publish()
+	}); allocs != 0 {
+		t.Errorf("a steady-state fold allocates %v times", allocs)
 	}
 }

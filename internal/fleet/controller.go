@@ -50,6 +50,10 @@ type Controller struct {
 	lastSteps int64
 	lastViol  int64
 
+	// calFold pools every tenant's calibration window into the fleet's
+	// calibration gauges.
+	calFold cluster.CalibrationFold
+
 	// Shared capacity pool and chaos state. chaosSched is nil with chaos
 	// disabled; the admission scratch buffers are reused every round.
 	chaosSched       *chaos.FleetSchedule
@@ -122,6 +126,8 @@ func New(cfg Config) (*Controller, error) {
 	fleetColdStarts.Add(float64(c.coldCount))
 	fleetCorruptSnapshots.Add(float64(c.corrupt))
 	fleetSeriesRestored.Add(float64(c.seriesRestored))
+	// A warm start exports the windows it restored before its first round.
+	c.foldCalibration()
 	if series != nil && c.seriesRestored < len(tenants) {
 		c.saveSeries(series)
 	}
@@ -570,6 +576,7 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 				uint64(viol-c.lastViol), uint64(steps-c.lastSteps))
 			c.lastSteps, c.lastViol = steps, viol
 		}
+		c.foldCalibration()
 		c.rounds++
 		fleetRoundsTotal.Inc()
 		if c.segs != nil && c.rounds%cfg.CheckpointInterval == 0 {
@@ -580,6 +587,16 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		c.checkpoint()
 	}
 	return c.report(), nil
+}
+
+// foldCalibration publishes the fleet's calibration gauges: every
+// tenant's window pooled in index order, after the round barrier, so the
+// exported values do not depend on which worker graded a step last.
+func (c *Controller) foldCalibration() {
+	for _, t := range c.tenants {
+		c.calFold.Add(t.cal)
+	}
+	c.calFold.Publish()
 }
 
 // checkpoint snapshots every tenant into its slot, batched across the

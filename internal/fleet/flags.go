@@ -22,17 +22,17 @@ type Flags struct {
 
 // BindFlags defines on fs the flags fleetsim and autoscaled share, each
 // defaulting to def's value, and returns what parsing fills. Sizes that
-// cannot run (a non-positive -state-retain or -checkpoint-interval) and a
-// malformed -burn-windows fail fs.Parse, so the command exits 2 with its
-// usage.
+// cannot run (a non-positive -state-retain or -checkpoint-interval), a
+// quantile level outside (0, 1) and a malformed -burn-windows fail
+// fs.Parse, so the command exits 2 with its usage.
 func BindFlags(fs *flag.FlagSet, def Config) *Flags {
 	f := &Flags{Config: def}
 	c := &f.Config
 	fs.Int64Var(&c.Seed, "seed", def.Seed, "master seed: the workload trace and every model and fault seed derive from it")
 	fs.Float64Var(&c.Theta, "theta", def.Theta, "per-node workload threshold")
 	fs.IntVar(&c.Horizon, "horizon", def.Horizon, "planning horizon in steps")
-	fs.Float64Var(&c.Tau, "tau", def.Tau, "quantile level (robust) or optimistic level (adaptive)")
-	fs.Float64Var(&c.Tau2, "tau2", def.Tau2, "conservative level for adaptive")
+	quantileVar(fs, &c.Tau, "tau", def.Tau, "quantile `level` in (0, 1) (robust) or optimistic level (adaptive)")
+	quantileVar(fs, &c.Tau2, "tau2", def.Tau2, "conservative quantile `level` in (0, 1) for adaptive")
 	fs.Float64Var(&c.Rho, "rho", def.Rho, "adaptive uncertainty threshold (0 = calibrate per tenant)")
 	fs.StringVar(&c.Strategy, "strategy", def.Strategy, "robust | adaptive | reactive-max (autoscaled also takes reactive-avg)")
 	fs.BoolVar(&c.Guard, "guard", def.Guard, "wrap every strategy in the resilience guard (fan repair, fallback ladder, calibration gate)")
@@ -74,6 +74,28 @@ func (p *positiveInt) Set(s string) error {
 	}
 	if err == nil {
 		*p = positiveInt(n)
+	}
+	return err
+}
+
+// quantileVar defines a float flag that refuses a level outside (0, 1),
+// NaN included, when it is parsed.
+func quantileVar(fs *flag.FlagSet, p *float64, name string, value float64, usage string) {
+	*p = value
+	fs.Var((*quantile)(p), name, usage)
+}
+
+type quantile float64
+
+func (q *quantile) String() string { return strconv.FormatFloat(float64(*q), 'g', -1, 64) }
+
+func (q *quantile) Set(s string) error {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && !(v > 0 && v < 1) {
+		err = errors.New("must be inside (0, 1)")
+	}
+	if err == nil {
+		*q = quantile(v)
 	}
 	return err
 }

@@ -183,7 +183,7 @@ func (cfg Config) validate() error {
 	}
 	switch cfg.Strategy {
 	case StrategyRobust, StrategyAdaptive:
-		if cfg.Tau <= 0 || cfg.Tau >= 1 {
+		if !(cfg.Tau > 0 && cfg.Tau < 1) {
 			return fmt.Errorf("fleet: quantile level %v outside (0, 1)", cfg.Tau)
 		}
 	case StrategyReactiveMax:

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,6 +73,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Horizon = 10000 },
 		func(c *Config) { c.Theta = 0 },
 		func(c *Config) { c.Tau = 1.5 },
+		func(c *Config) { c.Tau = math.NaN() },
 		func(c *Config) { c.Strategy = "nope" },
 		func(c *Config) { c.Forecaster = "nope" },
 		func(c *Config) { c.Forecaster = ForecasterSeasonalNaive; c.TrainDays = 1; c.Days = 3 },

@@ -210,7 +210,7 @@ func (g *Guard) guarded(history *timeseries.Series, h int, dst []int) (Round, er
 	if cfg.Theta <= 0 {
 		return Round{}, fmt.Errorf("scaler: guard threshold %v", cfg.Theta)
 	}
-	if cfg.Tau <= 0 || cfg.Tau >= 1 {
+	if !(cfg.Tau > 0 && cfg.Tau < 1) {
 		return Round{}, fmt.Errorf("scaler: guard quantile level %v outside (0, 1)", cfg.Tau)
 	}
 	hist := g.sanitizeHistory(history)

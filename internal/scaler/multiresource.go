@@ -74,7 +74,7 @@ func PlanMultiResource(specs []ResourceSpec, h int) (*MultiResourcePlan, error) 
 		if spec.Theta <= 0 {
 			return nil, fmt.Errorf("scaler: resource %q threshold %v", spec.Name, spec.Theta)
 		}
-		if spec.Tau <= 0 || spec.Tau >= 1 {
+		if !(spec.Tau > 0 && spec.Tau < 1) {
 			return nil, fmt.Errorf("scaler: resource %q quantile level %v", spec.Name, spec.Tau)
 		}
 		f, err := spec.Forecaster.PredictQuantiles(spec.History, h, []float64{spec.Tau})

@@ -291,7 +291,7 @@ func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) (Round, 
 	if r.Theta <= 0 {
 		return Round{}, fmt.Errorf("scaler: robust threshold %v", r.Theta)
 	}
-	if r.Tau <= 0 || r.Tau >= 1 {
+	if !(r.Tau > 0 && r.Tau < 1) {
 		return Round{}, fmt.Errorf("scaler: robust quantile level %v outside (0, 1)", r.Tau)
 	}
 	if len(r.tauLevels) != 1 || r.tauLevels[0] != r.Tau {
@@ -387,7 +387,7 @@ func (a *Adaptive) validate() error {
 	if a.Theta <= 0 {
 		return fmt.Errorf("scaler: adaptive threshold %v", a.Theta)
 	}
-	if a.Tau1 <= 0 || a.Tau2 >= 1 || a.Tau1 > a.Tau2 {
+	if !(a.Tau1 > 0 && a.Tau2 < 1 && a.Tau1 <= a.Tau2) {
 		return fmt.Errorf("scaler: adaptive quantile levels %v/%v invalid", a.Tau1, a.Tau2)
 	}
 	return nil

@@ -203,6 +203,9 @@ func TestRobustValidation(t *testing.T) {
 	if _, err := PlanRound(&Robust{Forecaster: qf, Tau: 1.5, Theta: 10}, series(1), 1, nil); err == nil {
 		t.Error("tau out of range should fail")
 	}
+	if _, err := PlanRound(&Robust{Forecaster: qf, Tau: math.NaN(), Theta: 10}, series(1), 1, nil); err == nil {
+		t.Error("NaN tau should fail")
+	}
 }
 
 func TestAdaptiveSwitchesOnUncertainty(t *testing.T) {
@@ -232,6 +235,8 @@ func TestAdaptiveValidation(t *testing.T) {
 		{Forecaster: qf, Tau1: 0.6, Tau2: 0.9, Rho: 1, Theta: 0},
 		{Forecaster: qf, Tau1: 0.9, Tau2: 0.6, Rho: 1, Theta: 10},
 		{Forecaster: qf, Tau1: 0, Tau2: 0.9, Rho: 1, Theta: 10},
+		{Forecaster: qf, Tau1: math.NaN(), Tau2: 0.9, Rho: 1, Theta: 10},
+		{Forecaster: qf, Tau1: 0.6, Tau2: math.NaN(), Rho: 1, Theta: 10},
 	}
 	for i, a := range cases {
 		if _, err := PlanRound(a, series(1), 1, nil); err == nil {
