@@ -50,12 +50,15 @@ func TestGoldenFleetHash(t *testing.T) {
 	}
 }
 
-// TestFleetHashTable pins one fleet hash per configuration: the pooled
-// 200-tenant fleet under the chaos presets that drive the apply breaker
-// and pool quarantine, and the serverless fleet with its wake defaults,
-// alone and under a wake storm against a binding pool.
+// TestFleetHashTable pins one fleet hash per configuration: the 200-tenant
+// default, the same fleet on qmlp (every tenant fitted through the Dense
+// backward kernels), the pooled fleet under the chaos presets that drive
+// the apply breaker and pool quarantine, and the serverless fleet with its
+// wake defaults, alone and under a wake storm against a binding pool.
 func TestFleetHashTable(t *testing.T) {
 	for _, tc := range []struct{ args, hash string }{
+		{"-tenants 200", "ba920dcdfbc1f801"},
+		{"-tenants 200 -forecaster qmlp", "1d8b34df49eb800f"},
 		{"-tenants 200 -pool 220 -chaos apply", "3a5df17d09359bf1"},
 		{"-tenants 200 -pool 220 -chaos all", "eff0db422f3620ec"},
 		{"-tenants 200 -pool 220 -chaos fleet", "7a24fc62f56a6ae3"},
