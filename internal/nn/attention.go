@@ -44,9 +44,9 @@ type AttnCache struct {
 // attended (T x Dim) output.
 func (a *Attention) Forward(x Mat) (Mat, *AttnCache) {
 	tlen := x.Rows
-	q := MatMul(x, a.Wq.Value.Transpose())
-	k := MatMul(x, a.Wk.Value.Transpose())
-	v := MatMul(x, a.Wv.Value.Transpose())
+	q := MatMulBT(x, a.Wq.Value)
+	k := MatMulBT(x, a.Wk.Value)
+	v := MatMulBT(x, a.Wv.Value)
 
 	scale := 1 / math.Sqrt(float64(a.Dim))
 	attn := NewMat(tlen, tlen)
@@ -92,8 +92,8 @@ func (a *Attention) Backward(c *AttnCache, dOut Mat) Mat {
 	scale := 1 / math.Sqrt(float64(a.Dim))
 
 	// out = attn * v.
-	dAttn := MatMul(dOut, c.v.Transpose())
-	dV := MatMul(c.attn.Transpose(), dOut)
+	dAttn := MatMulBT(dOut, c.v)
+	dV := MatMulAT(c.attn, dOut)
 
 	// Softmax backward per row: dscore = attn .* (dAttn - sum(dAttn .* attn)).
 	dScores := NewMat(tlen, tlen)
@@ -112,7 +112,7 @@ func (a *Attention) Backward(c *AttnCache, dOut Mat) Mat {
 
 	// scores = scale * q k^T.
 	dQ := MatMul(dScores, c.k)
-	dK := MatMul(dScores.Transpose(), c.q)
+	dK := MatMulAT(dScores, c.q)
 	for i := range dQ.Data {
 		dQ.Data[i] *= scale
 	}
@@ -122,7 +122,7 @@ func (a *Attention) Backward(c *AttnCache, dOut Mat) Mat {
 
 	// Projections: q = x Wq^T, so dWq = dQ^T x and dx += dQ Wq.
 	accumProj := func(w *Param, dProj Mat) {
-		g := MatMul(dProj.Transpose(), c.x)
+		g := MatMulAT(dProj, c.x)
 		for i := range g.Data {
 			w.Grad.Data[i] += g.Data[i]
 		}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -112,4 +113,76 @@ func BenchmarkGRNStep(b *testing.B) {
 			_ = g.BackwardScratch(s, cache, dy)
 		}
 	})
+}
+
+// BenchmarkMulVecTInto is the input-gradient product of every LSTM BPTT
+// step: Wh^T (128x32) and Wx^T (128x5) by the 128 gate gradients.
+func BenchmarkMulVecTInto(b *testing.B) {
+	for _, in := range []int{32, 5} {
+		rng := rand.New(rand.NewSource(5))
+		m := NewMat(128, in)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		y := randVec(rng, 128)
+		dst := make([]float64, in)
+		b.Run(fmt.Sprintf("128x%d", in), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = m.MulVecTInto(y, dst)
+			}
+		})
+	}
+}
+
+// BenchmarkAddOuterInto is the weight-gradient product of the same step:
+// the 128 gate gradients times the 32-wide hidden state into Wh's
+// gradient.
+func BenchmarkAddOuterInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	dst := NewMat(128, 32)
+	y := randVec(rng, 128)
+	x := randVec(rng, 32)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		AddOuterInto(dst, y, x)
+	}
+}
+
+// BenchmarkMatMul runs the three products at TFT's attention shapes
+// (T = 144 steps, D = 32): causal weights times values (ab), the input
+// times a projection's transpose (abT) and the weights' transpose times
+// the values' gradient (aTb).
+func BenchmarkMatMul(b *testing.B) {
+	const tlen, dim = 144, 32
+	rng := rand.New(rand.NewSource(7))
+	fill := func(m Mat) Mat {
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		return m
+	}
+	attn := fill(NewMat(tlen, tlen))
+	for i := 0; i < tlen; i++ {
+		for j := i + 1; j < tlen; j++ {
+			attn.Set(i, j, 0)
+		}
+	}
+	v := fill(NewMat(tlen, dim))
+	w := fill(NewMat(dim, dim))
+	for _, bc := range []struct {
+		name string
+		mul  func() Mat
+	}{
+		{"ab", func() Mat { return MatMul(attn, v) }},
+		{"abT", func() Mat { return MatMulBT(v, w) }},
+		{"aTb", func() Mat { return MatMulAT(attn, v) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = bc.mul()
+			}
+		})
+	}
 }

@@ -55,9 +55,9 @@ func (a *MultiHeadAttention) Apply(x Mat) (Mat, func(Mat) Mat) {
 	hd := a.Dim / a.Heads
 	c := &mhaCache{
 		x: x,
-		q: MatMul(x, a.Wq.Value.Transpose()),
-		k: MatMul(x, a.Wk.Value.Transpose()),
-		v: MatMul(x, a.Wv.Value.Transpose()),
+		q: MatMulBT(x, a.Wq.Value),
+		k: MatMulBT(x, a.Wk.Value),
+		v: MatMulBT(x, a.Wv.Value),
 	}
 	c.attn = make([]Mat, a.Heads)
 	c.concat = NewMat(tlen, a.Dim)
@@ -111,7 +111,7 @@ func (a *MultiHeadAttention) Apply(x Mat) (Mat, func(Mat) Mat) {
 			}
 		}
 	}
-	out := MatMul(c.concat, a.Wo.Value.Transpose())
+	out := MatMulBT(c.concat, a.Wo.Value)
 
 	backward := func(dOut Mat) Mat { return a.backward(c, dOut) }
 	return out, backward
@@ -123,7 +123,7 @@ func (a *MultiHeadAttention) backward(c *mhaCache, dOut Mat) Mat {
 	scale := 1 / math.Sqrt(float64(hd))
 
 	// out = concat Wo^T: dWo = dOut^T concat; dConcat = dOut Wo.
-	gWo := MatMul(dOut.Transpose(), c.concat)
+	gWo := MatMulAT(dOut, c.concat)
 	for i := range gWo.Data {
 		a.Wo.Grad.Data[i] += gWo.Data[i]
 	}
@@ -187,7 +187,7 @@ func (a *MultiHeadAttention) backward(c *mhaCache, dOut Mat) Mat {
 
 	// Projections: q = x Wq^T, so dWq += dQ^T x and dx += dQ Wq.
 	accum := func(w *Param, dProj Mat) {
-		g := MatMul(dProj.Transpose(), c.x)
+		g := MatMulAT(dProj, c.x)
 		for i := range g.Data {
 			w.Grad.Data[i] += g.Data[i]
 		}

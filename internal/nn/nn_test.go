@@ -2,8 +2,11 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -77,9 +80,13 @@ func TestMatMulAndTranspose(t *testing.T) {
 			t.Errorf("MatMul[%d] = %v, want %v", i, c.Data[i], w)
 		}
 	}
-	at := a.Transpose()
-	if at.At(0, 1) != 3 || at.At(1, 0) != 2 {
-		t.Errorf("Transpose = %v", at.Data)
+	// Against the identity the transposed products are plain transposes.
+	id := Mat{Rows: 2, Cols: 2, Data: []float64{1, 0, 0, 1}}
+	if at := MatMulAT(a, id); at.At(0, 1) != 3 || at.At(1, 0) != 2 {
+		t.Errorf("MatMulAT(a, I) = %v, want a^T", at.Data)
+	}
+	if at := MatMulBT(id, a); at.At(0, 1) != 3 || at.At(1, 0) != 2 {
+		t.Errorf("MatMulBT(I, a) = %v, want a^T", at.Data)
 	}
 }
 
@@ -275,5 +282,68 @@ func TestSigmoidStable(t *testing.T) {
 	}
 	if got := sigmoid(0); got != 0.5 {
 		t.Errorf("sigmoid(0) = %v", got)
+	}
+}
+
+// TestLoadRejectsBrokenSnapshot: a snapshot whose shapes or value arrays
+// do not cover every named parameter, or whose values do not fill a
+// parameter's shape, fails with an error naming that parameter and leaves
+// the model untouched.
+func TestLoadRejectsBrokenSnapshot(t *testing.T) {
+	ps := Params{NewParam("a", 1, 2), NewParam("w", 2, 2)}
+	good := snapshot{
+		Names:  []string{"a", "w"},
+		Shapes: [][2]int{{1, 2}, {2, 2}},
+		Data:   [][]float64{{1, 2}, {3, 4, 5, 6}},
+	}
+	for _, tc := range []struct {
+		name, param string
+		edit        func(*snapshot)
+	}{
+		{"shapes short", "w", func(s *snapshot) { s.Shapes = s.Shapes[:1] }},
+		{"no shapes", "a", func(s *snapshot) { s.Shapes = nil }},
+		{"data short", "w", func(s *snapshot) { s.Data = s.Data[:1] }},
+		{"values short", "w", func(s *snapshot) { s.Data[1] = []float64{1} }},
+		{"values long", "a", func(s *snapshot) { s.Data[0] = []float64{1, 2, 3} }},
+		{"shapes long", "", func(s *snapshot) { s.Shapes = append(s.Shapes, [2]int{1, 1}) }},
+	} {
+		snap := good
+		snap.Shapes = append([][2]int(nil), good.Shapes...)
+		snap.Data = append([][]float64(nil), good.Data...)
+		tc.edit(&snap)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ps {
+			for i := range p.Value.Data {
+				p.Value.Data[i] = 9
+			}
+		}
+		err := ps.Load(&buf)
+		if err == nil {
+			t.Errorf("%s: Load accepted the snapshot", tc.name)
+			continue
+		}
+		if tc.param != "" && !strings.Contains(err.Error(), strconv.Quote(tc.param)) {
+			t.Errorf("%s: error %q does not name parameter %q", tc.name, err, tc.param)
+		}
+		for _, p := range ps {
+			for _, v := range p.Value.Data {
+				if v != 9 {
+					t.Fatalf("%s: rejected snapshot changed %s to %v", tc.name, p.Name, p.Value.Data)
+				}
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(good); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Load(&buf); err != nil {
+		t.Fatalf("well-formed snapshot: %v", err)
+	}
+	if got := ps[1].Value.Data; got[0] != 3 || got[3] != 6 {
+		t.Errorf("well-formed snapshot loaded %v", got)
 	}
 }
