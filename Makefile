@@ -53,11 +53,13 @@ bench-check:
 # next drives the one Breaker beside the three machines it replaced, each
 # in its client's tick pattern: they must agree event for event. The next
 # adds random events to a chaos schedule and to the map-and-scan one it
-# replaced: every lookup must agree. The last runs the nn training kernels
+# replaced: every lookup must agree. The next runs the nn training kernels
 # on fuzzer-chosen shapes and values: every output must carry the bits of
 # the one-row reference loops. It runs no unit tests (-run '^$'): the
 # fuzz build's coverage counters change which payload NaN+NaN keeps, and
-# TestMulVecIntoBitIdentical compares NaN payloads exactly.
+# TestMulVecIntoBitIdentical compares NaN payloads exactly. The last holds
+# the trace generator's ramp power to math.Pow's bits on any x in [0, 1]
+# and exponent in (0, 1].
 fuzz:
 	$(GO) test -fuzz=FuzzLoadSegment -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadSeries -fuzztime=10s ./internal/persist
@@ -66,6 +68,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzBreakerMatchesLegacy -fuzztime=10s ./internal/scaler
 	$(GO) test -fuzz=FuzzScheduleMatchesLegacy -fuzztime=10s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz=FuzzTrainingKernels -fuzztime=10s ./internal/nn
+	$(GO) test -run '^$$' -fuzz=FuzzRampPow -fuzztime=10s ./internal/trace
 
 # Fleet determinism and durability drill (same script CI runs): worker
 # counts invisible in results, kill-restart bit-identity, single-tenant

@@ -56,6 +56,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
+	if *days < 1 || *units < 1 {
+		fmt.Fprintf(stderr, "tracegen: -days and -units must be positive, got %d and %d\n", *days, *units)
+		fs.Usage()
+		return errUsage
+	}
 
 	var cfg trace.Config
 	switch *dataset {

@@ -46,14 +46,22 @@ func TestCSVHeaderAndRows(t *testing.T) {
 }
 
 func TestUnknownDatasetExitsTwoWithUsage(t *testing.T) {
-	code, stdout, stderr := tracegen("-dataset azure")
-	if code != 2 {
-		t.Errorf("exit %d, want 2", code)
-	}
-	if stdout != "" {
-		t.Errorf("wrote output: %s", stdout)
-	}
-	if !strings.Contains(stderr, `unknown dataset "azure"`) || !strings.Contains(stderr, "Usage of tracegen") {
-		t.Errorf("stderr lacks the reason or the usage:\n%s", stderr)
+	for _, tc := range []struct{ args, reason string }{
+		{"-dataset azure", `unknown dataset "azure"`},
+		{"-units 0", "-units must be positive"},
+		{"-units -4", "-units must be positive"},
+		{"-days 0", "-days and -units must be positive, got 0 and 64"},
+		{"-days -1 -dataset google", "-days and -units must be positive, got -1 and 64"},
+	} {
+		code, stdout, stderr := tracegen(tc.args)
+		if code != 2 {
+			t.Errorf("%s: exit %d, want 2", tc.args, code)
+		}
+		if stdout != "" {
+			t.Errorf("%s: wrote output: %s", tc.args, stdout)
+		}
+		if !strings.Contains(stderr, tc.reason) || !strings.Contains(stderr, "Usage of tracegen") {
+			t.Errorf("%s: stderr lacks the reason or the usage:\n%s", tc.args, stderr)
+		}
 	}
 }

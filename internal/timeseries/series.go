@@ -1,8 +1,7 @@
 // Package timeseries provides the time-series primitives shared by the
 // workload forecasters and the auto-scaling manager: a regularly sampled
-// Series type, element-wise aggregation of aligned series,
-// train/validation/test splitting, standardization, and sliding-window
-// extraction.
+// Series type, train/validation/test splitting, standardization, and
+// sliding-window extraction.
 //
 // All series in this repository are regularly sampled; the paper aggregates
 // the Alibaba and Google cluster traces at 10-minute intervals, the step

@@ -55,8 +55,7 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a trace written by WriteCSV. Per-unit series are not
-// round-tripped; only the aggregated series are restored.
+// ReadCSV parses a trace written by WriteCSV.
 func ReadCSV(name string, r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()
@@ -106,11 +105,7 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 		}
 	}
 
-	t := &Trace{
-		Name:       name,
-		Aggregated: make(map[Resource]*timeseries.Series, len(resources)),
-		Units:      map[Resource][]*timeseries.Series{},
-	}
+	t := &Trace{Name: name, Aggregated: make(map[Resource]*timeseries.Series, len(resources))}
 	for j, res := range resources {
 		t.Aggregated[res] = timeseries.New(name+"/"+string(res), start, step, cols[j])
 	}
