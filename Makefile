@@ -57,9 +57,11 @@ bench-check:
 # on fuzzer-chosen shapes and values: every output must carry the bits of
 # the one-row reference loops. It runs no unit tests (-run '^$'): the
 # fuzz build's coverage counters change which payload NaN+NaN keeps, and
-# TestMulVecIntoBitIdentical compares NaN payloads exactly. The last holds
+# TestMulVecIntoBitIdentical compares NaN payloads exactly. The next holds
 # the trace generator's ramp power to math.Pow's bits on any x in [0, 1]
-# and exponent in (0, 1].
+# and exponent in (0, 1]. The last runs the worker pool's dispatchers on
+# arbitrary task and worker counts: every index once, every worker id in
+# range.
 fuzz:
 	$(GO) test -fuzz=FuzzLoadSegment -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadSeries -fuzztime=10s ./internal/persist
@@ -69,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScheduleMatchesLegacy -fuzztime=10s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz=FuzzTrainingKernels -fuzztime=10s ./internal/nn
 	$(GO) test -run '^$$' -fuzz=FuzzRampPow -fuzztime=10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz=FuzzForEachWorker -fuzztime=10s ./internal/parallel
 
 # Fleet determinism and durability drill (same script CI runs): worker
 # counts invisible in results, kill-restart bit-identity, single-tenant
