@@ -342,6 +342,13 @@ func FuzzLoadComponent(f *testing.F) {
 		}
 		f.Add(append([]byte{byte(i)}, blob...))
 		f.Add(append([]byte{byte(i)}, blob[:len(blob)/2]...))
+		if c.name == "wake-latency-sketch" {
+			// Its count (the byte after the 8-byte α) patched from 4 to
+			// 50: a blob whose count disagrees with its buckets.
+			patched := append([]byte{byte(i)}, blob...)
+			patched[1+8] = 50
+			f.Add(patched)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -318,13 +319,18 @@ func readBuckets(rd *wire.Reader) map[int32]uint64 {
 		if k <= prev || k != int64(int32(k)) {
 			rd.Fail(fmt.Errorf("bucket key %d out of order or range", k))
 		}
+		if c == 0 {
+			rd.Fail(fmt.Errorf("bucket key %d has count 0", k))
+		}
 		m[int32(k)], prev = c, k
 	}
 	return m
 }
 
 // Load replaces the receiver's contents with a snapshot written by Save.
-// The snapshot's relative accuracy must match the receiver's.
+// The snapshot's relative accuracy must match the receiver's, and its
+// counts must agree: the count is the zero count plus every bucket's, no
+// bucket is empty, and a non-empty sketch has min <= max.
 func (s *Sketch) Load(r io.Reader) error {
 	rd := wire.ReadFrom(r)
 	alpha, count := rd.Float(), rd.Uvarint()
@@ -335,6 +341,20 @@ func (s *Sketch) Load(r io.Reader) error {
 	}
 	if alpha != s.alpha {
 		return fmt.Errorf("obs: sketch snapshot has relative accuracy %v, receiver %v", alpha, s.alpha)
+	}
+	total, overflow := zero, uint64(0)
+	for _, m := range [...]map[int32]uint64{pos, neg} {
+		for _, c := range m {
+			var carry uint64
+			total, carry = bits.Add64(total, c, 0)
+			overflow |= carry
+		}
+	}
+	if overflow != 0 || total != count {
+		return fmt.Errorf("obs: sketch snapshot count %d is not its zero count plus its bucket counts", count)
+	}
+	if count > 0 && lo > hi {
+		return fmt.Errorf("obs: sketch snapshot min %v exceeds max %v", lo, hi)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,9 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"sort"
+	"strings"
 	"testing"
+
+	"robustscale/internal/wire"
 )
 
 // sortPercentile is the repo-wide nearest-rank convention (see
@@ -166,6 +170,74 @@ func TestSketchSaveDeterministicAndRoundTrip(t *testing.T) {
 	wrongAlpha := NewSketch(0.05)
 	if err := wrongAlpha.Load(bytes.NewReader(b1.Bytes())); err == nil {
 		t.Fatal("expected error loading snapshot with mismatched alpha")
+	}
+}
+
+// encodeSnapshot writes snap in Save's layout, so a test can hand Load a
+// blob Save would never write.
+func encodeSnapshot(snap SketchSnapshot) []byte {
+	b := wire.AppendFloat(nil, snap.Alpha)
+	b = binary.AppendUvarint(b, snap.Count)
+	b = wire.AppendFloat(b, snap.Sum)
+	b = wire.AppendFloat(b, snap.Min)
+	b = wire.AppendFloat(b, snap.Max)
+	b = binary.AppendUvarint(b, snap.Zero)
+	b = appendBuckets(b, snap.PosKeys, snap.PosCounts)
+	return appendBuckets(b, snap.NegKeys, snap.NegCounts)
+}
+
+// TestSketchLoadRejectsInconsistentCounts: a blob whose count disagrees
+// with its buckets, with an empty bucket or with min above max is refused
+// with an error naming the problem, and the receiver keeps its contents.
+// Loaded, the first would send Percentile's rank walk past every bucket.
+func TestSketchLoadRejectsInconsistentCounts(t *testing.T) {
+	five := NewSketch(0.01)
+	for _, v := range []float64{1, 2, 3, 4, 5} {
+		five.Observe(v)
+	}
+	cases := []struct {
+		name  string
+		patch func(*SketchSnapshot)
+		want  string // "" = loads
+	}{
+		{"as saved", func(*SketchSnapshot) {}, ""},
+		{"empty sketch", func(s *SketchSnapshot) {
+			*s = NewSketch(0.01).Snapshot()
+		}, ""},
+		{"count above buckets", func(s *SketchSnapshot) { s.Count = 50 }, "count 50"},
+		{"count below buckets", func(s *SketchSnapshot) { s.Count = 4 }, "count 4"},
+		{"zero count counted twice", func(s *SketchSnapshot) { s.Zero, s.Count = 1, 5 }, "count 5"},
+		{"bucket counts overflow", func(s *SketchSnapshot) {
+			s.PosCounts[0], s.PosCounts[1] = math.MaxUint64, 2
+			s.PosKeys, s.PosCounts, s.Count = s.PosKeys[:2], s.PosCounts[:2], 1
+		}, "count 1"},
+		{"zero-count bucket", func(s *SketchSnapshot) {
+			s.NegKeys, s.NegCounts = []int32{3}, []uint64{0}
+		}, "count 0"},
+		{"min above max", func(s *SketchSnapshot) { s.Min, s.Max = s.Max, s.Min }, "min 5 exceeds max 1"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			snap := five.Snapshot()
+			c.patch(&snap)
+			got := NewSketch(0.01)
+			got.Observe(7)
+			err := got.Load(bytes.NewReader(encodeSnapshot(snap)))
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("Load: %v", err)
+			case c.want == "":
+				if got.Count() != snap.Count {
+					t.Errorf("loaded count %d, want %d", got.Count(), snap.Count)
+				}
+			case err == nil:
+				t.Fatalf("Load accepted the blob; Percentile(50) = %v", got.Percentile(50))
+			case !strings.Contains(err.Error(), c.want):
+				t.Errorf("Load error %q does not name %q", err, c.want)
+			case got.Count() != 1 || got.Max() != 7:
+				t.Errorf("a refused load changed the receiver: count %d, max %v", got.Count(), got.Max())
+			}
+		})
 	}
 }
 

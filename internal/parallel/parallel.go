@@ -19,14 +19,13 @@ import (
 	"robustscale/internal/obs"
 )
 
-// Workers normalizes a requested worker count: requested <= 0 means "use
-// every available CPU" (runtime.NumCPU, itself capped by GOMAXPROCS at run
-// time); the result is clamped to [1, tasks] so callers never spawn idle
-// goroutines.
+// Workers normalizes a requested worker count: requested <= 0 means "one
+// worker per P" (runtime.GOMAXPROCS); the result is clamped to [1, tasks]
+// so callers never spawn idle goroutines.
 func Workers(requested, tasks int) int {
 	w := requested
 	if w <= 0 {
-		w = runtime.NumCPU()
+		w = runtime.GOMAXPROCS(0)
 	}
 	if w > tasks {
 		w = tasks
@@ -37,12 +36,20 @@ func Workers(requested, tasks int) int {
 	return w
 }
 
+// claimsPerWorker is how many runs of indices each worker claims from the
+// shared counter, on average. One claim per index made contention on the
+// counter the biggest cost of a fleet round outside every layer; sixteen
+// per worker keep the claims rare and leave at most 1/16 of a worker's
+// share as tail when task costs are skewed (DESIGN.md §4).
+const claimsPerWorker = 16
+
 // ForEach runs fn(i) for every i in [0, n) across at most workers
 // goroutines and blocks until all calls return. Indices are handed out
-// dynamically (atomic counter), so fn must not care which goroutine runs
-// which index. workers is normalized with Workers. With one worker the
-// loop runs inline on the caller's goroutine, so the sequential path pays
-// nothing for the abstraction.
+// dynamically, in runs of consecutive indices claimed from an atomic
+// counter, so fn must not care which goroutine runs which index. workers
+// is normalized with Workers. With one worker the loop runs inline on the
+// caller's goroutine, so the sequential path pays nothing for the
+// abstraction.
 func ForEach(workers, n int, fn func(i int)) {
 	ForEachWorker(workers, n, func(_, i int) { fn(i) })
 }
@@ -53,32 +60,7 @@ func ForEach(workers, n int, fn func(i int)) {
 // schedule — any index may run on any worker, so per-worker state must be
 // merged order-independently or keyed by index afterwards.
 func ForEachWorker(workers, n int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	workers = Workers(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
+	dispatch(nil, "", workers, n, fn)
 }
 
 // ForEachWorkerSpan is ForEachWorker with per-worker trace spans: each
@@ -86,36 +68,47 @@ func ForEachWorker(workers, n int, fn func(worker, i int)) {
 // name on its own trace row (obs.WorkerTID0+worker), so fan-out phases —
 // Monte-Carlo sampling, mini-batch gradients, fleet plan/apply rounds —
 // render as parallel lanes in the Chrome trace. Scheduling is identical to
-// ForEachWorker (dynamic index hand-out, merge-order discipline applies
-// unchanged); with tracing disabled the extra cost is one atomic load
+// ForEachWorker; with tracing disabled the extra cost is one atomic load
 // per worker, not per task.
 func ForEachWorkerSpan(name string, workers, n int, fn func(worker, i int)) {
+	dispatch(obs.DefaultTracer, name, workers, n, fn)
+}
+
+// dispatch is the one loop behind every entry point. Each atomic claim
+// takes a run of max(1, n/(claimsPerWorker·workers)) consecutive indices,
+// which the claiming worker runs in ascending order. tr, when non-nil,
+// records each worker's participation as one span named name.
+func dispatch(tr *obs.Tracer, name string, workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
 	workers = Workers(workers, n)
 	if workers == 1 {
-		sp := obs.DefaultTracer.StartTID(name, obs.WorkerTID0)
+		sp := tr.StartTID(name, obs.WorkerTID0)
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
 		sp.End()
 		return
 	}
+	run := max(1, n/(claimsPerWorker*workers))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(worker int) {
 			defer wg.Done()
-			sp := obs.DefaultTracer.StartTID(name, uint64(obs.WorkerTID0+worker))
+			sp := tr.StartTID(name, uint64(obs.WorkerTID0+worker))
 			defer sp.End()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				hi := int(next.Add(int64(run)))
+				lo := hi - run
+				if lo >= n {
 					return
 				}
-				fn(worker, i)
+				for i, end := lo, min(hi, n); i < end; i++ {
+					fn(worker, i)
+				}
 			}
 		}(w)
 	}
