@@ -59,9 +59,11 @@ bench-check:
 # fuzz build's coverage counters change which payload NaN+NaN keeps, and
 # TestMulVecIntoBitIdentical compares NaN payloads exactly. The next holds
 # the trace generator's ramp power to math.Pow's bits on any x in [0, 1]
-# and exponent in (0, 1]. The last runs the worker pool's dispatchers on
+# and exponent in (0, 1]. The next runs the worker pool's dispatchers on
 # arbitrary task and worker counts: every index once, every worker id in
-# range.
+# range. The next feeds arbitrary bytes to the six trained-model Loads,
+# which must error cleanly like the component decoders. The last parses
+# arbitrary burn-rule specs: every one accepted must pass Validate.
 fuzz:
 	$(GO) test -fuzz=FuzzLoadSegment -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadSeries -fuzztime=10s ./internal/persist
@@ -72,6 +74,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzTrainingKernels -fuzztime=10s ./internal/nn
 	$(GO) test -run '^$$' -fuzz=FuzzRampPow -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzForEachWorker -fuzztime=10s ./internal/parallel
+	$(GO) test -run '^$$' -fuzz=FuzzLoadModel -fuzztime=10s ./internal/forecast
+	$(GO) test -run '^$$' -fuzz=FuzzParseBurnRules -fuzztime=10s ./internal/obs
 
 # Fleet determinism and durability drill (same script CI runs): worker
 # counts invisible in results, kill-restart bit-identity, single-tenant

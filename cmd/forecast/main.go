@@ -69,27 +69,33 @@ type job struct {
 // modes maps -mode to what it does.
 var modes = map[string]func(*job) error{"train": train, "predict": predict, "backtest": backtest, "tune": tune}
 
+// model is what -model names: a forecaster that saves and loads.
+type model interface {
+	forecast.Forecaster
+	forecast.Snapshotter
+}
+
 // models maps -model to an untrained instance; saved models must be loaded
 // into an identically configured one, so predict builds through it too.
-var models = map[string]func(j *job) forecast.Forecaster{
-	"arima": func(j *job) forecast.Forecaster { return forecast.NewSeasonalARIMA(6, 0, 2, j.period) },
-	"mlp": func(j *job) forecast.Forecaster {
+var models = map[string]func(j *job) model{
+	"arima": func(j *job) model { return forecast.NewSeasonalARIMA(6, 0, 2, j.period) },
+	"mlp": func(j *job) model {
 		return forecast.NewMLP(forecast.MLPConfig{Context: j.context, Hidden: 48, Epochs: j.epochs, Seed: 1, MaxWindows: 192})
 	},
-	"deepar": func(j *job) forecast.Forecaster {
+	"deepar": func(j *job) model {
 		return forecast.NewDeepAR(forecast.DeepARConfig{
 			Context: j.context, Hidden: 32, Epochs: j.epochs, Seed: 1,
 			MaxWindows: 160, Samples: 100, TrainHorizon: j.horizon,
 		})
 	},
-	"tft": func(j *job) forecast.Forecaster {
+	"tft": func(j *job) model {
 		return forecast.NewTFT(forecast.TFTConfig{
 			Context: j.context, Hidden: 32, Epochs: j.epochs, Seed: 1,
 			MaxWindows: 160, TrainHorizon: j.horizon,
 			Levels: forecast.ScalingLevels,
 		})
 	},
-	"qb5000": func(j *job) forecast.Forecaster {
+	"qb5000": func(j *job) model {
 		return forecast.NewQB5000(forecast.QB5000Config{
 			Context: j.context, Hidden: 24, Epochs: j.epochs, Seed: 1,
 			MaxWindows: 160, TrainHorizon: j.horizon,
@@ -192,15 +198,11 @@ func train(j *job) error {
 	if j.out == "" {
 		return nil
 	}
-	snap, ok := m.(forecast.Snapshotter)
-	if !ok {
-		return fmt.Errorf("%s does not support saving", m.Name())
-	}
 	f, err := os.Create(j.out)
 	if err != nil {
 		return err
 	}
-	if err := snap.Save(f); err != nil {
+	if err := m.Save(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -215,16 +217,12 @@ func predict(j *job) error {
 	s := j.series
 	m := models[j.model](j)
 	if j.in != "" {
-		snap, ok := m.(forecast.Snapshotter)
-		if !ok {
-			return fmt.Errorf("%s does not support loading", m.Name())
-		}
 		f, err := os.Open(j.in)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if err := snap.Load(f); err != nil {
+		if err := m.Load(f); err != nil {
 			return err
 		}
 	} else if err := fit(j, m, s); err != nil {

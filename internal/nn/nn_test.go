@@ -1,14 +1,14 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"robustscale/internal/wire"
 )
 
 func TestMatBasics(t *testing.T) {
@@ -230,15 +230,18 @@ func TestLSTMLearnsToRemember(t *testing.T) {
 	}
 }
 
+// readBlob reads a blob Params.Append wrote into ps.
+func readBlob(ps Params, blob []byte) error {
+	rd := wire.NewReader(blob)
+	return ps.Read(&rd)
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	d1 := NewDense("d", 3, 2, rng)
-	var buf bytes.Buffer
-	if err := d1.Params().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	blob := d1.Params().Append(nil)
 	d2 := NewDense("d", 3, 2, rand.New(rand.NewSource(99)))
-	if err := d2.Params().Load(&buf); err != nil {
+	if err := readBlob(d2.Params(), blob); err != nil {
 		t.Fatal(err)
 	}
 	for i := range d1.W.Value.Data {
@@ -251,24 +254,21 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	d := NewDense("d", 3, 2, rng)
-	var buf bytes.Buffer
-	if err := d.Params().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	blob := d.Params().Append(nil)
 	// Wrong shape.
 	other := NewDense("d", 4, 2, rng)
-	if err := other.Params().Load(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := readBlob(other.Params(), blob); err == nil {
 		t.Error("Load should reject shape mismatch")
 	}
 	// Wrong name.
 	renamed := NewDense("e", 3, 2, rng)
-	if err := renamed.Params().Load(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := readBlob(renamed.Params(), blob); err == nil {
 		t.Error("Load should reject name mismatch")
 	}
 	// Wrong count.
 	big := Params{NewParam("x", 1, 1)}
 	big = append(big, d.Params()...)
-	if err := big.Load(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := readBlob(big, blob); err == nil {
 		t.Error("Load should reject count mismatch")
 	}
 }
@@ -291,36 +291,39 @@ func TestSigmoidStable(t *testing.T) {
 // the model untouched.
 func TestLoadRejectsBrokenSnapshot(t *testing.T) {
 	ps := Params{NewParam("a", 1, 2), NewParam("w", 2, 2)}
-	good := snapshot{
-		Names:  []string{"a", "w"},
-		Shapes: [][2]int{{1, 2}, {2, 2}},
-		Data:   [][]float64{{1, 2}, {3, 4, 5, 6}},
+	// record appends one parameter of the blob: its name, then its shape
+	// and values unless cut says the record ends after the name (1) or
+	// after the shape (2).
+	record := func(b []byte, name string, cut int, shape [2]int64, vals ...float64) []byte {
+		b = wire.AppendSection(b, name)
+		if cut != 1 {
+			b = wire.AppendVarints(b, shape[0], shape[1])
+		}
+		if cut == 0 {
+			b = wire.AppendFloats(b, vals)
+		}
+		return b
 	}
+	a := func(b []byte) []byte { return record(b, "a", 0, [2]int64{1, 2}, 1, 2) }
+	w := func(b []byte) []byte { return record(b, "w", 0, [2]int64{2, 2}, 3, 4, 5, 6) }
+	good := w(a([]byte{2}))
 	for _, tc := range []struct {
 		name, param string
-		edit        func(*snapshot)
+		blob        []byte
 	}{
-		{"shapes short", "w", func(s *snapshot) { s.Shapes = s.Shapes[:1] }},
-		{"no shapes", "a", func(s *snapshot) { s.Shapes = nil }},
-		{"data short", "w", func(s *snapshot) { s.Data = s.Data[:1] }},
-		{"values short", "w", func(s *snapshot) { s.Data[1] = []float64{1} }},
-		{"values long", "a", func(s *snapshot) { s.Data[0] = []float64{1, 2, 3} }},
-		{"shapes long", "", func(s *snapshot) { s.Shapes = append(s.Shapes, [2]int{1, 1}) }},
+		{"shapes short", "w", record(a([]byte{2}), "w", 1, [2]int64{})},
+		{"no shapes", "a", w(record([]byte{2}, "a", 1, [2]int64{}))},
+		{"data short", "w", record(a([]byte{2}), "w", 2, [2]int64{2, 2})},
+		{"values short", "w", record(a([]byte{2}), "w", 0, [2]int64{2, 2}, 1)},
+		{"values long", "a", w(record([]byte{2}, "a", 0, [2]int64{1, 2}, 1, 2, 3))},
+		{"shapes long", "", record(w(a([]byte{3})), "x", 0, [2]int64{1, 1}, 0)},
 	} {
-		snap := good
-		snap.Shapes = append([][2]int(nil), good.Shapes...)
-		snap.Data = append([][]float64(nil), good.Data...)
-		tc.edit(&snap)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-			t.Fatal(err)
-		}
 		for _, p := range ps {
 			for i := range p.Value.Data {
 				p.Value.Data[i] = 9
 			}
 		}
-		err := ps.Load(&buf)
+		err := readBlob(ps, tc.blob)
 		if err == nil {
 			t.Errorf("%s: Load accepted the snapshot", tc.name)
 			continue
@@ -336,11 +339,7 @@ func TestLoadRejectsBrokenSnapshot(t *testing.T) {
 			}
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(good); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Load(&buf); err != nil {
+	if err := readBlob(ps, good); err != nil {
 		t.Fatalf("well-formed snapshot: %v", err)
 	}
 	if got := ps[1].Value.Data; got[0] != 3 || got[3] != 6 {

@@ -1,71 +1,57 @@
 package nn
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"io"
+
+	"robustscale/internal/wire"
 )
 
-// snapshot is the gob wire format for a parameter set.
-type snapshot struct {
-	Names  []string
-	Shapes [][2]int
-	Data   [][]float64
+// Append appends the parameter values (not gradients or optimizer state)
+// in the wire codec: a count, then per parameter its name, rows, cols and
+// values (layout in DESIGN.md §8). A model embeds them in its own blob.
+func (ps Params) Append(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ps)))
+	for _, p := range ps {
+		b = wire.AppendSection(b, p.Name)
+		b = wire.AppendVarints(b, int64(p.Value.Rows), int64(p.Value.Cols))
+		b = wire.AppendFloats(b, p.Value.Data)
+	}
+	return b
 }
 
-// Save writes the parameter values (not gradients or optimizer state) to w.
-func (ps Params) Save(w io.Writer) error {
-	snap := snapshot{
-		Names:  make([]string, len(ps)),
-		Shapes: make([][2]int, len(ps)),
-		Data:   make([][]float64, len(ps)),
+// Read restores parameter values Append wrote as the last field of rd's
+// blob. Parameters are matched by position and validated by name and
+// shape, so the receiving model must be built identically to the one that
+// was saved; every parameter is checked, and the blob read to its end,
+// before any value is copied, so a rejected blob leaves the model as it
+// was.
+func (ps Params) Read(rd *wire.Reader) error {
+	if n := rd.Uvarint(); rd.Err() == nil && n != uint64(len(ps)) {
+		return fmt.Errorf("nn: snapshot has %d parameters, model has %d", n, len(ps))
 	}
+	vals := make([][]float64, len(ps))
 	for i, p := range ps {
-		snap.Names[i] = p.Name
-		snap.Shapes[i] = [2]int{p.Value.Rows, p.Value.Cols}
-		snap.Data[i] = p.Value.Data
-	}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("nn: encoding parameters: %w", err)
-	}
-	return nil
-}
-
-// Load restores parameter values saved by Save. Parameters are matched by
-// position and validated by name and shape, so the receiving model must be
-// built identically to the one that was saved.
-func (ps Params) Load(r io.Reader) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("nn: decoding parameters: %w", err)
-	}
-	if len(snap.Names) != len(ps) {
-		return fmt.Errorf("nn: snapshot has %d parameters, model has %d", len(snap.Names), len(ps))
-	}
-	if len(snap.Shapes) != len(ps) || len(snap.Data) != len(ps) {
-		if i := min(len(snap.Shapes), len(snap.Data)); i < len(ps) {
-			return fmt.Errorf("nn: snapshot holds no shape or values for parameter %q", ps[i].Name)
-		}
-		return fmt.Errorf("nn: snapshot holds %d shapes and %d value arrays for %d parameters",
-			len(snap.Shapes), len(snap.Data), len(ps))
-	}
-	// Validate everything before copying anything, so a rejected snapshot
-	// leaves the model as it was.
-	for i, p := range ps {
-		if snap.Names[i] != p.Name {
-			return fmt.Errorf("nn: parameter %d is %q in snapshot, %q in model", i, snap.Names[i], p.Name)
-		}
-		if snap.Shapes[i] != [2]int{p.Value.Rows, p.Value.Cols} {
-			return fmt.Errorf("nn: parameter %q shape %v in snapshot, %dx%d in model",
-				p.Name, snap.Shapes[i], p.Value.Rows, p.Value.Cols)
-		}
-		if len(snap.Data[i]) != len(p.Value.Data) {
+		name, rows, cols := string(rd.Section()), rd.Int(), rd.Int()
+		vals[i] = rd.Floats()
+		switch {
+		case rd.Err() != nil:
+			return fmt.Errorf("nn: reading parameter %q: %w", p.Name, rd.Err())
+		case name != p.Name:
+			return fmt.Errorf("nn: parameter %d is %q in snapshot, %q in model", i, name, p.Name)
+		case rows != p.Value.Rows || cols != p.Value.Cols:
+			return fmt.Errorf("nn: parameter %q shape %dx%d in snapshot, %dx%d in model",
+				p.Name, rows, cols, p.Value.Rows, p.Value.Cols)
+		case len(vals[i]) != len(p.Value.Data):
 			return fmt.Errorf("nn: parameter %q has %d values in snapshot, its %dx%d shape needs %d",
-				p.Name, len(snap.Data[i]), p.Value.Rows, p.Value.Cols, len(p.Value.Data))
+				p.Name, len(vals[i]), p.Value.Rows, p.Value.Cols, len(p.Value.Data))
 		}
 	}
+	if err := rd.Done(); err != nil {
+		return fmt.Errorf("nn: reading parameters: %w", err)
+	}
 	for i, p := range ps {
-		copy(p.Value.Data, snap.Data[i])
+		copy(p.Value.Data, vals[i])
 	}
 	return nil
 }

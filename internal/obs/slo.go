@@ -1,15 +1,19 @@
 package obs
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"robustscale/internal/wire"
 )
 
 // BurnRule is one multi-window burn-rate alert: it fires when the error
@@ -63,8 +67,11 @@ func ParseBurnRules(spec string) ([]BurnRule, error) {
 		if x < 0 || colon != x+1 || slash < colon {
 			return nil, fmt.Errorf("obs: burn rule %q not of the form [name=]<factor>x:<long>/<short>", part)
 		}
+		if name == "" || slices.ContainsFunc(rules, func(r BurnRule) bool { return r.Name == name }) {
+			return nil, fmt.Errorf("obs: burn rule %q: empty or duplicate name %q", part, name)
+		}
 		factor, err := strconv.ParseFloat(part[:x], 64)
-		if err != nil || factor <= 0 {
+		if err != nil || !(factor > 0 && factor <= math.MaxFloat64) {
 			return nil, fmt.Errorf("obs: burn rule %q: bad factor", part)
 		}
 		long, err := strconv.Atoi(part[colon+1 : slash])
@@ -99,8 +106,10 @@ type SLOConfig struct {
 
 // Validate reports why the config cannot drive a tracker: a target
 // outside (0, 1), a window under one tick, or a rule that does not fit
-// the window. A daemon whose target is 0 has the SLO plane off and does
-// not call it.
+// the window, cannot fire (a factor that is not finite and positive) or
+// shares its name, which labels its burn-rate gauge, with another or with
+// none. A daemon whose target is 0 has the SLO plane off and does not
+// call it.
 func (c SLOConfig) Validate() error {
 	if !(c.Target > 0 && c.Target < 1) {
 		return fmt.Errorf("obs: SLO target %v outside (0, 1)", c.Target)
@@ -108,8 +117,9 @@ func (c SLOConfig) Validate() error {
 	if c.Window < 1 {
 		return fmt.Errorf("obs: SLO window %d < 1", c.Window)
 	}
-	for _, r := range c.Rules {
-		if r.Short < 1 || r.Long < r.Short || r.Long > c.Window || r.Factor <= 0 {
+	for i, r := range c.Rules {
+		if r.Short < 1 || r.Long < r.Short || r.Long > c.Window || !(r.Factor > 0 && r.Factor <= math.MaxFloat64) ||
+			r.Name == "" || slices.ContainsFunc(c.Rules[:i], func(o BurnRule) bool { return o.Name == r.Name }) {
 			return fmt.Errorf("obs: burn rule %+v invalid for window %d", r, c.Window)
 		}
 	}
@@ -437,84 +447,87 @@ func (s *SLOTracker) AlertsHandler() http.Handler {
 	})
 }
 
-// sloImage is the serialized tracker state. The window ring is stored
-// oldest-first so the encoding is position-independent.
-type sloImage struct {
-	Target      float64
-	Window      int
-	Rules       []BurnRule
-	Tick        uint64
-	Bad, Total  uint64
-	Slots       []sloSlot // oldest-first, up to Window entries
-	Firing      []bool
-	FirstFire   []uint64
-	Transitions uint64
-	History     []AlertEvent
-}
-
-// Save writes the tracker state as a deterministic gob image.
+// Save writes the tracker state (layout in DESIGN.md §8): the config,
+// the counters, the window oldest-first so the encoding is
+// position-independent, and the alert history.
 func (s *SLOTracker) Save(w io.Writer) error {
 	s.mu.Lock()
-	img := sloImage{
-		Target: s.cfg.Target, Window: s.cfg.Window, Rules: s.cfg.Rules,
-		Tick: s.tick, Bad: s.bad, Total: s.total,
-		Firing:      append([]bool(nil), s.firing...),
-		FirstFire:   append([]uint64(nil), s.firstFire...),
-		Transitions: s.transitions,
-		History:     append([]AlertEvent(nil), s.history...),
+	defer s.mu.Unlock()
+	b := wire.AppendVarints(wire.AppendFloat(wire.Scratch(w), s.cfg.Target), int64(s.cfg.Window))
+	b = binary.AppendUvarint(b, uint64(len(s.cfg.Rules)))
+	for i, r := range s.cfg.Rules {
+		b = wire.AppendFloat(wire.AppendSection(b, r.Name), r.Factor)
+		b = wire.AppendBool(wire.AppendVarints(b, int64(r.Long), int64(r.Short)), s.firing[i])
+		b = binary.AppendUvarint(b, s.firstFire[i])
 	}
-	n := int(s.tick)
-	if n > len(s.ring) {
-		n = len(s.ring)
+	n := min(s.tick, uint64(len(s.ring)))
+	for _, v := range [...]uint64{s.tick, s.bad, s.total, s.transitions, n} {
+		b = binary.AppendUvarint(b, v)
 	}
-	img.Slots = make([]sloSlot, n)
-	for i := 0; i < n; i++ {
-		img.Slots[i] = s.ring[(int(s.tick)-n+i+len(s.ring)*2)%len(s.ring)]
+	for i := s.tick - n; i < s.tick; i++ {
+		slot := s.ring[i%uint64(len(s.ring))]
+		b = binary.AppendUvarint(binary.AppendUvarint(b, slot.Bad), slot.Total)
 	}
-	s.mu.Unlock()
-	if err := gob.NewEncoder(w).Encode(img); err != nil {
+	b = binary.AppendUvarint(b, uint64(len(s.history)))
+	for _, ev := range s.history {
+		b = wire.AppendTime(wire.AppendBool(wire.AppendSection(b, ev.Rule), ev.Firing), ev.Time)
+		b = wire.AppendFloat(wire.AppendFloat(binary.AppendUvarint(b, ev.Tick), ev.BurnLong), ev.BurnShort)
+	}
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("obs: saving SLO tracker: %w", err)
 	}
 	return nil
 }
 
-// Load replaces the tracker state with an image written by Save. The
-// image's target, window and rules must match the receiver's config —
+// Load replaces the tracker state with a blob written by Save. The
+// blob's target, window and rules must match the receiver's config —
 // a changed SLO definition invalidates the budget, so the caller should
 // start fresh on error.
 func (s *SLOTracker) Load(r io.Reader) error {
-	var img sloImage
-	if err := gob.NewDecoder(r).Decode(&img); err != nil {
+	rd := wire.ReadFrom(r)
+	target, window := rd.Float(), rd.Int()
+	rules := make([]BurnRule, rd.Count(13)) // a name count, a factor, two windows and a flag
+	firing, firstFire := make([]bool, len(rules)), make([]uint64, len(rules))
+	for i := range rules {
+		rules[i] = BurnRule{Name: string(rd.Section()), Factor: rd.Float(), Long: rd.Int(), Short: rd.Int()}
+		firing[i], firstFire[i] = rd.Bool(), rd.Uvarint()
+	}
+	tick, bad, total, transitions := rd.Uvarint(), rd.Uvarint(), rd.Uvarint(), rd.Uvarint()
+	slots := wire.List(&rd, 2, func() sloSlot { return sloSlot{Bad: rd.Uvarint(), Total: rd.Uvarint()} })
+	// An alert is at least a name count, a flag, a 16-byte time section, a
+	// tick and two floats.
+	history := wire.List(&rd, 35, func() AlertEvent {
+		return AlertEvent{Rule: string(rd.Section()), Firing: rd.Bool(), Time: rd.Time(),
+			Tick: rd.Uvarint(), BurnLong: rd.Float(), BurnShort: rd.Float()}
+	})
+	if err := rd.Done(); err != nil {
 		return fmt.Errorf("obs: loading SLO tracker: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if img.Target != s.cfg.Target || img.Window != s.cfg.Window || len(img.Rules) != len(s.cfg.Rules) {
+	if target != s.cfg.Target || window != s.cfg.Window || len(rules) != len(s.cfg.Rules) {
 		return fmt.Errorf("obs: SLO snapshot config mismatch (target %v/%v, window %d/%d)",
-			img.Target, s.cfg.Target, img.Window, s.cfg.Window)
+			target, s.cfg.Target, window, s.cfg.Window)
 	}
-	for i, r := range img.Rules {
+	for i, r := range rules {
 		if r != s.cfg.Rules[i] {
 			return fmt.Errorf("obs: SLO snapshot rule %d mismatch: %+v vs %+v", i, r, s.cfg.Rules[i])
 		}
 	}
-	if len(img.Firing) != len(s.cfg.Rules) || len(img.FirstFire) != len(s.cfg.Rules) ||
-		len(img.Slots) > img.Window {
-		return fmt.Errorf("obs: SLO snapshot shape invalid")
+	if uint64(len(slots)) != min(tick, uint64(window)) || tick > math.MaxInt || len(history) > sloAlertHistoryCap {
+		return fmt.Errorf("obs: SLO snapshot holds %d slots for %d ticks in a %d-tick window and %d alerts",
+			len(slots), tick, window, len(history))
 	}
-	for i := range s.ring {
-		s.ring[i] = sloSlot{}
-	}
+	clear(s.ring)
 	// Replay the saved slots at their original ring positions so the
 	// next tick continues exactly where the saved run stopped.
-	n := len(img.Slots)
-	for i, slot := range img.Slots {
-		s.ring[(int(img.Tick)-n+i+len(s.ring)*2)%len(s.ring)] = slot
+	for i, slot := range slots {
+		s.ring[(tick-uint64(len(slots)-i))%uint64(len(s.ring))] = slot
 	}
-	s.tick, s.bad, s.total = img.Tick, img.Bad, img.Total
-	s.firing = append(s.firing[:0], img.Firing...)
-	s.firstFire = append(s.firstFire[:0], img.FirstFire...)
-	s.transitions = img.Transitions
-	s.history = append(s.history[:0], img.History...)
+	s.tick, s.bad, s.total = tick, bad, total
+	copy(s.firing, firing)
+	copy(s.firstFire, firstFire)
+	s.transitions = transitions
+	s.history = append(s.history[:0], history...)
 	return nil
 }

@@ -315,7 +315,7 @@ func TestCheckpointCountersAdvance(t *testing.T) {
 // record or header change that breaks this requires a SegmentVersion bump
 // (and a new fixture).
 func TestGoldenFormat(t *testing.T) {
-	golden := filepath.Join("testdata", "segment_v3.seg")
+	golden := filepath.Join("testdata", "segment_v4.seg")
 	want := testState()
 	raw := encodeState(t, want)
 	if *updateGolden {

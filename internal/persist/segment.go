@@ -41,7 +41,9 @@ const (
 	// record carries — blobs have no version of their own. Version 2:
 	// component blobs in the wire codec instead of gob. Version 3: one
 	// breaker blob, counting ticks, for apply, wake and pool quarantine.
-	SegmentVersion = 3
+	// Version 4: the models, nn parameters and obs rings in the wire codec
+	// too, so no blob is gob.
+	SegmentVersion = 4
 
 	segHeaderLen  = 12
 	recHeaderLen  = 10
@@ -197,10 +199,7 @@ func appendRecord(b []byte, tenant string, st *State) ([]byte, error) {
 	start := len(b)
 	b = slices.Grow(b, recHeaderLen+len(tenant)+stateSizeBound(st))
 	b = append(b[:start+recHeaderLen], tenant...)
-	b, err := appendState(b, st)
-	if err != nil {
-		return nil, err
-	}
+	b = appendState(b, st)
 	body := b[start+recHeaderLen:]
 	payload := len(body) - len(tenant)
 	if payload > DefaultMaxBytes {
@@ -292,17 +291,13 @@ func parseSegment(data []byte, maxBytes int64) (map[string][]byte, error) {
 	return recs, damage
 }
 
-// appendState appends a record's state in the wire codec: SavedAt
-// (time.MarshalBinary, length-prefixed), then every other field of State
-// and Fingerprint in declaration order.
+// appendState appends a record's state in the wire codec: SavedAt (a
+// wire.AppendTime section), then every other field of State and
+// Fingerprint in declaration order.
 // TestStateCodecCoversEveryField fails when a field is added to State
 // and not here.
-func appendState(b []byte, st *State) ([]byte, error) {
-	saved, err := st.SavedAt.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("persist: encoding state: %w", err)
-	}
-	b = wire.AppendSection(b, saved)
+func appendState(b []byte, st *State) []byte {
+	b = wire.AppendTime(b, st.SavedAt)
 	fp := &st.Fingerprint
 	b = wire.AppendSection(b, fp.Strategy)
 	b = wire.AppendSection(b, fp.Tenant)
@@ -320,7 +315,7 @@ func appendState(b []byte, st *State) ([]byte, error) {
 	for _, sec := range [...][]byte{st.Forecaster, st.Calibration, st.Guard, st.Breaker, st.Journal, st.Decisions, st.SLO, st.Extra} {
 		b = wire.AppendSection(b, sec)
 	}
-	return b, nil
+	return b
 }
 
 // stateSizeBound is an upper bound on what appendState appends: the
@@ -339,10 +334,7 @@ func stateSizeBound(st *State) int {
 // state does not pin the segment image it came from.
 func decodeRecord(payload []byte) (*State, error) {
 	r := wire.NewReader(payload)
-	st := new(State)
-	if err := st.SavedAt.UnmarshalBinary(r.Section()); err != nil {
-		r.Fail(err)
-	}
+	st := &State{SavedAt: r.Time()}
 	fp := &st.Fingerprint
 	fp.Strategy, fp.Tenant, fp.Dataset = string(r.Section()), string(r.Section()), string(r.Section())
 	fp.Seed, fp.Theta, fp.Horizon, fp.Tau, fp.Tau2 = r.Varint(), r.Float(), r.Int(), r.Float(), r.Float()

@@ -29,11 +29,7 @@ func (g *Guard) Save(w io.Writer) error {
 	b = binary.AppendVarint(b, int64(g.degradedRounds))
 	b = wire.AppendFloats(b, fan.Levels)
 	b = wire.AppendFloats(b, fan.Mean)
-	b = binary.AppendUvarint(b, uint64(len(fan.Values)))
-	for _, row := range fan.Values {
-		b = wire.AppendFloats(b, row)
-	}
-	if _, err := w.Write(b); err != nil {
+	if _, err := w.Write(wire.AppendRows(b, fan.Values)); err != nil {
 		return fmt.Errorf("scaler: saving guard: %w", err)
 	}
 	return nil
@@ -44,13 +40,7 @@ func (g *Guard) Save(w io.Writer) error {
 func (g *Guard) Load(r io.Reader) error {
 	rd := wire.ReadFrom(r)
 	mode, reason, rounds := rd.Int(), string(rd.Section()), rd.Int()
-	fan := &forecast.QuantileForecast{Levels: rd.Floats(), Mean: rd.Floats()}
-	if n := rd.Count(1); n > 0 { // an empty row is one byte
-		fan.Values = make([][]float64, n)
-		for i := range fan.Values {
-			fan.Values[i] = rd.Floats()
-		}
-	}
+	fan := &forecast.QuantileForecast{Levels: rd.Floats(), Mean: rd.Floats(), Values: wire.List(&rd, 1, rd.Floats)}
 	if err := rd.Done(); err != nil {
 		return fmt.Errorf("scaler: loading guard: %w", err)
 	}

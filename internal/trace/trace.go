@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"robustscale/internal/timeseries"
+	"robustscale/internal/wire"
 )
 
 // Resource identifies a resource-usage dimension of a trace.
@@ -262,17 +263,14 @@ func (cfg Config) Aggregated(res Resource, values []float64) *timeseries.Series 
 // TestKeyCoversEveryField fails when a field is added to Config and not
 // here.
 func (cfg Config) AppendKey(b []byte) []byte {
-	str := func(s string) { b = append(binary.AppendUvarint(b, uint64(len(s))), s...) }
-	str(cfg.Name)
-	for _, v := range [...]int64{cfg.Seed, int64(cfg.Units), int64(cfg.Days), int64(cfg.Step), cfg.Start.UnixNano()} {
-		b = binary.AppendVarint(b, v)
-	}
+	b = wire.AppendSection(b, cfg.Name)
+	b = wire.AppendVarints(b, cfg.Seed, int64(cfg.Units), int64(cfg.Days), int64(cfg.Step), cfg.Start.UnixNano())
 	b = binary.AppendUvarint(b, uint64(len(cfg.Resources)))
 	for _, r := range cfg.Resources {
-		str(string(r))
+		b = wire.AppendSection(b, string(r))
 	}
 	for _, f := range cfg.floats() {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.v))
+		b = wire.AppendFloat(b, f.v)
 	}
 	return b
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 )
 
 // Scratch returns an empty slice to append a blob to before writing it to
@@ -62,6 +63,26 @@ func AppendFloats(b []byte, runs ...[]float64) []byte {
 		}
 	}
 	return b
+}
+
+// AppendRows appends a count, then each row as a run of floats.
+func AppendRows(b []byte, rows [][]float64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(rows)))
+	for _, row := range rows {
+		b = AppendFloats(b, row)
+	}
+	return b
+}
+
+// AppendTime appends t as a section of its time.MarshalBinary bytes,
+// which keep its instant and zone offset; a historical offset with
+// seconds, which MarshalBinary refuses, goes as UTC.
+func AppendTime(b []byte, t time.Time) []byte {
+	raw, err := t.MarshalBinary()
+	if err != nil {
+		raw, _ = t.UTC().MarshalBinary()
+	}
+	return AppendSection(b, raw)
 }
 
 // AppendBool appends a flag as one byte.
@@ -114,6 +135,14 @@ func (r *Reader) Fail(err error) {
 	}
 	r.b = nil
 }
+
+// Err returns the first malformed field so far, so a reader can stop
+// before it sizes anything by a header that did not read.
+func (r *Reader) Err() error { return r.err }
+
+// Len returns the bytes not yet read: what a size that is not a count (a
+// model's horizon) is held to before anything is allocated by it.
+func (r *Reader) Len() int { return len(r.b) }
 
 // Done returns the first malformed field, or an error when bytes are left
 // past the last one.
@@ -209,4 +238,28 @@ func (r *Reader) Floats() []float64 {
 	}
 	r.b = r.b[8*n:]
 	return out
+}
+
+// List reads a count of items that each take at least size bytes, then
+// each item with read; nil for none. List(r, 1, r.Floats) reads what
+// AppendRows wrote.
+func List[T any](r *Reader, size int, read func() T) []T {
+	n := r.Count(size)
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = read()
+	}
+	return out
+}
+
+// Time reads what AppendTime wrote.
+func (r *Reader) Time() time.Time {
+	var t time.Time
+	if err := t.UnmarshalBinary(r.Section()); err != nil {
+		r.Fail(err)
+	}
+	return t
 }
