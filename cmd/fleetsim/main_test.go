@@ -54,7 +54,10 @@ func TestGoldenFleetHash(t *testing.T) {
 // default, the same fleet on qmlp (every tenant fitted through the Dense
 // backward kernels), the pooled fleet under the chaos presets that drive
 // the apply breaker and pool quarantine, and the serverless fleet with its
-// wake defaults, alone and under a wake storm against a binding pool.
+// wake defaults, alone and under a wake storm against a binding pool. The
+// last three rows put every per-step fault class the apply stage reads
+// under a hash: the wake faults, apply and node-kill faults on a pooled
+// serverless fleet, and node kills alone.
 func TestFleetHashTable(t *testing.T) {
 	for _, tc := range []struct{ args, hash string }{
 		{"-tenants 200", "ba920dcdfbc1f801"},
@@ -64,6 +67,9 @@ func TestFleetHashTable(t *testing.T) {
 		{"-tenants 200 -pool 220 -chaos fleet", "7a24fc62f56a6ae3"},
 		{"-tenants 200 -serverless", "2f8693c0a51e206f"},
 		{"-tenants 200 -serverless -pool 240 -chaos wake-storm", "e6ceefe0d313d715"},
+		{"-tenants 200 -serverless -chaos wake", "ae92af5988c63e97"},
+		{"-tenants 200 -serverless -pool 240 -chaos all", "e897c585f25319aa"},
+		{"-tenants 200 -chaos node-kill", "c800af875f8f2a0b"},
 	} {
 		code, stdout, stderr := fleetsim(t, tc.args+" -per-tenant=false")
 		if code != 0 {
