@@ -225,29 +225,21 @@ func (s *Schedule) ActiveAt(step int, class Class) (Event, bool) {
 	return Event{}, false
 }
 
-// ApplyFaultAt reports whether any control-plane fault class (rejection,
-// partial fulfilment, timeout) is active at the step — the condition
-// under which a failed scale action is an injected fault to hold through
-// rather than a real error to propagate.
-func (s *Schedule) ApplyFaultAt(step int) bool {
-	for _, class := range []Class{ApplyReject, ApplyPartial, ApplyTimeout} {
-		if _, ok := s.ActiveAt(step, class); ok {
-			return true
-		}
-	}
-	return false
-}
-
 // WakeStallAt returns the extra cold-start seconds an in-flight wake
 // suffers at the step (0 with no active WakeStall window).
 func (s *Schedule) WakeStallAt(step int) float64 {
 	if e, ok := s.ActiveAt(step, WakeStall); ok {
-		if e.Value > 0 {
-			return e.Value
-		}
-		return 900
+		return stallSeconds(e)
 	}
 	return 0
+}
+
+// stallSeconds is a WakeStall event's extra cold-start seconds.
+func stallSeconds(e Event) float64 {
+	if e.Value > 0 {
+		return e.Value
+	}
+	return 900
 }
 
 // WakeFailAt reports whether wake-from-zero attempts fail at the step.
@@ -274,6 +266,105 @@ func (s *Schedule) KillsAt(step int) int {
 		killed += ce.events[i].span()
 	}
 	return killed
+}
+
+// StepFaults is one step's answer to every question the apply stage asks
+// a schedule: the plant's kills and wake faults and the control-plane
+// faults of the scale action. The zero value is a fault-free step.
+type StepFaults struct {
+	// Kills is KillsAt; StallSeconds is WakeStallAt.
+	Kills        int
+	StallSeconds float64
+	// TimeoutSeconds is the active ApplyTimeout event's Value.
+	TimeoutSeconds float64
+	// Whether a window of the class is active at the step.
+	WakeFail, PartialProvision, Reject, Timeout, Partial bool
+}
+
+// ApplyFault reports whether any control-plane fault class (rejection,
+// partial fulfilment, timeout) is active at the step — the condition
+// under which a failed scale action is an injected fault to hold through
+// rather than a real error to propagate.
+func (f StepFaults) ApplyFault() bool { return f.Reject || f.Partial || f.Timeout }
+
+// Window is a schedule's StepFaults over the consecutive steps
+// [From, From+len(Steps)): one control round's worth, so the apply stage
+// asks its schedule once per round instead of several times per step.
+// The owner sizes Steps once; Fill never allocates.
+type Window struct {
+	From  int
+	Steps []StepFaults
+}
+
+// Fill answers the window from the schedule starting at step from, in
+// one pass over the events of each class the apply stage reads that
+// could cover it. Window classes resolve as ActiveAt does, since a later
+// event in a class's order starts later or was added later: each event
+// overwrites the steps it covers. Kills sum the events starting at a
+// step, as KillsAt does.
+func (w *Window) Fill(s *Schedule, from int) {
+	w.From = from
+	clear(w.Steps)
+	if s == nil {
+		return
+	}
+	to := from + len(w.Steps)
+	for ci := range s.classes {
+		ce := &s.classes[ci]
+		if !applyClass(ce.class) {
+			continue
+		}
+		kills := ce.class == NodeKill
+		// The events that start after from-longest and before to are the
+		// ones that can cover a step of the window.
+		for i := startedBy(ce.events, from-ce.longest); i < len(ce.events) && ce.events[i].Step < to; i++ {
+			e := &ce.events[i]
+			if kills {
+				if e.Step >= from {
+					w.Steps[e.Step-from].Kills += e.span()
+				}
+				continue
+			}
+			for j := max(e.Step, from) - from; j < min(e.Step+e.span(), to)-from; j++ {
+				w.Steps[j].set(e)
+			}
+		}
+	}
+}
+
+// At returns the faults of the step: none outside the window.
+func (w *Window) At(step int) StepFaults {
+	if i := step - w.From; i >= 0 && i < len(w.Steps) {
+		return w.Steps[i]
+	}
+	return StepFaults{}
+}
+
+// applyClass reports whether the apply stage reads the class.
+func applyClass(c Class) bool {
+	switch c {
+	case NodeKill, WakeStall, WakeFail, PartialProvision, ApplyReject, ApplyTimeout, ApplyPartial:
+		return true
+	}
+	return false
+}
+
+// set records e as the step's active event of its window class.
+func (f *StepFaults) set(e *Event) {
+	switch e.Class {
+	case WakeStall:
+		f.StallSeconds = stallSeconds(*e)
+	case WakeFail:
+		f.WakeFail = true
+	case PartialProvision:
+		f.PartialProvision = true
+	case ApplyReject:
+		f.Reject = true
+	case ApplyTimeout:
+		f.Timeout, f.TimeoutSeconds = true, e.Value
+	case ApplyPartial:
+		f.Partial = true
+	}
 }
 
 // Profile parameterizes deterministic schedule generation: per-class

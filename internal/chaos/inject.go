@@ -248,24 +248,23 @@ func CorruptTelemetry(s *timeseries.Series, sched *Schedule, step int) *timeseri
 // WrapApply wraps a scale-to mutation with the control-plane fault
 // classes: rejection (no effect), timeout (no effect, virtual latency),
 // and partial fulfilment (the fleet moves halfway to the target, then the
-// call reports failure — the retry path's job is to finish it). size
-// reports the current fleet size for partial moves.
-func WrapApply(apply func(int) error, size func() int, sched *Schedule, cur *Cursor) func(int) error {
+// call reports failure — the retry path's job is to finish it). at
+// reports the step being applied and its faults, which the loop reads
+// from its round's Window; size reports the current fleet size for
+// partial moves.
+func WrapApply(apply func(int) error, size func() int, at func() (int, StepFaults)) func(int) error {
 	return func(target int) error {
-		step := 0
-		if cur != nil {
-			step = cur.Step()
-		}
-		if _, ok := sched.ActiveAt(step, ApplyReject); ok {
+		step, f := at()
+		if f.Reject {
 			CountInjected(ApplyReject)
 			return fmt.Errorf("chaos: control plane rejected scale to %d at step %d", target, step)
 		}
-		if e, ok := sched.ActiveAt(step, ApplyTimeout); ok {
+		if f.Timeout {
 			CountInjected(ApplyTimeout)
-			latencySeconds.Add(e.Value)
-			return fmt.Errorf("chaos: scale to %d timed out after %gs at step %d", target, e.Value, step)
+			latencySeconds.Add(f.TimeoutSeconds)
+			return fmt.Errorf("chaos: scale to %d timed out after %gs at step %d", target, f.TimeoutSeconds, step)
 		}
-		if _, ok := sched.ActiveAt(step, ApplyPartial); ok && size != nil {
+		if f.Partial && size != nil {
 			current := size()
 			if target != current {
 				CountInjected(ApplyPartial)

@@ -140,6 +140,14 @@ func TestCorruptTelemetry(t *testing.T) {
 	}
 }
 
+// atCursor answers a wrapped apply from the schedule's fault window over
+// steps [0, 4), at the cursor's step.
+func atCursor(s *Schedule, cur *Cursor) func() (int, StepFaults) {
+	w := &Window{Steps: make([]StepFaults, 4)}
+	w.Fill(s, 0)
+	return func() (int, StepFaults) { return cur.Step(), w.At(cur.Step()) }
+}
+
 func TestWrapApplyFaults(t *testing.T) {
 	var cur Cursor
 	applied := 1
@@ -148,7 +156,7 @@ func TestWrapApplyFaults(t *testing.T) {
 
 	rej := &Schedule{}
 	rej.Add(Event{Step: 2, Class: ApplyReject})
-	wrapped := WrapApply(apply, size, rej, &cur)
+	wrapped := WrapApply(apply, size, atCursor(rej, &cur))
 	cur.Set(0)
 	if err := wrapped(3); err != nil || applied != 3 {
 		t.Fatalf("fault-free apply: err=%v applied=%d", err, applied)
@@ -164,7 +172,7 @@ func TestWrapApplyFaults(t *testing.T) {
 	part := &Schedule{}
 	part.Add(Event{Step: 0, Class: ApplyPartial})
 	applied = 1
-	wrapped = WrapApply(apply, size, part, &Cursor{})
+	wrapped = WrapApply(apply, size, atCursor(part, &Cursor{}))
 	err := wrapped(5)
 	if err == nil || !strings.Contains(err.Error(), "partial fulfilment") {
 		t.Fatalf("want partial fulfilment error, got %v", err)
@@ -183,7 +191,7 @@ func TestWrapApplyFaults(t *testing.T) {
 	to := &Schedule{}
 	to.Add(Event{Step: 0, Class: ApplyTimeout, Value: 30})
 	applied = 1
-	wrapped = WrapApply(apply, size, to, &Cursor{})
+	wrapped = WrapApply(apply, size, atCursor(to, &Cursor{}))
 	if err := wrapped(4); err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("want timeout error, got %v", err)
 	}

@@ -96,6 +96,35 @@ func (c *Calibration) Observe(actual float64, quantiles []float64) error {
 	if len(quantiles) != len(c.levels) {
 		return fmt.Errorf("cluster: %d quantile values for %d calibration levels", len(quantiles), len(c.levels))
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.observe(actual, quantiles)
+	return nil
+}
+
+// ObserveSteps is Observe over a round's graded steps under one lock:
+// actuals[i] against rows[i], in order. A row whose width disagrees with
+// the levels refuses the whole round before any step is observed.
+func (c *Calibration) ObserveSteps(actuals []float64, rows [][]float64) error {
+	if len(actuals) != len(rows) {
+		return fmt.Errorf("cluster: %d actuals for %d quantile rows", len(actuals), len(rows))
+	}
+	for _, row := range rows {
+		if len(row) != len(c.levels) {
+			return fmt.Errorf("cluster: %d quantile values for %d calibration levels", len(row), len(c.levels))
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, actual := range actuals {
+		c.observe(actual, rows[i])
+	}
+	return nil
+}
+
+// observe is one step of Observe and ObserveSteps; callers hold the lock
+// and have checked the row's width.
+func (c *Calibration) observe(actual float64, quantiles []float64) {
 	finite := !math.IsNaN(actual) && !math.IsInf(actual, 0)
 	for _, q := range quantiles {
 		if math.IsNaN(q) || math.IsInf(q, 0) {
@@ -103,12 +132,10 @@ func (c *Calibration) Observe(actual float64, quantiles []float64) error {
 			break
 		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !finite {
 		c.skipped++
 		calibrationSkipped.Inc()
-		return nil
+		return
 	}
 
 	row := c.preds[c.next*len(c.levels):][:len(c.levels)]
@@ -135,7 +162,6 @@ func (c *Calibration) Observe(actual float64, quantiles []float64) error {
 		c.pinball[i] += pinballLoss(tau, actual, quantiles[i])
 	}
 	c.next = (c.next + 1) % c.window
-	return nil
 }
 
 // rollingWQL computes the mean over levels of 2*QL_tau/sum(actuals) for

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -181,5 +183,64 @@ func TestCalibrationFold(t *testing.T) {
 		f.Publish()
 	}); allocs != 0 {
 		t.Errorf("a steady-state fold allocates %v times", allocs)
+	}
+}
+
+// TestObserveStepsMatchesObserve: folding rounds of steps under one lock
+// leaves the window exactly where the same steps observed one by one
+// leave it — eviction, non-finite skips and the saved bytes included —
+// and a round holding one row of the wrong width observes nothing.
+func TestObserveStepsMatchesObserve(t *testing.T) {
+	levels := []float64{0.5, 0.9}
+	one, err := NewCalibration(levels, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round, err := NewCalibration(levels, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var actuals []float64
+	var rows [][]float64
+	for i := 0; i < 17; i++ {
+		a := float64(i%7) + 0.5
+		row := []float64{float64(i % 5), float64(i%5) + 2}
+		switch i {
+		case 4:
+			a = math.NaN()
+		case 9:
+			row[1] = math.Inf(1)
+		}
+		actuals, rows = append(actuals, a), append(rows, row)
+		if err := one.Observe(a, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for start := 0; start < len(actuals); start += 4 {
+		end := min(start+4, len(actuals))
+		if err := round.ObserveSteps(actuals[start:end], rows[start:end]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var a, b bytes.Buffer
+	if err := one.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := round.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) || !reflect.DeepEqual(one.Snapshot(), round.Snapshot()) {
+		t.Errorf("rounds of steps: %+v, one by one: %+v", round.Snapshot(), one.Snapshot())
+	}
+
+	before := round.Snapshot()
+	if err := round.ObserveSteps([]float64{1, 2}, [][]float64{{1, 2}, {1}}); err == nil {
+		t.Error("a row of the wrong width was accepted")
+	}
+	if err := round.ObserveSteps([]float64{1, 2}, [][]float64{{1, 2}}); err == nil {
+		t.Error("two actuals for one row were accepted")
+	}
+	if got := round.Snapshot(); !reflect.DeepEqual(got, before) {
+		t.Errorf("a refused round moved the window: %+v, was %+v", got, before)
 	}
 }

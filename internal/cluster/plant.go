@@ -13,8 +13,9 @@ import (
 // boundary; ScaleTo is its raw scale action, which the loop wraps in its
 // chaos, retry and breaker layers and hands back to Step as apply; Step
 // drives target through apply, decides where that lands relative to the
-// step's node failures, and grades workload w against the capacity that
-// actually served it.
+// step's node failures and wake faults (f, read from the loop's round
+// fault window), grades workload w against the capacity that actually
+// served it, and writes what happened into the caller's StepResult.
 
 // StepResult is what one replayed step did to a plant.
 type StepResult struct {
@@ -53,57 +54,45 @@ func (p *AllocPlant) ScaleTo(n int) error                { p.alloc = n; return n
 func (p *AllocPlant) Size() int                          { return p.alloc }
 
 // actuate is the part of the step the scale-to-zero plant shares.
-func (p *AllocPlant) actuate(apply func(int) error, target, kills int) StepResult {
-	r := StepResult{Target: target, Err: apply(target)}
-	if r.Killed = kills; r.Killed > p.alloc {
-		r.Killed = p.alloc
-	}
+func (p *AllocPlant) actuate(r *StepResult, apply func(int) error, target, kills int) {
+	r.Target, r.Err = target, apply(target)
+	r.Killed = min(kills, p.alloc)
 	p.alloc -= r.Killed
 	r.Nodes = p.alloc
-	return r
 }
 
-func (p *AllocPlant) Step(apply func(int) error, _, target, kills int, w float64) StepResult {
-	r := p.actuate(apply, target, kills)
+func (p *AllocPlant) Step(r *StepResult, apply func(int) error, target int, f chaos.StepFaults, w float64) {
+	p.actuate(r, apply, target, f.Kills)
+	r.Wake = WakeOutcome{}
 	r.Utilization = w / float64(max(r.Nodes, 1))
 	r.Violated = r.Utilization > p.Theta
 	r.Cost = int64(r.Nodes)
 	r.Word = uint64(uint(r.Nodes))
-	return r
 }
 
 // ZeroPlant is the scale-to-zero plant: the integer allocation becomes
 // the demanded capacity in base-node units, Serverless resolves it to a
-// joint (count x size) decision under any scheduled wake faults, and the
+// joint (count x size) decision under the step's wake faults, and the
 // outcome — not the requested plan — is what gets graded, costed and
 // hashed. A parked or still-cold step has zero capacity; it only counts
 // as a violation when the workload was genuinely above IdleEps.
 type ZeroPlant struct {
 	AllocPlant
 	Serverless *Serverless
-	// Sched supplies the wake faults; nil means none.
-	Sched   *chaos.Schedule
-	IdleEps float64
+	IdleEps    float64
 }
 
-func (p *ZeroPlant) Step(apply func(int) error, step, target, kills int, w float64) StepResult {
-	r := p.actuate(apply, target, kills)
-	var f WakeFault
-	if p.Sched != nil {
-		f.StallSeconds = p.Sched.WakeStallAt(step)
-		f.Fail = p.Sched.WakeFailAt(step)
-		f.Partial = p.Sched.PartialProvisionAt(step)
-	}
-	out := p.Serverless.Step(r.Nodes, f)
+func (p *ZeroPlant) Step(r *StepResult, apply func(int) error, target int, f chaos.StepFaults, w float64) {
+	p.actuate(r, apply, target, f.Kills)
+	out := p.Serverless.Step(r.Nodes, WakeFault{StallSeconds: f.StallSeconds, Fail: f.WakeFail, Partial: f.PartialProvision})
 	r.Wake = out
-	r.Violated = w > p.IdleEps
+	r.Utilization, r.Violated = 0, w > p.IdleEps
 	if out.CapacityUnits > 0 {
 		r.Utilization = w / out.CapacityUnits
 		r.Violated = r.Utilization > p.Theta
 	}
 	r.Cost = int64(out.CostUnits)
 	r.Word = uint64(uint(out.Nodes*16 + out.Size))
-	return r
 }
 
 // ClusterPlant is the simulated disaggregated database: node failures
@@ -126,21 +115,20 @@ func (p *ClusterPlant) Reset(at time.Time, nodes int) (err error) {
 	return err
 }
 
-func (p *ClusterPlant) Step(apply func(int) error, _, target, kills int, w float64) StepResult {
-	r := StepResult{Target: target}
-	if kills > 0 {
-		r.Killed = p.Kill(kills)
+func (p *ClusterPlant) Step(r *StepResult, apply func(int) error, target int, f chaos.StepFaults, w float64) {
+	r.Killed, r.Wake = 0, WakeOutcome{}
+	if f.Kills > 0 {
+		r.Killed = p.Kill(f.Kills)
 	}
 	if target <= 0 {
 		r.Wake.Parked = true
-		r.Target = 1
+		target = 1
 	}
-	r.Err = apply(r.Target)
+	r.Target, r.Err = target, apply(target)
 	r.Nodes = p.Size()
 	r.Utilization = w / p.EffectiveCapacity(p.StepLen)
 	r.Violated = r.Utilization > p.Theta
 	r.Cost = int64(r.Nodes)
 	r.Word = uint64(uint(r.Nodes))
 	p.Advance(p.StepLen)
-	return r
 }

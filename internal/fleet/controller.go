@@ -54,6 +54,10 @@ type Controller struct {
 	// calibration gauges.
 	calFold cluster.CalibrationFold
 
+	// scratch is the apply stage's round scratch, one per worker; it
+	// grows to the worker count the first round runs with.
+	scratch []*roundScratch
+
 	// Shared capacity pool and chaos state. chaosSched is nil with chaos
 	// disabled; the admission scratch buffers are reused every round.
 	chaosSched       *chaos.FleetSchedule
@@ -294,7 +298,7 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 		if err != nil {
 			return nil, fmt.Errorf("fleet: %s: %w", id, err)
 		}
-		t.Plant = &cluster.ZeroPlant{AllocPlant: cluster.AllocPlant{Theta: cfg.Theta}, Serverless: t.sless, Sched: t.Sched, IdleEps: t.IdleEps}
+		t.Plant = &cluster.ZeroPlant{AllocPlant: cluster.AllocPlant{Theta: cfg.Theta}, Serverless: t.sless, IdleEps: t.IdleEps}
 	}
 	t.Build = func(model []byte, rho float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
 		return buildStrategy(cfg, t, model, rho)
@@ -548,8 +552,11 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		// round they strike.
 		c.injectWakeStorm(active)
 		c.admit(active)
-		parallel.ForEachWorkerSpan("fleet-apply", cfg.Workers, len(active), func(_, i int) {
-			_ = active[i].Apply()
+		for len(c.scratch) < parallel.Workers(cfg.Workers, len(active)) {
+			c.scratch = append(c.scratch, newRoundScratch(cfg.Horizon))
+		}
+		parallel.ForEachWorkerSpan("fleet-apply", cfg.Workers, len(active), func(w, i int) {
+			_ = active[i].apply(c.scratch[w])
 		})
 		for _, t := range c.tenants {
 			if t.err != nil {

@@ -112,7 +112,7 @@ type Plant interface {
 	Reset(at time.Time, nodes int) error
 	ScaleTo(n int) error
 	Size() int
-	Step(apply func(int) error, step, target, kills int, w float64) cluster.StepResult
+	Step(r *cluster.StepResult, apply func(int) error, target int, f chaos.StepFaults, w float64)
 }
 
 // Step is one replayed step as the OnStep hook sees it: the series index
@@ -233,9 +233,13 @@ type Tenant struct {
 	planDur       float64
 
 	// chaosCursor positions Sched; faulted reports whether any fault
-	// targets this tenant.
+	// targets this tenant, and faults is then the fault window of the
+	// round being applied. own is the round scratch of a tenant applied
+	// on its own.
 	chaosCursor *chaos.Cursor
 	faulted     bool
+	faults      *chaos.Window
+	own         *roundScratch
 
 	// Scale-to-zero state; nil/zero without WakeConfig. wakeGuard shapes
 	// plans with park/wake hysteresis; wakeLat streams completed-wake
@@ -435,8 +439,8 @@ func (t *Tenant) Start() (*persist.State, error) {
 	// Scale actions go through retries and the circuit breaker: while the
 	// (possibly chaos-wrapped) control plane fails, the allocation holds.
 	apply := t.Plant.ScaleTo
-	if t.Sched != nil {
-		apply = chaos.WrapApply(apply, t.Plant.Size, t.Sched, t.chaosCursor)
+	if t.faulted {
+		apply = chaos.WrapApply(apply, t.Plant.Size, t.stepFaults)
 	}
 	t.applier = (&scaler.Applier{Apply: apply, Backoff: t.Backoff, Breaker: t.Breaker, Clock: t.Now}).ScaleTo
 
@@ -589,13 +593,42 @@ func (t *Tenant) Plan() error {
 	return err
 }
 
+// roundScratch is the working memory of applying one round: the round's
+// fault window and the result the plant fills at each step. Nothing in it
+// outlives the round, so the controller lends one to each worker of its
+// apply stage, and a tenant applied on its own keeps one.
+type roundScratch struct {
+	faults  chaos.Window
+	stepped cluster.StepResult
+}
+
+func newRoundScratch(horizon int) *roundScratch {
+	return &roundScratch{faults: chaos.Window{Steps: make([]chaos.StepFaults, horizon)}}
+}
+
+// stepFaults is what the chaos-wrapped scale action reads: the step the
+// cursor is at and its faults in the round being applied.
+func (t *Tenant) stepFaults() (int, chaos.StepFaults) {
+	step := t.chaosCursor.Step()
+	return step, t.faults.At(step)
+}
+
 // Apply runs the post-admission stage of one round: record the
 // tenant-labelled decision (annotated with the admission or wake
-// outcome), step the plant through every admitted allocation, count
-// violations, cost and the rolling allocation hash, feed wake events
-// back into the wake guard, and grade the fan's calibration. It returns
-// the error that ended the loop, if any.
+// outcome), read the round's faults from the schedule once, step the
+// plant through every admitted allocation, count violations, cost and
+// the rolling allocation hash, feed wake events back into the wake
+// guard, and grade the fan's calibration over the round. It returns the
+// error that ended the loop, if any.
 func (t *Tenant) Apply() error {
+	if t.own == nil {
+		t.own = newRoundScratch(t.Horizon)
+	}
+	return t.apply(t.own)
+}
+
+// apply is Apply in the given round scratch.
+func (t *Tenant) apply(s *roundScratch) error {
 	start := time.Now()
 	origin, plan, fan := t.origin, t.round.Nodes, t.round.Fan
 	reason := t.shedReason
@@ -611,17 +644,22 @@ func (t *Tenant) Apply() error {
 			t.armCalibration(cal)
 		}
 	}
+	from := t.replayStep()
+	if t.faulted {
+		t.faults = &s.faults
+		t.faults.Fill(t.Sched, from)
+	}
+	r := &s.stepped
 	for i, target := range plan {
-		step := t.replayStep() + i
-		kills := 0
-		if t.Sched != nil {
-			t.chaosCursor.Set(step)
-			if kills = t.Sched.KillsAt(step); kills > 0 {
+		var f chaos.StepFaults
+		if t.faulted {
+			t.chaosCursor.Set(from + i)
+			if f = t.faults.At(from + i); f.Kills > 0 {
 				chaos.CountInjected(chaos.NodeKill)
 			}
 		}
 		w := t.Series.At(origin + i)
-		r := t.Plant.Step(t.applier, step, target, kills, w)
+		t.Plant.Step(r, t.applier, target, f, w)
 		if r.Err != nil {
 			t.holds++
 		}
@@ -637,14 +675,15 @@ func (t *Tenant) Apply() error {
 		t.steps++
 		t.cursor++
 		if t.OnStep != nil {
-			t.OnStep(Step{Index: origin + i, Workload: w, Plan: plan, I: i, Prev: t.prevAlloc, StepResult: r})
+			t.OnStep(Step{Index: origin + i, Workload: w, Plan: plan, I: i, Prev: t.prevAlloc, StepResult: *r})
 		}
 		t.prevAlloc = r.Nodes
-		if fan != nil && t.cal != nil && i < fan.Horizon() {
-			if cerr := t.cal.Observe(w, fan.Step(i)); cerr != nil {
-				t.err = fmt.Errorf("fleet: %s calibration at %d: %w", t.ID, origin+i, cerr)
-				return t.err
-			}
+	}
+	if fan != nil && t.cal != nil {
+		n := min(len(plan), fan.Horizon())
+		if err := t.cal.ObserveSteps(t.Series.Values[origin:origin+n], fan.Values[:n]); err != nil {
+			t.err = fmt.Errorf("fleet: %s calibration at %d: %w", t.ID, origin, err)
+			return t.err
 		}
 	}
 	t.origin = origin + t.Horizon

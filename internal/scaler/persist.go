@@ -86,6 +86,7 @@ func (b *Breaker) Load(r io.Reader) error {
 	}
 	b.mu.Lock()
 	b.state, b.failures, b.ticksLeft, b.trips = state, failures, left, trips
+	b.publish()
 	b.mu.Unlock()
 	return nil
 }
