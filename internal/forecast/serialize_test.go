@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -310,10 +311,72 @@ func TestLoadRejectsImpossibleSnapshot(t *testing.T) {
 	}
 }
 
+// TestQB5000LoadRefusesMisshapenBlob: a blob whose linear rows or kernel
+// memory do not have the shapes the receiver's config gives them is
+// refused, and the refused load leaves a fitted receiver's forecast and
+// saved bytes as they were.
+func TestQB5000LoadRefusesMisshapenBlob(t *testing.T) {
+	cfg := QB5000Config{Context: 8, Hidden: 2, Epochs: 1, Seed: 1, MaxWindows: 4, TrainHorizon: 2}
+	hist := noisySine(120, 12, 50, 10, 1, 38)
+	src := NewQB5000(cfg)
+	if err := src.Fit(hist); err != nil {
+		t.Fatal(err)
+	}
+	blob := func(lin, kx, ky [][]float64) []byte {
+		b := wire.AppendFloat(wire.AppendFloat(nil, src.scaler.Mean), src.scaler.Std)
+		return src.params.Append(wire.AppendRows(wire.AppendRows(wire.AppendRows(b, lin), kx), ky))
+	}
+	lin, kx, ky := src.linCoef, src.kernelX, src.kernelY
+	if err := NewQB5000(cfg).Load(bytes.NewReader(blob(lin, kx, ky))); err != nil {
+		t.Fatalf("the model's own components: %v", err)
+	}
+	short := func(rows [][]float64, i int) [][]float64 {
+		out := append([][]float64(nil), rows...)
+		out[i] = out[i][:len(out[i])-1]
+		return out
+	}
+	into := NewQB5000(cfg)
+	if err := into.Fit(noisySine(120, 12, 40, 5, 1, 39)); err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := into.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	want, err := into.Predict(hist, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"a linear row missing", blob(lin[:1], kx, ky)},
+		{"a linear row too many", blob(append(lin, lin[0]), kx, ky)},
+		{"a short linear row", blob(short(lin, 1), kx, ky)},
+		{"a short kernel key", blob(lin, short(kx, 0), ky)},
+		{"a kernel target missing", blob(lin, kx, ky[1:])},
+		{"a short kernel target", blob(lin, kx, short(ky, len(ky)-1))},
+	} {
+		if err := into.Load(bytes.NewReader(tc.blob)); err == nil {
+			t.Errorf("%s: loaded", tc.name)
+		}
+		var after bytes.Buffer
+		if err := into.Save(&after); err != nil {
+			t.Fatal(err)
+		}
+		got, err := into.Predict(hist, 2)
+		if err != nil || !reflect.DeepEqual(got, want) || !bytes.Equal(after.Bytes(), saved.Bytes()) {
+			t.Errorf("%s: the refused load changed the receiver: forecast %v (%v), was %v", tc.name, got, err, want)
+		}
+	}
+}
+
 // FuzzLoadModel feeds arbitrary bytes to the six model Loads at tiny
 // sizes — the first byte picks the model: it loads or it errors, it never
 // panics, and it never allocates more than a small multiple of its input
-// plus a fixed allowance for the tiny networks themselves.
+// plus a fixed allowance for the tiny networks themselves. A model that
+// loads must then forecast one step without panicking (an error is fine).
 func FuzzLoadModel(f *testing.F) {
 	tiny := MLPConfig{Context: 8, Hidden: 2, Epochs: 1, Seed: 1, MaxWindows: 4}
 	models := []func() Snapshotter{
@@ -355,10 +418,13 @@ func FuzzLoadModel(f *testing.F) {
 		blob := data[1:]
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_ = m.Load(bytes.NewReader(blob)) // an error is a fine outcome
+		err := m.Load(bytes.NewReader(blob)) // an error is a fine outcome
 		runtime.ReadMemStats(&after)
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(blob)+(1<<20)); grew > limit {
 			t.Fatalf("loading %d bytes allocated %d, limit %d", len(blob), grew, limit)
+		}
+		if err == nil {
+			_, _ = m.(Forecaster).Predict(hist, 1)
 		}
 	})
 }

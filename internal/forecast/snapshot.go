@@ -196,7 +196,9 @@ func (q *QB5000) Save(w io.Writer) error {
 }
 
 // Load restores a model saved by Save. The receiver must have been
-// constructed with the same QB5000Config.
+// constructed with the same QB5000Config: a blob whose components do not
+// have the shapes that config gives them is refused, and a refused blob
+// leaves the receiver as it was.
 func (q *QB5000) Load(r io.Reader) error {
 	rd := wire.ReadFrom(r)
 	sc := timeseries.StandardScaler{Mean: rd.Float(), Std: rd.Float()}
@@ -205,13 +207,47 @@ func (q *QB5000) Load(r io.Reader) error {
 	if err := rd.Err(); err != nil {
 		return fmt.Errorf("forecast: loading qb5000: %w", err)
 	}
-	q.WarmReset() // restored weights invalidate any cached recurrent state
-	q.buildLSTM()
-	if err := q.params.Read(&rd); err != nil {
+	if err := q.checkShapes(linCoef, kernelX, kernelY); err != nil {
+		return fmt.Errorf("forecast: loading qb5000: %w", err)
+	}
+	lstm := &QB5000{cfg: q.cfg}
+	lstm.buildLSTM()
+	if err := lstm.params.Read(&rd); err != nil {
 		return err
 	}
+	q.WarmReset() // restored weights invalidate any cached recurrent state
+	q.cell, q.head, q.params = lstm.cell, lstm.head, lstm.params
 	q.scaler, q.linCoef, q.kernelX, q.kernelY = sc, linCoef, kernelX, kernelY
 	q.fitted = true
+	return nil
+}
+
+// checkShapes checks the ensemble's fitted components against the config
+// Predict reads them with: one linear row of 1+Context coefficients per
+// trained horizon step, kernel keys of Context values, and one kernel
+// target of TrainHorizon values per key.
+func (q *QB5000) checkShapes(linCoef, kernelX, kernelY [][]float64) error {
+	if len(linCoef) != q.cfg.TrainHorizon {
+		return fmt.Errorf("%d linear rows for a %d-step horizon", len(linCoef), q.cfg.TrainHorizon)
+	}
+	if len(kernelY) != len(kernelX) {
+		return fmt.Errorf("%d kernel targets for %d kernel keys", len(kernelY), len(kernelX))
+	}
+	for _, c := range []struct {
+		what  string
+		rows  [][]float64
+		width int
+	}{
+		{"linear row", linCoef, 1 + q.cfg.Context},
+		{"kernel key", kernelX, q.cfg.Context},
+		{"kernel target", kernelY, q.cfg.TrainHorizon},
+	} {
+		for i, row := range c.rows {
+			if len(row) != c.width {
+				return fmt.Errorf("%s %d holds %d values, want %d", c.what, i, len(row), c.width)
+			}
+		}
+	}
 	return nil
 }
 
