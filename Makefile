@@ -62,8 +62,11 @@ bench-check:
 # and exponent in (0, 1]. The next runs the worker pool's dispatchers on
 # arbitrary task and worker counts: every index once, every worker id in
 # range. The next feeds arbitrary bytes to the six trained-model Loads,
-# which must error cleanly like the component decoders. The last parses
-# arbitrary burn-rule specs: every one accepted must pass Validate.
+# which must error cleanly like the component decoders. The next parses
+# arbitrary burn-rule specs: every one accepted must pass Validate. The
+# last parses arbitrary argument vectors with the flags both daemons
+# share: each fails to parse or yields a Config that validate accepts or
+# refuses, never a panic.
 fuzz:
 	$(GO) test -fuzz=FuzzLoadSegment -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzLoadSeries -fuzztime=10s ./internal/persist
@@ -76,6 +79,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzForEachWorker -fuzztime=10s ./internal/parallel
 	$(GO) test -run '^$$' -fuzz=FuzzLoadModel -fuzztime=10s ./internal/forecast
 	$(GO) test -run '^$$' -fuzz=FuzzParseBurnRules -fuzztime=10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz=FuzzBindFlags -fuzztime=10s ./internal/fleet
 
 # Fleet determinism and durability drill (same script CI runs): worker
 # counts invisible in results, kill-restart bit-identity, single-tenant
