@@ -32,21 +32,21 @@ func calibrationLines(t *testing.T) string {
 func TestCalibrationMetrics(t *testing.T) {
 	daemon(t, "-strategy adaptive -days 1 -epochs 1 -horizon 12")
 	const want = `robustscale_forecast_calibration_samples 144
-robustscale_forecast_coverage{tau="0.5"} 0.2916666666666667
-robustscale_forecast_coverage{tau="0.6"} 0.3888888888888889
-robustscale_forecast_coverage{tau="0.7"} 0.6458333333333334
-robustscale_forecast_coverage{tau="0.8"} 0.8194444444444444
-robustscale_forecast_coverage{tau="0.9"} 0.9166666666666666
-robustscale_forecast_coverage{tau="0.95"} 0.9791666666666666
+robustscale_forecast_coverage{tau="0.5"} 0.1875
+robustscale_forecast_coverage{tau="0.6"} 0.3194444444444444
+robustscale_forecast_coverage{tau="0.7"} 0.5694444444444444
+robustscale_forecast_coverage{tau="0.8"} 0.7013888888888888
+robustscale_forecast_coverage{tau="0.9"} 0.7638888888888888
+robustscale_forecast_coverage{tau="0.95"} 0.8888888888888888
 robustscale_forecast_coverage{tau="0.99"} 1
-robustscale_forecast_coverage_error{tau="0.5"} -0.20833333333333331
-robustscale_forecast_coverage_error{tau="0.6"} -0.21111111111111108
-robustscale_forecast_coverage_error{tau="0.7"} -0.054166666666666585
-robustscale_forecast_coverage_error{tau="0.8"} 0.019444444444444375
-robustscale_forecast_coverage_error{tau="0.9"} 0.016666666666666607
-robustscale_forecast_coverage_error{tau="0.95"} 0.029166666666666674
+robustscale_forecast_coverage_error{tau="0.5"} -0.3125
+robustscale_forecast_coverage_error{tau="0.6"} -0.28055555555555556
+robustscale_forecast_coverage_error{tau="0.7"} -0.13055555555555554
+robustscale_forecast_coverage_error{tau="0.8"} -0.0986111111111112
+robustscale_forecast_coverage_error{tau="0.9"} -0.13611111111111118
+robustscale_forecast_coverage_error{tau="0.95"} -0.061111111111111116
 robustscale_forecast_coverage_error{tau="0.99"} 0.010000000000000009
-robustscale_forecast_rolling_wql 0.04018463359513978`
+robustscale_forecast_rolling_wql 0.043079318578805356`
 	if got := calibrationLines(t); got != want {
 		t.Errorf("calibration series after the replay:\n got:\n%s\nwant:\n%s", got, want)
 	}

@@ -24,10 +24,10 @@ var calibrationSkipped = obs.Default.Counter(
 //
 // Every Observe updates, in O(levels) time, the window's per-level
 // covered-step counts (actuals at or below the level's forecast) and
-// pinball-loss sums, from which Snapshot and HealthCheck read per-level
-// coverage and the rolling mean weighted quantile loss. A Calibration
-// exports nothing itself: a CalibrationFold pools the windows of a whole
-// fleet into the robustscale_forecast_* gauges once per round.
+// pinball-loss sums, from which Snapshot reads per-level coverage and the
+// rolling mean weighted quantile loss. A Calibration exports nothing
+// itself: a CalibrationFold pools the windows of a whole fleet into the
+// robustscale_forecast_* gauges once per round.
 //
 // Calibration is safe for concurrent use, though the control loop is its
 // only writer in practice.
@@ -201,31 +201,6 @@ func (c *Calibration) coverageOf(i int) float64 {
 		return 0
 	}
 	return float64(c.covered[i]) / float64(c.count)
-}
-
-// HealthCheck returns a hook for scaler.Guard's Health field: it reports
-// unhealthy when any level's observed rolling coverage falls more than
-// slack below its nominal level, or (when maxWQL > 0) the rolling wQL
-// exceeds maxWQL. The verdict withholds judgment — stays healthy — until
-// the window holds at least minSteps observations.
-func (c *Calibration) HealthCheck(slack, maxWQL float64, minSteps int) func() (bool, string) {
-	return func() (bool, string) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.count < minSteps {
-			return true, ""
-		}
-		for i, tau := range c.levels {
-			if cov := c.coverageOf(i); cov < tau-slack {
-				return false, fmt.Sprintf("rolling coverage of q%g is %.3f, below %.3f (nominal - slack)",
-					tau, cov, tau-slack)
-			}
-		}
-		if wql := c.rollingWQL(); maxWQL > 0 && wql > maxWQL {
-			return false, fmt.Sprintf("rolling wQL %.4f above limit %.4f", wql, maxWQL)
-		}
-		return true, ""
-	}
 }
 
 // The per-level calibration families. They print nothing until a fold

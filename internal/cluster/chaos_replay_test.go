@@ -155,34 +155,3 @@ func TestCalibrationSkipsNonFinite(t *testing.T) {
 		t.Errorf("rolling stats poisoned: %+v", snap)
 	}
 }
-
-func TestCalibrationHealthCheck(t *testing.T) {
-	c, err := NewCalibration([]float64{0.9}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := c.HealthCheck(0.2, 0, 3)
-
-	// Under minSteps: withholds judgment.
-	if ok, _ := check(); !ok {
-		t.Error("empty window should stay healthy")
-	}
-	// Forecasts that never cover: coverage 0 breaches 0.9 - 0.2.
-	for i := 0; i < 5; i++ {
-		if err := c.Observe(10, []float64{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ok, why := check(); ok || why == "" {
-		t.Errorf("coverage breach not detected (ok=%v why=%q)", ok, why)
-	}
-	// Covering forecasts restore health as the window rolls.
-	for i := 0; i < 10; i++ {
-		if err := c.Observe(10, []float64{20}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ok, why := check(); !ok {
-		t.Errorf("recovered window still unhealthy: %q", why)
-	}
-}

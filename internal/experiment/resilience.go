@@ -159,9 +159,9 @@ func Resilience(z *Zoo, ds DatasetName, profile string) (*ResilienceReport, erro
 
 // runResilienceCell grades the deployed control loop, not a model of it:
 // one fleet.Tenant on the warm-up-aware simulated cluster, guarded with
-// the fleet's defaults (calibration health gate included), replaying the
-// evaluation span in whole rounds under the profile's schedule. The row
-// is read back from the tenant's own counters.
+// the fleet's defaults, replaying the evaluation span in whole rounds
+// under the profile's schedule. The row is read back from the tenant's
+// own counters.
 func runResilienceCell(d *Dataset, cfg Config, spec resilienceSpec, prof chaos.Profile) (ResilienceRow, error) {
 	row := ResilienceRow{Profile: prof.Name, Strategy: spec.name}
 	prof.Steps = d.Series.Len() - d.EvalStart

@@ -131,9 +131,9 @@ func BenchmarkTenantRestore(b *testing.B) {
 // TestTenantRoundAllocs pins the warm healthy round at one allocation —
 // the header of the guard's retained fan, see scaler.Guard.storeLastGood
 // — across the plan through the guard (finite check, sanity bound, fan
-// retention, calibration gate), every applied step and the grading of
-// the fan. The fleet-wide SLO tracker is on, as it is by default;
-// decision records are off.
+// retention), every applied step and the grading of the fan. The
+// fleet-wide SLO tracker is on, as it is by default; decision records
+// are off.
 func TestTenantRoundAllocs(t *testing.T) {
 	was := obs.DefaultDecisions.Enabled()
 	obs.DefaultDecisions.SetEnabled(false)

@@ -35,7 +35,7 @@ func BindFlags(fs *flag.FlagSet, def Config) *Flags {
 	quantileVar(fs, &c.Tau2, "tau2", def.Tau2, "conservative quantile `level` in (0, 1) for adaptive")
 	fs.Float64Var(&c.Rho, "rho", def.Rho, "adaptive uncertainty threshold (0 = calibrate per tenant)")
 	fs.StringVar(&c.Strategy, "strategy", def.Strategy, "robust | adaptive | reactive-max (autoscaled also takes reactive-avg)")
-	fs.BoolVar(&c.Guard, "guard", def.Guard, "wrap every strategy in the resilience guard (fan repair, fallback ladder, calibration gate)")
+	fs.BoolVar(&c.Guard, "guard", def.Guard, "wrap every strategy in the resilience guard (history repair, fan repair, fallback ladder)")
 	fs.StringVar(&f.Listen, "listen", "", "address for the health and observability surface, e.g. :8080 (empty disables)")
 	fs.Float64Var(&c.SLOTarget, "slo-target", def.SLOTarget, "violation-rate SLO driving the error-budget tracker and burn-rate alerts (0 disables the SLO plane; never changes decisions)")
 	fs.IntVar(&c.SLOWindow, "slo-window", def.SLOWindow, "rolling error-budget window in SLO ticks (fleetsim: rounds; autoscaled: replay steps)")

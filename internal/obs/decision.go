@@ -82,7 +82,7 @@ type Decision struct {
 	// ("repair", "last-known-good", "reactive"); empty for a normal round.
 	Degraded string `json:"degraded,omitempty"`
 	// DegradedReason says why the guard left normal mode, e.g. the
-	// forecaster error or calibration breach that triggered the fallback.
+	// forecaster error or fan defect that triggered the fallback.
 	DegradedReason string `json:"degraded_reason,omitempty"`
 	// Shed is how many nodes fleet admission control clipped from the
 	// plan's first step when aggregate demand exceeded the shared pool;

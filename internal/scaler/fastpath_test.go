@@ -1,6 +1,7 @@
 package scaler
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -118,25 +119,18 @@ func TestPlanIntoMatchesPlan(t *testing.T) {
 
 // TestPlanIntoMatchesPlanThroughDegradation exercises the guard's
 // fallback ladder over a warm forecaster: twin guarded stacks, one cold
-// and one warm, degrade when the health hook trips, recover when it
-// clears, and agree with each other bit-for-bit the whole way —
+// and one warm, degrade while their inner strategy errors, recover when
+// it plans again, and agree with each other bit-for-bit the whole way —
 // including the rounds right after recovery, where warm forecasters
 // recondition.
 func TestPlanIntoMatchesPlanThroughDegradation(t *testing.T) {
 	s := fastpathSeries(400)
 	train := s.Slice(0, 300)
 	healthy := true
-	health := func() (bool, string) {
-		if healthy {
-			return true, ""
-		}
-		return false, "forced degradation"
-	}
 	mk := func(qf forecast.QuantileForecaster) *Guard {
 		return &Guard{
-			Inner:  &Robust{Forecaster: qf, Tau: 0.9, Theta: 10},
+			Inner:  &erring{Strategy: &Robust{Forecaster: qf, Tau: 0.9, Theta: 10}, healthy: &healthy},
 			Config: GuardConfig{Theta: 10, Tau: 0.9},
-			Health: health,
 		}
 	}
 	ref, warm := mk(cold{smallWarmDeepAR(t, train)}), mk(smallWarmDeepAR(t, train))
@@ -168,8 +162,22 @@ func TestPlanIntoMatchesPlanThroughDegradation(t *testing.T) {
 		}
 	}
 	if !degraded {
-		t.Fatal("health hook never degraded the guard; test exercised nothing")
+		t.Fatal("inner errors never degraded the guard; test exercised nothing")
 	}
+}
+
+// erring fails every round while *healthy is false, as a forecaster
+// error would, and otherwise plans with the strategy it wraps.
+type erring struct {
+	Strategy
+	healthy *bool
+}
+
+func (e *erring) PlanInto(history *timeseries.Series, h int, dst []int) (Round, error) {
+	if !*e.healthy {
+		return Round{}, errors.New("forced degradation")
+	}
+	return e.Strategy.PlanInto(history, h, dst)
 }
 
 // TestPlanRoundAllocs is the allocation contract the CI gate enforces:

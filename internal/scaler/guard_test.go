@@ -165,37 +165,6 @@ func TestGuardLastKnownGoodThenReactive(t *testing.T) {
 	}
 }
 
-func TestGuardHealthGateSkipsInner(t *testing.T) {
-	qf := &guardQF{fakeQF: flatBase(40, 3)}
-	g, _ := newGuarded(qf, 10)
-	g.Health = func() (bool, string) { return false, "coverage 0.61 below slack" }
-	plan, err := PlanRound(g, series(10, 50, 30, 20), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qf.calls != 0 {
-		t.Errorf("unhealthy round called the forecaster %d times", qf.calls)
-	}
-	if g.Mode() != ModeReactive {
-		t.Errorf("mode = %v, want reactive", g.Mode())
-	}
-	if len(plan) != 3 {
-		t.Errorf("plan = %v", plan)
-	}
-	if got := g.LastReason(); got == "" {
-		t.Error("health breach should surface a reason")
-	}
-
-	// Health recovers: the next round is normal again.
-	g.Health = func() (bool, string) { return true, "" }
-	if _, err := PlanRound(g, series(10, 50, 30, 20), 3, nil); err != nil {
-		t.Fatal(err)
-	}
-	if g.Mode() != ModeNormal {
-		t.Errorf("mode after recovery = %v", g.Mode())
-	}
-}
-
 func TestGuardLadderExhausted(t *testing.T) {
 	qf := &guardQF{fakeQF: flatBase(40, 3), fail: true}
 	g, _ := newGuarded(qf, 10)

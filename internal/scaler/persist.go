@@ -16,9 +16,8 @@ import (
 
 // Save writes the guard's degradation-ladder position and retained
 // last-known-good fan (no levels, mean or rows when none is retained).
-// Configuration (Inner, Config, Health, Fallback) is not persisted — the
-// restarted process reconstructs it from flags and re-wires the same
-// hooks.
+// Configuration (Inner, Config, Clock) is not persisted — the restarted
+// process reconstructs it from flags.
 func (g *Guard) Save(w io.Writer) error {
 	fan := g.lastGoodFan
 	if fan == nil {
