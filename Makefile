@@ -59,27 +59,32 @@ bench-check:
 # fuzz build's coverage counters change which payload NaN+NaN keeps, and
 # TestMulVecIntoBitIdentical compares NaN payloads exactly. The next holds
 # the trace generator's ramp power to math.Pow's bits on any x in [0, 1]
-# and exponent in (0, 1]. The next runs the worker pool's dispatchers on
+# and exponent in (0, 1]. The next feeds arbitrary bytes to the trace CSV
+# reader: each input errors or yields finite values on a regular time
+# grid. The next runs the worker pool's dispatchers on
 # arbitrary task and worker counts: every index once, every worker id in
 # range. The next feeds arbitrary bytes to the six trained-model Loads,
 # which must error cleanly like the component decoders. The next parses
 # arbitrary burn-rule specs: every one accepted must pass Validate. The
 # last parses arbitrary argument vectors with the flags both daemons
 # share: each fails to parse or yields a Config that validate accepts or
-# refuses, never a panic.
+# refuses, never a panic. Every target minimizes a new input for at most
+# 1 s (-fuzzminimizetime; the default 60 s can eat a whole 10 s window
+# on a multi-KB model blob).
 fuzz:
-	$(GO) test -fuzz=FuzzLoadSegment -fuzztime=10s ./internal/persist
-	$(GO) test -fuzz=FuzzLoadSeries -fuzztime=10s ./internal/persist
-	$(GO) test -fuzz=FuzzLoadComponent -fuzztime=10s ./internal/fleet
-	$(GO) test -fuzz=FuzzGuardHistories -fuzztime=10s ./internal/scaler
-	$(GO) test -fuzz=FuzzBreakerMatchesLegacy -fuzztime=10s ./internal/scaler
-	$(GO) test -fuzz=FuzzScheduleMatchesLegacy -fuzztime=10s ./internal/chaos
-	$(GO) test -run '^$$' -fuzz=FuzzTrainingKernels -fuzztime=10s ./internal/nn
-	$(GO) test -run '^$$' -fuzz=FuzzRampPow -fuzztime=10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz=FuzzForEachWorker -fuzztime=10s ./internal/parallel
-	$(GO) test -run '^$$' -fuzz=FuzzLoadModel -fuzztime=10s ./internal/forecast
-	$(GO) test -run '^$$' -fuzz=FuzzParseBurnRules -fuzztime=10s ./internal/obs
-	$(GO) test -run '^$$' -fuzz=FuzzBindFlags -fuzztime=10s ./internal/fleet
+	$(GO) test -fuzz=FuzzLoadSegment -fuzztime=10s -fuzzminimizetime=1s ./internal/persist
+	$(GO) test -fuzz=FuzzLoadSeries -fuzztime=10s -fuzzminimizetime=1s ./internal/persist
+	$(GO) test -fuzz=FuzzLoadComponent -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
+	$(GO) test -fuzz=FuzzGuardHistories -fuzztime=10s -fuzzminimizetime=1s ./internal/scaler
+	$(GO) test -fuzz=FuzzBreakerMatchesLegacy -fuzztime=10s -fuzzminimizetime=1s ./internal/scaler
+	$(GO) test -fuzz=FuzzScheduleMatchesLegacy -fuzztime=10s -fuzzminimizetime=1s ./internal/chaos
+	$(GO) test -run '^$$' -fuzz=FuzzTrainingKernels -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
+	$(GO) test -run '^$$' -fuzz=FuzzRampPow -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
+	$(GO) test -run '^$$' -fuzz=FuzzReadCSV -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
+	$(GO) test -run '^$$' -fuzz=FuzzForEachWorker -fuzztime=10s -fuzzminimizetime=1s ./internal/parallel
+	$(GO) test -run '^$$' -fuzz=FuzzLoadModel -fuzztime=10s -fuzzminimizetime=1s ./internal/forecast
+	$(GO) test -run '^$$' -fuzz=FuzzParseBurnRules -fuzztime=10s -fuzzminimizetime=1s ./internal/obs
+	$(GO) test -run '^$$' -fuzz=FuzzBindFlags -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
 
 # Fleet determinism and durability drill (same script CI runs): worker
 # counts invisible in results, kill-restart bit-identity, single-tenant

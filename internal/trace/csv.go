@@ -2,8 +2,11 @@ package trace
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -55,10 +58,35 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a trace written by WriteCSV.
+// csvError is what ReadCSV returns for input it refuses: the data row
+// the fault is in (1-based; 0 is the header) and, when one field is at
+// fault, its column.
+type csvError struct {
+	row    int
+	column string
+	err    error
+}
+
+func (e *csvError) Error() string {
+	at := fmt.Sprintf("row %d", e.row)
+	if e.row == 0 {
+		at = "header"
+	}
+	if e.column != "" {
+		at += " column " + e.column
+	}
+	return fmt.Sprintf("trace: CSV %s: %v", at, e.err)
+}
+
+func (e *csvError) Unwrap() error { return e.err }
+
+// ReadCSV parses a trace written by WriteCSV. It refuses, naming the row
+// or column, a resource column that appears twice, a timestamp that does
+// not parse or is off the regular grid the first two rows set (repeated,
+// backwards or irregular), and a value that does not parse or is not
+// finite.
 func ReadCSV(name string, r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
+	records, err := csv.NewReader(r).ReadAll()
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading CSV: %w", err)
 	}
@@ -71,35 +99,44 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 	}
 	resources := make([]Resource, len(header)-1)
 	for i, h := range header[1:] {
+		if slices.Contains(resources[:i], Resource(h)) {
+			return nil, &csvError{column: h, err: errors.New("resource appears twice")}
+		}
 		resources[i] = Resource(h)
 	}
 
 	n := len(records) - 1
-	start, err := time.Parse(time.RFC3339, records[1][0])
-	if err != nil {
-		return nil, fmt.Errorf("trace: parsing first timestamp: %w", err)
-	}
-	step := timeseries.DefaultStep
-	if n >= 2 {
-		second, err := time.Parse(time.RFC3339, records[2][0])
-		if err != nil {
-			return nil, fmt.Errorf("trace: parsing second timestamp: %w", err)
-		}
-		step = second.Sub(start)
-	}
-
 	cols := make([][]float64, len(resources))
 	for i := range cols {
 		cols[i] = make([]float64, n)
 	}
+	var start time.Time
+	step := timeseries.DefaultStep
 	for i, rec := range records[1:] {
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("trace: CSV row %d has %d fields, want %d", i+1, len(rec), len(header))
+		ts, err := time.Parse(time.RFC3339, rec[0])
+		if err != nil {
+			return nil, &csvError{row: i + 1, column: "timestamp", err: err}
 		}
-		for j := range resources {
+		switch i {
+		case 0:
+			start = ts
+		case 1:
+			if step = ts.Sub(start); step <= 0 {
+				return nil, &csvError{row: 2, column: "timestamp",
+					err: fmt.Errorf("%s does not follow %s", rec[0], records[1][0])}
+			}
+		}
+		if want := start.Add(time.Duration(i) * step); !ts.Equal(want) {
+			return nil, &csvError{row: i + 1, column: "timestamp",
+				err: fmt.Errorf("%s, want %s on the %v grid", rec[0], want.Format(time.RFC3339Nano), step)}
+		}
+		for j, res := range resources {
 			v, err := strconv.ParseFloat(rec[j+1], 64)
+			if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				err = fmt.Errorf("non-finite value %s", rec[j+1])
+			}
 			if err != nil {
-				return nil, fmt.Errorf("trace: CSV row %d column %s: %w", i+1, resources[j], err)
+				return nil, &csvError{row: i + 1, column: string(res), err: err}
 			}
 			cols[j][i] = v
 		}

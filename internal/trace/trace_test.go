@@ -256,56 +256,6 @@ func TestResourceDifferentiation(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	cfg := AlibabaStyle(9)
-	cfg.Days = 2
-	tr, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV("alibaba", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range cfg.Resources {
-		orig, _ := tr.Series(res)
-		got, err := back.Series(res)
-		if err != nil {
-			t.Fatalf("%s missing after round trip", res)
-		}
-		if got.Len() != orig.Len() {
-			t.Fatalf("%s: len %d != %d", res, got.Len(), orig.Len())
-		}
-		if !got.Start.Equal(orig.Start) || got.Step != orig.Step {
-			t.Errorf("%s: start/step mismatch", res)
-		}
-		for i := 0; i < got.Len(); i++ {
-			if got.At(i) != orig.At(i) {
-				t.Fatalf("%s[%d]: %v != %v", res, i, got.At(i), orig.At(i))
-			}
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV("x", bytes.NewBufferString("")); err == nil {
-		t.Error("empty CSV should error")
-	}
-	if _, err := ReadCSV("x", bytes.NewBufferString("time,cpu\n")); err == nil {
-		t.Error("header-only CSV should error")
-	}
-	if _, err := ReadCSV("x", bytes.NewBufferString("timestamp,cpu\nnot-a-time,1\n")); err == nil {
-		t.Error("bad timestamp should error")
-	}
-	if _, err := ReadCSV("x", bytes.NewBufferString("timestamp,cpu\n2023-09-01T00:00:00Z,abc\n")); err == nil {
-		t.Error("bad value should error")
-	}
-}
-
 func TestSustainedDiurnalRange(t *testing.T) {
 	for _, sharp := range []float64{0.35, 0.7, 1} {
 		for f := 0.0; f < 2; f += 0.01 {
