@@ -470,42 +470,6 @@ func BenchmarkAblationConformal(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHeads sweeps the TFT attention head count: more heads
-// cost the same flops (the head dimension shrinks) but change what the
-// block can express.
-func BenchmarkAblationHeads(b *testing.B) {
-	wl := ablationWorkload(b)
-	train := wl.Slice(0, wl.Len()*7/10)
-	evalStart := wl.Len() * 8 / 10
-	for _, heads := range []int{1, 2, 4} {
-		cfg := forecast.TFTConfig{
-			Context: 72, Hidden: 24, Epochs: 3, LR: 1e-3, Seed: 1,
-			MaxWindows: 64, Levels: forecast.ScalingLevels, TrainHorizon: 72,
-			Heads: heads,
-		}
-		m := forecast.NewTFT(cfg)
-		if err := m.Fit(train); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(benchName("heads", heads), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f, err := m.PredictQuantiles(wl.Slice(0, evalStart), 72, forecast.ScalingLevels)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					actual := wl.Values[evalStart : evalStart+72]
-					loss := 0.0
-					for t, y := range actual {
-						loss += forecast.PinballLoss(0.9, y, f.At(t, 0.9))
-					}
-					b.Logf("heads=%d pinball@0.9=%.1f", heads, loss/72)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSolver compares the closed-form allocation against the
 // simplex LP on identical inputs (they agree; the LP pays for generality).
 func BenchmarkAblationSolver(b *testing.B) {

@@ -391,14 +391,16 @@ type Profile struct {
 	// LatencySeconds is injected per ForecastLatency/ApplyTimeout event
 	// (default 30).
 	LatencySeconds float64
-	// CollapseFraction is the remaining pool fraction during a
-	// PoolCollapse window (default 0.5).
-	CollapseFraction float64
-	// WakeStallSeconds is the extra cold-start latency injected per
-	// WakeStall event (default 900 — 1.5 replay steps at the default
-	// 10-minute aggregation, enough to push a wake past its step).
-	WakeStallSeconds float64
 }
+
+// collapseFraction is the remaining pool fraction during a PoolCollapse
+// window. wakeStallSeconds is the extra cold-start latency of a WakeStall
+// event: 1.5 replay steps at the default 10-minute aggregation, enough to
+// push a wake past its step.
+const (
+	collapseFraction = 0.5
+	wakeStallSeconds = 900
+)
 
 // Validate reports configuration errors.
 func (p Profile) Validate() error {
@@ -446,18 +448,6 @@ func (p Profile) Only(class Class) Profile {
 	return out
 }
 
-// ActiveClasses returns the classes with a positive rate, in taxonomy
-// order.
-func (p Profile) ActiveClasses() []Class {
-	var out []Class
-	for _, c := range Classes {
-		if p.Rates[c] > 0 {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // classSeed derives a per-class RNG seed so class streams are independent.
 func classSeed(seed int64, class Class) int64 {
 	h := fnv.New64a()
@@ -490,14 +480,6 @@ func (p Profile) Build() (*Schedule, error) {
 	if latency == 0 {
 		latency = 30
 	}
-	collapse := p.CollapseFraction
-	if collapse <= 0 || collapse > 1 {
-		collapse = 0.5
-	}
-	stall := p.WakeStallSeconds
-	if stall == 0 {
-		stall = 900
-	}
 	sched := &Schedule{}
 	for _, class := range Classes {
 		rate := p.Rates[class]
@@ -520,10 +502,10 @@ func (p Profile) Build() (*Schedule, error) {
 				e.Value = latency
 			case PoolCollapse:
 				e.Size = window
-				e.Value = collapse
+				e.Value = collapseFraction
 			case WakeStall:
 				e.Size = window
-				e.Value = stall
+				e.Value = wakeStallSeconds
 			default:
 				e.Size = window
 			}

@@ -137,9 +137,8 @@ func (s *Serverless) Parked() bool { return s.nodes == 0 && !s.waking }
 // Waking reports a wake-from-zero in flight.
 func (s *Serverless) Waking() bool { return s.waking }
 
-// Nodes returns the committed node count; SizeIndex its ladder rung.
-func (s *Serverless) Nodes() int     { return s.nodes }
-func (s *Serverless) SizeIndex() int { return s.size }
+// Nodes returns the committed node count.
+func (s *Serverless) Nodes() int { return s.nodes }
 
 // Wakes, WakeFails, Parks and Partials are lifetime event counters.
 func (s *Serverless) Wakes() int64     { return s.wakes }

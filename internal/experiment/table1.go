@@ -75,7 +75,7 @@ func table1Cell(z *Zoo, ds DatasetName, model ModelName) (*Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		e, err := evalQuantileForecaster(m, d, cfg.Horizon, forecast.DefaultLevels)
+		e, err := forecast.Backtest(m, d.Series, forecast.BacktestConfig{Start: d.EvalStart, Horizon: cfg.Horizon})
 		if err != nil {
 			return nil, fmt.Errorf("experiment: evaluating %s on %s: %w", model, ds, err)
 		}
@@ -87,67 +87,6 @@ func table1Cell(z *Zoo, ds DatasetName, model ModelName) (*Table1Row, error) {
 		}
 	}
 	return agg, nil
-}
-
-// quantileEval pools forecasts over rolling origins of the evaluation span.
-type quantileEval struct {
-	MeanWQL  float64
-	WQL      map[float64]float64
-	Coverage map[float64]float64
-	MSE      float64
-}
-
-// evalQuantileForecaster rolls the forecaster over the dataset's
-// evaluation span with stride = horizon, pooling actuals and per-level
-// predictions for the Table I metrics.
-func evalQuantileForecaster(m forecast.QuantileForecaster, d *Dataset, horizon int, levels []float64) (*quantileEval, error) {
-	var actuals []float64
-	var means []float64
-	perLevel := make(map[float64][]float64, len(levels))
-
-	n := d.Series.Len()
-	evaluated := 0
-	for origin := d.EvalStart; origin+horizon <= n; origin += horizon {
-		f, err := m.PredictQuantiles(d.Series.Slice(0, origin), horizon, levels)
-		if err != nil {
-			return nil, err
-		}
-		for t := 0; t < horizon; t++ {
-			actuals = append(actuals, d.Series.At(origin+t))
-			means = append(means, f.Mean[t])
-			for i, tau := range f.Levels {
-				perLevel[tau] = append(perLevel[tau], f.Values[t][i])
-			}
-		}
-		evaluated++
-	}
-	if evaluated == 0 {
-		return nil, fmt.Errorf("experiment: evaluation span too short for horizon %d", horizon)
-	}
-
-	out := &quantileEval{
-		WQL:      map[float64]float64{},
-		Coverage: map[float64]float64{},
-	}
-	for _, tau := range levels {
-		w, err := metrics.WQL(tau, actuals, perLevel[tau])
-		if err != nil {
-			return nil, err
-		}
-		out.WQL[tau] = w
-		c, err := metrics.Coverage(actuals, perLevel[tau])
-		if err != nil {
-			return nil, err
-		}
-		out.Coverage[tau] = c
-		out.MeanWQL += w / float64(len(levels))
-	}
-	mse, err := metrics.MSE(actuals, means)
-	if err != nil {
-		return nil, err
-	}
-	out.MSE = mse
-	return out, nil
 }
 
 // Figure8Row is one (model, horizon) cell of the horizon sweep (Figure 8).
@@ -180,7 +119,7 @@ func Figure8(z *Zoo, ds DatasetName) ([]Figure8Row, error) {
 			if h > z.Config().Horizon {
 				continue
 			}
-			e, err := evalQuantileForecaster(m, d, h, forecast.DefaultLevels)
+			e, err := forecast.Backtest(m, d.Series, forecast.BacktestConfig{Start: d.EvalStart, Horizon: h})
 			if err != nil {
 				return nil, fmt.Errorf("experiment: figure 8 %s h=%d: %w", model, h, err)
 			}

@@ -5,33 +5,18 @@ import (
 	"testing"
 )
 
-// BenchmarkDeepARFit measures training cost for the classic per-window
-// regime and the data-parallel batch regime at several worker counts.
-// On a single-CPU machine the worker sub-benches mostly show the pool's
-// overhead; the speedup target in the issue assumes >=4 cores.
+// BenchmarkDeepARFit measures training cost: one Adam step per window.
 func BenchmarkDeepARFit(b *testing.B) {
 	train := sineSeries(400, 24, 50, 20)
-	for _, bench := range []struct {
-		name           string
-		workers, batch int
-	}{
-		{"batch1", 1, 1},
-		{"batch4workers1", 1, 4},
-		{"batch4workers4", 4, 4},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d := NewDeepAR(DeepARConfig{
-					Context: 24, Hidden: 16, Epochs: 1, Seed: 1, MaxWindows: 48,
-					Samples: 10, TrainHorizon: 12,
-					Workers: bench.workers, Batch: bench.batch,
-				})
-				if err := d.Fit(train); err != nil {
-					b.Fatal(err)
-				}
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d := NewDeepAR(DeepARConfig{
+			Context: 24, Hidden: 16, Epochs: 1, Seed: 1, MaxWindows: 48,
+			Samples: 10, TrainHorizon: 12,
 		})
+		if err := d.Fit(train); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -44,7 +29,7 @@ func BenchmarkDeepARPredictQuantiles(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		d := NewDeepAR(DeepARConfig{
 			Context: 48, Hidden: 32, Epochs: 1, Seed: 1, MaxWindows: 48,
-			Samples: 100, TrainHorizon: 24, Workers: workers, Batch: 1,
+			Samples: 100, TrainHorizon: 24, Workers: workers,
 		})
 		if err := d.Fit(train); err != nil {
 			b.Fatal(err)

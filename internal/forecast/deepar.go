@@ -45,16 +45,10 @@ type DeepARConfig struct {
 	TrainHorizon int
 	// Emission selects the output distribution.
 	Emission Emission
-	// Workers bounds the concurrency of Monte-Carlo sampling and batch
-	// training; 0 means one worker per CPU. Outputs are bit-identical for
-	// every value (each sample path owns a seed-derived RNG and writes
-	// only its own slot).
+	// Workers bounds the concurrency of Monte-Carlo sampling; 0 means one
+	// worker per CPU. Outputs are bit-identical for every value (each
+	// sample path owns a seed-derived RNG and writes only its own slot).
 	Workers int
-	// Batch is the number of BPTT windows whose gradients are merged into
-	// one Adam step. 0 or 1 keeps the classic one-step-per-window regime;
-	// larger values train data-parallel across Workers while staying
-	// deterministic (per-window gradient buffers merged in window order).
-	Batch int
 }
 
 // DefaultDeepARConfig mirrors the paper's setup: 72-step context, Student-t
@@ -134,11 +128,8 @@ func (d *DeepAR) build() {
 	d.params = append(d.cell.Params(), d.head.Params()...)
 }
 
-// Fit trains the model on the series with teacher forcing and BPTT.
-// Gradients for the cfg.Batch windows of each mini-batch are computed on
-// replica networks (private gradient buffers over shared weights) in
-// parallel across cfg.Workers, then merged in window order into one Adam
-// step — so the fitted weights are bit-identical for any worker count.
+// Fit trains the model on the series with teacher forcing and BPTT, one
+// Adam step per window.
 func (d *DeepAR) Fit(train *timeseries.Series) error {
 	d.WarmReset() // new weights invalidate any cached recurrent state
 	d.build()
@@ -149,37 +140,15 @@ func (d *DeepAR) Fit(train *timeseries.Series) error {
 		return err
 	}
 
-	batch := d.cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	if batch > len(windows) {
-		batch = len(windows)
-	}
-	reps := make([]*deeparReplica, batch)
-	for i := range reps {
-		reps[i] = d.replica()
-	}
-	workers := parallel.Workers(d.cfg.Workers, batch)
-
+	s := nn.NewScratch()
 	rng := rand.New(rand.NewSource(d.cfg.Seed + 1)) // shuffle stream, distinct from init
 	opt := nn.NewAdam(d.cfg.LR)
 	order := rng.Perm(len(windows))
 	for epoch := 0; epoch < d.cfg.Epochs; epoch++ {
 		spe := obs.DefaultTracer.Start("deepar.epoch")
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for start := 0; start < len(order); start += batch {
-			n := len(order) - start
-			if n > batch {
-				n = batch
-			}
-			parallel.ForEachWorkerSpan("deepar.batch", workers, n, func(_, i int) {
-				reps[i].windowGrad(train, windows[order[start+i]])
-			})
-			d.params.ZeroGrads()
-			for i := 0; i < n; i++ {
-				nn.AccumGrads(d.params, reps[i].params)
-			}
+		for _, wi := range order {
+			d.windowGrad(s, train, windows[wi])
 			d.params.ClipGradNorm(5)
 			opt.Step(d.params)
 		}
@@ -190,36 +159,12 @@ func (d *DeepAR) Fit(train *timeseries.Series) error {
 	return nil
 }
 
-// deeparReplica is one data-parallel training lane: a gradient replica of
-// the network plus its own scratch arena.
-type deeparReplica struct {
-	d       *DeepAR
-	cell    *nn.LSTMCell
-	head    *nn.Dense
-	params  nn.Params
-	scratch *nn.Scratch
-}
-
-// replica builds a training lane over the model's shared weights.
-func (d *DeepAR) replica() *deeparReplica {
-	cell := d.cell.Replica()
-	head := d.head.Replica()
-	return &deeparReplica{
-		d:       d,
-		cell:    cell,
-		head:    head,
-		params:  append(cell.Params(), head.Params()...),
-		scratch: nn.NewScratch(),
-	}
-}
-
-// windowGrad runs one teacher-forced sequence through the replica and
-// leaves the window's gradients in the replica's buffers (no optimizer
-// step; the caller merges and steps).
-func (r *deeparReplica) windowGrad(train *timeseries.Series, w timeseries.Window) {
-	r.scratch.Reset()
-	d := r.d
-	s := r.scratch
+// windowGrad runs one teacher-forced sequence through the network and
+// leaves the window's gradients in the parameters (no optimizer step; Fit
+// clips and steps). s is reset first: nothing drawn from it outlives one
+// window.
+func (d *DeepAR) windowGrad(s *nn.Scratch, train *timeseries.Series, w timeseries.Window) {
+	s.Reset()
 
 	// The sequence covers context plus horizon; at step t the input is the
 	// normalized previous observation and the target is the current one.
@@ -235,20 +180,20 @@ func (r *deeparReplica) windowGrad(train *timeseries.Series, w timeseries.Window
 		xs[t] = d.stepInputScratch(s, norm[t], train.TimeAt(startIdx+t+1))
 	}
 
-	r.params.ZeroGrads()
-	hs, _, caches := r.cell.RunSequenceScratch(s, xs, r.cell.NewLSTMStateScratch(s))
+	d.params.ZeroGrads()
+	hs, _, caches := d.cell.RunSequenceScratch(s, xs, d.cell.NewLSTMStateScratch(s))
 	dhs := make([][]float64, steps)
 	headCaches := make([]*nn.DenseCache, steps)
 	dOuts := make([][]float64, steps)
 	for t := 0; t < steps; t++ {
-		out, hc := r.head.ForwardScratch(s, hs[t])
+		out, hc := d.head.ForwardScratch(s, hs[t])
 		headCaches[t] = hc
 		dOuts[t] = d.nllGrad(out, norm[t+1])
 	}
 	for t := 0; t < steps; t++ {
-		dhs[t] = r.head.BackwardScratch(s, headCaches[t], dOuts[t])
+		dhs[t] = d.head.BackwardScratch(s, headCaches[t], dOuts[t])
 	}
-	r.cell.BackwardSequenceScratch(s, caches, dhs, nn.LSTMState{})
+	d.cell.BackwardSequenceScratch(s, caches, dhs, nn.LSTMState{})
 }
 
 // stepInput builds the covariate vector for one step: previous normalized

@@ -33,10 +33,10 @@ func quantilesEqual(t *testing.T, name string, a, b *QuantileForecast) {
 }
 
 // parallelDeepAR keeps the determinism tests fast.
-func parallelDeepAR(workers, batch int) *DeepAR {
+func parallelDeepAR(workers int) *DeepAR {
 	return NewDeepAR(DeepARConfig{
 		Context: 16, Hidden: 8, Epochs: 2, Seed: 5, MaxWindows: 24,
-		Samples: 24, TrainHorizon: 8, Workers: workers, Batch: batch,
+		Samples: 24, TrainHorizon: 8, Workers: workers,
 	})
 }
 
@@ -49,7 +49,7 @@ func TestDeepARSamplingDeterministicAcrossWorkers(t *testing.T) {
 	train := sineSeries(220, 24, 50, 20)
 	var ref *QuantileForecast
 	for _, workers := range []int{1, 3, 8} {
-		d := parallelDeepAR(workers, 1)
+		d := parallelDeepAR(workers)
 		if err := d.Fit(train); err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestDeepARSamplingDeterministicAcrossWorkers(t *testing.T) {
 	t.Run("gomaxprocs1", func(t *testing.T) {
 		prev := runtime.GOMAXPROCS(1)
 		defer runtime.GOMAXPROCS(prev)
-		d := parallelDeepAR(8, 1)
+		d := parallelDeepAR(8)
 		if err := d.Fit(train); err != nil {
 			t.Fatal(err)
 		}
@@ -79,83 +79,6 @@ func TestDeepARSamplingDeterministicAcrossWorkers(t *testing.T) {
 	})
 }
 
-// TestDeepARBatchTrainingDeterministicAcrossWorkers pins that
-// data-parallel gradient computation merges to bit-identical weights for
-// any worker count (same batch size, so the optimizer walk is the same).
-func TestDeepARBatchTrainingDeterministicAcrossWorkers(t *testing.T) {
-	train := sineSeries(220, 24, 50, 20)
-	var ref *QuantileForecast
-	for _, workers := range []int{1, 4} {
-		d := parallelDeepAR(workers, 4)
-		if err := d.Fit(train); err != nil {
-			t.Fatal(err)
-		}
-		f, err := d.PredictQuantiles(train, 6, DefaultLevels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = f
-			continue
-		}
-		quantilesEqual(t, "deepar batch training", ref, f)
-	}
-}
-
-// TestTFTBatchTrainingDeterministicAcrossWorkers is the same contract for
-// the TFT's replica training path, including the gated variant.
-func TestTFTBatchTrainingDeterministicAcrossWorkers(t *testing.T) {
-	train := sineSeries(220, 24, 50, 20)
-	for _, gated := range []bool{false, true} {
-		var ref *QuantileForecast
-		for _, workers := range []int{1, 4} {
-			m := NewTFT(TFTConfig{
-				Context: 16, Hidden: 8, Epochs: 2, Seed: 5, MaxWindows: 24,
-				TrainHorizon: 8, Gated: gated, Workers: workers, Batch: 4,
-			})
-			if err := m.Fit(train); err != nil {
-				t.Fatal(err)
-			}
-			f, err := m.PredictQuantiles(train, 6, DefaultLevels)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = f
-				continue
-			}
-			quantilesEqual(t, "tft batch training", ref, f)
-		}
-	}
-}
-
-// TestTFTBatchOneMatchesSequential pins that Batch=1 (the default) walks
-// the optimizer exactly like the classic per-window regime even though it
-// now routes through a replica: gradients land in zeroed buffers and are
-// merged with a single exact addition.
-func TestTFTBatchOneMatchesSequential(t *testing.T) {
-	train := sineSeries(220, 24, 50, 20)
-	var ref *QuantileForecast
-	for _, batch := range []int{1, 1} { // two independent fits, same regime
-		m := NewTFT(TFTConfig{
-			Context: 16, Hidden: 8, Epochs: 2, Seed: 5, MaxWindows: 24,
-			TrainHorizon: 8, Batch: batch,
-		})
-		if err := m.Fit(train); err != nil {
-			t.Fatal(err)
-		}
-		f, err := m.PredictQuantiles(train, 6, DefaultLevels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = f
-			continue
-		}
-		quantilesEqual(t, "tft batch=1 refit", ref, f)
-	}
-}
-
 // TestTFTConcurrentPredictSharesArenas drives one fitted TFT from several
 // goroutines at once: the predict arenas come off a shared free list, so
 // under -race this is the test that a call never reads an arena another
@@ -164,7 +87,7 @@ func TestTFTConcurrentPredictSharesArenas(t *testing.T) {
 	train := sineSeries(220, 24, 50, 20)
 	m := NewTFT(TFTConfig{
 		Context: 16, Hidden: 8, Epochs: 1, Seed: 5, MaxWindows: 24,
-		TrainHorizon: 8, Gated: true,
+		TrainHorizon: 8,
 	})
 	if err := m.Fit(train); err != nil {
 		t.Fatal(err)

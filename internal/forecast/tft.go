@@ -7,7 +7,6 @@ import (
 
 	"robustscale/internal/nn"
 	"robustscale/internal/obs"
-	"robustscale/internal/parallel"
 	"robustscale/internal/timeseries"
 )
 
@@ -31,24 +30,9 @@ type TFTConfig struct {
 	Levels []float64
 	// TrainHorizon is the decoder length.
 	TrainHorizon int
-	// Heads selects the attention block: values above 1 use multi-head
-	// self-attention with an output projection (as in the original TFT);
-	// 0 or 1 keeps the lighter single-head block. Hidden must be
-	// divisible by Heads.
-	Heads int
-	// Gated inserts a gated residual network (GRN with layer
-	// normalization, as in the original TFT) between the attention
-	// residual and the quantile heads.
-	Gated bool
-	// Workers bounds the concurrency of batch training; 0 means one
-	// worker per CPU. The fitted weights are bit-identical for every
-	// value.
+	// Workers is read by nothing: the TFT trains and predicts on the
+	// caller's goroutine. It stays only because the bench harness sets it.
 	Workers int
-	// Batch is the number of BPTT windows whose gradients are merged into
-	// one Adam step. 0 or 1 keeps the classic one-step-per-window regime;
-	// larger values train data-parallel across Workers while staying
-	// deterministic (per-window gradient buffers merged in window order).
-	Batch int
 }
 
 // DefaultTFTConfig mirrors the paper's setup: 72-step context and the
@@ -71,7 +55,7 @@ type TFT struct {
 	cfg TFTConfig
 
 	scaler timeseries.StandardScaler
-	tftNet // master network; replicas of it carry per-worker gradients
+	tftNet
 	fitted bool
 
 	arenas arenaList // predict-time scratch arenas, reused across calls
@@ -110,54 +94,16 @@ func (l *arenaList) put(s *nn.Scratch) {
 	l.mu.Unlock()
 }
 
-// tftNet bundles the network layers so data-parallel training can stamp
-// out gradient replicas of the whole stack (shared weights, private
-// gradients, private scratch arena). The TFT embeds one as the master —
-// its scratch stays nil; predict hands forward an arena from TFT.arenas.
+// tftNet bundles the network layers; params lists them in build order,
+// which is the order a saved model stores them in.
 type tftNet struct {
 	hidden   int
 	embPast  *nn.Dense
 	embFut   *nn.Dense
 	enc, dec *nn.LSTMCell
-	attn     nn.SelfAttention
-	grn      *nn.GRN // nil unless cfg.Gated
+	attn     *nn.Attention
 	head     *nn.Dense
 	params   nn.Params
-	scratch  *nn.Scratch
-}
-
-// collectParams rebuilds the parameter list in the canonical (build)
-// order; replicas must use the same order so AccumGrads lines up.
-func (n *tftNet) collectParams() {
-	n.params = nil
-	n.params = append(n.params, n.embPast.Params()...)
-	n.params = append(n.params, n.embFut.Params()...)
-	n.params = append(n.params, n.enc.Params()...)
-	n.params = append(n.params, n.dec.Params()...)
-	n.params = append(n.params, n.attn.Params()...)
-	if n.grn != nil {
-		n.params = append(n.params, n.grn.Params()...)
-	}
-	n.params = append(n.params, n.head.Params()...)
-}
-
-// replica returns a training lane over the net's shared weights.
-func (n *tftNet) replica() *tftNet {
-	r := &tftNet{
-		hidden:  n.hidden,
-		embPast: n.embPast.Replica(),
-		embFut:  n.embFut.Replica(),
-		enc:     n.enc.Replica(),
-		dec:     n.dec.Replica(),
-		attn:    nn.ReplicaSelfAttention(n.attn),
-		head:    n.head.Replica(),
-		scratch: nn.NewScratch(),
-	}
-	if n.grn != nil {
-		r.grn = n.grn.Replica()
-	}
-	r.collectParams()
-	return r
 }
 
 // NewTFT returns an untrained TFT forecaster.
@@ -222,29 +168,18 @@ func (m *TFT) build() error {
 	m.embFut = nn.NewDense("tft.embFut", timeFeatureDim, h, rng)
 	m.enc = nn.NewLSTMCell("tft.enc", h, h, rng)
 	m.dec = nn.NewLSTMCell("tft.dec", h, h, rng)
-	if m.cfg.Heads > 1 {
-		mha, err := nn.NewMultiHeadAttention("tft.attn", h, m.cfg.Heads, true, rng)
-		if err != nil {
-			return err
-		}
-		m.attn = mha
-	} else {
-		m.attn = nn.NewAttention("tft.attn", h, true, rng)
-	}
-	if m.cfg.Gated {
-		m.grn = nn.NewGRN("tft.grn", h, rng)
-	} else {
-		m.grn = nil
-	}
+	m.attn = nn.NewAttention("tft.attn", h, true, rng)
 	m.head = nn.NewDense("tft.head", h, len(levels), rng)
-	m.collectParams()
+	m.params = nil
+	for _, ps := range []nn.Params{m.embPast.Params(), m.embFut.Params(), m.enc.Params(),
+		m.dec.Params(), m.attn.Params(), m.head.Params()} {
+		m.params = append(m.params, ps...)
+	}
 	return nil
 }
 
-// Fit trains the network on the series. As with DeepAR, each mini-batch
-// of cfg.Batch windows is pushed through gradient replicas in parallel
-// and merged in window order into one Adam step, so the fitted weights
-// are bit-identical for any worker count.
+// Fit trains the network on the series, one Adam step per window on the
+// pinball loss of every trained level.
 func (m *TFT) Fit(train *timeseries.Series) error {
 	if err := m.build(); err != nil {
 		return err
@@ -255,37 +190,15 @@ func (m *TFT) Fit(train *timeseries.Series) error {
 		return err
 	}
 
-	batch := m.cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	if batch > len(windows) {
-		batch = len(windows)
-	}
-	reps := make([]*tftNet, batch)
-	for i := range reps {
-		reps[i] = m.tftNet.replica()
-	}
-	workers := parallel.Workers(m.cfg.Workers, batch)
-
+	s := nn.NewScratch()
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 1)) // shuffle stream, distinct from init
 	opt := nn.NewAdam(m.cfg.LR)
 	order := rng.Perm(len(windows))
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
 		spe := obs.DefaultTracer.Start("tft.epoch")
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for start := 0; start < len(order); start += batch {
-			nb := len(order) - start
-			if nb > batch {
-				nb = batch
-			}
-			parallel.ForEachWorkerSpan("tft.batch", workers, nb, func(_, i int) {
-				m.windowGrad(reps[i], train, windows[order[start+i]])
-			})
-			m.params.ZeroGrads()
-			for i := 0; i < nb; i++ {
-				nn.AccumGrads(m.params, reps[i].params)
-			}
+		for _, wi := range order {
+			m.windowGrad(s, train, windows[wi])
 			m.params.ClipGradNorm(5)
 			opt.Step(m.params)
 		}
@@ -298,15 +211,14 @@ func (m *TFT) Fit(train *timeseries.Series) error {
 
 // tftForward holds the full forward activation record for one sequence.
 type tftForward struct {
-	T, H         int
-	pastCaches   []*nn.DenseCache
-	futCaches    []*nn.DenseCache
-	encCaches    []*nn.LSTMCache
-	decCaches    []*nn.LSTMCache
-	attnBackward func(nn.Mat) nn.Mat
-	grnCaches    []*nn.GRNCache // nil unless gated
-	headCaches   []*nn.DenseCache
-	outs         [][]float64 // [step][level] normalized quantile outputs
+	T, H       int
+	pastCaches []*nn.DenseCache
+	futCaches  []*nn.DenseCache
+	encCaches  []*nn.LSTMCache
+	decCaches  []*nn.LSTMCache
+	attnCache  *nn.AttnCache
+	headCaches []*nn.DenseCache
+	outs       [][]float64 // [step][level] normalized quantile outputs
 }
 
 // forward runs encoder, decoder, attention and heads. contextNorm has T
@@ -352,20 +264,14 @@ func (n *tftNet) forward(s *nn.Scratch, series *timeseries.Series, contextNorm [
 	for k := 0; k < H; k++ {
 		copy(x.Row(T+k), hsD[k])
 	}
-	attnOut, attnBackward := n.attn.Apply(x)
-	f.attnBackward = attnBackward
+	var attnOut nn.Mat
+	attnOut, f.attnCache = n.attn.Forward(x)
 
-	if n.grn != nil {
-		f.grnCaches = make([]*nn.GRNCache, H)
-	}
 	for k := 0; k < H; k++ {
 		z := s.Vec(n.hidden)
 		arow := attnOut.Row(T + k)
 		for j := range z {
 			z[j] = arow[j] + hsD[k][j] // residual connection
-		}
-		if n.grn != nil {
-			z, f.grnCaches[k] = n.grn.ForwardScratch(s, z)
 		}
 		f.outs[k], f.headCaches[k] = n.head.ForwardScratch(s, z)
 	}
@@ -380,14 +286,11 @@ func (n *tftNet) backward(s *nn.Scratch, f *tftForward, dOuts [][]float64) {
 	dhsD := make([][]float64, H)
 	for k := 0; k < H; k++ {
 		dz := n.head.BackwardScratch(s, f.headCaches[k], dOuts[k])
-		if n.grn != nil {
-			dz = n.grn.BackwardScratch(s, f.grnCaches[k], dz)
-		}
 		copy(dA.Row(T+k), dz)
 		dhsD[k] = s.VecCopy(dz) // residual path
 	}
 
-	dX := f.attnBackward(dA)
+	dX := n.attn.Backward(f.attnCache, dA)
 	dhsE := make([][]float64, T)
 	for t := 0; t < T; t++ {
 		dhsE[t] = s.VecCopy(dX.Row(t))
@@ -409,18 +312,17 @@ func (n *tftNet) backward(s *nn.Scratch, f *tftForward, dOuts [][]float64) {
 	}
 }
 
-// windowGrad runs one window forward+backward on the replica lane,
-// leaving the window's gradients in the replica's buffers (no optimizer
-// step; Fit merges and steps).
-func (m *TFT) windowGrad(rep *tftNet, train *timeseries.Series, w timeseries.Window) {
-	rep.scratch.Reset()
-	s := rep.scratch
+// windowGrad runs one window forward+backward, leaving the window's
+// gradients in the parameters (no optimizer step; Fit clips and steps).
+// s is reset first: nothing drawn from it outlives one window.
+func (m *TFT) windowGrad(s *nn.Scratch, train *timeseries.Series, w timeseries.Window) {
+	s.Reset()
 	contextNorm := m.scaler.Transform(w.Context)
 	targetNorm := m.scaler.Transform(w.Target)
 	startIdx := w.Origin - len(w.Context)
 
-	rep.params.ZeroGrads()
-	f := rep.forward(s, train, contextNorm, startIdx, len(w.Target))
+	m.params.ZeroGrads()
+	f := m.forward(s, train, contextNorm, startIdx, len(w.Target))
 	dOuts := make([][]float64, f.H)
 	for k := 0; k < f.H; k++ {
 		g := s.Vec(len(m.cfg.Levels))
@@ -429,7 +331,7 @@ func (m *TFT) windowGrad(rep *tftNet, train *timeseries.Series, w timeseries.Win
 		}
 		dOuts[k] = g
 	}
-	rep.backward(s, f, dOuts)
+	m.backward(s, f, dOuts)
 }
 
 // Predict implements Forecaster via the median head (or the single trained

@@ -312,3 +312,31 @@ func TestDeepARWarmRoundZeroAlloc(t *testing.T) {
 		t.Errorf("warm h=12 round allocates %v times at 50 paths, %v at 200: allocations scale with paths", a50, a200)
 	}
 }
+
+// TestTFTPredictAllocs pins what one cold TFT predict allocates at a
+// fixed shape once its arena has grown: the forward record and its
+// per-step slices, the attention block's matrices and cache, and the
+// returned fans. The attention backward pass is not built at predict
+// time, so no closure is among them.
+func TestTFTPredictAllocs(t *testing.T) {
+	s := noisySine(300, 24, 50, 10, 1, 42)
+	m := NewTFT(TFTConfig{
+		Context: 24, Hidden: 8, Epochs: 1, LR: 5e-3, Seed: 3,
+		MaxWindows: 12, TrainHorizon: 12,
+	})
+	if err := m.Fit(s.Slice(0, 240)); err != nil {
+		t.Fatal(err)
+	}
+	hist := s.Slice(0, 260)
+	levels := []float64{0.1, 0.5, 0.9}
+	predict := func() {
+		if _, err := m.PredictQuantiles(hist, 12, levels); err != nil {
+			t.Fatal(err)
+		}
+	}
+	predict() // grow the arena
+	const want = 49
+	if got := testing.AllocsPerRun(20, predict); got != want {
+		t.Errorf("TFT predict allocates %v times, want %v", got, want)
+	}
+}

@@ -90,31 +90,6 @@ func BenchmarkLSTMRollout(b *testing.B) {
 	}
 }
 
-// BenchmarkGRNStep is the same comparison for the TFT's gated block.
-func BenchmarkGRNStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	g := NewGRN("g", 32, rng)
-	x := randVec(rng, 32)
-	dy := randVec(rng, 32)
-
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, cache := g.Forward(x)
-			_ = g.Backward(cache, dy)
-		}
-	})
-	b.Run("scratch", func(b *testing.B) {
-		b.ReportAllocs()
-		s := NewScratch()
-		for i := 0; i < b.N; i++ {
-			s.Reset()
-			_, cache := g.ForwardScratch(s, x)
-			_ = g.BackwardScratch(s, cache, dy)
-		}
-	})
-}
-
 // BenchmarkMulVecTInto is the input-gradient product of every LSTM BPTT
 // step: Wh^T (128x32) and Wx^T (128x5) by the 128 gate gradients.
 func BenchmarkMulVecTInto(b *testing.B) {

@@ -27,12 +27,6 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 // Params returns the layer's trainable parameters.
 func (d *Dense) Params() Params { return Params{d.W, d.B} }
 
-// Replica returns a layer sharing this layer's weights with private
-// gradient buffers; see Param.Replica.
-func (d *Dense) Replica() *Dense {
-	return &Dense{In: d.In, Out: d.Out, W: d.W.Replica(), B: d.B.Replica()}
-}
-
 // DenseCache stores the forward input for the backward pass.
 type DenseCache struct {
 	x []float64

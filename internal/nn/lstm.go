@@ -37,15 +37,6 @@ func NewLSTMCell(name string, inSize, hidden int, rng *rand.Rand) *LSTMCell {
 // Params returns the cell's trainable parameters.
 func (c *LSTMCell) Params() Params { return Params{c.Wx, c.Wh, c.B} }
 
-// Replica returns a cell that shares this cell's weights but accumulates
-// gradients into private buffers; see Param.Replica.
-func (c *LSTMCell) Replica() *LSTMCell {
-	return &LSTMCell{
-		InSize: c.InSize, Hidden: c.Hidden,
-		Wx: c.Wx.Replica(), Wh: c.Wh.Replica(), B: c.B.Replica(),
-	}
-}
-
 // LSTMState is the recurrent state (h, c) carried between steps.
 type LSTMState struct {
 	H, C []float64

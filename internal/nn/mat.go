@@ -145,9 +145,7 @@ func (m Mat) rowOf(i int, like []float64) []float64 {
 func (m Mat) AddOuter(y, x []float64) { AddOuterInto(m, y, x) }
 
 // AddOuterInto accumulates the outer product y x^T into dst (Rows = len(y),
-// Cols = len(x)). It is the explicit-destination form of AddOuter for
-// callers that accumulate into a gradient buffer other than a layer's own,
-// e.g. the per-replica buffers of data-parallel training.
+// Cols = len(x)). It is the explicit-destination form of AddOuter.
 //
 // Four rows with a non-zero y[i] are updated per pass over one shared load
 // of x[j]; each element still takes exactly one multiply and one add, and

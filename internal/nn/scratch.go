@@ -34,8 +34,6 @@ type Scratch struct {
 	lstm  structPool[LSTMCache]
 	dense structPool[DenseCache]
 	act   structPool[ActCache]
-	ln    structPool[LNCache]
-	grn   structPool[GRNCache]
 }
 
 // NewScratch returns an empty arena.
@@ -90,8 +88,6 @@ func (s *Scratch) Reset() {
 	s.lstm.reset()
 	s.dense.reset()
 	s.act.reset()
-	s.ln.reset()
-	s.grn.reset()
 }
 
 // lstmCache returns a pooled (dirty) LSTM step cache.
@@ -116,22 +112,6 @@ func (s *Scratch) actCache() *ActCache {
 		return &ActCache{}
 	}
 	return s.act.get()
-}
-
-// lnCache returns a pooled (dirty) layer-norm cache.
-func (s *Scratch) lnCache() *LNCache {
-	if s == nil {
-		return &LNCache{}
-	}
-	return s.ln.get()
-}
-
-// grnCache returns a pooled (dirty) GRN cache.
-func (s *Scratch) grnCache() *GRNCache {
-	if s == nil {
-		return &GRNCache{}
-	}
-	return s.grn.get()
 }
 
 // structPool recycles cache structs of one type. Every struct it has ever

@@ -169,96 +169,6 @@ func TestLSTMStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestGRNZeroAlloc extends the guarantee to the TFT's gated block.
-func TestGRNZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := NewGRN("g", 16, rng)
-	x := randVec(rng, 16)
-	dy := randVec(rng, 16)
-	s := NewScratch()
-
-	step := func() {
-		s.Reset()
-		_, cache := g.ForwardScratch(s, x)
-		_ = g.BackwardScratch(s, cache, dy)
-	}
-	for i := 0; i < 8; i++ {
-		step()
-	}
-	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-		t.Errorf("GRN forward+backward allocates %v times in steady state, want 0", allocs)
-	}
-}
-
-// TestReplicaSharesValuesSplitsGrads pins the replica contract for every
-// layer type used by the forecasters.
-func TestReplicaSharesValuesSplitsGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	cell := NewLSTMCell("c", 3, 4, rng)
-	rep := cell.Replica()
-
-	if &rep.Wx.Value.Data[0] != &cell.Wx.Value.Data[0] {
-		t.Error("replica does not share value storage")
-	}
-	if &rep.Wx.Grad.Data[0] == &cell.Wx.Grad.Data[0] {
-		t.Error("replica shares gradient storage")
-	}
-
-	// Backward through the replica must leave the master's grads untouched.
-	x := randVec(rng, 3)
-	st, cache := rep.Step(x, rep.NewLSTMState())
-	_ = st
-	dh, dc := randVec(rng, 4), randVec(rng, 4)
-	rep.StepBackward(cache, dh, dc)
-	for _, p := range cell.Params() {
-		for i, g := range p.Grad.Data {
-			if g != 0 {
-				t.Fatalf("master grad %s[%d] = %v after replica backward", p.Name, i, g)
-			}
-		}
-	}
-
-	// Merging replica grads must reproduce a direct backward bit-for-bit.
-	cell.Params().ZeroGrads()
-	AccumGrads(cell.Params(), rep.Params())
-	direct := NewLSTMCell("c", 3, 4, rand.New(rand.NewSource(6)))
-	_, dcache := direct.Step(x, direct.NewLSTMState())
-	direct.StepBackward(dcache, dh, dc)
-	for pi, p := range cell.Params() {
-		dp := direct.Params()[pi]
-		for i := range p.Grad.Data {
-			if p.Grad.Data[i] != dp.Grad.Data[i] {
-				t.Fatalf("merged grad %s[%d] = %v, want %v", p.Name, i, p.Grad.Data[i], dp.Grad.Data[i])
-			}
-		}
-	}
-}
-
-func TestReplicaSelfAttention(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, attn := range []SelfAttention{
-		NewAttention("a", 4, true, rng),
-		mustMHA(t, 4, 2, rng),
-	} {
-		rep := ReplicaSelfAttention(attn)
-		if &rep.Params()[0].Value.Data[0] != &attn.Params()[0].Value.Data[0] {
-			t.Errorf("%T replica does not share value storage", attn)
-		}
-		if &rep.Params()[0].Grad.Data[0] == &attn.Params()[0].Grad.Data[0] {
-			t.Errorf("%T replica shares gradient storage", attn)
-		}
-	}
-}
-
-func mustMHA(t *testing.T, dim, heads int, rng *rand.Rand) *MultiHeadAttention {
-	t.Helper()
-	a, err := NewMultiHeadAttention("m", dim, heads, true, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
 // mulVecReference is the single-accumulator loop MulVecInto used before it
 // computed four rows per pass; it stays here as the bit-level reference.
 func mulVecReference(m Mat, x, dst []float64) {

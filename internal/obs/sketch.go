@@ -65,9 +65,6 @@ func NewSketch(alpha float64) *Sketch {
 	}
 }
 
-// RelativeAccuracy returns the sketch's configured α.
-func (s *Sketch) RelativeAccuracy() float64 { return s.alpha }
-
 // key maps a positive magnitude to its bucket index: bucket i covers
 // (γ^(i-1), γ^i], so the midpoint estimator 2γ^i/(γ+1) is within ±α of
 // every value in the bucket.

@@ -1,7 +1,6 @@
 // Package parallel is the shared bounded worker pool behind the
-// repository's hot paths: Monte-Carlo sampling in DeepAR, data-parallel
-// mini-batch training in the neural forecasters, the fleet controller's
-// per-tenant rounds, and the concurrent experiment runner.
+// repository's hot paths: Monte-Carlo sampling in DeepAR, the fleet
+// controller's per-tenant rounds, and the concurrent experiment runner.
 //
 // The package enforces one discipline everywhere: parallelism must never
 // change results. Callers get it by (a) writing only to per-index slots,
@@ -66,10 +65,10 @@ func ForEachWorker(workers, n int, fn func(worker, i int)) {
 // ForEachWorkerSpan is ForEachWorker with per-worker trace spans: each
 // worker's whole participation in the loop is recorded as one span named
 // name on its own trace row (obs.WorkerTID0+worker), so fan-out phases —
-// Monte-Carlo sampling, mini-batch gradients, fleet plan/apply rounds —
-// render as parallel lanes in the Chrome trace. Scheduling is identical to
-// ForEachWorker; with tracing disabled the extra cost is one atomic load
-// per worker, not per task.
+// Monte-Carlo sampling, fleet plan/apply rounds — render as parallel
+// lanes in the Chrome trace. Scheduling is identical to ForEachWorker;
+// with tracing disabled the extra cost is one atomic load per worker, not
+// per task.
 func ForEachWorkerSpan(name string, workers, n int, fn func(worker, i int)) {
 	dispatch(obs.DefaultTracer, name, workers, n, fn)
 }

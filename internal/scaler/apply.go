@@ -28,7 +28,7 @@ var (
 		"Rounds that held the current allocation because the apply path was unavailable (breaker open or retries exhausted).")
 	applyBackoffSeconds = obs.Default.Counter(
 		"robustscale_apply_backoff_seconds_total",
-		"Backoff delay accumulated between apply retries (virtual unless a Sleep hook is set).")
+		"Backoff delay accumulated between apply retries; virtual, never slept.")
 	breakerState = obs.Default.Gauge(
 		"robustscale_apply_breaker_state",
 		"Circuit breaker state of the apply path: 0 closed, 1 open, 2 half-open.")
@@ -212,9 +212,8 @@ func (b *Breaker) Trips() int64 {
 }
 
 // Applier drives one scale action through retry-with-backoff and the
-// circuit breaker. A nil Sleep (the default) makes backoff virtual —
-// delays are accounted in metrics but not slept — which keeps replays
-// and tests instant; the daemon can install a real sleep.
+// circuit breaker. Backoff is virtual: delays are accounted in metrics
+// but not slept, which keeps replays and tests instant.
 type Applier struct {
 	// Apply performs the scale action; required.
 	Apply func(target int) error
@@ -225,8 +224,6 @@ type Applier struct {
 	// Clock stamps journal events (virtual time in replays); defaults to
 	// time.Now.
 	Clock func() time.Time
-	// Sleep, when set, is called with each backoff delay.
-	Sleep func(time.Duration)
 }
 
 // ScaleTo attempts the scale action with retries. It ticks the breaker
@@ -256,11 +253,7 @@ func (a *Applier) ScaleTo(target int) error {
 	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			applyRetries.Inc()
-			d := cfg.Delay(attempt - 1)
-			applyBackoffSeconds.Add(d.Seconds())
-			if a.Sleep != nil {
-				a.Sleep(d)
-			}
+			applyBackoffSeconds.Add(cfg.Delay(attempt - 1).Seconds())
 		}
 		if err := a.Apply(target); err != nil {
 			lastErr = err
