@@ -244,3 +244,29 @@ func TestObserveStepsMatchesObserve(t *testing.T) {
 		t.Errorf("a refused round moved the window: %+v, was %+v", got, before)
 	}
 }
+
+func TestCalibrationSkipsNonFinite(t *testing.T) {
+	c, err := NewCalibration([]float64{0.5, 0.9}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Observe(10, []float64{12, 20}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Observe(math.NaN(), []float64{12, 20}); err != nil {
+		t.Fatalf("NaN actual should skip, not error: %v", err)
+	}
+	if err := c.Observe(10, []float64{math.Inf(1), 20}); err != nil {
+		t.Fatalf("Inf quantile should skip, not error: %v", err)
+	}
+	snap := c.Snapshot()
+	if snap.Steps != 1 {
+		t.Errorf("window steps = %d, want 1 (bad rows skipped)", snap.Steps)
+	}
+	if snap.Skipped != 2 {
+		t.Errorf("skipped = %d, want 2", snap.Skipped)
+	}
+	if math.IsNaN(snap.WQL) || math.IsNaN(snap.Coverage[0]) {
+		t.Errorf("rolling stats poisoned: %+v", snap)
+	}
+}
