@@ -143,8 +143,6 @@ examples:
 	$(GO) run ./examples/capacityplanner
 	$(GO) run ./examples/adaptive
 	$(GO) run ./examples/thrashing
-	$(GO) run ./examples/slo
-	$(GO) run ./examples/multiresource
 
 clean:
 	$(GO) clean ./...

@@ -7,7 +7,6 @@ import (
 	"robustscale/internal/metrics"
 	"robustscale/internal/obs"
 	"robustscale/internal/optimize"
-	"robustscale/internal/qos"
 	"robustscale/internal/scaler"
 	"robustscale/internal/timeseries"
 	"robustscale/internal/trace"
@@ -143,30 +142,6 @@ var (
 	WQL          = metrics.WQL
 	Uncertainty  = metrics.Uncertainty
 	Provisioning = metrics.Provisioning
-)
-
-// Quality of service: the performance-modeling extension of Section V-B.
-type (
-	// QoSNode describes one compute node as an M/M/c queueing station.
-	QoSNode = qos.Node
-	// SLO is a latency service level objective.
-	SLO = qos.SLO
-)
-
-// CalibrateTheta finds the largest per-node threshold meeting an SLO.
-var CalibrateTheta = qos.CalibrateTheta
-
-// ResourceSpec is one resource dimension of a joint scaling decision.
-type ResourceSpec = scaler.ResourceSpec
-
-// Multi-resource entry points.
-var (
-	// PlanMultiResource sizes the cluster so every resource's threshold
-	// holds simultaneously.
-	PlanMultiResource = scaler.PlanMultiResource
-	// EvaluateMultiResource grades a joint plan against realized
-	// workloads.
-	EvaluateMultiResource = scaler.EvaluateMultiResource
 )
 
 // End-to-end pipeline constructors: a trained forecaster coupled to a

@@ -2,13 +2,11 @@ package robustscale_test
 
 // Integration tests exercising complete user journeys across package
 // boundaries: exporting and re-importing traces, persisting trained
-// models, planning against calibrated thresholds, and replaying plans on
-// the simulated cluster.
+// models, planning, and replaying plans on the simulated cluster.
 
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"robustscale"
 	"robustscale/internal/forecast"
@@ -58,17 +56,10 @@ func TestIntegrationCSVTrainPersistPlanReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 3. Calibrate a threshold from an SLO rather than hand-picking it.
-	node := robustscale.QoSNode{ServiceRate: 50, Workers: 4}
-	theta, err := robustscale.CalibrateTheta(node, robustscale.SLO{
-		Percentile: 0.99, Target: 150 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if theta <= 0 {
-		t.Fatalf("theta = %v", theta)
-	}
+	// 3. The per-node threshold: the largest load (164.46) at which an
+	// M/M/4 node serving 50 requests/s per worker keeps its p99 response
+	// time under 150 ms, rounded down.
+	const theta = 164.0
 
 	// 4. Plan with the restored model and evaluate on the held-out tail.
 	strat := &robustscale.Robust{Forecaster: restored, Tau: 0.9, Theta: theta}
@@ -83,78 +74,22 @@ func TestIntegrationCSVTrainPersistPlanReplay(t *testing.T) {
 		t.Fatal("no steps evaluated")
 	}
 
-	// 5. Replay on the simulated cluster with latency modeled.
+	// 5. Replay on the simulated cluster with warm-up modeled.
 	evaluated := cpu.Slice(evalStart, evalStart+len(res.Allocations))
 	c, err := robustscale.NewCluster(robustscale.DefaultClusterConfig(), evaluated.Start, res.Allocations[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := c.ReplayQoS(evaluated, res.Allocations, node, robustscale.SLO{
-		Percentile: 0.99, Target: 150 * time.Millisecond,
-	})
+	report, err := c.Replay(evaluated, res.Allocations, theta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(report.Steps) != len(res.Allocations) {
 		t.Fatalf("replay steps = %d", len(report.Steps))
 	}
-	// A 0.9-quantile plan against an SLO-calibrated threshold should
-	// mostly comply.
+	// A 0.9-quantile plan should mostly stay under its threshold.
 	if report.ViolationRate > 0.35 {
-		t.Errorf("SLO violation rate = %v", report.ViolationRate)
-	}
-}
-
-func TestIntegrationMultiResourceFacade(t *testing.T) {
-	tr, err := robustscale.GenerateAlibabaTrace(13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu, err := tr.Series(robustscale.CPU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := tr.Series(robustscale.Memory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu = cpu.Slice(0, 800)
-	mem = mem.Slice(0, 800)
-
-	build := func(name string, s *robustscale.Series) *forecast.ARIMA {
-		m := forecast.NewSeasonalARIMA(4, 0, 1, 144)
-		if err := m.Fit(s.Slice(0, 700)); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return m
-	}
-	specs := []robustscale.ResourceSpec{
-		{Name: "cpu", History: cpu.Slice(0, 700), Forecaster: build("cpu", cpu), Tau: 0.9, Theta: 120},
-		{Name: "memory", History: mem.Slice(0, 700), Forecaster: build("memory", mem), Tau: 0.9, Theta: 150},
-	}
-	plan, err := robustscale.PlanMultiResource(specs, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	actuals := map[string][]float64{
-		"cpu":    cpu.Values[700:712],
-		"memory": mem.Values[700:712],
-	}
-	under, over, err := robustscale.EvaluateMultiResource(specs, actuals, plan.Allocations)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if under < 0 || under > 1 || over < 0 || over > 1 {
-		t.Errorf("rates = %v/%v", under, over)
-	}
-	// The joint plan must dominate each single-resource plan.
-	for _, spec := range specs {
-		per := plan.PerResource[spec.Name]
-		for i := range per {
-			if per[i] > plan.Allocations[i] {
-				t.Fatalf("joint allocation below %s demand at %d", spec.Name, i)
-			}
-		}
+		t.Errorf("violation rate = %v", report.ViolationRate)
 	}
 }
 

@@ -381,37 +381,28 @@ type Profile struct {
 	Steps int
 	// Rates maps each class to its per-step fault probability.
 	Rates map[Class]float64
-	// KillSize is nodes killed per NodeKill event (default 1).
-	KillSize int
-	// WindowLen is the window length of telemetry and apply faults in
-	// steps (default 3).
-	WindowLen int
-	// BlowupFactor multiplies the fan under ForecastBlowup (default 1e6).
-	BlowupFactor float64
-	// LatencySeconds is injected per ForecastLatency/ApplyTimeout event
-	// (default 30).
-	LatencySeconds float64
 }
 
-// collapseFraction is the remaining pool fraction during a PoolCollapse
-// window. wakeStallSeconds is the extra cold-start latency of a WakeStall
-// event: 1.5 replay steps at the default 10-minute aggregation, enough to
-// push a wake past its step.
+// The magnitudes Build gives each event: killSize nodes per NodeKill, a
+// fan multiplied by blowupFactor under ForecastBlowup, and a windowLen-step
+// window for every other class. ForecastLatency and ApplyTimeout windows
+// add faultLatencySeconds per event. collapseFraction is the remaining
+// pool fraction during a PoolCollapse window. wakeStallSeconds is the
+// extra cold-start latency of a WakeStall event: 1.5 replay steps at the
+// default 10-minute aggregation, enough to push a wake past its step.
 const (
-	collapseFraction = 0.5
-	wakeStallSeconds = 900
+	killSize            = 1
+	windowLen           = 3
+	blowupFactor        = 1e6
+	faultLatencySeconds = 30
+	collapseFraction    = 0.5
+	wakeStallSeconds    = 900
 )
 
 // Validate reports configuration errors.
 func (p Profile) Validate() error {
 	if p.Steps < 0 {
 		return fmt.Errorf("chaos: negative profile steps %d", p.Steps)
-	}
-	if p.KillSize < 0 {
-		return fmt.Errorf("chaos: negative kill size %d", p.KillSize)
-	}
-	if p.WindowLen < 0 {
-		return fmt.Errorf("chaos: negative window length %d", p.WindowLen)
 	}
 	anyRate := false
 	for class, rate := range p.Rates {
@@ -464,22 +455,6 @@ func (p Profile) Build() (*Schedule, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	killSize := p.KillSize
-	if killSize == 0 {
-		killSize = 1
-	}
-	window := p.WindowLen
-	if window == 0 {
-		window = 3
-	}
-	blowup := p.BlowupFactor
-	if blowup == 0 {
-		blowup = 1e6
-	}
-	latency := p.LatencySeconds
-	if latency == 0 {
-		latency = 30
-	}
 	sched := &Schedule{}
 	for _, class := range Classes {
 		rate := p.Rates[class]
@@ -496,18 +471,18 @@ func (p Profile) Build() (*Schedule, error) {
 			case NodeKill:
 				e.Size = killSize
 			case ForecastBlowup:
-				e.Value = blowup
+				e.Value = blowupFactor
 			case ForecastLatency, ApplyTimeout:
-				e.Size = window
-				e.Value = latency
+				e.Size = windowLen
+				e.Value = faultLatencySeconds
 			case PoolCollapse:
-				e.Size = window
+				e.Size = windowLen
 				e.Value = collapseFraction
 			case WakeStall:
-				e.Size = window
+				e.Size = windowLen
 				e.Value = wakeStallSeconds
 			default:
-				e.Size = window
+				e.Size = windowLen
 			}
 			sched.Add(e)
 		}

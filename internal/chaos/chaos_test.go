@@ -59,8 +59,6 @@ func TestProfileOnlyIsRestriction(t *testing.T) {
 func TestProfileValidate(t *testing.T) {
 	cases := []Profile{
 		{Steps: -1},
-		{KillSize: -2},
-		{WindowLen: -1},
 		{Seed: 1, Rates: map[Class]float64{ForecastNaN: 1.5}},
 		{Seed: 1, Rates: map[Class]float64{Class("bogus"): 0.1}},
 		// Positive rates without a seed: non-reproducible, rejected.

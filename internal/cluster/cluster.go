@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"time"
 
-	"robustscale/internal/chaos"
 	"robustscale/internal/obs"
 	"robustscale/internal/timeseries"
 )
@@ -50,8 +49,6 @@ type Config struct {
 	// BaseWarmup is the fixed startup overhead (container launch, catalog
 	// registration) independent of checkpoint size.
 	BaseWarmup time.Duration
-	// MaxNodes caps the cluster size; 0 means unlimited.
-	MaxNodes int
 }
 
 // DefaultConfig models the deployment behind Figure 5: a few GB of
@@ -143,9 +140,6 @@ func (c *Cluster) ScaleTo(n int) error {
 	if n < 1 {
 		return fmt.Errorf("cluster: cannot scale to %d nodes", n)
 	}
-	if c.cfg.MaxNodes > 0 && n > c.cfg.MaxNodes {
-		return fmt.Errorf("cluster: %d nodes exceeds cap %d", n, c.cfg.MaxNodes)
-	}
 	for len(c.nodes) < n {
 		c.nodes = append(c.nodes, &Node{
 			ID:      c.nextID,
@@ -228,61 +222,24 @@ type ReplayReport struct {
 	ViolationRate float64
 	ScaleOuts     int
 	ScaleIns      int
-	Failures      int
-	// Holds counts steps whose scale action failed under an injected
-	// control-plane fault, leaving the previous fleet size in place.
-	Holds int
 }
 
 // Replay drives the cluster with per-step allocations against the realized
 // workload, judging utilization against theta. It is the end-to-end check
 // that a plan that looks good on paper also works once warm-up is modeled.
-// Node-failure injection goes through ReplayWithSchedule with a
-// chaos.Schedule.
+// Node failures and control-plane faults strike in ClusterPlant.Step, the
+// path a fleet tenant's apply stage runs.
 func (c *Cluster) Replay(workload *timeseries.Series, allocations []int, theta float64) (*ReplayReport, error) {
-	return c.ReplayWithSchedule(workload, allocations, theta, nil)
-}
-
-// ReplayWithSchedule is Replay under a chaos schedule: before each step's
-// scaling action, scheduled node kills strike; the scale action itself
-// runs through the schedule's control-plane faults (rejections, partial
-// fulfilment, timeouts), and a step whose action fails holds the previous
-// fleet size — the safe degraded behavior — rather than aborting the
-// replay. It measures how much headroom a scaling policy leaves for
-// infrastructure faults. A nil or empty schedule is a plain Replay.
-func (c *Cluster) ReplayWithSchedule(workload *timeseries.Series, allocations []int, theta float64, sched *chaos.Schedule) (*ReplayReport, error) {
 	if workload.Len() != len(allocations) {
 		return nil, fmt.Errorf("cluster: %d workload steps vs %d allocations", workload.Len(), len(allocations))
 	}
 	if theta <= 0 {
 		return nil, fmt.Errorf("cluster: non-positive threshold %v", theta)
 	}
-	var faults chaos.Window
-	if !sched.Empty() {
-		faults.Steps = make([]chaos.StepFaults, workload.Len())
-		faults.Fill(sched, 0)
-	}
-	var i int
-	apply := chaos.WrapApply(c.ScaleTo, c.Size, func() (int, chaos.StepFaults) { return i, faults.At(i) })
 	report := &ReplayReport{Steps: make([]StepStat, workload.Len())}
-	for i = 0; i < workload.Len(); i++ {
-		f := faults.At(i)
-		if f.Kills > 0 {
-			chaos.CountInjected(chaos.NodeKill)
-			if killed := c.Kill(f.Kills); killed > 0 {
-				obs.DefaultJournal.RecordAt(c.now, "fault",
-					fmt.Sprintf("failure event killed %d node(s)", killed),
-					map[string]float64{"killed": float64(killed), "nodes": float64(len(c.nodes))})
-			}
-		}
-		if err := apply(allocations[i]); err != nil {
-			if !f.ApplyFault() {
-				return nil, fmt.Errorf("cluster: step %d: %w", i, err)
-			}
-			report.Holds++
-			obs.DefaultJournal.RecordAt(c.now, "fault",
-				fmt.Sprintf("scale to %d held at %d: %v", allocations[i], c.Size(), err),
-				map[string]float64{"target": float64(allocations[i]), "nodes": float64(c.Size())})
+	for i := 0; i < workload.Len(); i++ {
+		if err := c.ScaleTo(allocations[i]); err != nil {
+			return nil, fmt.Errorf("cluster: step %d: %w", i, err)
 		}
 		capacity := c.EffectiveCapacity(workload.Step)
 		if capacity < 1e-9 {
@@ -307,6 +264,5 @@ func (c *Cluster) ReplayWithSchedule(workload *timeseries.Series, allocations []
 	report.ViolationRate = float64(report.Violation) / float64(len(report.Steps))
 	report.ScaleOuts = c.ScaleOuts
 	report.ScaleIns = c.ScaleIns
-	report.Failures = c.Failures
 	return report, nil
 }

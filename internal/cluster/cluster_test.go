@@ -103,15 +103,6 @@ func TestScaleToValidation(t *testing.T) {
 	if err := c.ScaleTo(0); err == nil {
 		t.Error("scale to 0 should fail")
 	}
-	cfg := DefaultConfig()
-	cfg.MaxNodes = 4
-	capped := mustNew(t, cfg, 1)
-	if err := capped.ScaleTo(5); err == nil {
-		t.Error("exceeding cap should fail")
-	}
-	if err := capped.ScaleTo(4); err != nil {
-		t.Errorf("at-cap scale failed: %v", err)
-	}
 }
 
 func TestEffectiveCapacityProRatesWarmup(t *testing.T) {

@@ -26,13 +26,6 @@ type Pipeline struct {
 	// Horizon is the planning cadence in steps; the paper plans 72 steps
 	// (12 hours) at a time.
 	Horizon int
-	// RetrainEvery, when positive, refits the forecaster on all visible
-	// history every that many planning rounds during Run — the production
-	// answer to workload drift. Zero keeps the paper's train-once setup.
-	RetrainEvery int
-	// Tenant labels the pipeline's decision records and tenant-scoped
-	// counters; empty means the default single-tenant label.
-	Tenant string
 
 	trained bool
 }
@@ -92,14 +85,12 @@ type RunReport struct {
 // Run drives the full loop over the tail of the workload series starting
 // at index start: plan Horizon steps from visible history, execute the
 // allocations on a simulated cluster as the real workload arrives, then
-// re-plan. Observer strategies receive the realized workloads; when
-// RetrainEvery is set, the forecaster is periodically refit on all
-// history visible at that point.
+// re-plan. Observer strategies receive the realized workloads.
 func (p *Pipeline) Run(workload *timeseries.Series, start int, clusterCfg cluster.Config) (*RunReport, error) {
 	if !p.trained {
 		return nil, fmt.Errorf("core: pipeline not trained")
 	}
-	result, err := p.evaluate(workload, start)
+	result, err := scaler.Evaluate(p.Strategy, workload, scaler.EvalConfig{Theta: p.Theta, Horizon: p.Horizon, Start: start})
 	if err != nil {
 		return nil, err
 	}
@@ -119,42 +110,4 @@ func (p *Pipeline) Run(workload *timeseries.Series, start int, clusterCfg cluste
 		Replay:       replay,
 		Allocations:  result.Allocations,
 	}, nil
-}
-
-// evaluate runs the rolling strategy evaluation through the scaler
-// harness. With retraining configured it does so once per retraining
-// segment — RetrainEvery rounds planned by one fit — refitting the
-// forecaster on all history visible at each segment boundary, and
-// concatenates the segments.
-func (p *Pipeline) evaluate(workload *timeseries.Series, start int) (*scaler.EvalResult, error) {
-	cfg := scaler.EvalConfig{Theta: p.Theta, Horizon: p.Horizon, Start: start, Tenant: p.Tenant}
-	if p.RetrainEvery <= 0 || p.Forecaster == nil {
-		return scaler.Evaluate(p.Strategy, workload, cfg)
-	}
-	span := p.RetrainEvery * p.Horizon
-	var all *scaler.EvalResult
-	for origin := start; origin+p.Horizon <= workload.Len(); origin += span {
-		if origin > start {
-			if err := p.Forecaster.Fit(workload.Slice(0, origin)); err != nil {
-				return nil, fmt.Errorf("core: retraining %s at %d: %w", p.Forecaster.Name(), origin, err)
-			}
-		}
-		cfg.Start = origin
-		seg, err := scaler.Evaluate(p.Strategy, workload.Slice(0, min(origin+span, workload.Len())), cfg)
-		if err != nil {
-			return nil, err
-		}
-		if all == nil {
-			all = seg
-			continue
-		}
-		all.Allocations = append(all.Allocations, seg.Allocations...)
-		all.Actuals = append(all.Actuals, seg.Actuals...)
-	}
-	if all == nil {
-		return nil, fmt.Errorf("core: evaluation span too short for horizon %d", p.Horizon)
-	}
-	var err error
-	all.Report, err = metrics.Provisioning(all.Actuals, all.Allocations, p.Theta)
-	return all, err
 }

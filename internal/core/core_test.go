@@ -89,44 +89,6 @@ func TestReactivePipelineNeedsNoTraining(t *testing.T) {
 	}
 }
 
-func TestPipelineRetraining(t *testing.T) {
-	// A workload with a level shift right at the evaluation boundary:
-	// retraining lets the model see the new level, train-once does not.
-	rng := rand.New(rand.NewSource(5))
-	n := 700
-	vals := make([]float64, n)
-	for i := range vals {
-		level := 100.0
-		if i >= 420 {
-			level = 180 // persistent regime shift
-		}
-		vals[i] = level + 20*math.Sin(2*math.Pi*float64(i)/48) + rng.NormFloat64()*3
-	}
-	s := timeseries.New("shift", t0, timeseries.DefaultStep, vals)
-
-	run := func(retrainEvery int) float64 {
-		m := forecast.NewTFT(forecast.TFTConfig{
-			Context: 24, Hidden: 12, Epochs: 5, LR: 5e-3, Seed: 1,
-			MaxWindows: 64, Levels: []float64{0.5, 0.9}, TrainHorizon: 12,
-		})
-		p := NewRobust(m, 0.9, 25, 12)
-		p.RetrainEvery = retrainEvery
-		if err := p.Train(s.Slice(0, 400)); err != nil {
-			t.Fatal(err)
-		}
-		report, err := p.Run(s, 430, cluster.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return report.Provisioning.UnderProvisionRate
-	}
-	static := run(0)
-	retrained := run(2)
-	if retrained > static {
-		t.Errorf("retraining under=%v should not exceed static under=%v", retrained, static)
-	}
-}
-
 func TestPipelineValidation(t *testing.T) {
 	s := workload(300, 4)
 	if err := (&Pipeline{Strategy: &scaler.ReactiveMax{Theta: 20}, Theta: 20, Horizon: 0}).Train(s); err == nil {

@@ -13,14 +13,9 @@ type BacktestConfig struct {
 	// Start is the first forecast origin (index into the series);
 	// everything before it is visible history.
 	Start int
-	// Horizon is the forecast length per origin.
-	Horizon int
-	// Stride advances the origin between forecasts; defaults to Horizon
+	// Horizon is the forecast length per origin; origins advance by it
 	// (non-overlapping windows).
-	Stride int
-	// Levels are the quantile levels to evaluate; defaults to
-	// DefaultLevels.
-	Levels []float64
+	Horizon int
 }
 
 // OriginResult is the outcome at one forecast origin.
@@ -53,18 +48,7 @@ func Backtest(model QuantileForecaster, s *timeseries.Series, cfg BacktestConfig
 		return nil, fmt.Errorf("forecast: backtest start %d incompatible with series length %d and horizon %d",
 			cfg.Start, s.Len(), cfg.Horizon)
 	}
-	stride := cfg.Stride
-	if stride <= 0 {
-		stride = cfg.Horizon
-	}
-	levels := cfg.Levels
-	if len(levels) == 0 {
-		levels = DefaultLevels
-	}
-	levels, err := normalizeLevels(levels)
-	if err != nil {
-		return nil, err
-	}
+	levels := DefaultLevels
 
 	res := &BacktestResult{
 		Model:    model.Name(),
@@ -74,7 +58,7 @@ func Backtest(model QuantileForecaster, s *timeseries.Series, cfg BacktestConfig
 	var actuals, means []float64
 	perLevel := make(map[float64][]float64, len(levels))
 
-	for origin := cfg.Start; origin+cfg.Horizon <= s.Len(); origin += stride {
+	for origin := cfg.Start; origin+cfg.Horizon <= s.Len(); origin += cfg.Horizon {
 		f, err := model.PredictQuantiles(s.Slice(0, origin), cfg.Horizon, levels)
 		if err != nil {
 			return nil, fmt.Errorf("forecast: backtest at origin %d: %w", origin, err)

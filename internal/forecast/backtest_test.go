@@ -42,22 +42,6 @@ func TestBacktestStructure(t *testing.T) {
 	}
 }
 
-func TestBacktestStride(t *testing.T) {
-	s := noisySine(700, 48, 100, 20, 1, 52)
-	m := NewNaive(24)
-	if err := m.Fit(s.Slice(0, 500)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Backtest(m, s, BacktestConfig{Start: 500, Horizon: 24, Stride: 12, Levels: []float64{0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Origins: 500, 512, ..., 676: (676-500)/12 + 1 = 15.
-	if len(res.Origins) != 15 {
-		t.Fatalf("origins = %d", len(res.Origins))
-	}
-}
-
 func TestBacktestSeasonalNaiveBeatsNaive(t *testing.T) {
 	s := noisySine(800, 48, 100, 30, 1, 53)
 	sn := NewSeasonalNaive(48)
@@ -96,8 +80,5 @@ func TestBacktestValidation(t *testing.T) {
 	}
 	if _, err := Backtest(m, s, BacktestConfig{Start: 95, Horizon: 12}); err == nil {
 		t.Error("start too late should fail")
-	}
-	if _, err := Backtest(m, s, BacktestConfig{Start: 50, Horizon: 12, Levels: []float64{2}}); err == nil {
-		t.Error("bad level should fail")
 	}
 }

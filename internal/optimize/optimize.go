@@ -57,8 +57,6 @@ type ThrashingConfig struct {
 	Initial int
 	// MaxDelta is the maximum absolute change in node count per step.
 	MaxDelta int
-	// MaxNodes caps the cluster size (0 means derive from the demand).
-	MaxNodes int
 }
 
 // PlanConstrained solves Definition 3 with the additional constraints
@@ -97,10 +95,7 @@ func PlanConstrainedDemand(demand []int, cfg ThrashingConfig) ([]int, error) {
 			maxDemand = d
 		}
 	}
-	maxNodes := cfg.MaxNodes
-	if maxNodes <= 0 {
-		maxNodes = maxDemand + cfg.MaxDelta
-	}
+	maxNodes := maxDemand + cfg.MaxDelta
 	if maxNodes < 1 {
 		maxNodes = 1
 	}
