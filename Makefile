@@ -66,9 +66,11 @@ bench-check:
 # range. The next feeds arbitrary bytes to the six trained-model Loads,
 # which must error cleanly like the component decoders. The next parses
 # arbitrary burn-rule specs: every one accepted must pass Validate. The
-# last parses arbitrary argument vectors with the flags both daemons
+# next parses arbitrary argument vectors with the flags both daemons
 # share: each fails to parse or yields a Config that validate accepts or
-# refuses, never a panic. Every target minimizes a new input for at most
+# refuses, never a panic. The last holds the rate-limited planner's
+# dynamic program to a brute-force walk of every node path on small
+# instances. Every target minimizes a new input for at most
 # 1 s (-fuzzminimizetime; the default 60 s can eat a whole 10 s window
 # on a multi-KB model blob).
 fuzz:
@@ -85,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzLoadModel -fuzztime=10s -fuzzminimizetime=1s ./internal/forecast
 	$(GO) test -run '^$$' -fuzz=FuzzParseBurnRules -fuzztime=10s -fuzzminimizetime=1s ./internal/obs
 	$(GO) test -run '^$$' -fuzz=FuzzBindFlags -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz=FuzzPlanConstrainedDemand -fuzztime=10s -fuzzminimizetime=1s ./internal/optimize
 
 # Fleet determinism and durability drill (same script CI runs): worker
 # counts invisible in results, kill-restart bit-identity, single-tenant

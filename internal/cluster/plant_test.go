@@ -108,6 +108,34 @@ func TestClusterPlantKillsAndHolds(t *testing.T) {
 	}
 }
 
+// TestClusterPlantKillsBeforeApply pins the order inside one Step: the
+// step's node kills strike first, then its scale action launches
+// replacements, which serve only their warmed-up fraction of the step.
+// Two of three nodes killed under an unchanged target of three end the
+// step at three nodes and a capacity just under three. A plant that
+// scaled first and killed after would end at one node, launch nothing,
+// and violate the threshold.
+func TestClusterPlantKillsBeforeApply(t *testing.T) {
+	p := &ClusterPlant{Config: DefaultConfig(), Theta: 10, StepLen: timeseries.DefaultStep}
+	if err := p.Reset(t0, 3); err != nil {
+		t.Fatal(err)
+	}
+	warm := p.WarmupDuration()
+	var r StepResult
+	p.Step(&r, p.ScaleTo, 3, chaos.StepFaults{Kills: 2}, 20)
+	if r.Killed != 2 || r.Err != nil {
+		t.Fatalf("killed %d (err %v), want 2 and no error", r.Killed, r.Err)
+	}
+	if r.Nodes != 3 || p.ScaleOuts != 2 {
+		t.Errorf("step ends at %d nodes after %d scale-outs, want 3 after 2: the action must replace the killed nodes", r.Nodes, p.ScaleOuts)
+	}
+	f := float64(p.StepLen-warm) / float64(p.StepLen)
+	capacity := 1 + f + f // EffectiveCapacity's order: the ready node, then each replacement
+	if want := 20 / capacity; r.Utilization != want || r.Violated {
+		t.Errorf("utilization %v (violated %v), want %v from one serving node and two warming replacements", r.Utilization, r.Violated, want)
+	}
+}
+
 func TestClusterPlantPartialConverges(t *testing.T) {
 	// One partial-fulfilment window over a scale-out from 1 to 4: each
 	// step moves halfway, so the fleet converges without ever erroring

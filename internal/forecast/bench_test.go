@@ -3,6 +3,8 @@ package forecast
 import (
 	"fmt"
 	"testing"
+
+	"robustscale/internal/timeseries"
 )
 
 // BenchmarkDeepARFit measures training cost: one Adam step per window.
@@ -62,5 +64,71 @@ func BenchmarkTFTPredictQuantiles(b *testing.B) {
 		if _, err := m.PredictQuantiles(train, 24, DefaultLevels); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// The warm benchmarks run the paper pipeline's model shape — context 72,
+// hidden 32, 100 sample paths — one planning round per op at horizon 12,
+// the origin advancing 12 steps a round over one shared history, as
+// scaler.Evaluate drives them. They are the per-layer rows beside the nn
+// kernels: read ns/op and allocs/op (-benchmem) before and after a change
+// to the forward pass or the rollout.
+
+// warmSeries is a history long enough for 150 rounds after the 1 000
+// steps the warm benchmarks fit on.
+func warmSeries() *timeseries.Series { return sineSeries(2800, 144, 50, 20) }
+
+// benchWarmRounds runs one warm planning round per op. When the origin
+// reaches the end of s it wraps to the start, a shrunk history the warm
+// path answers cold: one rebuild per 150 rounds.
+func benchWarmRounds(b *testing.B, m IncrementalForecaster, s *timeseries.Series) {
+	const start, h = 1000, 12
+	view := &timeseries.Series{Name: s.Name, Start: s.Start, Step: s.Step}
+	origin := start
+	round := func() {
+		view.Values = s.Values[:origin]
+		if _, err := m.PredictQuantilesWarm(view, h, DefaultLevels); err != nil {
+			b.Fatal(err)
+		}
+		if origin += h; origin > s.Len() {
+			origin = start
+		}
+	}
+	round() // grow the pooled buffers outside the timed region
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
+// BenchmarkTFTPredictQuantilesWarm is the warm TFT round: one forward
+// pass on the forecaster's own pass and fan, 0 allocs/op.
+func BenchmarkTFTPredictQuantilesWarm(b *testing.B) {
+	s := warmSeries()
+	m := NewTFT(TFTConfig{
+		Context: 72, Hidden: 32, Epochs: 1, Seed: 1, MaxWindows: 8,
+		TrainHorizon: 12,
+	})
+	if err := m.Fit(s.Slice(0, 1000)); err != nil {
+		b.Fatal(err)
+	}
+	benchWarmRounds(b, m, s)
+}
+
+// BenchmarkDeepARPredictQuantilesWarm is the warm DeepAR round: the
+// conditioning advance plus the lockstep Monte-Carlo rollout. With more
+// than one worker the fan-out's goroutines are its only allocations.
+func BenchmarkDeepARPredictQuantilesWarm(b *testing.B) {
+	s := warmSeries()
+	for _, workers := range []int{1, 2} {
+		m := NewDeepAR(DeepARConfig{
+			Context: 72, Hidden: 32, Epochs: 1, Seed: 1, MaxWindows: 8,
+			Samples: 100, TrainHorizon: 12, Workers: workers,
+		})
+		if err := m.Fit(s.Slice(0, 1000)); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) { benchWarmRounds(b, m, s) })
 	}
 }

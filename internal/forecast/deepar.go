@@ -347,36 +347,52 @@ func (d *DeepAR) PredictQuantiles(history *timeseries.Series, h int, levels []fl
 	for t := range samples {
 		samples[t] = make([]float64, d.cfg.Samples)
 	}
-	workers := parallel.Workers(d.cfg.Workers, d.cfg.Samples)
+	workers := parallel.Workers(d.cfg.Workers, sampleBlocks(d.cfg.Samples))
 	scratches := make([]*nn.Scratch, workers)
 	for i := range scratches {
 		scratches[i] = nn.NewScratch()
 	}
-	d.sample(history, h, state0, emit0, samples, make([]float64, (h-1)*timeFeatureDim), scratches, nil)
+	var rngs []*rand.Rand
+	if h > 1 {
+		rngs = growPathRands(nil, workers*sampleBlock)
+	}
+	d.sample(history, h, state0, emit0, samples, make([]float64, (h-1)*timeFeatureDim), scratches, rngs)
 
-	f := &QuantileForecast{
-		Levels: levels,
-		Values: make([][]float64, h),
-		Mean:   make([]float64, h),
-	}
-	for t := range f.Values {
-		f.Values[t] = make([]float64, len(levels))
-	}
+	f := reuseFan(nil, h, levels)
 	d.assemble(f, samples)
 	return f, nil
+}
+
+// sampleBlock is how many Monte-Carlo paths one worker rolls forward in
+// lockstep: a block's LSTM and head products run as one batched pass
+// (nn.LSTMCell.StepBatch, nn.Dense.ForwardBatch), which streams each
+// weight matrix once per pair of paths instead of once per path.
+const sampleBlock = 8
+
+// sampleBlocks is the number of lockstep blocks paths split into; the
+// last one holds the remainder.
+func sampleBlocks(paths int) int { return (paths + sampleBlock - 1) / sampleBlock }
+
+// growPathRands returns rngs extended to at least n path RNGs.
+func growPathRands(rngs []*rand.Rand, n int) []*rand.Rand {
+	for len(rngs) < n {
+		rngs = append(rngs, newPathRand(0))
+	}
+	return rngs
 }
 
 // sample rolls the Monte-Carlo paths forward from state0/emit0 and fills
 // the [h][paths] sample matrix in normalized space. feats is an
 // (h-1)*timeFeatureDim buffer for the calendar covariates of the rollout
 // steps: they depend on the step, not the path, so they are computed once
-// before the fan-out. rngs, when non-nil, supplies one reusable per-worker
-// RNG (re-seeded per path, which yields the identical stream to a freshly
-// constructed source); otherwise each path allocates its own. The
-// horizon-1 round — the high-frequency steady state — never rolls the LSTM
-// during sampling (the loop breaks before the first rollout step), so it
-// draws sequentially on the caller's goroutine and skips the worker
-// fan-out entirely.
+// before the fan-out. Paths run in blocks of sampleBlock, one block per
+// task; each path draws only from its own RNG, seeded from its index, so
+// the block size and the worker count cannot reach a sample. rngs holds
+// sampleBlock RNGs per worker, re-seeded per path, which yields the
+// identical stream to a freshly constructed source. The horizon-1 round —
+// the high-frequency steady state — never rolls the LSTM, so it draws
+// sequentially on the caller's goroutine, from rngs[0] or, when rngs is
+// empty, one RNG of its own, and skips the worker fan-out entirely.
 func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, emit0 emission, samples [][]float64, feats []float64, scratches []*nn.Scratch, rngs []*rand.Rand) {
 	paths := len(samples[0])
 	obsPredictions.With("deepar").Inc()
@@ -403,30 +419,41 @@ func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, 
 	}
 	workers := len(scratches)
 	sp := obs.DefaultTracer.Start("deepar.sample")
-	parallel.ForEachWorkerSpan("deepar.sample", workers, paths, func(worker, sIdx int) {
-		var rng *rand.Rand
-		if rngs != nil {
-			rng = rngs[worker]
-			rng.Seed(pathSeed(base, sIdx))
-		} else {
-			rng = newPathRand(pathSeed(base, sIdx))
+	parallel.ForEachWorkerSpan("deepar.sample", workers, sampleBlocks(paths), func(worker, blk int) {
+		lo := blk * sampleBlock
+		n := min(sampleBlock, paths-lo)
+		block := rngs[worker*sampleBlock:][:n]
+		for b, rng := range block {
+			rng.Seed(pathSeed(base, lo+b))
 		}
 		sc := scratches[worker]
 		sc.Reset()
-		state := state0.CloneScratch(sc)
-		emit := emit0
+		states := d.cell.NewLSTMBatch(sc, n)
+		for b := 0; b < n; b++ {
+			copy(states.H.Row(b), state0.H)
+			copy(states.C.Row(b), state0.C)
+		}
+		x := sc.Mat(n, deepARInputDim)
+		out := sc.Mat(n, d.headSize())
 		for t := 0; t < h; t++ {
-			z := emit.Sample(rng)
-			samples[t][sIdx] = z
+			row := samples[t][lo : lo+n]
+			for b := range row {
+				emit := emit0
+				if t > 0 {
+					emit = d.emissionFrom(out.Row(b))
+				}
+				row[b] = emit.Sample(block[b])
+			}
 			if t == h-1 {
 				break
 			}
-			x := sc.Vec(deepARInputDim)
-			x[0] = z
-			copy(x[1:], feats[t*timeFeatureDim:(t+1)*timeFeatureDim])
-			state, _ = d.cell.StepScratch(sc, x, state)
-			out, _ := d.head.ForwardScratch(sc, state.H)
-			emit = d.emissionFrom(out)
+			for b, z := range row {
+				xb := x.Row(b)
+				xb[0] = z
+				copy(xb[1:], feats[t*timeFeatureDim:(t+1)*timeFeatureDim])
+			}
+			d.cell.StepBatch(states, x)
+			d.head.ForwardBatch(states.H, out)
 		}
 	})
 	sp.End()
@@ -458,11 +485,11 @@ type deeparWarm struct {
 	next   int          // the state has consumed conditioning inputs for positions [anchor, next)
 	state  nn.LSTMState // owned heap buffers, never scratch-backed
 
-	adv       *nn.Scratch // scratch arena for advance/rebuild steps
-	samples   [][]float64 // pooled [h][paths] Monte-Carlo matrix
-	feats     []float64   // pooled rollout-step calendar covariates
-	scratches []*nn.Scratch
-	rngs      []*rand.Rand
+	adv       *nn.Scratch   // scratch arena for advance/rebuild steps
+	samples   [][]float64   // pooled [h][paths] Monte-Carlo matrix
+	feats     []float64     // pooled rollout-step calendar covariates
+	scratches []*nn.Scratch // one per sampling worker
+	rngs      []*rand.Rand  // sampleBlock per sampling worker
 	levels    levelsCache
 	fan       *QuantileForecast
 }
@@ -530,24 +557,18 @@ func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels 
 	w.valid = true
 
 	paths := d.cfg.Samples
-	if cap(w.samples) >= h {
-		w.samples = w.samples[:h]
-	} else {
-		w.samples = make([][]float64, h)
-	}
+	w.samples = resize(w.samples, h)
 	for t := range w.samples {
 		w.samples[t] = resizeFloats(w.samples[t], paths)
 	}
 	workers := 1
 	if h > 1 {
-		workers = parallel.Workers(d.cfg.Workers, paths)
+		workers = parallel.Workers(d.cfg.Workers, sampleBlocks(paths))
 	}
 	for len(w.scratches) < workers {
 		w.scratches = append(w.scratches, nn.NewScratch())
 	}
-	for len(w.rngs) < workers {
-		w.rngs = append(w.rngs, newPathRand(0))
-	}
+	w.rngs = growPathRands(w.rngs, workers*sampleBlock)
 	state0 := nn.LSTMState{H: w.state.H, C: w.state.C}
 	w.feats = resizeFloats(w.feats, (h-1)*timeFeatureDim)
 	d.sample(history, h, state0, emit0, w.samples, w.feats, w.scratches[:workers], w.rngs)

@@ -64,8 +64,12 @@ func (f *QuantileForecast) Horizon() int { return len(f.Values) }
 // At returns the forecast at horizon step t for quantile tau, linearly
 // interpolating between the available levels and clamping outside them.
 func (f *QuantileForecast) At(t int, tau float64) float64 {
-	row := f.Values[t]
-	levels := f.Levels
+	return quantileAt(f.Levels, f.Values[t], tau)
+}
+
+// quantileAt is At over one row: the value at tau of a row of values at
+// the sorted levels, linearly interpolated and clamped at the edges.
+func quantileAt(levels, row []float64, tau float64) float64 {
 	if tau <= levels[0] {
 		return row[0]
 	}

@@ -1,10 +1,13 @@
 package forecast
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
 
+	"robustscale/internal/nn"
 	"robustscale/internal/timeseries"
 )
 
@@ -77,6 +80,91 @@ func TestDeepARSamplingDeterministicAcrossWorkers(t *testing.T) {
 		}
 		quantilesEqual(t, "deepar gomaxprocs=1", ref, f)
 	})
+}
+
+// TestDeepARBlocksInvisible: paths roll forward in lockstep blocks of
+// sampleBlock, one block per task, so a path's block, the size of the
+// last block and the worker count must not reach a sample. Samples counts
+// below, at and off a multiple of the block, cold and warm, for Workers
+// 1, 2 and 4, all give one fan.
+func TestDeepARBlocksInvisible(t *testing.T) {
+	train := sineSeries(220, 24, 50, 20)
+	for _, samples := range []int{1, sampleBlock - 1, sampleBlock, 2*sampleBlock + 3} {
+		var ref *QuantileForecast
+		for _, workers := range []int{1, 2, 4} {
+			d := NewDeepAR(DeepARConfig{
+				Context: 16, Hidden: 8, Epochs: 1, Seed: 5, MaxWindows: 24,
+				Samples: samples, TrainHorizon: 8, Workers: workers,
+			})
+			if err := d.Fit(train); err != nil {
+				t.Fatal(err)
+			}
+			cold, err := d.PredictQuantiles(train, 6, DefaultLevels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = cold
+			}
+			quantilesEqual(t, fmt.Sprintf("%d samples, %d workers, cold", samples, workers), ref, cold)
+			warm, err := d.PredictQuantilesWarm(train, 6, DefaultLevels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			quantilesEqual(t, fmt.Sprintf("%d samples, %d workers, warm", samples, workers), ref, warm)
+		}
+	}
+}
+
+// TestDeepARLockstepMatchesPerPathRollout holds the lockstep rollout to
+// the per-path loop it replaced: each path alone, from its own seeded
+// RNG, stepped by StepScratch and the head's ForwardScratch. The sample
+// matrices must agree bit for bit, over a last block that is not full.
+func TestDeepARLockstepMatchesPerPathRollout(t *testing.T) {
+	train := sineSeries(220, 24, 50, 20)
+	const paths, h = 2*sampleBlock + 5, 7
+	d := NewDeepAR(DeepARConfig{
+		Context: 16, Hidden: 8, Epochs: 1, Seed: 5, MaxWindows: 24,
+		Samples: paths, TrainHorizon: 8, Workers: 2,
+	})
+	if err := d.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	state0, emit0, err := d.warmup(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := d.cfg.Seed + int64(train.Len())
+	want := make([][]float64, h)
+	for k := range want {
+		want[k] = make([]float64, paths)
+	}
+	for p := 0; p < paths; p++ {
+		rng := newPathRand(pathSeed(base, p))
+		state, emit := state0.Clone(), emit0
+		for k := 0; k < h; k++ {
+			z := emit.Sample(rng)
+			want[k][p] = z
+			x := append([]float64{z}, timeFeatures(train.TimeAt(train.Len()+k+1))...)
+			state, _ = d.cell.StepScratch(nil, x, state)
+			out, _ := d.head.ForwardScratch(nil, state.H)
+			emit = d.emissionFrom(out)
+		}
+	}
+
+	got := make([][]float64, h)
+	for k := range got {
+		got[k] = make([]float64, paths)
+	}
+	scratches := []*nn.Scratch{nn.NewScratch(), nn.NewScratch()}
+	d.sample(train, h, state0, emit0, got, make([]float64, (h-1)*timeFeatureDim), scratches, growPathRands(nil, 2*sampleBlock))
+	for k := range want {
+		for p := range want[k] {
+			if math.Float64bits(got[k][p]) != math.Float64bits(want[k][p]) {
+				t.Fatalf("step %d path %d: lockstep %v, per-path %v", k, p, got[k][p], want[k][p])
+			}
+		}
+	}
 }
 
 // TestTFTConcurrentPredictSharesArenas drives one fitted TFT from several

@@ -3,6 +3,7 @@ package forecast
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 
 	"robustscale/internal/nn"
@@ -58,39 +59,41 @@ type TFT struct {
 	tftNet
 	fitted bool
 
-	arenas arenaList // predict-time scratch arenas, reused across calls
+	arenas arenaList // cold predict's forward passes, reused across calls
+	warm   tftWarm
 }
 
-// arenaList is a free list of scratch arenas shared by concurrent predict
-// callers: each call takes one for its forward pass and puts it back, so
-// the list never holds more than the peak number of concurrent callers.
-// It is a plain list, not a sync.Pool: the GC empties a Pool, and a round
-// that re-grows its arena after a collection makes the per-round malloc
-// count drift from run to run.
+// arenaList is a free list of forward passes, each an arena with its
+// activation record, shared by concurrent cold predict callers: each call
+// takes one for its forward pass and puts it back, so the list never
+// holds more than the peak number of concurrent callers. It is a plain
+// list, not a sync.Pool: the GC empties a Pool, and a round that re-grows
+// its arena after a collection makes the per-round malloc count drift
+// from run to run.
 type arenaList struct {
 	mu   sync.Mutex
-	free []*nn.Scratch
+	free []*tftForward
 }
 
-// take returns an empty arena, a new one when the list has none.
-func (l *arenaList) take() *nn.Scratch {
+// take returns an empty pass, a new one when the list has none.
+func (l *arenaList) take() *tftForward {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := len(l.free)
 	if n == 0 {
-		return nn.NewScratch()
+		return &tftForward{s: nn.NewScratch()}
 	}
-	s := l.free[n-1]
+	f := l.free[n-1]
 	l.free = l.free[:n-1]
-	return s
+	return f
 }
 
-// put resets an arena and hands it back; nothing drawn from it may be used
-// afterwards.
-func (l *arenaList) put(s *nn.Scratch) {
-	s.Reset() // outside the lock: the caller still owns the arena here
+// put resets a pass's arena and hands the pass back; nothing drawn from
+// it may be used afterwards.
+func (l *arenaList) put(f *tftForward) {
+	f.s.Reset() // outside the lock: the caller still owns the pass here
 	l.mu.Lock()
-	l.free = append(l.free, s)
+	l.free = append(l.free, f)
 	l.mu.Unlock()
 }
 
@@ -190,7 +193,7 @@ func (m *TFT) Fit(train *timeseries.Series) error {
 		return err
 	}
 
-	s := nn.NewScratch()
+	f := &tftForward{s: nn.NewScratch()}
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 1)) // shuffle stream, distinct from init
 	opt := nn.NewAdam(m.cfg.LR)
 	order := rng.Perm(len(windows))
@@ -198,7 +201,7 @@ func (m *TFT) Fit(train *timeseries.Series) error {
 		spe := obs.DefaultTracer.Start("tft.epoch")
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, wi := range order {
-			m.windowGrad(s, train, windows[wi])
+			m.windowGrad(f, train, windows[wi])
 			m.params.ClipGradNorm(5)
 			opt.Step(m.params)
 		}
@@ -209,9 +212,16 @@ func (m *TFT) Fit(train *timeseries.Series) error {
 	return nil
 }
 
-// tftForward holds the full forward activation record for one sequence.
+// tftForward is one forward pass: the arena s that every vector, matrix
+// and cache of the pass is drawn from, and the activation record. The
+// record's slices keep their capacity from pass to pass, so a pass at a
+// shape it has run before allocates nothing.
 type tftForward struct {
+	s          *nn.Scratch
 	T, H       int
+	embPast    [][]float64 // [t] encoder inputs
+	embFut     [][]float64 // [k] decoder inputs
+	hsE, hsD   [][]float64 // encoder and decoder hidden states
 	pastCaches []*nn.DenseCache
 	futCaches  []*nn.DenseCache
 	encCaches  []*nn.LSTMCache
@@ -221,66 +231,66 @@ type tftForward struct {
 	outs       [][]float64 // [step][level] normalized quantile outputs
 }
 
-// forward runs encoder, decoder, attention and heads. contextNorm has T
-// normalized observations; startIdx is the absolute index of contextNorm[0]
-// within the series that provides the calendar. Vectors are drawn from s
-// (nil falls back to the heap); the attention block keeps its own matrix
-// allocations.
-func (n *tftNet) forward(s *nn.Scratch, series *timeseries.Series, contextNorm []float64, startIdx, horizon int) *tftForward {
-	T := len(contextNorm)
-	H := horizon
-	f := &tftForward{
-		T: T, H: H,
-		pastCaches: make([]*nn.DenseCache, T),
-		futCaches:  make([]*nn.DenseCache, H),
-		headCaches: make([]*nn.DenseCache, H),
-		outs:       make([][]float64, H),
-	}
+// forward runs encoder, decoder, attention and heads into the pass f.
+// contextNorm has T normalized observations; startIdx is the absolute
+// index of contextNorm[0] within the series that provides the calendar.
+func (n *tftNet) forward(f *tftForward, series *timeseries.Series, contextNorm []float64, startIdx, horizon int) {
+	s := f.s
+	T, H := len(contextNorm), horizon
+	f.T, f.H = T, H
+	f.embPast, f.hsE = resize(f.embPast, T), resize(f.hsE, T)
+	f.pastCaches, f.encCaches = resize(f.pastCaches, T), resize(f.encCaches, T)
+	f.embFut, f.hsD = resize(f.embFut, H), resize(f.hsD, H)
+	f.futCaches, f.decCaches = resize(f.futCaches, H), resize(f.decCaches, H)
+	f.headCaches, f.outs = resize(f.headCaches, H), resize(f.outs, H)
 
-	embPast := make([][]float64, T)
 	for t := 0; t < T; t++ {
 		x := s.Vec(tftPastDim)
 		x[0] = contextNorm[t]
 		timeFeaturesInto(x[1:], series.TimeAt(startIdx+t))
-		embPast[t], f.pastCaches[t] = n.embPast.ForwardScratch(s, x)
+		f.embPast[t], f.pastCaches[t] = n.embPast.ForwardScratch(s, x)
 	}
-	var hsE [][]float64
-	var finalE nn.LSTMState
-	hsE, finalE, f.encCaches = n.enc.RunSequenceScratch(s, embPast, n.enc.NewLSTMStateScratch(s))
+	state := n.enc.NewLSTMStateScratch(s)
+	for t, x := range f.embPast {
+		state, f.encCaches[t] = n.enc.StepScratch(s, x, state)
+		f.hsE[t] = state.H
+	}
 
-	embFut := make([][]float64, H)
 	for k := 0; k < H; k++ {
 		feats := s.Vec(timeFeatureDim)
 		timeFeaturesInto(feats, series.TimeAt(startIdx+T+k))
-		embFut[k], f.futCaches[k] = n.embFut.ForwardScratch(s, feats)
+		f.embFut[k], f.futCaches[k] = n.embFut.ForwardScratch(s, feats)
 	}
-	var hsD [][]float64
-	hsD, _, f.decCaches = n.dec.RunSequenceScratch(s, embFut, finalE)
+	// The decoder starts from the encoder's final state.
+	for k, x := range f.embFut {
+		state, f.decCaches[k] = n.dec.StepScratch(s, x, state)
+		f.hsD[k] = state.H
+	}
 
-	x := nn.NewMat(T+H, n.hidden)
+	x := s.Mat(T+H, n.hidden)
 	for t := 0; t < T; t++ {
-		copy(x.Row(t), hsE[t])
+		copy(x.Row(t), f.hsE[t])
 	}
 	for k := 0; k < H; k++ {
-		copy(x.Row(T+k), hsD[k])
+		copy(x.Row(T+k), f.hsD[k])
 	}
 	var attnOut nn.Mat
-	attnOut, f.attnCache = n.attn.Forward(x)
+	attnOut, f.attnCache = n.attn.ForwardScratch(s, x)
 
 	for k := 0; k < H; k++ {
 		z := s.Vec(n.hidden)
 		arow := attnOut.Row(T + k)
 		for j := range z {
-			z[j] = arow[j] + hsD[k][j] // residual connection
+			z[j] = arow[j] + f.hsD[k][j] // residual connection
 		}
 		f.outs[k], f.headCaches[k] = n.head.ForwardScratch(s, z)
 	}
-	return f
 }
 
 // backward propagates per-step, per-level output gradients through the
 // whole network, accumulating parameter gradients.
-func (n *tftNet) backward(s *nn.Scratch, f *tftForward, dOuts [][]float64) {
+func (n *tftNet) backward(f *tftForward, dOuts [][]float64) {
+	s := f.s
 	T, H := f.T, f.H
 	dA := nn.NewMat(T+H, n.hidden)
 	dhsD := make([][]float64, H)
@@ -312,106 +322,150 @@ func (n *tftNet) backward(s *nn.Scratch, f *tftForward, dOuts [][]float64) {
 	}
 }
 
-// windowGrad runs one window forward+backward, leaving the window's
-// gradients in the parameters (no optimizer step; Fit clips and steps).
-// s is reset first: nothing drawn from it outlives one window.
-func (m *TFT) windowGrad(s *nn.Scratch, train *timeseries.Series, w timeseries.Window) {
-	s.Reset()
+// windowGrad runs one window forward+backward in the pass f, leaving the
+// window's gradients in the parameters (no optimizer step; Fit clips and
+// steps). f's arena is reset first: nothing drawn from it outlives one
+// window.
+func (m *TFT) windowGrad(f *tftForward, train *timeseries.Series, w timeseries.Window) {
+	f.s.Reset()
 	contextNorm := m.scaler.Transform(w.Context)
 	targetNorm := m.scaler.Transform(w.Target)
 	startIdx := w.Origin - len(w.Context)
 
 	m.params.ZeroGrads()
-	f := m.forward(s, train, contextNorm, startIdx, len(w.Target))
+	m.forward(f, train, contextNorm, startIdx, len(w.Target))
 	dOuts := make([][]float64, f.H)
 	for k := 0; k < f.H; k++ {
-		g := s.Vec(len(m.cfg.Levels))
+		g := f.s.Vec(len(m.cfg.Levels))
 		for i, tau := range m.cfg.Levels {
 			g[i] = PinballGrad(tau, targetNorm[k], f.outs[k][i])
 		}
 		dOuts[k] = g
 	}
-	m.backward(s, f, dOuts)
+	m.backward(f, dOuts)
 }
 
-// Predict implements Forecaster via the median head (or the single trained
-// level for TFT-point).
+// Predict implements Forecaster via the median of the trained grid (the
+// single trained level for TFT-point).
 func (m *TFT) Predict(history *timeseries.Series, h int) ([]float64, error) {
-	f, err := m.predictGrid(history, h)
+	f, err := m.predict(history, h, []float64{0.5})
 	if err != nil {
 		return nil, err
 	}
 	return f.Mean, nil
 }
 
-// predictGrid runs one forward pass and returns the trained quantile grid
-// denormalized.
-func (m *TFT) predictGrid(history *timeseries.Series, h int) (*QuantileForecast, error) {
-	if !m.fitted {
-		return nil, ErrNotFitted
-	}
-	if h <= 0 {
-		return nil, fmt.Errorf("forecast: non-positive horizon %d", h)
-	}
-	context, err := contextTail(history, m.cfg.Context)
-	if err != nil {
-		return nil, err
-	}
-	contextNorm := m.scaler.Transform(context)
-	startIdx := history.Len() - m.cfg.Context
-	// Each call owns an arena from the free list for the forward pass, so
-	// steady-state rounds reuse the grown slabs and pooled caches while the
-	// model stays safe for concurrent PredictQuantiles callers. fw.outs is
-	// arena-backed: it is copied out below before the arena goes back.
-	s := m.arenas.take()
-	defer m.arenas.put(s)
-	fw := m.tftNet.forward(s, history, contextNorm, startIdx, h)
-
-	out := &QuantileForecast{
-		Levels: m.cfg.Levels,
-		Values: make([][]float64, h),
-		Mean:   make([]float64, h),
-	}
-	for k := 0; k < h; k++ {
-		row := make([]float64, len(m.cfg.Levels))
-		for i := range m.cfg.Levels {
-			row[i] = m.scaler.InverseOne(fw.outs[k][i])
-		}
-		out.Values[k] = row
-	}
-	out.Enforce()
-	for k := 0; k < h; k++ {
-		out.Mean[k] = out.At(k, 0.5)
-	}
-	return out, nil
-}
-
 // PredictQuantiles implements QuantileForecaster. Levels inside the trained
 // grid are interpolated; levels outside it are clamped to the grid edges
-// (the pre-specified grid limitation from Section III-B).
+// (the pre-specified grid limitation from Section III-B). The returned fan
+// is the caller's, and concurrent callers are safe.
 func (m *TFT) PredictQuantiles(history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
-	levels, err := normalizeLevels(levels)
-	if err != nil {
-		return nil, err
-	}
-	grid, err := m.predictGrid(history, h)
+	f, err := m.predict(history, h, levels)
 	if err != nil {
 		return nil, err
 	}
 	obsPredictions.With("tft").Inc()
-	out := &QuantileForecast{
-		Levels: levels,
-		Values: make([][]float64, h),
-		Mean:   grid.Mean,
+	return f, nil
+}
+
+// predict is the cold path: a fresh fan, filled through a forward pass
+// taken from the free list for the length of the call.
+func (m *TFT) predict(history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
+	levels, err := normalizeLevels(levels)
+	if err != nil {
+		return nil, err
 	}
-	for k := 0; k < h; k++ {
-		row := make([]float64, len(levels))
-		for i, tau := range levels {
-			row[i] = grid.At(k, tau)
-		}
-		out.Values[k] = row
+	if err := m.canPredict(history, h); err != nil {
+		return nil, err
 	}
+	f := m.arenas.take()
+	defer m.arenas.put(f)
+	out := reuseFan(nil, h, levels)
+	m.fill(f, out, history)
 	return out, nil
 }
 
-var _ QuantileForecaster = (*TFT)(nil)
+// canPredict reports why the model cannot forecast h steps after history.
+func (m *TFT) canPredict(history *timeseries.Series, h int) error {
+	if !m.fitted {
+		return ErrNotFitted
+	}
+	if h <= 0 {
+		return fmt.Errorf("forecast: non-positive horizon %d", h)
+	}
+	if history.Len() < m.cfg.Context {
+		return ErrShortHistory
+	}
+	return nil
+}
+
+// fill runs one forward pass in f over the last Context observations of
+// history and writes the fan into out, already shaped for its horizon and
+// levels. Each step's trained grid is denormalized and sorted (quantile
+// crossing is an artifact of independently trained heads, as in
+// Enforce), then interpolated at 0.5 for the mean and at every requested
+// level straight into out. Once f has grown to the shape, nothing is
+// allocated.
+func (m *TFT) fill(f *tftForward, out *QuantileForecast, history *timeseries.Series) {
+	startIdx := history.Len() - m.cfg.Context
+	contextNorm := f.s.Vec(m.cfg.Context)
+	for i, v := range history.Values[startIdx:] {
+		contextNorm[i] = m.scaler.TransformOne(v)
+	}
+	m.forward(f, history, contextNorm, startIdx, out.Horizon())
+	grid := f.s.Vec(len(m.cfg.Levels))
+	for k, row := range out.Values {
+		for i, v := range f.outs[k] {
+			grid[i] = m.scaler.InverseOne(v)
+		}
+		sort.Float64s(grid)
+		out.Mean[k] = quantileAt(m.cfg.Levels, grid, 0.5)
+		for i, tau := range out.Levels {
+			row[i] = quantileAt(m.cfg.Levels, grid, tau)
+		}
+	}
+}
+
+// tftWarm is the warm path's pooled state: one forward pass and the fan it
+// returns. The TFT reads a fixed-length context window afresh every round
+// and carries no state from one round to the next, so there is nothing to
+// advance and nothing to invalidate: the warm path is the cold
+// computation on buffers the forecaster owns.
+type tftWarm struct {
+	pass   tftForward
+	levels levelsCache
+	fan    *QuantileForecast
+}
+
+// WarmReset implements IncrementalForecaster. The TFT caches no state
+// between rounds, only buffers, which are shape caches and survive.
+func (m *TFT) WarmReset() {}
+
+// PredictQuantilesWarm implements IncrementalForecaster: PredictQuantiles
+// on the warm path's own forward pass and fan, bit-identical to it and
+// allocation-free in steady state. The returned forecast is a scratch
+// owned by the forecaster, valid until the next warm predict; see warm.go
+// for the full contract.
+func (m *TFT) PredictQuantilesWarm(history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
+	lv, err := m.warm.levels.get(levels)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.canPredict(history, h); err != nil {
+		return nil, err
+	}
+	w := &m.warm
+	if w.pass.s == nil {
+		w.pass.s = nn.NewScratch()
+	}
+	w.pass.s.Reset()
+	w.fan = reuseFan(w.fan, h, lv)
+	m.fill(&w.pass, w.fan, history)
+	obsPredictions.With("tft").Inc()
+	return w.fan, nil
+}
+
+var (
+	_ QuantileForecaster    = (*TFT)(nil)
+	_ IncrementalForecaster = (*TFT)(nil)
+)

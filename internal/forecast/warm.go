@@ -3,8 +3,8 @@ package forecast
 import "robustscale/internal/timeseries"
 
 // This file holds the warm-state fast-path contract shared by the
-// incremental forecasters (DeepAR, Naive, SeasonalNaive, ARIMA, QB5000)
-// and the Conformal wrapper.
+// incremental forecasters (DeepAR, TFT, Naive, SeasonalNaive, ARIMA,
+// QB5000) and the Conformal wrapper.
 //
 // The control loop re-plans at a cadence of one-to-a-few observations, so
 // successive predict calls see histories that are append-extensions of
@@ -109,29 +109,24 @@ func reuseFan(f *QuantileForecast, h int, levels []float64) *QuantileForecast {
 		f = &QuantileForecast{}
 	}
 	f.Levels = levels
-	if cap(f.Values) >= h {
-		f.Values = f.Values[:h]
-	} else {
-		f.Values = make([][]float64, h)
-	}
+	f.Values = resize(f.Values, h)
 	for t := range f.Values {
-		if cap(f.Values[t]) >= len(levels) {
-			f.Values[t] = f.Values[t][:len(levels)]
-		} else {
-			f.Values[t] = make([]float64, len(levels))
-		}
+		f.Values[t] = resize(f.Values[t], len(levels))
 	}
-	f.Mean = resizeFloats(f.Mean, h)
+	f.Mean = resize(f.Mean, h)
 	return f
 }
 
-// resizeFloats returns a slice of length n, reusing dst's capacity.
-func resizeFloats(dst []float64, n int) []float64 {
+// resize returns a slice of length n, reusing dst's capacity.
+func resize[E any](dst []E, n int) []E {
 	if cap(dst) >= n {
 		return dst[:n]
 	}
-	return make([]float64, n)
+	return make([]E, n)
 }
+
+// resizeFloats is resize for float64 slices.
+func resizeFloats(dst []float64, n int) []float64 { return resize(dst, n) }
 
 // warmResetAll forwards WarmReset to any forecaster that has one; it is
 // the hook wrappers and strategies use without caring which concrete

@@ -67,6 +67,12 @@ func warmCases() []warmCase {
 				MaxWindows: 48, Samples: 20, TrainHorizon: 12, Workers: 4,
 			})
 		}},
+		{"tft", func() QuantileForecaster {
+			return NewTFT(TFTConfig{
+				Context: 24, Hidden: 8, Epochs: 1, LR: 5e-3, Seed: 3,
+				MaxWindows: 24, TrainHorizon: 12,
+			})
+		}},
 		{"conformal-seasonal", func() QuantileForecaster {
 			c := NewConformal(NewSeasonalNaive(24))
 			c.Horizon = 12
@@ -78,9 +84,9 @@ func warmCases() []warmCase {
 // TestWarmMatchesColdAcrossOrigins is the core determinism contract of
 // the planning fast path: for every incremental forecaster, warm
 // prediction over a sliding origin — including origin strides that cross
-// conditioning anchors, a history clone mid-run, and an explicit
-// WarmReset — is bit-identical to cold prediction from a separately
-// fitted twin.
+// conditioning anchors, a history clone mid-run, an explicit WarmReset
+// and a history shrunk below the last origin — is bit-identical to cold
+// prediction from a separately fitted twin.
 func TestWarmMatchesColdAcrossOrigins(t *testing.T) {
 	s := noisySine(600, 24, 50, 10, 1, 42)
 	levels := []float64{0.1, 0.5, 0.9}
@@ -140,6 +146,21 @@ func TestWarmMatchesColdAcrossOrigins(t *testing.T) {
 				}
 				requireFanEqual(t, tc.name+"/resumed", origin, cold, warm)
 				inc.WarmReset()
+			}
+
+			// A shorter history over the same array, after a warm round
+			// at a longer one, must not resume from the longer state.
+			for _, origin := range []int{460, 437} {
+				hist := s.Slice(0, origin)
+				cold, err := coldM.PredictQuantiles(hist, h, levels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				warm, err := inc.PredictQuantilesWarm(hist, h, levels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireFanEqual(t, tc.name+"/shrunk", origin, cold, warm)
 			}
 		})
 	}
@@ -313,11 +334,44 @@ func TestDeepARWarmRoundZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTFTWarmRoundZeroAlloc pins the warm TFT round to zero heap
+// allocations once its pass and fan have grown: the forward record,
+// attention's matrices and the fan are all reused, at horizon 1 and at
+// the paper's horizon 12.
+func TestTFTWarmRoundZeroAlloc(t *testing.T) {
+	s := noisySine(300, 24, 50, 10, 1, 42)
+	m := NewTFT(TFTConfig{
+		Context: 24, Hidden: 8, Epochs: 1, LR: 5e-3, Seed: 3,
+		MaxWindows: 12, TrainHorizon: 12,
+	})
+	if err := m.Fit(s.Slice(0, 240)); err != nil {
+		t.Fatal(err)
+	}
+	hists := make([]*timeseries.Series, 32) // Slice allocates; keep it out of the round
+	for i := range hists {
+		hists[i] = s.Slice(0, 250+i)
+	}
+	levels := []float64{0.1, 0.5, 0.9}
+	for _, h := range []int{1, 12} {
+		next := 0
+		round := func() {
+			if _, err := m.PredictQuantilesWarm(hists[next%len(hists)], h, levels); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		round() // grow the pass and the fan
+		if a := testing.AllocsPerRun(20, round); a != 0 {
+			t.Errorf("warm TFT round at h=%d allocates %v times, want 0", h, a)
+		}
+	}
+}
+
 // TestTFTPredictAllocs pins what one cold TFT predict allocates at a
-// fixed shape once its arena has grown: the forward record and its
-// per-step slices, the attention block's matrices and cache, and the
-// returned fans. The attention backward pass is not built at predict
-// time, so no closure is among them.
+// fixed shape once its pass has grown: the normalized levels and the
+// returned fan (header, row spine, 12 rows, mean). The forward record,
+// the attention block's matrices and the trained grid all come from the
+// pooled pass.
 func TestTFTPredictAllocs(t *testing.T) {
 	s := noisySine(300, 24, 50, 10, 1, 42)
 	m := NewTFT(TFTConfig{
@@ -335,7 +389,7 @@ func TestTFTPredictAllocs(t *testing.T) {
 		}
 	}
 	predict() // grow the arena
-	const want = 49
+	const want = 16
 	if got := testing.AllocsPerRun(20, predict); got != want {
 		t.Errorf("TFT predict allocates %v times, want %v", got, want)
 	}

@@ -43,13 +43,20 @@ type AttnCache struct {
 // Forward runs attention over a (T x Dim) sequence and returns the
 // attended (T x Dim) output.
 func (a *Attention) Forward(x Mat) (Mat, *AttnCache) {
+	return a.ForwardScratch(nil, x)
+}
+
+// ForwardScratch is Forward with the projections, weights, output and
+// cache drawn from the arena; zero heap allocations in steady state.
+func (a *Attention) ForwardScratch(s *Scratch, x Mat) (Mat, *AttnCache) {
 	tlen := x.Rows
-	q := MatMulBT(x, a.Wq.Value)
-	k := MatMulBT(x, a.Wk.Value)
-	v := MatMulBT(x, a.Wv.Value)
+	q, k, v := s.Mat(tlen, a.Dim), s.Mat(tlen, a.Dim), s.Mat(tlen, a.Dim)
+	matMulBTInto(q, x, a.Wq.Value)
+	matMulBTInto(k, x, a.Wk.Value)
+	matMulBTInto(v, x, a.Wv.Value)
 
 	scale := 1 / math.Sqrt(float64(a.Dim))
-	attn := NewMat(tlen, tlen)
+	attn := s.Mat(tlen, tlen)
 	for i := 0; i < tlen; i++ {
 		limit := tlen
 		if a.Causal {
@@ -81,8 +88,11 @@ func (a *Attention) Forward(x Mat) (Mat, *AttnCache) {
 			row[j] = 0
 		}
 	}
-	out := MatMul(attn, v)
-	return out, &AttnCache{x: x, q: q, k: k, v: v, attn: attn}
+	out := s.Mat(tlen, a.Dim)
+	matMulInto(out, attn, v)
+	c := s.attnCache()
+	c.x, c.q, c.k, c.v, c.attn = x, q, k, v, attn
+	return out, c
 }
 
 // Backward consumes the upstream gradient dOut (T x Dim), accumulates

@@ -49,6 +49,19 @@ func (d *Dense) ForwardScratch(s *Scratch, x []float64) ([]float64, *DenseCache)
 	return y, c
 }
 
+// ForwardBatch is Forward over a batch: row b of y (n x Out) becomes
+// W x_b + b for row b of x (n x In), with Forward's bits, and no cache is
+// built, so it serves inference only.
+func (d *Dense) ForwardBatch(x, y Mat) {
+	d.W.Value.mulVecsInto(x, y)
+	for b := 0; b < y.Rows; b++ {
+		row := y.Row(b)
+		for i := range row {
+			row[i] += d.B.Value.Data[i]
+		}
+	}
+}
+
 // Backward accumulates dW and db and returns dx.
 func (d *Dense) Backward(c *DenseCache, dy []float64) []float64 {
 	return d.BackwardScratch(nil, c, dy)

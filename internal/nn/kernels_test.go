@@ -348,3 +348,113 @@ func FuzzTrainingKernels(f *testing.F) {
 		sameBits(t, "MatMulAT", MatMulAT(at, b).Data, matMulReference(transposeOf(at), b).Data)
 	})
 }
+
+// TestMulVecsIntoBitIdentical holds the batched matvec to MulVecInto, one
+// vector at a time: every Rows%4 remainder, odd and even vector counts
+// (an odd last vector takes MulVecInto itself) and the special values.
+// Nothing is skipped for a zero term, so 0·Inf is NaN in both.
+func TestMulVecsIntoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, r := range blockedDims {
+		for _, c := range otherDims {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 8} {
+				for _, mode := range fillModes {
+					m, x := NewMat(r, c), NewMat(n, c)
+					mode.fill(rng, m)
+					mode.fill(rng, x)
+					got := NewMat(n, r)
+					for i := range got.Data {
+						got.Data[i] = 99 // must be fully overwritten
+					}
+					m.mulVecsInto(x, got)
+					for v := 0; v < n; v++ {
+						want := m.MulVecInto(x.Row(v), make([]float64, r))
+						sameBits(t, fmt.Sprintf("%dx%d by %d vectors %v, vector %d", r, c, n, mode, v), got.Row(v), want)
+					}
+				}
+			}
+		}
+	}
+	// A zero beside Inf and NaN in both vectors of a pair, and ±0 terms
+	// whose sum is -0 only if one were skipped.
+	negZero := math.Copysign(0, -1)
+	m := NewMat(5, 4)
+	for i := range m.Data {
+		m.Data[i] = float64(i%3) - 1
+	}
+	m.Set(0, 1, math.Inf(1))
+	m.Set(2, 2, math.NaN())
+	m.Set(4, 3, math.Inf(-1))
+	x := Mat{Rows: 3, Cols: 4, Data: []float64{
+		0, 0, 1, negZero,
+		negZero, 2, 0, 0,
+		math.Inf(-1), negZero, math.NaN(), 3,
+	}}
+	got := NewMat(3, 5)
+	m.mulVecsInto(x, got)
+	for v := 0; v < 3; v++ {
+		sameBits(t, fmt.Sprintf("specials, vector %d", v), got.Row(v), m.MulVecInto(x.Row(v), make([]float64, 5)))
+	}
+}
+
+// TestStepBatchMatchesStepScratch steps a batch of sequences in lockstep
+// beside each sequence stepped alone: hidden and cell states must agree
+// bit for bit at every step, for odd and even batch sizes, and the head
+// on top of them through ForwardBatch against ForwardScratch.
+func TestStepBatchMatchesStepScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	cell := NewLSTMCell("c", 5, 12, rng)
+	head := NewDense("h", 12, 3, rng)
+	for _, n := range []int{1, 2, 3, 7, 8} {
+		s := NewScratch()
+		batch := cell.NewLSTMBatch(s, n)
+		x, y := s.Mat(n, 5), s.Mat(n, 3)
+		alone := make([]LSTMState, n)
+		for b := range alone {
+			alone[b] = cell.NewLSTMState()
+			for j := range alone[b].H { // distinct starting states
+				alone[b].H[j], alone[b].C[j] = rng.NormFloat64(), rng.NormFloat64()
+			}
+			copy(batch.H.Row(b), alone[b].H)
+			copy(batch.C.Row(b), alone[b].C)
+		}
+		for step := 0; step < 6; step++ {
+			for i := range x.Data {
+				x.Data[i] = rng.NormFloat64()
+			}
+			cell.StepBatch(batch, x)
+			head.ForwardBatch(batch.H, y)
+			for b := range alone {
+				alone[b], _ = cell.StepScratch(nil, x.Row(b), alone[b])
+				out, _ := head.ForwardScratch(nil, alone[b].H)
+				label := fmt.Sprintf("n=%d step %d sequence %d", n, step, b)
+				sameBits(t, label+" H", batch.H.Row(b), alone[b].H)
+				sameBits(t, label+" C", batch.C.Row(b), alone[b].C)
+				sameBits(t, label+" head", y.Row(b), out)
+			}
+		}
+	}
+}
+
+// TestAttentionForwardScratchMatchesForward pins the arena-backed
+// attention forward to the allocating one, and to zero heap allocations
+// once its arena has grown.
+func TestAttentionForwardScratchMatchesForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	a := NewAttention("a", 6, true, rng)
+	x := NewMat(9, 6)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	want, _ := a.Forward(x)
+	s := NewScratch()
+	run := func() {
+		s.Reset()
+		got, _ := a.ForwardScratch(s, x)
+		sameBits(t, "attention output", got.Data, want.Data)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("ForwardScratch allocates %v times in steady state, want 0", allocs)
+	}
+}

@@ -111,6 +111,49 @@ func (c *LSTMCell) StepScratch(s *Scratch, x []float64, prev LSTMState) (LSTMSta
 	return LSTMState{H: newH, C: cache.c}, cache
 }
 
+// LSTMBatch is the state of n independent sequences that StepBatch
+// advances in lockstep: row b of H and C is sequence b's hidden and cell
+// state. The pre-activation rows are drawn with the batch, so stepping it
+// any number of times draws nothing more.
+type LSTMBatch struct {
+	H, C      Mat // n x Hidden
+	pre, preH Mat // n x 4·Hidden
+}
+
+// NewLSTMBatch returns n zero states backed by the arena.
+func (c *LSTMCell) NewLSTMBatch(s *Scratch, n int) LSTMBatch {
+	return LSTMBatch{
+		H: s.Mat(n, c.Hidden), C: s.Mat(n, c.Hidden),
+		pre: s.Mat(n, 4*c.Hidden), preH: s.Mat(n, 4*c.Hidden),
+	}
+}
+
+// StepBatch advances every sequence of the batch one step, row b of x (n x
+// InSize) being sequence b's input. Each row of H and C ends with exactly
+// the bits StepScratch gives that sequence alone: the two matrix products
+// run on mulVecsInto, and the gates keep StepScratch's expressions. It
+// builds no cache, so it serves inference only.
+func (c *LSTMCell) StepBatch(b LSTMBatch, x Mat) {
+	h := c.Hidden
+	c.Wx.Value.mulVecsInto(x, b.pre)
+	c.Wh.Value.mulVecsInto(b.H, b.preH)
+	for r := 0; r < x.Rows; r++ {
+		pre, preH := b.pre.Row(r), b.preH.Row(r)
+		for i := range pre {
+			pre[i] += preH[i] + c.B.Value.Data[i]
+		}
+		hr, cr := b.H.Row(r), b.C.Row(r)
+		for j := 0; j < h; j++ {
+			ig := sigmoid(pre[j])
+			fg := sigmoid(pre[h+j])
+			gg := tanh(pre[2*h+j])
+			og := sigmoid(pre[3*h+j])
+			cr[j] = fg*cr[j] + ig*gg
+			hr[j] = og * tanh(cr[j])
+		}
+	}
+}
+
 // StepBackward backpropagates one step: given gradients dh and dc flowing
 // into the step's output state, it accumulates parameter gradients and
 // returns the gradients for the input and the previous state.

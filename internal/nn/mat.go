@@ -106,6 +106,65 @@ func (m Mat) MulVecInto(x, dst []float64) []float64 {
 	return dst
 }
 
+// mulVecsInto is MulVecInto over a batch of vectors: row v of dst (n x
+// Rows) becomes m times row v of x (n x Cols). Four rows of m meet two
+// vectors per pass, eight accumulators over one load of each row's and
+// each vector's element, so m streams through the cache once per pair of
+// vectors instead of once per vector. Every element keeps MulVecInto's
+// expression, 0 + r[0]*x[0] + r[1]*x[1] + ... in column order, one
+// multiply then one add, no explicit fused multiply-add and no zero term
+// skipped; the Rows%4 tail and an odd last vector keep it too. Pinned bit
+// for bit against MulVecInto by TestMulVecsIntoBitIdentical.
+func (m Mat) mulVecsInto(x, dst Mat) {
+	if x.Cols != m.Cols || dst.Rows != x.Rows || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("nn: mulVecsInto dimension mismatch: %dx%d by %dx%d into %dx%d",
+			m.Rows, m.Cols, x.Rows, x.Cols, dst.Rows, dst.Cols))
+	}
+	n := m.Cols
+	v := 0
+	for ; v+2 <= x.Rows; v += 2 {
+		x0 := x.Data[v*n : (v+1)*n]
+		x1 := x.Data[(v+1)*n : (v+2)*n][:len(x0)]
+		d0, d1 := dst.Row(v), dst.Row(v+1)
+		i := 0
+		for ; i+4 <= m.Rows; i += 4 {
+			d0[i], d0[i+1], d0[i+2], d0[i+3], d1[i], d1[i+1], d1[i+2], d1[i+3] =
+				dot4x2(m.rowOf(i, x0), m.rowOf(i+1, x0), m.rowOf(i+2, x0), m.rowOf(i+3, x0), x0, x1)
+		}
+		for ; i < m.Rows; i++ {
+			r := m.rowOf(i, x0)
+			var s0, s1 float64
+			for j, a := range x0 {
+				s0 += r[j] * a
+				s1 += r[j] * x1[j]
+			}
+			d0[i], d1[i] = s0, s1
+		}
+	}
+	if v < x.Rows {
+		m.MulVecInto(x.Row(v), dst.Row(v))
+	}
+}
+
+// dot4x2 is mulVecsInto's pass: the dot products of four rows with two
+// vectors, all of len(x0). It is a function of its own so that only the
+// loop's values compete for registers.
+func dot4x2(r0, r1, r2, r3, x0, x1 []float64) (s00, s10, s20, s30, s01, s11, s21, s31 float64) {
+	r0, r1, r2, r3, x1 = r0[:len(x0)], r1[:len(x0)], r2[:len(x0)], r3[:len(x0)], x1[:len(x0)]
+	for j, a := range x0 {
+		b := x1[j]
+		s00 += r0[j] * a
+		s01 += r0[j] * b
+		s10 += r1[j] * a
+		s11 += r1[j] * b
+		s20 += r2[j] * a
+		s21 += r2[j] * b
+		s30 += r3[j] * a
+		s31 += r3[j] * b
+	}
+	return
+}
+
 // MulVecT computes m^T * y for a vector y (len Rows), returning a vector of
 // length Cols. Used for input gradients.
 func (m Mat) MulVecT(y []float64) []float64 {
@@ -194,12 +253,17 @@ func AddOuterInto(dst Mat, y, x []float64) {
 
 // MatMul returns a*b.
 func MatMul(a, b Mat) Mat {
-	if a.Cols != b.Rows {
+	out := NewMat(a.Rows, b.Cols)
+	matMulInto(out, a, b)
+	return out
+}
+
+// matMulInto writes a*b into out, which must be zeroed.
+func matMulInto(out, a, b Mat) {
+	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: MatMul dimension mismatch: %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := NewMat(a.Rows, b.Cols)
 	mulRowsInto(out, a.Data, a.Cols, 1, b)
-	return out
 }
 
 // MatMulAT returns a^T*b without building the transpose.
@@ -259,10 +323,16 @@ func mulRowsInto(out Mat, l []float64, rs, cs int, b Mat) {
 // per pass over a's row, each with its own accumulator, and a zero a[i][k]
 // is skipped for all four.
 func MatMulBT(a, b Mat) Mat {
-	if a.Cols != b.Cols {
+	out := NewMat(a.Rows, b.Rows)
+	matMulBTInto(out, a, b)
+	return out
+}
+
+// matMulBTInto overwrites out with a*b^T.
+func matMulBTInto(out, a, b Mat) {
+	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: MatMulBT dimension mismatch: %dx%d by (%dx%d)^T", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := NewMat(a.Rows, b.Rows)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
@@ -293,7 +363,6 @@ func MatMulBT(a, b Mat) Mat {
 			orow[j] = s
 		}
 	}
-	return out
 }
 
 // Param is a trainable tensor with its gradient accumulator.

@@ -34,6 +34,7 @@ type Scratch struct {
 	lstm  structPool[LSTMCache]
 	dense structPool[DenseCache]
 	act   structPool[ActCache]
+	attn  structPool[AttnCache]
 }
 
 // NewScratch returns an empty arena.
@@ -78,6 +79,12 @@ func (s *Scratch) VecCopy(src []float64) []float64 {
 	return v
 }
 
+// Mat returns a zeroed rows x cols matrix backed by the arena: NewMat's
+// arena form.
+func (s *Scratch) Mat(rows, cols int) Mat {
+	return Mat{Rows: rows, Cols: cols, Data: s.VecZero(rows * cols)}
+}
+
 // Reset recycles every buffer and cache issued since the last Reset. The
 // caller promises nothing issued before the Reset is still referenced.
 func (s *Scratch) Reset() {
@@ -88,6 +95,7 @@ func (s *Scratch) Reset() {
 	s.lstm.reset()
 	s.dense.reset()
 	s.act.reset()
+	s.attn.reset()
 }
 
 // lstmCache returns a pooled (dirty) LSTM step cache.
@@ -114,22 +122,34 @@ func (s *Scratch) actCache() *ActCache {
 	return s.act.get()
 }
 
+// attnCache returns a pooled (dirty) attention cache.
+func (s *Scratch) attnCache() *AttnCache {
+	if s == nil {
+		return &AttnCache{}
+	}
+	return s.attn.get()
+}
+
 // structPool recycles cache structs of one type. Every struct it has ever
 // issued lives either in free or in used; reset moves used back to free,
-// so in steady state get never touches the heap.
+// so in steady state get never touches the heap. New structs come in
+// chunks as large as the pool already is, so growing to n structs takes
+// O(log n) allocations rather than n.
 type structPool[T any] struct {
 	free []*T
 	used []*T
 }
 
 func (p *structPool[T]) get() *T {
-	if n := len(p.free); n > 0 {
-		v := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.used = append(p.used, v)
-		return v
+	if len(p.free) == 0 {
+		chunk := make([]T, max(8, len(p.used)))
+		for i := range chunk {
+			p.free = append(p.free, &chunk[i])
+		}
 	}
-	v := new(T)
+	n := len(p.free)
+	v := p.free[n-1]
+	p.free = p.free[:n-1]
 	p.used = append(p.used, v)
 	return v
 }

@@ -231,3 +231,71 @@ func abs(x int) int {
 	}
 	return x
 }
+
+// bruteConstrained is the oracle for PlanConstrainedDemand: it walks every
+// node path whose steps move at most maxDelta from the one before (from
+// initial on) and stay within [1, top], and returns the lexicographic
+// minimum of (total shortfall, total nodes) over them.
+func bruteConstrained(demand []int, initial, maxDelta, top int) (short, cost int64) {
+	short, cost = math.MaxInt64, math.MaxInt64
+	var walk func(t, prev int, s, c int64)
+	walk = func(t, prev int, s, c int64) {
+		if t == len(demand) {
+			if s < short || s == short && c < cost {
+				short, cost = s, c
+			}
+			return
+		}
+		for n := max(1, prev-maxDelta); n <= min(top, prev+maxDelta); n++ {
+			walk(t+1, n, s+int64(max(0, demand[t]-n)), c+int64(n))
+		}
+	}
+	walk(0, initial, 0, 0)
+	return short, cost
+}
+
+// FuzzPlanConstrainedDemand holds the thrashing-constrained dynamic
+// program to brute force on small instances: horizon up to 5, demand up
+// to 6 nodes per step, Initial 1–7 and MaxDelta 1–3. The plan must keep at
+// least one node, move at most MaxDelta per step from Initial on, and
+// reach the (shortfall, cost) minimum of every path the oracle walks. The
+// oracle's counts run to 16: a path above every demand and Initial only
+// adds cost.
+func FuzzPlanConstrainedDemand(f *testing.F) {
+	f.Add(uint8(0), uint8(0), []byte{6, 0, 6, 0, 6}) // spikes the rate limit cannot follow
+	f.Add(uint8(5), uint8(2), []byte{0, 0, 1})       // scale-in from 6 with MaxDelta 3
+	f.Add(uint8(2), uint8(1), []byte{3, 5, 6, 2, 1})
+	f.Add(uint8(0), uint8(2), []byte{})
+	f.Fuzz(func(t *testing.T, initial, delta uint8, raw []byte) {
+		if len(raw) > 5 {
+			raw = raw[:5]
+		}
+		demand := make([]int, len(raw))
+		for i, b := range raw {
+			demand[i] = int(b % 7)
+		}
+		cfg := ThrashingConfig{Initial: 1 + int(initial%7), MaxDelta: 1 + int(delta%3)}
+		plan, err := PlanConstrainedDemand(demand, cfg)
+		if err != nil {
+			t.Fatalf("demand %v, %+v: %v", demand, cfg, err)
+		}
+		if len(plan) != len(demand) {
+			t.Fatalf("demand %v, %+v: plan %v has %d steps", demand, cfg, plan, len(plan))
+		}
+		prev := cfg.Initial
+		var short, cost int64
+		for i, n := range plan {
+			if n < 1 || n-prev > cfg.MaxDelta || prev-n > cfg.MaxDelta {
+				t.Fatalf("demand %v, %+v: step %d goes %d -> %d", demand, cfg, i, prev, n)
+			}
+			short += int64(max(0, demand[i]-n))
+			cost += int64(n)
+			prev = n
+		}
+		wantShort, wantCost := bruteConstrained(demand, cfg.Initial, cfg.MaxDelta, 16)
+		if short != wantShort || cost != wantCost {
+			t.Fatalf("demand %v, %+v: plan %v has (shortfall %d, cost %d), brute force (%d, %d)",
+				demand, cfg, plan, short, cost, wantShort, wantCost)
+		}
+	})
+}
