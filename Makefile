@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench bench-compile bench-save bench-check fuzz fleet-smoke slo-smoke fleet-chaos-smoke wake-smoke no-binaries ci experiments examples clean
+.PHONY: all build test vet race race-pkgs cover bench bench-compile bench-save bench-check fuzz fleet-smoke slo-smoke fleet-chaos-smoke wake-smoke no-binaries ci experiments examples clean
 
 all: build vet test
 
@@ -16,11 +16,15 @@ vet:
 # gradient replicas, the shared model zoo, the circuit breaker, the
 # chaos cursor and the fleet controller's batched planning); the default
 # test target runs them under the race detector on top of the plain
-# suite.
+# suite. race-pkgs is the one place they run from: test, ci and the CI
+# workflow's race step all call it.
 RACE_PKGS = ./internal/parallel/... ./internal/nn/... ./internal/forecast/... ./internal/experiment/... ./internal/obs/... ./internal/scaler/... ./internal/chaos/... ./internal/cluster/... ./internal/persist/... ./internal/fleet/...
 
 test:
 	$(GO) test ./...
+	$(MAKE) race-pkgs
+
+race-pkgs:
 	$(GO) test -race $(RACE_PKGS)
 
 race:
@@ -127,7 +131,7 @@ ci: build vet no-binaries
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) test ./...
-	$(GO) test -race $(RACE_PKGS)
+	$(MAKE) race-pkgs
 	$(MAKE) bench-compile
 	$(MAKE) examples
 	$(MAKE) fleet-smoke

@@ -154,3 +154,52 @@ func TestTenantRoundAllocs(t *testing.T) {
 		t.Errorf("%v allocs per warm healthy Plan+Apply round, want at most 1", allocs)
 	}
 }
+
+// fleetRunMallocs is the heap allocations per tenant-round of a warm
+// Run: a 64-tenant seasonal-naive fleet at the default shape on one
+// worker replays 8 rounds to warm up, then 12 more are measured. Run ends
+// with the report, so a Run that replays nothing is measured too and its
+// mallocs subtracted.
+func fleetRunMallocs(t *testing.T) float64 {
+	const tenants, warm, measured = 64, 8, 12
+	cfg := DefaultConfig(tenants)
+	cfg.Workers, cfg.MaxRounds = 1, warm
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(rounds int) uint64 {
+		c.cfg.MaxRounds = rounds
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rep, err := c.Run(context.Background())
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Rounds != rounds {
+			t.Fatalf("premise: ran %d rounds, want %d", rep.Rounds, rounds)
+		}
+		return m1.Mallocs - m0.Mallocs
+	}
+	run(warm)
+	report := run(warm)
+	rounds := run(warm + measured)
+	return float64(rounds-report) / (tenants * measured)
+}
+
+// TestFleetRunAllocs pins a warm fleet round's allocations per
+// tenant-round: the guard's retained fan header (see
+// TestTenantRoundAllocs), the two stage closures each round hands the
+// worker pool (2/64 ≈ 0.03) and the rare map growth of the one fleet
+// latency sketch; it reads 1.03–1.05. While every tenant kept a latency
+// sketch of its own, whose map grew as new buckets appeared, the same Run
+// read 1.24–1.43.
+func TestFleetRunAllocs(t *testing.T) {
+	was := obs.DefaultDecisions.Enabled()
+	obs.DefaultDecisions.SetEnabled(false)
+	t.Cleanup(func() { obs.DefaultDecisions.SetEnabled(was) })
+	if got := fleetRunMallocs(t); got > 1.06 {
+		t.Errorf("%.4f mallocs per warm tenant-round, want at most 1.06", got)
+	}
+}

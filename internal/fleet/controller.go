@@ -54,9 +54,11 @@ type Controller struct {
 	// calibration gauges.
 	calFold cluster.CalibrationFold
 
-	// scratch is the apply stage's round scratch, one per worker; it
-	// grows to the worker count the first round runs with.
+	// scratch is the round scratch of the plan and apply stages, one per
+	// worker; it grows to the worker count the first round runs with.
 	scratch []*roundScratch
+	// dur is the distribution of tenant-round latency this process ran.
+	dur *obs.Sketch
 
 	// Shared capacity pool and chaos state. chaosSched is nil with chaos
 	// disabled; the admission scratch buffers are reused every round.
@@ -106,7 +108,8 @@ func New(cfg Config) (*Controller, error) {
 	if segs != nil {
 		segs.DropRecovered()
 	}
-	c := &Controller{cfg: cfg, tenants: tenants, segs: segs, lastCkpt: -1, chaosSched: chaosSched}
+	c := &Controller{cfg: cfg, tenants: tenants, segs: segs, lastCkpt: -1, chaosSched: chaosSched,
+		dur: obs.NewSketch(obs.DefaultSketchAlpha)}
 	fleetTenantsGauge.Set(float64(cfg.Tenants))
 	// Lifecycle bookkeeping runs sequentially in tenant order so journal
 	// entries and start counters land deterministically.
@@ -536,8 +539,9 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		if len(active) == 0 {
 			break
 		}
-		parallel.ForEachWorkerSpan("fleet-plan", cfg.Workers, len(active), func(_, i int) {
-			_ = active[i].Plan()
+		c.resetClocks(len(active))
+		parallel.ForEachWorkerSpan("fleet-plan", cfg.Workers, len(active), func(w, i int) {
+			_ = active[i].plan(&c.scratch[w].clock)
 		})
 		for _, t := range c.tenants {
 			if t.err != nil {
@@ -552,9 +556,7 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		// round they strike.
 		c.injectWakeStorm(active)
 		c.admit(active)
-		for len(c.scratch) < parallel.Workers(cfg.Workers, len(active)) {
-			c.scratch = append(c.scratch, newRoundScratch(cfg.Horizon))
-		}
+		c.resetClocks(len(active))
 		parallel.ForEachWorkerSpan("fleet-apply", cfg.Workers, len(active), func(w, i int) {
 			_ = active[i].apply(c.scratch[w])
 		})
@@ -562,6 +564,12 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 			if t.err != nil {
 				return nil, t.err
 			}
+		}
+		// Round latency folds here, in index order, so the sketch and the
+		// histogram have one writer instead of every worker.
+		for _, t := range active {
+			c.dur.Observe(t.roundDur.Seconds())
+			fleetPlanSeconds.Observe(t.roundDur.Seconds())
 		}
 		// Health-plane observation happens after the round barrier, over
 		// totals read in index order — a pure function of the round's
@@ -594,6 +602,17 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		c.checkpoint()
 	}
 	return c.report(), nil
+}
+
+// resetClocks readies a round scratch per worker of a stage over n tenants,
+// its clock without a reading: time outside the stage is no tenant's.
+func (c *Controller) resetClocks(n int) {
+	for len(c.scratch) < parallel.Workers(c.cfg.Workers, n) {
+		c.scratch = append(c.scratch, newRoundScratch(c.cfg.Horizon))
+	}
+	for _, s := range c.scratch {
+		s.clock = 0
+	}
 }
 
 // foldCalibration publishes the fleet's calibration gauges: every

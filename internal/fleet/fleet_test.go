@@ -207,6 +207,49 @@ func TestFleetMetricsTenantLabelled(t *testing.T) {
 	}
 }
 
+// TestRoundObservationsComplete holds the per-round instruments to one
+// observation per tenant-round at any worker count: round latency folded
+// after the apply barrier (the plan-round histogram and Report.Timing),
+// the scaler's chained stage timings and its cached plans counter. The
+// fleet hash must not see the worker count.
+func TestRoundObservationsComplete(t *testing.T) {
+	const tenants, rounds = 32, 6
+	stages := obs.Default.HistogramVec("robustscale_stage_duration_seconds", "", "stage", obs.LatencyBuckets)
+	plans := obs.Default.CounterVec("robustscale_scaler_plans_total", "", "strategy")
+	hash := ""
+	for _, workers := range []int{1, 2} {
+		cfg := DefaultConfig(tenants)
+		cfg.Workers, cfg.MaxRounds = workers, rounds
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planned := plans.With(c.Tenants()[0].planner.Name())
+		counts := func() [4]float64 {
+			return [4]float64{float64(fleetPlanSeconds.Count()), float64(stages.With("forecast").Count()),
+				float64(stages.With("optimize").Count()), planned.Value()}
+		}
+		before := counts()
+		rep, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := counts()
+		for i, name := range []string{"fleet_plan_round_seconds", "stage forecast", "stage optimize", "scaler_plans_total"} {
+			if d := after[i] - before[i]; d != tenants*rounds {
+				t.Errorf("workers=%d: %s counted %v observations, want %d", workers, name, d, tenants*rounds)
+			}
+		}
+		if rep.Timing == nil || rep.Timing.Samples != tenants*rounds {
+			t.Errorf("workers=%d: timing %+v, want %d samples", workers, rep.Timing, tenants*rounds)
+		}
+		if hash != "" && rep.FleetHash != hash {
+			t.Errorf("workers=%d: fleet hash %s, want %s", workers, rep.FleetHash, hash)
+		}
+		hash = rep.FleetHash
+	}
+}
+
 // TestKillRestartBitIdentical is the durability contract at fleet scale:
 // stop the whole fleet at a round boundary, restart from the per-tenant
 // checkpoints, and the completed run's fleet hash matches an

@@ -70,20 +70,10 @@ func admitStep(demands []int, classes []PriorityClass, capacity int, out []int) 
 		out = make([]int, n)
 	}
 	out = out[:n]
-	if capacity < 0 {
-		capacity = 0
-	}
-	if capacity > maxDemand {
-		capacity = maxDemand
-	}
+	capacity = min(max(capacity, 0), maxDemand)
 	total := 0
 	for i, d := range demands {
-		if d < 0 {
-			d = 0
-		}
-		if d > maxDemand {
-			d = maxDemand
-		}
+		d = min(max(d, 0), maxDemand)
 		out[i] = d
 		total += d
 	}

@@ -46,9 +46,12 @@ type TenantReport struct {
 	KeepWarmNow  bool  `json:"keep_warm_now,omitempty"`
 }
 
-// Timing aggregates wall-clock planning latency. It is observational
-// only — scheduling noise makes it run-dependent — so determinism checks
-// must exclude it (hash `del(.timing)` or just .fleet_hash).
+// Timing is the latency distribution of this process's tenant-rounds:
+// each tenant's plan plus apply, read on the monotonic clock by the
+// worker that ran it and folded into one fleet sketch after each round's
+// apply barrier. It is observational only — scheduling noise makes it
+// run-dependent — so determinism checks must exclude it (hash
+// `del(.timing)` or just .fleet_hash).
 type Timing struct {
 	Samples   int     `json:"samples"`
 	P50Millis float64 `json:"p50_ms"`
@@ -208,7 +211,6 @@ func (c *Controller) report() *Report {
 	// order, so every derived figure is deterministic.
 	vrSketch := obs.NewSketch(obs.DefaultSketchAlpha)
 	costSketch := obs.NewSketch(obs.DefaultSketchAlpha)
-	durSketch := obs.NewSketch(obs.DefaultSketchAlpha)
 	var pool *PoolReport
 	if c.cfg.PoolNodes > 0 {
 		pool = &PoolReport{
@@ -290,7 +292,6 @@ func (c *Controller) report() *Report {
 		r.Holds += int64(t.holds)
 		vrSketch.Observe(tr.ViolationRate)
 		costSketch.Observe(float64(t.cost))
-		_ = durSketch.Merge(t.dur)
 		hash = foldString(hash, t.ID)
 		hash = foldUint64(hash, t.allocHash)
 		hash = foldUint64(hash, uint64(t.steps))
@@ -310,12 +311,12 @@ func (c *Controller) report() *Report {
 	r.CostP50 = costSketch.Percentile(50)
 	r.CostP90 = costSketch.Percentile(90)
 	r.CostP99 = costSketch.Percentile(99)
-	if durSketch.Count() > 0 {
+	if c.dur.Count() > 0 {
 		r.Timing = &Timing{
-			Samples:   int(durSketch.Count()),
-			P50Millis: durSketch.Percentile(50) * 1e3,
-			P90Millis: durSketch.Percentile(90) * 1e3,
-			P99Millis: durSketch.Percentile(99) * 1e3,
+			Samples:   int(c.dur.Count()),
+			P50Millis: c.dur.Percentile(50) * 1e3,
+			P90Millis: c.dur.Percentile(90) * 1e3,
+			P99Millis: c.dur.Percentile(99) * 1e3,
 		}
 	}
 	r.WorstViolations = worst(c.tenants, func(t *Tenant) float64 { return float64(t.violations) })

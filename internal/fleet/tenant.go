@@ -229,7 +229,7 @@ type Tenant struct {
 	shedTotal     int64
 	clippedRounds int
 	quarantine    scaler.Breaker
-	planDur       float64
+	roundDur      time.Duration // plan plus apply, read on a lapClock
 
 	// chaosCursor positions Sched; faulted reports whether any fault
 	// targets this tenant, and faults is then the fault window of the
@@ -253,9 +253,6 @@ type Tenant struct {
 
 	histView *timeseries.Series
 	planBuf  []int
-	// dur streams planning latency into a mergeable sketch instead of an
-	// unbounded slice: O(buckets) memory per tenant at any fleet size.
-	dur *obs.Sketch
 	// sloBlob is the fleet SLO tracker state recovered from this
 	// tenant's checkpoint (only tenant 0 carries it).
 	sloBlob []byte
@@ -343,7 +340,6 @@ func (t *Tenant) Start() (*persist.State, error) {
 	}
 	t.origin, t.cursor, t.prevAlloc = t.TrainEnd, t.TrainEnd, 1
 	t.allocHash = fnvOffset
-	t.dur = obs.NewSketch(obs.DefaultSketchAlpha)
 	t.histView = &timeseries.Series{Name: t.Series.Name, Start: t.Series.Start, Step: t.Series.Step}
 	t.violCounter = fleetTenantViolations.With(t.ID)
 	t.roundCounter = fleetTenantRounds.With(t.ID)
@@ -518,7 +514,13 @@ func (t *Tenant) holdPlan(h int) []int {
 // any: with a guard the round holds the previous allocation (and counts
 // a hold); without one the error also ends the loop (Err).
 func (t *Tenant) Plan() error {
-	start := time.Now()
+	var clock lapClock
+	return t.plan(&clock)
+}
+
+// plan is Plan timed on a worker's chained clock.
+func (t *Tenant) plan(clock *lapClock) error {
+	clock.start()
 	origin, h := t.origin, t.Horizon
 	if t.chaosCursor != nil {
 		t.chaosCursor.Set(t.replayStep())
@@ -565,15 +567,36 @@ func (t *Tenant) Plan() error {
 		recent := t.Series.Values[max(0, origin-h):origin]
 		t.wakeReason = t.wakeGuard.Shape(round.Nodes, scaler.Idle(round.Nodes, recent, t.IdleEps)).Reason()
 	}
-	t.planDur = time.Since(start).Seconds()
+	t.roundDur = clock.lap()
 	return err
 }
 
-// roundScratch is the working memory of applying one round: the round's
-// fault window and the result the plant fills at each step. Nothing in it
-// outlives the round, so the controller lends one to each worker of its
-// apply stage, and a tenant applied on its own keeps one.
+// lapClock chains a worker's obs.Mono readings across the tenants it
+// runs back to back: the reading that ends one tenant's stage starts the
+// next one's, so start reads the clock only for a worker's first tenant
+// (zero: no reading yet) and lap once per tenant.
+type lapClock time.Duration
+
+func (c *lapClock) start() {
+	if *c == 0 {
+		*c = lapClock(obs.Mono())
+	}
+}
+
+func (c *lapClock) lap() time.Duration {
+	now := lapClock(obs.Mono())
+	d := time.Duration(now - *c)
+	*c = now
+	return d
+}
+
+// roundScratch is the working memory of one round: the worker's clock,
+// the round's fault window and the result the plant fills at each step.
+// Nothing in it outlives the round, so the controller lends one to each
+// worker of its plan and apply stages, and a tenant applied on its own
+// keeps one.
 type roundScratch struct {
+	clock   lapClock
 	faults  chaos.Window
 	stepped cluster.StepResult
 }
@@ -595,17 +618,24 @@ func (t *Tenant) stepFaults() (int, chaos.StepFaults) {
 // plant through every admitted allocation, count violations, cost and
 // the rolling allocation hash, feed wake events back into the wake
 // guard, and grade the fan's calibration over the round. It returns the
-// error that ended the loop, if any.
+// error that ended the loop, if any, and observes the round's latency on
+// the fleet plan-round histogram.
 func (t *Tenant) Apply() error {
 	if t.own == nil {
 		t.own = newRoundScratch(t.Horizon)
 	}
-	return t.apply(t.own)
+	t.own.clock = 0
+	if err := t.apply(t.own); err != nil {
+		return err
+	}
+	fleetPlanSeconds.Observe(t.roundDur.Seconds())
+	return nil
 }
 
-// apply is Apply in the given round scratch.
+// apply is Apply in the given round scratch, timed on its chained clock
+// and leaving the latency to the caller.
 func (t *Tenant) apply(s *roundScratch) error {
-	start := time.Now()
+	s.clock.start()
 	origin, plan, fan := t.origin, t.round.Nodes, t.round.Fan
 	reason := t.shedReason
 	if reason == "" {
@@ -665,9 +695,7 @@ func (t *Tenant) apply(s *roundScratch) error {
 	t.origin = origin + t.Horizon
 	t.roundCounter.Inc()
 	t.wakeReason = ""
-	d := t.planDur + time.Since(start).Seconds()
-	t.dur.Observe(d)
-	fleetPlanSeconds.Observe(d)
+	t.roundDur += s.clock.lap()
 	return nil
 }
 

@@ -139,9 +139,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// ObserveSince records the seconds elapsed since t0.
-func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Seconds()) }
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
 	var total uint64
@@ -166,6 +163,13 @@ func (h *Histogram) snapshot() ([]uint64, uint64, float64) {
 	}
 	return cum, total, h.sum.Load()
 }
+
+// Mono reads the monotonic clock alone, as the time since process start
+// (time.Now also reads the wall clock); two readings subtract to the
+// elapsed time between them.
+func Mono() time.Duration { return time.Since(processStart) }
+
+var processStart = time.Now()
 
 // family is one named metric with its (possibly labelled) children.
 type family struct {

@@ -9,6 +9,7 @@ package optimize
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Allocate returns the minimum integer node count c >= 1 satisfying
@@ -21,10 +22,7 @@ func Allocate(w, theta float64) int {
 	if float64(c)*theta < w {
 		c++
 	}
-	if c < 1 {
-		c = 1
-	}
-	return c
+	return max(1, c)
 }
 
 // Plan solves the multi-step problem for a workload path under a uniform
@@ -89,22 +87,8 @@ func PlanConstrainedDemand(demand []int, cfg ThrashingConfig) ([]int, error) {
 	if h == 0 {
 		return nil, nil
 	}
-	maxDemand := cfg.Initial
-	for _, d := range demand {
-		if d > maxDemand {
-			maxDemand = d
-		}
-	}
-	maxNodes := maxDemand + cfg.MaxDelta
-	if maxNodes < 1 {
-		maxNodes = 1
-	}
-	if cfg.Initial < 1 {
-		cfg.Initial = 1
-	}
-	if cfg.Initial > maxNodes {
-		cfg.Initial = maxNodes
-	}
+	maxNodes := max(1, max(cfg.Initial, slices.Max(demand))+cfg.MaxDelta)
+	cfg.Initial = min(max(1, cfg.Initial), maxNodes)
 
 	const inf = math.MaxInt64 / 4
 	cur := make([]dpState, maxNodes+1)
@@ -190,18 +174,4 @@ func better(a, b dpState) bool {
 		return a.shortfall < b.shortfall
 	}
 	return a.cost < b.cost
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

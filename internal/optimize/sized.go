@@ -67,9 +67,7 @@ func SizeDemand(units int, sizes []NodeSize) (SizedAlloc, error) {
 		if float64(count)*s.Capacity < float64(units) {
 			count++
 		}
-		if count < 1 {
-			count = 1
-		}
+		count = max(1, count)
 		cost := float64(count) * s.Cost
 		if best.Count == -1 || cost < bestCost ||
 			(cost == bestCost && count < best.Count) {

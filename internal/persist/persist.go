@@ -299,14 +299,14 @@ func (d *seqDir) commit(write func(io.Writer) error) (string, int64, error) {
 // commitCheckpoint is commit for a file that is a checkpoint: it feeds
 // the checkpoint instruments, once per committed file.
 func (d *seqDir) commitCheckpoint(write func(io.Writer) error) (string, error) {
-	t0 := time.Now()
+	t0 := obs.Mono()
 	path, size, err := d.commit(write)
 	if err != nil {
 		return "", err
 	}
 	ckptWrites.Inc()
 	ckptBytes.Set(float64(size))
-	ckptWriteSeconds.ObserveSince(t0)
+	ckptWriteSeconds.Observe((obs.Mono() - t0).Seconds())
 	return path, nil
 }
 

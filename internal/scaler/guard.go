@@ -369,7 +369,7 @@ func (g *Guard) planFromFan(fan *forecast.QuantileForecast, h int, cfg GuardConf
 	if fan.Horizon() == 0 {
 		return nil, nil, fmt.Errorf("scaler: empty fan")
 	}
-	g.pathBuf = resizeFloats(g.pathBuf, h)
+	g.pathBuf = resize(g.pathBuf, h)
 	for t := range g.pathBuf {
 		g.pathBuf[t] = fan.At(min(t, fan.Horizon()-1), cfg.Tau)
 	}
@@ -387,7 +387,7 @@ func (g *Guard) storeLastGood(fan *forecast.QuantileForecast) {
 	for _, row := range fan.Values {
 		n += len(row)
 	}
-	g.lastGoodBuf = resizeFloats(g.lastGoodBuf, n)
+	g.lastGoodBuf = resize(g.lastGoodBuf, n)
 	buf := g.lastGoodBuf[:0]
 	carve := func(src []float64) []float64 {
 		buf = append(buf, src...)
@@ -453,7 +453,7 @@ func (g *Guard) pathDecision(cfg GuardConfig, path []float64, plan []int, mode D
 		return nil
 	}
 	d := pathDecision(g.decision, g.Name(), cfg.Theta, path, plan)
-	d.Tau = resizeFloats(d.Tau, len(path))
+	d.Tau = resize(d.Tau, len(path))
 	for t := range d.Tau {
 		d.Tau[t] = cfg.Tau
 	}

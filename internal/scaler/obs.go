@@ -54,10 +54,24 @@ var (
 		"tenant")
 )
 
-// countPlan records one completed planning round for a strategy.
-func countPlan(name string, steps int) {
-	plansTotal.With(name).Inc()
+// countPlan records one completed planning round for a strategy on its
+// plans_total child, looked up on the first round and cached in *plans as
+// the strategy caches its name.
+func countPlan(plans **obs.Counter, name string, steps int) {
+	if *plans == nil {
+		*plans = plansTotal.With(name)
+	}
+	(*plans).Inc()
 	plannedSteps.Add(float64(steps))
+}
+
+// lapStage observes the seconds since *clock, an obs.Mono reading, into a
+// stage histogram and moves *clock to now, where the next stage starts:
+// a round's forecast and optimize stages share their boundary reading.
+func lapStage(clock *time.Duration, stage *obs.Histogram) {
+	now := obs.Mono()
+	stage.Observe((now - *clock).Seconds())
+	*clock = now
 }
 
 // countActions records the scale-out/in transitions of an allocation
@@ -87,27 +101,12 @@ func bindingFor(value float64) string {
 	return obs.BindingDemand
 }
 
-// resizeInts, resizeFloats and resizeStrings recycle a scratch slice when
-// its backing array is large enough, so a steady-state round (plan and
-// decision assembly) settles to zero allocations on the hot reactive
-// path (one planning round per step).
-func resizeInts(s []int, n int) []int {
+// resize recycles a scratch slice when its backing array is large
+// enough, so a steady-state round (plan and decision assembly) settles to
+// zero allocations on the hot reactive path (one planning round per step).
+func resize[E any](s []E, n int) []E {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeStrings(s []string, n int) []string {
-	if cap(s) < n {
-		return make([]string, n)
+		return make([]E, n)
 	}
 	return s[:n]
 }
@@ -116,7 +115,7 @@ func resizeStrings(s []string, n int) []string {
 // model: a single window statistic drives one flat allocation for the
 // whole horizon.
 func flatPlan(dst []int, h int, drive, theta float64) []int {
-	plan := resizeInts(dst, h)
+	plan := resize(dst, h)
 	c := optimize.Allocate(drive, theta)
 	for i := range plan {
 		plan[i] = c
@@ -133,7 +132,7 @@ func flatDecision(d *obs.Decision, name string, theta, drive float64, plan []int
 	h := len(plan)
 	*d = obs.Decision{
 		Strategy: name, Horizon: h, Theta: theta, Nodes: plan,
-		Quantile: resizeFloats(d.Quantile, h), Binding: resizeStrings(d.Binding, h),
+		Quantile: resize(d.Quantile, h), Binding: resize(d.Binding, h),
 	}
 	b := bindingFor(drive)
 	for i := 0; i < h; i++ {
@@ -152,7 +151,7 @@ func pathDecision(d *obs.Decision, name string, theta float64, path []float64, p
 	}
 	*d = obs.Decision{
 		Strategy: name, Horizon: len(path), Theta: theta, Nodes: plan,
-		Quantile: path, Binding: resizeStrings(d.Binding, len(path)),
+		Quantile: path, Binding: resize(d.Binding, len(path)),
 	}
 	for i, v := range path {
 		d.Binding[i] = bindingFor(v)

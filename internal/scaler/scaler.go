@@ -107,10 +107,7 @@ func (r *ReactiveMax) PlanInto(history *timeseries.Series, h int, dst []int) (Ro
 	if window <= 0 {
 		window = 6
 	}
-	start := history.Len() - window
-	if start < 0 {
-		start = 0
-	}
+	start := max(0, history.Len()-window)
 	peak := math.Inf(-1)
 	for i := start; i < history.Len(); i++ {
 		if v := history.At(i); v > peak {
@@ -158,10 +155,7 @@ func (r *ReactiveAvg) PlanInto(history *timeseries.Series, h int, dst []int) (Ro
 	if half <= 0 {
 		half = 6
 	}
-	start := history.Len() - window
-	if start < 0 {
-		start = 0
-	}
+	start := max(0, history.Len()-window)
 	decay := math.Pow(0.5, 1/half)
 	weight := 1.0
 	sum, wsum := 0.0, 0.0
@@ -192,6 +186,7 @@ type Predictive struct {
 	lastPrediction []float64
 	decision       *obs.Decision
 	cachedName     string
+	plans          *obs.Counter
 }
 
 // Name implements Strategy. The name is derived from the forecaster once
@@ -208,7 +203,7 @@ func (p *Predictive) PlanInto(history *timeseries.Series, h int, dst []int) (Rou
 	if p.Theta <= 0 {
 		return Round{}, fmt.Errorf("scaler: predictive threshold %v", p.Theta)
 	}
-	t0 := time.Now()
+	clock := obs.Mono()
 	sp := obs.DefaultTracer.Start("forecast")
 	var pred []float64
 	var err error
@@ -221,9 +216,9 @@ func (p *Predictive) PlanInto(history *timeseries.Series, h int, dst []int) (Rou
 	if err != nil {
 		return Round{}, err
 	}
-	stageForecast.ObserveSince(t0)
+	lapStage(&clock, stageForecast)
 	p.lastPrediction = pred
-	round, err := planPath(pred, p.Theta, dst)
+	round, err := planPath(&clock, pred, p.Theta, dst)
 	if err != nil {
 		return Round{}, err
 	}
@@ -231,21 +226,20 @@ func (p *Predictive) PlanInto(history *timeseries.Series, h int, dst []int) (Rou
 		p.decision = pathDecision(p.decision, p.Name(), p.Theta, pred, round.Nodes)
 		round.Decision = p.decision
 	}
-	countPlan(p.Name(), h)
+	countPlan(&p.plans, p.Name(), h)
 	return round, nil
 }
 
 // planPath is the instrumented optimize stage of the strategies that
-// allocate along one workload path (Eq. 6 per step).
-func planPath(path []float64, theta float64, dst []int) (Round, error) {
-	t0 := time.Now()
+// allocate along one workload path (Eq. 6 per step), timed from *clock.
+func planPath(clock *time.Duration, path []float64, theta float64, dst []int) (Round, error) {
 	sp := obs.DefaultTracer.Start("optimize")
 	plan, err := optimize.PlanInto(path, theta, dst)
 	sp.End()
 	if err != nil {
 		return Round{}, err
 	}
-	stageOptimize.ObserveSince(t0)
+	lapStage(clock, stageOptimize)
 	return Round{Nodes: plan}, nil
 }
 
@@ -270,6 +264,7 @@ type Robust struct {
 
 	last       Round
 	cachedName string
+	plans      *obs.Counter
 	tauLevels  []float64
 	pathBuf    []float64
 }
@@ -297,23 +292,24 @@ func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) (Round, 
 	if len(r.tauLevels) != 1 || r.tauLevels[0] != r.Tau {
 		r.tauLevels = []float64{r.Tau}
 	}
-	f, err := predictQuantiles(r.Forecaster, history, h, r.tauLevels)
+	clock := obs.Mono()
+	f, err := predictQuantiles(&clock, r.Forecaster, history, h, r.tauLevels)
 	if err != nil {
 		return Round{}, err
 	}
-	path := resizeFloats(r.pathBuf, h)
+	path := resize(r.pathBuf, h)
 	r.pathBuf = path
 	for t := 0; t < h; t++ {
 		path[t] = f.Values[t][0]
 	}
-	round, err := planPath(path, r.Theta, dst)
+	round, err := planPath(&clock, path, r.Theta, dst)
 	if err != nil {
 		return Round{}, err
 	}
 	round.Fan = f
 	if obs.DefaultDecisions.Enabled() {
 		d := pathDecision(r.last.Decision, r.Name(), r.Theta, path, round.Nodes)
-		d.Tau = resizeFloats(d.Tau, h)
+		d.Tau = resize(d.Tau, h)
 		for t := range d.Tau {
 			d.Tau[t] = r.Tau
 		}
@@ -321,15 +317,15 @@ func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) (Round, 
 		round.Decision = d
 	}
 	r.last = round
-	countPlan(r.Name(), h)
+	countPlan(&r.plans, r.Name(), h)
 	return round, nil
 }
 
-// predictQuantiles is the instrumented forecast stage: through the warm
-// path when the forecaster keeps warm state, which is bit-identical to
-// the cold one by the IncrementalForecaster contract.
-func predictQuantiles(qf forecast.QuantileForecaster, history *timeseries.Series, h int, levels []float64) (*forecast.QuantileForecast, error) {
-	t0 := time.Now()
+// predictQuantiles is the instrumented forecast stage, timed from
+// *clock: through the warm path when the forecaster keeps warm state,
+// which is bit-identical to the cold one by the IncrementalForecaster
+// contract.
+func predictQuantiles(clock *time.Duration, qf forecast.QuantileForecaster, history *timeseries.Series, h int, levels []float64) (*forecast.QuantileForecast, error) {
 	sp := obs.DefaultTracer.Start("forecast")
 	var f *forecast.QuantileForecast
 	var err error
@@ -340,7 +336,7 @@ func predictQuantiles(qf forecast.QuantileForecaster, history *timeseries.Series
 	}
 	sp.End()
 	if err == nil {
-		stageForecast.ObserveSince(t0)
+		lapStage(clock, stageForecast)
 	}
 	return f, err
 }
@@ -376,21 +372,14 @@ func (a *Adaptive) Name() string {
 
 // PlanInto implements Strategy (Algorithm 1).
 func (a *Adaptive) PlanInto(history *timeseries.Series, h int, dst []int) (Round, error) {
-	if err := a.validate(); err != nil {
-		return Round{}, err
+	if a.Theta <= 0 {
+		return Round{}, fmt.Errorf("scaler: adaptive threshold %v", a.Theta)
+	}
+	if !(a.Tau1 > 0 && a.Tau2 < 1 && a.Tau1 <= a.Tau2) {
+		return Round{}, fmt.Errorf("scaler: adaptive quantile levels %v/%v invalid", a.Tau1, a.Tau2)
 	}
 	rungs := [1]StaircaseLevel{{Rho: a.Rho, Tau: a.Tau2}}
 	return a.ladder.round(a.Name(), a.Forecaster, a.Levels, a.Tau1, rungs[:], a.Theta, history, h, dst)
-}
-
-func (a *Adaptive) validate() error {
-	if a.Theta <= 0 {
-		return fmt.Errorf("scaler: adaptive threshold %v", a.Theta)
-	}
-	if !(a.Tau1 > 0 && a.Tau2 < 1 && a.Tau1 <= a.Tau2) {
-		return fmt.Errorf("scaler: adaptive quantile levels %v/%v invalid", a.Tau1, a.Tau2)
-	}
-	return nil
 }
 
 // Uncertainties computes the per-step uncertainty metric U (Equation 8)
@@ -418,7 +407,7 @@ func CalibrateRho(qf forecast.QuantileForecaster, train *timeseries.Series, h in
 // uncertaintiesInto is Uncertainties writing into a recycled scratch
 // slice.
 func uncertaintiesInto(f *forecast.QuantileForecast, dst []float64) ([]float64, error) {
-	out := resizeFloats(dst, f.Horizon())
+	out := resize(dst, f.Horizon())
 	for t := range out {
 		median := f.At(t, 0.5)
 		u, err := metrics.Uncertainty(f.Levels, f.Step(t), median)
@@ -489,9 +478,10 @@ func (s *Staircase) PlanInto(history *timeseries.Series, h int, dst []int) (Roun
 // whose Rho the step's U reaches set the quantile level, allocate per
 // step (Eq. 6) and assemble the decision record. Adaptive is the one-rung
 // ladder {Rho, Tau2} over Tau1. Each strategy embeds a ladder for the
-// decision record and the scratch the round reuses.
+// decision record, its plans_total child and the scratch the round reuses.
 type ladder struct {
 	decision *obs.Decision
+	plans    *obs.Counter
 	us       []float64
 	taus     []float64
 	qs       []float64
@@ -503,11 +493,11 @@ func (l *ladder) round(name string, qf forecast.QuantileForecaster, levels []flo
 	if len(levels) == 0 {
 		levels = forecast.ScalingLevels
 	}
-	f, err := predictQuantiles(qf, history, h, levels)
+	clock := obs.Mono()
+	f, err := predictQuantiles(&clock, qf, history, h, levels)
 	if err != nil {
 		return Round{}, err
 	}
-	t0 := time.Now()
 	sp := obs.DefaultTracer.Start("optimize")
 	l.us, err = uncertaintiesInto(f, l.us)
 	if err != nil {
@@ -515,10 +505,10 @@ func (l *ladder) round(name string, qf forecast.QuantileForecaster, levels []flo
 		return Round{}, err
 	}
 	us := l.us
-	out := resizeInts(dst, h)
-	l.taus = resizeFloats(l.taus, h)
-	l.qs = resizeFloats(l.qs, h)
-	l.binding = resizeStrings(l.binding, h)
+	out := resize(dst, h)
+	l.taus = resize(l.taus, h)
+	l.qs = resize(l.qs, h)
+	l.binding = resize(l.binding, h)
 	for t := 0; t < h; t++ {
 		tau := base
 		for _, rung := range rungs {
@@ -531,7 +521,7 @@ func (l *ladder) round(name string, qf forecast.QuantileForecaster, levels []flo
 		l.taus[t], l.qs[t], l.binding[t] = tau, qv, bindingFor(qv)
 	}
 	sp.End()
-	stageOptimize.ObserveSince(t0)
+	lapStage(&clock, stageOptimize)
 	round := Round{Nodes: out, Fan: f}
 	if obs.DefaultDecisions.Enabled() {
 		if l.decision == nil {
@@ -549,6 +539,6 @@ func (l *ladder) round(name string, qf forecast.QuantileForecaster, levels []flo
 		}
 		round.Decision = d
 	}
-	countPlan(name, h)
+	countPlan(&l.plans, name, h)
 	return round, nil
 }
