@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-pkgs cover bench bench-compile bench-save bench-check fuzz fleet-smoke slo-smoke fleet-chaos-smoke wake-smoke no-binaries ci experiments examples clean
+.PHONY: all build test vet race race-pkgs cover bench bench-compile bench-save bench-check fuzz fleet-smoke slo-smoke fleet-chaos-smoke wake-smoke no-binaries ci experiments clean
 
 all: build vet test
 
@@ -133,7 +133,6 @@ ci: build vet no-binaries
 	$(GO) test ./...
 	$(MAKE) race-pkgs
 	$(MAKE) bench-compile
-	$(MAKE) examples
 	$(MAKE) fleet-smoke
 	$(MAKE) slo-smoke
 	$(MAKE) fleet-chaos-smoke
@@ -142,14 +141,6 @@ ci: build vet no-binaries
 # Regenerate every paper table/figure with the CLI runner.
 experiments:
 	$(GO) run ./cmd/experiment -id all -quick
-
-# Run every example to completion; they are reachability roots (see
-# deadcode_test.go), so CI runs them, not just compiles them.
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/capacityplanner
-	$(GO) run ./examples/adaptive
-	$(GO) run ./examples/thrashing
 
 clean:
 	$(GO) clean ./...

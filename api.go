@@ -2,7 +2,6 @@ package robustscale
 
 import (
 	"robustscale/internal/cluster"
-	"robustscale/internal/core"
 	"robustscale/internal/forecast"
 	"robustscale/internal/metrics"
 	"robustscale/internal/obs"
@@ -12,7 +11,7 @@ import (
 	"robustscale/internal/trace"
 )
 
-// This facade carries exactly what the examples, the commands and the
+// This facade carries exactly what the Examples, the commands and the
 // root tests compile against; everything else lives in (and is imported
 // from) the internal packages.
 
@@ -36,11 +35,8 @@ type (
 	Resource = trace.Resource
 )
 
-// Resources available in generated traces.
-const (
-	CPU    = trace.CPU
-	Memory = trace.Memory
-)
+// CPU is a generated trace's processor-usage dimension.
+const CPU = trace.CPU
 
 // GenerateTrace produces a trace from an explicit configuration.
 var GenerateTrace = trace.Generate
@@ -57,14 +53,8 @@ func GenerateGoogleTrace(seed int64) (*Trace, error) {
 	return trace.Generate(trace.GoogleStyle(seed))
 }
 
-// Forecasting.
-type (
-	// QuantileForecaster produces point and quantile forecasts
-	// (Definitions 1 and 2).
-	QuantileForecaster = forecast.QuantileForecaster
-	// QuantileForecast is a multi-step quantile forecast fan.
-	QuantileForecast = forecast.QuantileForecast
-)
+// QuantileForecast is a multi-step quantile forecast fan (Definition 2).
+type QuantileForecast = forecast.QuantileForecast
 
 // Forecaster constructors and defaults.
 var (
@@ -85,9 +75,6 @@ var ScalingLevels = forecast.ScalingLevels
 type (
 	// Strategy plans node allocations from workload history.
 	Strategy = scaler.Strategy
-	// Round is what one Strategy.PlanInto call returns: the allocations,
-	// the quantile fan behind them and the decision record.
-	Round = scaler.Round
 	// ReactiveMax scales on the trailing-window maximum.
 	ReactiveMax = scaler.ReactiveMax
 	// ReactiveAvg scales on an exponentially decayed trailing average.
@@ -142,16 +129,6 @@ var (
 	WQL          = metrics.WQL
 	Uncertainty  = metrics.Uncertainty
 	Provisioning = metrics.Provisioning
-)
-
-// End-to-end pipeline constructors: a trained forecaster coupled to a
-// scaling strategy.
-var (
-	// NewRobustPipeline scales on a fixed quantile level (Equation 6).
-	NewRobustPipeline = core.NewRobust
-	// NewAdaptivePipeline switches quantile levels on uncertainty
-	// (Algorithm 1).
-	NewAdaptivePipeline = core.NewAdaptive
 )
 
 // Decision tracing and explainability.

@@ -31,19 +31,29 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	cfg.Levels = robustscale.ScalingLevels
 	tft := robustscale.NewTFT(cfg)
 
-	pipe := robustscale.NewRobustPipeline(tft, 0.9, 40, 12)
 	trainEnd := cpu.Len() * 7 / 10
-	if err := pipe.Train(cpu.Slice(0, trainEnd)); err != nil {
+	if err := tft.Fit(cpu.Slice(0, trainEnd)); err != nil {
 		t.Fatal(err)
 	}
-	report, err := pipe.Run(cpu, cpu.Len()*8/10, robustscale.DefaultClusterConfig())
+	start := cpu.Len() * 8 / 10
+	res, err := robustscale.EvaluateStrategy(&robustscale.Robust{Forecaster: tft, Tau: 0.9, Theta: 40},
+		cpu, robustscale.EvalConfig{Theta: 40, Horizon: 12, Start: start})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Provisioning.Steps == 0 {
+	evaluated := cpu.Slice(start, start+len(res.Allocations))
+	c, err := robustscale.NewCluster(robustscale.DefaultClusterConfig(), evaluated.Start, res.Allocations[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := c.Replay(evaluated, res.Allocations, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.Steps == 0 {
 		t.Fatal("no steps evaluated")
 	}
-	if report.Replay == nil {
+	if replay == nil {
 		t.Fatal("no replay report")
 	}
 
@@ -82,7 +92,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAdaptivePipelineFacade exercises the Algorithm 1 constructor.
+// TestAdaptivePipelineFacade runs the Algorithm 1 strategy closed-loop.
 func TestAdaptivePipelineFacade(t *testing.T) {
 	tr, err := robustscale.GenerateGoogleTrace(3)
 	if err != nil {
@@ -99,15 +109,24 @@ func TestAdaptivePipelineFacade(t *testing.T) {
 	cfg.TrainHorizon, cfg.Samples = 12, 40
 	model := robustscale.NewDeepAR(cfg)
 
-	pipe := robustscale.NewAdaptivePipeline(model, 0.7, 0.95, 1.0, 200, 12)
-	if err := pipe.Train(cpu.Slice(0, 480)); err != nil {
+	if err := model.Fit(cpu.Slice(0, 480)); err != nil {
 		t.Fatal(err)
 	}
-	report, err := pipe.Run(cpu, 480, robustscale.DefaultClusterConfig())
+	res, err := robustscale.EvaluateStrategy(
+		&robustscale.Adaptive{Forecaster: model, Tau1: 0.7, Tau2: 0.95, Rho: 1.0, Theta: 200},
+		cpu, robustscale.EvalConfig{Theta: 200, Horizon: 12, Start: 480})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Provisioning.Steps == 0 {
+	evaluated := cpu.Slice(480, 480+len(res.Allocations))
+	c, err := robustscale.NewCluster(robustscale.DefaultClusterConfig(), evaluated.Start, res.Allocations[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Replay(evaluated, res.Allocations, 200); err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.Steps == 0 {
 		t.Fatal("no steps evaluated")
 	}
 }

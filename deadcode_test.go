@@ -22,8 +22,8 @@ var deadCodeAllow = map[declKey]string{
 
 // TestDeadCode fails on any top-level declaration under internal/ that
 // no program reaches. Roots are every declaration in a non-test file
-// outside internal/ (the root package, cmd/, examples/, bench/), every
-// func init and each allowlist entry.
+// outside internal/ (the root package, cmd/, bench/), every func init
+// and each allowlist entry.
 func TestDeadCode(t *testing.T) {
 	if len(deadCodeAllow) > 3 {
 		t.Fatalf("allowlist has %d entries; at most 3", len(deadCodeAllow))
@@ -53,7 +53,7 @@ func TestDeadCodeFixture(t *testing.T) {
 	if len(stale) > 0 {
 		t.Errorf("stale = %v, want none", stale)
 	}
-	// Kept: what only cmd/ or examples/ reference, a reached type's
+	// Kept: what only cmd/ or bench/ reference, a reached type's
 	// method and what it references, init's references, the allowed func.
 	want := []string{"DeadFunc", "DeadType", "DeadVar", "DeadConst", "Iface", "Asserted", "Asserted.M"}
 	for i, line := range []int{29, 31, 33, 35, 38, 40, 42} {

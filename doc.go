@@ -17,17 +17,23 @@
 //     (Equation 6), or adaptively switch between quantile levels based on
 //     the forecast's own uncertainty (Algorithm 1).
 //
-// A quick end-to-end tour:
+// A quick end-to-end tour (Example_quickstart runs it in full):
 //
 //	tr, _ := robustscale.GenerateAlibabaTrace(42)
 //	cpu, _ := tr.Series(robustscale.CPU)
-//	train, _, test, _ := cpu.Split(0.7, 0.1)
-//
 //	tft := robustscale.NewTFT(robustscale.DefaultTFTConfig())
-//	pipe := robustscale.NewRobustPipeline(tft, 0.9, /* theta */ 70, /* horizon */ 72)
-//	_ = pipe.Train(train)
-//	report, _ := pipe.Run(cpu, cpu.Len()-test.Len(), robustscale.DefaultClusterConfig())
-//	fmt.Printf("under-provisioning: %.2f%%\n", 100*report.Provisioning.UnderProvisionRate)
+//	_ = tft.Fit(cpu.Slice(0, cpu.Len()*7/10))
+//
+//	start := cpu.Len() * 8 / 10
+//	res, _ := robustscale.EvaluateStrategy(
+//		&robustscale.Robust{Forecaster: tft, Tau: 0.9, Theta: 70},
+//		cpu, robustscale.EvalConfig{Theta: 70, Horizon: 72, Start: start})
+//	fmt.Printf("under-provisioning: %.2f%%\n", 100*res.Report.UnderProvisionRate)
+//
+//	evaluated := cpu.Slice(start, start+len(res.Allocations))
+//	c, _ := robustscale.NewCluster(robustscale.DefaultClusterConfig(), evaluated.Start, res.Allocations[0])
+//	replay, _ := c.Replay(evaluated, res.Allocations, 70)
+//	fmt.Printf("threshold violations with warm-up: %.2f%%\n", 100*replay.ViolationRate)
 //
 // Everything is implemented with the Go standard library only; workload
 // traces are generated synthetically in the statistical image of the

@@ -8,10 +8,10 @@ func UsedByCmd() int { return helper() }
 // helper is reached through a bare name in a reached declaration.
 func helper() int { return 1 }
 
-// UsedByExample is referenced only from examples/demo.
-var UsedByExample = 2
+// UsedByBench is referenced only from bench/demo.
+var UsedByBench = 2
 
-// Reached is used by examples/demo, so its methods are kept.
+// Reached is used by bench/demo, so its methods are kept.
 type Reached struct{}
 
 // Method is kept with its receiver type, and so is what it references.
