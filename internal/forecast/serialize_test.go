@@ -392,6 +392,8 @@ func FuzzLoadModel(f *testing.F) {
 		func() Snapshotter {
 			return NewQB5000(QB5000Config{Context: 8, Hidden: 2, Epochs: 1, Seed: 1, MaxWindows: 4, TrainHorizon: 2})
 		},
+		func() Snapshotter { return NewNaive(2) },
+		func() Snapshotter { return NewSeasonalNaive(12) },
 	}
 	hist := noisySine(120, 12, 50, 10, 1, 38)
 	for i, build := range models {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"robustscale/internal/nn"
 	"robustscale/internal/timeseries"
@@ -285,9 +286,31 @@ func (n *Naive) Load(r io.Reader) error {
 	if len(residuals) == 0 {
 		return fmt.Errorf("forecast: naive snapshot has no residual rows")
 	}
+	for k, row := range residuals {
+		if err := checkResiduals(row); err != nil {
+			return fmt.Errorf("forecast: naive snapshot step %d: %w", k+1, err)
+		}
+	}
 	n.horizon, n.MaxResiduals, n.residuals = len(residuals), maxResiduals, residuals
 	n.WarmReset() // restored residuals invalidate cached offsets
 	n.fitted = true
+	return nil
+}
+
+// checkResiduals refuses a residual row that Fit cannot have written and
+// PredictQuantiles cannot read: empty, unsorted or non-finite.
+func checkResiduals(row []float64) error {
+	if len(row) == 0 {
+		return fmt.Errorf("no residuals")
+	}
+	for i, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("residual %d is %v", i, v)
+		}
+		if i > 0 && v < row[i-1] {
+			return fmt.Errorf("residuals unsorted at %d", i)
+		}
+	}
 	return nil
 }
 
@@ -313,6 +336,9 @@ func (s *SeasonalNaive) Load(r io.Reader) error {
 	}
 	if period <= 0 {
 		return fmt.Errorf("forecast: seasonal-naive snapshot has non-positive period %d", period)
+	}
+	if err := checkResiduals(residuals); err != nil {
+		return fmt.Errorf("forecast: seasonal-naive snapshot: %w", err)
 	}
 	s.Period, s.MaxResiduals, s.residuals = period, maxResiduals, residuals
 	s.WarmReset() // restored residuals invalidate cached offsets
