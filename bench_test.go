@@ -22,6 +22,7 @@ import (
 
 	"robustscale/internal/experiment"
 	"robustscale/internal/forecast"
+	"robustscale/internal/metrics"
 	"robustscale/internal/obs"
 	"robustscale/internal/optimize"
 	"robustscale/internal/scaler"
@@ -415,7 +416,7 @@ func BenchmarkAblationContext(b *testing.B) {
 					actual := wl.Values[evalStart : evalStart+72]
 					loss := 0.0
 					for t, y := range actual {
-						loss += forecast.PinballLoss(0.9, y, f.At(t, 0.9))
+						loss += metrics.Pinball(0.9, y, f.At(t, 0.9))
 					}
 					b.Logf("context=%d pinball@0.9=%.1f", context, loss/72)
 				}

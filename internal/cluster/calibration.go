@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 
+	"robustscale/internal/metrics"
 	"robustscale/internal/obs"
 )
 
@@ -147,7 +148,7 @@ func (c *Calibration) observe(actual float64, quantiles []float64) {
 			if row[i] >= old {
 				c.covered[i]--
 			}
-			c.pinball[i] -= pinballLoss(c.levels[i], old, row[i])
+			c.pinball[i] -= metrics.Pinball(c.levels[i], old, row[i])
 		}
 	} else {
 		c.count++
@@ -159,7 +160,7 @@ func (c *Calibration) observe(actual float64, quantiles []float64) {
 		if quantiles[i] >= actual {
 			c.covered[i]++
 		}
-		c.pinball[i] += pinballLoss(tau, actual, quantiles[i])
+		c.pinball[i] += metrics.Pinball(tau, actual, quantiles[i])
 	}
 	c.next = (c.next + 1) % c.window
 }
@@ -306,14 +307,4 @@ func (f *CalibrationFold) Publish() {
 	f.wql.Set(wql / float64(len(f.levels)))
 	f.samples.Set(float64(f.steps))
 	f.steps = 0
-}
-
-// pinballLoss is the quantile (pinball) loss rho_tau of prediction yhat
-// against actual y.
-func pinballLoss(tau, y, yhat float64) float64 {
-	u := y - yhat
-	if u < 0 {
-		return (tau - 1) * u
-	}
-	return tau * u
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"robustscale/internal/metrics"
 )
 
 func TestCalibrationValidation(t *testing.T) {
@@ -98,7 +100,7 @@ func TestCalibrationRollingEviction(t *testing.T) {
 			if tailRows[i][li] >= a {
 				covered++
 			}
-			ql += pinballLoss(tau, a, tailRows[i][li])
+			ql += metrics.Pinball(tau, a, tailRows[i][li])
 		}
 		wantCov[li] = float64(covered) / window
 		wantWQL += 2 * ql / actualSum
@@ -170,9 +172,9 @@ func TestCalibrationFold(t *testing.T) {
 	if cov[0] != 0.5 || cov[1] != 3.0/5 || covErr[1] != cov[1]-0.9 || samples != 5 {
 		t.Errorf("pooled: coverage %v error %v samples %v, want [0.5 0.6], 0.6-0.9 and 5", cov, covErr, samples)
 	}
-	pin9 := pinballLoss(0.9, 10, 20) + pinballLoss(0.9, 10, 15) +
-		pinballLoss(0.9, 20, 18) + pinballLoss(0.9, 20, 25) + pinballLoss(0.9, 20, 19)
-	want := (2*(pinballLoss(0.5, 10, 12)+pinballLoss(0.5, 10, 8))/20 + 2*pin9/80) / 2
+	pin9 := metrics.Pinball(0.9, 10, 20) + metrics.Pinball(0.9, 10, 15) +
+		metrics.Pinball(0.9, 20, 18) + metrics.Pinball(0.9, 20, 25) + metrics.Pinball(0.9, 20, 19)
+	want := (2*(metrics.Pinball(0.5, 10, 12)+metrics.Pinball(0.5, 10, 8))/20 + 2*pin9/80) / 2
 	if math.Abs(wql-want) > 1e-12 {
 		t.Errorf("pooled wQL %v, want %v", wql, want)
 	}

@@ -227,17 +227,7 @@ func normalizeLevels(levels []float64) ([]float64, error) {
 	return out, nil
 }
 
-// PinballLoss is the quantile (pinball) loss rho_tau(y, yhat) from
-// Equation 1 of the paper: (tau - I(y < yhat)) * (yhat - y).
-func PinballLoss(tau, y, yhat float64) float64 {
-	u := y - yhat
-	if u < 0 {
-		return (tau - 1) * u // = (1-tau)*(yhat-y), positive
-	}
-	return tau * u
-}
-
-// PinballGrad is d PinballLoss / d yhat.
+// PinballGrad is d metrics.Pinball / d yhat.
 func PinballGrad(tau, y, yhat float64) float64 {
 	if y < yhat {
 		return 1 - tau

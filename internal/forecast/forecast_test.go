@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"robustscale/internal/metrics"
 	"robustscale/internal/timeseries"
 )
 
@@ -70,14 +71,14 @@ func TestQuantileForecastValidate(t *testing.T) {
 
 func TestPinballLoss(t *testing.T) {
 	// Overestimate (y < yhat): loss = (1 - tau) * (yhat - y).
-	if got := PinballLoss(0.9, 10, 14); !almost(got, 0.1*4, 1e-12) {
+	if got := metrics.Pinball(0.9, 10, 14); !almost(got, 0.1*4, 1e-12) {
 		t.Errorf("overestimate loss = %v", got)
 	}
 	// Underestimate (y > yhat): loss = tau * (y - yhat).
-	if got := PinballLoss(0.9, 14, 10); !almost(got, 0.9*4, 1e-12) {
+	if got := metrics.Pinball(0.9, 14, 10); !almost(got, 0.9*4, 1e-12) {
 		t.Errorf("underestimate loss = %v", got)
 	}
-	if got := PinballLoss(0.5, 7, 7); got != 0 {
+	if got := metrics.Pinball(0.5, 7, 7); got != 0 {
 		t.Errorf("exact loss = %v", got)
 	}
 }
@@ -88,7 +89,7 @@ func TestPinballLossNonNegativeProperty(t *testing.T) {
 			return true
 		}
 		tau := 0.05 + 0.9*float64(tauSeed)/255
-		return PinballLoss(tau, y, yhat) >= 0
+		return metrics.Pinball(tau, y, yhat) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -100,7 +101,7 @@ func TestPinballGradMatchesLoss(t *testing.T) {
 	for _, tau := range []float64{0.1, 0.5, 0.9} {
 		for _, pair := range [][2]float64{{3, 5}, {5, 3}} {
 			y, yhat := pair[0], pair[1]
-			numeric := (PinballLoss(tau, y, yhat+eps) - PinballLoss(tau, y, yhat-eps)) / (2 * eps)
+			numeric := (metrics.Pinball(tau, y, yhat+eps) - metrics.Pinball(tau, y, yhat-eps)) / (2 * eps)
 			if got := PinballGrad(tau, y, yhat); !almost(got, numeric, 1e-6) {
 				t.Errorf("tau=%v y=%v yhat=%v: grad %v vs numeric %v", tau, y, yhat, got, numeric)
 			}

@@ -3,6 +3,7 @@ package forecast
 import (
 	"fmt"
 
+	"robustscale/internal/metrics"
 	"robustscale/internal/timeseries"
 )
 
@@ -66,7 +67,7 @@ func rollingQuantileScore(model QuantileForecaster, train, val *timeseries.Serie
 		for t := 0; t < h; t++ {
 			y := full.At(origin + t)
 			for i, tau := range levels {
-				lossSum += PinballLoss(tau, y, f.Values[t][i])
+				lossSum += metrics.Pinball(tau, y, f.Values[t][i])
 			}
 			targetSum += y
 		}

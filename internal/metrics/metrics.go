@@ -18,12 +18,16 @@ func QuantileLoss(tau float64, actual, predicted []float64) (float64, error) {
 	}
 	total := 0.0
 	for i, y := range actual {
-		total += pinball(tau, y, predicted[i])
+		total += Pinball(tau, y, predicted[i])
 	}
 	return total, nil
 }
 
-func pinball(tau, y, yhat float64) float64 {
+// Pinball is the quantile (pinball) loss rho_tau(y, yhat) of Equation 1:
+// tau*(y - yhat) when the forecast is under y, (1 - tau)*(yhat - y) when
+// it is over. Kept small enough to inline into the fleet's per-step
+// calibration fold.
+func Pinball(tau, y, yhat float64) float64 {
 	u := y - yhat
 	if u < 0 {
 		return (tau - 1) * u
@@ -117,7 +121,7 @@ func Uncertainty(levels []float64, quantiles []float64, median float64) (float64
 	}
 	u := 0.0
 	for i, tau := range levels {
-		u += pinball(tau, median, quantiles[i])
+		u += Pinball(tau, median, quantiles[i])
 	}
 	return u, nil
 }
