@@ -3,8 +3,11 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"robustscale/internal/timeseries"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -236,24 +239,8 @@ func TestSoftplus(t *testing.T) {
 	}
 }
 
-func TestSortedQuantile(t *testing.T) {
-	sorted := SortInPlace([]float64{5, 1, 3, 2, 4})
-	if got := SortedQuantile(sorted, 0); got != 1 {
-		t.Errorf("Q(0) = %v", got)
-	}
-	if got := SortedQuantile(sorted, 1); got != 5 {
-		t.Errorf("Q(1) = %v", got)
-	}
-	if got := SortedQuantile(sorted, 0.5); got != 3 {
-		t.Errorf("Q(0.5) = %v", got)
-	}
-	if got := SortedQuantile(sorted, 0.25); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("Q(0.25) = %v", got)
-	}
-}
-
 func TestSortedMean(t *testing.T) {
-	if got := SortedMean(SortInPlace([]float64{6, 2, 4})); got != 4 || !math.IsNaN(SortedMean(nil)) {
+	if got := SortedMean([]float64{2, 4, 6}); got != 4 || !math.IsNaN(SortedMean(nil)) {
 		t.Errorf("SortedMean = %v, and NaN for no samples", got)
 	}
 }
@@ -265,9 +252,9 @@ func TestSortedQuantileMatchesGaussian(t *testing.T) {
 	for i := range samples {
 		samples[i] = n.Sample(rng)
 	}
-	sorted := SortInPlace(samples)
+	sort.Float64s(samples)
 	for _, p := range []float64{0.1, 0.5, 0.9} {
-		if got := SortedQuantile(sorted, p); !almostEqual(got, n.Quantile(p), 0.02) {
+		if got := timeseries.InterpolatedQuantile(samples, p); !almostEqual(got, n.Quantile(p), 0.02) {
 			t.Errorf("p=%v: sample %v vs exact %v", p, got, n.Quantile(p))
 		}
 	}

@@ -431,7 +431,7 @@ func (a *ARIMA) PredictQuantilesWarm(history *timeseries.Series, h int, levels [
 	// reused tails instead of cloning the full arrays.
 	aw.pTail = append(aw.pTail[:0], aw.w[wl-a.P:]...)
 	aw.qTail = append(aw.qTail[:0], aw.eps[wl-a.Q:]...)
-	aw.meansDiff = resizeFloats(aw.meansDiff, h)
+	aw.meansDiff = resize(aw.meansDiff, h)
 	for k := 0; k < h; k++ {
 		pred := a.constant
 		np, nq := len(aw.pTail), len(aw.qTail)
@@ -451,7 +451,7 @@ func (a *ARIMA) PredictQuantilesWarm(history *timeseries.Series, h int, levels [
 		aw.psi = a.psiWeights(h)
 	}
 	psi := aw.psi[:h]
-	aw.varDiff = resizeFloats(aw.varDiff, h)
+	aw.varDiff = resize(aw.varDiff, h)
 	acc := 0.0
 	for k := 0; k < h; k++ {
 		acc += psi[k] * psi[k]

@@ -115,24 +115,6 @@ func (c *Conformal) Fit(train *timeseries.Series) error {
 	return nil
 }
 
-// offsetAt interpolates the calibrated offset for an arbitrary level.
-func (c *Conformal) offsetAt(tau float64) float64 {
-	levels := c.Levels
-	if tau <= levels[0] {
-		return c.offsets[0]
-	}
-	if tau >= levels[len(levels)-1] {
-		return c.offsets[len(levels)-1]
-	}
-	i := sort.SearchFloat64s(levels, tau)
-	if levels[i] == tau {
-		return c.offsets[i]
-	}
-	lo, hi := i-1, i
-	frac := (tau - levels[lo]) / (levels[hi] - levels[lo])
-	return c.offsets[lo]*(1-frac) + c.offsets[hi]*frac
-}
-
 // Predict implements Forecaster: the base mean is left unadjusted.
 func (c *Conformal) Predict(history *timeseries.Series, h int) ([]float64, error) {
 	if !c.fitted {
@@ -163,7 +145,7 @@ func (c *Conformal) PredictQuantiles(history *timeseries.Series, h int, levels [
 	for t := 0; t < h; t++ {
 		row := make([]float64, len(levels))
 		for i, tau := range levels {
-			row[i] = f.Values[t][i] + c.offsetAt(tau)
+			row[i] = f.Values[t][i] + quantileAt(c.Levels, c.offsets, tau)
 		}
 		out.Values[t] = row
 	}
@@ -199,9 +181,9 @@ func (c *Conformal) PredictQuantilesWarm(history *timeseries.Series, h int, leve
 		return nil, err
 	}
 	if len(w.offLv) != len(lv) || (len(lv) > 0 && &w.offLv[0] != &lv[0]) {
-		w.offs = resizeFloats(w.offs, len(lv))
+		w.offs = resize(w.offs, len(lv))
 		for i, tau := range lv {
-			w.offs[i] = c.offsetAt(tau)
+			w.offs[i] = quantileAt(c.Levels, c.offsets, tau)
 		}
 		w.offLv = lv
 	}

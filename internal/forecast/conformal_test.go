@@ -110,8 +110,8 @@ func TestConformalInterpolatesOffsets(t *testing.T) {
 	}
 	// A level between the calibrated grid points interpolates between
 	// their offsets.
-	mid := c.offsetAt(0.7)
-	lo, hi := c.offsetAt(0.5), c.offsetAt(0.9)
+	mid := quantileAt(c.Levels, c.offsets, 0.7)
+	lo, hi := quantileAt(c.Levels, c.offsets, 0.5), quantileAt(c.Levels, c.offsets, 0.9)
 	if lo > hi {
 		lo, hi = hi, lo
 	}
@@ -119,7 +119,7 @@ func TestConformalInterpolatesOffsets(t *testing.T) {
 		t.Errorf("offset(0.7) = %v outside [%v, %v]", mid, lo, hi)
 	}
 	// Outside the grid clamps.
-	if c.offsetAt(0.99) != c.offsetAt(0.9) {
+	if quantileAt(c.Levels, c.offsets, 0.99) != quantileAt(c.Levels, c.offsets, 0.9) {
 		t.Errorf("offset above grid should clamp")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"time"
 
 	"robustscale/internal/dist"
@@ -460,16 +461,16 @@ func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, 
 }
 
 // assemble turns the sample matrix into the fan: each row is sorted in
-// place and reduced to its mean and the requested quantiles, denormalized.
-// The in-place helpers sum the mean in sorted order, without a per-step
-// copy.
+// place, without a per-step copy (the next round redraws every slot), and
+// reduced to its mean and the requested quantiles, denormalized. The mean
+// sums in sorted order, so it does not depend on how the paths were drawn.
 func (d *DeepAR) assemble(f *QuantileForecast, samples [][]float64) {
-	for t := range samples {
-		sorted := dist.SortInPlace(samples[t])
+	for t, sorted := range samples {
+		sort.Float64s(sorted)
 		f.Mean[t] = d.scaler.InverseOne(dist.SortedMean(sorted))
 		row := f.Values[t]
 		for i, tau := range f.Levels {
-			row[i] = d.scaler.InverseOne(dist.SortedQuantile(sorted, tau))
+			row[i] = d.scaler.InverseOne(timeseries.InterpolatedQuantile(sorted, tau))
 		}
 	}
 }
@@ -559,7 +560,7 @@ func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels 
 	paths := d.cfg.Samples
 	w.samples = resize(w.samples, h)
 	for t := range w.samples {
-		w.samples[t] = resizeFloats(w.samples[t], paths)
+		w.samples[t] = resize(w.samples[t], paths)
 	}
 	workers := 1
 	if h > 1 {
@@ -570,7 +571,7 @@ func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels 
 	}
 	w.rngs = growPathRands(w.rngs, workers*sampleBlock)
 	state0 := nn.LSTMState{H: w.state.H, C: w.state.C}
-	w.feats = resizeFloats(w.feats, (h-1)*timeFeatureDim)
+	w.feats = resize(w.feats, (h-1)*timeFeatureDim)
 	d.sample(history, h, state0, emit0, w.samples, w.feats, w.scratches[:workers], w.rngs)
 
 	w.fan = reuseFan(w.fan, h, lv)

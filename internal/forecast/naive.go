@@ -49,7 +49,7 @@ func (w *offsetWarm) rows(h int, lv []float64, quantile func(k int, tau float64)
 		w.offs = make([][]float64, h)
 	}
 	for k := 0; k < h; k++ {
-		w.offs[k] = resizeFloats(w.offs[k], len(lv))
+		w.offs[k] = resize(w.offs[k], len(lv))
 		for i, tau := range lv {
 			w.offs[k][i] = quantile(k, tau)
 		}

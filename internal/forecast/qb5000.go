@@ -364,13 +364,13 @@ func (q *QB5000) PredictWarm(history *timeseries.Series, h int) ([]float64, erro
 	w := &q.warm
 
 	// Fixed-length normalized tail for the linear and kernel components.
-	w.normBuf = resizeFloats(w.normBuf, q.cfg.Context)
+	w.normBuf = resize(w.normBuf, q.cfg.Context)
 	for i := range w.normBuf {
 		w.normBuf[i] = q.scaler.TransformOne(history.At(n - q.cfg.Context + i))
 	}
-	w.lin = q.predictLinear(w.normBuf, h, resizeFloats(w.lin, h))
-	w.weights = resizeFloats(w.weights, len(q.kernelX))
-	w.ker = q.predictKernel(w.normBuf, h, resizeFloats(w.ker, h), w.weights)
+	w.lin = q.predictLinear(w.normBuf, h, resize(w.lin, h))
+	w.weights = resize(w.weights, len(q.kernelX))
+	w.ker = q.predictKernel(w.normBuf, h, resize(w.ker, h), w.weights)
 
 	// Recurrent component: advance the cached state along the anchored grid,
 	// or rebuild from the anchor on any discontinuity.
@@ -396,9 +396,9 @@ func (q *QB5000) PredictWarm(history *timeseries.Series, h int) ([]float64, erro
 	w.valid = true
 
 	// Decode from a scratch copy so the owned state stays pre-decode.
-	w.rec = q.decodeLSTM(sc, nn.LSTMState{H: w.state.H, C: w.state.C}, history, h, resizeFloats(w.rec, h))
+	w.rec = q.decodeLSTM(sc, nn.LSTMState{H: w.state.H, C: w.state.C}, history, h, resize(w.rec, h))
 
-	w.out = resizeFloats(w.out, h)
+	w.out = resize(w.out, h)
 	for t := 0; t < h; t++ {
 		w.out[t] = q.scaler.InverseOne((w.lin[t] + w.ker[t] + w.rec[t]) / 3)
 	}

@@ -125,9 +125,6 @@ func resize[E any](dst []E, n int) []E {
 	return make([]E, n)
 }
 
-// resizeFloats is resize for float64 slices.
-func resizeFloats(dst []float64, n int) []float64 { return resize(dst, n) }
-
 // warmResetAll forwards WarmReset to any forecaster that has one; it is
 // the hook wrappers and strategies use without caring which concrete
 // forecaster they hold.
