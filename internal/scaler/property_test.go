@@ -2,8 +2,12 @@ package scaler
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"robustscale/internal/forecast"
+	"robustscale/internal/timeseries"
 )
 
 // TestRobustMonotoneInTauProperty: a more conservative quantile level
@@ -34,6 +38,62 @@ func TestRobustMonotoneInTauProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestRobustPlanMonotoneInTau runs Robust over the fans of fitted naive
+// and seasonal-naive models at several origins: raising tau through the
+// scaling levels never lowers the plan at any step.
+func TestRobustPlanMonotoneInTau(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	vals := make([]float64, 600)
+	for i := range vals {
+		vals[i] = 60 + 25*math.Sin(2*math.Pi*float64(i)/144) + 8*rng.NormFloat64()
+	}
+	s := series(vals...)
+	const h = 12
+	for _, f := range []forecast.QuantileForecaster{forecast.NewNaive(h), forecast.NewSeasonalNaive(144)} {
+		if err := f.Fit(s.Slice(0, 400)); err != nil {
+			t.Fatal(err)
+		}
+		for origin := 400; origin+h <= s.Len(); origin += 37 {
+			history := s.Slice(0, origin)
+			var lo, prev []int
+			for _, tau := range []float64{0.5, 0.7, 0.9, 0.95, 0.99} {
+				plan := robustPlan(t, f, tau, history, h)
+				for i := range prev {
+					if plan[i] < prev[i] {
+						t.Errorf("%s origin %d step %d: tau %v plans %d nodes, below the previous level's %d",
+							f.Name(), origin, i, tau, plan[i], prev[i])
+					}
+				}
+				if lo == nil {
+					lo = plan
+				}
+				prev = plan
+			}
+			if sum(prev) <= sum(lo) {
+				t.Errorf("%s origin %d: tau 0.99 plans %d node-steps, tau 0.5 %d; the fan has no spread to test",
+					f.Name(), origin, sum(prev), sum(lo))
+			}
+		}
+	}
+}
+
+func robustPlan(t *testing.T, f forecast.QuantileForecaster, tau float64, history *timeseries.Series, h int) []int {
+	t.Helper()
+	plan, err := PlanRound(&Robust{Forecaster: f, Tau: tau, Theta: 10}, history, h, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+func sum(xs []int) int {
+	total := 0
+	for _, x := range xs {
+		total += x
+	}
+	return total
 }
 
 // TestAdaptiveBoundedByEndpointsProperty: the adaptive plan never leaves
