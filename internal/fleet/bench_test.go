@@ -94,6 +94,31 @@ func BenchmarkFleetRun(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetNew is a cold fleet build: New for a 64-tenant
+// seasonal-naive fleet at 16 days, one worker per P, no state dir —
+// every tenant's trace generated, its forecaster fit and its strategy
+// built. It reports ns and allocs per tenant, so `go test -bench
+// FleetNew -cpu 1` compares builds of any size.
+func BenchmarkFleetNew(b *testing.B) {
+	const tenants = 64
+	cfg := DefaultConfig(tenants)
+	cfg.Days = 16
+	cfg.Workers = runtime.GOMAXPROCS(0)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	n := float64(b.N * tenants)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/tenant")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/tenant")
+}
+
 // BenchmarkTenantCheckpoint is what one tenant pays per checkpointed
 // round before anything reaches a disk: every component's Save and the
 // Extra section into the pooled buffer.
