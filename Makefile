@@ -63,7 +63,8 @@ bench-check:
 # fuzz build's coverage counters change which payload NaN+NaN keeps, and
 # TestMulVecIntoBitIdentical compares NaN payloads exactly. The next holds
 # the trace generator's ramp power to math.Pow's bits on any x in [0, 1]
-# and exponent in (0, 1]. The next feeds arbitrary bytes to the trace CSV
+# and exponent in (0, 1]. The next holds its diurnal shape, computed a
+# block of steps at a time, to the one-step shape's bits. The next feeds arbitrary bytes to the trace CSV
 # reader: each input errors or yields finite values on a regular time
 # grid. The next runs the worker pool's dispatchers on
 # arbitrary task and worker counts: every index once, every worker id in
@@ -86,6 +87,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScheduleMatchesLegacy -fuzztime=10s -fuzzminimizetime=1s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz=FuzzTrainingKernels -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
 	$(GO) test -run '^$$' -fuzz=FuzzRampPow -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
+	$(GO) test -run '^$$' -fuzz=FuzzDiurnalBlock -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzReadCSV -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzForEachWorker -fuzztime=10s -fuzzminimizetime=1s ./internal/parallel
 	$(GO) test -run '^$$' -fuzz=FuzzLoadModel -fuzztime=10s -fuzzminimizetime=1s ./internal/forecast
