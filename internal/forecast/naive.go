@@ -78,9 +78,12 @@ func (n *Naive) Fit(train *timeseries.Series) error {
 	}
 	n.WarmReset()
 	n.residuals = make([][]float64, n.horizon)
-	stride := 1
-	if avail := train.Len() - n.horizon; n.MaxResiduals > 0 && avail > n.MaxResiduals {
+	avail, stride := train.Len()-n.horizon, 1
+	if n.MaxResiduals > 0 && avail > n.MaxResiduals {
 		stride = (avail + n.MaxResiduals - 1) / n.MaxResiduals
+	}
+	for k := range n.residuals {
+		n.residuals[k] = make([]float64, 0, (avail+stride-1)/stride)
 	}
 	for t := 0; t+n.horizon < train.Len(); t += stride {
 		for k := 0; k < n.horizon; k++ {
@@ -208,11 +211,11 @@ func (s *SeasonalNaive) Fit(train *timeseries.Series) error {
 		return ErrShortHistory
 	}
 	s.WarmReset()
-	s.residuals = nil
-	stride := 1
-	if avail := train.Len() - s.Period; s.MaxResiduals > 0 && avail > s.MaxResiduals {
+	avail, stride := train.Len()-s.Period, 1
+	if s.MaxResiduals > 0 && avail > s.MaxResiduals {
 		stride = (avail + s.MaxResiduals - 1) / s.MaxResiduals
 	}
+	s.residuals = make([]float64, 0, (avail+stride-1)/stride)
 	for t := s.Period; t < train.Len(); t += stride {
 		s.residuals = append(s.residuals, train.At(t)-train.At(t-s.Period))
 	}

@@ -152,3 +152,33 @@ func TestSeasonalNaiveErrors(t *testing.T) {
 		t.Error("zero horizon should fail")
 	}
 }
+
+// TestResidualPoolsSizedExactly holds every residual pool Fit keeps to
+// its length, with and without the MaxResiduals stride, so a fleet of
+// fitted baselines retains no append slack.
+func TestResidualPoolsSizedExactly(t *testing.T) {
+	s := sineSeries(2304, 144, 100, 10)
+	for _, maxRes := range []int{0, 7, 100, 4096} {
+		for _, n := range []int{200, 300, 2304} {
+			train := s.Slice(0, n)
+			sn := NewSeasonalNaive(144)
+			sn.MaxResiduals = maxRes
+			if err := sn.Fit(train); err != nil {
+				t.Fatal(err)
+			}
+			if len(sn.residuals) != cap(sn.residuals) {
+				t.Errorf("seasonal-naive max %d, n %d: %d residuals in cap %d", maxRes, n, len(sn.residuals), cap(sn.residuals))
+			}
+			nv := NewNaive(12)
+			nv.MaxResiduals = maxRes
+			if err := nv.Fit(train); err != nil {
+				t.Fatal(err)
+			}
+			for k, pool := range nv.residuals {
+				if len(pool) != cap(pool) {
+					t.Errorf("naive max %d, n %d, lead %d: %d residuals in cap %d", maxRes, n, k, len(pool), cap(pool))
+				}
+			}
+		}
+	}
+}
