@@ -1,6 +1,9 @@
 package fleet
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // PriorityClass ranks tenants for admission control: when aggregate
 // demand exceeds the shared pool, lower classes shed first and a higher
@@ -64,10 +67,13 @@ const maxDemand = 1 << 30
 // demand*target/classTotal, with the leftover nodes going to the largest
 // fractional remainders (ties to the lower index), so the split is a
 // pure function of the inputs.
+//
+// out keeps 2n ints past its length as the split's scratch, so a caller
+// that passes the last result back allocates nothing.
 func admitStep(demands []int, classes []PriorityClass, capacity int, out []int) []int {
 	n := len(demands)
-	if cap(out) < n {
-		out = make([]int, n)
+	if cap(out) < 3*n {
+		out = make([]int, n, 3*n)
 	}
 	out = out[:n]
 	capacity = min(max(capacity, 0), maxDemand)
@@ -106,11 +112,8 @@ func admitStep(demands []int, classes []PriorityClass, capacity int, out []int) 
 		// Partial shed: largest-remainder proportional split to the
 		// reduced class total.
 		target := classTotal - shed
-		type member struct {
-			index int
-			rem   int64
-		}
-		var members []member
+		// rems[i] is member i's remainder; members lists them in grant order.
+		rems, members := out[n:2*n], out[2*n:2*n]
 		granted := 0
 		for i := range out {
 			if classes[i] != class || out[i] == 0 {
@@ -120,16 +123,14 @@ func admitStep(demands []int, classes []PriorityClass, capacity int, out []int) 
 			floor := int(num / int64(classTotal))
 			out[i] = floor
 			granted += floor
-			members = append(members, member{index: i, rem: num % int64(classTotal)})
+			rems[i] = int(num % int64(classTotal))
+			members = append(members, i)
 		}
-		sort.SliceStable(members, func(a, b int) bool {
-			if members[a].rem != members[b].rem {
-				return members[a].rem > members[b].rem
-			}
-			return members[a].index < members[b].index
+		slices.SortFunc(members, func(a, b int) int {
+			return cmp.Or(cmp.Compare(rems[b], rems[a]), cmp.Compare(a, b))
 		})
 		for k := 0; granted < target && k < len(members); k++ {
-			out[members[k].index]++
+			out[members[k]]++
 			granted++
 		}
 		shed = 0
