@@ -208,14 +208,10 @@ func CorruptTelemetry(s *timeseries.Series, sched *Schedule, step int) *timeseri
 	if sched == nil || s == nil || s.Len() == 0 {
 		return s
 	}
-	type tailFault struct {
-		class Class
-		ev    Event
-	}
-	var active []tailFault
+	var active []Event
 	for _, class := range []Class{TelemetryStale, TelemetryDropout, TelemetryDuplicate} {
 		if e, ok := sched.ActiveAt(step, class); ok {
-			active = append(active, tailFault{class, e})
+			active = append(active, e)
 		}
 	}
 	if len(active) == 0 {
@@ -223,10 +219,10 @@ func CorruptTelemetry(s *timeseries.Series, sched *Schedule, step int) *timeseri
 	}
 	out := s.Clone()
 	n := out.Len()
-	for _, f := range active {
-		CountInjected(f.class)
-		k := min(f.ev.span(), n)
-		switch f.class {
+	for _, e := range active {
+		CountInjected(e.Class)
+		k := min(max(e.Size, 1), n)
+		switch e.Class {
 		case TelemetryStale:
 			frozen := out.Values[n-k]
 			for i := n - k; i < n; i++ {
