@@ -14,11 +14,12 @@ vet:
 
 # RACE_PKGS are the packages with real concurrency (worker pools,
 # gradient replicas, the shared model zoo, the circuit breaker, the
-# chaos cursor and the fleet controller's batched planning); the default
+# chaos cursor, the trace generator's shared scratch and the fleet
+# controller's batched planning); the default
 # test target runs them under the race detector on top of the plain
 # suite. race-pkgs is the one place they run from: test, ci and the CI
 # workflow's race step all call it.
-RACE_PKGS = ./internal/parallel/... ./internal/nn/... ./internal/forecast/... ./internal/experiment/... ./internal/obs/... ./internal/scaler/... ./internal/chaos/... ./internal/cluster/... ./internal/persist/... ./internal/fleet/...
+RACE_PKGS = ./internal/parallel/... ./internal/nn/... ./internal/forecast/... ./internal/experiment/... ./internal/obs/... ./internal/scaler/... ./internal/chaos/... ./internal/cluster/... ./internal/persist/... ./internal/fleet/... ./internal/trace/...
 
 test:
 	$(GO) test ./...
