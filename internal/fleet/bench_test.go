@@ -97,8 +97,8 @@ func BenchmarkFleetRun(b *testing.B) {
 // BenchmarkFleetNew is a cold fleet build: New for a 64-tenant
 // seasonal-naive fleet at 16 days, one worker per P, no state dir —
 // every tenant's trace generated, its forecaster fit and its strategy
-// built. It reports ns and allocs per tenant, so `go test -bench
-// FleetNew -cpu 1` compares builds of any size.
+// built. It reports ns, allocs and allocated bytes per tenant, so `go
+// test -bench FleetNew -cpu 1` compares builds of any size.
 func BenchmarkFleetNew(b *testing.B) {
 	const tenants = 64
 	cfg := DefaultConfig(tenants)
@@ -117,6 +117,48 @@ func BenchmarkFleetNew(b *testing.B) {
 	n := float64(b.N * tenants)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/tenant")
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/tenant")
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/n, "B/tenant")
+}
+
+// raceDetector reports a -race build (see race_test.go).
+var raceDetector bool
+
+// TestFleetNewAllocatesWhatItKeeps holds a cold build of BenchmarkFleetNew's
+// fleet to at most 1.15 times the heap it leaves live: a tenant's build
+// allocates what the tenant keeps (its series, residual pool and state),
+// and little garbage beside it, which would set the GC goal and with it
+// the build's peak RSS. One P keeps every worker on the Pool shard the
+// warm-up left trace scratch in.
+func TestFleetNewAllocatesWhatItKeeps(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const tenants = 64
+	cfg := DefaultConfig(tenants)
+	cfg.Days = 16
+	if _, err := New(cfg); err != nil { // warm-up: pooled scratch and instruments
+		t.Fatal(err)
+	}
+	var m0, m1, m2 runtime.MemStats
+	runtime.GC() // the second collection frees what Pool victims kept
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m2)
+	runtime.KeepAlive(c)
+	allocated, live := float64(m1.TotalAlloc-m0.TotalAlloc), float64(m2.HeapAlloc)-float64(m0.HeapAlloc)
+	ratio := allocated / live
+	t.Logf("New allocated %.0f B per tenant to keep %.0f B: %.2fx", allocated/tenants, live/tenants, ratio)
+	if ratio > 1.15 {
+		t.Errorf("allocated %.2fx the live heap, want at most 1.15x", ratio)
+	}
 }
 
 // BenchmarkTenantCheckpoint is what one tenant pays per checkpointed
