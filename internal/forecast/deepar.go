@@ -134,6 +134,7 @@ func (d *DeepAR) build() {
 func (d *DeepAR) Fit(train *timeseries.Series) error {
 	d.WarmReset() // new weights invalidate any cached recurrent state
 	d.build()
+	defer d.params.ReleaseGrads() // a fitted model keeps only its weights
 	d.scaler.Fit(train.Values)
 
 	windows, err := trainingWindows(train, d.cfg.Context, d.cfg.TrainHorizon, d.cfg.MaxWindows)

@@ -75,6 +75,7 @@ func (m *MLP) FitHorizon(train *timeseries.Series, h int) error {
 		return fmt.Errorf("forecast: mlp needs a positive horizon, got %d", h)
 	}
 	m.build(h)
+	defer m.params.ReleaseGrads() // a fitted model keeps only its weights
 	m.scaler.Fit(train.Values)
 	windows, err := trainingWindows(train, m.cfg.Context, h, m.cfg.MaxWindows)
 	if err != nil {

@@ -63,6 +63,7 @@ func (m *QuantileMLP) FitHorizon(train *timeseries.Series, h int) error {
 	}
 	m.Levels = levels
 	m.build(h)
+	defer m.params.ReleaseGrads() // a fitted model keeps only its weights
 	m.scaler.Fit(train.Values)
 
 	windows, err := trainingWindows(train, m.cfg.Context, h, m.cfg.MaxWindows)

@@ -185,6 +185,7 @@ func (q *QB5000) buildLSTM() {
 // fitLSTM trains the recurrent component with teacher forcing and MSE.
 func (q *QB5000) fitLSTM(train *timeseries.Series, windows []timeseries.Window) {
 	q.buildLSTM()
+	defer q.params.ReleaseGrads() // a fitted model keeps only its weights
 	rng := rand.New(rand.NewSource(q.cfg.Seed))
 	opt := nn.NewAdam(q.cfg.LR)
 

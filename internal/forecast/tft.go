@@ -187,6 +187,7 @@ func (m *TFT) Fit(train *timeseries.Series) error {
 	if err := m.build(); err != nil {
 		return err
 	}
+	defer m.params.ReleaseGrads() // a fitted model keeps only its weights
 	m.scaler.Fit(train.Values)
 	windows, err := trainingWindows(train, m.cfg.Context, m.cfg.TrainHorizon, m.cfg.MaxWindows)
 	if err != nil {

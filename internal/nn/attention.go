@@ -133,8 +133,9 @@ func (a *Attention) Backward(c *AttnCache, dOut Mat) Mat {
 	// Projections: q = x Wq^T, so dWq = dQ^T x and dx += dQ Wq.
 	accumProj := func(w *Param, dProj Mat) {
 		g := MatMulAT(dProj, c.x)
+		dw := w.grad().Data
 		for i := range g.Data {
-			w.Grad.Data[i] += g.Data[i]
+			dw[i] += g.Data[i]
 		}
 	}
 	accumProj(a.Wq, dQ)

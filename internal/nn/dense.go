@@ -70,9 +70,10 @@ func (d *Dense) Backward(c *DenseCache, dy []float64) []float64 {
 // BackwardScratch is Backward with the input gradient drawn from the
 // arena.
 func (d *Dense) BackwardScratch(s *Scratch, c *DenseCache, dy []float64) []float64 {
-	d.W.Grad.AddOuter(dy, c.x)
+	d.W.grad().AddOuter(dy, c.x)
+	db := d.B.grad().Data
 	for i, g := range dy {
-		d.B.Grad.Data[i] += g
+		db[i] += g
 	}
 	return d.W.Value.MulVecTInto(dy, s.Vec(d.In))
 }

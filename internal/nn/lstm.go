@@ -181,10 +181,11 @@ func (c *LSTMCell) StepBackwardScratch(s *Scratch, cache *LSTMCache, dh, dc []fl
 		dPre[3*h+j] = do * cache.o[j] * (1 - cache.o[j])
 	}
 
-	c.Wx.Grad.AddOuter(dPre, cache.x)
-	c.Wh.Grad.AddOuter(dPre, cache.hPrev)
+	c.Wx.grad().AddOuter(dPre, cache.x)
+	c.Wh.grad().AddOuter(dPre, cache.hPrev)
+	db := c.B.grad().Data
 	for i, g := range dPre {
-		c.B.Grad.Data[i] += g
+		db[i] += g
 	}
 
 	dx = c.Wx.Value.MulVecTInto(dPre, s.Vec(c.InSize))

@@ -365,16 +365,29 @@ func matMulBTInto(out, a, b Mat) {
 	}
 }
 
-// Param is a trainable tensor with its gradient accumulator.
+// Param is a trainable tensor with its gradient accumulator. Grad is
+// empty until a training pass needs it (ZeroGrads or a backward pass
+// allocates it) and ReleaseGrads empties it again, so a model that only
+// serves forecasts holds its weights and nothing else.
 type Param struct {
 	Name  string
 	Value Mat
 	Grad  Mat
 }
 
-// NewParam allocates a named parameter of the given shape with zero values.
+// NewParam allocates a named parameter of the given shape with zero values
+// and no gradient buffer.
 func NewParam(name string, rows, cols int) *Param {
-	return &Param{Name: name, Value: NewMat(rows, cols), Grad: NewMat(rows, cols)}
+	return &Param{Name: name, Value: NewMat(rows, cols)}
+}
+
+// grad returns the gradient accumulator, allocating a zero one shaped like
+// Value if the parameter has none. Every backward pass reaches Grad here.
+func (p *Param) grad() *Mat {
+	if p.Grad.Data == nil {
+		p.Grad = NewMat(p.Value.Rows, p.Value.Cols)
+	}
+	return &p.Grad
 }
 
 // InitXavier fills the parameter with Glorot-uniform noise scaled by fan-in
@@ -389,10 +402,19 @@ func (p *Param) InitXavier(rng *rand.Rand) {
 // Params is a collection of trainable parameters.
 type Params []*Param
 
-// ZeroGrads clears all gradient accumulators.
+// ZeroGrads clears all gradient accumulators, allocating any that are
+// missing.
 func (ps Params) ZeroGrads() {
 	for _, p := range ps {
-		p.Grad.Zero()
+		p.grad().Zero()
+	}
+}
+
+// ReleaseGrads drops every gradient accumulator; the next ZeroGrads or
+// backward pass allocates a zero one again.
+func (ps Params) ReleaseGrads() {
+	for _, p := range ps {
+		p.Grad = Mat{}
 	}
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -134,6 +135,7 @@ func TestXavierInitRange(t *testing.T) {
 
 func TestClipGradNorm(t *testing.T) {
 	p := NewParam("p", 1, 2)
+	Params{p}.ZeroGrads() // a fresh parameter has no gradient buffer
 	p.Grad.Data[0] = 3
 	p.Grad.Data[1] = 4
 	ps := Params{p}
@@ -156,11 +158,53 @@ func TestParamsCountAndZero(t *testing.T) {
 	if ps.Count() != 10 {
 		t.Errorf("Count = %d", ps.Count())
 	}
+	ps.ZeroGrads() // a fresh parameter has no gradient buffer
 	ps[0].Grad.Data[0] = 5
 	ps.ZeroGrads()
 	if ps[0].Grad.Data[0] != 0 {
 		t.Error("ZeroGrads left residue")
 	}
+}
+
+// TestGradsLiveOnlyWhileTraining pins the gradient buffer's life: a new
+// parameter has none, ZeroGrads or a backward pass makes one, ReleaseGrads
+// drops it, and Adam refuses to step a parameter without one.
+func TestGradsLiveOnlyWhileTraining(t *testing.T) {
+	d := NewDense("d", 2, 3, rand.New(rand.NewSource(1)))
+	ps := d.Params()
+	held := func() (n int) {
+		for _, p := range ps {
+			if p.Grad.Data != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := held(); n != 0 {
+		t.Fatalf("a new layer holds %d gradient buffers", n)
+	}
+	_, c := d.Forward([]float64{1, 2})
+	d.Backward(c, []float64{1, 1, 1})
+	if n := held(); n != 2 || d.B.Grad.Data[0] != 1 {
+		t.Fatalf("after a backward pass: %d buffers, db[0] = %v", n, d.B.Grad.Data[0])
+	}
+	ps.ReleaseGrads()
+	if n := held(); n != 0 {
+		t.Fatalf("ReleaseGrads left %d gradient buffers", n)
+	}
+	ps.ZeroGrads()
+	if n := held(); n != 2 || d.W.Grad.Rows != 3 || d.W.Grad.Cols != 2 {
+		t.Fatalf("ZeroGrads made %d buffers, W's %dx%d", n, d.W.Grad.Rows, d.W.Grad.Cols)
+	}
+	NewAdam(0.01).Step(ps)
+
+	ps.ReleaseGrads()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "d.W") {
+			t.Errorf("Adam.Step on a parameter without a gradient: recovered %v, want a panic naming d.W", r)
+		}
+	}()
+	NewAdam(0.01).Step(ps)
 }
 
 // Train a tiny dense network on a linear task and check the loss drops.

@@ -21,12 +21,16 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step applies one Adam update.
+// Step applies one Adam update. It panics on a parameter without a
+// gradient buffer: a step on it would be a step on no gradient at all.
 func (o *Adam) Step(params Params) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
 	for _, p := range params {
+		if p.Grad.Data == nil {
+			panic("nn: Adam.Step on " + p.Name + ", which has no gradient buffer (call Params.ZeroGrads before the backward pass)")
+		}
 		m, ok := o.m[p]
 		if !ok {
 			m = make([]float64, len(p.Value.Data))
