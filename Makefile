@@ -57,7 +57,9 @@ bench-check:
 # incremental checks must agree with a fresh guard's at every step. The
 # next drives the one Breaker beside the three machines it replaced, each
 # in its client's tick pattern: they must agree event for event. The next
-# adds random events to a chaos schedule and to the map-and-scan one it
+# loads arbitrary bytes as a guard blob and plans a failing round from each
+# one accepted: the fallback ladder must not panic. The next adds random
+# events to a chaos schedule and to the map-and-scan one it
 # replaced: every lookup must agree. The next runs the nn training kernels
 # on fuzzer-chosen shapes and values: every output must carry the bits of
 # the one-row reference loops. It runs no unit tests (-run '^$'): the
@@ -85,6 +87,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLoadComponent -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
 	$(GO) test -fuzz=FuzzGuardHistories -fuzztime=10s -fuzzminimizetime=1s ./internal/scaler
 	$(GO) test -fuzz=FuzzBreakerMatchesLegacy -fuzztime=10s -fuzzminimizetime=1s ./internal/scaler
+	$(GO) test -run '^$$' -fuzz=FuzzGuardLoad -fuzztime=10s -fuzzminimizetime=1s ./internal/scaler
 	$(GO) test -fuzz=FuzzScheduleMatchesLegacy -fuzztime=10s -fuzzminimizetime=1s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz=FuzzTrainingKernels -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
 	$(GO) test -run '^$$' -fuzz=FuzzRampPow -fuzztime=10s -fuzzminimizetime=1s ./internal/trace

@@ -75,13 +75,16 @@ func NewCalibration(levels []float64, window int) (*Calibration, error) {
 			return nil, fmt.Errorf("cluster: calibration level %v outside (0, 1)", tau)
 		}
 	}
+	// Levels, pinball sums, actuals and predictions share one array.
+	l := len(levels)
+	cells := make([]float64, 2*l+window*(l+1))
 	return &Calibration{
-		levels:  append([]float64(nil), levels...),
+		levels:  append(cells[:0:l], levels...),
 		window:  window,
-		actuals: make([]float64, window),
-		preds:   make([]float64, window*len(levels)),
-		covered: make([]int, len(levels)),
-		pinball: make([]float64, len(levels)),
+		pinball: cells[l : 2*l : 2*l],
+		actuals: cells[2*l : 2*l+window : 2*l+window],
+		preds:   cells[2*l+window:],
+		covered: make([]int, l),
 	}, nil
 }
 

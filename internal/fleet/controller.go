@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -15,6 +14,7 @@ import (
 	"robustscale/internal/scaler"
 	"robustscale/internal/timeseries"
 	"robustscale/internal/trace"
+	"robustscale/internal/wire"
 )
 
 // A serverless tenant's cold wake takes wakeSeconds fault-free, and each
@@ -146,8 +146,8 @@ func New(cfg Config) (*Controller, error) {
 		// The tracker rides tenant 0's checkpoint; a restored blob resumes
 		// the budget mid-window, a mismatched one starts fresh.
 		tenants[0].Sections = func(st *persist.State) { st.SLO = persist.Blob(c.slo.Save) }
-		if blob := tenants[0].sloBlob; len(blob) > 0 {
-			if err := c.slo.Load(bytes.NewReader(blob)); err != nil {
+		if blob := wire.Bytes(tenants[0].sloBlob); len(blob) > 0 {
+			if err := c.slo.Load(&blob); err != nil {
 				obs.DefaultJournal.RecordTenantAt(tenants[0].Now(), "", "slo",
 					fmt.Sprintf("SLO snapshot rejected, starting budget fresh: %v", err), nil)
 			}
@@ -159,6 +159,7 @@ func New(cfg Config) (*Controller, error) {
 			c.lastViol += int64(t.violations)
 		}
 	}
+	tenants[0].sloBlob = nil // a view of the segment image DropRecovered released
 	return c, nil
 }
 
@@ -326,7 +327,8 @@ func buildStrategy(cfg Config, t *Tenant, model []byte, rho float64) (scaler.Str
 	train := t.Series.Slice(0, t.TrainEnd)
 	qf, snapper := buildForecaster(cfg, t.Seed)
 	if model != nil {
-		if err := snapper.Load(bytes.NewReader(model)); err != nil {
+		blob := wire.Bytes(model)
+		if err := snapper.Load(&blob); err != nil {
 			return nil, nil, 0, fmt.Errorf("restoring %s from checkpoint: %w", qf.Name(), err)
 		}
 	} else if err := fitForecaster(cfg, qf, train); err != nil {

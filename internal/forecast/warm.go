@@ -102,16 +102,23 @@ func (c *levelsCache) get(levels []float64) ([]float64, error) {
 	return norm, nil
 }
 
-// reuseFan shapes a cached fan for (h, levels) without allocating when the
-// shape is unchanged. The forecast remains owned by the forecaster.
+// reuseFan shapes a cached fan, owned by the forecaster, for (h, levels):
+// it allocates only when the shape grows, and new rows share one array.
 func reuseFan(f *QuantileForecast, h int, levels []float64) *QuantileForecast {
 	if f == nil {
 		f = &QuantileForecast{}
 	}
 	f.Levels = levels
 	f.Values = resize(f.Values, h)
-	for t := range f.Values {
-		f.Values[t] = resize(f.Values[t], len(levels))
+	var cells []float64
+	for t, row := range f.Values {
+		if cap(row) < len(levels) {
+			if len(cells) == 0 {
+				cells = make([]float64, (h-t)*len(levels))
+			}
+			row, cells = cells[:len(levels):len(levels)], cells[len(levels):]
+		}
+		f.Values[t] = row[:len(levels)]
 	}
 	f.Mean = resize(f.Mean, h)
 	return f

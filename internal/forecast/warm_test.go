@@ -368,8 +368,8 @@ func TestTFTWarmRoundZeroAlloc(t *testing.T) {
 }
 
 // TestTFTPredictAllocs pins what one cold TFT predict allocates at a
-// fixed shape once its pass has grown: the normalized levels and the
-// returned fan (header, row spine, 12 rows, mean). The forward record,
+// fixed shape once its pass has grown: the returned fan's header, row
+// spine, one row block, mean, levels. The forward record,
 // the attention block's matrices and the trained grid all come from the
 // pooled pass.
 func TestTFTPredictAllocs(t *testing.T) {
@@ -389,7 +389,7 @@ func TestTFTPredictAllocs(t *testing.T) {
 		}
 	}
 	predict() // grow the arena
-	const want = 16
+	const want = 5
 	if got := testing.AllocsPerRun(20, predict); got != want {
 		t.Errorf("TFT predict allocates %v times, want %v", got, want)
 	}

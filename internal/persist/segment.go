@@ -153,8 +153,8 @@ func recoverTenant(segs []*segment, tenant string) (*State, RecoverInfo, error) 
 	return nil, info, nil
 }
 
-// DropRecovered releases the segments read for recovery once every
-// tenant has started.
+// DropRecovered releases the segments read for recovery, and the images
+// every recovered section views, once every tenant has started.
 func (s *SegmentStore) DropRecovered() { s.loaded = nil }
 
 // Commit publishes every record written since the last one, in index
@@ -330,8 +330,9 @@ func stateSizeBound(st *State) int {
 
 // decodeRecord is appendState's inverse over a payload that already
 // passed its length and CRC checks. Every length inside it is still
-// checked against the bytes present, and sections are copied out, so the
-// state does not pin the segment image it came from.
+// checked against the bytes present. Sections are read-only views of the
+// segment image, not copies: every component's Load copies what it keeps,
+// so nothing holds the image once DropRecovered has released it.
 func decodeRecord(payload []byte) (*State, error) {
 	r := wire.NewReader(payload)
 	st := &State{SavedAt: r.Time()}
@@ -345,7 +346,7 @@ func decodeRecord(payload []byte) (*State, error) {
 	st.ForecasterKind = string(r.Section())
 	for _, sec := range [...]*[]byte{&st.Forecaster, &st.Calibration, &st.Guard, &st.Breaker, &st.Journal, &st.Decisions, &st.SLO, &st.Extra} {
 		if raw := r.Section(); len(raw) > 0 {
-			*sec = append([]byte(nil), raw...)
+			*sec = raw
 		}
 	}
 	if err := r.Done(); err != nil {

@@ -35,19 +35,32 @@ func (g *Guard) Save(w io.Writer) error {
 }
 
 // Load restores the ladder position saved by Save into a freshly
-// configured guard, re-exporting the degradation-mode gauge.
+// configured guard, re-exporting the degradation-mode gauge. The retained
+// fan, carved from one array that storeLastGood then reuses, must pass
+// Validate with levels inside (0, 1), or planning from it could panic.
 func (g *Guard) Load(r io.Reader) error {
 	rd := wire.ReadFrom(r)
 	mode, reason, rounds := rd.Int(), string(rd.Section()), rd.Int()
-	fan := &forecast.QuantileForecast{Levels: rd.Floats(), Mean: rd.Floats(), Values: wire.List(&rd, 1, rd.Floats)}
+	buf := make([]float64, 0, rd.Len()/8) // room for every float left: no carve moves it
+	carve := func() []float64 {
+		at := len(buf)
+		buf = rd.FloatsTo(buf)
+		return buf[at:len(buf):len(buf)]
+	}
+	fan := &forecast.QuantileForecast{Levels: carve(), Mean: carve(), Values: wire.List(&rd, 1, carve)}
 	if err := rd.Done(); err != nil {
 		return fmt.Errorf("scaler: loading guard: %w", err)
 	}
 	if mode < int(ModeNormal) || mode > int(ModeReactive) {
 		return fmt.Errorf("scaler: guard snapshot has unknown mode %d", mode)
 	}
+	if l := fan.Levels; len(fan.Values) > 0 && (len(l) == 0 || !(l[0] > 0 && l[len(l)-1] < 1)) {
+		return fmt.Errorf("scaler: guard snapshot's last-good levels %v are not within (0, 1)", l)
+	} else if err := fan.Validate(); len(fan.Values) > 0 && err != nil {
+		return fmt.Errorf("scaler: guard snapshot's last-good fan: %w", err)
+	}
 	g.mode, g.lastReason, g.degradedRounds = DegradationMode(mode), reason, rounds
-	g.lastGoodFan = nil
+	g.lastGoodFan, g.lastGoodBuf = nil, buf
 	g.seen.Reset() // warm state is never restored, only rebuilt
 	if len(fan.Values) > 0 {
 		g.lastGoodFan = fan

@@ -2,6 +2,9 @@ package scaler
 
 import (
 	"bytes"
+	"encoding/hex"
+	"math"
+	"strings"
 	"testing"
 
 	"robustscale/internal/forecast"
@@ -61,6 +64,66 @@ func TestGuardLoadRejectsBadMode(t *testing.T) {
 	if g2.Mode() != ModeRepair {
 		t.Fatalf("mode = %v, want repair", g2.Mode())
 	}
+}
+
+// TestGuardLoadRejectsUnusableFan: a guard blob whose retained fan the
+// last-known-good rung cannot plan from is refused, with the offending
+// field named, so the next failing round falls to the reactive rung
+// instead of panicking in the fan's quantile lookup.
+func TestGuardLoadRejectsUnusableFan(t *testing.T) {
+	levels, mean := []float64{0.1, 0.5, 0.9}, []float64{10, 11}
+	rows := [][]float64{{8, 10, 12}, {9, 11, 13}}
+	for _, c := range []struct {
+		name, want string
+		fan        forecast.QuantileForecast
+	}{
+		{"no levels", "levels", forecast.QuantileForecast{Mean: mean, Values: [][]float64{{}, {}}}},
+		{"rows but no levels", "levels", forecast.QuantileForecast{Mean: mean, Values: rows}},
+		{"unsorted levels", "levels", forecast.QuantileForecast{Levels: []float64{0.9, 0.5, 0.1}, Mean: mean, Values: rows}},
+		{"level at 1", "levels", forecast.QuantileForecast{Levels: []float64{0.1, 0.5, 1}, Mean: mean, Values: rows}},
+		{"NaN level", "levels", forecast.QuantileForecast{Levels: []float64{0.1, math.NaN(), 0.9}, Mean: mean, Values: rows}},
+		{"narrow row", "step 1", forecast.QuantileForecast{Levels: levels, Mean: mean, Values: [][]float64{{8, 10, 12}, {9, 11}}}},
+		{"wide row", "step 0", forecast.QuantileForecast{Levels: levels, Mean: mean, Values: [][]float64{{8, 10, 12, 14}, {9, 11, 13}}}},
+		{"short mean", "mean", forecast.QuantileForecast{Levels: levels, Mean: mean[:1], Values: rows}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			saved := &Guard{mode: ModeLastKnownGood, lastGoodFan: &c.fan}
+			var buf bytes.Buffer
+			if err := saved.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			g, _ := newGuarded(&guardQF{fakeQF: flatBase(30, 2), fail: true}, 10)
+			if err := g.Load(&buf); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Load = %v, want an error naming the %s", err, c.want)
+			}
+			if _, err := g.PlanInto(series(10, 12, 11, 10), 2, nil); err != nil {
+				t.Fatal(err)
+			}
+			if g.Mode() != ModeReactive {
+				t.Errorf("a failing round after the refused load planned in mode %v, want reactive", g.Mode())
+			}
+		})
+	}
+}
+
+// FuzzGuardLoad loads arbitrary bytes into a guard and, whenever a load
+// is accepted, plans one round whose forecaster fails, so the fallback
+// ladder starts from what was restored: it must not panic. The seeds are
+// TestComponentBlobs' guard golden (internal/fleet), a guard in
+// last-known-good mode with a two-step fan, and its first half.
+func FuzzGuardLoad(f *testing.F) {
+	golden, err := hex.DecodeString("0416666f7265636173746572206572726f723a20626f6f6d0202000000000000e03fcdccccccccccec3f02000000000000084000000000000010400202000000000000084000000000000012400200000000000010400000000000001640")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		g, _ := newGuarded(&guardQF{fakeQF: flatBase(30, 3), fail: true}, 10)
+		if g.Load(bytes.NewReader(blob)) == nil {
+			_, _ = g.PlanInto(series(10, 12, 11, 10), 3, nil) // an error is a fine outcome
+		}
+	})
 }
 
 func TestBreakerSaveLoadRoundTrip(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"robustscale/internal/forecast"
@@ -272,11 +273,13 @@ type Robust struct {
 // LastFan implements FanProvider (the bench/ shim).
 func (r *Robust) LastFan() *forecast.QuantileForecast { return r.last.Fan }
 
-// Name implements Strategy. The name is formatted once and cached so the
-// hot planning path never re-formats it.
+// Name implements Strategy. The name is formatted once, in one allocation,
+// and cached so the hot planning path never re-formats it.
 func (r *Robust) Name() string {
 	if r.cachedName == "" {
-		r.cachedName = fmt.Sprintf("%s-%g", r.Forecaster.Name(), r.Tau)
+		var b [64]byte
+		name := append(append(b[:0], r.Forecaster.Name()...), '-')
+		r.cachedName = string(strconv.AppendFloat(name, r.Tau, 'g', -1, 64))
 	}
 	return r.cachedName
 }

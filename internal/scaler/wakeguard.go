@@ -11,7 +11,6 @@
 package scaler
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -287,7 +286,8 @@ func (g *WakeGuard) Load(r io.Reader) error {
 	if idleRounds < 0 || sinceWake < 0 {
 		return fmt.Errorf("scaler: wake-guard snapshot has negative counters")
 	}
-	if err := g.breaker.Load(bytes.NewReader(breaker)); err != nil {
+	blob := wire.Bytes(breaker)
+	if err := g.breaker.Load(&blob); err != nil {
 		return fmt.Errorf("scaler: loading wake-guard state: %w", err)
 	}
 	g.parked, g.idleRounds, g.sinceWake = parked, idleRounds, sinceWake

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -103,11 +104,26 @@ type Reader struct {
 // NewReader reads b; sections it returns alias b.
 func NewReader(b []byte) Reader { return Reader{b: b} }
 
+// Bytes is a blob in memory as an io.Reader that ReadFrom reads in place:
+// how a recovered checkpoint section reaches its component's Load.
+type Bytes []byte
+
+func (b *Bytes) Read(p []byte) (int, error) {
+	n, err := bytes.NewReader(*b).Read(p)
+	*b = (*b)[n:]
+	return n, err
+}
+
 // ReadFrom reads the whole of r as one blob; a read error is the Reader's
-// first failure. A reader that knows its length (the bytes.Reader a
-// checkpoint section arrives in) costs one exact allocation.
+// first failure. A *Bytes is consumed without a copy: the Reader and its
+// sections alias it, so a Load copies what it keeps. Any other reader that
+// knows its length costs one exact allocation.
 func ReadFrom(r io.Reader) Reader {
 	var rd Reader
+	if b, ok := r.(*Bytes); ok {
+		rd.b, *b = *b, nil
+		return rd
+	}
 	if l, ok := r.(interface{ Len() int }); ok {
 		rd.b = make([]byte, l.Len())
 		_, rd.err = io.ReadFull(r, rd.b)
@@ -217,27 +233,28 @@ func (r *Reader) Count(size int) int {
 }
 
 // Section returns the next length-prefixed run of bytes, aliasing the
-// blob.
+// blob; an append to it copies rather than overwrite what follows.
 func (r *Reader) Section() []byte {
 	n := r.Count(1)
-	sec := r.b[:n]
+	sec := r.b[:n:n]
 	r.b = r.b[n:]
 	return sec
 }
 
 // Floats returns the next count-prefixed run of floats in a slice of its
 // own; nil for an empty run.
-func (r *Reader) Floats() []float64 {
+func (r *Reader) Floats() []float64 { return r.FloatsTo(nil) }
+
+// FloatsTo appends the next count-prefixed run of floats to dst, growing
+// it at most once, so a reader can carve several runs from one array.
+func (r *Reader) FloatsTo(dst []float64) []float64 {
 	n := r.Count(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
+	dst = slices.Grow(dst, n)
+	for i := range n {
+		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:])))
 	}
 	r.b = r.b[8*n:]
-	return out
+	return dst
 }
 
 // List reads a count of items that each take at least size bytes, then
