@@ -107,7 +107,18 @@ func TestScratchAndReadFrom(t *testing.T) {
 			t.Errorf("ReadFrom(%T) read %q, %v", r, got, rd.Done())
 		}
 	}
-	rd := ReadFrom(iotest.ErrReader(io.ErrClosedPipe))
+	// A Bytes blob is read in place and drained; its sections cannot be
+	// appended to over what follows them.
+	in := Bytes(b)
+	rd := ReadFrom(&in)
+	if sec := rd.Section(); &sec[0] != &b[1] || cap(sec) != len(sec) || len(in) != 0 {
+		t.Errorf("ReadFrom(*Bytes) copied the blob, left %d bytes unread or handed out %d bytes of capacity", len(in), cap(sec))
+	}
+	in = Bytes(b)
+	if got, err := io.ReadAll(&in); !bytes.Equal(got, b) || err != nil || len(in) != 0 {
+		t.Errorf("reading a Bytes blob through Read gave %q, %v", got, err)
+	}
+	rd = ReadFrom(iotest.ErrReader(io.ErrClosedPipe))
 	if rd.Varint(); rd.Done() != io.ErrClosedPipe {
 		t.Errorf("a failed read surfaced as %v", rd.Done())
 	}
