@@ -358,7 +358,7 @@ func (d *DeepAR) PredictQuantiles(history *timeseries.Series, h int, levels []fl
 	if h > 1 {
 		rngs = growPathRands(nil, workers*sampleBlock)
 	}
-	d.sample(history, h, state0, emit0, samples, make([]float64, (h-1)*timeFeatureDim), scratches, rngs)
+	d.sample(history, h, state0, emit0, samples, make([]float64, (h-1)*timeFeatureDim), nil, scratches, rngs)
 
 	f := reuseFan(nil, h, levels)
 	d.assemble(f, samples)
@@ -394,8 +394,10 @@ func growPathRands(rngs []*rand.Rand, n int) []*rand.Rand {
 // identical stream to a freshly constructed source. The horizon-1 round —
 // the high-frequency steady state — never rolls the LSTM, so it draws
 // sequentially on the caller's goroutine, from rngs[0] or, when rngs is
-// empty, one RNG of its own, and skips the worker fan-out entirely.
-func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, emit0 emission, samples [][]float64, feats []float64, scratches []*nn.Scratch, rngs []*rand.Rand) {
+// empty, one RNG of its own, and skips the worker fan-out entirely. A
+// longer rollout packs the LSTM weights once, from pack, and every block
+// reads that one pack.
+func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, emit0 emission, samples [][]float64, feats []float64, pack *nn.Scratch, scratches []*nn.Scratch, rngs []*rand.Rand) {
 	paths := len(samples[0])
 	obsPredictions.With("deepar").Inc()
 	obsMCPaths.Add(float64(paths))
@@ -419,6 +421,7 @@ func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, 
 	for t := 0; t < h-1; t++ {
 		timeFeaturesInto(feats[t*timeFeatureDim:(t+1)*timeFeatureDim], history.TimeAt(history.Len()+t+1))
 	}
+	panels := d.cell.PackPanels(pack)
 	workers := len(scratches)
 	sp := obs.DefaultTracer.Start("deepar.sample")
 	parallel.ForEachWorkerSpan("deepar.sample", workers, sampleBlocks(paths), func(worker, blk int) {
@@ -454,7 +457,7 @@ func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, 
 				xb[0] = z
 				copy(xb[1:], feats[t*timeFeatureDim:(t+1)*timeFeatureDim])
 			}
-			d.cell.StepBatch(states, x)
+			d.cell.StepBatch(states, x, panels)
 			d.head.ForwardBatch(states.H, out)
 		}
 	})
@@ -573,7 +576,7 @@ func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels 
 	w.rngs = growPathRands(w.rngs, workers*sampleBlock)
 	state0 := nn.LSTMState{H: w.state.H, C: w.state.C}
 	w.feats = resize(w.feats, (h-1)*timeFeatureDim)
-	d.sample(history, h, state0, emit0, w.samples, w.feats, w.scratches[:workers], w.rngs)
+	d.sample(history, h, state0, emit0, w.samples, w.feats, sc, w.scratches[:workers], w.rngs)
 
 	w.fan = reuseFan(w.fan, h, lv)
 	d.assemble(w.fan, w.samples)

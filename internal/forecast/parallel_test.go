@@ -157,7 +157,7 @@ func TestDeepARLockstepMatchesPerPathRollout(t *testing.T) {
 		got[k] = make([]float64, paths)
 	}
 	scratches := []*nn.Scratch{nn.NewScratch(), nn.NewScratch()}
-	d.sample(train, h, state0, emit0, got, make([]float64, (h-1)*timeFeatureDim), scratches, growPathRands(nil, 2*sampleBlock))
+	d.sample(train, h, state0, emit0, got, make([]float64, (h-1)*timeFeatureDim), nil, scratches, growPathRands(nil, 2*sampleBlock))
 	for k := range want {
 		for p := range want[k] {
 			if math.Float64bits(got[k][p]) != math.Float64bits(want[k][p]) {
