@@ -85,9 +85,11 @@ bench-check:
 # arbitrary burn-rule specs: every one accepted must pass Validate. The
 # next parses arbitrary argument vectors with the flags both daemons
 # share: each fails to parse or yields a Config that validate accepts or
-# refuses, never a panic. The last holds the rate-limited planner's
+# refuses, never a panic. The next holds the rate-limited planner's
 # dynamic program to a brute-force walk of every node path on small
-# instances. Every target minimizes a new input for at most
+# instances. The last holds the offset-based forecasters' warm fans to
+# their cold fans bit for bit while origin, horizon and levels change
+# between calls. Every target minimizes a new input for at most
 # 1 s (-fuzzminimizetime; the default 60 s can eat a whole 10 s window
 # on a multi-KB model blob).
 fuzz:
@@ -108,6 +110,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzParseBurnRules -fuzztime=10s -fuzzminimizetime=1s ./internal/obs
 	$(GO) test -run '^$$' -fuzz=FuzzBindFlags -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz=FuzzPlanConstrainedDemand -fuzztime=10s -fuzzminimizetime=1s ./internal/optimize
+	$(GO) test -run '^$$' -fuzz=FuzzWarmMatchesCold -fuzztime=10s -fuzzminimizetime=1s ./internal/forecast
 
 # Fleet determinism and durability drill (same script CI runs): worker
 # counts invisible in results, kill-restart bit-identity, single-tenant

@@ -94,7 +94,7 @@ func main() {
 
 // exitCode reports a run error on stderr and maps it to the process exit
 // status: 0 on success (and -h), 2 for a command line that cannot run
-// (unparsable flags, nonsense sizes), 1 for a run that failed.
+// (unparsable flags, a nonsense configuration), 1 for a run that failed.
 func exitCode(err error, stderr io.Writer) int {
 	switch {
 	case err == nil || errors.Is(err, flag.ErrHelp):
@@ -103,7 +103,7 @@ func exitCode(err error, stderr io.Writer) int {
 		return 2 // the FlagSet already printed the problem and the usage
 	}
 	fmt.Fprintf(stderr, "autoscaled: %v\n", err)
-	if errors.Is(err, fleet.ErrSizes) {
+	if errors.Is(err, fleet.ErrConfig) {
 		return 2
 	}
 	return 1
@@ -156,7 +156,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *applyRetries <= 0 || *applyBackoff <= 0 || *breakerOpenAt <= 0 || *breakerCooldown <= 0 {
 		return fmt.Errorf("%w: -apply-retries %d, -apply-backoff %v, -breaker-threshold %d and -breaker-cooldown %v must all be positive",
-			fleet.ErrSizes, *applyRetries, *applyBackoff, *breakerOpenAt, *breakerCooldown)
+			fleet.ErrConfig, *applyRetries, *applyBackoff, *breakerOpenAt, *breakerCooldown)
 	}
 
 	// Every run starts from fresh process-wide observability rings, so
@@ -244,7 +244,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	case "google":
 		tr, err = robustscale.GenerateGoogleTrace(cfg.Seed)
 	default:
-		return fmt.Errorf("unknown dataset %q", *dataset)
+		return fmt.Errorf("%w: unknown dataset %q", fleet.ErrConfig, *dataset)
 	}
 	if err != nil {
 		return err
@@ -275,7 +275,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if cfg.Chaos != "" {
 		prof, err := chaos.Preset(cfg.Chaos)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: %w", fleet.ErrConfig, err)
 		}
 		prof.Seed = cfg.ChaosSeed
 		if prof.Seed == 0 {
@@ -671,6 +671,6 @@ func buildStrategy(name string, train *robustscale.Series, model []byte, tau, ta
 		}
 		return &robustscale.Adaptive{Forecaster: wrap(tft), Tau1: tau, Tau2: tau2, Rho: rho, Theta: theta}, tft, rho, nil
 	default:
-		return nil, nil, 0, fmt.Errorf("unknown strategy %q", name)
+		return nil, nil, 0, fmt.Errorf("%w: unknown strategy %q", fleet.ErrConfig, name)
 	}
 }

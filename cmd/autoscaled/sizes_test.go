@@ -13,15 +13,17 @@ import (
 // TestNonsenseSizesExitTwo: sizes that used to spin forever (-horizon 0),
 // panic (-horizon -3), print NaN (-days 0), replay with every step a
 // violation (-theta -1) or quietly run with a default instead (the apply
-// path's retries, backoff and breaker) are rejected before any training,
+// path's retries, backoff and breaker), and names no loop knows (a
+// strategy, dataset or chaos preset), are rejected before any training,
 // with the typed error the exit status 2 hangs on.
 func TestNonsenseSizesExitTwo(t *testing.T) {
 	for _, args := range []string{"-horizon 0", "-horizon -3", "-days 0", "-theta -1",
-		"-breaker-threshold 0", "-breaker-cooldown -1m", "-apply-retries 0", "-apply-backoff 0"} {
+		"-breaker-threshold 0", "-breaker-cooldown -1m", "-apply-retries 0", "-apply-backoff 0",
+		"-strategy bogus", "-dataset bogus", "-chaos bogus"} {
 		var stdout, stderr bytes.Buffer
 		err := run(context.Background(), strings.Fields(args+" -epochs 1"), &stdout, &stderr)
-		if !errors.Is(err, fleet.ErrSizes) {
-			t.Errorf("autoscaled %s: error %v, want fleet.ErrSizes", args, err)
+		if !errors.Is(err, fleet.ErrConfig) {
+			t.Errorf("autoscaled %s: error %v, want fleet.ErrConfig", args, err)
 		}
 		if code := exitCode(err, &stderr); code != 2 {
 			t.Errorf("autoscaled %s: exit status %d, want 2", args, code)

@@ -69,7 +69,7 @@ func main() {
 
 // exitCode reports a run error on stderr and maps it to the process exit
 // status: 0 on success (and -h), 2 for a command line that cannot run
-// (unparsable flags, nonsense sizes), 1 for a run that failed.
+// (unparsable flags, a nonsense configuration), 1 for a run that failed.
 func exitCode(err error, stderr io.Writer) int {
 	switch {
 	case err == nil || errors.Is(err, flag.ErrHelp):
@@ -78,7 +78,7 @@ func exitCode(err error, stderr io.Writer) int {
 		return 2 // the FlagSet already printed the problem and the usage
 	}
 	fmt.Fprintf(stderr, "fleetsim: %v\n", err)
-	if errors.Is(err, fleet.ErrSizes) {
+	if errors.Is(err, fleet.ErrConfig) {
 		return 2
 	}
 	return 1
@@ -125,18 +125,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("%w: %w", errFlags, err)
 	}
 
-	// Size flags are load-bearing for every derived loop; reject nonsense
-	// (here, or as fleet.New does) with the usage, before it turns into a
-	// confusing failure deep in the build.
-	badSizes := func(err error) error {
+	// Sizes, names and presets are load-bearing for every derived loop;
+	// reject nonsense (here, or as fleet.New does) with the usage, before
+	// it turns into a confusing failure deep in the build.
+	badConfig := func(err error) error {
 		fs.Usage()
 		return err
 	}
-	if cfg.Tenants <= 0 {
-		return badSizes(fmt.Errorf("%w: -tenants must be positive, got %d", fleet.ErrSizes, cfg.Tenants))
-	}
 	if cfg.Workers < 0 {
-		return badSizes(fmt.Errorf("%w: -workers must be >= 0 (0 = all CPUs), got %d", fleet.ErrSizes, cfg.Workers))
+		return badConfig(fmt.Errorf("%w: -workers must be >= 0 (0 = all CPUs), got %d", fleet.ErrConfig, cfg.Workers))
 	}
 	obs.DefaultDecisions.SetEnabled(*decisions)
 	obs.Default.SetLabelLimit(f.LabelLimit)
@@ -179,8 +176,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	t0 := time.Now()
 	ctrl, err := fleet.New(*cfg)
-	if errors.Is(err, fleet.ErrSizes) {
-		return badSizes(err)
+	if errors.Is(err, fleet.ErrConfig) {
+		return badConfig(err)
 	}
 	if err != nil {
 		return err

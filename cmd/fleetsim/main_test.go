@@ -139,7 +139,10 @@ func TestCalibrationMetricsIndependentOfWorkers(t *testing.T) {
 }
 
 func TestNonsenseSizesExitTwoWithUsage(t *testing.T) {
-	for _, args := range []string{"-tenants 0", "-tenants 5 -workers -1", "-tenants 5 -horizon 0", "-tenants 5 -theta 0"} {
+	for _, args := range []string{"-tenants 0", "-tenants 5 -workers -1", "-tenants 5 -horizon 0", "-tenants 5 -theta 0",
+		"-tenants 5 -days 0", "-tenants 5 -units 0", "-tenants 5 -zones 0", "-tenants 5 -pool -5",
+		"-tenants 5 -quarantine-rounds 0", "-tenants 5 -forecaster bogus", "-tenants 5 -strategy bogus",
+		"-tenants 5 -chaos bogus", "-tenants 5 -serverless -wake-slo -1"} {
 		code, stdout, stderr := fleetsim(t, args)
 		if code != 2 {
 			t.Errorf("%s: exit %d, want 2", args, code)

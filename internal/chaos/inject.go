@@ -57,44 +57,23 @@ func (f *Forecaster) Predict(history *timeseries.Series, h int) ([]float64, erro
 // PredictQuantiles implements forecast.QuantileForecaster with the full
 // forecaster fault taxonomy applied to the returned fan.
 func (f *Forecaster) PredictQuantiles(history *timeseries.Series, h int, levels []float64) (*forecast.QuantileForecast, error) {
-	step := f.step()
-	if err := f.injectedError(step); err != nil {
-		return nil, err
-	}
-	f.injectLatency(step)
-	fan, err := f.Inner.PredictQuantiles(history, h, levels)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := f.Schedule.ActiveAt(step, ForecastNaN); ok {
-		CountInjected(ForecastNaN)
-		poisonFan(fan)
-	}
-	if _, ok := f.Schedule.ActiveAt(step, ForecastCrossing); ok {
-		CountInjected(ForecastCrossing)
-		crossFan(fan)
-	}
-	if e, ok := f.Schedule.ActiveAt(step, ForecastBlowup); ok {
-		CountInjected(ForecastBlowup)
-		blowupFan(fan, e.Value)
-	}
-	return fan, nil
-}
-
-// WarmReset implements forecast.IncrementalForecaster, forwarding to the
-// inner forecaster when it keeps warm state.
-func (f *Forecaster) WarmReset() {
-	if inc, ok := f.Inner.(interface{ WarmReset() }); ok {
-		inc.WarmReset()
-	}
+	return f.predict(false, history, h, levels)
 }
 
 // PredictQuantilesWarm implements forecast.IncrementalForecaster with the
-// same fault taxonomy as PredictQuantiles, forwarding the warm path to the
-// inner forecaster when it supports one. Fault mutations scribble on the
-// inner forecaster's scratch fan, which is overwritten on its next predict,
-// so injection stays safe on the fast path.
+// same fault taxonomy as PredictQuantiles, on the inner forecaster's warm
+// path when it keeps one. Fault mutations scribble on the inner
+// forecaster's scratch fan, which is overwritten on its next predict, so
+// injection stays safe on the fast path.
 func (f *Forecaster) PredictQuantilesWarm(history *timeseries.Series, h int, levels []float64) (*forecast.QuantileForecast, error) {
+	return f.predict(true, history, h, levels)
+}
+
+var _ forecast.IncrementalForecaster = (*Forecaster)(nil)
+
+// predict is the one fault-applying body of both entries; warm sends the
+// inner forecast through its warm path.
+func (f *Forecaster) predict(warm bool, history *timeseries.Series, h int, levels []float64) (*forecast.QuantileForecast, error) {
 	step := f.step()
 	if err := f.injectedError(step); err != nil {
 		return nil, err
@@ -102,8 +81,8 @@ func (f *Forecaster) PredictQuantilesWarm(history *timeseries.Series, h int, lev
 	f.injectLatency(step)
 	var fan *forecast.QuantileForecast
 	var err error
-	if inc, ok := f.Inner.(forecast.IncrementalForecaster); ok {
-		fan, err = inc.PredictQuantilesWarm(history, h, levels)
+	if warm {
+		fan, err = forecast.PredictQuantilesWarm(f.Inner, history, h, levels)
 	} else {
 		fan, err = f.Inner.PredictQuantiles(history, h, levels)
 	}
@@ -124,8 +103,6 @@ func (f *Forecaster) PredictQuantilesWarm(history *timeseries.Series, h int, lev
 	}
 	return fan, nil
 }
-
-var _ forecast.IncrementalForecaster = (*Forecaster)(nil)
 
 func (f *Forecaster) step() int {
 	if f.Cursor == nil {

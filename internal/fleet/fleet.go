@@ -167,16 +167,20 @@ func IdleEps(theta float64) float64 { return theta / 10 }
 // stepsPerDay at the default 10-minute aggregation step.
 func stepsPerDay() int { return int(24 * time.Hour / timeseries.DefaultStep) }
 
-// validate rejects configurations that cannot produce a well-formed run.
+// validate rejects configurations that cannot produce a well-formed run;
+// every rejection wraps ErrConfig.
 func (cfg Config) validate() error {
+	invalid := func(format string, a ...any) error {
+		return fmt.Errorf("fleet: %w: "+format, append([]any{ErrConfig}, a...)...)
+	}
 	if cfg.Tenants <= 0 {
-		return fmt.Errorf("fleet: need at least one tenant, got %d", cfg.Tenants)
+		return invalid("need at least one tenant, got %d", cfg.Tenants)
 	}
 	if cfg.TrainDays < 1 || cfg.Days <= cfg.TrainDays {
-		return fmt.Errorf("fleet: need Days > TrainDays >= 1, got %d/%d", cfg.Days, cfg.TrainDays)
+		return invalid("need Days > TrainDays >= 1, got %d/%d", cfg.Days, cfg.TrainDays)
 	}
 	if cfg.Units <= 0 {
-		return fmt.Errorf("fleet: need at least one trace unit per tenant")
+		return invalid("need at least one trace unit per tenant")
 	}
 	if err := CheckSizes(cfg.Horizon, (cfg.Days-cfg.TrainDays)*stepsPerDay(), cfg.Theta); err != nil {
 		return fmt.Errorf("fleet: %w", err)
@@ -184,45 +188,45 @@ func (cfg Config) validate() error {
 	switch cfg.Strategy {
 	case StrategyRobust, StrategyAdaptive:
 		if !(cfg.Tau > 0 && cfg.Tau < 1) {
-			return fmt.Errorf("fleet: quantile level %v outside (0, 1)", cfg.Tau)
+			return invalid("quantile level %v outside (0, 1)", cfg.Tau)
 		}
 	case StrategyReactiveMax:
 	default:
-		return fmt.Errorf("fleet: unknown strategy %q", cfg.Strategy)
+		return invalid("unknown strategy %q", cfg.Strategy)
 	}
 	switch cfg.Forecaster {
 	case ForecasterSeasonalNaive:
 		if cfg.TrainDays < 2 {
-			return fmt.Errorf("fleet: seasonal-naive needs TrainDays >= 2 (one full season of history beyond the period)")
+			return invalid("seasonal-naive needs TrainDays >= 2 (one full season of history beyond the period)")
 		}
 	case ForecasterNaive, ForecasterQuantileMLP:
 	default:
-		return fmt.Errorf("fleet: unknown forecaster %q", cfg.Forecaster)
+		return invalid("unknown forecaster %q", cfg.Forecaster)
 	}
 	if cfg.StateDir != "" && (cfg.CheckpointInterval < 1 || cfg.Retain < 1) {
-		return fmt.Errorf("fleet: non-positive checkpoint interval %d or retained segments %d", cfg.CheckpointInterval, cfg.Retain)
+		return invalid("non-positive checkpoint interval %d or retained segments %d", cfg.CheckpointInterval, cfg.Retain)
 	}
 	if cfg.SLOTarget != 0 {
 		slo := obs.SLOConfig{Target: cfg.SLOTarget, Window: cfg.SLOWindow, Rules: cfg.BurnRules}
 		if err := slo.Validate(); err != nil {
-			return fmt.Errorf("fleet: %w", err)
+			return invalid("%w", err)
 		}
 	}
 	if cfg.PoolNodes < 0 {
-		return fmt.Errorf("fleet: negative pool size %d", cfg.PoolNodes)
+		return invalid("negative pool size %d", cfg.PoolNodes)
 	}
 	if cfg.QuarantineAfter < 0 || cfg.QuarantineRounds < 1 {
-		return fmt.Errorf("fleet: quarantine after %d clipped rounds for %d rounds: need >= 0 and >= 1", cfg.QuarantineAfter, cfg.QuarantineRounds)
+		return invalid("quarantine after %d clipped rounds for %d rounds: need >= 0 and >= 1", cfg.QuarantineAfter, cfg.QuarantineRounds)
 	}
 	if cfg.Zones < 1 {
-		return fmt.Errorf("fleet: non-positive zone count %d", cfg.Zones)
+		return invalid("non-positive zone count %d", cfg.Zones)
 	}
 	if cfg.Serverless && !(cfg.WakeSLOSeconds > 0) {
-		return fmt.Errorf("fleet: non-positive wake-latency SLO %v", cfg.WakeSLOSeconds)
+		return invalid("non-positive wake-latency SLO %v", cfg.WakeSLOSeconds)
 	}
 	if cfg.Chaos != "" && cfg.Chaos != "none" {
 		if _, err := chaos.Preset(cfg.Chaos); err != nil {
-			return err
+			return invalid("%w", err)
 		}
 	}
 	return nil

@@ -86,12 +86,14 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Zones = 0 },
 		func(c *Config) { c.StateDir = "x"; c.Retain = 0 },
 		func(c *Config) { c.Serverless = true; c.WakeSLOSeconds = 0 },
+		func(c *Config) { c.PoolNodes = -5 },
+		func(c *Config) { c.Chaos = "bogus" },
 	}
 	for i, mutate := range cases {
 		cfg := testConfig(2)
 		mutate(&cfg)
-		if err := cfg.validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
+		if err := cfg.validate(); !errors.Is(err, ErrConfig) {
+			t.Errorf("case %d: invalid config accepted or refused untyped: %v", i, err)
 		}
 	}
 	cfg := testConfig(2)

@@ -26,9 +26,10 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// ErrSizes is wrapped by every rejection of a control loop's sizes, so a
-// command can tell a nonsense command line from a failed run.
-var ErrSizes = errors.New("invalid sizes")
+// ErrConfig is wrapped by every rejection of a control loop's
+// configuration (its sizes, names and presets), so a command can tell a
+// nonsense command line from a failed run.
+var ErrConfig = errors.New("invalid configuration")
 
 // CheckSizes is the one copy of the rule on the sizes every control loop
 // is built from: a positive planning horizon, at least one full round to
@@ -37,11 +38,11 @@ var ErrSizes = errors.New("invalid sizes")
 func CheckSizes(horizon, replay int, theta float64) error {
 	switch {
 	case horizon <= 0:
-		return fmt.Errorf("%w: non-positive horizon %d", ErrSizes, horizon)
+		return fmt.Errorf("%w: non-positive horizon %d", ErrConfig, horizon)
 	case replay < horizon:
-		return fmt.Errorf("%w: replay span %d shorter than horizon %d", ErrSizes, replay, horizon)
+		return fmt.Errorf("%w: replay span %d shorter than horizon %d", ErrConfig, replay, horizon)
 	case !(theta > 0):
-		return fmt.Errorf("%w: non-positive threshold %v", ErrSizes, theta)
+		return fmt.Errorf("%w: non-positive threshold %v", ErrConfig, theta)
 	}
 	return nil
 }

@@ -119,7 +119,7 @@ func (a *ARIMA) Fit(train *timeseries.Series) error {
 	if a.P < 0 || a.D < 0 || a.Q < 0 {
 		return fmt.Errorf("forecast: invalid ARIMA order (%d,%d,%d)", a.P, a.D, a.Q)
 	}
-	a.WarmReset() // new coefficients invalidate the cached recursions
+	a.warm = arimaWarm{} // new coefficients invalidate the cached recursions
 	w, err := a.transform(train.Values)
 	if err != nil {
 		return err
@@ -305,14 +305,6 @@ func (a *ARIMA) PredictQuantiles(history *timeseries.Series, h int, levels []flo
 		out.Values[k] = row
 	}
 	return out, nil
-}
-
-// WarmReset implements IncrementalForecaster.
-func (a *ARIMA) WarmReset() {
-	a.warm.valid = false
-	a.warm.ref.Reset()
-	a.warm.n = 0
-	a.warm.psi = a.warm.psi[:0]
 }
 
 // baseLen returns the length of the seasonally differenced base of a raw

@@ -53,7 +53,7 @@ func (c *Conformal) Name() string { return c.Base.Name() + "-conformal" }
 // Fit trains the base model on the head of the series and calibrates
 // per-level offsets on the held-out tail.
 func (c *Conformal) Fit(train *timeseries.Series) error {
-	c.WarmReset()
+	c.warm = conformalWarm{}
 	if c.CalibFrac <= 0 || c.CalibFrac >= 1 {
 		return fmt.Errorf("forecast: conformal calibration fraction %v outside (0, 1)", c.CalibFrac)
 	}
@@ -126,54 +126,29 @@ func (c *Conformal) Predict(history *timeseries.Series, h int) ([]float64, error
 // PredictQuantiles implements QuantileForecaster: base quantiles plus the
 // calibrated per-level offsets.
 func (c *Conformal) PredictQuantiles(history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
-	if !c.fitted {
-		return nil, ErrNotFitted
-	}
-	levels, err := normalizeLevels(levels)
-	if err != nil {
-		return nil, err
-	}
-	f, err := c.Base.PredictQuantiles(history, h, levels)
-	if err != nil {
-		return nil, err
-	}
-	out := &QuantileForecast{
-		Levels: levels,
-		Values: make([][]float64, h),
-		Mean:   f.Mean,
-	}
-	for t := 0; t < h; t++ {
-		row := make([]float64, len(levels))
-		for i, tau := range levels {
-			row[i] = f.Values[t][i] + quantileAt(c.Levels, c.offsets, tau)
-		}
-		out.Values[t] = row
-	}
-	out.Enforce()
-	return out, nil
+	return c.predict(&conformalWarm{}, false, history, h, levels)
 }
 
-// WarmReset implements IncrementalForecaster, forwarding to the base.
-func (c *Conformal) WarmReset() {
-	c.warm = conformalWarm{}
-	warmResetAll(c.Base)
-}
-
-// PredictQuantilesWarm implements IncrementalForecaster: bit-identical to
-// PredictQuantiles, forwarding the warm path to the base when it supports
-// one and reusing the offset row and output fan across rounds.
+// PredictQuantilesWarm implements IncrementalForecaster: PredictQuantiles
+// through the base's warm path when it keeps one, reusing the offset row
+// and output fan across rounds.
 func (c *Conformal) PredictQuantilesWarm(history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
+	return c.predict(&c.warm, true, history, h, levels)
+}
+
+// predict is the one body of both entries, on the cache w; warm sends the
+// base forecast through the base's warm path.
+func (c *Conformal) predict(w *conformalWarm, warm bool, history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
 	if !c.fitted {
 		return nil, ErrNotFitted
 	}
-	w := &c.warm
 	lv, err := w.levels.get(levels)
 	if err != nil {
 		return nil, err
 	}
 	var f *QuantileForecast
-	if inc, ok := c.Base.(IncrementalForecaster); ok {
-		f, err = inc.PredictQuantilesWarm(history, h, lv)
+	if warm {
+		f, err = PredictQuantilesWarm(c.Base, history, h, lv)
 	} else {
 		f, err = c.Base.PredictQuantiles(history, h, lv)
 	}

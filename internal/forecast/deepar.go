@@ -132,7 +132,7 @@ func (d *DeepAR) build() {
 // Fit trains the model on the series with teacher forcing and BPTT, one
 // Adam step per window.
 func (d *DeepAR) Fit(train *timeseries.Series) error {
-	d.WarmReset() // new weights invalidate any cached recurrent state
+	d.warm = deeparWarm{} // new weights invalidate any cached recurrent state
 	d.build()
 	defer d.params.ReleaseGrads() // a fitted model keeps only its weights
 	d.scaler.Fit(train.Values)
@@ -179,7 +179,7 @@ func (d *DeepAR) windowGrad(s *nn.Scratch, train *timeseries.Series, w timeserie
 	steps := len(norm) - 1
 	xs := make([][]float64, steps)
 	for t := 0; t < steps; t++ {
-		xs[t] = d.stepInputScratch(s, norm[t], train.TimeAt(startIdx+t+1))
+		xs[t] = d.stepInput(s, norm[t], train.TimeAt(startIdx+t+1))
 	}
 
 	d.params.ZeroGrads()
@@ -198,14 +198,10 @@ func (d *DeepAR) windowGrad(s *nn.Scratch, train *timeseries.Series, w timeserie
 	d.cell.BackwardSequenceScratch(s, caches, dhs, nn.LSTMState{})
 }
 
-// stepInput builds the covariate vector for one step: previous normalized
-// value plus the calendar features of the step's own timestamp.
-func (d *DeepAR) stepInput(prevNorm float64, ts time.Time) []float64 {
-	return d.stepInputScratch(nil, prevNorm, ts)
-}
-
-// stepInputScratch is stepInput with the vector drawn from the arena.
-func (d *DeepAR) stepInputScratch(s *nn.Scratch, prevNorm float64, ts time.Time) []float64 {
+// stepInput builds the covariate vector for one step from the arena (heap
+// when s is nil): previous normalized value plus the calendar features of
+// the step's own timestamp.
+func (d *DeepAR) stepInput(s *nn.Scratch, prevNorm float64, ts time.Time) []float64 {
 	x := s.Vec(deepARInputDim)
 	x[0] = prevNorm
 	timeFeaturesInto(x[1:], ts)
@@ -287,29 +283,9 @@ func (d *DeepAR) conditionStep(s *nn.Scratch, state nn.LSTMState, history *times
 	if p == anchor {
 		prev = anchor // no earlier observation; condition on itself
 	}
-	x := d.stepInputScratch(s, d.scaler.TransformOne(history.At(prev)), history.TimeAt(p))
+	x := d.stepInput(s, d.scaler.TransformOne(history.At(prev)), history.TimeAt(p))
 	state, _ = d.cell.StepScratch(s, x, state)
 	return state
-}
-
-// warmup runs the conditioning window through the network with teacher
-// forcing and returns the final state plus the emission for the first
-// forecast step. The window starts at the anchored grid position
-// warmAnchor(n, Context) — a pure function of the history length — so an
-// incrementally advanced warm state walks exactly the same inputs from the
-// same zero state and stays bit-identical to this cold rebuild (see
-// warm.go).
-func (d *DeepAR) warmup(history *timeseries.Series) (nn.LSTMState, emission, error) {
-	if history.Len() < d.cfg.Context {
-		return nn.LSTMState{}, emission{}, ErrShortHistory
-	}
-	anchor := warmAnchor(history.Len(), d.cfg.Context)
-	state := d.cell.NewLSTMState()
-	for p := anchor; p <= history.Len(); p++ {
-		state = d.conditionStep(nil, state, history, anchor, p)
-	}
-	out, _ := d.head.Forward(state.H)
-	return state, d.emissionFrom(out), nil
 }
 
 // Predict implements Forecaster via the sample mean of the Monte-Carlo
@@ -327,42 +303,10 @@ func (d *DeepAR) Predict(history *timeseries.Series, h int) ([]float64, error) {
 // input, and per-step empirical quantiles are reported. Paths are fanned
 // across cfg.Workers goroutines; each path draws from its own
 // seed-derived RNG and writes only its own sample slots, so the result is
-// bit-identical for every worker count (including 1). This cold path
-// allocates per call and is safe for concurrent use; the warm path below
-// reuses pooled buffers instead.
+// bit-identical for every worker count (including 1). It runs predict on
+// a cache local to the call, so it is safe for concurrent use.
 func (d *DeepAR) PredictQuantiles(history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
-	if !d.fitted {
-		return nil, ErrNotFitted
-	}
-	levels, err := normalizeLevels(levels)
-	if err != nil {
-		return nil, err
-	}
-	if h <= 0 {
-		return nil, fmt.Errorf("forecast: non-positive horizon %d", h)
-	}
-	state0, emit0, err := d.warmup(history)
-	if err != nil {
-		return nil, err
-	}
-	samples := make([][]float64, h) // [step][sample] in normalized space
-	for t := range samples {
-		samples[t] = make([]float64, d.cfg.Samples)
-	}
-	workers := parallel.Workers(d.cfg.Workers, sampleBlocks(d.cfg.Samples))
-	scratches := make([]*nn.Scratch, workers)
-	for i := range scratches {
-		scratches[i] = nn.NewScratch()
-	}
-	var rngs []*rand.Rand
-	if h > 1 {
-		rngs = growPathRands(nil, workers*sampleBlock)
-	}
-	d.sample(history, h, state0, emit0, samples, make([]float64, (h-1)*timeFeatureDim), nil, scratches, rngs)
-
-	f := reuseFan(nil, h, levels)
-	d.assemble(f, samples)
-	return f, nil
+	return d.predict(&deeparWarm{}, history, h, levels)
 }
 
 // sampleBlock is how many Monte-Carlo paths one worker rolls forward in
@@ -393,10 +337,9 @@ func growPathRands(rngs []*rand.Rand, n int) []*rand.Rand {
 // sampleBlock RNGs per worker, re-seeded per path, which yields the
 // identical stream to a freshly constructed source. The horizon-1 round —
 // the high-frequency steady state — never rolls the LSTM, so it draws
-// sequentially on the caller's goroutine, from rngs[0] or, when rngs is
-// empty, one RNG of its own, and skips the worker fan-out entirely. A
-// longer rollout packs the LSTM weights once, from pack, and every block
-// reads that one pack.
+// sequentially on the caller's goroutine, from rngs[0], and skips the
+// worker fan-out entirely. A longer rollout packs the LSTM weights once,
+// from pack, and every block reads that one pack.
 func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, emit0 emission, samples [][]float64, feats []float64, pack *nn.Scratch, scratches []*nn.Scratch, rngs []*rand.Rand) {
 	paths := len(samples[0])
 	obsPredictions.With("deepar").Inc()
@@ -404,13 +347,7 @@ func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, 
 	base := d.cfg.Seed + int64(history.Len())
 
 	if h == 1 {
-		row := samples[0]
-		var rng *rand.Rand
-		if len(rngs) > 0 {
-			rng = rngs[0]
-		} else {
-			rng = newPathRand(0)
-		}
+		row, rng := samples[0], rngs[0]
 		for sIdx := range row {
 			rng.Seed(pathSeed(base, sIdx))
 			row[sIdx] = emit0.Sample(rng)
@@ -485,7 +422,6 @@ func (d *DeepAR) assemble(f *QuantileForecast, samples [][]float64) {
 // discontinuity and is never checkpointed (Load drops it).
 type deeparWarm struct {
 	ref    timeseries.Ref
-	valid  bool
 	anchor int          // conditioning window start of the cached state
 	next   int          // the state has consumed conditioning inputs for positions [anchor, next)
 	state  nn.LSTMState // owned heap buffers, never scratch-backed
@@ -499,27 +435,27 @@ type deeparWarm struct {
 	fan       *QuantileForecast
 }
 
-// WarmReset implements IncrementalForecaster: the next warm predict pays
-// one cold rebuild of the recurrent state. Pooled buffers survive — they
-// are shape caches, not state.
-func (d *DeepAR) WarmReset() {
-	d.warm.valid = false
-	d.warm.ref.Reset()
+// PredictQuantilesWarm implements IncrementalForecaster: PredictQuantiles
+// on the forecaster's own cache. The returned forecast is a scratch owned
+// by the forecaster, valid until the next predict; see warm.go for the
+// full contract.
+func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
+	return d.predict(&d.warm, history, h, levels)
 }
 
-// PredictQuantilesWarm implements IncrementalForecaster. When the history
-// is an append-extension of the one the cached state was built from and
+// predict is the one body of both entries, on the cache w. When the
+// history is an append-extension of the one w's state was built from and
 // the anchored conditioning window hasn't moved, the recurrent state is
 // advanced with one conditioning step per new observation instead of
-// replaying the whole window; otherwise it is rebuilt cold. Either way the
-// returned floats are bit-identical to PredictQuantiles. The returned
-// forecast is a scratch owned by the forecaster, valid until the next
-// predict; see warm.go for the full contract.
-func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
+// replaying the whole window; otherwise it is rebuilt from the anchor.
+// The window starts at warmAnchor(n, Context), a pure function of the
+// history length, so both walk the same inputs from the same zero state
+// and give the same bits.
+func (d *DeepAR) predict(w *deeparWarm, history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
 	if !d.fitted {
 		return nil, ErrNotFitted
 	}
-	lv, err := d.warm.levels.get(levels)
+	lv, err := w.levels.get(levels)
 	if err != nil {
 		return nil, err
 	}
@@ -530,7 +466,6 @@ func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels 
 	if n < d.cfg.Context {
 		return nil, ErrShortHistory
 	}
-	w := &d.warm
 	anchor := warmAnchor(n, d.cfg.Context)
 	if w.adv == nil {
 		w.adv = nn.NewScratch()
@@ -546,7 +481,7 @@ func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels 
 	// origin resumes from.
 	state := nn.LSTMState{H: w.state.H, C: w.state.C}
 	from := w.next
-	if !w.valid || w.anchor != anchor || w.next > n+1 || !w.ref.Extends(history) {
+	if w.anchor != anchor || w.next > n+1 || !w.ref.Extends(history) {
 		state = d.cell.NewLSTMStateScratch(sc)
 		from = anchor
 	}
@@ -559,7 +494,6 @@ func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels 
 	w.state.C = append(w.state.C[:0], state.C...)
 	w.anchor, w.next = anchor, n+1
 	w.ref.Record(history)
-	w.valid = true
 
 	paths := d.cfg.Samples
 	w.samples = resize(w.samples, h)

@@ -77,22 +77,10 @@ func (n *Naive) Fit(train *timeseries.Series) error {
 	if train.Len() <= n.horizon {
 		return ErrShortHistory
 	}
-	n.WarmReset()
+	n.warm = offsetWarm{}
 	n.residuals = make([][]float64, n.horizon)
-	avail, stride := train.Len()-n.horizon, 1
-	if n.MaxResiduals > 0 && avail > n.MaxResiduals {
-		stride = (avail + n.MaxResiduals - 1) / n.MaxResiduals
-	}
 	for k := range n.residuals {
-		n.residuals[k] = make([]float64, 0, (avail+stride-1)/stride)
-	}
-	for t := 0; t+n.horizon < train.Len(); t += stride {
-		for k := 0; k < n.horizon; k++ {
-			n.residuals[k] = append(n.residuals[k], train.At(t+k+1)-train.At(t))
-		}
-	}
-	for k := range n.residuals {
-		sort.Float64s(n.residuals[k])
+		n.residuals[k] = residualPool(train, k+1, train.Len()-n.horizon, n.MaxResiduals)
 	}
 	n.fitted = true
 	return nil
@@ -110,64 +98,37 @@ func (n *Naive) Predict(history *timeseries.Series, h int) ([]float64, error) {
 // PredictQuantiles implements QuantileForecaster: last value plus the
 // empirical quantile of historical k-step changes.
 func (n *Naive) PredictQuantiles(history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
-	if !n.fitted {
-		return nil, ErrNotFitted
-	}
-	if h <= 0 || h > n.horizon {
-		return nil, fmt.Errorf("forecast: naive fitted for horizon %d, requested %d", n.horizon, h)
-	}
-	levels, err := normalizeLevels(levels)
-	if err != nil {
-		return nil, err
-	}
-	if history.Len() == 0 {
-		return nil, ErrShortHistory
-	}
-	last := history.At(history.Len() - 1)
-	out := &QuantileForecast{
-		Levels: levels,
-		Values: make([][]float64, h),
-		Mean:   make([]float64, h),
-	}
-	for k := 0; k < h; k++ {
-		out.Mean[k] = last
-		row := make([]float64, len(levels))
-		for i, tau := range levels {
-			row[i] = last + timeseries.InterpolatedQuantile(n.residuals[k], tau)
-		}
-		out.Values[k] = row
-	}
-	out.Enforce()
-	return out, nil
+	return n.predict(&offsetWarm{}, history, h, levels)
 }
 
-// WarmReset implements IncrementalForecaster.
-func (n *Naive) WarmReset() { n.warm = offsetWarm{} }
-
-// PredictQuantilesWarm implements IncrementalForecaster: bit-identical to
-// PredictQuantiles, with the per-level offsets cached across rounds and
-// the fan reused (scratch owned by the forecaster, valid until the next
-// predict).
+// PredictQuantilesWarm implements IncrementalForecaster: PredictQuantiles
+// with the per-level offsets cached across rounds and the fan reused
+// (scratch owned by the forecaster, valid until the next predict).
 func (n *Naive) PredictQuantilesWarm(history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
+	return n.predict(&n.warm, history, h, levels)
+}
+
+// predict is the one body of both entries, on the cache w.
+func (n *Naive) predict(w *offsetWarm, history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
 	if !n.fitted {
 		return nil, ErrNotFitted
 	}
 	if h <= 0 || h > n.horizon {
 		return nil, fmt.Errorf("forecast: naive fitted for horizon %d, requested %d", n.horizon, h)
 	}
-	lv, err := n.warm.levels.get(levels)
+	lv, err := w.levels.get(levels)
 	if err != nil {
 		return nil, err
 	}
 	if history.Len() == 0 {
 		return nil, ErrShortHistory
 	}
-	offs := n.warm.rows(h, lv, func(k int, tau float64) float64 {
+	offs := w.rows(h, lv, func(k int, tau float64) float64 {
 		return timeseries.InterpolatedQuantile(n.residuals[k], tau)
 	})
 	last := history.At(history.Len() - 1)
-	out := reuseFan(n.warm.fan, h, lv)
-	n.warm.fan = out
+	out := reuseFan(w.fan, h, lv)
+	w.fan = out
 	for k := 0; k < h; k++ {
 		out.Mean[k] = last
 		row := out.Values[k]
@@ -214,16 +175,8 @@ func (s *SeasonalNaive) Fit(train *timeseries.Series) error {
 	if train.Len() <= s.Period {
 		return ErrShortHistory
 	}
-	s.WarmReset()
-	avail, stride := train.Len()-s.Period, 1
-	if s.MaxResiduals > 0 && avail > s.MaxResiduals {
-		stride = (avail + s.MaxResiduals - 1) / s.MaxResiduals
-	}
-	s.residuals = make([]float64, 0, (avail+stride-1)/stride)
-	for t := s.Period; t < train.Len(); t += stride {
-		s.residuals = append(s.residuals, train.At(t)-train.At(t-s.Period))
-	}
-	sort.Float64s(s.residuals)
+	s.warm = offsetWarm{}
+	s.residuals = residualPool(train, s.Period, train.Len()-s.Period, s.MaxResiduals)
 	s.fitted = true
 	return nil
 }
@@ -239,59 +192,25 @@ func (s *SeasonalNaive) Predict(history *timeseries.Series, h int) ([]float64, e
 
 // PredictQuantiles implements QuantileForecaster.
 func (s *SeasonalNaive) PredictQuantiles(history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
-	if !s.fitted {
-		return nil, ErrNotFitted
-	}
-	if h <= 0 {
-		return nil, fmt.Errorf("forecast: non-positive horizon %d", h)
-	}
-	levels, err := normalizeLevels(levels)
-	if err != nil {
-		return nil, err
-	}
-	if history.Len() < s.Period {
-		return nil, ErrShortHistory
-	}
-	out := &QuantileForecast{
-		Levels: levels,
-		Values: make([][]float64, h),
-		Mean:   make([]float64, h),
-	}
-	for k := 0; k < h; k++ {
-		// Index of the same phase one (or more) seasons earlier.
-		idx := history.Len() + k
-		for idx >= history.Len() {
-			idx -= s.Period
-		}
-		base := history.At(idx)
-		// Widen the band with the number of seasons extrapolated.
-		seasonsAhead := float64((history.Len() + k - idx) / s.Period)
-		scale := math.Sqrt(seasonsAhead)
-		out.Mean[k] = base
-		row := make([]float64, len(levels))
-		for i, tau := range levels {
-			row[i] = base + scale*timeseries.InterpolatedQuantile(s.residuals, tau)
-		}
-		out.Values[k] = row
-	}
-	out.Enforce()
-	return out, nil
+	return s.predict(&offsetWarm{}, history, h, levels)
 }
 
-// WarmReset implements IncrementalForecaster.
-func (s *SeasonalNaive) WarmReset() { s.warm = offsetWarm{} }
-
-// PredictQuantilesWarm implements IncrementalForecaster: bit-identical to
-// PredictQuantiles, with the per-level seasonal offsets cached and the fan
-// reused (scratch owned by the forecaster, valid until the next predict).
+// PredictQuantilesWarm implements IncrementalForecaster: PredictQuantiles
+// with the per-level seasonal offsets cached and the fan reused (scratch
+// owned by the forecaster, valid until the next predict).
 func (s *SeasonalNaive) PredictQuantilesWarm(history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
+	return s.predict(&s.warm, history, h, levels)
+}
+
+// predict is the one body of both entries, on the cache w.
+func (s *SeasonalNaive) predict(w *offsetWarm, history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
 	if !s.fitted {
 		return nil, ErrNotFitted
 	}
 	if h <= 0 {
 		return nil, fmt.Errorf("forecast: non-positive horizon %d", h)
 	}
-	lv, err := s.warm.levels.get(levels)
+	lv, err := w.levels.get(levels)
 	if err != nil {
 		return nil, err
 	}
@@ -300,19 +219,20 @@ func (s *SeasonalNaive) PredictQuantilesWarm(history *timeseries.Series, h int, 
 	}
 	// The seasonal offsets do not depend on the step, so one cached row
 	// serves every k.
-	offs := s.warm.rows(1, lv, func(_ int, tau float64) float64 {
+	offs := w.rows(1, lv, func(_ int, tau float64) float64 {
 		return timeseries.InterpolatedQuantile(s.residuals, tau)
 	})[0]
-	out := reuseFan(s.warm.fan, h, lv)
-	s.warm.fan = out
+	out := reuseFan(w.fan, h, lv)
+	w.fan = out
 	for k := 0; k < h; k++ {
+		// Index of the same phase one (or more) seasons earlier.
 		idx := history.Len() + k
 		for idx >= history.Len() {
 			idx -= s.Period
 		}
 		base := history.At(idx)
-		seasonsAhead := float64((history.Len() + k - idx) / s.Period)
-		scale := math.Sqrt(seasonsAhead)
+		// Widen the band with the number of seasons extrapolated.
+		scale := math.Sqrt(float64((history.Len() + k - idx) / s.Period))
 		out.Mean[k] = base
 		row := out.Values[k]
 		for i := range lv {
@@ -321,6 +241,23 @@ func (s *SeasonalNaive) PredictQuantilesWarm(history *timeseries.Series, h int, 
 	}
 	out.Enforce()
 	return out, nil
+}
+
+// residualPool returns the sorted lag-step changes train[t+lag] - train[t]
+// for t below avail, stride-thinned to at most limit of them (limit <= 0
+// keeps every one) and sized exactly: the residual pool of both naive
+// baselines.
+func residualPool(train *timeseries.Series, lag, avail, limit int) []float64 {
+	stride := 1
+	if limit > 0 && avail > limit {
+		stride = (avail + limit - 1) / limit
+	}
+	pool := make([]float64, 0, (avail+stride-1)/stride)
+	for t := 0; t < avail; t += stride {
+		pool = append(pool, train.At(t+lag)-train.At(t))
+	}
+	sort.Float64s(pool)
+	return pool
 }
 
 var (

@@ -3,6 +3,7 @@ package forecast
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -116,6 +117,23 @@ func TestDeepARBlocksInvisible(t *testing.T) {
 	}
 }
 
+// warmup runs the conditioning window of history through the network,
+// from the zero state at warmAnchor(n, Context), and returns the final
+// state plus the emission for the first forecast step: the independent
+// reference for predict's conditioning.
+func (d *DeepAR) warmup(history *timeseries.Series) (nn.LSTMState, emission, error) {
+	if history.Len() < d.cfg.Context {
+		return nn.LSTMState{}, emission{}, ErrShortHistory
+	}
+	anchor := warmAnchor(history.Len(), d.cfg.Context)
+	state := d.cell.NewLSTMState()
+	for p := anchor; p <= history.Len(); p++ {
+		state = d.conditionStep(nil, state, history, anchor, p)
+	}
+	out, _ := d.head.Forward(state.H)
+	return state, d.emissionFrom(out), nil
+}
+
 // TestDeepARLockstepMatchesPerPathRollout holds the lockstep rollout to
 // the per-path loop it replaced: each path alone, from its own seeded
 // RNG, stepped by StepScratch and the head's ForwardScratch. The sample
@@ -214,5 +232,58 @@ func TestTFTConcurrentPredictSharesArenas(t *testing.T) {
 	}
 	if n := len(m.arenas.free); n < 1 || n > callers {
 		t.Errorf("free list holds %d arenas after %d concurrent callers", n, callers)
+	}
+}
+
+// TestColdPredictConcurrentWithWarm runs cold predicts from several
+// goroutines while one more goroutine drives the same forecaster's warm
+// path: a cold call runs on a cache local to the call, so under -race this
+// is the test that it never touches the forecaster's own cache, and every
+// fan must still match the serial one.
+func TestColdPredictConcurrentWithWarm(t *testing.T) {
+	train := sineSeries(220, 24, 50, 20)
+	conformal := NewConformal(NewSeasonalNaive(24))
+	conformal.Horizon = 8
+	models := []QuantileForecaster{NewNaive(8), NewSeasonalNaive(24), conformal,
+		NewDeepAR(DeepARConfig{Context: 16, Hidden: 8, Epochs: 1, Seed: 5, MaxWindows: 24, Samples: 20, TrainHorizon: 8, Workers: 2})}
+	hists := []*timeseries.Series{train.Slice(0, 200), train.Slice(0, 201), train.Slice(0, 210), train}
+	for _, m := range models {
+		if err := m.Fit(train.Slice(0, 180)); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]*QuantileForecast, len(hists))
+		for i, h := range hists {
+			f, err := m.PredictQuantiles(h, 6, DefaultLevels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = f
+		}
+		const callers, rounds = 4, 6
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					i := (c + r) % len(hists)
+					var f *QuantileForecast
+					var err error
+					if c == 0 {
+						f, err = m.(IncrementalForecaster).PredictQuantilesWarm(hists[i], 6, DefaultLevels)
+					} else {
+						f, err = m.PredictQuantiles(hists[i], 6, DefaultLevels)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(want[i], f) {
+						t.Errorf("%s at origin %d: concurrent fan differs from the serial one", m.Name(), hists[i].Len())
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
 	}
 }

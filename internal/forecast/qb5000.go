@@ -73,7 +73,6 @@ type QB5000 struct {
 // each round — allocation-free — rather than advanced.
 type qb5000Warm struct {
 	ref    timeseries.Ref
-	valid  bool
 	anchor int
 	next   int          // state has consumed conditioning inputs for positions [anchor, next)
 	state  nn.LSTMState // owned heap buffers
@@ -121,7 +120,7 @@ const qb5000InputDim = 1 + timeFeatureDim
 
 // Fit trains all three ensemble components.
 func (q *QB5000) Fit(train *timeseries.Series) error {
-	q.WarmReset() // new weights invalidate any cached recurrent state
+	q.warm = qb5000Warm{} // new weights invalidate any cached recurrent state
 	q.scaler.Fit(train.Values)
 	windows, err := trainingWindows(train, q.cfg.Context, q.cfg.TrainHorizon, q.cfg.MaxWindows)
 	if err != nil {
@@ -222,32 +221,11 @@ func (q *QB5000) fitLSTM(train *timeseries.Series, windows []timeseries.Window) 
 	}
 }
 
-// Predict implements Forecaster: the equally weighted ensemble mean.
+// Predict implements Forecaster: the equally weighted ensemble mean. It
+// runs predict on a cache local to the call, so it is safe for concurrent
+// use.
 func (q *QB5000) Predict(history *timeseries.Series, h int) ([]float64, error) {
-	if !q.fitted {
-		return nil, ErrNotFitted
-	}
-	if h <= 0 {
-		return nil, fmt.Errorf("forecast: non-positive horizon %d", h)
-	}
-	if h > q.cfg.TrainHorizon {
-		return nil, fmt.Errorf("forecast: qb5000 trained for horizon %d, requested %d", q.cfg.TrainHorizon, h)
-	}
-	context, err := contextTail(history, q.cfg.Context)
-	if err != nil {
-		return nil, err
-	}
-	norm := q.scaler.Transform(context)
-
-	lin := q.predictLinear(norm, h, make([]float64, h))
-	ker := q.predictKernel(norm, h, make([]float64, h), make([]float64, len(q.kernelX)))
-	rec := q.predictLSTM(history, h)
-
-	out := make([]float64, h)
-	for t := 0; t < h; t++ {
-		out[t] = q.scaler.InverseOne((lin[t] + ker[t] + rec[t]) / 3)
-	}
-	return out, nil
+	return q.predict(&qb5000Warm{}, history, h)
 }
 
 func (q *QB5000) predictLinear(norm []float64, h int, out []float64) []float64 {
@@ -326,29 +304,18 @@ func (q *QB5000) decodeLSTM(s *nn.Scratch, state nn.LSTMState, history *timeseri
 	return out
 }
 
-// predictLSTM conditions the recurrent component on the anchored window
-// [warmAnchor(n, Context), n) — the same grid the warm path advances along,
-// so warm and cold are bit-identical — and decodes h steps.
-func (q *QB5000) predictLSTM(history *timeseries.Series, h int) []float64 {
-	anchor := warmAnchor(history.Len(), q.cfg.Context)
-	state := q.cell.NewLSTMState()
-	for p := anchor; p < history.Len(); p++ {
-		state = q.lstmStep(nil, state, history, anchor, p)
-	}
-	return q.decodeLSTM(nil, state, history, h, make([]float64, h))
-}
-
-// WarmReset implements IncrementalPointForecaster.
-func (q *QB5000) WarmReset() {
-	q.warm.valid = false
-	q.warm.ref.Reset()
-}
-
-// PredictWarm implements IncrementalPointForecaster: bit-identical to
-// Predict, advancing the recurrent component's cached conditioning state by
-// one step per new observation and reusing the linear/kernel buffers. The
-// returned slice is forecaster-owned scratch, valid until the next predict.
+// PredictWarm implements IncrementalPointForecaster: Predict on the
+// forecaster's own cache. The returned slice is forecaster-owned scratch,
+// valid until the next predict.
 func (q *QB5000) PredictWarm(history *timeseries.Series, h int) ([]float64, error) {
+	return q.predict(&q.warm, history, h)
+}
+
+// predict is the one body of both entries, on the cache w: the recurrent
+// component's conditioning state advances by one step per new observation
+// along the anchored grid [warmAnchor(n, Context), n), or is rebuilt from
+// the anchor, and the linear and kernel components reuse w's buffers.
+func (q *QB5000) predict(w *qb5000Warm, history *timeseries.Series, h int) ([]float64, error) {
 	if !q.fitted {
 		return nil, ErrNotFitted
 	}
@@ -362,7 +329,6 @@ func (q *QB5000) PredictWarm(history *timeseries.Series, h int) ([]float64, erro
 	if n < q.cfg.Context {
 		return nil, ErrShortHistory
 	}
-	w := &q.warm
 
 	// Fixed-length normalized tail for the linear and kernel components.
 	w.normBuf = resize(w.normBuf, q.cfg.Context)
@@ -383,7 +349,7 @@ func (q *QB5000) PredictWarm(history *timeseries.Series, h int) ([]float64, erro
 	sc.Reset()
 	state := nn.LSTMState{H: w.state.H, C: w.state.C}
 	from := w.next
-	if !w.valid || w.anchor != anchor || w.next > n || !w.ref.Extends(history) {
+	if w.anchor != anchor || w.next > n || !w.ref.Extends(history) {
 		state = q.cell.NewLSTMStateScratch(sc)
 		from = anchor
 	}
@@ -394,7 +360,6 @@ func (q *QB5000) PredictWarm(history *timeseries.Series, h int) ([]float64, erro
 	w.state.C = append(w.state.C[:0], state.C...)
 	w.anchor, w.next = anchor, n
 	w.ref.Record(history)
-	w.valid = true
 
 	// Decode from a scratch copy so the owned state stays pre-decode.
 	w.rec = q.decodeLSTM(sc, nn.LSTMState{H: w.state.H, C: w.state.C}, history, h, resize(w.rec, h))

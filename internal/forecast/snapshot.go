@@ -63,7 +63,7 @@ func (a *ARIMA) Load(r io.Reader) error {
 	}
 	a.P, a.D, a.Q, a.SeasonalPeriod = p, d, q, period
 	a.phi, a.theta, a.constant, a.sigma2 = phi, theta, constant, sigma2
-	a.WarmReset() // restored weights invalidate any cached warm state
+	a.warm = arimaWarm{} // restored weights invalidate any cached warm state
 	a.fitted = true
 	return nil
 }
@@ -162,7 +162,7 @@ func (d *DeepAR) Save(w io.Writer) error {
 func (d *DeepAR) Load(r io.Reader) error {
 	return loadNeural(r, "deepar", 0, &d.scaler, &d.fitted, func(int, []float64) (nn.Params, error) {
 		d.build()
-		d.WarmReset() // restored weights invalidate any cached recurrent state
+		d.warm = deeparWarm{} // restored weights invalidate any cached recurrent state
 		return d.params, nil
 	})
 }
@@ -216,7 +216,7 @@ func (q *QB5000) Load(r io.Reader) error {
 	if err := lstm.params.Read(&rd); err != nil {
 		return err
 	}
-	q.WarmReset() // restored weights invalidate any cached recurrent state
+	q.warm = qb5000Warm{} // restored weights invalidate any cached recurrent state
 	q.cell, q.head, q.params = lstm.cell, lstm.head, lstm.params
 	q.scaler, q.linCoef, q.kernelX, q.kernelY = sc, linCoef, kernelX, kernelY
 	q.fitted = true
@@ -292,7 +292,7 @@ func (n *Naive) Load(r io.Reader) error {
 		}
 	}
 	n.horizon, n.MaxResiduals, n.residuals = len(residuals), maxResiduals, residuals
-	n.WarmReset() // restored residuals invalidate cached offsets
+	n.warm = offsetWarm{} // restored residuals invalidate cached offsets
 	n.fitted = true
 	return nil
 }
@@ -341,7 +341,7 @@ func (s *SeasonalNaive) Load(r io.Reader) error {
 		return fmt.Errorf("forecast: seasonal-naive snapshot: %w", err)
 	}
 	s.Period, s.MaxResiduals, s.residuals = period, maxResiduals, residuals
-	s.WarmReset() // restored residuals invalidate cached offsets
+	s.warm = offsetWarm{} // restored residuals invalidate cached offsets
 	s.fitted = true
 	return nil
 }

@@ -438,10 +438,6 @@ type tftWarm struct {
 	fan    *QuantileForecast
 }
 
-// WarmReset implements IncrementalForecaster. The TFT caches no state
-// between rounds, only buffers, which are shape caches and survive.
-func (m *TFT) WarmReset() {}
-
 // PredictQuantilesWarm implements IncrementalForecaster: PredictQuantiles
 // on the warm path's own forward pass and fan, bit-identical to it and
 // allocation-free in steady state. The returned forecast is a scratch

@@ -13,23 +13,27 @@ import "robustscale/internal/timeseries"
 // computed last round and advances it over just the newly appended
 // observations. The contract is strict:
 //
+//   - One body: a forecaster predicts through a single body that takes its
+//     cache as an argument. The warm entry passes the forecaster's own
+//     cache; the cold entry passes a zero cache local to the call, so it
+//     stays safe for concurrent use and the caller owns the fan it
+//     returns. ARIMA keeps a separate full-array cold path as the
+//     reference its windowed warm path is checked against.
 //   - Bit-identical: PredictQuantilesWarm must return exactly the floats
 //     PredictQuantiles would, for every history. The warm path is a cache,
 //     never an approximation.
 //   - Self-invalidating: the cached state remembers which history it was
 //     built from (backing array identity + start/step + a tail tripwire,
 //     see timeseries.Ref). Any discontinuity — a cloned/sanitized history, a
-//     shrunk series, a restored checkpoint — silently falls back to the
-//     cold computation, which also rebuilds the cache.
+//     shrunk series — silently falls back to the cold computation, which
+//     also rebuilds the cache.
 //   - Rebuildable, never persisted: warm state is derived entirely from
-//     weights + history, so Save never writes it and Load always drops it.
+//     weights + history, so Save never writes it and Fit and Load drop it.
 //   - Scratch-owned output: the returned *QuantileForecast is a buffer
 //     owned by the forecaster, valid until its next predict call (the same
 //     contract as scaler.Round). Callers that retain a fan across rounds
 //     must copy it.
-//   - Single-goroutine: warm calls on one forecaster must not race. The
-//     cold PredictQuantiles path keeps per-call allocation and stays safe
-//     for concurrent use.
+//   - Single-goroutine: warm calls on one forecaster must not race.
 
 // IncrementalForecaster is a QuantileForecaster with a warm-state fast
 // path. Advancing over newly appended observations is implicit in
@@ -41,9 +45,6 @@ type IncrementalForecaster interface {
 	// are bit-identical to the cold path; the returned forecast is a
 	// scratch owned by the forecaster, valid until the next predict.
 	PredictQuantilesWarm(history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error)
-	// WarmReset drops all cached warm state; the next warm predict pays
-	// one cold rebuild. Used by the guard on degradation and by Load.
-	WarmReset()
 }
 
 // IncrementalPointForecaster is the point-forecast counterpart of
@@ -53,8 +54,16 @@ type IncrementalPointForecaster interface {
 	// PredictWarm is Predict on the warm path; the returned slice is a
 	// scratch owned by the forecaster, valid until the next predict.
 	PredictWarm(history *timeseries.Series, h int) ([]float64, error)
-	// WarmReset drops all cached warm state.
-	WarmReset()
+}
+
+// PredictQuantilesWarm forecasts through qf's warm path when it keeps one
+// and through its cold PredictQuantiles otherwise: the forecast call of a
+// planner, or of a wrapper on its warm path.
+func PredictQuantilesWarm(qf QuantileForecaster, history *timeseries.Series, h int, levels []float64) (*QuantileForecast, error) {
+	if inc, ok := qf.(IncrementalForecaster); ok {
+		return inc.PredictQuantilesWarm(history, h, levels)
+	}
+	return qf.PredictQuantiles(history, h, levels)
 }
 
 // warmAnchor returns the start index of the anchored conditioning window
@@ -130,14 +139,4 @@ func resize[E any](dst []E, n int) []E {
 		return dst[:n]
 	}
 	return make([]E, n)
-}
-
-// warmResetAll forwards WarmReset to any forecaster that has one; it is
-// the hook wrappers and strategies use without caring which concrete
-// forecaster they hold.
-func warmResetAll(f any) {
-	type warmResetter interface{ WarmReset() }
-	if wr, ok := f.(warmResetter); ok {
-		wr.WarmReset()
-	}
 }

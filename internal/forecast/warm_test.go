@@ -2,6 +2,7 @@ package forecast
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"robustscale/internal/timeseries"
@@ -84,8 +85,8 @@ func warmCases() []warmCase {
 // TestWarmMatchesColdAcrossOrigins is the core determinism contract of
 // the planning fast path: for every incremental forecaster, warm
 // prediction over a sliding origin — including origin strides that cross
-// conditioning anchors, a history clone mid-run, an explicit WarmReset
-// and a history shrunk below the last origin — is bit-identical to cold
+// conditioning anchors, a history clone mid-run and a history shrunk
+// below the last origin — is bit-identical to cold
 // prediction from a separately fitted twin.
 func TestWarmMatchesColdAcrossOrigins(t *testing.T) {
 	s := noisySine(600, 24, 50, 10, 1, 42)
@@ -132,8 +133,7 @@ func TestWarmMatchesColdAcrossOrigins(t *testing.T) {
 			}
 			requireFanEqual(t, tc.name+"/cloned", 450, cold, warm)
 
-			// Returning to the shared array after the clone, then after an
-			// explicit reset, both stay exact.
+			// Returning to the shared array after the clone stays exact.
 			for _, origin := range []int{451, 454} {
 				hist := s.Slice(0, origin)
 				cold, err := coldM.PredictQuantiles(hist, h, levels)
@@ -145,7 +145,6 @@ func TestWarmMatchesColdAcrossOrigins(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireFanEqual(t, tc.name+"/resumed", origin, cold, warm)
-				inc.WarmReset()
 			}
 
 			// A shorter history over the same array, after a warm round
@@ -290,7 +289,6 @@ func TestQB5000WarmMatchesCold(t *testing.T) {
 		check("qb5000", s.Slice(0, origin), origin)
 	}
 	check("qb5000/cloned", cloneSeries(s.Slice(0, 450)), 450)
-	warm.WarmReset()
 	check("qb5000/reset", s.Slice(0, 454), 454)
 }
 
@@ -393,4 +391,81 @@ func TestTFTPredictAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(20, predict); got != want {
 		t.Errorf("TFT predict allocates %v times, want %v", got, want)
 	}
+}
+
+// TestDeepARPredictAllocs pins what one cold DeepAR predict allocates at a
+// fixed shape: the call-local cache it runs predict on (its arenas, path
+// RNGs, sample matrix and levels) and the fan it returns, never a buffer
+// per path or per path-step. At this history length the packed LSTM
+// panels fit in an arena slab the conditioning already drew, so the count
+// is the same with the SIMD kernels on and off.
+func TestDeepARPredictAllocs(t *testing.T) {
+	s := noisySine(300, 24, 50, 10, 1, 42)
+	m := NewDeepAR(DeepARConfig{
+		Context: 24, Hidden: 8, Epochs: 1, LR: 5e-3, Seed: 3,
+		MaxWindows: 12, Samples: 20, TrainHorizon: 12, Workers: 1,
+	})
+	if err := m.Fit(s.Slice(0, 240)); err != nil {
+		t.Fatal(err)
+	}
+	hist := s.Slice(0, 242)
+	levels := []float64{0.1, 0.5, 0.9}
+	predict := func() {
+		if _, err := m.PredictQuantiles(hist, 12, levels); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = 75
+	if got := testing.AllocsPerRun(20, predict); got != want {
+		t.Errorf("DeepAR predict allocates %v times, want %v", got, want)
+	}
+}
+
+// FuzzWarmMatchesCold drives one instance of each offset-based forecaster
+// through a fuzzer-chosen run of calls, three bytes each: the origin's
+// move (back as well as forward, sometimes onto a cloned history), the
+// horizon and the level set, all free to change between warm calls. Every
+// warm fan must equal the cold fan of the same call bit for bit, and both
+// must refuse the same requests.
+func FuzzWarmMatchesCold(f *testing.F) {
+	f.Add([]byte{2, 5, 0x12, 3, 5, 0x12, 4, 0x8b, 0x31})
+	f.Add([]byte{0x82, 0, 0x01, 1, 11, 0xff, 0, 11, 0xfe, 7, 3, 0})
+	s := noisySine(600, 24, 50, 10, 1, 42)
+	grid := []float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		conformal := NewConformal(NewSeasonalNaive(24))
+		conformal.Horizon = 12
+		for _, m := range []QuantileForecaster{NewNaive(12), NewSeasonalNaive(24), conformal} {
+			if err := m.Fit(s.Slice(0, 400)); err != nil {
+				t.Fatal(err)
+			}
+			inc := m.(IncrementalForecaster)
+			origin := 420
+			for i := 0; i+2 < len(ops); i += 3 {
+				origin = min(max(origin+int(ops[i]&0x0f)-4, 300), s.Len())
+				hist := s.Slice(0, origin)
+				if ops[i]&0x80 != 0 {
+					hist = cloneSeries(hist)
+				}
+				h := 1 + int(ops[i+1]&0x7f)%12
+				var levels []float64
+				for j, l := range grid {
+					if ops[i+2]&(1<<j) != 0 {
+						levels = append(levels, l)
+					}
+				}
+				if ops[i+1]&0x80 != 0 {
+					slices.Reverse(levels)
+				}
+				cold, errCold := m.PredictQuantiles(hist, h, levels)
+				warm, errWarm := inc.PredictQuantilesWarm(hist, h, levels)
+				if (errCold == nil) != (errWarm == nil) {
+					t.Fatalf("%s call %d: cold error %v, warm error %v", m.Name(), i/3, errCold, errWarm)
+				}
+				if errCold == nil {
+					requireFanEqual(t, m.Name(), origin, cold, warm)
+				}
+			}
+		}
+	})
 }

@@ -330,13 +330,7 @@ func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) (Round, 
 // contract.
 func predictQuantiles(clock *time.Duration, qf forecast.QuantileForecaster, history *timeseries.Series, h int, levels []float64) (*forecast.QuantileForecast, error) {
 	sp := obs.DefaultTracer.Start("forecast")
-	var f *forecast.QuantileForecast
-	var err error
-	if inc, ok := qf.(forecast.IncrementalForecaster); ok {
-		f, err = inc.PredictQuantilesWarm(history, h, levels)
-	} else {
-		f, err = qf.PredictQuantiles(history, h, levels)
-	}
+	f, err := forecast.PredictQuantilesWarm(qf, history, h, levels)
 	sp.End()
 	if err == nil {
 		lapStage(clock, stageForecast)
