@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-arm64 test vet race race-pkgs cover bench bench-compile bench-save bench-check fuzz fleet-smoke slo-smoke fleet-chaos-smoke wake-smoke no-binaries ci experiments clean
+.PHONY: all build build-arm64 test-go-kernels test vet race race-pkgs cover bench bench-compile bench-save bench-check fuzz fleet-smoke slo-smoke fleet-chaos-smoke wake-smoke no-binaries ci experiments clean
 
 all: build vet test
 
@@ -18,6 +18,13 @@ vet:
 build-arm64:
 	GOARCH=arm64 $(GO) vet ./internal/nn ./internal/forecast
 	GOARCH=arm64 $(GO) build ./...
+
+# The same Go-kernel path on amd64: with AVX off useSIMD is false, so the
+# whole internal/nn suite runs gateRow's Go body and mulVecsInto beside
+# the SIMD-only tests' skips. internal/forecast stays out: its goldens pin
+# math.Exp's FMA bits, which GODEBUG=cpu.avx=off also turns off.
+test-go-kernels:
+	GODEBUG=cpu.avx=off $(GO) test ./internal/nn
 
 # RACE_PKGS are the packages with real concurrency (worker pools,
 # gradient replicas, the shared model zoo, the circuit breaker, the
@@ -73,7 +80,9 @@ bench-check:
 # fuzz build's coverage counters change which payload NaN+NaN keeps, and
 # TestMulVecIntoBitIdentical compares NaN payloads exactly. The next steps
 # fuzzer-chosen LSTM batches on the SIMD kernels and on the Go kernels:
-# both must give the same bits. The next holds
+# both must give the same bits, and the next one sequence's gate row, at
+# every lane branch and at hidden sizes that leave a partial group. The
+# next holds
 # the trace generator's ramp power to math.Pow's bits on any x in [0, 1]
 # and exponent in (0, 1]. The next holds its diurnal shape, computed a
 # block of steps at a time, to the one-step shape's bits. The next feeds arbitrary bytes to the trace CSV
@@ -102,6 +111,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScheduleMatchesLegacy -fuzztime=10s -fuzzminimizetime=1s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz=FuzzTrainingKernels -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
 	$(GO) test -run '^$$' -fuzz=FuzzStepBatchLanes -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
+	$(GO) test -run '^$$' -fuzz=FuzzGateRow -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
 	$(GO) test -run '^$$' -fuzz=FuzzRampPow -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzDiurnalBlock -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzReadCSV -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
@@ -146,7 +156,7 @@ no-binaries:
 	done); if [ -n "$$elf" ]; then echo "compiled binaries are tracked:"; echo "$$elf"; exit 1; fi
 
 # Everything the CI workflow checks, runnable locally in one shot.
-ci: build vet build-arm64 no-binaries
+ci: build vet build-arm64 test-go-kernels no-binaries
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) test ./...

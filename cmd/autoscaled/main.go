@@ -158,6 +158,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("%w: -apply-retries %d, -apply-backoff %v, -breaker-threshold %d and -breaker-cooldown %v must all be positive",
 			fleet.ErrConfig, *applyRetries, *applyBackoff, *breakerOpenAt, *breakerCooldown)
 	}
+	// Names no loop knows are refused here too, before -listen binds and
+	// the trace is generated.
+	reactive, ok := strategies[cfg.Strategy]
+	if !ok {
+		return fmt.Errorf("%w: unknown strategy %q", fleet.ErrConfig, cfg.Strategy)
+	}
+	generate, ok := datasets[*dataset]
+	if !ok {
+		return fmt.Errorf("%w: unknown dataset %q", fleet.ErrConfig, *dataset)
+	}
+	var prof chaos.Profile
+	if cfg.Chaos != "" {
+		var err error
+		if prof, err = chaos.Preset(cfg.Chaos); err != nil {
+			return fmt.Errorf("%w: %w", fleet.ErrConfig, err)
+		}
+	}
 
 	// Every run starts from fresh process-wide observability rings, so
 	// several runs in one process (the in-process tests) do not see each
@@ -236,16 +253,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 
-	var tr *robustscale.Trace
-	var err error
-	switch *dataset {
-	case "alibaba":
-		tr, err = robustscale.GenerateAlibabaTrace(cfg.Seed)
-	case "google":
-		tr, err = robustscale.GenerateGoogleTrace(cfg.Seed)
-	default:
-		return fmt.Errorf("%w: unknown dataset %q", fleet.ErrConfig, *dataset)
-	}
+	tr, err := generate(cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -261,7 +269,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	trainEnd := cpu.Len() - replaySteps
 	planHorizon := cfg.Horizon
-	if cfg.Strategy == "reactive-max" || cfg.Strategy == "reactive-avg" {
+	if reactive {
 		planHorizon = 1
 	}
 	if err := fleet.CheckSizes(planHorizon, replaySteps, cfg.Theta); err != nil {
@@ -273,10 +281,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// on one cursor so injected faults stay aligned with virtual time.
 	var sched *chaos.Schedule
 	if cfg.Chaos != "" {
-		prof, err := chaos.Preset(cfg.Chaos)
-		if err != nil {
-			return fmt.Errorf("%w: %w", fleet.ErrConfig, err)
-		}
 		prof.Seed = cfg.ChaosSeed
 		if prof.Seed == 0 {
 			prof.Seed = cfg.Seed
@@ -627,9 +631,19 @@ func printExplanation(stdout io.Writer, arg string) error {
 	return nil
 }
 
+// strategies maps every -strategy name buildStrategy builds to whether it
+// is a model-free reactive baseline, which plans one step ahead.
+var strategies = map[string]bool{"reactive-max": true, "reactive-avg": true, "robust": false, "adaptive": false}
+
+// datasets maps every -dataset name to its trace generator.
+var datasets = map[string]func(seed int64) (*robustscale.Trace, error){
+	"alibaba": robustscale.GenerateAlibabaTrace,
+	"google":  robustscale.GenerateGoogleTrace,
+}
+
 // buildStrategy trains (cold start) or restores (model != nil, warm
 // start — zero training epochs) the forecaster and assembles the
-// requested bare strategy. It returns the forecaster's snapshotter for
+// requested bare strategy, one of strategies. It returns the forecaster's snapshotter for
 // checkpointing (nil for the model-free reactive strategies) and the
 // uncertainty threshold in effect (rho <= 0 calibrates it). wrap is
 // applied to the forecaster before it is handed to a strategy — the
@@ -641,36 +655,34 @@ func buildStrategy(name string, train *robustscale.Series, model []byte, tau, ta
 		return &robustscale.ReactiveMax{Window: 6, Theta: theta}, nil, 0, nil
 	case "reactive-avg":
 		return &robustscale.ReactiveAvg{Window: 6, HalfLife: 6, Theta: theta}, nil, 0, nil
-	case "robust", "adaptive":
-		cfg := robustscale.DefaultTFTConfig()
-		cfg.Epochs = epochs
-		cfg.Hidden = 24
-		cfg.MaxWindows = 128
-		cfg.TrainHorizon = horizon
-		cfg.Levels = robustscale.ScalingLevels
-		tft := robustscale.NewTFT(cfg)
-		if model != nil {
-			if err := tft.Load(bytes.NewReader(model)); err != nil {
-				return nil, nil, 0, fmt.Errorf("restoring %s from checkpoint: %w", tft.Name(), err)
-			}
-		} else {
-			logf("autoscaled: training %s on %d steps...", tft.Name(), train.Len())
-			if err := tft.Fit(train); err != nil {
-				return nil, nil, 0, err
-			}
-		}
-		if name == "robust" {
-			return &robustscale.Robust{Forecaster: wrap(tft), Tau: tau, Theta: theta}, tft, 0, nil
-		}
-		if rho <= 0 {
-			var err error
-			if rho, err = scaler.CalibrateRho(tft, train, horizon); err != nil {
-				return nil, nil, 0, err
-			}
-			logf("autoscaled: calibrated rho = %.2f", rho)
-		}
-		return &robustscale.Adaptive{Forecaster: wrap(tft), Tau1: tau, Tau2: tau2, Rho: rho, Theta: theta}, tft, rho, nil
-	default:
-		return nil, nil, 0, fmt.Errorf("%w: unknown strategy %q", fleet.ErrConfig, name)
 	}
+	// robust or adaptive
+	cfg := robustscale.DefaultTFTConfig()
+	cfg.Epochs = epochs
+	cfg.Hidden = 24
+	cfg.MaxWindows = 128
+	cfg.TrainHorizon = horizon
+	cfg.Levels = robustscale.ScalingLevels
+	tft := robustscale.NewTFT(cfg)
+	if model != nil {
+		if err := tft.Load(bytes.NewReader(model)); err != nil {
+			return nil, nil, 0, fmt.Errorf("restoring %s from checkpoint: %w", tft.Name(), err)
+		}
+	} else {
+		logf("autoscaled: training %s on %d steps...", tft.Name(), train.Len())
+		if err := tft.Fit(train); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	if name == "robust" {
+		return &robustscale.Robust{Forecaster: wrap(tft), Tau: tau, Theta: theta}, tft, 0, nil
+	}
+	if rho <= 0 {
+		var err error
+		if rho, err = scaler.CalibrateRho(tft, train, horizon); err != nil {
+			return nil, nil, 0, err
+		}
+		logf("autoscaled: calibrated rho = %.2f", rho)
+	}
+	return &robustscale.Adaptive{Forecaster: wrap(tft), Tau1: tau, Tau2: tau2, Rho: rho, Theta: theta}, tft, rho, nil
 }

@@ -46,3 +46,25 @@ func TestNonsenseSizesExitTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownNamesRefusedBeforeListen: a strategy, dataset or chaos
+// preset no loop knows exits 2 before -listen binds, the trace is
+// generated or chaos is armed, so an operator's typo never opens an
+// observability endpoint or starts training.
+func TestUnknownNamesRefusedBeforeListen(t *testing.T) {
+	for _, args := range []string{"-strategy bogus", "-dataset bogus", "-chaos bogus"} {
+		var stdout, stderr bytes.Buffer
+		err := run(context.Background(), strings.Fields(args+" -listen 127.0.0.1:0 -epochs 1"), &stdout, &stderr)
+		if code := exitCode(err, &stderr); code != 2 || !errors.Is(err, fleet.ErrConfig) {
+			t.Errorf("autoscaled %s: exit status %d (error %v), want 2 and fleet.ErrConfig", args, code, err)
+		}
+		for _, late := range []string{"observability endpoint", "training", "armed"} {
+			if strings.Contains(stderr.String(), late) {
+				t.Errorf("autoscaled %s got as far as %q before refusing:\n%s", args, late, stderr.String())
+			}
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("autoscaled %s wrote to stdout: %q", args, stdout.String())
+		}
+	}
+}

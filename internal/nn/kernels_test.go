@@ -411,10 +411,11 @@ func TestMulVecsIntoBitIdentical(t *testing.T) {
 }
 
 // TestStepBatchMatchesStepScratch steps a batch of sequences in lockstep
-// beside each sequence stepped alone: hidden and cell states must agree
-// bit for bit at every step, for odd and even batch sizes, and the head
-// on top of them through ForwardBatch against ForwardScratch. It runs on
-// the SIMD kernels where the CPU has them and on the Go kernels, at a
+// beside each sequence stepped alone on the Go kernels: hidden and cell
+// states must agree bit for bit at every step, for odd and even batch
+// sizes, and the head on top of them through ForwardBatch against
+// ForwardScratch. The batch runs on the SIMD kernels where the CPU has
+// them and on the Go kernels, at a
 // hidden size of 12 and of 7 (whose n·7 tanh(c) lanes leave a len%4
 // tail), and on a cell whose pre-activations are its inputs, drawn from
 // every branch of sigmoid and tanh.
@@ -488,7 +489,7 @@ func stepBatchAgainstAlone(t *testing.T, cell *LSTMCell, head *Dense, d stepDraw
 			cell.StepBatch(batch, x, panels)
 			head.ForwardBatch(batch.H, y)
 			for b := range alone {
-				alone[b], _ = cell.StepScratch(nil, x.Row(b), alone[b])
+				goKernels(func() { alone[b], _ = cell.StepScratch(nil, x.Row(b), alone[b]) })
 				out, _ := head.ForwardScratch(nil, alone[b].H)
 				label := fmt.Sprintf("hidden %d n=%d step %d sequence %d", cell.Hidden, n, step, b)
 				sameBits(t, label+" H", batch.H.Row(b), alone[b].H)

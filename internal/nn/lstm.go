@@ -89,26 +89,41 @@ func (c *LSTMCell) StepScratch(s *Scratch, x []float64, prev LSTMState) (LSTMSta
 	h := c.Hidden
 	pre := c.Wx.Value.MulVecInto(x, s.Vec(4*h))
 	preH := c.Wh.Value.MulVecInto(prev.H, s.Vec(4*h))
-	for i := range pre {
-		pre[i] += preH[i] + c.B.Value.Data[i]
-	}
-
 	cache := s.lstmCache()
 	cache.x, cache.hPrev, cache.cPrev = x, prev.H, prev.C
-	cache.i, cache.f = s.Vec(h), s.Vec(h)
-	cache.g, cache.o = s.Vec(h), s.Vec(h)
+	gates := s.Vec(4 * h)
+	cache.i, cache.f, cache.g, cache.o = gates[:h], gates[h:2*h], gates[2*h:3*h], gates[3*h:]
 	cache.c, cache.tanhC = s.Vec(h), s.Vec(h)
 	newH := s.Vec(h)
-	for j := 0; j < h; j++ {
-		cache.i[j] = sigmoid(pre[j])
-		cache.f[j] = sigmoid(pre[h+j])
-		cache.g[j] = tanh(pre[2*h+j])
-		cache.o[j] = sigmoid(pre[3*h+j])
-		cache.c[j] = cache.f[j]*prev.C[j] + cache.i[j]*cache.g[j]
-		cache.tanhC[j] = tanh(cache.c[j])
-		newH[j] = cache.o[j] * cache.tanhC[j]
-	}
+	gateRow(pre, preH, c.B.Value.Data, prev.C, gates, cache.c, cache.tanhC, newH)
 	return LSTMState{H: newH, C: cache.c}, cache
+}
+
+// gateRow is the one gate body of StepScratch and StepBatch, for one
+// sequence of H = len(h) cells: pre holds Wx·x and preH Wh·h, 4H each in
+// the gate layout, and cPrev the cell state. It leaves the activated
+// gates in gates, the new cell state in c, tanh(c) in tanhC and the new
+// hidden state in h; gates may be pre, c may be cPrev and tanhC may be h.
+// Where useSIMD holds gateLanes computes the row with the same bits,
+// consuming pre and preH; a row with a sigmoid gate whose exp it refuses
+// (|x| > 708, NaN) comes back untouched and runs here.
+func gateRow(pre, preH, bias, cPrev, gates, c, tanhC, h []float64) {
+	n := len(h)
+	pre, preH, bias, gates = pre[:4*n], preH[:4*n], bias[:4*n], gates[:4*n]
+	cPrev, c, tanhC = cPrev[:n], c[:n], tanhC[:n]
+	if n > 0 && useSIMD && gateLanes(&pre[0], &preH[0], &bias[0], &cPrev[0], &gates[0], &c[0], &tanhC[0], &h[0], n) {
+		return
+	}
+	for j := range h {
+		ig := sigmoid(pre[j] + (preH[j] + bias[j]))
+		fg := sigmoid(pre[n+j] + (preH[n+j] + bias[n+j]))
+		gg := tanh(pre[2*n+j] + (preH[2*n+j] + bias[2*n+j]))
+		og := sigmoid(pre[3*n+j] + (preH[3*n+j] + bias[3*n+j]))
+		gates[j], gates[n+j], gates[2*n+j], gates[3*n+j] = ig, fg, gg, og
+		c[j] = fg*cPrev[j] + ig*gg
+		tanhC[j] = tanh(c[j])
+		h[j] = og * tanhC[j]
+	}
 }
 
 // LSTMBatch is the state of n independent sequences that StepBatch
@@ -132,54 +147,14 @@ func (c *LSTMCell) NewLSTMBatch(s *Scratch, n int) LSTMBatch {
 // InSize) being sequence b's input. Each row of H and C ends with exactly
 // the bits StepScratch gives that sequence alone: the two matrix products
 // run on mulVecsPacked over w (PackPanels; the zero LSTMPanels runs
-// mulVecsInto), and the gates keep StepScratch's expressions. It builds no
-// cache, so it serves inference only.
+// mulVecsInto), and each row's gates on gateRow. It builds no cache, so it
+// serves inference only.
 func (c *LSTMCell) StepBatch(b LSTMBatch, x Mat, w LSTMPanels) {
 	c.Wx.Value.mulVecsPacked(w.wx, x, b.pre)
 	c.Wh.Value.mulVecsPacked(w.wh, b.H, b.preH)
-	c.gates(b, x.Rows)
-}
-
-// gates finishes StepBatch for the batch's first n rows: the bias, the
-// four gates and the new states, StepScratch's expressions with the exps
-// taken in two batches by expInPlace (see sigmoidArg and tanhArg): the
-// four gates' exps of every row in place of preH, which the sum has
-// consumed, then tanh(c)'s in place of H, which the products have. The
-// output gate waits in pre.
-func (c *LSTMCell) gates(b LSTMBatch, n int) {
-	h := c.Hidden
-	bias := c.B.Value.Data
-	for r := 0; r < n; r++ {
-		pre, e := b.pre.Row(r), b.preH.Row(r)
-		for i := range pre {
-			p := pre[i] + (e[i] + bias[i])
-			pre[i] = p
-			if i >= 2*h && i < 3*h {
-				e[i] = tanhArg(p)
-			} else {
-				e[i] = sigmoidArg(p)
-			}
-		}
-	}
-	expInPlace(b.preH.Data[:n*4*h])
-	for r := 0; r < n; r++ {
-		pre, e := b.pre.Row(r), b.preH.Row(r)
-		hr, cr := b.H.Row(r), b.C.Row(r)
-		for j := 0; j < h; j++ {
-			ig := sigmoidFrom(pre[j], e[j])
-			fg := sigmoidFrom(pre[h+j], e[h+j])
-			gg := tanhFrom(pre[2*h+j], e[2*h+j])
-			pre[3*h+j] = sigmoidFrom(pre[3*h+j], e[3*h+j])
-			cr[j] = fg*cr[j] + ig*gg
-			hr[j] = tanhArg(cr[j])
-		}
-	}
-	expInPlace(b.H.Data[:n*h])
-	for r := 0; r < n; r++ {
-		og, hr, cr := b.pre.Row(r)[3*h:], b.H.Row(r), b.C.Row(r)
-		for j := range hr {
-			hr[j] = og[j] * tanhFrom(cr[j], hr[j])
-		}
+	for r := 0; r < x.Rows; r++ {
+		pre, hr, cr := b.pre.Row(r), b.H.Row(r), b.C.Row(r)
+		gateRow(pre, b.preH.Row(r), c.B.Value.Data, cr, pre, cr, hr, hr)
 	}
 }
 

@@ -1,14 +1,11 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// StepBatch's two hot loops run on AVX and FMA kernels where the CPU has
-// them (simd_amd64.s), and on the Go kernels everywhere else, with the
-// same bits: each SIMD lane computes exactly the expression the Go kernel
-// computes for that element (DESIGN.md §4).
+// StepBatch's products and both steps' gates run on AVX and FMA kernels
+// where the CPU has them (simd_amd64.s), and on the Go kernels everywhere
+// else, with the same bits: each SIMD lane computes exactly the
+// expression the Go kernel computes for that element (DESIGN.md §4).
 
 // LSTMPanels is a cell's Wx and Wh packed for StepBatch's panel kernel.
 // The zero value, and a pack made where the kernel is off, run the Go
@@ -90,75 +87,3 @@ func (m Mat) rowsFrom(v int) Mat {
 // expProbe: expProbeFMA and 1.4549914146182013. Pinned by
 // TestExpProbeSplitsTheSequences.
 const expProbe, expProbeFMA = 0.375, 1.4549914146182015
-
-// expInPlace overwrites every x[i] with math.Exp(x[i]). Where useSIMD holds,
-// expLanes takes four at a time; a group it refuses (a lane outside
-// [-708, 709], or NaN) and the len%4 tail go through math.Exp.
-func expInPlace(x []float64) {
-	if useSIMD {
-		for len(x) >= 4 {
-			x = x[expLanes(x):]
-			if len(x) < 4 {
-				break
-			}
-			for i, v := range x[:4] {
-				x[i] = math.Exp(v)
-			}
-			x = x[4:]
-		}
-	}
-	for i, v := range x {
-		x[i] = math.Exp(v)
-	}
-}
-
-// The gates split sigmoid and tanh (dense.go) around their one math.Exp:
-// the ...Arg half gives the exp's argument, expInPlace takes the exps of
-// a whole batch, and the ...From half finishes with the same expression
-// on the same exp, so the result carries the same bits.
-
-func sigmoidArg(x float64) float64 {
-	if x >= 0 {
-		return -x
-	}
-	return x
-}
-
-func sigmoidFrom(x, e float64) float64 {
-	if x >= 0 {
-		return 1 / (1 + e)
-	}
-	return e / (1 + e)
-}
-
-// tanhMaxLog is math.Tanh's MAXLOG: beyond half of it tanh is ±1.
-const tanhMaxLog = 8.8029691931113054295988e+01
-
-// tanhTakesExp reports whether math.Tanh(x) takes its exp branch,
-// 0.625 <= |x| <= MAXLOG/2; false for NaN.
-func tanhTakesExp(x float64) bool {
-	z := math.Abs(x)
-	return z >= 0.625 && z <= 0.5*tanhMaxLog
-}
-
-// tanhArg is the argument of math.Tanh's exp, 2|x|, or 0 where it takes
-// none.
-func tanhArg(x float64) float64 {
-	if tanhTakesExp(x) {
-		return 2 * math.Abs(x)
-	}
-	return 0
-}
-
-// tanhFrom is math.Tanh(x) given s = math.Exp(tanhArg(x)); the branches
-// without an exp are math.Tanh's own.
-func tanhFrom(x, s float64) float64 {
-	if !tanhTakesExp(x) {
-		return math.Tanh(x)
-	}
-	z := 1 - 2/(s+1)
-	if x < 0 {
-		z = -z
-	}
-	return z
-}

@@ -125,15 +125,54 @@ DATA expConst<>+488(SB)/4, $1023
 DATA expConst<>+492(SB)/4, $1023
 GLOBL expConst<>(SB), RODATA|NOPTR, $496
 
+// EXP overwrites Y0's four lanes, each in [-708, 709], with math.Exp's
+// FMA path, operation for operation: k = VCVTPD2DQ(x*LOG2E) rounds to
+// nearest as CVTSD2SL does, the reduction and the Taylor polynomial fuse
+// where archExp uses VFNMADD231SD/VFMADD213SD and nowhere else, and the
+// result is scaled by the float whose bits are (k+1023)<<52, which is
+// exact only in that range. AVX has no 256-bit integer operations, so
+// the scale is built in 128-bit halves: k+1023, in [2, 2046] here, goes
+// into the high half of a zeroed quadword and is shifted up 20 more bits.
+// It clobbers Y1-Y5.
+#define EXP \
+	VMULPD       expConst<>+64(SB), Y0, Y1; \
+	VCVTPD2DQY   Y1, X2; \
+	VCVTDQ2PD    X2, Y1; \
+	VFNMADD231PD expConst<>+96(SB), Y1, Y0; \
+	VFNMADD231PD expConst<>+128(SB), Y1, Y0; \
+	VMULPD       expConst<>+160(SB), Y0, Y0; \
+	VMOVUPD      expConst<>+192(SB), Y3; \
+	VFMADD213PD  expConst<>+224(SB), Y0, Y3; \
+	VFMADD213PD  expConst<>+256(SB), Y0, Y3; \
+	VFMADD213PD  expConst<>+288(SB), Y0, Y3; \
+	VFMADD213PD  expConst<>+320(SB), Y0, Y3; \
+	VFMADD213PD  expConst<>+352(SB), Y0, Y3; \
+	VFMADD213PD  expConst<>+384(SB), Y0, Y3; \
+	VFMADD213PD  expConst<>+416(SB), Y0, Y3; \
+	VMULPD       Y3, Y0, Y0; \
+	VADDPD       expConst<>+448(SB), Y0, Y3; \
+	VMULPD       Y3, Y0, Y0; \
+	VADDPD       expConst<>+448(SB), Y0, Y3; \
+	VMULPD       Y3, Y0, Y0; \
+	VADDPD       expConst<>+448(SB), Y0, Y3; \
+	VMULPD       Y3, Y0, Y0; \
+	VADDPD       expConst<>+448(SB), Y0, Y3; \
+	VFMADD213PD  expConst<>+416(SB), Y3, Y0; \
+	VPADDD       expConst<>+480(SB), X2, X2; \
+	VPXOR        X5, X5, X5; \
+	VPUNPCKLDQ   X2, X5, X4; \
+	VPUNPCKHDQ   X2, X5, X5; \
+	VPSLLQ       $20, X4, X4; \
+	VPSLLQ       $20, X5, X5; \
+	VINSERTF128  $1, X5, Y4, Y4; \
+	VMULPD       Y4, Y0, Y0
+
 // func expLanes(x []float64) (done int)
 //
-// Overwrites x four lanes at a time with math.Exp's FMA path, operation
-// for operation: k = VCVTPD2DQ(x*LOG2E) rounds to nearest as CVTSD2SL
-// does, the reduction and the Taylor polynomial fuse where archExp uses
-// VFNMADD231SD/VFMADD213SD and nowhere else, and the result is scaled by
-// the float whose bits are (k+1023)<<52. That scale is exact only for x
-// in [-708, 709]; a group holding any other lane (or a NaN) is refused:
-// it is left untouched and expLanes returns the lanes done before it.
+// Overwrites x four lanes at a time with EXP. A group holding a lane
+// outside [-708, 709] (or a NaN) is refused: it is left untouched and
+// expLanes returns the lanes done before it. Only the tests call it: it
+// holds EXP to math.Exp on inputs the gates rarely reach.
 TEXT ·expLanes(SB), NOSPLIT, $0-32
 	MOVQ x_base+0(FP), SI
 	MOVQ x_len+8(FP), CX
@@ -150,43 +189,8 @@ exploop:
 	VMOVMSKPD Y1, DX
 	CMPQ    DX, $15
 	JNE     expdone
-
-	VMULPD      expConst<>+64(SB), Y0, Y1
-	VCVTPD2DQY  Y1, X2
-	VCVTDQ2PD   X2, Y1
-	VFNMADD231PD expConst<>+96(SB), Y1, Y0
-	VFNMADD231PD expConst<>+128(SB), Y1, Y0
-	VMULPD      expConst<>+160(SB), Y0, Y0
-	VMOVUPD     expConst<>+192(SB), Y3
-	VFMADD213PD expConst<>+224(SB), Y0, Y3
-	VFMADD213PD expConst<>+256(SB), Y0, Y3
-	VFMADD213PD expConst<>+288(SB), Y0, Y3
-	VFMADD213PD expConst<>+320(SB), Y0, Y3
-	VFMADD213PD expConst<>+352(SB), Y0, Y3
-	VFMADD213PD expConst<>+384(SB), Y0, Y3
-	VFMADD213PD expConst<>+416(SB), Y0, Y3
-	VMULPD      Y3, Y0, Y0
-	VADDPD      expConst<>+448(SB), Y0, Y3
-	VMULPD      Y3, Y0, Y0
-	VADDPD      expConst<>+448(SB), Y0, Y3
-	VMULPD      Y3, Y0, Y0
-	VADDPD      expConst<>+448(SB), Y0, Y3
-	VMULPD      Y3, Y0, Y0
-	VADDPD      expConst<>+448(SB), Y0, Y3
-	VFMADD213PD expConst<>+416(SB), Y3, Y0
-	// AVX has no 256-bit integer operations, so the scale is built in
-	// 128-bit halves: k+1023, in [2, 2046] here, goes into the high half
-	// of a zeroed quadword and is shifted up 20 more bits.
-	VPADDD      expConst<>+480(SB), X2, X2
-	VPXOR       X5, X5, X5
-	VPUNPCKLDQ  X2, X5, X4
-	VPUNPCKHDQ  X2, X5, X5
-	VPSLLQ      $20, X4, X4
-	VPSLLQ      $20, X5, X5
-	VINSERTF128 $1, X5, Y4, Y4
-	VMULPD      Y4, Y0, Y0
-	VMOVUPD     Y0, (SI)
-
+	EXP
+	VMOVUPD Y0, (SI)
 	ADDQ $32, SI
 	ADDQ $4, AX
 	DECQ CX
@@ -194,5 +198,332 @@ exploop:
 
 expdone:
 	MOVQ AX, done+24(FP)
+	VZEROUPPER
+	RET
+
+// The gates' constants, four lanes each: the sign and magnitude masks,
+// the largest |x| whose sigmoid exp EXP takes, math.Tanh's branch points
+// (0.625 and MAXLOG/2) and its tanhP and tanhQ coefficients.
+#define GLANES(off, v) DATA gateConst<>+(off+0)(SB)/8, v; DATA gateConst<>+(off+8)(SB)/8, v; DATA gateConst<>+(off+16)(SB)/8, v; DATA gateConst<>+(off+24)(SB)/8, v
+
+GLANES(0, $0x7fffffffffffffff)
+GLANES(32, $-0x8000000000000000)
+GLANES(64, $708.0)
+GLANES(96, $0.625)
+GLANES(128, $44.014845965556525)
+GLANES(160, $-9.64399179425052238628e-1)
+GLANES(192, $-9.92877231001918586564e1)
+GLANES(224, $-1.61468768441708447952e3)
+GLANES(256, $1.12811678491632931402e2)
+GLANES(288, $2.23548839060100448583e3)
+GLANES(320, $4.84406305325125486048e3)
+GLOBL gateConst<>(SB), RODATA|NOPTR, $352
+
+#define ABSMASK gateConst<>+0(SB)
+#define SIGNMASK gateConst<>+32(SB)
+#define ONE expConst<>+416(SB)
+#define TWO expConst<>+448(SB)
+
+// gateTail<>+32r selects a row's first r = hidden%4 lanes of its last
+// group.
+DATA gateTail<>+32(SB)/8, $-1
+DATA gateTail<>+64(SB)/8, $-1
+DATA gateTail<>+72(SB)/8, $-1
+DATA gateTail<>+96(SB)/8, $-1
+DATA gateTail<>+104(SB)/8, $-1
+DATA gateTail<>+112(SB)/8, $-1
+GLOBL gateTail<>(SB), RODATA|NOPTR, $128
+
+// A group's loads and stores: whole (LDW, STW), or the row's last,
+// partial group under the lane mask in Y15 (LDT, STT), whose other lanes
+// read as 0 and are never written.
+#define LDW(m, r) VMOVUPD m, r
+#define STW(r, m) VMOVUPD r, m
+#define LDT(m, r) VMASKMOVPD m, Y15, r
+#define STT(r, m) VMASKMOVPD r, Y15, m
+
+// PRE leaves in Y6 one gate's pre-activations pre + (preH + bias).
+#define PRE(LD, pre, preH, bias) \
+	LD(pre, Y6); \
+	LD(preH, Y7); \
+	LD(bias, Y8); \
+	VADDPD Y8, Y7, Y7; \
+	VADDPD Y7, Y6, Y6
+
+// sigmoid (dense.go) of Y6 in two halves around its exp: SIGARG leaves
+// its argument, x >= 0 ? -x : x, in Y0; SIGFROM takes e in Y0 to
+// (x >= 0 ? 1 : e) / (1 + e) in Y6. Both clobber Y7-Y9, SIGFROM Y0-Y1.
+#define SIGARG \
+	VXORPD    Y9, Y9, Y9; \
+	VCMPPD    $0x1d, Y9, Y6, Y8; \
+	VXORPD    SIGNMASK, Y6, Y7; \
+	VBLENDVPD Y8, Y7, Y6, Y0
+
+#define SIGFROM \
+	VXORPD    Y9, Y9, Y9; \
+	VCMPPD    $0x1d, Y9, Y6, Y8; \
+	VMOVUPD   ONE, Y7; \
+	VADDPD    Y7, Y0, Y1; \
+	VBLENDVPD Y8, Y7, Y0, Y0; \
+	VDIVPD    Y1, Y0, Y6
+
+// math.Tanh of Y6 in two halves around its exp, every case a lane mask
+// (Y8 the exp form's, 0.625 <= |x| <= MAXLOG/2). TANHARG leaves its exp
+// argument, 2|x| in those lanes and 0 elsewhere, in Y0. TANHFROM takes
+// the exp s in Y0 to Y6: the exp form 1 - 2/(s+1), negated for x < 0;
+// ±1 beyond MAXLOG/2; x itself at ±0; and everywhere else, NaN included,
+// the rational polynomial x + x*t*P(t)/Q(t), t = x*x. One division
+// serves both forms: its numerator and denominator are blended first.
+// Both clobber Y7-Y9, TANHFROM Y0-Y3 and Y10.
+#define TANHMASK \
+	VANDPD    ABSMASK, Y6, Y7; \
+	VCMPPD    $0x1d, gateConst<>+96(SB), Y7, Y8; \
+	VCMPPD    $0x12, gateConst<>+128(SB), Y7, Y9; \
+	VANDPD    Y9, Y8, Y8
+
+#define TANHARG \
+	TANHMASK; \
+	VMULPD    TWO, Y7, Y0; \
+	VANDPD    Y8, Y0, Y0
+
+#define TANHFROM \
+	TANHMASK; \
+	VADDPD    ONE, Y0, Y0; \
+	VMULPD    Y6, Y6, Y1; \
+	VMULPD    gateConst<>+160(SB), Y1, Y2; \
+	VADDPD    gateConst<>+192(SB), Y2, Y2; \
+	VMULPD    Y1, Y2, Y2; \
+	VADDPD    gateConst<>+224(SB), Y2, Y2; \
+	VADDPD    gateConst<>+256(SB), Y1, Y3; \
+	VMULPD    Y1, Y3, Y3; \
+	VADDPD    gateConst<>+288(SB), Y3, Y3; \
+	VMULPD    Y1, Y3, Y3; \
+	VADDPD    gateConst<>+320(SB), Y3, Y3; \
+	VMULPD    Y1, Y6, Y1; \
+	VMULPD    Y2, Y1, Y1; \
+	VBLENDVPD Y8, TWO, Y1, Y1; \
+	VBLENDVPD Y8, Y0, Y3, Y3; \
+	VDIVPD    Y3, Y1, Y1; \
+	VADDPD    Y1, Y6, Y2; \
+	VMOVUPD   ONE, Y0; \
+	VSUBPD    Y1, Y0, Y0; \
+	VANDPD    SIGNMASK, Y6, Y10; \
+	VXORPD    Y10, Y0, Y0; \
+	VBLENDVPD Y8, Y0, Y2, Y2; \
+	VCMPPD    $0x1e, gateConst<>+128(SB), Y7, Y9; \
+	VORPD     ONE, Y10, Y10; \
+	VBLENDVPD Y9, Y10, Y2, Y2; \
+	VXORPD    Y9, Y9, Y9; \
+	VCMPPD    $0x00, Y9, Y6, Y9; \
+	VBLENDVPD Y9, Y6, Y2, Y6
+
+// CHECK clears Y14's lanes where a sigmoid gate's |pre-activation| is
+// above 708 or NaN: its exp argument would leave EXP's range.
+#define CHECK(LD, pre, preH, bias) \
+	PRE(LD, pre, preH, bias); \
+	VANDPD ABSMASK, Y6, Y6; \
+	VCMPPD $0x12, gateConst<>+64(SB), Y6, Y6; \
+	VANDPD Y6, Y14, Y14
+
+#define CHECKS(LD) \
+	CHECK(LD, (AX), (BX), (CX)); \
+	CHECK(LD, (AX)(R12*1), (BX)(R12*1), (CX)(R12*1)); \
+	CHECK(LD, (AX)(R13*1), (BX)(R13*1), (CX)(R13*1))
+
+// ARGS puts four cells' pre-activations in pre and their four gates' exp
+// arguments in preH.
+#define ARG(LD, ST, F, pre, preH, bias) \
+	PRE(LD, pre, preH, bias); \
+	ST(Y6, pre); \
+	F; \
+	ST(Y0, preH)
+
+#define ARGS(LD, ST) \
+	ARG(LD, ST, SIGARG, (AX), (BX), (CX)); \
+	ARG(LD, ST, SIGARG, (AX)(R12*1), (BX)(R12*1), (CX)(R12*1)); \
+	ARG(LD, ST, TANHARG, (AX)(R12*2), (BX)(R12*2), (CX)(R12*2)); \
+	ARG(LD, ST, SIGARG, (AX)(R13*1), (BX)(R13*1), (CX)(R13*1))
+
+// GATES finishes four cells' gates from their exps into gates (i and f
+// kept in Y12 and Y13), then stores c = f*c' + i*g and puts tanh(c)'s exp
+// argument in tanhC.
+#define GATE(LD, ST, F, pre, e, gate) \
+	LD(pre, Y6); \
+	LD(e, Y0); \
+	F; \
+	ST(Y6, gate)
+
+#define GATES(LD, ST) \
+	GATE(LD, ST, SIGFROM, (AX), (BX), (CX)); \
+	VMOVAPD Y6, Y12; \
+	GATE(LD, ST, SIGFROM, (AX)(R12*1), (BX)(R12*1), (CX)(R12*1)); \
+	VMOVAPD Y6, Y13; \
+	GATE(LD, ST, SIGFROM, (AX)(R13*1), (BX)(R13*1), (CX)(R13*1)); \
+	GATE(LD, ST, TANHFROM, (AX)(R12*2), (BX)(R12*2), (CX)(R12*2)); \
+	VMULPD Y6, Y12, Y12; \
+	LD((DX), Y7); \
+	VMULPD Y7, Y13, Y13; \
+	VADDPD Y12, Y13, Y6; \
+	ST(Y6, (SI)); \
+	TANHARG; \
+	ST(Y0, (DI))
+
+// EXPS takes the exps at (BX) in place.
+#define EXPS(LD, ST) \
+	LD((BX), Y0); \
+	EXP; \
+	ST(Y0, (BX))
+
+// OUT finishes four cells' tanh(c) from its exp and h = o*tanh(c).
+#define OUT(LD, ST) \
+	LD((SI), Y6); \
+	LD((DI), Y0); \
+	TANHFROM; \
+	ST(Y6, (DI)); \
+	LD((CX)(R13*1), Y7); \
+	VMULPD Y6, Y7, Y6; \
+	ST(Y6, (R8))
+
+// func gateLanes(pre, preH, bias, cPrev, gates, c, tanhC, h *float64, hidden int) (ok bool)
+//
+// gateRow's kernel (lstm.go), four cells a lane each and every lane the
+// Go expression in the Go order. A first pass checks the row's sigmoid
+// gates; if any lane's exp would be refused, it returns false having
+// written nothing. Then it runs in passes over the row, so that each
+// pass's groups are independent and the long EXP chains overlap: the
+// pre-activations and exp arguments (ARGS), the exps in place of preH,
+// the gates and c (GATES), tanh(c)'s exps in place of tanhC, and tanh(c)
+// and h (OUT). Each pass runs the row's whole groups, then its last,
+// partial one under a lane mask.
+TEXT ·gateLanes(SB), NOSPLIT, $0-73
+	MOVQ hidden+64(FP), R9
+	MOVQ R9, R12
+	SHLQ $3, R12           // one gate's stride in bytes
+	LEAQ (R12)(R12*2), R13 // three gates'
+	MOVQ R9, R10
+	ANDQ $3, R10
+	SHLQ $5, R10
+	LEAQ gateTail<>(SB), R11
+	VMOVUPD (R11)(R10*1), Y15
+	SHRQ $2, R9            // whole groups
+
+	MOVQ pre+0(FP), AX
+	MOVQ preH+8(FP), BX
+	MOVQ bias+16(FP), CX
+	VCMPPD $0x0f, Y14, Y14, Y14 // all lanes true
+	MOVQ R9, R11
+	TESTQ R11, R11
+	JZ   checktail
+checkloop:
+	CHECKS(LDW)
+	ADDQ $32, AX
+	ADDQ $32, BX
+	ADDQ $32, CX
+	DECQ R11
+	JNZ  checkloop
+checktail:
+	TESTQ R10, R10
+	JZ   checked
+	CHECKS(LDT)
+checked:
+	VMOVMSKPD Y14, R11
+	CMPQ R11, $15
+	JNE  refuse
+
+	MOVQ pre+0(FP), AX
+	MOVQ preH+8(FP), BX
+	MOVQ bias+16(FP), CX
+	MOVQ R9, R11
+	TESTQ R11, R11
+	JZ   argstail
+argsloop:
+	ARGS(LDW, STW)
+	ADDQ $32, AX
+	ADDQ $32, BX
+	ADDQ $32, CX
+	DECQ R11
+	JNZ  argsloop
+argstail:
+	TESTQ R10, R10
+	JZ   exps
+	ARGS(LDT, STT)
+
+exps:
+	MOVQ preH+8(FP), BX
+	MOVQ hidden+64(FP), R11 // 4·hidden lanes, whole groups only
+	TESTQ R11, R11
+	JZ   done
+expsloop:
+	EXPS(LDW, STW)
+	ADDQ $32, BX
+	DECQ R11
+	JNZ  expsloop
+
+	MOVQ pre+0(FP), AX
+	MOVQ preH+8(FP), BX
+	MOVQ gates+32(FP), CX
+	MOVQ cPrev+24(FP), DX
+	MOVQ c+40(FP), SI
+	MOVQ tanhC+48(FP), DI
+	MOVQ R9, R11
+	TESTQ R11, R11
+	JZ   gatestail
+gatesloop:
+	GATES(LDW, STW)
+	ADDQ $32, AX
+	ADDQ $32, BX
+	ADDQ $32, CX
+	ADDQ $32, DX
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ R11
+	JNZ  gatesloop
+gatestail:
+	TESTQ R10, R10
+	JZ   cexps
+	GATES(LDT, STT)
+
+cexps:
+	MOVQ tanhC+48(FP), BX
+	MOVQ R9, R11
+	TESTQ R11, R11
+	JZ   cexpstail
+cexpsloop:
+	EXPS(LDW, STW)
+	ADDQ $32, BX
+	DECQ R11
+	JNZ  cexpsloop
+cexpstail:
+	TESTQ R10, R10
+	JZ   out
+	EXPS(LDT, STT)
+
+out:
+	MOVQ gates+32(FP), CX
+	MOVQ c+40(FP), SI
+	MOVQ tanhC+48(FP), DI
+	MOVQ h+56(FP), R8
+	MOVQ R9, R11
+	TESTQ R11, R11
+	JZ   outtail
+outloop:
+	OUT(LDW, STW)
+	ADDQ $32, CX
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, R8
+	DECQ R11
+	JNZ  outloop
+outtail:
+	TESTQ R10, R10
+	JZ   done
+	OUT(LDT, STT)
+
+done:
+	MOVB $1, ok+72(FP)
+	VZEROUPPER
+	RET
+refuse:
+	MOVB $0, ok+72(FP)
 	VZEROUPPER
 	RET

@@ -10,5 +10,5 @@ func panelMul8(panels *float64, npanels, cols int, x *float64, xstride int, dst 
 	panic("nn: no panel kernel on this architecture")
 }
 
-// expLanes refuses every lane.
-func expLanes(x []float64) int { return 0 }
+// gateLanes refuses every row.
+func gateLanes(pre, preH, bias, cPrev, gates, c, tanhC, h *float64, hidden int) bool { return false }

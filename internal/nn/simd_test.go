@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -15,13 +16,18 @@ func goKernels(fn func()) {
 	fn()
 }
 
+// tanhHalfMaxLog is MAXLOG/2, beyond which math.Tanh is ±1.
+const tanhHalfMaxLog = 0.5 * 8.8029691931113054295988e+01
+
 // gateBranchValues reach every branch of sigmoid and math.Tanh: |x| below
-// 0.625, from 0.625 to 44.01, beyond it, ±0, NaN, ±Inf, subnormal, and
-// beyond 708, where an exp lane is refused.
+// 0.625, from 0.625 to MAXLOG/2, beyond it, each edge and the floats
+// either side of it, ±0, NaN, ±Inf, subnormal, and beyond 708, where a
+// sigmoid's exp is refused.
 var gateBranchValues = []float64{
-	0.3, -0.3, 0.624, -0.625, 0.625, 1, -2.5, 20, -44.01, 44.02, -60,
+	0.3, -0.3, 0.624, -0.625, 0.625, math.Nextafter(0.625, 0), -math.Nextafter(0.625, 1), 1, -2.5, 20, -44.01,
+	tanhHalfMaxLog, -math.Nextafter(tanhHalfMaxLog, 0), math.Nextafter(tanhHalfMaxLog, 100), 44.02, -60,
 	0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 0x1p-1060,
-	708.5, -709.5, 1000, -1e300,
+	708, -708, math.Nextafter(708, 1000), 708.5, -709.5, 1000, -1e300,
 }
 
 // The two ways math.Exp's amd64 assembly may compute an in-range x,
@@ -90,84 +96,109 @@ func TestExpProbeSplitsTheSequences(t *testing.T) {
 		useSIMD, map[bool]string{true: "FMA", false: "plain"}[got == fma])
 }
 
-// TestExpLanesMatchMathExp holds expLanes to math.Exp bit for bit on 10⁷
-// inputs across [-708, 709], most of them where the gates' arguments lie,
-// and checks that it refuses a group holding a lane outside that range
-// or a NaN. expInPlace must match math.Exp everywhere: subnormal results,
-// the overflow edge, ±Inf and NaN go through its fallback.
-func TestExpLanesMatchMathExp(t *testing.T) {
-	edges := []float64{-708, 709, -708.39, -708.4, -709, -740, -745.13, -745.14, -746, 0x1p-1074, -0x1p-1074,
-		709.43, 709.5, 709.78, 709.782712893384, 709.7827128933841, 709.79, 710, math.Inf(1), math.Inf(-1), math.NaN()}
-	for i := 0; i < 64; i++ {
-		edges = append(edges, -745.13+float64(i)*(745.13-708)/64, 709.43+float64(i)*(709.79-709.43)/64)
-	}
-	x := make([]float64, len(edges)+3) // a len%4 tail
-	copy(x, edges)
-	in := append([]float64(nil), x...)
-	expInPlace(x)
-	for i, v := range in {
-		if want := math.Exp(v); math.Float64bits(x[i]) != math.Float64bits(want) {
-			t.Fatalf("expInPlace(%v) = %v (%#x), want %v (%#x)", v, x[i], math.Float64bits(x[i]), want, math.Float64bits(want))
-		}
-	}
-	if !useSIMD {
-		t.Skip("SIMD kernels off; expInPlace is math.Exp")
-	}
-
-	for _, bad := range []float64{-708.0000000000001, 709.0000000000001, 710, -1e300, math.Inf(1), math.Inf(-1), math.NaN()} {
-		for lane := 0; lane < 4; lane++ {
-			group := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-			group[4+lane] = bad
-			want := append([]float64(nil), group...)
-			if done := expLanes(group); done != 4 {
-				t.Fatalf("%v in lane %d: expLanes did %d lanes, want 4 (the group before)", bad, lane, done)
-			}
-			if math.Float64bits(group[0]) != math.Float64bits(math.Exp(1)) {
-				t.Fatalf("lane 0 is %v, want e", group[0])
-			}
-			for i, v := range group[4:] {
-				if math.Float64bits(v) != math.Float64bits(want[4+i]) {
-					t.Fatalf("%v in lane %d: refused group changed lane %d to %v", bad, lane, i, v)
+// TestGateRowMatchesSigmoidTanh fills rows of 3 and 6 cells (a partial
+// group alone and after a whole one) with one branch value as every
+// pre-activation and cell state: each gate must be sigmoid's or
+// math.Tanh's bits, and c, tanh(c) and h the step's expressions on them.
+// On the SIMD kernels gateLanes must take exactly the rows whose sigmoid
+// exps it can: |x| at most 708.
+func TestGateRowMatchesSigmoidTanh(t *testing.T) {
+	run := func(t *testing.T) {
+		for _, v := range gateBranchValues {
+			for _, n := range []int{3, 6} {
+				// pre v and preH, bias -0: v + (-0 + -0) is v, -0 too.
+				pre, cPrev := make([]float64, 4*n), make([]float64, n)
+				negZeros := func() []float64 {
+					z := make([]float64, 4*n)
+					for i := range z {
+						z[i] = math.Copysign(0, -1)
+					}
+					return z
+				}
+				for i := range pre {
+					pre[i] = v
+				}
+				for j := range cPrev {
+					cPrev[j] = v
+				}
+				if useSIMD {
+					row, out := append([]float64(nil), pre...), make([]float64, 3*n)
+					ok := gateLanes(&row[0], &negZeros()[0], &negZeros()[0], &cPrev[0], &row[0], &out[0], &out[n], &out[2*n], n)
+					if want := math.Abs(v) <= 708; ok != want {
+						t.Errorf("gateLanes took the row of %v: %v, want %v", v, ok, want)
+					}
+				}
+				c, tanhC, h := make([]float64, n), make([]float64, n), make([]float64, n)
+				gates := make([]float64, 4*n)
+				gateRow(pre, negZeros(), negZeros(), cPrev, gates, c, tanhC, h)
+				s, g := sigmoid(v), math.Tanh(v)
+				cw := s*v + s*g
+				for j := 0; j < n; j++ {
+					label := fmt.Sprintf("%v, %d cells, cell %d", v, n, j)
+					for k, want := range []float64{s, s, g, s} {
+						if got := gates[k*n+j]; !sameFloat(got, want) {
+							t.Errorf("%s: gate %d is %v, want %v", label, k, got, want)
+						}
+					}
+					if !sameFloat(c[j], cw) || !sameFloat(tanhC[j], math.Tanh(cw)) || !sameFloat(h[j], s*math.Tanh(cw)) {
+						t.Errorf("%s: c, tanh(c), h = %v, %v, %v, want %v, %v, %v", label, c[j], tanhC[j], h[j], cw, math.Tanh(cw), s*math.Tanh(cw))
+					}
 				}
 			}
 		}
 	}
-
-	// Four in five inputs fall where the gates' arguments do (|x| < 90),
-	// the rest anywhere in range.
-	const total, batch = 10_000_000, 1024
-	rng := rand.New(rand.NewSource(27))
-	buf, src := make([]float64, batch), make([]float64, batch)
-	for done := 0; done < total; done += batch {
-		for i := range src {
-			if i%5 == 0 {
-				src[i] = -708 + rng.Float64()*1417
-			} else {
-				src[i] = (rng.Float64()*2 - 1) * 90
-			}
-		}
-		copy(buf, src)
-		if n := expLanes(buf); n != batch {
-			t.Fatalf("expLanes refused an in-range group at %d (%v)", n, src[n:n+4])
-		}
-		for i, v := range src {
-			if want := math.Exp(v); math.Float64bits(buf[i]) != math.Float64bits(want) {
-				t.Fatalf("expLanes(%v) = %v (%#x), want %v (%#x)", v, buf[i], math.Float64bits(buf[i]), want, math.Float64bits(want))
-			}
-		}
+	if useSIMD {
+		t.Run("simd", run)
 	}
+	t.Run("go", func(t *testing.T) { goKernels(func() { run(t) }) })
 }
 
-// TestGateHalvesMatchSigmoidTanh: each gate split around its exp gives
-// sigmoid's and math.Tanh's bits on every branch.
-func TestGateHalvesMatchSigmoidTanh(t *testing.T) {
-	vals := append([]float64{44.014845965556525, 44.01484596555653, -0.6249999999999999}, gateBranchValues...)
-	for _, v := range vals {
-		if got, want := sigmoidFrom(v, math.Exp(sigmoidArg(v))), sigmoid(v); !sameFloat(got, want) {
-			t.Errorf("sigmoid halves at %v: %v, want %v", v, got, want)
+// TestGateLanesMatchGoRow holds gateLanes to gateRow's Go body bit for
+// bit on 2·10⁵ random lanes, at 32 cells and at 7 (a partial group): a
+// third of the pre-activations and cell states on math.Tanh's polynomial
+// (|x| < 0.625), where a stray fused multiply-add changes one rounding in
+// a few dozen, a third across the exp forms, the rest anywhere to ±60.
+func TestGateLanesMatchGoRow(t *testing.T) {
+	if !useSIMD {
+		t.Skip("SIMD kernels off")
+	}
+	rng := rand.New(rand.NewSource(30))
+	draw := func(v []float64) []float64 {
+		for i := range v {
+			switch i % 3 {
+			case 0:
+				v[i] = (rng.Float64()*2 - 1) * 0.625
+			case 1:
+				v[i] = (rng.Float64()*2 - 1) * 8
+			default:
+				v[i] = (rng.Float64()*2 - 1) * 60
+			}
 		}
-		if got, want := tanhFrom(v, math.Exp(tanhArg(v))), math.Tanh(v); !sameFloat(got, want) {
-			t.Errorf("tanh halves at %v: %v, want %v", v, got, want)
+		return v
+	}
+	for lanes := 0; lanes < 200_000; {
+		for _, n := range []int{32, 7} {
+			pre, preH, bias, cPrev := draw(make([]float64, 4*n)), draw(make([]float64, 4*n)), draw(make([]float64, 4*n)), draw(make([]float64, n))
+			for i := range preH { // keep pre + (preH + bias) near pre
+				preH[i], bias[i] = preH[i]/64, bias[i]/64
+			}
+			rows := [2][4][]float64{}
+			for k, simd := range []bool{true, false} {
+				r := [4][]float64{make([]float64, 4*n), make([]float64, n), make([]float64, n), make([]float64, n)}
+				row := func() {
+					gateRow(append([]float64(nil), pre...), append([]float64(nil), preH...), bias, cPrev, r[0], r[1], r[2], r[3])
+				}
+				if simd {
+					row()
+				} else {
+					goKernels(row)
+				}
+				rows[k] = r
+			}
+			for i, name := range []string{"gates", "c", "tanh(c)", "h"} {
+				sameBits(t, fmt.Sprintf("%d cells: %s", n, name), rows[0][i], rows[1][i])
+			}
+			lanes += 5 * n
 		}
 	}
 }
@@ -219,6 +250,99 @@ func FuzzStepBatchLanes(f *testing.F) {
 	})
 }
 
+// FuzzGateRow runs one sequence's gates, hidden size 1–11, on fuzzer-chosen
+// pre-activations, bias and cell state: a byte below len(gateBranchValues)
+// picks a branch value, any other is int8(b)/7 (a full mantissa). gateLanes must take
+// exactly the rows whose sigmoid gates all lie within ±708 and leave every
+// other row untouched, and gateRow on the SIMD kernels, with c and tanhC
+// their own or aliasing cPrev and h as StepBatch has them, must give the Go
+// kernels' bits (NaN payloads aside, see sameBits).
+func FuzzGateRow(f *testing.F) {
+	// A row of n cells with pre given gate by gate, preH and bias -0 (so
+	// the pre-activations are those values), then the cell state.
+	seed := func(pre, cPrev []byte) {
+		n := len(cPrev)
+		raw := append([]byte(nil), pre...)
+		for i := 0; i < 8*n; i++ {
+			raw = append(raw, 17)
+		}
+		f.Add(uint8(n-1), append(raw, cPrev...))
+	}
+	// ±0.625 and MAXLOG/2 with their neighbours, ±0 and a subnormal, then
+	// ±Inf, NaN and ±MAXLOG/2 beyond as g and as c.
+	seed([]byte{4, 5, 6, 16, 17, 21, 11, 12, 13, 7, 8, 9}, []byte{14, 15, 19})
+	seed([]byte{0, 1, 2, 3, 10, 22, 23, 14, 15, 11, 18, 19, 20, 16, 17, 21, 5, 6, 7, 8}, []byte{18, 19, 20, 0, 9})
+	seed([]byte{25, 0, 1, 2, 3, 4, 5, 6}, []byte{7, 8})                                     // i above 708: refused
+	seed([]byte{1, 2, 3, 26}, []byte{9})                                                    // o below -708: refused
+	seed([]byte{0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 28}, []byte{1, 2, 3, 4}) // NaN-free, one whole group
+	f.Add(uint8(6), []byte{30, 100, 160, 220, 250, 7, 131, 200, 44, 90, 255, 128})
+	f.Fuzz(func(t *testing.T, hidden uint8, raw []byte) {
+		if !useSIMD {
+			t.Skip("no SIMD kernels on this CPU")
+		}
+		n := 1 + int(hidden%11)
+		pos := 0
+		vec := func(l int) []float64 {
+			v := make([]float64, l)
+			for i := range v {
+				if len(raw) > 0 {
+					b := raw[pos%len(raw)]
+					if v[i] = float64(int8(b)) / 7; int(b) < len(gateBranchValues) {
+						v[i] = gateBranchValues[b]
+					}
+				}
+				pos++
+			}
+			return v
+		}
+		pre, preH, bias, cPrev := vec(4*n), vec(4*n), vec(4*n), vec(n)
+		takes := true
+		for k := range 4 {
+			for j := 0; j < n; j++ {
+				i := k*n + j
+				if p := pre[i] + (preH[i] + bias[i]); k != 2 && !(math.Abs(p) <= 708) {
+					takes = false
+				}
+			}
+		}
+		// gateRow's outputs, on copies of the inputs it may overwrite.
+		type out struct{ gates, c, tanhC, h []float64 }
+		run := func(alias bool) out {
+			p, ph := append([]float64(nil), pre...), append([]float64(nil), preH...)
+			o := out{gates: make([]float64, 4*n), c: make([]float64, n), tanhC: make([]float64, n), h: make([]float64, n)}
+			cp := cPrev
+			if alias {
+				o.gates, o.h = p, o.tanhC
+				o.c = append([]float64(nil), cPrev...)
+				cp = o.c
+			}
+			gateRow(p, ph, bias, cp, o.gates, o.c, o.tanhC, o.h)
+			return o
+		}
+		var want out
+		goKernels(func() { want = run(false) })
+		for _, alias := range []bool{false, true} {
+			got := run(alias)
+			label := fmt.Sprintf("%d cells, aliased %v", n, alias)
+			sameBits(t, label+" gates", got.gates, want.gates)
+			sameBits(t, label+" c", got.c, want.c)
+			sameBits(t, label+" h", got.h, want.h)
+			if !alias {
+				sameBits(t, label+" tanh(c)", got.tanhC, want.tanhC)
+			}
+		}
+
+		row, rowH, outs := append([]float64(nil), pre...), append([]float64(nil), preH...), make([]float64, 3*n)
+		if ok := gateLanes(&row[0], &rowH[0], &bias[0], &cPrev[0], &row[0], &outs[0], &outs[n], &outs[2*n], n); ok != takes {
+			t.Fatalf("%d cells: gateLanes took the row: %v, want %v", n, ok, takes)
+		} else if !ok {
+			sameBits(t, "refused row's gates", row, pre)
+			sameBits(t, "refused row's preH", rowH, preH)
+			sameBits(t, "refused row's outputs", outs, make([]float64, 3*n))
+		}
+	})
+}
+
 // BenchmarkMulVecsPacked times one sampling block's recurrent product, Wh
 // (128x32) by eight hidden states, on the Go kernel and on the panels.
 func BenchmarkMulVecsPacked(b *testing.B) {
@@ -247,9 +371,9 @@ func BenchmarkMulVecsPacked(b *testing.B) {
 }
 
 // BenchmarkGateLanes times the gates of one sampling block, eight rows of
-// 32 cells, on the Go kernels (one math.Exp at a time) and in lanes. Each
-// op also restores the pre-activations the gates consume (two 1 024-float
-// copies).
+// 32 cells through gateRow, on the Go kernels (one math.Exp at a time)
+// and on gateLanes. Each op also restores the products and cell states
+// the gates overwrite (two 1 024-float copies and a 256-float one).
 func BenchmarkGateLanes(b *testing.B) {
 	rng := rand.New(rand.NewSource(29))
 	cell := NewLSTMCell("c", 5, 32, rng)
@@ -265,7 +389,11 @@ func BenchmarkGateLanes(b *testing.B) {
 			copy(batch.pre.Data, pre.Data)
 			copy(batch.preH.Data, preH.Data)
 			copy(batch.C.Data, c.Data)
-			cell.gates(batch, 8)
+			for r := 0; r < 8; r++ {
+				hr, cr := batch.H.Row(r), batch.C.Row(r)
+				pr := batch.pre.Row(r)
+				gateRow(pr, batch.preH.Row(r), cell.B.Value.Data, cr, pr, cr, hr, hr)
+			}
 		}
 	}
 	b.Run("go", func(b *testing.B) { goKernels(func() { run(b) }) })
