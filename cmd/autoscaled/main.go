@@ -158,8 +158,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("%w: -apply-retries %d, -apply-backoff %v, -breaker-threshold %d and -breaker-cooldown %v must all be positive",
 			fleet.ErrConfig, *applyRetries, *applyBackoff, *breakerOpenAt, *breakerCooldown)
 	}
-	// Names no loop knows are refused here too, before -listen binds and
-	// the trace is generated.
+	// Names no loop knows are refused before -listen binds, the trace is
+	// generated or chaos is armed.
 	reactive, ok := strategies[cfg.Strategy]
 	if !ok {
 		return fmt.Errorf("%w: unknown strategy %q", fleet.ErrConfig, cfg.Strategy)
@@ -643,12 +643,12 @@ var datasets = map[string]func(seed int64) (*robustscale.Trace, error){
 
 // buildStrategy trains (cold start) or restores (model != nil, warm
 // start — zero training epochs) the forecaster and assembles the
-// requested bare strategy, one of strategies. It returns the forecaster's snapshotter for
-// checkpointing (nil for the model-free reactive strategies) and the
-// uncertainty threshold in effect (rho <= 0 calibrates it). wrap is
-// applied to the forecaster before it is handed to a strategy — the
-// chaos injector hooks in there — but never to the calibration pass,
-// which must see the genuine model.
+// requested bare strategy, one of strategies. It returns the
+// forecaster's snapshotter for checkpointing (nil for the model-free
+// reactive strategies) and the uncertainty threshold in effect (rho <= 0
+// calibrates it). wrap is applied to the forecaster before it is handed
+// to a strategy — the chaos injector hooks in there — but never to the
+// calibration pass, which must see the genuine model.
 func buildStrategy(name string, train *robustscale.Series, model []byte, tau, tau2, rho, theta float64, horizon, epochs int, wrap func(forecast.QuantileForecaster) forecast.QuantileForecaster, logf func(string, ...interface{})) (scaler.Strategy, forecast.Snapshotter, float64, error) {
 	switch name {
 	case "reactive-max":
