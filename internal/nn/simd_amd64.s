@@ -1,4 +1,5 @@
-// AVX and FMA kernels for StepBatch (see simd.go); none needs AVX2. Every
+// AVX and FMA kernels for StepBatch's products and both LSTM steps'
+// gates (see simd.go and gateRow in lstm.go); none needs AVX2. Every
 // instruction below is VEX-encoded and every exit runs VZEROUPPER: one
 // legacy-SSE instruction between VEX ones costs a state transition per
 // pass, which made a prototype of expLanes five times slower than
@@ -102,23 +103,23 @@ done8:
 
 // math.Exp's amd64 constants (Shibata's method, from sleef), each
 // repeated in four lanes so that it can be a 256-bit memory operand.
-#define LANES(off, v) DATA expConst<>+(off+0)(SB)/8, v; DATA expConst<>+(off+8)(SB)/8, v; DATA expConst<>+(off+16)(SB)/8, v; DATA expConst<>+(off+24)(SB)/8, v
+#define LANES(sym, off, v) DATA sym<>+(off+0)(SB)/8, v; DATA sym<>+(off+8)(SB)/8, v; DATA sym<>+(off+16)(SB)/8, v; DATA sym<>+(off+24)(SB)/8, v
 
-LANES(0, $-708.0)                                      // lowest lane accepted
-LANES(32, $709.0)                                      // highest lane accepted
-LANES(64, $1.4426950408889634073599246810018920)       // LOG2E
-LANES(96, $0.69314718055966295651160180568695068359375) // LN2U
-LANES(128, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
-LANES(160, $0.0625)
-LANES(192, $2.4801587301587301587e-5)
-LANES(224, $1.9841269841269841270e-4)
-LANES(256, $1.3888888888888888889e-3)
-LANES(288, $8.3333333333333333333e-3)
-LANES(320, $4.1666666666666666667e-2)
-LANES(352, $1.6666666666666666667e-1)
-LANES(384, $0.5)
-LANES(416, $1.0)
-LANES(448, $2.0)
+LANES(expConst, 0, $-708.0)                                      // lowest lane accepted
+LANES(expConst, 32, $709.0)                                      // highest lane accepted
+LANES(expConst, 64, $1.4426950408889634073599246810018920)       // LOG2E
+LANES(expConst, 96, $0.69314718055966295651160180568695068359375) // LN2U
+LANES(expConst, 128, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+LANES(expConst, 160, $0.0625)
+LANES(expConst, 192, $2.4801587301587301587e-5)
+LANES(expConst, 224, $1.9841269841269841270e-4)
+LANES(expConst, 256, $1.3888888888888888889e-3)
+LANES(expConst, 288, $8.3333333333333333333e-3)
+LANES(expConst, 320, $4.1666666666666666667e-2)
+LANES(expConst, 352, $1.6666666666666666667e-1)
+LANES(expConst, 384, $0.5)
+LANES(expConst, 416, $1.0)
+LANES(expConst, 448, $2.0)
 DATA expConst<>+480(SB)/4, $1023                       // exponent bias, int32 lanes
 DATA expConst<>+484(SB)/4, $1023
 DATA expConst<>+488(SB)/4, $1023
@@ -204,19 +205,17 @@ expdone:
 // The gates' constants, four lanes each: the sign and magnitude masks,
 // the largest |x| whose sigmoid exp EXP takes, math.Tanh's branch points
 // (0.625 and MAXLOG/2) and its tanhP and tanhQ coefficients.
-#define GLANES(off, v) DATA gateConst<>+(off+0)(SB)/8, v; DATA gateConst<>+(off+8)(SB)/8, v; DATA gateConst<>+(off+16)(SB)/8, v; DATA gateConst<>+(off+24)(SB)/8, v
-
-GLANES(0, $0x7fffffffffffffff)
-GLANES(32, $-0x8000000000000000)
-GLANES(64, $708.0)
-GLANES(96, $0.625)
-GLANES(128, $44.014845965556525)
-GLANES(160, $-9.64399179425052238628e-1)
-GLANES(192, $-9.92877231001918586564e1)
-GLANES(224, $-1.61468768441708447952e3)
-GLANES(256, $1.12811678491632931402e2)
-GLANES(288, $2.23548839060100448583e3)
-GLANES(320, $4.84406305325125486048e3)
+LANES(gateConst, 0, $0x7fffffffffffffff)
+LANES(gateConst, 32, $-0x8000000000000000)
+LANES(gateConst, 64, $708.0)
+LANES(gateConst, 96, $0.625)
+LANES(gateConst, 128, $44.014845965556525)
+LANES(gateConst, 160, $-9.64399179425052238628e-1)
+LANES(gateConst, 192, $-9.92877231001918586564e1)
+LANES(gateConst, 224, $-1.61468768441708447952e3)
+LANES(gateConst, 256, $1.12811678491632931402e2)
+LANES(gateConst, 288, $2.23548839060100448583e3)
+LANES(gateConst, 320, $4.84406305325125486048e3)
 GLOBL gateConst<>(SB), RODATA|NOPTR, $352
 
 #define ABSMASK gateConst<>+0(SB)
