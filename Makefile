@@ -82,7 +82,9 @@ bench-check:
 # fuzzer-chosen LSTM batches on the SIMD kernels and on the Go kernels:
 # both must give the same bits, and the next one sequence's gate row, at
 # every lane branch and at hidden sizes that leave a partial group. The
-# next holds
+# next runs the panel kernels that take one vector, the projections on
+# the SIMD fold and the attention forward on fuzzer-chosen shapes and
+# values: each must give the Go loops' bits. The next holds
 # the trace generator's ramp power to math.Pow's bits on any x in [0, 1]
 # and exponent in (0, 1]. The next holds its diurnal shape, computed a
 # block of steps at a time, to the one-step shape's bits. The next feeds arbitrary bytes to the trace CSV
@@ -112,6 +114,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzTrainingKernels -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
 	$(GO) test -run '^$$' -fuzz=FuzzStepBatchLanes -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
 	$(GO) test -run '^$$' -fuzz=FuzzGateRow -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
+	$(GO) test -run '^$$' -fuzz=FuzzPanelLanes -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
 	$(GO) test -run '^$$' -fuzz=FuzzRampPow -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzDiurnalBlock -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzReadCSV -fuzztime=10s -fuzzminimizetime=1s ./internal/trace

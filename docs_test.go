@@ -28,6 +28,12 @@ var (
 	// metricRow is the snake_case of a bench layer row such as
 	// `scaler.plan_allocs_per_round`, which names no Go declaration.
 	metricRow = regexp.MustCompile(`^[a-z0-9]+(?:_[a-z0-9]+)+$`)
+	// makeRef is a make command inside a span: the words after it up to
+	// the end of the span or a shell operator.
+	makeRef = regexp.MustCompile(`(?:^|[^\w-])make((?:\s+[^\s&|;]+)+)`)
+	// makeTarget is a rule line of the Makefile: a target name, then a
+	// colon that does not start an assignment.
+	makeTarget = regexp.MustCompile(`(?m)^([A-Za-z0-9][\w.-]*)\s*:(?:[^=]|$)`)
 )
 
 // TestDocsResolve fails when README.md, DESIGN.md or EXPERIMENTS.md cites,
@@ -36,6 +42,8 @@ var (
 // module package named pkg does not declare, so renaming or deleting a
 // cited name fails here rather than leaving the docs pointing at nothing.
 // A pkg that names no module package (the standard library's) is skipped.
+// Every word of a backticked `make …` but a flag or a VAR=value must be a
+// target of the Makefile.
 func TestDocsResolve(t *testing.T) {
 	declared := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -67,6 +75,17 @@ func TestDocsResolve(t *testing.T) {
 		t.Fatal("the walk found no test declarations; is the working directory the module root?")
 	}
 	decls := moduleDecls(t)
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makeTarget.FindAllSubmatch(makefile, -1) {
+		targets[string(m[1])] = true
+	}
+	if !targets["fuzz"] {
+		t.Fatal("found no fuzz target in the Makefile; is the rule pattern stale?")
+	}
 	for _, doc := range resolvedDocs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -77,6 +96,13 @@ func TestDocsResolve(t *testing.T) {
 				for _, name := range testNameRef.FindAllString(span[1], -1) {
 					if !declared[name] {
 						t.Errorf("%s:%d: `%s` names no function in any _test.go", doc, i+1, name)
+					}
+				}
+				for _, ref := range makeRef.FindAllStringSubmatch(span[1], -1) {
+					for _, word := range strings.Fields(ref[1]) {
+						if !strings.HasPrefix(word, "-") && !strings.Contains(word, "=") && !targets[word] {
+							t.Errorf("%s:%d: `make %s`: the Makefile has no target %s", doc, i+1, strings.TrimSpace(ref[1]), word)
+						}
 					}
 				}
 				for _, ref := range qualifiedRef.FindAllStringSubmatch(span[1], -1) {

@@ -177,18 +177,20 @@ func (d *DeepAR) windowGrad(s *nn.Scratch, train *timeseries.Series, w timeserie
 	startIdx := w.Origin - len(w.Context) // absolute index of seq[0]
 
 	steps := len(norm) - 1
-	xs := make([][]float64, steps)
+	x := s.Mat(steps, deepARInputDim)
 	for t := 0; t < steps; t++ {
-		xs[t] = d.stepInput(s, norm[t], train.TimeAt(startIdx+t+1))
+		d.stepInput(x.Row(t), norm[t], train.TimeAt(startIdx+t+1))
 	}
 
 	d.params.ZeroGrads()
-	hs, _, caches := d.cell.RunSequenceScratch(s, xs, d.cell.NewLSTMStateScratch(s))
+	hs := s.Mat(steps, d.cfg.Hidden)
+	caches := make([]*nn.LSTMCache, steps)
+	d.cell.Sequence(s, nn.LSTMPanels{}, x, hs, d.cell.NewLSTMStateScratch(s), caches)
 	dhs := make([][]float64, steps)
 	headCaches := make([]*nn.DenseCache, steps)
 	dOuts := make([][]float64, steps)
 	for t := 0; t < steps; t++ {
-		out, hc := d.head.ForwardScratch(s, hs[t])
+		out, hc := d.head.ForwardScratch(s, hs.Row(t))
 		headCaches[t] = hc
 		dOuts[t] = d.nllGrad(out, norm[t+1])
 	}
@@ -198,14 +200,12 @@ func (d *DeepAR) windowGrad(s *nn.Scratch, train *timeseries.Series, w timeserie
 	d.cell.BackwardSequenceScratch(s, caches, dhs, nn.LSTMState{})
 }
 
-// stepInput builds the covariate vector for one step from the arena (heap
-// when s is nil): previous normalized value plus the calendar features of
-// the step's own timestamp.
-func (d *DeepAR) stepInput(s *nn.Scratch, prevNorm float64, ts time.Time) []float64 {
-	x := s.Vec(deepARInputDim)
+// stepInput writes the covariate vector of one step into x: previous
+// normalized value plus the calendar features of the step's own
+// timestamp.
+func (d *DeepAR) stepInput(x []float64, prevNorm float64, ts time.Time) {
 	x[0] = prevNorm
-	timeFeaturesInto(x[1:], ts)
-	return x
+	timeFeaturesInto(x[1:deepARInputDim], ts)
 }
 
 // emission is the head's output distribution as a plain value: the
@@ -272,20 +272,19 @@ func (d *DeepAR) nllGrad(out []float64, y float64) []float64 {
 	return g
 }
 
-// conditionStep runs the teacher-forced conditioning step for position p
-// of the series: the input is the normalized observation at p-1 (at the
-// window anchor, with no earlier observation inside the window, the value
-// at the anchor itself) plus the calendar features of p's own timestamp.
-// Position history.Len() is the "extra step" conditioned on the final
-// observation, whose emission parameterizes the first forecast step.
-func (d *DeepAR) conditionStep(s *nn.Scratch, state nn.LSTMState, history *timeseries.Series, anchor, p int) nn.LSTMState {
+// conditionInput writes into x the input of the teacher-forced
+// conditioning step for position p of the series: the normalized
+// observation at p-1 (at the window anchor, with no earlier observation
+// inside the window, the value at the anchor itself) plus the calendar
+// features of p's own timestamp. Position history.Len() is the "extra
+// step" conditioned on the final observation, whose emission
+// parameterizes the first forecast step.
+func (d *DeepAR) conditionInput(x []float64, history *timeseries.Series, anchor, p int) {
 	prev := p - 1
 	if p == anchor {
 		prev = anchor // no earlier observation; condition on itself
 	}
-	x := d.stepInput(s, d.scaler.TransformOne(history.At(prev)), history.TimeAt(p))
-	state, _ = d.cell.StepScratch(s, x, state)
-	return state
+	d.stepInput(x, d.scaler.TransformOne(history.At(prev)), history.TimeAt(p))
 }
 
 // Predict implements Forecaster via the sample mean of the Monte-Carlo
@@ -338,9 +337,9 @@ func growPathRands(rngs []*rand.Rand, n int) []*rand.Rand {
 // identical stream to a freshly constructed source. The horizon-1 round —
 // the high-frequency steady state — never rolls the LSTM, so it draws
 // sequentially on the caller's goroutine, from rngs[0], and skips the
-// worker fan-out entirely. A longer rollout packs the LSTM weights once,
-// from pack, and every block reads that one pack.
-func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, emit0 emission, samples [][]float64, feats []float64, pack *nn.Scratch, scratches []*nn.Scratch, rngs []*rand.Rand) {
+// worker fan-out entirely. A longer rollout steps every block on panels,
+// the one pack of the LSTM weights predict made.
+func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, emit0 emission, samples [][]float64, feats []float64, panels nn.LSTMPanels, scratches []*nn.Scratch, rngs []*rand.Rand) {
 	paths := len(samples[0])
 	obsPredictions.With("deepar").Inc()
 	obsMCPaths.Add(float64(paths))
@@ -358,7 +357,6 @@ func (d *DeepAR) sample(history *timeseries.Series, h int, state0 nn.LSTMState, 
 	for t := 0; t < h-1; t++ {
 		timeFeaturesInto(feats[t*timeFeatureDim:(t+1)*timeFeatureDim], history.TimeAt(history.Len()+t+1))
 	}
-	panels := d.cell.PackPanels(pack)
 	workers := len(scratches)
 	sp := obs.DefaultTracer.Start("deepar.sample")
 	parallel.ForEachWorkerSpan("deepar.sample", workers, sampleBlocks(paths), func(worker, blk int) {
@@ -485,9 +483,17 @@ func (d *DeepAR) predict(w *deeparWarm, history *timeseries.Series, h int, level
 		state = d.cell.NewLSTMStateScratch(sc)
 		from = anchor
 	}
-	for p := from; p <= n; p++ {
-		state = d.conditionStep(sc, state, history, anchor, p)
+	// A rollout packs the LSTM weights once, and conditioning runs on
+	// that pack too; without one, Sequence packs for a long rebuild.
+	var panels nn.LSTMPanels
+	if h > 1 {
+		panels = d.cell.PackPanels(sc)
 	}
+	x := nn.Mat{Rows: n + 1 - from, Cols: deepARInputDim, Data: sc.Vec((n + 1 - from) * deepARInputDim)}
+	for i := 0; i < x.Rows; i++ {
+		d.conditionInput(x.Row(i), history, anchor, from+i)
+	}
+	state = d.cell.Sequence(sc, panels, x, nn.Mat{}, state, nil)
 	out, _ := d.head.ForwardScratch(sc, state.H)
 	emit0 := d.emissionFrom(out)
 	w.state.H = append(w.state.H[:0], state.H...)
@@ -510,7 +516,7 @@ func (d *DeepAR) predict(w *deeparWarm, history *timeseries.Series, h int, level
 	w.rngs = growPathRands(w.rngs, workers*sampleBlock)
 	state0 := nn.LSTMState{H: w.state.H, C: w.state.C}
 	w.feats = resize(w.feats, (h-1)*timeFeatureDim)
-	d.sample(history, h, state0, emit0, w.samples, w.feats, sc, w.scratches[:workers], w.rngs)
+	d.sample(history, h, state0, emit0, w.samples, w.feats, panels, w.scratches[:workers], w.rngs)
 
 	w.fan = reuseFan(w.fan, h, lv)
 	d.assemble(w.fan, w.samples)

@@ -128,7 +128,9 @@ func (d *DeepAR) warmup(history *timeseries.Series) (nn.LSTMState, emission, err
 	anchor := warmAnchor(history.Len(), d.cfg.Context)
 	state := d.cell.NewLSTMState()
 	for p := anchor; p <= history.Len(); p++ {
-		state = d.conditionStep(nil, state, history, anchor, p)
+		x := make([]float64, deepARInputDim)
+		d.conditionInput(x, history, anchor, p)
+		state, _ = d.cell.StepScratch(nil, x, state)
 	}
 	out, _ := d.head.Forward(state.H)
 	return state, d.emissionFrom(out), nil
@@ -175,7 +177,7 @@ func TestDeepARLockstepMatchesPerPathRollout(t *testing.T) {
 		got[k] = make([]float64, paths)
 	}
 	scratches := []*nn.Scratch{nn.NewScratch(), nn.NewScratch()}
-	d.sample(train, h, state0, emit0, got, make([]float64, (h-1)*timeFeatureDim), nil, scratches, growPathRands(nil, 2*sampleBlock))
+	d.sample(train, h, state0, emit0, got, make([]float64, (h-1)*timeFeatureDim), d.cell.PackPanels(nil), scratches, growPathRands(nil, 2*sampleBlock))
 	for k := range want {
 		for p := range want[k] {
 			if math.Float64bits(got[k][p]) != math.Float64bits(want[k][p]) {

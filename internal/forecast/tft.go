@@ -220,9 +220,6 @@ func (m *TFT) Fit(train *timeseries.Series) error {
 type tftForward struct {
 	s          *nn.Scratch
 	T, H       int
-	embPast    [][]float64 // [t] encoder inputs
-	embFut     [][]float64 // [k] decoder inputs
-	hsE, hsD   [][]float64 // encoder and decoder hidden states
 	pastCaches []*nn.DenseCache
 	futCaches  []*nn.DenseCache
 	encCaches  []*nn.LSTMCache
@@ -239,42 +236,38 @@ func (n *tftNet) forward(f *tftForward, series *timeseries.Series, contextNorm [
 	s := f.s
 	T, H := len(contextNorm), horizon
 	f.T, f.H = T, H
-	f.embPast, f.hsE = resize(f.embPast, T), resize(f.hsE, T)
 	f.pastCaches, f.encCaches = resize(f.pastCaches, T), resize(f.encCaches, T)
-	f.embFut, f.hsD = resize(f.embFut, H), resize(f.hsD, H)
 	f.futCaches, f.decCaches = resize(f.futCaches, H), resize(f.decCaches, H)
 	f.headCaches, f.outs = resize(f.headCaches, H), resize(f.outs, H)
 
-	for t := 0; t < T; t++ {
-		x := s.Vec(tftPastDim)
-		x[0] = contextNorm[t]
-		timeFeaturesInto(x[1:], series.TimeAt(startIdx+t))
-		f.embPast[t], f.pastCaches[t] = n.embPast.ForwardScratch(s, x)
-	}
-	state := n.enc.NewLSTMStateScratch(s)
-	for t, x := range f.embPast {
-		state, f.encCaches[t] = n.enc.StepScratch(s, x, state)
-		f.hsE[t] = state.H
-	}
+	// The encoder's and the decoder's hidden states are the attention's
+	// input rows: the encoder's first, then the decoder's.
+	x := s.Mat(T+H, n.hidden)
+	hsE := nn.Mat{Rows: T, Cols: n.hidden, Data: x.Data[:T*n.hidden]}
+	hsD := nn.Mat{Rows: H, Cols: n.hidden, Data: x.Data[T*n.hidden:]}
 
+	embPast := s.Mat(T, n.hidden)
+	for t := 0; t < T; t++ {
+		in := s.Vec(tftPastDim)
+		in[0] = contextNorm[t]
+		timeFeaturesInto(in[1:], series.TimeAt(startIdx+t))
+		var emb []float64
+		emb, f.pastCaches[t] = n.embPast.ForwardScratch(s, in)
+		copy(embPast.Row(t), emb)
+	}
+	state := n.enc.Sequence(s, nn.LSTMPanels{}, embPast, hsE, n.enc.NewLSTMStateScratch(s), f.encCaches)
+
+	embFut := s.Mat(H, n.hidden)
 	for k := 0; k < H; k++ {
 		feats := s.Vec(timeFeatureDim)
 		timeFeaturesInto(feats, series.TimeAt(startIdx+T+k))
-		f.embFut[k], f.futCaches[k] = n.embFut.ForwardScratch(s, feats)
+		var emb []float64
+		emb, f.futCaches[k] = n.embFut.ForwardScratch(s, feats)
+		copy(embFut.Row(k), emb)
 	}
 	// The decoder starts from the encoder's final state.
-	for k, x := range f.embFut {
-		state, f.decCaches[k] = n.dec.StepScratch(s, x, state)
-		f.hsD[k] = state.H
-	}
+	n.dec.Sequence(s, nn.LSTMPanels{}, embFut, hsD, state, f.decCaches)
 
-	x := s.Mat(T+H, n.hidden)
-	for t := 0; t < T; t++ {
-		copy(x.Row(t), f.hsE[t])
-	}
-	for k := 0; k < H; k++ {
-		copy(x.Row(T+k), f.hsD[k])
-	}
 	var attnOut nn.Mat
 	attnOut, f.attnCache = n.attn.ForwardScratch(s, x)
 
@@ -282,7 +275,7 @@ func (n *tftNet) forward(f *tftForward, series *timeseries.Series, contextNorm [
 		z := s.Vec(n.hidden)
 		arow := attnOut.Row(T + k)
 		for j := range z {
-			z[j] = arow[j] + f.hsD[k][j] // residual connection
+			z[j] = arow[j] + hsD.At(k, j) // residual connection
 		}
 		f.outs[k], f.headCaches[k] = n.head.ForwardScratch(s, z)
 	}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -51,27 +52,19 @@ func (a *Attention) Forward(x Mat) (Mat, *AttnCache) {
 func (a *Attention) ForwardScratch(s *Scratch, x Mat) (Mat, *AttnCache) {
 	tlen := x.Rows
 	q, k, v := s.Mat(tlen, a.Dim), s.Mat(tlen, a.Dim), s.Mat(tlen, a.Dim)
-	matMulBTInto(q, x, a.Wq.Value)
-	matMulBTInto(k, x, a.Wk.Value)
-	matMulBTInto(v, x, a.Wv.Value)
+	project(s, q, x, a.Wq.Value)
+	project(s, k, x, a.Wk.Value)
+	project(s, v, x, a.Wv.Value)
 
 	scale := 1 / math.Sqrt(float64(a.Dim))
 	attn := s.Mat(tlen, tlen)
+	a.scores(s, q, k, attn)
 	for i := 0; i < tlen; i++ {
-		limit := tlen
-		if a.Causal {
-			limit = i + 1
-		}
+		limit := a.limit(i, tlen)
 		row := attn.Row(i)
-		qi := q.Row(i)
 		max := math.Inf(-1)
 		for j := 0; j < limit; j++ {
-			s := 0.0
-			kj := k.Row(j)
-			for d := 0; d < a.Dim; d++ {
-				s += qi[d] * kj[d]
-			}
-			row[j] = s * scale
+			row[j] *= scale
 			if row[j] > max {
 				max = row[j]
 			}
@@ -93,6 +86,66 @@ func (a *Attention) ForwardScratch(s *Scratch, x Mat) (Mat, *AttnCache) {
 	c := s.attnCache()
 	c.x, c.q, c.k, c.v, c.attn = x, q, k, v, attn
 	return out, c
+}
+
+// limit is how many positions query i of tlen attends to.
+func (a *Attention) limit(i, tlen int) int {
+	if a.Causal {
+		return i + 1
+	}
+	return tlen
+}
+
+// project overwrites out with x·wᵀ, matMulBTInto's expression. Where
+// useSIMD holds it runs as mulRowsInto on a transpose of w drawn from s,
+// which is the same expression on the SIMD fold.
+func project(s *Scratch, out, x, w Mat) {
+	if !useSIMD {
+		matMulBTInto(out, x, w)
+		return
+	}
+	if x.Cols != w.Cols || out.Rows != x.Rows || out.Cols != w.Rows {
+		panic(fmt.Sprintf("nn: projection dimension mismatch: %dx%d by (%dx%d)^T", x.Rows, x.Cols, w.Rows, w.Cols))
+	}
+	wt := Mat{Rows: w.Cols, Cols: w.Rows, Data: s.Vec(len(w.Data))}
+	for i := 0; i < w.Rows; i++ {
+		for j, v := range w.Row(i) {
+			wt.Data[j*wt.Cols+i] = v
+		}
+	}
+	out.Zero()
+	mulRowsInto(out, x.Data, x.Cols, 1, wt)
+}
+
+// scores writes into row i of attn the raw dots q_i·k_j, 0 + q_i[0]*k_j[0]
+// + ... in order, of every key j that query i attends to; the rest of the
+// row is left for the softmax to zero. Where useSIMD holds k is packed
+// into panels from s, eight queries at a time run against the panels of
+// the keys the last of them attends to, and the keys past the panels run
+// here.
+func (a *Attention) scores(s *Scratch, q, k, attn Mat) {
+	tlen := q.Rows
+	np := tlen / 4
+	from := 0 // the first key computed here
+	if useSIMD && np > 0 && a.Dim > 0 {
+		panels := k.packPanels(s)
+		for v := 0; v < tlen; v += 8 {
+			n := min(8, tlen-v)
+			keys := a.limit(v+n-1, tlen)
+			panelVecs(panels, min(np, (keys+3)/4), a.Dim, q.Data[v*a.Dim:], a.Dim, n, attn.Data[v*tlen:], tlen)
+		}
+		from = 4 * np
+	}
+	for i := 0; i < tlen; i++ {
+		qi, row := q.Row(i), attn.Row(i)
+		for j := from; j < a.limit(i, tlen); j++ {
+			sum := 0.0
+			for d, kv := range k.rowOf(j, qi) {
+				sum += qi[d] * kv
+			}
+			row[j] = sum
+		}
+	}
 }
 
 // Backward consumes the upstream gradient dOut (T x Dim), accumulates

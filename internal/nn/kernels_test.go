@@ -522,3 +522,139 @@ func TestAttentionForwardScratchMatchesForward(t *testing.T) {
 		t.Errorf("ForwardScratch allocates %v times in steady state, want 0", allocs)
 	}
 }
+
+// TestSequenceMatchesSteps runs Sequence beside the same inputs stepped
+// one at a time by StepScratch on the Go kernels: every hidden and cell
+// state, and every cache value the backward pass reads, must agree bit
+// for bit. Sequence runs on the SIMD kernels where the CPU has them and
+// on the Go kernels, with caches and without, on its own pack (at and
+// above seqPackMinSteps steps), on none (below it) and on one handed in
+// (at every length), at hidden sizes 12 and 7 and input sizes 5 and 1,
+// and on inputs and weights holding the special values.
+func TestSequenceMatchesSteps(t *testing.T) {
+	run := func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		for _, shape := range []struct{ in, hidden int }{{5, 12}, {1, 7}, {3, 7}} {
+			for _, mode := range []fillMode{fillDense, fillSparse, fillSpecials} {
+				cell := NewLSTMCell("c", shape.in, shape.hidden, rng)
+				if mode == fillSpecials {
+					// Specials in the weights too, at a scale that keeps most
+					// gates off saturation.
+					for _, p := range cell.Params() {
+						for i := range p.Value.Data {
+							if rng.Intn(8) == 0 {
+								p.Value.Data[i] = kernelSpecials[rng.Intn(len(kernelSpecials))]
+							}
+						}
+					}
+				}
+				for _, steps := range []int{1, 5, seqPackMinSteps, 9, 17} {
+					x := NewMat(steps, shape.in)
+					mode.fill(rng, x)
+					s0 := cell.NewLSTMState()
+					mode.fill(rng, Mat{Rows: 1, Cols: shape.hidden, Data: s0.H})
+					mode.fill(rng, Mat{Rows: 1, Cols: shape.hidden, Data: s0.C})
+					label := fmt.Sprintf("%d->%d %v, %d steps", shape.in, shape.hidden, mode, steps)
+					sequenceAgainstSteps(t, label, cell, x, s0)
+				}
+			}
+		}
+	}
+	if useSIMD {
+		t.Run("simd", run)
+	}
+	t.Run("go", func(t *testing.T) { goKernels(func() { run(t) }) })
+}
+
+// sequenceAgainstSteps is TestSequenceMatchesSteps' check for one input
+// sequence.
+func sequenceAgainstSteps(t *testing.T, label string, cell *LSTMCell, x Mat, s0 LSTMState) {
+	t.Helper()
+	steps := x.Rows
+	want := make([]LSTMState, steps)
+	wantCaches := make([]*LSTMCache, steps)
+	goKernels(func() {
+		state := s0
+		for i := range want {
+			state, wantCaches[i] = cell.StepScratch(nil, x.Row(i), state)
+			want[i] = state
+		}
+	})
+	for _, pack := range []bool{false, true} {
+		for _, cached := range []bool{false, true} {
+			var w LSTMPanels
+			if pack {
+				w = cell.PackPanels(nil)
+			}
+			var caches []*LSTMCache
+			if cached {
+				caches = make([]*LSTMCache, steps)
+			}
+			s := NewScratch()
+			hs := s.Mat(steps, cell.Hidden)
+			final := cell.Sequence(s, w, x, hs, s0, caches)
+			l := fmt.Sprintf("%s, handed a pack %v, caches %v", label, pack, cached)
+			for i := range want {
+				sameBits(t, fmt.Sprintf("%s step %d H", l, i), hs.Row(i), want[i].H)
+			}
+			sameBits(t, l+" final H", final.H, want[steps-1].H)
+			sameBits(t, l+" final C", final.C, want[steps-1].C)
+			for i, c := range caches {
+				wc := wantCaches[i]
+				for k, pair := range [][2][]float64{
+					{c.x, wc.x}, {c.hPrev, wc.hPrev}, {c.cPrev, wc.cPrev}, {c.i, wc.i}, {c.f, wc.f},
+					{c.g, wc.g}, {c.o, wc.o}, {c.c, wc.c}, {c.tanhC, wc.tanhC},
+				} {
+					sameBits(t, fmt.Sprintf("%s step %d cache field %d", l, i, k), pair[0], pair[1])
+				}
+			}
+		}
+	}
+}
+
+// TestAttentionMatchesGoKernels runs ForwardScratch on the SIMD kernels
+// (projections on mulRowsInto's fold against transposed weights, scores
+// on the panels, attn·V on the fold) beside the Go kernels: the
+// projections, weights and output must agree bit for bit, causal or not,
+// at sequence lengths that leave every remainder of a four-key panel and
+// an eight-query block, and on inputs and weights holding zeros of either
+// sign and the special values.
+func TestAttentionMatchesGoKernels(t *testing.T) {
+	if !useSIMD {
+		t.Skip("no SIMD kernels on this CPU")
+	}
+	rng := rand.New(rand.NewSource(32))
+	for _, dim := range []int{1, 3, 8, 32} {
+		for _, tlen := range []int{1, 3, 4, 5, 8, 9, 13, 84} {
+			for _, causal := range []bool{true, false} {
+				for _, mode := range []fillMode{fillDense, fillSparse, fillSpecials} {
+					a := NewAttention("a", dim, causal, rng)
+					if mode != fillDense {
+						for _, p := range a.Params() {
+							mode.fill(rng, p.Value)
+						}
+					}
+					x := NewMat(tlen, dim)
+					mode.fill(rng, x)
+					label := fmt.Sprintf("dim %d, %d steps, causal %v, %v", dim, tlen, causal, mode)
+					attentionAgainstGo(t, label, a, x)
+				}
+			}
+		}
+	}
+}
+
+// attentionAgainstGo is the check of TestAttentionMatchesGoKernels and
+// FuzzPanelLanes for one input.
+func attentionAgainstGo(t *testing.T, label string, a *Attention, x Mat) {
+	t.Helper()
+	got, gc := a.ForwardScratch(NewScratch(), x)
+	var want Mat
+	var wc *AttnCache
+	goKernels(func() { want, wc = a.ForwardScratch(nil, x) })
+	sameBits(t, label+" q", gc.q.Data, wc.q.Data)
+	sameBits(t, label+" k", gc.k.Data, wc.k.Data)
+	sameBits(t, label+" v", gc.v.Data, wc.v.Data)
+	sameBits(t, label+" weights", gc.attn.Data, wc.attn.Data)
+	sameBits(t, label+" output", got.Data, want.Data)
+}

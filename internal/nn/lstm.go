@@ -1,6 +1,9 @@
 package nn
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // LSTMCell is a standard long short-term memory cell with input, forget,
 // output and candidate gates. It backs both the DeepAR-style autoregressive
@@ -84,22 +87,77 @@ func (c *LSTMCell) Step(x []float64, prev LSTMState) (LSTMState, *LSTMCache) {
 // state (after the arena has grown to the step's working set) it performs
 // zero heap allocations. The returned state and cache are arena-backed and
 // die at the next s.Reset. The cache also retains x and prev, so those must
-// outlive the backward pass as usual.
+// outlive the backward pass as usual. It is Sequence's one-step case,
+// which packs nothing: both products run on MulVecInto.
 func (c *LSTMCell) StepScratch(s *Scratch, x []float64, prev LSTMState) (LSTMState, *LSTMCache) {
-	h := c.Hidden
-	pre := c.Wx.Value.MulVecInto(x, s.Vec(4*h))
-	preH := c.Wh.Value.MulVecInto(prev.H, s.Vec(4*h))
-	cache := s.lstmCache()
-	cache.x, cache.hPrev, cache.cPrev = x, prev.H, prev.C
-	gates := s.Vec(4 * h)
-	cache.i, cache.f, cache.g, cache.o = gates[:h], gates[h:2*h], gates[2*h:3*h], gates[3*h:]
-	cache.c, cache.tanhC = s.Vec(h), s.Vec(h)
-	newH := s.Vec(h)
-	gateRow(pre, preH, c.B.Value.Data, prev.C, gates, cache.c, cache.tanhC, newH)
-	return LSTMState{H: newH, C: cache.c}, cache
+	var cache [1]*LSTMCache
+	next := c.Sequence(s, LSTMPanels{}, Mat{Rows: 1, Cols: len(x), Data: x}, Mat{}, prev, cache[:])
+	return next, cache[0]
 }
 
-// gateRow is the one gate body of StepScratch and StepBatch, for one
+// seqPackMinSteps is the shortest pass Sequence packs the weights for. A
+// pack of Wh costs about five Go matrix-vector products, and each step on
+// the panels saves most of two.
+const seqPackMinSteps = 6
+
+// Sequence is the one forward body of the cell: it runs the rows of x
+// (steps x InSize) from s0 and returns the final state. Row t of hs
+// (steps x Hidden) receives step t's hidden state; a zero hs is drawn
+// from s. With caches non-nil (steps long), caches[t] receives step t's
+// cache for the backward pass; without, no cache is built.
+//
+// w is a pack of the cell's weights (PackPanels). With the zero
+// LSTMPanels a pass of at least seqPackMinSteps steps packs its own from
+// s, where the kernels are on. On a pack Wx·x runs for every step before
+// the recurrence, on panelMul8, and each step's Wh·h on panelMul1;
+// without one both run on MulVecInto, with the same bits. The gates are
+// activated in place of Wx·x, which the cache keeps as i, f, g and o.
+// Every buffer comes from s; x, s0 and hs must outlive the backward pass.
+func (c *LSTMCell) Sequence(s *Scratch, w LSTMPanels, x, hs Mat, s0 LSTMState, caches []*LSTMCache) LSTMState {
+	h, steps := c.Hidden, x.Rows
+	if x.Cols != c.InSize || hs.Data != nil && (hs.Rows != steps || hs.Cols != h) || caches != nil && len(caches) != steps {
+		panic(fmt.Sprintf("nn: Sequence of %d inputs of %d into %dx%d states with %d caches, cell %d -> %d",
+			x.Rows, x.Cols, hs.Rows, hs.Cols, len(caches), c.InSize, h))
+	}
+	if w.wx == nil && steps >= seqPackMinSteps {
+		w = c.PackPanels(s)
+	}
+	if hs.Data == nil {
+		hs = Mat{Rows: steps, Cols: h, Data: s.Vec(steps * h)}
+	}
+	var pre Mat
+	if w.wx != nil {
+		pre = Mat{Rows: steps, Cols: 4 * h, Data: s.Vec(steps * 4 * h)}
+		c.Wx.Value.mulVecsPacked(w.wx, x, pre)
+	}
+	preH := s.Vec(4 * h)
+	state := s0
+	for t := 0; t < steps; t++ {
+		xt := x.Row(t)
+		var gates []float64
+		if pre.Data != nil {
+			gates = pre.Row(t)
+		} else {
+			gates = c.Wx.Value.MulVecInto(xt, s.Vec(4*h))
+		}
+		c.Wh.Value.mulVecsPacked(w.wh, Mat{Rows: 1, Cols: h, Data: state.H}, Mat{Rows: 1, Cols: 4 * h, Data: preH})
+		next := LSTMState{H: hs.Row(t), C: s.Vec(h)}
+		tanhC := next.H // dead without a cache: h overwrites it
+		if caches != nil {
+			tanhC = s.Vec(h)
+			cache := s.lstmCache()
+			cache.x, cache.hPrev, cache.cPrev = xt, state.H, state.C
+			cache.i, cache.f, cache.g, cache.o = gates[:h], gates[h:2*h], gates[2*h:3*h], gates[3*h:]
+			cache.c, cache.tanhC = next.C, tanhC
+			caches[t] = cache
+		}
+		gateRow(gates, preH, c.B.Value.Data, state.C, gates, next.C, tanhC, next.H)
+		state = next
+	}
+	return state
+}
+
+// gateRow is the one gate body of Sequence and StepBatch, for one
 // sequence of H = len(h) cells: pre holds Wx·x and preH Wh·h, 4H each in
 // the gate layout, and cPrev the cell state. It leaves the activated
 // gates in gates, the new cell state in c, tanh(c) in tanhC and the new
@@ -199,23 +257,23 @@ func (c *LSTMCell) StepBackwardScratch(s *Scratch, cache *LSTMCache, dh, dc []fl
 
 // RunSequence feeds a sequence of inputs through the cell starting from
 // state s0, returning the hidden states per step and the caches needed for
-// BackwardSequence.
+// BackwardSequence. It is Sequence on heap buffers.
 func (c *LSTMCell) RunSequence(xs [][]float64, s0 LSTMState) (hs [][]float64, final LSTMState, caches []*LSTMCache) {
-	return c.RunSequenceScratch(nil, xs, s0)
-}
-
-// RunSequenceScratch is RunSequence with arena-backed steps. The slice
-// headers still come from the heap (one allocation each per sequence); the
-// per-step working set does not.
-func (c *LSTMCell) RunSequenceScratch(s *Scratch, xs [][]float64, s0 LSTMState) (hs [][]float64, final LSTMState, caches []*LSTMCache) {
-	hs = make([][]float64, len(xs))
-	caches = make([]*LSTMCache, len(xs))
-	state := s0
-	for t, x := range xs {
-		state, caches[t] = c.StepScratch(s, x, state)
-		hs[t] = state.H
+	x := NewMat(len(xs), c.InSize)
+	for t, xt := range xs {
+		if len(xt) != c.InSize {
+			panic(fmt.Sprintf("nn: RunSequence input %d has %d elements, want %d", t, len(xt), c.InSize))
+		}
+		copy(x.Row(t), xt)
 	}
-	return hs, state, caches
+	states := NewMat(len(xs), c.Hidden)
+	caches = make([]*LSTMCache, len(xs))
+	final = c.Sequence(nil, LSTMPanels{}, x, states, s0, caches)
+	hs = make([][]float64, len(xs))
+	for t := range hs {
+		hs[t] = states.Row(t)
+	}
+	return hs, final, caches
 }
 
 // BackwardSequence backpropagates through a sequence processed with

@@ -281,9 +281,12 @@ func MatMulAT(a, b Mat) Mat {
 // for MatMul, a read down a's columns for MatMulAT, the one row y for
 // MulVecTInto. For each output row the non-zero l(i, k) are gathered four
 // at a time in ascending k and folded into out[i][j] with one load and one
-// store; the remainder keeps the one-row loop.
+// store; the remainder keeps the one-row loop. Where useSIMD holds both
+// folds run on fold4Lanes and fold1Lanes, four output elements a lane
+// each, with the same expression.
 func mulRowsInto(out Mat, l []float64, rs, cs int, b Mat) {
 	n := b.Cols
+	simd := useSIMD && n > 0
 	var ks [4]int
 	var ls [4]float64
 	for i := 0; i < out.Rows; i++ {
@@ -299,6 +302,10 @@ func mulRowsInto(out Mat, l []float64, rs, cs int, b Mat) {
 				continue
 			}
 			g = 0
+			if simd {
+				fold4Lanes(&orow[0], &b.Data[0], n, &ks, &ls)
+				continue
+			}
 			b0, b1, b2, b3 := b.rowOf(ks[0], orow), b.rowOf(ks[1], orow), b.rowOf(ks[2], orow), b.rowOf(ks[3], orow)
 			l0, l1, l2, l3 := ls[0], ls[1], ls[2], ls[3]
 			for j, o := range orow {
@@ -311,6 +318,10 @@ func mulRowsInto(out Mat, l []float64, rs, cs int, b Mat) {
 		}
 		for t := 0; t < g; t++ {
 			lv, brow := ls[t], b.rowOf(ks[t], orow)
+			if simd {
+				fold1Lanes(&orow[0], &brow[0], n, lv)
+				continue
+			}
 			for j, bv := range brow {
 				orow[j] += lv * bv
 			}

@@ -2,20 +2,21 @@ package nn
 
 import "fmt"
 
-// StepBatch's products and both steps' gates run on AVX and FMA kernels
-// where the CPU has them (simd_amd64.s), and on the Go kernels everywhere
-// else, with the same bits: each SIMD lane computes exactly the
-// expression the Go kernel computes for that element (DESIGN.md §4).
+// The LSTM's and the attention's products and the LSTM's gates run on AVX
+// and FMA kernels where the CPU has them (simd_amd64.s), and on the Go
+// kernels everywhere else, with the same bits: each SIMD lane computes
+// exactly the expression the Go kernel computes for that element
+// (DESIGN.md §4).
 
-// LSTMPanels is a cell's Wx and Wh packed for StepBatch's panel kernel.
-// The zero value, and a pack made where the kernel is off, run the Go
-// kernel instead.
+// LSTMPanels is a cell's Wx and Wh packed for the panel kernels of
+// StepBatch and Sequence. The zero value, and a pack made where the
+// kernels are off, run the Go kernels instead.
 type LSTMPanels struct{ wx, wh []float64 }
 
-// PackPanels packs the cell's weights for StepBatch into buffers drawn
-// from s. The pack copies the weights: it is stale once they change and
-// dead at s's next Reset. StepBatch only reads it, so concurrent calls
-// may share one.
+// PackPanels packs the cell's weights for StepBatch and Sequence, each
+// matrix one request to s. The pack copies the weights: it is stale once
+// they change and dead at s's next Reset. Both only read it, so
+// concurrent calls may share one.
 func (c *LSTMCell) PackPanels(s *Scratch) LSTMPanels {
 	if !useSIMD {
 		return LSTMPanels{}
@@ -41,29 +42,24 @@ func (m Mat) packPanels(s *Scratch) []float64 {
 	return out
 }
 
-// mulVecsPacked is mulVecsInto on m's panels: vectors go through
-// panelMul8 eight at a time, and the last one to seven through
-// mulVecsInto. Each lane keeps mulVecsInto's expression, so
-// the result is the same bits whichever kernel computes it (pinned by
-// TestMulVecsIntoBitIdentical). A nil panels runs mulVecsInto.
+// mulVecsPacked is mulVecsInto on m's panels: panelVecs computes the
+// panels' rows of every vector and MulVecInto's tail loop the Rows%4
+// rows after them. Each lane keeps mulVecsInto's expression, so the
+// result is the same bits whichever kernel computes it (pinned by
+// TestMulVecsIntoBitIdentical). A nil panels, and a shape with no panel
+// or no column, runs mulVecsInto.
 func (m Mat) mulVecsPacked(panels []float64, x, dst Mat) {
-	if panels == nil {
+	np := m.Rows / 4
+	if panels == nil || np == 0 || m.Cols == 0 {
 		m.mulVecsInto(x, dst)
 		return
 	}
-	if x.Cols != m.Cols || dst.Rows != x.Rows || dst.Cols != m.Rows || len(panels) != m.Rows/4*4*m.Cols {
+	if x.Cols != m.Cols || dst.Rows != x.Rows || dst.Cols != m.Rows || len(panels) != np*4*m.Cols {
 		panic(fmt.Sprintf("nn: mulVecsPacked dimension mismatch: %dx%d (%d packed) by %dx%d into %dx%d",
 			m.Rows, m.Cols, len(panels), x.Rows, x.Cols, dst.Rows, dst.Cols))
 	}
-	np := m.Rows / 4
-	v := 0
-	if np > 0 && m.Cols > 0 {
-		for ; v+8 <= x.Rows; v += 8 {
-			panelMul8(&panels[0], np, m.Cols, &x.Data[v*x.Cols], x.Cols, &dst.Data[v*dst.Cols], dst.Cols)
-		}
-	}
-	// The panels' vectors still lack the tail rows: MulVecInto's tail loop.
-	for u := 0; u < v; u++ {
+	panelVecs(panels, np, m.Cols, x.Data, x.Cols, x.Rows, dst.Data, dst.Cols)
+	for u := 0; u < x.Rows; u++ {
 		xu, du := x.Row(u), dst.Row(u)
 		for i := 4 * np; i < m.Rows; i++ {
 			sum := 0.0
@@ -73,14 +69,26 @@ func (m Mat) mulVecsPacked(panels []float64, x, dst Mat) {
 			du[i] = sum
 		}
 	}
-	if v < x.Rows {
-		m.mulVecsInto(x.rowsFrom(v), dst.rowsFrom(v))
-	}
 }
 
-// rowsFrom is the view of rows v onward.
-func (m Mat) rowsFrom(v int) Mat {
-	return Mat{Rows: m.Rows - v, Cols: m.Cols, Data: m.Data[v*m.Cols:]}
+// panelVecs runs n vectors, vector v at x[v*xstride:] and cols long,
+// against the first np panels of a pack of cols columns, and writes the
+// 4·np rows of vector v's product at dst[v*dstride:]: eight vectors at a
+// time on panelMul8, the last one to seven on panelMul1. np and cols
+// must be positive.
+func panelVecs(panels []float64, np, cols int, x []float64, xstride, n int, dst []float64, dstride int) {
+	if n == 0 {
+		return
+	}
+	// The kernels check nothing: every slice must hold what they reach.
+	_, _, _ = panels[np*4*cols-1], x[(n-1)*xstride+cols-1], dst[(n-1)*dstride+4*np-1]
+	v := 0
+	for ; v+8 <= n; v += 8 {
+		panelMul8(&panels[0], np, cols, &x[v*xstride], xstride, &dst[v*dstride], dstride)
+	}
+	for ; v < n; v++ {
+		panelMul1(&panels[0], np, cols, &x[v*xstride], &dst[v*dstride])
+	}
 }
 
 // math.Exp's FMA and plain sequences give results one ulp apart on

@@ -3,7 +3,8 @@ package nn
 import "math"
 
 // useSIMD selects the AVX and FMA kernels: PackPanels packs for
-// panelMul8, and gateRow runs gateLanes, whose exps replay math.Exp's FMA
+// panelMul8 and panelMul1, mulRowsInto folds on fold4Lanes and
+// fold1Lanes, and gateRow runs gateLanes, whose exps replay math.Exp's FMA
 // path four lanes at a time. math.Exp takes that path exactly when the
 // runtime reports AVX and FMA with YMM state saved by the OS, and not
 // under GODEBUG=cpu.avx=off or cpu.fma=off, so its result on expProbe,
@@ -14,6 +15,15 @@ var useSIMD = math.Exp(expProbe) == expProbeFMA
 
 //go:noescape
 func panelMul8(panels *float64, npanels, cols int, x *float64, xstride int, dst *float64, dstride int)
+
+//go:noescape
+func panelMul1(panels *float64, npanels, cols int, x *float64, dst *float64)
+
+//go:noescape
+func fold4Lanes(o, b *float64, n int, ks *[4]int, ls *[4]float64)
+
+//go:noescape
+func fold1Lanes(o, b *float64, n int, l float64)
 
 //go:noescape
 func gateLanes(pre, preH, bias, cPrev, gates, c, tanhC, h *float64, hidden int) (ok bool)

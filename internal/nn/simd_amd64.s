@@ -101,6 +101,83 @@ done8:
 	VZEROUPPER
 	RET
 
+// func panelMul1(panels *float64, npanels, cols int, x *float64, dst *float64)
+//
+// panelMul8 for one vector: Y0-Y3 accumulate four panels at a time, so
+// that four add chains overlap, each lane the same 0 + r0*x0 + r1*x1 +
+// ... in column order; the last one to three panels run one at a time.
+TEXT ·panelMul1(SB), NOSPLIT, $0-40
+	MOVQ panels+0(FP), AX
+	MOVQ npanels+8(FP), R11
+	MOVQ cols+16(FP), R12
+	MOVQ x+24(FP), R13
+	MOVQ dst+32(FP), BX
+	MOVQ R12, R9
+	SHLQ $5, R9 // one panel's bytes
+	CMPQ R11, $4
+	JLT  one1
+
+four1:
+	// Panels 0 and 1 are reached from AX, 2 and 3 from DI.
+	LEAQ   (AX)(R9*2), DI
+	MOVQ   R13, SI
+	MOVQ   R12, CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+col1x4:
+	VBROADCASTSD (SI), Y8
+	VMULPD       (AX), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	VMULPD       (AX)(R9*1), Y8, Y10
+	VADDPD       Y10, Y1, Y1
+	VMULPD       (DI), Y8, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       (DI)(R9*1), Y8, Y12
+	VADDPD       Y12, Y3, Y3
+	ADDQ         $32, AX
+	ADDQ         $32, DI
+	ADDQ         $8, SI
+	DECQ         CX
+	JNZ          col1x4
+
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, 32(BX)
+	VMOVUPD Y2, 64(BX)
+	VMOVUPD Y3, 96(BX)
+	ADDQ    $128, BX
+	LEAQ    (DI)(R9*1), AX // DI ends at panel 3's start
+	SUBQ    $4, R11
+	CMPQ    R11, $4
+	JGE     four1
+
+one1:
+	TESTQ R11, R11
+	JZ    done1
+	MOVQ  R13, SI
+	MOVQ  R12, CX
+	VXORPD Y0, Y0, Y0
+
+col1:
+	VBROADCASTSD (SI), Y8
+	VMULPD       (AX), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	ADDQ         $32, AX
+	ADDQ         $8, SI
+	DECQ         CX
+	JNZ          col1
+
+	VMOVUPD Y0, (BX)
+	ADDQ    $32, BX
+	DECQ    R11
+	JMP     one1
+
+done1:
+	VZEROUPPER
+	RET
+
 // math.Exp's amd64 constants (Shibata's method, from sleef), each
 // repeated in four lanes so that it can be a 256-bit memory operand.
 #define LANES(sym, off, v) DATA sym<>+(off+0)(SB)/8, v; DATA sym<>+(off+8)(SB)/8, v; DATA sym<>+(off+16)(SB)/8, v; DATA sym<>+(off+24)(SB)/8, v
@@ -524,5 +601,114 @@ done:
 	RET
 refuse:
 	MOVB $0, ok+72(FP)
+	VZEROUPPER
+	RET
+
+// TERM adds one term, l*b, to Y0: the multiply (l first, as mulRowsInto
+// writes it), then the add (accumulator first).
+#define TERM(LD, b, l) \
+	LD(b, Y1); \
+	VMULPD Y1, l, Y1; \
+	VADDPD Y1, Y0, Y0
+
+#define FOLD4(LD, ST) \
+	LD((DI)(R13*1), Y0); \
+	TERM(LD, (AX)(R13*1), Y4); \
+	TERM(LD, (BX)(R13*1), Y5); \
+	TERM(LD, (DX)(R13*1), Y6); \
+	TERM(LD, (R11)(R13*1), Y7); \
+	ST(Y0, (DI)(R13*1))
+
+#define FOLD1(LD, ST) \
+	LD((DI)(R13*1), Y0); \
+	TERM(LD, (AX)(R13*1), Y4); \
+	ST(Y0, (DI)(R13*1))
+
+// FOLDMASK puts in Y15 the lane mask of a row's last n%4 lanes (n in CX),
+// leaves the row's whole groups in CX and zeroes the byte offset R13.
+#define FOLDMASK \
+	MOVQ    CX, R13; \
+	ANDQ    $3, R13; \
+	SHLQ    $5, R13; \
+	LEAQ    gateTail<>(SB), R12; \
+	VMOVUPD (R12)(R13*1), Y15; \
+	SHRQ    $2, CX; \
+	XORQ    R13, R13
+
+// func fold4Lanes(o, b *float64, n int, ks *[4]int, ls *[4]float64)
+//
+// mulRowsInto's fold of four rows (mat.go): o[j] += ls[0]*b[ks[0]][j],
+// then ls[1]'s term, ls[2]'s and ls[3]'s, with b's rows n long. Each lane
+// is one o[j], loaded once and stored once, and takes its terms in order,
+// each one multiply then one add; the last n%4 lanes run under a mask.
+TEXT ·fold4Lanes(SB), NOSPLIT, $0-40
+	MOVQ  o+0(FP), DI
+	MOVQ  b+8(FP), SI
+	MOVQ  n+16(FP), CX
+	MOVQ  ks+24(FP), R8
+	MOVQ  ls+32(FP), R9
+	MOVQ  CX, R10
+	SHLQ  $3, R10 // a row's bytes
+	MOVQ  0(R8), AX
+	IMULQ R10, AX
+	ADDQ  SI, AX
+	MOVQ  8(R8), BX
+	IMULQ R10, BX
+	ADDQ  SI, BX
+	MOVQ  16(R8), DX
+	IMULQ R10, DX
+	ADDQ  SI, DX
+	MOVQ  24(R8), R11
+	IMULQ R10, R11
+	ADDQ  SI, R11
+	VBROADCASTSD 0(R9), Y4
+	VBROADCASTSD 8(R9), Y5
+	VBROADCASTSD 16(R9), Y6
+	VBROADCASTSD 24(R9), Y7
+	FOLDMASK
+	TESTQ CX, CX
+	JZ    fold4tail
+
+fold4loop:
+	FOLD4(LDW, STW)
+	ADDQ $32, R13
+	DECQ CX
+	JNZ  fold4loop
+
+fold4tail:
+	VMOVMSKPD Y15, R12
+	TESTQ     R12, R12
+	JZ        fold4done
+	FOLD4(LDT, STT)
+
+fold4done:
+	VZEROUPPER
+	RET
+
+// func fold1Lanes(o, b *float64, n int, l float64)
+//
+// fold4Lanes for one term: o[j] += l*b[j], j < n.
+TEXT ·fold1Lanes(SB), NOSPLIT, $0-32
+	MOVQ o+0(FP), DI
+	MOVQ b+8(FP), AX
+	MOVQ n+16(FP), CX
+	VBROADCASTSD l+24(FP), Y4
+	FOLDMASK
+	TESTQ CX, CX
+	JZ    fold1tail
+
+fold1loop:
+	FOLD1(LDW, STW)
+	ADDQ $32, R13
+	DECQ CX
+	JNZ  fold1loop
+
+fold1tail:
+	VMOVMSKPD Y15, R12
+	TESTQ     R12, R12
+	JZ        fold1done
+	FOLD1(LDT, STT)
+
+fold1done:
 	VZEROUPPER
 	RET

@@ -10,5 +10,17 @@ func panelMul8(panels *float64, npanels, cols int, x *float64, xstride int, dst 
 	panic("nn: no panel kernel on this architecture")
 }
 
+func panelMul1(panels *float64, npanels, cols int, x *float64, dst *float64) {
+	panic("nn: no panel kernel on this architecture")
+}
+
+func fold4Lanes(o, b *float64, n int, ks *[4]int, ls *[4]float64) {
+	panic("nn: no fold kernel on this architecture")
+}
+
+func fold1Lanes(o, b *float64, n int, l float64) {
+	panic("nn: no fold kernel on this architecture")
+}
+
 // gateLanes refuses every row.
 func gateLanes(pre, preH, bias, cPrev, gates, c, tanhC, h *float64, hidden int) bool { return false }

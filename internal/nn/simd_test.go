@@ -404,3 +404,46 @@ func BenchmarkGateLanes(b *testing.B) {
 		run(b)
 	})
 }
+
+// FuzzPanelLanes runs the product kernels on fuzzer-chosen shapes (rows
+// 0–36, so up to nine panels, columns 0–12, 0–20 vectors) and values,
+// zeros of either sign, NaN and ±Inf among them (see fuzzValues), against
+// the Go loops: mulVecsPacked on the panels (panelMul8 and panelMul1), on
+// every vector and on each one alone, against MulVecInto; project, x·wᵀ
+// as mulRowsInto on wᵀ, against the one-row reference on an explicit
+// transpose, whose zero multipliers are skipped; and the attention
+// forward, causal or not, against the Go kernels (NaN payloads aside, see
+// sameBits).
+func FuzzPanelLanes(f *testing.F) {
+	// Bytes: 0 → +0, 1 → -0, 2 → +Inf, 3 → -Inf, 4 → NaN, 10 → 1.
+	f.Add(uint8(8), uint8(5), uint8(9), false, []byte{10, 60, 0, 1, 200, 90, 2, 130, 4, 250})
+	f.Add(uint8(13), uint8(7), uint8(3), true, []byte{1, 0, 30, 100, 3, 160, 220})
+	f.Add(uint8(4), uint8(1), uint8(1), true, []byte{2, 1, 127, 0})
+	f.Add(uint8(12), uint8(12), uint8(12), false, []byte{})
+	f.Add(uint8(36), uint8(4), uint8(20), true, []byte{90, 10, 1, 200, 30, 160, 0, 70, 4, 140})
+	f.Fuzz(func(t *testing.T, rows, cols, vecs uint8, causal bool, raw []byte) {
+		if !useSIMD {
+			t.Skip("no SIMD kernels on this CPU")
+		}
+		r, c, n := int(rows%37), int(cols%13), int(vecs%21)
+		vals := &fuzzValues{raw: raw}
+		m, x := vals.mat(r, c), vals.mat(n, c)
+		got := NewMat(n, r)
+		m.mulVecsPacked(m.packPanels(nil), x, got)
+		for v := 0; v < n; v++ {
+			want := m.MulVecInto(x.Row(v), make([]float64, r))
+			sameBits(t, fmt.Sprintf("mulVecsPacked vector %d", v), got.Row(v), want)
+			one := make([]float64, r)
+			m.mulVecsPacked(m.packPanels(nil), Mat{Rows: 1, Cols: c, Data: x.Row(v)}, Mat{Rows: 1, Cols: r, Data: one})
+			sameBits(t, fmt.Sprintf("mulVecsPacked one vector %d", v), one, want)
+		}
+
+		out := NewMat(n, r)
+		project(nil, out, x, m)
+		sameBits(t, "project", out.Data, matMulReference(x, transposeOf(m)).Data)
+
+		a := &Attention{Dim: c, Causal: causal,
+			Wq: &Param{Value: vals.mat(c, c)}, Wk: &Param{Value: vals.mat(c, c)}, Wv: &Param{Value: vals.mat(c, c)}}
+		attentionAgainstGo(t, fmt.Sprintf("attention of %d steps, dim %d", n, c), a, x)
+	})
+}
