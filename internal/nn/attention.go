@@ -69,9 +69,12 @@ func (a *Attention) ForwardScratch(s *Scratch, x Mat) (Mat, *AttnCache) {
 				max = row[j]
 			}
 		}
+		for j := 0; j < limit; j++ {
+			row[j] -= max
+		}
+		Exp(row[:limit])
 		sum := 0.0
 		for j := 0; j < limit; j++ {
-			row[j] = math.Exp(row[j] - max)
 			sum += row[j]
 		}
 		for j := 0; j < limit; j++ {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -243,4 +244,36 @@ func BenchmarkAttentionForward(b *testing.B) {
 		}
 		run(b)
 	})
+}
+
+// BenchmarkMathLanes times Sin, Log and Exp on one 64-step block of the
+// trace generator's diurnal shape (its sine arguments, the logs of the
+// sines' magnitudes and the exps of a 0.35 multiple of those logs), the
+// Go side one math call per element, the SIMD side four lanes at a time.
+func BenchmarkMathLanes(b *testing.B) {
+	var args [3][64]float64
+	for k := range args[0] {
+		args[0][k] = 2 * math.Pi * (float64(k)/144 + 0.05 - 0.3)
+		args[1][k] = math.Abs(math.Sin(args[0][k]))
+		args[2][k] = 0.35 * math.Log(args[1][k])
+	}
+	for i, f := range []struct {
+		name string
+		fn   func([]float64)
+	}{{"sin", Sin}, {"log", Log}, {"exp", Exp}} {
+		run := func(b *testing.B) {
+			var x [64]float64
+			for n := 0; n < b.N; n++ {
+				x = args[i]
+				f.fn(x[:])
+			}
+		}
+		b.Run(f.name+"/go", func(b *testing.B) { goKernels(func() { run(b) }) })
+		b.Run(f.name+"/simd", func(b *testing.B) {
+			if !useSIMD {
+				b.Skip("no SIMD kernels on this CPU")
+			}
+			run(b)
+		})
+	}
 }

@@ -642,6 +642,27 @@ func TestAttentionMatchesGoKernels(t *testing.T) {
 			}
 		}
 	}
+
+	// A row spread wider than 708 sends lanes of the softmax's exps below
+	// expLanes' range, to math.Exp: a weight below e⁻⁷⁰⁸/T (T keys, each
+	// weight exp(d)/sum with 1 <= sum <= T) had d < -708.
+	a := NewAttention("a", 8, false, rng)
+	x := NewMat(13, 8)
+	fillDense.fill(rng, x)
+	for i := range x.Data {
+		x.Data[i] *= 40
+	}
+	attentionAgainstGo(t, "a wide spread", a, x)
+	_, c := a.ForwardScratch(nil, x)
+	below := 0
+	for _, w := range c.attn.Data {
+		if w < math.Exp(-708)/13 {
+			below++
+		}
+	}
+	if below == 0 || below == len(c.attn.Data) {
+		t.Fatalf("%d of %d weights had an exp argument below -708, want some", below, len(c.attn.Data))
+	}
 }
 
 // attentionAgainstGo is the check of TestAttentionMatchesGoKernels and

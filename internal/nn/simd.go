@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // The LSTM's and the attention's products and the LSTM's gates run on AVX
 // and FMA kernels where the CPU has them (simd_amd64.s), and on the Go
@@ -88,6 +91,47 @@ func panelVecs(panels []float64, np, cols int, x []float64, xstride, n int, dst 
 	}
 	for ; v < n; v++ {
 		panelMul1(&panels[0], np, cols, &x[v*xstride], &dst[v*dstride])
+	}
+}
+
+// Sin, Log and Exp overwrite every x[i] with math.Sin, math.Log and
+// math.Exp of it, bit for bit: four at a time on the lane kernels where
+// useSIMD holds, and by the math function for each group a kernel refuses
+// (a NaN or ±Inf lane, or |x| >= 1<<29 for Sin, x <= 0 for Log, x outside
+// [-708, 709] for Exp), the len(x)%4 tail, and everywhere else. Each
+// calls its kernel directly, so x does not escape.
+func Sin(x []float64) {
+	for i := 0; i < len(x); i++ {
+		if useSIMD && i&3 == 0 {
+			if i += sinLanes(x[i : len(x)&^3]); i == len(x) {
+				return
+			}
+		}
+		x[i] = math.Sin(x[i])
+	}
+}
+
+// Log is Sin for math.Log.
+func Log(x []float64) {
+	for i := 0; i < len(x); i++ {
+		if useSIMD && i&3 == 0 {
+			if i += logLanes(x[i : len(x)&^3]); i == len(x) {
+				return
+			}
+		}
+		x[i] = math.Log(x[i])
+	}
+}
+
+// Exp is Sin for math.Exp.
+func Exp(x []float64) {
+	for i := 0; i < len(x); i++ {
+		if useSIMD && i&3 == 0 {
+			if i += expLanes(x[i : len(x)&^3]); i == len(x) {
+				return
+			}
+		}
+		x[i] = math.Exp(x[i])
 	}
 }
 

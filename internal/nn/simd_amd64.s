@@ -1,9 +1,9 @@
-// AVX and FMA kernels for StepBatch's products and both LSTM steps'
-// gates (see simd.go and gateRow in lstm.go); none needs AVX2. Every
-// instruction below is VEX-encoded and every exit runs VZEROUPPER: one
-// legacy-SSE instruction between VEX ones costs a state transition per
-// pass, which made a prototype of expLanes five times slower than
-// math.Exp.
+// AVX and FMA kernels for StepBatch's products, both LSTM steps' gates
+// (see simd.go and gateRow in lstm.go) and the lanes of Sin, Log and
+// Exp; none needs AVX2. Every instruction below is VEX-encoded and every
+// exit runs VZEROUPPER: one legacy-SSE instruction between VEX ones
+// costs a state transition per pass, which made a prototype of expLanes
+// five times slower than math.Exp.
 
 #include "textflag.h"
 
@@ -245,39 +245,45 @@ GLOBL expConst<>(SB), RODATA|NOPTR, $496
 	VINSERTF128  $1, X5, Y4, Y4; \
 	VMULPD       Y4, Y0, Y0
 
+// LANELOOP overwrites x four lanes at a time with OP, which takes Y0 to
+// Y0, for as long as ACCEPT, which sets Y1's lanes where Y0's are in
+// OP's domain, accepts every lane of the group; a group it refuses is
+// left untouched, and done is the lanes before it.
+#define LANELOOP(ACCEPT, OP) \
+	MOVQ  x_base+0(FP), SI; \
+	MOVQ  x_len+8(FP), CX; \
+	SHRQ  $2, CX; \
+	XORQ  AX, AX; \
+	TESTQ CX, CX; \
+	JZ    done; \
+loop: \
+	VMOVUPD   (SI), Y0; \
+	ACCEPT; \
+	VMOVMSKPD Y1, DX; \
+	CMPQ      DX, $15; \
+	JNE       done; \
+	OP; \
+	VMOVUPD   Y0, (SI); \
+	ADDQ      $32, SI; \
+	ADDQ      $4, AX; \
+	DECQ      CX; \
+	JNZ       loop; \
+done: \
+	MOVQ AX, done+24(FP); \
+	VZEROUPPER; \
+	RET
+
+// EXPOK accepts x in [-708, 709]: false for NaN.
+#define EXPOK \
+	VCMPPD $0x1d, expConst<>+0(SB), Y0, Y1; \
+	VCMPPD $0x12, expConst<>+32(SB), Y0, Y2; \
+	VANDPD Y2, Y1, Y1
+
 // func expLanes(x []float64) (done int)
 //
-// Overwrites x four lanes at a time with EXP. A group holding a lane
-// outside [-708, 709] (or a NaN) is refused: it is left untouched and
-// expLanes returns the lanes done before it. Only the tests call it: it
-// holds EXP to math.Exp on inputs the gates rarely reach.
+// math.Exp of each lane by EXP (Exp in simd.go).
 TEXT ·expLanes(SB), NOSPLIT, $0-32
-	MOVQ x_base+0(FP), SI
-	MOVQ x_len+8(FP), CX
-	SHRQ $2, CX
-	XORQ AX, AX
-	TESTQ CX, CX
-	JZ   expdone
-
-exploop:
-	VMOVUPD (SI), Y0
-	VCMPPD  $0x1d, expConst<>+0(SB), Y0, Y1 // x >= -708, false for NaN
-	VCMPPD  $0x12, expConst<>+32(SB), Y0, Y2 // x <= 709, false for NaN
-	VANDPD  Y2, Y1, Y1
-	VMOVMSKPD Y1, DX
-	CMPQ    DX, $15
-	JNE     expdone
-	EXP
-	VMOVUPD Y0, (SI)
-	ADDQ $32, SI
-	ADDQ $4, AX
-	DECQ CX
-	JNZ  exploop
-
-expdone:
-	MOVQ AX, done+24(FP)
-	VZEROUPPER
-	RET
+	LANELOOP(EXPOK, EXP)
 
 // The gates' constants, four lanes each: the sign and magnitude masks,
 // the largest |x| whose sigmoid exp EXP takes, math.Tanh's branch points
@@ -712,3 +718,193 @@ fold1tail:
 fold1done:
 	VZEROUPPER
 	RET
+
+// math.Sin's constants (the portable sin in sin.go; amd64 has no
+// assembly one), four lanes each: the reduction threshold 1<<29, 4/Pi,
+// Pi/4 in three parts (PI4A-C), the _sin and the _cos coefficients, and
+// 1 as int32 lanes.
+LANES(sinConst, 0, $0x41c0000000000000)  // 1<<29
+LANES(sinConst, 32, $0x3ff45f306dc9c883) // 4/Pi
+LANES(sinConst, 64, $7.85398125648498535156e-1)
+LANES(sinConst, 96, $3.77489470793079817668e-8)
+LANES(sinConst, 128, $2.69515142907905952645e-15)
+LANES(sinConst, 160, $1.58962301576546568060e-10)
+LANES(sinConst, 192, $-2.50507477628578072866e-8)
+LANES(sinConst, 224, $2.75573136213857245213e-6)
+LANES(sinConst, 256, $-1.98412698295895385996e-4)
+LANES(sinConst, 288, $8.33333333332211858878e-3)
+LANES(sinConst, 320, $-1.66666666666666307295e-1)
+LANES(sinConst, 352, $-1.13585365213876817300e-11)
+LANES(sinConst, 384, $2.08757008419747316778e-9)
+LANES(sinConst, 416, $-2.75573141792967388112e-7)
+LANES(sinConst, 448, $2.48015872888517045348e-5)
+LANES(sinConst, 480, $-1.38888888888730564116e-3)
+LANES(sinConst, 512, $4.16666666666665929218e-2)
+DATA sinConst<>+544(SB)/4, $1
+DATA sinConst<>+548(SB)/4, $1
+DATA sinConst<>+552(SB)/4, $1
+DATA sinConst<>+556(SB)/4, $1
+GLOBL sinConst<>(SB), RODATA|NOPTR, $560
+
+// POLY leaves in r the polynomial ((((c0*zz+c1)*zz+c2)*zz+c3)*zz+c4)*zz+c5
+// of zz in Y3, its coefficients at sinConst<>+off(SB) on, one multiply
+// then one add each.
+#define POLY(off, r) \
+	VMULPD sinConst<>+(off)(SB), Y3, r; \
+	VADDPD sinConst<>+(off+32)(SB), r, r; \
+	VMULPD Y3, r, r; \
+	VADDPD sinConst<>+(off+64)(SB), r, r; \
+	VMULPD Y3, r, r; \
+	VADDPD sinConst<>+(off+96)(SB), r, r; \
+	VMULPD Y3, r, r; \
+	VADDPD sinConst<>+(off+128)(SB), r, r; \
+	VMULPD Y3, r, r; \
+	VADDPD sinConst<>+(off+160)(SB), r, r
+
+// WIDEN puts each of X6's four int32 lanes in the high half of a 64-bit
+// lane of Y6, so that a bit 31 there is the lane's sign bit. It clobbers
+// X7 and X8.
+#define WIDEN \
+	VPXOR       X7, X7, X7; \
+	VPUNPCKHDQ  X6, X7, X8; \
+	VPUNPCKLDQ  X6, X7, X6; \
+	VINSERTF128 $1, X8, Y6, Y6
+
+// SINOK accepts |x| < 1<<29: false for NaN and ±Inf. Beyond, sin takes
+// Payne-Hanek's reduction.
+#define SINOK \
+	VANDPD ABSMASK, Y0, Y1; \
+	VCMPPD $0x11, sinConst<>+0(SB), Y1, Y1
+
+// SIN overwrites Y0's four lanes, each |x| < 1<<29, with sin's result,
+// operation for operation and with no FMA: j = uint64(|x|*(4/Pi))
+// truncates as VCVTTPD2DQ does (it is below 1<<31), an odd j and its y =
+// float64(j) go up by one, and z = ((|x| - y*PI4A) - y*PI4B) - y*PI4C.
+// Both of sin's polynomials are taken and the octant picks one per lane:
+// j&2 the cosine's, j&4 flips the sign, as does x's sign bit, so ±0 comes
+// out as x, as sin's special case returns it. It clobbers Y1-Y8.
+#define SIN \
+	VANDPD      ABSMASK, Y0, Y1; \
+	VMULPD      sinConst<>+32(SB), Y1, Y2; \
+	VCVTTPD2DQY Y2, X2; \
+	VPAND       sinConst<>+544(SB), X2, X3; \
+	VPADDD      X3, X2, X2; \
+	VCVTDQ2PD   X2, Y8; \
+	VMULPD      sinConst<>+64(SB), Y8, Y3; \
+	VSUBPD      Y3, Y1, Y1; \
+	VMULPD      sinConst<>+96(SB), Y8, Y3; \
+	VSUBPD      Y3, Y1, Y1; \
+	VMULPD      sinConst<>+128(SB), Y8, Y3; \
+	VSUBPD      Y3, Y1, Y1; \
+	VMULPD      Y1, Y1, Y3; \
+	POLY(160, Y4); \
+	VMULPD      Y3, Y1, Y5; \
+	VMULPD      Y4, Y5, Y5; \
+	VADDPD      Y5, Y1, Y5; \
+	POLY(352, Y4); \
+	VMULPD      Y3, Y3, Y1; \
+	VMULPD      Y4, Y1, Y1; \
+	VMULPD      expConst<>+384(SB), Y3, Y3; \
+	VMOVUPD     ONE, Y4; \
+	VSUBPD      Y3, Y4, Y4; \
+	VADDPD      Y1, Y4, Y4; \
+	VPSLLD      $30, X2, X6; \
+	WIDEN; \
+	VBLENDVPD   Y6, Y4, Y5, Y5; \
+	VPSLLD      $29, X2, X6; \
+	WIDEN; \
+	VANDPD      SIGNMASK, Y6, Y6; \
+	VXORPD      Y6, Y5, Y5; \
+	VANDPD      SIGNMASK, Y0, Y6; \
+	VXORPD      Y6, Y5, Y0
+
+// func sinLanes(x []float64) (done int)
+//
+// math.Sin of each lane by SIN (Sin in simd.go).
+TEXT ·sinLanes(SB), NOSPLIT, $0-32
+	LANELOOP(SINOK, SIN)
+
+// log_amd64.s's constants, four lanes each: the mantissa mask, Sqrt2/2,
+// Ln2Hi, Ln2Lo, L1-L7 and +Inf; then the exponent bias 0x3fe as int32
+// lanes.
+LANES(logConst, 0, $0x000fffffffffffff)
+LANES(logConst, 32, $7.07106781186547524401e-01)
+LANES(logConst, 64, $6.93147180369123816490e-01)
+LANES(logConst, 96, $1.90821492927058770002e-10)
+LANES(logConst, 128, $6.666666666666735130e-01)
+LANES(logConst, 160, $3.999999999940941908e-01)
+LANES(logConst, 192, $2.857142874366239149e-01)
+LANES(logConst, 224, $2.222219843214978396e-01)
+LANES(logConst, 256, $1.818357216161805012e-01)
+LANES(logConst, 288, $1.531383769920937332e-01)
+LANES(logConst, 320, $1.479819860511658591e-01)
+LANES(logConst, 352, $0x7ff0000000000000)
+DATA logConst<>+384(SB)/4, $0x3fe
+DATA logConst<>+388(SB)/4, $0x3fe
+DATA logConst<>+392(SB)/4, $0x3fe
+DATA logConst<>+396(SB)/4, $0x3fe
+GLOBL logConst<>(SB), RODATA|NOPTR, $400
+
+// LOGOK accepts 0 < x < +Inf: false for NaN.
+#define LOGOK \
+	VXORPD Y2, Y2, Y2; \
+	VCMPPD $0x1e, Y2, Y0, Y1; \
+	VCMPPD $0x11, logConst<>+352(SB), Y0, Y2; \
+	VANDPD Y2, Y1, Y1
+
+// LOG overwrites Y0's four lanes, each 0 < x < +Inf, with math.Log's
+// amd64 result, archLog's instructions in order on every lane. Frexp is
+// its bit operations: f1 is x's mantissa under 0.5's exponent, and k,
+// x's exponent field less 0x3fe (x's sign bit is clear), is converted
+// from int32 lanes, shifted down in 128-bit halves. Then k -= 1 and f1
+// *= 2 where f1 <= Sqrt2/2 (CMPSD's not-less-than with its operands
+// swapped), s = f/(2+f) by VDIVPD, and the L1-L7 polynomial and the
+// Ln2Hi/Ln2Lo sum. It clobbers Y1-Y6.
+#define LOG \
+	VANDPD       logConst<>+0(SB), Y0, Y2; \
+	VORPD        expConst<>+384(SB), Y2, Y2; \
+	VEXTRACTF128 $1, Y0, X1; \
+	VPSRLQ       $52, X0, X3; \
+	VPSRLQ       $52, X1, X1; \
+	VSHUFPS      $0x88, X1, X3, X3; \
+	VPSUBD       logConst<>+384(SB), X3, X3; \
+	VCVTDQ2PD    X3, Y1; \
+	VCMPPD       $0x12, logConst<>+32(SB), Y2, Y0; \
+	VANDPD       ONE, Y0, Y3; \
+	VSUBPD       Y3, Y1, Y1; \
+	VADDPD       ONE, Y3, Y3; \
+	VMULPD       Y3, Y2, Y2; \
+	VSUBPD       ONE, Y2, Y2; \
+	VADDPD       TWO, Y2, Y0; \
+	VDIVPD       Y0, Y2, Y3; \
+	VMULPD       Y3, Y3, Y4; \
+	VMULPD       Y4, Y4, Y5; \
+	VMULPD       logConst<>+320(SB), Y5, Y6; \
+	VADDPD       logConst<>+256(SB), Y6, Y6; \
+	VMULPD       Y5, Y6, Y6; \
+	VADDPD       logConst<>+192(SB), Y6, Y6; \
+	VMULPD       Y5, Y6, Y6; \
+	VADDPD       logConst<>+128(SB), Y6, Y6; \
+	VMULPD       Y6, Y4, Y4; \
+	VMULPD       logConst<>+288(SB), Y5, Y6; \
+	VADDPD       logConst<>+224(SB), Y6, Y6; \
+	VMULPD       Y5, Y6, Y6; \
+	VADDPD       logConst<>+160(SB), Y6, Y6; \
+	VMULPD       Y6, Y5, Y5; \
+	VADDPD       Y5, Y4, Y4; \
+	VMULPD       expConst<>+384(SB), Y2, Y0; \
+	VMULPD       Y2, Y0, Y0; \
+	VADDPD       Y0, Y4, Y4; \
+	VMULPD       Y4, Y3, Y3; \
+	VMULPD       logConst<>+96(SB), Y1, Y4; \
+	VADDPD       Y4, Y3, Y3; \
+	VSUBPD       Y3, Y0, Y0; \
+	VSUBPD       Y2, Y0, Y0; \
+	VMULPD       logConst<>+64(SB), Y1, Y1; \
+	VSUBPD       Y0, Y1, Y0
+
+// func logLanes(x []float64) (done int)
+//
+// math.Log of each lane by LOG (Log in simd.go).
+TEXT ·logLanes(SB), NOSPLIT, $0-32
+	LANELOOP(LOGOK, LOG)

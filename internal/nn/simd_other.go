@@ -24,3 +24,8 @@ func fold1Lanes(o, b *float64, n int, l float64) {
 
 // gateLanes refuses every row.
 func gateLanes(pre, preH, bias, cPrev, gates, c, tanhC, h *float64, hidden int) bool { return false }
+
+// The lane kernels refuse every group.
+func sinLanes(x []float64) int { return 0 }
+func logLanes(x []float64) int { return 0 }
+func expLanes(x []float64) int { return 0 }

@@ -447,3 +447,42 @@ func FuzzPanelLanes(f *testing.F) {
 		attentionAgainstGo(t, fmt.Sprintf("attention of %d steps, dim %d", n, c), a, x)
 	})
 }
+
+// FuzzMathLanes holds Sin, Log and Exp to math.Sin, math.Log and
+// math.Exp bit for bit on five fuzzer-chosen values, each first folded
+// into the kernel's domain (Sin's |x| below 1<<29, Log's |x|, Exp's x
+// within ±709) and then as drawn: ten lanes, so a folded group runs on
+// the kernel, the next mixes the two, and a two-lane tail follows. Seeds
+// hold ±0, a subnormal, NaN, ±Inf, the domains' edges and octant bounds.
+func FuzzMathLanes(f *testing.F) {
+	f.Add(0.5, -1.25, 3.0, 100.0, 7.0)
+	f.Add(math.Copysign(0, -1), 0x1p-1074, math.Inf(1), math.NaN(), -708.5)
+	f.Add(float64(1<<29), math.Nextafter(1<<29, 0), math.Pi/4, 3*math.Pi/4, math.Sqrt2/2)
+	f.Add(-709.0, 709.0, math.Inf(-1), 1e300, 0x1p-1022)
+	f.Fuzz(func(t *testing.T, a, b, c, d, e float64) {
+		raw := []float64{a, b, c, d, e}
+		for _, k := range []struct {
+			name  string
+			entry func([]float64)
+			f     func(float64) float64
+			fold  func(float64) float64
+		}{
+			{"Sin", Sin, math.Sin, func(v float64) float64 { return math.Mod(v, 1<<29) }},
+			{"Log", Log, math.Log, math.Abs},
+			{"Exp", Exp, math.Exp, func(v float64) float64 { return math.Mod(v, 709) }},
+		} {
+			var xs []float64
+			for _, v := range raw {
+				xs = append(xs, k.fold(v))
+			}
+			xs = append(xs, raw...)
+			got := append([]float64(nil), xs...)
+			k.entry(got)
+			for i, v := range xs {
+				if want := k.f(v); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%s lane %d of %v: %v (%#x), want %v (%#x)", k.name, i, xs, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+				}
+			}
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // raceDetector reports a -race build (see race_test.go).
@@ -34,6 +35,45 @@ func TestGenerateKeepsOnlyItsSeries(t *testing.T) {
 		series := uint64(8 * cfg.Len())
 		if got := m1.TotalAlloc - m0.TotalAlloc; got > series+1024 {
 			t.Errorf("%s: Generate allocated %d B, want at most the %d B series + 1 KiB", cfg.Name, got, series)
+		}
+	}
+}
+
+// TestWeeklyWaveFollowsStep generates at steps and lengths that change
+// call to call and then reads the scratch the call put back: its whole
+// weekly wave must be math.Sin's at the last call's step, at least as
+// long as that call's trace, so a wave kept from another step or a
+// shorter trace is never reused. The steps extend a kept prefix (5 min,
+// then 10 min), regrow the scratch and switch step with room to spare. One P hands the same scratch back; a
+// fresh one (the GC emptied the Pool) has nothing to check.
+func TestWeeklyWaveFollowsStep(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct {
+		step time.Duration
+		days int
+	}{{10 * time.Minute, 4}, {5 * time.Minute, 1}, {5 * time.Minute, 2}, {10 * time.Minute, 1}, {10 * time.Minute, 3},
+		{10 * time.Minute, 6}, {30 * time.Minute, 3}, {5 * time.Minute, 3}} {
+		cfg := fleetShape(AlibabaStyle, c.days)
+		cfg.Step = c.step
+		if _, err := Generate(cfg); err != nil {
+			t.Fatal(err)
+		}
+		sc := scratches.Get().(*scratch)
+		scratches.Put(sc)
+		if sc.shared == nil {
+			continue
+		}
+		if perDay := cfg.stepsPerDay(); sc.weeklyPerDay != perDay || len(sc.weekly) < cfg.Len() {
+			t.Fatalf("%v, %d days: the scratch holds %d weekly values at %d steps a day, want %d at %d",
+				c.step, c.days, len(sc.weekly), sc.weeklyPerDay, cfg.Len(), perDay)
+		}
+		for i, v := range sc.weekly {
+			if want := math.Sin(2 * math.Pi * float64(i) / (7 * float64(sc.weeklyPerDay))); math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("%v, %d days: weekly[%d] = %v, want %v", c.step, c.days, i, v, want)
+			}
 		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"robustscale/internal/nn"
 	"robustscale/internal/timeseries"
 	"robustscale/internal/wire"
 )
@@ -329,16 +330,24 @@ func Generate(cfg Config) (*Trace, error) {
 	n := cfg.Len()
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
-	if cap(sc.weekly) < n {
-		sc.weekly, sc.shared = make([]float64, n), make([]float64, n)
+	if cap(sc.shared) < n {
+		sc.weekly, sc.shared = make([]float64, 0, n), make([]float64, n)
+	}
+	// The weekly modulation's waveform is the same for every unit,
+	// resource and call at one step; units only scale it. The scratch
+	// keeps the len(sc.weekly) values it computed and extends them.
+	if perDay := cfg.stepsPerDay(); sc.weeklyPerDay != perDay {
+		sc.weeklyPerDay, sc.weekly = perDay, sc.weekly[:0]
+	}
+	if valid := len(sc.weekly); valid < n {
+		sc.weekly = sc.weekly[:n]
+		for i := valid; i < n; i++ {
+			sc.weekly[i] = 2 * math.Pi * float64(i) / (7 * float64(sc.weeklyPerDay))
+		}
+		nn.Sin(sc.weekly[valid:])
 	}
 	weekly, shared, rng := sc.weekly[:n], sc.shared[:n], sc.rng
 	rng.Seed(cfg.Seed) // restarts the stream rand.New(rand.NewSource(cfg.Seed)) draws
-	// The weekly modulation's waveform is the same for every unit and
-	// resource; units only scale it.
-	for i, weekSteps := 0, 7*float64(cfg.stepsPerDay()); i < n; i++ {
-		weekly[i] = math.Sin(2 * math.Pi * float64(i) / weekSteps)
-	}
 
 	t := &Trace{Name: cfg.Name, Aggregated: make(map[Resource]*timeseries.Series, len(cfg.Resources))}
 	for _, res := range cfg.Resources {
@@ -353,9 +362,11 @@ func Generate(cfg Config) (*Trace, error) {
 }
 
 // scratch is what a Generate call works in besides the trace it returns:
-// the weekly wave and the shared events, n each, and the RNG.
+// the weekly wave at weeklyPerDay steps a day, the shared events and the
+// RNG.
 type scratch struct {
 	weekly, shared []float64
+	weeklyPerDay   int
 	rng            *rand.Rand
 }
 
@@ -454,8 +465,9 @@ const diurnalBlock = 64
 func diurnal(d []float64, i0 int, stepsPerDay, dayOffset, sharpness float64) {
 	for k := range d {
 		dayFrac := float64(i0+k)/stepsPerDay + dayOffset
-		d[k] = math.Sin(2 * math.Pi * (dayFrac - 0.3))
+		d[k] = 2 * math.Pi * (dayFrac - 0.3)
 	}
+	nn.Sin(d)
 	ramp(d, sharpness)
 }
 
@@ -483,11 +495,13 @@ func ramp(v []float64, y float64) {
 	var a [diurnalBlock]float64
 	av := a[:len(v)]
 	for k, s := range v {
-		av[k] = math.Log(math.Abs(s))
+		av[k] = math.Abs(s)
 	}
+	nn.Log(av)
 	for k, l := range av {
-		av[k] = math.Exp(e * l)
+		av[k] = e * l
 	}
+	nn.Exp(av)
 	for k, s := range v {
 		switch x := math.Abs(s); {
 		case x == 0:
