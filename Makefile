@@ -20,8 +20,10 @@ build-arm64:
 	GOARCH=arm64 $(GO) build ./...
 
 # The same Go-kernel path on amd64: with AVX off useSIMD is false, so the
-# whole internal/nn suite runs gateRow's Go body, mulVecsInto and the math
-# functions behind Sin, Log and Exp beside the SIMD-only tests' skips.
+# whole internal/nn suite runs gateRow's Go body, mulVecsInto, the math
+# functions behind Sin, Log and Exp and the backward pass's Go products
+# (TestBackwardSequenceMatchesGoKernels' go side) beside the SIMD-only
+# tests' skips.
 # internal/forecast and internal/trace stay out: their goldens pin
 # math.Exp's FMA bits, which GODEBUG=cpu.avx=off also turns off.
 test-go-kernels:
@@ -87,7 +89,9 @@ bench-check:
 # the SIMD fold and the attention forward on fuzzer-chosen shapes and
 # values: each must give the Go loops' bits. The next runs Sin, Log and
 # Exp on fuzzer-chosen lanes: each must give the math function's bits.
-# The next holds
+# The next backpropagates fuzzer-chosen LSTM sequences on the SIMD and the
+# Go kernels and takes Adam and attention backward steps: both must give
+# the step-at-a-time Go loop's bits. The next holds
 # the trace generator's ramp power to math.Pow's bits on any x in [0, 1]
 # and exponent in (0, 1]. The next holds its diurnal shape, computed a
 # block of steps at a time, to the one-step shape's bits. The next feeds arbitrary bytes to the trace CSV
@@ -119,6 +123,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzGateRow -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
 	$(GO) test -run '^$$' -fuzz=FuzzPanelLanes -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
 	$(GO) test -run '^$$' -fuzz=FuzzMathLanes -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
+	$(GO) test -run '^$$' -fuzz=FuzzBackwardLanes -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
 	$(GO) test -run '^$$' -fuzz=FuzzRampPow -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzDiurnalBlock -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzReadCSV -fuzztime=10s -fuzzminimizetime=1s ./internal/trace

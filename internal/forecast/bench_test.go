@@ -22,6 +22,21 @@ func BenchmarkDeepARFit(b *testing.B) {
 	}
 }
 
+// BenchmarkTFTFit is one TFT fit at the shape bench's paper-pipeline
+// fits: the default configuration, one epoch, on fourteen days of
+// ten-minute steps.
+func BenchmarkTFTFit(b *testing.B) {
+	train := sineSeries(14*144, 144, 50, 20)
+	cfg := DefaultTFTConfig()
+	cfg.Epochs = 1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := NewTFT(cfg).Fit(train); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDeepARPredictQuantiles measures ancestral sampling — DeepAR's
 // dominant inference cost (Tables II/III) and the headline target of the
 // parallel pipeline: it must scale with worker count while returning

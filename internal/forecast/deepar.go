@@ -186,7 +186,7 @@ func (d *DeepAR) windowGrad(s *nn.Scratch, train *timeseries.Series, w timeserie
 	hs := s.Mat(steps, d.cfg.Hidden)
 	caches := make([]*nn.LSTMCache, steps)
 	d.cell.Sequence(s, nn.LSTMPanels{}, x, hs, d.cell.NewLSTMStateScratch(s), caches)
-	dhs := make([][]float64, steps)
+	dhs := s.Mat(steps, d.cfg.Hidden)
 	headCaches := make([]*nn.DenseCache, steps)
 	dOuts := make([][]float64, steps)
 	for t := 0; t < steps; t++ {
@@ -195,7 +195,7 @@ func (d *DeepAR) windowGrad(s *nn.Scratch, train *timeseries.Series, w timeserie
 		dOuts[t] = d.nllGrad(out, norm[t+1])
 	}
 	for t := 0; t < steps; t++ {
-		dhs[t] = d.head.BackwardScratch(s, headCaches[t], dOuts[t])
+		copy(dhs.Row(t), d.head.BackwardScratch(s, headCaches[t], dOuts[t]))
 	}
 	d.cell.BackwardSequenceScratch(s, caches, dhs, nn.LSTMState{})
 }

@@ -187,6 +187,7 @@ func (q *QB5000) fitLSTM(train *timeseries.Series, windows []timeseries.Window) 
 	defer q.params.ReleaseGrads() // a fitted model keeps only its weights
 	rng := rand.New(rand.NewSource(q.cfg.Seed))
 	opt := nn.NewAdam(q.cfg.LR)
+	s := nn.NewScratch()
 
 	order := rng.Perm(len(windows))
 	for epoch := 0; epoch < q.cfg.Epochs; epoch++ {
@@ -197,24 +198,24 @@ func (q *QB5000) fitLSTM(train *timeseries.Series, windows []timeseries.Window) 
 			norm := q.scaler.Transform(seq)
 			startIdx := w.Origin - len(w.Context)
 
+			s.Reset()
 			steps := len(norm) - 1
-			xs := make([][]float64, steps)
+			x := s.Mat(steps, qb5000InputDim)
 			for t := 0; t < steps; t++ {
-				x := make([]float64, 0, qb5000InputDim)
-				x = append(x, norm[t])
-				x = append(x, timeFeatures(train.TimeAt(startIdx+t+1))...)
-				xs[t] = x
+				x.Row(t)[0] = norm[t]
+				timeFeaturesInto(x.Row(t)[1:], train.TimeAt(startIdx+t+1))
 			}
 
 			q.params.ZeroGrads()
-			hs, _, caches := q.cell.RunSequence(xs, q.cell.NewLSTMState())
-			dhs := make([][]float64, steps)
+			hs, dhs := s.Mat(steps, q.cfg.Hidden), s.Mat(steps, q.cfg.Hidden)
+			caches := make([]*nn.LSTMCache, steps)
+			q.cell.Sequence(s, nn.LSTMPanels{}, x, hs, q.cell.NewLSTMStateScratch(s), caches)
 			for t := 0; t < steps; t++ {
-				out, hc := q.head.Forward(hs[t])
+				out, hc := q.head.ForwardScratch(s, hs.Row(t))
 				diff := out[0] - norm[t+1]
-				dhs[t] = q.head.Backward(hc, []float64{2 * diff / float64(steps)})
+				copy(dhs.Row(t), q.head.BackwardScratch(s, hc, []float64{2 * diff / float64(steps)}))
 			}
-			q.cell.BackwardSequence(caches, dhs, nn.LSTMState{})
+			q.cell.BackwardSequenceScratch(s, caches, dhs, nn.LSTMState{})
 			q.params.ClipGradNorm(5)
 			opt.Step(q.params)
 		}

@@ -286,33 +286,28 @@ func (n *tftNet) forward(f *tftForward, series *timeseries.Series, contextNorm [
 func (n *tftNet) backward(f *tftForward, dOuts [][]float64) {
 	s := f.s
 	T, H := f.T, f.H
-	dA := nn.NewMat(T+H, n.hidden)
-	dhsD := make([][]float64, H)
+	dA := s.Mat(T+H, n.hidden)
+	dhsD := s.Mat(H, n.hidden)
 	for k := 0; k < H; k++ {
 		dz := n.head.BackwardScratch(s, f.headCaches[k], dOuts[k])
 		copy(dA.Row(T+k), dz)
-		dhsD[k] = s.VecCopy(dz) // residual path
+		copy(dhsD.Row(k), dz) // residual path
 	}
 
-	dX := n.attn.Backward(f.attnCache, dA)
-	dhsE := make([][]float64, T)
-	for t := 0; t < T; t++ {
-		dhsE[t] = s.VecCopy(dX.Row(t))
-	}
-	for k := 0; k < H; k++ {
-		row := dX.Row(T + k)
-		for j := range dhsD[k] {
-			dhsD[k][j] += row[j]
-		}
+	dX := n.attn.BackwardScratch(s, f.attnCache, dA)
+	for i, g := range dX.Data[T*n.hidden:] {
+		dhsD.Data[i] += g
 	}
 
 	dEmbFut, dS0dec := n.dec.BackwardSequenceScratch(s, f.decCaches, dhsD, nn.LSTMState{})
 	for k := 0; k < H; k++ {
-		n.embFut.BackwardScratch(s, f.futCaches[k], dEmbFut[k])
+		n.embFut.BackwardScratch(s, f.futCaches[k], dEmbFut.Row(k))
 	}
+	// The encoder's hidden-state gradients are dX's first T rows.
+	dhsE := nn.Mat{Rows: T, Cols: n.hidden, Data: dX.Data[:T*n.hidden]}
 	dEmbPast, _ := n.enc.BackwardSequenceScratch(s, f.encCaches, dhsE, dS0dec)
 	for t := 0; t < T; t++ {
-		n.embPast.BackwardScratch(s, f.pastCaches[t], dEmbPast[t])
+		n.embPast.BackwardScratch(s, f.pastCaches[t], dEmbPast.Row(t))
 	}
 }
 

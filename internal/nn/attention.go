@@ -154,15 +154,22 @@ func (a *Attention) scores(s *Scratch, q, k, attn Mat) {
 // Backward consumes the upstream gradient dOut (T x Dim), accumulates
 // projection gradients, and returns the gradient on the input sequence.
 func (a *Attention) Backward(c *AttnCache, dOut Mat) Mat {
+	return a.BackwardScratch(nil, c, dOut)
+}
+
+// BackwardScratch is Backward with every matrix drawn from the arena;
+// dOut·Vᵀ runs as project, on a transpose of V.
+func (a *Attention) BackwardScratch(s *Scratch, c *AttnCache, dOut Mat) Mat {
 	tlen := c.x.Rows
 	scale := 1 / math.Sqrt(float64(a.Dim))
 
 	// out = attn * v.
-	dAttn := MatMulBT(dOut, c.v)
-	dV := MatMulAT(c.attn, dOut)
+	dAttn := s.Mat(tlen, tlen)
+	project(s, dAttn, dOut, c.v)
+	dV := matMulAT(s, c.attn, dOut)
 
 	// Softmax backward per row: dscore = attn .* (dAttn - sum(dAttn .* attn)).
-	dScores := NewMat(tlen, tlen)
+	dScores := s.Mat(tlen, tlen)
 	for i := 0; i < tlen; i++ {
 		arow := c.attn.Row(i)
 		drow := dAttn.Row(i)
@@ -177,8 +184,8 @@ func (a *Attention) Backward(c *AttnCache, dOut Mat) Mat {
 	}
 
 	// scores = scale * q k^T.
-	dQ := MatMul(dScores, c.k)
-	dK := MatMulAT(dScores, c.q)
+	dQ := matMul(s, dScores, c.k)
+	dK := matMulAT(s, dScores, c.q)
 	for i := range dQ.Data {
 		dQ.Data[i] *= scale
 	}
@@ -188,7 +195,7 @@ func (a *Attention) Backward(c *AttnCache, dOut Mat) Mat {
 
 	// Projections: q = x Wq^T, so dWq = dQ^T x and dx += dQ Wq.
 	accumProj := func(w *Param, dProj Mat) {
-		g := MatMulAT(dProj, c.x)
+		g := matMulAT(s, dProj, c.x)
 		dw := w.grad().Data
 		for i := range g.Data {
 			dw[i] += g.Data[i]
@@ -198,9 +205,9 @@ func (a *Attention) Backward(c *AttnCache, dOut Mat) Mat {
 	accumProj(a.Wk, dK)
 	accumProj(a.Wv, dV)
 
-	dX := MatMul(dQ, a.Wq.Value)
-	dk := MatMul(dK, a.Wk.Value)
-	dv := MatMul(dV, a.Wv.Value)
+	dX := matMul(s, dQ, a.Wq.Value)
+	dk := matMul(s, dK, a.Wk.Value)
+	dv := matMul(s, dV, a.Wv.Value)
 	for i := range dX.Data {
 		dX.Data[i] += dk.Data[i] + dv.Data[i]
 	}

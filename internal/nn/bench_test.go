@@ -113,16 +113,25 @@ func BenchmarkMulVecTInto(b *testing.B) {
 
 // BenchmarkAddOuterInto is the weight-gradient product of the same step:
 // the 128 gate gradients times the 32-wide hidden state into Wh's
-// gradient.
+// gradient, on the Go kernels and on outer4Lanes.
 func BenchmarkAddOuterInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	dst := NewMat(128, 32)
 	y := randVec(rng, 128)
 	x := randVec(rng, 32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		AddOuterInto(dst, y, x)
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			AddOuterInto(dst, y, x)
+		}
 	}
+	b.Run("go", func(b *testing.B) { goKernels(func() { run(b) }) })
+	b.Run("simd", func(b *testing.B) {
+		if !useSIMD {
+			b.Skip("no SIMD kernels on this CPU")
+		}
+		run(b)
+	})
 }
 
 // BenchmarkMatMul runs the three products at TFT's attention shapes
@@ -150,9 +159,9 @@ func BenchmarkMatMul(b *testing.B) {
 		name string
 		mul  func() Mat
 	}{
-		{"ab", func() Mat { return MatMul(attn, v) }},
-		{"abT", func() Mat { return MatMulBT(v, w) }},
-		{"aTb", func() Mat { return MatMulAT(attn, v) }},
+		{"ab", func() Mat { return matMul(nil, attn, v) }},
+		{"abT", func() Mat { return matMulBT(v, w) }},
+		{"aTb", func() Mat { return matMulAT(nil, attn, v) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -208,6 +217,73 @@ func BenchmarkLSTMSequence(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.Reset()
 			cell.Sequence(s, LSTMPanels{}, x, Mat{}, cell.NewLSTMStateScratch(s), caches)
+		}
+	}
+	b.Run("go", func(b *testing.B) { goKernels(func() { run(b) }) })
+	b.Run("simd", func(b *testing.B) {
+		if !useSIMD {
+			b.Skip("no SIMD kernels on this CPU")
+		}
+		run(b)
+	})
+}
+
+// BenchmarkLSTMBackwardSequence is BenchmarkLSTMSequence's pass
+// backpropagated: 72 steps of a cell with input and hidden size 32, a
+// hidden-state gradient on every step, through BackwardSequenceScratch
+// per arena Reset, on the Go kernels and on the SIMD kernels (which pack
+// Whᵀ and Wxᵀ every pass); 0 allocs/op in steady state. The forward pass
+// runs once, outside the timed loop, and the gradients accumulate.
+func BenchmarkLSTMBackwardSequence(b *testing.B) {
+	rng := rand.New(rand.NewSource(35))
+	cell := NewLSTMCell("c", 32, 32, rng)
+	const steps = 72
+	x, dhs := NewMat(steps, 32), NewMat(steps, 32)
+	for i := range x.Data {
+		x.Data[i], dhs.Data[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	caches := make([]*LSTMCache, steps)
+	cell.Sequence(NewScratch(), LSTMPanels{}, x, Mat{}, cell.NewLSTMState(), caches)
+	cell.Params().ZeroGrads()
+	run := func(b *testing.B) {
+		s := NewScratch()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Reset()
+			cell.BackwardSequenceScratch(s, caches, dhs, LSTMState{})
+		}
+	}
+	b.Run("go", func(b *testing.B) { goKernels(func() { run(b) }) })
+	b.Run("simd", func(b *testing.B) {
+		if !useSIMD {
+			b.Skip("no SIMD kernels on this CPU")
+		}
+		run(b)
+	})
+}
+
+// BenchmarkAttentionBackward is BenchmarkAttentionForward's pass
+// backpropagated through BackwardScratch per arena Reset, with TFT's
+// upstream gradient: zero on the 72 encoder rows, dense on the 12
+// decoder rows.
+func BenchmarkAttentionBackward(b *testing.B) {
+	rng := rand.New(rand.NewSource(36))
+	a := NewAttention("a", 32, true, rng)
+	x, dOut := NewMat(84, 32), NewMat(84, 32)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	for i := 72 * 32; i < len(dOut.Data); i++ {
+		dOut.Data[i] = rng.NormFloat64()
+	}
+	_, c := a.Forward(x)
+	a.Params().ZeroGrads()
+	run := func(b *testing.B) {
+		s := NewScratch()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Reset()
+			a.BackwardScratch(s, c, dOut)
 		}
 	}
 	b.Run("go", func(b *testing.B) { goKernels(func() { run(b) }) })

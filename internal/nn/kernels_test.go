@@ -45,9 +45,9 @@ func addOuterReference(dst Mat, y, x []float64) {
 	}
 }
 
-// matMulReference is the one-row loop MatMul ran before it was blocked.
-// With transposeOf it is also the reference for MatMulBT and MatMulAT,
-// whose callers used to hand MatMul a transposed copy.
+// matMulReference is the one-row loop matMul ran before it was blocked.
+// With transposeOf it is also the reference for matMulBT and matMulAT,
+// whose callers used to hand matMul a transposed copy.
 func matMulReference(a, b Mat) Mat {
 	out := NewMat(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -61,6 +61,14 @@ func matMulReference(a, b Mat) Mat {
 			}
 		}
 	}
+	return out
+}
+
+// matMulBT returns a*b^T on matMulBTInto, the Go kernel of the
+// projections and of dOut·Vᵀ.
+func matMulBT(a, b Mat) Mat {
+	out := NewMat(a.Rows, b.Rows)
+	matMulBTInto(out, a, b)
 	return out
 }
 
@@ -245,15 +253,15 @@ func TestMatMulBitIdentical(t *testing.T) {
 					b := NewMat(k, n)
 					mode.fill(rng, a)
 					mode.fill(rng, b)
-					sameBits(t, "MatMul "+label, MatMul(a, b).Data, matMulReference(a, b).Data)
+					sameBits(t, "matMul "+label, matMul(nil, a, b).Data, matMulReference(a, b).Data)
 
 					bt := NewMat(n, k)
 					mode.fill(rng, bt)
-					sameBits(t, "MatMulBT "+label, MatMulBT(a, bt).Data, matMulReference(a, transposeOf(bt)).Data)
+					sameBits(t, "matMulBT "+label, matMulBT(a, bt).Data, matMulReference(a, transposeOf(bt)).Data)
 
 					at := NewMat(k, m)
 					mode.fill(rng, at)
-					sameBits(t, "MatMulAT "+label, MatMulAT(at, b).Data, matMulReference(transposeOf(at), b).Data)
+					sameBits(t, "matMulAT "+label, matMulAT(nil, at, b).Data, matMulReference(transposeOf(at), b).Data)
 				}
 			}
 		}
@@ -273,9 +281,9 @@ func TestMatMulBitIdentical(t *testing.T) {
 		b.Set(2, j, math.NaN())
 		b.Set(4, j, math.Inf(-1))
 	}
-	sameBits(t, "MatMul zero beside Inf/NaN", MatMul(a, b).Data, matMulReference(a, b).Data)
-	sameBits(t, "MatMulBT zero beside Inf/NaN", MatMulBT(a, transposeOf(b)).Data, matMulReference(a, b).Data)
-	sameBits(t, "MatMulAT zero beside Inf/NaN", MatMulAT(transposeOf(a), b).Data, matMulReference(a, b).Data)
+	sameBits(t, "matMul zero beside Inf/NaN", matMul(nil, a, b).Data, matMulReference(a, b).Data)
+	sameBits(t, "matMulBT zero beside Inf/NaN", matMulBT(a, transposeOf(b)).Data, matMulReference(a, b).Data)
+	sameBits(t, "matMulAT zero beside Inf/NaN", matMulAT(nil, transposeOf(a), b).Data, matMulReference(a, b).Data)
 }
 
 // fuzzValues deals operand values out of the fuzzer's bytes, cycling
@@ -307,8 +315,8 @@ func (f *fuzzValues) mat(rows, cols int) Mat {
 	return m
 }
 
-// FuzzTrainingKernels runs MulVecTInto, AddOuterInto, MatMul, MatMulBT and
-// MatMulAT on fuzzer-chosen shapes (each dimension 0–12) and values, and
+// FuzzTrainingKernels runs MulVecTInto, AddOuterInto, matMul, matMulBT and
+// matMulAT on fuzzer-chosen shapes (each dimension 0–12) and values, and
 // holds every output to the one-row references bit for bit (NaN payloads
 // aside, see sameBits). The seeds put
 // zero multipliers beside Inf and NaN and over -0 accumulators, in blocks
@@ -341,11 +349,11 @@ func FuzzTrainingKernels(f *testing.F) {
 		sameBits(t, "AddOuterInto", acc.Data, wantAcc.Data)
 
 		b := vals.mat(dk, dn)
-		sameBits(t, "MatMul", MatMul(a, b).Data, matMulReference(a, b).Data)
+		sameBits(t, "matMul", matMul(nil, a, b).Data, matMulReference(a, b).Data)
 		bt := vals.mat(dn, dk)
-		sameBits(t, "MatMulBT", MatMulBT(a, bt).Data, matMulReference(a, transposeOf(bt)).Data)
+		sameBits(t, "matMulBT", matMulBT(a, bt).Data, matMulReference(a, transposeOf(bt)).Data)
 		at := vals.mat(dk, dm)
-		sameBits(t, "MatMulAT", MatMulAT(at, b).Data, matMulReference(transposeOf(at), b).Data)
+		sameBits(t, "matMulAT", matMulAT(nil, at, b).Data, matMulReference(transposeOf(at), b).Data)
 	})
 }
 

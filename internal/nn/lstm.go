@@ -224,35 +224,12 @@ func (c *LSTMCell) StepBackward(cache *LSTMCache, dh, dc []float64) (dx []float6
 }
 
 // StepBackwardScratch is StepBackward drawing every intermediate from the
-// arena; zero heap allocations in steady state.
+// arena; zero heap allocations in steady state. It is
+// BackwardSequenceScratch's one-step case, which packs nothing.
 func (c *LSTMCell) StepBackwardScratch(s *Scratch, cache *LSTMCache, dh, dc []float64) (dx []float64, dPrev LSTMState) {
-	h := c.Hidden
-	dPre := s.Vec(4 * h)
-	dcPrev := s.Vec(h)
-	for j := 0; j < h; j++ {
-		do := dh[j] * cache.tanhC[j]
-		dcj := dc[j] + dh[j]*cache.o[j]*(1-cache.tanhC[j]*cache.tanhC[j])
-		di := dcj * cache.g[j]
-		df := dcj * cache.cPrev[j]
-		dg := dcj * cache.i[j]
-		dcPrev[j] = dcj * cache.f[j]
-
-		dPre[j] = di * cache.i[j] * (1 - cache.i[j])
-		dPre[h+j] = df * cache.f[j] * (1 - cache.f[j])
-		dPre[2*h+j] = dg * (1 - cache.g[j]*cache.g[j])
-		dPre[3*h+j] = do * cache.o[j] * (1 - cache.o[j])
-	}
-
-	c.Wx.grad().AddOuter(dPre, cache.x)
-	c.Wh.grad().AddOuter(dPre, cache.hPrev)
-	db := c.B.grad().Data
-	for i, g := range dPre {
-		db[i] += g
-	}
-
-	dx = c.Wx.Value.MulVecTInto(dPre, s.Vec(c.InSize))
-	dhPrev := c.Wh.Value.MulVecTInto(dPre, s.Vec(h))
-	return dx, LSTMState{H: dhPrev, C: dcPrev}
+	caches := [1]*LSTMCache{cache}
+	dxs, dPrev := c.BackwardSequenceScratch(s, caches[:], Mat{}, LSTMState{H: dh, C: dc})
+	return dxs.Data, dPrev
 }
 
 // RunSequence feeds a sequence of inputs through the cell starting from
@@ -276,36 +253,85 @@ func (c *LSTMCell) RunSequence(xs [][]float64, s0 LSTMState) (hs [][]float64, fi
 	return hs, final, caches
 }
 
-// BackwardSequence backpropagates through a sequence processed with
-// RunSequence. dhs[t] is the gradient flowing into the hidden state at step
-// t from the loss; dFinal is any extra gradient on the final state (e.g.
-// from a decoder that consumed it). It returns input gradients per step and
-// the gradient on the initial state.
+// BackwardSequence is BackwardSequenceScratch on heap buffers, for a
+// sequence processed with RunSequence: dhs[t] is the loss's gradient on
+// step t's hidden state (a nil dhs or row counts as zeros), and it returns
+// the input gradients per step and the gradient on the initial state.
 func (c *LSTMCell) BackwardSequence(caches []*LSTMCache, dhs [][]float64, dFinal LSTMState) (dxs [][]float64, dS0 LSTMState) {
-	return c.BackwardSequenceScratch(nil, caches, dhs, dFinal)
+	var d Mat
+	if dhs != nil {
+		d = NewMat(len(caches), c.Hidden)
+		for t, row := range dhs {
+			copy(d.Row(t), row)
+		}
+	}
+	x, dS0 := c.BackwardSequenceScratch(nil, caches, d, dFinal)
+	dxs = make([][]float64, len(caches))
+	for t := range dxs {
+		dxs[t] = x.Row(t)
+	}
+	return dxs, dS0
 }
 
-// BackwardSequenceScratch is BackwardSequence with arena-backed steps.
-func (c *LSTMCell) BackwardSequenceScratch(s *Scratch, caches []*LSTMCache, dhs [][]float64, dFinal LSTMState) (dxs [][]float64, dS0 LSTMState) {
-	n := len(caches)
-	dxs = make([][]float64, n)
-	dh := s.VecZero(c.Hidden)
-	dc := s.VecZero(c.Hidden)
-	if dFinal.H != nil {
-		copy(dh, dFinal.H)
+// BackwardSequenceScratch is the one backward body of the cell: it
+// backpropagates from the last of the steps whose caches Sequence left to
+// the first. Row t of dhs (steps x Hidden; the zero Mat for none) is the
+// loss's gradient on step t's hidden state and dFinal (nil H or C for
+// none) the final state's. It accumulates the parameter gradients and
+// returns the input gradients as the rows of dxs (steps x InSize) and the
+// gradient on the initial state; every buffer comes from s.
+//
+// Where useSIMD holds, a pass of at least seqPackMinSteps steps packs Whᵀ
+// and Wxᵀ from s: each step's Whᵀ·dPre runs on panelMul1 and, after the
+// recurrence, Wxᵀ·dPre for every step on panelMul8. A dPre row holding a
+// zero (a saturated gate) runs MulVecTInto, which skips it, so the bits
+// never depend on the kernel.
+func (c *LSTMCell) BackwardSequenceScratch(s *Scratch, caches []*LSTMCache, dhs Mat, dFinal LSTMState) (dxs Mat, dS0 LSTMState) {
+	h, steps := c.Hidden, len(caches)
+	if dhs.Data != nil && (dhs.Rows != steps || dhs.Cols != h) {
+		panic(fmt.Sprintf("nn: BackwardSequence of %d steps with %dx%d hidden-state gradients, hidden %d", steps, dhs.Rows, dhs.Cols, h))
 	}
-	if dFinal.C != nil {
-		copy(dc, dFinal.C)
+	var wxT, whT []float64
+	if useSIMD && steps >= seqPackMinSteps {
+		wxT, whT = c.Wx.Value.packPanelsT(s), c.Wh.Value.packPanelsT(s)
 	}
-	for t := n - 1; t >= 0; t-- {
-		if dhs != nil && dhs[t] != nil {
-			for j := range dh {
-				dh[j] += dhs[t][j]
+	dPre := Mat{Rows: steps, Cols: 4 * h, Data: s.Vec(steps * 4 * h)}
+	dh, dc := s.VecZero(h), s.VecZero(h)
+	copy(dh, dFinal.H)
+	copy(dc, dFinal.C)
+	for t := steps - 1; t >= 0; t-- {
+		if dhs.Data != nil {
+			for j, g := range dhs.Row(t) {
+				dh[j] += g
 			}
 		}
-		var dPrev LSTMState
-		dxs[t], dPrev = c.StepBackwardScratch(s, caches[t], dh, dc)
-		dh, dc = dPrev.H, dPrev.C
+		cache, dp := caches[t], dPre.Row(t)
+		dcPrev := s.Vec(h)
+		for j := 0; j < h; j++ {
+			do := dh[j] * cache.tanhC[j]
+			dcj := dc[j] + dh[j]*cache.o[j]*(1-cache.tanhC[j]*cache.tanhC[j])
+			di := dcj * cache.g[j]
+			df := dcj * cache.cPrev[j]
+			dg := dcj * cache.i[j]
+			dcPrev[j] = dcj * cache.f[j]
+
+			dp[j] = di * cache.i[j] * (1 - cache.i[j])
+			dp[h+j] = df * cache.f[j] * (1 - cache.f[j])
+			dp[2*h+j] = dg * (1 - cache.g[j]*cache.g[j])
+			dp[3*h+j] = do * cache.o[j] * (1 - cache.o[j])
+		}
+
+		c.Wx.grad().AddOuter(dp, cache.x)
+		c.Wh.grad().AddOuter(dp, cache.hPrev)
+		db := c.B.grad().Data
+		for i, g := range dp {
+			db[i] += g
+		}
+		dhPrev := s.Vec(h)
+		c.Wh.Value.mulVecsT(whT, Mat{Rows: 1, Cols: 4 * h, Data: dp}, Mat{Rows: 1, Cols: h, Data: dhPrev})
+		dh, dc = dhPrev, dcPrev
 	}
+	dxs = Mat{Rows: steps, Cols: c.InSize, Data: s.Vec(steps * c.InSize)}
+	c.Wx.Value.mulVecsT(wxT, dPre, dxs)
 	return dxs, LSTMState{H: dh, C: dc}
 }

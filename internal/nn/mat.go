@@ -173,7 +173,7 @@ func (m Mat) MulVecT(y []float64) []float64 {
 
 // MulVecTInto is the allocation-free MulVecT: it overwrites dst (len Cols)
 // with m^T * y and returns dst. It is the one-row product y^T * m, so it
-// runs on MatMul's kernel: the non-zero y[i] are gathered four at a time
+// runs on matMul's kernel: the non-zero y[i] are gathered four at a time
 // in ascending order and each group is folded into dst[j] with one load
 // and one store. Every dst[j] is still 0 + y[i0]*r[i0][j] + ... over the
 // non-zero y[i] in row order, and a zero y[i] is skipped, never
@@ -208,24 +208,32 @@ func (m Mat) AddOuter(y, x []float64) { AddOuterInto(m, y, x) }
 //
 // Four rows with a non-zero y[i] are updated per pass over one shared load
 // of x[j]; each element still takes exactly one multiply and one add, and
-// a row whose y[i] is zero is skipped, so a -0 in it stays -0.
+// a row whose y[i] is zero is skipped, so a -0 in it stays -0. Where
+// useSIMD holds the passes run on outer4Lanes and the rows left over on
+// fold1Lanes, a column a lane, with the same expression.
 func AddOuterInto(dst Mat, y, x []float64) {
 	if len(y) != dst.Rows || len(x) != dst.Cols {
 		panic(fmt.Sprintf("nn: AddOuter dimension mismatch: %dx%d by %dx%d", dst.Rows, dst.Cols, len(y), len(x)))
 	}
+	simd := useSIMD && len(x) > 0
 	var rows [4]int
+	var ys [4]float64
 	g := 0
 	for i, yi := range y {
 		if yi == 0 {
 			continue
 		}
-		rows[g] = i
+		rows[g], ys[g] = i, yi
 		if g++; g < 4 {
 			continue
 		}
 		g = 0
+		if simd {
+			outer4Lanes(&dst.Data[0], &x[0], len(x), &rows, &ys)
+			continue
+		}
 		r0, r1, r2, r3 := dst.rowOf(rows[0], x), dst.rowOf(rows[1], x), dst.rowOf(rows[2], x), dst.rowOf(rows[3], x)
-		y0, y1, y2, y3 := y[rows[0]], y[rows[1]], y[rows[2]], y[rows[3]]
+		y0, y1, y2, y3 := ys[0], ys[1], ys[2], ys[3]
 		for j, xj := range x {
 			r0[j] += y0 * xj
 			r1[j] += y1 * xj
@@ -233,11 +241,14 @@ func AddOuterInto(dst Mat, y, x []float64) {
 			r3[j] += y3 * xj
 		}
 	}
-	for _, i := range rows[:g] {
-		yi := y[i]
+	for t, i := range rows[:g] {
 		row := dst.rowOf(i, x)
+		if simd {
+			fold1Lanes(&row[0], &x[0], len(x), ys[t])
+			continue
+		}
 		for j, xj := range x {
-			row[j] += yi * xj
+			row[j] += ys[t] * xj
 		}
 	}
 }
@@ -251,9 +262,9 @@ func AddOuterInto(dst Mat, y, x []float64) {
 // one-row loop on explicit transposes; only the payload a NaN + NaN sum
 // keeps is left to the compiler, in the one-row loop as much as here.
 
-// MatMul returns a*b.
-func MatMul(a, b Mat) Mat {
-	out := NewMat(a.Rows, b.Cols)
+// matMul returns a*b in a matrix drawn from s.
+func matMul(s *Scratch, a, b Mat) Mat {
+	out := s.Mat(a.Rows, b.Cols)
 	matMulInto(out, a, b)
 	return out
 }
@@ -261,24 +272,25 @@ func MatMul(a, b Mat) Mat {
 // matMulInto writes a*b into out, which must be zeroed.
 func matMulInto(out, a, b Mat) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
-		panic(fmt.Sprintf("nn: MatMul dimension mismatch: %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("nn: matMul dimension mismatch: %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	mulRowsInto(out, a.Data, a.Cols, 1, b)
 }
 
-// MatMulAT returns a^T*b without building the transpose.
-func MatMulAT(a, b Mat) Mat {
+// matMulAT returns a^T*b without building the transpose, in a matrix
+// drawn from s.
+func matMulAT(s *Scratch, a, b Mat) Mat {
 	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("nn: MatMulAT dimension mismatch: (%dx%d)^T by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("nn: matMulAT dimension mismatch: (%dx%d)^T by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := NewMat(a.Cols, b.Cols)
+	out := s.Mat(a.Cols, b.Cols)
 	mulRowsInto(out, a.Data, 1, a.Cols, b)
 	return out
 }
 
 // mulRowsInto accumulates l*b into a zeroed out, where l is
 // out.Rows x b.Rows and its element (i, k) is l[i*rs+k*cs]: a row-major a
-// for MatMul, a read down a's columns for MatMulAT, the one row y for
+// for matMul, a read down a's columns for matMulAT, the one row y for
 // MulVecTInto. For each output row the non-zero l(i, k) are gathered four
 // at a time in ascending k and folded into out[i][j] with one load and one
 // store; the remainder keeps the one-row loop. Where useSIMD holds both
@@ -329,20 +341,13 @@ func mulRowsInto(out Mat, l []float64, rs, cs int, b Mat) {
 	}
 }
 
-// MatMulBT returns a*b^T without building the transpose. Each output
-// element is a dot product of two rows; four output columns are computed
-// per pass over a's row, each with its own accumulator, and a zero a[i][k]
-// is skipped for all four.
-func MatMulBT(a, b Mat) Mat {
-	out := NewMat(a.Rows, b.Rows)
-	matMulBTInto(out, a, b)
-	return out
-}
-
-// matMulBTInto overwrites out with a*b^T.
+// matMulBTInto overwrites out with a*b^T without building the transpose,
+// project's Go kernel. Each output element is a dot product of two rows;
+// four output columns are computed per pass over a's row, each with its
+// own accumulator, and a zero a[i][k] is skipped for all four.
 func matMulBTInto(out, a, b Mat) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
-		panic(fmt.Sprintf("nn: MatMulBT dimension mismatch: %dx%d by (%dx%d)^T", a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("nn: matMulBTInto dimension mismatch: %dx%d by (%dx%d)^T", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)

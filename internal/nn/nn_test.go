@@ -74,20 +74,20 @@ func TestAddOuter(t *testing.T) {
 func TestMatMulAndTranspose(t *testing.T) {
 	a := Mat{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
 	b := Mat{Rows: 2, Cols: 2, Data: []float64{5, 6, 7, 8}}
-	c := MatMul(a, b)
+	c := matMul(nil, a, b)
 	want := []float64{19, 22, 43, 50}
 	for i, w := range want {
 		if c.Data[i] != w {
-			t.Errorf("MatMul[%d] = %v, want %v", i, c.Data[i], w)
+			t.Errorf("matMul[%d] = %v, want %v", i, c.Data[i], w)
 		}
 	}
 	// Against the identity the transposed products are plain transposes.
 	id := Mat{Rows: 2, Cols: 2, Data: []float64{1, 0, 0, 1}}
-	if at := MatMulAT(a, id); at.At(0, 1) != 3 || at.At(1, 0) != 2 {
-		t.Errorf("MatMulAT(a, I) = %v, want a^T", at.Data)
+	if at := matMulAT(nil, a, id); at.At(0, 1) != 3 || at.At(1, 0) != 2 {
+		t.Errorf("matMulAT(nil, a, I) = %v, want a^T", at.Data)
 	}
-	if at := MatMulBT(id, a); at.At(0, 1) != 3 || at.At(1, 0) != 2 {
-		t.Errorf("MatMulBT(I, a) = %v, want a^T", at.Data)
+	if at := matMulBT(id, a); at.At(0, 1) != 3 || at.At(1, 0) != 2 {
+		t.Errorf("matMulBT(I, a) = %v, want a^T", at.Data)
 	}
 }
 
@@ -100,7 +100,7 @@ func TestMatMulMatchesVecOps(t *testing.T) {
 		}
 		x := randVec(rng, 4)
 		xm := Mat{Rows: 4, Cols: 1, Data: x}
-		viaMatMul := MatMul(m, xm)
+		viaMatMul := matMul(nil, m, xm)
 		viaMulVec := m.MulVec(x)
 		for i := range viaMulVec {
 			if math.Abs(viaMatMul.Data[i]-viaMulVec[i]) > 1e-12 {

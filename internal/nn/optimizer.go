@@ -23,10 +23,13 @@ func NewAdam(lr float64) *Adam {
 
 // Step applies one Adam update. It panics on a parameter without a
 // gradient buffer: a step on it would be a step on no gradient at all.
+// Where useSIMD holds each parameter's update runs on adamLanes, four
+// elements a lane each, with the same expressions in the same order.
 func (o *Adam) Step(params Params) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	k := [8]float64{o.Beta1, 1 - o.Beta1, o.Beta2, 1 - o.Beta2, bc1, bc2, o.LR, o.Eps}
 	for _, p := range params {
 		if p.Grad.Data == nil {
 			panic("nn: Adam.Step on " + p.Name + ", which has no gradient buffer (call Params.ZeroGrads before the backward pass)")
@@ -40,6 +43,11 @@ func (o *Adam) Step(params Params) {
 		if !ok {
 			v = make([]float64, len(p.Value.Data))
 			o.v[p] = v
+		}
+		if n := len(p.Grad.Data); useSIMD && n > 0 {
+			_, _, _ = p.Value.Data[n-1], m[n-1], v[n-1] // the kernel checks nothing
+			adamLanes(&p.Value.Data[0], &p.Grad.Data[0], &m[0], &v[0], n, &k)
+			continue
 		}
 		for i, g := range p.Grad.Data {
 			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g

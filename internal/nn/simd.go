@@ -3,13 +3,14 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
-// The LSTM's and the attention's products and the LSTM's gates run on AVX
-// and FMA kernels where the CPU has them (simd_amd64.s), and on the Go
-// kernels everywhere else, with the same bits: each SIMD lane computes
-// exactly the expression the Go kernel computes for that element
-// (DESIGN.md §4).
+// The LSTM's and the attention's products, forward and backward, the
+// LSTM's gates and Adam run on AVX and FMA kernels where the CPU has them
+// (simd_amd64.s), and on the Go kernels everywhere else, with the same
+// bits: each SIMD lane computes exactly the expression the Go kernel
+// computes for that element (DESIGN.md §4).
 
 // LSTMPanels is a cell's Wx and Wh packed for the panel kernels of
 // StepBatch and Sequence. The zero value, and a pack made where the
@@ -70,6 +71,45 @@ func (m Mat) mulVecsPacked(panels []float64, x, dst Mat) {
 				sum += w * xu[j]
 			}
 			du[i] = sum
+		}
+	}
+}
+
+// packPanelsT packs mᵀ's first Cols&^3 rows as packPanels packs a
+// matrix's: column i of panel p is m's row i, columns 4p to 4p+3, four
+// contiguous floats. mulVecsT reads the Cols%4 tail from m itself.
+func (m Mat) packPanelsT(s *Scratch) []float64 {
+	n := m.Rows
+	out := s.Vec(m.Cols / 4 * 4 * n)
+	for p := 0; p < m.Cols/4; p++ {
+		for i := 0; i < n; i++ {
+			copy(out[(p*n+i)*4:(p*n+i+1)*4], m.Data[i*m.Cols+4*p:])
+		}
+	}
+	return out
+}
+
+// mulVecsT overwrites row u of dst with mᵀ times row u of y, MulVecTInto's
+// bits: on panels (packPanelsT) as panelVecs and a Go tail, 0 + y[0]*m[0][j]
+// + ... with no term skipped, which is MulVecTInto's expression for a row
+// with no zero. Such a row, and every row without panels, runs MulVecTInto.
+func (m Mat) mulVecsT(panels []float64, y, dst Mat) {
+	np := m.Cols / 4
+	if panels != nil && np > 0 {
+		panelVecs(panels, np, m.Rows, y.Data, y.Cols, y.Rows, dst.Data, dst.Cols)
+	}
+	for u := 0; u < y.Rows; u++ {
+		yu, du := y.Row(u), dst.Row(u)
+		if panels == nil || slices.Contains(yu, 0) {
+			m.MulVecTInto(yu, du)
+			continue
+		}
+		for j := 4 * np; j < m.Cols; j++ {
+			sum := 0.0
+			for i, yi := range yu {
+				sum += yi * m.Data[i*m.Cols+j]
+			}
+			du[j] = sum
 		}
 	}
 }

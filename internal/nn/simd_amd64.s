@@ -1,9 +1,10 @@
-// AVX and FMA kernels for StepBatch's products, both LSTM steps' gates
-// (see simd.go and gateRow in lstm.go) and the lanes of Sin, Log and
-// Exp; none needs AVX2. Every instruction below is VEX-encoded and every
-// exit runs VZEROUPPER: one legacy-SSE instruction between VEX ones
-// costs a state transition per pass, which made a prototype of expLanes
-// five times slower than math.Exp.
+// AVX and FMA kernels for the LSTM's and the attention's products, both
+// LSTM steps' gates (see simd.go and gateRow in lstm.go), the weight
+// gradients, Adam and the lanes of Sin, Log and Exp; none needs AVX2.
+// Every instruction below is VEX-encoded and every exit runs VZEROUPPER:
+// one legacy-SSE instruction between VEX ones costs a state transition
+// per pass, which made a prototype of expLanes five times slower than
+// math.Exp.
 
 #include "textflag.h"
 
@@ -716,6 +717,139 @@ fold1tail:
 	FOLD1(LDT, STT)
 
 fold1done:
+	VZEROUPPER
+	RET
+
+// OUTER adds one row's term, y*x, to the row's lanes: the multiply (y
+// first, as AddOuterInto writes it), then the add (the row first).
+#define OUTER(LD, ST, row, y) \
+	LD(row, Y1); \
+	VMULPD Y0, y, Y2; \
+	VADDPD Y2, Y1, Y1; \
+	ST(Y1, row)
+
+#define OUTER4(LD, ST) \
+	LD((DI)(R13*1), Y0); \
+	OUTER(LD, ST, (AX)(R13*1), Y4); \
+	OUTER(LD, ST, (BX)(R13*1), Y5); \
+	OUTER(LD, ST, (DX)(R13*1), Y6); \
+	OUTER(LD, ST, (R11)(R13*1), Y7)
+
+// func outer4Lanes(dst, x *float64, n int, rows *[4]int, ys *[4]float64)
+//
+// AddOuterInto's pass of four rows (mat.go): dst[rows[r]][j] +=
+// ys[r]*x[j], with dst's rows n long. Each lane is one column j: x[j] is
+// loaded once, and each row's element is loaded, takes one multiply and
+// one add and is stored; the last n%4 lanes run under a mask.
+TEXT ·outer4Lanes(SB), NOSPLIT, $0-40
+	MOVQ  dst+0(FP), SI
+	MOVQ  x+8(FP), DI
+	MOVQ  n+16(FP), CX
+	MOVQ  rows+24(FP), R8
+	MOVQ  ys+32(FP), R9
+	MOVQ  CX, R10
+	SHLQ  $3, R10 // a row's bytes
+	MOVQ  0(R8), AX
+	IMULQ R10, AX
+	ADDQ  SI, AX
+	MOVQ  8(R8), BX
+	IMULQ R10, BX
+	ADDQ  SI, BX
+	MOVQ  16(R8), DX
+	IMULQ R10, DX
+	ADDQ  SI, DX
+	MOVQ  24(R8), R11
+	IMULQ R10, R11
+	ADDQ  SI, R11
+	VBROADCASTSD 0(R9), Y4
+	VBROADCASTSD 8(R9), Y5
+	VBROADCASTSD 16(R9), Y6
+	VBROADCASTSD 24(R9), Y7
+	FOLDMASK
+	TESTQ CX, CX
+	JZ    outer4tail
+
+outer4loop:
+	OUTER4(LDW, STW)
+	ADDQ $32, R13
+	DECQ CX
+	JNZ  outer4loop
+
+outer4tail:
+	VMOVMSKPD Y15, R12
+	TESTQ     R12, R12
+	JZ        outer4done
+	OUTER4(LDT, STT)
+
+outer4done:
+	VZEROUPPER
+	RET
+
+// ADAM is Adam.Step's update of four parameters (optimizer.go), with
+// beta1, 1-beta1, beta2, 1-beta2, bc1, bc2, the learning rate and epsilon
+// in Y8-Y14 and Y7: m = beta1*m + (1-beta1)*g, v = beta2*v +
+// ((1-beta2)*g)*g, then w -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), each
+// operation the Go one in its order. VDIVPD and VSQRTPD round correctly,
+// as / and math.Sqrt do.
+#define ADAM(LD, ST) \
+	LD((AX)(R13*1), Y0); \
+	LD((BX)(R13*1), Y1); \
+	VMULPD Y1, Y8, Y1; \
+	VMULPD Y0, Y9, Y2; \
+	VADDPD Y2, Y1, Y1; \
+	ST(Y1, (BX)(R13*1)); \
+	LD((DX)(R13*1), Y2); \
+	VMULPD Y2, Y10, Y2; \
+	VMULPD Y0, Y11, Y3; \
+	VMULPD Y0, Y3, Y3; \
+	VADDPD Y3, Y2, Y2; \
+	ST(Y2, (DX)(R13*1)); \
+	VDIVPD Y12, Y1, Y1; \
+	VDIVPD Y13, Y2, Y2; \
+	VSQRTPD Y2, Y2; \
+	VADDPD Y7, Y2, Y2; \
+	VMULPD Y1, Y14, Y1; \
+	VDIVPD Y2, Y1, Y1; \
+	LD((DI)(R13*1), Y3); \
+	VSUBPD Y1, Y3, Y3; \
+	ST(Y3, (DI)(R13*1))
+
+// func adamLanes(w, grad, m, v *float64, n int, k *[8]float64)
+//
+// ADAM over n parameters, four lanes at a time, the last n%4 under a
+// mask; k holds the eight constants in ADAM's order.
+TEXT ·adamLanes(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), AX
+	MOVQ m+16(FP), BX
+	MOVQ v+24(FP), DX
+	MOVQ n+32(FP), CX
+	MOVQ k+40(FP), R8
+	VBROADCASTSD 0(R8), Y8
+	VBROADCASTSD 8(R8), Y9
+	VBROADCASTSD 16(R8), Y10
+	VBROADCASTSD 24(R8), Y11
+	VBROADCASTSD 32(R8), Y12
+	VBROADCASTSD 40(R8), Y13
+	VBROADCASTSD 48(R8), Y14
+	VBROADCASTSD 56(R8), Y7
+	FOLDMASK
+	TESTQ CX, CX
+	JZ    adamtail
+
+adamloop:
+	ADAM(LDW, STW)
+	ADDQ $32, R13
+	DECQ CX
+	JNZ  adamloop
+
+adamtail:
+	VMOVMSKPD Y15, R12
+	TESTQ     R12, R12
+	JZ        adamdone
+	ADAM(LDT, STT)
+
+adamdone:
 	VZEROUPPER
 	RET
 
