@@ -31,14 +31,15 @@ func fanHash(f *QuantileForecast) uint64 {
 	return h.Sum64()
 }
 
-// TestNeuralFanGolden pins the output bits of the two neural forecasters:
-// the nn kernels underneath them (matvec, arena, LSTM step) may change how
-// a fan is computed but never a bit of it. Each model is fitted for one
-// epoch and asked for a fan at two origins, cold and — where the model has
-// a warm path — warm; the constants were generated before the four-row
-// matvec kernel and the slab arena went in and hold on both sides of that
-// change. Hidden 10 gives the dense layers a Rows%4 tail; the LSTM gate
-// matrices (4*Hidden rows) are all blocks.
+// TestNeuralFanGolden pins the output bits of the neural forecasters: the
+// nn kernels underneath them (matvec, arena, LSTM step, the Dense layers'
+// forward and backward) may change how a fan is computed but never a bit
+// of it. Each model is fitted for one epoch and asked for a fan at two
+// origins, cold and — where the model has a warm path — warm; the LSTM
+// constants were generated before the four-row matvec kernel and the slab
+// arena went in and hold on both sides of that change. Hidden 10 gives the
+// dense layers a Rows%4 tail; the LSTM gate matrices (4*Hidden rows) are
+// all blocks. The mlp case is the one network of Dense layers alone.
 func TestNeuralFanGolden(t *testing.T) {
 	s := noisySine(400, 24, 50, 10, 1, 17)
 	train := s.Slice(0, 300)
@@ -60,6 +61,9 @@ func TestNeuralFanGolden(t *testing.T) {
 			MaxWindows: 24, TrainHorizon: 12,
 		})
 	}
+	mlp := func() QuantileForecaster {
+		return NewMLP(MLPConfig{Context: 24, Hidden: 10, Epochs: 1, LR: 5e-3, Seed: 5, MaxWindows: 24})
+	}
 	cases := []struct {
 		name string
 		make func() QuantileForecaster
@@ -68,6 +72,7 @@ func TestNeuralFanGolden(t *testing.T) {
 		{"deepar-student-t", deepar(EmitStudentT), [2]uint64{0x04d0e8341d506374, 0xe6a0533207db280b}},
 		{"deepar-gaussian", deepar(EmitGaussian), [2]uint64{0xc4e42076171aa116, 0xac56c5f159a4f4b6}},
 		{"tft-single-head", tft, [2]uint64{0x9762aac5fa6c68b4, 0x275bb39e737930d7}},
+		{"mlp", mlp, [2]uint64{0x74c50bfc9bb938c6, 0x59667d4b1267743f}},
 	}
 	for _, tc := range cases {
 		tc := tc
