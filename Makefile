@@ -142,7 +142,7 @@ fleet-smoke:
 
 # Fleet health plane drill (same script CI runs): deterministic
 # burn-rate alert firing under chaos, /readyz across a warm restart,
-# cardinality-capped exposition, SLO-on/off hash invariance.
+# cardinality-capped exposition.
 slo-smoke:
 	scripts/slo_smoke.sh
 

@@ -102,7 +102,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.IntVar(&cfg.Days, "days", cfg.Days, "trace length per tenant in days")
 	fs.IntVar(&cfg.TrainDays, "train-days", cfg.TrainDays, "leading days visible as training history")
 	fs.IntVar(&cfg.Units, "units", cfg.Units, "machines aggregated into each tenant's trace")
-	fs.StringVar(&cfg.Forecaster, "forecaster", cfg.Forecaster, "seasonal-naive | naive | qmlp")
+	fs.StringVar(&cfg.Forecaster, "forecaster", cfg.Forecaster, "seasonal-naive | naive")
 	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "worker pool size batching tenant planning (0 = all CPUs; never changes results)")
 	fs.IntVar(&cfg.MaxRounds, "max-rounds", cfg.MaxRounds, "stop after N fleet rounds at a round boundary (0 = run to the end; kill-restart drills resume from here)")
 	fs.BoolVar(&cfg.PerTenant, "per-tenant", cfg.PerTenant, "include per-tenant records in the summary")

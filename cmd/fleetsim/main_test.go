@@ -39,20 +39,38 @@ func summary(t *testing.T, stdout string) map[string]any {
 }
 
 // TestGoldenFleetHash pins the 200-tenant default replay: a refactor of
-// anything under the control loop must not move it.
+// anything under the control loop must not move it. The SLO plane only
+// watches: switched off, the summary has no "slo" section, and on a
+// 16-round window its tracker ticks once per round; neither moves the
+// hash.
 func TestGoldenFleetHash(t *testing.T) {
-	code, stdout, stderr := fleetsim(t, "-tenants 200 -per-tenant=false")
-	if code != 0 {
-		t.Fatalf("exit %d\n%s", code, stderr)
-	}
-	if got := summary(t, stdout)["fleet_hash"]; got != "afb0a7355923cf4b" {
-		t.Errorf("fleet_hash = %v, want afb0a7355923cf4b", got)
+	for _, tc := range []struct {
+		args string
+		slo  bool
+	}{
+		{"", true},
+		{" -slo-target 0", false},
+		{" -slo-target 0.01 -slo-window 16", true},
+	} {
+		code, stdout, stderr := fleetsim(t, "-tenants 200 -per-tenant=false"+tc.args)
+		if code != 0 {
+			t.Fatalf("%q: exit %d\n%s", tc.args, code, stderr)
+		}
+		rep := summary(t, stdout)
+		if got := rep["fleet_hash"]; got != "afb0a7355923cf4b" {
+			t.Errorf("%q: fleet_hash = %v, want afb0a7355923cf4b", tc.args, got)
+		}
+		slo, on := rep["slo"].(map[string]any)
+		if on != tc.slo {
+			t.Errorf("%q: slo section present %v, want %v", tc.args, on, tc.slo)
+		} else if on && slo["tick"] != rep["rounds"] {
+			t.Errorf("%q: slo.tick = %v, want rounds = %v", tc.args, slo["tick"], rep["rounds"])
+		}
 	}
 }
 
 // TestFleetHashTable pins one fleet hash per configuration: the 200-tenant
-// default, the same fleet on qmlp (every tenant fitted through the Dense
-// backward kernels) and on the seasonal-naive fan, the pooled fleet under
+// default, the same fleet on the naive fan, the pooled fleet under
 // the chaos presets that drive the apply breaker and pool quarantine, the
 // default fleet under forecaster faults, and the serverless fleet with its
 // wake defaults, alone and under a wake storm against a binding pool. The
@@ -67,7 +85,6 @@ func TestFleetHashTable(t *testing.T) {
 		forecastFaults bool
 	}{
 		{"-tenants 200", "afb0a7355923cf4b", false},
-		{"-tenants 200 -forecaster qmlp", "5931d93fba46abc0", false},
 		{"-tenants 200 -forecaster naive", "4f4e396fc99c8f42", false},
 		{"-tenants 200 -pool 220 -chaos apply", "d252020f0b76e535", false},
 		{"-tenants 200 -pool 220 -chaos all", "a7984854941c09ae", true},
@@ -141,7 +158,8 @@ func TestCalibrationMetricsIndependentOfWorkers(t *testing.T) {
 func TestNonsenseSizesExitTwoWithUsage(t *testing.T) {
 	for _, args := range []string{"-tenants 0", "-tenants 5 -workers -1", "-tenants 5 -horizon 0", "-tenants 5 -theta 0",
 		"-tenants 5 -days 0", "-tenants 5 -units 0", "-tenants 5 -zones 0", "-tenants 5 -pool -5",
-		"-tenants 5 -quarantine-rounds 0", "-tenants 5 -forecaster bogus", "-tenants 5 -strategy bogus",
+		"-tenants 5 -quarantine-rounds 0", "-tenants 5 -forecaster bogus", "-tenants 5 -forecaster qmlp",
+		"-tenants 5 -strategy bogus",
 		"-tenants 5 -chaos bogus", "-tenants 5 -serverless -wake-slo -1"} {
 		code, stdout, stderr := fleetsim(t, args)
 		if code != 2 {

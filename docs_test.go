@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -34,6 +35,9 @@ var (
 	// makeTarget is a rule line of the Makefile: a target name, then a
 	// colon that does not start an assignment.
 	makeTarget = regexp.MustCompile(`(?m)^([A-Za-z0-9][\w.-]*)\s*:(?:[^=]|$)`)
+	// flagWord is a flag among a command's arguments: its name, up to an
+	// `=`. A negative number such as `-1` is a value, not a flag.
+	flagWord = regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
 )
 
 // TestDocsResolve fails when README.md, DESIGN.md or EXPERIMENTS.md cites,
@@ -43,7 +47,9 @@ var (
 // cited name fails here rather than leaving the docs pointing at nothing.
 // A pkg that names no module package (the standard library's) is skipped.
 // Every word of a backticked `make …` but a flag or a VAR=value must be a
-// target of the Makefile.
+// target of the Makefile, and every -flag of a span that starts with the
+// name of a command under cmd/, such as `fleetsim -forecaster naive`, up
+// to a shell operator, must be a flag that command defines.
 func TestDocsResolve(t *testing.T) {
 	declared := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -86,6 +92,7 @@ func TestDocsResolve(t *testing.T) {
 	if !targets["fuzz"] {
 		t.Fatal("found no fuzz target in the Makefile; is the rule pattern stale?")
 	}
+	flags := commandFlags(t)
 	for _, doc := range resolvedDocs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -96,6 +103,16 @@ func TestDocsResolve(t *testing.T) {
 				for _, name := range testNameRef.FindAllString(span[1], -1) {
 					if !declared[name] {
 						t.Errorf("%s:%d: `%s` names no function in any _test.go", doc, i+1, name)
+					}
+				}
+				if words := strings.Fields(span[1]); len(words) > 0 && flags[words[0]] != nil {
+					for _, word := range words[1:] {
+						if strings.ContainsAny(word, "|&;") {
+							break
+						}
+						if m := flagWord.FindStringSubmatch(word); m != nil && !flags[words[0]][m[1]] {
+							t.Errorf("%s:%d: `%s`: %s defines no flag -%s", doc, i+1, span[1], words[0], m[1])
+						}
 					}
 				}
 				for _, ref := range makeRef.FindAllStringSubmatch(span[1], -1) {
@@ -119,6 +136,122 @@ func TestDocsResolve(t *testing.T) {
 			}
 		}
 	}
+}
+
+// commandFlags maps each command under cmd/ to the flags it defines: the
+// first string literal of every call made on, or handed, a *flag.FlagSet
+// in its files, plus those of internal/fleet/flags.go for a command that
+// calls fleet.BindFlags, plus the flag package's own -h and -help. A
+// command, or BindFlags, that yields no flag fails the test: the pattern
+// would be stale, and every span naming it would pass unchecked.
+func commandFlags(t *testing.T) map[string]map[string]bool {
+	bound, _ := flagNames(t, "internal/fleet/flags.go")
+	if len(bound) == 0 {
+		t.Fatal("found no flag in internal/fleet/flags.go; is the FlagSet pattern stale?")
+	}
+	files, err := filepath.Glob("cmd/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]map[string]bool{}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		cmd := filepath.Base(filepath.Dir(path))
+		if flags[cmd] == nil {
+			flags[cmd] = map[string]bool{}
+		}
+		names, binds := flagNames(t, path)
+		if binds {
+			names = append(names, bound...)
+		}
+		for _, name := range names {
+			flags[cmd][name] = true
+		}
+	}
+	if len(flags) == 0 {
+		t.Fatal("found no command under cmd/; is the working directory the module root?")
+	}
+	for cmd, names := range flags {
+		if len(names) == 0 {
+			t.Fatalf("found no flag in cmd/%s; is the FlagSet pattern stale?", cmd)
+		}
+		names["h"], names["help"] = true, true
+	}
+	return flags
+}
+
+// flagNames returns the first string literal of each call in the file at
+// path made on, or handed, a variable holding a *flag.FlagSet (a
+// parameter of that type, or the result of flag.NewFlagSet), and whether
+// the file calls fleet.BindFlags.
+func flagNames(t *testing.T, path string) (names []string, binds bool) {
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isSel := func(e ast.Expr, pkg, name string) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		id, ok := sel.X.(*ast.Ident)
+		return ok && id.Name == pkg && sel.Sel.Name == name
+	}
+	flagSets := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Field:
+			if star, ok := n.Type.(*ast.StarExpr); ok && isSel(star.X, "flag", "FlagSet") {
+				for _, id := range n.Names {
+					flagSets[id.Name] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for i, rhs := range n.Rhs {
+				if call, ok := rhs.(*ast.CallExpr); ok && isSel(call.Fun, "flag", "NewFlagSet") && i < len(n.Lhs) {
+					if id, ok := n.Lhs[i].(*ast.Ident); ok {
+						flagSets[id.Name] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	isFlagSet := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && flagSets[id.Name]
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		binds = binds || isSel(call.Fun, "fleet", "BindFlags")
+		onFlagSet := false
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			onFlagSet = isFlagSet(sel.X)
+		}
+		for _, arg := range call.Args {
+			onFlagSet = onFlagSet || isFlagSet(arg)
+		}
+		if !onFlagSet {
+			return true
+		}
+		for _, arg := range call.Args {
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				names = append(names, name)
+				break
+			}
+		}
+		return true
+	})
+	return names, binds
 }
 
 // moduleDecls maps the name of every non-main package in the module to

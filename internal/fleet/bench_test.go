@@ -96,45 +96,39 @@ func BenchmarkFleetRun(b *testing.B) {
 
 // BenchmarkFleetNew is a cold fleet build: New for a 64-tenant fleet at
 // 16 days, one worker per P, no state dir — every tenant's trace
-// generated, its forecaster fit and its strategy built — with the default
-// seasonal-naive forecaster and with the quantile MLP. It reports ns,
-// allocs and allocated bytes per tenant, and the live heap the last build
-// holds per tenant, so `go test -bench FleetNew -cpu 1` compares builds of
-// any size.
+// generated, its seasonal-naive forecaster fit and its strategy built. It
+// reports ns, allocs and allocated bytes per tenant, and the live heap the
+// last build holds per tenant, so `go test -bench FleetNew -cpu 1`
+// compares builds of any size.
 func BenchmarkFleetNew(b *testing.B) {
-	for _, kind := range []string{ForecasterSeasonalNaive, ForecasterQuantileMLP} {
-		b.Run(kind, func(b *testing.B) {
-			const tenants = 64
-			cfg := DefaultConfig(tenants)
-			cfg.Days = 16
-			cfg.Forecaster = kind
-			cfg.Workers = runtime.GOMAXPROCS(0)
-			var m0, m1, held, freed runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			b.ResetTimer()
-			var c *Controller
-			for i := 0; i < b.N; i++ {
-				var err error
-				if c, err = New(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&m1)
-			runtime.GC() // twice: the second frees what Pool victims kept
-			runtime.GC()
-			runtime.ReadMemStats(&held)
-			runtime.KeepAlive(c) // the last use: the next collections free the build
-			runtime.GC()
-			runtime.GC()
-			runtime.ReadMemStats(&freed)
-			n := float64(b.N * tenants)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/tenant")
-			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/tenant")
-			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/n, "B/tenant")
-			b.ReportMetric((float64(held.HeapAlloc)-float64(freed.HeapAlloc))/tenants, "live-B/tenant")
-		})
+	const tenants = 64
+	cfg := DefaultConfig(tenants)
+	cfg.Days = 16
+	cfg.Workers = runtime.GOMAXPROCS(0)
+	var m0, m1, held, freed runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	var c *Controller
+	for i := 0; i < b.N; i++ {
+		var err error
+		if c, err = New(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	runtime.GC() // twice: the second frees what Pool victims kept
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	runtime.KeepAlive(c) // the last use: the next collections free the build
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&freed)
+	n := float64(b.N * tenants)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/tenant")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/tenant")
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/n, "B/tenant")
+	b.ReportMetric((float64(held.HeapAlloc)-float64(freed.HeapAlloc))/tenants, "live-B/tenant")
 }
 
 // raceDetector reports a -race build (see race_test.go).

@@ -325,13 +325,13 @@ func buildStrategy(cfg Config, t *Tenant, model []byte, rho float64) (scaler.Str
 		return &scaler.ReactiveMax{Window: 6, Theta: cfg.Theta}, nil, 0, nil
 	}
 	train := t.Series.Slice(0, t.TrainEnd)
-	qf, snapper := buildForecaster(cfg, t.Seed)
+	qf, snapper := buildForecaster(cfg)
 	if model != nil {
 		blob := wire.Bytes(model)
 		if err := snapper.Load(&blob); err != nil {
 			return nil, nil, 0, fmt.Errorf("restoring %s from checkpoint: %w", qf.Name(), err)
 		}
-	} else if err := fitForecaster(cfg, qf, train); err != nil {
+	} else if err := qf.Fit(train); err != nil {
 		return nil, nil, 0, err
 	}
 	if cfg.Strategy != StrategyAdaptive {
@@ -347,18 +347,6 @@ func buildStrategy(cfg Config, t *Tenant, model []byte, rho float64) (scaler.Str
 		}
 	}
 	return &scaler.Adaptive{Forecaster: t.Faulty(qf), Tau1: cfg.Tau, Tau2: cfg.Tau2, Rho: rho, Theta: cfg.Theta}, snapper, rho, nil
-}
-
-// fitForecaster trains one tenant's model; the quantile MLP trains for
-// the fleet horizon instead of its 72-step default.
-func fitForecaster(cfg Config, qf forecast.QuantileForecaster, train *timeseries.Series) error {
-	if m, ok := qf.(*forecast.QuantileMLP); ok && cfg.Forecaster == ForecasterQuantileMLP {
-		return m.FitHorizon(train, cfg.Horizon)
-	}
-	type fitter interface {
-		Fit(*timeseries.Series) error
-	}
-	return qf.(fitter).Fit(train)
 }
 
 // admit is the shared-capacity admission barrier between the plan and

@@ -34,7 +34,6 @@ const (
 
 	ForecasterSeasonalNaive = "seasonal-naive"
 	ForecasterNaive         = "naive"
-	ForecasterQuantileMLP   = "qmlp"
 )
 
 // Config sizes and parameterizes a fleet run. Every field that shapes a
@@ -43,8 +42,8 @@ const (
 type Config struct {
 	// Tenants is the fleet size.
 	Tenants int
-	// Seed is the fleet master seed; each tenant's trace and model seeds
-	// are derived from it and the tenant index.
+	// Seed is the fleet master seed; each tenant's trace seed is derived
+	// from it and the tenant index.
 	Seed int64
 	// Days is each tenant's trace length; TrainDays of it are visible
 	// history for the forecaster, the rest is replayed.
@@ -199,7 +198,7 @@ func (cfg Config) validate() error {
 		if cfg.TrainDays < 2 {
 			return invalid("seasonal-naive needs TrainDays >= 2 (one full season of history beyond the period)")
 		}
-	case ForecasterNaive, ForecasterQuantileMLP:
+	case ForecasterNaive:
 	default:
 		return invalid("unknown forecaster %q", cfg.Forecaster)
 	}
@@ -238,7 +237,7 @@ func TenantID(index int) string { return fmt.Sprintf("t%05d", index) }
 
 // deriveSeed mixes the fleet master seed with a tenant index through a
 // splitmix64 finalizer, so neighbouring tenants get decorrelated trace
-// and model seeds while the mapping stays a pure function of (seed, i).
+// seeds while the mapping stays a pure function of (seed, i).
 func deriveSeed(seed int64, index int) int64 {
 	z := uint64(seed) + (uint64(index)+1)*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -275,26 +274,12 @@ func tenantTrace(cfg Config, index int, seed int64) (trace.Config, string) {
 	return tc, archetype
 }
 
-// buildForecaster constructs one tenant's untrained forecaster. The
-// quantile-MLP variant runs the allocation-free nn kernels per tenant;
-// its tiny dimensions keep a fleet build tractable while still
-// exercising the neural path.
-func buildForecaster(cfg Config, seed int64) (forecast.QuantileForecaster, forecast.Snapshotter) {
-	switch cfg.Forecaster {
-	case ForecasterNaive:
+// buildForecaster constructs one tenant's untrained forecaster.
+func buildForecaster(cfg Config) (forecast.QuantileForecaster, forecast.Snapshotter) {
+	if cfg.Forecaster == ForecasterNaive {
 		f := forecast.NewNaive(cfg.Horizon)
 		return f, f
-	case ForecasterQuantileMLP:
-		mc := forecast.DefaultMLPConfig()
-		mc.Context = 36
-		mc.Hidden = 12
-		mc.Epochs = 2
-		mc.MaxWindows = 64
-		mc.Seed = seed
-		f := forecast.NewQuantileMLP(mc, forecast.ScalingLevels)
-		return f, f
-	default: // seasonal-naive
-		f := forecast.NewSeasonalNaive(stepsPerDay())
-		return f, f
 	}
+	f := forecast.NewSeasonalNaive(stepsPerDay())
+	return f, f
 }

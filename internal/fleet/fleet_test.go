@@ -76,6 +76,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Tau = math.NaN() },
 		func(c *Config) { c.Strategy = "nope" },
 		func(c *Config) { c.Forecaster = "nope" },
+		func(c *Config) { c.Forecaster = "qmlp" },
 		func(c *Config) { c.Forecaster = ForecasterSeasonalNaive; c.TrainDays = 1; c.Days = 3 },
 		func(c *Config) { c.StateDir = "x"; c.CheckpointInterval = 0 },
 		func(c *Config) { c.SLOTarget = -0.1 },
@@ -145,13 +146,12 @@ func TestRunRepeatability(t *testing.T) {
 }
 
 // TestStrategiesAndForecasters smoke-runs every supported combination on
-// a tiny fleet, including the nn (quantile-MLP) inference path.
+// a tiny fleet.
 func TestStrategiesAndForecasters(t *testing.T) {
 	combos := []struct{ strategy, forecaster string }{
 		{StrategyRobust, ForecasterNaive},
 		{StrategyAdaptive, ForecasterSeasonalNaive},
 		{StrategyReactiveMax, ForecasterSeasonalNaive},
-		{StrategyRobust, ForecasterQuantileMLP},
 	}
 	for _, combo := range combos {
 		cfg := testConfig(2)

@@ -35,8 +35,7 @@ func TestNeuralModelsHoldNoGradients(t *testing.T) {
 		cfg.Epochs = epochs
 		return NewQB5000(cfg)
 	}
-	mlpCfg := DefaultMLPConfig()
-	mlpCfg.Epochs, mlpCfg.MaxWindows = epochs, windows
+	mlpCfg := MLPConfig{Epochs: epochs, Seed: 1, MaxWindows: windows} // NewMLP fills the paper's architecture
 	type model interface {
 		Forecaster
 		Snapshotter
@@ -49,7 +48,6 @@ func TestNeuralModelsHoldNoGradients(t *testing.T) {
 		{"deepar", func() model { return deepar() }, func(m model) nn.Params { return m.(*DeepAR).params }},
 		{"tft", func() model { return tft() }, func(m model) nn.Params { return m.(*TFT).params }},
 		{"mlp", func() model { return NewMLP(mlpCfg) }, func(m model) nn.Params { return m.(*MLP).params }},
-		{"qmlp", func() model { return NewQuantileMLP(mlpCfg, nil) }, func(m model) nn.Params { return m.(*QuantileMLP).params }},
 		{"qb5000", func() model { return qb() }, func(m model) nn.Params { return m.(*QB5000).params }},
 	}
 	noGrads := func(t *testing.T, when string, ps nn.Params) {

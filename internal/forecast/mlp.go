@@ -27,11 +27,6 @@ type MLPConfig struct {
 	MaxWindows int
 }
 
-// DefaultMLPConfig mirrors the paper's setup: 12-hour (72-step) context.
-func DefaultMLPConfig() MLPConfig {
-	return MLPConfig{Context: 72, Hidden: 48, Epochs: 30, LR: 1e-3, Seed: 1, MaxWindows: 256}
-}
-
 // MLP is a feed-forward probabilistic forecaster that outputs the mean and
 // (softplus-mapped) standard deviation of a Gaussian per horizon step —
 // the textbook "learn parametric distributions" design of Section III-B.
@@ -46,7 +41,9 @@ type MLP struct {
 	fitted  bool
 }
 
-// NewMLP returns an untrained MLP forecaster.
+// NewMLP returns an untrained MLP forecaster. Zero fields take the
+// paper's setup: a 12-hour (72-step) context, 48 hidden units, 30 epochs
+// at LR 1e-3 over at most 256 windows.
 func NewMLP(cfg MLPConfig) *MLP {
 	if cfg.Context <= 0 {
 		cfg.Context = 72

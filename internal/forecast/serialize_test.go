@@ -208,7 +208,6 @@ func TestLoadFromNonByteReader(t *testing.T) {
 	cases := map[string]func() model{
 		"arima": func() model { return NewSeasonalARIMA(2, 0, 1, 24) },
 		"mlp":   func() model { return NewMLP(small) },
-		"qmlp":  func() model { return NewQuantileMLP(small, []float64{0.1, 0.5, 0.9}) },
 		"deepar": func() model {
 			return NewDeepAR(DeepARConfig{Context: 24, Hidden: 8, Epochs: 2, Seed: 1, MaxWindows: 48, Samples: 20, TrainHorizon: 6})
 		},
@@ -282,6 +281,8 @@ func TestLoadRejectsImpossibleSnapshot(t *testing.T) {
 		return wire.AppendFloats(wire.AppendFloat(wire.AppendFloat(b, 50), 10), levels)
 	}
 	small := MLPConfig{Context: 8, Hidden: 2, Seed: 1}
+	mlp := NewMLP(small)
+	mlp.build(1)
 	for _, tc := range []struct {
 		name string
 		into Snapshotter
@@ -294,13 +295,15 @@ func TestLoadRejectsImpossibleSnapshot(t *testing.T) {
 		{"arima negative seasonal period", newARIMA(0, 0, 0), arima(1, 0, 0, -24, []float64{0.5}, nil)},
 		{"mlp negative horizon", NewMLP(small), neural("mlp", -3)},
 		{"mlp zero horizon", NewMLP(small), neural("mlp", 0)},
-		{"mlp-quantile negative horizon", NewQuantileMLP(small, []float64{0.5}), neural("mlp-quantile", -3, 0.5)},
-		{"mlp-quantile zero horizon", NewQuantileMLP(small, []float64{0.5}), neural("mlp-quantile", 0, 0.5)},
+		{"mlp with a quantile grid", NewMLP(small), mlp.params.Append(neural("mlp", 1, 0.5))},
 		{"mlp horizon past its bytes", NewMLP(small), neural("mlp", 1<<40)},
 	} {
 		if err := tc.into.Load(bytes.NewReader(tc.blob)); err == nil {
 			t.Errorf("%s: loaded", tc.name)
 		}
+	}
+	if err := NewMLP(small).Load(bytes.NewReader(mlp.params.Append(neural("mlp", 1)))); err != nil {
+		t.Fatalf("the same mlp snapshot without a grid: %v", err)
 	}
 	a := newARIMA(0, 0, 0)
 	if err := a.Load(bytes.NewReader(arima(1, 1, 1, 24, []float64{0.5}, []float64{0.1}))); err != nil {
@@ -372,7 +375,7 @@ func TestQB5000LoadRefusesMisshapenBlob(t *testing.T) {
 	}
 }
 
-// FuzzLoadModel feeds arbitrary bytes to the six model Loads at tiny
+// FuzzLoadModel feeds arbitrary bytes to the seven model Loads at tiny
 // sizes — the first byte picks the model: it loads or it errors, it never
 // panics, and it never allocates more than a small multiple of its input
 // plus a fixed allowance for the tiny networks themselves. A model that
@@ -382,7 +385,6 @@ func FuzzLoadModel(f *testing.F) {
 	models := []func() Snapshotter{
 		func() Snapshotter { return NewSeasonalARIMA(2, 0, 1, 12) },
 		func() Snapshotter { return NewMLP(tiny) },
-		func() Snapshotter { return NewQuantileMLP(tiny, []float64{0.1, 0.9}) },
 		func() Snapshotter {
 			return NewDeepAR(DeepARConfig{Context: 8, Hidden: 2, Epochs: 1, Seed: 1, MaxWindows: 4, Samples: 4, TrainHorizon: 2})
 		},

@@ -28,7 +28,6 @@ type Snapshotter interface {
 var (
 	_ Snapshotter = (*ARIMA)(nil)
 	_ Snapshotter = (*MLP)(nil)
-	_ Snapshotter = (*QuantileMLP)(nil)
 	_ Snapshotter = (*DeepAR)(nil)
 	_ Snapshotter = (*TFT)(nil)
 	_ Snapshotter = (*QB5000)(nil)
@@ -68,17 +67,17 @@ func (a *ARIMA) Load(r io.Reader) error {
 	return nil
 }
 
-// saveNeural writes the blob the four neural models share: kind, the
-// horizon and quantile grid their head was built for (zero and none when
-// their config fixes it), the normalization statistics, then the
-// parameters.
-func saveNeural(w io.Writer, fitted bool, kind string, horizon int, levels []float64,
+// saveNeural writes the blob the three neural models share: kind, the
+// horizon their head was built for (zero when their config fixes it), the
+// normalization statistics, an empty quantile grid (the layout keeps the
+// field; no model writes one), then the parameters.
+func saveNeural(w io.Writer, fitted bool, kind string, horizon int,
 	sc timeseries.StandardScaler, ps nn.Params) error {
 	if !fitted {
 		return ErrNotFitted
 	}
 	b := wire.AppendVarints(wire.AppendSection(wire.Scratch(w), kind), int64(horizon))
-	b = wire.AppendFloats(wire.AppendFloat(wire.AppendFloat(b, sc.Mean), sc.Std), levels)
+	b = wire.AppendFloats(wire.AppendFloat(wire.AppendFloat(b, sc.Mean), sc.Std), nil)
 	if _, err := w.Write(ps.Append(b)); err != nil {
 		return fmt.Errorf("forecast: saving %s: %w", kind, err)
 	}
@@ -87,26 +86,28 @@ func saveNeural(w io.Writer, fitted bool, kind string, horizon int, levels []flo
 
 // loadNeural reads a blob saveNeural wrote for kind into a receiver
 // whose scaler and fitted flag it is handed. build shapes the receiver's
-// network for the saved horizon (at least minHorizon) and grid and
-// returns its parameters, which the rest of the blob is read into. A
-// horizon is believed only as far as the bytes behind it go: the head has
-// a value per step and level.
+// network for the saved horizon (at least minHorizon) and returns its
+// parameters, which the rest of the blob is read into. A horizon is
+// believed only as far as the bytes behind it go: the head has a value
+// per step.
 func loadNeural(r io.Reader, kind string, minHorizon int, sc *timeseries.StandardScaler, fitted *bool,
-	build func(horizon int, levels []float64) (nn.Params, error)) error {
+	build func(horizon int) (nn.Params, error)) error {
 	rd := wire.ReadFrom(r)
 	got, horizon := string(rd.Section()), rd.Int()
 	saved := timeseries.StandardScaler{Mean: rd.Float(), Std: rd.Float()}
 	levels := rd.Floats()
-	switch maxHorizon := rd.Len() / 8 / max(1, len(levels)); {
+	switch maxHorizon := rd.Len() / 8; {
 	case rd.Err() != nil:
 		return fmt.Errorf("forecast: loading %s: %w", kind, rd.Err())
 	case got != kind:
 		return fmt.Errorf("forecast: snapshot is %q, not %s", got, kind)
+	case len(levels) != 0:
+		return fmt.Errorf("forecast: %s snapshot carries a %d-level quantile grid, which no %s writes", kind, len(levels), kind)
 	case horizon < minHorizon || horizon > maxHorizon:
-		return fmt.Errorf("forecast: %s snapshot has horizon %d, outside [%d, %d] for %d levels in %d parameter bytes",
-			kind, horizon, minHorizon, maxHorizon, len(levels), rd.Len())
+		return fmt.Errorf("forecast: %s snapshot has horizon %d, outside [%d, %d] for %d parameter bytes",
+			kind, horizon, minHorizon, maxHorizon, rd.Len())
 	}
-	ps, err := build(horizon, levels)
+	ps, err := build(horizon)
 	if err == nil {
 		err = ps.Read(&rd)
 	}
@@ -118,35 +119,13 @@ func loadNeural(r io.Reader, kind string, minHorizon int, sc *timeseries.Standar
 
 // Save writes the trained network and normalization statistics.
 func (m *MLP) Save(w io.Writer) error {
-	return saveNeural(w, m.fitted, "mlp", m.horizon, nil, m.scaler, m.params)
+	return saveNeural(w, m.fitted, "mlp", m.horizon, m.scaler, m.params)
 }
 
 // Load restores a model saved by Save. The receiver must have been
 // constructed with the same MLPConfig.
 func (m *MLP) Load(r io.Reader) error {
-	return loadNeural(r, "mlp", 1, &m.scaler, &m.fitted, func(h int, _ []float64) (nn.Params, error) {
-		m.build(h)
-		return m.params, nil
-	})
-}
-
-// Save writes the trained network, grid, and normalization statistics.
-func (m *QuantileMLP) Save(w io.Writer) error {
-	return saveNeural(w, m.fitted, "mlp-quantile", m.horizon, m.Levels, m.scaler, m.params)
-}
-
-// Load restores a model saved by Save. The receiver must have been
-// constructed with the same MLPConfig; the quantile grid is taken from
-// the snapshot (it determines the head width).
-func (m *QuantileMLP) Load(r io.Reader) error {
-	return loadNeural(r, "mlp-quantile", 1, &m.scaler, &m.fitted, func(h int, levels []float64) (nn.Params, error) {
-		levels, err := normalizeLevels(levels)
-		if err != nil {
-			return nil, err
-		}
-		// The grid must be set before build: the head emits h*len(Levels)
-		// outputs.
-		m.Levels = levels
+	return loadNeural(r, "mlp", 1, &m.scaler, &m.fitted, func(h int) (nn.Params, error) {
 		m.build(h)
 		return m.params, nil
 	})
@@ -154,13 +133,13 @@ func (m *QuantileMLP) Load(r io.Reader) error {
 
 // Save writes the trained network and normalization statistics.
 func (d *DeepAR) Save(w io.Writer) error {
-	return saveNeural(w, d.fitted, "deepar", 0, nil, d.scaler, d.params)
+	return saveNeural(w, d.fitted, "deepar", 0, d.scaler, d.params)
 }
 
 // Load restores a model saved by Save. The receiver must have been
 // constructed with the same DeepARConfig.
 func (d *DeepAR) Load(r io.Reader) error {
-	return loadNeural(r, "deepar", 0, &d.scaler, &d.fitted, func(int, []float64) (nn.Params, error) {
+	return loadNeural(r, "deepar", 0, &d.scaler, &d.fitted, func(int) (nn.Params, error) {
 		d.build()
 		d.warm = deeparWarm{} // restored weights invalidate any cached recurrent state
 		return d.params, nil
@@ -169,13 +148,13 @@ func (d *DeepAR) Load(r io.Reader) error {
 
 // Save writes the trained network and normalization statistics.
 func (m *TFT) Save(w io.Writer) error {
-	return saveNeural(w, m.fitted, "tft", 0, nil, m.scaler, m.params)
+	return saveNeural(w, m.fitted, "tft", 0, m.scaler, m.params)
 }
 
 // Load restores a model saved by Save. The receiver must have been
 // constructed with the same TFTConfig (including the quantile grid).
 func (m *TFT) Load(r io.Reader) error {
-	return loadNeural(r, "tft", 0, &m.scaler, &m.fitted, func(int, []float64) (nn.Params, error) {
+	return loadNeural(r, "tft", 0, &m.scaler, &m.fitted, func(int) (nn.Params, error) {
 		err := m.build()
 		return m.params, err
 	})

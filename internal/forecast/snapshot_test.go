@@ -72,27 +72,6 @@ func TestNaiveLoadRejectsUnusableResiduals(t *testing.T) {
 	}
 }
 
-func TestQuantileMLPSaveLoad(t *testing.T) {
-	s := noisySine(500, 24, 50, 10, 1, 43)
-	hist, _ := splitHoldout(s, 6)
-	cfg := MLPConfig{Context: 24, Hidden: 12, Epochs: 4, Seed: 1, MaxWindows: 48}
-	m := NewQuantileMLP(cfg, []float64{0.1, 0.5, 0.9})
-	if err := m.FitHorizon(hist, 6); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// The grid comes from the snapshot, so the fresh receiver may start
-	// with the default levels.
-	m2 := NewQuantileMLP(cfg, nil)
-	if err := m2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	assertSameForecasts(t, m, m2, hist, 6)
-}
-
 func TestSnapshotSaveUnfittedFails(t *testing.T) {
 	if err := NewNaive(6).Save(&bytes.Buffer{}); err != ErrNotFitted {
 		t.Errorf("naive err = %v", err)
@@ -100,7 +79,7 @@ func TestSnapshotSaveUnfittedFails(t *testing.T) {
 	if err := NewSeasonalNaive(24).Save(&bytes.Buffer{}); err != ErrNotFitted {
 		t.Errorf("seasonal-naive err = %v", err)
 	}
-	if err := NewQuantileMLP(MLPConfig{}, nil).Save(&bytes.Buffer{}); err != ErrNotFitted {
-		t.Errorf("quantile-mlp err = %v", err)
+	if err := NewMLP(MLPConfig{}).Save(&bytes.Buffer{}); err != ErrNotFitted {
+		t.Errorf("mlp err = %v", err)
 	}
 }
