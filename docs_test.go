@@ -200,6 +200,12 @@ func flagNames(t *testing.T, path string) (names []string, binds bool) {
 		return ok && id.Name == pkg && sel.Sel.Name == name
 	}
 	flagSets := map[string]bool{}
+	isFlagSet := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && flagSets[id.Name]
+	}
+	// One pass in source order: a FlagSet variable is declared before the
+	// calls that use it.
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Field:
@@ -216,37 +222,24 @@ func flagNames(t *testing.T, path string) (names []string, binds bool) {
 					}
 				}
 			}
-		}
-		return true
-	})
-	isFlagSet := func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		return ok && flagSets[id.Name]
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		binds = binds || isSel(call.Fun, "fleet", "BindFlags")
-		onFlagSet := false
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			onFlagSet = isFlagSet(sel.X)
-		}
-		for _, arg := range call.Args {
-			onFlagSet = onFlagSet || isFlagSet(arg)
-		}
-		if !onFlagSet {
-			return true
-		}
-		for _, arg := range call.Args {
-			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				name, err := strconv.Unquote(lit.Value)
-				if err != nil {
-					t.Fatal(err)
+		case *ast.CallExpr:
+			binds = binds || isSel(n.Fun, "fleet", "BindFlags")
+			onFlagSet := false
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+				onFlagSet = isFlagSet(sel.X)
+			}
+			for _, arg := range n.Args {
+				onFlagSet = onFlagSet || isFlagSet(arg)
+			}
+			for _, arg := range n.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING && onFlagSet {
+					name, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					names = append(names, name)
+					break
 				}
-				names = append(names, name)
-				break
 			}
 		}
 		return true
