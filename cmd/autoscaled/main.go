@@ -21,7 +21,7 @@
 //
 // With -listen set, the daemon serves its observability surface on that
 // address: /status (JSON snapshot), /metrics (Prometheus text format:
-// status gauges, per-stage control-loop latency histograms, training and
+// status gauges, the apply-stage latency histogram, training and
 // scaling counters, online forecast-calibration gauges), /journal (the
 // bounded event journal as JSON, filterable by ?kind= and ?since_seq=),
 // /trace (control-loop spans as Chrome trace-event JSON, loadable in

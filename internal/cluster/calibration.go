@@ -108,26 +108,40 @@ func (c *Calibration) Observe(actual float64, quantiles []float64) error {
 
 // ObserveSteps is Observe over a round's graded steps under one lock:
 // actuals[i] against rows[i], in order. A row whose width disagrees with
-// the levels refuses the whole round before any step is observed.
+// the levels refuses the whole round before any step is observed. The
+// width check also folds every value of the round into one finiteness
+// test (v·0 is 0 for a finite v and NaN otherwise), so a round with no
+// bad value admits its steps without testing each again.
 func (c *Calibration) ObserveSteps(actuals []float64, rows [][]float64) error {
 	if len(actuals) != len(rows) {
 		return fmt.Errorf("cluster: %d actuals for %d quantile rows", len(actuals), len(rows))
 	}
-	for _, row := range rows {
+	poison := 0.0
+	for i, row := range rows {
 		if len(row) != len(c.levels) {
 			return fmt.Errorf("cluster: %d quantile values for %d calibration levels", len(row), len(c.levels))
+		}
+		poison += actuals[i] * 0
+		for _, q := range row {
+			poison += q * 0
 		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if poison == 0 {
+		c.admit(actuals, rows)
+		return nil
+	}
 	for i, actual := range actuals {
 		c.observe(actual, rows[i])
 	}
 	return nil
 }
 
-// observe is one step of Observe and ObserveSteps; callers hold the lock
-// and have checked the row's width.
+// observe is one step of Observe and of a round with a non-finite value:
+// it skips and counts a step whose actual or quantile row is not finite
+// and admits any other. Callers hold the lock and have checked the row's
+// width.
 func (c *Calibration) observe(actual float64, quantiles []float64) {
 	finite := !math.IsNaN(actual) && !math.IsInf(actual, 0)
 	for _, q := range quantiles {
@@ -141,31 +155,48 @@ func (c *Calibration) observe(actual float64, quantiles []float64) {
 		calibrationSkipped.Inc()
 		return
 	}
+	a, r := [1]float64{actual}, [1][]float64{quantiles}
+	c.admit(a[:], r[:])
+}
 
-	row := c.preds[c.next*len(c.levels):][:len(c.levels)]
-	if c.count == c.window {
-		// Evict the oldest observation from the running sums.
-		old := c.actuals[c.next]
-		c.actualSum -= old
-		for i := range c.levels {
-			if row[i] >= old {
-				c.covered[i]--
+// admit writes finite steps into the ring, actuals[s] against rows[s] in
+// order. A full window first evicts its oldest step: each level's sums
+// lose the evicted step before they gain the new one, and actualSum
+// likewise, in that order. Callers hold the lock and have checked every
+// row's width.
+func (c *Calibration) admit(actuals []float64, rows [][]float64) {
+	l := len(c.levels)
+	levels, covered, pinball := c.levels, c.covered[:l], c.pinball[:l]
+	next, count, sum := c.next, c.count, c.actualSum
+	for s, actual := range actuals {
+		row, quantiles := c.preds[next*l:][:l], rows[s][:l]
+		evict, old := count == c.window, c.actuals[next]
+		if evict {
+			sum -= old
+		} else {
+			count++
+		}
+		c.actuals[next] = actual
+		sum += actual
+		for i, tau := range levels {
+			if evict {
+				if row[i] >= old {
+					covered[i]--
+				}
+				pinball[i] -= metrics.Pinball(tau, old, row[i])
 			}
-			c.pinball[i] -= metrics.Pinball(c.levels[i], old, row[i])
+			q := quantiles[i]
+			row[i] = q
+			if q >= actual {
+				covered[i]++
+			}
+			pinball[i] += metrics.Pinball(tau, actual, q)
 		}
-	} else {
-		c.count++
-	}
-	c.actuals[c.next] = actual
-	copy(row, quantiles)
-	c.actualSum += actual
-	for i, tau := range c.levels {
-		if quantiles[i] >= actual {
-			c.covered[i]++
+		if next++; next == c.window {
+			next = 0
 		}
-		c.pinball[i] += metrics.Pinball(tau, actual, quantiles[i])
 	}
-	c.next = (c.next + 1) % c.window
+	c.next, c.count, c.actualSum = next, count, sum
 }
 
 // rollingWQL computes the mean over levels of 2*QL_tau/sum(actuals) for

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -244,6 +245,97 @@ func TestObserveStepsMatchesObserve(t *testing.T) {
 	}
 	if got := round.Snapshot(); !reflect.DeepEqual(got, before) {
 		t.Errorf("a refused round moved the window: %+v, was %+v", got, before)
+	}
+}
+
+// refWindow is the rolling window written the plain way, one step at a
+// time: evict the oldest step from every sum, then add the new one.
+type refWindow struct {
+	levels, actuals, preds, pinball []float64
+	covered                         []int
+	next, count                     int
+	sum                             float64
+	skipped                         uint64
+}
+
+func (r *refWindow) observe(actual float64, row []float64) {
+	for _, v := range append([]float64{actual}, row...) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			r.skipped++
+			return
+		}
+	}
+	l, window := len(r.levels), len(r.actuals)
+	kept := r.preds[r.next*l : (r.next+1)*l]
+	if r.count == window {
+		old := r.actuals[r.next]
+		r.sum -= old
+		for i, tau := range r.levels {
+			if kept[i] >= old {
+				r.covered[i]--
+			}
+			r.pinball[i] -= metrics.Pinball(tau, old, kept[i])
+		}
+	} else {
+		r.count++
+	}
+	r.actuals[r.next] = actual
+	copy(kept, row)
+	r.sum += actual
+	for i, tau := range r.levels {
+		if row[i] >= actual {
+			r.covered[i]++
+		}
+		r.pinball[i] += metrics.Pinball(tau, actual, row[i])
+	}
+	r.next = (r.next + 1) % window
+}
+
+// TestObserveStepsMatchesReference: every running sum of a window fed
+// whole rounds, some holding a non-finite value, has the bits of the
+// plain one-step-at-a-time window, through many evictions.
+func TestObserveStepsMatchesReference(t *testing.T) {
+	levels := []float64{0.5, 0.9, 0.99}
+	const window = 7
+	c, err := NewCalibration(levels, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := len(levels)
+	ref := &refWindow{levels: levels, actuals: make([]float64, window), preds: make([]float64, window*l),
+		pinball: make([]float64, l), covered: make([]int, l)}
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 200; round++ {
+		n := 1 + rng.Intn(12)
+		actuals, rows := make([]float64, n), make([][]float64, n)
+		for s := range actuals {
+			actuals[s] = rng.ExpFloat64() * 100
+			rows[s] = make([]float64, l)
+			for i := range rows[s] {
+				rows[s][i] = rng.NormFloat64()*30 + 100 + 20*float64(i)
+			}
+			if rng.Intn(25) == 0 {
+				bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+				if i := rng.Intn(l + 1); i == l {
+					actuals[s] = bad
+				} else {
+					rows[s][i] = bad
+				}
+			}
+			ref.observe(actuals[s], rows[s])
+		}
+		if err := c.ObserveSteps(actuals, rows); err != nil {
+			t.Fatal(err)
+		}
+		same := c.next == ref.next && c.count == ref.count && c.skipped == ref.skipped &&
+			math.Float64bits(c.actualSum) == math.Float64bits(ref.sum) && reflect.DeepEqual(c.covered, ref.covered)
+		for i := range levels {
+			same = same && math.Float64bits(c.pinball[i]) == math.Float64bits(ref.pinball[i])
+		}
+		if !same {
+			t.Fatalf("round %d: window sums %v/%v/%v, plain window %v/%v/%v", round,
+				c.covered, c.pinball, c.actualSum, ref.covered, ref.pinball, ref.sum)
+		}
 	}
 }
 

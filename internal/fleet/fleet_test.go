@@ -211,9 +211,10 @@ func TestFleetMetricsTenantLabelled(t *testing.T) {
 
 // TestRoundObservationsComplete holds the per-round instruments to one
 // observation per tenant-round at any worker count: round latency folded
-// after the apply barrier (the plan-round histogram and Report.Timing),
-// the scaler's chained stage timings and its cached plans counter. The
-// fleet hash must not see the worker count.
+// after the apply barrier (the plan-round histogram and Report.Timing)
+// and the scaler's cached plans counter. A round's forecast and optimize
+// stages are tracer spans, so the fleet adds no observation to the stage
+// histogram. The fleet hash must not see the worker count.
 func TestRoundObservationsComplete(t *testing.T) {
 	const tenants, rounds = 32, 6
 	stages := obs.Default.HistogramVec("robustscale_stage_duration_seconds", "", "stage", obs.LatencyBuckets)
@@ -228,8 +229,8 @@ func TestRoundObservationsComplete(t *testing.T) {
 		}
 		planned := plans.With(c.Tenants()[0].planner.Name())
 		counts := func() [4]float64 {
-			return [4]float64{float64(fleetPlanSeconds.Count()), float64(stages.With("forecast").Count()),
-				float64(stages.With("optimize").Count()), planned.Value()}
+			return [4]float64{float64(fleetPlanSeconds.Count()), planned.Value(),
+				float64(stages.With("forecast").Count()), float64(stages.With("optimize").Count())}
 		}
 		before := counts()
 		rep, err := c.Run(context.Background())
@@ -237,9 +238,13 @@ func TestRoundObservationsComplete(t *testing.T) {
 			t.Fatal(err)
 		}
 		after := counts()
-		for i, name := range []string{"fleet_plan_round_seconds", "stage forecast", "stage optimize", "scaler_plans_total"} {
-			if d := after[i] - before[i]; d != tenants*rounds {
-				t.Errorf("workers=%d: %s counted %v observations, want %d", workers, name, d, tenants*rounds)
+		for i, name := range []string{"fleet_plan_round_seconds", "scaler_plans_total", "stage forecast", "stage optimize"} {
+			want := float64(tenants * rounds)
+			if i >= 2 {
+				want = 0
+			}
+			if d := after[i] - before[i]; d != want {
+				t.Errorf("workers=%d: %s counted %v observations, want %v", workers, name, d, want)
 			}
 		}
 		if rep.Timing == nil || rep.Timing.Samples != tenants*rounds {

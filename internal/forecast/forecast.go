@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -90,10 +91,14 @@ func (f *QuantileForecast) Step(t int) []float64 { return f.Values[t] }
 
 // Enforce sorts each step's quantile values so they are monotonically
 // non-decreasing in the quantile level (quantile crossing is a standard
-// artifact of independently trained quantile heads).
+// artifact of independently trained quantile heads). A row already in
+// order is left alone: slices.Sort would move nothing in it either, since
+// its pivot sampling sees no swap and its insertion pass no descent.
 func (f *QuantileForecast) Enforce() {
 	for _, row := range f.Values {
-		sort.Float64s(row)
+		if !slices.IsSorted(row) {
+			slices.Sort(row)
+		}
 	}
 }
 

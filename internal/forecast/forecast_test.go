@@ -2,6 +2,9 @@ package forecast
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -39,6 +42,50 @@ func TestQuantileForecastEnforce(t *testing.T) {
 	f.Enforce()
 	if f.Values[0][0] != 10 || f.Values[0][1] != 20 || f.Values[0][2] != 30 {
 		t.Errorf("Enforce = %v", f.Values[0])
+	}
+
+	// Enforce leaves a sorted row as it is; that must be the bits
+	// sort.Float64s gives too, also where the order is a tie between
+	// values of different bits (−0 and +0, two NaN payloads) and on both
+	// sides of the sort's 12-element insertion cut-off.
+	neg0, nan2 := math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000abc)
+	rows := [][]float64{
+		{-1, neg0, 0, neg0, 0, 2},
+		{math.NaN(), 1, 2, 3},
+		{0, neg0, -1, math.NaN(), 3},
+		{math.NaN(), nan2, -5, -4, -3, -2, -1, neg0, 0, neg0, 0, 1, 2, 3, 4},
+		{nan2, math.NaN(), -3, neg0, 0, 0, neg0, 1, 1, 2, 3, 5, 8, 13, 21, 34},
+		{3, 0, neg0, 2, math.NaN(), -1, 0, 1, neg0, 7, 6, 5, 4, 3, 2, 1},
+	}
+	alphabet := []float64{math.NaN(), nan2, neg0, 0, -1, 1, 2}
+	rng := rand.New(rand.NewSource(1))
+	for len(rows) < 2000 {
+		row := make([]float64, 1+rng.Intn(30))
+		for i := range row {
+			row[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		if len(rows)%2 == 0 {
+			// Sort, then re-draw the sign of every zero: still sorted, with
+			// ties the sort could have ordered either way.
+			sort.Float64s(row)
+			for i, v := range row {
+				if v == 0 && rng.Intn(2) == 0 {
+					row[i] = -v
+				}
+			}
+		}
+		rows = append(rows, row)
+	}
+	for _, row := range rows {
+		want := slices.Clone(row)
+		sort.Float64s(want)
+		got := &QuantileForecast{Values: [][]float64{slices.Clone(row)}}
+		got.Enforce()
+		for i := range want {
+			if math.Float64bits(got.Values[0][i]) != math.Float64bits(want[i]) {
+				t.Fatalf("Enforce(%v) = %v, sort.Float64s gives %v", row, got.Values[0], want)
+			}
+		}
 	}
 }
 

@@ -112,7 +112,8 @@ func (c *levelsCache) get(levels []float64) ([]float64, error) {
 }
 
 // reuseFan shapes a cached fan, owned by the forecaster, for (h, levels):
-// it allocates only when the shape grows, and new rows share one array.
+// it allocates only when the shape grows, new rows share one array, and a
+// row already of the levels' width keeps its header untouched.
 func reuseFan(f *QuantileForecast, h int, levels []float64) *QuantileForecast {
 	if f == nil {
 		f = &QuantileForecast{}
@@ -121,6 +122,9 @@ func reuseFan(f *QuantileForecast, h int, levels []float64) *QuantileForecast {
 	f.Values = resize(f.Values, h)
 	var cells []float64
 	for t, row := range f.Values {
+		if len(row) == len(levels) {
+			continue
+		}
 		if cap(row) < len(levels) {
 			if len(cells) == 0 {
 				cells = make([]float64, (h-t)*len(levels))

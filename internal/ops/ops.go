@@ -17,14 +17,13 @@ import (
 )
 
 // StageApply is the control-loop stage the daemon records around the
-// cluster mutation. The forecast and optimize stages are recorded inside
-// internal/scaler, which registers the same histogram family.
+// cluster mutation, the one child of the stage histogram. A round's
+// forecast and optimize stages are the tracer spans of internal/scaler,
+// served on /trace.
 const StageApply = "apply"
 
-// stageSeconds is the shared per-stage latency histogram of the control
-// loop, registered on obs.Default under the same family name
-// internal/scaler uses — obs registration is idempotent by name, so both
-// packages feed one histogram.
+// stageSeconds is the control loop's per-stage latency histogram,
+// registered on obs.Default.
 var stageSeconds = obs.Default.HistogramVec(
 	"robustscale_stage_duration_seconds",
 	"Control-loop stage latency in seconds.",

