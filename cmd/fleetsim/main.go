@@ -15,8 +15,10 @@
 // hash, steps, violations, cost) in tenant order: two runs with the same
 // flags produce the same hash regardless of -workers, and a
 // kill-restart through -state-dir resumes to the hash of an
-// uninterrupted run. The timing section is wall-clock and excluded from
-// that contract. -metrics dumps the Prometheus registry (tenant-labelled
+// uninterrupted run. The timing section — one sample per round of its
+// latency, plan start to apply end, and the seconds spent planning,
+// admitting, applying, folding the health plane and checkpointing — is
+// wall-clock and excluded from that contract. -metrics dumps the Prometheus registry (tenant-labelled
 // fleet counters included) for scraping or CI assertions.
 //
 // -serverless switches the fleet to the scale-to-zero model: idle

@@ -129,6 +129,36 @@ func TestWorkerCountInvisibleInSummary(t *testing.T) {
 	}
 }
 
+// TestTimingBlockPerRound: the summary's timing block holds one sample
+// per fleet round and the wall time of each of the round's five phases.
+func TestTimingBlockPerRound(t *testing.T) {
+	code, stdout, stderr := fleetsim(t, "-tenants 8 -max-rounds 5 -per-tenant=false")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	var rep struct {
+		Rounds int `json:"rounds"`
+		Timing struct {
+			Samples int                `json:"samples"`
+			Phases  map[string]float64 `json:"phase_seconds"`
+		} `json:"timing"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+		t.Fatalf("summary is not JSON: %v\n%s", err, stdout)
+	}
+	if rep.Rounds != 5 || rep.Timing.Samples != rep.Rounds {
+		t.Errorf("timing.samples = %d over %d rounds, want one per round", rep.Timing.Samples, rep.Rounds)
+	}
+	for _, phase := range []string{"plan", "admit", "apply", "fold", "checkpoint"} {
+		if v, ok := rep.Timing.Phases[phase]; !ok || v < 0 {
+			t.Errorf("timing.phase_seconds[%q] = %v (present %v), want present and >= 0", phase, v, ok)
+		}
+	}
+	if len(rep.Timing.Phases) != 5 {
+		t.Errorf("timing.phase_seconds = %v, want the five phases", rep.Timing.Phases)
+	}
+}
+
 // TestCalibrationMetricsIndependentOfWorkers: the fleet exports one
 // calibration plane pooled over every tenant's window, so the
 // -metrics dump of its four families is the same for any worker count.

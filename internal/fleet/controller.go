@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"time"
 
 	"robustscale/internal/chaos"
 	"robustscale/internal/cluster"
@@ -54,11 +55,13 @@ type Controller struct {
 	// calibration gauges.
 	calFold cluster.CalibrationFold
 
-	// scratch is the round scratch of the plan and apply stages, one per
-	// worker; it grows to the worker count the first round runs with.
+	// scratch is the round scratch of the apply stage, one per worker; it
+	// grows to the worker count the first round runs with.
 	scratch []*roundScratch
-	// dur is the distribution of tenant-round latency this process ran.
-	dur *obs.Sketch
+	// dur is the distribution of this process's round latency, plan start
+	// to apply end; phases is the wall time of each stage, summed.
+	dur    *obs.Sketch
+	phases PhaseSeconds
 
 	// Shared capacity pool and chaos state. chaosSched is nil with chaos
 	// disabled; the admission scratch buffers are reused every round.
@@ -509,7 +512,8 @@ func (c *Controller) injectWakeStorm(active []*Tenant) {
 // cancellation), checkpointing every CheckpointInterval rounds and once
 // more at exit. Each round runs a parallel plan phase, the sequential
 // admission barrier, and a parallel apply phase; per-tenant decisions
-// are bit-identical for any worker count.
+// are bit-identical for any worker count. Run reads the clock on its own
+// goroutine at each stage boundary, never per tenant.
 func (c *Controller) Run(ctx context.Context) (*Report, error) {
 	cfg := c.cfg
 	active := make([]*Tenant, 0, len(c.tenants))
@@ -520,6 +524,7 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		if cfg.MaxRounds > 0 && c.rounds >= cfg.MaxRounds {
 			break
 		}
+		start := obs.Mono()
 		active = active[:0]
 		for _, t := range c.tenants {
 			if t.Active() {
@@ -529,9 +534,8 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		if len(active) == 0 {
 			break
 		}
-		c.resetClocks(len(active))
-		parallel.ForEachWorkerSpan("fleet-plan", cfg.Workers, len(active), func(w, i int) {
-			_ = active[i].plan(&c.scratch[w].clock)
+		parallel.ForEachWorkerSpan("fleet-plan", cfg.Workers, len(active), func(_, i int) {
+			_ = active[i].plan()
 		})
 		for _, t := range c.tenants {
 			if t.err != nil {
@@ -544,9 +548,11 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		// identical for any worker count. Wake storms fire first so the
 		// flash crowd's forced wakes contend for pool admission the same
 		// round they strike.
+		planned := obs.Mono()
 		c.injectWakeStorm(active)
 		c.admit(active)
-		c.resetClocks(len(active))
+		admitted := obs.Mono()
+		c.growScratch(len(active))
 		parallel.ForEachWorkerSpan("fleet-apply", cfg.Workers, len(active), func(w, i int) {
 			_ = active[i].apply(c.scratch[w])
 		})
@@ -555,12 +561,10 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 				return nil, t.err
 			}
 		}
-		// Round latency folds here, in index order, so the sketch and the
-		// histogram have one writer instead of every worker.
-		for _, t := range active {
-			c.dur.Observe(t.roundDur.Seconds())
-			fleetPlanSeconds.Observe(t.roundDur.Seconds())
-		}
+		applied := obs.Mono()
+		round := (applied - start).Seconds()
+		c.dur.Observe(round)
+		fleetPlanSeconds.Observe(round)
 		// Health-plane observation happens after the round barrier, over
 		// totals read in index order — a pure function of the round's
 		// outcome, so alert firing ticks are worker-count independent.
@@ -584,24 +588,26 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		c.foldCalibration()
 		c.rounds++
 		fleetRoundsTotal.Inc()
+		folded := obs.Mono()
+		c.phases.Plan += (planned - start).Seconds()
+		c.phases.Admit += (admitted - planned).Seconds()
+		c.phases.Apply += (applied - admitted).Seconds()
+		c.phases.Fold += (folded - applied).Seconds()
 		if c.segs != nil && c.rounds%cfg.CheckpointInterval == 0 {
-			c.checkpoint()
+			c.checkpoint(folded)
 		}
 	}
 	if c.segs != nil && c.rounds != c.lastCkpt {
-		c.checkpoint()
+		c.checkpoint(obs.Mono())
 	}
 	return c.report(), nil
 }
 
-// resetClocks readies a round scratch per worker of a stage over n tenants,
-// its clock without a reading: time outside the stage is no tenant's.
-func (c *Controller) resetClocks(n int) {
+// growScratch readies a round scratch per worker of an apply stage over n
+// tenants.
+func (c *Controller) growScratch(n int) {
 	for len(c.scratch) < parallel.Workers(c.cfg.Workers, n) {
 		c.scratch = append(c.scratch, newRoundScratch(c.cfg.Horizon))
-	}
-	for _, s := range c.scratch {
-		s.clock = 0
 	}
 }
 
@@ -619,8 +625,9 @@ func (c *Controller) foldCalibration() {
 // worker pool (each encode touches only that tenant's slot), then commits
 // the slots in index order as one segment: one file and one fsync per
 // round, with bytes that do not depend on the worker count. A failure
-// logs through the journal and keeps flying.
-func (c *Controller) checkpoint() {
+// logs through the journal and keeps flying. The checkpoint phase's time
+// counts from start.
+func (c *Controller) checkpoint(start time.Duration) {
 	parallel.ForEachWorkerSpan("fleet-checkpoint", c.cfg.Workers, len(c.tenants), func(_, i int) {
 		_ = c.tenants[i].Checkpoint() // journalled by the tenant
 	})
@@ -629,4 +636,5 @@ func (c *Controller) checkpoint() {
 			fmt.Sprintf("segment commit after round %d failed: %v", c.rounds, err), nil)
 	}
 	c.lastCkpt = c.rounds
+	c.phases.Checkpoint += (obs.Mono() - start).Seconds()
 }

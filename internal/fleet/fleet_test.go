@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"robustscale/internal/obs"
 	"robustscale/internal/persist"
@@ -209,51 +211,72 @@ func TestFleetMetricsTenantLabelled(t *testing.T) {
 	}
 }
 
-// TestRoundObservationsComplete holds the per-round instruments to one
-// observation per tenant-round at any worker count: round latency folded
-// after the apply barrier (the plan-round histogram and Report.Timing)
-// and the scaler's cached plans counter. A round's forecast and optimize
-// stages are tracer spans, so the fleet adds no observation to the stage
-// histogram. The fleet hash must not see the worker count.
+// TestRoundObservationsComplete holds the round's instruments to the
+// fleet round, not the tenant-round, at any worker count: one plan-round
+// observation and one Report.Timing sample per round, all five phases
+// present and within the wall time of Run, checkpoint time only with a
+// state dir, and the scaler's cached plans counter still one per
+// tenant-round. A round's forecast and optimize stages are tracer spans,
+// so the fleet adds no observation to the stage histogram. The fleet
+// hash must not see the worker count or the state dir.
 func TestRoundObservationsComplete(t *testing.T) {
 	const tenants, rounds = 32, 6
 	stages := obs.Default.HistogramVec("robustscale_stage_duration_seconds", "", "stage", obs.LatencyBuckets)
 	plans := obs.Default.CounterVec("robustscale_scaler_plans_total", "", "strategy")
 	hash := ""
-	for _, workers := range []int{1, 2} {
-		cfg := DefaultConfig(tenants)
-		cfg.Workers, cfg.MaxRounds = workers, rounds
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		planned := plans.With(c.Tenants()[0].planner.Name())
-		counts := func() [4]float64 {
-			return [4]float64{float64(fleetPlanSeconds.Count()), planned.Value(),
-				float64(stages.With("forecast").Count()), float64(stages.With("optimize").Count())}
-		}
-		before := counts()
-		rep, err := c.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		after := counts()
-		for i, name := range []string{"fleet_plan_round_seconds", "scaler_plans_total", "stage forecast", "stage optimize"} {
-			want := float64(tenants * rounds)
-			if i >= 2 {
-				want = 0
+	for _, durable := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("workers=%d durable=%v", workers, durable)
+			cfg := DefaultConfig(tenants)
+			cfg.Workers, cfg.MaxRounds = workers, rounds
+			if durable {
+				cfg.StateDir = t.TempDir()
 			}
-			if d := after[i] - before[i]; d != want {
-				t.Errorf("workers=%d: %s counted %v observations, want %v", workers, name, d, want)
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			planned := plans.With(c.Tenants()[0].planner.Name())
+			counts := func() [4]float64 {
+				return [4]float64{float64(fleetPlanSeconds.Count()), planned.Value(),
+					float64(stages.With("forecast").Count()), float64(stages.With("optimize").Count())}
+			}
+			before := counts()
+			began := time.Now()
+			rep, err := c.Run(context.Background())
+			wall := time.Since(began).Seconds()
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := counts()
+			for i, counter := range []string{"fleet_plan_round_seconds", "scaler_plans_total", "stage forecast", "stage optimize"} {
+				want := []float64{rounds, tenants * rounds, 0, 0}[i]
+				if d := after[i] - before[i]; d != want {
+					t.Errorf("%s: %s counted %v observations, want %v", name, counter, d, want)
+				}
+			}
+			if rep.Timing == nil || rep.Timing.Samples != rounds || rep.Rounds != rounds {
+				t.Fatalf("%s: %d rounds, timing %+v, want %d samples", name, rep.Rounds, rep.Timing, rounds)
+			}
+			ph := rep.Timing.PhaseSeconds
+			sum := 0.0
+			for _, p := range []float64{ph.Plan, ph.Admit, ph.Apply, ph.Fold, ph.Checkpoint} {
+				if !(p >= 0) {
+					t.Errorf("%s: phase seconds %+v, want each >= 0", name, ph)
+				}
+				sum += p
+			}
+			if sum > wall {
+				t.Errorf("%s: phases sum to %vs, more than Run's %vs", name, sum, wall)
+			}
+			if !(ph.Plan > 0 && ph.Apply > 0) || (ph.Checkpoint > 0) != durable {
+				t.Errorf("%s: phase seconds %+v", name, ph)
+			}
+			if hash != "" && rep.FleetHash != hash {
+				t.Errorf("%s: fleet hash %s, want %s", name, rep.FleetHash, hash)
+			}
+			hash = rep.FleetHash
 		}
-		if rep.Timing == nil || rep.Timing.Samples != tenants*rounds {
-			t.Errorf("workers=%d: timing %+v, want %d samples", workers, rep.Timing, tenants*rounds)
-		}
-		if hash != "" && rep.FleetHash != hash {
-			t.Errorf("workers=%d: fleet hash %s, want %s", workers, rep.FleetHash, hash)
-		}
-		hash = rep.FleetHash
 	}
 }
 

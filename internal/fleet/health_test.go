@@ -95,8 +95,8 @@ func TestReportSketchPercentilesAgree(t *testing.T) {
 	if want := brute(func(tr TenantReport) float64 { return float64(tr.Violations) }); !reflect.DeepEqual(rep.WorstViolations, want) {
 		t.Errorf("worst-violations list %+v, brute force %+v", rep.WorstViolations, want)
 	}
-	if rep.Timing == nil || rep.Timing.Samples == 0 {
-		t.Error("timing sketch lost its samples")
+	if rep.Timing == nil || rep.Timing.Samples != rep.Rounds {
+		t.Errorf("timing %+v, want one sample for each of %d rounds", rep.Timing, rep.Rounds)
 	}
 
 	// The lists are deterministic: an identical rerun reproduces them.

@@ -35,7 +35,7 @@ var (
 		"Tenants whose workload series a durable restart read back from the series file instead of regenerating.")
 	fleetPlanSeconds = obs.Default.Histogram(
 		"robustscale_fleet_plan_round_seconds",
-		"Wall-clock latency of one tenant planning round inside the fleet batch.",
+		"Wall-clock latency of one fleet round, plan start to apply end.",
 		obs.LatencyBuckets)
 
 	// Shared capacity pool instruments.

@@ -46,17 +46,31 @@ type TenantReport struct {
 	KeepWarmNow  bool  `json:"keep_warm_now,omitempty"`
 }
 
-// Timing is the latency distribution of this process's tenant-rounds:
-// each tenant's plan plus apply, read on the monotonic clock by the
-// worker that ran it and folded into one fleet sketch after each round's
-// apply barrier. It is observational only — scheduling noise makes it
-// run-dependent — so determinism checks must exclude it (hash
-// `del(.timing)` or just .fleet_hash).
+// Timing is where this process's rounds went, read on the monotonic
+// clock by the controller at each stage boundary: one sample per fleet
+// round of its latency from plan start to apply end (what
+// robustscale_fleet_plan_round_seconds observes) and each stage's wall
+// time summed over the rounds. It is observational only — scheduling
+// noise makes it run-dependent — so determinism checks must exclude it
+// (hash `del(.timing)` or just .fleet_hash).
 type Timing struct {
-	Samples   int     `json:"samples"`
-	P50Millis float64 `json:"p50_ms"`
-	P90Millis float64 `json:"p90_ms"`
-	P99Millis float64 `json:"p99_ms"`
+	Samples      int          `json:"samples"`
+	P50Millis    float64      `json:"p50_ms"`
+	P90Millis    float64      `json:"p90_ms"`
+	P99Millis    float64      `json:"p99_ms"`
+	PhaseSeconds PhaseSeconds `json:"phase_seconds"`
+}
+
+// PhaseSeconds is the wall time of each stage of a fleet round: the
+// parallel plan, the wake storm and admission barrier, the parallel
+// apply, the fold of the health plane (SLO, parked gauge, calibration),
+// and checkpointing, zero without a state dir.
+type PhaseSeconds struct {
+	Plan       float64 `json:"plan"`
+	Admit      float64 `json:"admit"`
+	Apply      float64 `json:"apply"`
+	Fold       float64 `json:"fold"`
+	Checkpoint float64 `json:"checkpoint"`
 }
 
 // WorstTenant is one entry of a worst-tenant list: a tenant and its exact
@@ -313,10 +327,11 @@ func (c *Controller) report() *Report {
 	r.CostP99 = costSketch.Percentile(99)
 	if c.dur.Count() > 0 {
 		r.Timing = &Timing{
-			Samples:   int(c.dur.Count()),
-			P50Millis: c.dur.Percentile(50) * 1e3,
-			P90Millis: c.dur.Percentile(90) * 1e3,
-			P99Millis: c.dur.Percentile(99) * 1e3,
+			Samples:      int(c.dur.Count()),
+			P50Millis:    c.dur.Percentile(50) * 1e3,
+			P90Millis:    c.dur.Percentile(90) * 1e3,
+			P99Millis:    c.dur.Percentile(99) * 1e3,
+			PhaseSeconds: c.phases,
 		}
 	}
 	r.WorstViolations = worst(c.tenants, func(t *Tenant) float64 { return float64(t.violations) })

@@ -230,7 +230,8 @@ type Tenant struct {
 	shedTotal     int64
 	clippedRounds int
 	quarantine    scaler.Breaker
-	roundDur      time.Duration // plan plus apply, read on a lapClock
+	// planStart is when Plan began the round a lone Apply finishes.
+	planStart time.Duration
 
 	// chaosCursor positions Sched; faulted reports whether any fault
 	// targets this tenant, and faults is then the fault window of the
@@ -515,13 +516,12 @@ func (t *Tenant) holdPlan(h int) []int {
 // any: with a guard the round holds the previous allocation (and counts
 // a hold); without one the error also ends the loop (Err).
 func (t *Tenant) Plan() error {
-	var clock lapClock
-	return t.plan(&clock)
+	t.planStart = obs.Mono()
+	return t.plan()
 }
 
-// plan is Plan timed on a worker's chained clock.
-func (t *Tenant) plan(clock *lapClock) error {
-	clock.start()
+// plan is Plan untimed: the fleet times its stages, not its tenants.
+func (t *Tenant) plan() error {
 	origin, h := t.origin, t.Horizon
 	if t.chaosCursor != nil {
 		t.chaosCursor.Set(t.replayStep())
@@ -568,36 +568,14 @@ func (t *Tenant) plan(clock *lapClock) error {
 		recent := t.Series.Values[max(0, origin-h):origin]
 		t.wakeReason = t.wakeGuard.Shape(round.Nodes, scaler.Idle(round.Nodes, recent, t.IdleEps)).Reason()
 	}
-	t.roundDur = clock.lap()
 	return err
 }
 
-// lapClock chains a worker's obs.Mono readings across the tenants it
-// runs back to back: the reading that ends one tenant's stage starts the
-// next one's, so start reads the clock only for a worker's first tenant
-// (zero: no reading yet) and lap once per tenant.
-type lapClock time.Duration
-
-func (c *lapClock) start() {
-	if *c == 0 {
-		*c = lapClock(obs.Mono())
-	}
-}
-
-func (c *lapClock) lap() time.Duration {
-	now := lapClock(obs.Mono())
-	d := time.Duration(now - *c)
-	*c = now
-	return d
-}
-
-// roundScratch is the working memory of one round: the worker's clock,
-// the round's fault window and the result the plant fills at each step.
-// Nothing in it outlives the round, so the controller lends one to each
-// worker of its plan and apply stages, and a tenant applied on its own
-// keeps one.
+// roundScratch is the working memory of one round's apply: the round's
+// fault window and the result the plant fills at each step. Nothing in
+// it outlives the round, so the controller lends one to each worker of
+// its apply stage, and a tenant applied on its own keeps one.
 type roundScratch struct {
-	clock   lapClock
 	faults  chaos.Window
 	stepped cluster.StepResult
 }
@@ -619,24 +597,22 @@ func (t *Tenant) stepFaults() (int, chaos.StepFaults) {
 // plant through every admitted allocation, count violations, cost and
 // the rolling allocation hash, feed wake events back into the wake
 // guard, and grade the fan's calibration over the round. It returns the
-// error that ended the loop, if any, and observes the round's latency on
-// the fleet plan-round histogram.
+// error that ended the loop, if any, and observes the round's latency,
+// from the start of Plan, on the fleet plan-round histogram: a tenant run
+// alone is a fleet round of one.
 func (t *Tenant) Apply() error {
 	if t.own == nil {
 		t.own = newRoundScratch(t.Horizon)
 	}
-	t.own.clock = 0
 	if err := t.apply(t.own); err != nil {
 		return err
 	}
-	fleetPlanSeconds.Observe(t.roundDur.Seconds())
+	fleetPlanSeconds.Observe((obs.Mono() - t.planStart).Seconds())
 	return nil
 }
 
-// apply is Apply in the given round scratch, timed on its chained clock
-// and leaving the latency to the caller.
+// apply is Apply in the given round scratch, untimed.
 func (t *Tenant) apply(s *roundScratch) error {
-	s.clock.start()
 	origin, plan, fan := t.origin, t.round.Nodes, t.round.Fan
 	reason := t.shedReason
 	if reason == "" {
@@ -696,7 +672,6 @@ func (t *Tenant) apply(s *roundScratch) error {
 	t.origin = origin + t.Horizon
 	t.roundCounter.Inc()
 	t.wakeReason = ""
-	t.roundDur += s.clock.lap()
 	return nil
 }
 

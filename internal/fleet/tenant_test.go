@@ -167,3 +167,23 @@ func TestTenantRestartAfterCrash(t *testing.T) {
 		})
 	}
 }
+
+// TestTenantRoundObservedOnce: a tenant run alone is a fleet round of one,
+// so each Plan then Apply adds one plan-round observation, timed from the
+// start of Plan.
+func TestTenantRoundObservedOnce(t *testing.T) {
+	_, tn := benchTenant(t)
+	const rounds = 3
+	before := fleetPlanSeconds.Count()
+	for i := 0; i < rounds; i++ {
+		if err := tn.Plan(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tn.Apply(); err != nil {
+			t.Fatal(err)
+		}
+		if d := fleetPlanSeconds.Count() - before; d != uint64(i+1) {
+			t.Fatalf("after %d rounds: %d plan-round observations", i+1, d)
+		}
+	}
+}

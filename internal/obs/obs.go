@@ -89,22 +89,35 @@ func (f *atomicFloat) Add(v float64) {
 func (f *atomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
 func (f *atomicFloat) Load() float64   { return math.Float64frombits(f.bits.Load()) }
 
-// Counter is a monotonically increasing value.
-type Counter struct{ v atomicFloat }
+// Counter is a monotonically increasing value. Whole-number increments
+// are one atomic integer add, so workers bumping a shared counter never
+// loop on a compare-and-swap; a fractional Add keeps a float of its own.
+type Counter struct {
+	n    atomic.Uint64
+	frac atomicFloat
+}
+
+// maxWhole bounds the deltas Add counts as integers: every whole float64
+// up to 2⁵³ converts exactly.
+const maxWhole = 1 << 53
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.n.Add(1) }
 
 // Add increases the counter; negative deltas are a programming error.
 func (c *Counter) Add(v float64) {
 	if v < 0 {
 		panic("obs: counter decreased")
 	}
-	c.v.Add(v)
+	if v <= maxWhole && v == math.Trunc(v) {
+		c.n.Add(uint64(v))
+		return
+	}
+	c.frac.Add(v)
 }
 
 // Value returns the current total.
-func (c *Counter) Value() float64 { return c.v.Load() }
+func (c *Counter) Value() float64 { return float64(c.n.Load()) + c.frac.Load() }
 
 // Gauge is a value that can go up and down.
 type Gauge struct{ v atomicFloat }
