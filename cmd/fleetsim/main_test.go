@@ -71,8 +71,8 @@ func TestGoldenFleetHash(t *testing.T) {
 
 // TestFleetHashTable pins one fleet hash per configuration: the 200-tenant
 // default, the same fleet on the naive fan, the pooled fleet under
-// the chaos presets that drive the apply breaker and pool quarantine, the
-// default fleet under forecaster faults, and the serverless fleet with its
+// the chaos presets that drive the apply breaker and pool quarantine or
+// corrupt its telemetry, the default fleet under forecaster faults, and the serverless fleet with its
 // wake defaults, alone and under a wake storm against a binding pool. The
 // last three rows put every per-step fault class the apply stage reads
 // under a hash: the wake faults, apply and node-kill faults on a pooled
@@ -89,6 +89,7 @@ func TestFleetHashTable(t *testing.T) {
 		{"-tenants 200 -pool 220 -chaos apply", "d252020f0b76e535", false},
 		{"-tenants 200 -pool 220 -chaos all", "a7984854941c09ae", true},
 		{"-tenants 200 -pool 220 -chaos fleet", "08c34d9f4e9c7a0f", true},
+		{"-tenants 200 -pool 220 -chaos telemetry", "fd61f0a04e092e97", false},
 		{"-tenants 200 -chaos forecast", "fd9e04368b3c98a4", true},
 		{"-tenants 200 -serverless", "e000d8f415fbe70f", false},
 		{"-tenants 200 -serverless -pool 240 -chaos wake-storm", "e11e2f94dfc78927", false},

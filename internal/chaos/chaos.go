@@ -16,7 +16,7 @@ package chaos
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -124,17 +124,27 @@ type Event struct {
 // comparison, never hashed — each with its events sorted by step and its
 // longest window. ActiveAt is then a binary search plus a walk back over
 // only the events that could still cover the step: O(log n + overlap).
+//
+// Window.Fill keeps a resume index per class in the schedule, so one
+// goroutine at a time fills from a schedule; every other method only
+// reads it.
 type Schedule struct {
 	classes []classEvents
 	total   int
 }
 
 // classEvents is one class's events, as slots sorted by Step with
-// same-step events in Add order, and the longest span among them.
+// same-step events in Add order, and the longest span among them. Fill's
+// last search for the class was for step at and ended at index next,
+// whose event starts at nextStep (math.MaxInt past the last), so a round
+// before the class's next event reads nothing of slots.
 type classEvents struct {
-	class   Class
-	slots   []slot
-	longest int
+	class    Class
+	slots    []slot
+	longest  int
+	next     int
+	at       int
+	nextStep int
 }
 
 // slot is an event without its class, which is its list's.
@@ -176,6 +186,27 @@ func startedBy(evs []slot, step int) int {
 	return lo
 }
 
+// startedBy is startedBy(ce.slots, step), walking forward from where the
+// last call ended; it searches only when step went back.
+func (ce *classEvents) startedBy(step int) int {
+	if step < ce.at {
+		ce.seek(startedBy(ce.slots, step))
+	}
+	for ce.next < len(ce.slots) && ce.nextStep <= step {
+		ce.seek(ce.next + 1)
+	}
+	ce.at = step
+	return ce.next
+}
+
+// seek moves the resume index to i.
+func (ce *classEvents) seek(i int) {
+	ce.next, ce.nextStep = i, math.MaxInt
+	if i < len(ce.slots) {
+		ce.nextStep = ce.slots[i].Step
+	}
+}
+
 // Add inserts an event after every event of its class that starts at or
 // before its step.
 func (s *Schedule) Add(e Event) {
@@ -187,6 +218,8 @@ func (s *Schedule) Add(e Event) {
 	sl := slot{e.Step, e.Size, e.Value}
 	ce.slots = slices.Insert(ce.slots, startedBy(ce.slots, e.Step), sl)
 	ce.longest = max(ce.longest, sl.span())
+	ce.at = math.MinInt
+	ce.seek(0)
 	s.total++
 }
 
@@ -200,6 +233,31 @@ func (s *Schedule) Len() int {
 
 // Empty reports whether nothing is scheduled.
 func (s *Schedule) Empty() bool { return s.Len() == 0 }
+
+// Hooks says which of the loop's injection points a schedule holds a
+// class for: the Forecaster wrapper, CorruptTelemetry, the WrapApply
+// wrapper and the apply stage's Window. A loop arms only these; nothing
+// would fire at the others.
+type Hooks struct{ Forecast, Telemetry, Apply, Window bool }
+
+// Hooks returns the injection points the schedule holds a class for.
+func (s *Schedule) Hooks() (h Hooks) {
+	if s == nil {
+		return h
+	}
+	for i := range s.classes {
+		switch c := s.classes[i].class; c {
+		case ForecastError, ForecastNaN, ForecastCrossing, ForecastBlowup, ForecastLatency:
+			h.Forecast = true
+		case TelemetryStale, TelemetryDropout, TelemetryDuplicate:
+			h.Telemetry = true
+		default:
+			h.Apply = h.Apply || c == ApplyReject || c == ApplyPartial || c == ApplyTimeout
+			h.Window = h.Window || applyClass(c)
+		}
+	}
+	return h
+}
 
 // Events returns every scheduled event, ordered by step then class.
 func (s *Schedule) Events() []Event {
@@ -267,19 +325,6 @@ func (s *Schedule) PartialProvisionAt(step int) bool {
 	return ok
 }
 
-// KillsAt returns how many nodes the schedule kills at exactly this step.
-func (s *Schedule) KillsAt(step int) int {
-	ce := s.of(NodeKill)
-	if ce == nil {
-		return 0
-	}
-	killed := 0
-	for i := startedBy(ce.slots, step) - 1; i >= 0 && ce.slots[i].Step == step; i-- {
-		killed += ce.slots[i].span()
-	}
-	return killed
-}
-
 // StepFaults is one step's answer to every question the apply stage asks
 // a schedule: the plant's kills and wake faults and the control-plane
 // faults of the scale action. The zero value is a fault-free step.
@@ -293,18 +338,14 @@ type StepFaults struct {
 	WakeFail, PartialProvision, Reject, Timeout, Partial bool
 }
 
-// ApplyFault reports whether any control-plane fault class (rejection,
-// partial fulfilment, timeout) is active at the step — the condition
-// under which a failed scale action is an injected fault to hold through
-// rather than a real error to propagate.
-func (f StepFaults) ApplyFault() bool { return f.Reject || f.Partial || f.Timeout }
-
 // Window is a schedule's StepFaults over the consecutive steps
 // [From, From+len(Steps)): one control round's worth, so the apply stage
 // asks its schedule once per round instead of several times per step.
-// The owner sizes Steps once; Fill never allocates.
+// Quiet reports that no step of it has a fault. The owner sizes Steps
+// once and leaves it to Fill, which never allocates.
 type Window struct {
 	From  int
+	Quiet bool
 	Steps []StepFaults
 }
 
@@ -313,10 +354,12 @@ type Window struct {
 // could cover it. Window classes resolve as ActiveAt does, since a later
 // event in a class's order starts later or was added later: each event
 // overwrites the steps it covers. Kills sum the events starting at a
-// step, as KillsAt does.
+// step, as KillsAt does. A quiet window is already clear.
 func (w *Window) Fill(s *Schedule, from int) {
-	w.From = from
-	clear(w.Steps)
+	if !w.Quiet {
+		clear(w.Steps)
+	}
+	w.From, w.Quiet = from, true
 	if s == nil {
 		return
 	}
@@ -329,16 +372,22 @@ func (w *Window) Fill(s *Schedule, from int) {
 		kills := ce.class == NodeKill
 		// The events that start after from-longest and before to are the
 		// ones that can cover a step of the window.
-		for i := startedBy(ce.slots, from-ce.longest); i < len(ce.slots) && ce.slots[i].Step < to; i++ {
+		i := ce.startedBy(from - ce.longest)
+		if ce.nextStep >= to {
+			continue
+		}
+		for ; i < len(ce.slots) && ce.slots[i].Step < to; i++ {
 			e := &ce.slots[i]
 			if kills {
 				if e.Step >= from {
 					w.Steps[e.Step-from].Kills += e.span()
+					w.Quiet = false
 				}
 				continue
 			}
 			for j := max(e.Step, from) - from; j < min(e.Step+e.span(), to)-from; j++ {
 				w.Steps[j].set(ce.class, e)
+				w.Quiet = false
 			}
 		}
 	}
@@ -424,7 +473,7 @@ func (p Profile) Validate() error {
 		if rate > 0 {
 			anyRate = true
 		}
-		if !validClass(class) {
+		if !slices.Contains(Classes, class) {
 			return fmt.Errorf("chaos: unknown fault class %q", class)
 		}
 	}
@@ -432,34 +481,6 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("chaos: profile %q needs an explicit non-zero seed for deterministic injection", p.Name)
 	}
 	return nil
-}
-
-func validClass(c Class) bool {
-	for _, known := range Classes {
-		if c == known {
-			return true
-		}
-	}
-	return false
-}
-
-// Only returns a copy of the profile with every class but the given one
-// disabled — the per-class cell of a resilience matrix.
-func (p Profile) Only(class Class) Profile {
-	out := p
-	out.Rates = map[Class]float64{class: p.Rates[class]}
-	return out
-}
-
-// classSeed derives a per-class RNG seed so class streams are independent.
-func classSeed(seed int64, class Class) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(class))
-	derived := seed ^ int64(h.Sum64())
-	if derived == 0 {
-		derived = 1
-	}
-	return derived
 }
 
 // Build expands the profile into a concrete schedule.
@@ -475,7 +496,7 @@ func (p Profile) Build() (*Schedule, error) {
 		if rate <= 0 {
 			continue
 		}
-		if seed := classSeed(p.Seed, class); rng == nil {
+		if seed := deriveSeed(p.Seed, string(class)); rng == nil {
 			rng = rand.New(rand.NewSource(seed))
 		} else {
 			rng.Seed(seed) // restarts the stream rand.New(rand.NewSource(seed)) draws
@@ -501,7 +522,8 @@ func (p Profile) Build() (*Schedule, error) {
 			drawn = append(drawn, e)
 		}
 		if len(drawn) > 0 { // every event of a class has one span
-			sched.classes = append(sched.classes, classEvents{class: class, slots: slices.Clone(drawn), longest: drawn[0].span()})
+			sched.classes = append(sched.classes, classEvents{class: class, slots: slices.Clone(drawn),
+				longest: drawn[0].span(), at: math.MinInt, nextStep: drawn[0].Step})
 			sched.total += len(drawn)
 		}
 	}

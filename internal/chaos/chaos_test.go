@@ -128,3 +128,43 @@ func TestPresetNames(t *testing.T) {
 		t.Error("unknown preset should error")
 	}
 }
+
+// The queries below answer only tests: the loop reads kills from its
+// round's Window, and blast-radius accounting reads a tenant's own
+// schedule.
+
+// KillsAt returns how many nodes the schedule kills at exactly this step.
+func (s *Schedule) KillsAt(step int) int {
+	ce := s.of(NodeKill)
+	if ce == nil {
+		return 0
+	}
+	killed := 0
+	for i := startedBy(ce.slots, step) - 1; i >= 0 && ce.slots[i].Step == step; i-- {
+		killed += ce.slots[i].span()
+	}
+	return killed
+}
+
+// Only returns a copy of the profile with every class but the given one
+// disabled — the per-class cell of a resilience matrix.
+func (p Profile) Only(class Class) Profile {
+	out := p
+	out.Rates = map[Class]float64{class: p.Rates[class]}
+	return out
+}
+
+// TenantFaulted reports whether the tenant receives any injected fault:
+// a non-empty local schedule or membership in a zone struck by an
+// outage. Blast-radius accounting uses this to split the fleet into
+// faulted and bystander tenants.
+func (fs *FleetSchedule) TenantFaulted(index int, id string) (bool, error) {
+	if fs == nil {
+		return false, nil
+	}
+	sched, err := fs.TenantSchedule(index, id)
+	if err != nil {
+		return false, err
+	}
+	return !sched.Empty(), nil
+}

@@ -2,8 +2,7 @@
 // control plane rather than a single tenant's loop, plus per-tenant
 // fault schedules derived from one master seed.
 //
-// The derivation mirrors the per-class FNV pattern: each tenant's local
-// schedule is built from TenantSeed(master, id), so a single tenant's
+// Each tenant's local schedule is built from TenantSeed(master, id), so a single tenant's
 // schedule is the exact restriction of the all-tenant run — adding or
 // removing tenants from the injection set never perturbs another
 // tenant's event placement, and fleet-level classes (zone outage, pool
@@ -13,6 +12,7 @@ package chaos
 
 import (
 	"hash/fnv"
+	"slices"
 )
 
 // The fleet-level fault classes. Unlike the per-loop taxonomy these are
@@ -39,23 +39,15 @@ const (
 // FleetClasses lists the fleet-level classes in taxonomy order.
 var FleetClasses = []Class{ZoneOutage, PoolCollapse, AdmissionReject, WakeStorm}
 
-// fleetClass reports whether the class strikes the fleet layer (and so
-// draws from the master seed) rather than a single tenant's loop.
-func fleetClass(c Class) bool {
-	for _, fc := range FleetClasses {
-		if c == fc {
-			return true
-		}
-	}
-	return false
-}
+// TenantSeed derives a per-tenant RNG seed from the fleet master seed, so
+// tenant streams are independent of each other and of the class streams.
+func TenantSeed(seed int64, id string) int64 { return deriveSeed(seed, id) }
 
-// TenantSeed derives a per-tenant RNG seed from the fleet master seed,
-// using the same FNV-1a pattern as classSeed so tenant streams are
-// independent of each other and of the fleet-level class streams.
-func TenantSeed(seed int64, id string) int64 {
+// deriveSeed is seed xor the FNV-1a hash of name (1 where that is 0): the
+// stream of one class or one tenant.
+func deriveSeed(seed int64, name string) int64 {
 	h := fnv.New64a()
-	h.Write([]byte(id))
+	h.Write([]byte(name))
 	derived := seed ^ int64(h.Sum64())
 	if derived == 0 {
 		derived = 1
@@ -83,7 +75,7 @@ func NewFleetSchedule(p Profile, zones int) (*FleetSchedule, error) {
 	fleetProfile := p
 	fleetProfile.Rates = map[Class]float64{}
 	for class, rate := range p.Rates {
-		if fleetClass(class) {
+		if slices.Contains(FleetClasses, class) {
 			fleetProfile.Rates[class] = rate
 		}
 	}
@@ -143,7 +135,7 @@ func (fs *FleetSchedule) TenantSchedule(index int, id string) (*Schedule, error)
 	local.Seed = TenantSeed(fs.profile.Seed, id)
 	local.Rates = map[Class]float64{}
 	for class, rate := range fs.profile.Rates {
-		if !fleetClass(class) {
+		if !slices.Contains(FleetClasses, class) {
 			local.Rates[class] = rate
 		}
 	}
@@ -164,21 +156,6 @@ func (fs *FleetSchedule) TenantSchedule(index int, id string) (*Schedule, error)
 	return sched, nil
 }
 
-// TenantFaulted reports whether the tenant receives any injected fault:
-// a non-empty local schedule or membership in a zone struck by an
-// outage. Blast-radius accounting uses this to split the fleet into
-// faulted and bystander tenants.
-func (fs *FleetSchedule) TenantFaulted(index int, id string) (bool, error) {
-	if fs == nil {
-		return false, nil
-	}
-	sched, err := fs.TenantSchedule(index, id)
-	if err != nil {
-		return false, err
-	}
-	return !sched.Empty(), nil
-}
-
 // PoolFactorAt returns the remaining capacity fraction of the shared
 // pool at the step: 1.0 normally and, during a collapse window, the value
 // of the latest-starting active PoolCollapse event (0.5 when that value
@@ -187,17 +164,14 @@ func (fs *FleetSchedule) PoolFactorAt(step int) float64 {
 	if fs == nil {
 		return 1
 	}
-	factor := 1.0
-	if e, ok := fs.fleet.ActiveAt(step, PoolCollapse); ok {
-		v := e.Value
-		if v <= 0 || v > 1 {
-			v = 0.5
-		}
-		if v < factor {
-			factor = v
-		}
+	e, ok := fs.fleet.ActiveAt(step, PoolCollapse)
+	if !ok {
+		return 1
 	}
-	return factor
+	if e.Value <= 0 || e.Value > 1 {
+		return 0.5
+	}
+	return e.Value
 }
 
 // AdmissionRejectAt reports whether the admission RPC is refusing

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"robustscale/internal/forecast"
 	"robustscale/internal/obs"
@@ -11,14 +10,16 @@ import (
 )
 
 // Cursor shares the current replay step between the driving loop and the
-// injectors wrapped around its boundaries. Safe for concurrent use.
-type Cursor struct{ v atomic.Int64 }
+// injectors wrapped around its boundaries. It is a plain value: the loop
+// moves it in the stage whose injector reads it, and a barrier separates
+// one stage from the next.
+type Cursor struct{ step int }
 
 // Set moves the cursor to the given replay step.
-func (c *Cursor) Set(step int) { c.v.Store(int64(step)) }
+func (c *Cursor) Set(step int) { c.step = step }
 
 // Step returns the current replay step.
-func (c *Cursor) Step() int { return int(c.v.Load()) }
+func (c *Cursor) Step() int { return c.step }
 
 // latencySeconds accumulates injected (virtual) latency so a chaos run's
 // slow-path pressure is visible without sleeping wall-clock time.
@@ -46,11 +47,9 @@ func (f *Forecaster) Fit(train *timeseries.Series) error { return f.Inner.Fit(tr
 // Predict implements forecast.Forecaster with the error and latency
 // fault classes applied.
 func (f *Forecaster) Predict(history *timeseries.Series, h int) ([]float64, error) {
-	step := f.step()
-	if err := f.injectedError(step); err != nil {
+	if _, err := f.enter(); err != nil {
 		return nil, err
 	}
-	f.injectLatency(step)
 	return f.Inner.Predict(history, h)
 }
 
@@ -74,13 +73,11 @@ var _ forecast.IncrementalForecaster = (*Forecaster)(nil)
 // predict is the one fault-applying body of both entries; warm sends the
 // inner forecast through its warm path.
 func (f *Forecaster) predict(warm bool, history *timeseries.Series, h int, levels []float64) (*forecast.QuantileForecast, error) {
-	step := f.step()
-	if err := f.injectedError(step); err != nil {
+	step, err := f.enter()
+	if err != nil {
 		return nil, err
 	}
-	f.injectLatency(step)
 	var fan *forecast.QuantileForecast
-	var err error
 	if warm {
 		fan, err = forecast.PredictQuantilesWarm(f.Inner, history, h, levels)
 	} else {
@@ -104,26 +101,23 @@ func (f *Forecaster) predict(warm bool, history *timeseries.Series, h int, level
 	return fan, nil
 }
 
-func (f *Forecaster) step() int {
-	if f.Cursor == nil {
-		return 0
+// enter reads the cursor's step (0 without a cursor) and applies the
+// classes that strike before the inner forecast: an injected error, and
+// injected latency.
+func (f *Forecaster) enter() (int, error) {
+	step := 0
+	if f.Cursor != nil {
+		step = f.Cursor.Step()
 	}
-	return f.Cursor.Step()
-}
-
-func (f *Forecaster) injectedError(step int) error {
 	if _, ok := f.Schedule.ActiveAt(step, ForecastError); ok {
 		CountInjected(ForecastError)
-		return fmt.Errorf("chaos: injected forecaster failure at step %d", step)
+		return step, fmt.Errorf("chaos: injected forecaster failure at step %d", step)
 	}
-	return nil
-}
-
-func (f *Forecaster) injectLatency(step int) {
 	if e, ok := f.Schedule.ActiveAt(step, ForecastLatency); ok {
 		CountInjected(ForecastLatency)
 		latencySeconds.Add(e.Value)
 	}
+	return step, nil
 }
 
 // poisonFan replaces a deterministic scatter of fan entries with NaN and
@@ -185,19 +179,17 @@ func CorruptTelemetry(s *timeseries.Series, sched *Schedule, step int) *timeseri
 	if sched == nil || s == nil || s.Len() == 0 {
 		return s
 	}
-	var active []Event
-	for _, class := range []Class{TelemetryStale, TelemetryDropout, TelemetryDuplicate} {
-		if e, ok := sched.ActiveAt(step, class); ok {
-			active = append(active, e)
+	out := s
+	for _, class := range [...]Class{TelemetryStale, TelemetryDropout, TelemetryDuplicate} {
+		e, ok := sched.ActiveAt(step, class)
+		if !ok {
+			continue
 		}
-	}
-	if len(active) == 0 {
-		return s
-	}
-	out := s.Clone()
-	n := out.Len()
-	for _, e := range active {
-		CountInjected(e.Class)
+		if out == s {
+			out = s.Clone()
+		}
+		CountInjected(class)
+		n := out.Len()
 		k := min(max(e.Size, 1), n)
 		switch e.Class {
 		case TelemetryStale:

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -171,7 +172,76 @@ func FuzzScheduleMatchesLegacy(f *testing.F) {
 				t.Fatalf("window from %d: At(%d) = %+v, want %+v", from, step, got, want)
 			}
 		}
+		// Fill resumes each class where its last search ended: the same
+		// window again, the rounds after it, back to a restore point and
+		// on again.
+		for _, next := range []int{from, from + n, from + 2*n + 1, from - 7, from - 7 + n, from + 5*n} {
+			checkWindow(t, &w, &s, &ref, next)
+		}
 	})
+}
+
+// checkWindow fills w from s at from and holds every step of it, and its
+// Quiet flag, to the reference.
+func checkWindow(t *testing.T, w *Window, s *Schedule, ref *legacySchedule, from int) {
+	t.Helper()
+	w.Fill(s, from)
+	quiet := true
+	for i, got := range w.Steps {
+		want := ref.legacyFaults(from + i)
+		if got != want {
+			t.Fatalf("window from %d, step %d: %+v, reference %+v", from, from+i, got, want)
+		}
+		quiet = quiet && want == StepFaults{}
+	}
+	if w.From != from || w.Quiet != quiet {
+		t.Fatalf("window from %d: From %d, Quiet %v, reference quiet %v", from, w.From, w.Quiet, quiet)
+	}
+}
+
+// TestWindowFillResumes holds Fill's resume index to the reference over
+// the from sequences a loop produces on tenant schedules of the presets
+// the apply stage reads: round after round, a round applied twice, and a
+// warm restore jumping back to an earlier round boundary and replaying
+// forward from it.
+func TestWindowFillResumes(t *testing.T) {
+	const steps, round = 600, 12
+	for _, name := range []string{"wake-storm", "wake", "apply", "node-kill", "all", "smoke"} {
+		p, err := Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Seed, p.Steps = 7, steps
+		fs, err := NewFleetSchedule(p, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			s, err := fs.TenantSchedule(i, fmt.Sprintf("tenant-%d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ref legacySchedule
+			for _, e := range s.Events() {
+				ref.add(e)
+			}
+			w := Window{Steps: make([]StepFaults, round)}
+			var froms []int
+			for from := 0; from < steps; from += round {
+				froms = append(froms, from)
+				if from%(5*round) == 0 {
+					froms = append(froms, from) // applied again
+				}
+				if from == steps/2 {
+					froms = append(froms, round, 2*round) // restored
+				}
+			}
+			froms = append(froms, steps-1, -round, 0)
+			for _, from := range froms {
+				checkWindow(t, &w, s, &ref, from)
+			}
+		}
+	}
 }
 
 // BenchmarkScheduleActiveAt times one lookup on a tenant's schedule under

@@ -33,6 +33,10 @@ func DefaultNodeSizes() []optimize.NodeSize {
 	}
 }
 
+// defaultSizes is the one DefaultNodeSizes ladder every plant built
+// without its own shares; a plant only reads its ladder.
+var defaultSizes = DefaultNodeSizes()
+
 // ServerlessConfig parameterizes the plant.
 type ServerlessConfig struct {
 	// Sizes is the vertical ladder (DefaultNodeSizes when nil).
@@ -118,12 +122,18 @@ type Serverless struct {
 	wakeFails int64
 	parks     int64
 	partials  int64
+
+	// target is the ladder's answer for sized demand units (none while
+	// sized is 0): a step whose demand repeats reuses it.
+	sized  int
+	target optimize.SizedAlloc
 }
 
-// NewServerless builds a plant starting parked at zero.
+// NewServerless builds a plant starting parked at zero. Its ladder is
+// validated here, once.
 func NewServerless(cfg ServerlessConfig) (*Serverless, error) {
 	if cfg.Sizes == nil {
-		cfg.Sizes = DefaultNodeSizes()
+		cfg.Sizes = defaultSizes
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -140,11 +150,10 @@ func (s *Serverless) Waking() bool { return s.waking }
 // Nodes returns the committed node count.
 func (s *Serverless) Nodes() int { return s.nodes }
 
-// Wakes, WakeFails, Parks and Partials are lifetime event counters.
+// Wakes, WakeFails and Parks are lifetime event counters.
 func (s *Serverless) Wakes() int64     { return s.wakes }
 func (s *Serverless) WakeFails() int64 { return s.wakeFails }
 func (s *Serverless) Parks() int64     { return s.parks }
-func (s *Serverless) Partials() int64  { return s.partials }
 
 // Step advances the plant one replay step against the admitted demand
 // (base-node units) and the step's scheduled faults, returning what
@@ -162,12 +171,10 @@ func (s *Serverless) Step(demandUnits int, f WakeFault) WakeOutcome {
 		return out
 	}
 
-	target, err := optimize.SizeDemand(demandUnits, s.cfg.Sizes)
-	if err != nil || target.Count < 1 {
-		// Unreachable with a validated config; park defensively.
-		out.Parked = s.Parked()
-		return out
+	if demandUnits != s.sized {
+		s.sized, s.target = demandUnits, optimize.Cheapest(demandUnits, s.cfg.Sizes)
 	}
+	target := s.target
 
 	if s.nodes == 0 {
 		// Wake-from-zero: resolve the cold-start latency against the

@@ -1,7 +1,17 @@
 package fleet
 
 import (
+	"math"
 	"testing"
+	"time"
+
+	"robustscale/internal/chaos"
+	"robustscale/internal/cluster"
+	"robustscale/internal/forecast"
+	"robustscale/internal/obs"
+	"robustscale/internal/persist"
+	"robustscale/internal/scaler"
+	"robustscale/internal/timeseries"
 )
 
 func TestChaosNoneIsBitIdentical(t *testing.T) {
@@ -148,6 +158,102 @@ func TestResilienceMatrix(t *testing.T) {
 	for _, cell := range cells {
 		if cell.FleetHash == "" || cell.BlastRadius.Bystanders+cell.BlastRadius.Faulted != cfg.Tenants {
 			t.Errorf("malformed matrix cell %+v", cell)
+		}
+	}
+}
+
+// hookTenant starts a guarded robust tenant on a naive forecaster over a
+// short diurnal trace under sched, and reports whether its forecaster
+// went through the fault wrapper.
+func hookTenant(t *testing.T, sched *chaos.Schedule) (*Tenant, bool) {
+	t.Helper()
+	const trainEnd, horizon, theta = 48, 6, 2.0
+	values := make([]float64, trainEnd+4*horizon)
+	for i := range values {
+		values[i] = 40 + 20*math.Sin(2*math.Pi*float64(i)/24)
+	}
+	tn := &Tenant{
+		ID:       "hooks",
+		Series:   timeseries.New("hooks", time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC), 10*time.Minute, values),
+		TrainEnd: trainEnd, Horizon: horizon,
+		Fingerprint: persist.Fingerprint{Theta: theta, Horizon: horizon},
+		GuardConfig: &scaler.GuardConfig{Theta: theta, Tau: 0.9},
+		Breaker:     &scaler.Breaker{Threshold: 3, Cooldown: 3},
+		Sched:       sched,
+		Plant:       &cluster.AllocPlant{Theta: theta},
+	}
+	wrapped := false
+	tn.Build = func([]byte, float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
+		qf := forecast.NewNaive(horizon)
+		if err := qf.Fit(tn.Series.Slice(0, trainEnd)); err != nil {
+			return nil, nil, 0, err
+		}
+		faulty := tn.Faulty(qf)
+		_, wrapped = faulty.(*chaos.Forecaster)
+		return &scaler.Robust{Forecaster: faulty, Tau: 0.9, Theta: theta}, nil, 0, nil
+	}
+	if _, err := tn.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return tn, wrapped
+}
+
+// TestChaosHooksArmOnlyForHeldClasses: a tenant arms an injection point
+// only when its schedule holds a class the point reads. With no schedule,
+// or an empty one, nothing is armed and the forecaster is not wrapped.
+// One event of a class arms exactly the points that read it, and the
+// event fires: its injection counter moves over the tenant's rounds. The
+// wake classes fire only in a scale-to-zero plant's wake, so for them
+// the arming alone is checked here; the wake and wake-storm rows of
+// cmd/fleetsim's TestFleetHashTable hold their firing.
+func TestChaosHooksArmOnlyForHeldClasses(t *testing.T) {
+	injected := obs.Default.CounterVec("robustscale_chaos_faults_injected_total", "", "class")
+	for _, sched := range []*chaos.Schedule{nil, {}} {
+		if tn, wrapped := hookTenant(t, sched); tn.hooks != (chaos.Hooks{}) || wrapped {
+			t.Errorf("schedule %v: hooks %+v, forecaster wrapped %v; want none armed", sched, tn.hooks, wrapped)
+		}
+	}
+	forecastHook, telemetryHook := chaos.Hooks{Forecast: true}, chaos.Hooks{Telemetry: true}
+	applyHook, windowHook := chaos.Hooks{Apply: true, Window: true}, chaos.Hooks{Window: true}
+	for _, tc := range []struct {
+		class chaos.Class
+		want  chaos.Hooks
+		fires bool
+	}{
+		{chaos.ForecastError, forecastHook, true},
+		{chaos.ForecastNaN, forecastHook, true},
+		{chaos.ForecastCrossing, forecastHook, true},
+		{chaos.ForecastBlowup, forecastHook, true},
+		{chaos.ForecastLatency, forecastHook, true},
+		{chaos.TelemetryStale, telemetryHook, true},
+		{chaos.TelemetryDropout, telemetryHook, true},
+		{chaos.TelemetryDuplicate, telemetryHook, true},
+		{chaos.ApplyReject, applyHook, true},
+		{chaos.ApplyPartial, applyHook, true},
+		{chaos.ApplyTimeout, applyHook, true},
+		{chaos.NodeKill, windowHook, true},
+		{chaos.WakeStall, windowHook, false},
+		{chaos.WakeFail, windowHook, false},
+		{chaos.PartialProvision, windowHook, false},
+		// Fleet-level classes strike the controller, never a tenant hook.
+		{chaos.PoolCollapse, chaos.Hooks{}, false},
+		{chaos.WakeStorm, chaos.Hooks{}, false},
+	} {
+		sched := &chaos.Schedule{}
+		sched.Add(chaos.Event{Step: 0, Class: tc.class, Size: 3, Value: 30})
+		tn, wrapped := hookTenant(t, sched)
+		if tn.hooks != tc.want || wrapped != tc.want.Forecast {
+			t.Errorf("%s: hooks %+v, forecaster wrapped %v; want %+v", tc.class, tn.hooks, wrapped, tc.want)
+		}
+		before := injected.With(string(tc.class)).Value()
+		for tn.Active() {
+			_ = tn.Plan()
+			if err := tn.Apply(); err != nil {
+				t.Fatalf("%s: %v", tc.class, err)
+			}
+		}
+		if fired := injected.With(string(tc.class)).Value() > before; tc.fires && !fired {
+			t.Errorf("%s: armed, but the event never fired", tc.class)
 		}
 	}
 }

@@ -314,6 +314,7 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 	if err != nil {
 		return nil, err
 	}
+	t.plans = scaler.DeferPlanCounts(t.planner)
 	if recovered != nil {
 		t.sloBlob = recovered.SLO
 	}
@@ -517,6 +518,7 @@ func (c *Controller) injectWakeStorm(active []*Tenant) {
 func (c *Controller) Run(ctx context.Context) (*Report, error) {
 	cfg := c.cfg
 	active := make([]*Tenant, 0, len(c.tenants))
+	var plans scaler.PlanTally
 	for {
 		if ctx != nil && ctx.Err() != nil {
 			break
@@ -537,10 +539,18 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		parallel.ForEachWorkerSpan("fleet-plan", cfg.Workers, len(active), func(_, i int) {
 			_ = active[i].plan()
 		})
+		// The round's planning counts reach the shared counters here, in
+		// one add per counter.
+		var err error
 		for _, t := range c.tenants {
-			if t.err != nil {
-				return nil, t.err
+			plans.Fold(t.plans)
+			if err == nil {
+				err = t.err
 			}
+		}
+		plans.Flush()
+		if err != nil {
+			return nil, err
 		}
 		// The admission barrier is sequential and index-ordered: clipping,
 		// shedding, quarantine transitions and their journal entries are a

@@ -280,6 +280,37 @@ func TestRoundObservationsComplete(t *testing.T) {
 	}
 }
 
+// TestPlanCountsFoldEveryRound: the fleet's tenants hold their planning
+// counts until the plan barrier folds them, so a Run of r rounds leaves
+// plans_total and planned_steps_total exactly r rounds on, at any worker
+// count, as when every tenant added its own.
+func TestPlanCountsFoldEveryRound(t *testing.T) {
+	const tenants = 12
+	plans := obs.Default.CounterVec("robustscale_scaler_plans_total", "", "strategy")
+	steps := obs.Default.Counter("robustscale_scaler_planned_steps_total", "")
+	for _, workers := range []int{1, 2} {
+		for rounds := 1; rounds <= 3; rounds++ {
+			cfg := DefaultConfig(tenants)
+			cfg.Workers, cfg.MaxRounds = workers, rounds
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			planned := plans.With(c.Tenants()[0].planner.Name())
+			p0, s0 := planned.Value(), steps.Value()
+			if _, err := c.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := planned.Value()-p0, float64(tenants*rounds); got != want {
+				t.Errorf("workers %d, %d rounds: %v plans, want %v", workers, rounds, got, want)
+			}
+			if got, want := steps.Value()-s0, float64(tenants*rounds*cfg.Horizon); got != want {
+				t.Errorf("workers %d, %d rounds: %v planned steps, want %v", workers, rounds, got, want)
+			}
+		}
+	}
+}
+
 // TestKillRestartBitIdentical is the durability contract at fleet scale:
 // stop the whole fleet at a round boundary, restart from the per-tenant
 // checkpoints, and the completed run's fleet hash matches an

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"testing"
 
 	"robustscale/internal/scaler"
@@ -32,6 +33,9 @@ func FuzzAdmission(f *testing.F) {
 		}
 		classes := classesFor(len(demands))
 		got := admitStep(demands, classes, capacity, nil)
+		if want := admitStepSorted(demands, classes, capacity); !slices.Equal(got, want) {
+			t.Fatalf("demands %v capacity %d: admitted %v, sort %v", demands, capacity, got, want)
+		}
 
 		cap64 := int64(capacity)
 		if cap64 < 0 {

@@ -1,10 +1,5 @@
 package fleet
 
-import (
-	"cmp"
-	"slices"
-)
-
 // PriorityClass ranks tenants for admission control: when aggregate
 // demand exceeds the shared pool, lower classes shed first and a higher
 // class is only clipped after every lower class is fully zeroed.
@@ -126,14 +121,38 @@ func admitStep(demands []int, classes []PriorityClass, capacity int, out []int) 
 			rems[i] = int(num % int64(classTotal))
 			members = append(members, i)
 		}
-		slices.SortFunc(members, func(a, b int) int {
-			return cmp.Or(cmp.Compare(rems[b], rems[a]), cmp.Compare(a, b))
-		})
-		for k := 0; granted < target && k < len(members); k++ {
-			out[members[k]]++
-			granted++
+		k := min(target-granted, len(members))
+		selectTop(members, rems, k)
+		for _, i := range members[:k] {
+			out[i]++
 		}
 		shed = 0
 	}
 	return out
+}
+
+// selectTop reorders members so that its first k are the k largest by
+// remainder, ties to the lower index: a quickselect, in place. That order
+// is total, so the k are the ones sorting all of members would put first.
+func selectTop(members, rems []int, k int) {
+	lo, hi := 0, len(members)
+	for hi-lo > 1 {
+		m := lo + (hi-lo)/2
+		members[m], members[hi-1] = members[hi-1], members[m]
+		p, q := members[hi-1], lo
+		for i := lo; i < hi-1; i++ {
+			if a := members[i]; rems[a] > rems[p] || rems[a] == rems[p] && a < p {
+				members[i], members[q] = members[q], a
+				q++
+			}
+		}
+		members[q], members[hi-1] = p, members[q] // members[:q] precede p
+		if k < q {
+			hi = q
+		} else if k > q+1 {
+			lo = q + 1
+		} else {
+			return
+		}
+	}
 }

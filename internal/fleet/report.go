@@ -256,7 +256,7 @@ func (c *Controller) report() *Report {
 			Steps: t.steps, Violations: t.violations,
 			CostNodeSteps: t.cost, FinalNodes: t.prevAlloc, Holds: t.holds,
 			AllocHash: fmt.Sprintf("%016x", t.allocHash),
-			Faulted:   t.faulted,
+			Faulted:   !t.Sched.Empty(),
 		}
 		if t.steps > 0 {
 			tr.ViolationRate = float64(t.violations) / float64(t.steps)
@@ -277,7 +277,7 @@ func (c *Controller) report() *Report {
 				pool.QuarantinedNow++
 			}
 		}
-		if chaosRep != nil && t.faulted {
+		if chaosRep != nil && !t.Sched.Empty() {
 			chaosRep.FaultedTenants++
 		}
 		if sless != nil && t.sless != nil {

@@ -193,6 +193,9 @@ type Tenant struct {
 
 	planner scaler.Strategy
 	guard   *scaler.Guard
+	// plans is the planner's tally the fleet folds at its plan barrier;
+	// nil for a tenant driven on its own, whose planner counts at once.
+	plans   *scaler.PlanTally
 	snapper forecast.Snapshotter
 	applier func(int) error
 	cal     *cluster.Calibration
@@ -233,12 +236,12 @@ type Tenant struct {
 	// planStart is when Plan began the round a lone Apply finishes.
 	planStart time.Duration
 
-	// chaosCursor positions Sched; faulted reports whether any fault
-	// targets this tenant, and faults is then the fault window of the
-	// round being applied. own is the round scratch of a tenant applied
-	// on its own.
-	chaosCursor *chaos.Cursor
-	faulted     bool
+	// hooks are the injection points Sched can fire, armed once at
+	// Start; chaosCursor positions Sched for the armed wrappers. faults
+	// is the fault window of the round being applied when hooks.Window
+	// holds. own is the round scratch of a tenant applied on its own.
+	hooks       chaos.Hooks
+	chaosCursor chaos.Cursor
 	faults      *chaos.Window
 	own         *roundScratch
 
@@ -321,12 +324,13 @@ func (t *Tenant) quarantined() bool { return t.quarantine.State() == scaler.Brea
 func (t *Tenant) theta() float64    { return t.Fingerprint.Theta }
 
 // Faulty routes a forecaster's planning-time inference through the
-// tenant's fault schedule; without one it is the identity.
+// tenant's fault schedule; without a forecaster fault in it (or before
+// Start) it is the identity.
 func (t *Tenant) Faulty(qf forecast.QuantileForecaster) forecast.QuantileForecaster {
-	if t.Sched == nil {
+	if !t.hooks.Forecast {
 		return qf
 	}
-	return &chaos.Forecaster{Inner: qf, Schedule: t.Sched, Cursor: t.chaosCursor}
+	return &chaos.Forecaster{Inner: qf, Schedule: t.Sched, Cursor: &t.chaosCursor}
 }
 
 // Start assembles the loop from its parts: it recovers the newest valid
@@ -345,10 +349,7 @@ func (t *Tenant) Start() (*persist.State, error) {
 	t.histView = &timeseries.Series{Name: t.Series.Name, Start: t.Series.Start, Step: t.Series.Step}
 	t.violCounter = fleetTenantViolations.With(t.ID)
 	t.roundCounter = fleetTenantRounds.With(t.ID)
-	if t.Sched != nil {
-		t.chaosCursor = &chaos.Cursor{}
-		t.faulted = !t.Sched.Empty()
-	}
+	t.hooks = t.Sched.Hooks() // the schedule is fixed from here on
 	if t.WakeConfig != nil {
 		t.wakeGuard = &scaler.WakeGuard{Config: *t.WakeConfig, Tenant: t.ID, Clock: t.Now}
 		t.wakeLat = obs.NewSketch(obs.DefaultSketchAlpha)
@@ -424,7 +425,7 @@ func (t *Tenant) Start() (*persist.State, error) {
 	// Scale actions go through retries and the circuit breaker: while the
 	// (possibly chaos-wrapped) control plane fails, the allocation holds.
 	apply := t.Plant.ScaleTo
-	if t.faulted {
+	if t.hooks.Apply {
 		apply = chaos.WrapApply(apply, t.Plant.Size, t.stepFaults)
 	}
 	t.applier = (&scaler.Applier{Apply: apply, Backoff: t.Backoff, Breaker: t.Breaker, Clock: t.Now}).ScaleTo
@@ -523,12 +524,12 @@ func (t *Tenant) Plan() error {
 // plan is Plan untimed: the fleet times its stages, not its tenants.
 func (t *Tenant) plan() error {
 	origin, h := t.origin, t.Horizon
-	if t.chaosCursor != nil {
+	if t.hooks.Forecast {
 		t.chaosCursor.Set(t.replayStep())
 	}
 	t.histView.Values = t.Series.Values[:origin]
 	hist := t.histView
-	if t.Sched != nil {
+	if t.hooks.Telemetry {
 		// Telemetry faults corrupt a copy of the visible history (warm
 		// forecasters notice the broken backing-array identity and
 		// recondition from scratch, bit-identically); the underlying trace
@@ -627,16 +628,21 @@ func (t *Tenant) apply(s *roundScratch) error {
 			t.cal = cal
 		}
 	}
-	from := t.replayStep()
-	if t.faulted {
+	// A quiet round (no fault in its window) steps fault-free: the
+	// wrapped scale action reads the cursor only when a fault fires.
+	from, quiet := t.replayStep(), true
+	if t.hooks.Window {
 		t.faults = &s.faults
 		t.faults.Fill(t.Sched, from)
+		quiet = t.faults.Quiet
 	}
 	r := &s.stepped
 	for i, target := range plan {
 		var f chaos.StepFaults
-		if t.faulted {
-			t.chaosCursor.Set(from + i)
+		if !quiet {
+			if t.hooks.Apply {
+				t.chaosCursor.Set(from + i)
+			}
 			if f = t.faults.At(from + i); f.Kills > 0 {
 				chaos.CountInjected(chaos.NodeKill)
 			}

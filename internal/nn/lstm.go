@@ -64,11 +64,6 @@ func (s LSTMState) Clone() LSTMState {
 	return LSTMState{H: h, C: cc}
 }
 
-// CloneScratch deep-copies the state into arena-backed buffers.
-func (s LSTMState) CloneScratch(sc *Scratch) LSTMState {
-	return LSTMState{H: sc.VecCopy(s.H), C: sc.VecCopy(s.C)}
-}
-
 // LSTMCache stores one step's intermediates for BPTT.
 type LSTMCache struct {
 	x            []float64
@@ -216,13 +211,6 @@ func (c *LSTMCell) StepBatch(b LSTMBatch, x Mat, w LSTMPanels) {
 	}
 }
 
-// StepBackward backpropagates one step: given gradients dh and dc flowing
-// into the step's output state, it accumulates parameter gradients and
-// returns the gradients for the input and the previous state.
-func (c *LSTMCell) StepBackward(cache *LSTMCache, dh, dc []float64) (dx []float64, dPrev LSTMState) {
-	return c.StepBackwardScratch(nil, cache, dh, dc)
-}
-
 // StepBackwardScratch is StepBackward drawing every intermediate from the
 // arena; zero heap allocations in steady state. It is
 // BackwardSequenceScratch's one-step case, which packs nothing.
@@ -296,6 +284,9 @@ func (c *LSTMCell) BackwardSequenceScratch(s *Scratch, caches []*LSTMCache, dhs 
 		wxT, whT = c.Wx.Value.packPanelsT(s), c.Wh.Value.packPanelsT(s)
 	}
 	dPre := Mat{Rows: steps, Cols: 4 * h, Data: s.Vec(steps * 4 * h)}
+	// zero[t] is 1 where dPre's row t holds a zero: the step writing the
+	// row records it for both products that read the row.
+	zero := s.Vec(steps)
 	dh, dc := s.VecZero(h), s.VecZero(h)
 	copy(dh, dFinal.H)
 	copy(dc, dFinal.C)
@@ -307,6 +298,7 @@ func (c *LSTMCell) BackwardSequenceScratch(s *Scratch, caches []*LSTMCache, dhs 
 		}
 		cache, dp := caches[t], dPre.Row(t)
 		dcPrev := s.Vec(h)
+		zero[t] = 0
 		for j := 0; j < h; j++ {
 			do := dh[j] * cache.tanhC[j]
 			dcj := dc[j] + dh[j]*cache.o[j]*(1-cache.tanhC[j]*cache.tanhC[j])
@@ -319,6 +311,9 @@ func (c *LSTMCell) BackwardSequenceScratch(s *Scratch, caches []*LSTMCache, dhs 
 			dp[h+j] = df * cache.f[j] * (1 - cache.f[j])
 			dp[2*h+j] = dg * (1 - cache.g[j]*cache.g[j])
 			dp[3*h+j] = do * cache.o[j] * (1 - cache.o[j])
+			if dp[j] == 0 || dp[h+j] == 0 || dp[2*h+j] == 0 || dp[3*h+j] == 0 {
+				zero[t] = 1
+			}
 		}
 
 		c.Wx.grad().AddOuter(dp, cache.x)
@@ -328,10 +323,10 @@ func (c *LSTMCell) BackwardSequenceScratch(s *Scratch, caches []*LSTMCache, dhs 
 			db[i] += g
 		}
 		dhPrev := s.Vec(h)
-		c.Wh.Value.mulVecsT(whT, Mat{Rows: 1, Cols: 4 * h, Data: dp}, Mat{Rows: 1, Cols: h, Data: dhPrev})
+		c.Wh.Value.mulVecsT(whT, Mat{Rows: 1, Cols: 4 * h, Data: dp}, Mat{Rows: 1, Cols: h, Data: dhPrev}, zero[t:])
 		dh, dc = dhPrev, dcPrev
 	}
 	dxs = Mat{Rows: steps, Cols: c.InSize, Data: s.Vec(steps * c.InSize)}
-	c.Wx.Value.mulVecsT(wxT, dPre, dxs)
+	c.Wx.Value.mulVecsT(wxT, dPre, dxs, zero)
 	return dxs, LSTMState{H: dh, C: dc}
 }

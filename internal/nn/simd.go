@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // The LSTM's and the attention's products, forward and backward, the
@@ -92,15 +91,16 @@ func (m Mat) packPanelsT(s *Scratch) []float64 {
 // mulVecsT overwrites row u of dst with mᵀ times row u of y, MulVecTInto's
 // bits: on panels (packPanelsT) as panelVecs and a Go tail, 0 + y[0]*m[0][j]
 // + ... with no term skipped, which is MulVecTInto's expression for a row
-// with no zero. Such a row, and every row without panels, runs MulVecTInto.
-func (m Mat) mulVecsT(panels []float64, y, dst Mat) {
+// with no zero. A row with a zero (zero[u] != 0, as the caller recorded
+// when it wrote the row), and every row without panels, runs MulVecTInto.
+func (m Mat) mulVecsT(panels []float64, y, dst Mat, zero []float64) {
 	np := m.Cols / 4
 	if panels != nil && np > 0 {
 		panelVecs(panels, np, m.Rows, y.Data, y.Cols, y.Rows, dst.Data, dst.Cols)
 	}
 	for u := 0; u < y.Rows; u++ {
 		yu, du := y.Row(u), dst.Row(u)
-		if panels == nil || slices.Contains(yu, 0) {
+		if panels == nil || zero[u] != 0 {
 			m.MulVecTInto(yu, du)
 			continue
 		}

@@ -57,8 +57,14 @@ func SizeDemand(units int, sizes []NodeSize) (SizedAlloc, error) {
 	if err := ValidateSizes(sizes); err != nil {
 		return SizedAlloc{}, err
 	}
+	return Cheapest(units, sizes), nil
+}
+
+// Cheapest is SizeDemand on a ladder ValidateSizes has accepted, for a
+// caller that validates its ladder once and sizes on every step.
+func Cheapest(units int, sizes []NodeSize) SizedAlloc {
 	if units <= 0 {
-		return SizedAlloc{}, nil
+		return SizedAlloc{}
 	}
 	best := SizedAlloc{Count: -1}
 	bestCost := 0.0
@@ -75,5 +81,5 @@ func SizeDemand(units int, sizes []NodeSize) (SizedAlloc, error) {
 			bestCost = cost
 		}
 	}
-	return best, nil
+	return best
 }

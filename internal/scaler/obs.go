@@ -46,15 +46,69 @@ var (
 		"tenant")
 )
 
-// countPlan records one completed planning round for a strategy on its
-// plans_total child, looked up on the first round and cached in *plans as
-// the strategy caches its name.
-func countPlan(plans **obs.Counter, name string, steps int) {
-	if *plans == nil {
-		*plans = plansTotal.With(name)
+// PlanTally is a strategy's plans_total child, looked up on its first
+// round, and the rounds and steps (a round's worth) it holds back from
+// the shared counters once DeferPlanCounts asked it to, so workers
+// planning in parallel do not all add to one counter per round.
+type PlanTally struct {
+	plans         *obs.Counter
+	rounds, steps uint32
+	deferred      bool
+}
+
+// countPlan records one completed planning round of h steps for the
+// strategy of the given name.
+func countPlan(t *PlanTally, name string, h int) {
+	if t.plans == nil {
+		t.plans = plansTotal.With(name)
 	}
-	(*plans).Inc()
-	plannedSteps.Add(float64(steps))
+	if !t.deferred {
+		t.plans.Inc()
+		plannedSteps.Add(float64(h))
+		return
+	}
+	t.rounds++
+	t.steps += uint32(h)
+}
+
+// DeferPlanCounts makes s (or the strategy a Guard wraps) hold its
+// planning rounds in its tally and returns the tally, nil for a strategy
+// that counts none. The caller folds it at its round barrier.
+func DeferPlanCounts(s Strategy) *PlanTally {
+	if g, ok := s.(*Guard); ok {
+		return DeferPlanCounts(g.Inner)
+	}
+	c, ok := s.(interface{ planTally() *PlanTally })
+	if !ok {
+		return nil
+	}
+	t := c.planTally()
+	t.deferred = true
+	return t
+}
+
+// Fold moves the rounds held in from (nil for none) into t, adding what t
+// held to the shared counters first when from counts another strategy.
+func (t *PlanTally) Fold(from *PlanTally) {
+	if from == nil || from.rounds == 0 {
+		return
+	}
+	if t.plans != from.plans {
+		t.Flush()
+		t.plans = from.plans
+	}
+	t.rounds += from.rounds
+	t.steps += from.steps
+	from.rounds, from.steps = 0, 0
+}
+
+// Flush adds the rounds t holds to the shared counters.
+func (t *PlanTally) Flush() {
+	if t.rounds > 0 {
+		t.plans.Add(float64(t.rounds))
+		plannedSteps.Add(float64(t.steps))
+		t.rounds, t.steps = 0, 0
+	}
 }
 
 // countActions records the scale-out/in transitions of an allocation

@@ -286,3 +286,51 @@ func TestEvaluateTenantLabelling(t *testing.T) {
 		}
 	}
 }
+
+// TestDeferredPlanCountsFoldExactly: a strategy DeferPlanCounts reached
+// (through a Guard) holds its rounds until a fold flushes them, and the
+// flushed totals are what immediate counting would have added: plans on
+// each strategy's own child, steps on the one steps counter. A fold over
+// two strategies' tallies flushes the first before taking the second.
+func TestDeferredPlanCountsFoldExactly(t *testing.T) {
+	const h, rounds = 4, 5
+	hist := series(10, 12, 11, 10, 12, 11)
+	robust := &Robust{Forecaster: &fakeQF{name: "tally-a", Base: []float64{30, 31, 32, 33}, Spread: []float64{.2, .2, .2, .2}}, Tau: 0.9, Theta: 10}
+	adaptive := &Adaptive{Forecaster: &fakeQF{name: "tally-b", Base: []float64{30, 31, 32, 33}, Spread: []float64{.2, .2, .2, .2}}, Tau1: 0.5, Tau2: 0.9, Rho: 0.1, Theta: 10}
+	immediate := &Robust{Forecaster: &fakeQF{name: "tally-c", Base: []float64{30, 31, 32, 33}, Spread: []float64{.2, .2, .2, .2}}, Tau: 0.9, Theta: 10}
+	tallies := []*PlanTally{
+		DeferPlanCounts(&Guard{Inner: robust, Config: GuardConfig{Theta: 10, Tau: 0.9}}),
+		DeferPlanCounts(adaptive),
+	}
+	if tallies[0] != &robust.tally || tallies[1] != &adaptive.tally || DeferPlanCounts(&ReactiveMax{}) != nil {
+		t.Fatal("DeferPlanCounts did not return the strategies' own tallies (or returned one for a reactive strategy)")
+	}
+	plans := func(s Strategy) float64 { return plansTotal.With(s.Name()).Value() }
+	a0, b0, c0, steps0 := plans(robust), plans(adaptive), plans(immediate), plannedSteps.Value()
+	var fold PlanTally
+	for r := 1; r <= rounds; r++ {
+		for _, s := range []Strategy{robust, adaptive, immediate} {
+			if _, err := s.PlanInto(hist, h, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := plans(immediate) - c0; got != float64(r) {
+			t.Fatalf("round %d: immediate strategy counted %v rounds", r, got)
+		}
+		if got := plans(robust) - a0; got != float64(r-1) {
+			t.Fatalf("round %d: deferred rounds reached the counter before the fold (%v)", r, got)
+		}
+		for _, tl := range tallies {
+			fold.Fold(tl)
+		}
+		fold.Flush()
+		for _, s := range []Strategy{robust, adaptive} {
+			if got := plans(s) - map[Strategy]float64{robust: a0, adaptive: b0}[s]; got != float64(r) {
+				t.Fatalf("round %d: %s counted %v rounds after the fold", r, s.Name(), got)
+			}
+		}
+		if got := plannedSteps.Value() - steps0; got != float64(3*r*h) {
+			t.Fatalf("round %d: %v planned steps, want %d", r, got, 3*r*h)
+		}
+	}
+}

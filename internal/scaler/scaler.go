@@ -186,7 +186,7 @@ type Predictive struct {
 	lastPrediction []float64
 	decision       *obs.Decision
 	cachedName     string
-	plans          *obs.Counter
+	tally          PlanTally
 }
 
 // Name implements Strategy. The name is derived from the forecaster once
@@ -224,9 +224,11 @@ func (p *Predictive) PlanInto(history *timeseries.Series, h int, dst []int) (Rou
 		p.decision = pathDecision(p.decision, p.Name(), p.Theta, pred, round.Nodes)
 		round.Decision = p.decision
 	}
-	countPlan(&p.plans, p.Name(), h)
+	countPlan(&p.tally, p.Name(), h)
 	return round, nil
 }
+
+func (p *Predictive) planTally() *PlanTally { return &p.tally }
 
 // planPath is the traced optimize stage of the strategies that allocate
 // along one workload path (Eq. 6 per step).
@@ -261,7 +263,7 @@ type Robust struct {
 
 	last       Round
 	cachedName string
-	plans      *obs.Counter
+	tally      PlanTally
 	tauLevels  []float64
 	pathBuf    []float64
 }
@@ -315,9 +317,11 @@ func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) (Round, 
 		round.Decision = d
 	}
 	r.last = round
-	countPlan(&r.plans, r.Name(), h)
+	countPlan(&r.tally, r.Name(), h)
 	return round, nil
 }
+
+func (r *Robust) planTally() *PlanTally { return &r.tally }
 
 // predictQuantiles is the traced forecast stage: through the warm path
 // when the forecaster keeps warm state, which is bit-identical to the
@@ -466,10 +470,10 @@ func (s *Staircase) PlanInto(history *timeseries.Series, h int, dst []int) (Roun
 // whose Rho the step's U reaches set the quantile level, allocate per
 // step (Eq. 6) and assemble the decision record. Adaptive is the one-rung
 // ladder {Rho, Tau2} over Tau1. Each strategy embeds a ladder for the
-// decision record, its plans_total child and the scratch the round reuses.
+// decision record, its plan tally and the scratch the round reuses.
 type ladder struct {
 	decision *obs.Decision
-	plans    *obs.Counter
+	tally    PlanTally
 	us       []float64
 	taus     []float64
 	qs       []float64
@@ -525,6 +529,8 @@ func (l *ladder) round(name string, qf forecast.QuantileForecaster, levels []flo
 		}
 		round.Decision = d
 	}
-	countPlan(&l.plans, name, h)
+	countPlan(&l.tally, name, h)
 	return round, nil
 }
+
+func (l *ladder) planTally() *PlanTally { return &l.tally }
