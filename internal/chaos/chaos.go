@@ -16,7 +16,6 @@ package chaos
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 
@@ -134,17 +133,13 @@ type Schedule struct {
 }
 
 // classEvents is one class's events, as slots sorted by Step with
-// same-step events in Add order, and the longest span among them. Fill's
-// last search for the class was for step at and ended at index next,
-// whose event starts at nextStep (math.MaxInt past the last), so a round
-// before the class's next event reads nothing of slots.
+// same-step events in Add order, and the longest span among them. next
+// is where Fill's last search for the class ended.
 type classEvents struct {
-	class    Class
-	slots    []slot
-	longest  int
-	next     int
-	at       int
-	nextStep int
+	class   Class
+	slots   []slot
+	longest int
+	next    int
 }
 
 // slot is an event without its class, which is its list's.
@@ -187,24 +182,17 @@ func startedBy(evs []slot, step int) int {
 }
 
 // startedBy is startedBy(ce.slots, step), walking forward from where the
-// last call ended; it searches only when step went back.
+// last call ended; it searches only when step went back past an event.
 func (ce *classEvents) startedBy(step int) int {
-	if step < ce.at {
-		ce.seek(startedBy(ce.slots, step))
+	i := ce.next
+	if i > 0 && ce.slots[i-1].Step > step {
+		i = startedBy(ce.slots, step)
 	}
-	for ce.next < len(ce.slots) && ce.nextStep <= step {
-		ce.seek(ce.next + 1)
+	for i < len(ce.slots) && ce.slots[i].Step <= step {
+		i++
 	}
-	ce.at = step
-	return ce.next
-}
-
-// seek moves the resume index to i.
-func (ce *classEvents) seek(i int) {
-	ce.next, ce.nextStep = i, math.MaxInt
-	if i < len(ce.slots) {
-		ce.nextStep = ce.slots[i].Step
-	}
+	ce.next = i
+	return i
 }
 
 // Add inserts an event after every event of its class that starts at or
@@ -218,8 +206,7 @@ func (s *Schedule) Add(e Event) {
 	sl := slot{e.Step, e.Size, e.Value}
 	ce.slots = slices.Insert(ce.slots, startedBy(ce.slots, e.Step), sl)
 	ce.longest = max(ce.longest, sl.span())
-	ce.at = math.MinInt
-	ce.seek(0)
+	ce.next = 0
 	s.total++
 }
 
@@ -354,7 +341,7 @@ type Window struct {
 // could cover it. Window classes resolve as ActiveAt does, since a later
 // event in a class's order starts later or was added later: each event
 // overwrites the steps it covers. Kills sum the events starting at a
-// step, as KillsAt does. A quiet window is already clear.
+// step. A quiet window is already clear.
 func (w *Window) Fill(s *Schedule, from int) {
 	if !w.Quiet {
 		clear(w.Steps)
@@ -372,11 +359,7 @@ func (w *Window) Fill(s *Schedule, from int) {
 		kills := ce.class == NodeKill
 		// The events that start after from-longest and before to are the
 		// ones that can cover a step of the window.
-		i := ce.startedBy(from - ce.longest)
-		if ce.nextStep >= to {
-			continue
-		}
-		for ; i < len(ce.slots) && ce.slots[i].Step < to; i++ {
+		for i := ce.startedBy(from - ce.longest); i < len(ce.slots) && ce.slots[i].Step < to; i++ {
 			e := &ce.slots[i]
 			if kills {
 				if e.Step >= from {
@@ -522,8 +505,7 @@ func (p Profile) Build() (*Schedule, error) {
 			drawn = append(drawn, e)
 		}
 		if len(drawn) > 0 { // every event of a class has one span
-			sched.classes = append(sched.classes, classEvents{class: class, slots: slices.Clone(drawn),
-				longest: drawn[0].span(), at: math.MinInt, nextStep: drawn[0].Step})
+			sched.classes = append(sched.classes, classEvents{class: class, slots: slices.Clone(drawn), longest: drawn[0].span()})
 			sched.total += len(drawn)
 		}
 	}

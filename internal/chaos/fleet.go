@@ -2,7 +2,8 @@
 // control plane rather than a single tenant's loop, plus per-tenant
 // fault schedules derived from one master seed.
 //
-// Each tenant's local schedule is built from TenantSeed(master, id), so a single tenant's
+// The derivation mirrors the per-class FNV pattern: each tenant's local
+// schedule is built from TenantSeed(master, id), so a single tenant's
 // schedule is the exact restriction of the all-tenant run — adding or
 // removing tenants from the injection set never perturbs another
 // tenant's event placement, and fleet-level classes (zone outage, pool

@@ -150,10 +150,11 @@ func (s *Serverless) Waking() bool { return s.waking }
 // Nodes returns the committed node count.
 func (s *Serverless) Nodes() int { return s.nodes }
 
-// Wakes, WakeFails and Parks are lifetime event counters.
+// Wakes, WakeFails, Parks and Partials are lifetime event counters.
 func (s *Serverless) Wakes() int64     { return s.wakes }
 func (s *Serverless) WakeFails() int64 { return s.wakeFails }
 func (s *Serverless) Parks() int64     { return s.parks }
+func (s *Serverless) Partials() int64  { return s.partials }
 
 // Step advances the plant one replay step against the admitted demand
 // (base-node units) and the step's scheduled faults, returning what

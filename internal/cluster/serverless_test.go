@@ -303,7 +303,3 @@ func TestCalibrationAllZeroSeries(t *testing.T) {
 	}
 
 }
-
-// Partials is the plant's lifetime count of partially provisioned steps;
-// only tests read it (the snapshot carries it).
-func (s *Serverless) Partials() int64 { return s.partials }

@@ -64,6 +64,11 @@ func (s LSTMState) Clone() LSTMState {
 	return LSTMState{H: h, C: cc}
 }
 
+// CloneScratch deep-copies the state into arena-backed buffers.
+func (s LSTMState) CloneScratch(sc *Scratch) LSTMState {
+	return LSTMState{H: sc.VecCopy(s.H), C: sc.VecCopy(s.C)}
+}
+
 // LSTMCache stores one step's intermediates for BPTT.
 type LSTMCache struct {
 	x            []float64
@@ -209,6 +214,13 @@ func (c *LSTMCell) StepBatch(b LSTMBatch, x Mat, w LSTMPanels) {
 		pre, hr, cr := b.pre.Row(r), b.H.Row(r), b.C.Row(r)
 		gateRow(pre, b.preH.Row(r), c.B.Value.Data, cr, pre, cr, hr, hr)
 	}
+}
+
+// StepBackward backpropagates one step: given gradients dh and dc flowing
+// into the step's output state, it accumulates parameter gradients and
+// returns the gradients for the input and the previous state.
+func (c *LSTMCell) StepBackward(cache *LSTMCache, dh, dc []float64) (dx []float64, dPrev LSTMState) {
+	return c.StepBackwardScratch(nil, cache, dh, dc)
 }
 
 // StepBackwardScratch is StepBackward drawing every intermediate from the

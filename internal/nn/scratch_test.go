@@ -290,18 +290,3 @@ func TestScratchCycleRepeatsAddresses(t *testing.T) {
 		t.Errorf("identical arena cycle allocates %v times, want 0", allocs)
 	}
 }
-
-// Test-only entries of the LSTM cell: the training code draws from an
-// arena and backpropagates whole sequences.
-
-// StepBackward backpropagates one step: given gradients dh and dc flowing
-// into the step's output state, it accumulates parameter gradients and
-// returns the gradients for the input and the previous state.
-func (c *LSTMCell) StepBackward(cache *LSTMCache, dh, dc []float64) (dx []float64, dPrev LSTMState) {
-	return c.StepBackwardScratch(nil, cache, dh, dc)
-}
-
-// CloneScratch deep-copies the state into arena-backed buffers.
-func (s LSTMState) CloneScratch(sc *Scratch) LSTMState {
-	return LSTMState{H: sc.VecCopy(s.H), C: sc.VecCopy(s.C)}
-}
