@@ -314,7 +314,7 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 	if err != nil {
 		return nil, err
 	}
-	t.plans = scaler.DeferPlanCounts(t.planner)
+	scaler.DeferPlanCounts(t.planner, &t.plans)
 	if recovered != nil {
 		t.sloBlob = recovered.SLO
 	}
@@ -543,7 +543,7 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		// one add per counter.
 		var err error
 		for _, t := range c.tenants {
-			plans.Fold(t.plans)
+			plans.Fold(&t.plans)
 			if err == nil {
 				err = t.err
 			}

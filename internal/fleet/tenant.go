@@ -193,9 +193,8 @@ type Tenant struct {
 
 	planner scaler.Strategy
 	guard   *scaler.Guard
-	// plans is the planner's tally the fleet folds at its plan barrier;
-	// nil for a tenant driven on its own, whose planner counts at once.
-	plans   *scaler.PlanTally
+	// plans holds the planner's rounds until the fleet's plan barrier.
+	plans   scaler.PlanTally
 	snapper forecast.Snapshotter
 	applier func(int) error
 	cal     *cluster.Calibration

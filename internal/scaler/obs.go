@@ -1,6 +1,7 @@
 package scaler
 
 import (
+	"math"
 	"time"
 
 	"robustscale/internal/obs"
@@ -47,18 +48,24 @@ var (
 )
 
 // PlanTally is a strategy's plans_total child, looked up on its first
-// round, and the rounds and steps (a round's worth) it holds back from
-// the shared counters once DeferPlanCounts asked it to, so workers
+// round, and the rounds and steps it holds back from the shared counters
+// once DeferPlanCounts gave the strategy a caller's tally, so workers
 // planning in parallel do not all add to one counter per round.
 type PlanTally struct {
-	plans         *obs.Counter
-	rounds, steps uint32
-	deferred      bool
+	plans    *obs.Counter
+	steps    uint32
+	rounds   uint16
+	deferred bool
 }
 
-// countPlan records one completed planning round of h steps for the
-// strategy of the given name.
-func countPlan(t *PlanTally, name string, h int) {
+// countPlan records one completed planning round of h steps in the tally
+// of the strategy of the given name, made on its first round.
+func countPlan(tp **PlanTally, name string, h int) {
+	t := *tp
+	if t == nil {
+		t = &PlanTally{}
+		*tp = t
+	}
 	if t.plans == nil {
 		t.plans = plansTotal.With(name)
 	}
@@ -72,28 +79,25 @@ func countPlan(t *PlanTally, name string, h int) {
 }
 
 // DeferPlanCounts makes s (or the strategy a Guard wraps) hold its
-// planning rounds in its tally and returns the tally, nil for a strategy
-// that counts none. The caller folds it at its round barrier.
-func DeferPlanCounts(s Strategy) *PlanTally {
+// planning rounds in t, which the caller folds at its round barrier. A
+// strategy that counts no rounds leaves t empty.
+func DeferPlanCounts(s Strategy, t *PlanTally) {
 	if g, ok := s.(*Guard); ok {
-		return DeferPlanCounts(g.Inner)
+		DeferPlanCounts(g.Inner, t)
+	} else if c, ok := s.(interface{ planTally() **PlanTally }); ok {
+		t.deferred = true
+		*c.planTally() = t
 	}
-	c, ok := s.(interface{ planTally() *PlanTally })
-	if !ok {
-		return nil
-	}
-	t := c.planTally()
-	t.deferred = true
-	return t
 }
 
 // Fold moves the rounds held in from (nil for none) into t, adding what t
-// held to the shared counters first when from counts another strategy.
+// held to the shared counters first when from counts another strategy or
+// would overflow t.
 func (t *PlanTally) Fold(from *PlanTally) {
 	if from == nil || from.rounds == 0 {
 		return
 	}
-	if t.plans != from.plans {
+	if t.plans != from.plans || t.rounds > math.MaxUint16-from.rounds || t.steps > math.MaxUint32-from.steps {
 		t.Flush()
 		t.plans = from.plans
 	}

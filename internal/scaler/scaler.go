@@ -186,7 +186,7 @@ type Predictive struct {
 	lastPrediction []float64
 	decision       *obs.Decision
 	cachedName     string
-	tally          PlanTally
+	tally          *PlanTally
 }
 
 // Name implements Strategy. The name is derived from the forecaster once
@@ -228,7 +228,7 @@ func (p *Predictive) PlanInto(history *timeseries.Series, h int, dst []int) (Rou
 	return round, nil
 }
 
-func (p *Predictive) planTally() *PlanTally { return &p.tally }
+func (p *Predictive) planTally() **PlanTally { return &p.tally }
 
 // planPath is the traced optimize stage of the strategies that allocate
 // along one workload path (Eq. 6 per step).
@@ -263,7 +263,7 @@ type Robust struct {
 
 	last       Round
 	cachedName string
-	tally      PlanTally
+	tally      *PlanTally
 	tauLevels  []float64
 	pathBuf    []float64
 }
@@ -321,7 +321,7 @@ func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) (Round, 
 	return round, nil
 }
 
-func (r *Robust) planTally() *PlanTally { return &r.tally }
+func (r *Robust) planTally() **PlanTally { return &r.tally }
 
 // predictQuantiles is the traced forecast stage: through the warm path
 // when the forecaster keeps warm state, which is bit-identical to the
@@ -473,7 +473,7 @@ func (s *Staircase) PlanInto(history *timeseries.Series, h int, dst []int) (Roun
 // decision record, its plan tally and the scratch the round reuses.
 type ladder struct {
 	decision *obs.Decision
-	tally    PlanTally
+	tally    *PlanTally
 	us       []float64
 	taus     []float64
 	qs       []float64
@@ -533,4 +533,4 @@ func (l *ladder) round(name string, qf forecast.QuantileForecaster, levels []flo
 	return round, nil
 }
 
-func (l *ladder) planTally() *PlanTally { return &l.tally }
+func (l *ladder) planTally() **PlanTally { return &l.tally }

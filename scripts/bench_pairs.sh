@@ -7,7 +7,8 @@
 # It prints the parent's and the change's median and quartiles of METRIC
 # (default user_cpu_us_per_tenant_round; every end-to-end metric is
 # better lower) and the pairs the change won, in BENCH_history.jsonl's
-# field names, then the hashes and the failed count each side printed.
+# field names, then the same for every other metric of the runs, and the
+# hashes and the failed count each side printed.
 # Needs go and jq; every run goes to a temporary directory.
 #
 #   scripts/bench_pairs.sh HEAD~1 fleet-serverless-storm 10
@@ -27,23 +28,25 @@ git -C "$root" archive "$rev" | tar -x -C "$work/parent"
 (cd "$work/parent" && go build -o "$work/bench-parent" ./bench)
 (cd "$root" && go build -o "$work/bench-change" ./bench)
 
-run() { # run <side>: one bench run, its metric appended to <side>.txt
+run() { # run <side>: one bench run, its result line appended to <side>.json
 	(cd "$work" && "./bench-$1" -workload "$workload" -seed "$seed" >"$work/out" 2>&1) || true
-	tail -n 1 "$work/out" | jq -r --arg m "$metric" '.metrics[$m].value' >>"$work/$1.txt"
-	tail -n 1 "$work/out" | jq -r '.failed' >>"$work/$1.failed"
+	tail -n 1 "$work/out" >>"$work/$1.json"
 	grep -o 'hash [0-9a-f]*' "$work/out" | sort -u >>"$work/$1.hashes" || true
 }
 for ((i = 0; i < pairs; i++)); do
 	if ((i % 2 == 0)); then run parent; run change; else run change; run parent; fi
 done
 
-stats() { # stats <side>: median and linearly interpolated quartiles
-	sort -g "$work/$1.txt" | awk -v s="$1" '{ v[NR] = $1 }
+stats() { # stats <side> <metric>: median and linearly interpolated quartiles
+	jq -r --arg m "$2" '.metrics[$m].value' "$work/$1.json" | sort -g | awk -v s="$1" '{ v[NR] = $1 }
 	function q(p,   h, l) { h = (NR - 1) * p + 1; l = int(h); return v[l] + (h - l) * (v[l + 1] - v[l]) }
 	END { printf "\"%s_median\": %.4f, \"%s_q1\": %.4f, \"%s_q3\": %.4f", s, q(0.5), s, q(0.25), s, q(0.75) }'
 }
-won=$(paste "$work/parent.txt" "$work/change.txt" | awk '$2 < $1 { w++ } END { print w + 0 }')
-echo "{$(stats parent), $(stats change), \"pairs_won\": $won, \"pairs\": $pairs}"
+for m in "$metric" $(jq -r '.metrics | keys[]' "$work/parent.json" | sort -u | grep -vx "$metric"); do
+	won=$(paste <(jq -r --arg m "$m" '.metrics[$m].value' "$work/parent.json") \
+		<(jq -r --arg m "$m" '.metrics[$m].value' "$work/change.json") | awk '$2 < $1 { w++ } END { print w + 0 }')
+	echo "{\"metric\": \"$m\", $(stats parent "$m"), $(stats change "$m"), \"pairs_won\": $won, \"pairs\": $pairs}"
+done
 for side in parent change; do
-	echo "$side: $(sort -u "$work/$side.hashes" | tr '\n' ' ')failed $(awk '{ f += $1 } END { print f + 0 }' "$work/$side.failed")"
+	echo "$side: $(sort -u "$work/$side.hashes" | tr '\n' ' ')failed $(jq -s 'map(.failed) | add' "$work/$side.json")"
 done
