@@ -314,7 +314,7 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 	if err != nil {
 		return nil, err
 	}
-	scaler.DeferPlanCounts(t.planner, &t.plans)
+	t.plans = scaler.DeferPlanCounts(t.planner)
 	if recovered != nil {
 		t.sloBlob = recovered.SLO
 	}
@@ -539,11 +539,10 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		parallel.ForEachWorkerSpan("fleet-plan", cfg.Workers, len(active), func(_, i int) {
 			_ = active[i].plan()
 		})
-		// The round's planning counts reach the shared counters here, in
-		// one add per counter.
+		// Fold the round's plan counts: one add per shared counter.
 		var err error
 		for _, t := range c.tenants {
-			plans.Fold(&t.plans)
+			plans.Fold(t.plans)
 			if err == nil {
 				err = t.err
 			}

@@ -193,8 +193,6 @@ type Tenant struct {
 
 	planner scaler.Strategy
 	guard   *scaler.Guard
-	// plans holds the planner's rounds until the fleet's plan barrier.
-	plans   scaler.PlanTally
 	snapper forecast.Snapshotter
 	applier func(int) error
 	cal     *cluster.Calibration
@@ -217,6 +215,8 @@ type Tenant struct {
 	rejected   []string
 	coldReason string
 	err        error
+	// plans is the planner's tally (or nil), folded at the plan barrier.
+	plans *scaler.PlanTally
 
 	// Admission / quarantine state. round is the planning stage's output
 	// awaiting admission and Apply: Nodes is the pending plan (aliases

@@ -49,8 +49,8 @@ var (
 
 // PlanTally is a strategy's plans_total child, looked up on its first
 // round, and the rounds and steps it holds back from the shared counters
-// once DeferPlanCounts gave the strategy a caller's tally, so workers
-// planning in parallel do not all add to one counter per round.
+// once DeferPlanCounts asked it to, so workers planning in parallel do
+// not all add to one counter per round.
 type PlanTally struct {
 	plans    *obs.Counter
 	steps    uint32
@@ -58,14 +58,9 @@ type PlanTally struct {
 	deferred bool
 }
 
-// countPlan records one completed planning round of h steps in the tally
-// of the strategy of the given name, made on its first round.
-func countPlan(tp **PlanTally, name string, h int) {
-	t := *tp
-	if t == nil {
-		t = &PlanTally{}
-		*tp = t
-	}
+// countPlan records one completed planning round of h steps for the
+// strategy of the given name.
+func countPlan(t *PlanTally, name string, h int) {
 	if t.plans == nil {
 		t.plans = plansTotal.With(name)
 	}
@@ -79,15 +74,19 @@ func countPlan(tp **PlanTally, name string, h int) {
 }
 
 // DeferPlanCounts makes s (or the strategy a Guard wraps) hold its
-// planning rounds in t, which the caller folds at its round barrier. A
-// strategy that counts no rounds leaves t empty.
-func DeferPlanCounts(s Strategy, t *PlanTally) {
+// planning rounds and returns its tally for the caller to fold at its
+// round barrier, nil for a strategy that counts none.
+func DeferPlanCounts(s Strategy) *PlanTally {
 	if g, ok := s.(*Guard); ok {
-		DeferPlanCounts(g.Inner, t)
-	} else if c, ok := s.(interface{ planTally() **PlanTally }); ok {
-		t.deferred = true
-		*c.planTally() = t
+		return DeferPlanCounts(g.Inner)
 	}
+	c, ok := s.(interface{ planTally() *PlanTally })
+	if !ok {
+		return nil
+	}
+	t := c.planTally()
+	t.deferred = true
+	return t
 }
 
 // Fold moves the rounds held in from (nil for none) into t, adding what t

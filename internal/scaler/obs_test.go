@@ -299,12 +299,12 @@ func TestDeferredPlanCountsFoldExactly(t *testing.T) {
 	robust := &Robust{Forecaster: &fakeQF{name: "tally-a", Base: []float64{30, 31, 32, 33}, Spread: []float64{.2, .2, .2, .2}}, Tau: 0.9, Theta: 10}
 	adaptive := &Adaptive{Forecaster: &fakeQF{name: "tally-b", Base: []float64{30, 31, 32, 33}, Spread: []float64{.2, .2, .2, .2}}, Tau1: 0.5, Tau2: 0.9, Rho: 0.1, Theta: 10}
 	immediate := &Robust{Forecaster: &fakeQF{name: "tally-c", Base: []float64{30, 31, 32, 33}, Spread: []float64{.2, .2, .2, .2}}, Tau: 0.9, Theta: 10}
-	tallies := []*PlanTally{{}, {}, {}}
-	DeferPlanCounts(&Guard{Inner: robust, Config: GuardConfig{Theta: 10, Tau: 0.9}}, tallies[0])
-	DeferPlanCounts(adaptive, tallies[1])
-	DeferPlanCounts(&ReactiveMax{}, tallies[2])
-	if robust.tally != tallies[0] || adaptive.tally != tallies[1] || *tallies[2] != (PlanTally{}) {
-		t.Fatal("DeferPlanCounts did not hand the strategies the caller's tallies (or touched one for a reactive strategy)")
+	tallies := []*PlanTally{
+		DeferPlanCounts(&Guard{Inner: robust, Config: GuardConfig{Theta: 10, Tau: 0.9}}),
+		DeferPlanCounts(adaptive),
+	}
+	if tallies[0] != &robust.tally || tallies[1] != &adaptive.tally || DeferPlanCounts(&ReactiveMax{}) != nil {
+		t.Fatal("DeferPlanCounts did not return the strategies' own tallies (or returned one for a reactive strategy)")
 	}
 	plans := func(s Strategy) float64 { return plansTotal.With(s.Name()).Value() }
 	a0, b0, c0, steps0 := plans(robust), plans(adaptive), plans(immediate), plannedSteps.Value()
@@ -338,7 +338,7 @@ func TestDeferredPlanCountsFoldExactly(t *testing.T) {
 	const many = 3 * math.MaxUint16
 	a0, steps0 = plans(robust), plannedSteps.Value()
 	for i := 0; i < many; i++ {
-		countPlan(&robust.tally, robust.Name(), 72)
+		countPlan(tallies[0], robust.Name(), 72)
 		fold.Fold(tallies[0])
 	}
 	fold.Flush()

@@ -186,7 +186,7 @@ type Predictive struct {
 	lastPrediction []float64
 	decision       *obs.Decision
 	cachedName     string
-	tally          *PlanTally
+	tally          PlanTally
 }
 
 // Name implements Strategy. The name is derived from the forecaster once
@@ -228,7 +228,7 @@ func (p *Predictive) PlanInto(history *timeseries.Series, h int, dst []int) (Rou
 	return round, nil
 }
 
-func (p *Predictive) planTally() **PlanTally { return &p.tally }
+func (p *Predictive) planTally() *PlanTally { return &p.tally }
 
 // planPath is the traced optimize stage of the strategies that allocate
 // along one workload path (Eq. 6 per step).
@@ -261,15 +261,18 @@ type Robust struct {
 	// Theta is the per-node workload threshold.
 	Theta float64
 
-	last       Round
-	cachedName string
-	tally      *PlanTally
-	tauLevels  []float64
-	pathBuf    []float64
+	// lastFan and lastDecision are what the last round returned: the
+	// bench/ shim reads the fan, the next round reuses the record.
+	lastFan      *forecast.QuantileForecast
+	lastDecision *obs.Decision
+	cachedName   string
+	tally        PlanTally
+	tauLevels    []float64
+	pathBuf      []float64
 }
 
 // LastFan implements FanProvider (the bench/ shim).
-func (r *Robust) LastFan() *forecast.QuantileForecast { return r.last.Fan }
+func (r *Robust) LastFan() *forecast.QuantileForecast { return r.lastFan }
 
 // Name implements Strategy. The name is formatted once, in one allocation,
 // and cached so the hot planning path never re-formats it.
@@ -308,7 +311,7 @@ func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) (Round, 
 	}
 	round.Fan = f
 	if obs.DefaultDecisions.Enabled() {
-		d := pathDecision(r.last.Decision, r.Name(), r.Theta, path, round.Nodes)
+		d := pathDecision(r.lastDecision, r.Name(), r.Theta, path, round.Nodes)
 		d.Tau = resize(d.Tau, h)
 		for t := range d.Tau {
 			d.Tau[t] = r.Tau
@@ -316,12 +319,12 @@ func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) (Round, 
 		d.Tau1, d.Tau2 = r.Tau, r.Tau
 		round.Decision = d
 	}
-	r.last = round
+	r.lastFan, r.lastDecision = round.Fan, round.Decision
 	countPlan(&r.tally, r.Name(), h)
 	return round, nil
 }
 
-func (r *Robust) planTally() **PlanTally { return &r.tally }
+func (r *Robust) planTally() *PlanTally { return &r.tally }
 
 // predictQuantiles is the traced forecast stage: through the warm path
 // when the forecaster keeps warm state, which is bit-identical to the
@@ -473,7 +476,7 @@ func (s *Staircase) PlanInto(history *timeseries.Series, h int, dst []int) (Roun
 // decision record, its plan tally and the scratch the round reuses.
 type ladder struct {
 	decision *obs.Decision
-	tally    *PlanTally
+	tally    PlanTally
 	us       []float64
 	taus     []float64
 	qs       []float64
@@ -533,4 +536,4 @@ func (l *ladder) round(name string, qf forecast.QuantileForecaster, levels []flo
 	return round, nil
 }
 
-func (l *ladder) planTally() **PlanTally { return &l.tally }
+func (l *ladder) planTally() *PlanTally { return &l.tally }

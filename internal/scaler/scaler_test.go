@@ -457,15 +457,15 @@ func TestRoundFanAndDecision(t *testing.T) {
 		return round
 	}
 	normal := plan()
-	if g.Mode() != ModeNormal || normal.Fan == nil || normal.Fan != inner.last.Fan || normal.Decision != inner.last.Decision {
+	if g.Mode() != ModeNormal || normal.Fan == nil || normal.Fan != inner.lastFan || normal.Decision != inner.lastDecision {
 		t.Errorf("normal round (mode %v) should be the inner round untouched: %+v", g.Mode(), normal)
 	}
 	gq.poison = func(f *forecast.QuantileForecast) { f.Values[1][0] = math.NaN() }
 	repair := plan()
-	if g.Mode() != ModeRepair || repair.Fan != inner.last.Fan || math.IsNaN(repair.Fan.Values[1][0]) {
+	if g.Mode() != ModeRepair || repair.Fan != inner.lastFan || math.IsNaN(repair.Fan.Values[1][0]) {
 		t.Errorf("repair round (mode %v) should carry the inner fan, repaired in place", g.Mode())
 	}
-	if d := repair.Decision; d == nil || d == inner.last.Decision || d.Degraded != "repair" {
+	if d := repair.Decision; d == nil || d == inner.lastDecision || d.Degraded != "repair" {
 		t.Errorf("repair round decision = %+v, want the guard's record", d)
 	}
 	gq.poison, gq.fail = nil, true
