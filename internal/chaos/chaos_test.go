@@ -156,8 +156,7 @@ func (p Profile) Only(class Class) Profile {
 
 // TenantFaulted reports whether the tenant receives any injected fault:
 // a non-empty local schedule or membership in a zone struck by an
-// outage. Blast-radius accounting uses this to split the fleet into
-// faulted and bystander tenants.
+// outage.
 func (fs *FleetSchedule) TenantFaulted(index int, id string) (bool, error) {
 	if fs == nil {
 		return false, nil
