@@ -316,7 +316,7 @@ func (s *Schedule) PartialProvisionAt(step int) bool {
 // a schedule: the plant's kills and wake faults and the control-plane
 // faults of the scale action. The zero value is a fault-free step.
 type StepFaults struct {
-	// Kills is KillsAt; StallSeconds is WakeStallAt.
+	// Kills sums the step's NodeKill events; StallSeconds is WakeStallAt.
 	Kills        int
 	StallSeconds float64
 	// TimeoutSeconds is the active ApplyTimeout event's Value.

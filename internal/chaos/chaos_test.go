@@ -40,7 +40,8 @@ func TestProfileOnlyIsRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	only, err := p.Only(NodeKill).Build()
+	p.Rates = map[Class]float64{NodeKill: p.Rates[NodeKill]}
+	only, err := p.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestActiveAtWindows(t *testing.T) {
 	if _, ok := nilSched.ActiveAt(0, NodeKill); ok {
 		t.Error("nil schedule should report no events")
 	}
-	if nilSched.KillsAt(0) != 0 || !nilSched.Empty() {
+	if killsAt(nilSched, 0) != 0 || !nilSched.Empty() {
 		t.Error("nil schedule should be empty")
 	}
 }
@@ -106,10 +107,10 @@ func TestKillsAtSumsEvents(t *testing.T) {
 	s.Add(Event{Step: 5, Class: NodeKill, Size: 2})
 	s.Add(Event{Step: 5, Class: NodeKill}) // size 0 -> 1
 	s.Add(Event{Step: 6, Class: NodeKill, Size: 1})
-	if got := s.KillsAt(5); got != 3 {
+	if got := killsAt(s, 5); got != 3 {
 		t.Errorf("kills at 5 = %d, want 3", got)
 	}
-	if got := s.KillsAt(7); got != 0 {
+	if got := killsAt(s, 7); got != 0 {
 		t.Errorf("kills at 7 = %d, want 0", got)
 	}
 }
@@ -129,41 +130,10 @@ func TestPresetNames(t *testing.T) {
 	}
 }
 
-// The queries below answer only tests: the loop reads kills from its
-// round's Window, and blast-radius accounting reads a tenant's own
-// schedule.
-
-// KillsAt returns how many nodes the schedule kills at exactly this step.
-func (s *Schedule) KillsAt(step int) int {
-	ce := s.of(NodeKill)
-	if ce == nil {
-		return 0
-	}
-	killed := 0
-	for i := startedBy(ce.slots, step) - 1; i >= 0 && ce.slots[i].Step == step; i-- {
-		killed += ce.slots[i].span()
-	}
-	return killed
-}
-
-// Only returns a copy of the profile with every class but the given one
-// disabled — the per-class cell of a resilience matrix.
-func (p Profile) Only(class Class) Profile {
-	out := p
-	out.Rates = map[Class]float64{class: p.Rates[class]}
-	return out
-}
-
-// TenantFaulted reports whether the tenant receives any injected fault:
-// a non-empty local schedule or membership in a zone struck by an
-// outage.
-func (fs *FleetSchedule) TenantFaulted(index int, id string) (bool, error) {
-	if fs == nil {
-		return false, nil
-	}
-	sched, err := fs.TenantSchedule(index, id)
-	if err != nil {
-		return false, err
-	}
-	return !sched.Empty(), nil
+// killsAt is how many nodes the schedule kills at exactly this step, read
+// from a one-step Window as the apply stage reads it.
+func killsAt(s *Schedule, step int) int {
+	w := Window{Steps: make([]StepFaults, 1)}
+	w.Fill(s, step)
+	return w.Steps[0].Kills
 }

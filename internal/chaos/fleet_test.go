@@ -159,8 +159,7 @@ func TestFleetScheduleNilSafety(t *testing.T) {
 	if err != nil || !sched.Empty() {
 		t.Error("nil FleetSchedule tenant schedule must be empty")
 	}
-	faulted, err := fs.TenantFaulted(0, "t")
-	if err != nil || faulted {
+	if fs.FleetEvents() != nil {
 		t.Error("nil FleetSchedule must report no faulted tenants")
 	}
 }
@@ -183,11 +182,11 @@ func TestTenantFaulted(t *testing.T) {
 		struck[fs.zoneOf(e)] = true
 	}
 	for idx := 0; idx < 4; idx++ {
-		faulted, err := fs.TenantFaulted(idx, "x")
+		sched, err := fs.TenantSchedule(idx, "x")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if faulted != struck[fs.TenantZone(idx)] {
+		if faulted := !sched.Empty(); faulted != struck[fs.TenantZone(idx)] {
 			t.Errorf("tenant %d faulted=%v, struck zone=%v", idx, faulted, struck[fs.TenantZone(idx)])
 		}
 	}

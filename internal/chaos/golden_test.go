@@ -45,7 +45,7 @@ func (h goldenHash) event(e Event) {
 
 // TestScheduleGolden pins the bits of every preset's tenant schedules,
 // zone-outage translations included: the events in order, ActiveAt of
-// every class and KillsAt on every step (and a few outside the replay),
+// every class and the kills at every step (and a few outside the replay),
 // and Window.Fill over two grids of round windows. A change to how a
 // schedule stores or builds its events must leave the hash alone.
 func TestScheduleGolden(t *testing.T) {
@@ -80,7 +80,7 @@ func TestScheduleGolden(t *testing.T) {
 					h.bool(ok)
 					h.event(e)
 				}
-				h.ints(s.KillsAt(step))
+				h.ints(killsAt(s, step))
 			}
 			for _, phase := range []int{0, 5} {
 				for from := phase - round; from < steps+round; from += round {

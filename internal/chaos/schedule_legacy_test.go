@@ -94,7 +94,7 @@ var fuzzClasses = []Class{NodeKill, WakeStall, ApplyReject, ForecastError, PoolC
 // FuzzScheduleMatchesLegacy adds events in arbitrary order — several
 // classes, steps 0–200, sizes 0–8, overlapping windows and same-step
 // duplicates — to a Schedule and to the reference, then requires ActiveAt
-// and KillsAt to agree at every step around the schedule for every class,
+// and a one-step window's kills to agree at every step around the schedule for every class,
 // and Events and Len to agree outright. A fault window filled at a fuzzed
 // step (-20 to 229) over a fuzzed length (0–39 steps) must hold, at every
 // step, the reference's answers to each question the apply stage asks,
@@ -148,8 +148,8 @@ func FuzzScheduleMatchesLegacy(f *testing.F) {
 					t.Fatalf("ActiveAt(%d, %s) = %v %v, reference %v %v", step, class, e, ok, we, wok)
 				}
 			}
-			if got, want := s.KillsAt(step), ref.killsAt(step); got != want {
-				t.Fatalf("KillsAt(%d) = %d, reference %d", step, got, want)
+			if got, want := killsAt(&s, step), ref.killsAt(step); got != want {
+				t.Fatalf("kills at %d = %d, reference %d", step, got, want)
 			}
 		}
 		from, n := (int(from16)%250+270)%250-20, int(n8)%40

@@ -90,7 +90,9 @@ func TestWakeClassRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	only, err := full.Only(WakeFail).Build()
+	restricted := full
+	restricted.Rates = map[Class]float64{WakeFail: full.Rates[WakeFail]}
+	only, err := restricted.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -311,6 +311,39 @@ func TestPlanCountsFoldEveryRound(t *testing.T) {
 	}
 }
 
+// TestTenantPlanCountsAtOnce: a fleet tenant holds its plan counts for
+// Run's barrier, but one planned on its own through Plan adds each round
+// to plans_total and planned_steps_total as it ends.
+func TestTenantPlanCountsAtOnce(t *testing.T) {
+	plans := obs.Default.CounterVec("robustscale_scaler_plans_total", "", "strategy")
+	steps := obs.Default.Counter("robustscale_scaler_planned_steps_total", "")
+	cfg := DefaultConfig(2)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn := c.Tenants()[1]
+	if tn.plans == nil {
+		t.Fatal("a fleet tenant's strategy holds no plan tally")
+	}
+	planned := plans.With(tn.planner.Name())
+	p0, s0 := planned.Value(), steps.Value()
+	for round := 1; round <= 3; round++ {
+		if err := tn.Plan(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tn.Apply(); err != nil {
+			t.Fatal(err)
+		}
+		if got := planned.Value() - p0; got != float64(round) {
+			t.Errorf("after %d rounds: %v plans", round, got)
+		}
+		if got := steps.Value() - s0; got != float64(round*cfg.Horizon) {
+			t.Errorf("after %d rounds: %v planned steps", round, got)
+		}
+	}
+}
+
 // TestKillRestartBitIdentical is the durability contract at fleet scale:
 // stop the whole fleet at a round boundary, restart from the per-tenant
 // checkpoints, and the completed run's fleet hash matches an

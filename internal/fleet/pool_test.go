@@ -234,92 +234,35 @@ func TestPoolClassesSurvivePressure(t *testing.T) {
 	}
 }
 
-// admitStepSorted is admitStep as it was before the quickselect: every
-// member of the partially shed class sorted by remainder, descending,
-// then index, and the first target-granted of them given a node.
-func admitStepSorted(demands []int, classes []PriorityClass, capacity int) []int {
-	n := len(demands)
-	out := make([]int, n)
-	capacity = min(max(capacity, 0), maxDemand)
-	total := 0
-	for i, d := range demands {
-		out[i] = min(max(d, 0), maxDemand)
-		total += out[i]
-	}
-	if total <= capacity {
-		return out
-	}
-	shed := total - capacity
-	for class := ClassBestEffort; class >= ClassGuaranteed && shed > 0; class-- {
-		classTotal := 0
-		for i := range out {
-			if classes[i] == class {
-				classTotal += out[i]
-			}
-		}
-		if classTotal == 0 {
-			continue
-		}
-		if shed >= classTotal {
-			for i := range out {
-				if classes[i] == class {
-					out[i] = 0
-				}
-			}
-			shed -= classTotal
-			continue
-		}
-		target := classTotal - shed
-		rems := make([]int, n)
+// TestSelectTopMatchesSort holds admitStep's quickselect to the sort it
+// replaced: on random remainders (a small spread, so the index tie-break
+// decides, and a wide one) and a random k, the first k members it leaves are
+// the first k that sorting by remainder descending, then index, gives.
+func TestSelectTopMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for c := 0; c < 5000; c++ {
+		n := 1 + rng.Intn(90)
+		spread := []int{3, 1 << 12}[c%2]
+		rems := make([]int, 2*n)
 		var members []int
-		granted := 0
-		for i := range out {
-			if classes[i] != class || out[i] == 0 {
-				continue
+		for i := range rems {
+			rems[i] = rng.Intn(spread)
+			if rng.Intn(2) == 0 {
+				members = append(members, i)
 			}
-			num := int64(out[i]) * int64(target)
-			out[i] = int(num / int64(classTotal))
-			granted += out[i]
-			rems[i] = int(num % int64(classTotal))
-			members = append(members, i)
 		}
-		slices.SortFunc(members, func(a, b int) int {
+		sorted := slices.Clone(members)
+		slices.SortFunc(sorted, func(a, b int) int {
 			return cmp.Or(cmp.Compare(rems[b], rems[a]), cmp.Compare(a, b))
 		})
-		for k := 0; granted < target && k < len(members); k++ {
-			out[members[k]]++
-			granted++
-		}
-		shed = 0
-	}
-	return out
-}
-
-// TestAdmitStepMatchesSort holds the quickselect to the sort it replaced
-// on random fleets: small demands (many equal remainders, so the index
-// tie-break decides), wide ones, one class, and capacities from zero to
-// past the total. The out buffer is reused across cases, as the barrier
-// reuses it.
-func TestAdmitStepMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	var out []int
-	for c := 0; c < 20000; c++ {
-		n := 1 + rng.Intn(90)
-		spread := []int{3, 20, 1 << 12}[c%3]
-		demands := make([]int, n)
-		classes := classesFor(n)
-		total := 0
-		for i := range demands {
-			demands[i] = rng.Intn(spread) - spread/8
-			total += max(demands[i], 0)
-			if c%7 == 0 {
-				classes[i] = ClassBurstable
-			}
-		}
-		capacity := rng.Intn(total + 2)
-		out = admitStep(demands, classes, capacity, out)
-		if want := admitStepSorted(demands, classes, capacity); !slices.Equal(out, want) {
-			t.Fatalf("demands %v classes %v capacity %d: admitted %v, sort %v", demands, classes, capacity, out, want)
+		k := rng.Intn(len(members) + 1)
+		selectTop(members, rems, k)
+		slices.Sort(members[:k])
+		slices.Sort(members[k:])
+		slices.Sort(sorted[:k])
+		slices.Sort(sorted[k:])
+		if !slices.Equal(members, sorted) {
+			t.Fatalf("rems %v k %d: selected %v, sort %v", rems, k, members[:k], sorted[:k])
 		}
 	}
 }

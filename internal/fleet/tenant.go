@@ -517,10 +517,13 @@ func (t *Tenant) holdPlan(h int) []int {
 // a hold); without one the error also ends the loop (Err).
 func (t *Tenant) Plan() error {
 	t.planStart = obs.Mono()
-	return t.plan()
+	err := t.plan()
+	t.plans.Flush()
+	return err
 }
 
-// plan is Plan untimed: the fleet times its stages, not its tenants.
+// plan is Plan untimed, its count left for Run's plan barrier to fold:
+// the fleet times its stages, not its tenants.
 func (t *Tenant) plan() error {
 	origin, h := t.origin, t.Horizon
 	if t.hooks.Forecast {

@@ -105,9 +105,9 @@ func (t *PlanTally) Fold(from *PlanTally) {
 	from.rounds, from.steps = 0, 0
 }
 
-// Flush adds the rounds t holds to the shared counters.
+// Flush adds the rounds t (nil for none) holds to the shared counters.
 func (t *PlanTally) Flush() {
-	if t.rounds > 0 {
+	if t != nil && t.rounds > 0 {
 		t.plans.Add(float64(t.rounds))
 		plannedSteps.Add(float64(t.steps))
 		t.rounds, t.steps = 0, 0

@@ -4,22 +4,20 @@
 # Builds the bench binary of <parent-rev> (from `git archive`, so nothing
 # is registered in the repository) and of the working tree, then runs
 # them in <pairs> alternating pairs, the first side swapped every pair.
-# It prints the parent's and the change's median and quartiles of METRIC
-# (default user_cpu_us_per_tenant_round; every end-to-end metric is
-# better lower) and the pairs the change won, in BENCH_history.jsonl's
-# field names, then the same for every other metric of the runs, and the
-# hashes and the failed count each side printed.
+# For every end-to-end metric of the runs (each is better lower) it prints
+# the parent's and the change's median and quartiles and the pairs the
+# change won, in BENCH_history.jsonl's field names, then the hashes and
+# the failed count each side printed.
 # Needs go and jq; every run goes to a temporary directory.
 #
 #   scripts/bench_pairs.sh HEAD~1 fleet-serverless-storm 10
-#   METRIC=setup_s scripts/bench_pairs.sh HEAD~1 paper-pipeline 5 7
+#   scripts/bench_pairs.sh HEAD~1 paper-pipeline 5 7
 set -euo pipefail
 if [ $# -lt 3 ]; then
 	echo "usage: $0 <parent-rev> <workload> <pairs> [seed]" >&2
 	exit 2
 fi
 rev=$1 workload=$2 pairs=$3 seed=${4:-42}
-metric=${METRIC:-user_cpu_us_per_tenant_round}
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -42,7 +40,7 @@ stats() { # stats <side> <metric>: median and linearly interpolated quartiles
 	function q(p,   h, l) { h = (NR - 1) * p + 1; l = int(h); return v[l] + (h - l) * (v[l + 1] - v[l]) }
 	END { printf "\"%s_median\": %.4f, \"%s_q1\": %.4f, \"%s_q3\": %.4f", s, q(0.5), s, q(0.25), s, q(0.75) }'
 }
-for m in "$metric" $(jq -r '.metrics | keys[]' "$work/parent.json" | sort -u | grep -vx "$metric"); do
+for m in $(jq -r '.metrics | keys[]' "$work/parent.json" | sort -u); do
 	won=$(paste <(jq -r --arg m "$m" '.metrics[$m].value' "$work/parent.json") \
 		<(jq -r --arg m "$m" '.metrics[$m].value' "$work/change.json") | awk '$2 < $1 { w++ } END { print w + 0 }')
 	echo "{\"metric\": \"$m\", $(stats parent "$m"), $(stats change "$m"), \"pairs_won\": $won, \"pairs\": $pairs}"
