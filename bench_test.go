@@ -471,27 +471,6 @@ func BenchmarkAblationConformal(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSolver compares the closed-form allocation against the
-// simplex LP on identical inputs (they agree; the LP pays for generality).
-func BenchmarkAblationSolver(b *testing.B) {
-	wl := ablationWorkload(b)
-	demand := wl.Values[wl.Len()*8/10 : wl.Len()*8/10+72]
-	b.Run("closed-form", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := optimize.Plan(demand, 100); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("simplex", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := optimize.PlanLP(demand, 100); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSketchObserve measures the health plane's quantile sketch on
 // its hot path: one Observe per control-loop sample.
 func BenchmarkSketchObserve(b *testing.B) {

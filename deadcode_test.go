@@ -17,7 +17,6 @@ import (
 // fails the test, so the list cannot rot.
 var deadCodeAllow = map[declKey]string{
 	{"internal/forecast", "NewConformal"}: "ROADMAP 1(a) decides wire-in or delete; reached today only by BenchmarkAblationConformal",
-	{"internal/optimize", "PlanLP"}:       "simplex reference that TestPlanLPMatchesClosedForm and BenchmarkAblationSolver compare against",
 }
 
 // TestDeadCode fails on any top-level declaration under internal/ that

@@ -23,10 +23,17 @@ var calibrationSkipped = obs.Default.Counter(
 // realized workloads, the robust strategy's safety margin has silently
 // eroded and retraining is due.
 //
-// Every Observe updates, in O(levels) time, the window's per-level
-// covered-step counts (actuals at or below the level's forecast) and
-// pinball-loss sums, from which Snapshot reads per-level coverage and the
-// rolling mean weighted quantile loss. A Calibration exports nothing
+// The window is a ring of buckets, each the sums of a run of consecutive
+// steps: its step count, actual sum, and per level the covered-step count
+// (actuals at or below the level's forecast) and pinball-loss sum. A
+// window of w steps holds w/b buckets of b steps, b the largest divisor
+// of w that leaves at least calibrationBuckets buckets (12 of 12 for the
+// fleet's one-day window, one step each below 24). Every Observe adds its
+// step, in O(levels) time, to the newest bucket and to the window's own
+// sums, from which Snapshot reads per-level coverage and the rolling mean
+// weighted quantile loss; a step that finds the ring full first drops the
+// oldest bucket whole. So the window holds between w-b+1 and w steps, and
+// w exactly at every b-step boundary. A Calibration exports nothing
 // itself: a CalibrationFold pools the windows of a whole fleet into the
 // robustscale_forecast_* gauges once per round.
 //
@@ -35,17 +42,20 @@ var calibrationSkipped = obs.Default.Counter(
 type Calibration struct {
 	levels []float64
 	window int
+	bucket int // steps per bucket
 
-	mu        sync.Mutex
-	actuals   []float64 // ring of realized workloads
-	preds     []float64 // ring of quantile rows, len(levels) values per slot
-	next      int
-	count     int
-	covered   []int     // per level: covered steps currently in window
-	pinball   []float64 // per level: pinball-loss sum over window
-	actualSum float64
-	skipped   uint64 // non-finite observations refused
+	mu sync.Mutex
+	// sums is the window's record, then the ring of bucket records; a
+	// record is step count, actual sum, each level's covered count, each
+	// level's pinball sum (counts are whole floats, so a bucket leaves the
+	// window by one subtraction per field).
+	sums    []float64
+	head    int // the bucket taking steps
+	skipped uint64
 }
+
+// calibrationBuckets is the fewest buckets a window is cut into.
+const calibrationBuckets = 12
 
 // CalibrationSnapshot is a point-in-time view of the rolling window.
 type CalibrationSnapshot struct {
@@ -59,6 +69,24 @@ type CalibrationSnapshot struct {
 	Steps int
 	// Skipped is how many observations were refused as non-finite.
 	Skipped uint64
+}
+
+// bucketSize is the steps per bucket of a window: its largest divisor
+// that still cuts it into calibrationBuckets or more.
+func bucketSize(window int) int {
+	for b := window / calibrationBuckets; b > 1; b-- {
+		if window%b == 0 {
+			return b
+		}
+	}
+	return 1
+}
+
+// calibrationCells is the floats a tracker over l levels and a window of
+// that many steps allocates: its levels, its window record and one record
+// per bucket.
+func calibrationCells(l, window int) int {
+	return l + (2+2*l)*(1+window/bucketSize(window))
 }
 
 // NewCalibration builds a tracker for the given quantile levels over a
@@ -75,16 +103,14 @@ func NewCalibration(levels []float64, window int) (*Calibration, error) {
 			return nil, fmt.Errorf("cluster: calibration level %v outside (0, 1)", tau)
 		}
 	}
-	// Levels, pinball sums, actuals and predictions share one array.
+	// Levels and every record share one array.
 	l := len(levels)
-	cells := make([]float64, 2*l+window*(l+1))
+	cells := make([]float64, calibrationCells(l, window))
 	return &Calibration{
-		levels:  append(cells[:0:l], levels...),
-		window:  window,
-		pinball: cells[l : 2*l : 2*l],
-		actuals: cells[2*l : 2*l+window : 2*l+window],
-		preds:   cells[2*l+window:],
-		covered: make([]int, l),
+		levels: append(cells[:0:l], levels...),
+		window: window,
+		bucket: bucketSize(window),
+		sums:   cells[l:],
 	}, nil
 }
 
@@ -159,83 +185,74 @@ func (c *Calibration) observe(actual float64, quantiles []float64) {
 	c.admit(a[:], r[:])
 }
 
-// admit writes finite steps into the ring, actuals[s] against rows[s] in
-// order. A full window first evicts its oldest step: each level's sums
-// lose the evicted step before they gain the new one, and actualSum
-// likewise, in that order. Callers hold the lock and have checked every
-// row's width.
+// admit adds finite steps, actuals[s] against rows[s] in order, to the
+// window's sums and the newest bucket's in one pass; a step that finds
+// that bucket full opens the next. Callers hold the lock and have checked
+// every row's width.
 func (c *Calibration) admit(actuals []float64, rows [][]float64) {
 	l := len(c.levels)
-	levels, covered, pinball := c.levels, c.covered[:l], c.pinball[:l]
-	next, count, sum := c.next, c.count, c.actualSum
+	stride := 2 + 2*l
+	win := c.sums[:stride:stride]
+	b := c.sums[stride*(1+c.head):][:stride:stride]
 	for s, actual := range actuals {
-		row, quantiles := c.preds[next*l:][:l], rows[s][:l]
-		evict, old := count == c.window, c.actuals[next]
-		if evict {
-			sum -= old
-		} else {
-			count++
+		if int(b[0]) == c.bucket {
+			b = c.rotate(stride)
 		}
-		c.actuals[next] = actual
-		sum += actual
-		for i, tau := range levels {
-			if evict {
-				if row[i] >= old {
-					covered[i]--
-				}
-				pinball[i] -= metrics.Pinball(tau, old, row[i])
-			}
-			q := quantiles[i]
-			row[i] = q
+		win[0]++
+		b[0]++
+		win[1] += actual
+		b[1] += actual
+		for i, q := range rows[s][:l] {
 			if q >= actual {
-				covered[i]++
+				win[2+i]++
+				b[2+i]++
 			}
-			pinball[i] += metrics.Pinball(tau, actual, q)
-		}
-		if next++; next == c.window {
-			next = 0
+			p := metrics.Pinball(c.levels[i], actual, q)
+			win[2+l+i] += p
+			b[2+l+i] += p
 		}
 	}
-	c.next, c.count, c.actualSum = next, count, sum
 }
 
-// rollingWQL computes the mean over levels of 2*QL_tau/sum(actuals) for
-// the window; callers hold the lock.
-func (c *Calibration) rollingWQL() float64 {
-	if c.actualSum <= 0 {
-		return 0
+// rotate opens the bucket after the head and returns it; when it still
+// holds the window's oldest steps, they leave the window's sums first.
+func (c *Calibration) rotate(stride int) []float64 {
+	if c.head++; c.head == c.window/c.bucket {
+		c.head = 0
 	}
-	total := 0.0
-	for i := range c.levels {
-		total += 2 * c.pinball[i] / c.actualSum
+	win, b := c.sums[:stride], c.sums[stride*(1+c.head):][:stride]
+	if b[0] > 0 {
+		for i, v := range b {
+			win[i] -= v
+		}
+		clear(b)
 	}
-	return total / float64(len(c.levels))
+	return b
 }
 
-// Snapshot returns the current rolling statistics.
+// Snapshot returns the current rolling statistics: each level's covered
+// share of the window's steps (0 over an empty window) and the mean over
+// levels of 2·pinball/Σactual (0 unless Σactual > 0).
 func (c *Calibration) Snapshot() CalibrationSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	l, steps, actual := len(c.levels), c.sums[0], c.sums[1]
 	snap := CalibrationSnapshot{
 		Levels:   append([]float64(nil), c.levels...),
-		Coverage: make([]float64, len(c.levels)),
-		WQL:      c.rollingWQL(),
-		Steps:    c.count,
+		Coverage: make([]float64, l),
+		Steps:    int(steps),
 		Skipped:  c.skipped,
 	}
 	for i := range c.levels {
-		snap.Coverage[i] = c.coverageOf(i)
+		if steps > 0 {
+			snap.Coverage[i] = c.sums[2+i] / steps
+		}
+		if actual > 0 {
+			snap.WQL += 2 * c.sums[2+l+i] / actual
+		}
 	}
+	snap.WQL /= float64(l)
 	return snap
-}
-
-// coverageOf returns level i's observed rolling coverage, 0 over an empty
-// window; callers hold the lock.
-func (c *Calibration) coverageOf(i int) float64 {
-	if c.count == 0 {
-		return 0
-	}
-	return float64(c.covered[i]) / float64(c.count)
 }
 
 // The per-level calibration families. They print nothing until a fold
@@ -294,13 +311,14 @@ func (f *CalibrationFold) Add(c *Calibration) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f.steps += c.count
+	steps, actual := c.sums[0], c.sums[1]
+	f.steps += int(steps)
 	for i, tau := range c.levels {
 		l := f.level(tau)
-		l.covered += c.covered[i]
-		l.count += c.count
-		l.pinball += c.pinball[i]
-		l.actual += c.actualSum
+		l.covered += int(c.sums[2+i])
+		l.count += int(steps)
+		l.pinball += c.sums[2+len(c.levels)+i]
+		l.actual += actual
 	}
 }
 

@@ -291,9 +291,10 @@ func (r *refWindow) observe(actual float64, row []float64) {
 	r.next = (r.next + 1) % window
 }
 
-// TestObserveStepsMatchesReference: every running sum of a window fed
-// whole rounds, some holding a non-finite value, has the bits of the
-// plain one-step-at-a-time window, through many evictions.
+// TestObserveStepsMatchesReference: every running sum of a window of
+// one-step buckets fed whole rounds, some holding a non-finite value, has
+// the bits of the plain one-step-at-a-time window, through many
+// evictions.
 func TestObserveStepsMatchesReference(t *testing.T) {
 	levels := []float64{0.5, 0.9, 0.99}
 	const window = 7
@@ -327,16 +328,144 @@ func TestObserveStepsMatchesReference(t *testing.T) {
 		if err := c.ObserveSteps(actuals, rows); err != nil {
 			t.Fatal(err)
 		}
-		same := c.next == ref.next && c.count == ref.count && c.skipped == ref.skipped &&
-			math.Float64bits(c.actualSum) == math.Float64bits(ref.sum) && reflect.DeepEqual(c.covered, ref.covered)
+		same := int(c.sums[0]) == ref.count && c.skipped == ref.skipped &&
+			math.Float64bits(c.sums[1]) == math.Float64bits(ref.sum)
 		for i := range levels {
-			same = same && math.Float64bits(c.pinball[i]) == math.Float64bits(ref.pinball[i])
+			same = same && int(c.sums[2+i]) == ref.covered[i] && math.Float64bits(c.sums[2+l+i]) == math.Float64bits(ref.pinball[i])
 		}
 		if !same {
-			t.Fatalf("round %d: window sums %v/%v/%v, plain window %v/%v/%v", round,
-				c.covered, c.pinball, c.actualSum, ref.covered, ref.pinball, ref.sum)
+			t.Fatalf("round %d: window record %v, plain window %v/%v/%v", round,
+				c.sums[:2+2*l], ref.covered, ref.pinball, ref.sum)
 		}
 	}
+}
+
+// oneDay is the fleet's calibration window: 144 ten-minute steps, which
+// the tracker cuts into 12 buckets of 12.
+const oneDay = 144
+
+// ringStep is one graded step of matchStepRing's input.
+type ringStep struct {
+	actual float64
+	row    []float64
+}
+
+// matchStepRing feeds steps to a one-day tracker, through ObserveSteps in
+// rounds of 12 or through Observe one at a time, and to the plain step
+// ring, and at every 12-step boundary of admitted steps holds the tracker
+// to the ring: the same step, skipped and covered counts, and the rolling
+// wQL within 1e-12 relative.
+func matchStepRing(t *testing.T, levels []float64, steps []ringStep, perStep bool) {
+	t.Helper()
+	c, err := NewCalibration(levels, oneDay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := len(levels)
+	ref := &refWindow{levels: levels, actuals: make([]float64, oneDay), preds: make([]float64, oneDay*l),
+		pinball: make([]float64, l), covered: make([]int, l)}
+	check := func(at int) {
+		t.Helper()
+		admitted := int(uint64(at) - ref.skipped)
+		if admitted%c.bucket != 0 {
+			return
+		}
+		snap := c.Snapshot()
+		refWQL := 0.0
+		for i := range levels {
+			if covered := int(c.sums[2+i]); covered != ref.covered[i] {
+				t.Fatalf("after %d steps: level %d covers %d steps, the ring %d", at, i, covered, ref.covered[i])
+			}
+			if ref.sum > 0 {
+				refWQL += 2 * ref.pinball[i] / ref.sum
+			}
+		}
+		refWQL /= float64(l)
+		if snap.Steps != ref.count || snap.Skipped != ref.skipped {
+			t.Fatalf("after %d steps: %d held and %d skipped, the ring %d and %d", at, snap.Steps, snap.Skipped, ref.count, ref.skipped)
+		}
+		if math.Abs(snap.WQL-refWQL) > 1e-12*math.Abs(refWQL) {
+			t.Fatalf("after %d steps: rolling wQL %v, the ring %v", at, snap.WQL, refWQL)
+		}
+	}
+	if perStep {
+		for s, st := range steps {
+			ref.observe(st.actual, st.row)
+			if err := c.Observe(st.actual, st.row); err != nil {
+				t.Fatal(err)
+			}
+			check(s + 1)
+		}
+		return
+	}
+	for start := 0; start < len(steps); start += 12 {
+		round := steps[start:min(start+12, len(steps))]
+		actuals, rows := make([]float64, len(round)), make([][]float64, len(round))
+		for s, st := range round {
+			actuals[s], rows[s] = st.actual, st.row
+			ref.observe(st.actual, st.row)
+		}
+		if err := c.ObserveSteps(actuals, rows); err != nil {
+			t.Fatal(err)
+		}
+		check(start + len(round))
+	}
+}
+
+// ringSteps reads graded steps from bytes, 1+len(levels) per step: an
+// actual in [50, 305) and each level's forecast a non-zero distance from
+// it, so no window sum cancels to nothing. A 255 actual byte is NaN and a
+// zero forecast byte +Inf.
+func ringSteps(data []byte, levels int) []ringStep {
+	var steps []ringStep
+	for ; len(data) > levels; data = data[1+levels:] {
+		st := ringStep{actual: 50 + float64(data[0]), row: make([]float64, levels)}
+		if data[0] == 255 {
+			st.actual = math.NaN()
+		}
+		for i, d := range data[1 : 1+levels] {
+			st.row[i] = 50 + float64(data[0]) + float64(d) - 127.5
+			if d == 0 {
+				st.row[i] = math.Inf(1)
+			}
+		}
+		steps = append(steps, st)
+	}
+	return steps
+}
+
+// TestBucketsMatchStepRing drives the one-day tracker and the plain step
+// ring through ten days of random rounds of 12 steps, and through
+// per-step Observe calls with non-finite values among them.
+func TestBucketsMatchStepRing(t *testing.T) {
+	levels := []float64{0.1, 0.5, 0.9}
+	rng := rand.New(rand.NewSource(5))
+	data := make([]byte, 10*oneDay*(1+len(levels)))
+	for i := range data {
+		data[i] = byte(1 + rng.Intn(254))
+	}
+	matchStepRing(t, levels, ringSteps(data, len(levels)), false)
+	for i := 0; i < 40; i++ {
+		data[rng.Intn(len(data))] = []byte{0, 255}[rng.Intn(2)]
+	}
+	matchStepRing(t, levels, ringSteps(data, len(levels)), true)
+}
+
+// FuzzBucketsMatchStepRing is TestBucketsMatchStepRing on fuzzer-chosen
+// steps: the first byte picks rounds or single steps.
+func FuzzBucketsMatchStepRing(f *testing.F) {
+	rng := rand.New(rand.NewSource(9))
+	seed := make([]byte, 1+2*oneDay*3)
+	rng.Read(seed)
+	f.Add(seed)
+	seed = append([]byte{1}, seed[1:]...)
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		matchStepRing(t, []float64{0.5, 0.9}, ringSteps(data[1:], 2), data[0]%2 == 1)
+	})
 }
 
 func TestCalibrationSkipsNonFinite(t *testing.T) {

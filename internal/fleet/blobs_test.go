@@ -99,9 +99,10 @@ var blobCases = []blobCase{
 	},
 	{
 		name: "calibration",
-		// Five observations through a three-slot ring: the saved window
-		// wraps, so both runs of the ring are in the blob.
-		golden: "02000000000000e03fcdccccccccccec3f06010300000000000028400000000000002a400000000000002c400600000000000026400000000000002a400000000000002c40000000000000264000000000000026400000000000002e40",
+		// Five observations through a three-step window of one-step
+		// buckets: the bucket ring wraps, so both of its runs are in the
+		// blob after the window's record.
+		golden: "02000000000000e03fcdccccccccccec3f05011800000000000008400000000000804340000000000000f03f000000000000004000000000000004400000000000000040000000000000f03f00000000000028400000000000000000000000000000f03f000000000000e03f989999999999b93f000000000000f03f0000000000002a40000000000000f03f0000000000000000000000000000e03fcdccccccccccfc3f000000000000f03f0000000000002c400000000000000000000000000000f03f000000000000f83f989999999999b93f",
 		populated: func(t testing.TB) func(io.Writer) error {
 			return observedCalibration(t, []float64{0.5, 0.9}, 3).Save
 		},
@@ -398,7 +399,7 @@ func TestExtraCodecCoversEveryField(t *testing.T) {
 // first byte picks the component: it loads or it errors, it never panics,
 // and it never allocates more than a small multiple of its input plus the
 // one structure a valid blob may size by a field rather than by its bytes
-// (a calibration ring, capped at 8 MiB).
+// (a calibration's bucket records, capped at 8 MiB).
 func FuzzLoadComponent(f *testing.F) {
 	for i, c := range blobCases {
 		blob, err := hex.DecodeString(c.golden)

@@ -496,7 +496,7 @@ func (c *Controller) injectWakeStorm(active []*Tenant) {
 			continue
 		}
 		forced++
-		t.wakeReason = "wake-storm"
+		t.wakeTr = scaler.WakeStorm
 		for j := range t.round.Nodes {
 			if t.round.Nodes[j] < 1 {
 				t.round.Nodes[j] = 1
@@ -539,13 +539,17 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		parallel.ForEachWorkerSpan("fleet-plan", cfg.Workers, len(active), func(_, i int) {
 			_ = active[i].plan()
 		})
-		// Fold the round's plan counts: one add per shared counter.
+		// Fold the round's plan counts, one add per shared counter, and
+		// journal its wake transitions in tenant order.
 		var err error
 		for _, t := range c.tenants {
 			plans.Fold(t.plans)
 			if err == nil {
 				err = t.err
 			}
+		}
+		for _, t := range active {
+			t.journalWake(true)
 		}
 		plans.Flush()
 		if err != nil {
@@ -569,6 +573,9 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 			if t.err != nil {
 				return nil, t.err
 			}
+		}
+		for _, t := range active {
+			t.journalWake(false)
 		}
 		applied := obs.Mono()
 		round := (applied - start).Seconds()

@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"reflect"
 	"testing"
+
+	"robustscale/internal/obs"
 )
 
 // serverlessConfig is the serverless analogue of testConfig: the
@@ -179,5 +182,45 @@ func TestServerlessStaleCheckpointColdStarts(t *testing.T) {
 	rep := runFleet(t, sl)
 	if rep.WarmStarts != 0 {
 		t.Fatalf("serverless fleet warm-started %d tenants from non-serverless checkpoints", rep.WarmStarts)
+	}
+}
+
+// TestJournalIndependentOfWorkers: a 64-tenant, six-day serverless fleet
+// under wake-storm chaos journals the same events in the same order at
+// one worker and at two, its wake transitions among them: a tenant's wake
+// events are recorded at the stage barriers, in tenant order.
+func TestJournalIndependentOfWorkers(t *testing.T) {
+	cfg := serverlessConfig(64)
+	cfg.Days, cfg.Chaos = 6, "wake-storm"
+	journal := func(workers int) []obs.Event {
+		cfg.Workers = workers
+		since := obs.DefaultJournal.Total()
+		runFleet(t, cfg)
+		if n := obs.DefaultJournal.Total() - since; n > uint64(obs.DefaultJournal.Cap()) {
+			t.Fatalf("the run journalled %d events, past the journal's %d", n, obs.DefaultJournal.Cap())
+		}
+		events := obs.DefaultJournal.EventsFiltered("", since)
+		for i := range events {
+			events[i].Seq = 0
+		}
+		return events
+	}
+	one, two := journal(1), journal(2)
+	wakes := 0
+	for _, e := range one {
+		if e.Kind == "wake" {
+			wakes++
+		}
+	}
+	if wakes < 100 {
+		t.Fatalf("premise: %d wake events journalled, want the storm's hundreds", wakes)
+	}
+	if len(one) != len(two) {
+		t.Fatalf("%d events at one worker, %d at two", len(one), len(two))
+	}
+	for i := range one {
+		if !reflect.DeepEqual(one[i], two[i]) {
+			t.Fatalf("event %d of %d: %+v at one worker, %+v at two", i, len(one), one[i], two[i])
+		}
 	}
 }

@@ -246,14 +246,15 @@ type Tenant struct {
 
 	// Scale-to-zero state; nil/zero without WakeConfig. wakeGuard shapes
 	// plans with park/wake hysteresis; wakeLat streams completed-wake
-	// latency into a mergeable sketch; wakeReason annotates the round's
-	// decision record for -explain; sless is the scale-to-zero plant's
-	// state machine, held for its snapshot and counters.
+	// latency into a mergeable sketch; wakeTr is the round's wake
+	// transition, which annotates its decision record for -explain and
+	// is journalled at the plan barrier; sless is the scale-to-zero
+	// plant's state machine, held for its snapshot and counters.
 	wakeGuard   *scaler.WakeGuard
 	sless       *cluster.Serverless
 	wakeLat     *obs.Sketch
 	parkedSteps int64
-	wakeReason  string
+	wakeTr      scaler.WakeTransition
 
 	histView *timeseries.Series
 	planBuf  []int
@@ -519,7 +520,22 @@ func (t *Tenant) Plan() error {
 	t.planStart = obs.Mono()
 	err := t.plan()
 	t.plans.Flush()
+	t.journalWake(true)
 	return err
+}
+
+// journalWake records the wake guard's events of the stage just ended:
+// Shape's transition after a plan, a breaker trip after an apply. A fleet
+// calls it at each stage barrier in tenant order, so the journal does not
+// depend on how many workers ran the stage.
+func (t *Tenant) journalWake(planned bool) {
+	switch {
+	case t.wakeGuard == nil:
+	case planned:
+		t.wakeGuard.JournalShape(t.wakeTr)
+	default:
+		t.wakeGuard.JournalTrip()
+	}
 }
 
 // plan is Plan untimed, its count left for Run's plan barrier to fold:
@@ -569,7 +585,7 @@ func (t *Tenant) plan() error {
 		// parked tenant's returning demand wakes it, and an open wake
 		// breaker floors everything at the keep-warm count.
 		recent := t.Series.Values[max(0, origin-h):origin]
-		t.wakeReason = t.wakeGuard.Shape(round.Nodes, scaler.Idle(round.Nodes, recent, t.IdleEps)).Reason()
+		t.wakeTr = t.wakeGuard.Shape(round.Nodes, scaler.Idle(round.Nodes, recent, t.IdleEps))
 	}
 	return err
 }
@@ -610,6 +626,7 @@ func (t *Tenant) Apply() error {
 	if err := t.apply(t.own); err != nil {
 		return err
 	}
+	t.journalWake(false)
 	fleetPlanSeconds.Observe((obs.Mono() - t.planStart).Seconds())
 	return nil
 }
@@ -619,7 +636,7 @@ func (t *Tenant) apply(s *roundScratch) error {
 	origin, plan, fan := t.origin, t.round.Nodes, t.round.Fan
 	reason := t.shedReason
 	if reason == "" {
-		reason = t.wakeReason
+		reason = t.wakeTr.Reason()
 	}
 	scaler.RecordDecisionAdmitted(t.round.Decision, t.ID, origin, t.Series.TimeAt(origin),
 		t.prevAlloc, plan, t.shedRound, reason)
@@ -679,7 +696,7 @@ func (t *Tenant) apply(s *roundScratch) error {
 	}
 	t.origin = origin + t.Horizon
 	t.roundCounter.Inc()
-	t.wakeReason = ""
+	t.wakeTr = scaler.WakeNone
 	return nil
 }
 

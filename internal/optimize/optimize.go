@@ -1,9 +1,9 @@
 // Package optimize solves the auto-scaling optimization problems of
 // Definitions 3-5: minimize total compute nodes subject to per-step
 // workload thresholds. The unconstrained problem decomposes per step into
-// a closed form; a simplex LP solver handles the general (relaxed) problem
-// and a dynamic program solves the thrashing-constrained integer variant
-// from Section V-A exactly.
+// a closed form (a simplex LP solver in the tests is its oracle for the
+// general relaxed problem), and a dynamic program solves the
+// thrashing-constrained integer variant from Section V-A exactly.
 package optimize
 
 import (

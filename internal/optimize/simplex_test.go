@@ -1,5 +1,8 @@
 package optimize
 
+// The simplex is the closed form's independent oracle: tests and the
+// solver ablation bench solve Equation 6 as a general LP and compare.
+
 import (
 	"fmt"
 	"math"
@@ -163,8 +166,9 @@ func maxAbs(xs []float64) float64 {
 
 // PlanLP solves the relaxed auto-scaling problem (Equation 6) as an LP —
 // min sum c_t subject to c_t >= w_t/theta — and rounds up to integers.
-// It exists to validate the closed-form Plan and to support the solver
-// ablation bench; both produce identical allocations.
+// It validates the closed-form Plan (TestPlanLPMatchesClosedForm) and
+// is the other side of BenchmarkAblationSolver; both produce identical
+// allocations.
 func PlanLP(workload []float64, theta float64) ([]int, error) {
 	if theta <= 0 {
 		return nil, fmt.Errorf("optimize: non-positive threshold %v", theta)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 
 	"robustscale/internal/wire"
 )
@@ -166,7 +167,8 @@ func (s *SeriesStore) Close() error {
 type seriesFile struct {
 	r       io.ReaderAt
 	size    int64
-	offsets []byte // record count × u64
+	offsets []byte    // record count × u64
+	bufs    sync.Pool // *[]byte: record buffers, reused across reads
 }
 
 // openSeriesFile validates the header and index of a series image of the
@@ -209,7 +211,17 @@ func (sf *seriesFile) read(slot int, key []byte, n int) ([]float64, error) {
 	if n < 0 || off > uint64(sf.size) || size > sf.size-int64(off) {
 		return nil, fmt.Errorf("%w: series record %d truncated: %d bytes at offset %d of %d", ErrCorrupt, slot, size, off, sf.size)
 	}
-	buf := make([]byte, size)
+	// A record is read whole into a pooled buffer: every byte of it is
+	// overwritten or the read fails, so a reused one needs no zeroing.
+	bp, _ := sf.bufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	defer sf.bufs.Put(bp)
+	if int64(cap(*bp)) < size {
+		*bp = make([]byte, size)
+	}
+	buf := (*bp)[:size]
 	if _, err := sf.r.ReadAt(buf, int64(off)); err != nil {
 		return nil, fmt.Errorf("%w: reading series record %d: %v", ErrCorrupt, slot, err)
 	}

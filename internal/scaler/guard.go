@@ -209,7 +209,10 @@ func (g *Guard) guarded(history *timeseries.Series, h int, dst []int) (Round, er
 		g.recover()
 		return round, nil
 	}
-	repairs, err := RepairFan(round.Fan, bound)
+	var repairs int
+	if !fanSound(round.Fan, bound) {
+		repairs, err = RepairFan(round.Fan, bound)
+	}
 	if err != nil {
 		return g.fallbackRound(hist, h, dst, cfg, fmt.Sprintf("unrepairable fan: %v", err))
 	}
@@ -445,14 +448,16 @@ func (g *Guard) enterMode(mode DegradationMode, reason string) {
 		map[string]float64{"mode": float64(mode)})
 }
 
-// recover returns the guard to normal, journaling the transition when a
-// degraded round preceded it.
+// recover returns the guard to normal. Only a degraded guard has a
+// transition to make: it journals it and stores the mode gauge, which a
+// clean round leaves alone.
 func (g *Guard) recover() {
-	if g.mode != ModeNormal {
-		obs.DefaultJournal.RecordAt(g.now(), "recovered",
-			fmt.Sprintf("guard recovered to normal from %s", g.mode),
-			map[string]float64{"mode": 0})
+	if g.mode == ModeNormal {
+		return
 	}
+	obs.DefaultJournal.RecordAt(g.now(), "recovered",
+		fmt.Sprintf("guard recovered to normal from %s", g.mode),
+		map[string]float64{"mode": 0})
 	g.mode = ModeNormal
 	g.lastReason = ""
 	degradationMode.Set(0)

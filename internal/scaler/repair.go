@@ -85,6 +85,40 @@ func RepairFan(f *forecast.QuantileForecast, maxValue float64) (int, error) {
 	return repairs, nil
 }
 
+// fanSound reports, in one pass over the fan, that RepairFan would find
+// nothing to repair: every row as wide as the levels, finite, within
+// maxValue (when positive) and monotone, and the mean finite and within
+// maxValue over the rows' steps. An empty fan is not sound (RepairFan
+// refuses it).
+func fanSound(f *forecast.QuantileForecast, maxValue float64) bool {
+	if f == nil || len(f.Values) == 0 {
+		return false
+	}
+	bound := math.Inf(1)
+	if maxValue > 0 {
+		bound = maxValue
+	}
+	for _, row := range f.Values {
+		if len(row) != len(f.Levels) {
+			return false
+		}
+		prev := math.Inf(-1)
+		for _, v := range row {
+			// NaN fails every comparison, so it fails here too.
+			if !(v >= prev && v <= bound) || math.IsInf(v, 0) {
+				return false
+			}
+			prev = v
+		}
+	}
+	for _, v := range f.Mean[:min(len(f.Mean), len(f.Values))] {
+		if !(v <= bound) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // nearestFinite returns the finite row value closest to index i.

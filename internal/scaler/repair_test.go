@@ -86,7 +86,9 @@ func TestRepairFanUsesPreviousRow(t *testing.T) {
 
 // FuzzRepairFan is the satellite fuzz target: arbitrary rows in, and the
 // postcondition is all-or-nothing — either an ErrUnrepairableFan-class
-// error, or a fan that is finite, monotone per row, and within bound.
+// error, or a fan that is finite, monotone per row, and within bound. The
+// guard's one-pass fanSound must call a fan sound exactly when RepairFan
+// finds nothing to repair.
 func FuzzRepairFan(f *testing.F) {
 	f.Add(float64(1), float64(2), float64(3), float64(4), float64(5), float64(6), float64(100))
 	f.Add(math.NaN(), float64(2), math.Inf(1), float64(4), math.Inf(-1), float64(6), float64(50))
@@ -97,7 +99,11 @@ func FuzzRepairFan(f *testing.F) {
 			[]float64{a, b, c},
 			[]float64{d, e, g})
 		fan.Mean = []float64{a, d}
-		_, err := RepairFan(fan, bound)
+		sound := fanSound(fan, bound)
+		n, err := RepairFan(fan, bound)
+		if sound != (n == 0 && err == nil) {
+			t.Fatalf("fanSound says %v, RepairFan made %d repairs (err %v)", sound, n, err)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrUnrepairableFan) {
 				t.Fatalf("unexpected error class: %v", err)

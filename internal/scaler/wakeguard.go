@@ -37,14 +37,20 @@ const (
 	// WakeKeepWarm: the wake breaker is open; the plan is floored at one
 	// node regardless of demand.
 	WakeKeepWarm
+	// WakeParked: a parked tenant stays parked (plan zeroed).
+	WakeParked
+	// WakeStorm: a wake storm forced the parked tenant awake (ForceWake).
+	WakeStorm
 )
 
 // Reason is the decision-record annotation narrated by -explain; an
 // ordinary active round stays unannotated.
 func (t WakeTransition) Reason() string {
 	switch t {
-	case WakePark:
+	case WakePark, WakeParked:
 		return "parked"
+	case WakeStorm:
+		return "wake-storm"
 	case WakeKeepWarm:
 		return "keep-warm"
 	case WakeWake:
@@ -146,6 +152,7 @@ func (g *WakeGuard) BreakerTrips() int64 { return g.breaker.Trips() }
 // tenant has no genuine demand this round (forecast floor and realized
 // tail both below the idle threshold). Shape never emits a negative
 // allocation, and with the breaker open it never emits below one node.
+// It journals nothing: JournalShape records what it decided.
 func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 	cfg := g.Config.WithDefaults()
 	g.sinceWake++
@@ -160,11 +167,9 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 		}
 		g.parked = false
 		g.idleRounds = 0
-		if g.breaker.Tick() == BreakerHalfOpen {
-			// The next wake attempt is the probe: one more failure
-			// re-trips, a success closes.
-			g.journal("wake breaker half-open: next wake is the probe", nil)
-		}
+		// A tick that ends the cooldown makes the next wake attempt the
+		// probe: one more failure re-trips, a success closes.
+		g.breaker.Tick()
 		return WakeKeepWarm
 	}
 
@@ -174,7 +179,7 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 				plan[i] = 0
 			}
 			g.idleRounds++
-			return WakePark
+			return WakeParked
 		}
 		// Demand returned: unpark.
 		g.parked = false
@@ -186,7 +191,6 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 				plan[i] = 1
 			}
 		}
-		g.journal("waking from zero on returned demand", nil)
 		return WakeWake
 	}
 
@@ -199,8 +203,6 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 			for i := range plan {
 				plan[i] = 0
 			}
-			g.journal(fmt.Sprintf("parking after %d idle rounds", g.idleRounds),
-				map[string]float64{"idle_rounds": float64(g.idleRounds)})
 			return WakePark
 		}
 		// Hysteresis holds the tenant at a one-node floor.
@@ -225,6 +227,7 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 // OnWakeResult feeds the outcome of a wake attempt into the breaker: a
 // success closes it and clears the failure streak; enough consecutive
 // failures trip it open, pinning the keep-warm floor for the cooldown.
+// It journals nothing: JournalTrip records a trip.
 func (g *WakeGuard) OnWakeResult(ok bool) {
 	if ok {
 		g.breaker.Success()
@@ -234,9 +237,37 @@ func (g *WakeGuard) OnWakeResult(ok bool) {
 	g.breaker.Threshold, g.breaker.Cooldown = cfg.KeepWarmAfterFails, cfg.BreakerCooldownRounds
 	if g.breaker.Failure() {
 		g.parked = false
-		g.journal(fmt.Sprintf("wake breaker open after %d consecutive failed wakes: holding 1 keep-warm node(s)", cfg.KeepWarmAfterFails),
-			map[string]float64{"consecutive_fails": float64(cfg.KeepWarmAfterFails), "keep_warm_nodes": 1})
 	}
+}
+
+// JournalShape records the journal event of the transition Shape just
+// returned, if it has one: a wake on returned demand, a park, or the tick
+// that ends an open breaker's cooldown. Shape leaves it to its caller so
+// that a fleet whose workers shape tenants in parallel records the events
+// at its plan barrier, in tenant order, whatever the worker count.
+func (g *WakeGuard) JournalShape(tr WakeTransition) {
+	switch {
+	case tr == WakeWake:
+		g.journal("waking from zero on returned demand", nil)
+	case tr == WakePark:
+		g.journal(fmt.Sprintf("parking after %d idle rounds", g.idleRounds),
+			map[string]float64{"idle_rounds": float64(g.idleRounds)})
+	case tr == WakeKeepWarm && g.breaker.State() == BreakerHalfOpen:
+		g.journal("wake breaker half-open: next wake is the probe", nil)
+	}
+}
+
+// JournalTrip records the wake breaker's opening when a failed wake has
+// opened it since the last Shape: every Shape ticks an open breaker, so
+// one whose cooldown is whole has just opened. A fleet calls it at its
+// apply barrier, in tenant order.
+func (g *WakeGuard) JournalTrip() {
+	if !g.breaker.untouchedOpen() {
+		return
+	}
+	fails := g.Config.WithDefaults().KeepWarmAfterFails
+	g.journal(fmt.Sprintf("wake breaker open after %d consecutive failed wakes: holding 1 keep-warm node(s)", fails),
+		map[string]float64{"consecutive_fails": float64(fails), "keep_warm_nodes": 1})
 }
 
 // ForceWake unparks the tenant immediately (a wake-storm drill or an
