@@ -70,7 +70,8 @@ func TestGoldenFleetHash(t *testing.T) {
 }
 
 // TestFleetHashTable pins one fleet hash per configuration: the 200-tenant
-// default, the same fleet on the naive fan, the pooled fleet under
+// default, the same fleet on the naive fan and under Algorithm 1's
+// two-level switch (-strategy adaptive), the pooled fleet under
 // the chaos presets that drive the apply breaker and pool quarantine or
 // corrupt its telemetry, the default fleet under forecaster faults, and the serverless fleet with its
 // wake defaults, alone and under a wake storm against a binding pool. The
@@ -86,6 +87,7 @@ func TestFleetHashTable(t *testing.T) {
 	}{
 		{"-tenants 200", "afb0a7355923cf4b", false},
 		{"-tenants 200 -forecaster naive", "4f4e396fc99c8f42", false},
+		{"-tenants 200 -strategy adaptive", "543eca46f8517832", false},
 		{"-tenants 200 -pool 220 -chaos apply", "d252020f0b76e535", false},
 		{"-tenants 200 -pool 220 -chaos all", "a7984854941c09ae", true},
 		{"-tenants 200 -pool 220 -chaos fleet", "08c34d9f4e9c7a0f", true},
