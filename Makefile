@@ -103,9 +103,7 @@ bench-check:
 # arbitrary burn-rule specs: every one accepted must pass Validate. The
 # next parses arbitrary argument vectors with the flags both daemons
 # share: each fails to parse or yields a Config that validate accepts or
-# refuses, never a panic. The next holds the rate-limited planner's
-# dynamic program to a brute-force walk of every node path on small
-# instances. The next holds the offset-based forecasters' warm fans to
+# refuses, never a panic. The next holds the offset-based forecasters' warm fans to
 # their cold fans bit for bit while origin, horizon and levels change
 # between calls. The last holds the bucketed one-day calibration window
 # to a plain step ring over fuzzer-chosen steps, fed in rounds of 12 or
@@ -134,7 +132,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzLoadModel -fuzztime=10s -fuzzminimizetime=1s ./internal/forecast
 	$(GO) test -run '^$$' -fuzz=FuzzParseBurnRules -fuzztime=10s -fuzzminimizetime=1s ./internal/obs
 	$(GO) test -run '^$$' -fuzz=FuzzBindFlags -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
-	$(GO) test -run '^$$' -fuzz=FuzzPlanConstrainedDemand -fuzztime=10s -fuzzminimizetime=1s ./internal/optimize
 	$(GO) test -run '^$$' -fuzz=FuzzWarmMatchesCold -fuzztime=10s -fuzzminimizetime=1s ./internal/forecast
 	$(GO) test -run '^$$' -fuzz=FuzzBucketsMatchStepRing -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
 

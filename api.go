@@ -86,12 +86,6 @@ type (
 	// Adaptive switches quantile levels on forecast uncertainty
 	// (Algorithm 1).
 	Adaptive = scaler.Adaptive
-	// Staircase generalizes Adaptive to a ladder of quantile levels.
-	Staircase = scaler.Staircase
-	// StaircaseLevel is one rung of a Staircase.
-	StaircaseLevel = scaler.StaircaseLevel
-	// RateLimited bounds per-step node-count changes (Section V-A).
-	RateLimited = scaler.RateLimited
 	// EvalConfig controls a rolling strategy evaluation.
 	EvalConfig = scaler.EvalConfig
 )
@@ -103,17 +97,12 @@ var EvaluateStrategy = scaler.Evaluate
 // (Equation 8) of a quantile forecast.
 var ForecastUncertainties = scaler.Uncertainties
 
-// ThrashingConfig bounds node-count change rates.
-type ThrashingConfig = optimize.ThrashingConfig
-
 // Optimization entry points (Definitions 3-5).
 var (
 	// Allocate is the per-step closed form: min nodes with w/c <= theta.
 	Allocate = optimize.Allocate
 	// PlanAllocations solves the multi-step problem for a workload path.
 	PlanAllocations = optimize.Plan
-	// PlanConstrained adds the anti-thrashing rate limit.
-	PlanConstrained = optimize.PlanConstrained
 )
 
 // NewCluster creates a simulated storage-disaggregated cloud database;

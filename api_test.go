@@ -74,7 +74,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if c := robustscale.Allocate(95, 40); c != 3 {
 		t.Errorf("Allocate = %d", c)
 	}
-	plan, err := robustscale.PlanConstrained([]float64{40, 200}, 40, robustscale.ThrashingConfig{Initial: 1, MaxDelta: 2})
+	plan, err := robustscale.PlanAllocations([]float64{40, 200}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

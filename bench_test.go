@@ -24,7 +24,6 @@ import (
 	"robustscale/internal/forecast"
 	"robustscale/internal/metrics"
 	"robustscale/internal/obs"
-	"robustscale/internal/optimize"
 	"robustscale/internal/scaler"
 	"robustscale/internal/timeseries"
 )
@@ -310,79 +309,6 @@ func BenchmarkAblationSampleCount(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := m.PredictQuantiles(train, 72, forecast.ScalingLevels); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationStaircase compares two-level Algorithm 1 against the
-// staircase extension.
-func BenchmarkAblationStaircase(b *testing.B) {
-	z := benchZoo(b)
-	pretrainQuantile(b, z, experiment.Google, experiment.ModelTFT)
-	qf, err := z.Quantile(experiment.ModelTFT, experiment.Google, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := z.Dataset(experiment.Google)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rho, err := experiment.CalibrateRho(z, experiment.Google, experiment.ModelTFT, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := z.Config()
-	strategies := map[string]scaler.Strategy{
-		"two-level": &scaler.Adaptive{Forecaster: qf, Tau1: 0.7, Tau2: 0.95, Rho: rho, Theta: cfg.Theta},
-		"staircase": &scaler.Staircase{
-			Forecaster: qf, Base: 0.6, Theta: cfg.Theta,
-			Rungs: []scaler.StaircaseLevel{
-				{Rho: rho * 0.5, Tau: 0.8},
-				{Rho: rho, Tau: 0.9},
-				{Rho: rho * 2, Tau: 0.99},
-			},
-		},
-	}
-	for name, strat := range strategies {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := scaler.Evaluate(strat, d.Series, scaler.EvalConfig{
-					Theta: cfg.Theta, Horizon: cfg.Horizon, Start: d.EvalStart,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("%s: under %.2f%% over %.2f%%", res.Strategy,
-						100*res.Report.UnderProvisionRate, 100*res.Report.OverProvisionRate)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationThrashing measures the cost and effect of the rate
-// limit from Section V-A.
-func BenchmarkAblationThrashing(b *testing.B) {
-	wl := ablationWorkload(b)
-	demand := wl.Values[wl.Len()*8/10:]
-	for _, withLimit := range []bool{false, true} {
-		name := "unconstrained"
-		if withLimit {
-			name = "ratelimited"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if withLimit {
-					if _, err := optimize.PlanConstrained(demand, 100, optimize.ThrashingConfig{Initial: 1, MaxDelta: 2}); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					if _, err := optimize.Plan(demand, 100); err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
 		})

@@ -24,8 +24,8 @@ var deadCodeAllow = map[declKey]string{
 // outside internal/ (the root package, cmd/, bench/), every func init
 // and each allowlist entry.
 func TestDeadCode(t *testing.T) {
-	if len(deadCodeAllow) > 3 {
-		t.Fatalf("allowlist has %d entries; at most 3", len(deadCodeAllow))
+	if len(deadCodeAllow) > 1 {
+		t.Fatalf("allowlist has %d entries; at most 1", len(deadCodeAllow))
 	}
 	dead, stale, err := unreachable(".", "robustscale", deadCodeAllow)
 	if err != nil {

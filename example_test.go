@@ -24,23 +24,6 @@ func ExampleAllocate() {
 	// workload 95 -> 10 nodes
 }
 
-// ExamplePlanConstrained shows the anti-thrashing planner of Section V-A:
-// a sudden spike is reached by pre-scaling within the rate limit.
-func ExamplePlanConstrained() {
-	workload := []float64{10, 10, 10, 100}
-	plan, err := robustscale.PlanConstrained(workload, 10, robustscale.ThrashingConfig{
-		Initial:  1,
-		MaxDelta: 3,
-	})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println(plan)
-	// Output:
-	// [1 4 7 10]
-}
-
 // ExampleNewSeasonalNaive demonstrates quantile forecasting with the
 // simplest seasonal model: the forecast repeats the previous cycle and the
 // band comes from historical seasonal differences.
@@ -271,9 +254,8 @@ func Example_capacityPlanner() {
 }
 
 // Example_adaptive contrasts the fixed-quantile robust scaler (Equation 6)
-// with the uncertainty-aware adaptive scaler (Algorithm 1) and its
-// Staircase generalization on the bursty Google-style trace (the paper's
-// Figure 11).
+// with the uncertainty-aware adaptive scaler (Algorithm 1) on the bursty
+// Google-style trace (the paper's Figure 11).
 func Example_adaptive() {
 	tr, err := robustscale.GenerateGoogleTrace(21)
 	if err != nil {
@@ -325,16 +307,6 @@ func Example_adaptive() {
 		&robustscale.Robust{Forecaster: tft, Tau: 0.7, Theta: theta},
 		&robustscale.Robust{Forecaster: tft, Tau: 0.95, Theta: theta},
 		&robustscale.Adaptive{Forecaster: tft, Tau1: 0.7, Tau2: 0.95, Rho: rho, Theta: theta},
-		&robustscale.Staircase{
-			Forecaster: tft,
-			Base:       0.6,
-			Rungs: []robustscale.StaircaseLevel{
-				{Rho: rho * 0.5, Tau: 0.8},
-				{Rho: rho, Tau: 0.9},
-				{Rho: rho * 2, Tau: 0.99},
-			},
-			Theta: theta,
-		},
 	}
 
 	fmt.Printf("\n%-22s %14s %14s %12s\n", "strategy", "under-prov.", "over-prov.", "node-steps")
@@ -353,7 +325,7 @@ func Example_adaptive() {
 			100*res.Report.OverProvisionRate,
 			res.Report.TotalNodes)
 	}
-	fmt.Println("\nthe adaptive rows sit between the fixed levels: fewer under-provisioned steps than tau 0.7")
+	fmt.Println("\nthe adaptive row sits between the fixed levels: fewer under-provisioned steps than tau 0.7")
 	fmt.Println("and fewer node-steps than tau 0.95, but well short of tau 0.95's robustness")
 	// Output:
 	// training tft on 2822 steps of google/cpu...
@@ -363,112 +335,7 @@ func Example_adaptive() {
 	// tft-0.7                        29.29%         59.72%        15600
 	// tft-0.95                        4.92%         94.19%        20694
 	// tft-adaptive-0.7/0.95          26.52%         64.52%        16410
-	// tft-staircase-3                18.81%         75.38%        17089
 	//
-	// the adaptive rows sit between the fixed levels: fewer under-provisioned steps than tau 0.7
+	// the adaptive row sits between the fixed levels: fewer under-provisioned steps than tau 0.7
 	// and fewer node-steps than tau 0.95, but well short of tau 0.95's robustness
-}
-
-// Example_thrashing demonstrates the anti-flapping control of Section V-A:
-// on a spiky workload the raw robust plan jumps the node count by many
-// nodes at once, while the rate-limited plan (solved exactly by dynamic
-// programming) bounds every action to MaxDelta nodes — pre-scaling ahead
-// of forecasted spikes where an abrupt jump would otherwise be needed.
-func Example_thrashing() {
-	tr, err := robustscale.GenerateGoogleTrace(99)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cpu, err := tr.Series(robustscale.CPU)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	cfg := robustscale.DefaultDeepARConfig()
-	cfg.Epochs = 3
-	cfg.Hidden = 24
-	cfg.MaxWindows = 96
-	cfg.Samples = 80
-	model := robustscale.NewDeepAR(cfg)
-
-	const (
-		theta   = 100.0
-		horizon = 72
-	)
-	trainEnd := cpu.Len() * 7 / 10
-	evalStart := cpu.Len() * 8 / 10
-	fmt.Printf("training %s on %d steps of %s...\n", model.Name(), trainEnd, cpu.Name)
-	if err := model.Fit(cpu.Slice(0, trainEnd)); err != nil {
-		log.Fatal(err)
-	}
-
-	raw := &robustscale.Robust{Forecaster: model, Tau: 0.9, Theta: theta}
-	limited := &robustscale.RateLimited{
-		Inner:    &robustscale.Robust{Forecaster: model, Tau: 0.9, Theta: theta},
-		MaxDelta: 2,
-	}
-
-	for _, strat := range []robustscale.Strategy{raw, limited} {
-		res, err := robustscale.EvaluateStrategy(strat, cpu, robustscale.EvalConfig{
-			Theta:   theta,
-			Horizon: horizon,
-			Start:   evalStart,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-
-		// Replay the allocations on the simulated disaggregated database
-		// to count actual scaling operations.
-		evaluated := cpu.Slice(evalStart, evalStart+len(res.Allocations))
-		c, err := robustscale.NewCluster(robustscale.DefaultClusterConfig(), evaluated.Start, res.Allocations[0])
-		if err != nil {
-			log.Fatal(err)
-		}
-		replay, err := c.Replay(evaluated, res.Allocations, theta)
-		if err != nil {
-			log.Fatal(err)
-		}
-
-		changes, maxDelta := planChurn(res.Allocations)
-		fmt.Printf("\n%s:\n", res.Strategy)
-		fmt.Printf("  under-provisioned: %5.2f%%   over-provisioned: %5.2f%%\n",
-			100*res.Report.UnderProvisionRate, 100*res.Report.OverProvisionRate)
-		fmt.Printf("  plan churn: %d node-count changes, max step delta %d\n", changes, maxDelta)
-		fmt.Printf("  cluster ops: %d scale-outs, %d scale-ins\n", replay.ScaleOuts, replay.ScaleIns)
-	}
-	fmt.Println("\nthe rate-limited plan bounds every scaling action to MaxDelta nodes, replacing")
-	fmt.Println("mass scale events with gradual ramps (pre-scaling ahead of forecasted spikes)")
-	// Output:
-	// training deepar on 2822 steps of google/cpu...
-	//
-	// deepar-0.9:
-	//   under-provisioned: 21.21%   over-provisioned: 69.82%
-	//   plan churn: 539 node-count changes, max step delta 6
-	//   cluster ops: 383 scale-outs, 391 scale-ins
-	//
-	// deepar-0.9-ratelimit2:
-	//   under-provisioned: 22.22%   over-provisioned: 69.19%
-	//   plan churn: 549 node-count changes, max step delta 2
-	//   cluster ops: 374 scale-outs, 353 scale-ins
-	//
-	// the rate-limited plan bounds every scaling action to MaxDelta nodes, replacing
-	// mass scale events with gradual ramps (pre-scaling ahead of forecasted spikes)
-}
-
-// planChurn counts node-count changes and the maximum per-step delta.
-func planChurn(plan []int) (changes, maxDelta int) {
-	for i := 1; i < len(plan); i++ {
-		d := plan[i] - plan[i-1]
-		if d < 0 {
-			d = -d
-		}
-		if d > 0 {
-			changes++
-		}
-		if d > maxDelta {
-			maxDelta = d
-		}
-	}
-	return changes, maxDelta
 }

@@ -20,9 +20,6 @@ const (
 	// BindingFloor: the one-node minimum bound, not demand, set the
 	// allocation (the driving value was non-positive).
 	BindingFloor = "floor"
-	// BindingRateLimit: the anti-thrashing rate limit overrode the
-	// demand-driven allocation.
-	BindingRateLimit = "rate-limit"
 )
 
 // DefaultTenant is the tenant id of a single-tenant control plane: the

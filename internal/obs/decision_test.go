@@ -145,12 +145,12 @@ func TestExplainHeldAndCalm(t *testing.T) {
 
 func TestExplainBindingSuffix(t *testing.T) {
 	d := Decision{
-		Strategy: "robust-ratelimit1", Step: 10, Theta: 100, PrevNodes: 2,
-		Nodes: []int{3}, Quantile: []float64{700},
-		Binding: []string{BindingRateLimit},
+		Strategy: "robust", Step: 10, Theta: 100, PrevNodes: 2,
+		Nodes: []int{1}, Quantile: []float64{0},
+		Binding: []string{BindingFloor},
 	}
-	if got := d.Explain(10); !strings.Contains(got, "[binding: rate-limit]") {
-		t.Errorf("Explain = %q, missing rate-limit binding", got)
+	if got := d.Explain(10); !strings.Contains(got, "[binding: floor]") {
+		t.Errorf("Explain = %q, missing floor binding", got)
 	}
 	// A reactive decision with no quantile levels names the demand drive.
 	d2 := Decision{Strategy: "reactive-max", Step: 0, Theta: 100, PrevNodes: 1,

@@ -1,7 +1,6 @@
 package optimize
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 )
@@ -12,18 +11,6 @@ import (
 const oracleTheta = 60
 
 var oracleGrid = []float64{0, 59.5, 60, 60.5, 120, 240.5}
-
-// oracleConfigs are the rate limits every constrained property holds
-// under: Initial 1–6 and MaxDelta 1–3.
-func oracleConfigs() []ThrashingConfig {
-	var cfgs []ThrashingConfig
-	for initial := 1; initial <= 6; initial++ {
-		for delta := 1; delta <= 3; delta++ {
-			cfgs = append(cfgs, ThrashingConfig{Initial: initial, MaxDelta: delta})
-		}
-	}
-	return cfgs
-}
 
 // forEachPath calls fn with every workload path over oracleGrid of one to
 // h steps. fn must not keep the path.
@@ -43,84 +30,61 @@ func forEachPath(h int, fn func(path []float64)) {
 	walk(make([]float64, 0, h))
 }
 
-// planner is Plan or PlanConstrained under one oracle config.
-type planner struct {
-	name string
-	plan func(path []float64, theta float64) ([]int, error)
-}
-
-// planners are Plan and PlanConstrained under every oracle config.
-func planners() []planner {
-	out := []planner{{"Plan", Plan}}
-	for _, cfg := range oracleConfigs() {
-		out = append(out, planner{fmt.Sprintf("PlanConstrained %+v", cfg), func(path []float64, theta float64) ([]int, error) {
-			return PlanConstrained(path, theta, cfg)
-		}})
-	}
-	return out
-}
-
 // TestPlansMonotoneInDemand raises one step of every grid path to the
-// next grid value: no step of the plan may fall, for Plan and for
-// PlanConstrained at every oracle config. A rate-limited plan pre-scales
-// for a higher peak; it never trades another step down for it. Single
-// steps to the next value reach every pointwise-larger grid path, so this
-// covers all of them.
+// next grid value: no step of the plan may fall. Single steps to the next
+// value reach every pointwise-larger grid path, so this covers all of
+// them.
 func TestPlansMonotoneInDemand(t *testing.T) {
-	for _, p := range planners() {
-		forEachPath(4, func(path []float64) {
-			low, err := p.plan(path, oracleTheta)
+	forEachPath(4, func(path []float64) {
+		low, err := Plan(path, oracleTheta)
+		if err != nil {
+			t.Fatalf("%v: %v", path, err)
+		}
+		for i, w := range path {
+			next := slices.Index(oracleGrid, w) + 1
+			if next == len(oracleGrid) {
+				continue
+			}
+			higher := slices.Clone(path)
+			higher[i] = oracleGrid[next]
+			high, err := Plan(higher, oracleTheta)
 			if err != nil {
-				t.Fatalf("%s %v: %v", p.name, path, err)
+				t.Fatalf("%v: %v", higher, err)
 			}
-			for i, w := range path {
-				next := slices.Index(oracleGrid, w) + 1
-				if next == len(oracleGrid) {
-					continue
-				}
-				higher := slices.Clone(path)
-				higher[i] = oracleGrid[next]
-				high, err := p.plan(higher, oracleTheta)
-				if err != nil {
-					t.Fatalf("%s %v: %v", p.name, higher, err)
-				}
-				for j := range low {
-					if high[j] < low[j] {
-						t.Fatalf("%s: raising %v to %v lowers step %d: %v -> %v", p.name, path, higher, j, low, high)
-					}
+			for j := range low {
+				if high[j] < low[j] {
+					t.Fatalf("raising %v to %v lowers step %d: %v -> %v", path, higher, j, low, high)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestPlansInvariantUnderRescale scales θ and every workload by one
-// factor: Plan and PlanConstrained must return the same plan. The factors
-// are powers of two, exact in binary floating point, so the property
-// holds bit for bit on the node boundaries too. Any other factor rounds
-// w and θ apart and can move an exact boundary by a node.
+// factor: Plan must return the same plan. The factors are powers of two,
+// exact in binary floating point, so the property holds bit for bit on
+// the node boundaries too. Any other factor rounds w and θ apart and can
+// move an exact boundary by a node.
 func TestPlansInvariantUnderRescale(t *testing.T) {
 	scaled := make([]float64, 4)
-	for _, p := range planners() {
-		forEachPath(4, func(path []float64) {
-			want, err := p.plan(path, oracleTheta)
+	forEachPath(4, func(path []float64) {
+		want, err := Plan(path, oracleTheta)
+		if err != nil {
+			t.Fatalf("%v: %v", path, err)
+		}
+		for _, k := range []float64{1.0 / 1024, 0.5, 2, 1 << 20} {
+			for i, w := range path {
+				scaled[i] = k * w
+			}
+			got, err := Plan(scaled[:len(path)], k*oracleTheta)
 			if err != nil {
-				t.Fatalf("%s %v: %v", p.name, path, err)
+				t.Fatalf("%v ×%v: %v", path, k, err)
 			}
-			for _, k := range []float64{1.0 / 1024, 0.5, 2, 1 << 20} {
-				for i, w := range path {
-					scaled[i] = k * w
-				}
-				got, err := p.plan(scaled[:len(path)], k*oracleTheta)
-				if err != nil {
-					t.Fatalf("%s %v ×%v: %v", p.name, path, k, err)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: %v at θ %v plans %v, scaled by %v it plans %v", p.name, path, oracleTheta, want, k, got)
-				}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v at θ %v plans %v, scaled by %v it plans %v", path, oracleTheta, want, k, got)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestSizeDemandNeverBeatsBruteForce holds SizeDemand to a brute-force

@@ -14,8 +14,8 @@ import (
 //	subject to  A x >= b,  x >= 0.
 //
 // It is the general form of the relaxed robust auto-scaling problem
-// (Equation 6 before integrality): one variable per step, one threshold
-// constraint per step, plus optional rate-limit rows.
+// (Equation 6 before integrality): one variable per step and one
+// threshold constraint per step.
 type LP struct {
 	C []float64   // objective coefficients
 	A [][]float64 // constraint matrix, one row per constraint

@@ -5,94 +5,8 @@ import (
 
 	"robustscale/internal/metrics"
 	"robustscale/internal/obs"
-	"robustscale/internal/optimize"
 	"robustscale/internal/timeseries"
 )
-
-// RateLimited wraps a Strategy with the anti-thrashing constraint of
-// Section V-A: the planned node count may change by at most MaxDelta per
-// step. The wrapped plan is treated as the demand path and re-planned by
-// the exact dynamic program.
-type RateLimited struct {
-	// Inner produces the unconstrained plan.
-	Inner Strategy
-	// MaxDelta bounds the per-step node-count change.
-	MaxDelta int
-
-	last       int
-	cachedName string
-	innerBuf   []int
-}
-
-// Name implements Strategy. The name is formatted once and cached so the
-// hot planning path never re-formats it.
-func (r *RateLimited) Name() string {
-	if r.cachedName == "" {
-		r.cachedName = fmt.Sprintf("%s-ratelimit%d", r.Inner.Name(), r.MaxDelta)
-	}
-	return r.cachedName
-}
-
-// PlanInto implements Strategy: the inner plan lands in a reused buffer;
-// the constrained dynamic program still allocates (bounded by horizon
-// and node range), so dst is unused. The round carries no fan — its
-// allocations come from the dynamic program, not a quantile path — and
-// the wrapped strategy's decision record with the constrained plan
-// substituted and every step the rate limit overrode re-labelled
-// obs.BindingRateLimit.
-func (r *RateLimited) PlanInto(history *timeseries.Series, h int, _ []int) (Round, error) {
-	inner, err := r.Inner.PlanInto(history, h, r.innerBuf)
-	if err != nil {
-		return Round{}, err
-	}
-	r.innerBuf = inner.Nodes
-	initial := r.last
-	if initial < 1 {
-		initial = 1
-	}
-	sp := obs.DefaultTracer.Start("optimize")
-	plan, err := optimize.PlanConstrainedDemand(inner.Nodes, optimize.ThrashingConfig{
-		Initial:  initial,
-		MaxDelta: r.MaxDelta,
-	})
-	sp.End()
-	if err != nil {
-		return Round{}, err
-	}
-	if len(plan) > 0 {
-		r.last = plan[len(plan)-1]
-	}
-	round := Round{Nodes: plan}
-	if obs.DefaultDecisions.Enabled() {
-		round.Decision = r.decision(inner, plan)
-	}
-	return round, nil
-}
-
-// decision derives the wrapper's record from the inner round's.
-func (r *RateLimited) decision(inner Round, plan []int) *obs.Decision {
-	d := obs.Decision{Horizon: len(plan)}
-	if id := inner.Decision; id != nil {
-		d = *id
-		if len(id.Binding) == len(plan) && len(inner.Nodes) == len(plan) {
-			d.Binding = append([]string(nil), id.Binding...)
-			for i := range plan {
-				if plan[i] != inner.Nodes[i] {
-					d.Binding[i] = obs.BindingRateLimit
-				}
-			}
-		}
-	}
-	d.Strategy, d.Nodes = r.Name(), plan
-	return &d
-}
-
-// Observe forwards realized workloads to the wrapped strategy.
-func (r *RateLimited) Observe(actual []float64) {
-	if observer, ok := r.Inner.(Observer); ok {
-		observer.Observe(actual)
-	}
-}
 
 // EvalConfig controls a rolling evaluation of a strategy over the tail of
 // a workload series.

@@ -77,9 +77,6 @@ func TestPlanIntoMatchesPlan(t *testing.T) {
 		{"adaptive-deepar", func(qf forecast.QuantileForecaster) Strategy {
 			return &Adaptive{Forecaster: qf, Tau1: 0.8, Tau2: 0.95, Rho: 5, Theta: 10}
 		}},
-		{"ratelimited-robust", func(qf forecast.QuantileForecaster) Strategy {
-			return &RateLimited{Inner: &Robust{Forecaster: qf, Tau: 0.9, Theta: 10}, MaxDelta: 1}
-		}},
 		{"guard-robust", func(qf forecast.QuantileForecaster) Strategy {
 			return &Guard{
 				Inner:  &Robust{Forecaster: qf, Tau: 0.9, Theta: 10},

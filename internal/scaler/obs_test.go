@@ -137,62 +137,6 @@ func TestAdaptiveDecision(t *testing.T) {
 	}
 }
 
-func TestStaircaseDecision(t *testing.T) {
-	enableDecisions(t)
-	qf := &fakeQF{name: "fq", Base: []float64{100, 100}, Spread: []float64{0.05, 1.0}}
-	s := &Staircase{
-		Forecaster: qf, Base: 0.6, Theta: 10,
-		Rungs:  []StaircaseLevel{{Rho: 3, Tau: 0.8}, {Rho: 8, Tau: 0.99}},
-		Levels: forecast.ScalingLevels,
-	}
-	round, err := s.PlanInto(series(1), 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := round.Decision
-	if d == nil {
-		t.Fatal("no decision after plan")
-	}
-	if d.Tau1 != 0.6 || d.Tau2 != 0.99 || d.Rho != 3 {
-		t.Errorf("tau1/tau2/rho = %g/%g/%g, want base/top-rung/first-rung", d.Tau1, d.Tau2, d.Rho)
-	}
-}
-
-func TestRateLimitedDecisionRelabels(t *testing.T) {
-	enableDecisions(t)
-	qf := &fakeQF{name: "fq", Base: []float64{100, 100, 100}, Spread: []float64{0, 0, 0}}
-	r := &RateLimited{Inner: &Robust{Forecaster: qf, Tau: 0.9, Theta: 10}, MaxDelta: 2}
-	round, err := r.PlanInto(series(1), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, d := round.Nodes, round.Decision
-	if d == nil {
-		t.Fatal("no decision after plan")
-	}
-	if d.Strategy != r.Name() {
-		t.Errorf("strategy = %q, want %q", d.Strategy, r.Name())
-	}
-	if len(d.Nodes) != len(plan) || d.Nodes[0] != plan[0] {
-		t.Errorf("decision nodes %v vs plan %v", d.Nodes, plan)
-	}
-	// The inner plan wants 10 nodes immediately; from 1 node with
-	// MaxDelta 2 the constrained plan cannot reach it, so the overridden
-	// steps carry the rate-limit binding.
-	var limited int
-	for _, b := range d.Binding {
-		if b == obs.BindingRateLimit {
-			limited++
-		}
-	}
-	if limited == 0 {
-		t.Errorf("binding = %v, want rate-limit labels on overridden steps", d.Binding)
-	}
-	if line := d.Explain(0); !strings.Contains(line, "[binding: rate-limit]") {
-		t.Errorf("Explain = %q", line)
-	}
-}
-
 func TestRecordDecisionStampsContext(t *testing.T) {
 	enableDecisions(t)
 	obs.DefaultDecisions.Reset()

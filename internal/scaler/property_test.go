@@ -130,52 +130,3 @@ func TestAdaptiveBoundedByEndpointsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestRateLimitedDeltaProperty: a rate-limited plan never changes the node
-// count by more than MaxDelta per step, for arbitrary demand paths.
-func TestRateLimitedDeltaProperty(t *testing.T) {
-	f := func(seed int64, deltaRaw uint8) bool {
-		maxDelta := 1 + int(deltaRaw)%5
-		rng := newDeterministicRand(seed)
-		h := 3 + int(rng()%10)
-		base := make([]float64, h)
-		spread := make([]float64, h)
-		for i := range base {
-			base[i] = math.Abs(float64(int64(rng()%4000))) / 10
-			spread[i] = 0
-		}
-		qf := &fakeQF{Base: base, Spread: spread}
-		rl := &RateLimited{Inner: &Robust{Forecaster: qf, Tau: 0.9, Theta: 10}, MaxDelta: maxDelta}
-		plan, err := PlanRound(rl, series(1), h, nil)
-		if err != nil {
-			return false
-		}
-		prev := 1
-		for _, c := range plan {
-			d := c - prev
-			if d < 0 {
-				d = -d
-			}
-			if d > maxDelta {
-				return false
-			}
-			prev = c
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// newDeterministicRand is a tiny xorshift so the property above controls
-// its own sequence without importing math/rand state.
-func newDeterministicRand(seed int64) func() uint64 {
-	s := uint64(seed)*2654435761 + 1
-	return func() uint64 {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		return s
-	}
-}

@@ -3,7 +3,7 @@
 // and the Kubernetes HPA, predictive scalers driven by point forecasts
 // (with and without CloudScale-style padding), the robust quantile-driven
 // strategy of Equation 6, and the uncertainty-aware adaptive strategy of
-// Algorithm 1 together with its staircase extension.
+// Algorithm 1.
 package scaler
 
 import (
@@ -352,8 +352,15 @@ type Adaptive struct {
 	// Defaults to forecast.ScalingLevels.
 	Levels []float64
 
-	ladder
+	// The decision record and the per-step scratch behind it (U, level,
+	// quantile value, binding) are reused from round to round.
 	cachedName string
+	decision   *obs.Decision
+	tally      PlanTally
+	us         []float64
+	taus       []float64
+	qs         []float64
+	binding    []string
 }
 
 // Name implements Strategy. The name is formatted once and cached so the
@@ -365,7 +372,9 @@ func (a *Adaptive) Name() string {
 	return a.cachedName
 }
 
-// PlanInto implements Strategy (Algorithm 1).
+// PlanInto implements Strategy (Algorithm 1): forecast the fan, measure
+// each step's uncertainty U, and allocate per step (Eq. 6) on the Tau2
+// quantile where U >= Rho and on the Tau1 quantile elsewhere.
 func (a *Adaptive) PlanInto(history *timeseries.Series, h int, dst []int) (Round, error) {
 	if a.Theta <= 0 {
 		return Round{}, fmt.Errorf("scaler: adaptive threshold %v", a.Theta)
@@ -373,9 +382,51 @@ func (a *Adaptive) PlanInto(history *timeseries.Series, h int, dst []int) (Round
 	if !(a.Tau1 > 0 && a.Tau2 < 1 && a.Tau1 <= a.Tau2) {
 		return Round{}, fmt.Errorf("scaler: adaptive quantile levels %v/%v invalid", a.Tau1, a.Tau2)
 	}
-	rungs := [1]StaircaseLevel{{Rho: a.Rho, Tau: a.Tau2}}
-	return a.ladder.round(a.Name(), a.Forecaster, a.Levels, a.Tau1, rungs[:], a.Theta, history, h, dst)
+	levels := a.Levels
+	if len(levels) == 0 {
+		levels = forecast.ScalingLevels
+	}
+	f, err := predictQuantiles(a.Forecaster, history, h, levels)
+	if err != nil {
+		return Round{}, err
+	}
+	sp := obs.DefaultTracer.Start("optimize")
+	a.us, err = uncertaintiesInto(f, a.us)
+	if err != nil {
+		sp.End()
+		return Round{}, err
+	}
+	out := resize(dst, h)
+	a.taus = resize(a.taus, h)
+	a.qs = resize(a.qs, h)
+	a.binding = resize(a.binding, h)
+	for t := 0; t < h; t++ {
+		tau := a.Tau1
+		if a.us[t] >= a.Rho {
+			tau = a.Tau2
+		}
+		qv := f.At(t, tau)
+		out[t] = optimize.Allocate(qv, a.Theta)
+		a.taus[t], a.qs[t], a.binding[t] = tau, qv, bindingFor(qv)
+	}
+	sp.End()
+	round := Round{Nodes: out, Fan: f}
+	if obs.DefaultDecisions.Enabled() {
+		if a.decision == nil {
+			a.decision = &obs.Decision{}
+		}
+		*a.decision = obs.Decision{
+			Strategy: a.Name(), Horizon: h, Theta: a.Theta, Nodes: out,
+			U: a.us, Tau: a.taus, Tau1: a.Tau1, Tau2: a.Tau2, Rho: a.Rho,
+			Quantile: a.qs, Binding: a.binding,
+		}
+		round.Decision = a.decision
+	}
+	countPlan(&a.tally, a.Name(), h)
+	return round, nil
 }
+
+func (a *Adaptive) planTally() *PlanTally { return &a.tally }
 
 // Uncertainties computes the per-step uncertainty metric U (Equation 8)
 // of a quantile forecast, measuring each level against the median.
@@ -413,127 +464,3 @@ func uncertaintiesInto(f *forecast.QuantileForecast, dst []float64) ([]float64, 
 	}
 	return out, nil
 }
-
-// StaircaseLevel is one rung of the staircase extension: when the
-// uncertainty reaches Rho, scale at quantile level Tau.
-type StaircaseLevel struct {
-	Rho float64
-	Tau float64
-}
-
-// Staircase generalizes Adaptive beyond two levels: a sorted ladder of
-// uncertainty thresholds maps increasing uncertainty to increasingly
-// conservative quantile levels, the "staircase-like range of options" the
-// paper describes.
-type Staircase struct {
-	// Forecaster supplies quantile forecasts.
-	Forecaster forecast.QuantileForecaster
-	// Base is the quantile level used below the first rung.
-	Base float64
-	// Rungs must be sorted by ascending Rho.
-	Rungs []StaircaseLevel
-	// Theta is the per-node workload threshold.
-	Theta float64
-	// Levels is the quantile grid used to compute U (must include 0.5);
-	// defaults to forecast.ScalingLevels.
-	Levels []float64
-
-	ladder
-	cachedName string
-}
-
-// Name implements Strategy. The name is formatted once and cached so the
-// hot planning path never re-formats it.
-func (s *Staircase) Name() string {
-	if s.cachedName == "" {
-		s.cachedName = fmt.Sprintf("%s-staircase-%d", s.Forecaster.Name(), len(s.Rungs))
-	}
-	return s.cachedName
-}
-
-// PlanInto implements Strategy.
-func (s *Staircase) PlanInto(history *timeseries.Series, h int, dst []int) (Round, error) {
-	if s.Theta <= 0 {
-		return Round{}, fmt.Errorf("scaler: staircase threshold %v", s.Theta)
-	}
-	if s.Base <= 0 || s.Base >= 1 {
-		return Round{}, fmt.Errorf("scaler: staircase base level %v", s.Base)
-	}
-	for i := 1; i < len(s.Rungs); i++ {
-		if s.Rungs[i].Rho < s.Rungs[i-1].Rho {
-			return Round{}, fmt.Errorf("scaler: staircase rungs not sorted by threshold")
-		}
-	}
-	return s.ladder.round(s.Name(), s.Forecaster, s.Levels, s.Base, s.Rungs, s.Theta, history, h, dst)
-}
-
-// ladder is the one round body of the uncertainty-aware strategies
-// (Algorithm 1 and its staircase extension): forecast the fan, measure
-// each step's uncertainty U, start at the base level and let every rung
-// whose Rho the step's U reaches set the quantile level, allocate per
-// step (Eq. 6) and assemble the decision record. Adaptive is the one-rung
-// ladder {Rho, Tau2} over Tau1. Each strategy embeds a ladder for the
-// decision record, its plan tally and the scratch the round reuses.
-type ladder struct {
-	decision *obs.Decision
-	tally    PlanTally
-	us       []float64
-	taus     []float64
-	qs       []float64
-	binding  []string
-}
-
-func (l *ladder) round(name string, qf forecast.QuantileForecaster, levels []float64, base float64, rungs []StaircaseLevel,
-	theta float64, history *timeseries.Series, h int, dst []int) (Round, error) {
-	if len(levels) == 0 {
-		levels = forecast.ScalingLevels
-	}
-	f, err := predictQuantiles(qf, history, h, levels)
-	if err != nil {
-		return Round{}, err
-	}
-	sp := obs.DefaultTracer.Start("optimize")
-	l.us, err = uncertaintiesInto(f, l.us)
-	if err != nil {
-		sp.End()
-		return Round{}, err
-	}
-	us := l.us
-	out := resize(dst, h)
-	l.taus = resize(l.taus, h)
-	l.qs = resize(l.qs, h)
-	l.binding = resize(l.binding, h)
-	for t := 0; t < h; t++ {
-		tau := base
-		for _, rung := range rungs {
-			if us[t] >= rung.Rho {
-				tau = rung.Tau
-			}
-		}
-		qv := f.At(t, tau)
-		out[t] = optimize.Allocate(qv, theta)
-		l.taus[t], l.qs[t], l.binding[t] = tau, qv, bindingFor(qv)
-	}
-	sp.End()
-	round := Round{Nodes: out, Fan: f}
-	if obs.DefaultDecisions.Enabled() {
-		if l.decision == nil {
-			l.decision = &obs.Decision{}
-		}
-		d := l.decision
-		*d = obs.Decision{
-			Strategy: name, Horizon: h, Theta: theta, Nodes: out,
-			U: us, Tau: l.taus, Tau1: base, Tau2: base,
-			Quantile: l.qs, Binding: l.binding,
-		}
-		if len(rungs) > 0 {
-			d.Rho = rungs[0].Rho
-			d.Tau2 = rungs[len(rungs)-1].Tau
-		}
-		round.Decision = d
-	}
-	countPlan(&l.tally, name, h)
-	return round, nil
-}
-
-func (l *ladder) planTally() *PlanTally { return &l.tally }

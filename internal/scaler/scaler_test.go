@@ -263,85 +263,6 @@ func TestUncertaintiesMatchSpread(t *testing.T) {
 	}
 }
 
-func TestStaircase(t *testing.T) {
-	qf := &fakeQF{
-		name:   "fq",
-		Base:   []float64{100, 100, 100},
-		Spread: []float64{0.02, 0.4, 1.2},
-	}
-	s := &Staircase{
-		Forecaster: qf,
-		Base:       0.5,
-		Rungs: []StaircaseLevel{
-			{Rho: 2, Tau: 0.8},
-			{Rho: 10, Tau: 0.99},
-		},
-		Theta:  10,
-		Levels: forecast.ScalingLevels,
-	}
-	plan, err := PlanRound(s, series(1), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(plan[0] <= plan[1] && plan[1] <= plan[2]) {
-		t.Errorf("plan = %v, want non-decreasing with uncertainty", plan)
-	}
-	if plan[0] == plan[2] {
-		t.Errorf("plan = %v, want different conservatism across rungs", plan)
-	}
-}
-
-func TestStaircaseValidation(t *testing.T) {
-	qf := &fakeQF{Base: []float64{1}, Spread: []float64{0}}
-	bad := &Staircase{Forecaster: qf, Base: 0.5, Theta: 10,
-		Rungs: []StaircaseLevel{{Rho: 5, Tau: 0.9}, {Rho: 1, Tau: 0.8}}}
-	if _, err := PlanRound(bad, series(1), 1, nil); err == nil {
-		t.Error("unsorted rungs should fail")
-	}
-	if _, err := PlanRound(&Staircase{Forecaster: qf, Base: 0, Theta: 10}, series(1), 1, nil); err == nil {
-		t.Error("bad base should fail")
-	}
-	if _, err := PlanRound(&Staircase{Forecaster: qf, Base: 0.5, Theta: 0}, series(1), 1, nil); err == nil {
-		t.Error("zero theta should fail")
-	}
-}
-
-func TestRateLimitedSmoothsPlan(t *testing.T) {
-	qf := &fakeQF{name: "fq", Base: []float64{10, 200, 10, 200}, Spread: []float64{0, 0, 0, 0}}
-	inner := &Robust{Forecaster: qf, Tau: 0.9, Theta: 10}
-	rl := &RateLimited{Inner: inner, MaxDelta: 3}
-	plan, err := PlanRound(rl, series(1), 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := 1
-	for i, c := range plan {
-		d := c - prev
-		if d < 0 {
-			d = -d
-		}
-		if d > 3 {
-			t.Errorf("step %d: delta %d exceeds limit (plan %v)", i, d, plan)
-		}
-		prev = c
-	}
-	if rl.Name() != "fq-0.9-ratelimit3" {
-		t.Errorf("Name = %q", rl.Name())
-	}
-	// State carries across plans.
-	plan2, err := PlanRound(rl, series(1), 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := plan2[0] - plan[len(plan)-1]
-	if d < 0 {
-		d = -d
-	}
-	if d > 3 {
-		t.Errorf("cross-plan delta %d exceeds limit", d)
-	}
-}
-
 func TestEvaluateRolling(t *testing.T) {
 	// Constant workload 50, theta 10 -> min 5 nodes.
 	vals := make([]float64, 40)
@@ -427,8 +348,6 @@ func TestRoundFanAndDecision(t *testing.T) {
 		{&Predictive{Forecaster: &fakePoint{name: "p", pred: base}, Theta: 100}, false},
 		{&Robust{Forecaster: qf(), Tau: 0.9, Theta: 100}, true},
 		{&Adaptive{Forecaster: qf(), Tau1: 0.7, Tau2: 0.95, Rho: 1, Theta: 100}, true},
-		{&Staircase{Forecaster: qf(), Base: 0.7, Theta: 100}, true},
-		{&RateLimited{Inner: &Robust{Forecaster: qf(), Tau: 0.9, Theta: 100}, MaxDelta: 1}, false},
 	} {
 		round, err := tc.strat.PlanInto(hist, 3, nil)
 		if err != nil {

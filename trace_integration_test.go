@@ -79,10 +79,6 @@ func TestDecisionTracingEndToEnd(t *testing.T) {
 		&robustscale.Robust{Forecaster: qf, Tau: 0.9, Theta: 100},
 		&robustscale.Adaptive{Forecaster: qf, Tau1: 0.6, Tau2: 0.95, Rho: 5, Theta: 100,
 			Levels: robustscale.ScalingLevels},
-		&robustscale.Staircase{Forecaster: qf, Base: 0.6, Theta: 100,
-			Rungs:  []robustscale.StaircaseLevel{{Rho: 5, Tau: 0.95}},
-			Levels: robustscale.ScalingLevels},
-		&robustscale.RateLimited{Inner: &robustscale.Robust{Forecaster: qf, Tau: 0.9, Theta: 100}, MaxDelta: 1},
 	}
 	cfg := robustscale.EvalConfig{Theta: 100, Horizon: 3, Start: 24}
 	for _, strat := range strategies {
