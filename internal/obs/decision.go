@@ -56,18 +56,16 @@ type Decision struct {
 	// Delta is the first planned allocation minus PrevNodes.
 	Delta int `json:"delta"`
 	// U is the per-step uncertainty metric (Equation 8), when the
-	// strategy computes it (adaptive, staircase).
+	// strategy computes it (adaptive).
 	U []float64 `json:"u,omitempty"`
 	// Tau is the per-step quantile level that bounded the allocation,
 	// when the strategy is quantile-driven.
 	Tau []float64 `json:"tau,omitempty"`
 	// Tau1 and Tau2 are the optimistic and conservative levels of the
-	// adaptive pair (equal for the single-level robust strategy; base
-	// and top rung for the staircase).
+	// adaptive pair (equal for the single-level robust strategy).
 	Tau1 float64 `json:"tau1,omitempty"`
 	Tau2 float64 `json:"tau2,omitempty"`
-	// Rho is the uncertainty threshold that escalates Tau1 to Tau2
-	// (first rung for the staircase).
+	// Rho is the uncertainty threshold that escalates Tau1 to Tau2.
 	Rho float64 `json:"rho,omitempty"`
 	// Quantile is the per-step workload value that drove the allocation:
 	// the forecast at Tau[t] for quantile strategies, the point forecast
