@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -250,10 +251,25 @@ func TestFigure9(t *testing.T) {
 	if len(rows) != 14 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	// The padded rows are pinned: how the padding learns from realized
+	// load may change, what it provisions may not.
+	padded := map[string]string{
+		"qb5000-padding":    "0.2222222222222222/0.6203703703703703",
+		"tft-point-padding": "0.12962962962962962/0.7870370370370371",
+	}
 	for _, r := range rows {
 		if r.UnderRate < 0 || r.UnderRate > 1 || r.OverRate < 0 || r.OverRate > 1 {
 			t.Errorf("%s: rates %v/%v", r.Strategy, r.UnderRate, r.OverRate)
 		}
+		if want, ok := padded[r.Strategy]; ok {
+			if got := fmt.Sprintf("%v/%v", r.UnderRate, r.OverRate); got != want {
+				t.Errorf("%s: under/over rates %s, want %s", r.Strategy, got, want)
+			}
+			delete(padded, r.Strategy)
+		}
+	}
+	if len(padded) > 0 {
+		t.Errorf("no rows for %v", padded)
 	}
 	var buf bytes.Buffer
 	if err := RenderFigure9(&buf, rows); err != nil {

@@ -1,12 +1,15 @@
 package scaler
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"time"
 
 	"robustscale/internal/forecast"
 	"robustscale/internal/timeseries"
+	"robustscale/internal/trace"
 )
 
 var t0 = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -305,6 +308,46 @@ func TestEvaluateObserverCalled(t *testing.T) {
 	// The base forecaster predicts 10, actuals are 20: padding learned.
 	if padded.Pad() <= 0 {
 		t.Errorf("pad = %v, want positive after evaluation", padded.Pad())
+	}
+}
+
+// TestPaddedEvaluatePinned pins the allocations Evaluate produces for the
+// padding-enhanced baseline on a seeded Alibaba-style trace: 8 rounds of
+// 36 steps whose padding learns from the load each round realized. How
+// the padding is fed may change; what it allocates may not.
+func TestPaddedEvaluatePinned(t *testing.T) {
+	cfg := trace.AlibabaStyle(11)
+	cfg.Days, cfg.Units = 8, 16
+	tr, err := trace.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := tr.Series(trace.CPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const start, h = 6 * 144, 36
+	base := forecast.NewSeasonalNaive(144)
+	if err := base.Fit(s.Slice(0, start)); err != nil {
+		t.Fatal(err)
+	}
+	padded := forecast.NewPadded(base)
+	if err := padded.Bootstrap(s.Slice(0, start), h, 2); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Evaluate(&Predictive{Forecaster: padded, Theta: 10}, s, EvalConfig{Theta: 10, Horizon: h, Start: start})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := fnv.New64a()
+	for _, a := range res.Allocations {
+		fmt.Fprintf(sum, "%d,", a)
+	}
+	if got, want := fmt.Sprintf("%d %016x", len(res.Allocations), sum.Sum64()), "288 f27a5d1025d6bcad"; got != want {
+		t.Errorf("padded allocations (count, hash) = %s, want %s", got, want)
+	}
+	if padded.Pad() <= 0 {
+		t.Errorf("pad = %v after the evaluation, want positive", padded.Pad())
 	}
 }
 
