@@ -136,11 +136,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON file here when the replay ends (implies tracing)")
 		explain    = fs.String("explain", "", `print the decision explanation for a series step index, or "latest", after the replay`)
 
-		applyRetries    = fs.Int("apply-retries", 3, "scale-apply attempts per round (first included)")
-		applyBackoff    = fs.Duration("apply-backoff", time.Second, "base backoff between apply retries (doubles per retry)")
-		breakerOpenAt   = fs.Int("breaker-threshold", 3, "consecutive failed apply rounds that open the circuit breaker")
-		breakerCooldown = fs.Duration("breaker-cooldown", 30*time.Minute, "virtual time the breaker stays open before probing (rounded up to whole replay steps)")
-
 		idleEps      = fs.Float64("idle-eps", 0, "with -serverless, workload level below which the tenant counts as idle (0 = theta/10)")
 		parkAfter    = fs.Int("park-after", 0, fmt.Sprintf("with -serverless, consecutive idle rounds before parking (<= 0 = default %d)", wakeDef.MinIdleRounds))
 		wakeDebounce = fs.Int("wake-debounce", 0, fmt.Sprintf("with -serverless, rounds after a wake during which parking is refused (<= 0 = default %d)", wakeDef.WakeDebounceRounds))
@@ -153,10 +148,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	if err := persist.ValidTenantID(*tenant); err != nil {
 		return err
-	}
-	if *applyRetries <= 0 || *applyBackoff <= 0 || *breakerOpenAt <= 0 || *breakerCooldown <= 0 {
-		return fmt.Errorf("%w: -apply-retries %d, -apply-backoff %v, -breaker-threshold %d and -breaker-cooldown %v must all be positive",
-			fleet.ErrConfig, *applyRetries, *applyBackoff, *breakerOpenAt, *breakerCooldown)
 	}
 	// Names no loop knows are refused before -listen binds, the trace is
 	// generated or chaos is armed.
@@ -311,11 +302,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			Theta: cfg.Theta, Horizon: cfg.Horizon, Tau: cfg.Tau, Tau2: cfg.Tau2,
 		},
 		ForecasterKind: "tft",
-		Backoff:        scaler.BackoffConfig{MaxAttempts: *applyRetries, Base: *applyBackoff},
-		Breaker:        &scaler.Breaker{Threshold: *breakerOpenAt, Cooldown: int((*breakerCooldown + cpu.Step - 1) / cpu.Step)},
-		Sched:          sched,
-		Plant:          plant,
-		StateDir:       cfg.StateDir, Retain: cfg.Retain,
+		// The apply policy is the defaults' (three attempts from a 1 s
+		// backoff, a breaker that three failed actions open) with a
+		// 30-minute cooldown, rounded up to whole replay steps.
+		Breaker:  &scaler.Breaker{Cooldown: int((30*time.Minute + cpu.Step - 1) / cpu.Step)},
+		Sched:    sched,
+		Plant:    plant,
+		StateDir: cfg.StateDir, Retain: cfg.Retain,
 	}
 	if cfg.Guard {
 		t.GuardConfig = &scaler.GuardConfig{Theta: cfg.Theta, Tau: cfg.Tau}

@@ -261,7 +261,7 @@ var blobCases = []blobCase{
 		},
 		fresh: func(testing.TB) (func(io.Reader) error, func(io.Writer) error) {
 			j := obs.NewJournal(2)
-			j.RecordAt(blobTime, "scale", "", nil)
+			j.RecordTenantAt(blobTime, "", "scale", "", nil)
 			return j.Load, j.Save
 		},
 	},

@@ -114,9 +114,12 @@ func New(cfg Config) (*Controller, error) {
 	c := &Controller{cfg: cfg, tenants: tenants, segs: segs, lastCkpt: -1, chaosSched: chaosSched,
 		dur: obs.NewSketch(obs.DefaultSketchAlpha)}
 	fleetTenantsGauge.Set(float64(cfg.Tenants))
+	publishStates(tenants...)
 	// Lifecycle bookkeeping runs sequentially in tenant order so journal
-	// entries and start counters land deterministically.
+	// entries (a tenant's restore events, then its start) and start
+	// counters land deterministically.
 	for _, t := range tenants {
+		t.journal()
 		c.corrupt += len(t.rejected)
 		kind, n := "cold", &c.coldCount
 		if t.warm {
@@ -260,7 +263,7 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 		Series: series, seriesRestored: restored,
 		TrainEnd: cfg.TrainDays * stepsPerDay(), Horizon: cfg.Horizon,
 		ForecasterKind: cfg.Forecaster,
-		Backoff:        scaler.BackoffConfig{MaxAttempts: 1},
+		ApplyAttempts:  1,
 		Breaker:        &scaler.Breaker{},
 	}
 	t.quarantine.Threshold, t.quarantine.Cooldown = cfg.QuarantineAfter, cfg.QuarantineRounds
@@ -314,7 +317,6 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 	if err != nil {
 		return nil, err
 	}
-	t.plans = scaler.DeferPlanCounts(t.planner)
 	if recovered != nil {
 		t.sloBlob = recovered.SLO
 	}
@@ -514,11 +516,11 @@ func (c *Controller) injectWakeStorm(active []*Tenant) {
 // more at exit. Each round runs a parallel plan phase, the sequential
 // admission barrier, and a parallel apply phase; per-tenant decisions
 // are bit-identical for any worker count. Run reads the clock on its own
-// goroutine at each stage boundary, never per tenant.
+// goroutine at each stage boundary, never per tenant. Its barriers record
+// plan counts, journal events and the resilience gauges.
 func (c *Controller) Run(ctx context.Context) (*Report, error) {
 	cfg := c.cfg
 	active := make([]*Tenant, 0, len(c.tenants))
-	var plans scaler.PlanTally
 	for {
 		if ctx != nil && ctx.Err() != nil {
 			break
@@ -539,19 +541,17 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		parallel.ForEachWorkerSpan("fleet-plan", cfg.Workers, len(active), func(_, i int) {
 			_ = active[i].plan()
 		})
-		// Fold the round's plan counts, one add per shared counter, and
-		// journal its wake transitions in tenant order.
+		// Count the round's plans, one add per shared counter, and journal
+		// its events in tenant order.
 		var err error
-		for _, t := range c.tenants {
-			plans.Fold(t.plans)
+		for _, t := range active {
+			t.journal()
+			t.journalWake(true)
 			if err == nil {
 				err = t.err
 			}
 		}
-		for _, t := range active {
-			t.journalWake(true)
-		}
-		plans.Flush()
+		recordPlans(cfg.Horizon, active...)
 		if err != nil {
 			return nil, err
 		}
@@ -569,14 +569,14 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 		parallel.ForEachWorkerSpan("fleet-apply", cfg.Workers, len(active), func(w, i int) {
 			_ = active[i].apply(c.scratch[w])
 		})
-		for _, t := range c.tenants {
-			if t.err != nil {
-				return nil, t.err
-			}
-		}
 		for _, t := range active {
+			t.journal()
+			if err = t.err; err != nil {
+				return nil, err
+			}
 			t.journalWake(false)
 		}
+		publishStates(c.tenants...)
 		applied := obs.Mono()
 		round := (applied - start).Seconds()
 		c.dur.Observe(round)
@@ -619,6 +619,17 @@ func (c *Controller) Run(ctx context.Context) (*Report, error) {
 	return c.report(), nil
 }
 
+// recordPlans adds the rounds of h steps the tenants' planners returned
+// to plans_total in one add per counter: a fleet's tenants plan with one
+// strategy configuration, so their planners share a name.
+func recordPlans(h int, tenants ...*Tenant) {
+	rounds := 0
+	for _, t := range tenants {
+		rounds, t.planned = rounds+t.planned, 0
+	}
+	scaler.CountPlans(tenants[0].planner.Name(), rounds, rounds*h)
+}
+
 // growScratch readies a round scratch per worker of an apply stage over n
 // tenants.
 func (c *Controller) growScratch(n int) {
@@ -645,8 +656,11 @@ func (c *Controller) foldCalibration() {
 // counts from start.
 func (c *Controller) checkpoint(start time.Duration) {
 	parallel.ForEachWorkerSpan("fleet-checkpoint", c.cfg.Workers, len(c.tenants), func(_, i int) {
-		_ = c.tenants[i].Checkpoint() // journalled by the tenant
+		_ = c.tenants[i].checkpoint() // journalled below
 	})
+	for _, t := range c.tenants {
+		t.journal()
+	}
 	if _, err := c.segs.Commit(); err != nil {
 		obs.DefaultJournal.RecordTenantAt(c.tenants[0].Now(), "", "checkpoint-error",
 			fmt.Sprintf("segment commit after round %d failed: %v", c.rounds, err), nil)

@@ -323,9 +323,6 @@ func TestTenantPlanCountsAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn := c.Tenants()[1]
-	if tn.plans == nil {
-		t.Fatal("a fleet tenant's strategy holds no plan tally")
-	}
 	planned := plans.With(tn.planner.Name())
 	p0, s0 := planned.Value(), steps.Value()
 	for round := 1; round <= 3; round++ {

@@ -1,6 +1,9 @@
 package fleet
 
-import "robustscale/internal/obs"
+import (
+	"robustscale/internal/obs"
+	"robustscale/internal/scaler"
+)
 
 // Fleet instruments on the process-wide registry. The per-tenant vecs
 // reuse the single-label registry machinery; tenants cache their own
@@ -37,6 +40,13 @@ var (
 		"robustscale_fleet_plan_round_seconds",
 		"Wall-clock latency of one fleet round, plan start to apply end.",
 		obs.LatencyBuckets)
+
+	degradationMode = obs.Default.Gauge(
+		"robustscale_degradation_mode",
+		"Most severe guard degradation mode among the tenants after the latest round: 0 normal, 1 repair, 2 last-known-good, 3 reactive.")
+	applyBreakerState = obs.Default.Gauge(
+		"robustscale_apply_breaker_state",
+		"Most severe apply circuit-breaker state among the tenants after the latest round: 0 closed, 1 open, 2 half-open.")
 
 	// Shared capacity pool instruments.
 	fleetAdmissionClips = obs.Default.Counter(
@@ -84,3 +94,18 @@ var (
 		"robustscale_fleet_wake_storms_total",
 		"Wake-storm rounds that forced the parked population awake simultaneously.")
 )
+
+// publishStates sets the resilience gauges to the most severe states
+// among tenants: the highest guard rung, and an open apply breaker over a
+// half-open one over a closed one.
+func publishStates(tenants ...*Tenant) {
+	mode, state := scaler.ModeNormal, scaler.BreakerClosed
+	for _, t := range tenants {
+		mode = max(mode, t.mode)
+		if t.breaker == scaler.BreakerOpen || state == scaler.BreakerClosed {
+			state = t.breaker
+		}
+	}
+	degradationMode.Set(float64(mode))
+	applyBreakerState.Set(float64(state))
+}

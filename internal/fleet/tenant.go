@@ -133,7 +133,9 @@ type Step struct {
 // implementation of the round: trace, forecaster, calibration, guard,
 // breaker, wake guard, plant and checkpoint store are all private,
 // so a round touches nothing shared beyond the process-wide (atomic)
-// metric counters. A client fills in the exported parts, calls Start,
+// metric counters; its journal events and plan counts wait for the
+// barrier of the loop that drives it (a lone Plan, Apply or Checkpoint
+// is its own barrier). A client fills in the exported parts, calls Start,
 // then drives Plan and Apply once per round and Checkpoint at its own
 // cadence: the controller for N tenants in lock step with the admission
 // barrier between the two stages, the single-tenant daemon for one, the
@@ -169,9 +171,10 @@ type Tenant struct {
 	// GuardConfig wraps the strategy in the resilience guard; without it
 	// a planning error ends the loop instead of holding the round.
 	GuardConfig *scaler.GuardConfig
-	// Backoff and Breaker (required) shape the apply path.
-	Backoff scaler.BackoffConfig
-	Breaker *scaler.Breaker
+	// ApplyAttempts (0: the applier's default) and Breaker (required)
+	// shape the apply path.
+	ApplyAttempts int
+	Breaker       *scaler.Breaker
 	// Sched is the tenant's fault schedule; nil means no chaos.
 	Sched *chaos.Schedule
 	// WakeConfig turns on scale-to-zero: the wake guard shapes every plan
@@ -215,8 +218,13 @@ type Tenant struct {
 	rejected   []string
 	coldReason string
 	err        error
-	// plans is the planner's tally (or nil), folded at the plan barrier.
-	plans *scaler.PlanTally
+	// planned counts the tenant's own planner's rounds that plans_total
+	// has yet to see; events are staged for the journal; mode and breaker,
+	// for publishStates, are read by the stage that moved them, while warm.
+	planned int
+	events  []obs.Event
+	mode    scaler.DegradationMode
+	breaker scaler.BreakerState
 
 	// Admission / quarantine state. round is the planning stage's output
 	// awaiting admission and Apply: Nodes is the pending plan (aliases
@@ -272,8 +280,7 @@ type Tenant struct {
 	wakeLatHist  *obs.Histogram
 }
 
-// Now is the tenant's virtual clock, stamping its components' journal
-// events.
+// Now is the tenant's virtual clock, stamping its journal events.
 func (t *Tenant) Now() time.Time {
 	i := t.cursor
 	if i >= t.Series.Len() {
@@ -340,6 +347,7 @@ func (t *Tenant) Faulty(qf forecast.QuantileForecaster) forecast.QuantileForecas
 // replay — wires guard, applier and wake guard, and restores their
 // state. It returns the snapshot it resumed from (nil on a cold start)
 // so the client can restore what its Sections hook added.
+// A restore's journal event waits for the next barrier.
 func (t *Tenant) Start() (*persist.State, error) {
 	if err := CheckSizes(t.Horizon, t.Series.Len()-t.TrainEnd, t.theta()); err != nil {
 		return nil, fmt.Errorf("fleet: %s: %w", t.ID, err)
@@ -419,7 +427,7 @@ func (t *Tenant) Start() (*persist.State, error) {
 	// errors.
 	t.planner = strat
 	if t.GuardConfig != nil {
-		t.guard = &scaler.Guard{Inner: strat, Config: *t.GuardConfig, Clock: t.Now}
+		t.guard = &scaler.Guard{Inner: strat, Config: *t.GuardConfig}
 		t.planner = t.guard
 	}
 	// Scale actions go through retries and the circuit breaker: while the
@@ -428,7 +436,7 @@ func (t *Tenant) Start() (*persist.State, error) {
 	if t.hooks.Apply {
 		apply = chaos.WrapApply(apply, t.Plant.Size, t.stepFaults)
 	}
-	t.applier = (&scaler.Applier{Apply: apply, Backoff: t.Backoff, Breaker: t.Breaker, Clock: t.Now}).ScaleTo
+	t.applier = (&scaler.Applier{Apply: apply, Attempts: t.ApplyAttempts, Breaker: t.Breaker}).ScaleTo
 
 	if recovered != nil {
 		t.restore(recovered, &extra)
@@ -470,8 +478,10 @@ func (t *Tenant) restore(st *persist.State, extra *loopExtra) {
 	}
 	if t.guard != nil {
 		load("guard", st.Guard, t.guard.Load)
+		t.mode = t.guard.Mode()
 	}
 	load("breaker", st.Breaker, t.Breaker.Load)
+	t.breaker = t.Breaker.State()
 	load("calibration", st.Calibration, func(r io.Reader) error {
 		cal, err := cluster.LoadCalibration(r)
 		if err == nil {
@@ -482,14 +492,29 @@ func (t *Tenant) restore(st *persist.State, extra *loopExtra) {
 	t.journalDegraded("restore-degraded", "warm start at origin %d with fresh state for: %s (checkpoint sections did not load)", fresh)
 }
 
-// journalDegraded records, once, the components a restore or a checkpoint
+// journalDegraded stages, once, the components a restore or a checkpoint
 // went ahead without; format takes the origin and their names.
 func (t *Tenant) journalDegraded(kind, format string, components []string) {
 	if len(components) > 0 {
-		obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, kind,
-			fmt.Sprintf(format, t.origin, strings.Join(components, ", ")),
+		t.stage(t.Now(), kind, fmt.Sprintf(format, t.origin, strings.Join(components, ", ")),
 			map[string]float64{"components": float64(len(components))})
 	}
+}
+
+// stage holds a journal event of the tenant until journal records it.
+func (t *Tenant) stage(at time.Time, kind, msg string, fields map[string]float64) {
+	t.events = append(t.events, obs.Event{Time: at, Tenant: t.ID, Kind: kind, Msg: msg, Fields: fields})
+}
+
+// journal records the staged events in the order staged. A fleet calls
+// it at each barrier in tenant order, so the journal does not depend on
+// how many workers ran the stage.
+func (t *Tenant) journal() {
+	for _, e := range t.events {
+		obs.DefaultJournal.RecordTenantAt(e.Time, e.Tenant, e.Kind, e.Msg, e.Fields)
+	}
+	clear(t.events)
+	t.events = t.events[:0]
 }
 
 // holdPlan fills the tenant's plan buffer with its previous allocation —
@@ -511,15 +536,18 @@ func (t *Tenant) holdPlan(h int) []int {
 // wired into the forecaster), shape its plan through the wake guard, and
 // leave it pending for admission and Apply. The reused history view shares the
 // trace's backing array, so warm forecasters see a continuous history
-// and the steady-state round allocates nothing. Plan writes only
+// and the steady-state round allocates nothing. Its planning writes only
 // tenant-owned state and process-wide atomic counters, preserving the
-// worker-count determinism contract. It returns the planning error, if
-// any: with a guard the round holds the previous allocation (and counts
-// a hold); without one the error also ends the loop (Err).
+// worker-count determinism contract; then Plan records the round's plan
+// count and journal events, which a fleet leaves to its plan barrier. It
+// returns the planning error, if any: with a guard the round holds the
+// previous allocation (and counts a hold); without one the error also
+// ends the loop (Err).
 func (t *Tenant) Plan() error {
 	t.planStart = obs.Mono()
 	err := t.plan()
-	t.plans.Flush()
+	recordPlans(t.Horizon, t)
+	t.journal()
 	t.journalWake(true)
 	return err
 }
@@ -538,8 +566,8 @@ func (t *Tenant) journalWake(planned bool) {
 	}
 }
 
-// plan is Plan untimed, its count left for Run's plan barrier to fold:
-// the fleet times its stages, not its tenants.
+// plan is Plan untimed, its count and events left for Run's plan barrier
+// to record: the fleet times its stages, not its tenants.
 func (t *Tenant) plan() error {
 	origin, h := t.origin, t.Horizon
 	if t.hooks.Forecast {
@@ -566,6 +594,15 @@ func (t *Tenant) plan() error {
 	round, err := planner.PlanInto(hist, h, t.planBuf)
 	if round.Nodes != nil {
 		t.planBuf = round.Nodes
+	}
+	if planner == t.planner && t.guard != nil {
+		t.mode = t.guard.Mode()
+		for _, e := range t.guard.Events() {
+			t.stage(t.Now(), e.Kind, e.Msg, e.Fields)
+		}
+	}
+	if planner == t.planner && err == nil {
+		t.planned++
 	}
 	if err != nil {
 		err = fmt.Errorf("fleet: %s planning at %d: %w", t.ID, origin, err)
@@ -616,17 +653,21 @@ func (t *Tenant) stepFaults() (int, chaos.StepFaults) {
 // plant through every admitted allocation, count violations, cost and
 // the rolling allocation hash, feed wake events back into the wake
 // guard, and grade the fan's calibration over the round. It returns the
-// error that ended the loop, if any, and observes the round's latency,
-// from the start of Plan, on the fleet plan-round histogram: a tenant run
-// alone is a fleet round of one.
+// error that ended the loop, if any. A tenant run alone is a fleet round
+// of one: Apply records the round's journal events, sets the resilience
+// gauges to its own states and observes the round's latency, from the
+// start of Plan, on the fleet plan-round histogram.
 func (t *Tenant) Apply() error {
 	if t.own == nil {
 		t.own = newRoundScratch(t.Horizon)
 	}
-	if err := t.apply(t.own); err != nil {
+	err := t.apply(t.own)
+	t.journal()
+	if err != nil {
 		return err
 	}
 	t.journalWake(false)
+	publishStates(t)
 	fleetPlanSeconds.Observe((obs.Mono() - t.planStart).Seconds())
 	return nil
 }
@@ -656,6 +697,10 @@ func (t *Tenant) apply(s *roundScratch) error {
 		quiet = t.faults.Quiet
 	}
 	r := &s.stepped
+	// The round journals one apply-failed event: how many of its scale
+	// actions exhausted their attempts (not the ones an open breaker
+	// refused), and the last of them.
+	failed, last, lastAt := 0, (*scaler.ApplyError)(nil), time.Time{}
 	for i, target := range plan {
 		var f chaos.StepFaults
 		if !quiet {
@@ -670,6 +715,9 @@ func (t *Tenant) apply(s *roundScratch) error {
 		t.Plant.Step(r, t.applier, target, f, w)
 		if r.Err != nil {
 			t.holds++
+			if e := (*scaler.ApplyError)(nil); errors.As(r.Err, &e) {
+				failed, last, lastAt = failed+1, e, t.Now()
+			}
 		}
 		if t.wakeGuard != nil {
 			t.noteWake(r.Wake)
@@ -686,6 +734,12 @@ func (t *Tenant) apply(s *roundScratch) error {
 			t.OnStep(Step{Index: origin + i, Workload: w, Plan: plan, I: i, Prev: t.prevAlloc, StepResult: *r})
 		}
 		t.prevAlloc = r.Nodes
+	}
+	t.breaker = t.Breaker.State()
+	if failed > 0 {
+		t.stage(lastAt, "apply-failed",
+			fmt.Sprintf("scale to %d failed after %d attempts: %v (%d failed steps this round)", last.Target, last.Attempts, last.Err, failed),
+			map[string]float64{"target": float64(last.Target), "attempts": float64(last.Attempts), "failed_steps": float64(failed)})
 	}
 	if fan != nil && t.cal != nil {
 		n := min(len(plan), fan.Horizon())
@@ -733,6 +787,13 @@ func (t *Tenant) noteWake(out cluster.WakeOutcome) {
 // ignored: durability must not take down the loop it protects. Without a
 // store it is a no-op.
 func (t *Tenant) Checkpoint() error {
+	err := t.checkpoint()
+	t.journal()
+	return err
+}
+
+// checkpoint is Checkpoint with its events left for the fleet's barrier.
+func (t *Tenant) checkpoint() error {
 	if t.store == nil {
 		return nil
 	}
@@ -838,10 +899,9 @@ var (
 	saveSection = func(component string, c saver, w io.Writer) error { return c.Save(w) }
 )
 
-// checkpointFailed journals and wraps the reason a checkpoint was not
+// checkpointFailed stages and wraps the reason a checkpoint was not
 // taken.
 func (t *Tenant) checkpointFailed(err error) error {
-	obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "checkpoint-error",
-		fmt.Sprintf("checkpoint at origin %d failed: %v", t.origin, err), nil)
+	t.stage(t.Now(), "checkpoint-error", fmt.Sprintf("checkpoint at origin %d failed: %v", t.origin, err), nil)
 	return fmt.Errorf("fleet: %s: checkpoint at origin %d: %w", t.ID, t.origin, err)
 }

@@ -11,7 +11,9 @@ import (
 // enhancement (Shen et al., SoCC'11) the paper compares against: a small
 // additional value derived from recent under-estimation errors is added to
 // every prediction, mitigating (but, as the paper shows, not eliminating)
-// under-provisioning.
+// under-provisioning. The padding learns from realized load on its own:
+// each Predict first observes the previous prediction against the steps
+// of its history that have been realized since.
 type Padded struct {
 	// Base is the wrapped point forecaster.
 	Base Forecaster
@@ -23,6 +25,9 @@ type Padded struct {
 	Percentile float64
 
 	errs []float64 // relative under-estimation errors, most recent last
+	// prev is the last prediction, made from a history of prevAt values.
+	prev   []float64
+	prevAt int
 }
 
 // NewPadded wraps base with default settings.
@@ -35,7 +40,7 @@ func (p *Padded) Name() string { return p.Base.Name() + "-padding" }
 
 // Fit trains the wrapped forecaster and clears the error history.
 func (p *Padded) Fit(train *timeseries.Series) error {
-	p.errs = p.errs[:0]
+	p.errs, p.prev = p.errs[:0], nil
 	return p.Base.Fit(train)
 }
 
@@ -95,8 +100,13 @@ func (p *Padded) Pad() float64 {
 }
 
 // Predict implements Forecaster: the base prediction scaled up by the
-// padding fraction.
+// padding fraction, after the previous prediction is observed against
+// the values history holds past the one it was made from.
 func (p *Padded) Predict(history *timeseries.Series, h int) ([]float64, error) {
+	if n := history.Len(); p.prev != nil && n > p.prevAt {
+		p.Observe(history.Values[p.prevAt:min(n, p.prevAt+len(p.prev))], p.prev)
+	}
+	p.prev = nil
 	base, err := p.Base.Predict(history, h)
 	if err != nil {
 		return nil, err
@@ -109,6 +119,7 @@ func (p *Padded) Predict(history *timeseries.Series, h int) ([]float64, error) {
 			out[i] = v
 		}
 	}
+	p.prev, p.prevAt = out, history.Len()
 	return out, nil
 }
 

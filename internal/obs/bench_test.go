@@ -59,7 +59,7 @@ func BenchmarkJournalRecord(b *testing.B) {
 	fields := map[string]float64{"from": 3, "to": 5}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		j.RecordAt(now, "scale", "scale 3 -> 5", fields)
+		j.RecordTenantAt(now, "", "scale", "scale 3 -> 5", fields)
 	}
 }
 

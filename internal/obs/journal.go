@@ -54,21 +54,10 @@ func NewJournal(capacity int) *Journal {
 	return &Journal{buf: make([]Event, capacity)}
 }
 
-// Record appends an event stamped with the current wall time.
-func (j *Journal) Record(kind, msg string, fields map[string]float64) {
-	j.RecordAt(time.Now().UTC(), kind, msg, fields)
-}
-
-// RecordAt appends an event with an explicit timestamp (virtual time from
-// the simulator, a parsed log time during replay, ...). The fields map is
-// copied, so callers may reuse theirs.
-func (j *Journal) RecordAt(t time.Time, kind, msg string, fields map[string]float64) {
-	j.RecordTenantAt(t, "", kind, msg, fields)
-}
-
-// RecordTenantAt is RecordAt with a tenant label, for control planes that
-// drive many tenants through one journal (the fleet controller) or a
-// daemon that wants its tenant id on every event.
+// RecordTenantAt appends an event with an explicit timestamp (virtual
+// time from the simulator, a parsed log time during replay, ...) and a
+// tenant label, empty for a process-wide event. The fields map is copied,
+// so callers may reuse theirs.
 func (j *Journal) RecordTenantAt(t time.Time, tenant, kind, msg string, fields map[string]float64) {
 	var copied map[string]float64
 	if len(fields) > 0 {

@@ -14,7 +14,7 @@ func TestJournalWraparound(t *testing.T) {
 	j := NewJournal(4)
 	base := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 	for i := 1; i <= 10; i++ {
-		j.RecordAt(base.Add(time.Duration(i)*time.Minute), "scale", fmt.Sprintf("event %d", i), map[string]float64{"i": float64(i)})
+		j.RecordTenantAt(base.Add(time.Duration(i)*time.Minute), "", "scale", fmt.Sprintf("event %d", i), map[string]float64{"i": float64(i)})
 	}
 	events := j.Events()
 	if len(events) != 4 {
@@ -37,7 +37,7 @@ func TestJournalWraparound(t *testing.T) {
 func TestJournalCopiesFields(t *testing.T) {
 	j := NewJournal(2)
 	fields := map[string]float64{"nodes": 3}
-	j.Record("scale", "up", fields)
+	j.RecordTenantAt(time.Now(), "", "scale", "up", fields)
 	fields["nodes"] = 99
 	if got := j.Events()[0].Fields["nodes"]; got != 3 {
 		t.Errorf("journal shares the caller's fields map: %v", got)
@@ -52,7 +52,7 @@ func TestJournalConcurrentRecord(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				j.Record("k", "m", nil)
+				j.RecordTenantAt(time.Now(), "", "k", "m", nil)
 				j.Events()
 			}
 		}()
@@ -65,7 +65,7 @@ func TestJournalConcurrentRecord(t *testing.T) {
 
 func TestJournalHandler(t *testing.T) {
 	j := NewJournal(8)
-	j.RecordAt(time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC), "fault", "killed 1 node", map[string]float64{"killed": 1})
+	j.RecordTenantAt(time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC), "", "fault", "killed 1 node", map[string]float64{"killed": 1})
 	srv := httptest.NewServer(j.Handler())
 	defer srv.Close()
 
@@ -102,9 +102,9 @@ func TestJournalHandler(t *testing.T) {
 
 func TestJournalEventsFiltered(t *testing.T) {
 	j := NewJournal(8)
-	j.Record("scale", "up", nil)
-	j.Record("violation", "breach", nil)
-	j.Record("scale", "down", nil)
+	j.RecordTenantAt(time.Now(), "", "scale", "up", nil)
+	j.RecordTenantAt(time.Now(), "", "violation", "breach", nil)
+	j.RecordTenantAt(time.Now(), "", "scale", "down", nil)
 
 	if got := j.EventsFiltered("", 0); len(got) != 3 {
 		t.Errorf("unfiltered kept %d, want 3", len(got))
@@ -123,9 +123,9 @@ func TestJournalEventsFiltered(t *testing.T) {
 
 func TestJournalHandlerFilters(t *testing.T) {
 	j := NewJournal(8)
-	j.Record("scale", "up", nil)
-	j.Record("violation", "breach", nil)
-	j.Record("scale", "down", nil)
+	j.RecordTenantAt(time.Now(), "", "scale", "up", nil)
+	j.RecordTenantAt(time.Now(), "", "violation", "breach", nil)
+	j.RecordTenantAt(time.Now(), "", "scale", "down", nil)
 	srv := httptest.NewServer(j.Handler())
 	defer srv.Close()
 

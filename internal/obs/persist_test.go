@@ -11,7 +11,7 @@ func TestJournalSaveLoadRoundTrip(t *testing.T) {
 	j := NewJournal(8)
 	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 12; i++ { // overflow the ring so seq > count
-		j.RecordAt(base.Add(time.Duration(i)*time.Minute), "scale", "event", map[string]float64{"i": float64(i)})
+		j.RecordTenantAt(base.Add(time.Duration(i)*time.Minute), "", "scale", "event", map[string]float64{"i": float64(i)})
 	}
 	var buf bytes.Buffer
 	if err := j.Save(&buf); err != nil {
@@ -28,7 +28,7 @@ func TestJournalSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("events differ:\n got %+v\nwant %+v", j2.Events(), j.Events())
 	}
 	// The restored ring keeps rotating correctly.
-	j2.RecordAt(base.Add(time.Hour), "scale", "after", nil)
+	j2.RecordTenantAt(base.Add(time.Hour), "", "scale", "after", nil)
 	events := j2.Events()
 	if events[len(events)-1].Seq != 13 {
 		t.Fatalf("post-restore seq = %d, want 13", events[len(events)-1].Seq)
@@ -38,7 +38,7 @@ func TestJournalSaveLoadRoundTrip(t *testing.T) {
 func TestJournalLoadTrimsToCapacity(t *testing.T) {
 	j := NewJournal(16)
 	for i := 0; i < 10; i++ {
-		j.Record("k", "e", nil)
+		j.RecordTenantAt(time.Now(), "", "k", "e", nil)
 	}
 	var buf bytes.Buffer
 	if err := j.Save(&buf); err != nil {

@@ -131,7 +131,7 @@ func (s Span) End() { s.EndVirtual(time.Time{}) }
 func (s Span) Active() bool { return s.tr != nil }
 
 // EndVirtual completes the span and stamps it with a virtual-time
-// timestamp (the simulation clock), mirroring Journal.RecordAt: the
+// timestamp (the simulation clock), mirroring Journal.RecordTenantAt: the
 // span's duration is always wall time, but the stamp ties it back to
 // workload chronology.
 func (s Span) EndVirtual(vt time.Time) {

@@ -29,54 +29,16 @@ var (
 	applyBackoffSeconds = obs.Default.Counter(
 		"robustscale_apply_backoff_seconds_total",
 		"Backoff delay accumulated between apply retries; virtual, never slept.")
-	breakerState = obs.Default.Gauge(
-		"robustscale_apply_breaker_state",
-		"Circuit breaker state of the apply path: 0 closed, 1 open, 2 half-open.")
 )
 
-// BackoffConfig shapes the exponential backoff between apply retries.
-type BackoffConfig struct {
-	// MaxAttempts bounds total tries per round, first included (default 3).
-	MaxAttempts int
-	// Base is the delay after the first failure (default 1s).
-	Base time.Duration
-	// Multiplier grows the delay per retry (default 2).
-	Multiplier float64
-	// Max caps the delay (default 30s).
-	Max time.Duration
-}
-
-func (c BackoffConfig) withDefaults() BackoffConfig {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
+// backoff is the delay before retry number retry (1-based: the one
+// between the first failure and the second attempt is backoff(1)): 1 s,
+// doubling per retry, capped at 30 s.
+func backoff(retry int) time.Duration {
+	if retry > 5 {
+		return 30 * time.Second
 	}
-	if c.Base <= 0 {
-		c.Base = time.Second
-	}
-	if c.Multiplier < 1 {
-		c.Multiplier = 2
-	}
-	if c.Max <= 0 {
-		c.Max = 30 * time.Second
-	}
-	return c
-}
-
-// Delay returns the backoff before retry number retry (1-based: the
-// delay between the first failure and the second attempt is Delay(1)).
-func (c BackoffConfig) Delay(retry int) time.Duration {
-	c = c.withDefaults()
-	d := float64(c.Base)
-	for i := 1; i < retry; i++ {
-		d *= c.Multiplier
-		if d >= float64(c.Max) {
-			return c.Max
-		}
-	}
-	if d > float64(c.Max) {
-		return c.Max
-	}
-	return time.Duration(d)
+	return time.Second << (retry - 1)
 }
 
 // BreakerState is the circuit breaker's position.
@@ -222,49 +184,57 @@ func (b *Breaker) Trips() int64 {
 	return b.trips
 }
 
+// ApplyError is the error of a scale action whose every attempt failed;
+// Err is the last attempt's.
+type ApplyError struct {
+	Target, Attempts int
+	Err              error
+}
+
+func (e *ApplyError) Error() string {
+	return fmt.Sprintf("scaler: scale to %d failed after %d attempts: %v", e.Target, e.Attempts, e.Err)
+}
+
+func (e *ApplyError) Unwrap() error { return e.Err }
+
 // Applier drives one scale action through retry-with-backoff and the
 // circuit breaker. Backoff is virtual: delays are accounted in metrics
-// but not slept, which keeps replays and tests instant.
+// but not slept, which keeps replays and tests instant. It journals
+// nothing: its caller sees every failure in the error ScaleTo returns.
 type Applier struct {
 	// Apply performs the scale action; required.
 	Apply func(target int) error
-	// Backoff shapes the retry schedule (zero value = defaults).
-	Backoff BackoffConfig
+	// Attempts bounds the tries per scale action, first included
+	// (default 3); retries back off exponentially.
+	Attempts int
 	// Breaker, when set, gates the whole action; ScaleTo ticks it once.
 	Breaker *Breaker
-	// Clock stamps journal events (virtual time in replays); defaults to
-	// time.Now.
-	Clock func() time.Time
 }
 
 // ScaleTo attempts the scale action with retries. It ticks the breaker
 // first, so a breaker's cooldown counts scale actions — one per replay
 // step. On success the breaker closes and nil is returned. When the
-// breaker is open, or every attempt fails, an error is returned and the
-// caller is expected to hold its current allocation — the safe degraded
-// behavior; holds are counted in robustscale_apply_holds_total. The
-// breaker's state changes are mirrored into
-// robustscale_apply_breaker_state; a closed breaker never writes it.
+// breaker is open an error wrapping ErrBreakerOpen is returned, when
+// every attempt fails an *ApplyError, and the caller is expected to hold
+// its current allocation — the safe degraded behavior; holds are counted
+// in robustscale_apply_holds_total.
 func (a *Applier) ScaleTo(target int) error {
 	if a.Apply == nil {
 		return fmt.Errorf("scaler: applier has no apply function")
 	}
-	state := BreakerClosed
-	if a.Breaker != nil {
-		if state = a.Breaker.Tick(); state != BreakerClosed {
-			breakerState.Set(float64(state))
-		}
-		if state == BreakerOpen {
-			applyHolds.Inc()
-			return fmt.Errorf("%w: holding current allocation (scale to %d deferred)", ErrBreakerOpen, target)
-		}
+	if a.Breaker != nil && a.Breaker.Tick() == BreakerOpen {
+		applyHolds.Inc()
+		return fmt.Errorf("%w: holding current allocation (scale to %d deferred)", ErrBreakerOpen, target)
 	}
-	cfg := a.Backoff.withDefaults()
+	attempts := a.Attempts
+	if attempts <= 0 {
+		attempts = 3
+	}
 	var lastErr error
-	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
 			applyRetries.Inc()
-			applyBackoffSeconds.Add(cfg.Delay(attempt - 1).Seconds())
+			applyBackoffSeconds.Add(backoff(attempt - 1).Seconds())
 		}
 		if err := a.Apply(target); err != nil {
 			lastErr = err
@@ -273,22 +243,12 @@ func (a *Applier) ScaleTo(target int) error {
 		}
 		if a.Breaker != nil {
 			a.Breaker.Success()
-			if state != BreakerClosed {
-				breakerState.Set(float64(BreakerClosed))
-			}
 		}
 		return nil
 	}
-	if a.Breaker != nil && a.Breaker.Failure() {
-		breakerState.Set(float64(BreakerOpen))
+	if a.Breaker != nil {
+		a.Breaker.Failure()
 	}
 	applyHolds.Inc()
-	now := time.Now()
-	if a.Clock != nil {
-		now = a.Clock()
-	}
-	obs.DefaultJournal.RecordAt(now, "apply-failed",
-		fmt.Sprintf("scale to %d failed after %d attempts: %v", target, cfg.MaxAttempts, lastErr),
-		map[string]float64{"target": float64(target), "attempts": float64(cfg.MaxAttempts)})
-	return fmt.Errorf("scaler: scale to %d failed after %d attempts: %w", target, cfg.MaxAttempts, lastErr)
+	return &ApplyError{Target: target, Attempts: attempts, Err: lastErr}
 }

@@ -9,17 +9,17 @@ import (
 )
 
 func TestBackoffDelay(t *testing.T) {
-	c := BackoffConfig{Base: time.Second, Multiplier: 2, Max: 5 * time.Second}
 	cases := map[int]time.Duration{
-		1: time.Second,
-		2: 2 * time.Second,
-		3: 4 * time.Second,
-		4: 5 * time.Second, // capped
-		9: 5 * time.Second,
+		1:  time.Second,
+		2:  2 * time.Second,
+		3:  4 * time.Second,
+		5:  16 * time.Second,
+		6:  30 * time.Second, // capped
+		99: 30 * time.Second,
 	}
 	for retry, want := range cases {
-		if got := c.Delay(retry); got != want {
-			t.Errorf("Delay(%d) = %v, want %v", retry, got, want)
+		if got := backoff(retry); got != want {
+			t.Errorf("backoff(%d) = %v, want %v", retry, got, want)
 		}
 	}
 }
@@ -34,7 +34,7 @@ func TestApplierRetriesThenSucceeds(t *testing.T) {
 			}
 			return nil
 		},
-		Backoff: BackoffConfig{MaxAttempts: 3, Base: time.Millisecond},
+		Attempts: 3,
 	}
 	if err := a.ScaleTo(4); err != nil {
 		t.Fatalf("retry path should succeed: %v", err)
@@ -48,9 +48,9 @@ func TestApplierExhaustsAndBreakerOpens(t *testing.T) {
 	br := &Breaker{Threshold: 2, Cooldown: 3}
 	calls := 0
 	a := &Applier{
-		Apply:   func(int) error { calls++; return errors.New("down") },
-		Backoff: BackoffConfig{MaxAttempts: 2, Base: time.Millisecond},
-		Breaker: br,
+		Apply:    func(int) error { calls++; return errors.New("down") },
+		Attempts: 2,
+		Breaker:  br,
 	}
 	if err := a.ScaleTo(3); err == nil {
 		t.Fatal("exhausted retries should error")
@@ -224,8 +224,8 @@ func TestApplierConcurrent(t *testing.T) {
 			fleet = n
 			return nil
 		},
-		Backoff: BackoffConfig{MaxAttempts: 2, Base: time.Millisecond},
-		Breaker: &Breaker{Threshold: 4, Cooldown: 2},
+		Attempts: 2,
+		Breaker:  &Breaker{Threshold: 4, Cooldown: 2},
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {

@@ -46,8 +46,9 @@ type EvalResult struct {
 // Evaluate replays the series against the strategy: at each planning
 // origin the strategy sees only the history so far, commits allocations
 // for the next Horizon steps, and the realized workload grades them. The
-// strategy's Observe hook (if any) receives the realized workloads after
-// each round, which is how the padding baseline learns.
+// next round's history holds that realized load, which is what the
+// padding baseline learns from. Evaluate counts its rounds in
+// plans_total.
 func Evaluate(strategy Strategy, s *timeseries.Series, cfg EvalConfig) (*EvalResult, error) {
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("scaler: non-positive evaluation horizon %d", cfg.Horizon)
@@ -87,12 +88,8 @@ func Evaluate(strategy Strategy, s *timeseries.Series, cfg EvalConfig) (*EvalRes
 			RecordDecisionAdmitted(round.Decision, cfg.tenant(), origin, at, prev, plan, 0, "")
 		}
 		prev = plan[len(plan)-1]
-		realized := s.Values[origin : origin+cfg.Horizon]
 		allocations = append(allocations, plan...)
-		actuals = append(actuals, realized...)
-		if observer, ok := strategy.(Observer); ok {
-			observer.Observe(realized)
-		}
+		actuals = append(actuals, s.Values[origin:origin+cfg.Horizon]...)
 	}
 	if len(allocations) == 0 {
 		return nil, fmt.Errorf("scaler: evaluation span too short for horizon %d", cfg.Horizon)
@@ -101,6 +98,7 @@ func Evaluate(strategy Strategy, s *timeseries.Series, cfg EvalConfig) (*EvalRes
 	if err != nil {
 		return nil, err
 	}
+	CountPlans(strategy.Name(), len(allocations)/cfg.Horizon, len(allocations))
 	countActions(0, allocations)
 	violationsTotal.With(strategy.Name()).Add(float64(report.UnderProvisioned))
 	tenantViolations.With(cfg.tenant()).Add(float64(report.UnderProvisioned))

@@ -3,7 +3,6 @@ package scaler
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"robustscale/internal/forecast"
 	"robustscale/internal/obs"
@@ -49,9 +48,6 @@ func (m DegradationMode) String() string {
 
 // Guard instruments on the process-wide registry.
 var (
-	degradationMode = obs.Default.Gauge(
-		"robustscale_degradation_mode",
-		"Guard degradation mode of the latest planning round: 0 normal, 1 repair, 2 last-known-good, 3 reactive.")
 	guardFallbacks = obs.Default.CounterVec(
 		"robustscale_guard_fallbacks_total",
 		"Guarded planning rounds that engaged a degradation mode, by mode.",
@@ -105,16 +101,14 @@ func (c GuardConfig) withDefaults() GuardConfig {
 // with the guard's degraded record in repair mode; the retained fan in
 // last-known-good mode; no fan in reactive mode.
 //
-// Guard implements Strategy and Observer. It is not safe for concurrent
-// PlanInto calls (neither are the strategies it wraps).
+// The guard journals nothing itself: Events holds what the loop that owns
+// the round records. It is not safe for concurrent PlanInto calls
+// (neither are the strategies it wraps).
 type Guard struct {
 	// Inner is the primary strategy.
 	Inner Strategy
 	// Config tunes validation bounds and fallback planning.
 	Config GuardConfig
-	// Clock stamps journal events (virtual time in replays); defaults to
-	// time.Now.
-	Clock func() time.Time
 
 	mode       DegradationMode
 	lastReason string
@@ -128,10 +122,12 @@ type Guard struct {
 	// from index peakFrom on, the largest sits at peakAt (-1: unknown).
 	seen             timeseries.Ref
 	peakAt, peakFrom int
-	// decision is the scratch of the degraded path records; last the
-	// round most recently returned, which only the LastFan shim reads.
+	// decision is the scratch of the degraded path records; lastFan the
+	// fan of the round most recently returned, which only the LastFan shim
+	// reads.
 	decision *obs.Decision
-	last     Round
+	lastFan  *forecast.QuantileForecast
+	events   []obs.Event
 	fallback *ReactiveMax
 	// degradedRounds counts rounds that engaged any fallback mode.
 	degradedRounds int
@@ -158,14 +154,16 @@ func (g *Guard) LastReason() string {
 func (g *Guard) DegradedRounds() int { return g.degradedRounds }
 
 // LastFan implements FanProvider (the bench/ shim).
-func (g *Guard) LastFan() *forecast.QuantileForecast { return g.last.Fan }
+func (g *Guard) LastFan() *forecast.QuantileForecast { return g.lastFan }
 
-// Observe implements Observer, forwarding realized workloads to the
-// inner strategy.
-func (g *Guard) Observe(actual []float64) {
-	if o, ok := g.Inner.(Observer); ok {
-		o.Observe(actual)
-	}
+// Events returns the journal events of the latest PlanInto, oldest first
+// (a telemetry repair, then a degraded rung or the recovery from one),
+// for the caller to stamp with time and tenant; the next PlanInto reuses
+// the slice.
+func (g *Guard) Events() []obs.Event { return g.events }
+
+func (g *Guard) event(kind, msg string, fields map[string]float64) {
+	g.events = append(g.events, obs.Event{Kind: kind, Msg: msg, Fields: fields})
 }
 
 // PlanInto implements Strategy: the guarded control loop of one round.
@@ -175,8 +173,9 @@ func (g *Guard) Observe(actual []float64) {
 // series, so warm forecasters self-invalidate and rebuild cold —
 // bit-identical by the warm contract.
 func (g *Guard) PlanInto(history *timeseries.Series, h int, dst []int) (Round, error) {
+	g.events = g.events[:0]
 	round, err := g.guarded(history, h, dst)
-	g.last = round
+	g.lastFan = round.Fan
 	return round, err
 }
 
@@ -318,7 +317,7 @@ func (g *Guard) sanitizeHistory(s *timeseries.Series) *timeseries.Series {
 		// hold the one-node floor instead of propagating NaN.
 		return out
 	}
-	obs.DefaultJournal.RecordAt(g.now(), "degraded",
+	g.event("degraded",
 		fmt.Sprintf("guard repaired %d non-finite telemetry observations", bad),
 		map[string]float64{"repaired": float64(bad)})
 	return out
@@ -433,41 +432,27 @@ func (g *Guard) storeLastGood(fan *forecast.QuantileForecast) {
 	g.lastGoodFan = c
 }
 
-// enterMode records a degraded round in the gauge, counters and journal.
+// enterMode records a degraded round in the counters and events.
 func (g *Guard) enterMode(mode DegradationMode, reason string) {
 	g.mode = mode
 	g.lastReason = reason
-	degradationMode.Set(float64(mode))
-	if mode == ModeNormal {
-		return
-	}
 	g.degradedRounds++
 	guardFallbacks.With(mode.String()).Inc()
-	obs.DefaultJournal.RecordAt(g.now(), "degraded",
+	g.event("degraded",
 		fmt.Sprintf("guard engaged %s: %s", mode, reason),
 		map[string]float64{"mode": float64(mode)})
 }
 
 // recover returns the guard to normal. Only a degraded guard has a
-// transition to make: it journals it and stores the mode gauge, which a
-// clean round leaves alone.
+// transition to make, and an event for it.
 func (g *Guard) recover() {
 	if g.mode == ModeNormal {
 		return
 	}
-	obs.DefaultJournal.RecordAt(g.now(), "recovered",
-		fmt.Sprintf("guard recovered to normal from %s", g.mode),
+	g.event("recovered", fmt.Sprintf("guard recovered to normal from %s", g.mode),
 		map[string]float64{"mode": 0})
 	g.mode = ModeNormal
 	g.lastReason = ""
-	degradationMode.Set(0)
-}
-
-func (g *Guard) now() time.Time {
-	if g.Clock != nil {
-		return g.Clock()
-	}
-	return time.Now()
 }
 
 // pathDecision assembles the degraded decision record of a plan the

@@ -227,27 +227,6 @@ func TestGuardClampsBlowup(t *testing.T) {
 	}
 }
 
-func TestGuardObserveForwards(t *testing.T) {
-	// Adaptive implements Observer via its conformal tracker; the guard
-	// must forward realized workloads through. Use a spy instead.
-	spy := &observeSpy{}
-	g := &Guard{Inner: spy, Config: GuardConfig{Theta: 10}}
-	g.Observe([]float64{1, 2})
-	if spy.got != 2 {
-		t.Errorf("inner observed %d values, want 2", spy.got)
-	}
-}
-
-type observeSpy struct {
-	got int
-}
-
-func (s *observeSpy) Name() string { return "spy" }
-func (s *observeSpy) PlanInto(*timeseries.Series, int, []int) (Round, error) {
-	return Round{Nodes: []int{1}}, nil
-}
-func (s *observeSpy) Observe(actual []float64) { s.got += len(actual) }
-
 // TestGuardLadderReentry pins the recovery direction of the ladder: a
 // guard that has fallen all the way to the reactive rung (and one parked
 // at last-known-good) must climb back to normal on the FIRST healthy
@@ -266,6 +245,15 @@ func TestGuardLadderReentry(t *testing.T) {
 	if g.Mode() != ModeReactive {
 		t.Fatalf("mode = %v, want reactive", g.Mode())
 	}
+	kinds := func() (out []string) {
+		for _, e := range g.Events() {
+			out = append(out, e.Kind)
+		}
+		return out
+	}
+	if got := kinds(); !reflect.DeepEqual(got, []string{"degraded"}) {
+		t.Errorf("reactive round's events %v, want one degraded", got)
+	}
 	qf.fail = false
 	plan, err := PlanRound(g, hist, h, nil)
 	if err != nil {
@@ -273,6 +261,12 @@ func TestGuardLadderReentry(t *testing.T) {
 	}
 	if g.Mode() != ModeNormal {
 		t.Fatalf("first healthy round after reactive: mode = %v, want normal", g.Mode())
+	}
+	if got := kinds(); !reflect.DeepEqual(got, []string{"recovered"}) {
+		t.Errorf("recovering round's events %v, want one recovered", got)
+	}
+	if _, err := PlanRound(g, hist, h, nil); err != nil || len(g.Events()) > 0 {
+		t.Errorf("a second healthy round: error %v, events %v; want neither", err, g.Events())
 	}
 	if g.LastReason() != "" {
 		t.Errorf("recovered round still carries reason %q", g.LastReason())

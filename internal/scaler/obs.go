@@ -1,7 +1,6 @@
 package scaler
 
 import (
-	"math"
 	"time"
 
 	"robustscale/internal/obs"
@@ -13,7 +12,7 @@ import (
 // (obs.DefaultTracer), not by a histogram per tenant-round.
 var (
 	// plansTotal counts planning rounds per strategy; plannedSteps the
-	// allocation steps they committed.
+	// allocation steps they committed (CountPlans feeds both).
 	plansTotal = obs.Default.CounterVec(
 		"robustscale_scaler_plans_total",
 		"Planning rounds completed, by strategy.",
@@ -47,70 +46,14 @@ var (
 		"tenant")
 )
 
-// PlanTally is a strategy's plans_total child, looked up on its first
-// round, and the rounds and steps it holds back from the shared counters
-// once DeferPlanCounts asked it to, so workers planning in parallel do
-// not all add to one counter per round.
-type PlanTally struct {
-	plans    *obs.Counter
-	steps    uint32
-	rounds   uint16
-	deferred bool
-}
-
-// countPlan records one completed planning round of h steps for the
-// strategy of the given name.
-func countPlan(t *PlanTally, name string, h int) {
-	if t.plans == nil {
-		t.plans = plansTotal.With(name)
-	}
-	if !t.deferred {
-		t.plans.Inc()
-		plannedSteps.Add(float64(h))
-		return
-	}
-	t.rounds++
-	t.steps += uint32(h)
-}
-
-// DeferPlanCounts makes s (or the strategy a Guard wraps) hold its
-// planning rounds and returns its tally for the caller to fold at its
-// round barrier, nil for a strategy that counts none.
-func DeferPlanCounts(s Strategy) *PlanTally {
-	if g, ok := s.(*Guard); ok {
-		return DeferPlanCounts(g.Inner)
-	}
-	c, ok := s.(interface{ planTally() *PlanTally })
-	if !ok {
-		return nil
-	}
-	t := c.planTally()
-	t.deferred = true
-	return t
-}
-
-// Fold moves the rounds held in from (nil for none) into t, adding what t
-// held to the shared counters first when from counts another strategy or
-// would overflow t.
-func (t *PlanTally) Fold(from *PlanTally) {
-	if from == nil || from.rounds == 0 {
-		return
-	}
-	if t.plans != from.plans || t.rounds > math.MaxUint16-from.rounds || t.steps > math.MaxUint32-from.steps {
-		t.Flush()
-		t.plans = from.plans
-	}
-	t.rounds += from.rounds
-	t.steps += from.steps
-	from.rounds, from.steps = 0, 0
-}
-
-// Flush adds the rounds t (nil for none) holds to the shared counters.
-func (t *PlanTally) Flush() {
-	if t != nil && t.rounds > 0 {
-		t.plans.Add(float64(t.rounds))
-		plannedSteps.Add(float64(t.steps))
-		t.rounds, t.steps = 0, 0
+// CountPlans adds rounds planning rounds of steps allocation steps in
+// all, planned by the named strategy, to plans_total and
+// planned_steps_total. The loop that owns the rounds counts them, not the
+// strategy: Evaluate its replay's, a fleet tenant its planner's.
+func CountPlans(strategy string, rounds, steps int) {
+	if rounds > 0 {
+		plansTotal.With(strategy).Add(float64(rounds))
+		plannedSteps.Add(float64(steps))
 	}
 }
 

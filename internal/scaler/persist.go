@@ -16,7 +16,7 @@ import (
 
 // Save writes the guard's degradation-ladder position and retained
 // last-known-good fan (no levels, mean or rows when none is retained).
-// Configuration (Inner, Config, Clock) is not persisted — the restarted
+// Configuration (Inner, Config) is not persisted — the restarted
 // process reconstructs it from flags.
 func (g *Guard) Save(w io.Writer) error {
 	fan := g.lastGoodFan
@@ -35,7 +35,7 @@ func (g *Guard) Save(w io.Writer) error {
 }
 
 // Load restores the ladder position saved by Save into a freshly
-// configured guard, re-exporting the degradation-mode gauge. The retained
+// configured guard. The retained
 // fan, carved from one array that storeLastGood then reuses, must pass
 // Validate with levels inside (0, 1), or planning from it could panic.
 func (g *Guard) Load(r io.Reader) error {
@@ -65,7 +65,6 @@ func (g *Guard) Load(r io.Reader) error {
 	if len(fan.Values) > 0 {
 		g.lastGoodFan = fan
 	}
-	degradationMode.Set(float64(g.mode))
 	return nil
 }
 

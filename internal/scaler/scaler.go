@@ -66,15 +66,6 @@ type FanProvider interface {
 	LastFan() *forecast.QuantileForecast
 }
 
-// Observer is implemented by strategies that learn from realized outcomes
-// (the padding enhancement). The evaluation harness feeds actuals back
-// after each planning round.
-type Observer interface {
-	// Observe reports the realized workload for the steps of the most
-	// recent plan.
-	Observe(actual []float64)
-}
-
 // ErrNoHistory is returned when a reactive strategy has no observations to
 // work from.
 var ErrNoHistory = errors.New("scaler: empty workload history")
@@ -176,17 +167,16 @@ func (r *ReactiveAvg) PlanInto(history *timeseries.Series, h int, dst []int) (Ro
 
 // Predictive scales on a point forecast (Definition 3 with predicted
 // workloads). With a *forecast.Padded base it becomes the padding-enhanced
-// baseline; call Observe with realized workloads to feed the padding.
+// baseline, whose padding learns from the load each next history
+// realized.
 type Predictive struct {
 	// Forecaster supplies point forecasts.
 	Forecaster forecast.Forecaster
 	// Theta is the per-node workload threshold.
 	Theta float64
 
-	lastPrediction []float64
-	decision       *obs.Decision
-	cachedName     string
-	tally          PlanTally
+	decision   *obs.Decision
+	cachedName string
 }
 
 // Name implements Strategy. The name is derived from the forecaster once
@@ -215,7 +205,6 @@ func (p *Predictive) PlanInto(history *timeseries.Series, h int, dst []int) (Rou
 	if err != nil {
 		return Round{}, err
 	}
-	p.lastPrediction = pred
 	round, err := planPath(pred, p.Theta, dst)
 	if err != nil {
 		return Round{}, err
@@ -224,11 +213,8 @@ func (p *Predictive) PlanInto(history *timeseries.Series, h int, dst []int) (Rou
 		p.decision = pathDecision(p.decision, p.Name(), p.Theta, pred, round.Nodes)
 		round.Decision = p.decision
 	}
-	countPlan(&p.tally, p.Name(), h)
 	return round, nil
 }
-
-func (p *Predictive) planTally() *PlanTally { return &p.tally }
 
 // planPath is the traced optimize stage of the strategies that allocate
 // along one workload path (Eq. 6 per step).
@@ -240,14 +226,6 @@ func planPath(path []float64, theta float64, dst []int) (Round, error) {
 		return Round{}, err
 	}
 	return Round{Nodes: plan}, nil
-}
-
-// Observe implements Observer: when the wrapped forecaster supports
-// padding, realized workloads update its under-estimation statistics.
-func (p *Predictive) Observe(actual []float64) {
-	if padded, ok := p.Forecaster.(*forecast.Padded); ok && p.lastPrediction != nil {
-		padded.Observe(actual, p.lastPrediction)
-	}
 }
 
 // Robust is the paper's core contribution (Equation 6): allocations are
@@ -266,7 +244,6 @@ type Robust struct {
 	lastFan      *forecast.QuantileForecast
 	lastDecision *obs.Decision
 	cachedName   string
-	tally        PlanTally
 	tauLevels    []float64
 	pathBuf      []float64
 }
@@ -320,11 +297,8 @@ func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) (Round, 
 		round.Decision = d
 	}
 	r.lastFan, r.lastDecision = round.Fan, round.Decision
-	countPlan(&r.tally, r.Name(), h)
 	return round, nil
 }
-
-func (r *Robust) planTally() *PlanTally { return &r.tally }
 
 // predictQuantiles is the traced forecast stage: through the warm path
 // when the forecaster keeps warm state, which is bit-identical to the
@@ -356,7 +330,6 @@ type Adaptive struct {
 	// quantile value, binding) are reused from round to round.
 	cachedName string
 	decision   *obs.Decision
-	tally      PlanTally
 	us         []float64
 	taus       []float64
 	qs         []float64
@@ -422,11 +395,8 @@ func (a *Adaptive) PlanInto(history *timeseries.Series, h int, dst []int) (Round
 		}
 		round.Decision = a.decision
 	}
-	countPlan(&a.tally, a.Name(), h)
 	return round, nil
 }
-
-func (a *Adaptive) planTally() *PlanTally { return &a.tally }
 
 // Uncertainties computes the per-step uncertainty metric U (Equation 8)
 // of a quantile forecast, measuring each level against the median.

@@ -158,15 +158,14 @@ func TestPredictiveObserveFeedsPadding(t *testing.T) {
 	if _, err := PlanRound(p, series(1), 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Realized workload 50% above forecast.
-	p.Observe([]float64{15, 15})
-	if pad := padded.Pad(); pad <= 0.4 {
-		t.Errorf("pad = %v, want ~0.5", pad)
-	}
-	// Next plan should allocate more.
-	plan, err := PlanRound(p, series(1), 2, nil)
+	// The next history realized a workload 50% above the forecast: the
+	// padding observes it before the next plan.
+	plan, err := PlanRound(p, series(1, 15, 15), 2, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pad := padded.Pad(); pad <= 0.4 {
+		t.Errorf("pad = %v, want ~0.5", pad)
 	}
 	if plan[0] < 2 {
 		t.Errorf("padded plan = %v, want >= 2 nodes", plan)
