@@ -159,12 +159,14 @@ var blobCases = []blobCase{
 	},
 	{
 		name:   "wake-guard",
-		golden: "0000020402040a02020202",
+		golden: "0000020402060a02020204",
 		populated: func(testing.TB) func(io.Writer) error {
-			g := &scaler.WakeGuard{Config: scaler.WakeGuardConfig{MinIdleRounds: 2, KeepWarmAfterFails: 2}}
+			g := &scaler.WakeGuard{}
+			g.Shape([]int{0}, true)
 			g.Shape([]int{0}, true)
 			g.Shape([]int{0}, true) // parked
 			g.Shape([]int{3}, false)
+			g.OnWakeResult(false)
 			g.OnWakeResult(false)
 			g.OnWakeResult(false) // breaker open
 			g.Shape([]int{0}, true)
