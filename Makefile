@@ -100,9 +100,8 @@ bench-check:
 # arbitrary task and worker counts: every index once, every worker id in
 # range. The next feeds arbitrary bytes to the six trained-model Loads,
 # which must error cleanly like the component decoders. The next parses
-# arbitrary burn-rule specs: every one accepted must pass Validate. The
-# next parses arbitrary argument vectors with the flags both daemons
-# share: each fails to parse or yields a Config that validate accepts or
+# arbitrary argument vectors with the flags both daemons
+# share: each fails to parse or yields a Config that Validate accepts or
 # refuses, never a panic. The next holds the offset-based forecasters' warm fans to
 # their cold fans bit for bit while origin, horizon and levels change
 # between calls. The last holds the bucketed one-day calibration window
@@ -130,7 +129,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzReadCSV -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzForEachWorker -fuzztime=10s -fuzzminimizetime=1s ./internal/parallel
 	$(GO) test -run '^$$' -fuzz=FuzzLoadModel -fuzztime=10s -fuzzminimizetime=1s ./internal/forecast
-	$(GO) test -run '^$$' -fuzz=FuzzParseBurnRules -fuzztime=10s -fuzzminimizetime=1s ./internal/obs
 	$(GO) test -run '^$$' -fuzz=FuzzBindFlags -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz=FuzzWarmMatchesCold -fuzztime=10s -fuzzminimizetime=1s ./internal/forecast
 	$(GO) test -run '^$$' -fuzz=FuzzBucketsMatchStepRing -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster

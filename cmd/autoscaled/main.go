@@ -33,7 +33,7 @@
 // then 200 — probes can gate traffic on it. With -slo-target set (the
 // default, 1%), the daemon tracks a rolling error budget over
 // -slo-window replay steps and evaluates multi-window burn-rate alert
-// rules (-burn-windows overrides the defaults) on every step: /slo
+// rules scaled to that window on every step: /slo
 // serves the budget state, /alerts the firing rules plus transition
 // history, and every transition lands in the journal as an "alert"
 // event. -label-limit caps per-metric label cardinality; overflowing
@@ -126,7 +126,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	def.Theta, def.Horizon, def.SLOWindow = 100, 72, 144
 	f := fleet.BindFlags(fs, def)
 	cfg := &f.Config
-	wakeDef := scaler.WakeGuardConfig{}.WithDefaults()
 	var (
 		dataset    = fs.String("dataset", "alibaba", "workload: alibaba or google")
 		tenant     = fs.String("tenant", obs.DefaultTenant, "tenant id labelling this daemon's decisions, journal events, metrics and checkpoints")
@@ -136,10 +135,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON file here when the replay ends (implies tracing)")
 		explain    = fs.String("explain", "", `print the decision explanation for a series step index, or "latest", after the replay`)
 
-		idleEps      = fs.Float64("idle-eps", 0, "with -serverless, workload level below which the tenant counts as idle (0 = theta/10)")
-		parkAfter    = fs.Int("park-after", 0, fmt.Sprintf("with -serverless, consecutive idle rounds before parking (<= 0 = default %d)", wakeDef.MinIdleRounds))
-		wakeDebounce = fs.Int("wake-debounce", 0, fmt.Sprintf("with -serverless, rounds after a wake during which parking is refused (<= 0 = default %d)", wakeDef.WakeDebounceRounds))
-		roundDelay   = fs.Duration("round-delay", 0, "wall-clock pause after each planning round (paces the replay for live observation and kill/restart drills)")
+		idleEps    = fs.Float64("idle-eps", 0, "with -serverless, workload level below which the tenant counts as idle (0 = theta/10)")
+		roundDelay = fs.Duration("round-delay", 0, "wall-clock pause after each planning round (paces the replay for live observation and kill/restart drills)")
 	)
 	fleet.PositiveIntVar(fs, &journalCap, "journal-cap", 1024, "bounded event journal capacity in `entries`")
 	if err := fs.Parse(args); err != nil {
@@ -149,11 +146,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := persist.ValidTenantID(*tenant); err != nil {
 		return err
 	}
-	// Names no loop knows are refused before -listen binds, the trace is
-	// generated or chaos is armed.
+	// Names no loop knows, and adaptive levels Algorithm 1 cannot plan
+	// with, are refused before -listen binds, the trace is generated or
+	// chaos is armed.
 	reactive, ok := strategies[cfg.Strategy]
 	if !ok {
 		return fmt.Errorf("%w: unknown strategy %q", fleet.ErrConfig, cfg.Strategy)
+	}
+	if err := fleet.CheckLevels(cfg.Strategy, cfg.Tau, cfg.Tau2); err != nil {
+		return err
 	}
 	generate, ok := datasets[*dataset]
 	if !ok {
@@ -189,9 +190,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	health := obs.NewHealth()
 	var slo *obs.SLOTracker
 	if cfg.SLOTarget != 0 {
-		sc := obs.SLOConfig{Target: cfg.SLOTarget, Window: cfg.SLOWindow, Rules: cfg.BurnRules}
+		sc := obs.SLOConfig{Target: cfg.SLOTarget, Window: cfg.SLOWindow}
 		if err := sc.Validate(); err != nil {
-			return fmt.Errorf("-slo-target/-slo-window/-burn-windows: %w", err)
+			return fmt.Errorf("-slo-target/-slo-window: %w", err)
 		}
 		slo = obs.NewSLOTracker(sc).InstrumentDefault()
 		slo.Journal = obs.DefaultJournal
@@ -319,19 +320,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// parked — the zero lives in the plan and the status surface, which
 		// is exactly what a pooled serverless backend would see from this
 		// control loop.
-		t.WakeConfig = &scaler.WakeGuardConfig{MinIdleRounds: *parkAfter, WakeDebounceRounds: *wakeDebounce}
+		t.ScaleToZero = true
 		if t.IdleEps = *idleEps; t.IdleEps <= 0 {
 			t.IdleEps = fleet.IdleEps(cfg.Theta)
 		}
-		eff := t.WakeConfig.WithDefaults()
-		logf("autoscaled: serverless mode: park after %d idle rounds below %.2f, wake debounce %d rounds",
-			eff.MinIdleRounds, t.IdleEps, eff.WakeDebounceRounds)
+		logf("autoscaled: serverless mode: idle below %.2f", t.IdleEps)
 	}
 	var strat scaler.Strategy
 	t.Build = func(model []byte, savedRho float64) (_ scaler.Strategy, snapper forecast.Snapshotter, rhoUsed float64, err error) {
-		if cfg.Rho > 0 {
-			savedRho = cfg.Rho
-		}
 		strat, snapper, rhoUsed, err = buildStrategy(cfg.Strategy, cpu.Slice(0, trainEnd), model, cfg.Tau, cfg.Tau2, savedRho, cfg.Theta, cfg.Horizon, *epochs, t.Faulty, logf)
 		return strat, snapper, rhoUsed, err
 	}

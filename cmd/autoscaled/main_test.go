@@ -113,14 +113,13 @@ slo: target 0.01 window 144: 36/288 bad steps, budget remaining -14.9722, 102 tr
 		// wakes under the all-class fault preset.
 		{"serverless-parking-chaos", parkingArgs + " -chaos all", `final: 288 steps, 12 violations (4.17%), 9 scale-outs, 7 scale-ins
 resilience: 0 degraded rounds, 75 apply holds, 2 node failures, final mode normal
-serverless: 5 parks, 4 wakes, 5 blocked parks, 79 parked steps, parked now true
+serverless: 4 parks, 3 wakes, 10 blocked parks, 74 parked steps, parked now true
 slo: target 0.01 window 144: 12/288 bad steps, budget remaining -3.1667, 10 transitions, 0 active alerts, first firing tick 38`},
 	}
-	// The serverless cases log the wake guard's effective hysteresis,
-	// defaults filled in.
+	// The serverless cases log the idle threshold in effect.
 	wakeLogs := map[string]string{
-		"serverless":               "serverless mode: park after 3 idle rounds below 10.00, wake debounce 2 rounds\n",
-		"serverless-parking-chaos": "serverless mode: park after 2 idle rounds below 1500.00, wake debounce 1 rounds\n",
+		"serverless":               "serverless mode: idle below 10.00\n",
+		"serverless-parking-chaos": "serverless mode: idle below 1500.00\n",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -178,7 +177,7 @@ func TestSLOTargetBounds(t *testing.T) {
 	}
 }
 
-const parkingArgs = "-strategy reactive-max -days 2 -serverless -theta 3000 -idle-eps 1500 -park-after 2 -wake-debounce 1"
+const parkingArgs = "-strategy reactive-max -days 2 -serverless -theta 3000 -idle-eps 1500"
 
 // TestKillRestartTotals is the durability oracle: a replay cancelled at
 // a round boundary and resumed from its state directory — and resumed

@@ -32,8 +32,8 @@
 //
 // With -slo-target set (the default, 1%), the controller tracks a
 // fleet-wide rolling error budget over -slo-window rounds and evaluates
-// burn-rate alerts (-burn-windows overrides the defaults); the summary
-// gains an "slo" section and enabling the plane never changes a single
+// the default burn-rate alerts scaled to that window; the summary gains
+// an "slo" section and enabling the plane never changes a single
 // allocation or the fleet hash. -label-limit caps per-metric label
 // cardinality — at 10k tenants the tenant-labelled series collapse into
 // "other" past the cap instead of exploding the scrape. -listen serves
@@ -102,15 +102,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	cfg := &f.Config
 	fs.IntVar(&cfg.Tenants, "tenants", cfg.Tenants, "fleet size")
 	fs.IntVar(&cfg.Days, "days", cfg.Days, "trace length per tenant in days")
-	fs.IntVar(&cfg.TrainDays, "train-days", cfg.TrainDays, "leading days visible as training history")
-	fs.IntVar(&cfg.Units, "units", cfg.Units, "machines aggregated into each tenant's trace")
 	fs.StringVar(&cfg.Forecaster, "forecaster", cfg.Forecaster, "seasonal-naive | naive")
 	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "worker pool size batching tenant planning (0 = all CPUs; never changes results)")
 	fs.IntVar(&cfg.MaxRounds, "max-rounds", cfg.MaxRounds, "stop after N fleet rounds at a round boundary (0 = run to the end; kill-restart drills resume from here)")
 	fs.BoolVar(&cfg.PerTenant, "per-tenant", cfg.PerTenant, "include per-tenant records in the summary")
 	fs.IntVar(&cfg.PoolNodes, "pool", cfg.PoolNodes, "shared capacity pool in nodes; admission control clips aggregate demand to it (0 disables — bit-identical to no pool)")
-	fs.IntVar(&cfg.QuarantineAfter, "quarantine-after", cfg.QuarantineAfter, "consecutive clipped rounds before a tenant is quarantined to reactive planning (0 disables)")
-	fs.IntVar(&cfg.QuarantineRounds, "quarantine-rounds", cfg.QuarantineRounds, "rounds a quarantined tenant plans reactively before re-entry")
 	fs.Func("chaos-tenants", "comma-separated tenant `ids` to enroll in tenant-local chaos (empty = all; fleet-level classes always apply)", func(s string) error {
 		cfg.ChaosTenants = strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' })
 		return nil
@@ -120,16 +116,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var (
 		out        = fs.String("out", "", "write the JSON summary to this file (empty = stdout)")
 		metricsOut = fs.String("metrics", "", "write the Prometheus metrics dump to this file after the run")
-		decisions  = fs.Bool("decisions", true, "capture tenant-labelled decision records")
 		baseline   = fs.String("baseline", "", "fault-free summary JSON to measure blast radius against (adds a blast_radius section to stderr log)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errFlags, err)
 	}
 
-	// Sizes, names and presets are load-bearing for every derived loop;
-	// reject nonsense (here, or as fleet.New does) with the usage, before
-	// it turns into a confusing failure deep in the build.
+	// Sizes, names, levels and presets are load-bearing for every derived
+	// loop; reject nonsense with the usage before -listen binds or a
+	// tenant is built, instead of a confusing failure deep in the build.
 	badConfig := func(err error) error {
 		fs.Usage()
 		return err
@@ -137,7 +132,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if cfg.Workers < 0 {
 		return badConfig(fmt.Errorf("%w: -workers must be >= 0 (0 = all CPUs), got %d", fleet.ErrConfig, cfg.Workers))
 	}
-	obs.DefaultDecisions.SetEnabled(*decisions)
+	if err := cfg.Validate(); err != nil {
+		return badConfig(err)
+	}
+	obs.DefaultDecisions.SetEnabled(true)
 	obs.Default.SetLabelLimit(f.LabelLimit)
 
 	// The health surface binds before the (potentially long) fleet build:

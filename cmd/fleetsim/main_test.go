@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -188,11 +189,15 @@ func TestCalibrationMetricsIndependentOfWorkers(t *testing.T) {
 	}
 }
 
+// inverted asks Algorithm 1 for an optimistic level above its
+// conservative one; each passes its own flag's (0, 1) check.
+const inverted = "-strategy adaptive -tau 0.95 -tau2 0.9"
+
 func TestNonsenseSizesExitTwoWithUsage(t *testing.T) {
 	for _, args := range []string{"-tenants 0", "-tenants 5 -workers -1", "-tenants 5 -horizon 0", "-tenants 5 -theta 0",
-		"-tenants 5 -days 0", "-tenants 5 -units 0", "-tenants 5 -zones 0", "-tenants 5 -pool -5",
-		"-tenants 5 -quarantine-rounds 0", "-tenants 5 -forecaster bogus", "-tenants 5 -forecaster qmlp",
-		"-tenants 5 -strategy bogus",
+		"-tenants 5 -days 0", "-tenants 5 -zones 0", "-tenants 5 -pool -5",
+		"-tenants 5 -forecaster bogus", "-tenants 5 -forecaster qmlp",
+		"-tenants 5 -strategy bogus", "-tenants 5 " + inverted,
 		"-tenants 5 -chaos bogus", "-tenants 5 -serverless -wake-slo -1"} {
 		code, stdout, stderr := fleetsim(t, args)
 		if code != 2 {
@@ -205,9 +210,20 @@ func TestNonsenseSizesExitTwoWithUsage(t *testing.T) {
 			t.Errorf("%s: stderr lacks the usage or the reason:\n%s", args, stderr)
 		}
 	}
+	// Adaptive levels with tau above tau2 each pass their flag's (0, 1)
+	// check, but Algorithm 1 cannot plan with them: the refusal names
+	// both, before -listen binds. (The context is cancelled, so a run
+	// that gets further ends at once.)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var stderr bytes.Buffer
+	if code := exitCode(run(ctx, strings.Fields("-tenants 5 -listen 127.0.0.1:0 "+inverted), io.Discard, &stderr), &stderr); code != 2 ||
+		!strings.Contains(stderr.String(), "tau 0.95, tau2 0.9") || strings.Contains(stderr.String(), "health surface") {
+		t.Errorf("%s: exit %d; stderr does not name both levels or the health surface came up:\n%s", inverted, code, stderr.String())
+	}
 	// Values the flags themselves refuse, instead of a default or a clamp
 	// quietly replacing them later.
-	for _, args := range []string{"-tenants 5 -burn-windows nonsense", "-tenants 5 -state-retain 0",
+	for _, args := range []string{"-tenants 5 -state-retain 0",
 		"-tenants 5 -checkpoint-interval 0", "-tenants 5 -checkpoint-interval -2",
 		"-tenants 5 -tau NaN", "-tenants 5 -tau 1.5", "-tenants 5 -tau 0", "-tenants 5 -tau2 NaN", "-tenants 5 -tau2 1"} {
 		code, stdout, stderr := fleetsim(t, args)

@@ -1,13 +1,18 @@
 package robustscale_test
 
 import (
+	"flag"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
+
+	"robustscale/internal/fleet"
 )
 
 // sharedFlagAllow names the flags both daemons may declare themselves,
@@ -44,6 +49,38 @@ func TestDaemonFlagsBoundOnce(t *testing.T) {
 	for name := range sharedFlagAllow {
 		if !daemon[name] || !fleet[name] {
 			t.Errorf("stale allowlist entry -%s: no longer declared by both daemons", name)
+		}
+	}
+}
+
+// TestDaemonFlagSurface pins each daemon's whole command line: the flags
+// it declares itself plus the ones fleet.BindFlags binds for both. A knob
+// added or removed is a reviewed change to these lists.
+func TestDaemonFlagSurface(t *testing.T) {
+	var shared []string
+	fs := flag.NewFlagSet("surface", flag.ContinueOnError)
+	fleet.BindFlags(fs, fleet.DefaultConfig(1))
+	fs.VisitAll(func(f *flag.Flag) { shared = append(shared, f.Name) })
+	for _, d := range []struct{ path, want string }{
+		{"cmd/fleetsim/main.go", "baseline chaos chaos-seed chaos-tenants checkpoint-interval days forecaster guard horizon " +
+			"label-limit listen max-rounds metrics out per-tenant pool seed serverless slo-target slo-window state-dir " +
+			"state-retain strategy tau tau2 tenants theta wake-slo workers zones"},
+		{"cmd/autoscaled/main.go", "chaos chaos-seed checkpoint-interval dataset days epochs explain guard horizon idle-eps " +
+			"journal-cap label-limit listen round-delay seed serverless slo-target slo-window state-dir state-retain " +
+			"strategy tau tau2 tenant theta trace-out"},
+	} {
+		own, err := declaredFlags(d.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := slices.Clone(shared)
+		for name := range own {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		names = slices.Compact(names)
+		if got := strings.Join(names, " "); got != d.want {
+			t.Errorf("%s takes %d flags:\n got %s\nwant %s", d.path, len(names), got, d.want)
 		}
 	}
 }

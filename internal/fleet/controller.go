@@ -82,7 +82,7 @@ type Controller struct {
 // seed and its own records, so the build is deterministic and
 // order-independent.
 func New(cfg Config) (*Controller, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	chaosSched, err := buildChaosSchedule(cfg)
@@ -145,9 +145,7 @@ func New(cfg Config) (*Controller, error) {
 		c.saveSeries(series)
 	}
 	if cfg.SLOTarget > 0 {
-		c.slo = obs.NewSLOTracker(obs.SLOConfig{
-			Target: cfg.SLOTarget, Window: cfg.SLOWindow, Rules: cfg.BurnRules,
-		}).InstrumentDefault()
+		c.slo = obs.NewSLOTracker(obs.SLOConfig{Target: cfg.SLOTarget, Window: cfg.SLOWindow}).InstrumentDefault()
 		c.slo.Journal = obs.DefaultJournal
 		// The tracker rides tenant 0's checkpoint; a restored blob resumes
 		// the budget mid-window, a mismatched one starts fresh.
@@ -266,7 +264,7 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 		ApplyAttempts:  1,
 		Breaker:        &scaler.Breaker{},
 	}
-	t.quarantine.Threshold, t.quarantine.Cooldown = cfg.QuarantineAfter, cfg.QuarantineRounds
+	t.quarantine.Threshold, t.quarantine.Cooldown = quarantineAfter, quarantineRounds
 	t.Fingerprint = persist.Fingerprint{
 		Strategy: cfg.Strategy, Tenant: id, Dataset: t.Archetype, Seed: seed,
 		Theta: cfg.Theta, Horizon: cfg.Horizon, Tau: cfg.Tau, Tau2: cfg.Tau2,
@@ -298,7 +296,7 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 	}
 	t.Plant = &cluster.AllocPlant{Theta: cfg.Theta}
 	if cfg.Serverless {
-		t.WakeConfig = &scaler.WakeGuardConfig{}
+		t.ScaleToZero = true
 		t.IdleEps = IdleEps(cfg.Theta)
 		t.sless, err = cluster.NewServerless(cluster.ServerlessConfig{
 			WakeSeconds: wakeSeconds,
@@ -343,9 +341,6 @@ func buildStrategy(cfg Config, t *Tenant, model []byte, rho float64) (scaler.Str
 	if cfg.Strategy != StrategyAdaptive {
 		return &scaler.Robust{Forecaster: t.Faulty(qf), Tau: cfg.Tau, Theta: cfg.Theta}, snapper, 0, nil
 	}
-	if cfg.Rho > 0 {
-		rho = cfg.Rho
-	}
 	if rho <= 0 {
 		var err error
 		if rho, err = scaler.CalibrateRho(qf, train, cfg.Horizon); err != nil {
@@ -354,6 +349,11 @@ func buildStrategy(cfg Config, t *Tenant, model []byte, rho float64) (scaler.Str
 	}
 	return &scaler.Adaptive{Forecaster: t.Faulty(qf), Tau1: cfg.Tau, Tau2: cfg.Tau2, Rho: rho, Theta: cfg.Theta}, snapper, rho, nil
 }
+
+// The backpressure breaker: a tenant clipped quarantineAfter consecutive
+// rounds is quarantined to reactive planning for quarantineRounds rounds
+// instead of thrashing the pool.
+const quarantineAfter, quarantineRounds = 3, 8
 
 // admit is the shared-capacity admission barrier between the plan and
 // apply phases: with a pool configured it clips every pending plan so
@@ -440,11 +440,11 @@ func (c *Controller) admit(active []*Tenant) {
 			if t.shedReason == "" {
 				t.shedReason = "pool-exhausted"
 			}
-			if cfg.QuarantineAfter > 0 && t.quarantine.Failure() {
+			if t.quarantine.Failure() {
 				fleetQuarantinesTotal.Inc()
 				obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "quarantine",
-					fmt.Sprintf("quarantined to reactive planning for %d rounds after %d consecutive clipped rounds", cfg.QuarantineRounds, cfg.QuarantineAfter),
-					map[string]float64{"rounds": float64(cfg.QuarantineRounds), "clipped_rounds": float64(cfg.QuarantineAfter)})
+					fmt.Sprintf("quarantined to reactive planning for %d rounds after %d consecutive clipped rounds", quarantineRounds, quarantineAfter),
+					map[string]float64{"rounds": quarantineRounds, "clipped_rounds": quarantineAfter})
 			}
 		} else {
 			t.quarantine.Success()
@@ -463,7 +463,7 @@ func (c *Controller) admit(active []*Tenant) {
 	for _, t := range active {
 		// A round planned under quarantine is one tick of its cooldown; the
 		// tick that ends it clears the clipped-round streak, so re-entry
-		// needs QuarantineAfter fresh clipped rounds, not one probe.
+		// needs quarantineAfter fresh clipped rounds, not one probe.
 		if t.shedReason == "quarantine" && t.quarantine.Tick() == scaler.BreakerHalfOpen {
 			t.quarantine.Success()
 			obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "unquarantine",

@@ -22,30 +22,22 @@ type Flags struct {
 
 // BindFlags defines on fs the flags fleetsim and autoscaled share, each
 // defaulting to def's value, and returns what parsing fills. Sizes that
-// cannot run (a non-positive -state-retain or -checkpoint-interval), a
-// quantile level outside (0, 1) and a malformed -burn-windows fail
-// fs.Parse, so the command exits 2 with its usage.
+// cannot run (a non-positive -state-retain or -checkpoint-interval) and
+// a quantile level outside (0, 1) fail fs.Parse, so the command exits 2
+// with its usage.
 func BindFlags(fs *flag.FlagSet, def Config) *Flags {
 	f := &Flags{Config: def}
 	c := &f.Config
 	fs.Int64Var(&c.Seed, "seed", def.Seed, "master seed: the workload trace and every model and fault seed derive from it")
 	fs.Float64Var(&c.Theta, "theta", def.Theta, "per-node workload threshold")
 	fs.IntVar(&c.Horizon, "horizon", def.Horizon, "planning horizon in steps")
-	quantileVar(fs, &c.Tau, "tau", def.Tau, "quantile `level` in (0, 1) (robust) or optimistic level (adaptive)")
+	quantileVar(fs, &c.Tau, "tau", def.Tau, "quantile `level` in (0, 1) (robust) or optimistic level, at most -tau2 (adaptive)")
 	quantileVar(fs, &c.Tau2, "tau2", def.Tau2, "conservative quantile `level` in (0, 1) for adaptive")
-	fs.Float64Var(&c.Rho, "rho", def.Rho, "adaptive uncertainty threshold (0 = calibrate per tenant)")
 	fs.StringVar(&c.Strategy, "strategy", def.Strategy, "robust | adaptive | reactive-max (autoscaled also takes reactive-avg)")
 	fs.BoolVar(&c.Guard, "guard", def.Guard, "wrap every strategy in the resilience guard (history repair, fan repair, fallback ladder)")
 	fs.StringVar(&f.Listen, "listen", "", "address for the health and observability surface, e.g. :8080 (empty disables)")
 	fs.Float64Var(&c.SLOTarget, "slo-target", def.SLOTarget, "violation-rate SLO driving the error-budget tracker and burn-rate alerts (0 disables the SLO plane; never changes decisions)")
 	fs.IntVar(&c.SLOWindow, "slo-window", def.SLOWindow, "rolling error-budget window in SLO ticks (fleetsim: rounds; autoscaled: replay steps)")
-	fs.Func("burn-windows", "burn-rate alert `rules` as \"[name=]<factor>x:<long>/<short>,...\" (empty = defaults scaled to -slo-window)", func(s string) (err error) {
-		c.BurnRules = nil
-		if s != "" {
-			c.BurnRules, err = obs.ParseBurnRules(s)
-		}
-		return err
-	})
 	fs.IntVar(&f.LabelLimit, "label-limit", obs.DefaultLabelLimit, `per-metric label cardinality cap; excess label values (e.g. tenant ids) collapse into the "other" series (<= 0 = unlimited)`)
 	fs.StringVar(&c.Chaos, "chaos", def.Chaos, "fault-injection preset: none | forecast | telemetry | apply | node-kill | all | smoke, and for fleetsim zone-outage | pool-collapse | admission-reject | fleet | wake | wake-storm (empty disables)")
 	fs.Int64Var(&c.ChaosSeed, "chaos-seed", def.ChaosSeed, "fault-schedule seed (0 = -seed)")

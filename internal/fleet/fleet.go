@@ -56,11 +56,9 @@ type Config struct {
 	// Theta is the per-node workload threshold.
 	Theta float64
 	// Tau and Tau2 are the quantile levels (robust uses Tau; adaptive
-	// uses the pair).
+	// uses the pair, Tau <= Tau2, with the uncertainty threshold each
+	// tenant calibrates from its training fan).
 	Tau, Tau2 float64
-	// Rho is the adaptive uncertainty threshold; 0 auto-calibrates per
-	// tenant from its training fan (deterministically).
-	Rho float64
 	// Strategy and Forecaster pick the per-tenant planner.
 	Strategy, Forecaster string
 	// Guard wraps every tenant's strategy in the resilience guard.
@@ -90,21 +88,11 @@ type Config struct {
 	SLOTarget float64
 	// SLOWindow is the rolling error-budget window in fleet rounds.
 	SLOWindow int
-	// BurnRules overrides the burn-rate alert rules; nil uses
-	// obs.DefaultBurnRules(SLOWindow).
-	BurnRules []obs.BurnRule
 	// PoolNodes caps the fleet's aggregate allocation at every replay
 	// step: the shared capacity pool admission control clips plans
 	// against. 0 disables the pool (every plan is admitted untouched, so
 	// decisions and the fleet hash match a pool-less run bit for bit).
 	PoolNodes int
-	// QuarantineAfter is the backpressure breaker threshold: a tenant
-	// clipped this many consecutive rounds is quarantined to reactive
-	// planning instead of thrashing the pool. 0 disables quarantine.
-	QuarantineAfter int
-	// QuarantineRounds is how many rounds a quarantined tenant plans
-	// reactively before re-entering predictive planning.
-	QuarantineRounds int
 	// Chaos names the fleet chaos preset (chaos.Preset); "" or "none"
 	// disables fault injection entirely.
 	Chaos string
@@ -119,8 +107,8 @@ type Config struct {
 	Zones int
 	// Serverless enables the scale-to-zero model: tenants get serverless
 	// workload archetypes (deep idle troughs, burst wakes), a joint
-	// (count x size) allocation decision, park/wake hysteresis with the
-	// scaler.WakeGuardConfig defaults, and the wake circuit breaker. A
+	// (count x size) allocation decision, scaler.WakeGuard's park/wake
+	// hysteresis, and the wake circuit breaker. A
 	// tenant idles below IdleEps(Theta), and a cold wake takes wakeSeconds
 	// and costs wakeCost. Off (the default), WakeSLOSeconds is ignored and
 	// the fleet is bit-identical to a pre-serverless run.
@@ -152,8 +140,6 @@ func DefaultConfig(tenants int) Config {
 		PerTenant:          true,
 		SLOTarget:          0.01,
 		SLOWindow:          48,
-		QuarantineAfter:    3,
-		QuarantineRounds:   8,
 		Zones:              4,
 		WakeSLOSeconds:     1800, // three steps
 	}
@@ -166,9 +152,10 @@ func IdleEps(theta float64) float64 { return theta / 10 }
 // stepsPerDay at the default 10-minute aggregation step.
 func stepsPerDay() int { return int(24 * time.Hour / timeseries.DefaultStep) }
 
-// validate rejects configurations that cannot produce a well-formed run;
-// every rejection wraps ErrConfig.
-func (cfg Config) validate() error {
+// Validate rejects configurations that cannot produce a well-formed run;
+// every rejection wraps ErrConfig. New calls it; a command calls it first
+// to refuse a command line before it opens anything.
+func (cfg Config) Validate() error {
 	invalid := func(format string, a ...any) error {
 		return fmt.Errorf("fleet: %w: "+format, append([]any{ErrConfig}, a...)...)
 	}
@@ -185,13 +172,12 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("fleet: %w", err)
 	}
 	switch cfg.Strategy {
-	case StrategyRobust, StrategyAdaptive:
-		if !(cfg.Tau > 0 && cfg.Tau < 1) {
-			return invalid("quantile level %v outside (0, 1)", cfg.Tau)
-		}
-	case StrategyReactiveMax:
+	case StrategyRobust, StrategyAdaptive, StrategyReactiveMax:
 	default:
 		return invalid("unknown strategy %q", cfg.Strategy)
+	}
+	if err := CheckLevels(cfg.Strategy, cfg.Tau, cfg.Tau2); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	switch cfg.Forecaster {
 	case ForecasterSeasonalNaive:
@@ -206,16 +192,13 @@ func (cfg Config) validate() error {
 		return invalid("non-positive checkpoint interval %d or retained segments %d", cfg.CheckpointInterval, cfg.Retain)
 	}
 	if cfg.SLOTarget != 0 {
-		slo := obs.SLOConfig{Target: cfg.SLOTarget, Window: cfg.SLOWindow, Rules: cfg.BurnRules}
+		slo := obs.SLOConfig{Target: cfg.SLOTarget, Window: cfg.SLOWindow}
 		if err := slo.Validate(); err != nil {
 			return invalid("%w", err)
 		}
 	}
 	if cfg.PoolNodes < 0 {
 		return invalid("negative pool size %d", cfg.PoolNodes)
-	}
-	if cfg.QuarantineAfter < 0 || cfg.QuarantineRounds < 1 {
-		return invalid("quarantine after %d clipped rounds for %d rounds: need >= 0 and >= 1", cfg.QuarantineAfter, cfg.QuarantineRounds)
 	}
 	if cfg.Zones < 1 {
 		return invalid("non-positive zone count %d", cfg.Zones)

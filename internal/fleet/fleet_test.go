@@ -82,10 +82,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Forecaster = ForecasterSeasonalNaive; c.TrainDays = 1; c.Days = 3 },
 		func(c *Config) { c.StateDir = "x"; c.CheckpointInterval = 0 },
 		func(c *Config) { c.SLOTarget = -0.1 },
-		func(c *Config) { c.SLOWindow = 4; c.BurnRules = []obs.BurnRule{{Factor: 2, Long: 8, Short: 1}} },
+		func(c *Config) { c.Strategy, c.Tau, c.Tau2 = StrategyAdaptive, 0.95, 0.9 },
+		func(c *Config) { c.Strategy, c.Tau2 = StrategyAdaptive, 1 },
 		// The zeros New used to replace with defaults.
 		func(c *Config) { c.SLOWindow = 0 },
-		func(c *Config) { c.QuarantineRounds = 0 },
 		func(c *Config) { c.Zones = 0 },
 		func(c *Config) { c.StateDir = "x"; c.Retain = 0 },
 		func(c *Config) { c.Serverless = true; c.WakeSLOSeconds = 0 },
@@ -95,12 +95,12 @@ func TestConfigValidate(t *testing.T) {
 	for i, mutate := range cases {
 		cfg := testConfig(2)
 		mutate(&cfg)
-		if err := cfg.validate(); !errors.Is(err, ErrConfig) {
+		if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
 			t.Errorf("case %d: invalid config accepted or refused untyped: %v", i, err)
 		}
 	}
 	cfg := testConfig(2)
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }

@@ -117,12 +117,7 @@ func FuzzWakeSchedule(f *testing.F) {
 		const pool = 4
 		guards := make([]*scaler.WakeGuard, tenants)
 		for i := range guards {
-			guards[i] = &scaler.WakeGuard{Config: scaler.WakeGuardConfig{
-				MinIdleRounds:         2,
-				WakeDebounceRounds:    2,
-				KeepWarmAfterFails:    2,
-				BreakerCooldownRounds: 3,
-			}}
+			guards[i] = &scaler.WakeGuard{}
 		}
 		classes := classesFor(tenants)
 		for _, b := range script {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"robustscale/internal/cluster"
@@ -17,13 +18,13 @@ import (
 )
 
 // journalRun is one fleet run recorded for the journal tests: every
-// event, in a journal large enough to drop none; the degradation-mode
-// and apply-breaker gauges as tenant 0 saw them at the start of each
-// round it applied and at the end of the run; and the tenant-rounds and
-// steps in which a scale action exhausted its attempts.
+// event, in a journal large enough to drop none; the resilience gauges
+// after every round, the guard-mode tenant counts then the apply-breaker
+// ones; and the tenant-rounds and steps in which a scale action exhausted
+// its attempts.
 type journalRun struct {
 	events       []obs.Event
-	gauges       [][2]float64
+	gauges       [][7]float64
 	failedRounds int
 	failedSteps  int
 }
@@ -33,8 +34,8 @@ func recordRun(t *testing.T, cfg Config) journalRun {
 	saved := obs.DefaultJournal
 	defer func() { obs.DefaultJournal = saved }()
 	obs.DefaultJournal = obs.NewJournal(1 << 16)
-	mode := obs.Default.Gauge("robustscale_degradation_mode", "")
-	breaker := obs.Default.Gauge("robustscale_apply_breaker_state", "")
+	modes := obs.Default.GaugeVec("robustscale_guard_mode_tenants", "", "mode")
+	breakers := obs.Default.GaugeVec("robustscale_apply_breaker_tenants", "", "state")
 
 	c, err := New(cfg)
 	if err != nil {
@@ -50,15 +51,33 @@ func recordRun(t *testing.T, cfg Config) journalRun {
 			if st.Err != nil && !errors.Is(st.Err, scaler.ErrBreakerOpen) {
 				failed[i][(st.Index-tn.TrainEnd)/tn.Horizon]++
 			}
-			if i == 0 && st.I == 0 {
-				run.gauges = append(run.gauges, [2]float64{mode.Value(), breaker.Value()})
-			}
 		}
 	}
-	if _, err := c.Run(context.Background()); err != nil {
-		t.Fatal(err)
+	// One round per Run, so the gauges can be read between rounds and held
+	// to the tenants' own states: each tenant counted once per family.
+	for c.cfg.MaxRounds = 1; ; c.cfg.MaxRounds++ {
+		if _, err := c.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if c.rounds < c.cfg.MaxRounds {
+			break
+		}
+		var gauges, own [7]float64
+		for m := range 4 {
+			gauges[m] = modes.With(scaler.DegradationMode(m).String()).Value()
+		}
+		for s := range 3 {
+			gauges[4+s] = breakers.With(scaler.BreakerState(s).String()).Value()
+		}
+		for _, tn := range c.Tenants() {
+			own[tn.mode]++
+			own[4+int(tn.breaker)]++
+		}
+		if gauges != own {
+			t.Fatalf("round %d: gauges (modes, breaker states) %v, the tenants' own %v", c.rounds, gauges, own)
+		}
+		run.gauges = append(run.gauges, gauges)
 	}
-	run.gauges = append(run.gauges, [2]float64{mode.Value(), breaker.Value()})
 	if d := obs.DefaultJournal.Dropped(); d > 0 {
 		t.Fatalf("the journal dropped %d events", d)
 	}
@@ -79,7 +98,10 @@ func recordRun(t *testing.T, cfg Config) journalRun {
 // round at one worker and, three times over, at two: the guard's and the
 // apply path's events are the tenant's to record at the stage barriers,
 // in tenant order, each with its tenant id, and the gauges are set once
-// per round.
+// per round to how many tenants are on each guard mode and in each
+// apply-breaker state. Under forecaster chaos some round holds normal and
+// degraded tenants side by side, which one fleet-wide worst state could
+// not tell apart from a fully degraded fleet.
 func TestJournalAndGaugesIndependentOfWorkers(t *testing.T) {
 	for _, preset := range []string{"forecast", "telemetry", "apply", "all"} {
 		cfg := DefaultConfig(64)
@@ -107,6 +129,9 @@ func TestJournalAndGaugesIndependentOfWorkers(t *testing.T) {
 				if premise := map[string]string{"forecast": "degraded", "telemetry": "degraded", "apply": "apply-failed", "all": "apply-failed"}[preset]; kinds[premise] == 0 {
 					t.Fatalf("%s: premise: no %s events (journalled %v)", preset, premise, kinds)
 				}
+				if preset == "forecast" && !slices.ContainsFunc(got.gauges, func(g [7]float64) bool { return g[0] > 0 && g[0] < 64 }) {
+					t.Errorf("%s: no round with both normal and degraded tenants: %v", preset, got.gauges)
+				}
 				continue
 			}
 			name := fmt.Sprintf("%s, run %d at %d workers", preset, i, workers)
@@ -119,7 +144,7 @@ func TestJournalAndGaugesIndependentOfWorkers(t *testing.T) {
 				}
 			}
 			if !reflect.DeepEqual(got.gauges, want.gauges) {
-				t.Errorf("%s: gauges (mode, breaker) by round %v, %v at one worker", name, got.gauges, want.gauges)
+				t.Errorf("%s: gauges (modes, breaker states) by round %v, %v at one worker", name, got.gauges, want.gauges)
 			}
 		}
 	}

@@ -41,12 +41,14 @@ var (
 		"Wall-clock latency of one fleet round, plan start to apply end.",
 		obs.LatencyBuckets)
 
-	degradationMode = obs.Default.Gauge(
-		"robustscale_degradation_mode",
-		"Most severe guard degradation mode among the tenants after the latest round: 0 normal, 1 repair, 2 last-known-good, 3 reactive.")
-	applyBreakerState = obs.Default.Gauge(
-		"robustscale_apply_breaker_state",
-		"Most severe apply circuit-breaker state among the tenants after the latest round: 0 closed, 1 open, 2 half-open.")
+	guardModeTenants = obs.Default.GaugeVec(
+		"robustscale_guard_mode_tenants",
+		"Tenants whose guard ended the latest round on each degradation mode: normal, repair, last-known-good, reactive.",
+		"mode")
+	applyBreakerTenants = obs.Default.GaugeVec(
+		"robustscale_apply_breaker_tenants",
+		"Tenants whose apply circuit breaker ended the latest round in each state: closed, open, half-open.",
+		"state")
 
 	// Shared capacity pool instruments.
 	fleetAdmissionClips = obs.Default.Counter(
@@ -95,17 +97,35 @@ var (
 		"Wake-storm rounds that forced the parked population awake simultaneously.")
 )
 
-// publishStates sets the resilience gauges to the most severe states
-// among tenants: the highest guard rung, and an open apply breaker over a
-// half-open one over a closed one.
-func publishStates(tenants ...*Tenant) {
-	mode, state := scaler.ModeNormal, scaler.BreakerClosed
-	for _, t := range tenants {
-		mode = max(mode, t.mode)
-		if t.breaker == scaler.BreakerOpen || state == scaler.BreakerClosed {
-			state = t.breaker
-		}
+// The resilience gauges' series, one per guard mode and per breaker
+// state, looked up once so that a round sets them without a label lookup.
+var (
+	modeTenants    [scaler.ModeReactive + 1]*obs.Gauge
+	breakerTenants [scaler.BreakerHalfOpen + 1]*obs.Gauge
+)
+
+func init() {
+	for m := range modeTenants {
+		modeTenants[m] = guardModeTenants.With(scaler.DegradationMode(m).String())
 	}
-	degradationMode.Set(float64(mode))
-	applyBreakerState.Set(float64(state))
+	for s := range breakerTenants {
+		breakerTenants[s] = applyBreakerTenants.With(scaler.BreakerState(s).String())
+	}
+}
+
+// publishStates sets the resilience gauges to how many of the tenants
+// ended the round on each guard mode and in each apply-breaker state.
+func publishStates(tenants ...*Tenant) {
+	var modes [len(modeTenants)]int
+	var states [len(breakerTenants)]int
+	for _, t := range tenants {
+		modes[t.mode]++
+		states[t.breaker]++
+	}
+	for m, n := range modes {
+		modeTenants[m].Set(float64(n))
+	}
+	for s, n := range states {
+		breakerTenants[s].Set(float64(n))
+	}
 }

@@ -194,8 +194,6 @@ func TestConstrainedPoolShedsAndStaysDeterministic(t *testing.T) {
 func TestQuarantineTripsUnderSustainedPressure(t *testing.T) {
 	cfg := testConfig(6)
 	cfg.PoolNodes = 6 // sustained overload: every round clips
-	cfg.QuarantineAfter = 2
-	cfg.QuarantineRounds = 3
 	rep := runFleet(t, cfg)
 	if rep.Pool == nil {
 		t.Fatal("no pool section")
@@ -217,10 +215,10 @@ func TestQuarantineTripsUnderSustainedPressure(t *testing.T) {
 
 func TestPoolClassesSurvivePressure(t *testing.T) {
 	// Under moderate pressure, guaranteed tenants shed no more than
-	// best-effort tenants in aggregate.
+	// best-effort tenants in aggregate, with the backpressure breaker
+	// quarantining as it does in every pooled fleet.
 	cfg := testConfig(6)
 	cfg.PoolNodes = 12
-	cfg.QuarantineAfter = 0 // isolate class behavior from the breaker
 	rep := runFleet(t, cfg)
 	if rep.Pool == nil || rep.Pool.ShedNodes == 0 {
 		t.Skip("pool did not bind at this size")

@@ -47,6 +47,21 @@ func CheckSizes(horizon, replay int, theta float64) error {
 	return nil
 }
 
+// CheckLevels is the one copy of the rule on a strategy's quantile
+// levels: robust plans at tau inside (0, 1); adaptive, as Algorithm 1
+// does, also needs tau <= tau2 < 1. Inverted levels would fail every
+// adaptive round onto the guard's reactive rung.
+func CheckLevels(strategy string, tau, tau2 float64) error {
+	switch {
+	case strategy != StrategyRobust && strategy != StrategyAdaptive:
+	case !(tau > 0 && tau < 1):
+		return fmt.Errorf("%w: quantile level %v outside (0, 1)", ErrConfig, tau)
+	case strategy == StrategyAdaptive && !(tau <= tau2 && tau2 < 1):
+		return fmt.Errorf("%w: adaptive levels tau %v, tau2 %v: need tau <= tau2 < 1", ErrConfig, tau, tau2)
+	}
+	return nil
+}
+
 // loopExtra is the tenant's owner-defined checkpoint section
 // (persist.State.Extra): loop accounting that no existing component
 // covers, carried across restarts so a warm-started tenant's rolling
@@ -177,10 +192,10 @@ type Tenant struct {
 	Breaker       *scaler.Breaker
 	// Sched is the tenant's fault schedule; nil means no chaos.
 	Sched *chaos.Schedule
-	// WakeConfig turns on scale-to-zero: the wake guard shapes every plan
-	// through park/wake hysteresis, judging idleness against IdleEps.
-	WakeConfig *scaler.WakeGuardConfig
-	IdleEps    float64
+	// ScaleToZero turns on scale-to-zero: the wake guard shapes every
+	// plan through park/wake hysteresis, judging idleness against IdleEps.
+	ScaleToZero bool
+	IdleEps     float64
 	// Plant is what the apply stage actuates and grades against.
 	Plant Plant
 	// StateDir is the tenant's own checkpoint directory (empty disables
@@ -252,7 +267,7 @@ type Tenant struct {
 	faults      *chaos.Window
 	own         *roundScratch
 
-	// Scale-to-zero state; nil/zero without WakeConfig. wakeGuard shapes
+	// Scale-to-zero state; nil/zero without ScaleToZero. wakeGuard shapes
 	// plans with park/wake hysteresis; wakeLat streams completed-wake
 	// latency into a mergeable sketch; wakeTr is the round's wake
 	// transition, which annotates its decision record for -explain and
@@ -358,8 +373,8 @@ func (t *Tenant) Start() (*persist.State, error) {
 	t.violCounter = fleetTenantViolations.With(t.ID)
 	t.roundCounter = fleetTenantRounds.With(t.ID)
 	t.hooks = t.Sched.Hooks() // the schedule is fixed from here on
-	if t.WakeConfig != nil {
-		t.wakeGuard = &scaler.WakeGuard{Config: *t.WakeConfig, Tenant: t.ID, Clock: t.Now}
+	if t.ScaleToZero {
+		t.wakeGuard = &scaler.WakeGuard{Tenant: t.ID, Clock: t.Now}
 		t.wakeLat = obs.NewSketch(obs.DefaultSketchAlpha)
 		t.wakeStarts = fleetWakeStarts.With(t.ID)
 		t.wakeFailures = fleetWakeFailures.With(t.ID)

@@ -8,8 +8,6 @@ import (
 	"math"
 	"net/http"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -45,52 +43,6 @@ func DefaultBurnRules(w int) []BurnRule {
 		{Name: "page", Factor: 14.4, Long: frac(24), Short: frac(288)},
 		{Name: "ticket", Factor: 6, Long: frac(4), Short: frac(24)},
 	}
-}
-
-// ParseBurnRules parses a comma-separated rule spec of the form
-// "[name=]<factor>x:<long>/<short>", e.g. "page=14.4x:6/1,ticket=6x:36/3".
-// Unnamed rules are named rule0, rule1, ...
-func ParseBurnRules(spec string) ([]BurnRule, error) {
-	var rules []BurnRule
-	for i, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name := fmt.Sprintf("rule%d", i)
-		if eq := strings.IndexByte(part, '='); eq >= 0 {
-			name, part = part[:eq], part[eq+1:]
-		}
-		x := strings.IndexByte(part, 'x')
-		colon := strings.IndexByte(part, ':')
-		slash := strings.IndexByte(part, '/')
-		if x < 0 || colon != x+1 || slash < colon {
-			return nil, fmt.Errorf("obs: burn rule %q not of the form [name=]<factor>x:<long>/<short>", part)
-		}
-		if name == "" || slices.ContainsFunc(rules, func(r BurnRule) bool { return r.Name == name }) {
-			return nil, fmt.Errorf("obs: burn rule %q: empty or duplicate name %q", part, name)
-		}
-		factor, err := strconv.ParseFloat(part[:x], 64)
-		if err != nil || !(factor > 0 && factor <= math.MaxFloat64) {
-			return nil, fmt.Errorf("obs: burn rule %q: bad factor", part)
-		}
-		long, err := strconv.Atoi(part[colon+1 : slash])
-		if err != nil {
-			return nil, fmt.Errorf("obs: burn rule %q: bad long window", part)
-		}
-		short, err := strconv.Atoi(part[slash+1:])
-		if err != nil {
-			return nil, fmt.Errorf("obs: burn rule %q: bad short window", part)
-		}
-		if short < 1 || long < short {
-			return nil, fmt.Errorf("obs: burn rule %q: need long >= short >= 1", part)
-		}
-		rules = append(rules, BurnRule{Name: name, Factor: factor, Long: long, Short: short})
-	}
-	if len(rules) == 0 {
-		return nil, fmt.Errorf("obs: empty burn rule spec %q", spec)
-	}
-	return rules, nil
 }
 
 // SLOConfig configures an SLOTracker.

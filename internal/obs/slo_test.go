@@ -215,52 +215,6 @@ func TestSLOHandlers(t *testing.T) {
 	}
 }
 
-func TestParseBurnRules(t *testing.T) {
-	rules, err := ParseBurnRules("page=14.4x:6/1,ticket=6x:36/3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []BurnRule{
-		{Name: "page", Factor: 14.4, Long: 6, Short: 1},
-		{Name: "ticket", Factor: 6, Long: 36, Short: 3},
-	}
-	if !reflect.DeepEqual(rules, want) {
-		t.Errorf("parsed %+v, want %+v", rules, want)
-	}
-	if rules, err = ParseBurnRules("2x:10/2"); err != nil || rules[0].Name != "rule0" {
-		t.Errorf("unnamed rule: %+v, %v", rules, err)
-	}
-	for _, bad := range []string{"", "x:6/1", "page=14.4x:1/6", "3x:nope/1", "3x:6-1",
-		"page=NaNx:6/1", "page=Infx:6/1", "=2x:6/1", "a=1x:6/1,a=2x:6/1", "rule1=1x:6/1,2x:6/1"} {
-		if _, err := ParseBurnRules(bad); err == nil {
-			t.Errorf("ParseBurnRules(%q) should fail", bad)
-		}
-	}
-}
-
-// FuzzParseBurnRules: no spec panics the parser, and every spec it
-// accepts drives a tracker: it passes Validate at a window as long as its
-// longest rule.
-func FuzzParseBurnRules(f *testing.F) {
-	for _, spec := range []string{"page=14.4x:6/1,ticket=6x:36/3", "2x:10/2", "page=NaNx:6/1",
-		"a=1x:6/1,a=2x:6/1", "=2x:6/1", " , 1e308x:3/3"} {
-		f.Add(spec)
-	}
-	f.Fuzz(func(t *testing.T, spec string) {
-		rules, err := ParseBurnRules(spec)
-		if err != nil {
-			return
-		}
-		cfg := SLOConfig{Target: 0.01, Rules: rules}
-		for _, r := range rules {
-			cfg.Window = max(cfg.Window, r.Long)
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("ParseBurnRules(%q) = %+v, which Validate rejects: %v", spec, rules, err)
-		}
-	})
-}
-
 func TestDefaultBurnRules(t *testing.T) {
 	rules := DefaultBurnRules(288)
 	if len(rules) != 2 || rules[0].Name != "page" || rules[1].Name != "ticket" {

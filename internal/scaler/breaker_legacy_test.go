@@ -137,9 +137,10 @@ func toTrip(b *Breaker, threshold int) int {
 }
 
 // driveLegacyBreakers runs one script through the three clients. The
-// header bytes pick the threshold (1–4), the cooldown (1–8 ticks; the
-// apply path's as a duration that rounds up to it), and the event after
-// which each new breaker goes through Save and Load.
+// header bytes pick the apply and quarantine breakers' threshold (1–4)
+// and cooldown (1–8 ticks; the apply path's as a duration that rounds up
+// to it), and the event after which each new breaker goes through Save
+// and Load. The wake guard runs at its own threshold and cooldown.
 func driveLegacyBreakers(t *testing.T, script []byte) {
 	if len(script) < 3 {
 		return
@@ -158,9 +159,10 @@ func driveLegacyBreakers(t *testing.T, script []byte) {
 	now := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	var applyTrips int64
 
-	// Wake: the real guard; a tick is one round of Shape.
-	oldWake := &legacyWakeBreaker{keepWarmAfterFails: threshold, cooldownRounds: ticks}
-	wake := &WakeGuard{Config: WakeGuardConfig{KeepWarmAfterFails: threshold, BreakerCooldownRounds: ticks}}
+	// Wake: the real guard, at its own threshold and cooldown; a tick is
+	// one round of Shape.
+	oldWake := &legacyWakeBreaker{keepWarmAfterFails: keepWarmAfterFails, cooldownRounds: breakerCooldownRounds}
+	wake := &WakeGuard{}
 
 	// Quarantine: a failure is a clipped round, a success an unclipped
 	// one, a tick a round served in quarantine, as Controller.admit
@@ -213,7 +215,7 @@ func driveLegacyBreakers(t *testing.T, script []byte) {
 			if err := wake.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			wake = &WakeGuard{Config: wake.Config}
+			wake = &WakeGuard{}
 			if err := wake.Load(&buf); err != nil {
 				t.Fatal(err)
 			}
@@ -226,9 +228,9 @@ func driveLegacyBreakers(t *testing.T, script []byte) {
 		wb := &wake.breaker
 		if wake.BreakerOpen() != oldWake.open || wake.BreakerTrips() != oldWake.trips ||
 			(oldWake.open && wb.ticksLeft != oldWake.cooldownLeft) ||
-			(!oldWake.open && toTrip(wb, threshold) != threshold-oldWake.consecFails) {
+			(!oldWake.open && toTrip(wb, keepWarmAfterFails) != keepWarmAfterFails-oldWake.consecFails) {
 			t.Fatalf("wake, event %d: open %v, %d trips, %d to trip, %d ticks left; legacy open %v, %d trips, %d consecutive fails, %d rounds left",
-				i, wake.BreakerOpen(), wake.BreakerTrips(), toTrip(wb, threshold), wb.ticksLeft, oldWake.open, oldWake.trips, oldWake.consecFails, oldWake.cooldownLeft)
+				i, wake.BreakerOpen(), wake.BreakerTrips(), toTrip(wb, keepWarmAfterFails), wb.ticksLeft, oldWake.open, oldWake.trips, oldWake.consecFails, oldWake.cooldownLeft)
 		}
 		if open := oldQuar.quarantineLeft > 0; (quar.State() == BreakerOpen) != open || quar.Trips() != int64(oldQuar.quarantines) ||
 			(open && quar.ticksLeft != oldQuar.quarantineLeft) || (!open && toTrip(quar, threshold) != threshold-oldQuar.flap) {

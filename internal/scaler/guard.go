@@ -60,34 +60,22 @@ var (
 		"Non-finite history observations repaired by the guard before planning.")
 )
 
-// GuardConfig tunes the guard's validation bounds and fallback planning.
+// GuardConfig sets the guard's threshold and fallback planning level.
 type GuardConfig struct {
 	// Theta is the per-node workload threshold; required.
 	Theta float64
 	// Tau is the quantile level used to replan from a repaired or
 	// last-known-good fan (default 0.9).
 	Tau float64
-	// BlowupFactor bounds a sane forecast: quantile values above
-	// BlowupFactor times the recent history maximum are clamped
-	// (default 8; negative disables).
-	BlowupFactor float64
-	// HistoryWindow is the trailing step count the sanity bound is
-	// computed over (default 288, two days at 10-minute steps).
-	HistoryWindow int
 }
 
-func (c GuardConfig) withDefaults() GuardConfig {
-	if c.Tau == 0 {
-		c.Tau = 0.9
-	}
-	if c.BlowupFactor == 0 {
-		c.BlowupFactor = 8
-	}
-	if c.HistoryWindow <= 0 {
-		c.HistoryWindow = 288
-	}
-	return c
-}
+// The sanity bound of a forecast: quantile values above blowupFactor
+// times the maximum of the trailing historyWindow steps (two days at
+// 10-minute steps) are clamped.
+const (
+	blowupFactor  = 8
+	historyWindow = 288
+)
 
 // Guard wraps a strategy with the resilience mechanisms of the
 // degradation ladder: history sanitization, fan validation and repair,
@@ -107,7 +95,7 @@ func (c GuardConfig) withDefaults() GuardConfig {
 type Guard struct {
 	// Inner is the primary strategy.
 	Inner Strategy
-	// Config tunes validation bounds and fallback planning.
+	// Config sets the threshold and fallback planning level.
 	Config GuardConfig
 
 	mode       DegradationMode
@@ -118,10 +106,10 @@ type Guard struct {
 	lastGoodBuf []float64
 	pathBuf     []float64
 	// Warm state under the forecast/warm.go contract (rebuildable, never
-	// persisted): seen is the history last verified finite; of its values
-	// from index peakFrom on, the largest sits at peakAt (-1: unknown).
-	seen             timeseries.Ref
-	peakAt, peakFrom int
+	// persisted): seen is the history last verified finite; the largest
+	// of its values sits at peakAt (-1: unknown).
+	seen   timeseries.Ref
+	peakAt int
 	// decision is the scratch of the degraded path records; lastFan the
 	// fan of the round most recently returned, which only the LastFan shim
 	// reads.
@@ -183,7 +171,10 @@ func (g *Guard) guarded(history *timeseries.Series, h int, dst []int) (Round, er
 	if g.Inner == nil {
 		return Round{}, fmt.Errorf("scaler: guard has no inner strategy")
 	}
-	cfg := g.Config.withDefaults()
+	cfg := g.Config
+	if cfg.Tau == 0 {
+		cfg.Tau = 0.9
+	}
 	if cfg.Theta <= 0 {
 		return Round{}, fmt.Errorf("scaler: guard threshold %v", cfg.Theta)
 	}
@@ -195,7 +186,7 @@ func (g *Guard) guarded(history *timeseries.Series, h int, dst []int) (Round, er
 	if err != nil {
 		return g.fallbackRound(hist, h, dst, cfg, fmt.Sprintf("forecaster error: %v", err))
 	}
-	bound := g.sanityBound(hist, cfg)
+	bound := g.sanityBound(hist)
 	if round.Fan == nil {
 		// Reactive or point-forecast inner: nothing to repair but the
 		// plan itself, clamped against the sanity bound.
@@ -276,8 +267,6 @@ func (g *Guard) sanitizeHistory(s *timeseries.Series) *timeseries.Series {
 	from, peak := 0, math.Inf(-1)
 	if g.seen.Extends(s) {
 		from, peak = g.seen.Len(), s.Values[g.peakAt]
-	} else {
-		g.peakAt, g.peakFrom = -1, 0
 	}
 	clean := true
 	for i, v := range s.Values[from:] {
@@ -323,18 +312,17 @@ func (g *Guard) sanitizeHistory(s *timeseries.Series) *timeseries.Series {
 	return out
 }
 
-// sanityBound returns the blow-up containment ceiling: BlowupFactor
+// sanityBound returns the blow-up containment ceiling: blowupFactor
 // times the recent history maximum, or 0 (disabled) without usable
 // history. The window is rescanned only when the running peak does not
-// cover it: the peak slid out, HistoryWindow grew, or hist is a repaired
-// copy (sanitizeHistory left peakAt at -1).
-func (g *Guard) sanityBound(hist *timeseries.Series, cfg GuardConfig) float64 {
-	if cfg.BlowupFactor < 0 || hist == nil || hist.Len() == 0 {
+// cover it: the peak slid out, or hist is a repaired copy
+// (sanitizeHistory left peakAt at -1).
+func (g *Guard) sanityBound(hist *timeseries.Series) float64 {
+	if hist == nil || hist.Len() == 0 {
 		return 0
 	}
-	start := max(hist.Len()-cfg.HistoryWindow, 0)
-	if g.peakAt < start || g.peakFrom > start {
-		g.peakAt, g.peakFrom = start, start
+	if start := max(hist.Len()-historyWindow, 0); g.peakAt < start {
+		g.peakAt = start
 		for i, v := range hist.Values[start:] {
 			if v >= hist.Values[g.peakAt] {
 				g.peakAt = start + i
@@ -345,7 +333,7 @@ func (g *Guard) sanityBound(hist *timeseries.Series, cfg GuardConfig) float64 {
 	if !isFinite(peak) || peak <= 0 {
 		return 0
 	}
-	return cfg.BlowupFactor * peak
+	return blowupFactor * peak
 }
 
 // clampPlan bounds a fan-less plan by the allocation the sanity bound

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +12,11 @@ import (
 	"robustscale/internal/optimize"
 	"robustscale/internal/timeseries"
 )
+
+// tailMultiple is how far above the last observation the tail strategies
+// plan: the guard's sanity bound bites exactly when that observation is
+// above blowupFactor/tailMultiple of the window's peak.
+const tailMultiple = 12
 
 // tailFan plans from a fan whose quantiles are fixed multiples of the
 // last observation, so whether the guard's sanity bound bites depends on
@@ -24,12 +30,25 @@ func (s *tailFan) PlanInto(hist *timeseries.Series, h int, dst []int) (Round, er
 	fan := &forecast.QuantileForecast{Levels: []float64{0.1, 0.5, 0.9}}
 	path := make([]float64, h)
 	for t := range path {
-		fan.Values = append(fan.Values, []float64{0.5 * last, last, 3 * last})
+		fan.Values = append(fan.Values, []float64{0.5 * last, last, tailMultiple * last})
 		fan.Mean = append(fan.Mean, last)
-		path[t] = 3 * last
+		path[t] = tailMultiple * last
 	}
 	plan, err := optimize.PlanInto(path, s.theta, dst)
 	return Round{Nodes: plan, Fan: fan}, err
+}
+
+// tailPlan is tailFan without the fan: the guard can only clamp its plan.
+type tailPlan struct{ theta float64 }
+
+func (*tailPlan) Name() string { return "tail-plan" }
+
+func (s *tailPlan) PlanInto(hist *timeseries.Series, h int, dst []int) (Round, error) {
+	plan := resize(dst, h)
+	for t := range plan {
+		plan[t] = optimize.Allocate(tailMultiple*hist.At(hist.Len()-1), s.theta)
+	}
+	return Round{Nodes: plan}, nil
 }
 
 // sawHistory records the history the guard handed its inner strategy.
@@ -53,7 +72,6 @@ func (s *sawHistory) PlanInto(hist *timeseries.Series, h int, dst []int) (Round,
 func driveGuardHistories(t testing.TB, prog []byte) {
 	const h = 3
 	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
-	window := 8
 	stacks := []struct {
 		name string
 		make func() *Guard
@@ -61,14 +79,10 @@ func driveGuardHistories(t testing.TB, prog []byte) {
 		buf  []int
 	}{
 		{name: "fan", make: func() *Guard {
-			return &Guard{Inner: &sawHistory{Strategy: &tailFan{theta: 5}},
-				Config: GuardConfig{Theta: 5, BlowupFactor: 1.5, HistoryWindow: window}}
+			return &Guard{Inner: &sawHistory{Strategy: &tailFan{theta: 5}}, Config: GuardConfig{Theta: 5}}
 		}},
-		// A factor below one clamps the reactive plan whenever the recent
-		// maximum is the window's peak.
 		{name: "fan-less", make: func() *Guard {
-			return &Guard{Inner: &sawHistory{Strategy: &ReactiveMax{Window: 3, Theta: 5}},
-				Config: GuardConfig{Theta: 5, BlowupFactor: 0.8, HistoryWindow: window}}
+			return &Guard{Inner: &sawHistory{Strategy: &tailPlan{theta: 5}}, Config: GuardConfig{Theta: 5}}
 		}},
 	}
 	for i := range stacks {
@@ -112,8 +126,10 @@ func driveGuardHistories(t testing.TB, prog []byte) {
 			}
 		case 7: // a spike that later appends slide out of the window
 			vals = append(vals, 10*next())
-		case 8: // HistoryWindow changed between rounds
-			window = 2 + arg%12
+		case 8: // a window's worth less k: what was last sits at the window's edge
+			for i := 0; i < historyWindow-k; i++ {
+				vals = append(vals, next())
+			}
 		case 9: // healed copy: finite again on a new array
 			vals = clone(vals)
 			for i, v := range vals {
@@ -127,7 +143,6 @@ func driveGuardHistories(t testing.TB, prog []byte) {
 		for i := range stacks {
 			st := &stacks[i]
 			plan := func(g *Guard, dst []int) (Round, [3]float64, error) {
-				g.Config.HistoryWindow = window
 				tel, fan, deg := guardTelemetryRepairs.Value(), guardFanRepairs.Value(), g.DegradedRounds()
 				round, err := g.PlanInto(view, h, dst)
 				return round, [3]float64{guardTelemetryRepairs.Value() - tel, guardFanRepairs.Value() - fan,
@@ -155,6 +170,20 @@ func driveGuardHistories(t testing.TB, prog []byte) {
 				t.Fatalf("%s op %d/%d (pc %d): inner saw %v (passthrough %v), under a fresh guard %v (%v)", st.name, op, arg, pc,
 					liveIn.vals, liveIn.hist == view, freshIn.vals, freshIn.hist == view)
 			}
+			if st.name != "fan-less" {
+				continue
+			}
+			// The window itself, which both guards could get wrong alike: the
+			// tail plan, clamped to what blowupFactor times the peak of the
+			// last historyWindow observations the inner strategy saw allows.
+			seen := liveIn.vals
+			nodes := optimize.Allocate(tailMultiple*seen[len(seen)-1], 5)
+			if peak := slices.Max(seen[max(len(seen)-historyWindow, 0):]); peak > 0 {
+				nodes = min(nodes, optimize.Allocate(blowupFactor*peak, 5))
+			}
+			if slices.ContainsFunc(got.Nodes, func(n int) bool { return n != nodes }) {
+				t.Fatalf("fan-less op %d/%d (pc %d): plan %v, want %d each step", op, arg, pc, got.Nodes, nodes)
+			}
 		}
 	}
 }
@@ -164,10 +193,11 @@ func driveGuardHistories(t testing.TB, prog []byte) {
 var guardHistoryPrograms = [][]byte{
 	// grow, stay, grow: the pure incremental path
 	{1, 3, 1, 3, 0, 0, 1, 0, 1, 2, 0, 0, 1, 3},
-	// a spike slides out of an 8-step window one append at a time
-	{1, 3, 7, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0},
-	// the window shrinks below and grows past the remembered peak
-	{1, 3, 1, 3, 7, 0, 1, 3, 8, 0, 0, 0, 8, 11, 0, 0, 8, 1, 1, 1, 8, 9},
+	// a spike is carried to the window's edge, then slides out one append
+	// at a time
+	{1, 3, 7, 0, 8, 3, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0},
+	// a spike slides out, a shrink brings it back, an append drops it again
+	{1, 3, 7, 0, 8, 0, 1, 0, 3, 0, 0, 0, 1, 0, 8, 1, 0, 0, 1, 1},
 	// non-finite suffix, then the same poisoned array again, then healed
 	{1, 3, 4, 1, 0, 0, 1, 2, 9, 0, 1, 1, 4, 2, 4, 0, 9, 0, 0, 0},
 	// clone, poisoned clone, shrink, regrow over the old tail

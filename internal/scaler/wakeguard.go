@@ -79,46 +79,24 @@ func Idle(plan []int, recent []float64, eps float64) bool {
 	return true
 }
 
-// WakeGuardConfig tunes the park/wake hysteresis and the wake breaker.
-type WakeGuardConfig struct {
-	// MinIdleRounds is how many consecutive idle rounds must pass before
-	// an active tenant may park (default 3).
-	MinIdleRounds int
-	// WakeDebounceRounds blocks re-parking for this many rounds after a
-	// wake, breaking zero<->nonzero flapping (default 2).
-	WakeDebounceRounds int
-	// KeepWarmAfterFails opens the wake breaker after this many
-	// consecutive failed wakes (default 3).
-	KeepWarmAfterFails int
-	// BreakerCooldownRounds is how many rounds the breaker stays open
-	// before a half-open probe wake is allowed (default 6).
-	BreakerCooldownRounds int
-}
-
-// WithDefaults returns the configuration the guard runs with: every
-// non-positive field replaced by its default. It is the one place those
-// defaults live.
-func (c WakeGuardConfig) WithDefaults() WakeGuardConfig {
-	if c.MinIdleRounds <= 0 {
-		c.MinIdleRounds = 3
-	}
-	if c.WakeDebounceRounds <= 0 {
-		c.WakeDebounceRounds = 2
-	}
-	if c.KeepWarmAfterFails <= 0 {
-		c.KeepWarmAfterFails = 3
-	}
-	if c.BreakerCooldownRounds <= 0 {
-		c.BreakerCooldownRounds = 6
-	}
-	return c
-}
+// The park/wake hysteresis and the wake breaker.
+const (
+	// minIdleRounds consecutive idle rounds must pass before an active
+	// tenant may park.
+	minIdleRounds = 3
+	// wakeDebounceRounds blocks re-parking for this many rounds after a
+	// wake, breaking zero<->nonzero flapping.
+	wakeDebounceRounds = 2
+	// keepWarmAfterFails consecutive failed wakes open the wake breaker.
+	keepWarmAfterFails = 3
+	// breakerCooldownRounds is how many rounds the breaker stays open
+	// before a half-open probe wake is allowed.
+	breakerCooldownRounds = 6
+)
 
 // WakeGuard is the per-tenant park/wake state machine. Like Guard it is
 // driven by one control loop and is not safe for concurrent use.
 type WakeGuard struct {
-	// Config tunes hysteresis and the breaker; zero values take defaults.
-	Config WakeGuardConfig
 	// Tenant labels journal events (empty for single-tenant loops).
 	Tenant string
 	// Clock stamps journal events; defaults to time.Now.
@@ -154,7 +132,6 @@ func (g *WakeGuard) BreakerTrips() int64 { return g.breaker.Trips() }
 // allocation, and with the breaker open it never emits below one node.
 // It journals nothing: JournalShape records what it decided.
 func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
-	cfg := g.Config.WithDefaults()
 	g.sinceWake++
 
 	// Open breaker: graceful degradation. Hold the keep-warm floor no
@@ -197,7 +174,7 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 	// Active tenant.
 	if idle {
 		g.idleRounds++
-		if g.idleRounds >= cfg.MinIdleRounds && g.sinceWake >= cfg.WakeDebounceRounds {
+		if g.idleRounds >= minIdleRounds && g.sinceWake >= wakeDebounceRounds {
 			g.parked = true
 			g.parks++
 			for i := range plan {
@@ -233,8 +210,7 @@ func (g *WakeGuard) OnWakeResult(ok bool) {
 		g.breaker.Success()
 		return
 	}
-	cfg := g.Config.WithDefaults()
-	g.breaker.Threshold, g.breaker.Cooldown = cfg.KeepWarmAfterFails, cfg.BreakerCooldownRounds
+	g.breaker.Threshold, g.breaker.Cooldown = keepWarmAfterFails, breakerCooldownRounds
 	if g.breaker.Failure() {
 		g.parked = false
 	}
@@ -265,9 +241,8 @@ func (g *WakeGuard) JournalTrip() {
 	if !g.breaker.untouchedOpen() {
 		return
 	}
-	fails := g.Config.WithDefaults().KeepWarmAfterFails
-	g.journal(fmt.Sprintf("wake breaker open after %d consecutive failed wakes: holding 1 keep-warm node(s)", fails),
-		map[string]float64{"consecutive_fails": float64(fails), "keep_warm_nodes": 1})
+	g.journal(fmt.Sprintf("wake breaker open after %d consecutive failed wakes: holding 1 keep-warm node(s)", keepWarmAfterFails),
+		map[string]float64{"consecutive_fails": keepWarmAfterFails, "keep_warm_nodes": 1})
 }
 
 // ForceWake unparks the tenant immediately (a wake-storm drill or an
@@ -294,8 +269,7 @@ func (g *WakeGuard) journal(msg string, fields map[string]float64) {
 }
 
 // Save snapshots the guard's mutable state, its breaker's blob as a
-// section; configuration is the owner's to rebuild, matching every other
-// component's persistence contract.
+// section.
 func (g *WakeGuard) Save(w io.Writer) error {
 	var sec [4 * binary.MaxVarintLen64]byte
 	b := wire.AppendBool(wire.Scratch(w), g.parked)

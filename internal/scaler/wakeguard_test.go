@@ -8,7 +8,7 @@ import (
 func plan(vals ...int) []int { return vals }
 
 func TestWakeGuardParkHysteresis(t *testing.T) {
-	g := &WakeGuard{Config: WakeGuardConfig{MinIdleRounds: 3, WakeDebounceRounds: 2}}
+	g := &WakeGuard{}
 
 	// Two idle rounds hold the floor; the third parks.
 	if tr := g.Shape(plan(0, 0), true); tr != WakeHold {
@@ -42,12 +42,12 @@ func TestWakeGuardParkHysteresis(t *testing.T) {
 }
 
 func TestWakeGuardWakeDebounce(t *testing.T) {
-	g := &WakeGuard{Config: WakeGuardConfig{MinIdleRounds: 1, WakeDebounceRounds: 3}}
-
-	// Park immediately (MinIdleRounds 1, fresh guard has large sinceWake).
-	g.sinceWake = 10
-	if tr := g.Shape(plan(0), true); tr != WakePark {
-		t.Fatalf("initial park: %v", tr)
+	g := &WakeGuard{}
+	for range minIdleRounds {
+		g.Shape(plan(0), true)
+	}
+	if !g.Parked() {
+		t.Fatal("no park after the idle rounds")
 	}
 
 	// Demand returns: wake.
@@ -59,39 +59,39 @@ func TestWakeGuardWakeDebounce(t *testing.T) {
 		t.Errorf("woken plan floor = %d", p[0])
 	}
 
-	// Idle again right away: the debounce blocks re-parking for two more
-	// rounds even though MinIdleRounds is satisfied.
-	if tr := g.Shape(plan(0), true); tr != WakeHold {
-		t.Fatalf("flap round 1: %v", tr)
-	}
-	if tr := g.Shape(plan(0), true); tr != WakeHold {
-		t.Fatalf("flap round 2: %v", tr)
+	// Idle again right away: re-parking waits out both the debounce and
+	// the idle-round hysteresis, which outlasts it.
+	before := g.BlockedParks()
+	for round := 1; round < max(minIdleRounds, wakeDebounceRounds+1); round++ {
+		if tr := g.Shape(plan(0), true); tr != WakeHold {
+			t.Fatalf("flap round %d: %v", round, tr)
+		}
 	}
 	if tr := g.Shape(plan(0), true); tr != WakePark {
-		t.Fatalf("flap round 3 should finally park: %v", tr)
+		t.Fatalf("the last flap round should finally park: %v", tr)
 	}
-	if g.BlockedParks() != 2 {
-		t.Errorf("blocked parks = %d, want 2", g.BlockedParks())
+	if got := g.BlockedParks() - before; got != minIdleRounds-1 {
+		t.Errorf("blocked parks after the wake = %d, want %d", got, minIdleRounds-1)
 	}
 }
 
 func TestWakeGuardBreakerKeepWarm(t *testing.T) {
-	g := &WakeGuard{Config: WakeGuardConfig{
-		KeepWarmAfterFails: 2, BreakerCooldownRounds: 3,
-	}}
+	g := &WakeGuard{}
 
-	g.OnWakeResult(false)
+	for range keepWarmAfterFails - 1 {
+		g.OnWakeResult(false)
+	}
 	if g.BreakerOpen() {
 		t.Fatal("breaker tripped early")
 	}
 	g.OnWakeResult(false)
 	if !g.BreakerOpen() || g.BreakerTrips() != 1 {
-		t.Fatal("breaker did not trip after 2 consecutive fails")
+		t.Fatalf("breaker did not trip after %d consecutive fails", keepWarmAfterFails)
 	}
 
 	// While open: every plan is floored at the one-node keep-warm floor,
 	// idleness is ignored, parking is impossible.
-	for round := 0; round < 2; round++ {
+	for round := 0; round < breakerCooldownRounds-1; round++ {
 		p := plan(0, 1, 5)
 		if tr := g.Shape(p, true); tr != WakeKeepWarm {
 			t.Fatalf("open round %d: %v", round, tr)
@@ -104,7 +104,7 @@ func TestWakeGuardBreakerKeepWarm(t *testing.T) {
 		}
 	}
 
-	// Third open round exhausts the cooldown: half-open.
+	// The last open round exhausts the cooldown: half-open.
 	g.Shape(plan(0), true)
 	if g.BreakerOpen() {
 		t.Fatal("breaker still open after cooldown")
@@ -115,9 +115,9 @@ func TestWakeGuardBreakerKeepWarm(t *testing.T) {
 		t.Fatal("probe failure did not re-trip the breaker")
 	}
 	// Ride out the cooldown again, then a success closes it fully.
-	g.Shape(plan(0), true)
-	g.Shape(plan(0), true)
-	g.Shape(plan(0), true)
+	for range breakerCooldownRounds {
+		g.Shape(plan(0), true)
+	}
 	g.OnWakeResult(true)
 	g.OnWakeResult(false) // a single later failure must not trip
 	if g.BreakerOpen() {
@@ -126,9 +126,10 @@ func TestWakeGuardBreakerKeepWarm(t *testing.T) {
 }
 
 func TestWakeGuardForceWake(t *testing.T) {
-	g := &WakeGuard{Config: WakeGuardConfig{MinIdleRounds: 1}}
-	g.sinceWake = 10
-	g.Shape(plan(0), true) // park
+	g := &WakeGuard{}
+	for range minIdleRounds {
+		g.Shape(plan(0), true) // the last parks
+	}
 
 	if !g.ForceWake() {
 		t.Fatal("ForceWake on a parked tenant returned false")
@@ -156,18 +157,20 @@ func TestWakeGuardNeverNegative(t *testing.T) {
 }
 
 func TestWakeGuardSaveLoad(t *testing.T) {
-	a := &WakeGuard{Config: WakeGuardConfig{MinIdleRounds: 2, KeepWarmAfterFails: 2}}
-	a.Shape(plan(0), true)
-	a.Shape(plan(0), true) // parked now (sinceWake grew past debounce)
+	a := &WakeGuard{}
+	for range minIdleRounds {
+		a.Shape(plan(0), true) // the last parks
+	}
 	a.Shape(plan(3), false)
-	a.OnWakeResult(false)
-	a.OnWakeResult(false) // breaker open
+	for range keepWarmAfterFails {
+		a.OnWakeResult(false) // the last opens the breaker
+	}
 
 	var buf bytes.Buffer
 	if err := a.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b := &WakeGuard{Config: a.Config}
+	b := &WakeGuard{}
 	if err := b.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
