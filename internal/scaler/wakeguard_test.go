@@ -3,6 +3,8 @@ package scaler
 import (
 	"bytes"
 	"testing"
+
+	"robustscale/internal/obs"
 )
 
 func plan(vals ...int) []int { return vals }
@@ -184,6 +186,41 @@ func TestWakeGuardSaveLoad(t *testing.T) {
 		ta, tb := a.Shape(pa, round%3 == 0), b.Shape(pb, round%3 == 0)
 		if ta != tb || pa[0] != pb[0] || pa[1] != pb[1] {
 			t.Fatalf("round %d diverged: %v/%v vs %v/%v", round, ta, pa, tb, pb)
+		}
+	}
+}
+
+// TestRestoredWakeGuardJournalsNoTrip: a guard restored with two
+// cooldown ticks left runs one Shape and its JournalTrip records nothing,
+// as the live guard it was saved from does: no wake failed since the
+// restore, so no breaker trip happened.
+func TestRestoredWakeGuardJournalsNoTrip(t *testing.T) {
+	live := &WakeGuard{Tenant: "restored-trip"}
+	for range keepWarmAfterFails {
+		live.OnWakeResult(false) // the last opens the breaker
+	}
+	live.JournalTrip()
+	for range breakerCooldownRounds - 2 {
+		live.Shape(plan(0), true)
+	}
+	var buf bytes.Buffer
+	if err := live.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := &WakeGuard{Tenant: "restored-trip"}
+	if err := restored.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*WakeGuard{live, restored} {
+		name := map[bool]string{true: "live", false: "restored"}[g == live]
+		since := obs.DefaultJournal.Total()
+		g.Shape(plan(0), true)
+		g.JournalTrip()
+		if n := len(obs.DefaultJournal.EventsFilteredTenant("restored-trip", "wake", since)); n != 0 {
+			t.Errorf("%s guard with one cooldown tick left journalled %d wake events, want 0", name, n)
+		}
+		if !g.BreakerOpen() {
+			t.Errorf("%s guard's breaker closed with a cooldown tick left", name)
 		}
 	}
 }
