@@ -156,17 +156,6 @@ func (b *Breaker) Failure() bool {
 	return true
 }
 
-// untouchedOpen reports an open breaker whose cooldown has not ticked
-// since it opened.
-func (b *Breaker) untouchedOpen() bool {
-	if !b.dirty.Load() {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state == BreakerOpen && b.ticksLeft == max(b.Cooldown, 1)
-}
-
 // State returns the breaker's current position.
 func (b *Breaker) State() BreakerState {
 	if !b.dirty.Load() {

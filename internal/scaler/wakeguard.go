@@ -105,8 +105,12 @@ type WakeGuard struct {
 	parked     bool
 	idleRounds int
 	sinceWake  int
-	// breaker counts failed wakes and its cooldown in rounds.
+	// breaker counts failed wakes and its cooldown in rounds; tripped
+	// says a failed wake opened it since the last JournalTrip. Save leaves
+	// tripped out: a loop checkpoints after the apply barrier that
+	// journals the trip.
 	breaker Breaker
+	tripped bool
 
 	// Lifetime counters.
 	parks, wakes, blockedParks int64
@@ -212,7 +216,7 @@ func (g *WakeGuard) OnWakeResult(ok bool) {
 	}
 	g.breaker.Threshold, g.breaker.Cooldown = keepWarmAfterFails, breakerCooldownRounds
 	if g.breaker.Failure() {
-		g.parked = false
+		g.parked, g.tripped = false, true
 	}
 }
 
@@ -234,13 +238,13 @@ func (g *WakeGuard) JournalShape(tr WakeTransition) {
 }
 
 // JournalTrip records the wake breaker's opening when a failed wake has
-// opened it since the last Shape: every Shape ticks an open breaker, so
-// one whose cooldown is whole has just opened. A fleet calls it at its
-// apply barrier, in tenant order.
+// opened it since the last JournalTrip. A fleet calls it at its apply
+// barrier, in tenant order.
 func (g *WakeGuard) JournalTrip() {
-	if !g.breaker.untouchedOpen() {
+	if !g.tripped {
 		return
 	}
+	g.tripped = false
 	g.journal(fmt.Sprintf("wake breaker open after %d consecutive failed wakes: holding 1 keep-warm node(s)", keepWarmAfterFails),
 		map[string]float64{"consecutive_fails": keepWarmAfterFails, "keep_warm_nodes": 1})
 }
