@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -136,4 +137,26 @@ func killsAt(s *Schedule, step int) int {
 	w := Window{Steps: make([]StepFaults, 1)}
 	w.Fill(s, step)
 	return w.Steps[0].Kills
+}
+
+// raceDetector reports a -race build (see race_test.go).
+var raceDetector bool
+
+// TestBuildAllocs holds a warm wake-storm Build to 13 allocations, the
+// schedule and its events: the generator comes from a pool, not from a
+// rand.NewSource per build. One P keeps the goroutine on the Pool shard
+// it put the generator in.
+func TestBuildAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p, err := Preset("wake-storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Seed, p.Steps = 42, 2*288
+	if n := testing.AllocsPerRun(20, func() { _, _ = p.Build() }); n > 13 {
+		t.Errorf("a wake-storm Build made %v allocations, want at most 13", n)
+	}
 }

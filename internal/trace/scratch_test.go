@@ -13,9 +13,9 @@ var raceDetector bool
 
 // TestGenerateKeepsOnlyItsSeries holds a warm fleet-shape Generate to
 // the series it returns plus 1 KiB of headers (the trace, its map, the
-// series and its name): the weekly wave, the shared events and the RNG
-// come from reused scratch. One P keeps the goroutine on the Pool
-// shard it put its scratch in.
+// series and its name), in 6 allocations: the weekly wave, the shared
+// events and the generator come from reused scratch. One P keeps the
+// goroutine on the Pool shard it put its scratch in.
 func TestGenerateKeepsOnlyItsSeries(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector drops sync.Pool entries at random")
@@ -35,6 +35,9 @@ func TestGenerateKeepsOnlyItsSeries(t *testing.T) {
 		series := uint64(8 * cfg.Len())
 		if got := m1.TotalAlloc - m0.TotalAlloc; got > series+1024 {
 			t.Errorf("%s: Generate allocated %d B, want at most the %d B series + 1 KiB", cfg.Name, got, series)
+		}
+		if n := testing.AllocsPerRun(20, func() { _, _ = Generate(cfg) }); n > 6 {
+			t.Errorf("%s: Generate made %v allocations, want at most 6", cfg.Name, n)
 		}
 	}
 }

@@ -24,10 +24,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
+	"robustscale/internal/dist"
 	"robustscale/internal/nn"
 	"robustscale/internal/timeseries"
 	"robustscale/internal/wire"
@@ -347,7 +347,7 @@ func Generate(cfg Config) (*Trace, error) {
 		nn.Sin(sc.weekly[valid:])
 	}
 	weekly, shared, rng := sc.weekly[:n], sc.shared[:n], sc.rng
-	rng.Seed(cfg.Seed) // restarts the stream rand.New(rand.NewSource(cfg.Seed)) draws
+	rng.Seed(cfg.Seed)
 
 	t := &Trace{Name: cfg.Name, Aggregated: make(map[Resource]*timeseries.Series, len(cfg.Resources))}
 	for _, res := range cfg.Resources {
@@ -363,17 +363,17 @@ func Generate(cfg Config) (*Trace, error) {
 
 // scratch is what a Generate call works in besides the trace it returns:
 // the weekly wave at weeklyPerDay steps a day, the shared events and the
-// RNG.
+// generator, which draws math/rand's stream.
 type scratch struct {
 	weekly, shared []float64
 	weeklyPerDay   int
-	rng            *rand.Rand
+	rng            *dist.Stream
 }
 
 // scratches hands scratch between Generate calls. A sync.Pool, not a
 // free list: a list would keep one scratch per peak concurrent caller
 // live for good, where the GC frees a Pool's once generation stops.
-var scratches = sync.Pool{New: func() any { return &scratch{rng: rand.New(rand.NewSource(1))} }}
+var scratches = sync.Pool{New: func() any { return &scratch{rng: dist.NewStream(1)} }}
 
 // resourceScale differentiates the resource dimensions: memory moves more
 // slowly than CPU, disk is flatter still.
@@ -393,7 +393,7 @@ func resourceScale(r Resource) (level, seasonality, noise float64) {
 // batch jobs, failovers) hit the whole cluster at once, and without this
 // correlated component aggregation over many units would average the
 // per-unit spikes away. It overwrites every element of shared.
-func generateSharedEvents(shared []float64, cfg Config, rng *rand.Rand) {
+func generateSharedEvents(shared []float64, cfg Config, rng *dist.Stream) {
 	spike := 0.0
 	regime := 0.0
 	ar := 0.0
@@ -413,7 +413,7 @@ func generateSharedEvents(shared []float64, cfg Config, rng *rand.Rand) {
 }
 
 // addUnit generates one unit's usage of res and adds it into agg.
-func addUnit(agg []float64, cfg Config, res Resource, shared, weeklyWave []float64, rng *rand.Rand) {
+func addUnit(agg []float64, cfg Config, res Resource, shared, weeklyWave []float64, rng *dist.Stream) {
 	levelMul, seasonMul, noiseMul := resourceScale(res)
 	base := cfg.BaseLoad * levelMul * (0.7 + 0.6*rng.Float64())
 	phase := rng.Float64() * 2 * math.Pi * 0.15 // mild phase dispersion across units
