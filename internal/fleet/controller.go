@@ -117,7 +117,9 @@ func New(cfg Config) (*Controller, error) {
 	publishStates(tenants...)
 	// Lifecycle bookkeeping runs sequentially in tenant order so journal
 	// entries (a tenant's restore events, then its start) and start
-	// counters land deterministically.
+	// counters land deterministically. A tenant journals its start only
+	// when recovery turned something down; the fleet journals one start
+	// with the counts.
 	for _, t := range tenants {
 		t.journal()
 		c.corrupt += len(t.rejected)
@@ -129,12 +131,20 @@ func New(cfg Config) (*Controller, error) {
 		if t.seriesRestored {
 			c.seriesRestored++
 		}
+		if len(t.rejected) == 0 && t.coldReason == "" && !t.partial {
+			continue
+		}
 		obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "tenant-start",
 			fmt.Sprintf("%s start at replay step %d/%d (%s archetype)",
 				kind, t.origin-t.TrainEnd, t.Series.Len()-t.TrainEnd, t.Archetype),
 			map[string]float64{"warm": b2f(t.warm), "origin": float64(t.origin), "corrupt_snapshots": float64(len(t.rejected)),
 				"series_restored": b2f(t.seriesRestored)})
 	}
+	obs.DefaultJournal.RecordTenantAt(tenants[0].Now(), "", "fleet-start",
+		fmt.Sprintf("%d tenants started: %d warm, %d cold, %d corrupt snapshots, %d series restored",
+			len(tenants), c.warmCount, c.coldCount, c.corrupt, c.seriesRestored),
+		map[string]float64{"tenants": float64(len(tenants)), "warm": float64(c.warmCount), "cold": float64(c.coldCount),
+			"corrupt_snapshots": float64(c.corrupt), "series_restored": float64(c.seriesRestored)})
 	fleetWarmStarts.Add(float64(c.warmCount))
 	fleetColdStarts.Add(float64(c.coldCount))
 	fleetCorruptSnapshots.Add(float64(c.corrupt))

@@ -55,10 +55,13 @@ func TestSeriesRestoredOnWarmRestart(t *testing.T) {
 	if got := persist.CheckpointWrites() - writes; got != 4 {
 		t.Errorf("4 rounds and the series write counted as %v checkpoints, want 4", got)
 	}
-	for _, ev := range obs.DefaultJournal.EventsFiltered("tenant-start", since) {
-		if v, ok := ev.Fields["series_restored"]; !ok || v != 0 {
-			t.Errorf("cold tenant-start of %s carries series_restored = %v (present %v)", ev.Tenant, v, ok)
-		}
+	if events := obs.DefaultJournal.EventsFiltered("fleet-start", since); len(events) != 1 {
+		t.Errorf("%d fleet-start events, want 1", len(events))
+	} else if f := events[0].Fields; f["series_restored"] != 0 || f["cold"] != float64(cfg.Tenants) {
+		t.Errorf("cold fleet-start carries series_restored = %v, cold = %v; want 0 and %d", f["series_restored"], f["cold"], cfg.Tenants)
+	}
+	if events := obs.DefaultJournal.EventsFiltered("tenant-start", since); len(events) != 0 {
+		t.Errorf("a cold build on an empty root journalled %d tenant-start events, want none", len(events))
 	}
 	written := seriesFile(t, cfg.StateDir)
 
@@ -70,14 +73,13 @@ func TestSeriesRestoredOnWarmRestart(t *testing.T) {
 		t.Errorf("restart restored %d series and warm-started %d tenants, want %d of each",
 			rep2.SeriesRestored, rep2.WarmStarts, cfg.Tenants)
 	}
-	if events := obs.DefaultJournal.EventsFiltered("tenant-start", since); len(events) != cfg.Tenants {
-		t.Errorf("%d tenant-start events, want %d", len(events), cfg.Tenants)
-	} else {
-		for _, ev := range events {
-			if ev.Fields["series_restored"] != 1 {
-				t.Errorf("warm tenant-start of %s carries series_restored = %v", ev.Tenant, ev.Fields["series_restored"])
-			}
-		}
+	if events := obs.DefaultJournal.EventsFiltered("fleet-start", since); len(events) != 1 {
+		t.Errorf("%d fleet-start events, want 1", len(events))
+	} else if f := events[0].Fields; f["series_restored"] != float64(cfg.Tenants) || f["warm"] != float64(cfg.Tenants) {
+		t.Errorf("warm fleet-start carries series_restored = %v, warm = %v; want %d of each", f["series_restored"], f["warm"], cfg.Tenants)
+	}
+	if events := obs.DefaultJournal.EventsFiltered("tenant-start", since); len(events) != 0 {
+		t.Errorf("a clean warm restart journalled %d tenant-start events, want none", len(events))
 	}
 	if again := seriesFile(t, cfg.StateDir); again != written {
 		t.Errorf("a restart that missed nothing rewrote %s as %s", written, again)
@@ -286,6 +288,7 @@ func TestMangledExtraColdStartsOneTenant(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	since := obs.DefaultJournal.Total()
 	c, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -297,6 +300,9 @@ func TestMangledExtraColdStartsOneTenant(t *testing.T) {
 	}
 	if _, reason := c.Tenants()[victim].Recovery(); reason == "" {
 		t.Error("the victim cold-started without a reason")
+	}
+	if starts := obs.DefaultJournal.EventsFiltered("tenant-start", since); len(starts) != 1 || starts[0].Tenant != TenantID(victim) {
+		t.Errorf("tenant-start events %+v, want one, the victim's", starts)
 	}
 	rep, err := c.Run(context.Background())
 	if err != nil {
@@ -345,5 +351,8 @@ func TestRestoreDegradedIsJournalled(t *testing.T) {
 		if !bytes.Contains([]byte(events[0].Msg), []byte(want)) {
 			t.Errorf("event %q does not name the %s", events[0].Msg, want)
 		}
+	}
+	if starts := obs.DefaultJournal.EventsFiltered("tenant-start", since); len(starts) != 1 || starts[0].Tenant != TenantID(victim) {
+		t.Errorf("tenant-start events %+v, want one, the victim's", starts)
 	}
 }

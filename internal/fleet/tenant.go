@@ -220,7 +220,8 @@ type Tenant struct {
 	// Loop state; the plan/admit/apply stages are the only writers after
 	// Start (parallel stages touch only per-tenant fields, the sequential
 	// admission barrier runs in index order). rejected and coldReason say
-	// what recovery turned down.
+	// what recovery turned down, partial that a component of a recovered
+	// snapshot did not load.
 	origin     int
 	cursor     int
 	prevAlloc  int
@@ -232,6 +233,7 @@ type Tenant struct {
 	warm       bool
 	rejected   []string
 	coldReason string
+	partial    bool
 	err        error
 	// planned counts the tenant's own planner's rounds that plans_total
 	// has yet to see; events are staged for the journal; mode and breaker,
@@ -504,6 +506,7 @@ func (t *Tenant) restore(st *persist.State, extra *loopExtra) {
 		}
 		return err
 	})
+	t.partial = len(fresh) > 0
 	t.journalDegraded("restore-degraded", "warm start at origin %d with fresh state for: %s (checkpoint sections did not load)", fresh)
 }
 
