@@ -57,7 +57,9 @@ func NewStream(seed int64) *Stream {
 }
 
 // Seed restarts the stream at the one rand.New(rand.NewSource(seed))
-// draws.
+// draws. math/rand fills register slot i from its seeding generator's
+// values 3i+21, 3i+22 and 3i+23; three chains, each stepping by 48271³,
+// compute them without waiting on one another.
 func (s *Stream) Seed(seed int64) {
 	s.tap, s.feed = 0, streamLen-streamTap
 	if seed %= int32max; seed < 0 {
@@ -67,23 +69,31 @@ func (s *Stream) Seed(seed int64) {
 		seed = 89482311
 	}
 	x := int32(seed)
-	for i := -20; i < streamLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			u := int64(x) << 40
-			x = seedrand(x)
-			u ^= int64(x) << 20
-			x = seedrand(x)
-			s.vec[i] = u ^ int64(x) ^ cooked[i]
-		}
+	for range 20 {
+		x = mulmod(x, seedMul)
+	}
+	a := mulmod(x, seedMul)
+	b := mulmod(a, seedMul)
+	c := mulmod(b, seedMul)
+	for i := range s.vec {
+		s.vec[i] = int64(a)<<40 ^ int64(b)<<20 ^ int64(c) ^ cooked[i]
+		a, b, c = mulmod(a, seedMul3), mulmod(b, seedMul3), mulmod(c, seedMul3)
 	}
 }
 
-// seedrand is math/rand's seeding step, x·48271 mod (2³¹−1), by the
-// Mersenne fold where math/rand uses Schrage's division: the two agree
-// for every x in [1, 2³¹−2], the only values Seed passes.
-func seedrand(x int32) int32 {
-	t := uint64(x) * 48271
+// The seeding generator's multiplier, and its cube mod 2³¹−1.
+const (
+	seedMul  = 48271
+	seedMul3 = 1291394886
+)
+
+// mulmod returns x·k mod (2³¹−1), for x and k in [1, 2³¹−2], by the
+// Mersenne fold: 2³¹ ≡ 1, so the product's high bits add onto its low
+// ones. mulmod(x, seedMul) is math/rand's seeding step, which computes
+// the same by Schrage's division.
+func mulmod(x, k int32) int32 {
+	t := uint64(x) * uint64(k)
+	t = t&int32max + t>>31 // below 2³²
 	if t = t&int32max + t>>31; t >= int32max {
 		t -= int32max
 	}

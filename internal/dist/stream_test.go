@@ -57,13 +57,17 @@ func schrage(x int32) int32 {
 	return x
 }
 
-// TestSeedrandMatchesSchrage holds the Mersenne fold to Schrage's form
-// at both ends of [1, 2³¹−2] and at a stride across it. (Every value
-// agrees; the exhaustive sweep takes seconds and is left out.)
-func TestSeedrandMatchesSchrage(t *testing.T) {
+// TestMulmodMatchesSchrage holds the Mersenne fold to Schrage's form at
+// both ends of [1, 2³¹−2] and at a stride across it, for one step of the
+// seeding generator and for three. (Every value agrees; the exhaustive
+// sweep takes seconds and is left out.)
+func TestMulmodMatchesSchrage(t *testing.T) {
 	check := func(x int32) {
-		if got, want := seedrand(x), schrage(x); got != want {
-			t.Fatalf("seedrand(%d) = %d, Schrage's form gives %d", x, got, want)
+		if got, want := mulmod(x, seedMul), schrage(x); got != want {
+			t.Fatalf("mulmod(%d, 48271) = %d, Schrage's form gives %d", x, got, want)
+		}
+		if got, want := mulmod(x, seedMul3), schrage(schrage(schrage(x))); got != want {
+			t.Fatalf("mulmod(%d, 48271³) = %d, three of Schrage's steps give %d", x, got, want)
 		}
 	}
 	for x := int32(1); x <= 1<<16; x++ {
