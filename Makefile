@@ -104,10 +104,12 @@ bench-check:
 # share: each fails to parse or yields a Config that Validate accepts or
 # refuses, never a panic. The next holds the offset-based forecasters' warm fans to
 # their cold fans bit for bit while origin, horizon and levels change
-# between calls. The last holds the bucketed one-day calibration window
+# between calls. The next holds the bucketed one-day calibration window
 # to a plain step ring over fuzzer-chosen steps, fed in rounds of 12 or
 # one at a time: equal counts and wQL within 1e-12 at every 12-step
-# boundary. Every target minimizes a new input for at most
+# boundary. The last draws a fuzzer-chosen sequence of kinds from
+# dist.Stream at a fuzzer-chosen seed: every value must carry the bits
+# math/rand draws. Every target minimizes a new input for at most
 # 1 s (-fuzzminimizetime; the default 60 s can eat a whole 10 s window
 # on a multi-KB model blob).
 fuzz:
@@ -132,6 +134,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzBindFlags -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz=FuzzWarmMatchesCold -fuzztime=10s -fuzzminimizetime=1s ./internal/forecast
 	$(GO) test -run '^$$' -fuzz=FuzzBucketsMatchStepRing -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz=FuzzStreamMatchesMathRand -fuzztime=10s -fuzzminimizetime=1s ./internal/dist
 
 # Fleet determinism and durability drill (same script CI runs): worker
 # counts invisible in results, kill-restart bit-identity, single-tenant

@@ -106,11 +106,13 @@ func FuzzStreamMatchesMathRand(f *testing.F) {
 	})
 }
 
+// sink keeps BenchmarkStream's draws from being optimized away.
+var sink float64
+
 // BenchmarkStream times a uniform draw from a Stream and from a
 // *rand.Rand over math/rand's source, and a reseed of each.
 func BenchmarkStream(b *testing.B) {
 	s, r := NewStream(1), rand.New(rand.NewSource(1))
-	var sink float64
 	b.Run("Float64/stream", func(b *testing.B) {
 		for range b.N {
 			sink += s.Float64()
@@ -131,5 +133,4 @@ func BenchmarkStream(b *testing.B) {
 			r.Seed(int64(i))
 		}
 	})
-	_ = sink
 }

@@ -211,16 +211,18 @@ func TestRestoredWakeGuardJournalsNoTrip(t *testing.T) {
 	if err := restored.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []*WakeGuard{live, restored} {
-		name := map[bool]string{true: "live", false: "restored"}[g == live]
+	for _, c := range []struct {
+		name string
+		g    *WakeGuard
+	}{{"live", live}, {"restored", restored}} {
 		since := obs.DefaultJournal.Total()
-		g.Shape(plan(0), true)
-		g.JournalTrip()
+		c.g.Shape(plan(0), true)
+		c.g.JournalTrip()
 		if n := len(obs.DefaultJournal.EventsFilteredTenant("restored-trip", "wake", since)); n != 0 {
-			t.Errorf("%s guard with one cooldown tick left journalled %d wake events, want 0", name, n)
+			t.Errorf("%s guard with one cooldown tick left journalled %d wake events, want 0", c.name, n)
 		}
-		if !g.BreakerOpen() {
-			t.Errorf("%s guard's breaker closed with a cooldown tick left", name)
+		if !c.g.BreakerOpen() {
+			t.Errorf("%s guard's breaker closed with a cooldown tick left", c.name)
 		}
 	}
 }

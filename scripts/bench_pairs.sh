@@ -7,7 +7,8 @@
 # For every end-to-end metric of the runs (each is better lower) it prints
 # the parent's and the change's median and quartiles and the pairs the
 # change won, in BENCH_history.jsonl's field names, then the hashes and
-# the failed count each side printed.
+# the failed count each side printed. It exits 1 after printing when the
+# two sides' hash sets differ or any run reports a failed operation.
 # Needs go and jq; every run goes to a temporary directory.
 #
 #   scripts/bench_pairs.sh HEAD~1 fleet-serverless-storm 10
@@ -45,6 +46,17 @@ for m in $(jq -r '.metrics | keys[]' "$work/parent.json" | sort -u); do
 		<(jq -r --arg m "$m" '.metrics[$m].value' "$work/change.json") | awk '$2 < $1 { w++ } END { print w + 0 }')
 	echo "{\"metric\": \"$m\", $(stats parent "$m"), $(stats change "$m"), \"pairs_won\": $won, \"pairs\": $pairs}"
 done
+status=0
 for side in parent change; do
-	echo "$side: $(sort -u "$work/$side.hashes" | tr '\n' ' ')failed $(jq -s 'map(.failed) | add' "$work/$side.json")"
+	failed=$(jq -s 'map(.failed) | add' "$work/$side.json")
+	echo "$side: $(sort -u "$work/$side.hashes" | tr '\n' ' ')failed $failed"
+	if [ "$failed" != 0 ]; then
+		echo "$side: $failed failed operations" >&2
+		status=1
+	fi
 done
+if ! cmp -s <(sort -u "$work/parent.hashes") <(sort -u "$work/change.hashes"); then
+	echo "the two sides printed different hashes" >&2
+	status=1
+fi
+exit $status
