@@ -29,10 +29,7 @@ func drawBoth(s *Stream, r *rand.Rand, op byte) (a, b uint64, same bool) {
 // modulus) and draws 10⁶ values of every kind, interleaved, against
 // rand.New(rand.NewSource(seed)): every value must carry the same bits.
 func TestStreamMatchesMathRand(t *testing.T) {
-	draws := 1_000_000
-	if testing.Short() {
-		draws = 20_000
-	}
+	const draws = 1_000_000
 	s := NewStream(7)
 	for _, seed := range []int64{0, 1, -1, 42, 1<<31 - 1, 1 << 31, 89482311, math.MinInt64, math.MaxInt64} {
 		s.Seed(seed)
