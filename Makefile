@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-arm64 test-go-kernels test vet race race-pkgs cover bench bench-compile bench-save bench-check fuzz fleet-smoke slo-smoke fleet-chaos-smoke wake-smoke no-binaries ci experiments clean
+.PHONY: all build build-arm64 test-go-kernels test vet race race-pkgs cover bench bench-compile bench-save bench-check fuzz fleet-smoke slo-smoke fleet-chaos-smoke no-binaries ci experiments clean
 
 all: build vet test
 
@@ -30,12 +30,11 @@ test-go-kernels:
 	GODEBUG=cpu.avx=off $(GO) test ./internal/nn
 
 # RACE_PKGS are the packages with real concurrency (worker pools,
-# gradient replicas, the shared model zoo, the circuit breaker, the
-# chaos cursor, the trace generator's shared scratch and the fleet
-# controller's batched planning); the default
-# test target runs them under the race detector on top of the plain
-# suite. race-pkgs is the one place they run from: test, ci and the CI
-# workflow's race step all call it.
+# gradient replicas, the shared model zoo, the chaos cursor, the trace
+# generator's shared scratch and the fleet controller's batched
+# planning); the default test target runs them under the race detector
+# on top of the plain suite. race-pkgs is the one place they run from:
+# test, ci and the CI workflow's race step all call it.
 RACE_PKGS = ./internal/parallel/... ./internal/nn/... ./internal/forecast/... ./internal/experiment/... ./internal/obs/... ./internal/scaler/... ./internal/chaos/... ./internal/cluster/... ./internal/persist/... ./internal/fleet/... ./internal/trace/...
 
 test:
@@ -74,7 +73,9 @@ bench-check:
 # incremental checks must agree with a fresh guard's at every step. The
 # next drives the one Breaker beside the three machines it replaced, each
 # in its client's tick pattern: they must agree event for event. The next
-# loads arbitrary bytes as a guard blob and plans a failing round from each
+# drives a few wake guards through arbitrary park, wake and storm scripts:
+# no negative allocation, no admission past the pool, and sustained demand
+# always brings a guard out of parked. The next loads arbitrary bytes as a guard blob and plans a failing round from each
 # one accepted: the fallback ladder must not panic. The next adds random
 # events to a chaos schedule and to the map-and-scan one it
 # replaced: every lookup must agree. The next runs the nn training kernels
@@ -118,6 +119,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLoadComponent -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
 	$(GO) test -fuzz=FuzzGuardHistories -fuzztime=10s -fuzzminimizetime=1s ./internal/scaler
 	$(GO) test -fuzz=FuzzBreakerMatchesLegacy -fuzztime=10s -fuzzminimizetime=1s ./internal/scaler
+	$(GO) test -fuzz=FuzzWakeSchedule -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz=FuzzGuardLoad -fuzztime=10s -fuzzminimizetime=1s ./internal/scaler
 	$(GO) test -fuzz=FuzzScheduleMatchesLegacy -fuzztime=10s -fuzzminimizetime=1s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz=FuzzTrainingKernels -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
@@ -155,13 +157,6 @@ slo-smoke:
 fleet-chaos-smoke:
 	scripts/fleet_chaos_smoke.sh
 
-# Serverless wake-from-zero drill (same script CI runs): fault-free
-# scale-to-zero bit-identical across worker counts, wake-storm p99
-# inside the SLO budget, zero wake-fault blast radius, kill-restart
-# mid-wake bit-identity, park/wake fuzzing, race run.
-wake-smoke:
-	scripts/wake_smoke.sh
-
 # Fail when git tracks a compiled binary (an ELF file): build output
 # belongs in .gitignore, not in the history.
 no-binaries:
@@ -179,7 +174,6 @@ ci: build vet build-arm64 test-go-kernels no-binaries
 	$(MAKE) fleet-smoke
 	$(MAKE) slo-smoke
 	$(MAKE) fleet-chaos-smoke
-	$(MAKE) wake-smoke
 
 # Regenerate every paper table/figure with the CLI runner.
 experiments:

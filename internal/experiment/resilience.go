@@ -175,7 +175,7 @@ func runResilienceCell(d *Dataset, cfg Config, spec resilienceSpec, prof chaos.P
 		Series: d.Series, TrainEnd: d.EvalStart, Horizon: spec.horizon,
 		Fingerprint: persist.Fingerprint{Strategy: spec.name, Theta: cfg.Theta, Horizon: spec.horizon},
 		GuardConfig: &scaler.GuardConfig{Theta: cfg.Theta, Tau: 0.9},
-		Breaker:     &scaler.Breaker{Threshold: 3, Cooldown: 3},
+		Breaker:     &scaler.Breaker{Cooldown: 3},
 		Sched:       sched,
 		Plant:       plant,
 	}

@@ -142,13 +142,18 @@ var blobCases = []blobCase{
 		name:   "breaker",
 		golden: "02060604",
 		populated: func(testing.TB) func(io.Writer) error {
-			b := &scaler.Breaker{Threshold: 2, Cooldown: 4}
-			b.Failure()
-			b.Failure() // open
+			b := &scaler.Breaker{Cooldown: 4}
+			trip := func() {
+				for range scaler.BreakerThreshold {
+					b.Failure() // the last one opens it
+				}
+			}
+			trip()
 			for i := 0; i < 4; i++ {
 				b.Tick() // the last tick ends the cooldown: half-open
 			}
-			b.Failure() // the probe fails: open again
+			b.Success() // the probe succeeds: closed
+			trip()
 			b.Tick()
 			return b.Save
 		},
@@ -369,6 +374,26 @@ func TestComponentBlobs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWakeGuardLoadsParentBlob: the wake-guard golden of the layout's
+// previous writer, whose third byte held the since-wake count the guard
+// no longer keeps, still loads, and the guard saves it back as today's
+// golden: that slot written 0, every other byte kept.
+func TestWakeGuardLoadsParentBlob(t *testing.T) {
+	parent, err := hex.DecodeString("0000020402060a02020204")
+	must(t, err)
+	g := &scaler.WakeGuard{}
+	must(t, g.Load(bytes.NewReader(parent)))
+	for _, c := range blobCases {
+		if c.name == "wake-guard" {
+			if got := hex.EncodeToString(saved(t, g.Save)); got != c.golden {
+				t.Fatalf("the parent blob saves back as %s, want %s", got, c.golden)
+			}
+			return
+		}
+	}
+	t.Fatal("no wake-guard blob case")
 }
 
 // TestExtraCodecCoversEveryField fails when a field is added to loopExtra

@@ -178,7 +178,7 @@ func hookTenant(t *testing.T, sched *chaos.Schedule) (*Tenant, bool) {
 		TrainEnd: trainEnd, Horizon: horizon,
 		Fingerprint: persist.Fingerprint{Theta: theta, Horizon: horizon},
 		GuardConfig: &scaler.GuardConfig{Theta: theta, Tau: 0.9},
-		Breaker:     &scaler.Breaker{Threshold: 3, Cooldown: 3},
+		Breaker:     &scaler.Breaker{Cooldown: 3},
 		Sched:       sched,
 		Plant:       &cluster.AllocPlant{Theta: theta},
 	}

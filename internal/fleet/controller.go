@@ -274,7 +274,7 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 		ApplyAttempts:  1,
 		Breaker:        &scaler.Breaker{},
 	}
-	t.quarantine.Threshold, t.quarantine.Cooldown = quarantineAfter, quarantineRounds
+	t.quarantine.Cooldown = quarantineRounds
 	t.Fingerprint = persist.Fingerprint{
 		Strategy: cfg.Strategy, Tenant: id, Dataset: t.Archetype, Seed: seed,
 		Theta: cfg.Theta, Horizon: cfg.Horizon, Tau: cfg.Tau, Tau2: cfg.Tau2,
@@ -360,10 +360,10 @@ func buildStrategy(cfg Config, t *Tenant, model []byte, rho float64) (scaler.Str
 	return &scaler.Adaptive{Forecaster: t.Faulty(qf), Tau1: cfg.Tau, Tau2: cfg.Tau2, Rho: rho, Theta: cfg.Theta}, snapper, rho, nil
 }
 
-// The backpressure breaker: a tenant clipped quarantineAfter consecutive
-// rounds is quarantined to reactive planning for quarantineRounds rounds
-// instead of thrashing the pool.
-const quarantineAfter, quarantineRounds = 3, 8
+// The backpressure breaker: a tenant clipped scaler.BreakerThreshold
+// consecutive rounds is quarantined to reactive planning for
+// quarantineRounds rounds instead of thrashing the pool.
+const quarantineRounds = 8
 
 // admit is the shared-capacity admission barrier between the plan and
 // apply phases: with a pool configured it clips every pending plan so
@@ -453,8 +453,8 @@ func (c *Controller) admit(active []*Tenant) {
 			if t.quarantine.Failure() {
 				fleetQuarantinesTotal.Inc()
 				obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "quarantine",
-					fmt.Sprintf("quarantined to reactive planning for %d rounds after %d consecutive clipped rounds", quarantineRounds, quarantineAfter),
-					map[string]float64{"rounds": quarantineRounds, "clipped_rounds": quarantineAfter})
+					fmt.Sprintf("quarantined to reactive planning for %d rounds after %d consecutive clipped rounds", quarantineRounds, scaler.BreakerThreshold),
+					map[string]float64{"rounds": quarantineRounds, "clipped_rounds": scaler.BreakerThreshold})
 			}
 		} else {
 			t.quarantine.Success()
@@ -473,7 +473,7 @@ func (c *Controller) admit(active []*Tenant) {
 	for _, t := range active {
 		// A round planned under quarantine is one tick of its cooldown; the
 		// tick that ends it clears the clipped-round streak, so re-entry
-		// needs quarantineAfter fresh clipped rounds, not one probe.
+		// needs scaler.BreakerThreshold fresh clipped rounds, not one probe.
 		if t.shedReason == "quarantine" && t.quarantine.Tick() == scaler.BreakerHalfOpen {
 			t.quarantine.Success()
 			obs.DefaultJournal.RecordTenantAt(t.Now(), t.ID, "unquarantine",

@@ -163,7 +163,7 @@ func FuzzWakeSchedule(f *testing.F) {
 		// Convergence: sustained demand with healthy wakes must bring every
 		// guard out of parked (and close any open breaker) within the sum
 		// of the configured hysteresis windows, regardless of prior state.
-		const bound = 16 // cooldown + debounce + fail threshold, with slack
+		const bound = 16 // cooldown + fail threshold, with slack
 		for round := 0; round < bound; round++ {
 			done := true
 			for _, g := range guards {

@@ -20,13 +20,14 @@ import (
 // journalRun is one fleet run recorded for the journal tests: every
 // event, in a journal large enough to drop none; the resilience gauges
 // after every round, the guard-mode tenant counts then the apply-breaker
-// ones; and the tenant-rounds and steps in which a scale action exhausted
-// its attempts.
+// ones; the tenant-rounds and steps in which a scale action exhausted
+// its attempts; and the apply breakers' trips.
 type journalRun struct {
 	events       []obs.Event
 	gauges       [][7]float64
 	failedRounds int
 	failedSteps  int
+	applyTrips   int64
 }
 
 func recordRun(t *testing.T, cfg Config) journalRun {
@@ -87,6 +88,9 @@ func recordRun(t *testing.T, cfg Config) journalRun {
 			run.failedRounds++
 			run.failedSteps += steps
 		}
+	}
+	for _, tn := range c.Tenants() {
+		run.applyTrips += tn.Breaker.Trips()
 	}
 	return run
 }
@@ -153,7 +157,7 @@ func TestJournalAndGaugesIndependentOfWorkers(t *testing.T) {
 // TestApplyFailedOncePerTenantRound: under apply chaos the journal holds
 // one apply-failed event per tenant-round in which a scale action
 // exhausted its attempts, not one per failed step, and the events'
-// failed_steps add up to the failed steps.
+// failed_steps add up to the failed steps. The run's apply breakers open.
 func TestApplyFailedOncePerTenantRound(t *testing.T) {
 	cfg := DefaultConfig(64)
 	cfg.Days, cfg.Chaos, cfg.Workers = 6, "apply", 2
@@ -170,6 +174,11 @@ func TestApplyFailedOncePerTenantRound(t *testing.T) {
 	}
 	if run.failedRounds == 0 || run.failedSteps <= run.failedRounds {
 		t.Fatalf("premise: %d failed steps over %d tenant-rounds, want some rounds with several", run.failedSteps, run.failedRounds)
+	}
+	// Apply breakers open at two workers, so the race detector sees each
+	// driven only by the loop that owns it.
+	if run.applyTrips == 0 {
+		t.Fatal("premise: no apply breaker opened")
 	}
 	if events != run.failedRounds || steps != run.failedSteps {
 		t.Errorf("%d apply-failed events reporting %d failed steps, want %d and %d", events, steps, run.failedRounds, run.failedSteps)

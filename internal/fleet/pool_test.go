@@ -166,6 +166,11 @@ func TestConstrainedPoolShedsAndStaysDeterministic(t *testing.T) {
 	if a.Pool == nil || a.Pool.ShedNodes == 0 {
 		t.Fatalf("constrained pool shed nothing: %+v", a.Pool)
 	}
+	// The quarantine breakers trip, so the run at four workers drives
+	// them, each from the barrier that owns it, under the race detector.
+	if a.Pool.Quarantines == 0 {
+		t.Fatalf("premise: no tenant was quarantined: %+v", a.Pool)
+	}
 	for _, workers := range []int{1, 4} {
 		cfg.Workers = workers
 		b := runFleet(t, cfg)

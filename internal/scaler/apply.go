@@ -3,8 +3,6 @@ package scaler
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"robustscale/internal/obs"
@@ -68,30 +66,23 @@ func (s BreakerState) String() string {
 	}
 }
 
+// BreakerThreshold consecutive failures open a Breaker: failed scale
+// actions, failed wakes or clipped rounds, whichever its client counts.
+const BreakerThreshold = 3
+
 // Breaker is the control loop's one consecutive-failure circuit breaker.
-// Threshold consecutive failures open it (one failure when half-open);
-// it stays open for Cooldown ticks, and the tick that ends the cooldown
-// moves it to half-open. Failure and Success do nothing while it is
-// open. Its clients choose what a tick is: the Applier ticks once per
-// scale action (one replay step), the WakeGuard once per round while
-// open, pool quarantine once per round served in quarantine. The zero
-// value is a closed breaker with the defaults. Safe for concurrent use.
-//
-// Tick and Success are no-ops on a closed breaker with no failure
-// streak — every healthy scale action's case — so they, and State, read
-// one atomic flag and return without the lock. Every change of position
-// takes the lock and republishes the flag before releasing it.
+// BreakerThreshold consecutive failures open it (one failure when
+// half-open); it stays open for Cooldown ticks, and the tick that ends
+// the cooldown moves it to half-open. Failure and Success do nothing
+// while it is open. Its clients choose what a tick is: the Applier ticks
+// once per scale action (one replay step), the WakeGuard once per round
+// while open, pool quarantine once per round served in quarantine. The
+// zero value is a closed breaker with a one-tick cooldown. Like Guard it
+// is owned by one control loop and is not safe for concurrent use.
 type Breaker struct {
-	// Threshold is the consecutive failure count that opens the breaker
-	// (default 3).
-	Threshold int
 	// Cooldown is how many ticks the breaker stays open (default 1).
 	Cooldown int
 
-	// dirty is set exactly while the breaker is not closed with zero
-	// failures; the zero value is a clean breaker.
-	dirty    atomic.Bool
-	mu       sync.Mutex
 	state    BreakerState
 	failures int
 	// ticksLeft is the rest of the cooldown; positive exactly while open.
@@ -99,56 +90,32 @@ type Breaker struct {
 	trips     int64
 }
 
-// publish republishes the dirty flag; callers hold the lock.
-func (b *Breaker) publish() {
-	b.dirty.Store(b.state != BreakerClosed || b.failures != 0)
-}
-
 // Tick advances an open breaker's cooldown by one tick and returns the
 // state after it.
 func (b *Breaker) Tick() BreakerState {
-	if !b.dirty.Load() {
-		return BreakerClosed
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.state == BreakerOpen {
 		if b.ticksLeft--; b.ticksLeft <= 0 {
 			b.state = BreakerHalfOpen
 		}
 	}
-	b.publish()
 	return b.state
 }
 
 // Success records a success: it closes a closed or half-open breaker and
 // clears the failure streak.
 func (b *Breaker) Success() {
-	if !b.dirty.Load() {
-		return
-	}
-	b.mu.Lock()
 	if b.state != BreakerOpen {
 		b.state, b.failures = BreakerClosed, 0
 	}
-	b.publish()
-	b.mu.Unlock()
 }
 
 // Failure records a failure and reports whether it opened the breaker:
-// the Threshold-th consecutive one, or any in half-open.
+// the BreakerThreshold-th consecutive one, or any in half-open.
 func (b *Breaker) Failure() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.state == BreakerOpen {
 		return false
 	}
-	threshold := b.Threshold
-	if threshold <= 0 {
-		threshold = 3
-	}
-	defer b.publish()
-	if b.failures++; b.state == BreakerClosed && b.failures < threshold {
+	if b.failures++; b.state == BreakerClosed && b.failures < BreakerThreshold {
 		return false
 	}
 	b.state, b.ticksLeft = BreakerOpen, max(b.Cooldown, 1)
@@ -157,21 +124,10 @@ func (b *Breaker) Failure() bool {
 }
 
 // State returns the breaker's current position.
-func (b *Breaker) State() BreakerState {
-	if !b.dirty.Load() {
-		return BreakerClosed
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
+func (b *Breaker) State() BreakerState { return b.state }
 
 // Trips counts the times the breaker opened.
-func (b *Breaker) Trips() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
-}
+func (b *Breaker) Trips() int64 { return b.trips }
 
 // ApplyError is the error of a scale action whose every attempt failed;
 // Err is the last attempt's.
@@ -196,7 +152,7 @@ type Applier struct {
 	// Attempts bounds the tries per scale action, first included
 	// (default 3); retries back off exponentially.
 	Attempts int
-	// Breaker, when set, gates the whole action; ScaleTo ticks it once.
+	// Breaker gates the whole action; required. ScaleTo ticks it once.
 	Breaker *Breaker
 }
 
@@ -211,7 +167,10 @@ func (a *Applier) ScaleTo(target int) error {
 	if a.Apply == nil {
 		return fmt.Errorf("scaler: applier has no apply function")
 	}
-	if a.Breaker != nil && a.Breaker.Tick() == BreakerOpen {
+	if a.Breaker == nil {
+		return fmt.Errorf("scaler: applier has no breaker")
+	}
+	if a.Breaker.Tick() == BreakerOpen {
 		applyHolds.Inc()
 		return fmt.Errorf("%w: holding current allocation (scale to %d deferred)", ErrBreakerOpen, target)
 	}
@@ -230,14 +189,10 @@ func (a *Applier) ScaleTo(target int) error {
 			applyFailures.Inc()
 			continue
 		}
-		if a.Breaker != nil {
-			a.Breaker.Success()
-		}
+		a.Breaker.Success()
 		return nil
 	}
-	if a.Breaker != nil {
-		a.Breaker.Failure()
-	}
+	a.Breaker.Failure()
 	applyHolds.Inc()
 	return &ApplyError{Target: target, Attempts: attempts, Err: lastErr}
 }

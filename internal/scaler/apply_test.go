@@ -2,8 +2,6 @@ package scaler
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
@@ -35,6 +33,7 @@ func TestApplierRetriesThenSucceeds(t *testing.T) {
 			return nil
 		},
 		Attempts: 3,
+		Breaker:  &Breaker{},
 	}
 	if err := a.ScaleTo(4); err != nil {
 		t.Fatalf("retry path should succeed: %v", err)
@@ -45,21 +44,23 @@ func TestApplierRetriesThenSucceeds(t *testing.T) {
 }
 
 func TestApplierExhaustsAndBreakerOpens(t *testing.T) {
-	br := &Breaker{Threshold: 2, Cooldown: 3}
+	br := &Breaker{Cooldown: 3}
 	calls := 0
 	a := &Applier{
 		Apply:    func(int) error { calls++; return errors.New("down") },
 		Attempts: 2,
 		Breaker:  br,
 	}
-	if err := a.ScaleTo(3); err == nil {
-		t.Fatal("exhausted retries should error")
+	for round := 1; round < BreakerThreshold; round++ {
+		if err := a.ScaleTo(3); err == nil {
+			t.Fatal("exhausted retries should error")
+		}
+		if br.State() != BreakerClosed {
+			t.Fatalf("%d failed rounds, breaker = %v", round, br.State())
+		}
 	}
-	if br.State() != BreakerClosed {
-		t.Fatalf("one failed round, breaker = %v", br.State())
-	}
 	if err := a.ScaleTo(3); err == nil {
-		t.Fatal("second round should also fail")
+		t.Fatal("the last round should also fail")
 	}
 	if br.State() != BreakerOpen {
 		t.Fatalf("threshold reached, breaker = %v", br.State())
@@ -88,8 +89,20 @@ func TestApplierExhaustsAndBreakerOpens(t *testing.T) {
 	}
 }
 
+// TestApplierNeedsBreaker: an Applier without a breaker refuses the
+// action before calling Apply.
+func TestApplierNeedsBreaker(t *testing.T) {
+	a := &Applier{Apply: func(int) error { t.Fatal("apply called"); return nil }}
+	if err := a.ScaleTo(2); err == nil {
+		t.Fatal("an applier without a breaker scaled")
+	}
+}
+
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	br := &Breaker{Threshold: 1, Cooldown: 2}
+	br := &Breaker{Cooldown: 2}
+	for range BreakerThreshold - 1 {
+		br.Failure()
+	}
 	if !br.Failure() || br.State() != BreakerOpen {
 		t.Fatalf("state = %v", br.State())
 	}
@@ -107,68 +120,12 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	}
 }
 
-// TestBreakerConcurrent hammers one breaker from many goroutines; run
-// under -race it proves the state machine is data-race free, and the
-// final state must still be a valid one.
-func TestBreakerConcurrent(t *testing.T) {
-	br := &Breaker{Threshold: 3, Cooldown: 2}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if br.Tick() != BreakerOpen {
-					if (g+i)%3 == 0 {
-						br.Failure()
-					} else {
-						br.Success()
-					}
-				}
-				_ = br.State()
-			}
-		}(g)
-	}
-	wg.Wait()
-	switch br.State() {
-	case BreakerClosed, BreakerOpen, BreakerHalfOpen:
-	default:
-		t.Errorf("invalid final state %v", br.State())
-	}
-}
-
-// TestBreakerConcurrentReaders drives one breaker through every
-// transition — closed with a growing streak, open, the cooldown, a
-// failed probe, a successful one — while another goroutine polls State
-// and Trips. The driving goroutine must see exactly the sequential
-// machine's positions, the reader only valid states and a trip count
-// that never falls; under -race it also proves the lock-free reads of a
-// clean breaker race with no transition.
-func TestBreakerConcurrentReaders(t *testing.T) {
-	br := &Breaker{Threshold: 2, Cooldown: 2}
-	done := make(chan struct{})
-	read := make(chan error, 1)
-	go func() {
-		var last int64
-		for {
-			select {
-			case <-done:
-				read <- nil
-				return
-			default:
-			}
-			if s := br.State(); s != BreakerClosed && s != BreakerOpen && s != BreakerHalfOpen {
-				read <- fmt.Errorf("reader saw state %v", s)
-				return
-			}
-			trips := br.Trips()
-			if trips < last {
-				read <- fmt.Errorf("trips fell from %d to %d", last, trips)
-				return
-			}
-			last = trips
-		}
-	}()
+// TestBreakerTransitions drives one breaker through every transition —
+// closed with a growing streak, open, the cooldown, a failed probe, a
+// successful one — and requires the sequential machine's position at
+// each step and one trip per opening.
+func TestBreakerTransitions(t *testing.T) {
+	br := &Breaker{Cooldown: 2}
 	want := func(step string, got, want BreakerState) {
 		t.Helper()
 		if got != want {
@@ -179,12 +136,14 @@ func TestBreakerConcurrentReaders(t *testing.T) {
 	for i := 0; i < cycles; i++ {
 		want("clean tick", br.Tick(), BreakerClosed)
 		br.Success()
-		if br.Failure() {
-			t.Fatal("the first failure of two opened the breaker")
+		for f := 1; f < BreakerThreshold; f++ {
+			if br.Failure() {
+				t.Fatalf("failure %d of %d opened the breaker", f, BreakerThreshold)
+			}
+			want("tick on a streak", br.Tick(), BreakerClosed)
 		}
-		want("tick on a streak", br.Tick(), BreakerClosed)
 		if !br.Failure() {
-			t.Fatal("the second failure did not open the breaker")
+			t.Fatal("the last failure of the streak did not open the breaker")
 		}
 		want("open", br.State(), BreakerOpen)
 		br.Success()
@@ -200,47 +159,7 @@ func TestBreakerConcurrentReaders(t *testing.T) {
 		br.Success()
 		want("successful probe", br.State(), BreakerClosed)
 	}
-	close(done)
-	if err := <-read; err != nil {
-		t.Fatal(err)
-	}
 	if got := br.Trips(); got != 2*cycles {
 		t.Errorf("trips = %d, want %d", got, 2*cycles)
-	}
-}
-
-// TestApplierConcurrent drives one Applier+Breaker from many goroutines,
-// as a daemon with overlapping apply paths would; -race is the assertion.
-func TestApplierConcurrent(t *testing.T) {
-	var mu sync.Mutex
-	fleet := 1
-	a := &Applier{
-		Apply: func(n int) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if n%5 == 0 {
-				return fmt.Errorf("rejected %d", n)
-			}
-			fleet = n
-			return nil
-		},
-		Attempts: 2,
-		Breaker:  &Breaker{Threshold: 4, Cooldown: 2},
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 1; i <= 100; i++ {
-				_ = a.ScaleTo(g + i)
-			}
-		}(g)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if fleet < 1 {
-		t.Errorf("fleet = %d", fleet)
 	}
 }

@@ -117,35 +117,38 @@ func reloaded(t *testing.T, b *Breaker) *Breaker {
 	if err := b.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fresh := &Breaker{Threshold: b.Threshold, Cooldown: b.Cooldown}
+	fresh := &Breaker{Cooldown: b.Cooldown}
 	if err := fresh.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return fresh
 }
 
-// toTrip is how many consecutive failures would open b, configured with
-// threshold, from here (0 while open).
-func toTrip(b *Breaker, threshold int) int {
+// toTrip is how many consecutive failures would open b from here (0
+// while open).
+func toTrip(b *Breaker) int {
 	switch b.State() {
 	case BreakerOpen:
 		return 0
 	case BreakerHalfOpen:
 		return 1
 	}
-	return threshold - b.failures
+	return BreakerThreshold - b.failures
 }
 
-// driveLegacyBreakers runs one script through the three clients. The
-// header bytes pick the apply and quarantine breakers' threshold (1–4)
-// and cooldown (1–8 ticks; the apply path's as a duration that rounds up
-// to it), and the event after which each new breaker goes through Save
-// and Load. The wake guard runs at its own threshold and cooldown.
+// driveLegacyBreakers runs one script through the three clients, every
+// breaker at BreakerThreshold. The header bytes pick the apply and
+// quarantine breakers' cooldown (1–8 ticks; the apply path's as a
+// duration that rounds up to it) and the event after which each new
+// breaker goes through Save and Load; the first header byte is unused,
+// so the corpus keeps its layout. The wake guard runs at its own
+// cooldown.
 func driveLegacyBreakers(t *testing.T, script []byte) {
 	if len(script) < 3 {
 		return
 	}
-	threshold, ticks := 1+int(script[0]%4), 1+int(script[1]%8)
+	const threshold = BreakerThreshold
+	ticks := 1 + int(script[1]%8)
 	reloadAt := int(script[2])
 	events := script[3:]
 
@@ -155,20 +158,20 @@ func driveLegacyBreakers(t *testing.T, script []byte) {
 	const step = 10 * time.Minute
 	cooldown := time.Duration(ticks)*step - time.Duration(script[1]/8%10)*time.Minute
 	oldApply := &legacyApplyBreaker{threshold: threshold, cooldown: cooldown}
-	apply := &Breaker{Threshold: threshold, Cooldown: int((cooldown + step - 1) / step)}
+	apply := &Breaker{Cooldown: int((cooldown + step - 1) / step)}
 	now := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	var applyTrips int64
 
-	// Wake: the real guard, at its own threshold and cooldown; a tick is
-	// one round of Shape.
-	oldWake := &legacyWakeBreaker{keepWarmAfterFails: keepWarmAfterFails, cooldownRounds: breakerCooldownRounds}
+	// Wake: the real guard, at its own cooldown; a tick is one round of
+	// Shape.
+	oldWake := &legacyWakeBreaker{keepWarmAfterFails: threshold, cooldownRounds: breakerCooldownRounds}
 	wake := &WakeGuard{}
 
 	// Quarantine: a failure is a clipped round, a success an unclipped
 	// one, a tick a round served in quarantine, as Controller.admit
 	// drives them.
 	oldQuar := &legacyQuarantine{after: threshold, rounds: ticks}
-	quar := &Breaker{Threshold: threshold, Cooldown: ticks}
+	quar := &Breaker{Cooldown: ticks}
 
 	for i, ev := range events {
 		switch ev % 3 {
@@ -228,21 +231,21 @@ func driveLegacyBreakers(t *testing.T, script []byte) {
 		wb := &wake.breaker
 		if wake.BreakerOpen() != oldWake.open || wake.BreakerTrips() != oldWake.trips ||
 			(oldWake.open && wb.ticksLeft != oldWake.cooldownLeft) ||
-			(!oldWake.open && toTrip(wb, keepWarmAfterFails) != keepWarmAfterFails-oldWake.consecFails) {
+			(!oldWake.open && toTrip(wb) != threshold-oldWake.consecFails) {
 			t.Fatalf("wake, event %d: open %v, %d trips, %d to trip, %d ticks left; legacy open %v, %d trips, %d consecutive fails, %d rounds left",
-				i, wake.BreakerOpen(), wake.BreakerTrips(), toTrip(wb, keepWarmAfterFails), wb.ticksLeft, oldWake.open, oldWake.trips, oldWake.consecFails, oldWake.cooldownLeft)
+				i, wake.BreakerOpen(), wake.BreakerTrips(), toTrip(wb), wb.ticksLeft, oldWake.open, oldWake.trips, oldWake.consecFails, oldWake.cooldownLeft)
 		}
 		if open := oldQuar.quarantineLeft > 0; (quar.State() == BreakerOpen) != open || quar.Trips() != int64(oldQuar.quarantines) ||
-			(open && quar.ticksLeft != oldQuar.quarantineLeft) || (!open && toTrip(quar, threshold) != threshold-oldQuar.flap) {
+			(open && quar.ticksLeft != oldQuar.quarantineLeft) || (!open && toTrip(quar) != threshold-oldQuar.flap) {
 			t.Fatalf("quarantine, event %d: %v, %d trips, %d to trip, %d ticks left; legacy %d clipped, %d left, %d quarantines",
-				i, quar.State(), quar.Trips(), toTrip(quar, threshold), quar.ticksLeft, oldQuar.flap, oldQuar.quarantineLeft, oldQuar.quarantines)
+				i, quar.State(), quar.Trips(), toTrip(quar), quar.ticksLeft, oldQuar.flap, oldQuar.quarantineLeft, oldQuar.quarantines)
 		}
 	}
 }
 
 func FuzzBreakerMatchesLegacy(f *testing.F) {
 	// Trip, ride out the cooldown, fail the probe, recover; then long
-	// cooldowns, thresholds of one and a reload mid-cooldown.
+	// cooldowns and a reload mid-cooldown.
 	f.Add([]byte{1, 2, 4, 0, 0, 0, 2, 2, 2, 0, 2, 2, 2, 1, 0, 1})
 	f.Add([]byte{3, 0x47, 1, 0, 0, 0, 0, 2, 0, 2, 1, 2, 2, 2, 2, 2, 2, 2, 0})
 	f.Add([]byte{0, 0x5f, 7, 0, 2, 0, 1, 0, 2, 2, 2, 0, 0, 2, 1})

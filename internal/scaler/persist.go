@@ -77,27 +77,27 @@ func (b *Breaker) Save(w io.Writer) error {
 }
 
 func (b *Breaker) appendBlob(buf []byte) []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return wire.AppendVarints(buf, int64(b.state), int64(b.failures), int64(b.ticksLeft), b.trips)
 }
 
 // Load restores a blob written by Save; a blob that does not decode to a
-// reachable position leaves the breaker as it was.
+// reachable position leaves the breaker as it was. A closed breaker holds
+// fewer than BreakerThreshold failures and no cooldown; an open or
+// half-open one has tripped, at BreakerThreshold failures or more, and
+// only an open one has cooldown ticks left.
 func (b *Breaker) Load(r io.Reader) error {
 	rd := wire.ReadFrom(r)
 	state, failures, left, trips := BreakerState(rd.Int()), rd.Int(), rd.Int(), rd.Varint()
 	if err := rd.Done(); err != nil {
 		return fmt.Errorf("scaler: loading breaker: %w", err)
 	}
+	closed := state == BreakerClosed
 	if state < BreakerClosed || state > BreakerHalfOpen || failures < 0 || trips < 0 ||
-		left < 0 || (left > 0) != (state == BreakerOpen) {
+		left < 0 || (left > 0) != (state == BreakerOpen) ||
+		(failures < BreakerThreshold) != closed || (!closed && trips == 0) {
 		return fmt.Errorf("scaler: breaker snapshot holds no reachable position (state %d, %d failures, %d ticks left, %d trips)",
 			state, failures, left, trips)
 	}
-	b.mu.Lock()
 	b.state, b.failures, b.ticksLeft, b.trips = state, failures, left, trips
-	b.publish()
-	b.mu.Unlock()
 	return nil
 }

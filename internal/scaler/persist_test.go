@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"robustscale/internal/forecast"
+	"robustscale/internal/wire"
 )
 
 func TestGuardSaveLoadRoundTrip(t *testing.T) {
@@ -127,9 +128,10 @@ func FuzzGuardLoad(f *testing.F) {
 }
 
 func TestBreakerSaveLoadRoundTrip(t *testing.T) {
-	b := &Breaker{Threshold: 2, Cooldown: 3}
-	b.Failure()
-	b.Failure() // second consecutive failure opens it
+	b := &Breaker{Cooldown: 3}
+	for range BreakerThreshold {
+		b.Failure() // the last consecutive failure opens it
+	}
 	b.Tick()
 	if b.State() != BreakerOpen {
 		t.Fatalf("setup: breaker %v, want open", b.State())
@@ -139,7 +141,7 @@ func TestBreakerSaveLoadRoundTrip(t *testing.T) {
 	if err := b.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b2 := &Breaker{Threshold: 2, Cooldown: 3}
+	b2 := &Breaker{Cooldown: 3}
 	if err := b2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -160,5 +162,43 @@ func TestBreakerLoadRejectsGarbage(t *testing.T) {
 	b := &Breaker{}
 	if err := b.Load(bytes.NewBufferString("junk")); err == nil {
 		t.Error("garbage should fail")
+	}
+}
+
+// TestBreakerLoadRefusesUnreachable: Load accepts exactly the positions
+// the machine can reach and leaves the breaker as it was on a refusal.
+func TestBreakerLoadRefusesUnreachable(t *testing.T) {
+	for _, c := range []struct {
+		name                         string
+		state, failures, left, trips int64
+		ok                           bool
+	}{
+		{"closed clean", 0, 0, 0, 0, true},
+		{"closed on a streak", 0, BreakerThreshold - 1, 0, 4, true},
+		{"open", 1, BreakerThreshold, 2, 1, true},
+		{"reopened after a failed probe", 1, BreakerThreshold + 1, 6, 2, true},
+		{"half-open", 2, BreakerThreshold, 0, 1, true},
+		{"closed at the threshold", 0, BreakerThreshold, 0, 1, false},
+		{"closed with 7 failures", 0, 7, 0, 0, false},
+		{"closed with cooldown left", 0, 0, 1, 0, false},
+		{"open below the threshold", 1, BreakerThreshold - 1, 2, 1, false},
+		{"open without a trip", 1, BreakerThreshold, 2, 0, false},
+		{"open without cooldown left", 1, BreakerThreshold, 0, 1, false},
+		{"half-open below the threshold", 2, 0, 0, 1, false},
+		{"half-open without a trip", 2, BreakerThreshold, 0, 0, false},
+		{"half-open with cooldown left", 2, BreakerThreshold, 1, 1, false},
+		{"unknown state", 3, BreakerThreshold, 0, 1, false},
+		{"negative failures", 0, -1, 0, 0, false},
+		{"negative cooldown", 1, BreakerThreshold, -1, 1, false},
+		{"negative trips", 1, BreakerThreshold, 2, -1, false},
+	} {
+		b := &Breaker{}
+		b.Failure() // a position a refused blob must not overwrite
+		blob := bytes.NewReader(wire.AppendVarints(nil, c.state, c.failures, c.left, c.trips))
+		if err := b.Load(blob); (err == nil) != c.ok {
+			t.Errorf("%s: Load error %v, want accepted %v", c.name, err, c.ok)
+		} else if !c.ok && (b.State() != BreakerClosed || b.failures != 1 || b.Trips() != 0) {
+			t.Errorf("%s: a refused blob moved the breaker to %v, %d failures, %d trips", c.name, b.State(), b.failures, b.Trips())
+		}
 	}
 }

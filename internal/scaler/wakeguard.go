@@ -79,16 +79,13 @@ func Idle(plan []int, recent []float64, eps float64) bool {
 	return true
 }
 
-// The park/wake hysteresis and the wake breaker.
+// The park/wake hysteresis and the wake breaker; BreakerThreshold
+// consecutive failed wakes open the breaker.
 const (
 	// minIdleRounds consecutive idle rounds must pass before an active
-	// tenant may park.
+	// tenant may park, also after a wake: zero<->nonzero flapping pays
+	// at least that many rounds per cycle.
 	minIdleRounds = 3
-	// wakeDebounceRounds blocks re-parking for this many rounds after a
-	// wake, breaking zero<->nonzero flapping.
-	wakeDebounceRounds = 2
-	// keepWarmAfterFails consecutive failed wakes open the wake breaker.
-	keepWarmAfterFails = 3
 	// breakerCooldownRounds is how many rounds the breaker stays open
 	// before a half-open probe wake is allowed.
 	breakerCooldownRounds = 6
@@ -104,7 +101,6 @@ type WakeGuard struct {
 
 	parked     bool
 	idleRounds int
-	sinceWake  int
 	// breaker counts failed wakes and its cooldown in rounds; tripped
 	// says a failed wake opened it since the last JournalTrip. Save leaves
 	// tripped out: a loop checkpoints after the apply barrier that
@@ -136,8 +132,6 @@ func (g *WakeGuard) BreakerTrips() int64 { return g.breaker.Trips() }
 // allocation, and with the breaker open it never emits below one node.
 // It journals nothing: JournalShape records what it decided.
 func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
-	g.sinceWake++
-
 	// Open breaker: graceful degradation. Hold the keep-warm floor no
 	// matter what demand says; each such round is one cooldown tick.
 	if g.breaker.State() == BreakerOpen {
@@ -165,7 +159,6 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 		// Demand returned: unpark.
 		g.parked = false
 		g.idleRounds = 0
-		g.sinceWake = 0
 		g.wakes++
 		for i := range plan {
 			if plan[i] < 1 {
@@ -178,7 +171,7 @@ func (g *WakeGuard) Shape(plan []int, idle bool) WakeTransition {
 	// Active tenant.
 	if idle {
 		g.idleRounds++
-		if g.idleRounds >= minIdleRounds && g.sinceWake >= wakeDebounceRounds {
+		if g.idleRounds >= minIdleRounds {
 			g.parked = true
 			g.parks++
 			for i := range plan {
@@ -214,7 +207,7 @@ func (g *WakeGuard) OnWakeResult(ok bool) {
 		g.breaker.Success()
 		return
 	}
-	g.breaker.Threshold, g.breaker.Cooldown = keepWarmAfterFails, breakerCooldownRounds
+	g.breaker.Cooldown = breakerCooldownRounds
 	if g.breaker.Failure() {
 		g.parked, g.tripped = false, true
 	}
@@ -245,8 +238,8 @@ func (g *WakeGuard) JournalTrip() {
 		return
 	}
 	g.tripped = false
-	g.journal(fmt.Sprintf("wake breaker open after %d consecutive failed wakes: holding 1 keep-warm node(s)", keepWarmAfterFails),
-		map[string]float64{"consecutive_fails": keepWarmAfterFails, "keep_warm_nodes": 1})
+	g.journal(fmt.Sprintf("wake breaker open after %d consecutive failed wakes: holding 1 keep-warm node(s)", BreakerThreshold),
+		map[string]float64{"consecutive_fails": BreakerThreshold, "keep_warm_nodes": 1})
 }
 
 // ForceWake unparks the tenant immediately (a wake-storm drill or an
@@ -258,7 +251,6 @@ func (g *WakeGuard) ForceWake() bool {
 	}
 	g.parked = false
 	g.idleRounds = 0
-	g.sinceWake = 0
 	g.wakes++
 	g.journal("forced wake (storm drill)", nil)
 	return true
@@ -273,33 +265,33 @@ func (g *WakeGuard) journal(msg string, fields map[string]float64) {
 }
 
 // Save snapshots the guard's mutable state, its breaker's blob as a
-// section.
+// section. The varint after the idle rounds is a retired slot, written 0.
 func (g *WakeGuard) Save(w io.Writer) error {
 	var sec [4 * binary.MaxVarintLen64]byte
 	b := wire.AppendBool(wire.Scratch(w), g.parked)
-	b = wire.AppendVarints(b, int64(g.idleRounds), int64(g.sinceWake))
+	b = wire.AppendVarints(b, int64(g.idleRounds), 0)
 	b = wire.AppendSection(b, g.breaker.appendBlob(sec[:0]))
 	_, err := w.Write(wire.AppendVarints(b, g.parks, g.wakes, g.blockedParks))
 	return err
 }
 
 // Load restores a snapshot written by Save; a snapshot that does not load
-// leaves the guard as it was.
+// leaves the guard as it was. The retired slot is read and dropped.
 func (g *WakeGuard) Load(r io.Reader) error {
 	rd := wire.ReadFrom(r)
-	parked, idleRounds, sinceWake, breaker := rd.Bool(), rd.Int(), rd.Int(), rd.Section()
+	parked, idleRounds, retired, breaker := rd.Bool(), rd.Int(), rd.Int(), rd.Section()
 	parks, wakes, blockedParks := rd.Varint(), rd.Varint(), rd.Varint()
 	if err := rd.Done(); err != nil {
 		return fmt.Errorf("scaler: loading wake-guard state: %w", err)
 	}
-	if idleRounds < 0 || sinceWake < 0 {
+	if idleRounds < 0 || retired < 0 {
 		return fmt.Errorf("scaler: wake-guard snapshot has negative counters")
 	}
 	blob := wire.Bytes(breaker)
 	if err := g.breaker.Load(&blob); err != nil {
 		return fmt.Errorf("scaler: loading wake-guard state: %w", err)
 	}
-	g.parked, g.idleRounds, g.sinceWake = parked, idleRounds, sinceWake
+	g.parked, g.idleRounds = parked, idleRounds
 	g.parks, g.wakes, g.blockedParks = parks, wakes, blockedParks
 	return nil
 }

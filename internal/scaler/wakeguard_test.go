@@ -43,7 +43,9 @@ func TestWakeGuardParkHysteresis(t *testing.T) {
 	}
 }
 
-func TestWakeGuardWakeDebounce(t *testing.T) {
+// TestWakeGuardIdleHysteresisAfterWake: a tenant idle again right after a
+// wake re-parks only after minIdleRounds idle rounds, as from active.
+func TestWakeGuardIdleHysteresisAfterWake(t *testing.T) {
 	g := &WakeGuard{}
 	for range minIdleRounds {
 		g.Shape(plan(0), true)
@@ -61,10 +63,10 @@ func TestWakeGuardWakeDebounce(t *testing.T) {
 		t.Errorf("woken plan floor = %d", p[0])
 	}
 
-	// Idle again right away: re-parking waits out both the debounce and
-	// the idle-round hysteresis, which outlasts it.
+	// Idle again right away: re-parking waits out the idle-round
+	// hysteresis.
 	before := g.BlockedParks()
-	for round := 1; round < max(minIdleRounds, wakeDebounceRounds+1); round++ {
+	for round := 1; round < minIdleRounds; round++ {
 		if tr := g.Shape(plan(0), true); tr != WakeHold {
 			t.Fatalf("flap round %d: %v", round, tr)
 		}
@@ -80,7 +82,7 @@ func TestWakeGuardWakeDebounce(t *testing.T) {
 func TestWakeGuardBreakerKeepWarm(t *testing.T) {
 	g := &WakeGuard{}
 
-	for range keepWarmAfterFails - 1 {
+	for range BreakerThreshold - 1 {
 		g.OnWakeResult(false)
 	}
 	if g.BreakerOpen() {
@@ -88,7 +90,7 @@ func TestWakeGuardBreakerKeepWarm(t *testing.T) {
 	}
 	g.OnWakeResult(false)
 	if !g.BreakerOpen() || g.BreakerTrips() != 1 {
-		t.Fatalf("breaker did not trip after %d consecutive fails", keepWarmAfterFails)
+		t.Fatalf("breaker did not trip after %d consecutive fails", BreakerThreshold)
 	}
 
 	// While open: every plan is floored at the one-node keep-warm floor,
@@ -164,7 +166,7 @@ func TestWakeGuardSaveLoad(t *testing.T) {
 		a.Shape(plan(0), true) // the last parks
 	}
 	a.Shape(plan(3), false)
-	for range keepWarmAfterFails {
+	for range BreakerThreshold {
 		a.OnWakeResult(false) // the last opens the breaker
 	}
 
@@ -196,7 +198,7 @@ func TestWakeGuardSaveLoad(t *testing.T) {
 // restore, so no breaker trip happened.
 func TestRestoredWakeGuardJournalsNoTrip(t *testing.T) {
 	live := &WakeGuard{Tenant: "restored-trip"}
-	for range keepWarmAfterFails {
+	for range BreakerThreshold {
 		live.OnWakeResult(false) // the last opens the breaker
 	}
 	live.JournalTrip()
