@@ -164,7 +164,7 @@ var blobCases = []blobCase{
 	},
 	{
 		name:   "wake-guard",
-		golden: "0000020402060a02020204",
+		golden: "0000000402060a02020204",
 		populated: func(testing.TB) func(io.Writer) error {
 			g := &scaler.WakeGuard{}
 			g.Shape([]int{0}, true)
