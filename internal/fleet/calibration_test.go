@@ -57,9 +57,11 @@ func TestWarmStartExportsRestoredCalibration(t *testing.T) {
 // TestRingLayoutSegmentWarmStarts: testdata/ring-calibration holds the
 // newest segment of a four-tenant DefaultConfig fleet stopped after 14
 // rounds by a build whose calibration blob was a step ring (each ring had
-// wrapped). Every tenant warm-starts from it, and each restored window
-// grades like the one this build keeps over the same 14 rounds: the same
-// steps, skipped count and coverage bits, the rolling wQL within 1e-12.
+// wrapped). Every tenant warm-starts from it with every section loaded
+// (its breakers are positions today's Breaker.Load accepts), and each
+// restored window grades like the one this build keeps over the same 14
+// rounds: the same steps, skipped count and coverage bits, the rolling
+// wQL within 1e-12.
 func TestRingLayoutSegmentWarmStarts(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.MaxRounds = 14
@@ -79,6 +81,9 @@ func TestRingLayoutSegmentWarmStarts(t *testing.T) {
 		t.Fatalf("%d of %d tenants warm-started", c.warmCount, cfg.Tenants)
 	}
 	for i, tn := range c.tenants {
+		if tn.partial {
+			t.Errorf("%s: a section of the parent's checkpoint did not load", tn.ID)
+		}
 		if tn.cal == nil || ref.tenants[i].cal == nil {
 			t.Fatalf("%s: no calibration window restored or kept", tn.ID)
 		}
