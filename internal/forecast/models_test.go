@@ -574,6 +574,23 @@ func TestPaddedHistoryBounded(t *testing.T) {
 	}
 }
 
+// TestPaddedPadAllocatesOnce: Pad sorts into a buffer the Padded keeps,
+// so once the window is full no call allocates.
+func TestPaddedPadAllocatesOnce(t *testing.T) {
+	p := NewPadded(nil)
+	for i := 0; i < 2*p.MaxHistory; i++ {
+		p.Observe([]float64{float64(i%7) + 2}, []float64{2})
+	}
+	want := p.Pad()
+	if a := testing.AllocsPerRun(20, func() {
+		if got := p.Pad(); got != want {
+			t.Fatalf("Pad = %v, then %v", want, got)
+		}
+	}); a != 0 {
+		t.Errorf("Pad allocates %v times per call after its first, want 0", a)
+	}
+}
+
 func TestPaddedBootstrap(t *testing.T) {
 	s := noisySine(500, 24, 50, 10, 2, 17)
 	hist, _ := splitHoldout(s, 12)

@@ -25,6 +25,8 @@ type Padded struct {
 	Percentile float64
 
 	errs []float64 // relative under-estimation errors, most recent last
+	// sorted is Pad's scratch: errs in ascending order, rebuilt per call.
+	sorted []float64
 	// prev is the last prediction, made from a history of prevAt values.
 	prev   []float64
 	prevAt int
@@ -94,9 +96,9 @@ func (p *Padded) Pad() float64 {
 	if len(p.errs) == 0 {
 		return 0
 	}
-	sorted := append([]float64{}, p.errs...)
-	sort.Float64s(sorted)
-	return timeseries.InterpolatedQuantile(sorted, p.Percentile)
+	p.sorted = append(p.sorted[:0], p.errs...)
+	sort.Float64s(p.sorted)
+	return timeseries.InterpolatedQuantile(p.sorted, p.Percentile)
 }
 
 // Predict implements Forecaster: the base prediction scaled up by the
