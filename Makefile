@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-arm64 test-go-kernels test vet race race-pkgs cover bench bench-compile bench-save bench-check fuzz fleet-smoke slo-smoke fleet-chaos-smoke no-binaries ci experiments clean
+.PHONY: all build build-arm64 test-go-kernels test vet race race-pkgs cover bench bench-compile bench-save bench-check fuzz no-binaries ci experiments clean
 
 all: build vet test
 
@@ -31,11 +31,12 @@ test-go-kernels:
 
 # RACE_PKGS are the packages with real concurrency (worker pools,
 # gradient replicas, the shared model zoo, the chaos cursor, the trace
-# generator's shared scratch and the fleet controller's batched
-# planning); the default test target runs them under the race detector
-# on top of the plain suite. race-pkgs is the one place they run from:
-# test, ci and the CI workflow's race step all call it.
-RACE_PKGS = ./internal/parallel/... ./internal/nn/... ./internal/forecast/... ./internal/experiment/... ./internal/obs/... ./internal/scaler/... ./internal/chaos/... ./internal/cluster/... ./internal/persist/... ./internal/fleet/... ./internal/trace/...
+# generator's shared scratch, the fleet controller's batched planning,
+# and the two daemons, whose tests serve -listen while they run); the
+# default test target runs them under the race detector on top of the
+# plain suite. race-pkgs is the one place they run from: test, ci and the
+# CI workflow's race step all call it.
+RACE_PKGS = ./internal/parallel/... ./internal/nn/... ./internal/forecast/... ./internal/experiment/... ./internal/obs/... ./internal/scaler/... ./internal/chaos/... ./internal/cluster/... ./internal/persist/... ./internal/fleet/... ./internal/trace/... ./cmd/fleetsim/... ./cmd/autoscaled/...
 
 test:
 	$(GO) test ./...
@@ -75,7 +76,9 @@ bench-check:
 # in its client's tick pattern: they must agree event for event. The next
 # drives a few wake guards through arbitrary park, wake and storm scripts:
 # no negative allocation, no admission past the pool, and sustained demand
-# always brings a guard out of parked. The next loads arbitrary bytes as a guard blob and plans a failing round from each
+# always brings a guard out of parked. The next admits arbitrary demands
+# against arbitrary pools: no admission past the pool, below zero or above
+# demand, and no class clipped before every lower class is shed. The next loads arbitrary bytes as a guard blob and plans a failing round from each
 # one accepted: the fallback ladder must not panic. The next adds random
 # events to a chaos schedule and to the map-and-scan one it
 # replaced: every lookup must agree. The next runs the nn training kernels
@@ -120,6 +123,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzGuardHistories -fuzztime=10s -fuzzminimizetime=1s ./internal/scaler
 	$(GO) test -fuzz=FuzzBreakerMatchesLegacy -fuzztime=10s -fuzzminimizetime=1s ./internal/scaler
 	$(GO) test -fuzz=FuzzWakeSchedule -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
+	$(GO) test -fuzz=FuzzAdmission -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz=FuzzGuardLoad -fuzztime=10s -fuzzminimizetime=1s ./internal/scaler
 	$(GO) test -fuzz=FuzzScheduleMatchesLegacy -fuzztime=10s -fuzzminimizetime=1s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz=FuzzTrainingKernels -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
@@ -138,25 +142,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzBucketsMatchStepRing -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz=FuzzStreamMatchesMathRand -fuzztime=10s -fuzzminimizetime=1s ./internal/dist
 
-# Fleet determinism and durability drill (same script CI runs): worker
-# counts invisible in results, kill-restart bit-identity, single-tenant
-# corruption isolation, tenant-labelled metrics.
-fleet-smoke:
-	scripts/fleet_smoke.sh
-
-# Fleet health plane drill (same script CI runs): deterministic
-# burn-rate alert firing under chaos, /readyz across a warm restart,
-# cardinality-capped exposition.
-slo-smoke:
-	scripts/slo_smoke.sh
-
-# Shared-capacity and chaos resilience drill (same script CI runs):
-# zero-delta fault-free pooled baseline, deterministic shedding across
-# worker counts and kill-restarts, zone-outage blast radius <= 1%,
-# single-victim quarantine isolation, admission fuzzing, race run.
-fleet-chaos-smoke:
-	scripts/fleet_chaos_smoke.sh
-
 # Fail when git tracks a compiled binary (an ELF file): build output
 # belongs in .gitignore, not in the history.
 no-binaries:
@@ -164,16 +149,14 @@ no-binaries:
 		[ -f "$$f" ] && [ "$$(head -c 4 "$$f" | od -An -c | tr -d ' ')" = '177ELF' ] && echo "$$f"; \
 	done); if [ -n "$$elf" ]; then echo "compiled binaries are tracked:"; echo "$$elf"; exit 1; fi
 
-# Everything the CI workflow checks, runnable locally in one shot.
+# The CI workflow's test and bench-compile jobs, runnable locally in one
+# shot.
 ci: build vet build-arm64 test-go-kernels no-binaries
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) test ./...
 	$(MAKE) race-pkgs
 	$(MAKE) bench-compile
-	$(MAKE) fleet-smoke
-	$(MAKE) slo-smoke
-	$(MAKE) fleet-chaos-smoke
 
 # Regenerate every paper table/figure with the CLI runner.
 experiments:

@@ -554,8 +554,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if slo != nil {
 		// Every figure here is a pure function of the replay in virtual
-		// time, so identical runs print an identical line — the slo-smoke
-		// CI job diffs it across reruns.
+		// time, so identical runs print an identical line, which
+		// TestReplayTotals pins.
 		st := slo.Status()
 		firstFire := "none"
 		if tick, ok := slo.FirstFiring(); ok {

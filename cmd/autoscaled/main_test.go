@@ -116,10 +116,12 @@ resilience: 0 degraded rounds, 75 apply holds, 2 node failures, final mode norma
 serverless: 4 parks, 3 wakes, 10 blocked parks, 74 parked steps, parked now true
 slo: target 0.01 window 144: 12/288 bad steps, budget remaining -3.1667, 10 transitions, 0 active alerts, first firing tick 38`},
 	}
-	// The serverless cases log the idle threshold in effect.
-	wakeLogs := map[string]string{
+	// The serverless cases log the idle threshold in effect, and the
+	// chaos replay logs the apply holds it counts.
+	wantLogs := map[string]string{
 		"serverless":               "serverless mode: idle below 10.00\n",
 		"serverless-parking-chaos": "serverless mode: idle below 1500.00\n",
+		"reactive-chaos":           " HOLD: apply to ",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,7 +129,7 @@ slo: target 0.01 window 144: 12/288 bad steps, budget remaining -3.1667, 10 tran
 			if got := totals(stdout); got != tc.want {
 				t.Errorf("autoscaled %s:\n got:\n%s\nwant:\n%s", tc.args, got, tc.want)
 			}
-			if want := wakeLogs[tc.name]; !strings.Contains(stderr, want) {
+			if want := wantLogs[tc.name]; !strings.Contains(stderr, want) {
 				t.Errorf("autoscaled %s logged no %q:\n%s", tc.args, want, stderr)
 			}
 		})

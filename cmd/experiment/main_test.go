@@ -19,10 +19,12 @@ func runCmd(args string) (int, string, string) {
 // doneLine is the one wall-clock line of a run's stdout.
 var doneLine = regexp.MustCompile(`(?m)^\[.* done in .*\]\n`)
 
-// TestResilienceGoldens pins every deterministic line of the two
-// resilience matrices: the guarded single-tenant loop under each fault
-// class (the apply breaker holds a 3-step cooldown), and the pooled
-// serverless fleet, where pool quarantine and the wake breaker trip.
+// TestResilienceGoldens pins every deterministic line of the resilience
+// matrices: the guarded single-tenant loop under each fault class (the
+// apply breaker holds a 3-step cooldown), the pooled serverless fleet,
+// where pool quarantine and the wake breaker trip, the fleet behind a
+// pool that binds only under chaos, and the pool-less serverless fleet
+// with its wake rows.
 func TestResilienceGoldens(t *testing.T) {
 	cases := []struct{ args, want string }{
 		{"-chaos matrix -quick", `
@@ -57,6 +59,28 @@ admission-reject         1355       4641       6125       14    0.6250         5
 fleet                    1383       4568       6534       14    0.0000         0/0         0       30s    true
 wake                     1331       4560       7527       14    0.0000         0/0         8     1827s   false
 wake-storm               1344       4569       7515       14    0.0000         0/0         3     1827s   false
+`},
+		{"-fleet-chaos matrix -fleet-tenants 8 -fleet-pool 32", `
+== Fleet resilience matrix (8 tenants, pool=32, serverless=false) ==
+--------------------------------------------------------------------
+preset             violations       cost       shed   quaran      blast  affected/by
+(baseline)                 13       3776          -        -          -            -
+zone-outage                13       3776          7        0    0.0000         0/2
+pool-collapse             125       3337        291        5    0.6250         5/8
+admission-reject           18       3785          0        0    0.2500         2/8
+fleet                      59       3685         61        0    0.0000         0/0
+`},
+		{"-fleet-chaos matrix -fleet-serverless -fleet-tenants 8", `
+== Fleet resilience matrix (8 tenants, pool=0, serverless=true) ==
+------------------------------------------------------------------
+preset             violations       cost       shed   quaran      blast  affected/by  wakefail  wake p99 wakeSLO
+(baseline)                 49      15981          -        -          -            -
+zone-outage                49      15983          0        0    0.0000         0/0         0       30s    true
+pool-collapse              49      15981          0        0    0.0000         0/8         0       30s    true
+admission-reject           49      15981          0        0    0.0000         0/8         0       30s    true
+fleet                      73      15901          0        0    0.0000         0/0         0       30s    true
+wake                       48      15929          0        0    0.0000         0/0         6     1827s   false
+wake-storm                 55      15942          0        0    0.0000         0/0         3     1827s   false
 `},
 	}
 	for _, tc := range cases {

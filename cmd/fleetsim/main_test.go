@@ -194,7 +194,7 @@ func TestCalibrationMetricsIndependentOfWorkers(t *testing.T) {
 const inverted = "-strategy adaptive -tau 0.95 -tau2 0.9"
 
 func TestNonsenseSizesExitTwoWithUsage(t *testing.T) {
-	for _, args := range []string{"-tenants 0", "-tenants 5 -workers -1", "-tenants 5 -horizon 0", "-tenants 5 -theta 0",
+	for _, args := range []string{"-tenants 0", "-tenants -3", "-tenants 5 -workers -1", "-tenants 5 -horizon 0", "-tenants 5 -theta 0",
 		"-tenants 5 -days 0", "-tenants 5 -zones 0", "-tenants 5 -pool -5",
 		"-tenants 5 -forecaster bogus", "-tenants 5 -forecaster qmlp",
 		"-tenants 5 -strategy bogus", "-tenants 5 " + inverted,

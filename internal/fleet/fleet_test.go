@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -191,9 +192,12 @@ func TestDecisionRecordsCarryTenant(t *testing.T) {
 }
 
 // TestFleetMetricsTenantLabelled: the Prometheus dump carries the
-// per-tenant counter families with tenant labels.
+// per-tenant counter families with tenant labels, one rounds series per
+// tenant that counts the fleet's rounds. The registry is process-wide and
+// keeps earlier tests' series, so the count is of what the run moved.
 func TestFleetMetricsTenantLabelled(t *testing.T) {
-	runFleet(t, testConfig(3))
+	before := tenantRoundSeries(t)
+	rep := runFleet(t, testConfig(3))
 	var b strings.Builder
 	if err := obs.Default.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -209,6 +213,42 @@ func TestFleetMetricsTenantLabelled(t *testing.T) {
 			t.Errorf("metrics dump missing %q", want)
 		}
 	}
+	after := tenantRoundSeries(t)
+	for tenant, v := range after {
+		rose := v - before[tenant]
+		if ours := tenant == TenantID(0) || tenant == TenantID(1) || tenant == TenantID(2); ours && rose != float64(rep.Rounds) {
+			t.Errorf("%s: rounds series rose by %v over %d rounds", tenant, rose, rep.Rounds)
+		} else if !ours && rose != 0 {
+			t.Errorf("%s is no tenant of the fleet, yet its rounds series rose by %v", tenant, rose)
+		}
+	}
+}
+
+// tenantRoundSeries reads the tenant-rounds series of the process-wide
+// registry by tenant, failing on a tenant with two.
+func tenantRoundSeries(t *testing.T) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]float64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, `robustscale_fleet_tenant_rounds_total{tenant="`)
+		if !ok {
+			continue
+		}
+		tenant, value, _ := strings.Cut(rest, `"} `)
+		if _, dup := series[tenant]; dup {
+			t.Errorf("tenant %s has two rounds series", tenant)
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		series[tenant] = v
+	}
+	return series
 }
 
 // TestRoundObservationsComplete holds the round's instruments to the
@@ -344,39 +384,59 @@ func TestTenantPlanCountsAtOnce(t *testing.T) {
 // TestKillRestartBitIdentical is the durability contract at fleet scale:
 // stop the whole fleet at a round boundary, restart from the per-tenant
 // checkpoints, and the completed run's fleet hash matches an
-// uninterrupted run exactly, with every tenant warm-starting.
+// uninterrupted run exactly, with every tenant warm-starting. Behind a
+// binding pool the restart also resumes the admission counters: the
+// clips, shed nodes and quarantine trips equal the uninterrupted run's.
 func TestKillRestartBitIdentical(t *testing.T) {
-	cfg := testConfig(6)
-	uninterrupted := runFleet(t, cfg)
+	for _, tc := range []struct {
+		name string
+		pool int
+	}{{"no-pool", 0}, {"binding-pool", 12}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(6)
+			cfg.PoolNodes = tc.pool
+			uninterrupted := runFleet(t, cfg)
+			if tc.pool > 0 && (uninterrupted.Pool.ShedNodes == 0 || uninterrupted.Pool.Quarantines == 0) {
+				t.Fatalf("premise: the pool of %d neither sheds nor quarantines: %+v", tc.pool, uninterrupted.Pool)
+			}
 
-	dir := t.TempDir()
-	phase1 := cfg
-	phase1.StateDir = dir
-	phase1.MaxRounds = 5
-	rep1 := runFleet(t, phase1)
-	if rep1.Rounds != 5 {
-		t.Fatalf("phase 1 ran %d rounds, want 5", rep1.Rounds)
-	}
+			dir := t.TempDir()
+			phase1 := cfg
+			phase1.StateDir = dir
+			phase1.MaxRounds = 5
+			rep1 := runFleet(t, phase1)
+			if rep1.Rounds != 5 {
+				t.Fatalf("phase 1 ran %d rounds, want 5", rep1.Rounds)
+			}
 
-	phase2 := cfg
-	phase2.StateDir = dir
-	rep2 := runFleet(t, phase2)
-	if rep2.WarmStarts != cfg.Tenants {
-		t.Fatalf("phase 2 warm-started %d/%d tenants", rep2.WarmStarts, cfg.Tenants)
-	}
-	if rep2.FleetHash != uninterrupted.FleetHash {
-		t.Errorf("restarted fleet hash %s != uninterrupted %s", rep2.FleetHash, uninterrupted.FleetHash)
-	}
-	if rep2.Steps != uninterrupted.Steps || rep2.Violations != uninterrupted.Violations ||
-		rep2.CostNodeSteps != uninterrupted.CostNodeSteps {
-		t.Errorf("restarted totals diverged: %d/%d/%d vs %d/%d/%d",
-			rep2.Steps, rep2.Violations, rep2.CostNodeSteps,
-			uninterrupted.Steps, uninterrupted.Violations, uninterrupted.CostNodeSteps)
-	}
-	for i, tr := range rep2.PerTenant {
-		if want := uninterrupted.PerTenant[i]; tr.AllocHash != want.AllocHash {
-			t.Errorf("tenant %s alloc hash %s != %s", tr.ID, tr.AllocHash, want.AllocHash)
-		}
+			phase2 := cfg
+			phase2.StateDir = dir
+			rep2 := runFleet(t, phase2)
+			if rep2.WarmStarts != cfg.Tenants {
+				t.Fatalf("phase 2 warm-started %d/%d tenants", rep2.WarmStarts, cfg.Tenants)
+			}
+			if rep2.FleetHash != uninterrupted.FleetHash {
+				t.Errorf("restarted fleet hash %s != uninterrupted %s", rep2.FleetHash, uninterrupted.FleetHash)
+			}
+			if rep2.Steps != uninterrupted.Steps || rep2.Violations != uninterrupted.Violations ||
+				rep2.CostNodeSteps != uninterrupted.CostNodeSteps {
+				t.Errorf("restarted totals diverged: %d/%d/%d vs %d/%d/%d",
+					rep2.Steps, rep2.Violations, rep2.CostNodeSteps,
+					uninterrupted.Steps, uninterrupted.Violations, uninterrupted.CostNodeSteps)
+			}
+			for i, tr := range rep2.PerTenant {
+				if want := uninterrupted.PerTenant[i]; tr.AllocHash != want.AllocHash {
+					t.Errorf("tenant %s alloc hash %s != %s", tr.ID, tr.AllocHash, want.AllocHash)
+				}
+			}
+			if tc.pool > 0 {
+				got, want := rep2.Pool, uninterrupted.Pool
+				if got.AdmissionClips != want.AdmissionClips || got.ShedNodes != want.ShedNodes || got.Quarantines != want.Quarantines {
+					t.Errorf("restarted pool clips/shed/quarantines %d/%d/%d, uninterrupted %d/%d/%d",
+						got.AdmissionClips, got.ShedNodes, got.Quarantines, want.AdmissionClips, want.ShedNodes, want.Quarantines)
+				}
+			}
+		})
 	}
 }
 

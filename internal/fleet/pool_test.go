@@ -196,6 +196,24 @@ func TestConstrainedPoolShedsAndStaysDeterministic(t *testing.T) {
 	}
 }
 
+// TestShedCounterRises: robustscale_fleet_shed_nodes_total counts every
+// node a binding pool sheds, and a pool-less run sheds none.
+func TestShedCounterRises(t *testing.T) {
+	for _, pool := range []int{0, 10} {
+		cfg := testConfig(6)
+		cfg.PoolNodes = pool
+		before := fleetShedNodesTotal.Value()
+		rep := runFleet(t, cfg)
+		var shed int64
+		if rep.Pool != nil {
+			shed = rep.Pool.ShedNodes
+		}
+		if rose := fleetShedNodesTotal.Value() - before; rose != float64(shed) || (pool > 0 && shed == 0) {
+			t.Errorf("pool %d: the shed counter rose by %v, the report sheds %d nodes", pool, rose, shed)
+		}
+	}
+}
+
 func TestQuarantineTripsUnderSustainedPressure(t *testing.T) {
 	cfg := testConfig(6)
 	cfg.PoolNodes = 6 // sustained overload: every round clips
