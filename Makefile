@@ -79,7 +79,9 @@ bench-check:
 # always brings a guard out of parked. The next admits arbitrary demands
 # against arbitrary pools: no admission past the pool, below zero or above
 # demand, and no class clipped before every lower class is shed. The next loads arbitrary bytes as a guard blob and plans a failing round from each
-# one accepted: the fallback ladder must not panic. The next adds random
+# one accepted: the fallback ladder must not panic. The next feeds
+# arbitrary fan rows to the guard's repair: a fan fanSound passes is one
+# RepairFan repairs nothing in. The next adds random
 # events to a chaos schedule and to the map-and-scan one it
 # replaced: every lookup must agree. The next runs the nn training kernels
 # on fuzzer-chosen shapes and values: every output must carry the bits of
@@ -125,6 +127,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWakeSchedule -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
 	$(GO) test -fuzz=FuzzAdmission -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz=FuzzGuardLoad -fuzztime=10s -fuzzminimizetime=1s ./internal/scaler
+	$(GO) test -run '^$$' -fuzz=FuzzRepairFan -fuzztime=10s -fuzzminimizetime=1s ./internal/scaler
 	$(GO) test -fuzz=FuzzScheduleMatchesLegacy -fuzztime=10s -fuzzminimizetime=1s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz=FuzzTrainingKernels -fuzztime=10s -fuzzminimizetime=1s ./internal/nn
 	$(GO) test -run '^$$' -fuzz=FuzzStepBatchLanes -fuzztime=10s -fuzzminimizetime=1s ./internal/nn

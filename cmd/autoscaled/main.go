@@ -306,13 +306,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// The apply policy is the defaults' (three attempts from a 1 s
 		// backoff, a breaker that three failed actions open) with a
 		// 30-minute cooldown, rounded up to whole replay steps.
-		Breaker:  &scaler.Breaker{Cooldown: int((30*time.Minute + cpu.Step - 1) / cpu.Step)},
+		Breaker:  scaler.Breaker{Cooldown: int((30*time.Minute + cpu.Step - 1) / cpu.Step)},
 		Sched:    sched,
 		Plant:    plant,
 		StateDir: cfg.StateDir, Retain: cfg.Retain,
 	}
 	if cfg.Guard {
-		t.GuardConfig = &scaler.GuardConfig{Theta: cfg.Theta, Tau: cfg.Tau}
+		t.GuardConfig = scaler.GuardConfig{Theta: cfg.Theta, Tau: cfg.Tau}
 	}
 	if cfg.Serverless {
 		// The wake guard shapes every plan through the park/wake
@@ -327,7 +327,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		logf("autoscaled: serverless mode: idle below %.2f", t.IdleEps)
 	}
 	var strat scaler.Strategy
-	t.Build = func(model []byte, savedRho float64) (_ scaler.Strategy, snapper forecast.Snapshotter, rhoUsed float64, err error) {
+	t.Build = func(_ *fleet.Tenant, model []byte, savedRho float64) (_ scaler.Strategy, snapper forecast.Snapshotter, rhoUsed float64, err error) {
 		strat, snapper, rhoUsed, err = buildStrategy(cfg.Strategy, cpu.Slice(0, trainEnd), model, cfg.Tau, cfg.Tau2, savedRho, cfg.Theta, cfg.Horizon, *epochs, t.Faulty, logf)
 		return strat, snapper, rhoUsed, err
 	}

@@ -210,6 +210,11 @@ func CorruptTelemetry(s *timeseries.Series, sched *Schedule, step int) *timeseri
 	return out
 }
 
+// ApplyFunc is a scale action as a function; ScaleTo calls it.
+type ApplyFunc func(target int) error
+
+func (f ApplyFunc) ScaleTo(target int) error { return f(target) }
+
 // WrapApply wraps a scale-to mutation with the control-plane fault
 // classes: rejection (no effect), timeout (no effect, virtual latency),
 // and partial fulfilment (the fleet moves halfway to the target, then the
@@ -217,7 +222,7 @@ func CorruptTelemetry(s *timeseries.Series, sched *Schedule, step int) *timeseri
 // reports the step being applied and its faults, which the loop reads
 // from its round's Window; size reports the current fleet size for
 // partial moves.
-func WrapApply(apply func(int) error, size func() int, at func() (int, StepFaults)) func(int) error {
+func WrapApply(apply func(int) error, size func() int, at func() (int, StepFaults)) ApplyFunc {
 	return func(target int) error {
 		step, f := at()
 		if f.Reject {

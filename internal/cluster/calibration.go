@@ -92,26 +92,33 @@ func calibrationCells(l, window int) int {
 // NewCalibration builds a tracker for the given quantile levels over a
 // rolling window of that many steps.
 func NewCalibration(levels []float64, window int) (*Calibration, error) {
+	c := new(Calibration)
+	if err := c.Reset(levels, window); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset makes c an empty tracker for the given quantile levels over a
+// rolling window of that many steps, in one allocation: the levels and
+// every record share one array. It is not safe beside other use of c.
+func (c *Calibration) Reset(levels []float64, window int) error {
 	if len(levels) == 0 {
-		return nil, fmt.Errorf("cluster: calibration needs at least one quantile level")
+		return fmt.Errorf("cluster: calibration needs at least one quantile level")
 	}
 	if window < 1 {
-		return nil, fmt.Errorf("cluster: non-positive calibration window %d", window)
+		return fmt.Errorf("cluster: non-positive calibration window %d", window)
 	}
 	for _, tau := range levels {
 		if !(tau > 0 && tau < 1) {
-			return nil, fmt.Errorf("cluster: calibration level %v outside (0, 1)", tau)
+			return fmt.Errorf("cluster: calibration level %v outside (0, 1)", tau)
 		}
 	}
-	// Levels and every record share one array.
 	l := len(levels)
 	cells := make([]float64, calibrationCells(l, window))
-	return &Calibration{
-		levels: append(cells[:0:l], levels...),
-		window: window,
-		bucket: bucketSize(window),
-		sums:   cells[l:],
-	}, nil
+	c.levels, c.window, c.bucket = append(cells[:0:l], levels...), window, bucketSize(window)
+	c.sums, c.head, c.skipped = cells[l:], 0, 0
+	return nil
 }
 
 // Levels returns the nominal quantile levels, in order.

@@ -11,7 +11,7 @@ import (
 
 // maxSnapshotCells bounds the floats a loaded tracker allocates up front:
 // a snapshot's window is a size its reader allocates by, not a count of
-// bytes present, so LoadCalibration rejects anything larger (the fleet's
+// bytes present, so Load rejects anything larger (the fleet's
 // tracker is 53 cells).
 const maxSnapshotCells = 1 << 20
 
@@ -46,13 +46,15 @@ func (c *Calibration) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadCalibration restores a tracker saved by Save. A blob in the older
-// step-ring layout (a positive window, then the retained actuals and
-// their quantile rows, oldest first) loads by replaying its steps, so a
+// Load makes c the tracker Save wrote, through Reset (so its one
+// allocation is the tracker's array). A blob in the older step-ring
+// layout (a positive window, then the retained actuals and their
+// quantile rows, oldest first) loads by replaying its steps, so a
 // checkpoint written before the buckets still warm-starts.
-func LoadCalibration(r io.Reader) (*Calibration, error) {
+func (c *Calibration) Load(r io.Reader) error {
 	rd := wire.ReadFrom(r)
-	levels, window, skipped := rd.Floats(), rd.Int(), rd.Uvarint()
+	var lv [4]float64 // room for the levels of any tracker the loops build
+	levels, window, skipped := rd.FloatsTo(lv[:0]), rd.Int(), rd.Uvarint()
 	ring := window > 0
 	if !ring {
 		window = -window
@@ -61,12 +63,12 @@ func LoadCalibration(r io.Reader) (*Calibration, error) {
 	if rd.Err() == nil && (window < 1 || window > maxSnapshotCells || calibrationCells(len(levels), window) > maxSnapshotCells) {
 		rd.Fail(fmt.Errorf("a %d-step window over %d levels passes the %d-value limit", window, len(levels), maxSnapshotCells))
 	}
-	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("cluster: loading calibration: %w", err)
+	err := rd.Err()
+	if err == nil {
+		err = c.Reset(levels, window)
 	}
-	c, err := NewCalibration(levels, window)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: loading calibration: %w", err)
+		return fmt.Errorf("cluster: loading calibration: %w", err)
 	}
 	if ring {
 		actuals, rows := rd.Floats(), rd.Floats()
@@ -86,10 +88,10 @@ func LoadCalibration(r io.Reader) (*Calibration, error) {
 		c.head = max(len(records)/(2+2*len(levels))-2, 0)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("cluster: loading calibration: %w", err)
+		return fmt.Errorf("cluster: loading calibration: %w", err)
 	}
 	c.skipped = skipped
-	return c, nil
+	return nil
 }
 
 // check holds loaded records to what admit leaves: a window record, then

@@ -4,12 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"io"
 	"math"
 	"reflect"
 	"testing"
 
 	"robustscale/internal/wire"
 )
+
+// loadCalibration is Load into a new tracker.
+func loadCalibration(r io.Reader) (*Calibration, error) {
+	c := new(Calibration)
+	return c, c.Load(r)
+}
 
 func TestCalibrationSaveLoadRoundTrip(t *testing.T) {
 	c, err := NewCalibration([]float64{0.5, 0.9}, 8)
@@ -32,7 +39,7 @@ func TestCalibrationSaveLoadRoundTrip(t *testing.T) {
 	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := LoadCalibration(&buf)
+	c2, err := loadCalibration(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +73,7 @@ func TestCalibrationSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadCalibrationRejectsGarbage(t *testing.T) {
-	if _, err := LoadCalibration(bytes.NewBufferString("junk")); err == nil {
+	if _, err := loadCalibration(bytes.NewBufferString("junk")); err == nil {
 		t.Error("garbage should fail")
 	}
 }
@@ -82,7 +89,7 @@ func TestLoadCalibrationConvertsRingLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCalibration(bytes.NewReader(ring))
+	loaded, err := loadCalibration(bytes.NewReader(ring))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +118,7 @@ func TestLoadCalibrationConvertsRingLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	saved := append([]byte(nil), buf.Bytes()...)
-	again, err := LoadCalibration(&buf)
+	again, err := loadCalibration(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +152,7 @@ func TestLoadCalibrationRefusesBadBuckets(t *testing.T) {
 	// window, the skipped count and its own count (a byte each): the
 	// window's record [5 steps, 50, covered, pinball], then three buckets.
 	const records = 1 + 8 + 1 + 1 + 1
-	if _, err := LoadCalibration(bytes.NewReader(good)); err != nil {
+	if _, err := loadCalibration(bytes.NewReader(good)); err != nil {
 		t.Fatal(err)
 	}
 	for name, damage := range map[string]struct {
@@ -160,7 +167,7 @@ func TestLoadCalibrationRefusesBadBuckets(t *testing.T) {
 	} {
 		b := append([]byte(nil), good...)
 		binary.LittleEndian.PutUint64(b[records+8*damage.field:], math.Float64bits(damage.v))
-		if _, err := LoadCalibration(bytes.NewReader(b)); err == nil {
+		if _, err := loadCalibration(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s: loaded", name)
 		}
 	}
@@ -177,7 +184,7 @@ func TestLoadCalibrationRefusesHugeWindows(t *testing.T) {
 		if window > 0 {
 			b = wire.AppendFloats(b, nil)
 		}
-		if _, err := LoadCalibration(bytes.NewReader(b)); err == nil {
+		if _, err := loadCalibration(bytes.NewReader(b)); err == nil {
 			t.Errorf("a %d window loaded", window)
 		}
 	}

@@ -11,11 +11,15 @@ import (
 // (AllocPlant), the scale-to-zero plant (ZeroPlant) and the warm-up-aware
 // simulated cluster (ClusterPlant). Reset places a plant at a round
 // boundary; ScaleTo is its raw scale action, which the loop wraps in its
-// chaos, retry and breaker layers and hands back to Step as apply; Step
+// chaos, retry and breaker layers and hands back to Step as apply, an
+// Actuator (a plant is one itself); Step
 // drives target through apply, decides where that lands relative to the
 // step's node failures and wake faults (f, read from the loop's round
 // fault window), grades workload w against the capacity that actually
 // served it, and writes what happened into the caller's StepResult.
+
+// Actuator is a scale action: ScaleTo moves the allocation to n.
+type Actuator interface{ ScaleTo(n int) error }
 
 // StepResult is what one replayed step did to a plant.
 type StepResult struct {
@@ -54,14 +58,14 @@ func (p *AllocPlant) ScaleTo(n int) error                { p.alloc = n; return n
 func (p *AllocPlant) Size() int                          { return p.alloc }
 
 // actuate is the part of the step the scale-to-zero plant shares.
-func (p *AllocPlant) actuate(r *StepResult, apply func(int) error, target, kills int) {
-	r.Target, r.Err = target, apply(target)
+func (p *AllocPlant) actuate(r *StepResult, apply Actuator, target, kills int) {
+	r.Target, r.Err = target, apply.ScaleTo(target)
 	r.Killed = min(kills, p.alloc)
 	p.alloc -= r.Killed
 	r.Nodes = p.alloc
 }
 
-func (p *AllocPlant) Step(r *StepResult, apply func(int) error, target int, f chaos.StepFaults, w float64) {
+func (p *AllocPlant) Step(r *StepResult, apply Actuator, target int, f chaos.StepFaults, w float64) {
 	p.actuate(r, apply, target, f.Kills)
 	r.Wake = WakeOutcome{}
 	r.Utilization = w / float64(max(r.Nodes, 1))
@@ -82,7 +86,7 @@ type ZeroPlant struct {
 	IdleEps    float64
 }
 
-func (p *ZeroPlant) Step(r *StepResult, apply func(int) error, target int, f chaos.StepFaults, w float64) {
+func (p *ZeroPlant) Step(r *StepResult, apply Actuator, target int, f chaos.StepFaults, w float64) {
 	p.actuate(r, apply, target, f.Kills)
 	out := p.Serverless.Step(r.Nodes, WakeFault{StallSeconds: f.StallSeconds, Fail: f.WakeFail, Partial: f.PartialProvision})
 	r.Wake = out
@@ -115,7 +119,7 @@ func (p *ClusterPlant) Reset(at time.Time, nodes int) (err error) {
 	return err
 }
 
-func (p *ClusterPlant) Step(r *StepResult, apply func(int) error, target int, f chaos.StepFaults, w float64) {
+func (p *ClusterPlant) Step(r *StepResult, apply Actuator, target int, f chaos.StepFaults, w float64) {
 	r.Killed, r.Wake = 0, WakeOutcome{}
 	if f.Kills > 0 {
 		r.Killed = p.Kill(f.Kills)
@@ -124,7 +128,7 @@ func (p *ClusterPlant) Step(r *StepResult, apply func(int) error, target int, f 
 		r.Wake.Parked = true
 		target = 1
 	}
-	r.Target, r.Err = target, apply(target)
+	r.Target, r.Err = target, apply.ScaleTo(target)
 	r.Nodes = p.Size()
 	r.Utilization = w / p.EffectiveCapacity(p.StepLen)
 	r.Violated = r.Utilization > p.Theta

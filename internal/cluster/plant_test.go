@@ -122,7 +122,7 @@ func TestClusterPlantKillsBeforeApply(t *testing.T) {
 	}
 	warm := p.WarmupDuration()
 	var r StepResult
-	p.Step(&r, p.ScaleTo, 3, chaos.StepFaults{Kills: 2}, 20)
+	p.Step(&r, p, 3, chaos.StepFaults{Kills: 2}, 20)
 	if r.Killed != 2 || r.Err != nil {
 		t.Fatalf("killed %d (err %v), want 2 and no error", r.Killed, r.Err)
 	}

@@ -174,12 +174,12 @@ func runResilienceCell(d *Dataset, cfg Config, spec resilienceSpec, prof chaos.P
 		ID:     obs.DefaultTenant,
 		Series: d.Series, TrainEnd: d.EvalStart, Horizon: spec.horizon,
 		Fingerprint: persist.Fingerprint{Strategy: spec.name, Theta: cfg.Theta, Horizon: spec.horizon},
-		GuardConfig: &scaler.GuardConfig{Theta: cfg.Theta, Tau: 0.9},
-		Breaker:     &scaler.Breaker{Cooldown: 3},
+		GuardConfig: scaler.GuardConfig{Theta: cfg.Theta, Tau: 0.9},
+		Breaker:     scaler.Breaker{Cooldown: 3},
 		Sched:       sched,
 		Plant:       plant,
 	}
-	t.Build = func([]byte, float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
+	t.Build = func(*fleet.Tenant, []byte, float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
 		strat, err := spec.build(cfg.Theta, t.Faulty)
 		return strat, nil, 0, err
 	}

@@ -109,7 +109,8 @@ var blobCases = []blobCase{
 		fresh: func(t testing.TB) (func(io.Reader) error, func(io.Writer) error) {
 			cal := observedCalibration(t, []float64{0.8}, 2)
 			return func(r io.Reader) error {
-				loaded, err := cluster.LoadCalibration(r)
+				loaded := new(cluster.Calibration)
+				err := loaded.Load(r)
 				if err == nil {
 					cal = loaded
 				}

@@ -177,13 +177,13 @@ func hookTenant(t *testing.T, sched *chaos.Schedule) (*Tenant, bool) {
 		Series:   timeseries.New("hooks", time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC), 10*time.Minute, values),
 		TrainEnd: trainEnd, Horizon: horizon,
 		Fingerprint: persist.Fingerprint{Theta: theta, Horizon: horizon},
-		GuardConfig: &scaler.GuardConfig{Theta: theta, Tau: 0.9},
-		Breaker:     &scaler.Breaker{Cooldown: 3},
+		GuardConfig: scaler.GuardConfig{Theta: theta, Tau: 0.9},
+		Breaker:     scaler.Breaker{Cooldown: 3},
 		Sched:       sched,
 		Plant:       &cluster.AllocPlant{Theta: theta},
 	}
 	wrapped := false
-	tn.Build = func([]byte, float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
+	tn.Build = func(*Tenant, []byte, float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
 		qf := forecast.NewNaive(horizon)
 		if err := qf.Fit(tn.Series.Slice(0, trainEnd)); err != nil {
 			return nil, nil, 0, err

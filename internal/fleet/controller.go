@@ -102,8 +102,11 @@ func New(cfg Config) (*Controller, error) {
 	}
 	tenants := make([]*Tenant, cfg.Tenants)
 	errs := make([]error, cfg.Tenants)
+	build := func(t *Tenant, model []byte, rho float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
+		return buildStrategy(cfg, t, model, rho)
+	}
 	parallel.ForEachWorkerSpan("fleet-build", cfg.Workers, cfg.Tenants, func(_, i int) {
-		tenants[i], errs[i] = buildTenant(cfg, i, chaosSched, segs, series)
+		tenants[i], errs[i] = buildTenant(cfg, i, chaosSched, segs, series, build)
 	})
 	if err := parallel.FirstError(errs); err != nil {
 		return nil, err
@@ -222,7 +225,7 @@ func chaosEnrolled(cfg Config, id string) bool {
 func (c *Controller) saveSeries(store *persist.SeriesStore) {
 	recs := make([]persist.SeriesRecord, len(c.tenants))
 	for i, t := range c.tenants {
-		tc, _ := tenantTrace(c.cfg, i, t.Seed)
+		tc, _, _ := tenantTrace(c.cfg, i, t.Seed)
 		recs[i] = persist.SeriesRecord{Key: seriesKey(tc), Values: t.Series.Values}
 	}
 	if _, err := store.Write(recs); err != nil {
@@ -255,12 +258,12 @@ func tenantSeries(tc trace.Config, index int, store *persist.SeriesStore) (*time
 }
 
 // buildTenant derives one tenant's parts from the fleet configuration and
-// its index, and starts it (recovering from its slot of segs, and reading
-// its series back from store, when the fleet is durable).
-func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.SegmentStore, store *persist.SeriesStore) (*Tenant, error) {
-	id := TenantID(index)
+// its index, and starts it with the fleet's build (recovering from its
+// slot of segs, and its series from store, when the fleet is durable).
+func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.SegmentStore, store *persist.SeriesStore,
+	build func(*Tenant, []byte, float64) (scaler.Strategy, forecast.Snapshotter, float64, error)) (*Tenant, error) {
 	seed := deriveSeed(cfg.Seed, index)
-	tc, archetype := tenantTrace(cfg, index, seed)
+	tc, id, archetype := tenantTrace(cfg, index, seed)
 	series, restored, err := tenantSeries(tc, index, store)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %s: %w", id, err)
@@ -272,7 +275,7 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 		TrainEnd: cfg.TrainDays * stepsPerDay(), Horizon: cfg.Horizon,
 		ForecasterKind: cfg.Forecaster,
 		ApplyAttempts:  1,
-		Breaker:        &scaler.Breaker{},
+		Build:          build,
 	}
 	t.quarantine.Cooldown = quarantineRounds
 	t.Fingerprint = persist.Fingerprint{
@@ -280,10 +283,10 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 		Theta: cfg.Theta, Horizon: cfg.Horizon, Tau: cfg.Tau, Tau2: cfg.Tau2,
 	}
 	if cfg.Guard {
-		t.GuardConfig = &scaler.GuardConfig{Theta: cfg.Theta, Tau: cfg.Tau}
+		t.GuardConfig = scaler.GuardConfig{Theta: cfg.Theta, Tau: cfg.Tau}
 	}
 	if segs != nil {
-		slot, err := segs.Slot(index, id)
+		slot, err := segs.Slot(index, &t.Fingerprint)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: %s: %w", id, err)
 		}
@@ -304,7 +307,8 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 			t.Sched = &chaos.Schedule{}
 		}
 	}
-	t.Plant = &cluster.AllocPlant{Theta: cfg.Theta}
+	t.allocPlant.Theta = cfg.Theta
+	t.Plant = &t.allocPlant
 	if cfg.Serverless {
 		t.ScaleToZero = true
 		t.IdleEps = IdleEps(cfg.Theta)
@@ -317,9 +321,6 @@ func buildTenant(cfg Config, index int, fs *chaos.FleetSchedule, segs *persist.S
 			return nil, fmt.Errorf("fleet: %s: %w", id, err)
 		}
 		t.Plant = &cluster.ZeroPlant{AllocPlant: cluster.AllocPlant{Theta: cfg.Theta}, Serverless: t.sless, IdleEps: t.IdleEps}
-	}
-	t.Build = func(model []byte, rho float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
-		return buildStrategy(cfg, t, model, rho)
 	}
 	recovered, err := t.Start()
 	if err != nil {
@@ -338,14 +339,13 @@ func buildStrategy(cfg Config, t *Tenant, model []byte, rho float64) (scaler.Str
 	if cfg.Strategy == StrategyReactiveMax {
 		return &scaler.ReactiveMax{Window: 6, Theta: cfg.Theta}, nil, 0, nil
 	}
-	train := t.Series.Slice(0, t.TrainEnd)
 	qf, snapper := buildForecaster(cfg)
 	if model != nil {
-		blob := wire.Bytes(model)
-		if err := snapper.Load(&blob); err != nil {
+		t.blob = model
+		if err := snapper.Load(&t.blob); err != nil {
 			return nil, nil, 0, fmt.Errorf("restoring %s from checkpoint: %w", qf.Name(), err)
 		}
-	} else if err := qf.Fit(train); err != nil {
+	} else if err := qf.Fit(t.Series.Slice(0, t.TrainEnd)); err != nil {
 		return nil, nil, 0, err
 	}
 	if cfg.Strategy != StrategyAdaptive {
@@ -353,7 +353,7 @@ func buildStrategy(cfg Config, t *Tenant, model []byte, rho float64) (scaler.Str
 	}
 	if rho <= 0 {
 		var err error
-		if rho, err = scaler.CalibrateRho(qf, train, cfg.Horizon); err != nil {
+		if rho, err = scaler.CalibrateRho(qf, t.Series.Slice(0, t.TrainEnd), cfg.Horizon); err != nil {
 			return nil, nil, 0, err
 		}
 	}

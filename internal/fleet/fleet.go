@@ -16,6 +16,7 @@ package fleet
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"robustscale/internal/chaos"
@@ -214,9 +215,17 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// TenantID formats the canonical id of the tenant at an index; ids are
-// valid persist tenant ids and sort in index order.
-func TenantID(index int) string { return fmt.Sprintf("t%05d", index) }
+// TenantID formats the canonical id of the tenant at an index, "t%05d";
+// ids are valid persist tenant ids and sort in index order.
+func TenantID(index int) string { return string(appendTenantID(make([]byte, 0, 24), index)) }
+
+func appendTenantID(b []byte, index int) []byte {
+	b = append(b, 't')
+	for pad := 10000; pad > 1 && index < pad; pad /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(index), 10)
+}
 
 // deriveSeed mixes the fleet master seed with a tenant index through a
 // splitmix64 finalizer, so neighbouring tenants get decorrelated trace
@@ -229,16 +238,16 @@ func deriveSeed(seed int64, index int) int64 {
 	return int64(z >> 1) // keep it positive for readable fingerprints
 }
 
-// tenantTrace derives the trace configuration and workload archetype of
-// one tenant: even indices get the diurnal Alibaba-style trace, odd
+// tenantTrace derives the trace configuration, id and workload archetype
+// of one tenant: even indices get the diurnal Alibaba-style trace, odd
 // indices the bursty Google-style one, so every fleet mixes easy and
 // hard workloads. A serverless fleet swaps the pair for the scale-to-zero
 // archetypes: burst-wake serverless tenants and sunsetting decaying
 // ones. The archetype name also lands in the checkpoint fingerprint's
 // Dataset field, so flipping Config.Serverless cold-starts stale
-// checkpoints instead of resuming against the wrong trace.
-func tenantTrace(cfg Config, index int, seed int64) (trace.Config, string) {
-	var tc trace.Config
+// checkpoints instead of resuming against the wrong trace. The id is cut
+// from the trace's name, "<id>/<archetype>".
+func tenantTrace(cfg Config, index int, seed int64) (tc trace.Config, id, archetype string) {
 	switch {
 	case cfg.Serverless && index%2 == 0:
 		tc = trace.ServerlessStyle(seed)
@@ -249,13 +258,17 @@ func tenantTrace(cfg Config, index int, seed int64) (trace.Config, string) {
 	default:
 		tc = trace.GoogleStyle(seed)
 	}
-	archetype := tc.Name
-	tc.Name = TenantID(index) + "/" + archetype
+	archetype = tc.Name
+	var b [64]byte
+	tc.Name = string(append(append(appendTenantID(b[:0], index), '/'), archetype...))
+	id = tc.Name[:len(tc.Name)-len(archetype)-1]
 	tc.Units = cfg.Units
 	tc.Days = cfg.Days
-	tc.Resources = []trace.Resource{trace.CPU}
-	return tc, archetype
+	tc.Resources = cpuOnly
+	return tc, id, archetype
 }
+
+var cpuOnly = []trace.Resource{trace.CPU} // every tenant's one resource, never written
 
 // buildForecaster constructs one tenant's untrained forecaster.
 func buildForecaster(cfg Config) (forecast.QuantileForecaster, forecast.Snapshotter) {

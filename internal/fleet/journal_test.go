@@ -233,9 +233,8 @@ func TestPaddingLearnsUnderTenant(t *testing.T) {
 	tn := &Tenant{
 		ID: "padded", Series: series, TrainEnd: trainEnd, Horizon: horizon,
 		Fingerprint: persist.Fingerprint{Tenant: "padded", Theta: theta, Horizon: horizon},
-		Breaker:     &scaler.Breaker{},
 		Plant:       &cluster.AllocPlant{Theta: theta},
-		Build: func([]byte, float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
+		Build: func(*Tenant, []byte, float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
 			return &scaler.Predictive{Forecaster: padded, Theta: theta}, nil, 0, nil
 		},
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"sort"
 
 	"robustscale/internal/obs"
@@ -255,7 +254,7 @@ func (c *Controller) report() *Report {
 			WarmStart: t.warm, Rounds: t.Rounds(),
 			Steps: t.steps, Violations: t.violations,
 			CostNodeSteps: t.cost, FinalNodes: t.prevAlloc, Holds: t.holds,
-			AllocHash: fmt.Sprintf("%016x", t.allocHash),
+			AllocHash: hex64(t.allocHash),
 			Faulted:   !t.Sched.Empty(),
 		}
 		if t.steps > 0 {
@@ -318,7 +317,7 @@ func (c *Controller) report() *Report {
 	if r.Steps > 0 {
 		r.ViolationRate = float64(r.Violations) / float64(r.Steps)
 	}
-	r.FleetHash = fmt.Sprintf("%016x", hash)
+	r.FleetHash = hex64(hash)
 	r.ViolationRateP50 = vrSketch.Percentile(50)
 	r.ViolationRateP90 = vrSketch.Percentile(90)
 	r.ViolationRateP99 = vrSketch.Percentile(99)
@@ -387,4 +386,13 @@ func foldUint64(h, v uint64) uint64 {
 		v >>= 8
 	}
 	return h
+}
+
+// hex64 is v in fmt's %016x, in the one allocation of the string.
+func hex64(v uint64) string {
+	var b [16]byte
+	for i := range b {
+		b[i] = "0123456789abcdef"[v>>(60-4*i)&15]
+	}
+	return string(b[:])
 }

@@ -121,7 +121,7 @@ func TestCorruptSeriesRecordRegeneratesOneTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, _ := tenantTrace(cfg, victim, deriveSeed(cfg.Seed, victim))
+	tc, _, _ := tenantTrace(cfg, victim, deriveSeed(cfg.Seed, victim))
 	key := seriesKey(tc)
 	at := bytes.Index(raw, key)
 	if at < 0 {

@@ -128,7 +128,7 @@ type Plant interface {
 	Reset(at time.Time, nodes int) error
 	ScaleTo(n int) error
 	Size() int
-	Step(r *cluster.StepResult, apply func(int) error, target int, f chaos.StepFaults, w float64)
+	Step(r *cluster.StepResult, apply cluster.Actuator, target int, f chaos.StepFaults, w float64)
 }
 
 // Step is one replayed step as the OnStep hook sees it: the series index
@@ -174,22 +174,21 @@ type Tenant struct {
 	// carrying the identical one warm-starts the tenant. Its Theta is the
 	// threshold the loop grades against.
 	Fingerprint persist.Fingerprint
-	// Build trains (model == nil) or restores the forecaster and returns
+	// Build trains (model == nil) or restores t's forecaster and returns
 	// the bare strategy, the forecaster's snapshotter (nil for model-free
 	// strategies) and the adaptive uncertainty threshold in effect. rho
 	// is the one the recovered checkpoint carried (0 on a cold start):
 	// reusing it keeps warm-started planning bit-identical. Planning-time
 	// inference goes through Faulty, everything else to the genuine model.
-	Build func(model []byte, rho float64) (scaler.Strategy, forecast.Snapshotter, float64, error)
+	Build func(t *Tenant, model []byte, rho float64) (scaler.Strategy, forecast.Snapshotter, float64, error)
 	// ForecasterKind labels the model held in checkpoints.
 	ForecasterKind string
-	// GuardConfig wraps the strategy in the resilience guard; without it
-	// a planning error ends the loop instead of holding the round.
-	GuardConfig *scaler.GuardConfig
-	// ApplyAttempts (0: the applier's default) and Breaker (required)
-	// shape the apply path.
+	// GuardConfig, with a positive Theta, wraps the strategy in the
+	// resilience guard; without, a planning error ends the loop.
+	GuardConfig scaler.GuardConfig
+	// ApplyAttempts (0: the applier's default) and Breaker shape applies.
 	ApplyAttempts int
-	Breaker       *scaler.Breaker
+	Breaker       scaler.Breaker
 	// Sched is the tenant's fault schedule; nil means no chaos.
 	Sched *chaos.Schedule
 	// ScaleToZero turns on scale-to-zero: the wake guard shapes every
@@ -209,13 +208,20 @@ type Tenant struct {
 	// returns the recovered one for the way back).
 	Sections func(*persist.State)
 
-	planner scaler.Strategy
-	guard   *scaler.Guard
-	snapper forecast.Snapshotter
-	applier func(int) error
-	cal     *cluster.Calibration
-	store   checkpointStore
-	rho     float64
+	// The loop's parts, held in place: guard is &guarded when guarded, cal
+	// &calWindow once it grades; a fleet's Plant is &allocPlant; every
+	// recovered blob is read through blob.
+	planner    scaler.Strategy
+	guard      *scaler.Guard
+	guarded    scaler.Guard
+	cal        *cluster.Calibration
+	calWindow  cluster.Calibration
+	snapper    forecast.Snapshotter
+	applier    scaler.Applier
+	allocPlant cluster.AllocPlant
+	blob       wire.Bytes
+	store      checkpointStore
+	rho        float64
 
 	// Loop state; the plan/admit/apply stages are the only writers after
 	// Start (parallel stages touch only per-tenant fields, the sequential
@@ -281,7 +287,7 @@ type Tenant struct {
 	parkedSteps int64
 	wakeTr      scaler.WakeTransition
 
-	histView *timeseries.Series
+	histView timeseries.Series
 	planBuf  []int
 	// sloBlob is the fleet SLO tracker state recovered from this
 	// tenant's checkpoint (only tenant 0 carries it).
@@ -290,11 +296,8 @@ type Tenant struct {
 	// instead of generating it.
 	seriesRestored bool
 
-	violCounter  *obs.Counter
-	roundCounter *obs.Counter
-	wakeStarts   *obs.Counter
-	wakeFailures *obs.Counter
-	wakeLatHist  *obs.Histogram
+	violCounter, roundCounter, wakeStarts, wakeFailures *obs.Counter
+	wakeLatHist                                         *obs.Histogram
 }
 
 // Now is the tenant's virtual clock, stamping its journal events.
@@ -371,7 +374,7 @@ func (t *Tenant) Start() (*persist.State, error) {
 	}
 	t.origin, t.cursor, t.prevAlloc = t.TrainEnd, t.TrainEnd, 1
 	t.allocHash = fnvOffset
-	t.histView = &timeseries.Series{Name: t.Series.Name, Start: t.Series.Start, Step: t.Series.Step}
+	t.histView = timeseries.Series{Name: t.Series.Name, Start: t.Series.Start, Step: t.Series.Step}
 	t.violCounter = fleetTenantViolations.With(t.ID)
 	t.roundCounter = fleetTenantRounds.With(t.ID)
 	t.hooks = t.Sched.Hooks() // the schedule is fixed from here on
@@ -425,7 +428,7 @@ func (t *Tenant) Start() (*persist.State, error) {
 	var strat scaler.Strategy
 	var err error
 	if recovered != nil {
-		if strat, t.snapper, t.rho, err = t.Build(recovered.Forecaster, recovered.Rho); err != nil {
+		if strat, t.snapper, t.rho, err = t.Build(t, recovered.Forecaster, recovered.Rho); err != nil {
 			// A snapshot whose model no longer loads degrades this one tenant
 			// to a cold start; its decisions are re-derived deterministically
 			// from the seed, so totals are unaffected.
@@ -434,7 +437,7 @@ func (t *Tenant) Start() (*persist.State, error) {
 		}
 	}
 	if recovered == nil {
-		if strat, t.snapper, t.rho, err = t.Build(nil, 0); err != nil {
+		if strat, t.snapper, t.rho, err = t.Build(t, nil, 0); err != nil {
 			return nil, fmt.Errorf("fleet: %s: %w", t.ID, err)
 		}
 	}
@@ -443,17 +446,17 @@ func (t *Tenant) Start() (*persist.State, error) {
 	// The guard repairs fans and falls back down the ladder on forecaster
 	// errors.
 	t.planner = strat
-	if t.GuardConfig != nil {
-		t.guard = &scaler.Guard{Inner: strat, Config: *t.GuardConfig}
+	if t.GuardConfig.Theta > 0 {
+		t.guarded = scaler.Guard{Inner: strat, Config: t.GuardConfig}
+		t.guard = &t.guarded
 		t.planner = t.guard
 	}
 	// Scale actions go through retries and the circuit breaker: while the
 	// (possibly chaos-wrapped) control plane fails, the allocation holds.
-	apply := t.Plant.ScaleTo
+	t.applier = scaler.Applier{Apply: t.Plant, Attempts: t.ApplyAttempts, Breaker: &t.Breaker}
 	if t.hooks.Apply {
-		apply = chaos.WrapApply(apply, t.Plant.Size, t.stepFaults)
+		t.applier.Apply = chaos.WrapApply(t.Plant.ScaleTo, t.Plant.Size, t.stepFaults)
 	}
-	t.applier = (&scaler.Applier{Apply: apply, Attempts: t.ApplyAttempts, Breaker: t.Breaker}).ScaleTo
 
 	if recovered != nil {
 		t.restore(recovered, &extra)
@@ -479,9 +482,8 @@ func (t *Tenant) restore(st *persist.State, extra *loopExtra) {
 	t.shedTotal, t.clippedRounds = extra.ShedNodes, extra.ClippedRounds
 	t.parkedSteps = extra.ParkedSteps
 	var fresh []string
-	var rd wire.Bytes // one reader for every blob, read in place
 	load := func(component string, blob []byte, into func(io.Reader) error) {
-		if rd = blob; len(blob) > 0 && into(&rd) != nil {
+		if t.blob = blob; len(blob) > 0 && into(&t.blob) != nil {
 			fresh = append(fresh, component)
 		}
 	}
@@ -500,9 +502,9 @@ func (t *Tenant) restore(st *persist.State, extra *loopExtra) {
 	load("breaker", st.Breaker, t.Breaker.Load)
 	t.breaker = t.Breaker.State()
 	load("calibration", st.Calibration, func(r io.Reader) error {
-		cal, err := cluster.LoadCalibration(r)
+		err := t.calWindow.Load(r)
 		if err == nil {
-			t.cal = cal
+			t.cal = &t.calWindow
 		}
 		return err
 	})
@@ -592,13 +594,13 @@ func (t *Tenant) plan() error {
 		t.chaosCursor.Set(t.replayStep())
 	}
 	t.histView.Values = t.Series.Values[:origin]
-	hist := t.histView
+	hist := &t.histView
 	if t.hooks.Telemetry {
 		// Telemetry faults corrupt a copy of the visible history (warm
 		// forecasters notice the broken backing-array identity and
 		// recondition from scratch, bit-identically); the underlying trace
 		// stays pristine for grading.
-		hist = chaos.CorruptTelemetry(t.histView, t.Sched, t.replayStep())
+		hist = chaos.CorruptTelemetry(hist, t.Sched, t.replayStep())
 	}
 	planner, reason := t.planner, ""
 	if t.quarantined() {
@@ -701,10 +703,8 @@ func (t *Tenant) apply(s *roundScratch) error {
 		t.prevAlloc, plan, t.shedRound, reason)
 	// A quarantined (reactive) or held round has no fan, so calibration
 	// only observes rounds its forecaster drove.
-	if fan != nil && t.cal == nil {
-		if cal, err := cluster.NewCalibration(fan.Levels, stepsPerDay()); err == nil {
-			t.cal = cal
-		}
+	if fan != nil && t.cal == nil && t.calWindow.Reset(fan.Levels, stepsPerDay()) == nil {
+		t.cal = &t.calWindow
 	}
 	// A quiet round (no fault in its window) steps fault-free: the
 	// wrapped scale action reads the cursor only when a fault fires.
@@ -730,7 +730,7 @@ func (t *Tenant) apply(s *roundScratch) error {
 			}
 		}
 		w := t.Series.At(origin + i)
-		t.Plant.Step(r, t.applier, target, f, w)
+		t.Plant.Step(r, &t.applier, target, f, w)
 		if r.Err != nil {
 			t.holds++
 			if e := (*scaler.ApplyError)(nil); errors.As(r.Err, &e) {
@@ -859,7 +859,7 @@ func (t *Tenant) checkpoint() error {
 	if t.guard != nil {
 		st.Guard = section("guard", t.guard)
 	}
-	st.Breaker = section("breaker", t.Breaker)
+	st.Breaker = section("breaker", &t.Breaker)
 	ex := &ck.ex
 	*ex = loopExtra{
 		AllocHash: t.allocHash, Cost: t.cost,

@@ -52,13 +52,12 @@ func runCrashing(t *testing.T, dir string, every int, crashes []int) crashRun {
 			Series: series, TrainEnd: trainEnd, Horizon: horizon,
 			Fingerprint:    persist.Fingerprint{Strategy: "robust", Tenant: "crash-test", Theta: theta, Horizon: horizon, Tau: 0.9},
 			ForecasterKind: "tft",
-			GuardConfig:    &scaler.GuardConfig{Theta: theta, Tau: 0.9},
-			Breaker:        &scaler.Breaker{},
+			GuardConfig:    scaler.GuardConfig{Theta: theta, Tau: 0.9},
 			Plant:          &cluster.AllocPlant{Theta: theta},
 			StateDir:       dir,
 			OnStep:         func(st Step) { run.allocs[st.Index-trainEnd] = st.Nodes },
 		}
-		tn.Build = func(model []byte, _ float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
+		tn.Build = func(_ *Tenant, model []byte, _ float64) (scaler.Strategy, forecast.Snapshotter, float64, error) {
 			m := forecast.NewTFT(forecast.TFTConfig{
 				Context: 24, Hidden: 8, Epochs: 2, Seed: 7, MaxWindows: 32,
 				Levels: []float64{0.5, 0.9}, TrainHorizon: horizon,

@@ -197,11 +197,7 @@ func (a *ARIMA) Fit(train *timeseries.Series) error {
 
 // Predict implements Forecaster: the mean forecast.
 func (a *ARIMA) Predict(history *timeseries.Series, h int) ([]float64, error) {
-	f, err := a.PredictQuantiles(history, h, []float64{0.5})
-	if err != nil {
-		return nil, err
-	}
-	return f.Mean, nil
+	return medianMean(a.PredictQuantiles(history, h, []float64{0.5}))
 }
 
 // PredictQuantiles implements QuantileForecaster using the Gaussian

@@ -81,30 +81,14 @@ type DeepAR struct {
 // NewDeepAR returns an untrained DeepAR forecaster.
 func NewDeepAR(cfg DeepARConfig) *DeepAR {
 	def := DefaultDeepARConfig()
-	if cfg.Context <= 0 {
-		cfg.Context = def.Context
-	}
-	if cfg.Hidden <= 0 {
-		cfg.Hidden = def.Hidden
-	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = def.Epochs
-	}
-	if cfg.LR <= 0 {
-		cfg.LR = def.LR
-	}
-	if cfg.MaxWindows <= 0 {
-		cfg.MaxWindows = def.MaxWindows
-	}
-	if cfg.Samples <= 0 {
-		cfg.Samples = def.Samples
-	}
-	if cfg.TrainHorizon <= 0 {
-		cfg.TrainHorizon = def.TrainHorizon
-	}
-	if cfg.Emission == "" {
-		cfg.Emission = def.Emission
-	}
+	fill(&cfg.Context, def.Context)
+	fill(&cfg.Hidden, def.Hidden)
+	fill(&cfg.Epochs, def.Epochs)
+	fill(&cfg.LR, def.LR)
+	fill(&cfg.MaxWindows, def.MaxWindows)
+	fill(&cfg.Samples, def.Samples)
+	fill(&cfg.TrainHorizon, def.TrainHorizon)
+	fill(&cfg.Emission, def.Emission)
 	return &DeepAR{cfg: cfg}
 }
 
@@ -290,11 +274,7 @@ func (d *DeepAR) conditionInput(x []float64, history *timeseries.Series, anchor,
 // Predict implements Forecaster via the sample mean of the Monte-Carlo
 // paths.
 func (d *DeepAR) Predict(history *timeseries.Series, h int) ([]float64, error) {
-	f, err := d.PredictQuantiles(history, h, []float64{0.5})
-	if err != nil {
-		return nil, err
-	}
-	return f.Mean, nil
+	return medianMean(d.PredictQuantiles(history, h, []float64{0.5}))
 }
 
 // PredictQuantiles implements QuantileForecaster by ancestral sampling:

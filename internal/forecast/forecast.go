@@ -12,6 +12,7 @@
 package forecast
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -230,6 +231,23 @@ func normalizeLevels(levels []float64) ([]float64, error) {
 		}
 	}
 	return out, nil
+}
+
+// fill sets a config field left non-positive (or empty) to its default.
+func fill[T cmp.Ordered](v *T, def T) {
+	var zero T
+	if *v <= zero {
+		*v = def
+	}
+}
+
+// medianMean is a quantile forecaster's Predict: the Mean of its fan at
+// the median alone.
+func medianMean(f *QuantileForecast, err error) ([]float64, error) {
+	if err != nil {
+		return nil, err
+	}
+	return f.Mean, nil
 }
 
 // PinballGrad is d metrics.Pinball / d yhat.

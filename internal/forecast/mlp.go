@@ -161,11 +161,7 @@ func (m *MLP) input(context []float64, origin time.Time) []float64 {
 
 // Predict implements Forecaster: the Gaussian mean per step.
 func (m *MLP) Predict(history *timeseries.Series, h int) ([]float64, error) {
-	f, err := m.PredictQuantiles(history, h, []float64{0.5})
-	if err != nil {
-		return nil, err
-	}
-	return f.Mean, nil
+	return medianMean(m.PredictQuantiles(history, h, []float64{0.5}))
 }
 
 // PredictQuantiles implements QuantileForecaster from the per-step Gaussian

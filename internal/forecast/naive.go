@@ -30,29 +30,26 @@ type Naive struct {
 // reduces to adds into a reused fan.
 type offsetWarm struct {
 	levels levelsCache
-	// offs[k][i] is the quantile offset for step k at cached level i,
-	// valid while the normalized levels slice is the one it was built from.
-	offs      [][]float64
+	// offs[k*len(offLevels)+i] is the quantile offset for step k at cached
+	// level i, valid while the normalized levels slice is the one it was
+	// built from; every row shares the one array.
+	offs      []float64
 	offLevels []float64
 	fan       *QuantileForecast
 }
 
-// rows returns the cached offset matrix for (h, lv), rebuilding row k from
-// quantile(k, tau) when the levels changed or the horizon grew.
-func (w *offsetWarm) rows(h int, lv []float64, quantile func(k int, tau float64) float64) [][]float64 {
-	fresh := len(w.offLevels) != len(lv) || (len(lv) > 0 && &w.offLevels[0] != &lv[0]) || len(w.offs) < h
+// rows returns the cached offsets for (h, lv), row k at k*len(lv),
+// rebuilding them from quantile(k, tau) when the levels changed or the
+// horizon grew.
+func (w *offsetWarm) rows(h int, lv []float64, quantile func(k int, tau float64) float64) []float64 {
+	fresh := len(w.offLevels) != len(lv) || (len(lv) > 0 && &w.offLevels[0] != &lv[0]) || len(w.offs) < h*len(lv)
 	if !fresh {
 		return w.offs
 	}
-	if cap(w.offs) >= h {
-		w.offs = w.offs[:h]
-	} else {
-		w.offs = make([][]float64, h)
-	}
+	w.offs = resize(w.offs, h*len(lv))
 	for k := 0; k < h; k++ {
-		w.offs[k] = resize(w.offs[k], len(lv))
 		for i, tau := range lv {
-			w.offs[k][i] = quantile(k, tau)
+			w.offs[k*len(lv)+i] = quantile(k, tau)
 		}
 	}
 	w.offLevels = lv
@@ -88,11 +85,7 @@ func (n *Naive) Fit(train *timeseries.Series) error {
 
 // Predict implements Forecaster: a flat continuation of the last value.
 func (n *Naive) Predict(history *timeseries.Series, h int) ([]float64, error) {
-	f, err := n.PredictQuantiles(history, h, []float64{0.5})
-	if err != nil {
-		return nil, err
-	}
-	return f.Mean, nil
+	return medianMean(n.PredictQuantiles(history, h, []float64{0.5}))
 }
 
 // PredictQuantiles implements QuantileForecaster: last value plus the
@@ -133,7 +126,7 @@ func (n *Naive) predict(w *offsetWarm, history *timeseries.Series, h int, levels
 		out.Mean[k] = last
 		row := out.Values[k]
 		for i := range lv {
-			row[i] = last + offs[k][i]
+			row[i] = last + offs[k*len(lv)+i]
 		}
 	}
 	out.Enforce()
@@ -183,11 +176,7 @@ func (s *SeasonalNaive) Fit(train *timeseries.Series) error {
 
 // Predict implements Forecaster: the value one season earlier.
 func (s *SeasonalNaive) Predict(history *timeseries.Series, h int) ([]float64, error) {
-	f, err := s.PredictQuantiles(history, h, []float64{0.5})
-	if err != nil {
-		return nil, err
-	}
-	return f.Mean, nil
+	return medianMean(s.PredictQuantiles(history, h, []float64{0.5}))
 }
 
 // PredictQuantiles implements QuantileForecaster.
@@ -221,7 +210,7 @@ func (s *SeasonalNaive) predict(w *offsetWarm, history *timeseries.Series, h int
 	// serves every k.
 	offs := w.rows(1, lv, func(_ int, tau float64) float64 {
 		return timeseries.InterpolatedQuantile(s.residuals, tau)
-	})[0]
+	})
 	out := reuseFan(w.fan, h, lv)
 	w.fan = out
 	for k := 0; k < h; k++ {

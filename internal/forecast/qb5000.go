@@ -89,27 +89,13 @@ type qb5000Warm struct {
 // NewQB5000 returns an untrained hybrid forecaster.
 func NewQB5000(cfg QB5000Config) *QB5000 {
 	def := DefaultQB5000Config()
-	if cfg.Context <= 0 {
-		cfg.Context = def.Context
-	}
-	if cfg.Hidden <= 0 {
-		cfg.Hidden = def.Hidden
-	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = def.Epochs
-	}
-	if cfg.LR <= 0 {
-		cfg.LR = def.LR
-	}
-	if cfg.MaxWindows <= 0 {
-		cfg.MaxWindows = def.MaxWindows
-	}
-	if cfg.Bandwidth <= 0 {
-		cfg.Bandwidth = def.Bandwidth
-	}
-	if cfg.TrainHorizon <= 0 {
-		cfg.TrainHorizon = def.TrainHorizon
-	}
+	fill(&cfg.Context, def.Context)
+	fill(&cfg.Hidden, def.Hidden)
+	fill(&cfg.Epochs, def.Epochs)
+	fill(&cfg.LR, def.LR)
+	fill(&cfg.MaxWindows, def.MaxWindows)
+	fill(&cfg.Bandwidth, def.Bandwidth)
+	fill(&cfg.TrainHorizon, def.TrainHorizon)
 	return &QB5000{cfg: cfg}
 }
 

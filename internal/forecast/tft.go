@@ -112,27 +112,15 @@ type tftNet struct {
 // NewTFT returns an untrained TFT forecaster.
 func NewTFT(cfg TFTConfig) *TFT {
 	def := DefaultTFTConfig()
-	if cfg.Context <= 0 {
-		cfg.Context = def.Context
-	}
-	if cfg.Hidden <= 0 {
-		cfg.Hidden = def.Hidden
-	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = def.Epochs
-	}
-	if cfg.LR <= 0 {
-		cfg.LR = def.LR
-	}
-	if cfg.MaxWindows <= 0 {
-		cfg.MaxWindows = def.MaxWindows
-	}
+	fill(&cfg.Context, def.Context)
+	fill(&cfg.Hidden, def.Hidden)
+	fill(&cfg.Epochs, def.Epochs)
+	fill(&cfg.LR, def.LR)
+	fill(&cfg.MaxWindows, def.MaxWindows)
 	if len(cfg.Levels) == 0 {
 		cfg.Levels = append([]float64{}, def.Levels...)
 	}
-	if cfg.TrainHorizon <= 0 {
-		cfg.TrainHorizon = def.TrainHorizon
-	}
+	fill(&cfg.TrainHorizon, def.TrainHorizon)
 	return &TFT{cfg: cfg}
 }
 
@@ -337,11 +325,7 @@ func (m *TFT) windowGrad(f *tftForward, train *timeseries.Series, w timeseries.W
 // Predict implements Forecaster via the median of the trained grid (the
 // single trained level for TFT-point).
 func (m *TFT) Predict(history *timeseries.Series, h int) ([]float64, error) {
-	f, err := m.predict(history, h, []float64{0.5})
-	if err != nil {
-		return nil, err
-	}
-	return f.Mean, nil
+	return medianMean(m.predict(history, h, []float64{0.5}))
 }
 
 // PredictQuantiles implements QuantileForecaster. Levels inside the trained

@@ -112,28 +112,18 @@ func (c *levelsCache) get(levels []float64) ([]float64, error) {
 }
 
 // reuseFan shapes a cached fan, owned by the forecaster, for (h, levels):
-// it allocates only when the shape grows, new rows share one array, and a
-// row already of the levels' width keeps its header untouched.
+// a fan of that shape is returned as it is, any other is made afresh,
+// its Mean and rows in one array.
 func reuseFan(f *QuantileForecast, h int, levels []float64) *QuantileForecast {
-	if f == nil {
-		f = &QuantileForecast{}
+	if f == nil || len(f.Values) != h || h > 0 && len(f.Values[0]) != len(levels) {
+		cells := make([]float64, h*(1+len(levels)))
+		f = &QuantileForecast{Values: make([][]float64, h), Mean: cells[:h:h]}
+		for t := range f.Values {
+			at := h + t*len(levels)
+			f.Values[t] = cells[at : at+len(levels) : at+len(levels)]
+		}
 	}
 	f.Levels = levels
-	f.Values = resize(f.Values, h)
-	var cells []float64
-	for t, row := range f.Values {
-		if len(row) == len(levels) {
-			continue
-		}
-		if cap(row) < len(levels) {
-			if len(cells) == 0 {
-				cells = make([]float64, (h-t)*len(levels))
-			}
-			row, cells = cells[:len(levels):len(levels)], cells[len(levels):]
-		}
-		f.Values[t] = row[:len(levels)]
-	}
-	f.Mean = resize(f.Mean, h)
 	return f
 }
 

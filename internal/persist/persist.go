@@ -379,7 +379,7 @@ type RecoverInfo struct {
 // Recover runs the tenant's recovery ladder (recoverTenant) over the
 // retained segments, those this Manager committed included.
 func (m *Manager) Recover() (*State, RecoverInfo, error) {
-	return recoverTenant(m.segments(), m.tenant)
+	return recoverTenant(m.segments(), m.tenant, new(State))
 }
 
 // CheckpointWrites returns the process-wide checkpoint write count;

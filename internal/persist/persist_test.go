@@ -83,8 +83,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("Encode's image parsed to %d records (%v), want one", len(recs), err)
 	}
-	got, err := decodeRecord(recs[want.Fingerprint.Tenant])
-	if err != nil {
+	got := new(State)
+	if err := decodeRecord(recs[want.Fingerprint.Tenant], got); err != nil {
 		t.Fatalf("decodeRecord: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -334,8 +334,8 @@ func TestGoldenFormat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parsing golden fixture: %v", err)
 	}
-	got, err := decodeRecord(recs[want.Fingerprint.Tenant])
-	if err != nil {
+	got := new(State)
+	if err := decodeRecord(recs[want.Fingerprint.Tenant], got); err != nil {
 		t.Fatalf("decoding golden fixture: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {

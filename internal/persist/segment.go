@@ -61,8 +61,11 @@ type SegmentStore struct {
 	// Commit that publishes and releases it: a fleet's records are only
 	// ever all resident while a round is being committed.
 	slots [][]byte
-	// loaded are the segments found at open, newest first.
-	loaded []*segment
+	// views are the Slots handed out; loaded the segments found at open,
+	// newest first; recovered what each slot's Recover decodes into.
+	views     []Slot
+	loaded    []*segment
+	recovered []State
 }
 
 // segment is one on-disk segment, parsed at most once.
@@ -80,56 +83,69 @@ func OpenSegments(dir string, retain, tenants int) (*SegmentStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SegmentStore{seqDir: d, slots: make([][]byte, tenants), loaded: d.segments()}, nil
+	s := &SegmentStore{seqDir: d, slots: make([][]byte, tenants), views: make([]Slot, tenants), loaded: d.segments()}
+	if len(s.loaded) > 0 {
+		s.recovered = make([]State, tenants)
+	}
+	return s, nil
 }
 
 // Slot is one tenant's view of the store, with the Recover/Write shape
 // of a Manager.
 type Slot struct {
-	s      *SegmentStore
-	index  int
-	tenant string
+	s     *SegmentStore
+	index int
+	want  *Fingerprint
 }
 
-// Slot returns the store view of the tenant at a slot index.
-func (s *SegmentStore) Slot(index int, tenant string) (*Slot, error) {
-	if err := ValidTenantID(tenant); err != nil {
+// Slot returns the store view of the tenant at a slot index. want is the
+// fingerprint the tenant resumes only under: its Tenant keys the records,
+// and a recovered record that matches it shares its strings.
+func (s *SegmentStore) Slot(index int, want *Fingerprint) (*Slot, error) {
+	if err := ValidTenantID(want.Tenant); err != nil {
 		return nil, err
 	}
 	if index < 0 || index >= len(s.slots) {
 		return nil, fmt.Errorf("persist: slot %d outside the %d opened", index, len(s.slots))
 	}
-	return &Slot{s: s, index: index, tenant: tenant}, nil
+	s.views[index] = Slot{s: s, index: index, want: want}
+	return &s.views[index], nil
 }
 
 // Write frames the state into the tenant's slot; nothing reaches the disk
 // before the store's next Commit. The returned path is always empty.
 func (sl *Slot) Write(st *State) (string, error) {
-	rec, err := appendRecord(nil, sl.tenant, st)
+	rec, err := appendRecord(nil, sl.want.Tenant, st)
 	sl.s.slots[sl.index] = rec // nil on an error: the tenant sits this segment out
 	return "", err
 }
 
 // Recover runs the tenant's recovery ladder (recoverTenant) over the
-// segments found at open. Safe for concurrent use across tenants.
+// segments found at open, into the store's State for the slot, which
+// DropRecovered releases. Safe for concurrent use across tenants.
 func (sl *Slot) Recover() (*State, RecoverInfo, error) {
-	return recoverTenant(sl.s.loaded, sl.tenant)
+	var st *State
+	if sl.s.recovered != nil {
+		st = &sl.s.recovered[sl.index]
+		st.Fingerprint = *sl.want
+	}
+	return recoverTenant(sl.s.loaded, sl.want.Tenant, st)
 }
 
 // recoverTenant is the one recovery ladder, a Manager's and a fleet
-// slot's: it walks segments newest-first and returns the tenant's first
-// record that validates and decodes. It returns (nil, info, nil) when
+// slot's: it walks segments newest-first and returns st holding the
+// tenant's first record that validates and decodes. It returns (nil, info, nil) when
 // nothing was ever written for the tenant, and ErrNoCheckpoint (wrapping
 // the last rejection) when records or segments existed but none survived;
 // the caller cold-starts either way.
-func recoverTenant(segs []*segment, tenant string) (*State, RecoverInfo, error) {
+func recoverTenant(segs []*segment, tenant string, st *State) (*State, RecoverInfo, error) {
 	var info RecoverInfo
 	var lastErr error
 	for _, g := range segs {
 		g.once.Do(func() { g.recs, g.err = readSegment(g.path) })
 		err := g.err
 		if payload, ok := g.recs[tenant]; ok {
-			st, derr := decodeRecord(payload)
+			derr := decodeRecord(payload, st)
 			if derr == nil {
 				info.Path = g.path
 				ckptRecoveries.Inc()
@@ -153,9 +169,10 @@ func recoverTenant(segs []*segment, tenant string) (*State, RecoverInfo, error) 
 	return nil, info, nil
 }
 
-// DropRecovered releases the segments read for recovery, and the images
-// every recovered section views, once every tenant has started.
-func (s *SegmentStore) DropRecovered() { s.loaded = nil }
+// DropRecovered releases the segments read for recovery, the images
+// every recovered section views and the States they were decoded into,
+// once every tenant has started.
+func (s *SegmentStore) DropRecovered() { s.loaded, s.recovered = nil, nil }
 
 // Commit publishes every record written since the last one, in index
 // order, as the next segment — the same temp file, fsync, rename,
@@ -252,7 +269,8 @@ func parseSegment(data []byte, maxBytes int64) (map[string][]byte, error) {
 	}
 	count := int64(binary.LittleEndian.Uint32(data[8:12]))
 	rest := data[segHeaderLen:]
-	recs := make(map[string][]byte, min(count, int64(len(rest)/recHeaderLen)))
+	var good [][]byte // the framed records that pass
+	var ids []byte    // their ids end to end: one string every key is cut from
 	var damage error
 	damaged := func(format string, args ...any) {
 		if damage == nil {
@@ -278,12 +296,18 @@ func parseSegment(data []byte, maxBytes int64) (map[string][]byte, error) {
 		}
 		body := rest[recHeaderLen:size]
 		if crc32.ChecksumIEEE(body) == sum {
-			recs[string(body[:idLen])] = body[idLen:]
+			good, ids = append(good, rest[:size]), append(ids, body[:idLen]...)
 		} else {
 			// The frame still says where the next record starts.
 			damaged("record CRC mismatch at offset %d", off)
 		}
 		rest, off = rest[size:], off+size
+	}
+	keys := string(ids)
+	recs := make(map[string][]byte, len(good))
+	for _, rec := range good {
+		idLen := int(binary.LittleEndian.Uint16(rec))
+		recs[keys[:idLen]], keys = rec[recHeaderLen+idLen:], keys[idLen:]
 	}
 	if int64(len(recs)) != count {
 		damaged("segment holds %d records, header says %d", len(recs), count)
@@ -328,16 +352,19 @@ func stateSizeBound(st *State) int {
 		len(st.Journal) + len(st.Decisions) + len(st.SLO) + len(st.Extra)
 }
 
-// decodeRecord is appendState's inverse over a payload that already
-// passed its length and CRC checks. Every length inside it is still
-// checked against the bytes present. Sections are read-only views of the
-// segment image, not copies: every component's Load copies what it keeps,
-// so nothing holds the image once DropRecovered has released it.
-func decodeRecord(payload []byte) (*State, error) {
+// decodeRecord is appendState's inverse, into st (untouched on an error),
+// over a payload that already passed its length and CRC checks; every
+// length inside is still checked against the bytes present. A fingerprint
+// string equal to st's keeps st's: the expected record costs no string.
+// Sections are read-only views of the segment image: every component's
+// Load copies what it keeps, so nothing holds the image once
+// DropRecovered has released it.
+func decodeRecord(payload []byte, into *State) error {
 	r := wire.NewReader(payload)
-	st := &State{SavedAt: r.Time()}
+	was := &into.Fingerprint
+	st := State{SavedAt: r.Time()}
 	fp := &st.Fingerprint
-	fp.Strategy, fp.Tenant, fp.Dataset = string(r.Section()), string(r.Section()), string(r.Section())
+	fp.Strategy, fp.Tenant, fp.Dataset = same(r.Section(), was.Strategy), same(r.Section(), was.Tenant), same(r.Section(), was.Dataset)
 	fp.Seed, fp.Theta, fp.Horizon, fp.Tau, fp.Tau2 = r.Varint(), r.Float(), r.Int(), r.Float(), r.Float()
 	for _, v := range [...]*int{&st.Origin, &st.PrevAlloc, &st.Steps, &st.Violations, &st.Holds} {
 		*v = r.Int()
@@ -350,7 +377,16 @@ func decodeRecord(payload []byte) (*State, error) {
 		}
 	}
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("%w: decoding record: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: decoding record: %v", ErrCorrupt, err)
 	}
-	return st, nil
+	*into = st
+	return nil
+}
+
+// same is s when sec holds it, else sec as a string of its own.
+func same(sec []byte, s string) string {
+	if string(sec) == s {
+		return s
+	}
+	return string(sec)
 }

@@ -33,7 +33,7 @@ func commitRound(t *testing.T, dir string, retain, origin int) string {
 		t.Fatalf("OpenSegments: %v", err)
 	}
 	for i, id := range segTenants {
-		sl, err := s.Slot(i, id)
+		sl, err := s.Slot(i, &Fingerprint{Tenant: id})
 		if err != nil {
 			t.Fatalf("Slot(%d, %s): %v", i, id, err)
 		}
@@ -57,7 +57,7 @@ func recoverAll(t *testing.T, dir string) (map[string]*State, map[string]Recover
 	}
 	states, infos, errs := map[string]*State{}, map[string]RecoverInfo{}, map[string]error{}
 	for i, id := range segTenants {
-		sl, err := s.Slot(i, id)
+		sl, err := s.Slot(i, &Fingerprint{Tenant: id})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,15 +162,15 @@ func TestStateCodecCoversEveryField(t *testing.T) {
 	if len(rec) > stateSizeBound(want) {
 		t.Errorf("record is %d bytes, stateSizeBound promised at most %d", len(rec), stateSizeBound(want))
 	}
-	got, err := decodeRecord(rec)
-	if err != nil {
+	got := new(State)
+	if err := decodeRecord(rec, got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip lost a field:\n got %+v\nwant %+v", got, want)
 	}
 	for cut := 0; cut < len(rec); cut++ {
-		if _, err := decodeRecord(rec[:cut]); !errors.Is(err, ErrCorrupt) {
+		if err := decodeRecord(rec[:cut], new(State)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("record cut at %d of %d decoded with %v, want ErrCorrupt", cut, len(rec), err)
 		}
 	}

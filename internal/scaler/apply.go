@@ -147,8 +147,9 @@ func (e *ApplyError) Unwrap() error { return e.Err }
 // but not slept, which keeps replays and tests instant. It journals
 // nothing: its caller sees every failure in the error ScaleTo returns.
 type Applier struct {
-	// Apply performs the scale action; required.
-	Apply func(target int) error
+	// Apply performs the scale action (a plant, or a chaos-wrapped one);
+	// required.
+	Apply interface{ ScaleTo(target int) error }
 	// Attempts bounds the tries per scale action, first included
 	// (default 3); retries back off exponentially.
 	Attempts int
@@ -184,7 +185,7 @@ func (a *Applier) ScaleTo(target int) error {
 			applyRetries.Inc()
 			applyBackoffSeconds.Add(backoff(attempt - 1).Seconds())
 		}
-		if err := a.Apply(target); err != nil {
+		if err := a.Apply.ScaleTo(target); err != nil {
 			lastErr = err
 			applyFailures.Inc()
 			continue

@@ -22,16 +22,21 @@ func TestBackoffDelay(t *testing.T) {
 	}
 }
 
+// applyFunc is a scale action as a function.
+type applyFunc func(int) error
+
+func (f applyFunc) ScaleTo(n int) error { return f(n) }
+
 func TestApplierRetriesThenSucceeds(t *testing.T) {
 	calls := 0
 	a := &Applier{
-		Apply: func(n int) error {
+		Apply: applyFunc(func(n int) error {
 			calls++
 			if calls < 3 {
 				return errors.New("transient")
 			}
 			return nil
-		},
+		}),
 		Attempts: 3,
 		Breaker:  &Breaker{},
 	}
@@ -47,7 +52,7 @@ func TestApplierExhaustsAndBreakerOpens(t *testing.T) {
 	br := &Breaker{Cooldown: 3}
 	calls := 0
 	a := &Applier{
-		Apply:    func(int) error { calls++; return errors.New("down") },
+		Apply:    applyFunc(func(int) error { calls++; return errors.New("down") }),
 		Attempts: 2,
 		Breaker:  br,
 	}
@@ -80,7 +85,7 @@ func TestApplierExhaustsAndBreakerOpens(t *testing.T) {
 
 	// The third tick ends the cooldown: a half-open probe goes through and
 	// its success closes the breaker.
-	a.Apply = func(int) error { calls++; return nil }
+	a.Apply = applyFunc(func(int) error { calls++; return nil })
 	if err := a.ScaleTo(3); err != nil {
 		t.Fatalf("half-open probe should succeed: %v", err)
 	}
@@ -92,7 +97,7 @@ func TestApplierExhaustsAndBreakerOpens(t *testing.T) {
 // TestApplierNeedsBreaker: an Applier without a breaker refuses the
 // action before calling Apply.
 func TestApplierNeedsBreaker(t *testing.T) {
-	a := &Applier{Apply: func(int) error { t.Fatal("apply called"); return nil }}
+	a := &Applier{Apply: applyFunc(func(int) error { t.Fatal("apply called"); return nil })}
 	if err := a.ScaleTo(2); err == nil {
 		t.Fatal("an applier without a breaker scaled")
 	}

@@ -3,6 +3,7 @@ package scaler
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"robustscale/internal/forecast"
 	"robustscale/internal/obs"
@@ -368,9 +369,9 @@ func (g *Guard) planFromFan(fan *forecast.QuantileForecast, h int, cfg GuardConf
 }
 
 // storeLastGood retains a deep copy of a healthy (or repaired) fan for
-// the last-known-good rung, in the buffers the previous copy used. A fan
-// of the retained copy's shape, every round's case, is copied into the
-// rows already kept; any other shape is carved afresh.
+// the last-known-good rung, carved from the buffers the previous copy
+// used: a fan of the retained copy's shape, every round's case, lands in
+// the rows already kept, and only a larger one grows them.
 //
 // The 72-byte header is the one object a healthy round still allocates,
 // and only because bench/'s smoke test, frozen for a PR that claims a
@@ -379,23 +380,6 @@ func (g *Guard) planFromFan(fan *forecast.QuantileForecast, h int, cfg GuardConf
 func (g *Guard) storeLastGood(fan *forecast.QuantileForecast) {
 	if fan == nil || fan.Horizon() == 0 {
 		return
-	}
-	if kept := g.lastGoodFan; kept != nil && len(kept.Values) == len(fan.Values) &&
-		len(kept.Levels) == len(fan.Levels) && len(kept.Mean) == len(fan.Mean) {
-		same := true
-		for t, row := range fan.Values {
-			if len(kept.Values[t]) != len(row) {
-				same = false
-				break
-			}
-			copy(kept.Values[t], row)
-		}
-		if same {
-			copy(kept.Levels, fan.Levels)
-			copy(kept.Mean, fan.Mean)
-			g.lastGoodFan = &forecast.QuantileForecast{Levels: kept.Levels, Values: kept.Values, Mean: kept.Mean}
-			return
-		}
 	}
 	n := len(fan.Levels) + len(fan.Mean)
 	for _, row := range fan.Values {
@@ -407,13 +391,11 @@ func (g *Guard) storeLastGood(fan *forecast.QuantileForecast) {
 		buf = append(buf, src...)
 		return buf[len(buf)-len(src) : len(buf) : len(buf)]
 	}
-	c := &forecast.QuantileForecast{Levels: carve(fan.Levels), Mean: carve(fan.Mean)}
+	var rows [][]float64
 	if g.lastGoodFan != nil {
-		c.Values = g.lastGoodFan.Values[:0]
+		rows = g.lastGoodFan.Values[:0]
 	}
-	if cap(c.Values) < len(fan.Values) {
-		c.Values = make([][]float64, 0, len(fan.Values))
-	}
+	c := &forecast.QuantileForecast{Levels: carve(fan.Levels), Mean: carve(fan.Mean), Values: slices.Grow(rows, len(fan.Values))}
 	for _, row := range fan.Values {
 		c.Values = append(c.Values, carve(row))
 	}

@@ -244,7 +244,7 @@ type Robust struct {
 	lastFan      *forecast.QuantileForecast
 	lastDecision *obs.Decision
 	cachedName   string
-	tauLevels    []float64
+	level        [1]float64 // the levels asked of the forecaster, Tau alone
 	pathBuf      []float64
 }
 
@@ -270,10 +270,8 @@ func (r *Robust) PlanInto(history *timeseries.Series, h int, dst []int) (Round, 
 	if !(r.Tau > 0 && r.Tau < 1) {
 		return Round{}, fmt.Errorf("scaler: robust quantile level %v outside (0, 1)", r.Tau)
 	}
-	if len(r.tauLevels) != 1 || r.tauLevels[0] != r.Tau {
-		r.tauLevels = []float64{r.Tau}
-	}
-	f, err := predictQuantiles(r.Forecaster, history, h, r.tauLevels)
+	r.level[0] = r.Tau
+	f, err := predictQuantiles(r.Forecaster, history, h, r.level[:])
 	if err != nil {
 		return Round{}, err
 	}

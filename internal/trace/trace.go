@@ -44,6 +44,10 @@ const (
 	Disk   Resource = "disk"
 )
 
+// styleResources is what the style constructors slice their Resources
+// from, shared and never written: a caller replaces a Config's Resources.
+var styleResources = [...]Resource{CPU, Memory, Disk}
+
 // Trace is a generated cluster trace: one aggregated series per resource.
 type Trace struct {
 	// Name identifies the trace ("alibaba" or "google").
@@ -135,7 +139,7 @@ func AlibabaStyle(seed int64) Config {
 		Days:            28,
 		Step:            timeseries.DefaultStep,
 		Start:           time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC),
-		Resources:       []Resource{CPU, Memory, Disk},
+		Resources:       styleResources[:3:3],
 		BaseLoad:        40,
 		DailyAmp:        0.55,
 		WeeklyAmp:       0.12,
@@ -163,7 +167,7 @@ func GoogleStyle(seed int64) Config {
 		Days:            28,
 		Step:            timeseries.DefaultStep,
 		Start:           time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC),
-		Resources:       []Resource{CPU, Memory},
+		Resources:       styleResources[:2:2],
 		BaseLoad:        30,
 		DailyAmp:        0.15,
 		WeeklyAmp:       0.05,
@@ -193,7 +197,7 @@ func ServerlessStyle(seed int64) Config {
 		Days:            28,
 		Step:            timeseries.DefaultStep,
 		Start:           time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC),
-		Resources:       []Resource{CPU},
+		Resources:       styleResources[:1:1],
 		BaseLoad:        1.2,
 		DailyAmp:        1.7,
 		WeeklyAmp:       0.1,
@@ -219,7 +223,7 @@ func DecayingStyle(seed int64) Config {
 		Days:            28,
 		Step:            timeseries.DefaultStep,
 		Start:           time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC),
-		Resources:       []Resource{CPU},
+		Resources:       styleResources[:1:1],
 		BaseLoad:        20,
 		DailyAmp:        0.3,
 		WeeklyAmp:       0.05,
