@@ -113,9 +113,12 @@ bench-check:
 # between calls. The next holds the bucketed one-day calibration window
 # to a plain step ring over fuzzer-chosen steps, fed in rounds of 12 or
 # one at a time: equal counts and wQL within 1e-12 at every 12-step
-# boundary. The last draws a fuzzer-chosen sequence of kinds from
+# boundary. The next draws a fuzzer-chosen sequence of kinds from
 # dist.Stream at a fuzzer-chosen seed: every value must carry the bits
-# math/rand draws. Every target minimizes a new input for at most
+# math/rand draws. The last drives the ring under the journal, decision
+# store, tracer and SLO window through pushes, restores and resets beside
+# an unbounded slice: it must keep the newest records, oldest first, and
+# count every one it drops. Every target minimizes a new input for at most
 # 1 s (-fuzzminimizetime; the default 60 s can eat a whole 10 s window
 # on a multi-KB model blob).
 fuzz:
@@ -144,6 +147,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzWarmMatchesCold -fuzztime=10s -fuzzminimizetime=1s ./internal/forecast
 	$(GO) test -run '^$$' -fuzz=FuzzBucketsMatchStepRing -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz=FuzzStreamMatchesMathRand -fuzztime=10s -fuzzminimizetime=1s ./internal/dist
+	$(GO) test -run '^$$' -fuzz=FuzzRing -fuzztime=10s -fuzzminimizetime=1s ./internal/obs
 
 # Fail when git tracks a compiled binary (an ELF file): build output
 # belongs in .gitignore, not in the history.

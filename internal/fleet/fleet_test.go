@@ -620,7 +620,7 @@ func TestOneCommitPerRound(t *testing.T) {
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatalf("a failed commit took the loop down: %v", err)
 	}
-	events := obs.DefaultJournal.EventsFiltered("checkpoint-error", since)
+	events := obs.DefaultJournal.EventsFilteredTenant("", "checkpoint-error", since)
 	if len(events) != 1 || events[0].Tenant != "" {
 		t.Errorf("a failed commit journalled %+v, want one fleet-scoped checkpoint-error", events)
 	}
@@ -701,7 +701,7 @@ func TestCheckpointDegradedIsJournalled(t *testing.T) {
 	if events[0].Fields["components"] != 2 || !strings.Contains(events[0].Msg, "guard, breaker") {
 		t.Errorf("event %+v does not name the guard and the breaker", events[0])
 	}
-	if errs := obs.DefaultJournal.EventsFiltered("checkpoint-error", since); len(errs) != 0 {
+	if errs := obs.DefaultJournal.EventsFilteredTenant("", "checkpoint-error", since); len(errs) != 0 {
 		t.Errorf("a degraded checkpoint was journalled as failed: %+v", errs)
 	}
 
@@ -716,7 +716,7 @@ func TestCheckpointDegradedIsJournalled(t *testing.T) {
 			t.Errorf("%s: warm = %v, calibration %v; want a warm start with the sections that did save", tn.ID, tn.warm, tn.cal)
 		}
 	}
-	if events := obs.DefaultJournal.EventsFiltered("restore-degraded", since); len(events) != 0 {
+	if events := obs.DefaultJournal.EventsFilteredTenant("", "restore-degraded", since); len(events) != 0 {
 		t.Errorf("sections left out at the checkpoint were reported as failing to load: %+v", events)
 	}
 }

@@ -152,7 +152,7 @@ func TestServerlessWakeStormForcesWakes(t *testing.T) {
 	}
 	forced, woke := map[time.Time]int{}, 0
 	var storms []obs.Event
-	for _, e := range obs.DefaultJournal.EventsFiltered("", since) {
+	for _, e := range obs.DefaultJournal.EventsFilteredTenant("", "", since) {
 		switch {
 		case e.Kind == "wake-storm":
 			storms = append(storms, e)
@@ -298,7 +298,7 @@ func TestJournalIndependentOfWorkers(t *testing.T) {
 		if n := obs.DefaultJournal.Total() - since; n > uint64(obs.DefaultJournal.Cap()) {
 			t.Fatalf("the run journalled %d events, past the journal's %d", n, obs.DefaultJournal.Cap())
 		}
-		events := obs.DefaultJournal.EventsFiltered("", since)
+		events := obs.DefaultJournal.EventsFilteredTenant("", "", since)
 		for i := range events {
 			events[i].Seq = 0
 		}

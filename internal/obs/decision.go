@@ -3,10 +3,11 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -169,13 +170,7 @@ func (d *Decision) Explain(step int) string {
 // producers, not a lock on the data structure.
 type DecisionStore struct {
 	enabled atomic.Bool
-
-	mu       sync.Mutex
-	capacity int
-	buf      []Decision // allocated on first Record
-	next     int
-	count    int
-	seq      uint64
+	ring[Decision]
 }
 
 // SetEnabled switches decision capture on or off. Safe on a nil store.
@@ -197,10 +192,7 @@ var DefaultDecisions = NewDecisionStore(512)
 // The ring is allocated on first Record: decisions are pointer-rich, so
 // an idle store (the library default) adds nothing to the GC scan set.
 func NewDecisionStore(capacity int) *DecisionStore {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &DecisionStore{capacity: capacity}
+	return &DecisionStore{ring: newRing[Decision](capacity)}
 }
 
 // Record appends a copy of the decision, assigning and returning its
@@ -209,11 +201,7 @@ func NewDecisionStore(capacity int) *DecisionStore {
 // and steady-state recording allocates nothing once the ring has filled.
 func (s *DecisionStore) Record(d Decision) uint64 {
 	s.mu.Lock()
-	if s.buf == nil {
-		s.buf = make([]Decision, s.capacity)
-	}
-	s.seq++
-	slot := &s.buf[s.next]
+	slot := s.push()
 	nodes, u, tau, quantile, binding := slot.Nodes, slot.U, slot.Tau, slot.Quantile, slot.Binding
 	*slot = d
 	slot.Seq = s.seq
@@ -222,10 +210,6 @@ func (s *DecisionStore) Record(d Decision) uint64 {
 	slot.Tau = append(tau[:0], d.Tau...)
 	slot.Quantile = append(quantile[:0], d.Quantile...)
 	slot.Binding = append(binding[:0], d.Binding...)
-	s.next = (s.next + 1) % len(s.buf)
-	if s.count < len(s.buf) {
-		s.count++
-	}
 	seq := s.seq
 	s.mu.Unlock()
 	return seq
@@ -244,54 +228,24 @@ func (d Decision) clone() Decision {
 
 // Decisions returns the retained records, oldest first.
 func (s *DecisionStore) Decisions() []Decision {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.locked(func(Decision) bool { return true })
-}
-
-// Filter returns the retained records whose strategy matches (empty
-// matches all) and whose planned step range [Step, Step+Horizon)
-// intersects [from, to]; to < 0 leaves the range open above.
-func (s *DecisionStore) Filter(strategy string, from, to int) []Decision {
-	return s.FilterTenant("", strategy, from, to)
-}
-
-// FilterTenant is Filter additionally restricted to one tenant's records
-// (empty tenant matches all).
-func (s *DecisionStore) FilterTenant(tenant, strategy string, from, to int) []Decision {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.locked(func(d Decision) bool {
-		if tenant != "" && d.Tenant != tenant {
-			return false
-		}
-		if strategy != "" && d.Strategy != strategy {
-			return false
-		}
-		if d.Step+len(d.Nodes) <= from {
-			return false
-		}
-		if to >= 0 && d.Step > to {
-			return false
-		}
-		return true
-	})
-}
-
-// locked collects matching records oldest-first; callers hold s.mu.
-func (s *DecisionStore) locked(match func(Decision) bool) []Decision {
-	out := make([]Decision, 0, s.count)
-	start := s.next - s.count
-	if start < 0 {
-		start += len(s.buf)
-	}
-	for i := 0; i < s.count; i++ {
-		d := s.buf[(start+i)%len(s.buf)]
-		if match(d) {
-			out = append(out, d.clone())
-		}
-	}
+	_, out := s.snapshot(nil, Decision.clone)
 	return out
+}
+
+// FilterTenant returns the retained records of one tenant and strategy
+// (empty matches all) whose planned step range [Step, Step+Horizon)
+// intersects [from, to]; to < 0 leaves the range open above.
+func (s *DecisionStore) FilterTenant(tenant, strategy string, from, to int) []Decision {
+	_, out := s.snapshot(decisionFilter(tenant, strategy, from, to), Decision.clone)
+	return out
+}
+
+// decisionFilter returns the predicate FilterTenant applies.
+func decisionFilter(tenant, strategy string, from, to int) func(*Decision) bool {
+	return func(d *Decision) bool {
+		return (tenant == "" || d.Tenant == tenant) && (strategy == "" || d.Strategy == strategy) &&
+			d.Step+len(d.Nodes) > from && (to < 0 || d.Step <= to)
+	}
 }
 
 // At returns the most recent decision whose round covers the given
@@ -299,12 +253,8 @@ func (s *DecisionStore) locked(match func(Decision) bool) []Decision {
 func (s *DecisionStore) At(step int) (Decision, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := 0; i < s.count; i++ {
-		idx := s.next - 1 - i
-		if idx < 0 {
-			idx += len(s.buf)
-		}
-		if d := s.buf[idx]; d.Covers(step) {
+	for i := s.count - 1; i >= 0; i-- {
+		if d := s.at(i); d.Covers(step) {
 			return d.clone(), true
 		}
 	}
@@ -318,51 +268,7 @@ func (s *DecisionStore) Latest() (Decision, bool) {
 	if s.count == 0 {
 		return Decision{}, false
 	}
-	idx := s.next - 1
-	if idx < 0 {
-		idx += len(s.buf)
-	}
-	return s.buf[idx].clone(), true
-}
-
-// Len returns how many decisions are currently retained.
-func (s *DecisionStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// Cap returns the store capacity.
-func (s *DecisionStore) Cap() int { return s.capacity }
-
-// Total returns how many decisions were ever recorded.
-func (s *DecisionStore) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
-// Dropped returns how many decisions the ring has overwritten.
-func (s *DecisionStore) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq - uint64(s.count)
-}
-
-// Reset discards all retained decisions and the sequence counter; tests
-// use it to isolate runs against the process-wide store.
-func (s *DecisionStore) Reset() {
-	s.mu.Lock()
-	s.next, s.count, s.seq = 0, 0, 0
-	s.mu.Unlock()
-}
-
-// decisionExport is the JSON shape served by Handler.
-type decisionExport struct {
-	Capacity  int        `json:"capacity"`
-	Total     uint64     `json:"total"`
-	Dropped   uint64     `json:"dropped"`
-	Decisions []Decision `json:"decisions"`
+	return s.at(s.count - 1).clone(), true
 }
 
 // Handler returns an http.Handler serving the store as JSON. Query
@@ -370,38 +276,24 @@ type decisionExport struct {
 // ?tenant= matches the tenant label, ?from= and ?to= bound the planned
 // step range.
 func (s *DecisionStore) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		q := req.URL.Query()
+	return getOnly("application/json", func(w io.Writer, q url.Values) error {
 		from, to := 0, -1
-		if raw := q.Get("from"); raw != "" {
-			v, err := strconv.Atoi(raw)
-			if err != nil {
-				http.Error(w, "bad from: "+err.Error(), http.StatusBadRequest)
-				return
+		for _, p := range [...]struct {
+			name string
+			v    *int
+		}{{"from", &from}, {"to", &to}} {
+			if raw := q.Get(p.name); raw != "" {
+				v, err := strconv.Atoi(raw)
+				if err != nil {
+					return badQuery{fmt.Errorf("bad %s: %w", p.name, err)}
+				}
+				*p.v = v
 			}
-			from = v
 		}
-		if raw := q.Get("to"); raw != "" {
-			v, err := strconv.Atoi(raw)
-			if err != nil {
-				http.Error(w, "bad to: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			to = v
-		}
-		export := decisionExport{
-			Capacity:  s.Cap(),
-			Total:     s.Total(),
-			Dropped:   s.Dropped(),
-			Decisions: s.FilterTenant(q.Get("tenant"), q.Get("strategy"), from, to),
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(export); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		stats, decisions := s.snapshot(decisionFilter(q.Get("tenant"), q.Get("strategy"), from, to), Decision.clone)
+		return json.NewEncoder(w).Encode(struct {
+			ringStats
+			Decisions []Decision `json:"decisions"`
+		}{stats, decisions})
 	})
 }

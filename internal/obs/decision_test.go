@@ -76,16 +76,16 @@ func TestDecisionStoreFilterAndLookup(t *testing.T) {
 	s.Record(Decision{Strategy: "b", Step: 2, Nodes: []int{2, 2}})
 	s.Record(Decision{Strategy: "a", Step: 4, Nodes: []int{3, 3}})
 
-	if got := s.Filter("a", 0, -1); len(got) != 2 {
+	if got := s.FilterTenant("", "a", 0, -1); len(got) != 2 {
 		t.Errorf("Filter(a) kept %d, want 2", len(got))
 	}
-	if got := s.Filter("", 2, 3); len(got) != 1 || got[0].Strategy != "b" {
+	if got := s.FilterTenant("", "", 2, 3); len(got) != 1 || got[0].Strategy != "b" {
 		t.Errorf("Filter(steps 2..3) = %+v", got)
 	}
-	if got := s.Filter("", 5, -1); len(got) != 1 || got[0].Step != 4 {
+	if got := s.FilterTenant("", "", 5, -1); len(got) != 1 || got[0].Step != 4 {
 		t.Errorf("Filter(from 5) = %+v", got)
 	}
-	if got := s.Filter("c", 0, -1); len(got) != 0 {
+	if got := s.FilterTenant("", "c", 0, -1); len(got) != 0 {
 		t.Errorf("Filter(unknown strategy) = %+v", got)
 	}
 

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -31,27 +33,21 @@ type Event struct {
 	Fields map[string]float64 `json:"fields,omitempty"`
 }
 
-// Journal is a bounded ring buffer of Events: appends are O(1), memory is
+// Journal is a bounded ring of Events: appends are O(1), memory is
 // fixed at capacity, and the oldest entries are overwritten first. It is
 // safe for concurrent use.
 type Journal struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int
-	count int
-	seq   uint64
+	ring[Event]
 }
 
 // DefaultJournal is the process-wide journal, exposed by the daemon at
 // /journal.
 var DefaultJournal = NewJournal(1024)
 
-// NewJournal returns a journal holding at most capacity events.
+// NewJournal returns a journal holding at most capacity events. The ring
+// is allocated on first record, as the decision store's and tracer's are.
 func NewJournal(capacity int) *Journal {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Journal{buf: make([]Event, capacity)}
+	return &Journal{ring: newRing[Event](capacity)}
 }
 
 // RecordTenantAt appends an event with an explicit timestamp (virtual
@@ -67,84 +63,32 @@ func (j *Journal) RecordTenantAt(t time.Time, tenant, kind, msg string, fields m
 		}
 	}
 	j.mu.Lock()
-	j.seq++
-	j.buf[j.next] = Event{Seq: j.seq, Time: t, Tenant: tenant, Kind: kind, Msg: msg, Fields: copied}
-	j.next = (j.next + 1) % len(j.buf)
-	if j.count < len(j.buf) {
-		j.count++
-	}
+	slot := j.push() // seq counts the event only once push returns
+	*slot = Event{Seq: j.seq, Time: t, Tenant: tenant, Kind: kind, Msg: msg, Fields: copied}
 	j.mu.Unlock()
 }
 
 // Events returns the retained events, oldest first.
-func (j *Journal) Events() []Event {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]Event, 0, j.count)
-	start := j.next - j.count
-	if start < 0 {
-		start += len(j.buf)
-	}
-	for i := 0; i < j.count; i++ {
-		out = append(out, j.buf[(start+i)%len(j.buf)])
-	}
-	return out
-}
+func (j *Journal) Events() []Event { return j.EventsFilteredTenant("", "", 0) }
 
-// Len returns how many events are currently retained.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.count
-}
-
-// Cap returns the journal capacity.
-func (j *Journal) Cap() int { return len(j.buf) }
-
-// Total returns how many events were ever recorded.
-func (j *Journal) Total() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.seq
-}
-
-// Dropped returns how many events the ring has overwritten.
-func (j *Journal) Dropped() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.seq - uint64(j.count)
-}
-
-// journalExport is the JSON shape served by Handler.
-type journalExport struct {
-	Capacity int     `json:"capacity"`
-	Total    uint64  `json:"total"`
-	Dropped  uint64  `json:"dropped"`
-	Events   []Event `json:"events"`
-}
-
-// EventsFiltered returns the retained events matching kind (empty
-// matches all) with Seq > sinceSeq, oldest first. sinceSeq makes the
-// journal a resumable cursor: postmortem tooling passes the last Seq it
-// saw instead of re-paging the full ring.
-func (j *Journal) EventsFiltered(kind string, sinceSeq uint64) []Event {
-	return j.EventsFilteredTenant("", kind, sinceSeq)
-}
-
-// EventsFilteredTenant is EventsFiltered additionally restricted to one
-// tenant's events (empty tenant matches all).
+// EventsFilteredTenant returns the retained events of one tenant and
+// kind (empty matches all) with Seq > sinceSeq, oldest first. sinceSeq
+// makes the journal a resumable cursor: postmortem tooling passes the
+// last Seq it saw instead of re-paging the full ring.
 func (j *Journal) EventsFilteredTenant(tenant, kind string, sinceSeq uint64) []Event {
-	events := j.Events()
+	_, events := j.snapshot(eventFilter(tenant, kind, sinceSeq), nil)
+	return events
+}
+
+// eventFilter returns the predicate EventsFilteredTenant applies, nil
+// when it keeps every event.
+func eventFilter(tenant, kind string, sinceSeq uint64) func(*Event) bool {
 	if tenant == "" && kind == "" && sinceSeq == 0 {
-		return events
+		return nil
 	}
-	out := events[:0]
-	for _, e := range events {
-		if e.Seq > sinceSeq && (kind == "" || e.Kind == kind) && (tenant == "" || e.Tenant == tenant) {
-			out = append(out, e)
-		}
+	return func(e *Event) bool {
+		return e.Seq > sinceSeq && (kind == "" || e.Kind == kind) && (tenant == "" || e.Tenant == tenant)
 	}
-	return out
 }
 
 // Handler returns an http.Handler serving the journal as JSON. Query
@@ -152,30 +96,19 @@ func (j *Journal) EventsFilteredTenant(tenant, kind string, sinceSeq uint64) []E
 // ?tenant= matches the tenant label, and ?since_seq= returns only
 // events with a larger sequence number.
 func (j *Journal) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		q := req.URL.Query()
+	return getOnly("application/json", func(w io.Writer, q url.Values) error {
 		var sinceSeq uint64
 		if raw := q.Get("since_seq"); raw != "" {
 			v, err := strconv.ParseUint(raw, 10, 64)
 			if err != nil {
-				http.Error(w, "bad since_seq: "+err.Error(), http.StatusBadRequest)
-				return
+				return badQuery{fmt.Errorf("bad since_seq: %w", err)}
 			}
 			sinceSeq = v
 		}
-		export := journalExport{
-			Capacity: j.Cap(),
-			Total:    j.Total(),
-			Dropped:  j.Dropped(),
-			Events:   j.EventsFilteredTenant(q.Get("tenant"), q.Get("kind"), sinceSeq),
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(export); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		stats, events := j.snapshot(eventFilter(q.Get("tenant"), q.Get("kind"), sinceSeq), nil)
+		return json.NewEncoder(w).Encode(struct {
+			ringStats
+			Events []Event `json:"events"`
+		}{stats, events})
 	})
 }

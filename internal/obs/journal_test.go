@@ -106,17 +106,17 @@ func TestJournalEventsFiltered(t *testing.T) {
 	j.RecordTenantAt(time.Now(), "", "violation", "breach", nil)
 	j.RecordTenantAt(time.Now(), "", "scale", "down", nil)
 
-	if got := j.EventsFiltered("", 0); len(got) != 3 {
+	if got := j.EventsFilteredTenant("", "", 0); len(got) != 3 {
 		t.Errorf("unfiltered kept %d, want 3", len(got))
 	}
-	got := j.EventsFiltered("scale", 0)
+	got := j.EventsFilteredTenant("", "scale", 0)
 	if len(got) != 2 || got[0].Msg != "up" || got[1].Msg != "down" {
 		t.Errorf("kind filter = %+v", got)
 	}
-	if got := j.EventsFiltered("", 2); len(got) != 1 || got[0].Seq != 3 {
+	if got := j.EventsFilteredTenant("", "", 2); len(got) != 1 || got[0].Seq != 3 {
 		t.Errorf("since_seq filter = %+v", got)
 	}
-	if got := j.EventsFiltered("violation", 2); len(got) != 0 {
+	if got := j.EventsFilteredTenant("", "violation", 2); len(got) != 0 {
 		t.Errorf("combined filter = %+v", got)
 	}
 }

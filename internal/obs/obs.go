@@ -27,6 +27,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -414,13 +415,32 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // Handler returns an http.Handler serving the registry in Prometheus text
 // format.
 func (r *Registry) Handler() http.Handler {
+	return getOnly("text/plain; version=0.0.4", func(w io.Writer, _ url.Values) error {
+		return r.WritePrometheus(w)
+	})
+}
+
+// badQuery marks an error getOnly answers with 400 instead of 500.
+type badQuery struct{ error }
+
+// getOnly returns the handler every obs endpoint is: anything but GET is
+// answered 405, and a GET gets contentType and what write writes from
+// the query. An error write returns is answered 400 when it is a
+// badQuery and 500 otherwise.
+func getOnly(contentType string, write func(w io.Writer, q url.Values) error) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = r.WritePrometheus(w)
+		w.Header().Set("Content-Type", contentType)
+		if err := write(w, req.URL.Query()); err != nil {
+			code := http.StatusInternalServerError
+			if _, ok := err.(badQuery); ok {
+				code = http.StatusBadRequest
+			}
+			http.Error(w, err.Error(), code)
+		}
 	})
 }
 

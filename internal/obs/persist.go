@@ -42,19 +42,11 @@ func loadRing[T any](r io.Reader, what string, minSize int, readRec func(*wire.R
 	return seq, recs, nil
 }
 
-// restoreRing fills buf with the newest of recs, oldest first, and
-// returns the ring's next slot and count.
-func restoreRing[T any](buf, recs []T) (next, count int) {
-	recs = recs[max(0, len(recs)-len(buf)):]
-	clear(buf)
-	copy(buf, recs)
-	return len(recs) % len(buf), len(recs)
-}
-
 // Save writes the retained events and sequence counter, each event's
 // fields in ascending key order so equal journals save equal bytes.
 func (j *Journal) Save(w io.Writer) error {
-	return saveRing(w, "journal", j.Total(), j.Events(), func(b []byte, ev *Event) []byte {
+	stats, events := j.snapshot(nil, nil)
+	return saveRing(w, "journal", stats.Total, events, func(b []byte, ev *Event) []byte {
 		b = wire.AppendTime(binary.AppendUvarint(b, ev.Seq), ev.Time)
 		b = wire.AppendSection(wire.AppendSection(wire.AppendSection(b, ev.Tenant), ev.Kind), ev.Msg)
 		keys := make([]string, 0, len(ev.Fields))
@@ -97,8 +89,7 @@ func (j *Journal) Load(r io.Reader) error {
 		return err
 	}
 	j.mu.Lock()
-	j.next, j.count = restoreRing(j.buf, events)
-	j.seq = seq
+	j.restore(seq, events)
 	j.mu.Unlock()
 	return nil
 }
@@ -106,7 +97,8 @@ func (j *Journal) Load(r io.Reader) error {
 // Save writes the retained decisions and sequence counter, each
 // decision's fields in declaration order.
 func (s *DecisionStore) Save(w io.Writer) error {
-	return saveRing(w, "decisions", s.Total(), s.Decisions(), func(b []byte, d *Decision) []byte {
+	stats, decisions := s.snapshot(nil, Decision.clone)
+	return saveRing(w, "decisions", stats.Total, decisions, func(b []byte, d *Decision) []byte {
 		b = wire.AppendSection(wire.AppendTime(binary.AppendUvarint(b, d.Seq), d.Time), d.Tenant)
 		b = wire.AppendSection(b, d.Strategy)
 		b = wire.AppendFloat(wire.AppendVarints(b, int64(d.Step), int64(d.Horizon)), d.Theta)
@@ -145,9 +137,7 @@ func (s *DecisionStore) Load(r io.Reader) error {
 		return err
 	}
 	s.mu.Lock()
-	s.buf = make([]Decision, s.capacity)
-	s.next, s.count = restoreRing(s.buf, decisions)
-	s.seq = seq
+	s.restore(seq, decisions)
 	s.mu.Unlock()
 	return nil
 }

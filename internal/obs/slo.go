@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"slices"
 	"sync"
 	"time"
@@ -105,18 +106,18 @@ type sloSlot struct {
 // Safe for concurrent use, though observations themselves must arrive in
 // a deterministic order for deterministic alerting.
 type SLOTracker struct {
-	mu   sync.Mutex
-	cfg  SLOConfig
-	ring []sloSlot // ring buffer of the last Window ticks
-	tick uint64    // total ticks observed
+	mu  sync.Mutex
+	cfg SLOConfig
+	// window holds the last Window ticks; its seq counts every tick.
+	// history holds the newest alert transitions; its seq counts every
+	// firing<->resolved edge across rules. Both are guarded by mu.
+	window  ring[sloSlot]
+	history ring[AlertEvent]
 
 	bad, total uint64 // lifetime counts
 
-	firing      []bool   // per rule
-	firstFire   []uint64 // per rule; 1-based tick, 0 = never fired
-	transitions uint64   // total firing<->resolved edges across rules
-
-	history []AlertEvent
+	firing    []bool   // per rule
+	firstFire []uint64 // per rule; 1-based tick, 0 = never fired
 
 	// Journal, if set, receives an "alert" event on every transition,
 	// labelled with Tenant.
@@ -137,7 +138,8 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	}
 	return &SLOTracker{
 		cfg:       cfg,
-		ring:      make([]sloSlot, cfg.Window),
+		window:    newRing[sloSlot](cfg.Window),
+		history:   newRing[AlertEvent](sloAlertHistoryCap),
 		firing:    make([]bool, len(cfg.Rules)),
 		firstFire: make([]uint64, len(cfg.Rules)),
 	}
@@ -187,15 +189,8 @@ func (s *SLOTracker) InstrumentDefault() *SLOTracker {
 // windowSums returns bad/total summed over the last w ticks (w clamped
 // to what has been observed).
 func (s *SLOTracker) windowSums(w int) (bad, total uint64) {
-	n := int(s.tick)
-	if w > n {
-		w = n
-	}
-	if w > len(s.ring) {
-		w = len(s.ring)
-	}
-	for i := 0; i < w; i++ {
-		slot := s.ring[(int(s.tick)-1-i+len(s.ring)*2)%len(s.ring)]
+	for i := max(0, s.window.count-w); i < s.window.count; i++ {
+		slot := s.window.at(i)
 		bad += slot.Bad
 		total += slot.Total
 	}
@@ -221,8 +216,8 @@ func (s *SLOTracker) ObserveAt(now time.Time, bad, total uint64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ring[int(s.tick)%len(s.ring)] = sloSlot{Bad: bad, Total: total}
-	s.tick++
+	*s.window.push() = sloSlot{Bad: bad, Total: total}
+	tick := s.window.seq
 	s.bad += bad
 	s.total += total
 
@@ -238,19 +233,13 @@ func (s *SLOTracker) ObserveAt(now time.Time, bad, total uint64) {
 		}
 		if firing != s.firing[i] {
 			s.firing[i] = firing
-			s.transitions++
 			if firing && s.firstFire[i] == 0 {
-				s.firstFire[i] = s.tick
+				s.firstFire[i] = tick
 			}
-			ev := AlertEvent{
-				Rule: r.Name, Firing: firing, Time: now, Tick: s.tick,
+			*s.history.push() = AlertEvent{
+				Rule: r.Name, Firing: firing, Time: now, Tick: tick,
 				BurnLong: burnLong, BurnShort: burnShort,
 			}
-			if len(s.history) >= sloAlertHistoryCap {
-				copy(s.history, s.history[1:])
-				s.history = s.history[:len(s.history)-1]
-			}
-			s.history = append(s.history, ev)
 			if s.instr != nil {
 				s.instr.transitions.Inc()
 			}
@@ -265,7 +254,7 @@ func (s *SLOTracker) ObserveAt(now time.Time, bad, total uint64) {
 						"burn_long":  burnLong,
 						"burn_short": burnShort,
 						"factor":     r.Factor,
-						"tick":       float64(s.tick),
+						"tick":       float64(tick),
 					})
 			}
 		}
@@ -318,10 +307,10 @@ func (s *SLOTracker) Status() SLOStatus {
 	defer s.mu.Unlock()
 	wb, wt := s.windowSums(s.cfg.Window)
 	st := SLOStatus{
-		Target: s.cfg.Target, Window: s.cfg.Window, Tick: s.tick,
+		Target: s.cfg.Target, Window: s.cfg.Window, Tick: s.window.seq,
 		Bad: s.bad, Total: s.total, WindowBad: wb, WindowTotal: wt,
 		BudgetRemaining: s.budgetRemainingLocked(),
-		Transitions:     s.transitions,
+		Transitions:     s.history.seq,
 		Rules:           make([]RuleStatus, len(s.cfg.Rules)),
 	}
 	for i, r := range s.cfg.Rules {
@@ -353,33 +342,25 @@ func (s *SLOTracker) FirstFiring() (uint64, bool) {
 	return first, first > 0
 }
 
-// History returns a copy of the retained alert transitions.
+// History returns a copy of the retained alert transitions, oldest
+// first.
 func (s *SLOTracker) History() []AlertEvent {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]AlertEvent(nil), s.history...)
+	return s.history.collect(nil, nil)
 }
 
 // Handler serves the SLO status as JSON (the /slo endpoint).
 func (s *SLOTracker) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(s.Status())
+	return getOnly("application/json", func(w io.Writer, _ url.Values) error {
+		return json.NewEncoder(w).Encode(s.Status())
 	})
 }
 
 // AlertsHandler serves the active alerts and bounded transition history
 // as JSON (the /alerts endpoint).
 func (s *SLOTracker) AlertsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	return getOnly("application/json", func(w io.Writer, _ url.Values) error {
 		st := s.Status()
 		active := make([]RuleStatus, 0, len(st.Rules))
 		for _, r := range st.Rules {
@@ -387,15 +368,10 @@ func (s *SLOTracker) AlertsHandler() http.Handler {
 				active = append(active, r)
 			}
 		}
-		history := s.History()
-		if history == nil {
-			history = []AlertEvent{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(struct {
+		return json.NewEncoder(w).Encode(struct {
 			Active  []RuleStatus `json:"active"`
 			History []AlertEvent `json:"history"`
-		}{Active: active, History: history})
+		}{Active: active, History: s.History()})
 	})
 }
 
@@ -412,16 +388,16 @@ func (s *SLOTracker) Save(w io.Writer) error {
 		b = wire.AppendBool(wire.AppendVarints(b, int64(r.Long), int64(r.Short)), s.firing[i])
 		b = binary.AppendUvarint(b, s.firstFire[i])
 	}
-	n := min(s.tick, uint64(len(s.ring)))
-	for _, v := range [...]uint64{s.tick, s.bad, s.total, s.transitions, n} {
+	for _, v := range [...]uint64{s.window.seq, s.bad, s.total, s.history.seq, uint64(s.window.count)} {
 		b = binary.AppendUvarint(b, v)
 	}
-	for i := s.tick - n; i < s.tick; i++ {
-		slot := s.ring[i%uint64(len(s.ring))]
+	for i := range s.window.count {
+		slot := s.window.at(i)
 		b = binary.AppendUvarint(binary.AppendUvarint(b, slot.Bad), slot.Total)
 	}
-	b = binary.AppendUvarint(b, uint64(len(s.history)))
-	for _, ev := range s.history {
+	b = binary.AppendUvarint(b, uint64(s.history.count))
+	for i := range s.history.count {
+		ev := s.history.at(i)
 		b = wire.AppendTime(wire.AppendBool(wire.AppendSection(b, ev.Rule), ev.Firing), ev.Time)
 		b = wire.AppendFloat(wire.AppendFloat(binary.AppendUvarint(b, ev.Tick), ev.BurnLong), ev.BurnShort)
 	}
@@ -466,20 +442,15 @@ func (s *SLOTracker) Load(r io.Reader) error {
 			return fmt.Errorf("obs: SLO snapshot rule %d mismatch: %+v vs %+v", i, r, s.cfg.Rules[i])
 		}
 	}
-	if uint64(len(slots)) != min(tick, uint64(window)) || tick > math.MaxInt || len(history) > sloAlertHistoryCap {
+	if uint64(len(slots)) != min(tick, uint64(window)) || tick > math.MaxInt || len(history) > sloAlertHistoryCap ||
+		uint64(len(history)) > transitions {
 		return fmt.Errorf("obs: SLO snapshot holds %d slots for %d ticks in a %d-tick window and %d alerts",
 			len(slots), tick, window, len(history))
 	}
-	clear(s.ring)
-	// Replay the saved slots at their original ring positions so the
-	// next tick continues exactly where the saved run stopped.
-	for i, slot := range slots {
-		s.ring[(tick-uint64(len(slots)-i))%uint64(len(s.ring))] = slot
-	}
-	s.tick, s.bad, s.total = tick, bad, total
+	s.window.restore(tick, slots)
+	s.history.restore(transitions, history)
+	s.bad, s.total = bad, total
 	copy(s.firing, firing)
 	copy(s.firstFire, firstFire)
-	s.transitions = transitions
-	s.history = append(s.history[:0], history...)
 	return nil
 }

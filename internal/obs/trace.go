@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -51,13 +51,7 @@ type SpanEvent struct {
 type Tracer struct {
 	enabled atomic.Bool
 	epoch   time.Time
-
-	mu       sync.Mutex
-	capacity int
-	buf      []SpanEvent // allocated on first record
-	next     int
-	count    int
-	total    uint64
+	ring[SpanEvent]
 }
 
 // DefaultTracer is the process-wide tracer, served by the daemon at
@@ -70,10 +64,7 @@ var DefaultTracer = NewTracer(16384)
 // pointers (name, virtual-time stamp), so a tracer that never records —
 // the library default — adds nothing to the GC scan set.
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{epoch: time.Now(), capacity: capacity}
+	return &Tracer{epoch: time.Now(), ring: newRing[SpanEvent](capacity)}
 }
 
 // SetEnabled switches span recording on or off. Safe on a nil tracer.
@@ -144,63 +135,14 @@ func (s Span) EndVirtual(vt time.Time) {
 
 func (tr *Tracer) record(ev SpanEvent) {
 	tr.mu.Lock()
-	if tr.buf == nil {
-		tr.buf = make([]SpanEvent, tr.capacity)
-	}
-	tr.total++
-	tr.buf[tr.next] = ev
-	tr.next = (tr.next + 1) % len(tr.buf)
-	if tr.count < len(tr.buf) {
-		tr.count++
-	}
+	*tr.push() = ev
 	tr.mu.Unlock()
 }
 
 // Events returns the retained spans in completion order, oldest first.
 func (tr *Tracer) Events() []SpanEvent {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	out := make([]SpanEvent, 0, tr.count)
-	start := tr.next - tr.count
-	if start < 0 {
-		start += len(tr.buf)
-	}
-	for i := 0; i < tr.count; i++ {
-		out = append(out, tr.buf[(start+i)%len(tr.buf)])
-	}
+	_, out := tr.snapshot(nil, nil)
 	return out
-}
-
-// Len returns how many spans are currently retained.
-func (tr *Tracer) Len() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.count
-}
-
-// Cap returns the tracer capacity.
-func (tr *Tracer) Cap() int { return tr.capacity }
-
-// Total returns how many spans were ever recorded.
-func (tr *Tracer) Total() uint64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.total
-}
-
-// Dropped returns how many spans the ring has overwritten.
-func (tr *Tracer) Dropped() uint64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.total - uint64(tr.count)
-}
-
-// Reset discards all retained spans and the drop accounting; tests use
-// it to isolate runs against the process-wide tracer.
-func (tr *Tracer) Reset() {
-	tr.mu.Lock()
-	tr.next, tr.count, tr.total = 0, 0, 0
-	tr.mu.Unlock()
 }
 
 // chromeSpan is one complete ("ph":"X") event of the Chrome trace-event
@@ -291,14 +233,5 @@ func (tr *Tracer) WriteChromeFile(path string) error {
 
 // Handler returns an http.Handler serving the Chrome trace JSON.
 func (tr *Tracer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := tr.WriteChrome(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	return getOnly("application/json", func(w io.Writer, _ url.Values) error { return tr.WriteChrome(w) })
 }

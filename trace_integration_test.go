@@ -90,7 +90,7 @@ func TestDecisionTracingEndToEnd(t *testing.T) {
 	// Every strategy left at least one queryable decision.
 	var adaptiveName string
 	for _, strat := range strategies {
-		ds := robustscale.DefaultDecisions.Filter(strat.Name(), 0, -1)
+		ds := robustscale.DefaultDecisions.FilterTenant("", strat.Name(), 0, -1)
 		if len(ds) == 0 {
 			t.Errorf("%s: no decisions recorded", strat.Name())
 			continue
@@ -116,7 +116,7 @@ func TestDecisionTracingEndToEnd(t *testing.T) {
 		t.Error("no decision covers the second evaluated step")
 	}
 	found := false
-	for _, d := range robustscale.DefaultDecisions.Filter(adaptiveName, 0, -1) {
+	for _, d := range robustscale.DefaultDecisions.FilterTenant("", adaptiveName, 0, -1) {
 		line := d.Explain(d.Step + 1)
 		if strings.Contains(line, "q0.95") && strings.Contains(line, "tau escalated to 0.95") {
 			found = true
