@@ -542,8 +542,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		logf("autoscaled: final checkpoint written (replay step %d)", t.Origin()-trainEnd)
 	}
 	tot, c := t.Totals(), plant.Cluster
+	rate := 0.0 // a daemon stopped before its first round ran no step
+	if tot.Steps > 0 {
+		rate = 100 * float64(tot.Violations) / float64(tot.Steps)
+	}
 	fmt.Fprintf(stdout, "\nfinal: %d steps, %d violations (%.2f%%), %d scale-outs, %d scale-ins\n",
-		tot.Steps, tot.Violations, 100*float64(tot.Violations)/float64(tot.Steps), c.ScaleOuts, c.ScaleIns)
+		tot.Steps, tot.Violations, rate, c.ScaleOuts, c.ScaleIns)
 	if g := t.Guard(); g != nil {
 		fmt.Fprintf(stdout, "resilience: %d degraded rounds, %d apply holds, %d node failures, final mode %s\n",
 			g.DegradedRounds(), tot.Holds, c.Failures, g.Mode())

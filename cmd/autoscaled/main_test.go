@@ -136,6 +136,20 @@ slo: target 0.01 window 144: 12/288 bad steps, budget remaining -3.1667, 10 tran
 	}
 }
 
+// TestStoppedBeforeFirstRound: a daemon stopped before its first round
+// ran no step and reports a violation rate of 0, not NaN.
+func TestStoppedBeforeFirstRound(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var stdout, stderr bytes.Buffer
+	if err := run(ctx, strings.Fields("-strategy reactive-max -days 1"), &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr.String())
+	}
+	if want := "final: 0 steps, 0 violations (0.00%), 0 scale-outs, 0 scale-ins"; !strings.Contains(stdout.String(), want) {
+		t.Errorf("stdout has no %q:\n%s", want, stdout.String())
+	}
+}
+
 // TestApplyBreakerStdout pins the whole stdout of two chaos replays that
 // keep the apply breaker busy: the apply-fault preset behind the default
 // 30-minute cooldown, and every fault class across the zero boundary.

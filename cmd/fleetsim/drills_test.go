@@ -186,7 +186,7 @@ const labelCapChild = "label-cap-child"
 // run is a fresh process: the test binary re-executed on this test alone.
 func TestLabelLimitBoundsExposition(t *testing.T) {
 	if args := flag.Args(); len(args) == 2 && args[0] == labelCapChild {
-		defer obs.Default.SetLabelLimit(obs.Default.LabelLimit())
+		defer obs.Default.SetLabelLimit(obs.DefaultLabelLimit)
 		if code, _, stderr := fleetsim(t, "-tenants 1000 -per-tenant=false -label-limit 64 -metrics "+args[1]); code != 0 {
 			t.Fatalf("exit %d\n%s", code, stderr)
 		}

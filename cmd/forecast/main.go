@@ -28,6 +28,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"robustscale/internal/fleet"
 	"robustscale/internal/forecast"
 	"robustscale/internal/timeseries"
 	"robustscale/internal/trace"
@@ -119,14 +120,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.StringVar(&j.model, "model", "tft", "tft | deepar | mlp | arima | qb5000")
 	fs.StringVar(&j.out, "out", "", "where to save the trained model")
 	fs.StringVar(&j.in, "in", "", "saved model to load for predict")
-	fs.IntVar(&j.horizon, "horizon", 72, "forecast horizon in steps")
-	fs.IntVar(&j.context, "context", 72, "model context window in steps")
-	fs.IntVar(&j.epochs, "epochs", 8, "training epochs for neural models")
+	fleet.PositiveIntVar(fs, &j.horizon, "horizon", 72, "forecast horizon in `steps`")
+	fleet.PositiveIntVar(fs, &j.context, "context", 72, "model context window in `steps`")
+	fleet.PositiveIntVar(fs, &j.epochs, "epochs", 8, "training `epochs` for neural models")
 	fs.Func("levels", "comma-separated quantile `levels` for predict (default 0.5,0.7,0.9)", func(s string) (err error) {
 		j.levels, err = parseLevels(s)
 		return err
 	})
-	fs.IntVar(&j.period, "period", 0, "seasonal period for arima in steps (0 = auto-detect from the trace)")
+	fs.Func("period", "seasonal period for arima in `steps` (default 0 = auto-detect from the trace)", func(v string) (err error) {
+		if j.period, err = strconv.Atoi(v); err == nil && j.period < 0 {
+			err = errors.New("must not be negative")
+		}
+		return err
+	})
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}

@@ -47,6 +47,10 @@ func TestBadCommandLineExitsTwo(t *testing.T) {
 		{"-mode forecast", `unknown -mode "forecast"`},
 		{"-model prophet", `-model "prophet"`},
 		{"-levels 0.5,x", `invalid value "0.5,x" for flag -levels`},
+		{"-mode backtest -context -3", `invalid value "-3" for flag -context: must be positive`},
+		{"-mode train -model mlp -epochs -1", `invalid value "-1" for flag -epochs: must be positive`},
+		{"-mode backtest -horizon 0", `invalid value "0" for flag -horizon: must be positive`},
+		{"-model arima -period -1", `invalid value "-1" for flag -period: must not be negative`},
 	} {
 		code, stdout, stderr := forecastCmd(strings.Fields(tc.args)...)
 		if code != 2 || stdout != "" {

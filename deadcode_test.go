@@ -3,9 +3,13 @@ package robustscale_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -19,11 +23,20 @@ var deadCodeAllow = map[declKey]string{
 	{"internal/forecast", "NewConformal"}: "ROADMAP 1(a) decides wire-in or delete; reached today only by BenchmarkAblationConformal",
 }
 
-// TestDeadCode fails on any top-level declaration under internal/ that
-// no program reaches. Roots are every declaration in a non-test file
-// outside internal/ (the root package, cmd/, bench/), every func init
-// and each allowlist entry.
+// TestDeadCode fails on any top-level declaration or method under
+// internal/ that no program reaches. Roots are every declaration in a
+// non-test file outside internal/ (the root package, cmd/, bench/), every
+// func init and each allowlist entry. Reachability follows the type
+// checker, not names: a reached declaration reaches every object it uses
+// (a generic instantiation counts as its origin), and a method of a
+// reached type is reached only when something calls it. A method counts
+// as called when reached code calls a method of that name through an
+// interface, when the standard library calls it through one (the names in
+// stdInterfaceMethods), or when its type is on the root package's public
+// surface: an exported alias or the type of an exported var. A method
+// only a test calls is dead, and so is one only a dead method calls.
 func TestDeadCode(t *testing.T) {
+	t.Parallel()
 	if len(deadCodeAllow) > 1 {
 		t.Fatalf("allowlist has %d entries; at most 1", len(deadCodeAllow))
 	}
@@ -43,6 +56,7 @@ func TestDeadCode(t *testing.T) {
 // TestDeadCodeFixture pins the analyzer's rules on testdata/deadcode,
 // whose internal/lib holds one declaration per case.
 func TestDeadCodeFixture(t *testing.T) {
+	t.Parallel()
 	root := filepath.Join("testdata", "deadcode")
 	allowed := declKey{"internal/lib", "Allowed"}
 	dead, stale, err := unreachable(root, "fixture", map[declKey]string{allowed: "kept on purpose"})
@@ -52,11 +66,21 @@ func TestDeadCodeFixture(t *testing.T) {
 	if len(stale) > 0 {
 		t.Errorf("stale = %v, want none", stale)
 	}
-	// Kept: what only cmd/ or bench/ reference, a reached type's
-	// method and what it references, init's references, the allowed func.
-	want := []string{"DeadFunc", "DeadType", "DeadVar", "DeadConst", "Iface", "Asserted", "Asserted.M"}
-	for i, line := range []int{29, 31, 33, 35, 38, 40, 42} {
-		want[i] = fmt.Sprintf("internal/lib/lib.go:%d %s", line, want[i])
+	// Kept: what only cmd/ or bench/ reference, a called method and what
+	// it references, init's references, the allowed func, a method called
+	// through an interface, a String only fmt calls, every method of a
+	// type the root aliases, a used generic method. The stub file of
+	// another architecture is not read.
+	want := []string{
+		"internal/lib/lib.go:29 DeadFunc",
+		"internal/lib/lib.go:31 DeadType",
+		"internal/lib/lib.go:33 DeadVar",
+		"internal/lib/lib.go:35 DeadConst",
+		"internal/lib/lib.go:38 Iface",
+		"internal/lib/lib.go:40 Asserted",
+		"internal/lib/lib.go:42 Asserted.M",
+		"internal/lib/lib.go:48 Reached.OnlyTests",
+		"internal/lib/lib.go:51 Reached.viaDead",
 	}
 	if strings.Join(dead, "\n") != strings.Join(want, "\n") {
 		t.Errorf("flagged:\n%s\nwant:\n%s", strings.Join(dead, "\n"), strings.Join(want, "\n"))
@@ -75,160 +99,296 @@ func TestDeadCodeFixture(t *testing.T) {
 	}
 }
 
+// stdInterfaceMethods are the method names the standard library calls
+// through an interface (fmt, errors, io, net/http, encoding/json, sort,
+// math/rand, flag); a reached type's method of one of these names is
+// reached even when no module code names it.
+var stdInterfaceMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "Is": true, "As": true,
+	"Write": true, "Read": true, "ServeHTTP": true, "MarshalJSON": true,
+	"Len": true, "Less": true, "Swap": true, "Int63": true, "Uint64": true,
+	"Seed": true, "Set": true, "Format": true,
+}
+
 // declKey names a top-level declaration: its package directory relative
 // to the module root, and its name ("T.M" for a method of T).
 type declKey struct{ pkg, name string }
 
 type declInfo struct {
-	key     declKey
-	pos     token.Position
-	body    ast.Node
-	imports map[string]string // the file's import names -> package directories
+	key  declKey
+	pos  token.Position
+	body ast.Node
 }
 
-// unreachable parses every non-test Go file of module under root,
+// srcPackage is one type-checked non-test package of the module.
+type srcPackage struct {
+	files []*ast.File
+	types *types.Package
+}
+
+// moduleLoader type-checks the module's packages from source: the
+// module's own imports through itself, the standard library through the
+// source importer. Files are picked as a linux/amd64 build would.
+type moduleLoader struct {
+	root, module string
+	fset         *token.FileSet
+	ctx          build.Context
+	std          types.Importer
+	info         *types.Info
+	pkgs         map[string]*srcPackage // by directory
+}
+
+func (l *moduleLoader) Import(path string) (*types.Package, error) {
+	dir, ok := strings.CutPrefix(path, l.module+"/")
+	if path == l.module {
+		dir, ok = ".", true
+	}
+	if !ok {
+		return l.std.Import(path)
+	}
+	p, err := l.load(dir)
+	if err == nil && p == nil {
+		err = fmt.Errorf("%s: no Go files", path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return p.types, nil
+}
+
+// load parses and type-checks the package in dir (nil when dir holds no
+// Go file of the build).
+func (l *moduleLoader) load(dir string) (*srcPackage, error) {
+	if p, ok := l.pkgs[dir]; ok {
+		if p != nil && p.types == nil {
+			return nil, fmt.Errorf("import cycle through %s", dir)
+		}
+		return p, nil
+	}
+	l.pkgs[dir] = nil
+	full := filepath.Join(l.root, filepath.FromSlash(dir))
+	entries, err := os.ReadDir(full)
+	if err != nil {
+		return nil, err
+	}
+	p := &srcPackage{}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := l.ctx.MatchFile(full, name); err != nil {
+			return nil, err
+		} else if !ok {
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, filepath.Join(full, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+	}
+	if len(p.files) == 0 {
+		return nil, nil
+	}
+	l.pkgs[dir] = p
+	path := l.module
+	if dir != "." {
+		path += "/" + dir
+	}
+	conf := types.Config{Importer: l}
+	if p.types, err = conf.Check(path, l.fset, p.files, l.info); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// unreachable type-checks every non-test package of module under root,
 // skipping testdata and dot directories, and returns the declarations
 // under internal/ that no root reaches, as "file:line name" in source
 // order, and the allow entries that are reachable without their entry or
-// declared nowhere. Edges are syntactic: pkg.Name through an import of a
-// package of the module, or a bare Name in the same package. A method is
-// reached with its receiver type; a blank var under internal/ reaches
-// nothing.
+// declared nowhere. See TestDeadCode for the rules; a blank var under
+// internal/ reaches nothing.
 func unreachable(root, module string, allow map[declKey]string) (dead, stale []string, err error) {
 	fset := token.NewFileSet()
-	var all, roots []declInfo
-	decls := map[declKey][]declInfo{}
-	methods := map[declKey][]declKey{} // receiver type -> its methods
+	ctx := build.Default
+	ctx.GOOS, ctx.GOARCH, ctx.CgoEnabled = "linux", "amd64", false
+	l := &moduleLoader{
+		root: root, module: module, fset: fset, ctx: ctx,
+		std: importer.ForCompiler(fset, "source", nil),
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+		pkgs: map[string]*srcPackage{},
+	}
+	var dirs []string
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			if err == nil && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+		if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		pkg := filepath.ToSlash(rel)
-		imports := map[string]string{}
-		for _, im := range f.Imports {
-			p, ok := strings.CutPrefix(strings.Trim(im.Path.Value, `"`), module+"/")
-			if !ok {
-				continue
-			}
-			local := p[strings.LastIndexByte(p, '/')+1:]
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			imports[local] = p
-		}
-		isRoot := !strings.HasPrefix(pkg+"/", "internal/")
-		add := func(name string, body ast.Node, at token.Pos) {
-			info := declInfo{declKey{pkg, name}, fset.Position(at), body, imports}
-			if isRoot || name == "init" {
-				roots = append(roots, info)
-			} else if name != "_" {
-				all = append(all, info)
-				decls[info.key] = append(decls[info.key], info)
-			}
-		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					add(d.Name.Name, d, d.Pos())
-					continue
-				}
-				recv := d.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if idx, ok := recv.(*ast.IndexExpr); ok {
-					recv = idx.X
-				}
-				if idx, ok := recv.(*ast.IndexListExpr); ok {
-					recv = idx.X
-				}
-				typ := declKey{pkg, recv.(*ast.Ident).Name}
-				method := declKey{pkg, typ.name + "." + d.Name.Name}
-				methods[typ] = append(methods[typ], method)
-				add(method.name, d, d.Pos())
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						add(s.Name.Name, s, s.Pos())
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							add(n.Name, s, n.Pos())
-						}
-					}
-				}
-			}
-		}
-		return nil
+		rel, err := filepath.Rel(root, path)
+		dirs = append(dirs, filepath.ToSlash(rel))
+		return err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
+	for _, dir := range dirs {
+		if _, err := l.load(dir); err != nil {
+			return nil, nil, err
+		}
+	}
 
-	seen := map[declKey]bool{}
-	work := roots
-	var mark func(k declKey)
-	mark = func(k declKey) {
-		if infos, ok := decls[k]; ok && !seen[k] {
-			seen[k] = true
-			work = append(work, infos...)
-			for _, m := range methods[k] {
-				mark(m)
+	var all, roots []declInfo
+	decls := map[types.Object][]declInfo{}
+	byKey := map[declKey]types.Object{}
+	methods := map[*types.TypeName][]*types.Func{} // receiver type -> its methods
+	surface := map[*types.TypeName]bool{}          // types of the root package's public surface
+	for _, dir := range dirs {
+		p := l.pkgs[dir]
+		if p == nil {
+			continue
+		}
+		isRoot := !strings.HasPrefix(dir+"/", "internal/")
+		add := func(id *ast.Ident, name string, body ast.Node) {
+			info := declInfo{declKey{dir, name}, fset.Position(id.Pos()), body}
+			obj := l.info.Defs[id]
+			if isRoot || name == "init" {
+				roots = append(roots, info)
+			} else if name != "_" {
+				all = append(all, info)
+				decls[obj] = append(decls[obj], info)
+				byKey[info.key] = obj
+			}
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						add(d.Name, d.Name.Name, d)
+						continue
+					}
+					fn := l.info.Defs[d.Name].(*types.Func)
+					recv := fn.Type().(*types.Signature).Recv().Type()
+					if ptr, ok := recv.(*types.Pointer); ok {
+						recv = ptr.Elem()
+					}
+					tn := recv.(*types.Named).Obj()
+					methods[tn] = append(methods[tn], fn)
+					add(d.Name, tn.Name()+"."+d.Name.Name, d)
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							add(s.Name, s.Name.Name, s)
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								add(n, n.Name, s)
+							}
+						}
+					}
+				}
 			}
 		}
 	}
+	if p := l.pkgs["."]; p != nil {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			_, isVar := obj.(*types.Var)
+			tn, isType := obj.(*types.TypeName)
+			if !obj.Exported() || !(isVar || isType && tn.IsAlias()) {
+				continue
+			}
+			t := types.Unalias(obj.Type())
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			if named, ok := t.(*types.Named); ok {
+				surface[named.Origin().Obj()] = true
+			}
+		}
+	}
+
+	seen := map[types.Object]bool{}
+	ifaceCalls := map[string]bool{} // method names reached code calls through an interface
+	work := roots
+	mark := func(obj types.Object) {
+		if infos, ok := decls[obj]; ok && !seen[obj] {
+			seen[obj] = true
+			work = append(work, infos...)
+		}
+	}
+	use := func(obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			o = o.Origin()
+			if sig, ok := o.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
+				ifaceCalls[o.Name()] = true
+			}
+			obj = o
+		case *types.Var:
+			obj = o.Origin()
+		}
+		mark(obj)
+	}
 	drain := func() {
-		for len(work) > 0 {
-			info := work[len(work)-1]
-			work = work[:len(work)-1]
-			var visit func(n ast.Node) bool
-			visit = func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					if id, ok := n.X.(*ast.Ident); ok {
-						if p, ok := info.imports[id.Name]; ok {
-							mark(declKey{p, n.Sel.Name})
-							return false
+		for {
+			for len(work) > 0 {
+				info := work[len(work)-1]
+				work = work[:len(work)-1]
+				ast.Inspect(info.body, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.Ident:
+						if obj := l.info.Uses[n]; obj != nil {
+							use(obj)
+						}
+					case *ast.SelectorExpr:
+						if sel := l.info.Selections[n]; sel != nil {
+							use(sel.Obj())
 						}
 					}
-					ast.Inspect(n.X, visit)
-					return false
-				case *ast.Ident:
-					mark(declKey{info.key.pkg, n.Name})
-				}
-				return true
+					return true
+				})
 			}
-			ast.Inspect(info.body, visit)
+			// A method of a reached type is called when its name is
+			// called through an interface or its type is public surface.
+			for tn, fns := range methods {
+				if !seen[tn] && !surface[tn] {
+					continue
+				}
+				for _, fn := range fns {
+					if surface[tn] || ifaceCalls[fn.Name()] || stdInterfaceMethods[fn.Name()] {
+						mark(fn)
+					}
+				}
+			}
+			if len(work) == 0 {
+				return
+			}
 		}
 	}
 	drain()
 	for k := range allow {
-		if _, ok := decls[k]; !ok || seen[k] {
+		if obj, ok := byKey[k]; !ok || seen[obj] {
 			stale = append(stale, k.pkg+"."+k.name)
 		}
 	}
 	sort.Strings(stale)
 	for k := range allow {
-		mark(k)
+		if obj, ok := byKey[k]; ok {
+			mark(obj)
+		}
 	}
 	drain()
 	for _, info := range all {
-		if !seen[info.key] {
+		if !seen[byKey[info.key]] {
 			rel, _ := filepath.Rel(root, info.pos.Filename)
 			dead = append(dead, fmt.Sprintf("%s:%d %s", filepath.ToSlash(rel), info.pos.Line, info.key.name))
 		}

@@ -121,9 +121,6 @@ func (c *Calibration) Reset(levels []float64, window int) error {
 	return nil
 }
 
-// Levels returns the nominal quantile levels, in order.
-func (c *Calibration) Levels() []float64 { return append([]float64(nil), c.levels...) }
-
 // Observe feeds one realized workload and the quantile row that was
 // forecast for its step (values aligned with the tracker's levels). A
 // non-finite actual or quantile value is skipped and counted rather than

@@ -117,7 +117,7 @@ type Serverless struct {
 	wakeRemain  float64
 	wakeElapsed float64
 
-	// Lifetime counters (exported via accessors, persisted).
+	// Lifetime counters (persisted; wakes, fails and parks have accessors).
 	wakes     int64
 	wakeFails int64
 	parks     int64
@@ -144,17 +144,10 @@ func NewServerless(cfg ServerlessConfig) (*Serverless, error) {
 // Parked reports zero capacity with no wake in flight.
 func (s *Serverless) Parked() bool { return s.nodes == 0 && !s.waking }
 
-// Waking reports a wake-from-zero in flight.
-func (s *Serverless) Waking() bool { return s.waking }
-
-// Nodes returns the committed node count.
-func (s *Serverless) Nodes() int { return s.nodes }
-
-// Wakes, WakeFails, Parks and Partials are lifetime event counters.
+// Wakes, WakeFails and Parks are lifetime event counters.
 func (s *Serverless) Wakes() int64     { return s.wakes }
 func (s *Serverless) WakeFails() int64 { return s.wakeFails }
 func (s *Serverless) Parks() int64     { return s.parks }
-func (s *Serverless) Partials() int64  { return s.partials }
 
 // Step advances the plant one replay step against the admitted demand
 // (base-node units) and the step's scheduled faults, returning what

@@ -151,15 +151,15 @@ func TestServerlessPartialProvision(t *testing.T) {
 	if out.PartialApplied || out.Nodes != 1 {
 		t.Fatalf("scale-down with partial flag: %+v", out)
 	}
-	if s.Partials() != 2 {
-		t.Errorf("partials = %d, want 2", s.Partials())
+	if s.partials != 2 {
+		t.Errorf("partials = %d, want 2", s.partials)
 	}
 }
 
 func TestServerlessParkAbortsWake(t *testing.T) {
 	s := mustServerless(t, testServerlessConfig())
 	s.Step(2, WakeFault{StallSeconds: 3000}) // wake pinned in flight
-	if !s.Waking() {
+	if !s.waking {
 		t.Fatal("wake should be in flight")
 	}
 	out := s.Step(0, WakeFault{})
@@ -188,7 +188,7 @@ func TestServerlessSaveLoadMidWake(t *testing.T) {
 	for _, st := range script {
 		a.Step(st.demand, st.fault)
 	}
-	if !a.Waking() {
+	if !a.waking {
 		t.Fatal("scenario should leave a wake in flight")
 	}
 
@@ -215,7 +215,7 @@ func TestServerlessSaveLoadMidWake(t *testing.T) {
 			t.Fatalf("step %d diverged after restore:\n  orig    %+v\n  restored %+v", i, oa, ob)
 		}
 	}
-	if a.Wakes() != b.Wakes() || a.WakeFails() != b.WakeFails() || a.Parks() != b.Parks() || a.Partials() != b.Partials() {
+	if a.Wakes() != b.Wakes() || a.WakeFails() != b.WakeFails() || a.Parks() != b.Parks() || a.partials != b.partials {
 		t.Error("lifetime counters diverged after restore")
 	}
 }

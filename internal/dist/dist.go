@@ -3,9 +3,9 @@
 // distributions (the paper's DeepAR head uses Student-t for its heavier
 // tails), and sample quantiles of forecast sample paths.
 //
-// Every distribution exposes the density, log-density, CDF, quantile
-// function and seeded sampling; quantiles are what the Robust Auto-Scaling
-// Manager consumes.
+// DeepAR's quantiles come from ancestral sampling of its emissions, so a
+// Student-t needs only seeded sampling; the Gaussian also has its
+// closed-form quantile, which ARIMA's intervals use.
 package dist
 
 import (
@@ -13,11 +13,7 @@ import (
 	"math/rand"
 )
 
-const (
-	sqrt2   = 1.4142135623730951
-	log2Pi  = 1.8378770664093453
-	sqrt2Pi = 2.5066282746310002
-)
+const sqrt2 = 1.4142135623730951
 
 // Normal is the Gaussian distribution N(Mu, Sigma^2).
 type Normal struct {
@@ -31,29 +27,6 @@ func NewNormal(mu, sigma float64) Normal {
 		sigma = 1e-12
 	}
 	return Normal{Mu: mu, Sigma: sigma}
-}
-
-// Mean returns Mu.
-func (n Normal) Mean() float64 { return n.Mu }
-
-// Variance returns Sigma^2.
-func (n Normal) Variance() float64 { return n.Sigma * n.Sigma }
-
-// PDF evaluates the Gaussian density at x.
-func (n Normal) PDF(x float64) float64 {
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-0.5*z*z) / (n.Sigma * sqrt2Pi)
-}
-
-// LogPDF evaluates the Gaussian log-density at x.
-func (n Normal) LogPDF(x float64) float64 {
-	z := (x - n.Mu) / n.Sigma
-	return -0.5*z*z - math.Log(n.Sigma) - 0.5*log2Pi
-}
-
-// CDF evaluates the Gaussian CDF at x.
-func (n Normal) CDF(x float64) float64 {
-	return 0.5 * math.Erfc(-(x-n.Mu)/(n.Sigma*sqrt2))
 }
 
 // Quantile returns the p-th Gaussian quantile using the inverse error
@@ -85,100 +58,6 @@ func NewStudentT(nu, mu, sigma float64) StudentT {
 		sigma = 1e-12
 	}
 	return StudentT{Nu: nu, Mu: mu, Sigma: sigma}
-}
-
-// Mean returns Mu for Nu > 1 and NaN otherwise.
-func (t StudentT) Mean() float64 {
-	if t.Nu <= 1 {
-		return math.NaN()
-	}
-	return t.Mu
-}
-
-// Variance returns Sigma^2 * Nu/(Nu-2) for Nu > 2, +Inf for 1 < Nu <= 2.
-func (t StudentT) Variance() float64 {
-	if t.Nu <= 1 {
-		return math.NaN()
-	}
-	if t.Nu <= 2 {
-		return math.Inf(1)
-	}
-	return t.Sigma * t.Sigma * t.Nu / (t.Nu - 2)
-}
-
-// PDF evaluates the Student-t density at x.
-func (t StudentT) PDF(x float64) float64 {
-	return math.Exp(t.LogPDF(x))
-}
-
-// LogPDF evaluates the Student-t log-density at x.
-func (t StudentT) LogPDF(x float64) float64 {
-	z := (x - t.Mu) / t.Sigma
-	lg1, _ := math.Lgamma((t.Nu + 1) / 2)
-	lg2, _ := math.Lgamma(t.Nu / 2)
-	return lg1 - lg2 -
-		0.5*math.Log(t.Nu*math.Pi) - math.Log(t.Sigma) -
-		(t.Nu+1)/2*math.Log1p(z*z/t.Nu)
-}
-
-// CDF evaluates the Student-t CDF at x via the regularized incomplete beta
-// function.
-func (t StudentT) CDF(x float64) float64 {
-	z := (x - t.Mu) / t.Sigma
-	if z == 0 {
-		return 0.5
-	}
-	// Use w = z^2/(nu+z^2) rather than the complement nu/(nu+z^2): the
-	// latter cancels catastrophically for small |z|.
-	w := z * z / (t.Nu + z*z)
-	ib := RegIncBeta(0.5, t.Nu/2, w)
-	if z > 0 {
-		return 0.5 + 0.5*ib
-	}
-	return 0.5 - 0.5*ib
-}
-
-// Quantile returns the p-th Student-t quantile by numerically inverting the
-// CDF (bisection refined with Newton steps).
-func (t StudentT) Quantile(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	// Initial guess from the Gaussian quantile; widen the bracket until it
-	// contains the target.
-	guess := NewNormal(t.Mu, t.Sigma).Quantile(p)
-	lo, hi := guess-t.Sigma, guess+t.Sigma
-	for t.CDF(lo) > p {
-		lo -= (hi - lo)
-	}
-	for t.CDF(hi) < p {
-		hi += (hi - lo)
-	}
-	x := guess
-	for i := 0; i < 100; i++ {
-		c := t.CDF(x)
-		if c > p {
-			hi = x
-		} else {
-			lo = x
-		}
-		pdf := t.PDF(x)
-		var next float64
-		if pdf > 1e-300 {
-			next = x - (c-p)/pdf // Newton step
-		}
-		if pdf <= 1e-300 || next <= lo || next >= hi {
-			next = (lo + hi) / 2 // fall back to bisection
-		}
-		if math.Abs(next-x) < 1e-12*(1+math.Abs(x)) {
-			return next
-		}
-		x = next
-	}
-	return x
 }
 
 // Sample draws from the Student-t via the normal/chi-square representation

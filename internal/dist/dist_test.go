@@ -5,46 +5,61 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"robustscale/internal/timeseries"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// TestNormalMoments reads the mean and standard deviation back through
+// the quantile function: the median is Mu and the 84.13th percentile lies
+// one Sigma above it.
 func TestNormalMoments(t *testing.T) {
 	n := NewNormal(3, 2)
-	if n.Mean() != 3 {
-		t.Errorf("Mean = %v", n.Mean())
+	if got := n.Quantile(0.5); !almostEqual(got, 3, 1e-12) {
+		t.Errorf("median = %v, want 3", got)
 	}
-	if n.Variance() != 4 {
-		t.Errorf("Variance = %v", n.Variance())
+	if got := n.Quantile(0.8413447460685429) - 3; !almostEqual(got, 2, 1e-9) {
+		t.Errorf("one-sigma quantile offset = %v, want 2", got)
 	}
 }
 
+// TestNormalPDFKnownValues checks the sampler's density against the
+// standard normal's at 0 and 1: the share of draws in a narrow bin is
+// about the density times the bin width.
 func TestNormalPDFKnownValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
 	n := NewNormal(0, 1)
-	if got := n.PDF(0); !almostEqual(got, 0.3989422804014327, 1e-12) {
-		t.Errorf("PDF(0) = %v", got)
-	}
-	if got := n.PDF(1); !almostEqual(got, 0.24197072451914337, 1e-12) {
-		t.Errorf("PDF(1) = %v", got)
-	}
-	if got := math.Exp(n.LogPDF(1.7)); !almostEqual(got, n.PDF(1.7), 1e-12) {
-		t.Errorf("exp(LogPDF) = %v, PDF = %v", got, n.PDF(1.7))
-	}
-}
-
-func TestNormalCDFQuantileRoundTrip(t *testing.T) {
-	n := NewNormal(5, 3)
-	for _, p := range []float64{0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99} {
-		x := n.Quantile(p)
-		if got := n.CDF(x); !almostEqual(got, p, 1e-9) {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
+	const draws, width = 400000, 0.1
+	var at0, at1 int
+	for i := 0; i < draws; i++ {
+		switch v := n.Sample(rng); {
+		case math.Abs(v) < width/2:
+			at0++
+		case math.Abs(v-1) < width/2:
+			at1++
 		}
 	}
-	if got := n.Quantile(0.5); !almostEqual(got, 5, 1e-9) {
-		t.Errorf("median = %v, want 5", got)
+	for _, c := range []struct {
+		x    float64
+		hits int
+		pdf  float64
+	}{{0, at0, 0.3989422804014327}, {1, at1, 0.24197072451914337}} {
+		if got := float64(c.hits) / draws / width; !almostEqual(got, c.pdf, 0.01) {
+			t.Errorf("density near %v = %v, want %v", c.x, got, c.pdf)
+		}
+	}
+}
+
+// TestNormalCDFQuantileRoundTrip inverts Quantile with the closed-form
+// Gaussian CDF.
+func TestNormalCDFQuantileRoundTrip(t *testing.T) {
+	n := NewNormal(5, 3)
+	cdf := func(x float64) float64 { return 0.5 * math.Erfc(-(x-n.Mu)/(n.Sigma*math.Sqrt2)) }
+	for _, p := range []float64{0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99} {
+		if got := cdf(n.Quantile(p)); !almostEqual(got, p, 1e-9) {
+			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
+		}
 	}
 }
 
@@ -86,79 +101,89 @@ func TestNormalSampleMoments(t *testing.T) {
 	}
 }
 
+// studentTSamples returns n sorted draws of t from a fixed seed.
+func studentTSamples(st StudentT, n int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = st.Sample(rng)
+	}
+	sort.Float64s(xs)
+	return xs
+}
+
+// below returns the fraction of the sorted samples xs below x.
+func below(xs []float64, x float64) float64 {
+	return float64(sort.SearchFloat64s(xs, x)) / float64(len(xs))
+}
+
+// TestStudentTMoments checks the sampler's variance against
+// Sigma^2 * Nu/(Nu-2).
 func TestStudentTMoments(t *testing.T) {
-	st := NewStudentT(5, 1, 2)
-	if st.Mean() != 1 {
-		t.Errorf("Mean = %v", st.Mean())
+	xs := studentTSamples(NewStudentT(8, 1, 2), 200000, 3)
+	sum, ss := 0.0, 0.0
+	for _, v := range xs {
+		sum += v
+		ss += v * v
 	}
-	// Var = sigma^2 * nu/(nu-2) = 4 * 5/3.
-	if !almostEqual(st.Variance(), 4*5.0/3.0, 1e-12) {
-		t.Errorf("Variance = %v", st.Variance())
-	}
-	heavy := NewStudentT(1.5, 0, 1)
-	if !math.IsInf(heavy.Variance(), 1) {
-		t.Errorf("nu=1.5 variance = %v, want +Inf", heavy.Variance())
+	mean := sum / float64(len(xs))
+	if v := ss/float64(len(xs)) - mean*mean; !almostEqual(v, 4*8.0/6.0, 0.1) {
+		t.Errorf("sample variance = %v, want %v", v, 4*8.0/6.0)
 	}
 }
 
+// TestStudentTPDFSymmetry checks that draws fall symmetrically about Mu.
 func TestStudentTPDFSymmetry(t *testing.T) {
-	st := NewStudentT(4, 0, 1)
-	for _, x := range []float64{0.5, 1, 2, 3.7} {
-		if !almostEqual(st.PDF(x), st.PDF(-x), 1e-12) {
-			t.Errorf("PDF not symmetric at %v", x)
+	xs := studentTSamples(NewStudentT(4, 2, 1), 200000, 4)
+	for _, x := range []float64{0, 0.5, 1, 2, 3.7} {
+		if lo, hi := below(xs, 2-x), 1-below(xs, 2+x); !almostEqual(lo, hi, 0.005) {
+			t.Errorf("P(X < Mu-%v) = %v, P(X > Mu+%v) = %v", x, lo, x, hi)
 		}
-	}
-	// Known value: t-dist nu=1 (Cauchy-like floor is 1.01, so use nu=2):
-	// pdf(0) for nu=2 is 1/(2*sqrt(2)) = 0.35355...
-	st2 := NewStudentT(2, 0, 1)
-	if got := st2.PDF(0); !almostEqual(got, 0.35355339059327373, 1e-9) {
-		t.Errorf("t2 PDF(0) = %v", got)
 	}
 }
 
+// TestStudentTCDF checks the empirical CDF of the sampler at tabulated
+// t10 quantiles.
 func TestStudentTCDF(t *testing.T) {
-	st := NewStudentT(10, 0, 1)
-	if got := st.CDF(0); !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("CDF(0) = %v", got)
-	}
-	// t10 95th percentile = 1.8124611...
-	if got := st.CDF(1.8124611228107335); !almostEqual(got, 0.95, 1e-7) {
-		t.Errorf("CDF(t95) = %v", got)
-	}
-	// Symmetry: CDF(-x) = 1 - CDF(x).
-	for _, x := range []float64{0.3, 1.1, 2.5} {
-		if !almostEqual(st.CDF(-x), 1-st.CDF(x), 1e-10) {
-			t.Errorf("CDF asymmetric at %v", x)
+	xs := studentTSamples(NewStudentT(10, 0, 1), 200000, 5)
+	for _, c := range []struct{ x, p float64 }{
+		{-1.812461122811673, 0.05}, {0, 0.5}, {1.3721836411103352, 0.9}, {2.7637694581147443, 0.99},
+	} {
+		if got := below(xs, c.x); !almostEqual(got, c.p, 0.003) {
+			t.Errorf("P(X < %v) = %v, want %v", c.x, got, c.p)
 		}
 	}
 }
 
+// TestStudentTQuantileRoundTrip checks the sample quantiles of the
+// sampler, the path DeepAR's fan takes, against tabulated Student-t
+// quantiles of a shifted and scaled t.
 func TestStudentTQuantileRoundTrip(t *testing.T) {
-	for _, nu := range []float64{2, 5, 30} {
-		st := NewStudentT(nu, -1, 0.5)
-		for _, p := range []float64{0.05, 0.25, 0.5, 0.75, 0.9, 0.99} {
-			x := st.Quantile(p)
-			if got := st.CDF(x); !almostEqual(got, p, 1e-8) {
-				t.Errorf("nu=%v: CDF(Quantile(%v)) = %v", nu, p, got)
+	for _, c := range []struct{ nu, q25, q90, q99 float64 }{
+		{2, 0.816496580927726, 1.8856180831641256, 6.964556734283294},
+		{5, 0.7266868438004229, 1.4758840488244773, 3.3649299989107906},
+		{30, 0.6827556933212907, 1.310415025391394, 2.4572615424005924},
+	} {
+		xs := studentTSamples(NewStudentT(c.nu, -1, 0.5), 200000, 6)
+		for _, q := range []struct{ p, want float64 }{
+			{0.25, -c.q25}, {0.5, 0}, {0.75, c.q25}, {0.9, c.q90}, {0.99, c.q99},
+		} {
+			got := (timeseries.InterpolatedQuantile(xs, q.p) + 1) / 0.5
+			if tol := 0.02 * (1 + math.Abs(q.want)); !almostEqual(got, q.want, tol) {
+				t.Errorf("nu=%v: standardised sample quantile %v = %v, want %v", c.nu, q.p, got, q.want)
 			}
 		}
 	}
 }
 
-func TestStudentTQuantileExtremes(t *testing.T) {
-	st := NewStudentT(5, 0, 1)
-	if !math.IsInf(st.Quantile(0), -1) || !math.IsInf(st.Quantile(1), 1) {
-		t.Error("Quantile(0)/Quantile(1) should be infinite")
-	}
-}
-
+// TestStudentTApproachesNormal: for large nu the sampler's quantiles are
+// the normal's.
 func TestStudentTApproachesNormal(t *testing.T) {
-	// For large nu the Student-t converges to the normal.
-	st := NewStudentT(1e6, 0, 1)
+	xs := studentTSamples(NewStudentT(1e6, 0, 1), 200000, 7)
 	n := NewNormal(0, 1)
 	for _, p := range []float64{0.1, 0.5, 0.9, 0.975} {
-		if !almostEqual(st.Quantile(p), n.Quantile(p), 1e-3) {
-			t.Errorf("p=%v: t quantile %v vs normal %v", p, st.Quantile(p), n.Quantile(p))
+		if got := timeseries.InterpolatedQuantile(xs, p); !almostEqual(got, n.Quantile(p), 0.02) {
+			t.Errorf("p=%v: sample quantile %v vs normal %v", p, got, n.Quantile(p))
 		}
 	}
 }
@@ -180,46 +205,6 @@ func TestStudentTNuFloor(t *testing.T) {
 	st := NewStudentT(0.5, 0, 1)
 	if st.Nu < 1 {
 		t.Errorf("Nu = %v, want floored above 1", st.Nu)
-	}
-}
-
-func TestRegIncBetaKnownValues(t *testing.T) {
-	// I_x(1,1) = x (uniform CDF).
-	for _, x := range []float64{0.1, 0.5, 0.9} {
-		if got := RegIncBeta(1, 1, x); !almostEqual(got, x, 1e-12) {
-			t.Errorf("I_%v(1,1) = %v", x, got)
-		}
-	}
-	// I_x(2,2) = 3x^2 - 2x^3.
-	x := 0.3
-	want := 3*x*x - 2*x*x*x
-	if got := RegIncBeta(2, 2, x); !almostEqual(got, want, 1e-12) {
-		t.Errorf("I_0.3(2,2) = %v, want %v", got, want)
-	}
-	if got := RegIncBeta(3, 2, 0); got != 0 {
-		t.Errorf("I_0 = %v", got)
-	}
-	if got := RegIncBeta(3, 2, 1); got != 1 {
-		t.Errorf("I_1 = %v", got)
-	}
-}
-
-func TestRegIncBetaMonotonic(t *testing.T) {
-	f := func(seed uint8) bool {
-		a := 0.5 + float64(seed%10)
-		b := 0.5 + float64(seed/10%10)
-		prev := -1.0
-		for x := 0.0; x <= 1.0; x += 0.05 {
-			v := RegIncBeta(a, b, x)
-			if v < prev-1e-12 || v < 0 || v > 1 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -189,13 +189,14 @@ var blobCases = []blobCase{
 		golden: "0000010000000000209c400000000000c0924004020200",
 		populated: func(t testing.TB) func(io.Writer) error {
 			s := blobPlant(t)
+			var out cluster.WakeOutcome
 			for _, step := range []struct {
 				demand int
 				fault  cluster.WakeFault
 			}{{3, cluster.WakeFault{}}, {0, cluster.WakeFault{}}, {5, cluster.WakeFault{Fail: true}}, {5, cluster.WakeFault{StallSeconds: 900}}} {
-				s.Step(step.demand, step.fault)
+				out = s.Step(step.demand, step.fault)
 			}
-			if !s.Waking() {
+			if out.Nodes != 0 || out.Parked {
 				t.Fatal("the script should leave a wake in flight")
 			}
 			return s.Save

@@ -261,7 +261,6 @@ func tenantRoundSeries(t *testing.T) map[string]float64 {
 // hash must not see the worker count or the state dir.
 func TestRoundObservationsComplete(t *testing.T) {
 	const tenants, rounds = 32, 6
-	stages := obs.Default.HistogramVec("robustscale_stage_duration_seconds", "", "stage", obs.LatencyBuckets)
 	plans := obs.Default.CounterVec("robustscale_scaler_plans_total", "", "strategy")
 	hash := ""
 	for _, durable := range []bool{false, true} {
@@ -278,8 +277,9 @@ func TestRoundObservationsComplete(t *testing.T) {
 			}
 			planned := plans.With(c.Tenants()[0].planner.Name())
 			counts := func() [4]float64 {
-				return [4]float64{float64(fleetPlanSeconds.Count()), planned.Value(),
-					float64(stages.With("forecast").Count()), float64(stages.With("optimize").Count())}
+				return [4]float64{scraped(t, "robustscale_fleet_plan_round_seconds_count"), planned.Value(),
+					scraped(t, `robustscale_stage_duration_seconds_count{stage="forecast"}`),
+					scraped(t, `robustscale_stage_duration_seconds_count{stage="optimize"}`)}
 			}
 			before := counts()
 			began := time.Now()
@@ -620,7 +620,7 @@ func TestOneCommitPerRound(t *testing.T) {
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatalf("a failed commit took the loop down: %v", err)
 	}
-	events := obs.DefaultJournal.EventsFilteredTenant("", "checkpoint-error", since)
+	events := journalEvents("", "checkpoint-error", since)
 	if len(events) != 1 || events[0].Tenant != "" {
 		t.Errorf("a failed commit journalled %+v, want one fleet-scoped checkpoint-error", events)
 	}
@@ -652,7 +652,7 @@ func TestCheckpointFailsWithoutExtra(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "loop accounting") {
 		t.Fatalf("checkpoint without its Extra section returned %v", err)
 	}
-	if events := obs.DefaultJournal.EventsFilteredTenant(TenantID(1), "checkpoint-error", since); len(events) != 1 {
+	if events := journalEvents(TenantID(1), "checkpoint-error", since); len(events) != 1 {
 		t.Errorf("failed checkpoint journalled %d events for the tenant, want 1", len(events))
 	}
 
@@ -694,14 +694,14 @@ func TestCheckpointDegradedIsJournalled(t *testing.T) {
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	events := obs.DefaultJournal.EventsFilteredTenant(TenantID(1), "checkpoint-degraded", since)
+	events := journalEvents(TenantID(1), "checkpoint-degraded", since)
 	if len(events) != phase1.MaxRounds {
 		t.Fatalf("%d checkpoint-degraded events for the tenant over %d checkpoints, want one each", len(events), phase1.MaxRounds)
 	}
 	if events[0].Fields["components"] != 2 || !strings.Contains(events[0].Msg, "guard, breaker") {
 		t.Errorf("event %+v does not name the guard and the breaker", events[0])
 	}
-	if errs := obs.DefaultJournal.EventsFilteredTenant("", "checkpoint-error", since); len(errs) != 0 {
+	if errs := journalEvents("", "checkpoint-error", since); len(errs) != 0 {
 		t.Errorf("a degraded checkpoint was journalled as failed: %+v", errs)
 	}
 
@@ -716,7 +716,7 @@ func TestCheckpointDegradedIsJournalled(t *testing.T) {
 			t.Errorf("%s: warm = %v, calibration %v; want a warm start with the sections that did save", tn.ID, tn.warm, tn.cal)
 		}
 	}
-	if events := obs.DefaultJournal.EventsFilteredTenant("", "restore-degraded", since); len(events) != 0 {
+	if events := journalEvents("", "restore-degraded", since); len(events) != 0 {
 		t.Errorf("sections left out at the checkpoint were reported as failing to load: %+v", events)
 	}
 }

@@ -82,7 +82,7 @@ func recordRun(t *testing.T, cfg Config) journalRun {
 	if d := obs.DefaultJournal.Dropped(); d > 0 {
 		t.Fatalf("the journal dropped %d events", d)
 	}
-	run.events = obs.DefaultJournal.Events()
+	run.events = journalEvents("", "", 0)
 	for _, rounds := range failed {
 		for _, steps := range rounds {
 			run.failedRounds++
@@ -252,4 +252,11 @@ func TestPaddingLearnsUnderTenant(t *testing.T) {
 	if pad := padded.Pad(); !(pad > 0) {
 		t.Errorf("pad = %v after 12 rounds, want positive", pad)
 	}
+}
+
+// journalEvents is obs.DefaultJournal's events of one tenant and kind
+// (empty matches all) with Seq > sinceSeq, as /journal serves them.
+func journalEvents(tenant, kind string, sinceSeq uint64) []obs.Event {
+	_, events := obs.DefaultJournal.Events(tenant, kind, sinceSeq)
+	return events
 }

@@ -55,12 +55,12 @@ func TestSeriesRestoredOnWarmRestart(t *testing.T) {
 	if got := persist.CheckpointWrites() - writes; got != 4 {
 		t.Errorf("4 rounds and the series write counted as %v checkpoints, want 4", got)
 	}
-	if events := obs.DefaultJournal.EventsFilteredTenant("", "fleet-start", since); len(events) != 1 {
+	if events := journalEvents("", "fleet-start", since); len(events) != 1 {
 		t.Errorf("%d fleet-start events, want 1", len(events))
 	} else if f := events[0].Fields; f["series_restored"] != 0 || f["cold"] != float64(cfg.Tenants) {
 		t.Errorf("cold fleet-start carries series_restored = %v, cold = %v; want 0 and %d", f["series_restored"], f["cold"], cfg.Tenants)
 	}
-	if events := obs.DefaultJournal.EventsFilteredTenant("", "tenant-start", since); len(events) != 0 {
+	if events := journalEvents("", "tenant-start", since); len(events) != 0 {
 		t.Errorf("a cold build on an empty root journalled %d tenant-start events, want none", len(events))
 	}
 	written := seriesFile(t, cfg.StateDir)
@@ -73,12 +73,12 @@ func TestSeriesRestoredOnWarmRestart(t *testing.T) {
 		t.Errorf("restart restored %d series and warm-started %d tenants, want %d of each",
 			rep2.SeriesRestored, rep2.WarmStarts, cfg.Tenants)
 	}
-	if events := obs.DefaultJournal.EventsFilteredTenant("", "fleet-start", since); len(events) != 1 {
+	if events := journalEvents("", "fleet-start", since); len(events) != 1 {
 		t.Errorf("%d fleet-start events, want 1", len(events))
 	} else if f := events[0].Fields; f["series_restored"] != float64(cfg.Tenants) || f["warm"] != float64(cfg.Tenants) {
 		t.Errorf("warm fleet-start carries series_restored = %v, warm = %v; want %d of each", f["series_restored"], f["warm"], cfg.Tenants)
 	}
-	if events := obs.DefaultJournal.EventsFilteredTenant("", "tenant-start", since); len(events) != 0 {
+	if events := journalEvents("", "tenant-start", since); len(events) != 0 {
 		t.Errorf("a clean warm restart journalled %d tenant-start events, want none", len(events))
 	}
 	if again := seriesFile(t, cfg.StateDir); again != written {
@@ -224,7 +224,7 @@ func TestSeriesWriteFailureIsNotFatal(t *testing.T) {
 	phase1.MaxRounds = 4
 	since := obs.DefaultJournal.Total()
 	runFleet(t, phase1)
-	events := obs.DefaultJournal.EventsFilteredTenant("", "series-error", since)
+	events := journalEvents("", "series-error", since)
 	if len(events) != 1 || events[0].Tenant != "" {
 		t.Errorf("a failed series write journalled %+v, want one fleet-scoped series-error", events)
 	}
@@ -301,7 +301,7 @@ func TestMangledExtraColdStartsOneTenant(t *testing.T) {
 	if _, reason := c.Tenants()[victim].Recovery(); reason == "" {
 		t.Error("the victim cold-started without a reason")
 	}
-	if starts := obs.DefaultJournal.EventsFilteredTenant("", "tenant-start", since); len(starts) != 1 || starts[0].Tenant != TenantID(victim) {
+	if starts := journalEvents("", "tenant-start", since); len(starts) != 1 || starts[0].Tenant != TenantID(victim) {
 		t.Errorf("tenant-start events %+v, want one, the victim's", starts)
 	}
 	rep, err := c.Run(context.Background())
@@ -343,7 +343,7 @@ func TestRestoreDegradedIsJournalled(t *testing.T) {
 	if tn := c.Tenants()[victim]; !tn.warm || tn.cal != nil {
 		t.Errorf("victim warm = %v with calibration %v, want a warm start on a fresh window", tn.warm, tn.cal)
 	}
-	events := obs.DefaultJournal.EventsFilteredTenant("", "restore-degraded", since)
+	events := journalEvents("", "restore-degraded", since)
 	if len(events) != 1 || events[0].Tenant != TenantID(victim) || events[0].Fields["components"] != 2 {
 		t.Fatalf("degraded restore journalled %+v, want one event for %s naming 2 components", events, TenantID(victim))
 	}
@@ -352,7 +352,7 @@ func TestRestoreDegradedIsJournalled(t *testing.T) {
 			t.Errorf("event %q does not name the %s", events[0].Msg, want)
 		}
 	}
-	if starts := obs.DefaultJournal.EventsFilteredTenant("", "tenant-start", since); len(starts) != 1 || starts[0].Tenant != TenantID(victim) {
+	if starts := journalEvents("", "tenant-start", since); len(starts) != 1 || starts[0].Tenant != TenantID(victim) {
 		t.Errorf("tenant-start events %+v, want one, the victim's", starts)
 	}
 }

@@ -152,7 +152,7 @@ func TestServerlessWakeStormForcesWakes(t *testing.T) {
 	}
 	forced, woke := map[time.Time]int{}, 0
 	var storms []obs.Event
-	for _, e := range obs.DefaultJournal.EventsFilteredTenant("", "", since) {
+	for _, e := range journalEvents("", "", since) {
 		switch {
 		case e.Kind == "wake-storm":
 			storms = append(storms, e)
@@ -295,10 +295,10 @@ func TestJournalIndependentOfWorkers(t *testing.T) {
 		if rep := runFleet(t, cfg); rep.Serverless.BreakerTrips == 0 {
 			t.Fatalf("premise: no wake breaker tripped at %d workers", workers)
 		}
-		if n := obs.DefaultJournal.Total() - since; n > uint64(obs.DefaultJournal.Cap()) {
-			t.Fatalf("the run journalled %d events, past the journal's %d", n, obs.DefaultJournal.Cap())
+		if stats, _ := obs.DefaultJournal.Events("", "", 0); stats.Total-since > uint64(stats.Capacity) {
+			t.Fatalf("the run journalled %d events, past the journal's %d", stats.Total-since, stats.Capacity)
 		}
-		events := obs.DefaultJournal.EventsFilteredTenant("", "", since)
+		events := journalEvents("", "", since)
 		for i := range events {
 			events[i].Seq = 0
 		}

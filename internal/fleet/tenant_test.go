@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"math"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"robustscale/internal/cluster"
 	"robustscale/internal/forecast"
+	"robustscale/internal/obs"
 	"robustscale/internal/persist"
 	"robustscale/internal/scaler"
 	"robustscale/internal/timeseries"
@@ -173,7 +176,7 @@ func TestTenantRestartAfterCrash(t *testing.T) {
 func TestTenantRoundObservedOnce(t *testing.T) {
 	_, tn := benchTenant(t)
 	const rounds = 3
-	before := fleetPlanSeconds.Count()
+	before := scraped(t, "robustscale_fleet_plan_round_seconds_count")
 	for i := 0; i < rounds; i++ {
 		if err := tn.Plan(); err != nil {
 			t.Fatal(err)
@@ -181,8 +184,28 @@ func TestTenantRoundObservedOnce(t *testing.T) {
 		if err := tn.Apply(); err != nil {
 			t.Fatal(err)
 		}
-		if d := fleetPlanSeconds.Count() - before; d != uint64(i+1) {
-			t.Fatalf("after %d rounds: %d plan-round observations", i+1, d)
+		if d := scraped(t, "robustscale_fleet_plan_round_seconds_count") - before; d != float64(i+1) {
+			t.Fatalf("after %d rounds: %v plan-round observations", i+1, d)
 		}
 	}
+}
+
+// scraped reads one sample (name and labels, as exposed) from
+// obs.Default's exposition, as a scrape would; 0 when it is absent.
+func scraped(t testing.TB, sample string) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, sample+" "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", sample, err)
+			}
+			return n
+		}
+	}
+	return 0
 }

@@ -210,14 +210,6 @@ func (e emission) Sample(rng *rand.Rand) float64 {
 	return e.studentT.Sample(rng)
 }
 
-// LogPDF evaluates the log-density at x.
-func (e emission) LogPDF(x float64) float64 {
-	if e.gaussian {
-		return e.normal.LogPDF(x)
-	}
-	return e.studentT.LogPDF(x)
-}
-
 // emissionFrom maps raw head outputs to a distribution.
 func (d *DeepAR) emissionFrom(out []float64) emission {
 	mu := out[0]

@@ -450,8 +450,8 @@ func TestTFTPointName(t *testing.T) {
 	if full.Name() != "tft" {
 		t.Errorf("Name = %q", full.Name())
 	}
-	if len(p.Levels()) != 1 || p.Levels()[0] != 0.5 {
-		t.Errorf("point levels = %v", p.Levels())
+	if len(p.cfg.Levels) != 1 || p.cfg.Levels[0] != 0.5 {
+		t.Errorf("point levels = %v", p.cfg.Levels)
 	}
 }
 

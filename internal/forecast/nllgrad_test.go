@@ -6,9 +6,20 @@ import (
 )
 
 // nllValue recomputes the negative log-likelihood that nllGrad
-// differentiates, from the raw head outputs.
+// differentiates, from the raw head outputs: the log-density of the
+// emission, written out here as the finite-difference oracle.
 func nllValue(d *DeepAR, out []float64, y float64) float64 {
-	return -d.emissionFrom(out).LogPDF(y)
+	e := d.emissionFrom(out)
+	if e.gaussian {
+		z := (y - e.normal.Mu) / e.normal.Sigma
+		return 0.5*z*z + math.Log(e.normal.Sigma) + 0.5*math.Log(2*math.Pi)
+	}
+	st := e.studentT
+	z := (y - st.Mu) / st.Sigma
+	lg1, _ := math.Lgamma((st.Nu + 1) / 2)
+	lg2, _ := math.Lgamma(st.Nu / 2)
+	return -lg1 + lg2 + 0.5*math.Log(st.Nu*math.Pi) + math.Log(st.Sigma) +
+		(st.Nu+1)/2*math.Log1p(z*z/st.Nu)
 }
 
 // TestNLLGradMatchesFiniteDifferences checks the hand-derived Student-t

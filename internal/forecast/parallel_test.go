@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -161,7 +162,7 @@ func TestDeepARLockstepMatchesPerPathRollout(t *testing.T) {
 	}
 	for p := 0; p < paths; p++ {
 		rng := newPathRand(pathSeed(base, p))
-		state, emit := state0.Clone(), emit0
+		state, emit := nn.LSTMState{H: slices.Clone(state0.H), C: slices.Clone(state0.C)}, emit0
 		for k := 0; k < h; k++ {
 			z := emit.Sample(rng)
 			want[k][p] = z

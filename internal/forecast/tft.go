@@ -140,9 +140,6 @@ func (m *TFT) Name() string {
 	return "tft"
 }
 
-// Levels returns the trained quantile grid.
-func (m *TFT) Levels() []float64 { return m.cfg.Levels }
-
 const tftPastDim = 1 + timeFeatureDim
 
 // build constructs the network architecture from the configuration.

@@ -41,13 +41,8 @@ type AttnCache struct {
 	attn    Mat // (T x T) softmax weights
 }
 
-// Forward runs attention over a (T x Dim) sequence and returns the
-// attended (T x Dim) output.
-func (a *Attention) Forward(x Mat) (Mat, *AttnCache) {
-	return a.ForwardScratch(nil, x)
-}
-
-// ForwardScratch is Forward with the projections, weights, output and
+// ForwardScratch runs attention over a (T x Dim) sequence and returns the
+// attended (T x Dim) output, with the projections, weights, output and
 // cache drawn from the arena; zero heap allocations in steady state.
 func (a *Attention) ForwardScratch(s *Scratch, x Mat) (Mat, *AttnCache) {
 	tlen := x.Rows
@@ -151,14 +146,10 @@ func (a *Attention) scores(s *Scratch, q, k, attn Mat) {
 	}
 }
 
-// Backward consumes the upstream gradient dOut (T x Dim), accumulates
-// projection gradients, and returns the gradient on the input sequence.
-func (a *Attention) Backward(c *AttnCache, dOut Mat) Mat {
-	return a.BackwardScratch(nil, c, dOut)
-}
-
-// BackwardScratch is Backward with every matrix drawn from the arena;
-// dOut·Vᵀ runs as project, on a transpose of V.
+// BackwardScratch consumes the upstream gradient dOut (T x Dim),
+// accumulates projection gradients, and returns the gradient on the input
+// sequence, with every matrix drawn from the arena; dOut·Vᵀ runs as
+// project, on a transpose of V.
 func (a *Attention) BackwardScratch(s *Scratch, c *AttnCache, dOut Mat) Mat {
 	tlen := c.x.Rows
 	scale := 1 / math.Sqrt(float64(a.Dim))

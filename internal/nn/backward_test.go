@@ -29,9 +29,26 @@ func backwardOutputs(cell *LSTMCell, caches []*LSTMCache, dhs Mat, dFinal LSTMSt
 	return out
 }
 
-// backwardStepwise is the reference: the recurrence one
-// StepBackwardScratch at a time on the Go kernels, which is the loop
-// BackwardSequenceScratch ran before it was one body with its own packs.
+// stepBackward backpropagates one step: given gradients dh and dc flowing
+// into the step's output state, it accumulates parameter gradients and
+// returns the gradients for the input and the previous state. It is
+// BackwardSequenceScratch's one-step case, which packs nothing.
+func stepBackward(c *LSTMCell, s *Scratch, cache *LSTMCache, dh, dc []float64) (dx []float64, dPrev LSTMState) {
+	caches := [1]*LSTMCache{cache}
+	dxs, dPrev := c.BackwardSequenceScratch(s, caches[:], Mat{}, LSTMState{H: dh, C: dc})
+	return dxs.Data, dPrev
+}
+
+// cloneMat returns a deep copy of m.
+func cloneMat(m Mat) Mat {
+	c := NewMat(m.Rows, m.Cols)
+	copy(c.Data, m.Data)
+	return c
+}
+
+// backwardStepwise is the reference: the recurrence one stepBackward at a
+// time on the Go kernels, which is the loop BackwardSequenceScratch ran
+// before it was one body with its own packs.
 func backwardStepwise(cell *LSTMCell, caches []*LSTMCache, dhs Mat, dFinal LSTMState) [][]float64 {
 	var out [][]float64
 	goKernels(func() {
@@ -47,7 +64,7 @@ func backwardStepwise(cell *LSTMCell, caches []*LSTMCache, dhs Mat, dFinal LSTMS
 					dh[j] += g
 				}
 			}
-			dx, prev := cell.StepBackwardScratch(nil, caches[t], dh, dc)
+			dx, prev := stepBackward(cell, nil, caches[t], dh, dc)
 			copy(dxs.Row(t), dx)
 			dh, dc = prev.H, prev.C
 		}
@@ -217,8 +234,8 @@ func TestAttentionBackwardMatchesGoKernels(t *testing.T) {
 	for i := 0; i < dOut.Rows; i++ {
 		dOut.Set(i, 0, 0)
 	}
-	_, c := a.Forward(x)
-	for i, v := range a.Backward(c, dOut).Data {
+	_, c := a.ForwardScratch(nil, x)
+	for i, v := range a.BackwardScratch(nil, c, dOut).Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("an infinite value weight: dX[%d] = %v, want finite", i, v)
 		}
@@ -285,13 +302,13 @@ func adamAgainstGo(t *testing.T, label string, o *Adam, ps Params, steps int, gr
 	goOpt.Beta1, goOpt.Beta2, goOpt.Eps = o.Beta1, o.Beta2, o.Eps
 	goPs := make(Params, len(ps))
 	for i, p := range ps {
-		goPs[i] = &Param{Name: p.Name, Value: p.Value.Clone()}
+		goPs[i] = &Param{Name: p.Name, Value: cloneMat(p.Value)}
 	}
 	for k := 0; k < steps; k++ {
 		for i, p := range ps {
 			p.grad()
 			grads(k, p)
-			goPs[i].Grad = p.Grad.Clone()
+			goPs[i].Grad = cloneMat(p.Grad)
 		}
 		o.Step(ps)
 		goKernels(func() { goOpt.Step(goPs) })

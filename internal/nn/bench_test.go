@@ -21,7 +21,7 @@ func BenchmarkMatMulVec(b *testing.B) {
 	b.Run("alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = m.MulVec(x)
+			_ = m.MulVecInto(x, make([]float64, 4*h))
 		}
 	})
 	b.Run("into", func(b *testing.B) {
@@ -48,7 +48,7 @@ func BenchmarkLSTMStep(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			state, cache := cell.Step(x, cell.NewLSTMState())
-			_, _ = cell.StepBackward(cache, dh, dc)
+			_, _ = stepBackward(cell, nil, cache, dh, dc)
 			_ = state
 		}
 	})
@@ -58,14 +58,14 @@ func BenchmarkLSTMStep(b *testing.B) {
 		for i := 0; i < 8; i++ { // warm the arena outside the timed region
 			s.Reset()
 			state, cache := cell.StepScratch(s, x, cell.NewLSTMStateScratch(s))
-			_, _ = cell.StepBackwardScratch(s, cache, dh, dc)
+			_, _ = stepBackward(cell, s, cache, dh, dc)
 			_ = state
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.Reset()
 			state, cache := cell.StepScratch(s, x, cell.NewLSTMStateScratch(s))
-			_, _ = cell.StepBackwardScratch(s, cache, dh, dc)
+			_, _ = stepBackward(cell, s, cache, dh, dc)
 			_ = state
 		}
 	})
@@ -80,11 +80,10 @@ func BenchmarkLSTMRollout(b *testing.B) {
 	cell := NewLSTMCell("c", 5, 32, rng)
 	x := randVec(rng, 5)
 	s := NewScratch()
-	state0 := cell.NewLSTMState()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Reset()
-		state := state0.CloneScratch(s)
+		state := cell.NewLSTMStateScratch(s)
 		for t := 0; t < 11; t++ {
 			state, _ = cell.StepScratch(s, x, state)
 		}
@@ -276,7 +275,7 @@ func BenchmarkAttentionBackward(b *testing.B) {
 	for i := 72 * 32; i < len(dOut.Data); i++ {
 		dOut.Data[i] = rng.NormFloat64()
 	}
-	_, c := a.Forward(x)
+	_, c := a.ForwardScratch(nil, x)
 	a.Params().ZeroGrads()
 	run := func(b *testing.B) {
 		s := NewScratch()

@@ -119,7 +119,7 @@ func TestLSTMStepGradients(t *testing.T) {
 	}
 	cell.Params().ZeroGrads()
 	_, cache := cell.Step(x, s0)
-	dx, dPrev := cell.StepBackward(cache, wh, wc)
+	dx, dPrev := stepBackward(cell, nil, cache, wh, wc)
 	checkParamGrads(t, cell.Params(), loss, 1e-5)
 
 	const eps = 1e-6
@@ -165,40 +165,38 @@ func TestLSTMSequenceGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	cell := NewLSTMCell("lstm", 2, 3, rng)
 	const T = 5
-	xs := make([][]float64, T)
-	ws := make([][]float64, T)
-	for t := range xs {
-		xs[t] = randVec(rng, 2)
-		ws[t] = randVec(rng, 3)
+	x, ws := NewMat(T, 2), NewMat(T, 3)
+	for t := 0; t < T; t++ {
+		copy(x.Row(t), randVec(rng, 2))
+		copy(ws.Row(t), randVec(rng, 3))
 	}
 	s0 := cell.NewLSTMState()
 
 	loss := func() float64 {
-		hs, _, _ := cell.RunSequence(xs, s0)
+		hs := NewMat(T, 3)
+		cell.Sequence(nil, LSTMPanels{}, x, hs, s0, nil)
 		total := 0.0
-		for t, h := range hs {
-			total += scalarLoss(h, ws[t])
+		for t := 0; t < T; t++ {
+			total += scalarLoss(hs.Row(t), ws.Row(t))
 		}
 		return total
 	}
 	cell.Params().ZeroGrads()
-	_, _, caches := cell.RunSequence(xs, s0)
-	dxs, _ := cell.BackwardSequence(caches, ws, LSTMState{})
+	caches := make([]*LSTMCache, T)
+	cell.Sequence(nil, LSTMPanels{}, x, NewMat(T, 3), s0, caches)
+	dxs, _ := cell.BackwardSequenceScratch(nil, caches, ws, LSTMState{})
 	checkParamGrads(t, cell.Params(), loss, 1e-5)
 
 	const eps = 1e-6
-	for tt := range xs {
-		for i := range xs[tt] {
-			orig := xs[tt][i]
-			xs[tt][i] = orig + eps
-			lp := loss()
-			xs[tt][i] = orig - eps
-			lm := loss()
-			xs[tt][i] = orig
-			numeric := (lp - lm) / (2 * eps)
-			if math.Abs(numeric-dxs[tt][i]) > 1e-5 {
-				t.Errorf("dxs[%d][%d]: analytic %v vs numeric %v", tt, i, dxs[tt][i], numeric)
-			}
+	for i, orig := range x.Data {
+		x.Data[i] = orig + eps
+		lp := loss()
+		x.Data[i] = orig - eps
+		lm := loss()
+		x.Data[i] = orig
+		numeric := (lp - lm) / (2 * eps)
+		if math.Abs(numeric-dxs.Data[i]) > 1e-5 {
+			t.Errorf("dxs[%d][%d]: analytic %v vs numeric %v", i/2, i%2, dxs.Data[i], numeric)
 		}
 	}
 }
@@ -218,7 +216,7 @@ func TestAttentionGradients(t *testing.T) {
 		}
 
 		loss := func() float64 {
-			out, _ := attn.Forward(x)
+			out, _ := attn.ForwardScratch(nil, x)
 			s := 0.0
 			for i, v := range out.Data {
 				s += v * w.Data[i]
@@ -226,8 +224,8 @@ func TestAttentionGradients(t *testing.T) {
 			return s
 		}
 		attn.Params().ZeroGrads()
-		_, cache := attn.Forward(x)
-		dX := attn.Backward(cache, w)
+		_, cache := attn.ForwardScratch(nil, x)
+		dX := attn.BackwardScratch(nil, cache, w)
 		checkParamGrads(t, attn.Params(), loss, 1e-5)
 
 		const eps = 1e-6
@@ -253,7 +251,7 @@ func TestCausalMaskZeroesFuture(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	_, cache := attn.Forward(x)
+	_, cache := attn.ForwardScratch(nil, x)
 	for i := 0; i < 3; i++ {
 		for j := i + 1; j < 3; j++ {
 			if cache.attn.At(i, j) != 0 {

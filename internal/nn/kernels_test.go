@@ -217,7 +217,7 @@ func TestAddOuterIntoBitIdentical(t *testing.T) {
 				mode.fill(rng, dst)
 				y := mode.vec(rng, r)
 				x := mode.vec(rng, c)
-				want := dst.Clone()
+				want := cloneMat(dst)
 				addOuterReference(want, y, x)
 				AddOuterInto(dst, y, x)
 				sameBits(t, fmt.Sprintf("%dx%d %v", r, c, mode), dst.Data, want.Data)
@@ -233,7 +233,7 @@ func TestAddOuterIntoBitIdentical(t *testing.T) {
 	}
 	y := []float64{0, 2, 0, 3, 0, 4}
 	x := []float64{1, math.Inf(1), math.NaN()}
-	want := dst.Clone()
+	want := cloneMat(dst)
 	addOuterReference(want, y, x)
 	AddOuterInto(dst, y, x)
 	sameBits(t, "-0 accumulator, zero beside Inf/NaN", dst.Data, want.Data)
@@ -343,7 +343,7 @@ func FuzzTrainingKernels(f *testing.F) {
 
 		acc := vals.mat(dm, dk)
 		x := vals.mat(1, dk).Data
-		wantAcc := acc.Clone()
+		wantAcc := cloneMat(acc)
 		addOuterReference(wantAcc, y, x)
 		AddOuterInto(acc, y, x)
 		sameBits(t, "AddOuterInto", acc.Data, wantAcc.Data)
@@ -509,8 +509,8 @@ func stepBatchAgainstAlone(t *testing.T, cell *LSTMCell, head *Dense, d stepDraw
 }
 
 // TestAttentionForwardScratchMatchesForward pins the arena-backed
-// attention forward to the allocating one, and to zero heap allocations
-// once its arena has grown.
+// attention forward to the allocating one (a nil arena), and to zero heap
+// allocations once its arena has grown.
 func TestAttentionForwardScratchMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	a := NewAttention("a", 6, true, rng)
@@ -518,7 +518,7 @@ func TestAttentionForwardScratchMatchesForward(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	want, _ := a.Forward(x)
+	want, _ := a.ForwardScratch(nil, x)
 	s := NewScratch()
 	run := func() {
 		s.Reset()

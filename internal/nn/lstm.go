@@ -55,20 +55,6 @@ func (c *LSTMCell) NewLSTMStateScratch(s *Scratch) LSTMState {
 	return LSTMState{H: s.VecZero(c.Hidden), C: s.VecZero(c.Hidden)}
 }
 
-// Clone deep-copies the state.
-func (s LSTMState) Clone() LSTMState {
-	h := make([]float64, len(s.H))
-	cc := make([]float64, len(s.C))
-	copy(h, s.H)
-	copy(cc, s.C)
-	return LSTMState{H: h, C: cc}
-}
-
-// CloneScratch deep-copies the state into arena-backed buffers.
-func (s LSTMState) CloneScratch(sc *Scratch) LSTMState {
-	return LSTMState{H: sc.VecCopy(s.H), C: sc.VecCopy(s.C)}
-}
-
 // LSTMCache stores one step's intermediates for BPTT.
 type LSTMCache struct {
 	x            []float64
@@ -216,63 +202,6 @@ func (c *LSTMCell) StepBatch(b LSTMBatch, x Mat, w LSTMPanels) {
 	}
 }
 
-// StepBackward backpropagates one step: given gradients dh and dc flowing
-// into the step's output state, it accumulates parameter gradients and
-// returns the gradients for the input and the previous state.
-func (c *LSTMCell) StepBackward(cache *LSTMCache, dh, dc []float64) (dx []float64, dPrev LSTMState) {
-	return c.StepBackwardScratch(nil, cache, dh, dc)
-}
-
-// StepBackwardScratch is StepBackward drawing every intermediate from the
-// arena; zero heap allocations in steady state. It is
-// BackwardSequenceScratch's one-step case, which packs nothing.
-func (c *LSTMCell) StepBackwardScratch(s *Scratch, cache *LSTMCache, dh, dc []float64) (dx []float64, dPrev LSTMState) {
-	caches := [1]*LSTMCache{cache}
-	dxs, dPrev := c.BackwardSequenceScratch(s, caches[:], Mat{}, LSTMState{H: dh, C: dc})
-	return dxs.Data, dPrev
-}
-
-// RunSequence feeds a sequence of inputs through the cell starting from
-// state s0, returning the hidden states per step and the caches needed for
-// BackwardSequence. It is Sequence on heap buffers.
-func (c *LSTMCell) RunSequence(xs [][]float64, s0 LSTMState) (hs [][]float64, final LSTMState, caches []*LSTMCache) {
-	x := NewMat(len(xs), c.InSize)
-	for t, xt := range xs {
-		if len(xt) != c.InSize {
-			panic(fmt.Sprintf("nn: RunSequence input %d has %d elements, want %d", t, len(xt), c.InSize))
-		}
-		copy(x.Row(t), xt)
-	}
-	states := NewMat(len(xs), c.Hidden)
-	caches = make([]*LSTMCache, len(xs))
-	final = c.Sequence(nil, LSTMPanels{}, x, states, s0, caches)
-	hs = make([][]float64, len(xs))
-	for t := range hs {
-		hs[t] = states.Row(t)
-	}
-	return hs, final, caches
-}
-
-// BackwardSequence is BackwardSequenceScratch on heap buffers, for a
-// sequence processed with RunSequence: dhs[t] is the loss's gradient on
-// step t's hidden state (a nil dhs or row counts as zeros), and it returns
-// the input gradients per step and the gradient on the initial state.
-func (c *LSTMCell) BackwardSequence(caches []*LSTMCache, dhs [][]float64, dFinal LSTMState) (dxs [][]float64, dS0 LSTMState) {
-	var d Mat
-	if dhs != nil {
-		d = NewMat(len(caches), c.Hidden)
-		for t, row := range dhs {
-			copy(d.Row(t), row)
-		}
-	}
-	x, dS0 := c.BackwardSequenceScratch(nil, caches, d, dFinal)
-	dxs = make([][]float64, len(caches))
-	for t := range dxs {
-		dxs[t] = x.Row(t)
-	}
-	return dxs, dS0
-}
-
 // BackwardSequenceScratch is the one backward body of the cell: it
 // backpropagates from the last of the steps whose caches Sequence left to
 // the first. Row t of dhs (steps x Hidden; the zero Mat for none) is the
@@ -289,7 +218,7 @@ func (c *LSTMCell) BackwardSequence(caches []*LSTMCache, dhs [][]float64, dFinal
 func (c *LSTMCell) BackwardSequenceScratch(s *Scratch, caches []*LSTMCache, dhs Mat, dFinal LSTMState) (dxs Mat, dS0 LSTMState) {
 	h, steps := c.Hidden, len(caches)
 	if dhs.Data != nil && (dhs.Rows != steps || dhs.Cols != h) {
-		panic(fmt.Sprintf("nn: BackwardSequence of %d steps with %dx%d hidden-state gradients, hidden %d", steps, dhs.Rows, dhs.Cols, h))
+		panic(fmt.Sprintf("nn: BackwardSequenceScratch of %d steps with %dx%d hidden-state gradients, hidden %d", steps, dhs.Rows, dhs.Cols, h))
 	}
 	var wxT, whT []float64
 	if useSIMD && steps >= seqPackMinSteps {

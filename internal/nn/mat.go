@@ -38,13 +38,6 @@ func (m Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a slice view.
 func (m Mat) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy.
-func (m Mat) Clone() Mat {
-	c := NewMat(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // Zero clears all elements in place.
 func (m Mat) Zero() {
 	for i := range m.Data {
@@ -52,14 +45,8 @@ func (m Mat) Zero() {
 	}
 }
 
-// MulVec computes m * x for a column vector x (len Cols), returning a
-// vector of length Rows.
-func (m Mat) MulVec(x []float64) []float64 {
-	return m.MulVecInto(x, make([]float64, m.Rows))
-}
-
-// MulVecInto is the allocation-free MulVec: it overwrites dst (len Rows)
-// with m * x and returns dst. This is the innermost kernel of every BPTT
+// MulVecInto computes m * x for a column vector x (len Cols): it
+// overwrites dst (len Rows) with the product and returns dst. This is the innermost kernel of every BPTT
 // step, so callers on the hot path hand it a scratch buffer.
 //
 // Four rows are computed per pass, each with its own accumulator over one
@@ -71,7 +58,7 @@ func (m Mat) MulVec(x []float64) []float64 {
 // TestMulVecIntoBitIdentical.
 func (m Mat) MulVecInto(x, dst []float64) []float64 {
 	if len(x) != m.Cols {
-		panic(fmt.Sprintf("nn: MulVec dimension mismatch: %dx%d by %d", m.Rows, m.Cols, len(x)))
+		panic(fmt.Sprintf("nn: MulVecInto dimension mismatch: %dx%d by %d", m.Rows, m.Cols, len(x)))
 	}
 	if len(dst) != m.Rows {
 		panic(fmt.Sprintf("nn: MulVecInto destination has %d rows, want %d", len(dst), m.Rows))
@@ -165,14 +152,8 @@ func dot4x2(r0, r1, r2, r3, x0, x1 []float64) (s00, s10, s20, s30, s01, s11, s21
 	return
 }
 
-// MulVecT computes m^T * y for a vector y (len Rows), returning a vector of
-// length Cols. Used for input gradients.
-func (m Mat) MulVecT(y []float64) []float64 {
-	return m.MulVecTInto(y, make([]float64, m.Cols))
-}
-
-// MulVecTInto is the allocation-free MulVecT: it overwrites dst (len Cols)
-// with m^T * y and returns dst. It is the one-row product y^T * m, so it
+// MulVecTInto computes m^T * y for a vector y (len Rows): it overwrites
+// dst (len Cols) with the product and returns dst. It is the one-row product y^T * m, so it
 // runs on matMul's kernel: the non-zero y[i] are gathered four at a time
 // in ascending order and each group is folded into dst[j] with one load
 // and one store. Every dst[j] is still 0 + y[i0]*r[i0][j] + ... over the
@@ -180,7 +161,7 @@ func (m Mat) MulVecT(y []float64) []float64 {
 // multiplied: 0*Inf would be NaN. Pinned by TestMulVecTIntoBitIdentical.
 func (m Mat) MulVecTInto(y, dst []float64) []float64 {
 	if len(y) != m.Rows {
-		panic(fmt.Sprintf("nn: MulVecT dimension mismatch: %dx%d by %d", m.Rows, m.Cols, len(y)))
+		panic(fmt.Sprintf("nn: MulVecTInto dimension mismatch: %dx%d by %d", m.Rows, m.Cols, len(y)))
 	}
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("nn: MulVecTInto destination has %d cols, want %d", len(dst), m.Cols))
@@ -458,13 +439,4 @@ func (ps Params) ClipGradNorm(max float64) float64 {
 		}
 	}
 	return norm
-}
-
-// Count returns the total number of scalar parameters.
-func (ps Params) Count() int {
-	n := 0
-	for _, p := range ps {
-		n += len(p.Value.Data)
-	}
-	return n
 }

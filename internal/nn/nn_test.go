@@ -22,11 +22,6 @@ func TestMatBasics(t *testing.T) {
 	if got := m.Row(1); got[2] != 7 {
 		t.Errorf("Row(1) = %v", got)
 	}
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) == 99 {
-		t.Error("Clone shares storage")
-	}
 	m.Zero()
 	for _, v := range m.Data {
 		if v != 0 {
@@ -37,15 +32,15 @@ func TestMatBasics(t *testing.T) {
 
 func TestMulVec(t *testing.T) {
 	m := Mat{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
-	y := m.MulVec([]float64{1, 0, -1})
+	y := m.MulVecInto([]float64{1, 0, -1}, make([]float64, 2))
 	if y[0] != -2 || y[1] != -2 {
-		t.Errorf("MulVec = %v", y)
+		t.Errorf("MulVecInto = %v", y)
 	}
-	yt := m.MulVecT([]float64{1, 1})
+	yt := m.MulVecTInto([]float64{1, 1}, make([]float64, 3))
 	want := []float64{5, 7, 9}
 	for i, w := range want {
 		if yt[i] != w {
-			t.Errorf("MulVecT[%d] = %v, want %v", i, yt[i], w)
+			t.Errorf("MulVecTInto[%d] = %v, want %v", i, yt[i], w)
 		}
 	}
 }
@@ -54,10 +49,10 @@ func TestMulVecPanicsOnMismatch(t *testing.T) {
 	m := NewMat(2, 3)
 	defer func() {
 		if recover() == nil {
-			t.Error("MulVec should panic on dimension mismatch")
+			t.Error("MulVecInto should panic on dimension mismatch")
 		}
 	}()
-	m.MulVec([]float64{1, 2})
+	m.MulVecInto([]float64{1, 2}, make([]float64, 2))
 }
 
 func TestAddOuter(t *testing.T) {
@@ -101,7 +96,7 @@ func TestMatMulMatchesVecOps(t *testing.T) {
 		x := randVec(rng, 4)
 		xm := Mat{Rows: 4, Cols: 1, Data: x}
 		viaMatMul := matMul(nil, m, xm)
-		viaMulVec := m.MulVec(x)
+		viaMulVec := m.MulVecInto(x, make([]float64, 3))
 		for i := range viaMulVec {
 			if math.Abs(viaMatMul.Data[i]-viaMulVec[i]) > 1e-12 {
 				return false
@@ -155,8 +150,8 @@ func TestClipGradNorm(t *testing.T) {
 
 func TestParamsCountAndZero(t *testing.T) {
 	ps := Params{NewParam("a", 2, 3), NewParam("b", 1, 4)}
-	if ps.Count() != 10 {
-		t.Errorf("Count = %d", ps.Count())
+	if n := len(ps[0].Value.Data) + len(ps[1].Value.Data); n != 10 {
+		t.Errorf("%d scalar parameters, want 2*3 + 1*4", n)
 	}
 	ps.ZeroGrads() // a fresh parameter has no gradient buffer
 	ps[0].Grad.Data[0] = 5
@@ -252,20 +247,21 @@ func TestLSTMLearnsToRemember(t *testing.T) {
 	var lastLoss float64
 	for step := 0; step < 800; step++ {
 		first := float64(rng.Intn(2))
-		xs := make([][]float64, T)
-		xs[0] = []float64{first}
+		x := NewMat(T, 1)
+		x.Data[0] = first
 		for i := 1; i < T; i++ {
-			xs[i] = []float64{rng.NormFloat64() * 0.1}
+			x.Data[i] = rng.NormFloat64() * 0.1
 		}
 		params.ZeroGrads()
-		hs, _, caches := cell.RunSequence(xs, cell.NewLSTMState())
-		y, hc := head.Forward(hs[T-1])
+		hs, caches := NewMat(T, 8), make([]*LSTMCache, T)
+		cell.Sequence(nil, LSTMPanels{}, x, hs, cell.NewLSTMState(), caches)
+		y, hc := head.Forward(hs.Row(T - 1))
 		diff := y[0] - first
 		lastLoss = diff * diff
 		dh := head.Backward(hc, []float64{2 * diff})
-		dhs := make([][]float64, T)
-		dhs[T-1] = dh
-		cell.BackwardSequence(caches, dhs, LSTMState{})
+		dhs := NewMat(T, 8)
+		copy(dhs.Row(T-1), dh)
+		cell.BackwardSequenceScratch(nil, caches, dhs, LSTMState{})
 		params.ClipGradNorm(5)
 		opt.Step(params)
 	}

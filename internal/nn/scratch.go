@@ -72,13 +72,6 @@ func (s *Scratch) VecZero(n int) []float64 {
 	return v
 }
 
-// VecCopy returns a scratch-backed copy of src.
-func (s *Scratch) VecCopy(src []float64) []float64 {
-	v := s.Vec(len(src))
-	copy(v, src)
-	return v
-}
-
 // Mat returns a zeroed rows x cols matrix backed by the arena: NewMat's
 // arena form.
 func (s *Scratch) Mat(rows, cols int) Mat {

@@ -13,7 +13,8 @@ func TestMulVecIntoMatchesMulVec(t *testing.T) {
 		m.Data[i] = rng.NormFloat64()
 	}
 	x := randVec(rng, 3)
-	want := m.MulVec(x)
+	want := make([]float64, 5)
+	mulVecReference(m, x, want)
 	dst := make([]float64, 5)
 	for i := range dst {
 		dst[i] = math.NaN() // must be fully overwritten
@@ -33,7 +34,8 @@ func TestMulVecTIntoMatchesMulVecT(t *testing.T) {
 		m.Data[i] = rng.NormFloat64()
 	}
 	y := randVec(rng, 5)
-	want := m.MulVecT(y)
+	want := make([]float64, 3)
+	mulVecTReference(m, y, want)
 	dst := make([]float64, 3)
 	for i := range dst {
 		dst[i] = 99 // stale contents must not leak into the result
@@ -98,8 +100,8 @@ func TestScratchNilFallback(t *testing.T) {
 		t.Fatalf("nil scratch Vec len = %d", len(v))
 	}
 	s.Reset() // must not panic
-	if c := s.VecCopy([]float64{1, 2}); c[1] != 2 {
-		t.Errorf("nil scratch VecCopy = %v", c)
+	if m := s.Mat(2, 3); len(m.Data) != 6 || m.Data[5] != 0 {
+		t.Errorf("nil scratch Mat = %+v", m)
 	}
 }
 
@@ -114,7 +116,7 @@ func TestScratchStepMatchesHeapStep(t *testing.T) {
 
 	st1, cache1 := cell.Step(x, cell.NewLSTMState())
 	cell.Params().ZeroGrads()
-	dx1, dPrev1 := cell.StepBackward(cache1, dh, dc)
+	dx1, dPrev1 := stepBackward(cell, nil, cache1, dh, dc)
 	grads1 := make([]float64, 0)
 	for _, p := range cell.Params() {
 		grads1 = append(grads1, append([]float64{}, p.Grad.Data...)...)
@@ -123,7 +125,7 @@ func TestScratchStepMatchesHeapStep(t *testing.T) {
 	s := NewScratch()
 	st2, cache2 := cell.StepScratch(s, x, cell.NewLSTMStateScratch(s))
 	cell.Params().ZeroGrads()
-	dx2, dPrev2 := cell.StepBackwardScratch(s, cache2, dh, dc)
+	dx2, dPrev2 := stepBackward(cell, s, cache2, dh, dc)
 	grads2 := make([]float64, 0)
 	for _, p := range cell.Params() {
 		grads2 = append(grads2, append([]float64{}, p.Grad.Data...)...)
@@ -158,7 +160,7 @@ func TestLSTMStepZeroAlloc(t *testing.T) {
 	step := func() {
 		s.Reset()
 		state, cache := cell.StepScratch(s, x, cell.NewLSTMStateScratch(s))
-		_, _ = cell.StepBackwardScratch(s, cache, dh, dc)
+		_, _ = stepBackward(cell, s, cache, dh, dc)
 		_ = state
 	}
 	for i := 0; i < 8; i++ {

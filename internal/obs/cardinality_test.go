@@ -63,33 +63,29 @@ func TestCardinalityGuardOverflow(t *testing.T) {
 	}
 }
 
-func TestCardinalityGuardPerVecOverride(t *testing.T) {
+// TestCardinalityGuardEveryKind: the registry's cap bounds gauge,
+// counter and histogram families alike; -label-limit is the one knob.
+func TestCardinalityGuardEveryKind(t *testing.T) {
 	r := NewRegistry()
 	r.SetLabelLimit(2)
-	capped := r.GaugeVec("capped_gauge", "inherits registry cap", "k")
-	free := r.CounterVec("free_total", "uncapped family", "k")
-	free.SetLabelLimit(0) // unlimited despite registry cap
-	tight := r.HistogramVec("tight_seconds", "tighter than registry", "k", []float64{1})
-	tight.SetLabelLimit(1)
+	g := r.GaugeVec("capped_gauge", "capped gauge", "k")
+	c := r.CounterVec("capped_total", "capped counter", "k")
+	h := r.HistogramVec("capped_seconds", "capped histogram", "k", []float64{1})
 	for i := 0; i < 5; i++ {
 		k := fmt.Sprintf("v%d", i)
-		capped.With(k).Set(1)
-		free.With(k).Inc()
-		tight.With(k).Observe(0.5)
+		g.With(k).Set(1)
+		c.With(k).Inc()
+		h.With(k).Observe(0.5)
 	}
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if n := strings.Count(out, "capped_gauge{"); n != 3 {
-		t.Errorf("capped_gauge series = %d, want 3 (2 + other)", n)
-	}
-	if n := strings.Count(out, "free_total{"); n != 5 {
-		t.Errorf("free_total series = %d, want 5 (uncapped)", n)
-	}
-	if n := strings.Count(out, `tight_seconds_count{`); n != 2 {
-		t.Errorf("tight_seconds children = %d, want 2 (1 + other)", n)
+	for _, series := range []string{"capped_gauge{", "capped_total{", "capped_seconds_count{"} {
+		if n := strings.Count(out, series); n != 3 {
+			t.Errorf("%s series = %d, want 3 (2 + other)", series, n)
+		}
 	}
 }
 

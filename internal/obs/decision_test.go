@@ -36,8 +36,8 @@ func TestDecisionStoreRecordAndWraparound(t *testing.T) {
 		}
 	}
 	ds := s.Decisions()
-	if len(ds) != 3 || s.Len() != 3 || s.Cap() != 3 || s.Total() != 7 || s.Dropped() != 4 {
-		t.Fatalf("len/cap/total/dropped = %d/%d/%d/%d (kept %d)", s.Len(), s.Cap(), s.Total(), s.Dropped(), len(ds))
+	if len(ds) != 3 || s.Len() != 3 || s.capacity != 3 || s.Total() != 7 || s.Dropped() != 4 {
+		t.Fatalf("len/cap/total/dropped = %d/%d/%d/%d (kept %d)", s.Len(), s.capacity, s.Total(), s.Dropped(), len(ds))
 	}
 	for i, d := range ds {
 		if d.Seq != uint64(5+i) || d.Step != (4+i)*10 {

@@ -20,9 +20,6 @@ func NewHealth() *Health { return &Health{} }
 // SetReady flips the readiness state.
 func (h *Health) SetReady(ready bool) { h.ready.Store(ready) }
 
-// Ready reports the current readiness state.
-func (h *Health) Ready() bool { return h.ready.Load() }
-
 // LiveHandler serves /healthz: always 200 while the process runs.
 func (h *Health) LiveHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {

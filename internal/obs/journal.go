@@ -68,27 +68,19 @@ func (j *Journal) RecordTenantAt(t time.Time, tenant, kind, msg string, fields m
 	j.mu.Unlock()
 }
 
-// Events returns the retained events, oldest first.
-func (j *Journal) Events() []Event { return j.EventsFilteredTenant("", "", 0) }
-
-// EventsFilteredTenant returns the retained events of one tenant and
-// kind (empty matches all) with Seq > sinceSeq, oldest first. sinceSeq
-// makes the journal a resumable cursor: postmortem tooling passes the
-// last Seq it saw instead of re-paging the full ring.
-func (j *Journal) EventsFilteredTenant(tenant, kind string, sinceSeq uint64) []Event {
-	_, events := j.snapshot(eventFilter(tenant, kind, sinceSeq), nil)
-	return events
-}
-
-// eventFilter returns the predicate EventsFilteredTenant applies, nil
-// when it keeps every event.
-func eventFilter(tenant, kind string, sinceSeq uint64) func(*Event) bool {
-	if tenant == "" && kind == "" && sinceSeq == 0 {
-		return nil
+// Events returns the drop accounting and the retained events of one
+// tenant and kind (empty matches all) with Seq > sinceSeq, oldest first,
+// read under one lock. sinceSeq makes the journal a resumable cursor:
+// postmortem tooling passes the last Seq it saw instead of re-paging the
+// full ring. /journal serves exactly this read.
+func (j *Journal) Events(tenant, kind string, sinceSeq uint64) (ringStats, []Event) {
+	var keep func(*Event) bool
+	if tenant != "" || kind != "" || sinceSeq != 0 {
+		keep = func(e *Event) bool {
+			return e.Seq > sinceSeq && (kind == "" || e.Kind == kind) && (tenant == "" || e.Tenant == tenant)
+		}
 	}
-	return func(e *Event) bool {
-		return e.Seq > sinceSeq && (kind == "" || e.Kind == kind) && (tenant == "" || e.Tenant == tenant)
-	}
+	return j.snapshot(keep, nil)
 }
 
 // Handler returns an http.Handler serving the journal as JSON. Query
@@ -105,7 +97,7 @@ func (j *Journal) Handler() http.Handler {
 			}
 			sinceSeq = v
 		}
-		stats, events := j.snapshot(eventFilter(q.Get("tenant"), q.Get("kind"), sinceSeq), nil)
+		stats, events := j.Events(q.Get("tenant"), q.Get("kind"), sinceSeq)
 		return json.NewEncoder(w).Encode(struct {
 			ringStats
 			Events []Event `json:"events"`

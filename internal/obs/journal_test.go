@@ -16,7 +16,7 @@ func TestJournalWraparound(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		j.RecordTenantAt(base.Add(time.Duration(i)*time.Minute), "", "scale", fmt.Sprintf("event %d", i), map[string]float64{"i": float64(i)})
 	}
-	events := j.Events()
+	_, events := j.Events("", "", 0)
 	if len(events) != 4 {
 		t.Fatalf("retained %d events, want 4", len(events))
 	}
@@ -29,8 +29,8 @@ func TestJournalWraparound(t *testing.T) {
 			t.Errorf("event %d payload = %v, want %d", i, e.Fields["i"], wantSeq)
 		}
 	}
-	if j.Total() != 10 || j.Dropped() != 6 || j.Len() != 4 || j.Cap() != 4 {
-		t.Errorf("total/dropped/len/cap = %d/%d/%d/%d, want 10/6/4/4", j.Total(), j.Dropped(), j.Len(), j.Cap())
+	if j.Total() != 10 || j.Dropped() != 6 || j.Len() != 4 || j.capacity != 4 {
+		t.Errorf("total/dropped/len/cap = %d/%d/%d/%d, want 10/6/4/4", j.Total(), j.Dropped(), j.Len(), j.capacity)
 	}
 }
 
@@ -39,8 +39,8 @@ func TestJournalCopiesFields(t *testing.T) {
 	fields := map[string]float64{"nodes": 3}
 	j.RecordTenantAt(time.Now(), "", "scale", "up", fields)
 	fields["nodes"] = 99
-	if got := j.Events()[0].Fields["nodes"]; got != 3 {
-		t.Errorf("journal shares the caller's fields map: %v", got)
+	if _, events := j.Events("", "", 0); events[0].Fields["nodes"] != 3 {
+		t.Errorf("journal shares the caller's fields map: %v", events[0].Fields)
 	}
 }
 
@@ -53,7 +53,7 @@ func TestJournalConcurrentRecord(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				j.RecordTenantAt(time.Now(), "", "k", "m", nil)
-				j.Events()
+				j.Events("", "", 0)
 			}
 		}()
 	}
@@ -106,17 +106,17 @@ func TestJournalEventsFiltered(t *testing.T) {
 	j.RecordTenantAt(time.Now(), "", "violation", "breach", nil)
 	j.RecordTenantAt(time.Now(), "", "scale", "down", nil)
 
-	if got := j.EventsFilteredTenant("", "", 0); len(got) != 3 {
-		t.Errorf("unfiltered kept %d, want 3", len(got))
+	if stats, got := j.Events("", "", 0); len(got) != 3 || stats != (ringStats{8, 3, 0}) {
+		t.Errorf("unfiltered kept %d, stats %+v; want 3 and {8 3 0}", len(got), stats)
 	}
-	got := j.EventsFilteredTenant("", "scale", 0)
+	_, got := j.Events("", "scale", 0)
 	if len(got) != 2 || got[0].Msg != "up" || got[1].Msg != "down" {
 		t.Errorf("kind filter = %+v", got)
 	}
-	if got := j.EventsFilteredTenant("", "", 2); len(got) != 1 || got[0].Seq != 3 {
-		t.Errorf("since_seq filter = %+v", got)
+	if stats, got := j.Events("", "", 2); len(got) != 1 || got[0].Seq != 3 || stats.Total != 3 {
+		t.Errorf("since_seq filter = %+v, stats %+v", got, stats)
 	}
-	if got := j.EventsFilteredTenant("", "violation", 2); len(got) != 0 {
+	if _, got := j.Events("", "violation", 2); len(got) != 0 {
 		t.Errorf("combined filter = %+v", got)
 	}
 }

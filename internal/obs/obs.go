@@ -126,9 +126,6 @@ type Gauge struct{ v atomicFloat }
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.v.Store(v) }
 
-// Add adjusts the value by a (possibly negative) delta.
-func (g *Gauge) Add(v float64) { g.v.Add(v) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.Load() }
 
@@ -152,18 +149,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
 	h.sum.Add(v)
 }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var total uint64
-	for i := range h.counts {
-		total += h.counts[i].Load()
-	}
-	return total
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.Load() }
 
 // snapshot returns cumulative bucket counts, the total count and the sum.
 func (h *Histogram) snapshot() ([]uint64, uint64, float64) {
@@ -193,22 +178,9 @@ type family struct {
 	label  string    // label key; "" for unlabelled instruments
 	bounds []float64 // histogram bucket bounds
 	reg    *Registry
-	limit  atomic.Int64 // 0 = inherit registry limit, <0 = unlimited
 
 	mu       sync.Mutex
 	children map[string]interface{} // label value -> *Counter | *Gauge | *Histogram
-}
-
-// effLimit resolves the family's cardinality cap: a per-family override
-// wins over the registry default; zero or negative means unlimited.
-func (f *family) effLimit() int64 {
-	if l := f.limit.Load(); l != 0 {
-		if l < 0 {
-			return 0
-		}
-		return l
-	}
-	return f.reg.labelLimit.Load()
 }
 
 // child returns the instrument for a label value, creating it with mk
@@ -225,7 +197,7 @@ func (f *family) child(value string, mk func() interface{}) interface{} {
 		return c
 	}
 	if f.label != "" && value != OverflowLabel && f.name != overflowMetricName {
-		if limit := f.effLimit(); limit > 0 && int64(len(f.children)) >= limit {
+		if limit := f.reg.labelLimit.Load(); limit > 0 && int64(len(f.children)) >= limit {
 			f.mu.Unlock()
 			f.reg.noteOverflow(f.name)
 			return f.child(OverflowLabel, mk)
@@ -256,38 +228,17 @@ type CounterVec struct{ f *family }
 // first use. Cache the result on hot paths.
 func (v *CounterVec) With(value string) *Counter { return v.f.counter(value) }
 
-// SetLabelLimit overrides the family's cardinality cap: n > 0 caps the
-// number of distinct label values, n <= 0 removes the cap. Existing
-// children are kept either way.
-func (v *CounterVec) SetLabelLimit(n int) { v.f.setLimit(n) }
-
 // GaugeVec is a gauge family with one label dimension.
 type GaugeVec struct{ f *family }
 
 // With returns the gauge for the given label value.
 func (v *GaugeVec) With(value string) *Gauge { return v.f.gauge(value) }
 
-// SetLabelLimit overrides the family's cardinality cap; see
-// CounterVec.SetLabelLimit.
-func (v *GaugeVec) SetLabelLimit(n int) { v.f.setLimit(n) }
-
 // HistogramVec is a histogram family with one label dimension.
 type HistogramVec struct{ f *family }
 
 // With returns the histogram for the given label value.
 func (v *HistogramVec) With(value string) *Histogram { return v.f.histogram(value) }
-
-// SetLabelLimit overrides the family's cardinality cap; see
-// CounterVec.SetLabelLimit.
-func (v *HistogramVec) SetLabelLimit(n int) { v.f.setLimit(n) }
-
-func (f *family) setLimit(n int) {
-	if n <= 0 {
-		f.limit.Store(-1)
-		return
-	}
-	f.limit.Store(int64(n))
-}
 
 // Registry holds metric families and renders them in Prometheus text
 // format. The zero value is not usable; call NewRegistry.
@@ -306,17 +257,13 @@ func NewRegistry() *Registry {
 }
 
 // SetLabelLimit replaces the registry-wide per-family label cardinality
-// cap. n <= 0 removes the cap. Families with their own SetLabelLimit
-// override are unaffected.
+// cap. n <= 0 removes the cap.
 func (r *Registry) SetLabelLimit(n int) {
 	if n <= 0 {
 		n = 0
 	}
 	r.labelLimit.Store(int64(n))
 }
-
-// LabelLimit returns the registry-wide cap (0 = unlimited).
-func (r *Registry) LabelLimit() int { return int(r.labelLimit.Load()) }
 
 // noteOverflow counts one With() lookup that was routed to the
 // overflow series of the named family. Called with no family lock held.

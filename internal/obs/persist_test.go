@@ -24,12 +24,13 @@ func TestJournalSaveLoadRoundTrip(t *testing.T) {
 	if j2.Total() != j.Total() || j2.Dropped() != j.Dropped() {
 		t.Fatalf("totals: got (%d, %d), want (%d, %d)", j2.Total(), j2.Dropped(), j.Total(), j.Dropped())
 	}
-	if !reflect.DeepEqual(j2.Events(), j.Events()) {
-		t.Fatalf("events differ:\n got %+v\nwant %+v", j2.Events(), j.Events())
+	_, got := j2.Events("", "", 0)
+	if _, want := j.Events("", "", 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("events differ:\n got %+v\nwant %+v", got, want)
 	}
 	// The restored ring keeps rotating correctly.
 	j2.RecordTenantAt(base.Add(time.Hour), "", "scale", "after", nil)
-	events := j2.Events()
+	_, events := j2.Events("", "", 0)
 	if events[len(events)-1].Seq != 13 {
 		t.Fatalf("post-restore seq = %d, want 13", events[len(events)-1].Seq)
 	}
@@ -51,7 +52,7 @@ func TestJournalLoadTrimsToCapacity(t *testing.T) {
 	if small.Len() != 4 || small.Total() != 10 {
 		t.Fatalf("trimmed journal: len=%d total=%d, want 4/10", small.Len(), small.Total())
 	}
-	events := small.Events()
+	_, events := small.Events("", "", 0)
 	if events[0].Seq != 7 || events[3].Seq != 10 {
 		t.Fatalf("trimmed to wrong tail: %+v", events)
 	}

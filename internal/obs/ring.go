@@ -96,9 +96,6 @@ func (r *ring[T]) Len() int {
 	return r.count
 }
 
-// Cap returns the capacity, fixed at construction.
-func (r *ring[T]) Cap() int { return r.capacity }
-
 // Total returns how many records were ever recorded.
 func (r *ring[T]) Total() uint64 {
 	r.mu.Lock()

@@ -61,7 +61,7 @@ func FuzzRing(f *testing.F) {
 				t.Fatalf("after op %d: retained %v, want %v", pc, got, want)
 			}
 			if r.Len() != len(want) || r.Total() != total || r.Dropped() != total-uint64(len(want)) ||
-				stats != (ringStats{r.Cap(), r.Total(), r.Dropped()}) {
+				stats != (ringStats{r.capacity, r.Total(), r.Dropped()}) {
 				t.Fatalf("after op %d: len/total/dropped = %d/%d/%d, stats %+v, want %d/%d/%d",
 					pc, r.Len(), r.Total(), r.Dropped(), stats, len(want), total, total-uint64(len(want)))
 			}

@@ -122,39 +122,6 @@ func (s *Sketch) Count() uint64 {
 	return s.count
 }
 
-// Sum returns the sum of all observations.
-func (s *Sketch) Sum() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sum
-}
-
-// Min returns the smallest observation (0 when empty).
-func (s *Sketch) Min() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (s *Sketch) Max() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.max
-}
-
-// Buckets returns how many distinct buckets the sketch occupies — its
-// memory footprint in units of one (key, count) pair.
-func (s *Sketch) Buckets() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.pos) + len(s.neg)
-	if s.zero > 0 {
-		n++
-	}
-	return n
-}
-
 // Merge folds another sketch into the receiver. Both must share the
 // same relative accuracy; merging is exact (bucket counts add), so the
 // result is independent of how observations were grouped.
@@ -188,9 +155,6 @@ func (s *Sketch) Merge(o *Sketch) error {
 	}
 	return nil
 }
-
-// Quantile returns the estimate for q ∈ [0, 1]; see Percentile.
-func (s *Sketch) Quantile(q float64) float64 { return s.Percentile(q * 100) }
 
 // Percentile returns the nearest-rank percentile estimate (p in
 // (0, 100]), using the same rank rule as a sorted-slice nearest-rank

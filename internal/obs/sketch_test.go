@@ -82,8 +82,8 @@ func TestSketchNegativeAndZero(t *testing.T) {
 			t.Errorf("p%v: sketch %v vs exact %v", p, got, exact)
 		}
 	}
-	if s.Min() != -100 || s.Max() != 100 {
-		t.Errorf("min/max = %v/%v, want -100/100", s.Min(), s.Max())
+	if snap := s.Snapshot(); snap.Min != -100 || snap.Max != 100 {
+		t.Errorf("min/max = %v/%v, want -100/100", snap.Min, snap.Max)
 	}
 }
 
@@ -164,7 +164,7 @@ func TestSketchSaveDeterministicAndRoundTrip(t *testing.T) {
 			t.Errorf("p%v differs after round-trip: %v vs %v", p, loaded.Percentile(p), orig.Percentile(p))
 		}
 	}
-	if loaded.Count() != orig.Count() || loaded.Sum() != orig.Sum() {
+	if loaded.Count() != orig.Count() || loaded.Snapshot().Sum != orig.Snapshot().Sum {
 		t.Error("count/sum differ after round-trip")
 	}
 	wrongAlpha := NewSketch(0.05)
@@ -234,8 +234,8 @@ func TestSketchLoadRejectsInconsistentCounts(t *testing.T) {
 				t.Fatalf("Load accepted the blob; Percentile(50) = %v", got.Percentile(50))
 			case !strings.Contains(err.Error(), c.want):
 				t.Errorf("Load error %q does not name %q", err, c.want)
-			case got.Count() != 1 || got.Max() != 7:
-				t.Errorf("a refused load changed the receiver: count %d, max %v", got.Count(), got.Max())
+			case got.Count() != 1 || got.Snapshot().Max != 7:
+				t.Errorf("a refused load changed the receiver: count %d, max %v", got.Count(), got.Snapshot().Max)
 			}
 		})
 	}
@@ -262,8 +262,8 @@ func TestSketchEdgeCases(t *testing.T) {
 	if rel := math.Abs(s2.Percentile(50)-3.5) / 3.5; rel > 0.01 {
 		t.Errorf("ObserveN median %v off 3.5", s2.Percentile(50))
 	}
-	if s2.Buckets() != 1 {
-		t.Errorf("single repeated value should occupy 1 bucket, got %d", s2.Buckets())
+	if b := buckets(s2); b != 1 {
+		t.Errorf("single repeated value should occupy 1 bucket, got %d", b)
 	}
 	defer func() {
 		if recover() == nil {
@@ -279,7 +279,18 @@ func TestSketchBoundedMemory(t *testing.T) {
 		s.Observe(v)
 	}
 	// Six decades at α = 1% is ~log(1e6)/log(γ) ≈ 691 buckets.
-	if b := s.Buckets(); b > 800 {
+	if b := buckets(s); b > 800 {
 		t.Errorf("bucket count %d exceeds O(log range) expectation", b)
 	}
+}
+
+// buckets returns how many distinct buckets s occupies: its memory
+// footprint in units of one (key, count) pair.
+func buckets(s *Sketch) int {
+	snap := s.Snapshot()
+	n := len(snap.PosKeys) + len(snap.NegKeys)
+	if snap.Zero > 0 {
+		n++
+	}
+	return n
 }

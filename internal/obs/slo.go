@@ -145,13 +145,6 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	}
 }
 
-// Config returns the tracker's configuration.
-func (s *SLOTracker) Config() SLOConfig {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg
-}
-
 // sloInstruments are the exposition handles a tracker drives. They are
 // process-global (registered against Default) so there should be one
 // instrumented tracker per process.

@@ -123,7 +123,7 @@ func TestSLOTrackerJournalEvents(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.ObserveAt(sloTime(i), 50, 100)
 	}
-	events := j.EventsFilteredTenant("t00042", "alert", 0)
+	_, events := j.Events("t00042", "alert", 0)
 	if len(events) < 2 {
 		t.Fatalf("expected alert journal events, got %+v", events)
 	}
@@ -256,7 +256,7 @@ func TestHealthEndpoints(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	if !h.Ready() {
+	if !h.ready.Load() {
 		t.Error("Ready() should report true")
 	}
 }

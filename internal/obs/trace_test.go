@@ -67,9 +67,9 @@ func TestTracerRingBounds(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Start("s").End()
 	}
-	if tr.Len() != 4 || tr.Cap() != 4 || tr.Total() != 10 || tr.Dropped() != 6 {
+	if tr.Len() != 4 || tr.capacity != 4 || tr.Total() != 10 || tr.Dropped() != 6 {
 		t.Errorf("len/cap/total/dropped = %d/%d/%d/%d, want 4/4/10/6",
-			tr.Len(), tr.Cap(), tr.Total(), tr.Dropped())
+			tr.Len(), tr.capacity, tr.Total(), tr.Dropped())
 	}
 	tr.Reset()
 	if tr.Len() != 0 || tr.Total() != 0 || tr.Dropped() != 0 {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -192,9 +193,30 @@ func TestMetricsHandlerComposesObsRegistry(t *testing.T) {
 // TestObserveApply checks the daemon-side apply-stage helper feeds the
 // shared histogram family on obs.Default.
 func TestObserveApply(t *testing.T) {
-	before := stageSeconds.With(StageApply).Count()
+	before := scrapedApplyCount(t)
 	ObserveApply(3 * time.Millisecond)
-	if got := stageSeconds.With(StageApply).Count(); got != before+1 {
-		t.Errorf("apply-stage observations = %d, want %d", got, before+1)
+	if got := scrapedApplyCount(t); got != before+1 {
+		t.Errorf("apply-stage observations = %v, want %v", got, before+1)
 	}
+}
+
+// scrapedApplyCount reads the apply stage's observation count from
+// obs.Default's exposition, as a scrape would; 0 before the first.
+func scrapedApplyCount(t *testing.T) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	sample := `robustscale_stage_duration_seconds_count{stage="` + StageApply + `"} `
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, sample); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	return 0
 }

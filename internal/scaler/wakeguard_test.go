@@ -220,8 +220,8 @@ func TestRestoredWakeGuardJournalsNoTrip(t *testing.T) {
 		since := obs.DefaultJournal.Total()
 		c.g.Shape(plan(0), true)
 		c.g.JournalTrip()
-		if n := len(obs.DefaultJournal.EventsFilteredTenant("restored-trip", "wake", since)); n != 0 {
-			t.Errorf("%s guard with one cooldown tick left journalled %d wake events, want 0", c.name, n)
+		if _, events := obs.DefaultJournal.Events("restored-trip", "wake", since); len(events) != 0 {
+			t.Errorf("%s guard with one cooldown tick left journalled %d wake events, want 0", c.name, len(events))
 		}
 		if !c.g.BreakerOpen() {
 			t.Errorf("%s guard's breaker closed with a cooldown tick left", c.name)

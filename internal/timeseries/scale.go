@@ -45,15 +45,6 @@ func (s *StandardScaler) Transform(values []float64) []float64 {
 	return out
 }
 
-// Inverse maps z-scores back to raw values.
-func (s *StandardScaler) Inverse(values []float64) []float64 {
-	out := make([]float64, len(values))
-	for i, v := range values {
-		out[i] = s.InverseOne(v)
-	}
-	return out
-}
-
 // TransformOne maps one raw value to a z-score; elementwise identical to
 // Transform, for hot paths that normalize streaming observations without
 // allocating a slice.

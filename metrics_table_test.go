@@ -26,7 +26,7 @@ func TestMetricTableMatchesRegistry(t *testing.T) {
 	// A fleet under chaos with the pool, scale-to-zero, durability and the
 	// SLO plane on feeds the fleet-side families; a label cap below the
 	// tenant count feeds the overflow family.
-	defer obs.Default.SetLabelLimit(obs.Default.LabelLimit())
+	defer obs.Default.SetLabelLimit(obs.DefaultLabelLimit)
 	obs.Default.SetLabelLimit(2)
 	cfg := fleet.DefaultConfig(4)
 	cfg.Days, cfg.Chaos, cfg.PoolNodes, cfg.Serverless = 3, "fleet", 6, true

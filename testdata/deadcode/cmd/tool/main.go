@@ -1,6 +1,14 @@
-// Command tool is a root: it alone keeps lib.UsedByCmd alive.
+// Command tool is a root: it alone keeps lib.UsedByCmd alive, and it
+// calls Area through lib.Shape, String through fmt and a Box's Get.
 package main
 
-import "fixture/internal/lib"
+import (
+	"fmt"
 
-func main() { println(lib.UsedByCmd()) }
+	"fixture/internal/lib"
+)
+
+func main() {
+	var s lib.Shape = lib.Square{}
+	fmt.Println(lib.UsedByCmd(), s.Area(), lib.Named{}, lib.Box[int]{}.Get())
+}
